@@ -19,6 +19,46 @@ const SPEC: HybridSpec = HybridSpec {
     steps: 3,
 };
 
+/// Golden fingerprints of [`SPEC`], frozen from the thread-per-rank backend
+/// before it was deleted (PR 12): FNV-1a 64 over the loss bits and over the
+/// `Debug` text of the stats breakdown (op kinds sorted) and of every trace
+/// span. `Debug` prints an `f64` as its shortest round-trip decimal, so the
+/// text is one-to-one with the bits.
+const GOLDEN_LOSSES: u64 = 0x2938_4388_c344_7af5;
+const GOLDEN_STATS: u64 = 0xbb7f_688e_c7b3_c8bb;
+const GOLDEN_TRACE: u64 = 0xa3a4_4a27_7993_74fc;
+
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `(losses, stats, trace)` fingerprints of one run.
+fn fingerprint(losses: &[Vec<f32>], stats: &CommStats, trace: &[Span]) -> (u64, u64, u64) {
+    let loss_bytes = losses
+        .iter()
+        .flatten()
+        .flat_map(|l| l.to_bits().to_le_bytes());
+    let mut by_op: Vec<_> = stats.by_op.iter().collect();
+    by_op.sort_by_key(|(kind, _)| kind.name());
+    let stats_text = format!("{} {} {} {by_op:?}", stats.ops, stats.elements, stats.bytes);
+    (
+        fnv1a(loss_bytes),
+        fnv1a(stats_text.bytes()),
+        fnv1a(format!("{trace:?}").bytes()),
+    )
+}
+
+#[test]
+fn threads_backend_reproduces_golden_fingerprints() {
+    let (losses, stats, trace) = run_under(WorldBackend::Threads);
+    assert_eq!(
+        fingerprint(&losses, &stats, &trace),
+        (GOLDEN_LOSSES, GOLDEN_STATS, GOLDEN_TRACE)
+    );
+}
+
 /// Runs the canonical 16-rank hybrid DP x TP x PP workload under `backend`
 /// and returns (per-rank per-step losses, stats, trace).
 fn run_under(backend: WorldBackend) -> (Vec<Vec<f32>>, CommStats, Vec<Span>) {
