@@ -17,7 +17,7 @@ fn stage_layers(rng: &mut InitRng) -> Sequential {
     ])
 }
 
-fn run_schedule(schedule: Schedule, p: usize, m: usize) {
+fn run_pipeline(schedule: Schedule, p: usize, m: usize) {
     let world = World::new(system_i());
     world.run_on(p, |ctx| {
         let devices: Vec<usize> = (0..p).collect();
@@ -50,12 +50,12 @@ fn bench_schedules(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("gpipe", format!("p{p}_m{m}")),
             &(p, m),
-            |b, &(p, m)| b.iter(|| run_schedule(Schedule::GPipe, p, m)),
+            |b, &(p, m)| b.iter(|| run_pipeline(Schedule::GPipe, p, m)),
         );
         group.bench_with_input(
             BenchmarkId::new("one_f_one_b", format!("p{p}_m{m}")),
             &(p, m),
-            |b, &(p, m)| b.iter(|| run_schedule(Schedule::OneFOneB, p, m)),
+            |b, &(p, m)| b.iter(|| run_pipeline(Schedule::OneFOneB, p, m)),
         );
     }
     group.finish();

@@ -1,15 +1,14 @@
-//! Scaling benchmark of the stackless world backend: one hybrid
-//! DP x TP x PP training step at 64 -> 16384 simulated ranks, every rank a
-//! resumable [`HybridTask`] state machine multiplexed onto a fixed worker
-//! pool (one running slot per host core).
+//! Scaling benchmark of the rank executor: one hybrid DP x TP x PP
+//! training step at 64 -> 16384 simulated ranks, every rank a resumable
+//! [`HybridTask`] state machine multiplexed onto a fixed worker pool (one
+//! running slot per host core).
 //!
-//! The point being measured is the *world backend*, not the arithmetic:
-//! under the legacy thread-per-rank backend a 16384-rank world needs 16384
-//! OS threads (stacks + futexes the kernel pays for even while parked —
-//! EXPERIMENTS.md measured them as the residual scaling term at 4096
-//! ranks), and even the event-driven scheduler still parks one OS thread
-//! per rank. The stackless executor keeps rank state on the heap: peak
-//! live OS threads equal the pool size at *any* world size.
+//! The point being measured is the *executor*, not the arithmetic: as
+//! `run_on` closures a 16384-rank world needs 16384 OS threads (stacks +
+//! futexes the kernel pays for even while parked — EXPERIMENTS.md measured
+//! them as the residual scaling term at 4096 ranks). Heap tasks keep rank
+//! state on the heap: peak live OS threads equal the pool size at *any*
+//! world size.
 //!
 //! Three derived columns make the scaling claim checkable:
 //!
@@ -19,12 +18,12 @@
 //!   delivery wakes one parked task. O(world) here means the thundering
 //!   herd is back.
 //! * **peak thr** (`World::thread_stats`) must equal the pool, not the
-//!   world size — the tentpole claim, gated at `pool + 4` in CI.
+//!   world size, gated at `pool + 4` in CI.
 //!
 //! At 64 ranks (a size where spawning one OS thread per rank is still
-//! cheap) the same workload is re-run under all three backends — threads,
-//! scheduler, stackless — and the per-rank losses, traffic stats and trace
-//! span sequences are compared bitwise: the backend-parity contract of
+//! cheap) the same workload is re-run as `run_on` closures, and the
+//! per-rank losses, traffic stats and trace span sequences are compared
+//! bitwise with the task run: the parity contract of
 //! `tests/world_backend_parity.rs`, here checked inside the shipped
 //! artifact. The largest scale also prints the compacted min/med/max trace
 //! rollup (per-rank rows elide at >= 64 ranks).
@@ -98,16 +97,14 @@ fn cluster_for(ranks: usize) -> Cluster {
 /// gauges), and wall seconds.
 type Sample = (Vec<Vec<f32>>, World, f64);
 
-/// Runs `spec` under `backend` and returns (losses, world, wall seconds).
-/// The stackless backend is driven through `run_tasks` (no per-rank
-/// closure stack at all); the thread-backed backends through `run_on`.
-fn run_once(spec: &HybridSpec, backend: WorldBackend, traced: bool) -> Sample {
+/// Runs `spec` as heap tasks (`run_tasks`: no per-rank stack at all) or as
+/// closures (`run_on`) and returns (losses, world, wall seconds).
+fn run_once(spec: &HybridSpec, tasks: bool, traced: bool) -> Sample {
     let world = World::new(cluster_for(spec.ranks()));
-    world.set_backend(Some(backend));
     world.set_tracing(traced);
     let spec = *spec;
     let t0 = Instant::now();
-    let losses = if matches!(backend, WorldBackend::Stackless { .. }) {
+    let losses = if tasks {
         world.run_tasks(spec.ranks(), move |_rank| HybridTask::new(spec))
     } else {
         world.run_on(spec.ranks(), |ctx| run_hybrid(ctx, &spec))
@@ -129,12 +126,11 @@ fn median(walls: &mut [f64]) -> f64 {
 }
 
 fn main() {
-    let pool = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let stackless = WorldBackend::Stackless { pool: 0 };
+    let WorldBackend::Stackless { pool } = World::new(fat_tree_512()).backend();
 
     // warm up allocators/pools so the 64-rank reference row is not billed
     // for one-time process setup
-    let _ = run_once(&spec_for(2, 8, 4), stackless, false);
+    let _ = run_once(&spec_for(2, 8, 4), true, false);
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut ranks_max = 0usize;
@@ -152,7 +148,7 @@ fn main() {
     for _ in 0..REPS {
         for (i, &(dp, tp, pp)) in SCALES.iter().enumerate() {
             let spec = spec_for(dp, tp, pp);
-            let (l, w, t) = run_once(&spec, stackless, false);
+            let (l, w, t) = run_once(&spec, true, false);
             walls[i].push(t);
             match &mut measured[i] {
                 None => measured[i] = Some((l, w, t)),
@@ -193,20 +189,15 @@ fn main() {
         ]);
     }
 
-    // Backend parity at 64 ranks: the largest size where spawning one OS
-    // thread per rank *and letting them all run* is still cheap enough to
-    // do three times. Losses, stats and trace spans must match bit for bit
-    // across threads, scheduler and stackless.
+    // Closure-vs-task parity at 64 ranks, a size where one OS thread per
+    // rank is still cheap: losses, stats and trace spans must match bit for
+    // bit between the two rank forms.
     let spec64 = spec_for(2, 8, 4);
-    let (l_stackless, w_stackless, _) = run_once(&spec64, stackless, true);
-    let (l_sched, w_sched, _) = run_once(&spec64, WorldBackend::Sched { pool: 0 }, true);
-    let (l_threads, w_threads, _) = run_once(&spec64, WorldBackend::Threads, true);
-    let backend_match = l_stackless == l_sched
-        && l_stackless == l_threads
-        && w_stackless.stats() == w_sched.stats()
-        && w_stackless.stats() == w_threads.stats()
-        && w_stackless.trace() == w_sched.trace()
-        && w_stackless.trace() == w_threads.trace();
+    let (l_tasks, w_tasks, _) = run_once(&spec64, true, true);
+    let (l_closures, w_closures, _) = run_once(&spec64, false, true);
+    let backend_match = l_tasks == l_closures
+        && w_tasks.stats() == w_closures.stats()
+        && w_tasks.trace() == w_closures.trace();
 
     let per_rank_step_ratio = if per_rank_step_ms_64 > 0.0 {
         per_rank_step_ms_max / per_rank_step_ms_64
@@ -230,7 +221,7 @@ fn main() {
 
     print_table(
         &format!(
-            "Stackless world scaling: hybrid DPxTPxPP step, {STEPS} steps x \
+            "Rank executor scaling: hybrid DPxTPxPP step as heap tasks, {STEPS} steps x \
              {ELEMS} elems, worker pool = {pool} slots"
         ),
         &[
@@ -247,7 +238,7 @@ fn main() {
         &rows,
     );
     println!(
-        "\nbackend parity @ 64 ranks (threads vs scheduler vs stackless): {}",
+        "\nrank-form parity @ 64 ranks (run_on closures vs run_tasks): {}",
         if backend_match {
             "bitwise identical (losses, stats, trace)"
         } else {
@@ -266,12 +257,12 @@ fn main() {
         let &(dp, tp, pp) = SCALES.last().unwrap();
         spec_for(dp, tp, pp)
     };
-    let (_, w_max, _) = run_once(&spec_max, stackless, true);
+    let (_, w_max, _) = run_once(&spec_max, true, true);
     println!("\n{}", w_max.rollup_table());
     println!(
         "Every rank above ran as a resumable heap task on {pool} worker \
          slots; peak OS threads stay O(pool) at any world size and results \
          are invariant to the pool size (COLOSSAL_WORLD_POOL) and to the \
-         backend (COLOSSAL_WORLD=threads|sched|stackless)."
+         rank form (run_on closures vs run_tasks)."
     );
 }

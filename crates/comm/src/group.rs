@@ -11,7 +11,7 @@ use crate::trace::{group_track_name, SpanKind, Track};
 use crate::world::DeviceCtx;
 use colossalai_tensor::Tensor;
 use colossalai_topology::{cost, AllReduceAlgo, Cluster, DeviceId};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Wire width of a collective payload.
@@ -141,10 +141,11 @@ fn allreduce_plan(
 /// What to compute when the last arrival combines the deposited inputs.
 ///
 /// A plain value instead of a `FnOnce` closure so a [`CollectiveOp`] is a
-/// small `'static` struct a stackless [`crate::task::RankTask`] can hold
-/// across polls; the combine itself ([`finish_spec`]) runs in the last
+/// small `'static` struct a heap [`crate::task::RankTask`] can hold across
+/// polls, and so the rendezvous can check that every member asked for the
+/// same thing; the combine itself ([`finish_spec`]) runs in the last
 /// arrival's poll, where a `DeviceCtx` (cluster, forced algo) is at hand.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 enum CollSpec {
     /// Sum (or elementwise-max) all-reduce.
     AllReduce {
@@ -192,10 +193,51 @@ enum CollSpec {
     Barrier,
 }
 
+impl CollSpec {
+    /// Whether every member must contribute the same shape. False where
+    /// only the root's input counts or contributions may be ragged.
+    fn same_shape(self) -> bool {
+        matches!(
+            self,
+            CollSpec::AllReduce { .. }
+                | CollSpec::SparseAllReduce { .. }
+                | CollSpec::ReduceScatter { .. }
+                | CollSpec::AllToAll { .. }
+                | CollSpec::ReduceSum { .. }
+        )
+    }
+}
+
+/// `op(parameters)` as the mismatch diagnostic prints it.
+impl std::fmt::Display for CollSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let w = |wire: &Wire| format!("{wire:?}").to_lowercase();
+        match self {
+            CollSpec::AllReduce { max: false, wire } => write!(f, "all_reduce({})", w(wire)),
+            CollSpec::AllReduce { max: true, wire } => write!(f, "all_reduce_max({})", w(wire)),
+            CollSpec::SparseAllReduce { k } => write!(f, "sparse_all_reduce(k {k})"),
+            CollSpec::AllGather { dim, wire } => write!(f, "all_gather(dim {dim}, {})", w(wire)),
+            CollSpec::ReduceScatter { dim, wire } => {
+                write!(f, "reduce_scatter(dim {dim}, {})", w(wire))
+            }
+            CollSpec::Broadcast { root, wire } => write!(f, "broadcast(root {root}, {})", w(wire)),
+            CollSpec::Scatter { dim, root, wire } => {
+                write!(f, "scatter(dim {dim}, root {root}, {})", w(wire))
+            }
+            CollSpec::Gather { dim, root, wire } => {
+                write!(f, "gather(dim {dim}, root {root}, {})", w(wire))
+            }
+            CollSpec::AllToAll { dim, wire } => write!(f, "all_to_all(dim {dim}, {})", w(wire)),
+            CollSpec::ReduceSum { root, wire } => write!(f, "reduce_sum(root {root}, {})", w(wire)),
+            CollSpec::Barrier => write!(f, "barrier"),
+        }
+    }
+}
+
 /// Runs `spec`'s combine over the rank-ordered inputs: per-rank outputs,
 /// modeled cost and traffic accounting. Pure in the inputs plus the
-/// cluster model (and the world's forced-algo pin), so every backend gets
-/// bitwise-identical outputs no matter which rank arrives last.
+/// cluster model (and the world's forced-algo pin), so the outputs are
+/// bitwise identical no matter which rank arrives last.
 fn finish_spec(spec: CollSpec, ctx: &DeviceCtx, members: &[DeviceId], inputs: &[Tensor]) -> Done {
     let p = members.len();
     let cluster = ctx.cluster();
@@ -360,10 +402,10 @@ enum CollStage {
 /// rendezvous entry, created by the `Group::start_*` methods and advanced
 /// by [`Group::poll_collective`] until it yields the rank's output.
 ///
-/// Holding one of these across polls is what lets a stackless
+/// Holding one of these across polls is what lets a heap
 /// [`crate::task::RankTask`] park *inside* a collective without owning a
-/// stack; the blocking collectives drive the very same struct in a
-/// poll/wait loop.
+/// stack; the blocking collectives drive the very same struct through
+/// [`DeviceCtx::block_on`]'s poll/sleep loop.
 pub struct CollectiveOp {
     spec: CollSpec,
     stream: Stream,
@@ -372,8 +414,7 @@ pub struct CollectiveOp {
     t_arrive: Option<f64>,
     stage: CollStage,
     /// Set when the previous poll returned `Pending`: the next poll counts
-    /// one observed group wakeup (the stackless analog of coming off a
-    /// rendezvous condvar).
+    /// one observed group wakeup.
     parked: bool,
 }
 
@@ -401,31 +442,29 @@ struct SlotState {
     /// Kind and wire bytes of the op in flight, published by the last
     /// arrival so every rank can emit its own trace span.
     op: Option<(OpKind, u64)>,
-    /// Global ranks of stackless tasks parked `Pending` for this op's
-    /// publish; drained (and woken through the task waker) by the last
-    /// arrival. Thread-backed waiters park on `cv_publish` instead.
+    /// What the first arrival of the op in flight asked for, and its group
+    /// index (its input sits in `inputs` until the publish): every later
+    /// arrival must match it.
+    first: Option<(CollSpec, usize)>,
+    /// Global ranks parked `Pending` for this op's publish; drained (and
+    /// woken through the executor) by the last arrival.
     parked_publish: Vec<DeviceId>,
-    /// Stackless tasks parked waiting for the previous op's drain; woken
-    /// by the last picker's reset.
+    /// Ranks parked waiting for the previous op's drain; woken by the last
+    /// picker's reset.
     parked_drain: Vec<DeviceId>,
 }
 
 /// Shared state of one process group (all member handles point here).
 ///
-/// The rendezvous has two distinct wait reasons, each with its own condvar
-/// so a notification never wakes ranks parked for the *other* reason:
-/// Collect-phase waiters park on `cv_publish` (woken once, by the last
-/// arrival), while next-op entrants draining a still-Distribute slot park
-/// on `cv_drain` (woken once, by the last picker). With a single shared
-/// condvar every publish re-woke the drain waiters (and vice versa), and
-/// each spurious wake costs a full scheduler readmission cycle.
+/// The rendezvous has two distinct wait reasons, each with its own parked
+/// list so a wake never reaches ranks parked for the *other* reason:
+/// Collect-phase waiters sit in `parked_publish` (woken once, by the last
+/// arrival), while next-op entrants draining a still-Distribute slot sit in
+/// `parked_drain` (woken once, by the last picker). Every spurious wake
+/// would cost a full requeue/dispatch cycle.
 pub(crate) struct GroupShared {
     members: Vec<DeviceId>,
     slot: Mutex<SlotState>,
-    /// Woken by the last arrival when outputs are published.
-    cv_publish: Condvar,
-    /// Woken by the last picker when the slot resets for the next op.
-    cv_drain: Condvar,
 }
 
 impl GroupShared {
@@ -445,43 +484,35 @@ impl GroupShared {
                 t_max: 0.0,
                 t_done: 0.0,
                 op: None,
+                first: None,
                 parked_publish: Vec::new(),
                 parked_drain: Vec::new(),
             }),
-            cv_publish: Condvar::new(),
-            cv_drain: Condvar::new(),
         }
     }
 
-    /// Blocking fallback for a [`WakeKey::publish`] key: parks the calling
-    /// thread on `cv_publish` while the slot is still collecting. One wait
-    /// per call — the poll/wait driver loop re-checks by re-polling, like
-    /// a condvar waiter re-checking its predicate.
-    pub(crate) fn block_until_published(&self, ctx: &DeviceCtx) {
-        let mut st = self.slot.lock();
-        if st.phase == Phase::Collect {
-            ctx.wait_on(&self.cv_publish, &mut st);
-        }
+    /// The group's member ranks as `[0,1]`, for diagnostics.
+    pub(crate) fn members_text(&self) -> String {
+        bracketed(&self.members)
     }
 
-    /// Blocking fallback for a [`WakeKey::drain`] key: parks while the
-    /// previous op is still distributing.
-    pub(crate) fn block_until_drained(&self, ctx: &DeviceCtx) {
-        let mut st = self.slot.lock();
-        if st.phase == Phase::Distribute {
-            ctx.wait_on(&self.cv_drain, &mut st);
-        }
+    /// Every rank parked on this group's rendezvous with the edge it waits
+    /// for (the deadlock report reads this).
+    pub(crate) fn parked(shared: &Arc<GroupShared>) -> Vec<(DeviceId, WakeKey)> {
+        let st = shared.slot.lock();
+        let publish = st.parked_publish.iter();
+        let drain = st.parked_drain.iter();
+        publish
+            .map(|&r| (r, WakeKey::publish(shared)))
+            .chain(drain.map(|&r| (r, WakeKey::drain(shared))))
+            .collect()
     }
+}
 
-    /// Wakes every rank parked in this group's rendezvous (either condvar)
-    /// so it can observe the run's abort flag (see
-    /// `WorldInner::abort_wake`). Locking the slot before notifying closes
-    /// the race against a rank between its abort check and its wait.
-    pub(crate) fn abort_wake(&self) {
-        drop(self.slot.lock());
-        self.cv_publish.notify_all();
-        self.cv_drain.notify_all();
-    }
+/// `[0,1]`: how diagnostics print member lists and shapes.
+fn bracketed(items: &[usize]) -> String {
+    let items: Vec<String> = items.iter().map(|i| i.to_string()).collect();
+    format!("[{}]", items.join(","))
 }
 
 /// A member's handle to a process group.
@@ -528,13 +559,18 @@ impl Group {
     /// [`Stream::Comm`] it is `max(main, comm)` and only the comm clock
     /// advances, so compute may keep accruing behind the collective.
     ///
-    /// Instead of sleeping, a rank that must wait returns
-    /// [`Poll::Pending`] with the wake key of the edge it needs (publish or
-    /// drain); under a stackless executor it first registers itself in the
-    /// slot's parked list *under the slot lock*, so the waking rank cannot
-    /// miss it. Spurious re-polls re-check the phase and re-park. The
-    /// blocking collectives drive this same method via [`Group::run_op`],
-    /// which is what keeps the two wait styles bitwise identical.
+    /// A rank that must wait returns [`Poll::Pending`] with the wake key of
+    /// the edge it needs (publish or drain), after registering itself in
+    /// the slot's parked list *under the slot lock*, so the waking rank
+    /// cannot miss it. Spurious re-polls re-check the phase and re-park.
+    /// The blocking collectives drive this same method via
+    /// [`Group::run_op`], which is what keeps closure and task ranks
+    /// bitwise identical.
+    ///
+    /// Members that disagree on the op, its wire, root, dim or (for
+    /// reductions and all-to-all) input shape would silently compute
+    /// whatever the last arrival asked for; the second arrival of such a
+    /// pair panics instead, naming both ranks.
     ///
     /// When tracing is enabled, every rank emits a [`SpanKind::Collective`]
     /// span (on its device or comm-stream track) from its arrival to the
@@ -544,8 +580,7 @@ impl Group {
     pub fn poll_collective(&self, ctx: &DeviceCtx, op: &mut CollectiveOp) -> Poll<Tensor> {
         ctx.check_abort();
         if op.parked {
-            // resumed after a Pending: the stackless analog of coming off
-            // one rendezvous condvar wait
+            // resumed after a Pending
             op.parked = false;
             ctx.world.count_group_wake();
         }
@@ -601,7 +636,7 @@ impl Group {
                 // previous op not fully drained: park until the last picker
                 // resets the slot
                 op.parked = true;
-                if ctx.task_waker().is_some() && !st.parked_drain.contains(&ctx.rank()) {
+                if !st.parked_drain.contains(&ctx.rank()) {
                     st.parked_drain.push(ctx.rank());
                 }
                 return Poll::Pending(WakeKey::drain(&self.shared));
@@ -623,11 +658,29 @@ impl Group {
                 st.inputs[self.my_index].is_none(),
                 "rank reentered collective"
             );
-            st.inputs[self.my_index] = Some(
-                op.input
-                    .take()
-                    .expect("collective op polled after completion"),
-            );
+            let input = op
+                .input
+                .take()
+                .expect("collective op polled after completion");
+            match st.first {
+                None => st.first = Some((op.spec, self.my_index)),
+                Some((spec, idx)) => {
+                    let theirs = st.inputs[idx].as_ref().expect("first arrival's input");
+                    if spec != op.spec || (spec.same_shape() && theirs.dims() != input.dims()) {
+                        let mut sides = [
+                            (self.members()[idx], spec, theirs.dims()),
+                            (ctx.rank(), op.spec, input.dims()),
+                        ];
+                        sides.sort_by_key(|&(rank, ..)| rank);
+                        let [a, b] = sides.map(|(rank, spec, dims)| {
+                            format!("rank {rank} {spec}{}", bracketed(dims))
+                        });
+                        let group = bracketed(self.members());
+                        panic!("collective mismatch on group {group}: {a} vs {b}");
+                    }
+                }
+            }
+            st.inputs[self.my_index] = Some(input);
             st.arrived += 1;
             st.t_max = st.t_max.max(t_arrive);
             op.stage = CollStage::AwaitPublish;
@@ -648,32 +701,27 @@ impl Group {
                 st.t_done = st.t_max + done.cost;
                 st.phase = Phase::Distribute;
                 st.op = Some((done.kind, bytes));
+                st.first = None;
                 ctx.record_stats(done.kind, done.elements, bytes);
                 self.trace_group_phases(ctx, &done, bytes, st.t_max, st.t_done);
                 // wakes only the p-1 Collect waiters — ranks already
                 // draining toward the *next* op sit on the drain edge and
-                // stay parked. Parked stackless tasks are drained under the
-                // slot lock, so none can register between publish and wake.
-                let wake = std::mem::take(&mut st.parked_publish);
-                shared.cv_publish.notify_all();
-                if let Some(w) = ctx.task_waker() {
-                    for r in wake {
-                        w.wake(r);
-                    }
+                // stay parked. The list is drained under the slot lock, so
+                // no rank can register between publish and wake.
+                for r in std::mem::take(&mut st.parked_publish) {
+                    ctx.tasks.wake(r);
                 }
                 // fall through to pick our own output
             } else {
                 op.parked = true;
-                if ctx.task_waker().is_some() {
-                    st.parked_publish.push(ctx.rank());
-                }
+                st.parked_publish.push(ctx.rank());
                 return Poll::Pending(WakeKey::publish(&self.shared));
             }
         } else if st.phase == Phase::Collect {
             // spurious resume: the publish we are waiting for has not
-            // happened yet — re-park (condvar predicate re-check)
+            // happened yet — re-park (a waiter's predicate re-check)
             op.parked = true;
-            if ctx.task_waker().is_some() && !st.parked_publish.contains(&ctx.rank()) {
+            if !st.parked_publish.contains(&ctx.rank()) {
                 st.parked_publish.push(ctx.rank());
             }
             return Poll::Pending(WakeKey::publish(&self.shared));
@@ -696,12 +744,8 @@ impl Group {
             st.t_done = 0.0;
             st.outputs = Vec::new();
             st.op = None;
-            let wake = std::mem::take(&mut st.parked_drain);
-            shared.cv_drain.notify_all();
-            if let Some(w) = ctx.task_waker() {
-                for r in wake {
-                    w.wake(r);
-                }
+            for r in std::mem::take(&mut st.parked_drain) {
+                ctx.tasks.wake(r);
             }
         }
         drop(st);
@@ -718,25 +762,18 @@ impl Group {
         Poll::Ready(out)
     }
 
-    /// Blocking driver: polls the op to completion, parking the OS thread
-    /// on the keyed resource whenever the poll returns `Pending`. This is
-    /// the collective path of the threads and sched backends — the same
-    /// state machine the stackless executor advances, waited on with a
-    /// condvar instead of a wake key.
+    /// Blocking driver for closure ranks: polls the op to completion,
+    /// sleeping on the rank's own thread whenever the poll returns
+    /// `Pending` — the same state machine a heap task advances by hand.
     fn run_op(&self, ctx: &DeviceCtx, input: Tensor, stream: Stream, spec: CollSpec) -> Tensor {
         let mut op = CollectiveOp::new(spec, stream, input);
-        loop {
-            match self.poll_collective(ctx, &mut op) {
-                Poll::Ready(out) => return out,
-                Poll::Pending(key) => ctx.wait_key(&key),
-            }
-        }
+        ctx.block_until(|| self.poll_collective(ctx, &mut op))
     }
 
     // ---- resumable starters ---------------------------------------------
 
     /// Starts a sum all-reduce (FP32 wire) as a resumable op; advance it
-    /// with [`Group::poll_collective`]. For stackless [`crate::RankTask`]s.
+    /// with [`Group::poll_collective`]. For heap [`crate::RankTask`]s.
     pub fn start_all_reduce(&self, t: Tensor) -> CollectiveOp {
         CollectiveOp::new(
             CollSpec::AllReduce {
@@ -804,8 +841,8 @@ impl Group {
 
     /// Emits the one-per-op span on this group's dedicated track. The span
     /// is attributed to the group's first member (not the recording rank —
-    /// which rank arrives last is backend/pool-dependent), keeping trace
-    /// snapshots bitwise identical across backends.
+    /// which rank arrives last is pool-dependent), keeping trace snapshots
+    /// bitwise identical across pool sizes and rank forms.
     fn trace_group_span(&self, ctx: &DeviceCtx, kind: OpKind, bytes: u64, start: f64, end: f64) {
         if ctx.tracing() {
             let members = self.members();
@@ -1859,6 +1896,73 @@ mod tests {
             .filter(|s| matches!(s.track, Track::Device(_)))
             .count();
         assert_eq!(dev_spans, 8);
+    }
+
+    /// One collective on the 2-rank world group as a heap task.
+    struct OneOp(CollectiveOp);
+
+    impl crate::task::RankTask for OneOp {
+        type Output = Tensor;
+        fn poll(&mut self, ctx: &DeviceCtx) -> Poll<Tensor> {
+            ctx.world_group(2).poll_collective(ctx, &mut self.0)
+        }
+    }
+
+    #[test]
+    fn mismatched_collectives_panic_naming_both_ranks() {
+        let all_reduce = |wire| CollSpec::AllReduce { max: false, wire };
+        let broadcast = |root| CollSpec::Broadcast {
+            root,
+            wire: Wire::F32,
+        };
+        let gather = CollSpec::AllGather {
+            dim: 0,
+            wire: Wire::F32,
+        };
+        // (rank 0's op and input length, rank 1's, the two descriptors):
+        // op, wire, root and shape mismatches
+        let cases = [
+            (
+                (all_reduce(Wire::F32), 4),
+                (gather, 4),
+                "rank 0 all_reduce(f32)[4] vs rank 1 all_gather(dim 0, f32)[4]",
+            ),
+            (
+                (all_reduce(Wire::F32), 4),
+                (all_reduce(Wire::F16), 4),
+                "rank 0 all_reduce(f32)[4] vs rank 1 all_reduce(f16)[4]",
+            ),
+            (
+                (broadcast(0), 4),
+                (broadcast(1), 0),
+                "rank 0 broadcast(root 0, f32)[4] vs rank 1 broadcast(root 1, f32)[0]",
+            ),
+            (
+                (all_reduce(Wire::F32), 4),
+                (all_reduce(Wire::F32), 8),
+                "rank 0 all_reduce(f32)[4] vs rank 1 all_reduce(f32)[8]",
+            ),
+        ];
+        for (a, b, sides) in cases {
+            for tasks in [false, true] {
+                let world = World::new(system_i());
+                let op = |rank| {
+                    let (spec, n) = if rank == 0 { a } else { b };
+                    OneOp(CollectiveOp::new(spec, Stream::Main, Tensor::zeros([n])))
+                };
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    if tasks {
+                        world.run_tasks(2, op);
+                    } else {
+                        world.run_on(2, |ctx| ctx.block_on(op(ctx.rank())));
+                    }
+                }))
+                .expect_err("mismatched collectives must not compute");
+                let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+                let want = format!("collective mismatch on group [0,1]: {sides}");
+                assert!(msg.contains(&want), "tasks={tasks}: {msg}");
+            }
+        }
     }
 
     #[test]

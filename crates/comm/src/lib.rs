@@ -9,15 +9,14 @@
 //! `colossalai-topology` and recording element-hop traffic that matches the
 //! closed-form communication volumes of Table 1 in the paper.
 //!
-//! Rank tasks execute under one of three backends (see
-//! [`world::WorldBackend`]): the default event-driven [`sched`]uler, which
-//! multiplexes any number of parked rank threads onto a fixed worker pool
-//! in virtual-time order; the stackless executor
-//! (`COLOSSAL_WORLD=stackless`), which runs each rank as a resumable
-//! [`task::RankTask`] state machine so a 16k-rank world needs only
-//! O(pool) OS threads; and the legacy thread-per-rank mode
-//! (`COLOSSAL_WORLD=threads`). All three produce bitwise-identical
-//! results.
+//! Ranks run on one executor ([`sched`]): `pool` running slots handed out
+//! in virtual-time order. A rank body is either a resumable
+//! [`task::RankTask`] state machine ([`world::World::run_tasks`] — heap
+//! state only, so a 16k-rank world needs O(pool) OS threads) or a plain
+//! closure ([`world::World::run_on`]), the special case whose resumable
+//! state is its own OS thread. Both wait the same way — register in the
+//! resource's parked list, get woken through the executor — and produce
+//! bitwise-identical results.
 
 pub mod compress;
 pub mod group;

@@ -1,366 +1,79 @@
-//! Event-driven rank scheduler: runs an `n`-rank world on a fixed pool of
-//! concurrently-executing rank tasks.
+//! The rank executor: every `World::run_on` / `World::run_tasks` call runs
+//! its `n` ranks on `pool` *running slots* through one [`TaskWaker`].
 //!
-//! The legacy backend (`COLOSSAL_WORLD=threads`) lets all `n` device
-//! threads run at once, which stops scaling long before the 512–4096-rank
-//! worlds the topology presets describe: the host thrashes between
-//! hundreds of runnable threads, every rendezvous wakes a stampede, and
-//! the OS — not virtual time — decides execution order.
+//! A rank is **ready** (one entry in a heap ordered by `(virtual_time,
+//! rank)`), **running** (it holds a slot), **blocked** (parked on a
+//! [`crate::task::WakeKey`] with its slot handed on) or **done**. The
+//! earliest ready rank gets the next free slot, so execution follows
+//! virtual-time order like a discrete-event simulator's event loop.
 //!
-//! Under this scheduler each rank is still an OS thread (its stack *is*
-//! the task's resumable state), but at most `pool` of them hold a *running
-//! slot* at any instant. Everyone else is parked: either **ready** in a
-//! central event queue ordered by `(virtual_time, rank)`, or **blocked**
-//! on a rendezvous/mailbox condvar with its slot released. Every
-//! rendezvous wait, point-to-point wait and clock advance is a yield
-//! point, so execution follows virtual-time order — the rank furthest
-//! behind in simulated time runs next, exactly like a discrete-event
-//! simulator's event loop.
+//! Rank bodies come in two forms that share every queue, state byte and
+//! latch below:
 //!
-//! # Admission batching
+//! * a **heap** body is a [`crate::task::RankTask`] struct; the slots are
+//!   `pool` worker threads that pop a rank, call its `poll`, and park or
+//!   retire it. Peak OS threads is `pool`, whatever `n` is.
+//! * a **stackful** body is a `run_on` closure; its resumable state is its
+//!   own OS thread, so a slot is a token passed between the `n` rank
+//!   threads. A rank thread that blocks pops the next ready rank and
+//!   unparks *that* thread (or keeps running if it popped itself); a wake
+//!   that finds a free slot unparks the woken rank's thread. No worker
+//!   sits in between, so one block/resume cycle costs one OS-thread wake.
 //!
-//! Re-queueing a woken rank does **not** take the central state lock
-//! directly. [`Scheduler::enqueue_ready`] pushes the `(vtime, rank)` key
-//! into a small `pending` buffer and only drains it into the ready heap
-//! when the state lock is uncontended; every other state-lock acquisition
-//! drains the buffer first. When a rendezvous release (or an abort) wakes
-//! a burst of G ranks at once, one of them — whichever wins the
-//! uncontended `try_lock` — re-queues the whole burst under a single lock
-//! acquisition while the rest observe their `queued` flag clear and go
-//! straight to their grant slot. Without this, G woken ranks serialized
-//! through G heap-push lock acquisitions per collective.
+//! # Wake protocol
 //!
-//! Grant parking is likewise off the central lock: each rank waits on its
-//! own [`GrantSlot`] (a leaf mutex + condvar), so granting a slot touches
-//! only the chosen rank's slot, never a shared wait queue.
+//! There is one way to wait. An op that cannot proceed registers its rank
+//! in the resource's parked list *under the resource lock* and returns
+//! `Pending`; whoever changes the resource drains that list and calls
+//! [`TaskWaker::wake`]. `wake` sets the rank's `notified` latch, then CASes
+//! `BLOCKED -> QUEUED`; only the CAS winner queues the rank, so a rank
+//! never has two heap entries. The slot holder that saw `Pending` stores
+//! `BLOCKED` and *then* re-checks the latch: a wake that raced the park
+//! (the rank was still `RUNNING`, so the CAS failed) is thereby converted
+//! into an immediate requeue. Wakes may be spurious — ops re-check their
+//! predicate on every poll — but are never lost.
 //!
-//! Lock order: `state` → `pending`, `state` → `GrantSlot::m`. The slot
-//! and pending mutexes are leaves; no scheduler path acquires resource
-//! (mailbox/group) locks, so `begin_block` stays safe to call with a
-//! resource lock held.
+//! Lock order: resource (mailbox / group slot) → `ready`. The ready lock
+//! is a leaf; no executor path acquires a resource lock.
 //!
 //! # Determinism
 //!
 //! Scheduling never touches data: collectives reduce in canonical rank
 //! order behind a rendezvous barrier, mailboxes are keyed FIFO per
 //! `(from, to, tag)`, and per-device clocks are pure functions of the work
-//! charged. The scheduler only decides *when* each rank executes, so
-//! losses, clocks, traffic stats and (with the lane-based tracer) trace
-//! snapshots are bitwise identical for every pool size and for the legacy
-//! thread-per-rank backend. `tests/world_backend_parity.rs` asserts this.
+//! charged. The executor only decides *when* each rank runs, so losses,
+//! clocks, traffic stats and trace snapshots are bitwise identical for
+//! both body forms and every pool size
+//! (`tests/world_backend_parity.rs`).
 //!
-//! # Panic propagation
+//! # Panics and deadlocks
 //!
-//! A panicking rank aborts the whole run: the scheduler raises the abort
-//! flag, wakes every parked task (grant slots, mailbox, group
-//! rendezvous), and peers unwind with a silent [`AbortRun`] marker
-//! (re-raised via `resume_unwind`, which skips the panic hook). `run_on`
-//! then re-panics with the original rank's message under the existing
-//! `"device thread panicked"` contract.
+//! A panicking rank raises the abort flag and requeues every blocked rank;
+//! each observes the flag at its next poll and unwinds with the silent
+//! [`AbortRun`] marker. When the last slot goes idle with the heap empty
+//! and ranks still live, no wake can ever come: the run is aborted the
+//! same way and reported as a deadlock.
 
+use crate::world::ThreadCounters;
 use parking_lot::{Condvar, Mutex};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
-
-/// Sentinel for "no task is waiting in the ready queue" (greater than any
-/// `f64::to_bits` of a finite non-negative clock).
-const NO_READY: u64 = u64::MAX;
+use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 
 /// Unwind payload used to abort peer ranks after one rank panicked. Raised
-/// with `resume_unwind` so the panic hook stays silent; `run_on` recognizes
+/// with `resume_unwind` so the panic hook stays silent; the run recognizes
 /// it and reports only the original panic.
 pub(crate) struct AbortRun;
 
-/// The event queue: ranks waiting for a running slot, ordered by
-/// `(virtual_time_bits, rank)`. Non-negative `f64` clocks order identically
-/// to their IEEE-754 bit patterns, so the key is a plain integer pair.
-struct SchedState {
-    /// Maximum number of ranks holding a running slot.
-    pool: usize,
-    /// Ranks currently holding a slot.
-    running: usize,
-    /// Ready tasks, min-first by `(clock bits, rank)`.
-    ready: BinaryHeap<Reverse<(u64, usize)>>,
-}
-
-/// One rank's private admission parking spot. `m` guards nothing but the
-/// wait itself; the actual grant is the rank's `granted` atomic, checked
-/// under `m` so the set-flag → lock → notify sequence in
-/// [`Scheduler::grant_locked`] cannot lose a wakeup.
-struct GrantSlot {
-    m: Mutex<()>,
-    cv: Condvar,
-}
-
-/// Central scheduler of one `World::run_on` call. Shared by every rank's
-/// [`crate::DeviceCtx`]; dropped when the run completes.
-pub(crate) struct Scheduler {
-    state: Mutex<SchedState>,
-    /// Re-queue buffer: `(clock bits, rank)` keys pushed by
-    /// [`Scheduler::enqueue_ready`], drained into `ready` by the next
-    /// state-lock holder.
-    pending: Mutex<Vec<(u64, usize)>>,
-    /// `queued[r]` — rank `r` has an entry in `pending` not yet drained.
-    /// Set under the pending lock, cleared by the drainer; a pusher that
-    /// sees its flag clear knows a peer re-queued it and skips the state
-    /// lock entirely.
-    queued: Vec<AtomicBool>,
-    /// `granted[r]` — rank `r` holds a running slot.
-    granted: Vec<AtomicBool>,
-    /// Per-rank admission parking; granting wakes exactly the chosen task.
-    slots: Vec<GrantSlot>,
-    /// Raised once any rank panics; every wait loop checks it.
-    pub(crate) abort: AtomicBool,
-    /// Clock bits of the earliest ready task ([`NO_READY`] when the queue
-    /// is empty): the lock-free gate that keeps [`Scheduler::maybe_yield`]
-    /// to a single relaxed load on the hot path. `enqueue_ready` lowers it
-    /// eagerly (before the drain) so the gate stays conservative.
-    min_ready: AtomicU64,
-}
-
-impl Scheduler {
-    /// Creates the scheduler for `n` ranks on `pool` slots (clamped to at
-    /// least 1) and grants the initial slots in rank order.
-    pub(crate) fn new(n: usize, pool: usize) -> Arc<Scheduler> {
-        let mut ready = BinaryHeap::with_capacity(n);
-        for rank in 0..n {
-            ready.push(Reverse((0u64, rank)));
-        }
-        let sched = Scheduler {
-            state: Mutex::new(SchedState {
-                pool: pool.max(1),
-                running: 0,
-                ready,
-            }),
-            pending: Mutex::new(Vec::new()),
-            queued: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            granted: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            slots: (0..n)
-                .map(|_| GrantSlot {
-                    m: Mutex::new(()),
-                    cv: Condvar::new(),
-                })
-                .collect(),
-            abort: AtomicBool::new(false),
-            min_ready: AtomicU64::new(0),
-        };
-        {
-            let mut st = sched.state.lock();
-            sched.admit_locked(&mut st);
-        }
-        Arc::new(sched)
-    }
-
-    /// Acquires the state lock and drains any pending re-queues first, so
-    /// every holder observes a complete ready heap.
-    fn lock_state(&self) -> parking_lot::MutexGuard<'_, SchedState> {
-        let mut st = self.state.lock();
-        self.drain_pending_locked(&mut st);
-        st
-    }
-
-    /// Moves every buffered `(vtime, rank)` key into the ready heap and
-    /// clears the owners' `queued` flags. Called under the state lock.
-    fn drain_pending_locked(&self, st: &mut SchedState) {
-        let batch = {
-            let mut p = self.pending.lock();
-            if p.is_empty() {
-                return;
-            }
-            std::mem::take(&mut *p)
-        };
-        for (key, rank) in batch {
-            st.ready.push(Reverse((key, rank)));
-            self.queued[rank].store(false, Ordering::Release);
-        }
-    }
-
-    /// Grants free slots to the earliest ready tasks and refreshes the
-    /// `min_ready` gate. Called under the state lock after every change to
-    /// `running` or `ready`.
-    fn admit_locked(&self, st: &mut SchedState) {
-        while st.running < st.pool {
-            let Some(Reverse((_, rank))) = st.ready.pop() else {
-                break;
-            };
-            st.running += 1;
-            self.grant_locked(rank);
-        }
-        let min = st.ready.peek().map_or(NO_READY, |Reverse((k, _))| *k);
-        self.min_ready.store(min, Ordering::Relaxed);
-    }
-
-    /// Hands `rank` a slot and wakes it: flag first, then lock-and-drop its
-    /// grant mutex, then notify. The parker re-checks the flag under that
-    /// mutex, so the wakeup cannot be lost whether it is already waiting or
-    /// still on its way to the slot.
-    fn grant_locked(&self, rank: usize) {
-        self.granted[rank].store(true, Ordering::Release);
-        drop(self.slots[rank].m.lock());
-        self.slots[rank].cv.notify_one();
-    }
-
-    /// Parks `rank` on its grant slot until it holds a running slot.
-    /// Returns without a slot when the run is aborting; the caller must
-    /// check the abort flag.
-    fn wait_granted(&self, rank: usize) {
-        let mut g = self.slots[rank].m.lock();
-        while !self.granted[rank].load(Ordering::Acquire) {
-            if self.abort.load(Ordering::Relaxed) {
-                return;
-            }
-            self.slots[rank].cv.wait(&mut g);
-        }
-    }
-
-    /// Marks `rank` ready at `vtime` without insisting on the state lock:
-    /// the key goes into the pending buffer, and the rank only drains it
-    /// itself if the state lock is free. Otherwise the current holder (or
-    /// the next acquirer) drains the whole buffer in one acquisition —
-    /// that's the admission batch. Returns once the entry is in the ready
-    /// heap (flag cleared) or the run is aborting.
-    fn enqueue_ready(&self, rank: usize, vtime: f64) {
-        let key = vtime.to_bits();
-        {
-            let mut p = self.pending.lock();
-            p.push((key, rank));
-            self.queued[rank].store(true, Ordering::Release);
-        }
-        self.min_ready.fetch_min(key, Ordering::Relaxed);
-        // Either a state-lock holder drains us, or we acquire it ourselves
-        // once free. Bounded: every acquisition drains the whole buffer.
-        while self.queued[rank].load(Ordering::Acquire) {
-            if self.abort.load(Ordering::Relaxed) {
-                return;
-            }
-            if let Some(mut st) = self.state.try_lock() {
-                self.drain_pending_locked(&mut st);
-                self.admit_locked(&mut st);
-                return;
-            }
-            std::thread::yield_now();
-        }
-    }
-
-    /// Parks until `rank` holds a running slot (initial admission). Returns
-    /// without a slot when the run is aborting; the caller must check the
-    /// abort flag.
-    pub(crate) fn wait_admitted(&self, rank: usize) {
-        self.wait_granted(rank);
-    }
-
-    /// Running → blocked: releases the slot before the caller parks on a
-    /// resource condvar (rendezvous, mailbox), letting the next ready task
-    /// run. Safe to call with the resource lock held: the scheduler locks
-    /// are leaves — no scheduler path acquires resource locks.
-    pub(crate) fn begin_block(&self, rank: usize) {
-        let mut st = self.lock_state();
-        debug_assert!(
-            self.granted[rank].load(Ordering::Relaxed),
-            "begin_block without a slot"
-        );
-        self.granted[rank].store(false, Ordering::Release);
-        st.running -= 1;
-        self.admit_locked(&mut st);
-    }
-
-    /// Blocked → ready at `vtime` → parks until readmitted. Must be called
-    /// with every resource lock released (the caller uses
-    /// `MutexGuard::unlocked`). Returns slot-less when aborting.
-    pub(crate) fn end_block(&self, rank: usize, vtime: f64) {
-        self.enqueue_ready(rank, vtime);
-        self.wait_granted(rank);
-    }
-
-    /// Cooperative yield at a clock-advance point: if a ready task waits at
-    /// an earlier virtual time, hand it the slot and requeue. One relaxed
-    /// load when nobody earlier is waiting — cheap enough for every
-    /// `advance` call.
-    #[inline]
-    pub(crate) fn maybe_yield(&self, rank: usize, vtime: f64) {
-        if self.min_ready.load(Ordering::Relaxed) < vtime.to_bits() {
-            self.yield_slot(rank, vtime);
-        }
-    }
-
-    #[cold]
-    fn yield_slot(&self, rank: usize, vtime: f64) {
-        let key = (vtime.to_bits(), rank);
-        {
-            let mut st = self.lock_state();
-            // the gate is racy by design; recheck under the lock
-            if !self.granted[rank].load(Ordering::Relaxed)
-                || st.ready.peek().is_none_or(|Reverse(k)| *k >= key)
-            {
-                return;
-            }
-            self.granted[rank].store(false, Ordering::Release);
-            st.running -= 1;
-            st.ready.push(Reverse(key));
-            self.admit_locked(&mut st);
-        }
-        self.wait_granted(rank);
-    }
-
-    /// Releases `rank`'s slot when its closure returns (or unwinds) and
-    /// admits the next ready task. Idempotent for slot-less tasks (aborted
-    /// before admission).
-    pub(crate) fn task_done(&self, rank: usize) {
-        let mut st = self.lock_state();
-        if self.granted[rank].swap(false, Ordering::AcqRel) {
-            st.running -= 1;
-        }
-        self.admit_locked(&mut st);
-    }
-
-    /// Raises the abort flag and wakes every task parked on a grant slot.
-    /// Resource condvars (mailbox, groups) are woken separately by
-    /// `WorldInner::abort_wake`. Locking each slot mutex before notifying
-    /// closes the check-then-wait race in [`Scheduler::wait_granted`];
-    /// spinners in [`Scheduler::enqueue_ready`] exit on the flag alone.
-    pub(crate) fn abort_all(&self) {
-        self.abort.store(true, Ordering::SeqCst);
-        for slot in &self.slots {
-            drop(slot.m.lock());
-            slot.cv.notify_all();
-        }
-    }
-}
-
-// ---- stackless task executor -----------------------------------------
-
-/// Task is in the ready heap (exactly one entry), waiting for a worker.
+/// The rank is in the ready heap (exactly one entry), waiting for a slot.
 const TASK_QUEUED: u8 = 0;
-/// A worker is inside the task's `poll` right now.
+/// The rank holds a running slot.
 const TASK_RUNNING: u8 = 1;
-/// The task returned `Pending` and sits parked on its wake key.
+/// The rank returned `Pending` and sits parked on its wake key.
 const TASK_BLOCKED: u8 = 2;
-/// The task returned `Ready` (or unwound); it is never polled again.
+/// The rank completed (or unwound); it never runs again.
 const TASK_DONE: u8 = 3;
 
-/// The poll-driven twin of [`Scheduler`]: runs `n` stackless
-/// [`crate::task::RankTask`]s on a pool of worker threads, keeping the
-/// same `(virtual_time_bits, rank)` ready ordering — but here the ready
-/// heap holds *tasks* (small heap structs), not parked OS threads, so
-/// peak thread count is O(pool) regardless of world size.
-///
-/// # Wake protocol
-///
-/// Each task carries a state byte and a `notified` latch. A waker (p2p
-/// sender, rendezvous publisher/drainer, abort) calls [`TaskWaker::wake`]:
-/// set `notified`, then CAS `BLOCKED -> QUEUED`; only the CAS winner
-/// pushes the heap entry, so a task never has two entries. The worker
-/// that observes `Pending` parks the task with `BLOCKED` *after* the op
-/// registered itself under the resource's lock, then re-checks
-/// `notified`: a wake that raced the park is thereby latched and
-/// immediately requeues the task. Spurious re-polls are allowed (ops
-/// re-check their predicate, like condvar waiters); lost wakes are
-/// impossible.
-///
-/// Lock order: resource (mailbox / group slot) → `ready`. The ready heap
-/// is a leaf lock; no waker path acquires a resource lock.
 /// A 4-ary min-heap of `(clock bits, rank)` ready keys. The ordering is
 /// total, so the pop sequence is identical to any binary heap's — heap
 /// shape cannot affect determinism — but the wider fan-out halves the tree
@@ -374,12 +87,6 @@ struct ReadyHeap {
 }
 
 impl ReadyHeap {
-    fn with_capacity(n: usize) -> ReadyHeap {
-        ReadyHeap {
-            items: Vec::with_capacity(n),
-        }
-    }
-
     fn push(&mut self, key: (u64, usize)) {
         self.items.push(key);
         let mut i = self.items.len() - 1;
@@ -420,46 +127,69 @@ impl ReadyHeap {
     }
 }
 
+/// What the ready lock guards.
+struct Ready {
+    /// Ready ranks, min-first by `(clock bits, rank)`.
+    heap: ReadyHeap,
+    /// Running slots nobody holds: workers waiting on `ready_cv` (heap
+    /// bodies) or slots handed back by rank threads (stackful bodies).
+    idle: usize,
+}
+
 pub(crate) struct TaskWaker {
-    /// Ready tasks, min-first by `(clock bits, rank)` — the same ordering
-    /// the thread-backed scheduler admits in, so execution follows
-    /// virtual time.
-    ready: Mutex<ReadyHeap>,
-    /// Workers park here when the heap is empty but tasks remain live.
+    ready: Mutex<Ready>,
+    /// Idle workers of a heap-body run park here.
     ready_cv: Condvar,
+    /// Number of running slots.
+    pool: usize,
     state: Vec<AtomicU8>,
-    /// Latched wake: set before the requeue CAS, re-checked by the worker
-    /// after parking, so wake-vs-park races resolve toward a (harmless)
-    /// spurious poll instead of a lost wakeup.
+    /// Latched wake: set before the requeue CAS, re-checked by the slot
+    /// holder after parking, so wake-vs-park races resolve toward a
+    /// (harmless) spurious poll instead of a lost wakeup.
     notified: Vec<AtomicBool>,
-    /// Each task's virtual clock — written by its `DeviceCtx`, read by
+    /// Each rank's virtual clock — written by its `DeviceCtx`, read by
     /// wakers to key the heap entry. One contiguous array (8 adjacent
     /// ranks per cache line) rather than per-rank `Arc` cells: wakes and
     /// clock updates in big worlds then walk warm lines instead of 16k
     /// scattered allocations.
     clocks: Box<[AtomicU64]>,
-    /// Raised once any task panics; every poll entry checks it.
+    /// Rank `r`'s own OS thread, unparked when `r` gets a slot. Set once by
+    /// [`TaskWaker::start_stackful`]; unset for heap bodies.
+    threads: OnceLock<Box<[Thread]>>,
+    /// Raised once any rank panics or the run deadlocks; every poll entry
+    /// checks it.
     pub(crate) abort: AtomicBool,
-    /// Tasks not yet `TASK_DONE`; workers exit when it hits zero.
+    /// Raised when every slot idled with ranks still live: no rank could
+    /// ever be woken, and the run was aborted for it.
+    pub(crate) deadlocked: AtomicBool,
+    /// Ranks not yet `TASK_DONE`; workers exit when it hits zero.
     live: AtomicUsize,
+    /// The world's OS-thread gauge; every sleep below is marked on it.
+    gauge: Arc<ThreadCounters>,
 }
 
 impl TaskWaker {
-    /// Creates the executor for `n` tasks, all ready at virtual time 0 in
-    /// rank order.
-    pub(crate) fn new(n: usize) -> Arc<TaskWaker> {
-        let mut ready = ReadyHeap::with_capacity(n);
-        for rank in 0..n {
-            ready.push((0u64, rank));
-        }
+    /// Creates the executor for `n` ranks on `pool` slots, all ranks ready
+    /// at virtual time 0 in rank order. The slots start held: by the
+    /// workers about to call [`TaskWaker::next_ready`], or by the caller of
+    /// [`TaskWaker::start_stackful`].
+    pub(crate) fn new(n: usize, pool: usize, gauge: Arc<ThreadCounters>) -> Arc<TaskWaker> {
+        // keys (0, rank) in rank order already satisfy the heap property
+        let heap = ReadyHeap {
+            items: (0..n).map(|rank| (0u64, rank)).collect(),
+        };
         Arc::new(TaskWaker {
-            ready: Mutex::new(ready),
+            ready: Mutex::new(Ready { heap, idle: 0 }),
             ready_cv: Condvar::new(),
+            pool,
             state: (0..n).map(|_| AtomicU8::new(TASK_QUEUED)).collect(),
             notified: (0..n).map(|_| AtomicBool::new(false)).collect(),
             clocks: (0..n).map(|_| AtomicU64::new(0.0f64.to_bits())).collect(),
+            threads: OnceLock::new(),
             abort: AtomicBool::new(false),
+            deadlocked: AtomicBool::new(false),
             live: AtomicUsize::new(n),
+            gauge,
         })
     }
 
@@ -474,50 +204,98 @@ impl TaskWaker {
     }
 
     /// Wakes `rank`: requeues it if parked, or latches the notification if
-    /// it is mid-poll (the worker converts the latch into a requeue when
-    /// it tries to park). Safe to call with a resource lock held and for
-    /// any task state — including spuriously.
+    /// it is running (the slot holder converts the latch into a requeue
+    /// when it tries to park). Safe to call with a resource lock held and
+    /// for any rank state — including spuriously.
     pub(crate) fn wake(&self, rank: usize) {
         self.notified[rank].store(true, Ordering::SeqCst);
-        self.try_requeue(rank);
+        if self.unblock(rank) {
+            self.enqueue(&mut self.ready.lock(), rank);
+        }
     }
 
     /// BLOCKED → QUEUED; the CAS winner owns the (single) heap entry.
-    fn try_requeue(&self, rank: usize) {
-        if self.state[rank]
+    fn unblock(&self, rank: usize) -> bool {
+        let won = self.state[rank]
             .compare_exchange(
                 TASK_BLOCKED,
                 TASK_QUEUED,
                 Ordering::SeqCst,
                 Ordering::SeqCst,
             )
-            .is_ok()
-        {
+            .is_ok();
+        if won {
             self.notified[rank].store(false, Ordering::SeqCst);
-            let key = self.clocks[rank].load(Ordering::Relaxed);
-            let mut heap = self.ready.lock();
-            heap.push((key, rank));
-            drop(heap);
-            self.ready_cv.notify_one();
+        }
+        won
+    }
+
+    /// Queues `rank` and, if a slot is free, fills it: an idle worker is
+    /// woken to pop for itself, or the earliest ready rank's own thread is
+    /// unparked.
+    fn enqueue(&self, q: &mut Ready, rank: usize) {
+        q.heap.push((self.clock_bits(rank), rank));
+        if q.idle == 0 {
+            return;
+        }
+        match self.threads.get() {
+            None => {
+                self.ready_cv.notify_one();
+            }
+            Some(threads) => {
+                let next = self.take_ready(q).expect("a rank was just queued");
+                q.idle -= 1;
+                threads[next].unpark();
+            }
         }
     }
 
-    /// Pops the earliest ready task, parking (via `on_park`/`on_unpark`
-    /// bracketing each condvar wait, for the world's thread gauges) while
-    /// none is ready. Returns `None` once every task is done.
-    pub(crate) fn next_ready(&self, on_park: impl Fn(), on_unpark: impl Fn()) -> Option<usize> {
-        let mut heap = self.ready.lock();
+    /// Pops the earliest ready rank and marks it running.
+    fn take_ready(&self, q: &mut Ready) -> Option<usize> {
+        let (_, rank) = q.heap.pop()?;
+        self.state[rank].store(TASK_RUNNING, Ordering::SeqCst);
+        Some(rank)
+    }
+
+    /// A slot found no ready rank. If it was the last one running while
+    /// ranks are still live, nobody is left to wake them: flag the deadlock
+    /// and abort, which requeues them to unwind.
+    fn slot_idles(&self, q: &mut Ready) {
+        q.idle += 1;
+        if q.idle == self.pool
+            && self.live.load(Ordering::SeqCst) > 0
+            && !self.abort.load(Ordering::SeqCst)
+        {
+            self.deadlocked.store(true, Ordering::SeqCst);
+            self.abort.store(true, Ordering::SeqCst);
+            self.requeue_blocked(q);
+        }
+    }
+
+    fn requeue_blocked(&self, q: &mut Ready) {
+        for rank in 0..self.state.len() {
+            if self.unblock(rank) {
+                self.enqueue(q, rank);
+            }
+        }
+    }
+
+    /// A worker's slot takes the earliest ready rank, parking while none is
+    /// ready. Returns `None` once every rank is done.
+    pub(crate) fn next_ready(&self) -> Option<usize> {
+        let mut q = self.ready.lock();
         loop {
-            if let Some((_, rank)) = heap.pop() {
-                self.state[rank].store(TASK_RUNNING, Ordering::SeqCst);
+            if let Some(rank) = self.take_ready(&mut q) {
                 return Some(rank);
             }
             if self.live.load(Ordering::SeqCst) == 0 {
                 return None;
             }
-            on_park();
-            self.ready_cv.wait(&mut heap);
-            on_unpark();
+            self.slot_idles(&mut q);
+            while q.heap.items.is_empty() && self.live.load(Ordering::SeqCst) > 0 {
+                self.gauge.parked(|| self.ready_cv.wait(&mut q));
+            }
+            q.idle -= 1;
         }
     }
 
@@ -526,7 +304,7 @@ impl TaskWaker {
     /// current poll runs. Purely advisory: wakes and other workers may pop
     /// a different rank first, and a stale hint costs one wasted prefetch.
     pub(crate) fn next_hint(&self) -> Option<usize> {
-        self.ready.lock().items.first().map(|&(_, rank)| rank)
+        self.ready.lock().heap.items.first().map(|&(_, rank)| rank)
     }
 
     /// Parks `rank` after a `Pending` poll. The op registered itself under
@@ -536,16 +314,22 @@ impl TaskWaker {
     /// and wins the CAS itself.
     pub(crate) fn park(&self, rank: usize) {
         self.state[rank].store(TASK_BLOCKED, Ordering::SeqCst);
-        if self.notified[rank].load(Ordering::SeqCst) || self.abort.load(Ordering::SeqCst) {
-            self.try_requeue(rank);
+        if (self.notified[rank].load(Ordering::SeqCst) || self.abort.load(Ordering::SeqCst))
+            && self.unblock(rank)
+        {
+            self.enqueue(&mut self.ready.lock(), rank);
         }
     }
 
-    /// Retires `rank` after `Ready` (or an unwind). When the last task
-    /// retires, every idle worker is woken to exit.
+    /// Retires `rank` after `Ready` (or an unwind). A stackful rank passes
+    /// its slot on; when the last rank retires, every idle worker is woken
+    /// to exit.
     pub(crate) fn finish(&self, rank: usize) {
         self.state[rank].store(TASK_DONE, Ordering::SeqCst);
-        if self.live.fetch_sub(1, Ordering::SeqCst) == 1 {
+        let last = self.live.fetch_sub(1, Ordering::SeqCst) == 1;
+        if self.threads.get().is_some() {
+            self.pass_slot(None);
+        } else if last {
             // lock-then-notify: serializes against a worker between its
             // empty-heap check and its wait
             drop(self.ready.lock());
@@ -553,16 +337,56 @@ impl TaskWaker {
         }
     }
 
-    /// Raises the abort flag and requeues every parked task so its next
-    /// poll observes the flag and unwinds — the stackless analog of
-    /// `Scheduler::abort_all` + `WorldInner::abort_wake`.
+    /// Raises the abort flag and requeues every parked rank so its next
+    /// poll observes the flag and unwinds.
     pub(crate) fn abort_all(&self) {
         self.abort.store(true, Ordering::SeqCst);
-        for rank in 0..self.state.len() {
-            self.try_requeue(rank);
+        self.requeue_blocked(&mut self.ready.lock());
+    }
+
+    // ---- stackful bodies ---------------------------------------------------
+
+    /// Registers the rank threads of a stackful run and hands out the
+    /// `pool` slots to the earliest ready ranks.
+    pub(crate) fn start_stackful(&self, threads: Box<[Thread]>) {
+        assert!(self.threads.set(threads).is_ok(), "run already started");
+        for _ in 0..self.pool {
+            self.pass_slot(None);
         }
-        drop(self.ready.lock());
-        self.ready_cv.notify_all();
+    }
+
+    /// Gives the caller's slot to the earliest ready rank — unparking its
+    /// thread unless it is `me`, who then simply keeps running — or idles
+    /// the slot.
+    fn pass_slot(&self, me: Option<usize>) {
+        let threads = self.threads.get().expect("stackful run");
+        let mut q = self.ready.lock();
+        match self.take_ready(&mut q) {
+            Some(next) if Some(next) == me => {}
+            Some(next) => threads[next].unpark(),
+            None => self.slot_idles(&mut q),
+        }
+    }
+
+    /// Parks the calling rank thread until `rank` holds a slot.
+    pub(crate) fn wait_dispatched(&self, rank: usize) {
+        while self.state[rank].load(Ordering::SeqCst) != TASK_RUNNING {
+            self.gauge.parked(std::thread::park);
+        }
+    }
+
+    /// The stackful form of returning `Pending`: parks `rank`, passes its
+    /// slot on, and sleeps on the rank's own thread until it is dispatched
+    /// again. Panics for a heap body, whose `poll` must return `Pending`
+    /// instead of blocking its pool worker.
+    pub(crate) fn block(&self, rank: usize) {
+        assert!(
+            self.threads.get().is_some(),
+            "blocking wait inside a heap rank task: return Poll::Pending instead"
+        );
+        self.park(rank);
+        self.pass_slot(Some(rank));
+        self.wait_dispatched(rank);
     }
 }
 
@@ -570,98 +394,13 @@ impl TaskWaker {
 mod tests {
     use super::*;
 
-    fn granted_ranks(sched: &Scheduler) -> Vec<usize> {
-        (0..sched.granted.len())
-            .filter(|&r| sched.granted[r].load(Ordering::Relaxed))
-            .collect()
-    }
-
-    #[test]
-    fn pool_bounds_concurrent_slots() {
-        let sched = Scheduler::new(8, 3);
-        assert_eq!(sched.state.lock().running, 3);
-        // earliest ranks first: keys are (0, rank)
-        assert_eq!(granted_ranks(&sched), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn block_admits_next_ready_task() {
-        let sched = Scheduler::new(4, 1);
-        assert_eq!(granted_ranks(&sched), vec![0]);
-        sched.begin_block(0);
-        assert_eq!(granted_ranks(&sched), vec![1], "slot moves to next rank");
-        sched.task_done(1);
-        assert_eq!(granted_ranks(&sched), vec![2]);
-    }
-
-    #[test]
-    fn ready_queue_orders_by_time_then_rank() {
-        let sched = Scheduler::new(3, 1);
-        // rank 0 runs; 1 and 2 wait at t=0. Block 0, then requeue it at a
-        // later time: ranks 1 and 2 must both run before 0 gets a slot.
-        sched.begin_block(0);
-        assert_eq!(granted_ranks(&sched), vec![1]);
-        sched.enqueue_ready(0, 1.0);
-        sched.task_done(1);
-        assert_eq!(granted_ranks(&sched), vec![2], "t=0 beats t=1");
-        sched.task_done(2);
-        assert_eq!(granted_ranks(&sched), vec![0]);
-    }
-
-    #[test]
-    fn min_ready_gate_tracks_queue_head() {
-        let sched = Scheduler::new(2, 2);
-        assert_eq!(sched.min_ready.load(Ordering::Relaxed), NO_READY);
-        sched.begin_block(0);
-        sched.state.lock().pool = 1; // shrink so rank 0 queues, not readmits
-        sched.enqueue_ready(0, 2.5);
-        assert_eq!(sched.min_ready.load(Ordering::Relaxed), 2.5f64.to_bits());
-    }
-
-    #[test]
-    fn abort_releases_admission_waiters() {
-        let sched = Scheduler::new(2, 1);
-        let s2 = Arc::clone(&sched);
-        let h = std::thread::spawn(move || s2.wait_admitted(1));
-        sched.abort_all();
-        h.join().unwrap(); // returns (slot-less) instead of hanging
-        assert!(sched.abort.load(Ordering::Relaxed));
-    }
-
-    #[test]
-    fn burst_requeue_drains_in_one_acquisition() {
-        let sched = Scheduler::new(5, 1);
-        sched.state.lock().ready.clear(); // ranks 1..5 no longer pre-queued
-        let guard = sched.state.lock(); // pin the state lock: pushers must buffer
-        let handles: Vec<_> = (1..5)
-            .map(|r| {
-                let s = Arc::clone(&sched);
-                std::thread::spawn(move || s.enqueue_ready(r, 1.0))
-            })
-            .collect();
-        while sched.pending.lock().len() < 4 {
-            std::thread::yield_now();
-        }
-        // all four buffered while the lock was held; none could drain yet
-        assert!((1..5).all(|r| sched.queued[r].load(Ordering::Relaxed)));
-        drop(guard);
-        for h in handles {
-            h.join().unwrap();
-        }
-        // whichever pusher won the lock drained the whole burst at once
-        assert!(sched.pending.lock().is_empty());
-        assert!((1..5).all(|r| !sched.queued[r].load(Ordering::Relaxed)));
-        // pool=1 and rank 0 still holds the slot, so all four sit ready
-        assert_eq!(sched.state.lock().ready.len(), 4);
-    }
-
     #[test]
     fn task_waker_orders_by_time_then_rank() {
-        let w = TaskWaker::new(3);
+        let w = TaskWaker::new(3, 1, Arc::default());
         // all three seeded at t=0: pop in rank order
-        assert_eq!(w.next_ready(|| {}, || {}), Some(0));
-        assert_eq!(w.next_ready(|| {}, || {}), Some(1));
-        assert_eq!(w.next_ready(|| {}, || {}), Some(2));
+        assert_eq!(w.next_ready(), Some(0));
+        assert_eq!(w.next_ready(), Some(1));
+        assert_eq!(w.next_ready(), Some(2));
         // park 0 at t=2.0 and 1 at t=1.0; wake both: 1 runs first
         w.set_clock_bits(0, 2.0f64.to_bits());
         w.set_clock_bits(1, 1.0f64.to_bits());
@@ -669,67 +408,139 @@ mod tests {
         w.park(1);
         w.wake(0);
         w.wake(1);
-        assert_eq!(w.next_ready(|| {}, || {}), Some(1), "t=1 beats t=2");
-        assert_eq!(w.next_ready(|| {}, || {}), Some(0));
+        assert_eq!(w.next_ready(), Some(1), "t=1 beats t=2");
+        assert_eq!(w.next_ready(), Some(0));
     }
 
     #[test]
     fn task_waker_latches_wake_during_poll() {
-        // a wake that lands while the task is RUNNING (mid-poll) must not
+        // a wake that lands while the rank is RUNNING (mid-poll) must not
         // be lost: park() converts the latched notify into a requeue
-        let w = TaskWaker::new(1);
-        assert_eq!(w.next_ready(|| {}, || {}), Some(0)); // now RUNNING
+        let w = TaskWaker::new(1, 1, Arc::default());
+        assert_eq!(w.next_ready(), Some(0)); // now RUNNING
         w.wake(0); // CAS fails (not BLOCKED); latch stays set
         w.park(0); // Pending observed: latch -> immediate requeue
-        assert_eq!(w.next_ready(|| {}, || {}), Some(0), "wake was latched");
+        assert_eq!(w.next_ready(), Some(0), "wake was latched");
     }
 
     #[test]
     fn task_waker_single_heap_entry_per_task() {
-        let w = TaskWaker::new(1);
-        assert_eq!(w.next_ready(|| {}, || {}), Some(0));
+        let w = TaskWaker::new(1, 1, Arc::default());
+        assert_eq!(w.next_ready(), Some(0));
         w.park(0);
         for _ in 0..5 {
             w.wake(0); // only the first CAS wins; the rest are no-ops
         }
-        assert_eq!(w.next_ready(|| {}, || {}), Some(0));
-        assert!(w.ready.lock().items.is_empty(), "duplicate heap entries");
+        assert_eq!(w.next_ready(), Some(0));
+        assert!(w.ready.lock().heap.items.is_empty(), "duplicate entries");
     }
 
     #[test]
     fn task_waker_workers_exit_when_all_done() {
-        let w = TaskWaker::new(2);
-        assert_eq!(w.next_ready(|| {}, || {}), Some(0));
+        let w = TaskWaker::new(2, 1, Arc::default());
+        assert_eq!(w.next_ready(), Some(0));
         w.finish(0);
-        assert_eq!(w.next_ready(|| {}, || {}), Some(1));
+        assert_eq!(w.next_ready(), Some(1));
         w.finish(1);
-        assert_eq!(w.next_ready(|| {}, || {}), None);
+        assert_eq!(w.next_ready(), None);
         // an idle worker parked on the cv is woken by the last finish
-        let w2 = TaskWaker::new(1);
-        assert_eq!(w2.next_ready(|| {}, || {}), Some(0));
+        let w2 = TaskWaker::new(1, 2, Arc::default());
+        assert_eq!(w2.next_ready(), Some(0));
         let w2c = Arc::clone(&w2);
-        let h = std::thread::spawn(move || w2c.next_ready(|| {}, || {}));
+        let h = std::thread::spawn(move || w2c.next_ready());
         w2.finish(0);
         assert_eq!(h.join().unwrap(), None);
+        assert!(!w2.deadlocked.load(Ordering::SeqCst));
     }
 
     #[test]
     fn task_waker_abort_requeues_parked_tasks() {
-        let w = TaskWaker::new(2);
-        assert_eq!(w.next_ready(|| {}, || {}), Some(0));
-        assert_eq!(w.next_ready(|| {}, || {}), Some(1));
+        let w = TaskWaker::new(2, 2, Arc::default());
+        assert_eq!(w.next_ready(), Some(0));
+        assert_eq!(w.next_ready(), Some(1));
         w.park(0);
         w.park(1);
         w.abort_all();
-        // both parked tasks come back so their next poll sees the flag
-        let mut woken = vec![
-            w.next_ready(|| {}, || {}).unwrap(),
-            w.next_ready(|| {}, || {}).unwrap(),
-        ];
-        woken.sort_unstable();
-        assert_eq!(woken, vec![0, 1]);
-        // a task parking *after* the abort is immediately requeued too
+        // both parked ranks come back so their next poll sees the flag
+        assert_eq!(w.next_ready(), Some(0));
+        assert_eq!(w.next_ready(), Some(1));
+        // a rank parking *after* the abort is immediately requeued too
         w.park(0);
-        assert_eq!(w.next_ready(|| {}, || {}), Some(0));
+        assert_eq!(w.next_ready(), Some(0));
+    }
+
+    #[test]
+    fn last_idle_slot_with_live_ranks_flags_deadlock() {
+        let w = TaskWaker::new(2, 1, Arc::default());
+        assert_eq!(w.next_ready(), Some(0));
+        w.park(0);
+        assert_eq!(w.next_ready(), Some(1));
+        w.finish(1);
+        // rank 0 is blocked, nothing is ready, the only slot idles: the
+        // detector aborts, which hands rank 0 back to unwind
+        assert_eq!(w.next_ready(), Some(0));
+        assert!(w.deadlocked.load(Ordering::SeqCst) && w.abort.load(Ordering::SeqCst));
+    }
+
+    /// A stackful run over `n` ranks whose "threads" are all the test's own.
+    fn stackful(n: usize, pool: usize) -> Arc<TaskWaker> {
+        let w = TaskWaker::new(n, pool, Arc::default());
+        w.start_stackful(vec![std::thread::current(); n].into());
+        w
+    }
+
+    fn states(w: &TaskWaker) -> Vec<u8> {
+        w.state.iter().map(|s| s.load(Ordering::SeqCst)).collect()
+    }
+
+    #[test]
+    fn a_held_slot_keeps_the_deadlock_detector_quiet() {
+        // rank 0 stays RUNNING (say, blocked on something outside the
+        // executor) while rank 1 parks and idles its slot: not a deadlock
+        // until rank 0 gives its slot up too
+        let w = stackful(2, 2);
+        w.park(1);
+        w.pass_slot(Some(1));
+        assert!(!w.deadlocked.load(Ordering::SeqCst));
+        w.park(0);
+        w.pass_slot(Some(0));
+        assert!(w.deadlocked.load(Ordering::SeqCst));
+        // ... which aborts: both ranks are dispatched again to unwind
+        assert_eq!(states(&w), [TASK_RUNNING, TASK_RUNNING]);
+    }
+
+    #[test]
+    fn stackful_slots_pass_directly_between_rank_threads() {
+        // one slot over 3 ranks: start grants rank 0 only; blocking passes
+        // the slot to rank 1 without touching rank 2
+        let w = stackful(3, 1);
+        assert_eq!(states(&w), [TASK_RUNNING, TASK_QUEUED, TASK_QUEUED]);
+        w.park(0);
+        w.pass_slot(Some(0));
+        assert_eq!(states(&w), [TASK_BLOCKED, TASK_RUNNING, TASK_QUEUED]);
+        // rank 1 wakes 0 (no free slot: it queues), then blocks itself and
+        // pops rank 0 — earlier rank wins the tie at t=0 — for its slot
+        w.wake(0);
+        assert_eq!(states(&w)[0], TASK_QUEUED);
+        w.park(1);
+        w.pass_slot(Some(1));
+        assert_eq!(states(&w), [TASK_RUNNING, TASK_BLOCKED, TASK_QUEUED]);
+        w.finish(0); // retiring passes the slot on too
+        assert_eq!(states(&w), [TASK_DONE, TASK_BLOCKED, TASK_RUNNING]);
+        // a rank that pops itself keeps running
+        w.park(2);
+        w.wake(2);
+        w.pass_slot(Some(2));
+        assert_eq!(states(&w), [TASK_DONE, TASK_BLOCKED, TASK_RUNNING]);
+    }
+
+    #[test]
+    fn stackful_wake_fills_a_free_slot() {
+        let w = stackful(2, 2);
+        w.park(0);
+        w.pass_slot(Some(0)); // nothing ready: the slot idles
+        assert_eq!((states(&w)[0], w.ready.lock().idle), (TASK_BLOCKED, 1));
+        w.wake(0); // rank 1 (still running) wakes 0 straight into that slot
+        assert_eq!((states(&w)[0], w.ready.lock().idle), (TASK_RUNNING, 0));
     }
 }

@@ -41,8 +41,8 @@ impl OpKind {
 
 /// Aggregate communication statistics for a world or a phase.
 ///
-/// `PartialEq` compares the full breakdown; the backend-parity tests use it
-/// to assert the scheduler and thread-per-rank backends account identically.
+/// `PartialEq` compares the full breakdown; the parity tests use it to
+/// assert closure and task ranks account identically at every pool size.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CommStats {
     /// Number of collective invocations (counted once per group op, not per

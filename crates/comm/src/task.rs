@@ -1,23 +1,23 @@
-//! Stackless rank tasks: the poll-driven execution contract of the
-//! [`crate::WorldBackend::Stackless`] backend.
+//! Resumable rank bodies: the poll-driven execution contract of the rank
+//! executor ([`crate::sched`]).
 //!
-//! Under the threads and scheduler backends a rank's resumable state *is*
-//! its OS thread stack — cheap to program against, but one stack + futex
-//! per rank is exactly the kernel cost that caps world size
-//! (EXPERIMENTS.md measures idle parked threads, not our locks, as the
-//! residual scaling term at 4096 ranks). A [`RankTask`] replaces the stack
-//! with a small heap struct: `poll` either completes with
-//! [`Poll::Ready`] or parks the task by returning [`Poll::Pending`] with
-//! the [`WakeKey`] naming the resource that will wake it — a keyed
-//! mailbox slot or a group-rendezvous publish/drain edge, the same wake
-//! sources the PR 7 keyed-condvar discipline introduced.
+//! A [`RankTask`] keeps a rank's resumable state in a small heap struct
+//! instead of an OS thread stack: `poll` either completes with
+//! [`Poll::Ready`] or parks the rank by returning [`Poll::Pending`] with the
+//! [`WakeKey`] naming the resource that will wake it — a keyed mailbox
+//! slot or a group-rendezvous publish/drain edge. One stack + futex per
+//! rank is exactly the kernel cost that caps world size (EXPERIMENTS.md
+//! measures idle parked threads, not our locks, as the residual scaling
+//! term at 4096 ranks), so [`crate::World::run_tasks`] runs any number of
+//! such tasks on `pool` worker threads.
 //!
-//! The same state machines drive *every* backend: the blocking paths
-//! ([`crate::DeviceCtx::recv`], the `Group` collectives,
-//! [`crate::DeviceCtx::block_on`]) are `loop { poll | wait_key }` over the
-//! identical op structs, so the stackless executor is not a second
-//! implementation of the protocol — it is the only implementation, with
-//! two ways of waiting. That is what keeps the three backends bitwise
+//! The resumable ops ([`crate::RecvOp`], [`crate::CollectiveOp`]) are the
+//! only implementation of the communication protocol. A `run_on` closure
+//! is the special case of a rank whose resumable state *is* its thread:
+//! [`crate::DeviceCtx::recv`], the `Group` collectives and
+//! [`crate::DeviceCtx::block_on`] poll the identical op structs and, on
+//! `Pending`, put the thread to sleep until the executor dispatches the
+//! rank again. That is what keeps closure ranks and task ranks bitwise
 //! identical in losses, stats and traces.
 
 use crate::group::GroupShared;
@@ -29,31 +29,23 @@ use std::sync::Arc;
 pub enum Poll<T> {
     /// The task/op completed with this value.
     Ready(T),
-    /// The task must park; the key names the resource whose next state
-    /// change wakes it. Stackless workers register the task under the
-    /// resource's lock *before* `poll` returns this, so a wake between the
-    /// return and the park is latched, never lost; blocking callers pass
-    /// the key to `DeviceCtx::wait_key` and poll again.
+    /// The rank must park; the key names the resource whose next state
+    /// change wakes it. The op registered the rank under the resource's
+    /// lock *before* returning this, so a wake between the return and the
+    /// park is latched, never lost.
     Pending(WakeKey),
 }
 
 /// Names the resource a [`Poll::Pending`] op is parked on. Opaque: callers
-/// only hand it back to the blocking fallback (`DeviceCtx::wait_key`) or
-/// return it from their own `poll`.
-pub struct WakeKey {
-    pub(crate) source: WakeSource,
-}
+/// only return it from their own `poll`; its `Debug` text (`recv(src=2,
+/// tag=7)`, `publish(group [0,1])`) is what a deadlock report prints.
+pub struct WakeKey(WakeSource);
 
-/// The concrete wake sources — exactly the keyed condvars of the PR 7
-/// wakeup discipline, minus the condvar: a mailbox `(from, to, tag)` slot,
-/// or one of the two rendezvous edges of a group slot.
-pub(crate) enum WakeSource {
-    /// A message into mailbox `(from, to, tag)` wakes the receiver.
-    Mail {
-        from: DeviceId,
-        to: DeviceId,
-        tag: u64,
-    },
+/// The concrete wake sources: the parked rank's mailbox slot for
+/// `(from, tag)`, or one of the two rendezvous edges of a group slot.
+enum WakeSource {
+    /// A message from `from` under `tag` wakes the receiver.
+    Mail { from: DeviceId, tag: u64 },
     /// The last arrival publishing the group's outputs wakes Collect-phase
     /// waiters.
     Publish(Arc<GroupShared>),
@@ -63,33 +55,25 @@ pub(crate) enum WakeSource {
 }
 
 impl WakeKey {
-    pub(crate) fn mail(from: DeviceId, to: DeviceId, tag: u64) -> WakeKey {
-        WakeKey {
-            source: WakeSource::Mail { from, to, tag },
-        }
+    pub(crate) fn mail(from: DeviceId, tag: u64) -> WakeKey {
+        WakeKey(WakeSource::Mail { from, tag })
     }
 
     pub(crate) fn publish(shared: &Arc<GroupShared>) -> WakeKey {
-        WakeKey {
-            source: WakeSource::Publish(Arc::clone(shared)),
-        }
+        WakeKey(WakeSource::Publish(Arc::clone(shared)))
     }
 
     pub(crate) fn drain(shared: &Arc<GroupShared>) -> WakeKey {
-        WakeKey {
-            source: WakeSource::Drain(Arc::clone(shared)),
-        }
+        WakeKey(WakeSource::Drain(Arc::clone(shared)))
     }
 }
 
 impl std::fmt::Debug for WakeKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.source {
-            WakeSource::Mail { from, to, tag } => {
-                write!(f, "WakeKey::Mail({from}->{to} tag {tag})")
-            }
-            WakeSource::Publish(_) => write!(f, "WakeKey::Publish"),
-            WakeSource::Drain(_) => write!(f, "WakeKey::Drain"),
+        match &self.0 {
+            WakeSource::Mail { from, tag } => write!(f, "recv(src={from}, tag={tag})"),
+            WakeSource::Publish(g) => write!(f, "publish(group {})", g.members_text()),
+            WakeSource::Drain(g) => write!(f, "drain(group {})", g.members_text()),
         }
     }
 }
@@ -101,12 +85,15 @@ impl std::fmt::Debug for WakeKey {
 /// * `poll` is only ever called by one worker at a time (the executor
 ///   guarantees exclusivity), but successive calls may come from
 ///   different OS threads — hence `Send`.
+/// * `poll` must not block its worker: wait by returning
+///   [`Poll::Pending`] from a resumable op, never through `recv` or a
+///   blocking collective (those panic inside a task).
 /// * After returning [`Poll::Pending`], the task is re-polled when (or
 ///   spuriously before) the keyed resource changes; `poll` must re-check
 ///   its condition, exactly like a condvar waiter re-checks its predicate.
 /// * After [`Poll::Ready`], the task is never polled again.
 /// * Panicking inside `poll` aborts the whole run with this rank's
-///   message, matching the thread-backend contract.
+///   message, exactly as a panicking `run_on` closure does.
 pub trait RankTask: Send {
     /// The task's completion value (the analog of a `run_on` closure's
     /// return).

@@ -13,10 +13,10 @@
 //! recording order is deterministic (a device track is written only by its
 //! own rank in program order; a group track is serialized by the rendezvous
 //! slot), and [`Tracer::snapshot`] concatenates lanes in canonical
-//! [`Track`] order. Snapshots are therefore bitwise identical across
-//! execution backends and scheduler pool sizes, even though the interleaving
-//! of host threads differs — the backend-parity tests compare them with
-//! `assert_eq!`.
+//! [`Track`] order. Snapshots are therefore bitwise identical across rank
+//! forms and executor pool sizes, even though the interleaving of host
+//! threads differs — the parity tests compare them against a frozen
+//! fingerprint.
 //!
 //! [`chrome_trace_json`] exports the Chrome/Perfetto `trace_events`
 //! format: one track (`tid`) per simulated device under the `devices`
@@ -169,7 +169,7 @@ impl Tracer {
 
     /// Snapshot of all recorded spans: lanes in canonical [`Track`] order,
     /// each lane in recording order. Bitwise-deterministic for a
-    /// deterministic workload, regardless of backend or pool size.
+    /// deterministic workload, regardless of rank form or pool size.
     pub fn snapshot(&self) -> Vec<Span> {
         self.lanes.lock().values().flatten().cloned().collect()
     }

@@ -1,17 +1,17 @@
-//! A canonical hybrid-parallel training step used by the backend-parity
-//! tests and the `world_scale` bench.
+//! A canonical hybrid-parallel training step used by the parity tests and
+//! the `world_scale` bench.
 //!
 //! The workload exercises every communication primitive a real DP x TP x PP
 //! step uses — tensor-parallel all-reduce and all-gather, pipeline
 //! point-to-point activation/gradient transfers, data-parallel gradient
 //! all-reduce — with fully deterministic synthetic data (a pure hash of
 //! `(rank, step, element)`), so its per-step losses, traffic stats and
-//! traces are bitwise-comparable across execution backends, scheduler pool
-//! sizes and world scales.
+//! traces are bitwise-comparable across rank forms, pool sizes and world
+//! scales.
 //!
-//! The step is written as a resumable [`HybridTask`] state machine, so the
-//! stackless backend runs it with no per-rank OS thread; [`run_hybrid`]
-//! drives the same machine to completion for closure-style callers.
+//! The step is written as a resumable [`HybridTask`] state machine, so
+//! `run_tasks` runs it with no per-rank OS thread; [`run_hybrid`] drives the
+//! same machine to completion for closure-style callers.
 
 use crate::group::{CollectiveOp, Group};
 use crate::task::{Poll, RankTask};
@@ -57,7 +57,7 @@ impl HybridSpec {
 
 /// Deterministic synthetic activation value: splitmix64 of the element's
 /// global coordinates folded to roughly [-1, 1). A pure function, so every
-/// backend generates identical data without any shared RNG state.
+/// run generates identical data without any shared RNG state.
 fn synth(rank: usize, step: usize, i: usize) -> f32 {
     let mut z = (rank as u64)
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -145,9 +145,8 @@ fn after_bwd(
 /// data-parallel gradient all-reduce; the step loss is the mean of the
 /// DP-reduced gradient.
 ///
-/// Identical arithmetic to the classic blocking loop — [`run_hybrid`] is
-/// now literally `ctx.block_on` of this task — so losses, stats and traces
-/// stay bitwise identical across all three backends.
+/// [`run_hybrid`] is literally `ctx.block_on` of this task, so losses,
+/// stats and traces are bitwise identical for closure and task ranks.
 pub struct HybridTask {
     spec: HybridSpec,
     wiring: Option<Wiring>,
@@ -288,7 +287,7 @@ impl RankTask for HybridTask {
 ///
 /// All ranks of a step report identical losses only within a
 /// `(stage, tp_idx)` slice — the returned vector is per-rank, and parity
-/// checks compare the whole `Vec<Vec<f32>>` across backends.
+/// checks compare the whole `Vec<Vec<f32>>`.
 pub fn run_hybrid(ctx: &DeviceCtx, spec: &HybridSpec) -> Vec<f32> {
     ctx.block_on(HybridTask::new(*spec))
 }
@@ -320,30 +319,7 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_step_runs_and_is_reproducible() {
-        let spec = HybridSpec {
-            dp: 2,
-            tp: 2,
-            pp: 2,
-            elems: 32,
-            steps: 2,
-        };
-        let run = || {
-            let world = World::new(system_iii());
-            world.run_on(spec.ranks(), |ctx| run_hybrid(ctx, &spec))
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "same workload, same world: identical losses");
-        assert_eq!(a.len(), 8);
-        assert_eq!(a[0].len(), 2);
-        assert!(a.iter().flatten().all(|l| l.is_finite()));
-    }
-
-    #[test]
-    fn hybrid_task_matches_run_hybrid_stackless() {
-        // the task driven by the stackless executor must reproduce the
-        // blocking loop bit for bit — losses AND stats
+    fn hybrid_step_is_identical_as_closures_and_as_tasks() {
         let spec = HybridSpec {
             dp: 2,
             tp: 2,
@@ -352,13 +328,14 @@ mod tests {
             steps: 2,
         };
         let world = World::new(system_iii());
-        let reference = world.run_on(spec.ranks(), |ctx| run_hybrid(ctx, &spec));
-        let ref_stats = world.stats();
-
-        let world2 = World::new(system_iii());
-        world2.set_backend(Some(crate::world::WorldBackend::Stackless { pool: 1 }));
-        let stackless = world2.run_tasks(spec.ranks(), |_rank| HybridTask::new(spec));
-        assert_eq!(reference, stackless);
-        assert_eq!(ref_stats, world2.stats());
+        let a = world.run_on(spec.ranks(), |ctx| run_hybrid(ctx, &spec));
+        let stats = world.stats();
+        world.reset_stats();
+        let b = world.run_tasks(spec.ranks(), |_rank| HybridTask::new(spec));
+        assert_eq!(a, b, "same workload, either rank form: identical losses");
+        assert_eq!(stats, world.stats(), "... and identical traffic");
+        assert_eq!(a.len(), 8);
+        assert_eq!(a[0].len(), 2);
+        assert!(a.iter().flatten().all(|l| l.is_finite()));
     }
 }

@@ -1,44 +1,37 @@
 //! The simulated multi-device world: per-device virtual clocks, a shared
-//! cluster model, global traffic stats, and two execution backends — the
-//! event-driven rank scheduler (default) and the legacy thread-per-rank
-//! mode.
+//! cluster model, global traffic stats, and the two ways to launch ranks
+//! on the one executor ([`crate::sched`]): closures ([`World::run_on`]) and
+//! resumable tasks ([`World::run_tasks`]).
 
 use crate::group::{Group, GroupShared, Wire};
-use crate::sched::{AbortRun, Scheduler, TaskWaker};
+use crate::sched::{AbortRun, TaskWaker};
 use crate::stats::CommStats;
-use crate::task::{Poll, RankTask, WakeKey, WakeSource};
+use crate::task::{Poll, RankTask, WakeKey};
 use crate::trace::{self, RankRollup, Span, SpanKind, Tracer, Track};
 use colossalai_tensor::{envknob, Tensor};
 use colossalai_topology::{AllReduceAlgo, Cluster, DeviceId};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 
 /// One point-to-point mailbox: the FIFO for a single `(from, to, tag)` key
-/// plus that key's *own* wakeup condvar.
+/// plus that key's *own* parked receiver.
 ///
-/// The per-key condvar is the core of the wakeup discipline: a delivery
-/// notifies only the receiver parked on this exact key, so a message in a
-/// 4096-rank world wakes one task — not every parked receiver world-wide
-/// (the old single `mailbox_cv` + `notify_all` herd made every message
-/// cost O(parked ranks) scheduler readmissions).
+/// The per-key wake target is the core of the wakeup discipline: a delivery
+/// wakes only the receiver parked on this exact key, so a message in a
+/// 4096-rank world requeues one rank — not every parked receiver
+/// world-wide.
 #[derive(Default)]
 struct MailSlot {
     /// Messages in flight: payload, virtual arrival time, wire bytes (as
     /// charged by the sender — the receiver traces the same width).
     queue: VecDeque<(Tensor, f64, u64)>,
-    /// A receiver is parked on `cv` right now (set/cleared under the
-    /// mailbox lock). Lets the sender skip the notify entirely when nobody
-    /// is parked, and lets `abort_wake` find every occupied slot.
-    waiting: bool,
-    /// Keyed wakeup target. `Arc` so a receiver can clone it and park via
-    /// [`DeviceCtx::wait_on`] after releasing its borrow of the map entry.
-    cv: Arc<Condvar>,
-    /// Global rank of a stackless task parked `Pending` on this key — the
-    /// poll-driven analog of `waiting`. The sender takes it (under the
-    /// mailbox lock) and requeues the task through the run's [`TaskWaker`].
+    /// Global rank of the receiver parked `Pending` on this key (set under
+    /// the mailbox lock). The sender takes it and wakes the rank through
+    /// the run's [`TaskWaker`].
     parked_task: Option<DeviceId>,
 }
 
@@ -47,41 +40,41 @@ type Mailbox = HashMap<(DeviceId, DeviceId, u64), MailSlot>;
 
 /// Wakeup-discipline observability counters (see [`WakeStats`]).
 ///
-/// These measure *host* scheduling behavior — how many times tasks came
-/// off a condvar — and are deliberately **not** part of [`CommStats`]:
-/// wake counts may vary across backends, pool sizes and runs (spurious
+/// These measure *host* scheduling behavior — how many times ranks were
+/// resumed after parking — and are deliberately **not** part of
+/// [`CommStats`]: wake counts may vary across pool sizes and runs (spurious
 /// wakeups, abort races), so they must never enter the bitwise parity
 /// surface that `tests/world_backend_parity.rs` compares.
 #[derive(Default)]
 struct WakeCounters {
     /// Point-to-point messages delivered into a mailbox.
     p2p_msgs: AtomicU64,
-    /// Times a receiver came off a mailbox condvar wait.
+    /// Times a receiver was resumed after parking on a mailbox key.
     p2p_wakes: AtomicU64,
-    /// Times a task came off a group-rendezvous condvar wait.
+    /// Times a rank was resumed after parking on a group-rendezvous key.
     group_wakes: AtomicU64,
 }
 
 /// Snapshot of the world's wakeup counters ([`World::wake_stats`]).
 ///
-/// With keyed per-`(from, to, tag)` mailbox condvars, one delivery wakes at
-/// most one receiver, so `p2p_wakes / p2p_msgs` stays ~1 at any world size
-/// — that ratio is the regression guard for the O(world) `notify_all` herd
-/// this design replaced. Host-timing-dependent; excluded from the
+/// With per-`(from, to, tag)` wake targets, one delivery wakes at most one
+/// receiver, so `p2p_wakes / p2p_msgs` stays ~1 at any world size — that
+/// ratio is the regression guard for the O(world) wake-everyone herd this
+/// design replaced. Host-timing-dependent; excluded from the
 /// deterministic [`CommStats`] parity surface.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WakeStats {
     /// Point-to-point messages delivered.
     pub p2p_msgs: u64,
-    /// Mailbox condvar wakeups observed by receivers.
+    /// Resumes observed by receivers parked on a mailbox key.
     pub p2p_wakes: u64,
-    /// Group-rendezvous condvar wakeups observed by members.
+    /// Resumes observed by members parked on a group-rendezvous key.
     pub group_wakes: u64,
 }
 
 impl WakeStats {
     /// Mailbox wakeups per delivered message (0 when no messages flowed).
-    /// ~1 under the keyed-condvar discipline; O(world) under a broadcast
+    /// ~1 under the keyed wake discipline; O(world) under a broadcast
     /// herd.
     pub fn wakeups_per_msg(&self) -> f64 {
         if self.p2p_msgs == 0 {
@@ -97,7 +90,7 @@ impl WakeStats {
 /// Relaxed atomics — a gauge, not a synchronization edge; peaks are exact
 /// because every transition pairs `fetch_add` with `fetch_max`.
 #[derive(Default)]
-struct ThreadCounters {
+pub(crate) struct ThreadCounters {
     spawned: AtomicU64,
     live: AtomicU64,
     peak_live: AtomicU64,
@@ -106,64 +99,30 @@ struct ThreadCounters {
 }
 
 impl ThreadCounters {
-    fn thread_started(&self) {
+    /// Runs the `body` of a spawned rank/worker thread under the live
+    /// gauge. Bodies catch their rank's panics, so they always return.
+    fn live(&self, body: impl FnOnce()) {
         self.spawned.fetch_add(1, Ordering::Relaxed);
         let live = self.live.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak_live.fetch_max(live, Ordering::Relaxed);
-    }
-
-    fn thread_exited(&self) {
+        body();
         self.live.fetch_sub(1, Ordering::Relaxed);
     }
 
-    fn park_started(&self) {
+    /// Runs `sleep` (a rank thread waiting to be dispatched, a worker
+    /// waiting for a ready rank) under the parked gauge.
+    pub(crate) fn parked(&self, sleep: impl FnOnce()) {
         let parked = self.parked.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak_parked.fetch_max(parked, Ordering::Relaxed);
-    }
-
-    fn park_ended(&self) {
+        sleep();
         self.parked.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-/// RAII live-thread mark: created at the top of every spawned rank/worker
-/// thread so the gauge survives unwinds (abort paths included).
-struct ThreadLiveGuard<'a>(&'a ThreadCounters);
-
-impl<'a> ThreadLiveGuard<'a> {
-    fn new(counters: &'a ThreadCounters) -> ThreadLiveGuard<'a> {
-        counters.thread_started();
-        ThreadLiveGuard(counters)
-    }
-}
-
-impl Drop for ThreadLiveGuard<'_> {
-    fn drop(&mut self) {
-        self.0.thread_exited();
-    }
-}
-
-/// RAII parked-thread mark around every blocking wait (condvar waits,
-/// scheduler admission, the stackless workers' idle wait).
-struct ParkGuard<'a>(&'a ThreadCounters);
-
-impl<'a> ParkGuard<'a> {
-    fn new(counters: &'a ThreadCounters) -> ParkGuard<'a> {
-        counters.park_started();
-        ParkGuard(counters)
-    }
-}
-
-impl Drop for ParkGuard<'_> {
-    fn drop(&mut self) {
-        self.0.park_ended();
-    }
-}
-
 /// Snapshot of the OS-thread gauge ([`World::thread_stats`]): turns the
-/// stackless backend's "peak OS threads is O(pool)" claim into a measured
-/// number instead of an assertion. Host-behavioral, like [`WakeStats`] —
-/// never part of the bitwise backend-parity surface.
+/// "`run_tasks` needs O(pool) OS threads" claim into a measured number
+/// instead of an assertion. Host-behavioral, like [`WakeStats`] — never
+/// part of the bitwise parity surface.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ThreadStats {
     /// Rank/worker threads spawned by runs since the last reset.
@@ -184,99 +143,23 @@ impl ThreadStats {
     }
 }
 
-/// How [`World::run_on`] executes its rank closures.
-///
-/// Both backends produce bitwise-identical results, clocks, stats and
-/// traces (`tests/world_backend_parity.rs`); they differ only in host
-/// scheduling.
+/// Executor sizing for a world's runs. One variant: there is one executor;
+/// what remains to choose is how many ranks may run at once.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorldBackend {
-    /// Legacy mode: all `n` rank threads run concurrently, scheduled by the
-    /// OS. Fine up to a few dozen ranks; thrashes beyond that.
-    Threads,
-    /// Event-driven rank scheduler: every rank keeps a parked OS thread but
-    /// at most `pool` of them execute at once, admitted from a central
-    /// queue ordered by `(virtual_time, rank)`. `pool == 0` means "host
-    /// cores". This is what lets 512–4096-rank worlds run in bounded memory
-    /// and wall time.
-    Sched {
-        /// Number of concurrently running rank tasks (0 = host cores).
-        pool: usize,
-    },
-    /// Stackless executor: ranks are heap [`RankTask`]s polled by a fixed
-    /// `pool` of worker threads — no parked per-rank OS threads at all, so
-    /// peak thread count is O(pool) however many ranks the world has. Only
-    /// [`World::run_tasks`] runs stackless; closure-based [`World::run_on`]
-    /// needs a stack per rank and falls back to the scheduler.
+    /// `pool` running slots (0 = host cores): worker threads polling heap
+    /// [`RankTask`]s under [`World::run_tasks`], or slot tokens passed
+    /// between the rank threads of [`World::run_on`] closures.
     Stackless {
-        /// Number of worker threads polling tasks (0 = host cores).
+        /// Number of ranks running at once (0 = host cores).
         pool: usize,
     },
 }
 
-fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(4, |n| n.get())
-}
-
-/// Parses a `COLOSSAL_WORLD` backend name; `pool` pre-resolves the
-/// `COLOSSAL_WORLD_POOL` knob for the pooled backends (0 still meaning
-/// "host cores", clamped at use). Pure so the accepted grammar is
-/// unit-testable without touching the process environment; `Err` carries
-/// the normalized rejected value for the one-shot warning.
-pub(crate) fn parse_world_backend(raw: &str, pool: usize) -> Result<WorldBackend, String> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "threads" => Ok(WorldBackend::Threads),
-        "sched" => Ok(WorldBackend::Sched { pool }),
-        "stackless" => Ok(WorldBackend::Stackless { pool }),
-        other => Err(other.to_string()),
-    }
-}
-
-/// Backend requested by `COLOSSAL_WORLD` / `COLOSSAL_WORLD_POOL` (read
-/// once): `threads` for the legacy mode, `stackless` for the poll-driven
-/// executor, `sched` (or unset) for the scheduler. Any other value warns
-/// once and falls back to the scheduler.
-fn env_backend() -> WorldBackend {
-    static BACKEND: OnceLock<WorldBackend> = OnceLock::new();
-    *BACKEND.get_or_init(|| {
-        let pool = envknob::env_usize("COLOSSAL_WORLD_POOL", 0);
-        match std::env::var("COLOSSAL_WORLD") {
-            Err(_) => WorldBackend::Sched { pool },
-            Ok(raw) => parse_world_backend(&raw, pool).unwrap_or_else(|bad| {
-                envknob::warn_invalid(
-                    "COLOSSAL_WORLD",
-                    &bad,
-                    "\"sched\", \"stackless\" or \"threads\"",
-                    "sched",
-                );
-                WorldBackend::Sched { pool }
-            }),
-        }
-    })
-}
-
-/// Per-rank stack size under the scheduler: `COLOSSAL_WORLD_STACK` bytes,
-/// else 1 MiB — enough for the simulated workloads while keeping a
-/// 4096-rank world around 4 GiB of (mostly uncommitted) reservations.
-/// A malformed or zero value warns once and keeps the default.
-fn rank_stack_bytes() -> usize {
-    static STACK: OnceLock<usize> = OnceLock::new();
-    *STACK.get_or_init(|| {
-        const DEFAULT: usize = 1 << 20;
-        let v = envknob::env_usize("COLOSSAL_WORLD_STACK", DEFAULT);
-        if v == 0 {
-            envknob::warn_invalid(
-                "COLOSSAL_WORLD_STACK",
-                "0",
-                "a stack size in bytes >= 1",
-                &DEFAULT.to_string(),
-            );
-            DEFAULT
-        } else {
-            v
-        }
-    })
-}
+/// Stack of a `run_on` rank thread: enough for the simulated workloads
+/// while keeping a 4096-rank world around 4 GiB of (mostly uncommitted)
+/// reservations.
+const RANK_STACK_BYTES: usize = 1 << 20;
 
 /// Shared state behind a [`World`].
 pub(crate) struct WorldInner {
@@ -290,37 +173,38 @@ pub(crate) struct WorldInner {
     mailbox: Mutex<Mailbox>,
     /// Wakeup observability (never part of the parity surface).
     wakes: WakeCounters,
-    /// OS-thread observability (never part of the parity surface).
-    threads: ThreadCounters,
-    /// Programmatic backend override (wins over the environment).
+    /// OS-thread observability (never part of the parity surface); every
+    /// run's executor marks its sleeps here.
+    threads: Arc<ThreadCounters>,
+    /// Programmatic pool-size override (wins over the environment).
     backend: Mutex<Option<WorldBackend>>,
 }
 
 impl WorldInner {
-    /// Wakes every task parked on a resource condvar (keyed mailbox slots,
-    /// group rendezvous) so they can observe the abort flag and unwind.
-    ///
-    /// The condvar table is keyed, so abort must *iterate* it: every slot's
-    /// cv is collected under the mailbox lock (serializing against a
-    /// receiver between its abort check and its wait — the receiver holds
-    /// the mailbox lock from check to park) and notified after. Any
-    /// receiver that parks later necessarily entered `wait_on` after the
-    /// abort flag rose and unwinds on its pre-wait check instead.
-    fn abort_wake(&self) {
-        let cvs: Vec<Arc<Condvar>> = {
-            let mb = self.mailbox.lock();
-            mb.values().map(|slot| Arc::clone(&slot.cv)).collect()
-        };
-        for cv in cvs {
-            cv.notify_all();
+    /// `rank r blocked on <wake key>` for every rank registered in a
+    /// mailbox or rendezvous parked list, by rank — the body of a deadlock
+    /// report. Read after the run has quiesced.
+    fn blocked_ranks(&self) -> String {
+        let mut blocked: Vec<(DeviceId, WakeKey)> = self
+            .mailbox
+            .lock()
+            .iter()
+            .filter_map(|(&(from, _, tag), slot)| {
+                Some((slot.parked_task?, WakeKey::mail(from, tag)))
+            })
+            .collect();
+        for group in self.groups.lock().values() {
+            blocked.extend(GroupShared::parked(group));
         }
-        let groups: Vec<Arc<GroupShared>> = self.groups.lock().values().cloned().collect();
-        for g in groups {
-            g.abort_wake();
-        }
+        blocked.sort_by_key(|&(rank, _)| rank);
+        let lines: Vec<String> = blocked
+            .iter()
+            .map(|(rank, key)| format!("rank {rank} blocked on {key:?}"))
+            .collect();
+        lines.join("; ")
     }
 
-    /// Count one observed wakeup from a group-rendezvous condvar.
+    /// Count one observed resume from a group-rendezvous wake key.
     pub(crate) fn count_group_wake(&self) {
         self.wakes.group_wakes.fetch_add(1, Ordering::Relaxed);
     }
@@ -363,7 +247,7 @@ impl World {
                 groups: Mutex::new(HashMap::new()),
                 mailbox: Mutex::new(HashMap::new()),
                 wakes: WakeCounters::default(),
-                threads: ThreadCounters::default(),
+                threads: Arc::default(),
                 backend: Mutex::new(None),
             }),
         }
@@ -374,285 +258,119 @@ impl World {
         &self.inner.cluster
     }
 
-    /// Pins the execution backend for this world (`None` restores the
-    /// `COLOSSAL_WORLD` / default resolution). Results are identical either
-    /// way; this exists for benches and the backend-parity tests.
+    /// Pins the executor's pool size for this world (`None` restores the
+    /// `COLOSSAL_WORLD_POOL` / host-cores resolution). Results are identical
+    /// either way; this exists for benches and the parity tests.
     pub fn set_backend(&self, backend: Option<WorldBackend>) {
         *self.inner.backend.lock() = backend;
     }
 
-    /// The backend the next [`World::run_on`] call will use, with the
-    /// scheduler's `pool = 0` already resolved to the host core count.
+    /// The executor sizing the next run will use, with `pool = 0` already
+    /// resolved to the host core count.
     pub fn backend(&self) -> WorldBackend {
-        let b = self.inner.backend.lock().unwrap_or_else(env_backend);
-        match b {
-            WorldBackend::Sched { pool: 0 } => WorldBackend::Sched { pool: host_cores() },
-            WorldBackend::Stackless { pool: 0 } => WorldBackend::Stackless { pool: host_cores() },
-            other => other,
+        static ENV_POOL: OnceLock<usize> = OnceLock::new();
+        let pool = match *self.inner.backend.lock() {
+            Some(WorldBackend::Stackless { pool }) => pool,
+            None => *ENV_POOL.get_or_init(|| envknob::env_usize("COLOSSAL_WORLD_POOL", 0)),
+        };
+        let cores = || std::thread::available_parallelism().map_or(4, |n| n.get());
+        WorldBackend::Stackless {
+            pool: if pool == 0 { cores() } else { pool },
         }
     }
 
     /// Runs `f` on the first `n` devices of the cluster and returns the
     /// per-rank results ordered by rank.
     ///
-    /// Under the default scheduler backend each rank is a task on a fixed
-    /// worker pool; under [`WorldBackend::Threads`] every rank gets a free
-    /// running OS thread. Panics in any rank abort the run and propagate
-    /// with the panicking rank's message (`"device thread panicked: ..."`),
-    /// so test assertions inside device closures work as usual.
+    /// Each closure is a *stackful* rank of the executor: it keeps its own
+    /// OS thread as its resumable state, but at most `pool` of the `n`
+    /// threads run at any instant, admitted in `(virtual_time, rank)`
+    /// order; a rank that blocks in a `recv` or a collective passes its
+    /// slot straight to the next ready rank's thread. Panics in any rank
+    /// abort the run and propagate with the lowest panicking rank's message
+    /// (`"device thread panicked: rank r: ..."`), so test assertions inside
+    /// device closures work as usual; a run in which no rank can make
+    /// progress panics with `"deadlock: ..."` naming every blocked rank.
     pub fn run_on<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&DeviceCtx) -> R + Send + Sync,
     {
-        assert!(
-            n >= 1 && n <= self.inner.cluster.n_devices(),
-            "cannot run on {n} devices of a {}-device cluster",
-            self.inner.cluster.n_devices()
-        );
-        match self.backend() {
-            WorldBackend::Threads => self.run_threads(n, f),
-            WorldBackend::Sched { pool } => self.run_sched(n, pool, f),
-            // an arbitrary closure needs a stack to block on, so the
-            // stackless backend can only promise O(pool) threads for
-            // `run_tasks`; closures degrade to the scheduler
-            WorldBackend::Stackless { pool } => self.run_sched(n, pool, f),
-        }
+        let WorldBackend::Stackless { pool } = self.backend();
+        let run = Run::new(&self.inner, n, pool);
+        std::thread::scope(|scope| {
+            let threads: Box<[Thread]> = (0..n)
+                .map(|rank| {
+                    let (run, f) = (&run, &f);
+                    std::thread::Builder::new()
+                        .name(format!("colossal-rank-{rank}"))
+                        .stack_size(RANK_STACK_BYTES)
+                        .spawn_scoped(scope, move || {
+                            run.inner.threads.live(|| {
+                                run.waker.wait_dispatched(rank);
+                                run.dispatch(rank, |ctx| Poll::Ready(f(ctx)));
+                            })
+                        })
+                        .expect("spawn rank thread")
+                        .thread()
+                        .clone()
+                })
+                .collect();
+            run.waker.start_stackful(threads);
+        });
+        run.join()
     }
 
     /// Runs one [`RankTask`] per rank (built by `make`, which receives the
     /// rank) and returns the per-rank outputs ordered by rank.
     ///
-    /// Under [`WorldBackend::Stackless`] the tasks are multiplexed onto a
-    /// fixed `pool` of worker threads with no parked per-rank OS threads —
-    /// peak thread count is O(pool) however large `n` is (measured by
-    /// [`World::thread_stats`]). Under the other backends each task is
-    /// driven to completion by [`DeviceCtx::block_on`] on its rank thread.
-    /// All three produce bitwise-identical results, stats and traces.
+    /// The tasks are *heap* ranks of the executor: `pool` worker threads
+    /// poll them, and a task that returns `Pending` is simply not requeued
+    /// until its wake key fires — no OS thread parks on its behalf, so peak
+    /// thread count is `pool` however large `n` is (measured by
+    /// [`World::thread_stats`]). Results, stats, traces and the panic and
+    /// deadlock contracts are those of [`World::run_on`].
     pub fn run_tasks<T, F>(&self, n: usize, make: F) -> Vec<T::Output>
     where
         T: RankTask,
         F: Fn(DeviceId) -> T + Send + Sync,
     {
-        assert!(
-            n >= 1 && n <= self.inner.cluster.n_devices(),
-            "cannot run on {n} devices of a {}-device cluster",
-            self.inner.cluster.n_devices()
-        );
-        match self.backend() {
-            WorldBackend::Threads => self.run_threads(n, |ctx| ctx.block_on(make(ctx.rank))),
-            WorldBackend::Sched { pool } => {
-                self.run_sched(n, pool, |ctx| ctx.block_on(make(ctx.rank)))
-            }
-            WorldBackend::Stackless { pool } => self.run_stackless(n, pool, make),
-        }
-    }
-
-    /// The legacy thread-per-rank backend.
-    fn run_threads<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&DeviceCtx) -> R + Send + Sync,
-    {
-        let inner = &self.inner;
-        let f = &f;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
-                .map(|rank| {
-                    let inner = Arc::clone(inner);
-                    scope.spawn(move || {
-                        let _live = ThreadLiveGuard::new(&inner.threads);
-                        let ctx = DeviceCtx::new(Arc::clone(&inner), rank, None);
-                        f(&ctx)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("device thread panicked"))
-                .collect()
-        })
-    }
-
-    /// The event-driven scheduler backend: `n` parked rank tasks admitted
-    /// onto `pool` running slots in `(virtual_time, rank)` order.
-    fn run_sched<R, F>(&self, n: usize, pool: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&DeviceCtx) -> R + Send + Sync,
-    {
-        let pool = if pool == 0 { host_cores() } else { pool };
-        let sched = Scheduler::new(n, pool);
-        // (rank, message) of every rank that panicked on its own (peers
-        // unwound by the abort marker are not recorded)
-        let panics: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-        let inner = &self.inner;
-        let f = &f;
-        let results: Vec<Option<R>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
-                .map(|rank| {
-                    let inner = Arc::clone(inner);
-                    let sched = Arc::clone(&sched);
-                    let panics = &panics;
-                    std::thread::Builder::new()
-                        .name(format!("colossal-rank-{rank}"))
-                        .stack_size(rank_stack_bytes())
-                        .spawn_scoped(scope, move || {
-                            let _live = ThreadLiveGuard::new(&inner.threads);
-                            let ctx = DeviceCtx::new(Arc::clone(&inner), rank, Some(&sched));
-                            let out =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    {
-                                        let _parked = ParkGuard::new(&inner.threads);
-                                        sched.wait_admitted(rank);
-                                    }
-                                    ctx.check_abort();
-                                    f(&ctx)
-                                }));
-                            let out = match out {
-                                Ok(v) => Some(v),
-                                Err(payload) => {
-                                    if !payload.is::<AbortRun>() {
-                                        // as_ref, not &payload: the latter would
-                                        // unsize the Box itself into `dyn Any`
-                                        panics.lock().push((rank, panic_message(payload.as_ref())));
-                                        sched.abort_all();
-                                        inner.abort_wake();
-                                    }
-                                    None
-                                }
-                            };
-                            sched.task_done(rank);
-                            out
-                        })
-                        .expect("spawn rank task")
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or(None))
-                .collect()
-        });
-        let primary = panics.into_inner().into_iter().min_by_key(|&(r, _)| r);
-        if let Some((rank, msg)) = primary {
-            panic!("device thread panicked: rank {rank}: {msg}");
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("rank task produced no result"))
-            .collect()
-    }
-
-    /// Hints the CPU to pull the first cache lines of `v` toward L1. At
-    /// 16k ranks the per-rank task and ctx structs cannot all stay
-    /// cache-resident, so each dispatch would stall on cold loads;
-    /// prefetching the *next* ready rank's state while the current poll
-    /// runs overlaps that miss latency with useful work. Advisory only —
-    /// correctness never depends on it.
-    #[inline]
-    fn prefetch_for_poll<V>(v: &V) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let p = v as *const V as *const i8;
-            // pull up to four lines — enough for a task state machine or a
-            // DeviceCtx without flooding the load queue
-            let lines = std::mem::size_of::<V>().div_ceil(64).min(4);
-            for l in 0..lines {
-                // SAFETY: prefetch is a hint; it never faults, and `p + l *
-                // 64` stays within (or one line past) the live borrow.
-                unsafe { _mm_prefetch(p.add(l * 64), _MM_HINT_T0) }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = v;
-    }
-
-    /// The stackless executor: `n` heap tasks polled to completion by
-    /// `pool` worker threads. A task that returns `Pending` is simply not
-    /// requeued until its wake key fires — no OS thread parks on its
-    /// behalf, which is the whole point: peak threads is `pool`, not `n`.
-    ///
-    /// Panic contract matches the other backends: the first real panic sets
-    /// the abort flag, requeues every parked task so it observes it and
-    /// unwinds via [`AbortRun`], and the lowest-ranked primary panic is
-    /// re-raised as `"device thread panicked: rank r: msg"`.
-    fn run_stackless<T, F>(&self, n: usize, pool: usize, make: F) -> Vec<T::Output>
-    where
-        T: RankTask,
-        F: Fn(DeviceId) -> T + Send + Sync,
-    {
-        let pool = if pool == 0 { host_cores() } else { pool }.min(n).max(1);
-        let waker = TaskWaker::new(n);
-        let ctxs: Vec<DeviceCtx> = (0..n)
-            .map(|rank| DeviceCtx::new_task(Arc::clone(&self.inner), rank, &waker))
-            .collect();
-        // per-task mutexes are uncontended (the waker hands each task to
-        // exactly one worker at a time); they exist to move tasks/results
-        // across worker threads safely
+        let WorldBackend::Stackless { pool } = self.backend();
+        let pool = pool.min(n);
+        let run = Run::new(&self.inner, n, pool);
+        // per-task mutexes are uncontended (the executor hands each rank to
+        // exactly one worker at a time); they exist to move tasks across
+        // worker threads safely
         let tasks: Vec<Mutex<Option<T>>> =
             (0..n).map(|rank| Mutex::new(Some(make(rank)))).collect();
-        let results: Vec<Mutex<Option<T::Output>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let panics: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-        let inner = &self.inner;
         std::thread::scope(|scope| {
             for w in 0..pool {
-                let waker = Arc::clone(&waker);
-                let (ctxs, tasks, results, panics) = (&ctxs, &tasks, &results, &panics);
+                let (run, tasks) = (&run, &tasks);
                 std::thread::Builder::new()
                     .name(format!("colossal-task-{w}"))
                     .spawn_scoped(scope, move || {
-                        let _live = ThreadLiveGuard::new(&inner.threads);
-                        while let Some(rank) = waker.next_ready(
-                            || inner.threads.park_started(),
-                            || inner.threads.park_ended(),
-                        ) {
-                            if let Some(next) = waker.next_hint() {
-                                Self::prefetch_for_poll(&tasks[next]);
-                                Self::prefetch_for_poll(&ctxs[next]);
-                            }
-                            let polled =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        run.inner.threads.live(|| {
+                            while let Some(rank) = run.waker.next_ready() {
+                                if let Some(next) = run.waker.next_hint() {
+                                    prefetch_for_poll(&tasks[next]);
+                                    prefetch_for_poll(&run.ctxs[next]);
+                                }
+                                run.dispatch(rank, |ctx| {
                                     let mut slot = tasks[rank].lock();
                                     let task = slot.as_mut().expect("task polled after completion");
-                                    ctxs[rank].check_abort();
-                                    task.poll(&ctxs[rank])
-                                }));
-                            match polled {
-                                Ok(Poll::Ready(out)) => {
-                                    *results[rank].lock() = Some(out);
-                                    *tasks[rank].lock() = None;
-                                    waker.finish(rank);
-                                }
-                                Ok(Poll::Pending(_)) => waker.park(rank),
-                                Err(payload) => {
-                                    if !payload.is::<AbortRun>() {
-                                        panics.lock().push((rank, panic_message(payload.as_ref())));
-                                        // requeue every parked task so it
-                                        // observes the abort and unwinds;
-                                        // also wake any blocking waiters
-                                        // (none under pure stackless runs,
-                                        // but cheap and uniform)
-                                        waker.abort_all();
-                                        inner.abort_wake();
+                                    let polled = task.poll(ctx);
+                                    if matches!(polled, Poll::Ready(_)) {
+                                        *slot = None;
                                     }
-                                    *tasks[rank].lock() = None;
-                                    waker.finish(rank);
-                                }
+                                    polled
+                                });
                             }
-                        }
+                        })
                     })
                     .expect("spawn task worker");
             }
         });
-        let primary = panics.into_inner().into_iter().min_by_key(|&(r, _)| r);
-        if let Some((rank, msg)) = primary {
-            panic!("device thread panicked: rank {rank}: {msg}");
-        }
-        results
-            .into_iter()
-            .map(|r| r.into_inner().expect("rank task produced no result"))
-            .collect()
+        run.join()
     }
 
     /// Runs `f` on every device of the cluster.
@@ -675,9 +393,9 @@ impl World {
     }
 
     /// Snapshot of the wakeup-discipline counters: messages delivered and
-    /// condvar wakeups observed. `wakeups_per_msg()` ~1 proves keyed
+    /// resumes observed. `wakeups_per_msg()` ~1 proves keyed
     /// per-`(from, to, tag)` wakeups; O(world) means the herd is back.
-    /// Host-timing-dependent — never compared for backend parity.
+    /// Host-timing-dependent — never compared for parity.
     pub fn wake_stats(&self) -> WakeStats {
         WakeStats {
             p2p_msgs: self.inner.wakes.p2p_msgs.load(Ordering::Relaxed),
@@ -695,10 +413,10 @@ impl World {
 
     /// Snapshot of the OS-thread gauge: threads spawned by runs on this
     /// world, the peak alive at once, and the peak simultaneously parked in
-    /// blocking waits. Under [`WorldBackend::Stackless`] `peak_live` stays
-    /// at the pool size no matter the rank count; under the other backends
-    /// it tracks the world size. Host-behavioral — never compared for
-    /// backend parity.
+    /// blocking waits. Under [`World::run_tasks`] `peak_live` stays at the
+    /// pool size no matter the rank count; under [`World::run_on`] it is the
+    /// world size (one thread per closure, no workers besides).
+    /// Host-behavioral — never compared for parity.
     pub fn thread_stats(&self) -> ThreadStats {
         ThreadStats {
             spawned: self.inner.threads.spawned.load(Ordering::Relaxed),
@@ -745,7 +463,7 @@ impl World {
     /// Snapshot of all recorded spans in canonical lane order (device
     /// tracks by rank, comm-stream tracks by rank, then group tracks by
     /// name; within a lane, recording order). The snapshot is
-    /// bitwise-identical across backends and pool sizes.
+    /// bitwise-identical across rank forms and pool sizes.
     pub fn trace(&self) -> Vec<Span> {
         self.inner.tracer.snapshot()
     }
@@ -786,6 +504,113 @@ impl World {
     }
 }
 
+/// Hints the CPU to pull the first cache lines of `v` toward L1. At 16k
+/// ranks the per-rank task and ctx structs cannot all stay cache-resident,
+/// so each dispatch would stall on cold loads; prefetching the *next* ready
+/// rank's state while the current poll runs overlaps that miss latency with
+/// useful work. Advisory only — correctness never depends on it.
+#[inline]
+fn prefetch_for_poll<V>(v: &V) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let p = v as *const V as *const i8;
+        // pull up to four lines — enough for a task state machine or a
+        // DeviceCtx without flooding the load queue
+        let lines = std::mem::size_of::<V>().div_ceil(64).min(4);
+        for l in 0..lines {
+            // SAFETY: prefetch is a hint; it never faults, and `p + l *
+            // 64` stays within (or one line past) the live borrow.
+            unsafe { _mm_prefetch(p.add(l * 64), _MM_HINT_T0) }
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = v;
+}
+
+/// One `run_on` / `run_tasks` call: the executor, the per-rank contexts,
+/// and what the ranks leave behind.
+struct Run<'w, O> {
+    inner: &'w Arc<WorldInner>,
+    waker: Arc<TaskWaker>,
+    ctxs: Vec<DeviceCtx>,
+    results: Vec<Mutex<Option<O>>>,
+    /// (rank, message) of every rank that panicked on its own (peers
+    /// unwound by the abort marker are not recorded).
+    panics: Mutex<Vec<(usize, String)>>,
+}
+
+impl<'w, O> Run<'w, O> {
+    fn new(inner: &'w Arc<WorldInner>, n: usize, pool: usize) -> Run<'w, O> {
+        assert!(
+            n >= 1 && n <= inner.cluster.n_devices(),
+            "cannot run on {n} devices of a {}-device cluster",
+            inner.cluster.n_devices()
+        );
+        let waker = TaskWaker::new(n, pool, Arc::clone(&inner.threads));
+        Run {
+            inner,
+            ctxs: (0..n)
+                .map(|rank| DeviceCtx::new(Arc::clone(inner), rank, &waker))
+                .collect(),
+            waker,
+            results: (0..n).map(|_| Mutex::new(None)).collect(),
+            panics: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// One dispatch of `rank` on the calling thread's slot: polls its body,
+    /// then parks or retires it. The first real panic aborts the run —
+    /// every parked rank is requeued, observes the flag at its next op and
+    /// unwinds via [`AbortRun`]. There is deliberately no abort check
+    /// *before* the poll: a rank dispatched ahead of the panicking one (in
+    /// heap order) must still reach its own panic, however late its thread
+    /// wakes, or which message is "the lowest rank's" would depend on
+    /// timing.
+    fn dispatch(&self, rank: usize, poll: impl FnOnce(&DeviceCtx) -> Poll<O>) {
+        let ctx = &self.ctxs[rank];
+        let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| poll(ctx)));
+        match polled {
+            Ok(Poll::Pending(_)) => return self.waker.park(rank),
+            Ok(Poll::Ready(out)) => *self.results[rank].lock() = Some(out),
+            Err(payload) => {
+                if !payload.is::<AbortRun>() {
+                    // as_ref, not &payload: the latter would unsize the
+                    // Box itself into `dyn Any`
+                    let msg = panic_message(payload.as_ref());
+                    self.panics.lock().push((rank, msg));
+                    self.waker.abort_all();
+                }
+            }
+        }
+        self.waker.finish(rank);
+    }
+
+    /// The per-rank results once every rank thread or worker has exited.
+    /// An aborted run instead re-raises the lowest-ranked primary panic, or
+    /// reports the deadlock, after dropping the half-finished rendezvous
+    /// and mailbox state so the world stays usable.
+    fn join(self) -> Vec<O> {
+        let primary = self.panics.into_inner().into_iter().min_by_key(|&(r, _)| r);
+        let report = match primary {
+            Some((rank, msg)) => format!("device thread panicked: rank {rank}: {msg}"),
+            None if self.waker.deadlocked.load(Ordering::SeqCst) => {
+                format!("deadlock: {}", self.inner.blocked_ranks())
+            }
+            None => {
+                return self
+                    .results
+                    .into_iter()
+                    .map(|r| r.into_inner().expect("rank produced no result"))
+                    .collect()
+            }
+        };
+        self.inner.groups.lock().clear();
+        self.inner.mailbox.lock().clear();
+        panic!("{report}");
+    }
+}
+
 /// Human-readable text of a caught panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
@@ -794,35 +619,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Where a ctx's main virtual clock lives. Thread-backed ctxs own an
-/// `Arc`'d cell (clones of the ctx share it); stackless ctxs use their
-/// rank's slot in the executor's contiguous clock array — the same cell
-/// wakers read to key the ready heap, and cache-friendly at 16k ranks
-/// where per-rank `Arc` cells would be 16k scattered allocations.
-#[derive(Clone)]
-enum ClockCell {
-    Own(Arc<AtomicU64>),
-    Task(Arc<TaskWaker>, DeviceId),
-}
-
-impl ClockCell {
-    #[inline]
-    fn load(&self) -> u64 {
-        match self {
-            ClockCell::Own(c) => c.load(Ordering::Relaxed),
-            ClockCell::Task(w, rank) => w.clock_bits(*rank),
-        }
-    }
-
-    #[inline]
-    fn store(&self, bits: u64) {
-        match self {
-            ClockCell::Own(c) => c.store(bits, Ordering::Relaxed),
-            ClockCell::Task(w, rank) => w.set_clock_bits(*rank, bits),
-        }
     }
 }
 
@@ -838,51 +634,28 @@ impl ClockCell {
 pub struct DeviceCtx {
     pub(crate) world: Arc<WorldInner>,
     pub(crate) rank: DeviceId,
-    clock: ClockCell,
+    /// The run's executor; resource code (mailbox, rendezvous) wakes every
+    /// rank it takes off a parked list through it. It also holds this
+    /// rank's main virtual clock (in its contiguous per-rank array), so the
+    /// ready heap can order requeues by `(vtime, rank)` without reaching
+    /// back into the ctx.
+    pub(crate) tasks: Arc<TaskWaker>,
     /// The communication stream's clock: `async` collectives accrue here
-    /// while compute keeps running on `clock`; [`DeviceCtx::comm_sync`]
-    /// joins the two.
+    /// while compute keeps running on the main clock;
+    /// [`DeviceCtx::comm_sync`] joins the two.
     comm_clock: Arc<AtomicU64>,
     flops: Arc<AtomicU64>,
-    /// The run's rank scheduler (`None` under the other backends).
-    sched: Option<Arc<Scheduler>>,
-    /// The run's stackless executor (`None` under the other backends).
-    tasks: Option<Arc<TaskWaker>>,
 }
 
 impl DeviceCtx {
-    fn new(world: Arc<WorldInner>, rank: DeviceId, sched: Option<&Arc<Scheduler>>) -> DeviceCtx {
+    fn new(world: Arc<WorldInner>, rank: DeviceId, waker: &Arc<TaskWaker>) -> DeviceCtx {
         DeviceCtx {
             world,
             rank,
-            clock: ClockCell::Own(Arc::new(AtomicU64::new(0.0f64.to_bits()))),
+            tasks: Arc::clone(waker),
             comm_clock: Arc::new(AtomicU64::new(0.0f64.to_bits())),
             flops: Arc::new(AtomicU64::new(0)),
-            sched: sched.map(Arc::clone),
-            tasks: None,
         }
-    }
-
-    /// Context for a stackless task. The virtual clock is *shared with the
-    /// task waker*, so the ready heap can order requeues by `(vtime, rank)`
-    /// without reaching back into the ctx.
-    fn new_task(world: Arc<WorldInner>, rank: DeviceId, waker: &Arc<TaskWaker>) -> DeviceCtx {
-        DeviceCtx {
-            world,
-            rank,
-            clock: ClockCell::Task(Arc::clone(waker), rank),
-            comm_clock: Arc::new(AtomicU64::new(0.0f64.to_bits())),
-            flops: Arc::new(AtomicU64::new(0)),
-            sched: None,
-            tasks: Some(Arc::clone(waker)),
-        }
-    }
-
-    /// The stackless executor driving this context's task, if any. Resource
-    /// code (mailbox, rendezvous) uses this to decide between registering a
-    /// parked task for an explicit wake and relying on condvar waiters.
-    pub(crate) fn task_waker(&self) -> Option<&Arc<TaskWaker>> {
-        self.tasks.as_ref()
     }
 
     /// Global device id of this context.
@@ -897,26 +670,23 @@ impl DeviceCtx {
 
     /// Current virtual time in seconds.
     ///
-    /// The clock is only ever written by its own device task, so relaxed
-    /// atomics are sufficient — the shared [`ClockCell`] exists to let
-    /// clones of the ctx (held by layers, optimizers, schedules) share one
-    /// clock, not for cross-thread communication.
+    /// The clock is only ever written by its own rank, so relaxed atomics
+    /// are sufficient — it lives in the executor's shared array so that
+    /// clones of the ctx (held by layers, optimizers, schedules) see one
+    /// clock and wakers can read it as a heap key, not for cross-thread
+    /// communication.
     pub fn clock(&self) -> f64 {
-        f64::from_bits(self.clock.load())
+        f64::from_bits(self.tasks.clock_bits(self.rank))
     }
 
     fn set_clock(&self, t: f64) {
-        self.clock.store(t.to_bits());
+        self.tasks.set_clock_bits(self.rank, t.to_bits());
     }
 
-    /// Advances the virtual clock by `dt` seconds. A clock advance is a
-    /// scheduler yield point: if another rank task is ready at an earlier
-    /// virtual time, the slot is handed over (which never changes results —
-    /// only host execution order).
+    /// Advances the virtual clock by `dt` seconds.
     pub fn advance(&self, dt: f64) {
         assert!(dt >= 0.0, "negative time step");
         self.set_clock(self.clock() + dt);
-        self.maybe_yield();
     }
 
     /// Forces the clock to at least `t` (used when receiving messages).
@@ -924,91 +694,36 @@ impl DeviceCtx {
         if t > self.clock() {
             self.set_clock(t);
         }
-        self.maybe_yield();
-    }
-
-    /// Yields the running slot when an earlier-in-virtual-time task is
-    /// ready (no-op under the threads backend).
-    #[inline]
-    fn maybe_yield(&self) {
-        if let Some(sched) = &self.sched {
-            sched.maybe_yield(self.rank, self.clock());
-        }
     }
 
     /// Unwinds (silently) when the run is aborting after another rank's
-    /// panic. No-op under the threads backend.
+    /// panic or a deadlock.
     pub(crate) fn check_abort(&self) {
-        let aborting = match (&self.sched, &self.tasks) {
-            (Some(sched), _) => sched.abort.load(Ordering::Relaxed),
-            (None, Some(waker)) => waker.abort.load(Ordering::Relaxed),
-            (None, None) => false,
-        };
-        if aborting {
+        if self.tasks.abort.load(Ordering::Relaxed) {
             std::panic::resume_unwind(Box::new(AbortRun));
         }
     }
 
-    /// Scheduler-aware condvar wait: releases this task's running slot
-    /// while parked so another ready rank can execute (the threads backend
-    /// waits directly). The resource lock (`guard`) is held through the
-    /// wait as usual; slot reacquisition happens with it released, so lock
-    /// order is always resource → scheduler.
-    pub(crate) fn wait_on<T>(&self, cv: &Condvar, guard: &mut parking_lot::MutexGuard<'_, T>) {
-        let _parked = ParkGuard::new(&self.world.threads);
-        match &self.sched {
-            None => cv.wait(guard),
-            Some(sched) => {
-                self.check_abort();
-                sched.begin_block(self.rank);
-                cv.wait(guard);
-                let (rank, clock) = (self.rank, self.clock());
-                parking_lot::MutexGuard::unlocked(guard, || sched.end_block(rank, clock));
-                self.check_abort();
-            }
-        }
-    }
-
-    /// Blocking twin of a stackless park: waits (at most once) for the
-    /// resource named by `key` to change, then returns so the caller can
-    /// re-poll — a condvar waiter's wait step, with the predicate re-check
-    /// living in the op's `poll`. This is how the threads and sched
-    /// backends drive the very same resumable ops the stackless executor
-    /// polls. Panics if called from a stackless task: those must return
-    /// `Pending` instead of blocking their pool worker.
-    pub(crate) fn wait_key(&self, key: &WakeKey) {
-        assert!(
-            self.tasks.is_none(),
-            "blocking wait inside a stackless task"
-        );
-        match &key.source {
-            WakeSource::Mail { from, to, tag } => {
-                let mut mb = self.world.mailbox.lock();
-                let slot = mb.entry((*from, *to, *tag)).or_default();
-                // re-check under the lock: the message may have landed
-                // between the poll that returned Pending and this wait
-                if slot.queue.is_empty() {
-                    slot.waiting = true;
-                    let cv = Arc::clone(&slot.cv);
-                    self.wait_on(&cv, &mut mb);
-                }
-            }
-            WakeSource::Publish(shared) => shared.block_until_published(self),
-            WakeSource::Drain(shared) => shared.block_until_drained(self),
-        }
-    }
-
-    /// Drives a resumable task to completion on the current OS thread,
-    /// blocking on each `Pending`'s wake key. This is how the threads and
-    /// sched backends execute a [`RankTask`]: the same state machine the
-    /// stackless executor advances, waited on with condvars instead of
-    /// requeues — which is why all three backends are bitwise identical.
+    /// Drives a resumable task to completion on the calling rank's own
+    /// thread — the stackful way to wait: on each `Pending` the rank (whose
+    /// op has registered it for the wake) hands its running slot to the
+    /// next ready rank and sleeps until the executor dispatches it again.
+    /// `recv` and the blocking collectives are this over the same ops a
+    /// [`RankTask`] polls by hand, which is why both rank forms are bitwise
+    /// identical. Panics inside a heap task, which has no thread of its own
+    /// to sleep on.
     pub fn block_on<T: RankTask>(&self, mut task: T) -> T::Output {
+        self.block_until(|| task.poll(self))
+    }
+
+    /// [`DeviceCtx::block_on`] over a bare poll function.
+    pub(crate) fn block_until<T>(&self, mut poll: impl FnMut() -> Poll<T>) -> T {
         loop {
-            match task.poll(self) {
+            match poll() {
                 Poll::Ready(out) => return out,
-                Poll::Pending(key) => self.wait_key(&key),
+                Poll::Pending(_) => self.tasks.block(self.rank),
             }
+            self.check_abort();
         }
     }
 
@@ -1235,23 +950,13 @@ impl DeviceCtx {
         slot.queue.push_back((t, arrival, bytes));
         self.world.wakes.p2p_msgs.fetch_add(1, Ordering::Relaxed);
         // Keyed wakeup: only the receiver parked on this exact (from, to,
-        // tag) is woken — a condvar notify for a blocked thread, a task
-        // requeue for a stackless `Pending` — and only if one is actually
-        // parked. Both flags are read under the mailbox lock, so a receiver
-        // that has not parked yet will instead find the message when it
-        // checks the queue.
+        // tag) is woken, and only if one is actually parked. The flag is
+        // read under the mailbox lock, so a receiver that has not parked
+        // yet will instead find the message when it checks the queue.
         let parked = slot.parked_task.take();
-        if slot.waiting {
-            let cv = Arc::clone(&slot.cv);
-            drop(mb);
-            cv.notify_one();
-        } else {
-            drop(mb);
-        }
+        drop(mb);
         if let Some(receiver) = parked {
-            if let Some(waker) = &self.tasks {
-                waker.wake(receiver);
-            }
+            self.tasks.wake(receiver);
         }
     }
 
@@ -1307,9 +1012,9 @@ pub struct RecvOp {
 
 impl RecvOp {
     /// Checks the mailbox once: `Ready(payload)` if a message is queued,
-    /// else `Pending` on the `(from, to, tag)` key. A stackless task is
-    /// registered for the sender's wake under the mailbox lock *before*
-    /// this returns, so a send racing the park is latched, never lost.
+    /// else `Pending` on the `(from, to, tag)` key. The rank is registered
+    /// for the sender's wake under the mailbox lock *before* this returns,
+    /// so a send racing the park is latched, never lost.
     pub fn poll(&mut self, ctx: &DeviceCtx) -> Poll<Tensor> {
         ctx.check_abort();
         if self.parked {
@@ -1321,13 +1026,12 @@ impl RecvOp {
         let mut mb = ctx.world.mailbox.lock();
         let slot = mb.entry(key).or_default();
         if let Some((t, arrival, bytes)) = slot.queue.pop_front() {
-            slot.waiting = false;
             slot.parked_task = None;
             // Drained slots are garbage-collected: per-step tags mean the
             // key space grows O(ranks * steps), and a map of dead entries
             // turns every probe into cold-cache bucket walks at 16k ranks.
             // Only the receiver itself can be registered on its own key, so
-            // an empty queue with both park flags clear has no observers.
+            // an empty queue with no parked receiver has no observers.
             if slot.queue.is_empty() {
                 mb.remove(&key);
             }
@@ -1345,10 +1049,8 @@ impl RecvOp {
             return Poll::Ready(t);
         }
         self.parked = true;
-        if ctx.tasks.is_some() {
-            slot.parked_task = Some(ctx.rank);
-        }
-        Poll::Pending(WakeKey::mail(self.from, ctx.rank, self.tag))
+        slot.parked_task = Some(ctx.rank);
+        Poll::Pending(WakeKey::mail(self.from, self.tag))
     }
 }
 
@@ -1481,33 +1183,19 @@ mod tests {
     }
 
     #[test]
-    fn parse_backend_accepts_known_names() {
-        assert_eq!(parse_world_backend("threads", 3), Ok(WorldBackend::Threads));
-        assert_eq!(
-            parse_world_backend(" SCHED ", 3),
-            Ok(WorldBackend::Sched { pool: 3 })
-        );
-        assert_eq!(
-            parse_world_backend("Stackless", 0),
-            Ok(WorldBackend::Stackless { pool: 0 })
-        );
-        assert_eq!(parse_world_backend("fibers", 3), Err("fibers".to_string()));
-        assert_eq!(parse_world_backend("", 3), Err(String::new()));
-    }
-
-    #[test]
-    fn stackless_pool_zero_resolves_to_host_cores() {
+    fn pool_resolution_prefers_explicit_setting() {
         let world = World::new(system_i());
+        world.set_backend(Some(WorldBackend::Stackless { pool: 3 }));
+        assert_eq!(world.backend(), WorldBackend::Stackless { pool: 3 });
+        // pool 0 resolves to the host core count
         world.set_backend(Some(WorldBackend::Stackless { pool: 0 }));
-        let WorldBackend::Stackless { pool } = world.backend() else {
-            panic!("expected stackless backend");
-        };
+        let WorldBackend::Stackless { pool } = world.backend();
         assert!(pool >= 1);
     }
 
     /// Minimal multi-resumption task: sends to the next rank, receives from
     /// the previous one, returns the payload — exercises Pending/wake on
-    /// the mailbox key under every backend.
+    /// the mailbox key.
     struct RingTask {
         rank: usize,
         n: usize,
@@ -1536,54 +1224,25 @@ mod tests {
     }
 
     #[test]
-    fn run_tasks_matches_across_backends() {
-        for backend in [
-            WorldBackend::Threads,
-            WorldBackend::Sched { pool: 2 },
-            WorldBackend::Stackless { pool: 1 },
-            WorldBackend::Stackless { pool: 2 },
-        ] {
-            let world = World::new(system_i());
-            world.set_backend(Some(backend));
-            let out = world.run_tasks(4, |rank| RingTask {
-                rank,
-                n: 4,
-                sent: false,
-                recv: None,
-            });
-            assert_eq!(out, vec![3.0, 0.0, 1.0, 2.0], "{backend:?}");
-        }
-    }
-
-    #[test]
-    fn stackless_spawns_only_pool_threads() {
+    fn thread_gauge_is_pool_for_tasks_and_world_size_for_closures() {
         let world = World::new(system_i());
         world.set_backend(Some(WorldBackend::Stackless { pool: 2 }));
-        let out = world.run_tasks(8, |rank| RingTask {
+        let out = world.run_tasks(4, |rank| RingTask {
             rank,
-            n: 8,
+            n: 4,
             sent: false,
             recv: None,
         });
-        assert_eq!(out.len(), 8);
+        assert_eq!(out, vec![3.0, 0.0, 1.0, 2.0]);
         let threads = world.thread_stats();
         assert_eq!(threads.spawned, 2, "{threads:?}");
         assert!(threads.peak_live <= 2, "{threads:?}");
         world.reset_thread_stats();
         assert_eq!(world.thread_stats(), ThreadStats::default());
-    }
-
-    #[test]
-    fn sched_thread_gauge_tracks_world_size() {
-        let world = World::new(system_i());
-        world.set_backend(Some(WorldBackend::Sched { pool: 2 }));
-        world.run_on(6, |ctx| {
-            let g = ctx.world_group(6);
-            g.barrier(ctx);
-        });
+        // closures: one thread each and no worker besides
+        world.run_on(6, |ctx| ctx.world_group(6).barrier(ctx));
         let threads = world.thread_stats();
-        assert_eq!(threads.spawned, 6, "{threads:?}");
-        assert_eq!(threads.peak_live, 6, "{threads:?}");
+        assert_eq!((threads.spawned, threads.peak_live), (6, 6), "{threads:?}");
     }
 
     #[test]
@@ -1599,92 +1258,46 @@ mod tests {
         assert!(world.rollup_table_full().contains("threads: spawned="));
     }
 
-    #[test]
-    fn stackless_panic_reports_rank_and_message() {
-        struct BoomTask {
-            rank: usize,
-            op: Option<crate::group::CollectiveOp>,
-        }
-        impl RankTask for BoomTask {
-            type Output = ();
-            fn poll(&mut self, ctx: &DeviceCtx) -> Poll<()> {
-                if self.rank == 2 {
-                    panic!("rank two exploded");
-                }
-                // peers park on a barrier that can never complete; the
-                // abort must requeue and unwind them
-                let g = ctx.world_group(4);
-                let op = self.op.get_or_insert_with(|| g.start_barrier());
-                match g.poll_collective(ctx, op) {
-                    Poll::Ready(_) => Poll::Ready(()),
-                    Poll::Pending(key) => Poll::Pending(key),
-                }
+    /// Peers park on a barrier that can never complete; the abort must
+    /// requeue and unwind them — as heap tasks and as closures.
+    struct BoomTask {
+        op: Option<crate::group::CollectiveOp>,
+    }
+
+    impl RankTask for BoomTask {
+        type Output = ();
+        fn poll(&mut self, ctx: &DeviceCtx) -> Poll<()> {
+            if ctx.rank() == 2 {
+                panic!("rank two exploded");
+            }
+            let g = ctx.world_group(4);
+            let op = self.op.get_or_insert_with(|| g.start_barrier());
+            match g.poll_collective(ctx, op) {
+                Poll::Ready(_) => Poll::Ready(()),
+                Poll::Pending(key) => Poll::Pending(key),
             }
         }
+    }
+
+    #[test]
+    fn panic_reports_rank_and_message_and_leaves_the_world_usable() {
         let world = World::new(system_i());
         world.set_backend(Some(WorldBackend::Stackless { pool: 2 }));
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            world.run_tasks(4, |rank| BoomTask { rank, op: None });
-        }))
-        .expect_err("run must propagate the panic");
-        let msg = panic_message(err.as_ref());
-        assert!(msg.contains("device thread panicked"), "{msg}");
-        assert!(msg.contains("rank 2"), "{msg}");
-        assert!(msg.contains("rank two exploded"), "{msg}");
-    }
-
-    #[test]
-    fn backend_resolution_prefers_explicit_setting() {
-        let world = World::new(system_i());
-        world.set_backend(Some(WorldBackend::Threads));
-        assert_eq!(world.backend(), WorldBackend::Threads);
-        world.set_backend(Some(WorldBackend::Sched { pool: 3 }));
-        assert_eq!(world.backend(), WorldBackend::Sched { pool: 3 });
-        // pool 0 resolves to the host core count
-        world.set_backend(Some(WorldBackend::Sched { pool: 0 }));
-        let WorldBackend::Sched { pool } = world.backend() else {
-            panic!("expected scheduler backend");
-        };
-        assert!(pool >= 1);
-    }
-
-    #[test]
-    fn single_slot_pool_runs_collectives() {
-        // pool = 1 serializes all ranks; the rendezvous must release the
-        // slot while waiting or this deadlocks
-        let world = World::new(system_i());
-        world.set_backend(Some(WorldBackend::Sched { pool: 1 }));
-        let sums = world.run_on(4, |ctx| {
-            let g = ctx.world_group(4);
-            let s = g.all_reduce(ctx, Tensor::scalar(ctx.rank() as f32)).item();
-            // p2p under pool = 1: ring neighbor exchange
-            let to = (ctx.rank() + 1) % 4;
-            let from = (ctx.rank() + 3) % 4;
-            let got = ctx.ring_exchange(to, from, 5, Tensor::scalar(s));
-            got.item()
-        });
-        assert_eq!(sums, vec![6.0; 4]);
-    }
-
-    #[test]
-    fn sched_panic_reports_rank_and_message() {
-        let world = World::new(system_i());
-        world.set_backend(Some(WorldBackend::Sched { pool: 2 }));
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            world.run_on(4, |ctx| {
-                if ctx.rank() == 2 {
-                    panic!("rank two exploded");
+        for closures in [false, true] {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if closures {
+                    world.run_on(4, |ctx| ctx.block_on(BoomTask { op: None }));
+                } else {
+                    world.run_tasks(4, |_| BoomTask { op: None });
                 }
-                // peers park in a rendezvous that can never complete; the
-                // abort must unwind them
-                let g = ctx.world_group(4);
-                g.barrier(ctx);
-            });
-        }))
-        .expect_err("run must propagate the panic");
-        let msg = panic_message(err.as_ref());
-        assert!(msg.contains("device thread panicked"), "{msg}");
-        assert!(msg.contains("rank 2"), "{msg}");
-        assert!(msg.contains("rank two exploded"), "{msg}");
+            }))
+            .expect_err("run must propagate the panic");
+            let msg = panic_message(err.as_ref());
+            assert!(msg.contains("device thread panicked"), "{msg}");
+            assert!(msg.contains("rank 2"), "{msg}");
+            assert!(msg.contains("rank two exploded"), "{msg}");
+            // the half-finished barrier is gone: the same group works again
+            world.run_on(4, |ctx| ctx.world_group(4).barrier(ctx));
+        }
     }
 }

@@ -369,7 +369,7 @@ mod tests {
         (loss_sum / micros.len() as f32, grads)
     }
 
-    fn run_schedule(schedule: Schedule, p: usize, m: usize) -> (f32, Vec<Tensor>, Vec<usize>) {
+    fn run_pipeline(schedule: Schedule, p: usize, m: usize) -> (f32, Vec<Tensor>, Vec<usize>) {
         let seed = 1234;
         let mut rng = init::rng(77);
         let micros: Vec<Tensor> = (0..m)
@@ -418,24 +418,24 @@ mod tests {
 
     #[test]
     fn gpipe_matches_serial_2_stages() {
-        run_schedule(Schedule::GPipe, 2, 4);
+        run_pipeline(Schedule::GPipe, 2, 4);
     }
 
     #[test]
     fn gpipe_matches_serial_3_stages() {
-        run_schedule(Schedule::GPipe, 3, 5);
+        run_pipeline(Schedule::GPipe, 3, 5);
     }
 
     #[test]
     fn one_f_one_b_matches_serial() {
-        run_schedule(Schedule::OneFOneB, 2, 4);
-        run_schedule(Schedule::OneFOneB, 3, 6);
+        run_pipeline(Schedule::OneFOneB, 2, 4);
+        run_pipeline(Schedule::OneFOneB, 3, 6);
     }
 
     #[test]
     fn one_f_one_b_has_lower_peak_memory() {
-        let (_, _, gpipe_peaks) = run_schedule(Schedule::GPipe, 3, 6);
-        let (_, _, fb_peaks) = run_schedule(Schedule::OneFOneB, 3, 6);
+        let (_, _, gpipe_peaks) = run_pipeline(Schedule::GPipe, 3, 6);
+        let (_, _, fb_peaks) = run_pipeline(Schedule::OneFOneB, 3, 6);
         // GPipe's first stage holds all m micro-batches; 1F1B holds at most
         // the pipeline depth
         assert_eq!(gpipe_peaks[0], 6);
@@ -446,8 +446,8 @@ mod tests {
     fn schedules_produce_matching_gradients() {
         // GPipe drains micro-batches in reverse, 1F1B in FIFO order, so
         // float accumulation order differs — equal up to rounding
-        let (_, g1, _) = run_schedule(Schedule::GPipe, 3, 6);
-        let (_, g2, _) = run_schedule(Schedule::OneFOneB, 3, 6);
+        let (_, g1, _) = run_pipeline(Schedule::GPipe, 3, 6);
+        let (_, g2, _) = run_pipeline(Schedule::OneFOneB, 3, 6);
         for (a, b) in g1.iter().zip(&g2) {
             assert!(
                 a.allclose(b, 1e-5),

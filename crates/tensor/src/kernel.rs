@@ -467,8 +467,7 @@ pub fn gemm_mat(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
 
 /// Splits `c` into `MR`-aligned row panels — the partition depends only on
 /// `(m, threads)`, per the `par` determinism contract — yielding
-/// `(row_offset, rows, panel)` triples. Shared by the pool and spawn
-/// backends so both produce identical work splits.
+/// `(row_offset, rows, panel)` triples. Shared by the f32 and bf16 GEMMs.
 type RowPanels<'c> = Vec<(usize, usize, &'c mut [f32])>;
 
 fn row_panels<'c>(c: &'c mut [f32], m: usize, n: usize, threads: usize) -> RowPanels<'c> {
@@ -490,8 +489,7 @@ fn row_panels<'c>(c: &'c mut [f32], m: usize, n: usize, threads: usize) -> RowPa
 /// Packed GEMM with the output's row panels split across up to `threads`
 /// executors. Each row of `c` is produced by exactly one executor running
 /// the same serial block schedule, so the result is independent of
-/// `threads` and of the backend (persistent pool by default, legacy
-/// spawn-per-call via [`gemm_mat_threaded_spawn`] when `par` is disabled).
+/// `threads`.
 pub fn gemm_mat_threaded(
     a: Mat,
     b: Mat,
@@ -507,31 +505,6 @@ pub fn gemm_mat_threaded(
     }
     crate::par::par_items(row_panels(c, m, n, threads), |_, (i0, rows, panel)| {
         gemm_mat(a.rows_from(i0), b, panel, rows, k, n);
-    });
-}
-
-/// The pre-pool threading backend: same row-panel split as
-/// [`gemm_mat_threaded`], but paying a fresh `std::thread::scope` spawn per
-/// call. Kept as the `COLOSSAL_PAR=off` fallback and as the baseline leg of
-/// the `par_runtime` bench.
-pub fn gemm_mat_threaded_spawn(
-    a: Mat,
-    b: Mat,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    threads: usize,
-) {
-    let t = threads.min(m.div_ceil(MR)).max(1);
-    if t == 1 {
-        return gemm_mat(a, b, c, m, k, n);
-    }
-    std::thread::scope(|s| {
-        for (i0, rows, panel) in row_panels(c, m, n, threads) {
-            let a_sub = a.rows_from(i0);
-            s.spawn(move || gemm_mat(a_sub, b, panel, rows, k, n));
-        }
     });
 }
 
@@ -659,11 +632,7 @@ pub fn gemm_mat_auto(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize
     }
     let threads = kernel_threads();
     if threads > 1 && macs >= par_flop_cutoff() && m > MR {
-        if crate::par::enabled() {
-            gemm_mat_threaded(a, b, c, m, k, n, threads);
-        } else {
-            gemm_mat_threaded_spawn(a, b, c, m, k, n, threads);
-        }
+        gemm_mat_threaded(a, b, c, m, k, n, threads);
     } else {
         gemm_mat(a, b, c, m, k, n);
     }
@@ -849,7 +818,7 @@ pub fn gemm_mat_bf16(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize
 /// [`gemm_mat_bf16`] with the same row-panel threading contract as
 /// [`gemm_mat_auto`]: each output row is produced by exactly one executor
 /// running the serial block schedule, so results are independent of the
-/// thread count and backend.
+/// thread count.
 pub fn gemm_mat_bf16_auto(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
     if m == 0 || n == 0 || k == 0 {
         return;
@@ -859,18 +828,9 @@ pub fn gemm_mat_bf16_auto(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: 
     if t == 1 || m * n * k < par_flop_cutoff() || m <= MR {
         return gemm_mat_bf16(a, b, c, m, k, n);
     }
-    if crate::par::enabled() {
-        crate::par::par_items(row_panels(c, m, n, threads), |_, (i0, rows, panel)| {
-            gemm_mat_bf16(a.rows_from(i0), b, panel, rows, k, n);
-        });
-    } else {
-        std::thread::scope(|s| {
-            for (i0, rows, panel) in row_panels(c, m, n, threads) {
-                let a_sub = a.rows_from(i0);
-                s.spawn(move || gemm_mat_bf16(a_sub, b, panel, rows, k, n));
-            }
-        });
-    }
+    crate::par::par_items(row_panels(c, m, n, threads), |_, (i0, rows, panel)| {
+        gemm_mat_bf16(a.rows_from(i0), b, panel, rows, k, n);
+    });
 }
 
 /// Runs `run(t, c_t)` for each of `ba` equal `csize`-element chunks of `c`
@@ -901,21 +861,11 @@ where
         items.push((t0, head));
         t0 += batches;
     }
-    let sweep = |(t0, head): (usize, &mut [f32])| {
+    crate::par::par_items(items, |_, (t0, head)| {
         for (off, c_t) in head.chunks_exact_mut(csize.max(1)).enumerate() {
             run(t0 + off, c_t);
         }
-    };
-    if crate::par::enabled() {
-        crate::par::par_items(items, |_, item| sweep(item));
-    } else {
-        let run_ref = &sweep;
-        std::thread::scope(|s| {
-            for item in items {
-                s.spawn(move || run_ref(item));
-            }
-        });
-    }
+    });
 }
 
 #[cfg(test)]
@@ -1007,18 +957,7 @@ mod tests {
                 n,
                 threads,
             );
-            assert_eq!(serial, par, "pool backend, threads={threads}");
-            let mut spawned = vec![0.0f32; m * n];
-            gemm_mat_threaded_spawn(
-                Mat::row_major(&a, k),
-                Mat::row_major(&b, n),
-                &mut spawned,
-                m,
-                k,
-                n,
-                threads,
-            );
-            assert_eq!(serial, spawned, "spawn backend, threads={threads}");
+            assert_eq!(serial, par, "threads={threads}");
         }
     }
 

@@ -44,8 +44,8 @@
 //! The inline fallback is a policy, not a necessity: with
 //! [`set_contention_wait`]`(true)` (or `COLOSSAL_PAR_CONTENTION=wait`) a
 //! contended submitter blocks for the pool instead — the right trade when
-//! only a handful of rank tasks run at once, as under the `comm` crate's
-//! event-driven world scheduler. Nested submissions always inline
+//! only a handful of ranks run at once, as on the `comm` crate's rank
+//! executor with its few running slots. Nested submissions always inline
 //! regardless of policy (waiting for a pool you are part of deadlocks).
 //!
 //! # Budget
@@ -53,10 +53,8 @@
 //! The executor budget is [`crate::kernel_threads`] — `set_kernel_threads`
 //! / `COLOSSAL_KERNEL_THREADS`, 0 clamping to 1 (see the resolution rules
 //! documented there). At budget 1 every entry point degrades to the plain
-//! serial loop with no pool interaction at all. `COLOSSAL_PAR=off` (or
-//! [`set_enabled`]`(false)`) disables the persistent pool at runtime, which
-//! also flips threaded GEMM back to its legacy spawn-per-call path — that
-//! is the baseline leg of the `par_runtime` bench.
+//! serial loop with no pool interaction at all — the serial reference the
+//! bitwise tests compare against.
 //!
 //! Small tensors stay serial: callers gate on [`par_eligible`], whose
 //! element cutoff is `compute.par_cutoff` / `COLOSSAL_PAR_CUTOFF` /
@@ -83,7 +81,6 @@ pub const MAX_WORKERS: usize = 64;
 // Runtime knobs
 // -------------------------------------------------------------------------
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
 static PAR_CUTOFF: AtomicUsize = AtomicUsize::new(0);
 /// Contended-submitter policy: 0 = unset (consult the env), 1 = inline,
 /// 2 = wait.
@@ -119,8 +116,8 @@ fn env_contention_wait() -> bool {
 /// Chooses what a submitter does when another thread holds the pool:
 /// `false` (the default) runs its chunks serially inline; `true` blocks for
 /// the pool. Waiting trades submitter latency for worker utilization —
-/// worthwhile when a few big rank tasks contend (the scheduler backend's
-/// small pools), wasteful when dozens do (the legacy thread-per-rank mode,
+/// worthwhile when a few big ranks contend (the rank executor's default
+/// few running slots), wasteful when dozens do (a large `COLOSSAL_WORLD_POOL`,
 /// which is why inline remains the default). Results are bitwise identical
 /// either way.
 pub fn set_contention_wait(on: bool) {
@@ -138,35 +135,6 @@ pub fn contention_wait() -> bool {
     }
 }
 
-fn env_forced_off() -> bool {
-    static OFF: OnceLock<bool> = OnceLock::new();
-    *OFF.get_or_init(|| match std::env::var("COLOSSAL_PAR") {
-        Err(_) => false,
-        Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-            "off" | "0" | "false" => true,
-            "on" | "1" | "true" => false,
-            other => {
-                crate::envknob::warn_invalid("COLOSSAL_PAR", other, "on/off", "on");
-                false
-            }
-        },
-    })
-}
-
-/// Whether the persistent pool backend is active. `COLOSSAL_PAR=off` wins
-/// over any runtime [`set_enabled`] call (read once, like `COLOSSAL_POOL`).
-pub fn enabled() -> bool {
-    !env_forced_off() && ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turns the persistent pool backend on or off at runtime. Off means every
-/// [`run_tasks`] call executes serially inline (bitwise-identical) and the
-/// GEMM auto-dispatch reverts to spawn-per-call threading — the baseline
-/// configuration of the `par_runtime` bench.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
 /// Sets the element cutoff for [`par_eligible`] (clamped to at least 1,
 /// like every knob in this crate — see [`crate::kernel_threads`]).
 pub fn set_par_cutoff(n: usize) {
@@ -182,12 +150,12 @@ pub fn par_cutoff() -> usize {
 }
 
 /// True when a kernel over `numel` elements should take its parallel path:
-/// the pool backend is on, the thread budget exceeds 1 and the tensor is
-/// at least [`par_cutoff`] elements. Callers keep their original serial
+/// the thread budget exceeds 1 and the tensor is at least [`par_cutoff`]
+/// elements. Callers keep their original serial
 /// loop for the `false` case, so small tensors pay zero overhead.
 #[inline]
 pub fn par_eligible(numel: usize) -> bool {
-    numel >= par_cutoff() && crate::kernel::kernel_threads() > 1 && enabled()
+    numel >= par_cutoff() && crate::kernel::kernel_threads() > 1
 }
 
 // -------------------------------------------------------------------------
@@ -209,8 +177,7 @@ static TASKS_TOTAL: AtomicU64 = AtomicU64::new(0);
 pub struct ParStats {
     /// Jobs executed through the worker pool.
     pub jobs: u64,
-    /// `run_tasks` calls that ran serially (budget 1, single task, or
-    /// backend disabled).
+    /// `run_tasks` calls that ran serially (budget 1 or a single task).
     pub serial_fallbacks: u64,
     /// `run_tasks` calls that ran serially because another thread held the
     /// pool (e.g. two rank threads hitting big kernels simultaneously).
@@ -388,12 +355,12 @@ fn ensure_workers(n: usize) {
 /// submitting thread plus up to `kernel_threads() - 1` pool workers;
 /// returns only when every call has completed. Falls back to the plain
 /// serial loop (same calls, ascending order) when the budget is 1, there
-/// is at most one task, the backend is disabled, or another thread holds
-/// the pool — all bitwise-equivalent because tasks touch disjoint data.
+/// is at most one task, or another thread holds the pool — all
+/// bitwise-equivalent because tasks touch disjoint data.
 pub fn run_tasks(tasks: usize, f: &(dyn Fn(usize) + Sync)) {
     TASKS_TOTAL.fetch_add(tasks as u64, Ordering::Relaxed);
     let budget = crate::kernel::kernel_threads();
-    if tasks <= 1 || budget <= 1 || !enabled() {
+    if tasks <= 1 || budget <= 1 {
         SERIAL_FALLBACKS.fetch_add(1, Ordering::Relaxed);
         for i in 0..tasks {
             f(i);

@@ -1,7 +1,7 @@
 //! Integration: failure injection — fp16 overflow recovery, OOM behaviour,
 //! and misuse detection across the stack.
 
-use colossalai::comm::World;
+use colossalai::comm::{CollectiveOp, DeviceCtx, Poll, RankTask, RecvOp, World, WorldBackend};
 use colossalai::core::{initialize, Config, OptimizerSpec};
 use colossalai::memory::MemoryTracker;
 use colossalai::models::TransformerConfig;
@@ -99,11 +99,8 @@ fn oom_search_matches_analytic_max_batch() {
 #[test]
 fn dead_rank_failure_surfaces_to_the_caller() {
     // a rank that dies must abort the whole run loudly, not silently
-    // produce partial results. NOTE: a rank dying *inside* a collective
-    // would deadlock its peers — exactly like real NCCL, where a lost rank
-    // hangs the communicator until a watchdog kills the job; our watchdog
-    // is the panic propagating once surviving ranks finish their local
-    // work, so the injection here happens outside any collective.
+    // produce partial results (peers parked in a collective are unwound by
+    // the abort; a rank that merely never arrives is the deadlock below)
     let world = World::new(system_i());
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         world.run_on(2, |ctx| {
@@ -146,4 +143,116 @@ fn scaler_rescues_scale_after_repeated_overflows() {
         });
         assert!(engine.step());
     });
+}
+
+/// What the stuck ranks of [`stuck_world`] do, as a resumable task: rank 0
+/// all-reduces over `[0,1]`, rank 1 skips it, rank 2 has nothing to do, and
+/// rank 3 receives from rank 2, which never sends.
+enum Stuck {
+    Start,
+    Reduce(colossalai::comm::Group, CollectiveOp),
+    Recv(RecvOp),
+}
+
+impl RankTask for Stuck {
+    type Output = ();
+    fn poll(&mut self, ctx: &DeviceCtx) -> Poll<()> {
+        loop {
+            match std::mem::replace(self, Stuck::Start) {
+                Stuck::Start => match ctx.rank() {
+                    0 => {
+                        let g = ctx.group(&[0, 1]);
+                        let op = g.start_all_reduce(Tensor::scalar(1.0));
+                        *self = Stuck::Reduce(g, op);
+                    }
+                    3 => *self = Stuck::Recv(ctx.start_recv(2, 7)),
+                    _ => return Poll::Ready(()),
+                },
+                Stuck::Reduce(g, mut op) => match g.poll_collective(ctx, &mut op) {
+                    Poll::Ready(_) => unreachable!("rank 1 never joins"),
+                    Poll::Pending(key) => {
+                        *self = Stuck::Reduce(g, op);
+                        return Poll::Pending(key);
+                    }
+                },
+                Stuck::Recv(mut op) => match op.poll(ctx) {
+                    Poll::Ready(_) => unreachable!("rank 2 never sends"),
+                    Poll::Pending(key) => {
+                        *self = Stuck::Recv(op);
+                        return Poll::Pending(key);
+                    }
+                },
+            }
+        }
+    }
+}
+
+fn deadlock_message(n: usize, pool: usize, tasks: bool) -> String {
+    let world = World::new(system_i());
+    world.set_backend(Some(WorldBackend::Stackless { pool }));
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        if tasks {
+            world.run_tasks(n, |_rank| Stuck::Start);
+        } else {
+            world.run_on(n, |ctx| match ctx.rank() {
+                0 => {
+                    ctx.group(&[0, 1]).all_reduce(ctx, Tensor::scalar(1.0));
+                }
+                3 => {
+                    ctx.recv(2, 7);
+                }
+                _ => {}
+            });
+        }
+    }))
+    .expect_err("a run that cannot finish must panic, not hang");
+    // the world is left usable
+    assert_eq!(world.run_on(n, |ctx| ctx.rank()).len(), n);
+    err.downcast_ref::<String>().cloned().unwrap_or_default()
+}
+
+#[test]
+fn rank_that_skips_a_collective_is_reported_not_waited_for() {
+    for (pool, tasks) in [(1, false), (2, false), (1, true), (2, true)] {
+        assert_eq!(
+            deadlock_message(2, pool, tasks),
+            "deadlock: rank 0 blocked on publish(group [0,1])",
+            "pool={pool}, tasks={tasks}"
+        );
+    }
+}
+
+#[test]
+fn recv_with_no_sender_is_reported_with_every_blocked_rank() {
+    for (pool, tasks) in [(1, false), (4, false), (1, true), (4, true)] {
+        assert_eq!(
+            deadlock_message(4, pool, tasks),
+            "deadlock: rank 0 blocked on publish(group [0,1]); \
+             rank 3 blocked on recv(src=2, tag=7)",
+            "pool={pool}, tasks={tasks}"
+        );
+    }
+}
+
+/// A rank waiting on something the executor cannot see keeps its running
+/// slot, so the slots are never all idle and the detector must stay quiet
+/// however long the wait — here until rank 1 has announced that it is about
+/// to block on rank 0.
+#[test]
+fn rank_blocked_outside_the_executor_is_not_a_deadlock() {
+    let world = World::new(system_i());
+    world.set_backend(Some(WorldBackend::Stackless { pool: 2 }));
+    let (tx, rx) = std::sync::mpsc::channel::<()>();
+    let (tx, rx) = (std::sync::Mutex::new(tx), std::sync::Mutex::new(rx));
+    let got = world.run_on(2, |ctx| {
+        if ctx.rank() == 0 {
+            rx.lock().unwrap().recv().unwrap();
+            ctx.send(1, 1, Tensor::scalar(5.0));
+            0.0
+        } else {
+            tx.lock().unwrap().send(()).unwrap();
+            ctx.recv(0, 1).item()
+        }
+    });
+    assert_eq!(got, vec![0.0, 5.0]);
 }

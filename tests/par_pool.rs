@@ -28,7 +28,6 @@ fn budget_lock() -> MutexGuard<'static, ()> {
 fn restore_defaults() {
     set_kernel_threads(1);
     par::set_par_cutoff(DEFAULT_PAR_CUTOFF);
-    par::set_enabled(true);
 }
 
 /// Big enough that MIN_CHUNK (4096) yields many chunks at every budget.
@@ -190,5 +189,40 @@ fn group_reductions_are_bitwise_under_pool() {
             "all_reduce_max bits moved at budget {threads}"
         );
     }
+    restore_defaults();
+}
+
+/// A rank that dies right after a pooled reduction aborts the run with its
+/// peers parked in a barrier; the intra-op pool, the storage pool and the
+/// world must all serve the next run as if nothing had happened.
+#[test]
+fn rank_panic_after_a_pooled_reduction_leaves_the_pools_usable() {
+    let _g = budget_lock();
+    restore_defaults();
+    let (want_sums, _) = collective_results();
+    par::set_par_cutoff(1);
+    set_kernel_threads(4);
+    let world = World::new(system_i());
+    let run = |boom: bool| {
+        world.run_on(4, |ctx| {
+            let g = ctx.world_group(4);
+            let t = init::uniform([N], -1.0, 1.0, &mut init::rng(70 + g.rank() as u64));
+            let sum = g.all_reduce(ctx, t);
+            if boom && ctx.rank() == 1 {
+                panic!("injected device failure");
+            }
+            g.barrier(ctx);
+            sum.data().to_vec()
+        })
+    };
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(true)))
+        .expect_err("the injected failure must surface");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(msg.contains("rank 1: injected device failure"), "{msg}");
+    assert_eq!(
+        run(false),
+        want_sums,
+        "second run on the same world and pools"
+    );
     restore_defaults();
 }

@@ -1,17 +1,16 @@
 //! Wakeup-discipline contract of the point-to-point mailbox and the abort
 //! path.
 //!
-//! The mailbox condvars are keyed per `(from, to, tag)`: delivering one
+//! The mailbox wake targets are keyed per `(from, to, tag)`: delivering one
 //! message wakes at most the one receiver parked on that exact key. The
 //! regression these tests guard against is the O(world) herd — a single
-//! world-wide condvar whose `notify_all` on every send woke *every* parked
-//! receiver, costing a full scheduler readmission cycle per rank per
-//! message and making 1024-rank worlds superlinearly slower than 64-rank
-//! ones.
+//! world-wide wait queue whose every send woke *every* parked receiver,
+//! costing a full requeue/dispatch cycle per rank per message and making
+//! 1024-rank worlds superlinearly slower than 64-rank ones.
 //!
 //! The counters come from [`World::wake_stats`], which counts wakeups on
-//! the waiter side (each return from a condvar wait) — deliberately
-//! outside the bitwise [`CommStats`] parity surface, since wake counts are
+//! the waiter side (each re-poll after a `Pending`) — deliberately outside
+//! the bitwise [`CommStats`] parity surface, since wake counts are
 //! host-timing-dependent.
 
 use colossalai_comm::{
@@ -22,12 +21,34 @@ use colossalai_topology::systems::fat_tree_512;
 
 const N: usize = 64;
 
-/// All-pairs p2p storm: every rank sends one message to every peer (tag =
-/// sender), then drains its inbox in rotated order so most receives park
-/// before their message arrives. Returns the world for stats inspection.
-fn run_storm(backend: WorldBackend) -> World {
+/// One delivery wakes (at most) one receiver: across an all-pairs storm of
+/// `N*(N-1)` messages, total mailbox wakeups stay within one spurious wake
+/// per rank of the message count. Under the old broadcast herd this count
+/// was O(N) per message (~hundreds of thousands here).
+fn assert_one_wake_per_message(world: &World) {
+    let w = world.wake_stats();
+    let msgs = (N * (N - 1)) as u64;
+    assert_eq!(w.p2p_msgs, msgs);
+    assert!(
+        w.p2p_wakes <= msgs + N as u64,
+        "one delivery must wake at most one parked receiver: {} wakes for {} msgs",
+        w.p2p_wakes,
+        msgs
+    );
+    assert!(
+        w.wakeups_per_msg() <= 2.0,
+        "wakeups_per_msg {} — the O(world) herd is back",
+        w.wakeups_per_msg()
+    );
+}
+
+/// All-pairs p2p storm on closure ranks: every rank sends one message to
+/// every peer (tag = sender), then drains its inbox in rotated order so
+/// most receives park before their message arrives.
+#[test]
+fn storm_wakes_one_receiver_per_message_closures() {
     let world = World::new(fat_tree_512());
-    world.set_backend(Some(backend));
+    world.set_backend(Some(WorldBackend::Stackless { pool: 4 }));
     world.run_on(N, |ctx| {
         let me = ctx.rank();
         for d in 1..N {
@@ -42,51 +63,11 @@ fn run_storm(backend: WorldBackend) -> World {
             assert_eq!(got.item(), from as f32);
         }
     });
-    world
+    assert_one_wake_per_message(&world);
 }
 
-/// One delivery wakes (at most) one receiver: across an all-pairs storm of
-/// `N*(N-1)` messages, total mailbox wakeups stay within one spurious wake
-/// per rank of the message count. Under the old broadcast herd this count
-/// was O(N) per message (~hundreds of thousands here).
-#[test]
-fn storm_wakes_one_receiver_per_message_sched() {
-    let world = run_storm(WorldBackend::Sched { pool: 4 });
-    let w = world.wake_stats();
-    let msgs = (N * (N - 1)) as u64;
-    assert_eq!(w.p2p_msgs, msgs);
-    assert!(
-        w.p2p_wakes <= msgs + N as u64,
-        "keyed condvars must wake ~1 receiver per message: {} wakes for {} msgs",
-        w.p2p_wakes,
-        msgs
-    );
-    assert!(
-        w.wakeups_per_msg() <= 2.0,
-        "wakeups_per_msg {} — the O(world) herd is back",
-        w.wakeups_per_msg()
-    );
-}
-
-/// The same bound holds under the legacy thread-per-rank backend: keyed
-/// wakeups are a mailbox property, not a scheduler property.
-#[test]
-fn storm_wakes_one_receiver_per_message_threads() {
-    let world = run_storm(WorldBackend::Threads);
-    let w = world.wake_stats();
-    let msgs = (N * (N - 1)) as u64;
-    assert_eq!(w.p2p_msgs, msgs);
-    assert!(
-        w.p2p_wakes <= msgs + N as u64,
-        "{} wakes for {} msgs",
-        w.p2p_wakes,
-        msgs
-    );
-}
-
-/// The all-pairs storm of [`run_storm`] as a resumable task: sends are
-/// non-blocking, each receive parks by returning `Pending` with its
-/// mailbox wake key.
+/// The same all-pairs storm as a resumable task: sends are non-blocking,
+/// each receive parks by returning `Pending` with its mailbox wake key.
 struct StormTask {
     sent: bool,
     d: usize,
@@ -122,11 +103,10 @@ impl RankTask for StormTask {
     }
 }
 
-/// The same one-wake-per-message bound holds under the stackless executor,
-/// where a "wake" is requeueing the parked task rather than signalling a
-/// condvar — and the whole 64-rank storm runs on two OS threads.
+/// The same bound holds for heap tasks — and the whole 64-rank storm runs
+/// on two OS threads.
 #[test]
-fn storm_wakes_one_receiver_per_message_stackless() {
+fn storm_wakes_one_receiver_per_message_tasks() {
     let world = World::new(fat_tree_512());
     world.set_backend(Some(WorldBackend::Stackless { pool: 2 }));
     world.run_tasks(N, |_rank| StormTask {
@@ -134,20 +114,7 @@ fn storm_wakes_one_receiver_per_message_stackless() {
         d: 1,
         op: None,
     });
-    let w = world.wake_stats();
-    let msgs = (N * (N - 1)) as u64;
-    assert_eq!(w.p2p_msgs, msgs);
-    assert!(
-        w.p2p_wakes <= msgs + N as u64,
-        "one delivery must requeue at most one parked task: {} wakes for {} msgs",
-        w.p2p_wakes,
-        msgs
-    );
-    assert!(
-        w.wakeups_per_msg() <= 2.0,
-        "wakeups_per_msg {} — the O(world) herd is back",
-        w.wakeups_per_msg()
-    );
+    assert_one_wake_per_message(&world);
     assert!(
         world.thread_stats().peak_live <= 2,
         "64 storm ranks must multiplex onto the 2-slot pool, got peak {}",
@@ -155,15 +122,15 @@ fn storm_wakes_one_receiver_per_message_stackless() {
     );
 }
 
-/// A panicking rank must reach peers parked on *keyed* mailbox condvars:
-/// with per-key wakeup targets, the abort path has to iterate the condvar
-/// table — a single stray notify_all no longer exists to bail everyone
-/// out. Peers park in a `recv` whose message never arrives; the run must
-/// still unwind them and report the original panic.
+/// A panicking rank must reach peers parked on *keyed* mailbox slots: with
+/// per-key wakeup targets there is no stray wake-everyone to bail them out,
+/// so the abort sweeps every blocked rank. Peers park in a `recv` whose
+/// message never arrives; the run must still unwind them and report the
+/// original panic.
 #[test]
-fn abort_reaches_ranks_parked_on_keyed_condvars() {
+fn abort_reaches_closures_parked_in_recv() {
     let world = World::new(fat_tree_512());
-    world.set_backend(Some(WorldBackend::Sched { pool: 2 }));
+    world.set_backend(Some(WorldBackend::Stackless { pool: 2 }));
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         world.run_on(8, |ctx| {
             if ctx.rank() == 0 {
@@ -190,7 +157,7 @@ fn abort_reaches_ranks_parked_on_keyed_condvars() {
     assert!(msg.contains("rank zero gave up"), "{msg}");
 }
 
-/// State machine for the stackless abort test: rank 0 collects one message
+/// State machine for the wake-key abort test: rank 0 collects one message
 /// per peer (so every peer has entered the protocol) and then panics; odd
 /// peers are parked `Pending` on a mailbox wake key whose message never
 /// comes, even peers on a rendezvous wake key whose last member (rank 0)
@@ -269,27 +236,33 @@ impl RankTask for AbortProbe {
     }
 }
 
-/// The stackless analog of the keyed-condvar abort test: a panic must
-/// reach tasks parked `Pending` on mailbox AND rendezvous wake keys — at
-/// pool sizes where the panicking rank shares a slot with its victims and
-/// where it does not.
+/// A panic must reach ranks parked `Pending` on mailbox AND rendezvous wake
+/// keys — as heap tasks and as closures driving the same machine, at pool
+/// sizes where the panicking rank shares a slot with its victims and where
+/// it does not.
 #[test]
-fn abort_reaches_stackless_tasks_parked_on_wake_keys() {
-    for pool in [1, 2] {
+fn abort_reaches_ranks_parked_on_both_kinds_of_wake_key() {
+    for (pool, tasks) in [(1, true), (2, true), (1, false), (2, false)] {
         let world = World::new(fat_tree_512());
         world.set_backend(Some(WorldBackend::Stackless { pool }));
+        let probe = || AbortProbe {
+            state: Probe::Start,
+        };
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            world.run_tasks(8, |_rank| AbortProbe {
-                state: Probe::Start,
-            });
+            if tasks {
+                world.run_tasks(8, |_rank| probe());
+            } else {
+                world.run_on(8, |ctx| ctx.block_on(probe()));
+            }
         }))
         .expect_err("run must propagate the panic");
         let msg = err
             .downcast_ref::<String>()
             .cloned()
             .unwrap_or_else(|| "non-string panic".into());
-        assert!(msg.contains("device thread panicked"), "pool={pool}: {msg}");
-        assert!(msg.contains("rank 0"), "pool={pool}: {msg}");
-        assert!(msg.contains("rank zero gave up"), "pool={pool}: {msg}");
+        let case = format!("pool={pool}, tasks={tasks}: {msg}");
+        assert!(msg.contains("device thread panicked"), "{case}");
+        assert!(msg.contains("rank 0"), "{case}");
+        assert!(msg.contains("rank zero gave up"), "{case}");
     }
 }

@@ -1,15 +1,18 @@
-//! Backend-parity contract of the rank execution backends: the scheduler
-//! backend — at ANY pool size — the stackless task executor — at ANY pool
-//! size — and the legacy thread-per-rank backend produce bitwise-identical
-//! losses, byte-identical traffic stats and identical trace span sequences
-//! for the same workload. Scheduling decides only *when* ranks execute,
-//! never *what* they compute; and driving a rank as a resumable
-//! [`colossalai_comm::RankTask`] instead of a blocking closure decides only
-//! *how it waits*, never what it computes.
+//! Parity contract of the rank executor: a rank written as a blocking
+//! `run_on` closure and the same rank written as a resumable
+//! [`colossalai_comm::RankTask`] — at ANY pool size — produce
+//! bitwise-identical losses, byte-identical traffic stats and identical
+//! trace span sequences, equal to the fingerprints frozen from the
+//! thread-per-rank backend before it was deleted. Scheduling decides only
+//! *when* ranks execute and the rank form only *what holds their state while
+//! they wait*, never what they compute. The panic contract rides along: the
+//! lowest panicking rank is re-raised and the world stays usable.
 
 use colossalai_comm::workload::{run_hybrid, HybridSpec};
-use colossalai_comm::{CommStats, HybridTask, Span, World, WorldBackend};
-use colossalai_topology::systems::system_iii;
+use colossalai_comm::{
+    CommStats, DeviceCtx, HybridTask, Poll, RankTask, RecvOp, Span, World, WorldBackend,
+};
+use colossalai_topology::systems::{fat_tree_512, system_iii};
 
 const SPEC: HybridSpec = HybridSpec {
     dp: 2,
@@ -50,195 +53,148 @@ fn fingerprint(losses: &[Vec<f32>], stats: &CommStats, trace: &[Span]) -> (u64, 
     )
 }
 
-#[test]
-fn threads_backend_reproduces_golden_fingerprints() {
-    let (losses, stats, trace) = run_under(WorldBackend::Threads);
-    assert_eq!(
-        fingerprint(&losses, &stats, &trace),
-        (GOLDEN_LOSSES, GOLDEN_STATS, GOLDEN_TRACE)
-    );
-}
-
-/// Runs the canonical 16-rank hybrid DP x TP x PP workload under `backend`
-/// and returns (per-rank per-step losses, stats, trace).
-fn run_under(backend: WorldBackend) -> (Vec<Vec<f32>>, CommStats, Vec<Span>) {
-    let world = World::new(system_iii());
-    world.set_backend(Some(backend));
+/// Runs the canonical 16-rank hybrid DP x TP x PP workload on `world`, as
+/// heap tasks or as closures, and fingerprints what it left behind.
+fn run_spec(world: &World, tasks: bool) -> (u64, u64, u64) {
+    world.reset_stats();
+    world.clear_trace();
     world.enable_tracing();
-    let losses = world.run_on(SPEC.ranks(), |ctx| run_hybrid(ctx, &SPEC));
-    (losses, world.stats(), world.trace())
+    let losses = if tasks {
+        world.run_tasks(SPEC.ranks(), |_rank| HybridTask::new(SPEC))
+    } else {
+        world.run_on(SPEC.ranks(), |ctx| run_hybrid(ctx, &SPEC))
+    };
+    assert!(losses.iter().flatten().all(|l| l.is_finite()));
+    fingerprint(&losses, &world.stats(), &world.trace())
+}
+
+fn pooled(cluster: colossalai_topology::Cluster, pool: usize) -> World {
+    let world = World::new(cluster);
+    world.set_backend(Some(WorldBackend::Stackless { pool }));
+    world
 }
 
 #[test]
-fn scheduler_pools_match_threads_backend_bitwise() {
+fn both_rank_forms_reproduce_the_golden_fingerprints_at_every_pool() {
     let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let (ref_losses, ref_stats, ref_trace) = run_under(WorldBackend::Threads);
-    assert!(
-        ref_losses.iter().flatten().all(|l| l.is_finite()),
-        "workload must produce real losses"
-    );
-    assert!(ref_stats.ops > 0 && !ref_trace.is_empty());
     for pool in [1, 2, cores] {
-        let (losses, stats, trace) = run_under(WorldBackend::Sched { pool });
-        assert_eq!(
-            losses, ref_losses,
-            "losses diverged from threads backend at pool={pool}"
-        );
-        assert_eq!(
-            stats, ref_stats,
-            "traffic stats diverged from threads backend at pool={pool}"
-        );
-        assert_eq!(
-            trace, ref_trace,
-            "trace spans diverged from threads backend at pool={pool}"
-        );
-    }
-}
-
-/// Runs the same workload as [`run_under`] but through the task path:
-/// one [`HybridTask`] state machine per rank via `World::run_tasks`.
-fn run_tasks_under(backend: WorldBackend) -> (Vec<Vec<f32>>, CommStats, Vec<Span>) {
-    let world = World::new(system_iii());
-    world.set_backend(Some(backend));
-    world.enable_tracing();
-    let losses = world.run_tasks(SPEC.ranks(), |_rank| HybridTask::new(SPEC));
-    (losses, world.stats(), world.trace())
-}
-
-/// The tentpole parity claim: the stackless executor — ranks as resumable
-/// heap tasks multiplexed on a fixed worker pool, zero parked rank threads
-/// — reproduces the thread-per-rank backend bit for bit at every pool
-/// size.
-#[test]
-fn stackless_pools_match_threads_backend_bitwise() {
-    let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let (ref_losses, ref_stats, ref_trace) = run_under(WorldBackend::Threads);
-    for pool in [1, 2, cores] {
-        let (losses, stats, trace) = run_tasks_under(WorldBackend::Stackless { pool });
-        assert_eq!(
-            losses, ref_losses,
-            "losses diverged from threads backend at stackless pool={pool}"
-        );
-        assert_eq!(
-            stats, ref_stats,
-            "traffic stats diverged from threads backend at stackless pool={pool}"
-        );
-        assert_eq!(
-            trace, ref_trace,
-            "trace spans diverged from threads backend at stackless pool={pool}"
-        );
-    }
-}
-
-/// `run_tasks` and `run_on` are two drivers of the same protocol: a
-/// [`HybridTask`] polled to completion by `block_on` on a rank thread
-/// (threads/scheduler backends) must equal the blocking `run_hybrid`
-/// closure bitwise.
-#[test]
-fn run_tasks_matches_run_on_under_thread_backends() {
-    let (ref_losses, ref_stats, ref_trace) = run_under(WorldBackend::Threads);
-    for backend in [WorldBackend::Threads, WorldBackend::Sched { pool: 2 }] {
-        let (losses, stats, trace) = run_tasks_under(backend);
-        assert_eq!(losses, ref_losses, "losses diverged under {backend:?}");
-        assert_eq!(stats, ref_stats, "stats diverged under {backend:?}");
-        assert_eq!(trace, ref_trace, "trace diverged under {backend:?}");
+        for tasks in [false, true] {
+            assert_eq!(
+                run_spec(&pooled(system_iii(), pool), tasks),
+                (GOLDEN_LOSSES, GOLDEN_STATS, GOLDEN_TRACE),
+                "(losses, stats, trace) diverged at pool={pool}, tasks={tasks}"
+            );
+        }
     }
 }
 
 #[test]
-fn scheduler_handles_worlds_larger_than_its_pool() {
-    // 64 ranks multiplexed onto 4 running slots: the scheduler must keep
-    // making progress through rendezvous and p2p waits
-    let spec = HybridSpec {
-        dp: 4,
-        tp: 4,
-        pp: 4,
+fn worlds_far_larger_than_the_pool_make_progress_on_one_slot() {
+    // one running slot: every rendezvous and p2p wait must hand it on
+    let spec = |dp, tp, pp| HybridSpec {
+        dp,
+        tp,
+        pp,
         elems: 64,
         steps: 2,
     };
-    let world = World::new(colossalai_topology::systems::fat_tree_512());
-    world.set_backend(Some(WorldBackend::Sched { pool: 4 }));
-    let losses = world.run_on(spec.ranks(), |ctx| run_hybrid(ctx, &spec));
+    // 64 closures: one thread each and no worker besides
+    let world = pooled(fat_tree_512(), 1);
+    let small = spec(4, 4, 4);
+    let losses = world.run_on(small.ranks(), |ctx| run_hybrid(ctx, &small));
     assert_eq!(losses.len(), 64);
     assert!(losses.iter().flatten().all(|l| l.is_finite()));
-}
-
-#[test]
-fn stackless_runs_worlds_far_larger_than_its_pool_on_one_thread() {
-    // 256 ranks as heap tasks on a single worker slot: the executor must
-    // make progress through every rendezvous and p2p wait without ever
-    // spawning a second thread
-    let spec = HybridSpec {
-        dp: 4,
-        tp: 8,
-        pp: 8,
-        elems: 64,
-        steps: 2,
-    };
-    let world = World::new(colossalai_topology::systems::fat_tree_512());
-    world.set_backend(Some(WorldBackend::Stackless { pool: 1 }));
-    let losses = world.run_tasks(spec.ranks(), move |_rank| HybridTask::new(spec));
+    assert_eq!(world.thread_stats().peak_live, 64);
+    // 256 heap tasks: never a second thread
+    let world = pooled(fat_tree_512(), 1);
+    let big = spec(4, 8, 8);
+    let losses = world.run_tasks(big.ranks(), move |_rank| HybridTask::new(big));
     assert_eq!(losses.len(), 256);
     assert!(losses.iter().flatten().all(|l| l.is_finite()));
-    assert_eq!(
-        world.thread_stats().peak_live,
-        1,
-        "a 1-slot pool must never have more than one live rank thread"
-    );
+    assert_eq!(world.thread_stats().peak_live, 1);
 }
 
-/// When several stackless tasks panic, the run re-raises the lowest
-/// panicking rank — deterministic regardless of worker interleaving,
-/// matching the thread backends.
+/// Ranks 0 and 1 meet at a host barrier on their first poll, which needs
+/// two workers alive at once: `peak_live` is then exactly the pool. A rank
+/// waiting *outside* the executor keeps its slot, so this is also the case
+/// the deadlock detector must leave alone.
 #[test]
-fn stackless_reraises_lowest_rank_panic() {
-    use colossalai_comm::{DeviceCtx, Poll, RankTask, RecvOp};
-
-    struct Boom {
-        op: Option<RecvOp>,
-    }
-    impl RankTask for Boom {
+fn task_runs_keep_exactly_pool_threads_alive() {
+    struct Meet<'a>(&'a std::sync::Barrier);
+    impl RankTask for Meet<'_> {
         type Output = ();
         fn poll(&mut self, ctx: &DeviceCtx) -> Poll<()> {
-            match ctx.rank() {
-                2 => panic!("rank two exploded"),
-                5 => panic!("rank five exploded"),
-                _ => {
-                    // parks forever on a message that never comes; only
-                    // the abort wake can release it
-                    let op = self.op.get_or_insert_with(|| ctx.start_recv(2, 99));
-                    match op.poll(ctx) {
-                        Poll::Ready(_) => unreachable!("no message is sent under tag 99"),
-                        Poll::Pending(key) => Poll::Pending(key),
-                    }
+            if ctx.rank() < 2 {
+                self.0.wait();
+            }
+            Poll::Ready(())
+        }
+    }
+    let barrier = std::sync::Barrier::new(2);
+    let world = pooled(system_iii(), 2);
+    world.run_tasks(16, |_rank| Meet(&barrier));
+    let threads = world.thread_stats();
+    assert_eq!((threads.spawned, threads.peak_live), (2, 2), "{threads:?}");
+}
+
+/// Ranks 2 and 5 panic; everyone else parks forever on a message that never
+/// comes, so only the abort can release them.
+struct Boom {
+    op: Option<RecvOp>,
+}
+
+impl RankTask for Boom {
+    type Output = ();
+    fn poll(&mut self, ctx: &DeviceCtx) -> Poll<()> {
+        match ctx.rank() {
+            2 => panic!("rank two exploded"),
+            5 => panic!("rank five exploded"),
+            _ => {
+                let op = self.op.get_or_insert_with(|| ctx.start_recv(2, 99));
+                match op.poll(ctx) {
+                    Poll::Ready(_) => unreachable!("no message is sent under tag 99"),
+                    Poll::Pending(key) => Poll::Pending(key),
                 }
             }
         }
     }
+}
 
+/// When several ranks panic, the run re-raises the lowest panicking rank —
+/// deterministic regardless of interleaving — for both rank forms; and the
+/// world (with the storage pool under it) then runs the canonical workload
+/// to the golden fingerprints.
+#[test]
+fn lowest_rank_panic_is_reraised_and_the_world_stays_usable() {
     for pool in [1, 2] {
-        let world = World::new(system_iii());
-        world.set_backend(Some(WorldBackend::Stackless { pool }));
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            world.run_tasks(8, |_rank| Boom { op: None });
-        }))
-        .expect_err("a task panic must abort the run");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "non-string panic".into());
-        assert!(msg.contains("device thread panicked"), "{msg}");
-        assert!(
-            msg.contains("rank 2") && msg.contains("rank two exploded"),
-            "lowest panicking rank must win at pool={pool}: {msg}"
-        );
+        for tasks in [false, true] {
+            let world = pooled(system_iii(), pool);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if tasks {
+                    world.run_tasks(8, |_rank| Boom { op: None });
+                } else {
+                    world.run_on(8, |ctx| ctx.block_on(Boom { op: None }));
+                }
+            }))
+            .expect_err("a rank panic must abort the run");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("device thread panicked"), "{msg}");
+            assert!(
+                msg.contains("rank 2") && msg.contains("rank two exploded"),
+                "lowest panicking rank must win at pool={pool}, tasks={tasks}: {msg}"
+            );
+            assert_eq!(
+                run_spec(&world, tasks),
+                (GOLDEN_LOSSES, GOLDEN_STATS, GOLDEN_TRACE),
+                "second run on the aborted world, pool={pool}, tasks={tasks}"
+            );
+        }
     }
 }
 
 #[test]
-fn scheduler_propagates_rank_panics_with_rank_and_message() {
-    let world = World::new(system_iii());
-    world.set_backend(Some(WorldBackend::Sched { pool: 2 }));
+fn closure_panic_reaches_peers_parked_in_a_rendezvous() {
+    let world = pooled(system_iii(), 2);
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         world.run_on(8, |ctx| {
             if ctx.rank() == 3 {
@@ -251,11 +207,7 @@ fn scheduler_propagates_rank_panics_with_rank_and_message() {
         });
     }))
     .expect_err("a rank panic must abort the run");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| err.downcast_ref::<&'static str>().map(|s| s.to_string()))
-        .unwrap_or_default();
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
     assert!(msg.contains("device thread panicked"), "{msg}");
     assert!(msg.contains("rank 3"), "{msg}");
     assert!(msg.contains("rank three exploded"), "{msg}");
