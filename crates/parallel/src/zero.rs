@@ -645,6 +645,162 @@ mod tests {
         }
     }
 
+    /// One 4-rank, 3-step, 64-byte-bucket training run under `comp`,
+    /// reduced to an FNV-1a 64 fingerprint of everything the gradient
+    /// channel can influence: every rank's per-step loss bits, its final
+    /// error-feedback residual bits and its final (main, comm) clock bits,
+    /// then the world's `CommStats` breakdown. `stage` of `None` is bucketed
+    /// data parallelism.
+    fn compressed_run_fingerprint(
+        stage: Option<ZeroStage>,
+        comp: Compression,
+        overlap: bool,
+    ) -> u64 {
+        let p = 4;
+        let world = World::new(system_ii());
+        let per_rank = world.run_on(p, |ctx| {
+            let g = ctx.world_group(p);
+            let mut bytes: Vec<u8> = Vec::new();
+            let mut dp = DataParallel::with_bucket_bytes(ctx, &g, make_model(900), 64)
+                .with_overlap(overlap)
+                .with_compression(comp);
+            let mut adam = AdamW::new(0.01, 0.05);
+            let mut zero = stage.map(|stage| {
+                ZeroOptimizer::with_bucket_bytes(ctx, &g, dp.model_mut(), stage, 0.01, 0.05, 64)
+                    .with_compression(comp)
+            });
+            for s in 0..3 {
+                let mut rng = init::rng(1000 + s as u64);
+                let x = init::uniform([p * 2, 6], -1.0, 1.0, &mut rng);
+                let t: Vec<usize> = (0..p * 2).map(|i| (i + s) % 4).collect();
+                let x_local = split_batch(&x, p, g.rank());
+                let t_local: Vec<usize> = t.chunks(2).nth(g.rank()).unwrap().to_vec();
+                match &mut zero {
+                    None => {
+                        dp.zero_grad();
+                        let (loss, dlogits) = cross_entropy(&dp.forward(&x_local), &t_local);
+                        bytes.extend(loss.to_bits().to_le_bytes());
+                        let _ = dp.backward(&dlogits);
+                        adam.step_layer(&mut dp);
+                    }
+                    Some(opt) => {
+                        let model = dp.model_mut();
+                        let (loss, dlogits) = cross_entropy(&model.forward(&x_local), &t_local);
+                        bytes.extend(loss.to_bits().to_le_bytes());
+                        if overlap {
+                            let _ = opt.backward_overlapped(model, &dlogits);
+                        } else {
+                            let _ = model.backward(&dlogits);
+                        }
+                        opt.step(model);
+                    }
+                }
+            }
+            let residuals = match &zero {
+                None => dp.grad_sync().residuals(),
+                Some(opt) => &opt.residuals,
+            };
+            bytes.extend(
+                residuals
+                    .iter()
+                    .flatten()
+                    .flat_map(|r| r.to_bits().to_le_bytes()),
+            );
+            bytes.extend(ctx.clock().to_bits().to_le_bytes());
+            bytes.extend(ctx.comm_clock().to_bits().to_le_bytes());
+            bytes
+        });
+        let stats = world.stats();
+        let mut by_op: Vec<_> = stats.by_op.iter().collect();
+        by_op.sort_by_key(|(kind, _)| kind.name());
+        let stats_text = format!("{} {} {} {by_op:?}", stats.ops, stats.elements, stats.bytes);
+        per_rank
+            .into_iter()
+            .flatten()
+            .chain(stats_text.bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn compressed_dp_and_zero_reproduce_the_frozen_fingerprints() {
+        // (blocking, overlapped) fingerprints per scheme x channel, frozen
+        // from the per-variant `Group` methods (`all_reduce_async_i8`, ...)
+        // before the `Collective` descriptor replaced them (PR 13)
+        use Compression::{Fp16, Int8, TopK};
+        use ZeroStage::{One, Two};
+        let golden = [
+            (
+                None,
+                Compression::None,
+                0xd887_1225_cfbb_66df,
+                0x5f45_9215_df05_759f,
+            ),
+            (None, TopK(3), 0xab6a_7a86_97ae_779a, 0xe68c_b575_975e_34e2),
+            (None, Int8, 0x1d78_7e2e_674e_1a87, 0xe77d_dce3_9420_cbab),
+            (None, Fp16, 0xf96a_5dc1_fe7a_f89d, 0x85f8_65fd_8e80_8a2d),
+            (
+                Some(One),
+                Compression::None,
+                0xb2c8_b2b3_54a1_ba6f,
+                0x2dc3_c839_046b_0523,
+            ),
+            // top-k is DP-only: ZeRO runs the exact dense path
+            (
+                Some(One),
+                TopK(3),
+                0xb2c8_b2b3_54a1_ba6f,
+                0x2dc3_c839_046b_0523,
+            ),
+            (
+                Some(One),
+                Int8,
+                0xf592_0bcf_c48b_f847,
+                0x068b_4615_c98f_eb03,
+            ),
+            (
+                Some(One),
+                Fp16,
+                0xacc1_cc29_d693_9282,
+                0x37d4_baa2_b421_f796,
+            ),
+            (
+                Some(Two),
+                Compression::None,
+                0x296a_7899_fcdd_58d4,
+                0x526a_1f2b_a5fa_fea0,
+            ),
+            (
+                Some(Two),
+                TopK(3),
+                0x296a_7899_fcdd_58d4,
+                0x526a_1f2b_a5fa_fea0,
+            ),
+            (
+                Some(Two),
+                Int8,
+                0x0c34_31d4_0108_96d1,
+                0xd505_18ff_6ac9_c6e9,
+            ),
+            (
+                Some(Two),
+                Fp16,
+                0x6b2f_7f4b_93f8_ee0d,
+                0xf10f_af58_5542_0a0d,
+            ),
+        ];
+        for (stage, comp, blocking, overlapped) in golden {
+            for (overlap, want) in [(false, blocking), (true, overlapped)] {
+                let got = compressed_run_fingerprint(stage, comp, overlap);
+                assert_eq!(
+                    got, want,
+                    "stage {stage:?}, {comp:?}, overlap={overlap}: {got:#018x}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn bucket_ranges_cover_padded_flat_grad() {
         let world = World::new(system_ii());
