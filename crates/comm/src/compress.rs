@@ -16,6 +16,7 @@
 //! the Sterbenz lemma the subtraction `a - s` is exact. The invariant is
 //! asserted in tests and documented in DESIGN.md §14.
 
+use crate::group::{Collective, Op, Wire};
 use colossalai_tensor::{envknob, f16::F16};
 use std::sync::OnceLock;
 
@@ -71,6 +72,27 @@ impl Compression {
     /// True for every channel that can drop information (needs a residual).
     pub fn is_lossy(self) -> bool {
         self != Compression::None
+    }
+
+    /// The wire width this channel's payload crosses the link at.
+    pub fn wire(self) -> Wire {
+        match self {
+            Compression::None => Wire::F32,
+            Compression::TopK(_) => Wire::IdxVal,
+            Compression::Int8 => Wire::I8,
+            Compression::Fp16 => Wire::F16,
+        }
+    }
+
+    /// The all-reduce that sums this channel's payloads: dense at
+    /// [`Compression::wire`] width, or the sparse (index, value) form for
+    /// top-k. Main stream; chain [`Collective::on`] to overlap it.
+    pub fn all_reduce(self) -> Collective {
+        let op = match self {
+            Compression::TopK(k) => Op::SparseAllReduce { k },
+            _ => Op::AllReduce { max: false },
+        };
+        Collective::from(op).wire(self.wire())
     }
 }
 

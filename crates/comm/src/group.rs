@@ -1,5 +1,13 @@
 //! Process groups and their collective operations.
 //!
+//! A collective is one value — [`Collective`]` { op, wire, stream }`: what
+//! to compute ([`Op`]), how wide an element is on the wire ([`Wire`]) and
+//! which virtual-time stream pays ([`Stream`]). [`Group`] has two entries
+//! for it, [`Group::collective`] (blocking) and [`Group::start`] +
+//! [`Group::poll_collective`] (resumable, for heap tasks); the named
+//! methods (`all_reduce`, `broadcast`, ...) are one-line FP32/main-stream
+//! wrappers over the same path.
+//!
 //! Data movement is real (tensors cross threads through a rendezvous slot);
 //! time is virtual (charged from the cluster's alpha-beta model for the
 //! canonical ring algorithm of each collective). Reductions are applied in
@@ -48,12 +56,16 @@ enum Phase {
 }
 
 /// Which virtual-time stream a collective charges.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Stream {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stream {
     /// The device's main clock: the caller observes the full op latency.
     Main,
-    /// The device's comm stream: the call returns with the main clock
-    /// untouched; [`DeviceCtx::comm_sync`] later joins the streams.
+    /// The device's comm stream: the output is returned at once (data
+    /// movement is physical) while the latency accrues on
+    /// [`DeviceCtx::comm_clock`], leaving the main clock free to keep
+    /// charging compute; [`DeviceCtx::comm_sync`] later joins the streams
+    /// (call it before the virtual time of the result matters, e.g. before
+    /// `optimizer.step`).
     Comm,
 }
 
@@ -63,9 +75,9 @@ struct Done {
     outputs: Vec<Tensor>,
     cost: f64,
     kind: OpKind,
-    /// Element hops the modeled schedule moves (drives stats + bytes).
+    /// Element hops the modeled schedule moves (drives stats + bytes, at
+    /// the descriptor's wire width).
     elements: u64,
-    wire: Wire,
     /// Labeled phase durations of multi-phase schedules (hierarchical,
     /// tree, halving-doubling), in execution order; empty for single-phase
     /// schedules. Phases always sum to `cost`.
@@ -73,13 +85,12 @@ struct Done {
 }
 
 impl Done {
-    fn new(outputs: Vec<Tensor>, cost: f64, kind: OpKind, elements: u64, wire: Wire) -> Done {
+    fn new(outputs: Vec<Tensor>, cost: f64, kind: OpKind, elements: u64) -> Done {
         Done {
             outputs,
             cost,
             kind,
             elements,
-            wire,
             phases: Vec::new(),
         }
     }
@@ -138,111 +149,142 @@ fn allreduce_plan(
     (cost, flat_elements, Vec::new())
 }
 
-/// What to compute when the last arrival combines the deposited inputs.
-///
-/// A plain value instead of a `FnOnce` closure so a [`CollectiveOp`] is a
-/// small `'static` struct a heap [`crate::task::RankTask`] can hold across
-/// polls, and so the rendezvous can check that every member asked for the
-/// same thing; the combine itself ([`finish_spec`]) runs in the last
-/// arrival's poll, where a `DeviceCtx` (cluster, forced algo) is at hand.
-#[derive(Clone, Copy, PartialEq)]
-enum CollSpec {
-    /// Sum (or elementwise-max) all-reduce.
-    AllReduce {
-        max: bool,
-        wire: Wire,
-    },
+/// What the last arrival computes from the deposited inputs. Roots are
+/// group ranks; `dim` is the axis chunked or concatenated along.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Op {
+    /// Sum (or, with `max`, elementwise-max) all-reduce. The schedule (flat
+    /// ring, hierarchical, tree, halving-doubling) is chosen per call from
+    /// the alpha-beta cost model on the actual link graph; the reduction
+    /// itself always applies in canonical group-rank order, so results are
+    /// bitwise identical under every schedule.
+    AllReduce { max: bool },
     /// Sum all-reduce of top-k-sparsified contributions: each rank's tensor
-    /// holds at most `k` nonzeros; the wire carries only those as (index,
-    /// value) pairs, all-gathered and summed locally (supports need not
-    /// overlap, so a reduce tree cannot stay k-sparse — the standard sparse
-    /// all-reduce schedule). The output is the dense rank-ordered sum.
-    SparseAllReduce {
-        k: usize,
-    },
-    AllGather {
-        dim: usize,
-        wire: Wire,
-    },
-    ReduceScatter {
-        dim: usize,
-        wire: Wire,
-    },
-    Broadcast {
-        root: usize,
-        wire: Wire,
-    },
-    Scatter {
-        dim: usize,
-        root: usize,
-        wire: Wire,
-    },
-    Gather {
-        dim: usize,
-        root: usize,
-        wire: Wire,
-    },
-    AllToAll {
-        dim: usize,
-        wire: Wire,
-    },
-    ReduceSum {
-        root: usize,
-        wire: Wire,
-    },
+    /// is dense but holds at most `k` nonzeros; the wire carries only those
+    /// as (u32 index, f32 value) pairs, all-gathered and summed locally
+    /// (supports need not overlap, so a reduce tree cannot stay k-sparse —
+    /// the standard sparse all-reduce schedule). The output is the dense
+    /// rank-ordered sum, bitwise identical to [`Op::AllReduce`] of the same
+    /// tensors. The wire is always [`Wire::IdxVal`].
+    SparseAllReduce { k: usize },
+    /// Every rank contributes a shard and receives the concatenation along
+    /// `dim`, in rank order.
+    AllGather { dim: usize },
+    /// Sums all contributions; each rank keeps its rank-th chunk along
+    /// `dim`.
+    ReduceScatter { dim: usize },
+    /// Every rank receives `root`'s tensor. Non-root inputs are ignored
+    /// (pass an empty tensor, e.g. `Tensor::zeros([0])`).
+    Broadcast { root: usize },
+    /// `root`'s tensor is chunked along `dim` into `size()` pieces; rank i
+    /// receives piece i. Non-root inputs are ignored.
+    Scatter { dim: usize, root: usize },
+    /// `root` receives the concatenation along `dim`, other ranks an empty
+    /// tensor.
+    Gather { dim: usize, root: usize },
+    /// Each rank's tensor is chunked along `dim`; rank i ends with the
+    /// concatenation (along `dim`) of everyone's chunk i.
+    AllToAll { dim: usize },
+    /// `root` receives the elementwise sum of all contributions, other
+    /// ranks an empty tensor. (Cost model: the mirror image of a pipelined
+    /// broadcast.)
+    ReduceSum { root: usize },
+    /// Synchronization only; costs one latency-bound all-reduce of a single
+    /// FP32 wire element. Input and output are empty.
     Barrier,
 }
 
-impl CollSpec {
+impl Op {
     /// Whether every member must contribute the same shape. False where
     /// only the root's input counts or contributions may be ragged.
     fn same_shape(self) -> bool {
         matches!(
             self,
-            CollSpec::AllReduce { .. }
-                | CollSpec::SparseAllReduce { .. }
-                | CollSpec::ReduceScatter { .. }
-                | CollSpec::AllToAll { .. }
-                | CollSpec::ReduceSum { .. }
+            Op::AllReduce { .. }
+                | Op::SparseAllReduce { .. }
+                | Op::ReduceScatter { .. }
+                | Op::AllToAll { .. }
+                | Op::ReduceSum { .. }
         )
     }
 }
 
-/// `op(parameters)` as the mismatch diagnostic prints it.
-impl std::fmt::Display for CollSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let w = |wire: &Wire| format!("{wire:?}").to_lowercase();
-        match self {
-            CollSpec::AllReduce { max: false, wire } => write!(f, "all_reduce({})", w(wire)),
-            CollSpec::AllReduce { max: true, wire } => write!(f, "all_reduce_max({})", w(wire)),
-            CollSpec::SparseAllReduce { k } => write!(f, "sparse_all_reduce(k {k})"),
-            CollSpec::AllGather { dim, wire } => write!(f, "all_gather(dim {dim}, {})", w(wire)),
-            CollSpec::ReduceScatter { dim, wire } => {
-                write!(f, "reduce_scatter(dim {dim}, {})", w(wire))
-            }
-            CollSpec::Broadcast { root, wire } => write!(f, "broadcast(root {root}, {})", w(wire)),
-            CollSpec::Scatter { dim, root, wire } => {
-                write!(f, "scatter(dim {dim}, root {root}, {})", w(wire))
-            }
-            CollSpec::Gather { dim, root, wire } => {
-                write!(f, "gather(dim {dim}, root {root}, {})", w(wire))
-            }
-            CollSpec::AllToAll { dim, wire } => write!(f, "all_to_all(dim {dim}, {})", w(wire)),
-            CollSpec::ReduceSum { root, wire } => write!(f, "reduce_sum(root {root}, {})", w(wire)),
-            CollSpec::Barrier => write!(f, "barrier"),
+/// One collective, fully described: what to compute, how wide each element
+/// is on the wire, and which virtual-time stream pays for it. Precision and
+/// overlap are *parameters* of a collective, not separate collectives —
+/// every op runs at every wire width on either stream through
+/// [`Group::collective`] (blocking) or [`Group::start`] (resumable).
+///
+/// A plain `Copy` value instead of a `FnOnce` closure so a [`CollectiveOp`]
+/// is a small `'static` struct a heap [`crate::task::RankTask`] can hold
+/// across polls, and so the rendezvous can check that every member asked
+/// for the same `op` and `wire`; the combine itself (`finish_spec`) runs
+/// in the last arrival's poll, where a `DeviceCtx` (cluster, forced algo)
+/// is at hand.
+///
+/// The wire width only changes the modeled bytes (cost, stats, trace): the
+/// payload stays f32, so a caller that wants the *values* rounded (fp16,
+/// int8 grid) rounds them first — see [`crate::compress`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Collective {
+    pub op: Op,
+    pub wire: Wire,
+    pub stream: Stream,
+}
+
+impl Collective {
+    /// The same collective at `wire` width.
+    pub fn wire(self, wire: Wire) -> Collective {
+        Collective { wire, ..self }
+    }
+
+    /// The same collective charged to `stream`.
+    pub fn on(self, stream: Stream) -> Collective {
+        Collective { stream, ..self }
+    }
+}
+
+/// The defaults: `op` at FP32 wire width on the main stream.
+impl From<Op> for Collective {
+    fn from(op: Op) -> Collective {
+        Collective {
+            op,
+            wire: Wire::F32,
+            stream: Stream::Main,
         }
     }
 }
 
-/// Runs `spec`'s combine over the rank-ordered inputs: per-rank outputs,
-/// modeled cost and traffic accounting. Pure in the inputs plus the
-/// cluster model (and the world's forced-algo pin), so the outputs are
-/// bitwise identical no matter which rank arrives last.
-fn finish_spec(spec: CollSpec, ctx: &DeviceCtx, members: &[DeviceId], inputs: &[Tensor]) -> Done {
+/// `op(parameters)` as the mismatch diagnostic prints it.
+impl std::fmt::Display for Collective {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let w = format!("{:?}", self.wire).to_lowercase();
+        match self.op {
+            Op::AllReduce { max: false } => write!(f, "all_reduce({w})"),
+            Op::AllReduce { max: true } => write!(f, "all_reduce_max({w})"),
+            Op::SparseAllReduce { k } => write!(f, "all_reduce_sparse(k {k})"),
+            Op::AllGather { dim } => write!(f, "all_gather(dim {dim}, {w})"),
+            Op::ReduceScatter { dim } => write!(f, "reduce_scatter(dim {dim}, {w})"),
+            Op::Broadcast { root } => write!(f, "broadcast(root {root}, {w})"),
+            Op::Scatter { dim, root } => write!(f, "scatter(dim {dim}, root {root}, {w})"),
+            Op::Gather { dim, root } => write!(f, "gather(dim {dim}, root {root}, {w})"),
+            Op::AllToAll { dim } => write!(f, "all_to_all(dim {dim}, {w})"),
+            Op::ReduceSum { root } => write!(f, "reduce_sum(root {root}, {w})"),
+            Op::Barrier => write!(f, "barrier"),
+        }
+    }
+}
+
+/// Runs `desc.op`'s combine over the rank-ordered inputs: per-rank outputs,
+/// modeled cost and traffic accounting at `desc.wire` width. Pure in the
+/// inputs plus the cluster model (and the world's forced-algo pin), so the
+/// outputs are bitwise identical no matter which rank arrives last.
+fn finish_spec(desc: Collective, ctx: &DeviceCtx, members: &[DeviceId], inputs: &[Tensor]) -> Done {
     let p = members.len();
     let cluster = ctx.cluster();
-    match spec {
-        CollSpec::AllReduce { max, wire } => {
+    let wire = desc.wire;
+    match desc.op {
+        Op::AllReduce { max } => {
             let acc = if max {
                 reduce_max_rank_ordered(inputs)
             } else {
@@ -260,44 +302,42 @@ fn finish_spec(spec: CollSpec, ctx: &DeviceCtx, members: &[DeviceId], inputs: &[
                 cost,
                 kind: OpKind::AllReduce,
                 elements,
-                wire,
                 phases,
             }
         }
-        CollSpec::SparseAllReduce { k } => {
+        Op::SparseAllReduce { k } => {
             let acc = reduce_sum_rank_ordered(inputs);
-            let wire = Wire::IdxVal;
             // a rank never sends more pairs than it has elements
             let k = (k as u64).min(acc.numel() as u64);
             // ring all-gather of every rank's k pairs; each rank sums the
             // incoming pairs into its dense buffer at zero modeled cost
             let cost = cost::allgather_time(cluster, members, k * wire.bytes());
             let elements = (p as u64 - 1) * p as u64 * k;
-            Done::new(vec![acc; p], cost, OpKind::AllReduce, elements, wire)
+            Done::new(vec![acc; p], cost, OpKind::AllReduce, elements)
         }
-        CollSpec::AllGather { dim, wire } => {
+        Op::AllGather { dim } => {
             let contrib = inputs[0].numel() as u64;
             let full = Tensor::cat(inputs, dim);
             let cost = cost::allgather_time(cluster, members, contrib * wire.bytes());
             let elements = (p as u64 - 1) * p as u64 * contrib;
-            Done::new(vec![full; p], cost, OpKind::AllGather, elements, wire)
+            Done::new(vec![full; p], cost, OpKind::AllGather, elements)
         }
-        CollSpec::ReduceScatter { dim, wire } => {
+        Op::ReduceScatter { dim } => {
             let sum = reduce_sum_rank_ordered(inputs);
             let n = sum.numel() as u64;
             let outs = sum.chunk(dim, p);
             let cost = cost::reduce_scatter_time(cluster, members, n * wire.bytes());
             let elements = (p as u64 - 1) * n;
-            Done::new(outs, cost, OpKind::ReduceScatter, elements, wire)
+            Done::new(outs, cost, OpKind::ReduceScatter, elements)
         }
-        CollSpec::Broadcast { root, wire } => {
+        Op::Broadcast { root } => {
             let src = inputs[root].clone();
             let n = src.numel() as u64;
             let cost = cost::broadcast_time(cluster, members, n * wire.bytes());
             let elements = (p as u64 - 1) * n;
-            Done::new(vec![src; p], cost, OpKind::Broadcast, elements, wire)
+            Done::new(vec![src; p], cost, OpKind::Broadcast, elements)
         }
-        CollSpec::Scatter { dim, root, wire } => {
+        Op::Scatter { dim, root } => {
             let src = &inputs[root];
             let n = src.numel() as u64;
             let outs = src.chunk_ragged(dim, p);
@@ -307,9 +347,9 @@ fn finish_spec(spec: CollSpec, ctx: &DeviceCtx, members: &[DeviceId], inputs: &[
             let cost = cost::alltoall_time(cluster, members, max_chunk * wire.bytes());
             // the root wires out everything except its own chunk
             let elements = n - kept;
-            Done::new(outs, cost, OpKind::Scatter, elements, wire)
+            Done::new(outs, cost, OpKind::Scatter, elements)
         }
-        CollSpec::Gather { dim, root, wire } => {
+        Op::Gather { dim, root } => {
             // contributions may be ragged: bill what each rank actually sends
             let max_contrib = inputs
                 .iter()
@@ -335,9 +375,9 @@ fn finish_spec(spec: CollSpec, ctx: &DeviceCtx, members: &[DeviceId], inputs: &[
                 })
                 .collect();
             let cost = cost::alltoall_time(cluster, members, max_contrib * wire.bytes());
-            Done::new(outs, cost, OpKind::Gather, elements, wire)
+            Done::new(outs, cost, OpKind::Gather, elements)
         }
-        CollSpec::AllToAll { dim, wire } => {
+        Op::AllToAll { dim } => {
             let n = inputs[0].numel() as u64;
             let per_rank: Vec<Vec<Tensor>> =
                 inputs.iter().map(|t| t.chunk_ragged(dim, p)).collect();
@@ -359,9 +399,9 @@ fn finish_spec(spec: CollSpec, ctx: &DeviceCtx, members: &[DeviceId], inputs: &[
             // each rank wires out its tensor minus the chunk it keeps; the
             // kept chunks across ranks sum to exactly one tensor
             let elements = (p as u64 - 1) * n;
-            Done::new(outs, cost, OpKind::AllToAll, elements, wire)
+            Done::new(outs, cost, OpKind::AllToAll, elements)
         }
-        CollSpec::ReduceSum { root, wire } => {
+        Op::ReduceSum { root } => {
             let sum = reduce_sum_rank_ordered(inputs);
             let n = sum.numel() as u64;
             let outs = (0..p)
@@ -375,17 +415,11 @@ fn finish_spec(spec: CollSpec, ctx: &DeviceCtx, members: &[DeviceId], inputs: &[
                 .collect();
             let cost = cost::broadcast_time(cluster, members, n * wire.bytes());
             let elements = (p as u64 - 1) * n;
-            Done::new(outs, cost, OpKind::Reduce, elements, wire)
+            Done::new(outs, cost, OpKind::Reduce, elements)
         }
-        CollSpec::Barrier => {
-            let cost = cost::allreduce_time(cluster, members, Wire::F32.bytes());
-            Done::new(
-                vec![Tensor::zeros([0]); p],
-                cost,
-                OpKind::Barrier,
-                0,
-                Wire::F32,
-            )
+        Op::Barrier => {
+            let cost = cost::allreduce_time(cluster, members, wire.bytes());
+            Done::new(vec![Tensor::zeros([0]); p], cost, OpKind::Barrier, 0)
         }
     }
 }
@@ -399,16 +433,15 @@ enum CollStage {
 }
 
 /// One in-flight collective on this rank: the resumable form of a
-/// rendezvous entry, created by the `Group::start_*` methods and advanced
-/// by [`Group::poll_collective`] until it yields the rank's output.
+/// rendezvous entry, created by [`Group::start`] and advanced by
+/// [`Group::poll_collective`] until it yields the rank's output.
 ///
 /// Holding one of these across polls is what lets a heap
 /// [`crate::task::RankTask`] park *inside* a collective without owning a
 /// stack; the blocking collectives drive the very same struct through
 /// [`DeviceCtx::block_on`]'s poll/sleep loop.
 pub struct CollectiveOp {
-    spec: CollSpec,
-    stream: Stream,
+    desc: Collective,
     input: Option<Tensor>,
     /// This rank's arrival clock, latched on the first poll.
     t_arrive: Option<f64>,
@@ -416,19 +449,6 @@ pub struct CollectiveOp {
     /// Set when the previous poll returned `Pending`: the next poll counts
     /// one observed group wakeup.
     parked: bool,
-}
-
-impl CollectiveOp {
-    fn new(spec: CollSpec, stream: Stream, input: Tensor) -> CollectiveOp {
-        CollectiveOp {
-            spec,
-            stream,
-            input: Some(input),
-            t_arrive: None,
-            stage: CollStage::Enter,
-            parked: false,
-        }
-    }
 }
 
 struct SlotState {
@@ -445,7 +465,7 @@ struct SlotState {
     /// What the first arrival of the op in flight asked for, and its group
     /// index (its input sits in `inputs` until the publish): every later
     /// arrival must match it.
-    first: Option<(CollSpec, usize)>,
+    first: Option<(Collective, usize)>,
     /// Global ranks parked `Pending` for this op's publish; drained (and
     /// woken through the executor) by the last arrival.
     parked_publish: Vec<DeviceId>,
@@ -552,7 +572,7 @@ impl Group {
 
     /// Advances an in-flight collective by one step: the poll-driven form
     /// of the rendezvous. Every rank deposits its input; the last arrival
-    /// runs [`finish_spec`] (one output per rank, the op's virtual cost,
+    /// runs `finish_spec` (one output per rank, the op's virtual cost,
     /// kind and element-hop count); every rank leaves with its output and
     /// the charged stream's clock advanced to `max(arrival clocks) + cost`.
     /// On [`Stream::Main`] the arrival clock is the main clock; on
@@ -563,9 +583,8 @@ impl Group {
     /// the edge it needs (publish or drain), after registering itself in
     /// the slot's parked list *under the slot lock*, so the waking rank
     /// cannot miss it. Spurious re-polls re-check the phase and re-park.
-    /// The blocking collectives drive this same method via
-    /// [`Group::run_op`], which is what keeps closure and task ranks
-    /// bitwise identical.
+    /// The blocking [`Group::collective`] drives this same method, which
+    /// is what keeps closure and task ranks bitwise identical.
     ///
     /// Members that disagree on the op, its wire, root, dim or (for
     /// reductions and all-to-all) input shape would silently compute
@@ -585,7 +604,7 @@ impl Group {
             ctx.world.count_group_wake();
         }
         let p = self.size();
-        let stream = op.stream;
+        let stream = op.desc.stream;
         // arrival time latches on the first poll — re-polls after Pending
         // must not re-read a clock that never moved while parked
         let t_arrive = match op.t_arrive {
@@ -607,8 +626,8 @@ impl Group {
                 .input
                 .take()
                 .expect("collective op polled after completion");
-            let done = finish_spec(op.spec, ctx, self.members(), std::slice::from_ref(&input));
-            let bytes = done.elements * done.wire.bytes();
+            let done = finish_spec(op.desc, ctx, self.members(), std::slice::from_ref(&input));
+            let bytes = done.elements * op.desc.wire.bytes();
             ctx.record_stats(done.kind, done.elements, bytes);
             let t_done = t_arrive + done.cost;
             self.advance_stream(ctx, stream, t_done);
@@ -663,17 +682,20 @@ impl Group {
                 .take()
                 .expect("collective op polled after completion");
             match st.first {
-                None => st.first = Some((op.spec, self.my_index)),
-                Some((spec, idx)) => {
+                None => st.first = Some((op.desc, self.my_index)),
+                Some((first, idx)) => {
                     let theirs = st.inputs[idx].as_ref().expect("first arrival's input");
-                    if spec != op.spec || (spec.same_shape() && theirs.dims() != input.dims()) {
+                    // streams are per-rank bookkeeping and may differ
+                    if (first.op, first.wire) != (op.desc.op, op.desc.wire)
+                        || (first.op.same_shape() && theirs.dims() != input.dims())
+                    {
                         let mut sides = [
-                            (self.members()[idx], spec, theirs.dims()),
-                            (ctx.rank(), op.spec, input.dims()),
+                            (self.members()[idx], first, theirs.dims()),
+                            (ctx.rank(), op.desc, input.dims()),
                         ];
                         sides.sort_by_key(|&(rank, ..)| rank);
-                        let [a, b] = sides.map(|(rank, spec, dims)| {
-                            format!("rank {rank} {spec}{}", bracketed(dims))
+                        let [a, b] = sides.map(|(rank, desc, dims)| {
+                            format!("rank {rank} {desc}{}", bracketed(dims))
                         });
                         let group = bracketed(self.members());
                         panic!("collective mismatch on group {group}: {a} vs {b}");
@@ -687,13 +709,13 @@ impl Group {
             if st.arrived == p {
                 // last arrival: combine and publish
                 let inputs: Vec<Tensor> = st.inputs.iter_mut().map(|i| i.take().unwrap()).collect();
-                let mut done = finish_spec(op.spec, ctx, self.members(), &inputs);
+                let mut done = finish_spec(op.desc, ctx, self.members(), &inputs);
                 assert_eq!(
                     done.outputs.len(),
                     p,
                     "finish must produce one output per rank"
                 );
-                let bytes = done.elements * done.wire.bytes();
+                let bytes = done.elements * op.desc.wire.bytes();
                 st.outputs = std::mem::take(&mut done.outputs)
                     .into_iter()
                     .map(Some)
@@ -762,44 +784,125 @@ impl Group {
         Poll::Ready(out)
     }
 
-    /// Blocking driver for closure ranks: polls the op to completion,
-    /// sleeping on the rank's own thread whenever the poll returns
-    /// `Pending` — the same state machine a heap task advances by hand.
-    fn run_op(&self, ctx: &DeviceCtx, input: Tensor, stream: Stream, spec: CollSpec) -> Tensor {
-        let mut op = CollectiveOp::new(spec, stream, input);
+    /// Starts `desc` on this rank's input `t` as a resumable op; advance it
+    /// with [`Group::poll_collective`]. This is the one way a collective
+    /// begins — [`Group::collective`] and every named wrapper go through it
+    /// — so heap [`crate::RankTask`]s get every op, width and stream, and
+    /// the same argument checks: a root outside the group or a `dim` the
+    /// input does not have panics here, naming the op, instead of deep in
+    /// the last arrival's combine on some other rank.
+    pub fn start(&self, desc: Collective, t: Tensor) -> CollectiveOp {
+        // (root, axis this rank's input must have); rootless ops pass for 0
+        let (root, dim) = match desc.op {
+            Op::Broadcast { root } | Op::ReduceSum { root } => (root, None),
+            // non-root scatter inputs are ignored, whatever their shape
+            Op::Scatter { dim, root } => (root, (self.rank() == root).then_some(dim)),
+            Op::Gather { dim, root } => (root, Some(dim)),
+            Op::AllGather { dim } | Op::ReduceScatter { dim } | Op::AllToAll { dim } => {
+                (0, Some(dim))
+            }
+            Op::AllReduce { .. } | Op::SparseAllReduce { .. } | Op::Barrier => (0, None),
+        };
+        assert!(
+            root < self.size(),
+            "{desc}: root out of range for a group of {}",
+            self.size()
+        );
+        assert!(
+            dim.is_none_or(|d| d < t.rank()),
+            "{desc}: dim out of range for input {}",
+            bracketed(t.dims())
+        );
+        // ops that fix their own wire format
+        let wire = match desc.op {
+            Op::SparseAllReduce { .. } => Wire::IdxVal,
+            Op::Barrier => Wire::F32,
+            _ => desc.wire,
+        };
+        CollectiveOp {
+            desc: desc.wire(wire),
+            input: Some(t),
+            t_arrive: None,
+            stage: CollStage::Enter,
+            parked: false,
+        }
+    }
+
+    /// Runs `desc` to completion and returns this rank's output: the
+    /// blocking form for closure ranks, polling the op and sleeping on the
+    /// rank's own thread whenever the poll returns `Pending` — the same
+    /// state machine a heap task advances by hand.
+    pub fn collective(&self, ctx: &DeviceCtx, desc: Collective, t: Tensor) -> Tensor {
+        let mut op = self.start(desc, t);
         ctx.block_until(|| self.poll_collective(ctx, &mut op))
     }
 
-    // ---- resumable starters ---------------------------------------------
+    // ---- named forms: FP32 wire, main stream ----------------------------
 
-    /// Starts a sum all-reduce (FP32 wire) as a resumable op; advance it
-    /// with [`Group::poll_collective`]. For heap [`crate::RankTask`]s.
+    /// [`Group::start`] of a sum all-reduce.
     pub fn start_all_reduce(&self, t: Tensor) -> CollectiveOp {
-        CollectiveOp::new(
-            CollSpec::AllReduce {
-                max: false,
-                wire: Wire::F32,
-            },
-            Stream::Main,
-            t,
-        )
+        self.start(Op::AllReduce { max: false }.into(), t)
     }
 
-    /// Starts an all-gather-cat along `dim` (FP32 wire) as a resumable op.
+    /// [`Group::start`] of an all-gather along `dim`.
     pub fn start_all_gather_cat(&self, t: Tensor, dim: usize) -> CollectiveOp {
-        CollectiveOp::new(
-            CollSpec::AllGather {
-                dim,
-                wire: Wire::F32,
-            },
-            Stream::Main,
-            t,
-        )
+        self.start(Op::AllGather { dim }.into(), t)
     }
 
-    /// Starts a barrier as a resumable op; the output tensor is empty.
+    /// [`Group::start`] of a barrier; the output tensor is empty.
     pub fn start_barrier(&self) -> CollectiveOp {
-        CollectiveOp::new(CollSpec::Barrier, Stream::Main, Tensor::zeros([0]))
+        self.start(Op::Barrier.into(), Tensor::zeros([0]))
+    }
+
+    /// [`Op::AllReduce`] (sum).
+    pub fn all_reduce(&self, ctx: &DeviceCtx, t: Tensor) -> Tensor {
+        self.collective(ctx, Op::AllReduce { max: false }.into(), t)
+    }
+
+    /// [`Op::AllReduce`] with `max` (distributed gradient-norm and
+    /// loss-scale synchronization).
+    pub fn all_reduce_max(&self, ctx: &DeviceCtx, t: Tensor) -> Tensor {
+        self.collective(ctx, Op::AllReduce { max: true }.into(), t)
+    }
+
+    /// [`Op::AllGather`].
+    pub fn all_gather_cat(&self, ctx: &DeviceCtx, t: Tensor, dim: usize) -> Tensor {
+        self.collective(ctx, Op::AllGather { dim }.into(), t)
+    }
+
+    /// [`Op::ReduceScatter`].
+    pub fn reduce_scatter(&self, ctx: &DeviceCtx, t: Tensor, dim: usize) -> Tensor {
+        self.collective(ctx, Op::ReduceScatter { dim }.into(), t)
+    }
+
+    /// [`Op::Broadcast`].
+    pub fn broadcast(&self, ctx: &DeviceCtx, t: Tensor, root: usize) -> Tensor {
+        self.collective(ctx, Op::Broadcast { root }.into(), t)
+    }
+
+    /// [`Op::Scatter`].
+    pub fn scatter(&self, ctx: &DeviceCtx, t: Tensor, dim: usize, root: usize) -> Tensor {
+        self.collective(ctx, Op::Scatter { dim, root }.into(), t)
+    }
+
+    /// [`Op::Gather`].
+    pub fn gather_cat(&self, ctx: &DeviceCtx, t: Tensor, dim: usize, root: usize) -> Tensor {
+        self.collective(ctx, Op::Gather { dim, root }.into(), t)
+    }
+
+    /// [`Op::AllToAll`].
+    pub fn all_to_all(&self, ctx: &DeviceCtx, t: Tensor, dim: usize) -> Tensor {
+        self.collective(ctx, Op::AllToAll { dim }.into(), t)
+    }
+
+    /// [`Op::ReduceSum`].
+    pub fn reduce_sum(&self, ctx: &DeviceCtx, t: Tensor, root: usize) -> Tensor {
+        self.collective(ctx, Op::ReduceSum { root }.into(), t)
+    }
+
+    /// [`Op::Barrier`].
+    pub fn barrier(&self, ctx: &DeviceCtx) {
+        let _ = self.collective(ctx, Op::Barrier.into(), Tensor::zeros([0]));
     }
 
     fn advance_stream(&self, ctx: &DeviceCtx, stream: Stream, t_done: f64) {
@@ -858,250 +961,6 @@ impl Group {
                 end,
             );
         }
-    }
-
-    // ---- collectives ----------------------------------------------------
-
-    /// Sum all-reduce at FP32 wire width. The schedule (flat ring vs
-    /// hierarchical) is chosen per call from the alpha-beta cost model on
-    /// the actual link graph; the reduction itself always applies in
-    /// canonical group-rank order, so results are bitwise identical under
-    /// either schedule.
-    pub fn all_reduce(&self, ctx: &DeviceCtx, t: Tensor) -> Tensor {
-        self.all_reduce_wire_on(ctx, t, Wire::F32, Stream::Main)
-    }
-
-    /// Sum all-reduce at FP16 wire width (mixed-precision gradient traffic).
-    pub fn all_reduce_half(&self, ctx: &DeviceCtx, t: Tensor) -> Tensor {
-        self.all_reduce_wire_on(ctx, t, Wire::F16, Stream::Main)
-    }
-
-    /// Launches a sum all-reduce on the comm stream: the reduced tensor is
-    /// returned immediately (data movement is physical) while its latency
-    /// accrues on [`DeviceCtx::comm_clock`], leaving the main clock free to
-    /// keep charging compute. Call [`DeviceCtx::comm_sync`] before the
-    /// virtual time of the result matters (e.g. before `optimizer.step`).
-    pub fn all_reduce_async(&self, ctx: &DeviceCtx, t: Tensor) -> Tensor {
-        self.all_reduce_wire_on(ctx, t, Wire::F32, Stream::Comm)
-    }
-
-    /// FP16-wire variant of [`Group::all_reduce_async`].
-    pub fn all_reduce_async_half(&self, ctx: &DeviceCtx, t: Tensor) -> Tensor {
-        self.all_reduce_wire_on(ctx, t, Wire::F16, Stream::Comm)
-    }
-
-    /// Sum all-reduce at int8 wire width (quantized gradient traffic: the
-    /// caller has already snapped `t` to a shared 255-step grid, so only
-    /// 1 byte/element crosses the wire). Data-plane semantics are identical
-    /// to [`Group::all_reduce`]; only the modeled bytes differ.
-    pub fn all_reduce_i8(&self, ctx: &DeviceCtx, t: Tensor) -> Tensor {
-        self.all_reduce_wire_on(ctx, t, Wire::I8, Stream::Main)
-    }
-
-    /// Comm-stream variant of [`Group::all_reduce_i8`].
-    pub fn all_reduce_async_i8(&self, ctx: &DeviceCtx, t: Tensor) -> Tensor {
-        self.all_reduce_wire_on(ctx, t, Wire::I8, Stream::Comm)
-    }
-
-    /// Sum all-reduce of a top-k-sparsified tensor: `t` is dense but holds
-    /// at most `k` nonzeros, and the wire carries only those as (u32 index,
-    /// f32 value) pairs — an all-gather of `k` pairs per rank, summed
-    /// locally (see [`CollSpec::SparseAllReduce`]). The result is the dense
-    /// rank-ordered sum, bitwise identical to [`Group::all_reduce`] of the
-    /// same tensors. Unlike the dense paths the caller's mean-scale must
-    /// still be applied afterward.
-    pub fn sparse_all_reduce(&self, ctx: &DeviceCtx, t: Tensor, k: usize) -> Tensor {
-        self.run_op(ctx, t, Stream::Main, CollSpec::SparseAllReduce { k })
-    }
-
-    /// Comm-stream variant of [`Group::sparse_all_reduce`].
-    pub fn sparse_all_reduce_async(&self, ctx: &DeviceCtx, t: Tensor, k: usize) -> Tensor {
-        self.run_op(ctx, t, Stream::Comm, CollSpec::SparseAllReduce { k })
-    }
-
-    fn all_reduce_wire_on(&self, ctx: &DeviceCtx, t: Tensor, wire: Wire, stream: Stream) -> Tensor {
-        self.run_op(ctx, t, stream, CollSpec::AllReduce { max: false, wire })
-    }
-
-    /// All-gather with concatenation along `dim`: every rank contributes a
-    /// shard, every rank receives the full concatenation (in rank order).
-    pub fn all_gather_cat(&self, ctx: &DeviceCtx, t: Tensor, dim: usize) -> Tensor {
-        self.all_gather_cat_wire(ctx, t, dim, Wire::F32)
-    }
-
-    /// FP16-wire variant of [`Group::all_gather_cat`].
-    pub fn all_gather_cat_half(&self, ctx: &DeviceCtx, t: Tensor, dim: usize) -> Tensor {
-        self.all_gather_cat_wire(ctx, t, dim, Wire::F16)
-    }
-
-    fn all_gather_cat_wire(&self, ctx: &DeviceCtx, t: Tensor, dim: usize, wire: Wire) -> Tensor {
-        self.run_op(ctx, t, Stream::Main, CollSpec::AllGather { dim, wire })
-    }
-
-    /// Reduce-scatter: sums all contributions, then each rank keeps its
-    /// rank-th chunk along `dim`.
-    pub fn reduce_scatter(&self, ctx: &DeviceCtx, t: Tensor, dim: usize) -> Tensor {
-        self.reduce_scatter_wire_on(ctx, t, dim, Wire::F32, Stream::Main)
-    }
-
-    /// FP16-wire variant of [`Group::reduce_scatter`].
-    pub fn reduce_scatter_half(&self, ctx: &DeviceCtx, t: Tensor, dim: usize) -> Tensor {
-        self.reduce_scatter_wire_on(ctx, t, dim, Wire::F16, Stream::Main)
-    }
-
-    /// Comm-stream variant of [`Group::reduce_scatter`] (same contract as
-    /// [`Group::all_reduce_async`]: data now, time on the comm clock).
-    pub fn reduce_scatter_async(&self, ctx: &DeviceCtx, t: Tensor, dim: usize) -> Tensor {
-        self.reduce_scatter_wire_on(ctx, t, dim, Wire::F32, Stream::Comm)
-    }
-
-    /// FP16-wire variant of [`Group::reduce_scatter_async`].
-    pub fn reduce_scatter_async_half(&self, ctx: &DeviceCtx, t: Tensor, dim: usize) -> Tensor {
-        self.reduce_scatter_wire_on(ctx, t, dim, Wire::F16, Stream::Comm)
-    }
-
-    /// Int8-wire variant of [`Group::reduce_scatter`] (quantized ZeRO
-    /// gradient shards; the caller pre-snaps to the quantization grid).
-    pub fn reduce_scatter_i8(&self, ctx: &DeviceCtx, t: Tensor, dim: usize) -> Tensor {
-        self.reduce_scatter_wire_on(ctx, t, dim, Wire::I8, Stream::Main)
-    }
-
-    /// Comm-stream variant of [`Group::reduce_scatter_i8`].
-    pub fn reduce_scatter_async_i8(&self, ctx: &DeviceCtx, t: Tensor, dim: usize) -> Tensor {
-        self.reduce_scatter_wire_on(ctx, t, dim, Wire::I8, Stream::Comm)
-    }
-
-    fn reduce_scatter_wire_on(
-        &self,
-        ctx: &DeviceCtx,
-        t: Tensor,
-        dim: usize,
-        wire: Wire,
-        stream: Stream,
-    ) -> Tensor {
-        self.run_op(ctx, t, stream, CollSpec::ReduceScatter { dim, wire })
-    }
-
-    /// Broadcast from group-rank `root` at FP32 wire width. Non-root ranks'
-    /// inputs are ignored (pass an empty tensor, e.g. `Tensor::zeros([0])`).
-    pub fn broadcast(&self, ctx: &DeviceCtx, t: Tensor, root: usize) -> Tensor {
-        self.broadcast_wire(ctx, t, root, Wire::F32)
-    }
-
-    /// FP16-wire variant of [`Group::broadcast`] (mixed-precision parameter
-    /// fan-out charges half the bytes on the wire).
-    pub fn broadcast_half(&self, ctx: &DeviceCtx, t: Tensor, root: usize) -> Tensor {
-        self.broadcast_wire(ctx, t, root, Wire::F16)
-    }
-
-    fn broadcast_wire(&self, ctx: &DeviceCtx, t: Tensor, root: usize, wire: Wire) -> Tensor {
-        assert!(root < self.size(), "broadcast root {root} out of range");
-        self.run_op(ctx, t, Stream::Main, CollSpec::Broadcast { root, wire })
-    }
-
-    /// Scatter from group-rank `root`: the root's tensor is chunked along
-    /// `dim` into `size()` pieces; rank i receives piece i. Non-root inputs
-    /// are ignored.
-    pub fn scatter(&self, ctx: &DeviceCtx, t: Tensor, dim: usize, root: usize) -> Tensor {
-        self.scatter_wire(ctx, t, dim, root, Wire::F32)
-    }
-
-    /// FP16-wire variant of [`Group::scatter`].
-    pub fn scatter_half(&self, ctx: &DeviceCtx, t: Tensor, dim: usize, root: usize) -> Tensor {
-        self.scatter_wire(ctx, t, dim, root, Wire::F16)
-    }
-
-    fn scatter_wire(
-        &self,
-        ctx: &DeviceCtx,
-        t: Tensor,
-        dim: usize,
-        root: usize,
-        wire: Wire,
-    ) -> Tensor {
-        assert!(root < self.size(), "scatter root {root} out of range");
-        self.run_op(ctx, t, Stream::Main, CollSpec::Scatter { dim, root, wire })
-    }
-
-    /// Gather to group-rank `root` with concatenation along `dim`; the root
-    /// receives the concatenation, other ranks receive an empty tensor.
-    pub fn gather_cat(&self, ctx: &DeviceCtx, t: Tensor, dim: usize, root: usize) -> Tensor {
-        self.gather_cat_wire(ctx, t, dim, root, Wire::F32)
-    }
-
-    /// FP16-wire variant of [`Group::gather_cat`].
-    pub fn gather_cat_half(&self, ctx: &DeviceCtx, t: Tensor, dim: usize, root: usize) -> Tensor {
-        self.gather_cat_wire(ctx, t, dim, root, Wire::F16)
-    }
-
-    fn gather_cat_wire(
-        &self,
-        ctx: &DeviceCtx,
-        t: Tensor,
-        dim: usize,
-        root: usize,
-        wire: Wire,
-    ) -> Tensor {
-        assert!(root < self.size(), "gather root {root} out of range");
-        self.run_op(ctx, t, Stream::Main, CollSpec::Gather { dim, root, wire })
-    }
-
-    /// All-to-all: each rank's tensor is chunked along `dim`; rank i ends
-    /// with the concatenation (along `dim`) of everyone's chunk i.
-    pub fn all_to_all(&self, ctx: &DeviceCtx, t: Tensor, dim: usize) -> Tensor {
-        self.all_to_all_wire(ctx, t, dim, Wire::F32)
-    }
-
-    /// FP16-wire variant of [`Group::all_to_all`].
-    pub fn all_to_all_half(&self, ctx: &DeviceCtx, t: Tensor, dim: usize) -> Tensor {
-        self.all_to_all_wire(ctx, t, dim, Wire::F16)
-    }
-
-    fn all_to_all_wire(&self, ctx: &DeviceCtx, t: Tensor, dim: usize, wire: Wire) -> Tensor {
-        self.run_op(ctx, t, Stream::Main, CollSpec::AllToAll { dim, wire })
-    }
-
-    /// Elementwise-max all-reduce (used by distributed gradient-norm and
-    /// loss-scale synchronization).
-    pub fn all_reduce_max(&self, ctx: &DeviceCtx, t: Tensor) -> Tensor {
-        self.all_reduce_max_wire(ctx, t, Wire::F32)
-    }
-
-    /// FP16-wire variant of [`Group::all_reduce_max`].
-    pub fn all_reduce_max_half(&self, ctx: &DeviceCtx, t: Tensor) -> Tensor {
-        self.all_reduce_max_wire(ctx, t, Wire::F16)
-    }
-
-    fn all_reduce_max_wire(&self, ctx: &DeviceCtx, t: Tensor, wire: Wire) -> Tensor {
-        self.run_op(
-            ctx,
-            t,
-            Stream::Main,
-            CollSpec::AllReduce { max: true, wire },
-        )
-    }
-
-    /// Sum-reduce to group-rank `root`: the root receives the elementwise
-    /// sum of all contributions, other ranks receive an empty tensor.
-    /// (Cost model: the mirror image of a pipelined broadcast.)
-    pub fn reduce_sum(&self, ctx: &DeviceCtx, t: Tensor, root: usize) -> Tensor {
-        self.reduce_sum_wire(ctx, t, root, Wire::F32)
-    }
-
-    /// FP16-wire variant of [`Group::reduce_sum`].
-    pub fn reduce_sum_half(&self, ctx: &DeviceCtx, t: Tensor, root: usize) -> Tensor {
-        self.reduce_sum_wire(ctx, t, root, Wire::F16)
-    }
-
-    fn reduce_sum_wire(&self, ctx: &DeviceCtx, t: Tensor, root: usize, wire: Wire) -> Tensor {
-        assert!(root < self.size(), "reduce root {root} out of range");
-        self.run_op(ctx, t, Stream::Main, CollSpec::ReduceSum { root, wire })
-    }
-
-    /// Synchronization barrier; costs one latency-bound all-reduce of a
-    /// single FP32 wire element.
-    pub fn barrier(&self, ctx: &DeviceCtx) {
-        let _ = self.run_op(ctx, Tensor::zeros([0]), Stream::Main, CollSpec::Barrier);
     }
 }
 
@@ -1364,49 +1223,84 @@ mod tests {
         assert_eq!(stats.ops_of(OpKind::AllReduce), 1);
     }
 
-    #[test]
-    fn half_wire_halves_bytes() {
-        let world = World::new(system_i());
-        world.run_on(2, |ctx| {
-            let g = ctx.world_group(2);
-            let _ = g.all_reduce(ctx, Tensor::zeros([100]));
-        });
-        let full = world.stats().bytes;
-        let world2 = World::new(system_i());
-        world2.run_on(2, |ctx| {
-            let g = ctx.world_group(2);
-            let _ = g.all_reduce_half(ctx, Tensor::zeros([100]));
-        });
-        let half = world2.stats().bytes;
-        assert_eq!(full, 2 * half);
+    /// Every op the descriptor can name, on a 4-rank group; roots are 1.
+    const EVERY_OP: [Op; 11] = [
+        Op::AllReduce { max: false },
+        Op::AllReduce { max: true },
+        Op::SparseAllReduce { k: 12 },
+        Op::AllGather { dim: 0 },
+        Op::ReduceScatter { dim: 0 },
+        Op::Broadcast { root: 1 },
+        Op::Scatter { dim: 0, root: 1 },
+        Op::Gather { dim: 0, root: 1 },
+        Op::AllToAll { dim: 0 },
+        Op::ReduceSum { root: 1 },
+        Op::Barrier,
+    ];
+
+    /// A 12-element input that differs per rank (ops that ignore non-root
+    /// or all inputs get it anyway).
+    fn table_input(rank: usize) -> Tensor {
+        Tensor::from_vec(
+            [12],
+            (0..12).map(|i| (rank * 12 + i) as f32 * 0.25).collect(),
+        )
     }
 
     #[test]
-    fn broadcast_half_wire_halves_bytes_and_time() {
-        let payload = |rank: usize| {
-            if rank == 0 {
-                Tensor::zeros([1000])
-            } else {
-                Tensor::zeros([0])
-            }
+    fn every_op_runs_at_every_wire_on_either_stream() {
+        // per-rank (output, main clock, comm clock) and the world's stats
+        let run = |desc: Collective| {
+            let world = World::new(system_i());
+            let out = world.run_on(4, |ctx| {
+                let g = ctx.world_group(4);
+                let out = g.collective(ctx, desc, table_input(ctx.rank()));
+                (out, ctx.clock(), ctx.comm_clock())
+            });
+            (out, world.stats())
         };
-        let world = World::new(system_i());
-        let full_clock = world.run_on(4, |ctx| {
-            let g = ctx.world_group(4);
-            let _ = g.broadcast(ctx, payload(ctx.rank()), 0);
-            ctx.clock()
-        });
-        let full_bytes = world.stats().bytes;
-        let world2 = World::new(system_i());
-        let half_clock = world2.run_on(4, |ctx| {
-            let g = ctx.world_group(4);
-            let _ = g.broadcast_half(ctx, payload(ctx.rank()), 0);
-            ctx.clock()
-        });
-        let half_bytes = world2.stats().bytes;
-        assert_eq!(full_bytes, 2 * half_bytes);
-        // the virtual clock must also see the cheaper wire, not just stats
-        assert!(half_clock[0] < full_clock[0]);
+        for op in EVERY_OP {
+            let (base, base_stats) = run(op.into());
+            let mut cost_by_wire = Vec::new();
+            for wire in [Wire::F32, Wire::F16, Wire::I8] {
+                // sparse and barrier fix their own wire format
+                let billed = match op {
+                    Op::SparseAllReduce { .. } => Wire::IdxVal,
+                    Op::Barrier => Wire::F32,
+                    _ => wire,
+                };
+                let mut cost = 0.0;
+                for stream in [Stream::Main, Stream::Comm] {
+                    let desc = Collective { op, wire, stream };
+                    let (out, stats) = run(desc);
+                    assert_eq!(stats.ops, 1, "{desc:?}");
+                    assert_eq!(stats.elements, base_stats.elements, "{desc:?}");
+                    assert_eq!(stats.bytes, stats.elements * billed.bytes(), "{desc:?}");
+                    for ((t, main, comm), (want, ..)) in out.iter().zip(&base) {
+                        // the wire only changes the bill, never the payload
+                        assert_eq!(t.dims(), want.dims(), "{desc:?}");
+                        assert_eq!(t.data(), want.data(), "{desc:?}");
+                        match stream {
+                            Stream::Main => {
+                                assert!(*main > 0.0, "{desc:?} must advance the main clock");
+                                assert_eq!(*comm, 0.0, "{desc:?}");
+                                cost = *main;
+                            }
+                            // the same latency, on the comm clock only
+                            Stream::Comm => assert_eq!((*main, *comm), (0.0, cost), "{desc:?}"),
+                        }
+                    }
+                }
+                cost_by_wire.push(cost);
+            }
+            // the virtual clock sees the cheaper wire too, not just stats
+            if base_stats.bytes > 0 && !matches!(op, Op::SparseAllReduce { .. }) {
+                assert!(
+                    cost_by_wire[0] > cost_by_wire[1] && cost_by_wire[1] > cost_by_wire[2],
+                    "{op:?}: {cost_by_wire:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1529,55 +1423,6 @@ mod tests {
         assert_eq!(stats.elements_of(OpKind::AllReduce), 0);
         assert_eq!(stats.ops_of(OpKind::Barrier), 1);
         assert_eq!(stats.bytes, 0);
-    }
-
-    #[test]
-    fn half_wire_halves_bytes_for_every_collective() {
-        // the formerly hardcoded 4-byte ops must all bill through Wire
-        type Op = fn(&Group, &DeviceCtx) -> Tensor;
-        let cases: Vec<(Op, Op, OpKind)> = vec![
-            (
-                |g, ctx| g.scatter(ctx, Tensor::arange(8), 0, 0),
-                |g, ctx| g.scatter_half(ctx, Tensor::arange(8), 0, 0),
-                OpKind::Scatter,
-            ),
-            (
-                |g, ctx| g.gather_cat(ctx, Tensor::full([5], 1.0), 0, 0),
-                |g, ctx| g.gather_cat_half(ctx, Tensor::full([5], 1.0), 0, 0),
-                OpKind::Gather,
-            ),
-            (
-                |g, ctx| g.all_to_all(ctx, Tensor::arange(8), 0),
-                |g, ctx| g.all_to_all_half(ctx, Tensor::arange(8), 0),
-                OpKind::AllToAll,
-            ),
-            (
-                |g, ctx| g.all_reduce_max(ctx, Tensor::full([9], 2.0)),
-                |g, ctx| g.all_reduce_max_half(ctx, Tensor::full([9], 2.0)),
-                OpKind::AllReduce,
-            ),
-            (
-                |g, ctx| g.reduce_sum(ctx, Tensor::full([7], 3.0), 0),
-                |g, ctx| g.reduce_sum_half(ctx, Tensor::full([7], 3.0), 0),
-                OpKind::Reduce,
-            ),
-        ];
-        for (full_op, half_op, kind) in cases {
-            let world = World::new(system_i());
-            world.run_on(4, |ctx| {
-                let g = ctx.world_group(4);
-                let _ = full_op(&g, ctx);
-            });
-            let full = world.stats().bytes;
-            let world2 = World::new(system_i());
-            world2.run_on(4, |ctx| {
-                let g = ctx.world_group(4);
-                let _ = half_op(&g, ctx);
-            });
-            let half = world2.stats().bytes;
-            assert!(full > 0, "{kind:?} must bill nonzero bytes");
-            assert_eq!(full, 2 * half, "{kind:?} half wire must halve bytes");
-        }
     }
 
     #[test]
@@ -1768,14 +1613,21 @@ mod tests {
         }
     }
 
+    /// A sum all-reduce launched on the comm stream.
+    const ALL_REDUCE_COMM: Collective = Collective {
+        op: Op::AllReduce { max: false },
+        wire: Wire::F32,
+        stream: Stream::Comm,
+    };
+
     #[test]
-    fn async_allreduce_overlaps_compute() {
+    fn comm_stream_allreduce_overlaps_compute() {
         let world = World::new(system_ii());
         let n: usize = 1 << 20;
         let comm_t = cost::allreduce_time(&system_ii(), &(0..4).collect::<Vec<_>>(), 4 * n as u64);
         let out = world.run_on(4, |ctx| {
             let g = ctx.world_group(4);
-            let red = g.all_reduce_async(ctx, Tensor::zeros([n]));
+            let red = g.collective(ctx, ALL_REDUCE_COMM, Tensor::zeros([n]));
             let launched = ctx.clock();
             // compute that outlasts the collective
             ctx.charge_seconds(10.0 * comm_t);
@@ -1797,12 +1649,12 @@ mod tests {
             ctx.charge_seconds(10.0 * comm_t);
             ctx.clock()
         });
-        assert!(blocking[0] > out[0].2, "async must be strictly faster");
+        assert!(blocking[0] > out[0].2, "overlap must be strictly faster");
     }
 
     #[test]
-    fn async_allreduce_serializes_on_comm_stream() {
-        // two async ops back-to-back queue on the comm stream: the second
+    fn comm_stream_ops_serialize_on_the_comm_stream() {
+        // two comm-stream ops back-to-back queue on the comm stream: the second
         // starts when the first ends, not at the launch clock
         let world = World::new(system_ii());
         let n: usize = 1 << 20;
@@ -1811,53 +1663,13 @@ mod tests {
         let one = cost::allreduce_time_with(sel, &system_ii(), &group, 4 * n as u64);
         let out = world.run_on(4, |ctx| {
             let g = ctx.world_group(4);
-            let _ = g.all_reduce_async(ctx, Tensor::zeros([n]));
-            let _ = g.all_reduce_async(ctx, Tensor::zeros([n]));
+            let _ = g.collective(ctx, ALL_REDUCE_COMM, Tensor::zeros([n]));
+            let _ = g.collective(ctx, ALL_REDUCE_COMM, Tensor::zeros([n]));
             ctx.comm_sync();
             ctx.clock()
         });
         for c in &out {
             assert!((c - 2.0 * one).abs() < 1e-12, "{c} vs {}", 2.0 * one);
-        }
-    }
-
-    #[test]
-    fn async_matches_blocking_bitwise() {
-        let run = |use_async: bool| {
-            let world = World::new(system_i());
-            world.run_on(4, |ctx| {
-                let g = ctx.world_group(4);
-                let t = Tensor::full([64], 0.3 + ctx.rank() as f32 * 1e-7);
-                if use_async {
-                    let r = g.all_reduce_async(ctx, t);
-                    ctx.comm_sync();
-                    r
-                } else {
-                    g.all_reduce(ctx, t)
-                }
-            })
-        };
-        let a = run(true);
-        let b = run(false);
-        assert_eq!(a[0].data(), b[0].data());
-    }
-
-    #[test]
-    fn async_reduce_scatter_charges_comm_stream() {
-        let world = World::new(system_ii());
-        let out = world.run_on(4, |ctx| {
-            let g = ctx.world_group(4);
-            let mine = g.reduce_scatter_async(ctx, Tensor::arange(16), 0);
-            let launched = ctx.clock();
-            ctx.comm_sync();
-            (mine, launched, ctx.clock())
-        });
-        for (r, (mine, launched, clock)) in out.iter().enumerate() {
-            assert_eq!(mine.numel(), 4);
-            // sum of 4 identical arange(16) tensors, rank-r chunk
-            assert_eq!(mine.data()[0], 4.0 * (4 * r) as f32);
-            assert_eq!(*launched, 0.0);
-            assert!(*clock > 0.0);
         }
     }
 
@@ -1898,27 +1710,58 @@ mod tests {
         assert_eq!(dev_spans, 8);
     }
 
-    /// One collective on the 2-rank world group as a heap task.
-    struct OneOp(CollectiveOp);
+    /// One collective on the `n`-rank world group as a heap task, driven
+    /// through [`Group::start`] on the first poll.
+    struct OneOp {
+        n: usize,
+        desc: Collective,
+        input: Option<Tensor>,
+        op: Option<CollectiveOp>,
+    }
+
+    impl OneOp {
+        fn new(n: usize, desc: Collective, input: Tensor) -> OneOp {
+            OneOp {
+                n,
+                desc,
+                input: Some(input),
+                op: None,
+            }
+        }
+    }
 
     impl crate::task::RankTask for OneOp {
         type Output = Tensor;
         fn poll(&mut self, ctx: &DeviceCtx) -> Poll<Tensor> {
-            ctx.world_group(2).poll_collective(ctx, &mut self.0)
+            let g = ctx.world_group(self.n);
+            let (desc, input) = (self.desc, &mut self.input);
+            let op = self
+                .op
+                .get_or_insert_with(|| g.start(desc, input.take().expect("started once")));
+            g.poll_collective(ctx, op)
         }
+    }
+
+    /// Runs `op(rank)` on `n` ranks as heap tasks or as closures and
+    /// returns the panic message of the run that must not complete.
+    fn panic_of(n: usize, tasks: bool, op: impl Fn(usize) -> OneOp + Sync) -> String {
+        let world = World::new(system_i());
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if tasks {
+                world.run_tasks(n, &op);
+            } else {
+                world.run_on(n, |ctx| ctx.block_on(op(ctx.rank())));
+            }
+        }))
+        .expect_err("the run must panic");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
     }
 
     #[test]
     fn mismatched_collectives_panic_naming_both_ranks() {
-        let all_reduce = |wire| CollSpec::AllReduce { max: false, wire };
-        let broadcast = |root| CollSpec::Broadcast {
-            root,
-            wire: Wire::F32,
-        };
-        let gather = CollSpec::AllGather {
-            dim: 0,
-            wire: Wire::F32,
-        };
+        let all_reduce = |wire| Collective::from(Op::AllReduce { max: false }).wire(wire);
+        let broadcast = |root| Collective::from(Op::Broadcast { root });
+        let gather = Collective::from(Op::AllGather { dim: 0 });
         // (rank 0's op and input length, rank 1's, the two descriptors):
         // op, wire, root and shape mismatches
         let cases = [
@@ -1945,22 +1788,75 @@ mod tests {
         ];
         for (a, b, sides) in cases {
             for tasks in [false, true] {
-                let world = World::new(system_i());
-                let op = |rank| {
-                    let (spec, n) = if rank == 0 { a } else { b };
-                    OneOp(CollectiveOp::new(spec, Stream::Main, Tensor::zeros([n])))
-                };
-                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if tasks {
-                        world.run_tasks(2, op);
-                    } else {
-                        world.run_on(2, |ctx| ctx.block_on(op(ctx.rank())));
-                    }
-                }))
-                .expect_err("mismatched collectives must not compute");
-                let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+                let msg = panic_of(2, tasks, |rank| {
+                    let (desc, n) = if rank == 0 { a } else { b };
+                    OneOp::new(2, desc, Tensor::zeros([n]))
+                });
                 let want = format!("collective mismatch on group [0,1]: {sides}");
                 assert!(msg.contains(&want), "tasks={tasks}: {msg}");
+            }
+        }
+    }
+
+    #[test]
+    fn start_rejects_bad_roots_and_dims_naming_the_op() {
+        let cases = [
+            (
+                Collective::from(Op::Broadcast { root: 2 }),
+                "broadcast(root 2, f32): root out of range for a group of 2",
+            ),
+            (
+                Collective::from(Op::Scatter { dim: 0, root: 7 }).wire(Wire::F16),
+                "scatter(dim 0, root 7, f16): root out of range for a group of 2",
+            ),
+            (
+                Collective::from(Op::Gather { dim: 0, root: 2 }),
+                "gather(dim 0, root 2, f32): root out of range for a group of 2",
+            ),
+            (
+                Collective::from(Op::ReduceSum { root: 3 }).on(Stream::Comm),
+                "reduce_sum(root 3, f32): root out of range for a group of 2",
+            ),
+            (
+                Collective::from(Op::AllGather { dim: 1 }),
+                "all_gather(dim 1, f32): dim out of range for input [4]",
+            ),
+        ];
+        for (desc, want) in cases {
+            for tasks in [false, true] {
+                let msg = panic_of(2, tasks, |_| OneOp::new(2, desc, Tensor::zeros([4])));
+                assert!(msg.contains(want), "tasks={tasks}: {msg}");
+            }
+        }
+    }
+
+    #[test]
+    fn heap_tasks_drive_any_op_bitwise_like_closures() {
+        // ops with no `start_*` wrapper, at a narrow wire and on the comm
+        // stream: reachable from a heap task only through `start`
+        let ops = [
+            Collective::from(Op::ReduceScatter { dim: 0 }).wire(Wire::F16),
+            Collective::from(Op::AllToAll { dim: 0 }),
+            Collective::from(Op::Broadcast { root: 1 }).on(Stream::Comm),
+        ];
+        for pool in [1, 2] {
+            for desc in ops {
+                let run = |tasks: bool| {
+                    let world = World::new(system_i());
+                    world.set_backend(Some(crate::WorldBackend::Stackless { pool }));
+                    world.enable_tracing();
+                    let out = if tasks {
+                        world.run_tasks(4, |rank| OneOp::new(4, desc, table_input(rank)))
+                    } else {
+                        world.run_on(4, |ctx| {
+                            let g = ctx.world_group(4);
+                            g.collective(ctx, desc, table_input(ctx.rank()))
+                        })
+                    };
+                    let data: Vec<Vec<f32>> = out.iter().map(|t| t.data().to_vec()).collect();
+                    (data, world.stats(), format!("{:?}", world.trace()))
+                };
+                assert_eq!(run(true), run(false), "{desc:?} at pool {pool}");
             }
         }
     }

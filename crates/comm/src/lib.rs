@@ -9,7 +9,13 @@
 //! `colossalai-topology` and recording element-hop traffic that matches the
 //! closed-form communication volumes of Table 1 in the paper.
 //!
-//! Ranks run on one executor ([`sched`]): `pool` running slots handed out
+//! A collective is one value, [`Collective`]` { op, wire, stream }` —
+//! precision ([`Wire`]) and overlap ([`Stream`]) are parameters of the
+//! operation, not separate operations — with one blocking entry
+//! ([`Group::collective`]) and one resumable one ([`Group::start`]); point
+//! to point follows the same rule ([`DeviceCtx::send_wire`]).
+//!
+//! Ranks run on one executor (`sched`): `pool` running slots handed out
 //! in virtual-time order. A rank body is either a resumable
 //! [`task::RankTask`] state machine ([`world::World::run_tasks`] — heap
 //! state only, so a 16k-rank world needs O(pool) OS threads) or a plain
@@ -29,7 +35,7 @@ pub mod world;
 
 pub use colossalai_topology::AllReduceAlgo;
 pub use compress::Compression;
-pub use group::{CollectiveOp, Group, Wire};
+pub use group::{Collective, CollectiveOp, Group, Op, Stream, Wire};
 pub use stats::{CommStats, OpKind};
 pub use task::{Poll, RankTask, WakeKey};
 pub use trace::{RankRollup, Span, SpanKind, Track};

@@ -1,5 +1,5 @@
 //! Resumable rank bodies: the poll-driven execution contract of the rank
-//! executor ([`crate::sched`]).
+//! executor (`crate::sched`).
 //!
 //! A [`RankTask`] keeps a rank's resumable state in a small heap struct
 //! instead of an OS thread stack: `poll` either completes with

@@ -1,6 +1,6 @@
 //! The simulated multi-device world: per-device virtual clocks, a shared
 //! cluster model, global traffic stats, and the two ways to launch ranks
-//! on the one executor ([`crate::sched`]): closures ([`World::run_on`]) and
+//! on the one executor (`crate::sched`): closures ([`World::run_on`]) and
 //! resumable tasks ([`World::run_tasks`]).
 
 use crate::group::{Group, GroupShared, Wire};
@@ -911,23 +911,19 @@ impl DeviceCtx {
 
     // ---- point-to-point -------------------------------------------------
 
-    /// Sends `t` to device `to` under `tag` at FP32 wire width.
-    /// Synchronous-send model: the sender's clock advances by the full
-    /// transfer time and the message becomes visible to the receiver at the
-    /// sender's post-send clock.
+    /// [`DeviceCtx::send_wire`] at FP32 wire width.
     pub fn send(&self, to: DeviceId, tag: u64, t: Tensor) {
         self.send_wire(to, tag, t, Wire::F32);
     }
 
-    /// FP16-wire variant of [`DeviceCtx::send`]: charges 2 bytes/element on
-    /// the link (mixed-precision activation/gradient traffic between
-    /// pipeline stages). The payload tensor is unchanged — only the billed
-    /// width differs.
-    pub fn send_half(&self, to: DeviceId, tag: u64, t: Tensor) {
-        self.send_wire(to, tag, t, Wire::F16);
-    }
-
-    fn send_wire(&self, to: DeviceId, tag: u64, t: Tensor, wire: Wire) {
+    /// Sends `t` to device `to` under `tag`, charging `wire` bytes/element
+    /// on the link (e.g. [`Wire::F16`] for mixed-precision activation and
+    /// gradient traffic between pipeline stages). The payload tensor is
+    /// unchanged — only the billed width differs. Synchronous-send model:
+    /// the sender's clock advances by the full transfer time and the
+    /// message becomes visible to the receiver at the sender's post-send
+    /// clock.
+    pub fn send_wire(&self, to: DeviceId, tag: u64, t: Tensor, wire: Wire) {
         assert_ne!(to, self.rank, "send to self");
         self.check_abort();
         let bytes = t.numel() as u64 * wire.bytes();
@@ -985,12 +981,6 @@ impl DeviceCtx {
     /// (the p2p links are modeled as full duplex).
     pub fn ring_exchange(&self, to: DeviceId, from: DeviceId, tag: u64, t: Tensor) -> Tensor {
         self.send(to, tag, t);
-        self.recv(from, tag)
-    }
-
-    /// FP16-wire variant of [`DeviceCtx::ring_exchange`].
-    pub fn ring_exchange_half(&self, to: DeviceId, from: DeviceId, tag: u64, t: Tensor) -> Tensor {
-        self.send_half(to, tag, t);
         self.recv(from, tag)
     }
 }
@@ -1129,14 +1119,14 @@ mod tests {
 
     #[test]
     fn p2p_bills_wire_width() {
-        // send charges 4 bytes/element, send_half 2 — in link time, stats
-        // bytes and the wakeup-count denominator alike
+        // send charges 4 bytes/element, an F16 send_wire 2 — in link time,
+        // stats bytes and the wakeup-count denominator alike
         let world = World::new(system_i());
         let clocks = world.run_on(2, |ctx| {
             if ctx.rank() == 0 {
                 ctx.send(1, 0, Tensor::from_vec([4], vec![1.0; 4]));
                 let t_full = ctx.clock();
-                ctx.send_half(1, 1, Tensor::from_vec([4], vec![1.0; 4]));
+                ctx.send_wire(1, 1, Tensor::from_vec([4], vec![1.0; 4]), Wire::F16);
                 (t_full, ctx.clock() - t_full)
             } else {
                 assert_eq!(ctx.recv(0, 0).numel(), 4);

@@ -23,7 +23,7 @@
 
 use colossalai_autograd::Layer;
 use colossalai_comm::compress::{self, Compression};
-use colossalai_comm::{DeviceCtx, Group};
+use colossalai_comm::{DeviceCtx, Group, Stream};
 use colossalai_tensor::Tensor;
 use std::ops::Range;
 
@@ -148,16 +148,16 @@ pub struct BucketedGradSync {
 }
 
 /// Compresses one flat bucket (updating its error-feedback `residual`) and
-/// issues the channel's collective: dense all-reduce for none/int8/fp16 at
-/// the matching wire width, sparse (index, value) all-reduce for top-k.
-/// The caller still applies the 1/p mean scale to the returned sum.
+/// issues the channel's all-reduce ([`Compression::all_reduce`]) on
+/// `stream`. The caller still applies the 1/p mean scale to the returned
+/// sum.
 fn all_reduce_bucket(
     ctx: &DeviceCtx,
     group: &Group,
     comp: Compression,
     residual: &mut Vec<f32>,
     mut flat: Vec<f32>,
-    asynchronous: bool,
+    stream: Stream,
 ) -> Tensor {
     if comp.is_lossy() {
         if residual.is_empty() {
@@ -166,16 +166,7 @@ fn all_reduce_bucket(
         let _ = compress::compress_with_feedback(comp, &mut flat, residual);
     }
     let t = Tensor::from_vec([flat.len()], flat);
-    match (comp, asynchronous) {
-        (Compression::None, false) => group.all_reduce(ctx, t),
-        (Compression::None, true) => group.all_reduce_async(ctx, t),
-        (Compression::Int8, false) => group.all_reduce_i8(ctx, t),
-        (Compression::Int8, true) => group.all_reduce_async_i8(ctx, t),
-        (Compression::Fp16, false) => group.all_reduce_half(ctx, t),
-        (Compression::Fp16, true) => group.all_reduce_async_half(ctx, t),
-        (Compression::TopK(k), false) => group.sparse_all_reduce(ctx, t, k),
-        (Compression::TopK(k), true) => group.sparse_all_reduce_async(ctx, t, k),
-    }
+    group.collective(ctx, comp.all_reduce().on(stream), t)
 }
 
 impl BucketedGradSync {
@@ -240,7 +231,7 @@ impl BucketedGradSync {
                 self.compress,
                 &mut self.residuals[bi],
                 flat,
-                false,
+                Stream::Main,
             );
             r.scale(scale);
             reduced.push(r);
@@ -286,7 +277,8 @@ impl BucketedGradSync {
                         .iter()
                         .map(|g| g.as_ref().expect("bucket grad produced").data()),
                 );
-                let mut r = all_reduce_bucket(ctx, group, comp, &mut residuals[next], flat, true);
+                let mut r =
+                    all_reduce_bucket(ctx, group, comp, &mut residuals[next], flat, Stream::Comm);
                 r.scale(scale);
                 reduced[next] = Some(r);
             }

@@ -28,7 +28,7 @@ use crate::bucket::{BucketPlan, DEFAULT_BUCKET_BYTES};
 use crate::data_parallel::{flatten_grads, flatten_params, unflatten_into};
 use colossalai_autograd::{adamw_update, Layer};
 use colossalai_comm::compress::{self, Compression};
-use colossalai_comm::{DeviceCtx, Group};
+use colossalai_comm::{Collective, DeviceCtx, Group, Op, Stream};
 use colossalai_tensor::{pool, Tensor};
 
 /// Which ZeRO stage to run.
@@ -97,10 +97,10 @@ fn zero_effective(comp: Compression) -> Compression {
 }
 
 /// Quantizes one flat gradient bucket (updating its error-feedback
-/// residual) and reduces it with the stage's collective at the matching
-/// wire width. Free function so [`ZeroOptimizer::backward_overlapped`] can
-/// call it under field-disjoint borrows; the caller owns the 1/p scale.
-#[allow(clippy::too_many_arguments)]
+/// residual) and reduces it with the stage's collective at the channel's
+/// wire width on `stream`. Free function so
+/// [`ZeroOptimizer::backward_overlapped`] can call it under field-disjoint
+/// borrows; returns this rank's mean-scaled shard.
 fn reduce_bucket_quantized(
     ctx: &DeviceCtx,
     group: &Group,
@@ -108,7 +108,7 @@ fn reduce_bucket_quantized(
     comp: Compression,
     residual: &mut Vec<f32>,
     mut bucket: Tensor,
-    asynchronous: bool,
+    stream: Stream,
 ) -> Tensor {
     let comp = zero_effective(comp);
     if comp.is_lossy() {
@@ -118,30 +118,18 @@ fn reduce_bucket_quantized(
         let _ = compress::compress_with_feedback(comp, bucket.data_mut(), residual);
     }
     let p = group.size();
-    let r = group.rank();
     let sl = bucket.numel() / p;
-    let mut shard = match stage {
-        ZeroStage::One => {
-            // full all-reduce, then slice: the ZeRO-1 communication shape
-            let full = match (comp, asynchronous) {
-                (Compression::Int8, false) => group.all_reduce_i8(ctx, bucket),
-                (Compression::Int8, true) => group.all_reduce_async_i8(ctx, bucket),
-                (Compression::Fp16, false) => group.all_reduce_half(ctx, bucket),
-                (Compression::Fp16, true) => group.all_reduce_async_half(ctx, bucket),
-                (_, false) => group.all_reduce(ctx, bucket),
-                (_, true) => group.all_reduce_async(ctx, bucket),
-            };
-            full.narrow(0, r * sl, sl)
+    let desc = match stage {
+        ZeroStage::One => comp.all_reduce(),
+        ZeroStage::Two | ZeroStage::Three => {
+            Collective::from(Op::ReduceScatter { dim: 0 }).wire(comp.wire())
         }
-        ZeroStage::Two | ZeroStage::Three => match (comp, asynchronous) {
-            (Compression::Int8, false) => group.reduce_scatter_i8(ctx, bucket, 0),
-            (Compression::Int8, true) => group.reduce_scatter_async_i8(ctx, bucket, 0),
-            (Compression::Fp16, false) => group.reduce_scatter_half(ctx, bucket, 0),
-            (Compression::Fp16, true) => group.reduce_scatter_async_half(ctx, bucket, 0),
-            (_, false) => group.reduce_scatter(ctx, bucket, 0),
-            (_, true) => group.reduce_scatter_async(ctx, bucket, 0),
-        },
     };
+    let mut shard = group.collective(ctx, desc.on(stream), bucket);
+    if stage == ZeroStage::One {
+        // full all-reduce, then slice: the ZeRO-1 communication shape
+        shard = shard.narrow(0, group.rank() * sl, sl);
+    }
     shard.scale(1.0 / p as f32);
     shard
 }
@@ -305,7 +293,7 @@ impl ZeroOptimizer {
                     comp,
                     &mut residuals[next],
                     bucket,
-                    true,
+                    Stream::Comm,
                 ));
             }
         });
@@ -345,7 +333,7 @@ impl ZeroOptimizer {
                         self.compress,
                         &mut residuals[bi],
                         bucket,
-                        false,
+                        Stream::Main,
                     ));
                 }
                 pool::recycle(flat_grads);
@@ -441,37 +429,120 @@ mod tests {
         ])
     }
 
-    /// Plain DP + AdamW baseline trajectory.
+    /// One training run of `make_model(900)` on `p` ranks: bucketed data
+    /// parallelism + AdamW when `stage` is `None`, else ZeRO at that stage
+    /// (gradients synchronize inside the ZeRO step, not via DataParallel,
+    /// matching the real system layering), optionally on the
+    /// comm-overlapped backward path. Returns rank 0's final parameters,
+    /// the world's stats and, per rank, the bytes a gradient channel can
+    /// influence: per-step loss bits, final error-feedback residual bits
+    /// and final (main, comm) clock bits.
+    fn trajectory(
+        stage: Option<ZeroStage>,
+        p: usize,
+        steps: usize,
+        bucket_bytes: usize,
+        overlap: bool,
+        comp: Compression,
+    ) -> (Tensor, colossalai_comm::CommStats, Vec<Vec<u8>>) {
+        let world = World::new(system_ii());
+        let out = world.run_on(p, |ctx| {
+            let g = ctx.world_group(p);
+            let batch = |s: usize| {
+                let mut rng = init::rng(1000 + s as u64);
+                let x = init::uniform([p * 2, 6], -1.0, 1.0, &mut rng);
+                let t: Vec<usize> = (0..p * 2).map(|i| (i + s) % 4).collect();
+                let t_local = t.chunks(2).nth(g.rank()).unwrap().to_vec();
+                (split_batch(&x, p, g.rank()), t_local)
+            };
+            let bits = |residuals: &[Vec<f32>]| -> Vec<u8> {
+                let flat = residuals.iter().flatten();
+                flat.flat_map(|r| r.to_bits().to_le_bytes()).collect()
+            };
+            let mut bytes: Vec<u8> = Vec::new();
+            let params = match stage {
+                None => {
+                    let model = make_model(900);
+                    let mut dp = DataParallel::with_bucket_bytes(ctx, &g, model, bucket_bytes)
+                        .with_overlap(overlap)
+                        .with_compression(comp);
+                    let mut opt = AdamW::new(0.01, 0.05);
+                    for s in 0..steps {
+                        let (x, t) = batch(s);
+                        dp.zero_grad();
+                        let (loss, dlogits) = cross_entropy(&dp.forward(&x), &t);
+                        bytes.extend(loss.to_bits().to_le_bytes());
+                        let _ = dp.backward(&dlogits);
+                        opt.step_layer(&mut dp);
+                    }
+                    bytes.extend(bits(dp.grad_sync().residuals()));
+                    flatten_params(&mut dp)
+                }
+                Some(stage) => {
+                    let mut model = make_model(900);
+                    let mut opt = ZeroOptimizer::with_bucket_bytes(
+                        ctx,
+                        &g,
+                        &mut model,
+                        stage,
+                        0.01,
+                        0.05,
+                        bucket_bytes,
+                    )
+                    .with_compression(comp);
+                    for s in 0..steps {
+                        let (x, t) = batch(s);
+                        if stage == ZeroStage::Three {
+                            opt.materialize_params(&mut model);
+                        }
+                        let (loss, dlogits) = cross_entropy(&model.forward(&x), &t);
+                        bytes.extend(loss.to_bits().to_le_bytes());
+                        if overlap {
+                            let _ = opt.backward_overlapped(&mut model, &dlogits);
+                        } else {
+                            let _ = model.backward(&dlogits);
+                        }
+                        opt.step(&mut model);
+                        if stage == ZeroStage::Three {
+                            opt.release_params(&mut model);
+                            opt.materialize_params(&mut model);
+                        }
+                    }
+                    bytes.extend(bits(&opt.residuals));
+                    flatten_params(&mut model)
+                }
+            };
+            bytes.extend(ctx.clock().to_bits().to_le_bytes());
+            bytes.extend(ctx.comm_clock().to_bits().to_le_bytes());
+            (params, bytes)
+        });
+        let (mut params, bytes): (Vec<Tensor>, Vec<Vec<u8>>) = out.into_iter().unzip();
+        (params.swap_remove(0), world.stats(), bytes)
+    }
+
+    /// Plain DP + AdamW baseline trajectory under `comp`.
+    fn ddp_trajectory_compressed(p: usize, steps: usize, comp: Compression) -> Tensor {
+        trajectory(None, p, steps, DEFAULT_BUCKET_BYTES, false, comp).0
+    }
+
     fn ddp_trajectory(p: usize, steps: usize) -> Tensor {
         ddp_trajectory_compressed(p, steps, Compression::None)
     }
 
-    /// DP baseline with an explicit gradient-compression channel.
-    fn ddp_trajectory_compressed(p: usize, steps: usize, comp: Compression) -> Tensor {
-        let world = World::new(system_ii());
-        let mut out = world.run_on(p, |ctx| {
-            let g = ctx.world_group(p);
-            let mut dp = DataParallel::new(ctx, &g, make_model(900)).with_compression(comp);
-            let mut opt = AdamW::new(0.01, 0.05);
-            for s in 0..steps {
-                let mut rng = init::rng(1000 + s as u64);
-                let x = init::uniform([p * 2, 6], -1.0, 1.0, &mut rng);
-                let t: Vec<usize> = (0..p * 2).map(|i| (i + s) % 4).collect();
-                dp.zero_grad();
-                let x_local = split_batch(&x, p, g.rank());
-                let t_local: Vec<usize> = t.chunks(2).nth(g.rank()).unwrap().to_vec();
-                let logits = dp.forward(&x_local);
-                let (_, dlogits) = cross_entropy(&logits, &t_local);
-                let _ = dp.backward(&dlogits);
-                opt.step_layer(&mut dp);
-            }
-            flatten_params(&mut dp)
-        });
-        out.swap_remove(0)
+    /// ZeRO trajectory with an explicit bucket capacity, optionally the
+    /// comm-overlapped backward path, and a compression channel.
+    fn zero_trajectory_opts(
+        p: usize,
+        steps: usize,
+        stage: ZeroStage,
+        bucket_bytes: usize,
+        overlap: bool,
+        comp: Compression,
+    ) -> (Tensor, colossalai_comm::CommStats) {
+        let (params, stats, _) = trajectory(Some(stage), p, steps, bucket_bytes, overlap, comp);
+        (params, stats)
     }
 
-    /// ZeRO trajectory at a given stage. Gradients synchronize inside the
-    /// ZeRO step (not via DataParallel), matching the real system layering.
     fn zero_trajectory(
         p: usize,
         steps: usize,
@@ -481,62 +552,10 @@ mod tests {
             p,
             steps,
             stage,
-            super::DEFAULT_BUCKET_BYTES,
+            DEFAULT_BUCKET_BYTES,
             false,
             Compression::None,
         )
-    }
-
-    /// Like [`zero_trajectory`], with an explicit bucket capacity,
-    /// optionally the comm-overlapped backward path, and a compression
-    /// channel.
-    fn zero_trajectory_opts(
-        p: usize,
-        steps: usize,
-        stage: ZeroStage,
-        bucket_bytes: usize,
-        overlap: bool,
-        comp: Compression,
-    ) -> (Tensor, colossalai_comm::CommStats) {
-        let world = World::new(system_ii());
-        let mut out = world.run_on(p, |ctx| {
-            let g = ctx.world_group(p);
-            let mut model = make_model(900);
-            let mut opt = ZeroOptimizer::with_bucket_bytes(
-                ctx,
-                &g,
-                &mut model,
-                stage,
-                0.01,
-                0.05,
-                bucket_bytes,
-            )
-            .with_compression(comp);
-            for s in 0..steps {
-                let mut rng = init::rng(1000 + s as u64);
-                let x = init::uniform([p * 2, 6], -1.0, 1.0, &mut rng);
-                let t: Vec<usize> = (0..p * 2).map(|i| (i + s) % 4).collect();
-                if stage == ZeroStage::Three {
-                    opt.materialize_params(&mut model);
-                }
-                let x_local = split_batch(&x, p, g.rank());
-                let t_local: Vec<usize> = t.chunks(2).nth(g.rank()).unwrap().to_vec();
-                let logits = model.forward(&x_local);
-                let (_, dlogits) = cross_entropy(&logits, &t_local);
-                if overlap {
-                    let _ = opt.backward_overlapped(&mut model, &dlogits);
-                } else {
-                    let _ = model.backward(&dlogits);
-                }
-                opt.step(&mut model);
-                if stage == ZeroStage::Three {
-                    opt.release_params(&mut model);
-                    opt.materialize_params(&mut model);
-                }
-            }
-            flatten_params(&mut model)
-        });
-        (out.swap_remove(0), world.stats())
     }
 
     #[test]
@@ -645,72 +664,15 @@ mod tests {
         }
     }
 
-    /// One 4-rank, 3-step, 64-byte-bucket training run under `comp`,
-    /// reduced to an FNV-1a 64 fingerprint of everything the gradient
-    /// channel can influence: every rank's per-step loss bits, its final
-    /// error-feedback residual bits and its final (main, comm) clock bits,
-    /// then the world's `CommStats` breakdown. `stage` of `None` is bucketed
-    /// data parallelism.
+    /// FNV-1a 64 over everything [`trajectory`] reports of a 4-rank,
+    /// 3-step, 64-byte-bucket run except the parameters: the per-rank
+    /// channel bytes, then the `CommStats` breakdown (op kinds sorted).
     fn compressed_run_fingerprint(
         stage: Option<ZeroStage>,
         comp: Compression,
         overlap: bool,
     ) -> u64 {
-        let p = 4;
-        let world = World::new(system_ii());
-        let per_rank = world.run_on(p, |ctx| {
-            let g = ctx.world_group(p);
-            let mut bytes: Vec<u8> = Vec::new();
-            let mut dp = DataParallel::with_bucket_bytes(ctx, &g, make_model(900), 64)
-                .with_overlap(overlap)
-                .with_compression(comp);
-            let mut adam = AdamW::new(0.01, 0.05);
-            let mut zero = stage.map(|stage| {
-                ZeroOptimizer::with_bucket_bytes(ctx, &g, dp.model_mut(), stage, 0.01, 0.05, 64)
-                    .with_compression(comp)
-            });
-            for s in 0..3 {
-                let mut rng = init::rng(1000 + s as u64);
-                let x = init::uniform([p * 2, 6], -1.0, 1.0, &mut rng);
-                let t: Vec<usize> = (0..p * 2).map(|i| (i + s) % 4).collect();
-                let x_local = split_batch(&x, p, g.rank());
-                let t_local: Vec<usize> = t.chunks(2).nth(g.rank()).unwrap().to_vec();
-                match &mut zero {
-                    None => {
-                        dp.zero_grad();
-                        let (loss, dlogits) = cross_entropy(&dp.forward(&x_local), &t_local);
-                        bytes.extend(loss.to_bits().to_le_bytes());
-                        let _ = dp.backward(&dlogits);
-                        adam.step_layer(&mut dp);
-                    }
-                    Some(opt) => {
-                        let model = dp.model_mut();
-                        let (loss, dlogits) = cross_entropy(&model.forward(&x_local), &t_local);
-                        bytes.extend(loss.to_bits().to_le_bytes());
-                        if overlap {
-                            let _ = opt.backward_overlapped(model, &dlogits);
-                        } else {
-                            let _ = model.backward(&dlogits);
-                        }
-                        opt.step(model);
-                    }
-                }
-            }
-            let residuals = match &zero {
-                None => dp.grad_sync().residuals(),
-                Some(opt) => &opt.residuals,
-            };
-            bytes.extend(
-                residuals
-                    .iter()
-                    .flatten()
-                    .flat_map(|r| r.to_bits().to_le_bytes()),
-            );
-            bytes.extend(ctx.clock().to_bits().to_le_bytes());
-            bytes.extend(ctx.comm_clock().to_bits().to_le_bytes());
-            bytes
-        });
-        let stats = world.stats();
+        let (_, stats, per_rank) = trajectory(stage, 4, 3, 64, overlap, comp);
         let mut by_op: Vec<_> = stats.by_op.iter().collect();
         by_op.sort_by_key(|(kind, _)| kind.name());
         let stats_text = format!("{} {} {} {by_op:?}", stats.ops, stats.elements, stats.bytes);
@@ -726,8 +688,8 @@ mod tests {
     #[test]
     fn compressed_dp_and_zero_reproduce_the_frozen_fingerprints() {
         // (blocking, overlapped) fingerprints per scheme x channel, frozen
-        // from the per-variant `Group` methods (`all_reduce_async_i8`, ...)
-        // before the `Collective` descriptor replaced them (PR 13)
+        // from the per-width, per-stream `Group` methods before the
+        // `Collective` descriptor replaced them (PR 13)
         use Compression::{Fp16, Int8, TopK};
         use ZeroStage::{One, Two};
         let golden = [

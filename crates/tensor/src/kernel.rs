@@ -159,7 +159,7 @@ pub fn set_kernel_threads(n: usize) {
 
 /// The kernel thread budget: the last [`set_kernel_threads`] value, else the
 /// `COLOSSAL_KERNEL_THREADS` environment variable, else 1; resolution and
-/// caching semantics are defined by [`resolve_cached`] (the env var is read
+/// caching semantics are defined by `resolve_cached` (the env var is read
 /// once and cached; setters override immediately).
 ///
 /// The default is deliberately 1: the simulated cluster already runs one OS
@@ -178,7 +178,7 @@ pub fn set_par_flop_cutoff(n: usize) {
 /// Minimum multiply-add count before [`gemm_mat_auto`] / [`for_each_batch`]
 /// go parallel: the last [`set_par_flop_cutoff`] value, else
 /// `COLOSSAL_PAR_FLOP_CUTOFF`, else [`DEFAULT_PAR_FLOP_CUTOFF`]; resolution
-/// per [`resolve_cached`].
+/// per `resolve_cached`.
 pub fn par_flop_cutoff() -> usize {
     resolve_cached(
         &PAR_FLOP_CUTOFF,

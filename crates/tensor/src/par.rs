@@ -41,13 +41,6 @@
 //! Nested submissions from inside a pool task hit the same path and run
 //! serially.
 //!
-//! The inline fallback is a policy, not a necessity: with
-//! [`set_contention_wait`]`(true)` (or `COLOSSAL_PAR_CONTENTION=wait`) a
-//! contended submitter blocks for the pool instead — the right trade when
-//! only a handful of ranks run at once, as on the `comm` crate's rank
-//! executor with its few running slots. Nested submissions always inline
-//! regardless of policy (waiting for a pool you are part of deadlocks).
-//!
 //! # Budget
 //!
 //! The executor budget is [`crate::kernel_threads`] — `set_kernel_threads`
@@ -82,58 +75,6 @@ pub const MAX_WORKERS: usize = 64;
 // -------------------------------------------------------------------------
 
 static PAR_CUTOFF: AtomicUsize = AtomicUsize::new(0);
-/// Contended-submitter policy: 0 = unset (consult the env), 1 = inline,
-/// 2 = wait.
-static CONTENTION: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// True on pool worker threads (always) and on a submitting thread
-    /// while it holds the pool — a nested `run_tasks` from either must
-    /// inline, never wait, or the pool would deadlock on itself.
-    static IN_POOL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-fn env_contention_wait() -> bool {
-    static WAIT: OnceLock<bool> = OnceLock::new();
-    *WAIT.get_or_init(|| match std::env::var("COLOSSAL_PAR_CONTENTION") {
-        Err(_) => false,
-        Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-            "wait" => true,
-            "inline" => false,
-            other => {
-                crate::envknob::warn_invalid(
-                    "COLOSSAL_PAR_CONTENTION",
-                    other,
-                    "\"wait\" or \"inline\"",
-                    "inline",
-                );
-                false
-            }
-        },
-    })
-}
-
-/// Chooses what a submitter does when another thread holds the pool:
-/// `false` (the default) runs its chunks serially inline; `true` blocks for
-/// the pool. Waiting trades submitter latency for worker utilization —
-/// worthwhile when a few big ranks contend (the rank executor's default
-/// few running slots), wasteful when dozens do (a large `COLOSSAL_WORLD_POOL`,
-/// which is why inline remains the default). Results are bitwise identical
-/// either way.
-pub fn set_contention_wait(on: bool) {
-    CONTENTION.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// The effective contended-submitter policy: the last
-/// [`set_contention_wait`] call, else `COLOSSAL_PAR_CONTENTION=wait`, else
-/// inline.
-pub fn contention_wait() -> bool {
-    match CONTENTION.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => env_contention_wait(),
-    }
-}
 
 /// Sets the element cutoff for [`par_eligible`] (clamped to at least 1,
 /// like every knob in this crate — see [`crate::kernel_threads`]).
@@ -165,7 +106,6 @@ pub fn par_eligible(numel: usize) -> bool {
 static JOBS: AtomicU64 = AtomicU64::new(0);
 static SERIAL_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 static CONTENDED_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-static CONTENDED_WAITS: AtomicU64 = AtomicU64::new(0);
 /// Busy counter: task units executed by pool workers.
 static TASKS_ON_WORKERS: AtomicU64 = AtomicU64::new(0);
 /// Total task units submitted (pooled + serial); `total - on_workers` is
@@ -182,8 +122,8 @@ pub struct ParStats {
     /// `run_tasks` calls that ran serially because another thread held the
     /// pool (e.g. two rank threads hitting big kernels simultaneously).
     pub contended_fallbacks: u64,
-    /// `run_tasks` calls that blocked for a contended pool instead of
-    /// inlining (the [`set_contention_wait`] policy).
+    /// Always 0: a contended submitter never waits, it inlines. The field
+    /// stays because readers of the snapshot name it.
     pub contended_waits: u64,
     /// Task units executed by pool workers (the busy counter).
     pub tasks_on_workers: u64,
@@ -209,11 +149,10 @@ impl ParStats {
     /// One-line human-readable summary (rollup-table footer).
     pub fn summary(&self) -> String {
         format!(
-            "jobs={} serial={} contended={} waited={} worker_tasks={}/{} ({:.1}% util) workers={}",
+            "jobs={} serial={} contended={} worker_tasks={}/{} ({:.1}% util) workers={}",
             self.jobs,
             self.serial_fallbacks,
             self.contended_fallbacks,
-            self.contended_waits,
             self.tasks_on_workers,
             self.tasks_total,
             self.util() * 100.0,
@@ -228,7 +167,7 @@ pub fn stats() -> ParStats {
         jobs: JOBS.load(Ordering::Relaxed),
         serial_fallbacks: SERIAL_FALLBACKS.load(Ordering::Relaxed),
         contended_fallbacks: CONTENDED_FALLBACKS.load(Ordering::Relaxed),
-        contended_waits: CONTENDED_WAITS.load(Ordering::Relaxed),
+        contended_waits: 0,
         tasks_on_workers: TASKS_ON_WORKERS.load(Ordering::Relaxed),
         tasks_total: TASKS_TOTAL.load(Ordering::Relaxed),
         workers: shared().workers.load(Ordering::Relaxed),
@@ -240,7 +179,6 @@ pub fn reset_stats() {
     JOBS.store(0, Ordering::Relaxed);
     SERIAL_FALLBACKS.store(0, Ordering::Relaxed);
     CONTENDED_FALLBACKS.store(0, Ordering::Relaxed);
-    CONTENDED_WAITS.store(0, Ordering::Relaxed);
     TASKS_ON_WORKERS.store(0, Ordering::Relaxed);
     TASKS_TOTAL.store(0, Ordering::Relaxed);
 }
@@ -312,7 +250,6 @@ fn execute(job: &Job, on_worker: bool) {
 }
 
 fn worker_loop() {
-    IN_POOL.with(|w| w.set(true));
     let sh = shared();
     let mut seen_gen = 0u64;
     loop {
@@ -370,38 +307,20 @@ pub fn run_tasks(tasks: usize, f: &(dyn Fn(usize) + Sync)) {
     let sh = shared();
     let _guard = match sh.submit.try_lock() {
         Ok(g) => g,
+        // another rank's job, or a nested submission from one of this
+        // job's own tasks (the pool is wedged until the outer job drains):
+        // never wait, run the chunks inline
         Err(TryLockError::WouldBlock) => {
-            // a nested submission (from a pool worker's task, or from the
-            // submitter's own chunks) must inline whatever the policy says:
-            // the pool is wedged until the outer job drains
-            if contention_wait() && !IN_POOL.with(|w| w.get()) {
-                CONTENDED_WAITS.fetch_add(1, Ordering::Relaxed);
-                match sh.submit.lock() {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                }
-            } else {
-                CONTENDED_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-                for i in 0..tasks {
-                    f(i);
-                }
-                return;
+            CONTENDED_FALLBACKS.fetch_add(1, Ordering::Relaxed);
+            for i in 0..tasks {
+                f(i);
             }
+            return;
         }
         // a submitter that re-panics after a poisoned job unwinds with the
         // guard held; the () payload carries no state, so just keep going
         Err(TryLockError::Poisoned(p)) => p.into_inner(),
     };
-    // mark this thread pooled while it owns the submit lock (reset on every
-    // exit path, including the poisoned re-panic below)
-    struct PoolMark;
-    impl Drop for PoolMark {
-        fn drop(&mut self) {
-            IN_POOL.with(|w| w.set(false));
-        }
-    }
-    IN_POOL.with(|w| w.set(true));
-    let _mark = PoolMark;
     ensure_workers((budget - 1).min(tasks - 1));
     // SAFETY: `f` is only ever called between the job publication below and
     // the `pending == 0` wait before this function returns; the submitter
@@ -643,36 +562,11 @@ mod tests {
     }
 
     #[test]
-    fn contended_wait_mode_completes_both_submitters() {
-        set_contention_wait(true);
-        let a: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-        let b: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                run_tasks(a.len(), &|i| {
-                    a[i].fetch_add(1, Ordering::Relaxed);
-                    std::thread::yield_now();
-                });
-            });
-            s.spawn(|| {
-                run_tasks(b.len(), &|i| {
-                    b[i].fetch_add(1, Ordering::Relaxed);
-                    std::thread::yield_now();
-                });
-            });
-        });
-        set_contention_wait(false);
-        assert!(a.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        assert!(b.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn nested_submission_inlines_even_in_wait_mode() {
-        set_contention_wait(true);
+    fn nested_submission_inlines() {
         let hits: Vec<AtomicUsize> = (0..32).map(|_| AtomicUsize::new(0)).collect();
         let inner: Vec<AtomicUsize> = (0..32).map(|_| AtomicUsize::new(0)).collect();
-        // a task that submits again must inline (IN_POOL guard), not block
-        // for the pool it is itself part of — this would deadlock otherwise
+        // a task that submits again finds the pool held by its own outer
+        // job and must run inline, not block for it
         run_tasks(hits.len(), &|i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
             if i == 0 {
@@ -681,7 +575,6 @@ mod tests {
                 });
             }
         });
-        set_contention_wait(false);
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         assert!(inner.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }

@@ -65,6 +65,11 @@ static POOLED_HIGH_WATER: AtomicUsize = AtomicUsize::new(0);
 /// [`CLASSES`]). The per-class marks localize pool pressure: a single hot
 /// class pinned at its cap is invisible in the global high water once a
 /// bigger class dwarfs it.
+///
+/// Both this gauge and the global [`POOLED_BYTES`] change only while the
+/// class lock is held, in the same critical section as the push, pop or
+/// clear they account for: a buffer's bytes are added before anyone can pop
+/// it and subtracted exactly once, so neither gauge can dip below zero.
 struct ClassCounters {
     bytes: AtomicUsize,
     high_water: AtomicUsize,
@@ -145,13 +150,20 @@ fn class_for_capacity(cap: usize) -> Option<usize> {
 pub fn take_buffer(n: usize) -> Vec<f32> {
     if pool_enabled() {
         if let Some(idx) = class_for_request(n) {
-            let popped = classes()[idx].lock().expect("pool lock").pop();
+            let popped = {
+                let mut class = classes()[idx].lock().expect("pool lock");
+                let popped = class.pop();
+                if let Some(buf) = &popped {
+                    let bytes = buf.capacity() * 4;
+                    POOLED_BYTES.fetch_sub(bytes, Ordering::Relaxed);
+                    class_counters()[idx]
+                        .bytes
+                        .fetch_sub(bytes, Ordering::Relaxed);
+                }
+                popped
+            };
             if let Some(mut buf) = popped {
                 debug_assert!(buf.capacity() >= n);
-                POOLED_BYTES.fetch_sub(buf.capacity() * 4, Ordering::Relaxed);
-                class_counters()[idx]
-                    .bytes
-                    .fetch_sub(buf.capacity() * 4, Ordering::Relaxed);
                 HITS.fetch_add(1, Ordering::Relaxed);
                 buf.clear();
                 return buf;
@@ -184,32 +196,38 @@ pub fn recycle(buf: Vec<f32>) {
     let Some(idx) = class_for_capacity(buf.capacity()) else {
         return;
     };
-    if POOLED_BYTES.load(Ordering::Relaxed) + cap_bytes > TOTAL_BYTE_CAP {
-        return;
-    }
+    let counters = &class_counters()[idx];
     {
         let mut class = classes()[idx].lock().expect("pool lock");
         if class.len() >= PER_CLASS_CAP {
             return; // drop: falls through to the system allocator
         }
+        // reserve the bytes only if they fit under the total cap, so
+        // concurrent recyclers of other classes cannot overshoot it together
+        let reserved = POOLED_BYTES.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |now| {
+            (now + cap_bytes <= TOTAL_BYTE_CAP).then_some(now + cap_bytes)
+        });
+        let Ok(before) = reserved else {
+            return;
+        };
+        POOLED_HIGH_WATER.fetch_max(before + cap_bytes, Ordering::Relaxed);
+        let class_now = counters.bytes.fetch_add(cap_bytes, Ordering::Relaxed) + cap_bytes;
+        counters.high_water.fetch_max(class_now, Ordering::Relaxed);
         class.push(buf);
     }
-    let now = POOLED_BYTES.fetch_add(cap_bytes, Ordering::Relaxed) + cap_bytes;
-    POOLED_HIGH_WATER.fetch_max(now, Ordering::Relaxed);
-    let counters = &class_counters()[idx];
-    let class_now = counters.bytes.fetch_add(cap_bytes, Ordering::Relaxed) + cap_bytes;
-    counters.high_water.fetch_max(class_now, Ordering::Relaxed);
     RECYCLED_BYTES.fetch_add(cap_bytes as u64, Ordering::Relaxed);
 }
 
 /// Frees every parked buffer (stats are kept; see [`reset_stats`]).
 pub fn clear() {
-    for class in classes() {
-        class.lock().expect("pool lock").clear();
-    }
-    POOLED_BYTES.store(0, Ordering::Relaxed);
-    for c in class_counters() {
-        c.bytes.store(0, Ordering::Relaxed);
+    for (class, counters) in classes().iter().zip(class_counters()) {
+        let mut class = class.lock().expect("pool lock");
+        // subtract what was dropped rather than storing 0: recyclers of
+        // other classes keep adding to the global gauge meanwhile
+        let dropped: usize = class.iter().map(|buf| buf.capacity() * 4).sum();
+        class.clear();
+        POOLED_BYTES.fetch_sub(dropped, Ordering::Relaxed);
+        counters.bytes.fetch_sub(dropped, Ordering::Relaxed);
     }
 }
 
