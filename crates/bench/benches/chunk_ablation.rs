@@ -1,11 +1,11 @@
-//! Criterion bench + ablation: chunked (PatrickStar) vs per-tensor memory
+//! Bench + ablation: chunked (PatrickStar) vs per-tensor memory
 //! management. The wall-clock bench measures manager overhead; the printed
 //! ablation compares *modeled PCIe seconds* per training pass, which is the
 //! quantity the chunk strategy actually optimizes (Section 3.2).
 
+use colossalai_bench::bench_fn;
 use colossalai_memory::ChunkManager;
 use colossalai_topology::Link;
-use criterion::{criterion_group, criterion_main, Criterion};
 
 /// One "training pass": read every registered tensor once, in order.
 fn pass(mgr: &mut ChunkManager, refs: &[colossalai_memory::TensorRef]) {
@@ -28,27 +28,20 @@ fn setup(
     (mgr, refs)
 }
 
-fn bench_chunking(c: &mut Criterion) {
-    let mut group = c.benchmark_group("chunk_ablation");
-    group.sample_size(10);
+fn main() {
     let n_tensors = 64;
     let tensor_elems = 256;
 
     // small chunks = per-tensor management; large chunks = PatrickStar
     for (label, chunk_elems) in [("per_tensor_256", 256usize), ("chunked_4096", 4096)] {
-        group.bench_function(label, |b| {
-            b.iter_batched(
-                || setup(chunk_elems, n_tensors, tensor_elems, 0.5),
-                |(mut mgr, refs)| {
-                    pass(&mut mgr, &refs);
-                    pass(&mut mgr, &refs);
-                    mgr.cost().seconds
-                },
-                criterion::BatchSize::SmallInput,
-            );
+        // registration is part of the timed body: the manager is consumed
+        bench_fn(&format!("chunk_ablation/{label}"), || {
+            let (mut mgr, refs) = setup(chunk_elems, n_tensors, tensor_elems, 0.5);
+            pass(&mut mgr, &refs);
+            pass(&mut mgr, &refs);
+            std::hint::black_box(mgr.cost().seconds);
         });
     }
-    group.finish();
 
     // the modeled-cost ablation the bench name promises
     println!("\n== chunk ablation: modeled PCIe seconds for 2 passes over 64 x 1KiB tensors at 50% GPU budget ==");
@@ -68,6 +61,3 @@ fn bench_chunking(c: &mut Criterion) {
         );
     }
 }
-
-criterion_group!(benches, bench_chunking);
-criterion_main!(benches);

@@ -1,12 +1,11 @@
-//! Criterion bench + ablation: activation checkpointing — the extra
+//! Bench + ablation: activation checkpointing — the extra
 //! recompute it costs (wall time) and the activation memory it saves
 //! (modeled), the trade Colossal-AI's search integrates (Section 3.3).
 
 use colossalai_autograd::{Checkpoint, Layer, Sequential};
+use colossalai_bench::bench_fn;
 use colossalai_models::{TransformerBlock, TransformerConfig};
 use colossalai_tensor::init;
-use colossalai_tensor::Tensor;
-use criterion::{criterion_group, criterion_main, Criterion};
 
 fn make_blocks(n: usize, dim: usize, heads: usize) -> Sequential {
     let mut rng = init::rng(5);
@@ -26,32 +25,25 @@ fn make_blocks(n: usize, dim: usize, heads: usize) -> Sequential {
     )
 }
 
-fn bench_ckpt(c: &mut Criterion) {
-    let mut group = c.benchmark_group("activation_checkpoint");
-    group.sample_size(10);
+fn main() {
     let (layers, dim, heads) = (2usize, 16usize, 4usize);
     let mut rng = init::rng(6);
     let x = init::uniform([2, 6, dim], -1.0, 1.0, &mut rng);
     let dy = init::uniform([2, 6, dim], -1.0, 1.0, &mut rng);
 
-    group.bench_function("plain_fwd_bwd", |b| {
-        let mut m = make_blocks(layers, dim, heads);
-        b.iter(|| {
-            let y = m.forward(&x);
-            std::hint::black_box(m.backward(&dy));
-            std::hint::black_box(y);
-        });
+    let mut m = make_blocks(layers, dim, heads);
+    bench_fn("activation_checkpoint/plain_fwd_bwd", || {
+        let y = m.forward(&x);
+        std::hint::black_box(m.backward(&dy));
+        std::hint::black_box(y);
     });
 
-    group.bench_function("checkpointed_fwd_bwd", |b| {
-        let mut m = Checkpoint::new(make_blocks(layers, dim, heads));
-        b.iter(|| {
-            let y = m.forward(&x);
-            std::hint::black_box(m.backward(&dy));
-            std::hint::black_box(y);
-        });
+    let mut m = Checkpoint::new(make_blocks(layers, dim, heads));
+    bench_fn("activation_checkpoint/checkpointed_fwd_bwd", || {
+        let y = m.forward(&x);
+        std::hint::black_box(m.backward(&dy));
+        std::hint::black_box(y);
     });
-    group.finish();
 
     // modeled memory ablation at paper scale
     println!("\n== checkpointing ablation: BERT-Base activation memory per device ==");
@@ -69,8 +61,4 @@ fn bench_ckpt(c: &mut Criterion) {
         ckpt as f64 / (1u64 << 30) as f64,
         plain as f64 / ckpt as f64
     );
-    let _ = Tensor::zeros([1]);
 }
-
-criterion_group!(benches, bench_ckpt);
-criterion_main!(benches);

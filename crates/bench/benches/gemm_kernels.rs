@@ -1,4 +1,4 @@
-//! Criterion bench: local GEMM kernel generations on transformer shapes.
+//! Bench: local GEMM kernel generations on transformer shapes.
 //!
 //! Compares the two seed kernels (`gemm_ref_ikj`, `gemm_ref_blocked`) against
 //! the packed register-blocked core (`kernel::gemm_mat`) and its row-panel
@@ -12,11 +12,10 @@
 //! Run with `cargo bench --bench gemm_kernels`; numbers are recorded in
 //! `results/gemm_kernels.txt`.
 
-use colossalai_tensor::kernel::{gemm_mat, gemm_mat_bf16, gemm_mat_threaded, Mat};
+use colossalai_bench::{bench_fn, median_secs};
+use colossalai_tensor::kernel::{gemm_mat, gemm_mat_threaded, Mat};
 use colossalai_tensor::matmul::{gemm_ref_blocked, gemm_ref_ikj, matmul_flops};
 use colossalai_tensor::{axpy_slices, scale_slice, set_fast_mode};
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::time::Instant;
 
 const SHAPES: &[(usize, usize, usize)] = &[
     (512, 512, 512),
@@ -37,115 +36,48 @@ fn rand_vec(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-fn bench_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gemm_kernels");
-    group.sample_size(10);
+fn main() {
     for &(m, k, n) in SHAPES {
         let a = rand_vec(m * k, 3);
         let b = rand_vec(k * n, 5);
         let mut out = vec![0.0f32; m * n];
         let gflop = matmul_flops(m, k, n) as f64 / 1e9;
-        let label = |kernel: &str| format!("{kernel}/{m}x{k}x{n} ({gflop:.2} GFLOP)");
+        let label = |kernel: &str| format!("gemm_kernels/{kernel}/{m}x{k}x{n} ({gflop:.2} GFLOP)");
+        let (am, bm) = (Mat::row_major(&a, k), Mat::row_major(&b, n));
 
-        group.bench_function(label("seed_ikj"), |bch| {
-            bch.iter(|| {
-                out.iter_mut().for_each(|x| *x = 0.0);
-                gemm_ref_ikj(&a, &b, &mut out, m, k, n);
-                std::hint::black_box(&mut out);
-            });
+        bench_fn(&label("seed_ikj"), || {
+            out.fill(0.0);
+            gemm_ref_ikj(&a, &b, &mut out, m, k, n);
+            std::hint::black_box(&mut out);
         });
-
-        group.bench_function(label("seed_blocked"), |bch| {
-            bch.iter(|| {
-                out.iter_mut().for_each(|x| *x = 0.0);
-                gemm_ref_blocked(&a, &b, &mut out, m, k, n);
-                std::hint::black_box(&mut out);
-            });
+        bench_fn(&label("seed_blocked"), || {
+            out.fill(0.0);
+            gemm_ref_blocked(&a, &b, &mut out, m, k, n);
+            std::hint::black_box(&mut out);
         });
-
-        group.bench_function(label("packed"), |bch| {
-            bch.iter(|| {
-                out.iter_mut().for_each(|x| *x = 0.0);
-                gemm_mat(
-                    Mat::row_major(&a, k),
-                    Mat::row_major(&b, n),
-                    &mut out,
-                    m,
-                    k,
-                    n,
-                );
-                std::hint::black_box(&mut out);
-            });
+        bench_fn(&label("packed"), || {
+            out.fill(0.0);
+            gemm_mat(am, bm, &mut out, m, k, n);
+            std::hint::black_box(&mut out);
         });
-
-        // paired fast-mode rows: same packed core with the FMA microkernel
-        // (COLOSSAL_FAST) and the bf16-compute variant; the deterministic
-        // default is restored after each so the other rows stay honest
-        group.bench_function(label("packed_fast"), |bch| {
-            set_fast_mode(true);
-            bch.iter(|| {
-                out.iter_mut().for_each(|x| *x = 0.0);
-                gemm_mat(
-                    Mat::row_major(&a, k),
-                    Mat::row_major(&b, n),
-                    &mut out,
-                    m,
-                    k,
-                    n,
-                );
-                std::hint::black_box(&mut out);
-            });
-            set_fast_mode(false);
+        // paired fast-mode row: same packed core with the FMA microkernel;
+        // the deterministic default is restored so the other rows stay honest
+        set_fast_mode(true);
+        bench_fn(&label("packed_fast"), || {
+            out.fill(0.0);
+            gemm_mat(am, bm, &mut out, m, k, n);
+            std::hint::black_box(&mut out);
         });
-
-        group.bench_function(label("packed_bf16"), |bch| {
-            bch.iter(|| {
-                out.iter_mut().for_each(|x| *x = 0.0);
-                gemm_mat_bf16(
-                    Mat::row_major(&a, k),
-                    Mat::row_major(&b, n),
-                    &mut out,
-                    m,
-                    k,
-                    n,
-                );
-                std::hint::black_box(&mut out);
-            });
-        });
-
+        set_fast_mode(false);
         for threads in [2, 4] {
-            group.bench_function(label(&format!("packed_{threads}thr")), |bch| {
-                bch.iter(|| {
-                    out.iter_mut().for_each(|x| *x = 0.0);
-                    gemm_mat_threaded(
-                        Mat::row_major(&a, k),
-                        Mat::row_major(&b, n),
-                        &mut out,
-                        m,
-                        k,
-                        n,
-                        threads,
-                    );
-                    std::hint::black_box(&mut out);
-                });
+            bench_fn(&label(&format!("packed_{threads}thr")), || {
+                out.fill(0.0);
+                gemm_mat_threaded(am, bm, &mut out, m, k, n, threads);
+                std::hint::black_box(&mut out);
             });
         }
     }
-    group.finish();
     micro_assert_axpy_scale();
-}
-
-/// Median seconds over `runs` timed executions of `f`.
-fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[runs / 2]
 }
 
 /// Guards the `chunks_exact` rewrite of `Tensor::axpy`/`scale`: the chunked
@@ -214,6 +146,3 @@ fn micro_assert_axpy_scale() {
         "chunked scale regressed: {chunked_scale:.6}s vs naive {naive_scale:.6}s"
     );
 }
-
-criterion_group!(benches, bench_kernels);
-criterion_main!(benches);

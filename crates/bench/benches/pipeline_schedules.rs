@@ -1,14 +1,14 @@
-//! Criterion bench + ablation: GPipe vs 1F1B schedules — real execution
+//! Bench + ablation: GPipe vs 1F1B schedules — real execution
 //! wall time plus the modeled bubble/memory trade-off.
 
 use colossalai_autograd::{Gelu, Linear, Sequential};
+use colossalai_bench::bench_fn;
 use colossalai_comm::World;
 use colossalai_parallel::pipeline::{bubble_fraction, PipelineStage, Schedule};
 use colossalai_tensor::init::{self, InitRng};
 use colossalai_tensor::ops::cross_entropy;
 use colossalai_tensor::Tensor;
 use colossalai_topology::systems::system_i;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn stage_layers(rng: &mut InitRng) -> Sequential {
     Sequential::new(vec![
@@ -43,22 +43,15 @@ fn run_pipeline(schedule: Schedule, p: usize, m: usize) {
     });
 }
 
-fn bench_schedules(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pipeline_schedules");
-    group.sample_size(10);
+fn main() {
     for &(p, m) in &[(2usize, 8usize), (4, 8)] {
-        group.bench_with_input(
-            BenchmarkId::new("gpipe", format!("p{p}_m{m}")),
-            &(p, m),
-            |b, &(p, m)| b.iter(|| run_pipeline(Schedule::GPipe, p, m)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("one_f_one_b", format!("p{p}_m{m}")),
-            &(p, m),
-            |b, &(p, m)| b.iter(|| run_pipeline(Schedule::OneFOneB, p, m)),
-        );
+        bench_fn(&format!("pipeline_schedules/gpipe/p{p}_m{m}"), || {
+            run_pipeline(Schedule::GPipe, p, m)
+        });
+        bench_fn(&format!("pipeline_schedules/one_f_one_b/p{p}_m{m}"), || {
+            run_pipeline(Schedule::OneFOneB, p, m)
+        });
     }
-    group.finish();
 
     println!("\n== pipeline ablation: bubble fraction (p stages, m micro-batches) ==");
     for p in [2usize, 4, 8] {
@@ -67,6 +60,3 @@ fn bench_schedules(c: &mut Criterion) {
         }
     }
 }
-
-criterion_group!(benches, bench_schedules);
-criterion_main!(benches);

@@ -16,7 +16,7 @@
 //! A fourth leg measures *wall-clock* steps/s of the overlapped schedule
 //! with a larger per-rank batch (so the real GEMMs dominate), once under
 //! the deterministic default and once under fast numeric mode
-//! (`COLOSSAL_FAST` — FMA microkernels; DESIGN.md §13). Both legs are
+//! (`compute.fast` — FMA microkernels; DESIGN.md §13). Both legs are
 //! bitwise-reproducible within their mode; only the cross-mode bits differ.
 //! `--json` prints one machine-readable object with the virtual times,
 //! the parity verdict and the det/fast wall throughputs.

@@ -1,9 +1,7 @@
 //! Deterministic vs fast-mode GEMM on the transformer shapes quoted in
 //! `results/gemm_kernels.txt`: the same packed register-blocked core, once
-//! with the default mul-then-add microkernel, once with the FMA microkernel
-//! (`COLOSSAL_FAST` / `set_fast_mode`), and once through the bf16
-//! storage-and-compute GEMM (operands rounded to bf16 at pack time, f32
-//! accumulate — the AMP-path compute kernel).
+//! with the default mul-then-add microkernel and once with the FMA
+//! microkernel (`compute.fast` / `set_fast_mode`).
 //!
 //! Timing is a median over interleaved passes (same de-noising rationale as
 //! `world_scale`): every pass times every (shape, kernel) cell once, so
@@ -11,15 +9,14 @@
 //!
 //! `--json` emits one object for the CI gate:
 //! `{"fma": bool, "shapes": [{"shape": "512x512x512", "det_gflops": ..,
-//!   "fast_gflops": .., "bf16_gflops": .., "fast_speedup": ..,
-//!   "bf16_speedup": ..}, ..]}` — the gate asserts `fast_speedup >= 1.0`
-//! on the two largest shapes, but only when `fma` is true (without the
-//! hardware FMA unit the fast microkernel's `mul_add` falls back to the
-//! correctly-rounded libm routine, which is *slower* by design — same bits,
-//! no claim of speed).
+//!   "fast_gflops": .., "fast_speedup": ..}, ..]}` — the gate asserts
+//! `fast_speedup >= 1.0` on the two largest shapes, but only when `fma` is
+//! true (without the hardware FMA unit the fast microkernel's `mul_add`
+//! falls back to the correctly-rounded libm routine, which is *slower* by
+//! design — same bits, no claim of speed).
 
 use colossalai_bench::print_table;
-use colossalai_tensor::kernel::{gemm_mat, gemm_mat_bf16, Mat};
+use colossalai_tensor::kernel::{gemm_mat, Mat};
 use colossalai_tensor::matmul::matmul_flops;
 use colossalai_tensor::{fma_available, set_fast_mode};
 use std::time::Instant;
@@ -49,15 +46,14 @@ struct Row {
     shape: String,
     det_gflops: f64,
     fast_gflops: f64,
-    bf16_gflops: f64,
 }
 
 fn main() {
     let json = std::env::args().any(|a| a == "--json");
     let fma = fma_available();
 
-    // cells[shape][kernel] = timing samples; kernels are det=0, fast=1, bf16=2
-    let mut cells: Vec<[Vec<f64>; 3]> = SHAPES.iter().map(|_| Default::default()).collect();
+    // cells[shape][kernel] = timing samples; kernels are det=0, fast=1
+    let mut cells: Vec<[Vec<f64>; 2]> = SHAPES.iter().map(|_| Default::default()).collect();
     let inputs: Vec<(Vec<f32>, Vec<f32>, Vec<f32>)> = SHAPES
         .iter()
         .map(|&(m, k, n)| (rand_vec(m * k, 3), rand_vec(k * n, 5), vec![0.0f32; m * n]))
@@ -68,20 +64,15 @@ fn main() {
     for pass in 0..=REPS {
         for (i, &(m, k, n)) in SHAPES.iter().enumerate() {
             let (a, b, out) = &mut inputs[i];
-            #[allow(clippy::needless_range_loop)] // `kernel` also selects the dispatch arm
-            for kernel in 0..3 {
+            for (kernel, samples) in cells[i].iter_mut().enumerate() {
                 set_fast_mode(kernel == 1);
                 out.iter_mut().for_each(|x| *x = 0.0);
                 let t = Instant::now();
-                if kernel == 2 {
-                    gemm_mat_bf16(Mat::row_major(a, k), Mat::row_major(b, n), out, m, k, n);
-                } else {
-                    gemm_mat(Mat::row_major(a, k), Mat::row_major(b, n), out, m, k, n);
-                }
+                gemm_mat(Mat::row_major(a, k), Mat::row_major(b, n), out, m, k, n);
                 let dt = t.elapsed().as_secs_f64();
                 std::hint::black_box(&mut *out);
                 if pass > 0 {
-                    cells[i][kernel].push(dt);
+                    samples.push(dt);
                 }
             }
         }
@@ -97,7 +88,6 @@ fn main() {
                 shape: format!("{m}x{k}x{n}"),
                 det_gflops: gflop / median(&mut c[0]),
                 fast_gflops: gflop / median(&mut c[1]),
-                bf16_gflops: gflop / median(&mut c[2]),
             }
         })
         .collect();
@@ -108,14 +98,11 @@ fn main() {
             .map(|r| {
                 format!(
                     "{{\"shape\": \"{}\", \"det_gflops\": {:.2}, \
-                     \"fast_gflops\": {:.2}, \"bf16_gflops\": {:.2}, \
-                     \"fast_speedup\": {:.3}, \"bf16_speedup\": {:.3}}}",
+                     \"fast_gflops\": {:.2}, \"fast_speedup\": {:.3}}}",
                     r.shape,
                     r.det_gflops,
                     r.fast_gflops,
-                    r.bf16_gflops,
-                    r.fast_gflops / r.det_gflops,
-                    r.bf16_gflops / r.det_gflops
+                    r.fast_gflops / r.det_gflops
                 )
             })
             .collect();
@@ -130,9 +117,7 @@ fn main() {
                 r.shape.clone(),
                 format!("{:.2}", r.det_gflops),
                 format!("{:.2}", r.fast_gflops),
-                format!("{:.2}", r.bf16_gflops),
                 format!("{:.2}x", r.fast_gflops / r.det_gflops),
-                format!("{:.2}x", r.bf16_gflops / r.det_gflops),
             ]
         })
         .collect();
@@ -142,22 +127,13 @@ fn main() {
              passes, hardware FMA {})",
             if fma { "available" } else { "NOT available" }
         ),
-        &[
-            "m x k x n",
-            "det GFLOP/s",
-            "fast GFLOP/s",
-            "bf16 GFLOP/s",
-            "fast speedup",
-            "bf16 speedup",
-        ],
+        &["m x k x n", "det GFLOP/s", "fast GFLOP/s", "fast speedup"],
         &table,
     );
     println!(
         "\ndet = mul-then-add microkernel (bitwise-reproducible default); \
-         fast = FMA microkernel (COLOSSAL_FAST=1), same packing and \
-         blocking; bf16 = operands rounded to bf16 at pack time with f32 \
-         accumulation (the AMP-path compute GEMM). ULP budgets for both \
-         fast kernels are derived in DESIGN.md §13 and enforced by \
-         crates/tensor/tests/fast_props.rs."
+         fast = FMA microkernel (compute.fast), same packing and \
+         blocking. Its ULP budget is derived in DESIGN.md §13 and \
+         enforced by crates/tensor/tests/fast_props.rs."
     );
 }

@@ -262,7 +262,7 @@ fn main() {
     println!(
         "Every rank above ran as a resumable heap task on {pool} worker \
          slots; peak OS threads stay O(pool) at any world size and results \
-         are invariant to the pool size (COLOSSAL_WORLD_POOL) and to the \
+         are invariant to the pool size (World::set_backend) and to the \
          rank form (run_on closures vs run_tasks)."
     );
 }

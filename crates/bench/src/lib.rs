@@ -3,7 +3,8 @@
 //! Harnesses that regenerate every table and figure of the paper's
 //! evaluation section. Each `src/bin/*` binary prints the rows/series of
 //! one artifact (see DESIGN.md's per-experiment index); the `benches/`
-//! directory holds Criterion micro-benchmarks of the underlying kernels.
+//! directory holds `harness = false` micro-benchmarks of the underlying kernels,
+//! timed with [`bench_fn`].
 
 /// Prints a fixed-width table: a header row and data rows.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -31,6 +32,33 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         println!("{}", fmt_row(row));
     }
+}
+
+/// Median seconds over `runs` timed executions of `f`.
+pub fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
+    let mut samples: Vec<f64> = (0..runs)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            f();
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    samples[runs / 2]
+}
+
+/// Times `f` for the `benches/` mains: one warm-up call sizes a batch of
+/// about 10 ms, then the median of 10 batches is printed per call.
+pub fn bench_fn(label: &str, mut f: impl FnMut()) {
+    let warm = std::time::Instant::now();
+    f();
+    let once = warm.elapsed().as_secs_f64().max(1e-9);
+    let iters = ((0.01 / once) as usize).clamp(1, 10_000);
+    let per_call = median_secs(10, || (0..iters).for_each(|_| f())) / iters as f64;
+    println!(
+        "{label:<56} {:>12.3} us/iter  (median of 10 x {iters})",
+        per_call * 1e6
+    );
 }
 
 /// Formats bytes as a human-readable size.

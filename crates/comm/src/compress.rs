@@ -17,8 +17,7 @@
 //! asserted in tests and documented in DESIGN.md §14.
 
 use crate::group::{Collective, Op, Wire};
-use colossalai_tensor::{envknob, f16::F16};
-use std::sync::OnceLock;
+use colossalai_tensor::f16::F16;
 
 /// Which lossy channel (if any) a gradient sync sends its buckets through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,7 +37,7 @@ pub enum Compression {
 }
 
 impl Compression {
-    /// Parses the `comm.compress` / `COLOSSAL_COMPRESS` spellings:
+    /// Parses the `comm.compress` spellings:
     /// `none`, `int8`, `fp16`, `topk(k)` with `k >= 1`. Case-insensitive;
     /// anything else is `None` (the caller decides how loudly to reject).
     pub fn parse(s: &str) -> Option<Compression> {
@@ -94,30 +93,6 @@ impl Compression {
         };
         Collective::from(op).wire(self.wire())
     }
-}
-
-/// The environment knob behind the ambient compression default.
-pub const COMPRESS_ENV: &str = "COLOSSAL_COMPRESS";
-
-/// The process-wide ambient compression: `COLOSSAL_COMPRESS`, resolved once
-/// (first call wins; later changes to the environment are ignored, like
-/// every other `COLOSSAL_*` knob). Unset means [`Compression::None`];
-/// malformed values warn once through [`envknob::warn_invalid`] and fall
-/// back to `None`. Explicit `comm.compress` config overrides this.
-pub fn env_compression() -> Compression {
-    static RESOLVED: OnceLock<Compression> = OnceLock::new();
-    *RESOLVED.get_or_init(|| match std::env::var(COMPRESS_ENV) {
-        Err(_) => Compression::None,
-        Ok(raw) => Compression::parse(&raw).unwrap_or_else(|| {
-            envknob::warn_invalid(
-                COMPRESS_ENV,
-                raw.trim(),
-                "none|topk(k>=1)|int8|fp16",
-                "none",
-            );
-            Compression::None
-        }),
-    })
 }
 
 /// Indices of the `k` largest-magnitude elements of `x` (ties break toward

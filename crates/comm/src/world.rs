@@ -8,13 +8,13 @@ use crate::sched::{AbortRun, TaskWaker};
 use crate::stats::CommStats;
 use crate::task::{Poll, RankTask, WakeKey};
 use crate::trace::{self, RankRollup, Span, SpanKind, Tracer, Track};
-use colossalai_tensor::{envknob, Tensor};
+use colossalai_tensor::Tensor;
 use colossalai_topology::{AllReduceAlgo, Cluster, DeviceId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::Thread;
 
 /// One point-to-point mailbox: the FIFO for a single `(from, to, tag)` key
@@ -259,8 +259,8 @@ impl World {
     }
 
     /// Pins the executor's pool size for this world (`None` restores the
-    /// `COLOSSAL_WORLD_POOL` / host-cores resolution). Results are identical
-    /// either way; this exists for benches and the parity tests.
+    /// default, one slot per host core). Results are identical either way;
+    /// this exists for benches and the parity tests.
     pub fn set_backend(&self, backend: Option<WorldBackend>) {
         *self.inner.backend.lock() = backend;
     }
@@ -268,15 +268,11 @@ impl World {
     /// The executor sizing the next run will use, with `pool = 0` already
     /// resolved to the host core count.
     pub fn backend(&self) -> WorldBackend {
-        static ENV_POOL: OnceLock<usize> = OnceLock::new();
         let pool = match *self.inner.backend.lock() {
-            Some(WorldBackend::Stackless { pool }) => pool,
-            None => *ENV_POOL.get_or_init(|| envknob::env_usize("COLOSSAL_WORLD_POOL", 0)),
+            Some(WorldBackend::Stackless { pool }) if pool > 0 => pool,
+            _ => std::thread::available_parallelism().map_or(4, |n| n.get()),
         };
-        let cores = || std::thread::available_parallelism().map_or(4, |n| n.get());
-        WorldBackend::Stackless {
-            pool: if pool == 0 { cores() } else { pool },
-        }
+        WorldBackend::Stackless { pool }
     }
 
     /// Runs `f` on the first `n` devices of the cluster and returns the

@@ -93,29 +93,17 @@ pub fn quantize_grads_f16(model: &mut dyn Layer) {
     model.visit_params(&mut |p| convert_slice(p.grad_mut().data_mut()));
 }
 
-/// The AMP matmul: deterministic full-precision GEMM by default; under
-/// [`colossalai_tensor::fast_mode`] the bf16 storage-and-compute GEMM
-/// ([`colossalai_tensor::matmul_bf16`]) — operands rounded to bf16 as they
-/// are packed, f32 accumulation — so the mixed-precision path runs its
-/// *compute*, not just its storage, in reduced precision. Results under
-/// fast mode differ from the deterministic GEMM by the bf16 operand
-/// rounding (documented ULP budget, DESIGN.md §13).
+/// The AMP matmul: the f32 GEMM over operands already rounded through fp16
+/// ([`quantize_params_f16`]) — fp16 storage, fp32 accumulate — in both
+/// numeric modes.
 pub fn amp_matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    if colossalai_tensor::fast_mode() {
-        colossalai_tensor::matmul_bf16(a, b)
-    } else {
-        colossalai_tensor::matmul(a, b)
-    }
+    colossalai_tensor::matmul(a, b)
 }
 
 /// [`amp_matmul`] for left operands with arbitrary leading dimensions (the
 /// linear-layer activation contract of `matmul_nd`).
 pub fn amp_matmul_nd(a: &Tensor, b: &Tensor) -> Tensor {
-    if colossalai_tensor::fast_mode() {
-        colossalai_tensor::matmul_nd_bf16(a, b)
-    } else {
-        colossalai_tensor::matmul_nd(a, b)
-    }
+    colossalai_tensor::matmul_nd(a, b)
 }
 
 /// FP16 model-data bytes for `n` parameters with and without the Fig 6
@@ -206,23 +194,16 @@ mod tests {
     }
 
     #[test]
-    fn amp_matmul_close_to_full_precision() {
-        // mode-agnostic: in the deterministic default the two are equal; in
-        // fast mode (e.g. the COLOSSAL_FAST=1 CI leg) amp_matmul takes the
-        // bf16 GEMM and must stay within the operand-rounding budget. The
-        // dedicated fast-mode toggling tests live in tests/fast_modes.rs.
+    fn amp_matmul_is_the_full_precision_gemm() {
         let mut rng = init::rng(7);
         let (m, k, n) = (9, 33, 11);
         let a = init::uniform([m, k], -1.0, 1.0, &mut rng);
         let b = init::uniform([k, n], -1.0, 1.0, &mut rng);
-        let got = amp_matmul(&a, &b);
-        let want = colossalai_tensor::matmul(&a, &b);
-        let tol = k as f32 * 2.0f32.powi(-7);
-        for (g, w) in got.data().iter().zip(want.data()) {
-            assert!((g - w).abs() <= tol, "{g} vs {w}");
-        }
-        let a3 = init::uniform([2, 5, k], -1.0, 1.0, &mut rng).reshaped([2, 5, k]);
-        let got_nd = amp_matmul_nd(&a3, &b);
-        assert_eq!(got_nd.dims(), &[2, 5, n]);
+        assert_eq!(
+            amp_matmul(&a, &b).data(),
+            colossalai_tensor::matmul(&a, &b).data()
+        );
+        let a3 = init::uniform([2, 5, k], -1.0, 1.0, &mut rng);
+        assert_eq!(amp_matmul_nd(&a3, &b).dims(), &[2, 5, n]);
     }
 }

@@ -17,7 +17,7 @@
 //! }
 //! ```
 
-use colossalai_comm::compress::{self, Compression};
+use colossalai_comm::compress::Compression;
 use colossalai_parallel::TpMode;
 use serde::{Deserialize, Serialize, Value};
 
@@ -117,7 +117,7 @@ pub struct CommConfig {
     pub overlap: bool,
     /// Lossy gradient-compression channel for bucketed sync: `"none"`,
     /// `"topk(k)"`, `"int8"` or `"fp16"`, each with error feedback.
-    /// Missing = keep the ambient `COLOSSAL_COMPRESS` setting (or none).
+    /// Missing = none (exact f32 gradients).
     #[serde(default)]
     pub compress: Option<CompressSpec>,
 }
@@ -140,56 +140,22 @@ impl Default for CommConfig {
     }
 }
 
-/// Compute section: intra-op parallel runtime knobs. A value of 0 means
-/// "leave the ambient setting alone" — the corresponding environment
-/// variable (or the built-in default) stays in effect, so configs only
-/// override what they mention.
+/// Compute section: the two process-wide kernel knobs. Each key lands on
+/// one setter at `initialize`; a key the config does not mention leaves
+/// that setter's value alone (nothing else — no environment variable — can
+/// have moved it).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct ComputeConfig {
-    /// Intra-op kernel thread budget (`set_kernel_threads`; env
-    /// `COLOSSAL_KERNEL_THREADS`). 0 = keep ambient; note the runtime
-    /// clamps explicit sets to at least 1.
+    /// Intra-op kernel thread budget (`set_kernel_threads`, default 1).
+    /// 0 or missing = leave the setter's value.
     #[serde(default)]
     pub threads: usize,
-    /// Element cutoff below which parallelized element-wise/row-wise
-    /// kernels stay serial (`set_par_cutoff`; env `COLOSSAL_PAR_CUTOFF`).
-    /// 0 = keep ambient.
-    #[serde(default)]
-    pub par_cutoff: usize,
-    /// Multiply-add cutoff for threaded GEMM dispatch
-    /// (`set_par_flop_cutoff`; env `COLOSSAL_PAR_FLOP_CUTOFF`). 0 = keep
-    /// ambient.
-    #[serde(default)]
-    pub par_flop_cutoff: usize,
-    /// Opt-in fast numeric mode (`set_fast_mode`; env `COLOSSAL_FAST`):
-    /// FMA-fused kernels and bf16-compute GEMM on the AMP path, trading
-    /// bitwise reproducibility against the deterministic default for
-    /// throughput (results stay within documented ULP budgets, DESIGN.md
-    /// §13). Missing = keep ambient; `true`/`false` override the env knob.
+    /// Opt-in fast numeric mode (`set_fast_mode`, default off): FMA-fused
+    /// kernels, trading bitwise reproducibility against the deterministic
+    /// default for throughput (results stay within documented ULP budgets,
+    /// DESIGN.md §13). Missing = leave the setter's value.
     #[serde(default)]
     pub fast: Option<bool>,
-}
-
-/// Memory section: allocator behavior.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MemConfig {
-    /// Recycle tensor storage through the global size-classed pool (on by
-    /// default). The `COLOSSAL_POOL=off` environment variable overrides
-    /// this to off regardless of the config.
-    #[serde(default = "default_pool")]
-    pub pool: bool,
-}
-
-fn default_pool() -> bool {
-    true
-}
-
-impl Default for MemConfig {
-    fn default() -> Self {
-        MemConfig {
-            pool: default_pool(),
-        }
-    }
 }
 
 /// Top-level configuration.
@@ -212,16 +178,15 @@ pub struct Config {
     /// Gradient-sync bucketing and overlap.
     #[serde(default)]
     pub comm: CommConfig,
-    /// Allocator behavior (storage-pool toggle).
-    #[serde(default)]
-    pub mem: MemConfig,
-    /// Intra-op parallel runtime (thread budget and cutoffs).
+    /// Process-wide kernel knobs (thread budget, fast numeric mode).
     #[serde(default)]
     pub compute: ComputeConfig,
 }
 
 impl Config {
-    /// Parses a JSON config string.
+    /// Parses a JSON config string. A key the schema does not know is an
+    /// error naming its path (`unknown key "compute.par_cutoff"`), never
+    /// silently ignored.
     ///
     /// # Examples
     ///
@@ -236,7 +201,9 @@ impl Config {
     /// assert!(cfg.mixed_precision);
     /// ```
     pub fn from_json(json: &str) -> Result<Config, String> {
-        let cfg: Config = serde_json::from_str(json).map_err(|e| e.to_string())?;
+        let given: Value = serde_json::from_str(json).map_err(|e| e.to_string())?;
+        let cfg = Config::deserialize_value(&given)?;
+        reject_unknown_keys(&given, &cfg.serialize_value(), "")?;
         cfg.validate()?;
         Ok(cfg)
     }
@@ -322,14 +289,32 @@ impl Config {
         self.comm.bucket_mb << 20
     }
 
-    /// The gradient-compression channel this config resolves to: an
-    /// explicit `comm.compress` wins; a missing one defers to the ambient
-    /// `COLOSSAL_COMPRESS` environment knob (resolved once per process).
+    /// The gradient-compression channel this config asks for
+    /// (`comm.compress`; none when missing).
     pub fn compression(&self) -> Compression {
-        self.comm
-            .compress
-            .map_or_else(compress::env_compression, |c| c.0)
+        self.comm.compress.map_or(Compression::None, |c| c.0)
     }
+}
+
+/// Fails on the first key of `given` (the parsed JSON) that `known` (the
+/// config it deserialized to, serialized back) does not have, naming the
+/// dotted path to it.
+fn reject_unknown_keys(given: &Value, known: &Value, path: &str) -> Result<(), String> {
+    let Value::Map(entries) = given else {
+        return Ok(());
+    };
+    for (key, sub) in entries {
+        let here = if path.is_empty() {
+            key.clone()
+        } else {
+            format!("{path}.{key}")
+        };
+        let known_sub = known
+            .get(key)
+            .ok_or_else(|| format!("unknown key {here:?}"))?;
+        reject_unknown_keys(sub, known_sub, &here)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -414,7 +399,8 @@ mod tests {
         // partial section: missing keys take their defaults
         let cfg = Config::from_json(r#"{ "comm": { "bucket_mb": 1 } }"#).unwrap();
         assert!(cfg.comm.overlap);
-        assert_eq!(cfg.comm.compress, None, "missing = keep ambient");
+        assert_eq!(cfg.comm.compress, None);
+        assert_eq!(cfg.compression(), Compression::None, "missing = none");
     }
 
     #[test]
@@ -428,7 +414,7 @@ mod tests {
             let cfg =
                 Config::from_json(&format!(r#"{{ "comm": {{ "compress": "{raw}" }} }}"#)).unwrap();
             assert_eq!(cfg.comm.compress, Some(CompressSpec(want)), "{raw}");
-            assert_eq!(cfg.compression(), want, "explicit config beats ambient");
+            assert_eq!(cfg.compression(), want);
         }
         for bad in ["topk(0)", "int4", "gzip"] {
             let err = Config::from_json(&format!(r#"{{ "comm": {{ "compress": "{bad}" }} }}"#))
@@ -443,36 +429,49 @@ mod tests {
     }
 
     #[test]
-    fn mem_section_defaults_and_parses() {
-        let cfg = Config::from_json("{}").unwrap();
-        assert!(cfg.mem.pool, "pool defaults on");
-        let cfg = Config::from_json(r#"{ "mem": { "pool": false } }"#).unwrap();
-        assert!(!cfg.mem.pool);
-    }
-
-    #[test]
     fn compute_section_defaults_and_parses() {
         let cfg = Config::from_json("{}").unwrap();
-        assert_eq!(cfg.compute.threads, 0, "0 = keep ambient setting");
-        assert_eq!(cfg.compute.par_cutoff, 0);
-        assert_eq!(cfg.compute.par_flop_cutoff, 0);
-        assert_eq!(cfg.compute.fast, None, "missing = keep ambient");
-        let cfg = Config::from_json(
-            r#"{ "compute": { "threads": 4, "par_cutoff": 1024, "par_flop_cutoff": 4096,
-                              "fast": true } }"#,
-        )
-        .unwrap();
+        assert_eq!(cfg.compute.threads, 0, "0 = leave the setter's value");
+        assert_eq!(cfg.compute.fast, None, "missing = leave the setter's value");
+        let cfg = Config::from_json(r#"{ "compute": { "threads": 4, "fast": true } }"#).unwrap();
         assert_eq!(cfg.compute.threads, 4);
-        assert_eq!(cfg.compute.par_cutoff, 1024);
-        assert_eq!(cfg.compute.par_flop_cutoff, 4096);
         assert_eq!(cfg.compute.fast, Some(true));
-        // partial section: missing keys stay ambient
+        // partial section: missing keys are left alone
         let cfg = Config::from_json(r#"{ "compute": { "threads": 2 } }"#).unwrap();
         assert_eq!(cfg.compute.threads, 2);
-        assert_eq!(cfg.compute.par_cutoff, 0);
         assert_eq!(cfg.compute.fast, None);
         let cfg = Config::from_json(r#"{ "compute": { "fast": false } }"#).unwrap();
         assert_eq!(cfg.compute.fast, Some(false));
+    }
+
+    #[test]
+    fn unknown_keys_are_rejected_with_their_path() {
+        for (json, path) in [
+            // a top-level typo (would otherwise train in fp32 without a word)
+            (r#"{ "mixed_percision": true }"#, "mixed_percision"),
+            // a nested typo
+            (
+                r#"{ "parallel": { "tensor": { "size": 2, "mode": "1d", "dept": 2 } } }"#,
+                "parallel.tensor.dept",
+            ),
+            (r#"{ "comm": { "bucket_mbs": 4 } }"#, "comm.bucket_mbs"),
+            // the removed keys: old configs must fail, not be half-applied
+            (r#"{ "mem": { "pool": false } }"#, "mem"),
+            (
+                r#"{ "compute": { "par_cutoff": 1 } }"#,
+                "compute.par_cutoff",
+            ),
+            (
+                r#"{ "compute": { "threads": 2, "par_flop_cutoff": 4096 } }"#,
+                "compute.par_flop_cutoff",
+            ),
+        ] {
+            let err = Config::from_json(json).unwrap_err();
+            assert_eq!(err, format!("unknown key {path:?}"), "{json}");
+        }
+        // null sections and every known key still parse
+        let full = serde_json::to_string(&Config::default()).unwrap();
+        assert_eq!(Config::from_json(&full).unwrap(), Config::default());
     }
 
     #[test]

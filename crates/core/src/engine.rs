@@ -66,21 +66,11 @@ pub fn initialize(
     optimizer: OptimizerSpec,
 ) -> Engine {
     config.validate().expect("invalid configuration");
-    // allocator policy: the config can turn pooled tensor storage off (the
-    // COLOSSAL_POOL env var still wins over a `true` here)
-    colossalai_tensor::set_pool_enabled(config.mem.pool);
-    // intra-op parallel runtime: 0 means "keep the ambient env/default"
+    // the two process-wide kernel knobs: a key the config does not set
+    // leaves its setter's value alone
     if config.compute.threads > 0 {
         colossalai_tensor::set_kernel_threads(config.compute.threads);
     }
-    if config.compute.par_cutoff > 0 {
-        colossalai_tensor::par::set_par_cutoff(config.compute.par_cutoff);
-    }
-    if config.compute.par_flop_cutoff > 0 {
-        colossalai_tensor::set_par_flop_cutoff(config.compute.par_flop_cutoff);
-    }
-    // fast numeric mode: missing means "keep the ambient COLOSSAL_FAST /
-    // setter state"; an explicit true/false overrides it for the process
     if let Some(fast) = config.compute.fast {
         colossalai_tensor::set_fast_mode(fast);
     }

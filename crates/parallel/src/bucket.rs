@@ -15,8 +15,8 @@
 //! 1/p scale is elementwise — so the synced gradients are bit-identical to
 //! the unbucketed baseline for *any* bucket plan.
 //!
-//! Opt-in **lossy channels** ([`Compression`], via `comm.compress` or
-//! `COLOSSAL_COMPRESS`) trade gradient fidelity for wire bytes: top-k
+//! Opt-in **lossy channels** ([`Compression`], via `comm.compress`) trade
+//! gradient fidelity for wire bytes: top-k
 //! sparsification, int8 or fp16 quantization, each with a per-bucket
 //! error-feedback residual so dropped mass is carried into the next step
 //! instead of lost (see `colossalai_comm::compress`).
@@ -171,22 +171,21 @@ fn all_reduce_bucket(
 
 impl BucketedGradSync {
     /// Plans buckets for `model` with the given capacity
-    /// (see [`DEFAULT_BUCKET_BYTES`]). Compression defaults to the ambient
-    /// `COLOSSAL_COMPRESS` setting; override with
-    /// [`BucketedGradSync::with_compression`].
+    /// (see [`DEFAULT_BUCKET_BYTES`]) and exact f32 gradients; pick a lossy
+    /// channel with [`BucketedGradSync::with_compression`].
     pub fn new(model: &mut dyn Layer, cap_bytes: usize) -> Self {
         let plan = BucketPlan::for_model(model, cap_bytes);
         let residuals = vec![Vec::new(); plan.buckets.len()];
         BucketedGradSync {
             plan,
-            compress: compress::env_compression(),
+            compress: Compression::None,
             residuals,
         }
     }
 
-    /// Selects the lossy gradient channel (overriding the ambient env
-    /// default). Residual state resets: switching channels mid-training
-    /// would otherwise replay another channel's backlog.
+    /// Selects the lossy gradient channel. Residual state resets: switching
+    /// channels mid-training would otherwise replay another channel's
+    /// backlog.
     pub fn with_compression(mut self, comp: Compression) -> Self {
         self.set_compression(comp);
         self
@@ -459,11 +458,8 @@ mod tests {
                 baseline.extend_from_slice(r.data());
             });
 
-            // tiny cap → many buckets; still must match bitwise (pin the
-            // exact channel: this test asserts against an uncompressed
-            // baseline, so it must not inherit COLOSSAL_COMPRESS)
-            let mut sync =
-                BucketedGradSync::new(&mut model, 64).with_compression(Compression::None);
+            // tiny cap → many buckets; still must match bitwise
+            let mut sync = BucketedGradSync::new(&mut model, 64);
             assert!(sync.plan().buckets.len() > 1);
             sync.sync_blocking(ctx, &g, &mut model);
             let fused = flatten_grads(&mut model);

@@ -64,8 +64,7 @@ impl<M: Layer> DataParallel<M> {
     }
 
     /// Selects the lossy gradient-compression channel (top-k / int8 / fp16
-    /// with error feedback), overriding the ambient `COLOSSAL_COMPRESS`
-    /// default the sync engine starts from.
+    /// with error feedback); the sync engine starts exact.
     pub fn with_compression(mut self, comp: Compression) -> Self {
         self.sync.set_compression(comp);
         self
@@ -218,10 +217,7 @@ mod tests {
         let world = World::new(system_i());
         let results = world.run_on(p, |ctx| {
             let g = ctx.world_group(p);
-            // pin the exact channel: this test compares against serial
-            // training, so it must not inherit COLOSSAL_COMPRESS
-            let mut dp =
-                DataParallel::new(ctx, &g, make_model(603)).with_compression(Compression::None);
+            let mut dp = DataParallel::new(ctx, &g, make_model(603));
             let mut opt = AdamW::new(0.01, 0.01);
             for s in 0..steps {
                 dp.zero_grad();

@@ -203,15 +203,15 @@ impl ZeroOptimizer {
             m: vec![0.0; shard_len],
             v: vec![0.0; shard_len],
             pending: None,
-            compress: compress::env_compression(),
+            compress: Compression::None,
             residuals: Vec::new(),
         }
     }
 
-    /// Selects the lossy gradient channel (overriding the ambient
-    /// `COLOSSAL_COMPRESS` default). Top-k degrades to exact dense under
-    /// ZeRO; int8/fp16 quantize each bucket with error feedback before the
-    /// stage's collective. Residual state resets on switch.
+    /// Selects the lossy gradient channel (exact f32 until then). Top-k
+    /// degrades to exact dense under ZeRO; int8/fp16 quantize each bucket
+    /// with error feedback before the stage's collective. Residual state
+    /// resets on switch.
     pub fn with_compression(mut self, comp: Compression) -> Self {
         self.compress = comp;
         self.residuals.clear();

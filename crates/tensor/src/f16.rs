@@ -1,16 +1,10 @@
-//! Software IEEE 754 binary16 ("half precision") and bfloat16.
+//! Software IEEE 754 binary16 ("half precision").
 //!
 //! Mixed-precision training (Section 3.2 of the paper: FP16 parameters whose
 //! storage is reused for FP16 gradients) needs a faithful half type. We
 //! implement conversion with round-to-nearest-even and denormal support; all
 //! arithmetic routes through `f32`, exactly like GPU half units with fp32
 //! accumulate.
-//!
-//! [`BF16`] is the companion storage-and-compute format for the fast numeric
-//! mode: it keeps f32's 8-bit exponent (so no overflow/underflow surprises on
-//! conversion — every finite f32 maps to a finite bf16) and truncates the
-//! mantissa to 7 bits. Widening back to f32 is a pure `<< 16`, which is what
-//! lets the bf16 GEMM decode operands with one shift in the register tile.
 
 /// IEEE 754 binary16 value stored as its bit pattern.
 #[derive(Clone, Copy, PartialEq, Eq, Default)]
@@ -131,94 +125,6 @@ impl From<f32> for F16 {
 
 impl From<F16> for f32 {
     fn from(h: F16) -> f32 {
-        h.to_f32()
-    }
-}
-
-/// bfloat16 value stored as its bit pattern: f32's sign + 8-bit exponent +
-/// the top 7 mantissa bits.
-#[derive(Clone, Copy, PartialEq, Eq, Default)]
-pub struct BF16(pub u16);
-
-impl BF16 {
-    pub const ZERO: BF16 = BF16(0);
-    pub const ONE: BF16 = BF16(0x3F80);
-    pub const INFINITY: BF16 = BF16(0x7F80);
-    pub const NEG_INFINITY: BF16 = BF16(0xFF80);
-    pub const NAN: BF16 = BF16(0x7FC0);
-    /// Largest finite bf16 (~3.39e38).
-    pub const MAX: BF16 = BF16(0x7F7F);
-    /// Smallest positive normal bf16 (2^-126, same as f32).
-    pub const MIN_POSITIVE: BF16 = BF16(0x0080);
-
-    /// Converts from `f32` with round-to-nearest-even on the discarded 16
-    /// mantissa bits. Denormals need no special case — bf16 denormals are
-    /// exactly the f32 denormals whose mantissa fits in 7 bits, and the same
-    /// rounding arithmetic handles them (the exponent field is untouched).
-    /// NaN is special-cased so a payload living only in the discarded bits
-    /// cannot round/truncate the value into an infinity.
-    pub fn from_f32(x: f32) -> BF16 {
-        let bits = x.to_bits();
-        if x.is_nan() {
-            // preserve sign + quietness, force a non-zero mantissa
-            return BF16(((bits >> 16) as u16) | 0x0040);
-        }
-        // round to nearest even: add 0x7FFF + (lsb of the kept mantissa);
-        // a carry propagates correctly through mantissa into exponent
-        // (1.1111111|1... -> next binade; MAX + half-ulp -> +inf).
-        let lsb = (bits >> 16) & 1;
-        BF16(((bits.wrapping_add(0x7FFF + lsb)) >> 16) as u16)
-    }
-
-    /// Converts from `f32` by truncation (round toward zero) — the cheap
-    /// conversion some hardware uses. NaN keeps the special case for the
-    /// same payload-in-low-bits reason as [`BF16::from_f32`].
-    pub fn from_f32_truncate(x: f32) -> BF16 {
-        let bits = x.to_bits();
-        if x.is_nan() {
-            return BF16(((bits >> 16) as u16) | 0x0040);
-        }
-        BF16((bits >> 16) as u16)
-    }
-
-    /// Converts to `f32` exactly: every bf16 (normals, denormals, infinities,
-    /// NaNs) is an f32 with a zero low half.
-    pub fn to_f32(self) -> f32 {
-        f32::from_bits((self.0 as u32) << 16)
-    }
-
-    /// The raw bit pattern (storage format for packed bf16 panels).
-    pub fn to_bits(self) -> u16 {
-        self.0
-    }
-
-    pub fn is_nan(self) -> bool {
-        (self.0 & 0x7F80) == 0x7F80 && (self.0 & 0x7F) != 0
-    }
-
-    pub fn is_infinite(self) -> bool {
-        (self.0 & 0x7FFF) == 0x7F80
-    }
-
-    pub fn is_finite(self) -> bool {
-        (self.0 & 0x7F80) != 0x7F80
-    }
-}
-
-impl std::fmt::Debug for BF16 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "BF16({})", self.to_f32())
-    }
-}
-
-impl From<f32> for BF16 {
-    fn from(x: f32) -> Self {
-        BF16::from_f32(x)
-    }
-}
-
-impl From<BF16> for f32 {
-    fn from(h: BF16) -> f32 {
         h.to_f32()
     }
 }
@@ -380,97 +286,5 @@ mod tests {
                 "len={len}"
             );
         }
-    }
-
-    #[test]
-    fn bf16_exact_values_roundtrip() {
-        for &x in &[
-            0.0f32,
-            1.0,
-            -1.0,
-            0.5,
-            2.0,
-            256.0,
-            1.0078125, // 1 + 2^-7: last exactly-representable mantissa bit
-            3.3895314e38,
-            1.1754944e-38,                    // smallest normal (f32's, shared by bf16)
-            9.183549615799121e-41_f64 as f32, // a bf16 denormal: 2^-133
-        ] {
-            let h = BF16::from_f32(x);
-            assert_eq!(h.to_f32().to_bits(), x.to_bits(), "roundtrip of {x}");
-            // truncation agrees with RNE on exactly-representable values
-            assert_eq!(BF16::from_f32_truncate(x).0, h.0);
-        }
-    }
-
-    #[test]
-    fn bf16_round_to_nearest_even_ties() {
-        // 1 + 2^-8 sits exactly between 1.0 and 1 + 2^-7: tie to even (1.0)
-        let tie_down = 1.0 + 2.0f32.powi(-8);
-        assert_eq!(BF16::from_f32(tie_down).to_f32(), 1.0);
-        // 1 + 3*2^-8 sits between 1+2^-7 and 1+2^-6: tie to even (1+2^-6)
-        let tie_up = 1.0 + 3.0 * 2.0f32.powi(-8);
-        assert_eq!(BF16::from_f32(tie_up).to_f32(), 1.0 + 2.0f32.powi(-6));
-        // just above the tie rounds up
-        let above = 1.0 + 2.0f32.powi(-8) + 2.0f32.powi(-20);
-        assert_eq!(BF16::from_f32(above).to_f32(), 1.0 + 2.0f32.powi(-7));
-        // truncation always chops toward zero
-        assert_eq!(
-            BF16::from_f32_truncate(tie_up).to_f32(),
-            1.0 + 2.0f32.powi(-7)
-        );
-        assert_eq!(
-            BF16::from_f32_truncate(-1.0 - 3.0 * 2.0f32.powi(-8)).to_f32(),
-            -1.0 - 2.0f32.powi(-7)
-        );
-    }
-
-    #[test]
-    fn bf16_denormals() {
-        // smallest positive bf16 denormal is 2^-133 (f32 bits 0x0001_0000)
-        let tiny = f32::from_bits(0x0001_0000);
-        let h = BF16::from_f32(tiny);
-        assert_eq!(h.0, 1);
-        assert_eq!(h.to_f32(), tiny);
-        // half of it ties to even zero; just above half rounds up to it
-        assert_eq!(BF16::from_f32(f32::from_bits(0x0000_8000)).0, 0);
-        assert_eq!(BF16::from_f32(f32::from_bits(0x0000_8001)).0, 1);
-        // truncation under the denormal floor is a clean signed zero
-        assert_eq!(
-            BF16::from_f32_truncate(-f32::from_bits(0x0000_FFFF)).0,
-            0x8000
-        );
-        // denormal rounding can carry into the normal range
-        let just_under_normal = f32::from_bits(0x007F_FFFF); // max f32 denormal
-        assert_eq!(BF16::from_f32(just_under_normal), BF16::MIN_POSITIVE);
-    }
-
-    #[test]
-    fn bf16_inf_nan_roundtrip() {
-        assert_eq!(BF16::from_f32(f32::INFINITY), BF16::INFINITY);
-        assert_eq!(BF16::from_f32(f32::NEG_INFINITY), BF16::NEG_INFINITY);
-        assert!(BF16::INFINITY.is_infinite() && !BF16::INFINITY.is_nan());
-        assert_eq!(BF16::INFINITY.to_f32(), f32::INFINITY);
-        assert_eq!(BF16::NEG_INFINITY.to_f32(), f32::NEG_INFINITY);
-        // overflow on rounding: anything at or past MAX + half-ulp carries
-        // into the inf encoding (the half-way point 0x..._8000 ties away
-        // from the odd MAX mantissa)
-        let max_plus = f32::from_bits(0x7F7F_FF80);
-        assert_eq!(BF16::from_f32(max_plus), BF16::INFINITY);
-        assert_eq!(BF16::from_f32(f32::from_bits(0x7F7F_8000)), BF16::INFINITY);
-        // just under half-ulp above MAX still rounds down to MAX
-        assert_eq!(BF16::from_f32(f32::from_bits(0x7F7F_7FFF)), BF16::MAX);
-        // and truncation never overflows a finite value
-        assert_eq!(BF16::from_f32_truncate(max_plus), BF16::MAX);
-
-        // NaN stays NaN even when the payload lives only in the low 16 bits
-        // (naive truncation would produce an infinity here)
-        let low_payload_nan = f32::from_bits(0x7F80_0001);
-        assert!(low_payload_nan.is_nan());
-        assert!(BF16::from_f32(low_payload_nan).is_nan());
-        assert!(BF16::from_f32_truncate(low_payload_nan).is_nan());
-        assert!(BF16::from_f32(f32::NAN).is_nan());
-        assert!(BF16::from_f32(-f32::NAN).to_f32().is_nan());
-        assert!(BF16::NAN.to_f32().is_nan());
     }
 }

@@ -28,11 +28,11 @@
 //!
 //! Threading: [`gemm_mat_auto`] splits row panels across a scoped thread pool
 //! when the problem is large enough and the global thread budget
-//! ([`kernel_threads`], env `COLOSSAL_KERNEL_THREADS`, default 1) allows it.
+//! ([`kernel_threads`], default 1) allows it.
 //! Each output row is computed by exactly one thread with the same block
 //! schedule as the serial path, so results do not depend on the thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Microtile rows held in registers (deterministic mul-then-add kernel).
 pub const MR: usize = 4;
@@ -61,46 +61,31 @@ pub const NC: usize = 256;
 /// kernel instead of paying the packing round-trip.
 const SMALL_FLOP_CUTOFF: usize = 16 * 16 * 16;
 
-/// Default minimum multiply-add count before the parallel GEMM path can win
-/// over its dispatch cost (see [`par_flop_cutoff`]).
-pub const DEFAULT_PAR_FLOP_CUTOFF: usize = 64 * 64 * 64;
+/// Minimum multiply-add count before [`gemm_mat_auto`] / [`for_each_batch`]
+/// go parallel: below it the dispatch cost beats the split.
+pub const PAR_FLOP_CUTOFF: usize = 64 * 64 * 64;
 
-static THREADS: AtomicUsize = AtomicUsize::new(0);
-static PAR_FLOP_CUTOFF: AtomicUsize = AtomicUsize::new(0);
-/// Fast-mode tri-state: 0 = unresolved, 1 = off, 2 = on (see
-/// [`resolve_cached`] for the sentinel convention shared by every knob).
-static FAST: AtomicUsize = AtomicUsize::new(0);
+static THREADS: AtomicUsize = AtomicUsize::new(1);
+static FAST: AtomicBool = AtomicBool::new(false);
 
 /// Turns the opt-in **fast numeric mode** on or off for every subsequent
-/// kernel on any thread, overriding the `COLOSSAL_FAST` environment knob.
+/// kernel on any thread (`compute.fast` in the engine config lands here).
 ///
 /// Fast mode swaps the deterministic mul-then-add microkernel for an
 /// FMA-fused one (and enables the FMA variants of the fused element-wise
-/// kernels and the bf16-compute GEMM). Results are no longer bitwise
-/// comparable to the deterministic default — only tolerance/ULP-budget
-/// comparable (see `tests/fast_props.rs` and DESIGN.md §13) — but within
-/// fast mode the serial/threaded/pool determinism contract still holds:
-/// every path uses the same fused arithmetic in the same order.
+/// kernels). Results are no longer bitwise comparable to the deterministic
+/// default — only tolerance/ULP-budget comparable (see
+/// `tests/fast_props.rs` and DESIGN.md §13) — but within fast mode the
+/// serial/threaded/pool determinism contract still holds: every path uses
+/// the same fused arithmetic in the same order.
 pub fn set_fast_mode(on: bool) {
-    FAST.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    FAST.store(on, Ordering::Relaxed);
 }
 
 /// Whether fast numeric mode is active: the last [`set_fast_mode`] value,
-/// else the `COLOSSAL_FAST` env flag (`1`/`on`/`true` ...), else off.
-/// Resolution is cached once like every other knob; invalid values warn via
-/// [`crate::envknob::warn_invalid`] and fall back to off.
+/// off until then.
 pub fn fast_mode() -> bool {
-    let v = FAST.load(Ordering::Relaxed);
-    if v != 0 {
-        return v == 2;
-    }
-    let resolved = if crate::envknob::env_flag("COLOSSAL_FAST", false) {
-        2
-    } else {
-        1
-    };
-    FAST.store(resolved, Ordering::Relaxed);
-    resolved == 2
+    FAST.load(Ordering::Relaxed)
 }
 
 /// True when the CPU supports the `avx2,fma` feature pair the fast
@@ -120,71 +105,22 @@ pub fn fma_available() -> bool {
     false
 }
 
-/// The one place that defines how every runtime knob in this crate resolves
-/// and caches (`kernel_threads`, [`par_flop_cutoff`], `par::par_cutoff`):
-///
-/// 1. a non-zero value already in `cell` wins — either a cached resolution
-///    or an explicit setter call (setters clamp to at least 1, so 0 can
-///    never be stored and `0` doubles as the "unset" sentinel);
-/// 2. otherwise `env` is read **once**, parsed (`trim`, `parse::<usize>`,
-///    values of 0 rejected like any other parse failure), defaulted to
-///    `default`, and the result is cached in `cell`.
-///
-/// Consequence: environment changes after the first resolution are ignored
-/// — tests and embedders that need to change a knob at runtime must use the
-/// setter, which takes effect immediately on every thread.
-pub(crate) fn resolve_cached(cell: &AtomicUsize, env: &str, default: usize) -> usize {
-    let v = cell.load(Ordering::Relaxed);
-    if v != 0 {
-        return v;
-    }
-    let parsed = crate::envknob::env_usize(env, default);
-    let resolved = if parsed == 0 {
-        crate::envknob::warn_invalid(env, "0", "an integer >= 1", &default.max(1).to_string());
-        default.max(1)
-    } else {
-        parsed
-    };
-    cell.store(resolved, Ordering::Relaxed);
-    resolved
-}
-
-/// Sets the kernel thread budget for every subsequent kernel on any thread.
-/// A value of 0 clamps to 1 — "no parallelism", never "no work": budget 1
-/// means every kernel (GEMM, element-wise, the `par` pool) runs its plain
-/// serial path.
+/// Sets the kernel thread budget for every subsequent kernel on any thread
+/// (`compute.threads` in the engine config lands here). A value of 0 clamps
+/// to 1 — "no parallelism", never "no work": budget 1 means every kernel
+/// (GEMM, element-wise, the `par` pool) runs its plain serial path.
 pub fn set_kernel_threads(n: usize) {
     THREADS.store(n.max(1), Ordering::Relaxed);
 }
 
-/// The kernel thread budget: the last [`set_kernel_threads`] value, else the
-/// `COLOSSAL_KERNEL_THREADS` environment variable, else 1; resolution and
-/// caching semantics are defined by `resolve_cached` (the env var is read
-/// once and cached; setters override immediately).
+/// The kernel thread budget: the last [`set_kernel_threads`] value, 1 until
+/// then.
 ///
-/// The default is deliberately 1: the simulated cluster already runs one OS
-/// thread per device, so an eager per-GEMM pool would oversubscribe the host
-/// as soon as a `World` spans more than a couple of ranks.
+/// The default is deliberately 1: the simulated cluster already runs many
+/// ranks at once, so an eager per-GEMM pool would oversubscribe the host as
+/// soon as a `World` spans more than a couple of ranks.
 pub fn kernel_threads() -> usize {
-    resolve_cached(&THREADS, "COLOSSAL_KERNEL_THREADS", 1)
-}
-
-/// Sets the GEMM parallel cutoff (clamped to at least 1): threaded dispatch
-/// engages when `m * n * k` reaches this many multiply-adds.
-pub fn set_par_flop_cutoff(n: usize) {
-    PAR_FLOP_CUTOFF.store(n.max(1), Ordering::Relaxed);
-}
-
-/// Minimum multiply-add count before [`gemm_mat_auto`] / [`for_each_batch`]
-/// go parallel: the last [`set_par_flop_cutoff`] value, else
-/// `COLOSSAL_PAR_FLOP_CUTOFF`, else [`DEFAULT_PAR_FLOP_CUTOFF`]; resolution
-/// per `resolve_cached`.
-pub fn par_flop_cutoff() -> usize {
-    resolve_cached(
-        &PAR_FLOP_CUTOFF,
-        "COLOSSAL_PAR_FLOP_CUTOFF",
-        DEFAULT_PAR_FLOP_CUTOFF,
-    )
+    THREADS.load(Ordering::Relaxed)
 }
 
 /// A logical row-major `rows x cols` matrix over a strided storage slice:
@@ -467,7 +403,7 @@ pub fn gemm_mat(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
 
 /// Splits `c` into `MR`-aligned row panels — the partition depends only on
 /// `(m, threads)`, per the `par` determinism contract — yielding
-/// `(row_offset, rows, panel)` triples. Shared by the f32 and bf16 GEMMs.
+/// `(row_offset, rows, panel)` triples.
 type RowPanels<'c> = Vec<(usize, usize, &'c mut [f32])>;
 
 fn row_panels<'c>(c: &'c mut [f32], m: usize, n: usize, threads: usize) -> RowPanels<'c> {
@@ -631,206 +567,11 @@ pub fn gemm_mat_auto(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize
         return gemm_small(a, b, c, m, k, n);
     }
     let threads = kernel_threads();
-    if threads > 1 && macs >= par_flop_cutoff() && m > MR {
+    if threads > 1 && macs >= PAR_FLOP_CUTOFF && m > MR {
         gemm_mat_threaded(a, b, c, m, k, n, threads);
     } else {
         gemm_mat(a, b, c, m, k, n);
     }
-}
-
-// --- bf16 storage-and-compute GEMM -----------------------------------------
-//
-// The reduced-precision arm of fast mode: `A` and `B` blocks are packed as
-// bf16 (round-to-nearest-even at pack time), halving the packed-panel
-// footprint — a full `MC x KC` + `KC x NC` working set drops from 384 KiB to
-// 192 KiB — while the register tile still accumulates in f32 with FMA.
-// Decode back to f32 is a pure `<< 16` (bf16 shares f32's exponent range),
-// so the load side costs one shift per operand, not a table or a branch.
-// Precision: operands carry 8 mantissa bits instead of 24; the ULP budget in
-// `tests/fast_props.rs` accounts for one bf16 rounding per operand plus the
-// fused-chain error (DESIGN.md §13).
-
-/// Packs logical rows/cols of `a` into `MR_FMA`-row panels exactly like
-/// [`pack_a`], but each element is rounded to bf16 at copy time.
-fn pack_a_bf16(a: Mat, i0: usize, mb: usize, p0: usize, kb: usize, buf: &mut [u16]) {
-    for (ip, panel) in buf
-        .chunks_mut(kb * MR_FMA)
-        .take(mb.div_ceil(MR_FMA))
-        .enumerate()
-    {
-        let ir = ip * MR_FMA;
-        let rows = (mb - ir).min(MR_FMA);
-        for (kk, dst) in panel.chunks_exact_mut(MR_FMA).take(kb).enumerate() {
-            for (r, d) in dst[..rows].iter_mut().enumerate() {
-                *d = crate::f16::BF16::from_f32(a.at(i0 + ir + r, p0 + kk)).to_bits();
-            }
-            for d in dst[rows..].iter_mut() {
-                *d = 0;
-            }
-        }
-    }
-}
-
-/// bf16 analogue of [`pack_b`]: `NR`-column panels of rounded elements.
-fn pack_b_bf16(b: Mat, p0: usize, kb: usize, j0: usize, nb: usize, buf: &mut [u16]) {
-    for (jp, panel) in buf.chunks_mut(kb * NR).take(nb.div_ceil(NR)).enumerate() {
-        let jr = jp * NR;
-        let cols = (nb - jr).min(NR);
-        for (kk, dst) in panel.chunks_exact_mut(NR).take(kb).enumerate() {
-            for (c, d) in dst[..cols].iter_mut().enumerate() {
-                *d = crate::f16::BF16::from_f32(b.at(p0 + kk, j0 + jr + c)).to_bits();
-            }
-            for d in dst[cols..].iter_mut() {
-                *d = 0;
-            }
-        }
-    }
-}
-
-/// bf16 register microkernel: widen each packed operand with a shift, then
-/// fuse into the f32 accumulator tile. Zero-fill padding decodes to +0.0, so
-/// edge tiles stay branch-free like the f32 kernel.
-#[inline(always)]
-fn microtile_bf16(kb: usize, ap: &[u16], bp: &[u16], acc: &mut [[f32; NR]; MR_FMA]) {
-    for (a, b) in ap[..kb * MR_FMA]
-        .chunks_exact(MR_FMA)
-        .zip(bp[..kb * NR].chunks_exact(NR))
-    {
-        let a: &[u16; MR_FMA] = a.try_into().unwrap();
-        let b: &[u16; NR] = b.try_into().unwrap();
-        for r in 0..MR_FMA {
-            let ar = f32::from_bits((a[r] as u32) << 16);
-            for j in 0..NR {
-                let bv = f32::from_bits((b[j] as u32) << 16);
-                acc[r][j] = ar.mul_add(bv, acc[r][j]);
-            }
-        }
-    }
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn macro_tile_bf16(
-    apack: &[u16],
-    bpack: &[u16],
-    kb: usize,
-    mb: usize,
-    nb: usize,
-    c: &mut [f32],
-    ldc: usize,
-    ic: usize,
-    jc: usize,
-) {
-    for jp in 0..nb.div_ceil(NR) {
-        let jr = jp * NR;
-        let cols = (nb - jr).min(NR);
-        let bp = &bpack[jp * kb * NR..][..kb * NR];
-        for ip in 0..mb.div_ceil(MR_FMA) {
-            let ir = ip * MR_FMA;
-            let rows = (mb - ir).min(MR_FMA);
-            let ap = &apack[ip * kb * MR_FMA..][..kb * MR_FMA];
-            let mut acc = [[0.0f32; NR]; MR_FMA];
-            microtile_bf16(kb, ap, bp, &mut acc);
-            for (r, acc_row) in acc[..rows].iter().enumerate() {
-                let row = &mut c[(ic + ir + r) * ldc + jc + jr..][..cols];
-                for (cv, &av) in row.iter_mut().zip(acc_row[..cols].iter()) {
-                    *cv += av;
-                }
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn macro_tile_bf16_avx2_fma(
-    apack: &[u16],
-    bpack: &[u16],
-    kb: usize,
-    mb: usize,
-    nb: usize,
-    c: &mut [f32],
-    ldc: usize,
-    ic: usize,
-    jc: usize,
-) {
-    macro_tile_bf16(apack, bpack, kb, mb, nb, c, ldc, ic, jc);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_macro_tile_bf16(
-    apack: &[u16],
-    bpack: &[u16],
-    kb: usize,
-    mb: usize,
-    nb: usize,
-    c: &mut [f32],
-    ldc: usize,
-    ic: usize,
-    jc: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: fma_available() checked avx2+fma support.
-        unsafe { macro_tile_bf16_avx2_fma(apack, bpack, kb, mb, nb, c, ldc, ic, jc) };
-        return;
-    }
-    macro_tile_bf16(apack, bpack, kb, mb, nb, c, ldc, ic, jc);
-}
-
-/// Serial packed bf16-compute GEMM: `c += bf16(a) @ bf16(b)` with f32
-/// accumulation, same block schedule as [`gemm_mat`]. Always packs (the
-/// rounding pass *is* the packing pass), so there is no small-size direct
-/// arm. Panels are per-thread scratch: u16 panels don't fit the f32 storage
-/// pool and are cheap enough to keep thread-local.
-pub fn gemm_mat_bf16(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    thread_local! {
-        static PANELS: std::cell::RefCell<(Vec<u16>, Vec<u16>)> =
-            const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-    }
-    PANELS.with(|cell| {
-        let mut panels = cell.borrow_mut();
-        let (apack, bpack) = &mut *panels;
-        let kb_max = k.min(KC);
-        apack.resize(m.min(MC).div_ceil(MR_FMA) * MR_FMA * kb_max, 0);
-        bpack.resize(n.min(NC).div_ceil(NR) * NR * kb_max, 0);
-        for jc in (0..n).step_by(NC) {
-            let nb = (n - jc).min(NC);
-            for pc in (0..k).step_by(KC) {
-                let kb = (k - pc).min(KC);
-                let bbuf = &mut bpack[..nb.div_ceil(NR) * NR * kb];
-                pack_b_bf16(b, pc, kb, jc, nb, bbuf);
-                for ic in (0..m).step_by(MC) {
-                    let mb = (m - ic).min(MC);
-                    let abuf = &mut apack[..mb.div_ceil(MR_FMA) * MR_FMA * kb];
-                    pack_a_bf16(a, ic, mb, pc, kb, abuf);
-                    run_macro_tile_bf16(abuf, bbuf, kb, mb, nb, c, n, ic, jc);
-                }
-            }
-        }
-    });
-}
-
-/// [`gemm_mat_bf16`] with the same row-panel threading contract as
-/// [`gemm_mat_auto`]: each output row is produced by exactly one executor
-/// running the serial block schedule, so results are independent of the
-/// thread count.
-pub fn gemm_mat_bf16_auto(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let threads = kernel_threads();
-    let t = threads.min(m.div_ceil(MR)).max(1);
-    if t == 1 || m * n * k < par_flop_cutoff() || m <= MR {
-        return gemm_mat_bf16(a, b, c, m, k, n);
-    }
-    crate::par::par_items(row_panels(c, m, n, threads), |_, (i0, rows, panel)| {
-        gemm_mat_bf16(a.rows_from(i0), b, panel, rows, k, n);
-    });
 }
 
 /// Runs `run(t, c_t)` for each of `ba` equal `csize`-element chunks of `c`
@@ -843,7 +584,7 @@ where
 {
     assert_eq!(c.len(), ba * csize, "for_each_batch output size");
     let threads = kernel_threads().min(ba).max(1);
-    if threads == 1 || ba.saturating_mul(macs_per_batch) < par_flop_cutoff() {
+    if threads == 1 || ba.saturating_mul(macs_per_batch) < PAR_FLOP_CUTOFF {
         for (t, c_t) in c.chunks_exact_mut(csize.max(1)).take(ba).enumerate() {
             run(t, c_t);
         }
@@ -1037,16 +778,6 @@ mod tests {
         assert_eq!(kernel_threads(), 3);
         set_kernel_threads(0); // 0 clamps to 1: "no parallelism", never "no work"
         assert_eq!(kernel_threads(), 1);
-    }
-
-    #[test]
-    fn par_flop_cutoff_roundtrip() {
-        set_par_flop_cutoff(12345);
-        assert_eq!(par_flop_cutoff(), 12345);
-        set_par_flop_cutoff(0); // clamped like every knob
-        assert_eq!(par_flop_cutoff(), 1);
-        set_par_flop_cutoff(DEFAULT_PAR_FLOP_CUTOFF);
-        assert_eq!(par_flop_cutoff(), DEFAULT_PAR_FLOP_CUTOFF);
     }
 
     #[test]

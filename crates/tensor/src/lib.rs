@@ -16,19 +16,20 @@
 //! * all randomness is seeded ChaCha8 so parallel-vs-serial equivalence tests
 //!   can construct identical global parameters;
 //! * real arithmetic runs on a packed, register-blocked GEMM core (see
-//!   [`kernel`]) with an opt-in thread budget (`COLOSSAL_KERNEL_THREADS`);
+//!   [`kernel`]) with an opt-in thread budget ([`set_kernel_threads`]);
 //! * intra-op parallelism (GEMM row panels, element-wise sweeps, row-wise
 //!   normalizations) executes on a persistent deterministic worker pool
 //!   (see [`par`]) whose partitions depend only on `(len, budget)` — results
 //!   are bitwise-identical to serial at any thread count;
-//! * an opt-in **fast numeric mode** ([`set_fast_mode`], `COLOSSAL_FAST`,
-//!   `compute.fast` in the engine config) swaps the deterministic
-//!   mul-then-add kernels for FMA-fused ones and unlocks the bf16-compute
-//!   GEMM ([`matmul_bf16`]); results then differ from the default mode by
-//!   documented ULP budgets but remain deterministic across thread counts
-//!   and backends within the mode (see DESIGN.md §13).
+//! * an opt-in **fast numeric mode** ([`set_fast_mode`], `compute.fast` in
+//!   the engine config) swaps the deterministic mul-then-add kernels for
+//!   FMA-fused ones; results then differ from the default mode by documented
+//!   ULP budgets but remain deterministic across thread counts and backends
+//!   within the mode (see DESIGN.md §13);
+//! * nothing here reads the process environment: the two setters above are
+//!   the only runtime knobs, and both default to the deterministic serial
+//!   path (budget 1, fast off).
 
-pub mod envknob;
 pub mod f16;
 pub mod init;
 pub mod kernel;
@@ -39,16 +40,12 @@ pub mod pool;
 pub mod shape;
 pub mod tensor;
 
-pub use f16::{BF16, F16};
-pub use kernel::{
-    fast_mode, fma_available, kernel_threads, par_flop_cutoff, set_fast_mode, set_kernel_threads,
-    set_par_flop_cutoff,
-};
+pub use f16::F16;
+pub use kernel::{fast_mode, fma_available, kernel_threads, set_fast_mode, set_kernel_threads};
 pub use matmul::{
-    bmm, bmm_at, bmm_bt, gemm, matmul, matmul_at, matmul_at_acc, matmul_bf16, matmul_bt, matmul_nd,
-    matmul_nd_bf16,
+    bmm, bmm_at, bmm_bt, gemm, matmul, matmul_at, matmul_at_acc, matmul_bt, matmul_nd,
 };
 pub use par::ParStats;
-pub use pool::{pool_enabled, set_pool_enabled, PoolStats};
+pub use pool::PoolStats;
 pub use shape::Shape;
 pub use tensor::{axpy_slices, scale_slice, Tensor};

@@ -10,7 +10,7 @@
 //! reference baselines for the `gemm_kernels` benchmark and for differential
 //! tests; they are not used by any production path.
 
-use crate::kernel::{for_each_batch, gemm_mat_auto, gemm_mat_bf16_auto, Mat};
+use crate::kernel::{for_each_batch, gemm_mat_auto, Mat};
 use crate::tensor::Tensor;
 
 /// Block edge for the reference tiled kernel; sized so that three `B x B`
@@ -85,55 +85,6 @@ pub fn gemm_ref_blocked(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize,
             }
         }
     }
-}
-
-/// `C = bf16(A) @ bf16(B)` with f32 accumulation — the reduced-precision
-/// compute GEMM of the fast numeric mode. Operands are rounded to bf16
-/// (round-to-nearest-even) as they are packed into panels, so precision
-/// drops exactly once per operand element regardless of blocking; the
-/// register tile accumulates in f32 with FMA. Callers opt in explicitly
-/// (the AMP engine under `compute.fast`); it is **not** selected by
-/// [`matmul`], so fast mode alone never changes the storage format of a
-/// full-precision matmul.
-pub fn matmul_bf16(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.rank(), 2, "matmul_bf16 lhs must be rank 2");
-    assert_eq!(b.rank(), 2, "matmul_bf16 rhs must be rank 2");
-    let (m, k) = (a.dims()[0], a.dims()[1]);
-    let (k2, n) = (b.dims()[0], b.dims()[1]);
-    assert_eq!(k, k2, "matmul_bf16 inner-dimension mismatch: {k} vs {k2}");
-    let mut out = crate::pool::take_zeroed(m * n);
-    gemm_mat_bf16_auto(
-        Mat::row_major(a.data(), k),
-        Mat::row_major(b.data(), n),
-        &mut out,
-        m,
-        k,
-        n,
-    );
-    Tensor::from_vec([m, n], out)
-}
-
-/// [`matmul_bf16`] for `A` with arbitrary leading dimensions, the shape
-/// contract of [`matmul_nd`] (a linear layer on `(batch, seq, K)`
-/// activations).
-pub fn matmul_nd_bf16(a: &Tensor, b: &Tensor) -> Tensor {
-    assert!(a.rank() >= 1, "matmul_nd_bf16 lhs must have rank >= 1");
-    assert_eq!(b.rank(), 2, "matmul_nd_bf16 rhs must be rank 2");
-    let (rows, k) = a.shape().as_matrix();
-    let (k2, n) = (b.dims()[0], b.dims()[1]);
-    assert_eq!(k, k2, "matmul_nd_bf16 inner-dimension mismatch");
-    let mut out = crate::pool::take_zeroed(rows * n);
-    gemm_mat_bf16_auto(
-        Mat::row_major(a.data(), k),
-        Mat::row_major(b.data(), n),
-        &mut out,
-        rows,
-        k,
-        n,
-    );
-    let mut dims = a.dims().to_vec();
-    *dims.last_mut().unwrap() = n;
-    Tensor::from_vec(dims, out)
 }
 
 /// `A @ B` where `A` may have arbitrary leading dimensions:

@@ -43,23 +43,21 @@
 //!
 //! # Budget
 //!
-//! The executor budget is [`crate::kernel_threads`] — `set_kernel_threads`
-//! / `COLOSSAL_KERNEL_THREADS`, 0 clamping to 1 (see the resolution rules
-//! documented there). At budget 1 every entry point degrades to the plain
-//! serial loop with no pool interaction at all — the serial reference the
-//! bitwise tests compare against.
+//! The executor budget is [`crate::kernel_threads`] (`compute.threads` /
+//! `set_kernel_threads`, 0 clamping to 1). At budget 1 every entry point
+//! degrades to the plain serial loop with no pool interaction at all — the
+//! serial reference the bitwise tests compare against.
 //!
 //! Small tensors stay serial: callers gate on [`par_eligible`], whose
-//! element cutoff is `compute.par_cutoff` / `COLOSSAL_PAR_CUTOFF` /
-//! [`set_par_cutoff`] (default [`DEFAULT_PAR_CUTOFF`]).
+//! element cutoff is [`DEFAULT_PAR_CUTOFF`].
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, TryLockError};
 
-/// Default element cutoff below which parallelized element-wise kernels
-/// stay serial: under ~32Ki elements the wake/join round-trip costs more
-/// than the sweep itself.
+/// Element cutoff below which parallelized element-wise kernels stay
+/// serial: under ~32Ki elements the wake/join round-trip costs more than
+/// the sweep itself.
 pub const DEFAULT_PAR_CUTOFF: usize = 32 * 1024;
 
 /// Default minimum chunk granularity (elements) for [`par_chunks_static`]
@@ -70,24 +68,19 @@ pub const MIN_CHUNK: usize = 4096;
 /// effective helper count is `min(budget - 1, tasks - 1, MAX_WORKERS)`.
 pub const MAX_WORKERS: usize = 64;
 
-// -------------------------------------------------------------------------
-// Runtime knobs
-// -------------------------------------------------------------------------
+static PAR_CUTOFF: AtomicUsize = AtomicUsize::new(DEFAULT_PAR_CUTOFF);
 
-static PAR_CUTOFF: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the element cutoff for [`par_eligible`] (clamped to at least 1,
-/// like every knob in this crate — see [`crate::kernel_threads`]).
+/// Test handle, not a tuning knob: lowers the [`par_eligible`] cutoff
+/// (clamped to at least 1) so the bitwise serial-vs-parallel suites reach
+/// the parallel path on small shapes. No config key lands here.
 pub fn set_par_cutoff(n: usize) {
     PAR_CUTOFF.store(n.max(1), Ordering::Relaxed);
 }
 
-/// The element cutoff below which parallelized kernels stay serial: the
-/// last [`set_par_cutoff`] value, else `COLOSSAL_PAR_CUTOFF`, else
-/// [`DEFAULT_PAR_CUTOFF`]. Cached on first resolution (the same rules as
-/// [`crate::kernel_threads`], documented there).
+/// The element cutoff below which parallelized kernels stay serial:
+/// [`DEFAULT_PAR_CUTOFF`] unless a test moved it with [`set_par_cutoff`].
 pub fn par_cutoff() -> usize {
-    crate::kernel::resolve_cached(&PAR_CUTOFF, "COLOSSAL_PAR_CUTOFF", DEFAULT_PAR_CUTOFF)
+    PAR_CUTOFF.load(Ordering::Relaxed)
 }
 
 /// True when a kernel over `numel` elements should take its parallel path:

@@ -20,12 +20,10 @@
 //!
 //! The pool is process-global and deliberately bounded (per-class and total
 //! byte caps): overflow buffers fall through to the system allocator
-//! exactly as before. Disable it entirely with `COLOSSAL_POOL=off` (the
-//! environment always wins) or the `mem.pool` config key to bisect any
-//! suspected pool bug against the plain allocating path — the arithmetic is
-//! identical either way, only where the bytes come from changes.
+//! exactly as before. There is no off switch: the arithmetic does not
+//! depend on where the bytes come from.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Smallest pooled request, in elements (256 B). Anything below goes to the
@@ -87,36 +85,6 @@ fn class_counters() -> &'static [ClassCounters] {
             .collect()
     })
 }
-/// Runtime switch (config / benches). ANDed with the environment gate.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// `COLOSSAL_POOL=off` (or `0` / `false`), read once: the environment
-/// escape hatch overrides any runtime [`set_pool_enabled`] call.
-fn env_forced_off() -> bool {
-    static OFF: OnceLock<bool> = OnceLock::new();
-    *OFF.get_or_init(|| match std::env::var("COLOSSAL_POOL") {
-        Err(_) => false,
-        Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-            "off" | "0" | "false" => true,
-            "on" | "1" | "true" => false,
-            other => {
-                crate::envknob::warn_invalid("COLOSSAL_POOL", other, "on/off", "on");
-                false
-            }
-        },
-    })
-}
-
-/// Whether allocations currently draw from the pool.
-pub fn pool_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed) && !env_forced_off()
-}
-
-/// Turns pooling on or off at runtime (the `mem.pool` config key lands
-/// here). `COLOSSAL_POOL=off` in the environment wins over `on = true`.
-pub fn set_pool_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
 
 /// Size class serving a request of `n` elements, or `None` when the request
 /// is out of pooling range (tiny or enormous).
@@ -148,33 +116,31 @@ fn class_for_capacity(cap: usize) -> Option<usize> {
 /// The caller fills it (`extend`, `resize`, `push`); garbage capacity is
 /// never exposed.
 pub fn take_buffer(n: usize) -> Vec<f32> {
-    if pool_enabled() {
-        if let Some(idx) = class_for_request(n) {
-            let popped = {
-                let mut class = classes()[idx].lock().expect("pool lock");
-                let popped = class.pop();
-                if let Some(buf) = &popped {
-                    let bytes = buf.capacity() * 4;
-                    POOLED_BYTES.fetch_sub(bytes, Ordering::Relaxed);
-                    class_counters()[idx]
-                        .bytes
-                        .fetch_sub(bytes, Ordering::Relaxed);
-                }
-                popped
-            };
-            if let Some(mut buf) = popped {
-                debug_assert!(buf.capacity() >= n);
-                HITS.fetch_add(1, Ordering::Relaxed);
-                buf.clear();
-                return buf;
-            }
-            MISSES.fetch_add(1, Ordering::Relaxed);
-            // allocate the full class size so the buffer re-parks in the
-            // same class and serves every future request that maps here
-            return Vec::with_capacity(MIN_POOL_ELEMS << idx);
+    let Some(idx) = class_for_request(n) else {
+        return Vec::with_capacity(n);
+    };
+    let popped = {
+        let mut class = classes()[idx].lock().expect("pool lock");
+        let popped = class.pop();
+        if let Some(buf) = &popped {
+            let bytes = buf.capacity() * 4;
+            POOLED_BYTES.fetch_sub(bytes, Ordering::Relaxed);
+            class_counters()[idx]
+                .bytes
+                .fetch_sub(bytes, Ordering::Relaxed);
         }
+        popped
+    };
+    if let Some(mut buf) = popped {
+        debug_assert!(buf.capacity() >= n);
+        HITS.fetch_add(1, Ordering::Relaxed);
+        buf.clear();
+        return buf;
     }
-    Vec::with_capacity(n)
+    MISSES.fetch_add(1, Ordering::Relaxed);
+    // allocate the full class size so the buffer re-parks in the same class
+    // and serves every future request that maps here
+    Vec::with_capacity(MIN_POOL_ELEMS << idx)
 }
 
 /// Takes a buffer of length `n`, zero-filled (the pooled analogue of
@@ -185,12 +151,12 @@ pub fn take_zeroed(n: usize) -> Vec<f32> {
     buf
 }
 
-/// Parks `buf` for reuse (or frees it when pooling is off, the buffer is
-/// out of class range, or the pool is at capacity). Called by tensor
+/// Parks `buf` for reuse (or frees it when the buffer is out of class
+/// range or the pool is at capacity). Called by tensor
 /// storage `Drop`, so only unreachable buffers ever arrive here.
 pub fn recycle(buf: Vec<f32>) {
     let cap_bytes = buf.capacity() * 4;
-    if cap_bytes == 0 || !pool_enabled() {
+    if cap_bytes == 0 {
         return;
     }
     let Some(idx) = class_for_capacity(buf.capacity()) else {
@@ -390,20 +356,6 @@ mod tests {
         let after = stats();
         assert_eq!(before.hits, after.hits);
         assert_eq!(before.misses, after.misses);
-    }
-
-    #[test]
-    fn disabling_falls_through_to_malloc() {
-        set_pool_enabled(false);
-        let before = stats();
-        let n = 99_999;
-        let b = take_buffer(n);
-        recycle(b);
-        let after = stats();
-        assert_eq!(before.hits, after.hits);
-        assert_eq!(before.misses, after.misses);
-        assert_eq!(before.recycled_bytes, after.recycled_bytes);
-        set_pool_enabled(true);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Fast-mode numeric properties: the opt-in FMA/bf16 kernels must stay
+//! Fast-mode numeric properties: the opt-in FMA kernels must stay
 //! within *explicit ULP budgets* of the deterministic defaults, and the
 //! determinism guarantees (serial == threaded, fused == composed) must hold
 //! *within* each mode.
@@ -10,12 +10,6 @@
 //!   modes differ by at most the sum of both accumulation error bounds,
 //!   `(2k + 4)` ULPs measured at `absdot` (the `+4` covers the final
 //!   store/writeback roundings on both sides).
-//! * bf16 GEMM vs deterministic f32 GEMM: each operand is rounded once to
-//!   bf16 (8-bit mantissa, relative error ≤ 2⁻⁹), so each product carries
-//!   relative error ≤ 2⁻⁸ + 2⁻¹⁸; summed, the error is ≤ ~1.25 bf16-ULPs
-//!   of `absdot` (a bf16 ULP at magnitude `x` is `ulp_at(x, 7)` because the
-//!   stored mantissa is 7 bits). We budget 2.5 bf16-ULPs plus the f32
-//!   accumulation term for slack on carries.
 //!
 //! Toggling `set_fast_mode` is process-global, so every test here holds one
 //! mutex and restores the deterministic default before releasing it. Tests
@@ -27,10 +21,10 @@ use colossalai_tensor::ops::{
     add_bias_gelu, add_bias_gelu_backward, gelu, gelu_grad, layernorm, layernorm_fused,
 };
 use colossalai_tensor::{
-    fast_mode, init, kernel_threads, matmul, matmul_at, matmul_at_acc, matmul_bf16, set_fast_mode,
+    fast_mode, init, kernel_threads, matmul, matmul_at, matmul_at_acc, set_fast_mode,
     set_kernel_threads, Tensor,
 };
-use proptest::prelude::*;
+use rand::Rng;
 
 static FAST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -56,7 +50,7 @@ fn in_fast<T>(f: impl FnOnce() -> T) -> T {
 }
 
 /// Spacing between adjacent floats with `mant_bits` stored mantissa bits at
-/// magnitude `|x|` (23 → f32 ULP, 7 → bf16 ULP).
+/// magnitude `|x|` (23 → f32 ULP).
 fn ulp_at(x: f32, mant_bits: i32) -> f32 {
     let mag = x.abs().max(f32::MIN_POSITIVE);
     let e = mag.log2().floor() as i32;
@@ -89,7 +83,7 @@ fn absdot(a: &Tensor, b: &Tensor, m: usize, k: usize, n: usize) -> Vec<f32> {
 }
 
 #[test]
-fn knob_roundtrip_and_env_resolution() {
+fn knob_roundtrip() {
     let _g = FAST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     set_fast_mode(true);
     assert!(fast_mode());
@@ -124,42 +118,6 @@ fn fast_gemm_within_ulp_budget_of_deterministic() {
 }
 
 #[test]
-fn bf16_gemm_within_ulp_budget_of_deterministic() {
-    for &(m, k, n) in &[
-        (5usize, 7usize, 3usize),
-        (33, 70, 17),
-        (65, 130, 49),
-        (12, 530, 40),
-    ] {
-        let a = tensor(m, k, 300 + k as u64);
-        let b = tensor(k, n, 400 + k as u64);
-        let det = matmul(&a, &b);
-        let fast = matmul_bf16(&a, &b);
-        let bound = absdot(&a, &b, m, k, n);
-        for ((d, f), ab) in det.data().iter().zip(fast.data()).zip(&bound) {
-            let allowed = 2.5 * ulp_at(*ab, 7) + (2 * k + 4) as f32 * ulp_at(*ab, 23);
-            assert!(
-                (d - f).abs() <= allowed,
-                "({m},{k},{n}): |{d} - {f}| > {allowed} (absdot {ab})"
-            );
-        }
-    }
-}
-
-#[test]
-fn bf16_gemm_exact_on_bf16_representable_inputs() {
-    // Integers up to 2^8 are exactly representable in bf16; small integer
-    // dots accumulate exactly in f32, so the bf16 GEMM must be bit-exact.
-    let (m, k, n) = (4usize, 6usize, 5usize);
-    let mut rng = init::rng(55);
-    let a = init::uniform([m, k], -8.0, 8.0, &mut rng).map(|v| v.round());
-    let b = init::uniform([k, n], -8.0, 8.0, &mut rng).map(|v| v.round());
-    let det = matmul(&a, &b);
-    let fast = matmul_bf16(&a, &b);
-    assert_eq!(det.data(), fast.data());
-}
-
-#[test]
 fn fast_mode_is_deterministic_across_thread_counts() {
     // Within fast mode the serial and threaded GEMMs must stay bitwise
     // identical — the mode trades *cross-mode* parity, never determinism.
@@ -176,17 +134,6 @@ fn fast_mode_is_deterministic_across_thread_counts() {
         (serial, threaded)
     });
     assert_eq!(serial.data(), threaded.data());
-
-    let (s_bf, t_bf) = {
-        let _g = FAST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_kernel_threads(1);
-        let s = matmul_bf16(&a, &b);
-        set_kernel_threads(4);
-        let t = matmul_bf16(&a, &b);
-        set_kernel_threads(ambient);
-        (s, t)
-    };
-    assert_eq!(s_bf.data(), t_bf.data());
 }
 
 #[test]
@@ -228,13 +175,14 @@ fn fused_kernels_stay_composed_identical_within_fast_mode() {
     });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-    #[test]
-    fn fast_gemm_budget_holds_on_random_shapes(
-        m in 1usize..20, k in 1usize..60, n in 1usize..20, seed in 0u64..1000
-    ) {
+#[test]
+fn fast_gemm_budget_holds_on_random_shapes() {
+    for case in 0..48 {
+        let mut draw = init::rng(case);
+        let m = draw.gen_range(1usize..20);
+        let k = draw.gen_range(1usize..60);
+        let n = draw.gen_range(1usize..20);
+        let seed = draw.gen_range(0u64..1000);
         let a = tensor(m, k, seed);
         let b = tensor(k, n, seed + 1);
         let (det, fast) = with_modes(|| matmul(&a, &b));
@@ -242,12 +190,18 @@ proptest! {
         let budget = (2 * k + 4) as f32;
         for ((d, f), ab) in det.data().iter().zip(fast.data()).zip(&bound) {
             let allowed = budget * ulp_at(*ab, 23);
-            prop_assert!((d - f).abs() <= allowed, "|{} - {}| > {}", d, f, allowed);
+            assert!((d - f).abs() <= allowed, "|{} - {}| > {}", d, f, allowed);
         }
     }
+}
 
-    #[test]
-    fn fast_gelu_within_budget(rows in 1usize..6, cols in 1usize..24, seed in 0u64..1000) {
+#[test]
+fn fast_gelu_within_budget() {
+    for case in 0..48 {
+        let mut draw = init::rng(case);
+        let rows = draw.gen_range(1usize..6);
+        let cols = draw.gen_range(1usize..24);
+        let seed = draw.gen_range(0u64..1000);
         // The FMA regrouping perturbs the tanh argument by a few ULPs; tanh
         // is 1-Lipschitz and the output magnitude is bounded by |x|, so a
         // small per-element budget at max(|y|, |x|) covers it.
@@ -256,18 +210,24 @@ proptest! {
         let (det, fast) = with_modes(|| add_bias_gelu(x.clone(), &bias));
         for ((d, f), xv) in det.1.data().iter().zip(fast.1.data()).zip(x.data()) {
             let allowed = 16.0 * ulp_at(d.abs().max(xv.abs()).max(1e-6), 23);
-            prop_assert!((d - f).abs() <= allowed, "|{} - {}| > {}", d, f, allowed);
+            assert!((d - f).abs() <= allowed, "|{} - {}| > {}", d, f, allowed);
         }
         let dy = tensor(rows, cols, seed + 2);
         let (dd, df) = with_modes(|| add_bias_gelu_backward(&det.0, &dy));
         for ((d, f), dyv) in dd.data().iter().zip(df.data()).zip(dy.data()) {
             let allowed = 32.0 * ulp_at(d.abs().max(dyv.abs()).max(1e-6), 23);
-            prop_assert!((d - f).abs() <= allowed, "|{} - {}| > {}", d, f, allowed);
+            assert!((d - f).abs() <= allowed, "|{} - {}| > {}", d, f, allowed);
         }
     }
+}
 
-    #[test]
-    fn fast_layernorm_within_budget(rows in 1usize..6, cols in 2usize..32, seed in 0u64..1000) {
+#[test]
+fn fast_layernorm_within_budget() {
+    for case in 0..48 {
+        let mut draw = init::rng(case);
+        let rows = draw.gen_range(1usize..6);
+        let cols = draw.gen_range(2usize..32);
+        let seed = draw.gen_range(0u64..1000);
         // Mean is identical (the sum is not FMA-regrouped); the variance
         // fold differs by ≤ cols fused roundings, so inv_std carries a
         // relative error of O(cols)·2⁻²⁴ into every normalized element.
@@ -275,7 +235,7 @@ proptest! {
         let gamma = row(cols, seed + 1);
         let beta = row(cols, seed + 2);
         let (det, fast) = with_modes(|| layernorm_fused(&x, &gamma, &beta, 1e-5));
-        prop_assert_eq!(&det.1, &fast.1, "means must be identical across modes");
+        assert_eq!(&det.1, &fast.1, "means must be identical across modes");
         let scale = gamma
             .data()
             .iter()
@@ -283,7 +243,7 @@ proptest! {
             .fold(1.0f32, |m, v| m.max(v.abs()));
         for (d, f) in det.0.data().iter().zip(fast.0.data()) {
             let allowed = (cols as f32 + 16.0) * ulp_at(d.abs().max(3.0 * scale), 23);
-            prop_assert!((d - f).abs() <= allowed, "|{} - {}| > {}", d, f, allowed);
+            assert!((d - f).abs() <= allowed, "|{} - {}| > {}", d, f, allowed);
         }
     }
 }

@@ -1,69 +1,100 @@
 //! Algebraic property tests for the tensor kernels.
 
 use colossalai_tensor::{bmm, matmul, matmul_at, matmul_bt, Tensor};
-use proptest::prelude::*;
+use rand::Rng;
 
 fn tensor(rows: usize, cols: usize, seed: u64) -> Tensor {
     let mut rng = colossalai_tensor::init::rng(seed);
     colossalai_tensor::init::uniform([rows, cols], -2.0, 2.0, &mut rng)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    #[test]
-    fn chunk_cat_inverse(rows in 1usize..6, cols_blocks in 1usize..5, parts in 1usize..5, seed in 0u64..1000) {
+#[test]
+fn chunk_cat_inverse() {
+    for case in 0..64 {
+        let mut draw = colossalai_tensor::init::rng(case);
+        let rows = draw.gen_range(1usize..6);
+        let cols_blocks = draw.gen_range(1usize..5);
+        let parts = draw.gen_range(1usize..5);
+        let seed = draw.gen_range(0u64..1000);
         let cols = cols_blocks * parts;
         let t = tensor(rows, cols, seed);
         let chunks = t.chunk(1, parts);
-        prop_assert_eq!(Tensor::cat(&chunks, 1), t);
+        assert_eq!(Tensor::cat(&chunks, 1), t);
     }
+}
 
-    #[test]
-    fn transpose_involution(rows in 1usize..8, cols in 1usize..8, seed in 0u64..1000) {
+#[test]
+fn transpose_involution() {
+    for case in 0..64 {
+        let mut draw = colossalai_tensor::init::rng(case);
+        let rows = draw.gen_range(1usize..8);
+        let cols = draw.gen_range(1usize..8);
+        let seed = draw.gen_range(0u64..1000);
         let t = tensor(rows, cols, seed);
-        prop_assert_eq!(t.transpose().transpose(), t);
+        assert_eq!(t.transpose().transpose(), t);
     }
+}
 
-    #[test]
-    fn permute_roundtrip_3d(a in 1usize..4, b in 1usize..4, c in 1usize..4, seed in 0u64..1000) {
+#[test]
+fn permute_roundtrip_3d() {
+    for case in 0..64 {
+        let mut draw = colossalai_tensor::init::rng(case);
+        let a = draw.gen_range(1usize..4);
+        let b = draw.gen_range(1usize..4);
+        let c = draw.gen_range(1usize..4);
+        let seed = draw.gen_range(0u64..1000);
         let t = tensor(a * b, c, seed).reshaped([a, b, c]);
         let p = t.permute(&[2, 0, 1]);
         let back = p.permute(&[1, 2, 0]);
-        prop_assert_eq!(back, t);
+        assert_eq!(back, t);
     }
+}
 
-    #[test]
-    fn matmul_distributes_over_addition(
-        m in 1usize..5, k in 1usize..5, n in 1usize..5, seed in 0u64..1000
-    ) {
+#[test]
+fn matmul_distributes_over_addition() {
+    for case in 0..64 {
+        let mut draw = colossalai_tensor::init::rng(case);
+        let m = draw.gen_range(1usize..5);
+        let k = draw.gen_range(1usize..5);
+        let n = draw.gen_range(1usize..5);
+        let seed = draw.gen_range(0u64..1000);
         let a = tensor(m, k, seed);
         let b = tensor(k, n, seed + 1);
         let c = tensor(k, n, seed + 2);
         let lhs = matmul(&a, &b.zip(&c, |x, y| x + y));
         let rhs = matmul(&a, &b).zip(&matmul(&a, &c), |x, y| x + y);
-        prop_assert!(lhs.allclose(&rhs, 1e-4), "diff {}", lhs.max_abs_diff(&rhs));
+        assert!(lhs.allclose(&rhs, 1e-4), "diff {}", lhs.max_abs_diff(&rhs));
     }
+}
 
-    #[test]
-    fn matmul_transpose_identity(
-        m in 1usize..5, k in 1usize..5, n in 1usize..5, seed in 0u64..1000
-    ) {
+#[test]
+fn matmul_transpose_identity() {
+    for case in 0..64 {
+        let mut draw = colossalai_tensor::init::rng(case);
+        let m = draw.gen_range(1usize..5);
+        let k = draw.gen_range(1usize..5);
+        let n = draw.gen_range(1usize..5);
+        let seed = draw.gen_range(0u64..1000);
         // (A B)^T = B^T A^T
         let a = tensor(m, k, seed);
         let b = tensor(k, n, seed + 7);
         let lhs = matmul(&a, &b).transpose();
         let rhs = matmul(&b.transpose(), &a.transpose());
-        prop_assert!(lhs.allclose(&rhs, 1e-4));
+        assert!(lhs.allclose(&rhs, 1e-4));
         // the fused transposed kernels agree with explicit transposes
-        prop_assert!(matmul_bt(&a, &b.transpose()).allclose(&matmul(&a, &b), 1e-4));
-        prop_assert!(matmul_at(&a.transpose(), &b).allclose(&matmul(&a, &b), 1e-4));
+        assert!(matmul_bt(&a, &b.transpose()).allclose(&matmul(&a, &b), 1e-4));
+        assert!(matmul_at(&a.transpose(), &b).allclose(&matmul(&a, &b), 1e-4));
     }
+}
 
-    #[test]
-    fn block_matmul_equals_full(
-        mb in 1usize..4, kb in 1usize..4, n in 1usize..5, seed in 0u64..1000
-    ) {
+#[test]
+fn block_matmul_equals_full() {
+    for case in 0..64 {
+        let mut draw = colossalai_tensor::init::rng(case);
+        let mb = draw.gen_range(1usize..4);
+        let kb = draw.gen_range(1usize..4);
+        let n = draw.gen_range(1usize..5);
+        let seed = draw.gen_range(0u64..1000);
         // [A1; A2] @ B == [A1 @ B; A2 @ B]  (row-block identity behind every
         // distributed decomposition in the workspace)
         let (m, k) = (mb * 2, kb * 2);
@@ -72,23 +103,31 @@ proptest! {
         let full = matmul(&a, &b);
         let blocks = a.chunk(0, 2);
         let stacked = Tensor::cat(&[matmul(&blocks[0], &b), matmul(&blocks[1], &b)], 0);
-        prop_assert!(stacked.allclose(&full, 1e-4));
+        assert!(stacked.allclose(&full, 1e-4));
         // A @ [B1 B2] == [A @ B1, A @ B2] requires even n
         if n % 2 == 0 {
             let bcols = b.chunk(1, 2);
             let side = Tensor::cat(&[matmul(&a, &bcols[0]), matmul(&a, &bcols[1])], 1);
-            prop_assert!(side.allclose(&full, 1e-4));
+            assert!(side.allclose(&full, 1e-4));
         }
         // inner-dimension split: A = [A1 A2], B = [B1; B2]:
         // A @ B == A1 @ B1 + A2 @ B2 (the SUMMA accumulation identity)
         let acols = a.chunk(1, 2);
         let brows = b.chunk(0, 2);
         let sum = matmul(&acols[0], &brows[0]).zip(&matmul(&acols[1], &brows[1]), |x, y| x + y);
-        prop_assert!(sum.allclose(&full, 1e-4));
+        assert!(sum.allclose(&full, 1e-4));
     }
+}
 
-    #[test]
-    fn bmm_is_batched_matmul(batch in 1usize..4, m in 1usize..4, k in 1usize..4, n in 1usize..4, seed in 0u64..1000) {
+#[test]
+fn bmm_is_batched_matmul() {
+    for case in 0..64 {
+        let mut draw = colossalai_tensor::init::rng(case);
+        let batch = draw.gen_range(1usize..4);
+        let m = draw.gen_range(1usize..4);
+        let k = draw.gen_range(1usize..4);
+        let n = draw.gen_range(1usize..4);
+        let seed = draw.gen_range(0u64..1000);
         let a = tensor(batch * m, k, seed).reshaped([batch, m, k]);
         let b = tensor(batch * k, n, seed + 5).reshaped([batch, k, n]);
         let c = bmm(&a, &b);
@@ -96,29 +135,41 @@ proptest! {
             let at = a.narrow(0, t, 1).reshaped([m, k]);
             let bt = b.narrow(0, t, 1).reshaped([k, n]);
             let ct = c.narrow(0, t, 1).reshaped([m, n]);
-            prop_assert!(ct.allclose(&matmul(&at, &bt), 1e-4));
+            assert!(ct.allclose(&matmul(&at, &bt), 1e-4));
         }
     }
+}
 
-    #[test]
-    fn softmax_invariant_under_shift(cols in 2usize..8, shift in -5.0f32..5.0, seed in 0u64..1000) {
+#[test]
+fn softmax_invariant_under_shift() {
+    for case in 0..64 {
+        let mut draw = colossalai_tensor::init::rng(case);
+        let cols = draw.gen_range(2usize..8);
+        let shift = draw.gen_range(-5.0f32..5.0);
+        let seed = draw.gen_range(0u64..1000);
         use colossalai_tensor::ops::softmax;
         let x = tensor(3, cols, seed);
         let shifted = x.map(|v| v + shift);
         let a = softmax(&x);
         let b = softmax(&shifted);
-        prop_assert!(a.allclose(&b, 1e-5), "softmax must be shift-invariant");
+        assert!(a.allclose(&b, 1e-5), "softmax must be shift-invariant");
     }
+}
 
-    #[test]
-    fn narrow_matches_indexing(rows in 2usize..6, cols in 2usize..6, seed in 0u64..1000) {
+#[test]
+fn narrow_matches_indexing() {
+    for case in 0..64 {
+        let mut draw = colossalai_tensor::init::rng(case);
+        let rows = draw.gen_range(2usize..6);
+        let cols = draw.gen_range(2usize..6);
+        let seed = draw.gen_range(0u64..1000);
         let t = tensor(rows, cols, seed);
         let start = rows / 2;
         let len = rows - start;
         let n = t.narrow(0, start, len);
         for i in 0..len {
             for j in 0..cols {
-                prop_assert_eq!(n.at(&[i, j]), t.at(&[start + i, j]));
+                assert_eq!(n.at(&[i, j]), t.at(&[start + i, j]));
             }
         }
     }

@@ -13,7 +13,7 @@ use colossalai_comm::World;
 use colossalai_parallel::data_parallel::flatten_grads;
 use colossalai_parallel::BucketedGradSync;
 use colossalai_tensor::par::{self, DEFAULT_PAR_CUTOFF};
-use colossalai_tensor::{init, set_kernel_threads, Tensor};
+use colossalai_tensor::{init, pool, set_kernel_threads, Tensor};
 use colossalai_topology::systems::system_i;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -133,6 +133,9 @@ fn bucket_flatten_and_writeback_are_bitwise_under_pool() {
     let want_overlap = bucket_sync_grads(true);
     assert_eq!(want_blocking, want_overlap, "overlap is bitwise-neutral");
 
+    // the two runs above parked the working set: from here on the storage
+    // pool must serve more than 90% of in-range requests from parked buffers
+    pool::reset_stats();
     par::set_par_cutoff(1);
     for threads in [2usize, 4] {
         set_kernel_threads(threads);
@@ -147,6 +150,8 @@ fn bucket_flatten_and_writeback_are_bitwise_under_pool() {
             "overlapped sync bits moved at budget {threads}"
         );
     }
+    let stats = pool::stats();
+    assert!(stats.hit_rate() > 0.9, "steady-state pool: {stats:?}");
     restore_defaults();
 }
 

@@ -1,4 +1,4 @@
-//! Property-based integration tests (proptest) for the DESIGN.md invariants
+//! Property-based integration tests (seeded random cases) for the DESIGN.md invariants
 //! that span crates: distributed-vs-serial equivalence for arbitrary
 //! admissible shapes, collective algebra, chunk-manager data integrity.
 
@@ -11,21 +11,15 @@ use colossalai::tensor::{init, Tensor};
 use colossalai::topology::systems::system_i;
 use colossalai::topology::Link;
 use colossalai_autograd::{Layer, Linear};
-use proptest::prelude::*;
+use rand::Rng;
 
-fn tensor_strategy(len: usize) -> impl Strategy<Value = Vec<f32>> {
-    proptest::collection::vec(-2.0f32..2.0, len)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
-    #[test]
-    fn all_reduce_is_sum_any_shape(
-        rows in 1usize..5,
-        cols in 1usize..5,
-        seed in 0u64..1000,
-    ) {
+#[test]
+fn all_reduce_is_sum_any_shape() {
+    for case in 0..12 {
+        let mut draw = init::rng(case);
+        let rows = draw.gen_range(1usize..5);
+        let cols = draw.gen_range(1usize..5);
+        let seed = draw.gen_range(0u64..1000);
         let world = World::new(system_i());
         let out = world.run_on(4, |ctx| {
             let g = ctx.world_group(4);
@@ -38,15 +32,17 @@ proptest! {
             want.axpy(1.0, input);
         }
         for (_, reduced) in &out {
-            prop_assert!(reduced.allclose(&want, 1e-5));
+            assert!(reduced.allclose(&want, 1e-5));
         }
     }
+}
 
-    #[test]
-    fn reduce_scatter_then_gather_equals_all_reduce(
-        chunks in 1usize..4,
-        seed in 0u64..1000,
-    ) {
+#[test]
+fn reduce_scatter_then_gather_equals_all_reduce() {
+    for case in 0..12 {
+        let mut draw = init::rng(case);
+        let chunks = draw.gen_range(1usize..4);
+        let seed = draw.gen_range(0u64..1000);
         let p = 4;
         let n = chunks * p; // divisible length
         let world = World::new(system_i());
@@ -60,15 +56,17 @@ proptest! {
             (ar, rebuilt)
         });
         for (ar, rebuilt) in &out {
-            prop_assert_eq!(ar.data(), rebuilt.data());
+            assert_eq!(ar.data(), rebuilt.data());
         }
     }
+}
 
-    #[test]
-    fn scatter_gather_roundtrip(
-        chunks in 1usize..4,
-        seed in 0u64..1000,
-    ) {
+#[test]
+fn scatter_gather_roundtrip() {
+    for case in 0..12 {
+        let mut draw = init::rng(case);
+        let chunks = draw.gen_range(1usize..4);
+        let seed = draw.gen_range(0u64..1000);
         let p = 4;
         let n = chunks * p;
         let mut rng = init::rng(seed);
@@ -76,20 +74,26 @@ proptest! {
         let world = World::new(system_i());
         let out = world.run_on(p, |ctx| {
             let g = ctx.world_group(p);
-            let input = if g.rank() == 0 { payload.clone() } else { Tensor::zeros([0]) };
+            let input = if g.rank() == 0 {
+                payload.clone()
+            } else {
+                Tensor::zeros([0])
+            };
             let mine = g.scatter(ctx, input, 0, 0);
             g.gather_cat(ctx, mine, 0, 0)
         });
-        prop_assert_eq!(out[0].data(), payload.data());
+        assert_eq!(out[0].data(), payload.data());
     }
+}
 
-    #[test]
-    fn linear2d_equals_serial_random_shapes(
-        mb in 1usize..4,
-        kb in 1usize..4,
-        nb in 1usize..4,
-        seed in 0u64..10_000,
-    ) {
+#[test]
+fn linear2d_equals_serial_random_shapes() {
+    for case in 0..12 {
+        let mut draw = init::rng(case);
+        let mb = draw.gen_range(1usize..4);
+        let kb = draw.gen_range(1usize..4);
+        let nb = draw.gen_range(1usize..4);
+        let seed = draw.gen_range(0u64..10_000);
         let j = 2;
         let (m, k, n) = (mb * j * 2, kb * j, nb * j);
         let mut rng = init::rng(seed);
@@ -111,16 +115,18 @@ proptest! {
         });
         let y_tiles: Vec<Tensor> = results.iter().map(|(y, _)| y.clone()).collect();
         let dx_tiles: Vec<Tensor> = results.iter().map(|(_, d)| d.clone()).collect();
-        prop_assert!(assemble_tiles(&y_tiles, j).allclose(&y_want, 1e-3));
-        prop_assert!(assemble_tiles(&dx_tiles, j).allclose(&dx_want, 1e-3));
+        assert!(assemble_tiles(&y_tiles, j).allclose(&y_want, 1e-3));
+        assert!(assemble_tiles(&dx_tiles, j).allclose(&dx_want, 1e-3));
     }
+}
 
-    #[test]
-    fn linear25d_equals_serial_random_shapes(
-        mb in 1usize..3,
-        kb in 1usize..3,
-        seed in 0u64..10_000,
-    ) {
+#[test]
+fn linear25d_equals_serial_random_shapes() {
+    for case in 0..12 {
+        let mut draw = init::rng(case);
+        let mb = draw.gen_range(1usize..3);
+        let kb = draw.gen_range(1usize..3);
+        let seed = draw.gen_range(0u64..10_000);
         let (j, d) = (2, 2);
         let p = j * j * d;
         let (m, k, n) = (mb * j * d * 2, kb * j, 4);
@@ -142,16 +148,18 @@ proptest! {
         let slices: Vec<Tensor> = (0..d)
             .map(|dep| assemble_tiles(&results[dep * jj..(dep + 1) * jj], j))
             .collect();
-        prop_assert!(Tensor::cat(&slices, 0).allclose(&y_want, 1e-3));
+        assert!(Tensor::cat(&slices, 0).allclose(&y_want, 1e-3));
     }
+}
 
-    #[test]
-    fn linear3d_equals_serial_random_shapes(
-        mb in 1usize..3,
-        kb in 1usize..3,
-        nb in 1usize..3,
-        seed in 0u64..10_000,
-    ) {
+#[test]
+fn linear3d_equals_serial_random_shapes() {
+    for case in 0..12 {
+        let mut draw = init::rng(case);
+        let mb = draw.gen_range(1usize..3);
+        let kb = draw.gen_range(1usize..3);
+        let nb = draw.gen_range(1usize..3);
+        let seed = draw.gen_range(0u64..10_000);
         let l = 2;
         let p = l * l * l;
         let (m, k, n) = (mb * l * l, kb * l * l, nb * l);
@@ -173,15 +181,21 @@ proptest! {
             );
         });
     }
+}
 
-    #[test]
-    fn chunk_manager_preserves_data_under_pressure(
-        n_tensors in 2usize..10,
-        budget_chunks in 1u64..4,
-        seed in 0u64..1000,
-    ) {
+#[test]
+fn chunk_manager_preserves_data_under_pressure() {
+    for case in 0..12 {
+        let mut draw = init::rng(case);
+        let n_tensors = draw.gen_range(2usize..10);
+        let budget_chunks = draw.gen_range(1u64..4);
+        let seed = draw.gen_range(0u64..1000);
         let chunk_elems = 8;
-        let mut mgr = ChunkManager::new(chunk_elems, budget_chunks * chunk_elems as u64 * 4, Link::pcie());
+        let mut mgr = ChunkManager::new(
+            chunk_elems,
+            budget_chunks * chunk_elems as u64 * 4,
+            Link::pcie(),
+        );
         let mut rng = init::rng(seed);
         let payloads: Vec<Vec<f32>> = (0..n_tensors)
             .map(|_| init::uniform([chunk_elems], -9.0, 9.0, &mut rng).into_vec())
@@ -189,22 +203,27 @@ proptest! {
         let refs: Vec<_> = payloads.iter().map(|p| mgr.register(p)).collect();
         // random access pattern: read everything twice in different orders
         for r in refs.iter() {
-            prop_assert_eq!(mgr.read(*r), payloads[refs.iter().position(|x| x == r).unwrap()].clone());
+            assert_eq!(
+                mgr.read(*r),
+                payloads[refs.iter().position(|x| x == r).unwrap()].clone()
+            );
         }
         for (i, r) in refs.iter().enumerate().rev() {
-            prop_assert_eq!(mgr.read(*r), payloads[i].clone());
-            prop_assert_eq!(mgr.tier_of(*r), Tier::Gpu);
+            assert_eq!(mgr.read(*r), payloads[i].clone());
+            assert_eq!(mgr.tier_of(*r), Tier::Gpu);
         }
         // GPU budget is never exceeded
-        prop_assert!(mgr.gpu_peak() <= budget_chunks * chunk_elems as u64 * 4);
+        assert!(mgr.gpu_peak() <= budget_chunks * chunk_elems as u64 * 4);
     }
+}
 
-    #[test]
-    fn pipeline_gradients_match_serial_for_random_configs(
-        stages in 2usize..5,
-        micros in 1usize..6,
-        seed in 0u64..1000,
-    ) {
+#[test]
+fn pipeline_gradients_match_serial_for_random_configs() {
+    for case in 0..12 {
+        let mut draw = init::rng(case);
+        let stages = draw.gen_range(2usize..5);
+        let micros = draw.gen_range(1usize..6);
+        let seed = draw.gen_range(0u64..1000);
         use colossalai::parallel::pipeline::{partition_layers, PipelineStage, Schedule};
         use colossalai_autograd::Sequential;
 
@@ -247,11 +266,15 @@ proptest! {
             let mut stage = PipelineStage::new(ctx, &devices, Sequential::new(tail));
             let mut lf = |_: u64, out: &Tensor| (0.0f32, out.clone());
             let _ = stage.run_step(
-                if seed % 2 == 0 { Schedule::GPipe } else { Schedule::OneFOneB },
+                if seed % 2 == 0 {
+                    Schedule::GPipe
+                } else {
+                    Schedule::OneFOneB
+                },
                 stage.is_first().then_some(&micros_data2[..]),
-                stage.is_last().then_some(
-                    &mut lf as &mut dyn FnMut(u64, &Tensor) -> (f32, Tensor),
-                ),
+                stage
+                    .is_last()
+                    .then_some(&mut lf as &mut dyn FnMut(u64, &Tensor) -> (f32, Tensor)),
                 micros,
             );
             let mut grads = Vec::new();
@@ -259,20 +282,22 @@ proptest! {
             grads
         });
         let got: Vec<Tensor> = results.into_iter().flatten().collect();
-        prop_assert_eq!(got.len(), want.len());
+        assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().zip(&want) {
-            prop_assert!(g.allclose(w, 1e-4), "grad diff {}", g.max_abs_diff(w));
+            assert!(g.allclose(w, 1e-4), "grad diff {}", g.max_abs_diff(w));
         }
     }
+}
 
-    #[test]
-    fn zero_stages_bitwise_equal_ddp_for_random_models(
-        d_in in 2usize..6,
-        d_mid in 2usize..8,
-        steps in 1usize..4,
-        seed in 0u64..1000,
-        stage_sel in 0u8..3,
-    ) {
+#[test]
+fn zero_stages_bitwise_equal_ddp_for_random_models() {
+    for case in 0..12 {
+        let mut draw = init::rng(case);
+        let d_in = draw.gen_range(2usize..6);
+        let d_mid = draw.gen_range(2usize..8);
+        let steps = draw.gen_range(1usize..4);
+        let seed = draw.gen_range(0u64..1000);
+        let stage_sel = draw.gen_range(0u32..3) as u8;
         use colossalai::parallel::data_parallel::{flatten_params, split_batch, DataParallel};
         use colossalai::parallel::zero::{ZeroOptimizer, ZeroStage};
         use colossalai_autograd::{AdamW, Sequential};
@@ -304,8 +329,8 @@ proptest! {
                 let x_local = split_batch(x, p, g.rank());
                 let y = dp.forward(&x_local);
                 let _ = dp.backward(&y); // quadratic objective
-                // match ZeRO's mean semantics: DataParallel::backward already
-                // averaged, so step directly
+                                         // match ZeRO's mean semantics: DataParallel::backward already
+                                         // averaged, so step directly
                 opt.step_layer(&mut dp);
             }
             flatten_params(&mut dp)
@@ -335,15 +360,19 @@ proptest! {
             flatten_params(&mut model)
         });
         let got = zero.swap_remove(0);
-        prop_assert_eq!(got.data(), want.data());
+        assert_eq!(got.data(), want.data());
     }
+}
 
-    #[test]
-    fn f16_pack_unpack_bounded_error(data in tensor_strategy(64)) {
+#[test]
+fn f16_pack_unpack_bounded_error() {
+    for case in 0..12 {
+        let mut draw = init::rng(case);
+        let data = init::uniform([64], -2.0, 2.0, &mut draw).data().to_vec();
         let packed = colossalai::tensor::f16::pack_f16(&data);
         let back = colossalai::tensor::f16::unpack_f16(&packed);
         for (a, b) in data.iter().zip(&back) {
-            prop_assert!((a - b).abs() <= a.abs() * 2.0f32.powi(-11) + 1e-7);
+            assert!((a - b).abs() <= a.abs() * 2.0f32.powi(-11) + 1e-7);
         }
     }
 }

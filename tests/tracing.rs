@@ -8,6 +8,7 @@
 use colossalai::comm::{DeviceCtx, Span, SpanKind, Track, World};
 use colossalai::tensor::{init, Tensor};
 use colossalai::topology::systems::system_i;
+use serde_json::Value;
 
 const P: usize = 4;
 
@@ -111,35 +112,36 @@ fn per_rank_leaf_spans_are_monotonic_and_non_overlapping() {
 fn trace_json_is_valid_chrome_trace() {
     let world = run_traced_step();
     let json = world.trace_json();
-    let v: serde_json::Value = serde_json::from_str(&json).expect("trace_json must parse as JSON");
-    let events = v
-        .get("traceEvents")
-        .expect("traceEvents key")
-        .as_array()
-        .expect("traceEvents must be an array");
+    let v: Value = serde_json::from_str(&json).expect("trace_json must parse as JSON");
+    let Some(Value::Seq(events)) = v.get("traceEvents") else {
+        panic!("traceEvents must be an array");
+    };
     assert!(!events.is_empty());
+    let num = |e: &Value, key: &str| match e.get(key) {
+        Some(Value::Float(x)) => *x,
+        Some(Value::UInt(n)) => *n as f64,
+        other => panic!("{key} must be a non-negative number, got {other:?}"),
+    };
+    let is = |e: &Value, key: &str, want: &Value| e.get(key) == Some(want);
     // every event is either a complete span ("X") or metadata ("M"),
     // and complete spans carry non-negative timestamps and durations
     for e in events {
-        let ph = e.get("ph").and_then(|p| p.as_str()).expect("ph field");
-        match ph {
-            "X" => {
-                assert!(e.get("name").is_some());
-                assert!(e.get("ts").and_then(|t| t.as_f64()).unwrap() >= 0.0);
-                assert!(e.get("dur").and_then(|d| d.as_f64()).unwrap() >= 0.0);
-            }
-            "M" => {
-                assert!(e.get("args").is_some());
-            }
-            other => panic!("unexpected event phase {other:?}"),
+        if is(e, "ph", &Value::Str("X".into())) {
+            assert!(e.get("name").is_some());
+            assert!(num(e, "ts") >= 0.0);
+            assert!(num(e, "dur") >= 0.0);
+        } else if is(e, "ph", &Value::Str("M".into())) {
+            assert!(e.get("args").is_some());
+        } else {
+            panic!("unexpected event phase {:?}", e.get("ph"));
         }
     }
     // complete spans exist for every device track
     for rank in 0..P {
         let found = events.iter().any(|e| {
-            e.get("ph").and_then(|p| p.as_str()) == Some("X")
-                && e.get("pid").and_then(|p| p.as_u64()) == Some(0)
-                && e.get("tid").and_then(|t| t.as_u64()) == Some(rank as u64)
+            is(e, "ph", &Value::Str("X".into()))
+                && is(e, "pid", &Value::UInt(0))
+                && is(e, "tid", &Value::UInt(rank as u64))
         });
         assert!(found, "no complete span for device track {rank}");
     }

@@ -13,6 +13,7 @@ use colossalai_comm::{
     CommStats, DeviceCtx, HybridTask, Poll, RankTask, RecvOp, Span, World, WorldBackend,
 };
 use colossalai_topology::systems::{fat_tree_512, system_iii};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const SPEC: HybridSpec = HybridSpec {
     dp: 2,
@@ -189,6 +190,93 @@ fn lowest_rank_panic_is_reraised_and_the_world_stays_usable() {
                 "second run on the aborted world, pool={pool}, tasks={tasks}"
             );
         }
+    }
+}
+
+/// [`HybridTask`] that counts its polls into `polls[rank]` and, on rank
+/// `kill.0`, panics at the start of poll number `kill.1` (counted from 1) —
+/// i.e. at every yield point the rank has, one run at a time.
+struct Killable<'a> {
+    inner: HybridTask,
+    polls: &'a [AtomicUsize],
+    kill: Option<(usize, usize)>,
+}
+
+impl RankTask for Killable<'_> {
+    type Output = Vec<f32>;
+    fn poll(&mut self, ctx: &DeviceCtx) -> Poll<Vec<f32>> {
+        let rank = ctx.rank();
+        let nth = self.polls[rank].fetch_add(1, Ordering::Relaxed) + 1;
+        if self.kill == Some((rank, nth)) {
+            panic!("injected kill at poll {nth}");
+        }
+        self.inner.poll(ctx)
+    }
+}
+
+/// Systematic kill injection: for every rank `r` of the 16-rank [`SPEC`] and
+/// every `k` up to the polls `r` makes in a clean run, kill `r` at its
+/// `k`-th poll. The run must return (never hang), re-raise `r`'s panic by
+/// rank, and leave the same `World` able to reproduce the goldens. A
+/// watchdog turns a hang into a failure that names the injection.
+#[test]
+fn killing_any_rank_at_any_poll_aborts_cleanly_and_the_world_recovers() {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let at = std::sync::Arc::new(std::sync::Mutex::new((0, 0, 0)));
+    let progress = at.clone();
+    let injector = std::thread::spawn(move || {
+        for pool in [1, 2] {
+            let world = pooled(system_iii(), pool);
+            let polls: Vec<AtomicUsize> = (0..SPEC.ranks()).map(|_| AtomicUsize::new(0)).collect();
+            let run = |kill| {
+                polls.iter().for_each(|p| p.store(0, Ordering::Relaxed));
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    world.run_tasks(SPEC.ranks(), |_rank| Killable {
+                        inner: HybridTask::new(SPEC),
+                        polls: &polls,
+                        kill,
+                    })
+                }))
+            };
+            run(None).expect("clean run");
+            let clean: Vec<usize> = polls.iter().map(|p| p.load(Ordering::Relaxed)).collect();
+            assert!(clean.iter().all(|&n| n > 1), "every rank yields: {clean:?}");
+            for (r, &n) in clean.iter().enumerate() {
+                for k in 1..=n {
+                    *progress.lock().unwrap() = (pool, r, k);
+                    match run(Some((r, k))) {
+                        Err(err) => {
+                            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+                            assert!(
+                                msg.contains(&format!("rank {r}: injected kill at poll {k}")),
+                                "pool={pool} r={r} k={k}: {msg}"
+                            );
+                        }
+                        // wake-ups may coalesce differently from the clean
+                        // run: the kill is skipped only if r finished first
+                        Ok(_) => assert!(
+                            polls[r].load(Ordering::Relaxed) < k,
+                            "pool={pool} r={r} k={k}: the kill fired but the run returned"
+                        ),
+                    }
+                    assert_eq!(
+                        run_spec(&world, true),
+                        (GOLDEN_LOSSES, GOLDEN_STATS, GOLDEN_TRACE),
+                        "world after killing rank {r} at poll {k}, pool={pool}"
+                    );
+                }
+            }
+        }
+        done_tx.send(()).unwrap();
+    });
+    match done_rx.recv_timeout(std::time::Duration::from_secs(120)) {
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("hung at (pool, rank, poll) = {:?}", at.lock().unwrap())
+        }
+        // finished, or dropped the sender on a failed assert: join re-raises it
+        _ => injector
+            .join()
+            .unwrap_or_else(|e| std::panic::resume_unwind(e)),
     }
 }
 
