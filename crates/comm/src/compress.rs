@@ -14,7 +14,7 @@
 //! channels the sent value `s` of an accumulated gradient `a` satisfies
 //! `s/2 <= a <= 2s` (round-to-nearest to a coarser grid) or `s == 0`, so by
 //! the Sterbenz lemma the subtraction `a - s` is exact. The invariant is
-//! asserted in tests and documented in DESIGN.md §14.
+//! asserted in tests and documented in DESIGN.md §8.3.
 
 use crate::group::{Collective, Op, Wire};
 use colossalai_tensor::f16::F16;

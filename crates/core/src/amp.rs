@@ -53,30 +53,24 @@ impl GradScaler {
         dy.map(|v| v * self.scale)
     }
 
-    /// Unscales accumulated gradients and updates the scale. Returns `false`
-    /// (step must be skipped, gradients cleared) when any gradient is
-    /// non-finite.
-    pub fn unscale_and_update(&mut self, model: &mut dyn Layer) -> bool {
-        let mut finite = true;
-        model.visit_params(&mut |p| {
-            if p.grad().data().iter().any(|v| !v.is_finite()) {
-                finite = false;
-            }
-        });
+    /// Records one step's outcome and updates the scale. `finite` says
+    /// whether every gradient element — on every rank that shares the step —
+    /// is finite. Returns the factor to unscale the gradients by, or `None`
+    /// when the step must be skipped (gradients cleared) and the scale was
+    /// backed off.
+    pub fn update(&mut self, finite: bool) -> Option<f32> {
         if !finite {
             self.scale *= self.backoff_factor;
             self.good_steps = 0;
-            model.zero_grad();
-            return false;
+            return None;
         }
         let inv = 1.0 / self.scale;
-        model.visit_params(&mut |p| p.grad_mut().scale(inv));
         self.good_steps += 1;
         if self.good_steps >= self.growth_interval {
             self.scale *= self.growth_factor;
             self.good_steps = 0;
         }
-        true
+        Some(inv)
     }
 }
 
@@ -119,34 +113,20 @@ pub fn fp16_model_bytes(n_params: u64, reuse_storage: bool) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use colossalai_autograd::{Linear, Param};
+    use colossalai_autograd::Linear;
     use colossalai_tensor::init;
-
-    fn model_with_grad(grad_val: f32) -> Linear {
-        let mut rng = init::rng(42);
-        let mut l = Linear::from_rng("l", 2, 2, false, &mut rng);
-        l.visit_params(&mut |p: &mut Param| {
-            p.accumulate_grad(&Tensor::full([2, 2], grad_val));
-        });
-        l
-    }
 
     #[test]
     fn overflow_halves_scale_and_skips() {
         let mut scaler = GradScaler::new(1024.0);
-        let mut m = model_with_grad(f32::INFINITY);
-        assert!(!scaler.unscale_and_update(&mut m));
+        assert_eq!(scaler.update(false), None);
         assert_eq!(scaler.scale(), 512.0);
-        // gradients were cleared so the step is safely skippable
-        m.visit_params(&mut |p| assert!(p.grad().data().iter().all(|&g| g == 0.0)));
     }
 
     #[test]
-    fn finite_grads_are_unscaled() {
+    fn finite_step_returns_the_unscale_factor() {
         let mut scaler = GradScaler::new(8.0);
-        let mut m = model_with_grad(16.0);
-        assert!(scaler.unscale_and_update(&mut m));
-        m.visit_params(&mut |p| assert_eq!(p.grad().data(), &[2.0; 4]));
+        assert_eq!(scaler.update(true), Some(0.125));
         assert_eq!(
             scaler.scale(),
             8.0,
@@ -159,8 +139,7 @@ mod tests {
         let mut scaler = GradScaler::new(4.0);
         scaler.growth_interval = 3;
         for _ in 0..3 {
-            let mut m = model_with_grad(1.0);
-            assert!(scaler.unscale_and_update(&mut m));
+            assert!(scaler.update(true).is_some());
         }
         assert_eq!(scaler.scale(), 8.0);
     }

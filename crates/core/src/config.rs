@@ -275,6 +275,15 @@ impl Config {
             if self.tensor_size() > 1 {
                 return Err("ZeRO combines with data parallelism only in this reproduction".into());
             }
+            if let Compression::TopK(_) = self.compression() {
+                // there is no sparse reduce-scatter wire format: ZeRO would
+                // run the exact dense channel and compress nothing
+                return Err(format!(
+                    "comm.compress {:?} does not combine with zero: top-k is a \
+                     data-parallel-only channel (use int8 or fp16)",
+                    self.compression().name()
+                ));
+            }
         }
         Ok(())
     }
@@ -359,6 +368,26 @@ mod tests {
         assert!(Config::from_json(r#"{ "zero": { "stage": 0 } }"#).is_err());
         assert!(Config::from_json(r#"{ "zero": { "stage": 4 } }"#).is_err());
         assert!(Config::from_json(r#"{ "zero": { "stage": 3 } }"#).is_ok());
+    }
+
+    #[test]
+    fn zero_with_topk_rejected_naming_both_keys() {
+        let err =
+            Config::from_json(r#"{ "zero": { "stage": 2 }, "comm": { "compress": "topk(8)" } }"#)
+                .unwrap_err();
+        assert!(
+            err.contains("comm.compress") && err.contains("zero"),
+            "{err}"
+        );
+        assert!(err.contains("topk(8)"), "{err}");
+        // the dense lossy channels and top-k without ZeRO stay valid
+        for ok in [
+            r#"{ "zero": { "stage": 2 }, "comm": { "compress": "int8" } }"#,
+            r#"{ "zero": { "stage": 1 }, "comm": { "compress": "fp16" } }"#,
+            r#"{ "comm": { "compress": "topk(8)" } }"#,
+        ] {
+            assert!(Config::from_json(ok).is_ok(), "{ok}");
+        }
     }
 
     #[test]

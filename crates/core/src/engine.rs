@@ -1,7 +1,14 @@
 //! The execution engine behind `colossalai.initialize` (Listing 1): wraps a
-//! model with the configured gradient synchronization, optimizer, mixed
+//! model with the configured gradient reduction, optimizer, mixed
 //! precision and clipping, behind the same five calls the paper's snippet
 //! uses — `zero_grad / forward / criterion / backward / step`.
+//!
+//! Every optimizer steps in one order — reduce (unless the overlapped
+//! backward already did) → unscale + finite check → clip → update — because
+//! only the *reduced* gradient is the same on every rank: a rank judging
+//! its local gradient would skip or scale a step its peers take. Where the
+//! reduction leaves shards (ZeRO), the finite flag and the squared norm are
+//! agreed over the data-parallel group.
 
 use crate::amp::GradScaler;
 use crate::config::Config;
@@ -39,9 +46,10 @@ pub struct Engine {
     grad_sync: Option<BucketedGradSync>,
     /// Overlap bucket collectives with backward compute when eligible.
     overlap: bool,
-    /// Set when an overlapped backward already synchronized the gradients,
-    /// so `step` must not reduce them again.
-    grads_synced: bool,
+    /// `Some` once an overlapped backward reduced this step's gradients, so
+    /// `step` must not reduce them again: ZeRO's shards, or empty for dense
+    /// optimizers, whose reduced gradients are written back into the model.
+    reduced: Option<Vec<Tensor>>,
     scaler: Option<GradScaler>,
     grad_clip: f32,
     lr_schedule: LrSchedule,
@@ -138,7 +146,7 @@ pub fn initialize(
         ctx: ctx.clone(),
         grad_sync,
         overlap: config.comm.overlap,
-        grads_synced: false,
+        reduced: None,
         scaler: config.mixed_precision.then(GradScaler::default),
         grad_clip: config.grad_clip,
         lr_schedule: LrSchedule::Constant,
@@ -154,7 +162,7 @@ impl Engine {
     /// Clears accumulated gradients.
     pub fn zero_grad(&mut self) {
         self.model.zero_grad();
-        self.grads_synced = false;
+        self.reduced = None;
     }
 
     /// Forward pass.
@@ -168,40 +176,37 @@ impl Engine {
     /// on). Returns the input gradient.
     ///
     /// With `comm.overlap` on (the default) and no gradient accumulation,
-    /// data-parallel gradient sync happens *inside* this call: each bucket's
-    /// collective launches on the comm stream as soon as its last gradient
-    /// is produced, and the streams join before returning. The synced
-    /// gradients are bit-identical to the blocking path's.
+    /// data-parallel gradient reduction happens *inside* this call: each
+    /// bucket's collective launches on the comm stream as soon as its last
+    /// gradient is produced, and the streams join before returning. The
+    /// reduced gradients are bit-identical to the blocking path's.
     pub fn backward(&mut self, dloss: &Tensor) -> Tensor {
         let dy = match &self.scaler {
             Some(s) => s.scale_grad(dloss),
             None => dloss.clone(),
         };
         let ctx = self.ctx.clone();
+        let model = &mut self.model;
         // overlap needs each backward to be a full, final gradient pass:
         // under accumulation, grads keep accumulating across micro-batches
-        // and must only sync once at the end
-        let overlap_eligible = self.overlap && self.accumulation == 1 && self.dp_group.is_some();
-        if let (true, Some(sync), Some(g)) = (overlap_eligible, &mut self.grad_sync, &self.dp_group)
-        {
-            let g = g.clone();
-            let model = &mut self.model;
-            let dx = ctx.trace_phase("backward", || {
-                sync.backward_overlapped(&ctx, &g, model, &dy)
-            });
-            self.grads_synced = true;
-            return dx;
-        }
-        // ZeRO overlap: the reduced shards bypass the model's grads, so the
-        // engine's unscale/clip hooks (which read model grads) must be off
-        if overlap_eligible && self.scaler.is_none() && self.grad_clip == 0.0 {
-            if let EngineOptimizer::Zero(o) = &mut self.optimizer {
-                let model = &mut self.model;
-                return ctx.trace_phase("backward", || o.backward_overlapped(model, &dy));
+        // and must only reduce once at the end
+        let group = self.dp_group.as_ref();
+        let group = group.filter(|_| self.overlap && self.accumulation == 1);
+        let (dx, reduced) = ctx.trace_phase("backward", || {
+            match (group, &mut self.optimizer, &mut self.grad_sync) {
+                (Some(_), EngineOptimizer::Zero(o), _) => {
+                    let (dx, shards) = o.backward_overlapped(model, &dy);
+                    (dx, Some(shards))
+                }
+                (Some(g), _, Some(sync)) => {
+                    let dx = sync.backward_overlapped(&ctx, g, model, &dy);
+                    (dx, Some(Vec::new()))
+                }
+                _ => (model.backward(&dy), None),
             }
-        }
-        let model = &mut self.model;
-        ctx.trace_phase("backward", || model.backward(&dy))
+        });
+        self.reduced = reduced;
+        dx
     }
 
     /// Synchronizes gradients, applies unscaling/clipping and takes one
@@ -228,37 +233,48 @@ impl Engine {
             let inv = 1.0 / self.accumulation as f32;
             self.model.visit_params(&mut |p| p.grad_mut().scale(inv));
         }
-        // ZeRO synchronizes inside its own step; plain optimizers need the
-        // data-parallel mean first (fused per bucket), unless an overlapped
-        // backward already produced it
-        if !self.grads_synced && !matches!(self.optimizer, EngineOptimizer::Zero(_)) {
-            if let Some(g) = &self.dp_group {
-                let g = g.clone();
-                let sync = self.grad_sync.as_mut().expect("built with the dp group");
-                sync.sync_blocking(&self.ctx, &g, &mut self.model);
+        let ctx = &self.ctx;
+        let dp = self.dp_group.as_ref();
+        let model = self.model.as_mut();
+        // 1. reduce to the data-parallel mean (fused per bucket), unless an
+        // overlapped backward already did
+        let mut shards = self.reduced.take().unwrap_or_else(|| {
+            match (&mut self.optimizer, &mut self.grad_sync, dp) {
+                (EngineOptimizer::Zero(o), ..) => return o.reduce(model),
+                (_, Some(sync), Some(g)) => sync.sync_blocking(ctx, g, model),
+                _ => {}
             }
-        }
-        self.grads_synced = false;
+            Vec::new()
+        });
+        // what the reduction left: ZeRO's shards, which differ on every
+        // rank of the data-parallel group, or the model's own gradients
+        let (mut grads, shards_over) = match self.optimizer {
+            EngineOptimizer::Zero(_) => (Grads::Shards(&mut shards), dp),
+            _ => (Grads::Model(model), None),
+        };
+        // 2. unscale; any overflow anywhere skips the step on every rank
         if let Some(scaler) = &mut self.scaler {
-            if !scaler.unscale_and_update(self.model.as_mut()) {
+            let mut finite = true;
+            grads.for_each(&mut |g| finite &= g.data().iter().all(|v| v.is_finite()));
+            if let Some(g) = shards_over {
+                let overflow = Tensor::scalar(if finite { 0.0 } else { 1.0 });
+                finite = g.all_reduce_max(ctx, overflow).item() == 0.0;
+            }
+            let Some(inv) = scaler.update(finite) else {
+                self.model.zero_grad();
                 self.skipped += 1;
                 return false;
-            }
+            };
+            grads.for_each(&mut |g| g.scale(inv));
         }
+        // 3. clip. The global norm spans the shards of a ZeRO gradient, or
+        // the tensor-parallel group when the parameters themselves are
+        // sharded (replicated layers are counted once per rank, a
+        // consistent overestimate that keeps replicas in lockstep — the
+        // Megatron approximation)
         if self.grad_clip > 0.0 {
-            match &self.mp_group {
-                // sharded parameters: the global norm spans the tensor-
-                // parallel group (replicated layers are counted once per
-                // rank, a consistent overestimate that keeps replicas in
-                // lockstep — the Megatron approximation)
-                Some(g) => {
-                    let g = g.clone();
-                    clip_grad_norm_distributed(&self.ctx, &g, self.model.as_mut(), self.grad_clip);
-                }
-                None => {
-                    clip_grad_norm(self.model.as_mut(), self.grad_clip);
-                }
-            }
+            let span = shards_over.or(self.mp_group.as_ref());
+            clip_grads(span.map(|g| (ctx, g)), &mut grads, self.grad_clip);
         }
         // schedule the learning rate for this optimizer step
         let lr = self.lr_schedule.lr(self.base_lr, self.steps);
@@ -276,7 +292,7 @@ impl Engine {
                 o.step_layer(self.model.as_mut());
                 self.model.zero_grad();
             }
-            EngineOptimizer::Zero(o) => o.step(self.model.as_mut()),
+            EngineOptimizer::Zero(o) => o.step_with_shards(self.model.as_mut(), &shards),
         }
         self.steps += 1;
         true
@@ -326,52 +342,58 @@ impl Engine {
     }
 }
 
+/// One optimizer step's reduced gradients: the model's own, or the shards
+/// ZeRO's reduction left.
+enum Grads<'a> {
+    Model(&'a mut dyn Layer),
+    Shards(&'a mut [Tensor]),
+}
+
+impl Grads<'_> {
+    fn for_each(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+        match self {
+            Grads::Model(model) => model.visit_params(&mut |p| f(p.grad_mut())),
+            Grads::Shards(shards) => shards.iter_mut().for_each(f),
+        }
+    }
+}
+
+/// Clips `grads` to a global L2 norm of `max_norm` (Megatron-style) and
+/// returns the pre-clip norm. With a `span` group each rank holds only part
+/// of the gradient, so it contributes its local sum of squares and the
+/// group all-reduces the scalar before scaling.
+fn clip_grads(span: Option<(&DeviceCtx, &Group)>, grads: &mut Grads, max_norm: f32) -> f32 {
+    let mut sq = 0.0f64;
+    grads.for_each(&mut |g| sq += g.data().iter().map(|&g| g as f64 * g as f64).sum::<f64>());
+    let norm = match span {
+        Some((ctx, group)) => group
+            .all_reduce(ctx, Tensor::scalar(sq as f32))
+            .item()
+            .sqrt(),
+        None => sq.sqrt() as f32,
+    };
+    if norm > max_norm {
+        let scale = max_norm / norm;
+        grads.for_each(&mut |g| g.scale(scale));
+    }
+    norm
+}
+
 /// Distributed gradient clipping for model-parallel shards: the global
-/// gradient norm spans parameters scattered over a tensor-parallel group,
-/// so each rank contributes its local sum of squares and the group
-/// all-reduces the scalar before scaling (the Megatron `clip_grad_norm`
-/// with a model-parallel reduction).
+/// gradient norm spans parameters scattered over a tensor-parallel group
+/// (the Megatron `clip_grad_norm` with a model-parallel reduction).
 pub fn clip_grad_norm_distributed(
     ctx: &DeviceCtx,
     group: &Group,
     model: &mut dyn Layer,
     max_norm: f32,
 ) -> f32 {
-    let mut sq = 0.0f64;
-    model.visit_params(&mut |p| {
-        sq += p
-            .grad()
-            .data()
-            .iter()
-            .map(|&g| g as f64 * g as f64)
-            .sum::<f64>();
-    });
-    let global_sq = group.all_reduce(ctx, Tensor::scalar(sq as f32)).item();
-    let norm = global_sq.sqrt();
-    if norm > max_norm {
-        let scale = max_norm / norm;
-        model.visit_params(&mut |p| p.grad_mut().scale(scale));
-    }
-    norm
+    clip_grads(Some((ctx, group)), &mut Grads::Model(model), max_norm)
 }
 
 /// Clips gradients to a global L2 norm (Megatron-style).
 pub fn clip_grad_norm(model: &mut dyn Layer, max_norm: f32) -> f32 {
-    let mut sq = 0.0f64;
-    model.visit_params(&mut |p| {
-        sq += p
-            .grad()
-            .data()
-            .iter()
-            .map(|&g| g as f64 * g as f64)
-            .sum::<f64>();
-    });
-    let norm = sq.sqrt() as f32;
-    if norm > max_norm {
-        let scale = max_norm / norm;
-        model.visit_params(&mut |p| p.grad_mut().scale(scale));
-    }
-    norm
+    clip_grads(None, &mut Grads::Model(model), max_norm)
 }
 
 #[cfg(test)]
@@ -458,39 +480,96 @@ mod tests {
         }
     }
 
+    /// Three AdamW steps of a 2-rank engine on `Linear(4, 3)` with per-rank
+    /// data; `poison` puts `+inf` into rank 1's loss gradient at step 0.
+    /// Per rank: final parameters, `steps()`, `skipped_steps()`, loss scale.
+    fn two_rank_run(json: &str, poison: bool) -> Vec<(Tensor, u64, u64, Option<f32>)> {
+        let world = World::new(system_i());
+        world.run_on(2, |ctx| {
+            let cfg = Config::from_json(json).unwrap();
+            let mut rng = init::rng(30);
+            let model = Box::new(Linear::from_rng("l", 4, 3, true, &mut rng));
+            let spec = OptimizerSpec::AdamW {
+                lr: 0.01,
+                weight_decay: 0.0,
+            };
+            let mut engine = initialize(ctx, &cfg, 2, model, spec);
+            let mut rng = init::rng(31 + ctx.rank() as u64);
+            for step in 0..3 {
+                let x = init::uniform([2, 4], -1.0, 1.0, &mut rng);
+                engine.zero_grad();
+                let logits = engine.forward(&x);
+                let (_, mut d) = cross_entropy(&logits, &[0, 2]);
+                if poison && step == 0 && ctx.rank() == 1 {
+                    d.data_mut()[0] = f32::INFINITY;
+                }
+                let _ = engine.backward(&d);
+                engine.step();
+            }
+            let flat = colossalai_parallel::data_parallel::flatten_params(engine.model_mut());
+            let scale = engine.scaler.as_ref().map(|s| s.scale());
+            (flat, engine.steps(), engine.skipped_steps(), scale)
+        })
+    }
+
     #[test]
     fn zero_engine_matches_plain_dp() {
-        let run = |zero_json: &str| {
-            let world = World::new(system_i());
-            let mut out = world.run_on(2, |ctx| {
-                let cfg = Config::from_json(zero_json).unwrap();
-                let mut engine = initialize(
-                    ctx,
-                    &cfg,
-                    2,
-                    make_model(30),
-                    OptimizerSpec::AdamW {
-                        lr: 0.01,
-                        weight_decay: 0.0,
-                    },
-                );
-                let mut rng = init::rng(31 + ctx.rank() as u64);
-                for _ in 0..3 {
-                    let x = init::uniform([2, 4], -1.0, 1.0, &mut rng);
-                    engine.zero_grad();
-                    let logits = engine.forward(&x);
-                    let (_, d) = cross_entropy(&logits, &[0, 2]);
-                    let _ = engine.backward(&d);
-                    engine.step();
-                }
-                colossalai_parallel::data_parallel::flatten_params(engine.model_mut())
-            });
-            out.swap_remove(0)
-        };
-        let plain = run("{}");
+        // 0 disables clipping; a threshold that never fires must not cost
+        // the invariant either
+        for clip in ["0", "1e6"] {
+            let plain = two_rank_run(&format!(r#"{{ "grad_clip": {clip} }}"#), false);
+            for stage in 1..=3 {
+                let json = format!(r#"{{ "grad_clip": {clip}, "zero": {{ "stage": {stage} }} }}"#);
+                let z = two_rank_run(&json, false);
+                assert_eq!(z[0].0.data(), plain[0].0.data(), "ZeRO-{stage} != DDP");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_clips_the_reduced_gradient_like_plain_dp() {
+        // a threshold that fires every step: each rank clipping its local,
+        // unreduced gradient used to leave ZeRO 6e-3 away from DP
+        let plain = two_rank_run(r#"{ "grad_clip": 0.05 }"#, false);
+        assert_eq!(plain[0].0.data(), plain[1].0.data());
         for stage in 1..=3 {
-            let z = run(&format!(r#"{{ "zero": {{ "stage": {stage} }} }}"#));
-            assert_eq!(z.data(), plain.data(), "ZeRO-{stage} diverged from DDP");
+            let json = format!(r#"{{ "grad_clip": 0.05, "zero": {{ "stage": {stage} }} }}"#);
+            let z = two_rank_run(&json, false);
+            assert_eq!(
+                z[0].0.data(),
+                z[1].0.data(),
+                "ZeRO-{stage} replicas diverged"
+            );
+            let gap = z[0].0.max_abs_diff(&plain[0].0);
+            assert!(
+                gap <= 1e-6,
+                "ZeRO-{stage} + clip is {gap:e} away from DP + clip"
+            );
+        }
+    }
+
+    #[test]
+    fn overflow_on_one_rank_skips_the_step_on_every_rank() {
+        // rank 1 alone overflows at step 0: the reduction must still run on
+        // both ranks (ZeRO used to deadlock here), and both must skip
+        for overlap in [true, false] {
+            let base = format!(r#""mixed_precision": true, "comm": {{ "overlap": {overlap} }}"#);
+            let plain = two_rank_run(&format!("{{ {base} }}"), true);
+            for stage in 0..=3 {
+                let runs = match stage {
+                    0 => plain.clone(),
+                    s => two_rank_run(
+                        &format!(r#"{{ {base}, "zero": {{ "stage": {s} }} }}"#),
+                        true,
+                    ),
+                };
+                let what = format!("stage {stage}, overlap {overlap}");
+                for (params, steps, skipped, scale) in &runs {
+                    assert_eq!((*steps, *skipped), (2, 1), "{what}");
+                    assert_eq!(*scale, Some(32768.0), "{what}");
+                    assert_eq!(params.data(), plain[0].0.data(), "{what}");
+                }
+            }
         }
     }
 
@@ -563,6 +642,25 @@ mod tests {
             assert!(!engine.step());
             assert_eq!(engine.skipped_steps(), 1);
             assert_eq!(engine.steps(), 0);
+            // gradients were cleared so the step is safely skippable
+            engine
+                .model_mut()
+                .visit_params(&mut |p| assert!(p.grad().data().iter().all(|&g| g == 0.0)));
+            // the scale halved to 32768; a finite gradient is unscaled by
+            // it before the update: SGD moves every weight by lr * 1
+            let mut before = Vec::new();
+            engine.model_mut().visit_params(&mut |p: &mut Param| {
+                before.push(p.value().data()[0]);
+                p.accumulate_grad(&Tensor::full(p.value().shape().clone(), 32768.0));
+            });
+            assert!(engine.step());
+            let mut after = Vec::new();
+            engine
+                .model_mut()
+                .visit_params(&mut |p| after.push(p.value().data()[0]));
+            for (b, a) in before.iter().zip(&after) {
+                assert!((b - a - 0.1).abs() < 1e-6, "{b} -> {a}");
+            }
         });
     }
 

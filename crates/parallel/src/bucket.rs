@@ -1,30 +1,33 @@
-//! Bucketed gradient synchronization for data parallelism.
+//! The gradient reducer: bucketed, backward-overlapped reduction of the flat
+//! gradient, shared by data parallelism and every ZeRO stage.
 //!
 //! Per-parameter all-reduce pays one latency (alpha) term per tensor; with
-//! hundreds of small parameters the latency terms dominate. Instead we pack
-//! gradients into size-capped *buckets* (default 25 MB, like PyTorch DDP and
-//! the Colossal-AI gradient handler) and issue one fused all-reduce per
-//! bucket. Because [`Layer::backward_staged`] fires stages in reverse-forward
-//! order, the produced gradients always form a growing suffix of the
-//! visit-order parameter list — so a bucket can launch on the comm stream as
-//! soon as the suffix reaches its first parameter, overlapping communication
-//! with the rest of the backward pass.
+//! hundreds of small parameters the latency terms dominate. Instead the
+//! gradient is packed into size-capped *buckets* (default 25 MB, like
+//! PyTorch DDP and the Colossal-AI gradient handler) with one fused
+//! collective each. Because [`Layer::backward_staged`] fires stages in
+//! reverse-forward order, the produced gradients always form a growing
+//! suffix of the visit-order parameter list — so a bucket can launch on the
+//! comm stream as soon as the suffix reaches its first element, overlapping
+//! communication with the rest of the backward pass. Which collective is
+//! fused — what each rank [`Keep`]s — is all that bucketed DP ("ZeRO stage
+//! 0") and ZeRO 1/2/3 differ in, so [`GradReducer`] takes it as a parameter.
 //!
-//! Bitwise safety: a fused bucket all-reduce performs exactly the same
+//! Bitwise safety: a fused bucket reduction performs exactly the same
 //! per-element rank-order additions as per-parameter all-reduces, and the
-//! 1/p scale is elementwise — so the synced gradients are bit-identical to
+//! 1/p scale is elementwise — so the reduced gradients are bit-identical to
 //! the unbucketed baseline for *any* bucket plan.
 //!
 //! Opt-in **lossy channels** ([`Compression`], via `comm.compress`) trade
-//! gradient fidelity for wire bytes: top-k
-//! sparsification, int8 or fp16 quantization, each with a per-bucket
-//! error-feedback residual so dropped mass is carried into the next step
-//! instead of lost (see `colossalai_comm::compress`).
+//! gradient fidelity for wire bytes: top-k sparsification, int8 or fp16
+//! quantization, each with a per-bucket error-feedback residual so dropped
+//! mass is carried into the next step instead of lost (see
+//! `colossalai_comm::compress`).
 
 use colossalai_autograd::Layer;
 use colossalai_comm::compress::{self, Compression};
-use colossalai_comm::{DeviceCtx, Group, Stream};
-use colossalai_tensor::Tensor;
+use colossalai_comm::{Collective, DeviceCtx, Group, Op, Stream};
+use colossalai_tensor::{pool, Tensor};
 use std::ops::Range;
 
 /// Default bucket capacity: 25 MB of f32 gradient, PyTorch DDP's default.
@@ -97,11 +100,6 @@ impl BucketPlan {
         BucketPlan::from_param_sizes(&sizes, cap_bytes)
     }
 
-    /// Total flat element count.
-    pub fn total_elements(&self) -> usize {
-        self.param_sizes.iter().sum()
-    }
-
     /// Partitions `[0, total.div_ceil(p) * p)` — the flat gradient padded to
     /// a multiple of `p` — into contiguous element ranges of at most
     /// `cap_bytes`, each range a multiple of `p` elements. ZeRO shards every
@@ -127,57 +125,56 @@ impl BucketPlan {
     }
 }
 
-/// Fused, bucketed data-parallel gradient synchronization over a [`Group`].
-///
-/// Two modes:
-/// * [`sync_blocking`](BucketedGradSync::sync_blocking) — after a normal
-///   backward, one blocking fused all-reduce per bucket (replaces
-///   per-parameter all-reduce; same result, far fewer latency terms);
-/// * [`backward_overlapped`](BucketedGradSync::backward_overlapped) — drives
-///   [`Layer::backward_staged`] and launches each bucket's all-reduce on the
-///   *comm stream* the moment its last gradient is produced, then joins the
-///   streams with [`DeviceCtx::comm_sync`]. Communication hides behind the
-///   remaining backward compute; only the final bucket's tail serializes.
-pub struct BucketedGradSync {
-    plan: BucketPlan,
+/// What each rank keeps of a reduced bucket — the one thing bucketed data
+/// parallelism and the ZeRO stages differ in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Keep {
+    /// All-reduce; every rank keeps the whole mean bucket (bucketed DP,
+    /// "ZeRO stage 0").
+    Whole,
+    /// All-reduce, then narrow to this rank's p-th of the bucket (ZeRO-1).
+    ShardOfAllReduce,
+    /// Reduce-scatter: this rank only ever receives its p-th (ZeRO-2/3).
+    ShardOfReduceScatter,
+}
+
+/// The gradient reducer: `(offset, len)` buckets over the flat
+/// (`visit_params`-order) gradient, one error-feedback residual per bucket,
+/// one compress-and-reduce and two drivers over it, blocking
+/// ([`GradReducer::reduce`]) and overlapped with backward
+/// ([`GradReducer::backward_overlapped`]). Both return one mean-scaled
+/// tensor per bucket: the whole bucket or this rank's shard, per [`Keep`].
+pub struct GradReducer {
+    /// Contiguous buckets covering the flat gradient, plus — for sharded
+    /// kinds — the padding that rounds it up to a multiple of p (bucket
+    /// buffers start zeroed, so the padding reduces as zeros).
+    buckets: Vec<(usize, usize)>,
+    /// Flat element offset of each parameter, then the total.
+    offsets: Vec<usize>,
+    keep: Keep,
     compress: Compression,
     /// Per-bucket error-feedback residuals: what the lossy channel has not
-    /// sent yet. Empty vectors until the first lossy sync touches a bucket;
-    /// always all-zero under [`Compression::None`].
+    /// sent yet. Empty until the first lossy reduction touches a bucket.
     residuals: Vec<Vec<f32>>,
 }
 
-/// Compresses one flat bucket (updating its error-feedback `residual`) and
-/// issues the channel's all-reduce ([`Compression::all_reduce`]) on
-/// `stream`. The caller still applies the 1/p mean scale to the returned
-/// sum.
-fn all_reduce_bucket(
-    ctx: &DeviceCtx,
-    group: &Group,
-    comp: Compression,
-    residual: &mut Vec<f32>,
-    mut flat: Vec<f32>,
-    stream: Stream,
-) -> Tensor {
-    if comp.is_lossy() {
-        if residual.is_empty() {
-            residual.resize(flat.len(), 0.0);
+impl GradReducer {
+    /// A reducer over parameters of `param_sizes` elements (visit order)
+    /// and the `buckets` a planner laid over them — whole parameters
+    /// ([`BucketPlan::from_param_sizes`]) for [`Keep::Whole`], so the
+    /// write-back never straddles a bucket; p-aligned
+    /// [`BucketPlan::element_ranges`] for the sharded kinds, so every bucket
+    /// shards evenly. Gradients start exact.
+    pub fn new(param_sizes: &[usize], buckets: Vec<(usize, usize)>, keep: Keep) -> Self {
+        let mut offsets = vec![0];
+        for n in param_sizes {
+            offsets.push(offsets[offsets.len() - 1] + n);
         }
-        let _ = compress::compress_with_feedback(comp, &mut flat, residual);
-    }
-    let t = Tensor::from_vec([flat.len()], flat);
-    group.collective(ctx, comp.all_reduce().on(stream), t)
-}
-
-impl BucketedGradSync {
-    /// Plans buckets for `model` with the given capacity
-    /// (see [`DEFAULT_BUCKET_BYTES`]) and exact f32 gradients; pick a lossy
-    /// channel with [`BucketedGradSync::with_compression`].
-    pub fn new(model: &mut dyn Layer, cap_bytes: usize) -> Self {
-        let plan = BucketPlan::for_model(model, cap_bytes);
-        let residuals = vec![Vec::new(); plan.buckets.len()];
-        BucketedGradSync {
-            plan,
+        let residuals = vec![Vec::new(); buckets.len()];
+        GradReducer {
+            buckets,
+            offsets,
+            keep,
             compress: Compression::None,
             residuals,
         }
@@ -186,63 +183,173 @@ impl BucketedGradSync {
     /// Selects the lossy gradient channel. Residual state resets: switching
     /// channels mid-training would otherwise replay another channel's
     /// backlog.
-    pub fn with_compression(mut self, comp: Compression) -> Self {
-        self.set_compression(comp);
-        self
-    }
-
-    /// In-place form of [`BucketedGradSync::with_compression`].
     pub fn set_compression(&mut self, comp: Compression) {
         self.compress = comp;
-        for r in &mut self.residuals {
-            r.clear();
-        }
+        self.residuals.iter_mut().for_each(Vec::clear);
     }
 
-    /// The active gradient-compression channel.
-    pub fn compression(&self) -> Compression {
-        self.compress
-    }
-
-    /// Per-bucket error-feedback residuals (empty until a lossy sync).
+    /// Per-bucket error-feedback residuals (empty until a lossy reduction).
     pub fn residuals(&self) -> &[Vec<f32>] {
         &self.residuals
     }
 
-    /// The bucket plan.
-    pub fn plan(&self) -> &BucketPlan {
-        &self.plan
+    /// The `(offset, len)` buckets, in visit (forward) order.
+    pub fn buckets(&self) -> &[(usize, usize)] {
+        &self.buckets
     }
 
-    /// Fuses each bucket's gradients into one flat tensor, sends it through
-    /// the compression channel and its all-reduce (blocking, main clock),
-    /// scales by 1/p and writes the mean gradients back into the model.
-    pub fn sync_blocking(&mut self, ctx: &DeviceCtx, group: &Group, model: &mut dyn Layer) {
-        let scale = 1.0 / group.size() as f32;
-        let mut grads: Vec<Tensor> = Vec::with_capacity(self.plan.param_sizes.len());
-        model.visit_params(&mut |p| grads.push(p.grad().clone()));
-        let mut reduced = Vec::with_capacity(self.plan.buckets.len());
-        for (bi, b) in self.plan.buckets.iter().enumerate() {
-            let flat = flatten_slices(b.len, grads[b.params.clone()].iter().map(|g| g.data()));
-            let mut r = all_reduce_bucket(
-                ctx,
-                group,
-                self.compress,
-                &mut self.residuals[bi],
-                flat,
-                Stream::Main,
-            );
-            r.scale(scale);
-            reduced.push(r);
+    /// One zeroed pooled buffer per bucket.
+    fn bucket_buffers(&self) -> Vec<Vec<f32>> {
+        let zeroed = |b: &(usize, usize)| pool::take_zeroed(b.1);
+        self.buckets.iter().map(zeroed).collect()
+    }
+
+    /// Copies parameter `pi`'s gradient — once — into the buffer of every
+    /// bucket it overlaps (exactly one under a parameter-aligned plan).
+    fn copy_in(&self, bufs: &mut [Vec<f32>], pi: usize, grad: &[f32]) {
+        let (start, end) = (self.offsets[pi], self.offsets[pi + 1]);
+        assert_eq!(grad.len(), end - start, "model parameter set changed");
+        let first = self.buckets.partition_point(|&(o, len)| o + len <= start);
+        for (&(o, len), buf) in self.buckets.iter().zip(bufs).skip(first) {
+            let (lo, hi) = (start.max(o), end.min(o + len));
+            if lo >= hi {
+                break;
+            }
+            buf[lo - o..hi - o].copy_from_slice(&grad[lo - start..hi - start]);
         }
+    }
+
+    /// Sends bucket `bi` through the compression channel (updating its
+    /// error-feedback residual) and the kind's collective at the channel's
+    /// wire width on `stream`; returns what this rank keeps, scaled by 1/p.
+    fn reduce_bucket(
+        &mut self,
+        ctx: &DeviceCtx,
+        group: &Group,
+        bi: usize,
+        mut flat: Vec<f32>,
+        stream: Stream,
+    ) -> Tensor {
+        // top-k has no sparse reduce-scatter wire format: sharded kinds run
+        // it as the exact dense channel (it is a DP-only channel)
+        let comp = match self.compress {
+            Compression::TopK(_) if self.keep != Keep::Whole => Compression::None,
+            comp => comp,
+        };
+        if comp.is_lossy() {
+            let residual = &mut self.residuals[bi];
+            residual.resize(flat.len(), 0.0);
+            let _ = compress::compress_with_feedback(comp, &mut flat, residual);
+        }
+        let desc = match self.keep {
+            Keep::Whole | Keep::ShardOfAllReduce => comp.all_reduce(),
+            Keep::ShardOfReduceScatter => {
+                Collective::from(Op::ReduceScatter { dim: 0 }).wire(comp.wire())
+            }
+        };
+        let p = group.size();
+        let bucket = Tensor::from_vec([flat.len()], flat);
+        let mut kept = group.collective(ctx, desc.on(stream), bucket);
+        if self.keep == Keep::ShardOfAllReduce {
+            let shard = kept.numel() / p;
+            kept = kept.narrow(0, group.rank() * shard, shard);
+        }
+        kept.scale(1.0 / p as f32);
+        kept
+    }
+
+    /// Reduces the model's accumulated gradients, blocking on the main
+    /// stream: one fused collective per bucket, front to back.
+    pub fn reduce(&mut self, ctx: &DeviceCtx, group: &Group, model: &mut dyn Layer) -> Vec<Tensor> {
+        let mut bufs = self.bucket_buffers();
+        let mut pi = 0;
+        model.visit_params(&mut |p| {
+            self.copy_in(&mut bufs, pi, p.grad().data());
+            pi += 1;
+        });
+        assert_eq!(pi + 1, self.offsets.len(), "model parameter set changed");
+        let reduce = |(bi, flat)| self.reduce_bucket(ctx, group, bi, flat, Stream::Main);
+        bufs.into_iter().enumerate().map(reduce).collect()
+    }
+
+    /// Runs the staged backward, launching each bucket's collective on the
+    /// comm stream as soon as the produced gradient suffix covers its
+    /// element range, then joins compute and comm clocks. Returns the input
+    /// gradient and the reduced buckets, bit-identical to a plain backward
+    /// followed by [`GradReducer::reduce`].
+    pub fn backward_overlapped(
+        &mut self,
+        ctx: &DeviceCtx,
+        group: &Group,
+        model: &mut dyn Layer,
+        dy: &Tensor,
+    ) -> (Tensor, Vec<Tensor>) {
+        let mut bufs = self.bucket_buffers();
+        let mut produced = self.offsets.len() - 1; // start of the produced param suffix
+        let mut next = self.buckets.len(); // buckets fire back to front
+        let mut reduced: Vec<Option<Tensor>> = vec![None; next];
+        let dx = model.backward_staged(dy, &mut |stage| {
+            assert!(stage.len() <= produced, "stage overruns parameter list");
+            produced -= stage.len();
+            for (i, g) in stage.iter().enumerate() {
+                self.copy_in(&mut bufs, produced + i, g.data());
+            }
+            // the padding past the last parameter counts as produced
+            while next > 0 && self.buckets[next - 1].0 >= self.offsets[produced] {
+                next -= 1;
+                let flat = std::mem::take(&mut bufs[next]);
+                reduced[next] = Some(self.reduce_bucket(ctx, group, next, flat, Stream::Comm));
+            }
+        });
+        assert_eq!(produced, 0, "backward_staged must cover every parameter");
+        assert_eq!(next, 0, "every bucket must have launched");
+        // the reduced gradients must be final before anyone reads them
+        ctx.comm_sync();
+        (dx, reduced.into_iter().map(|r| r.unwrap()).collect())
+    }
+}
+
+/// Fused, bucketed data-parallel gradient synchronization over a [`Group`]:
+/// a [`Keep::Whole`] [`GradReducer`] plus the write-back of the mean
+/// gradients into the model.
+pub struct BucketedGradSync {
+    reducer: GradReducer,
+}
+
+impl BucketedGradSync {
+    /// Plans buckets for `model` with the given capacity
+    /// (see [`DEFAULT_BUCKET_BYTES`]) and exact f32 gradients; pick a lossy
+    /// channel with [`BucketedGradSync::with_compression`].
+    pub fn new(model: &mut dyn Layer, cap_bytes: usize) -> Self {
+        let plan = BucketPlan::for_model(model, cap_bytes);
+        let buckets = plan.buckets.iter().map(|b| (b.offset, b.len)).collect();
+        BucketedGradSync {
+            reducer: GradReducer::new(&plan.param_sizes, buckets, Keep::Whole),
+        }
+    }
+
+    /// Selects the lossy gradient channel ([`GradReducer::set_compression`]).
+    pub fn with_compression(mut self, comp: Compression) -> Self {
+        self.reducer.set_compression(comp);
+        self
+    }
+
+    /// The reducer (buckets, channel, residuals).
+    pub fn reducer(&self) -> &GradReducer {
+        &self.reducer
+    }
+
+    /// After a normal backward: one blocking fused all-reduce per bucket
+    /// (same result as per-parameter all-reduce, far fewer latency terms),
+    /// leaving the mean gradients in the model.
+    pub fn sync_blocking(&mut self, ctx: &DeviceCtx, group: &Group, model: &mut dyn Layer) {
+        let reduced = self.reducer.reduce(ctx, group, model);
         self.write_back(model, &reduced);
     }
 
-    /// Runs the staged backward, launching each bucket's fused all-reduce
-    /// asynchronously as soon as the produced gradient suffix covers it,
-    /// then joins compute and comm clocks and writes back mean gradients.
-    /// Returns the input gradient, bit-identical to a plain backward +
-    /// blocking sync.
+    /// Backward with each bucket's all-reduce hidden behind the remaining
+    /// backward compute (only the final bucket's tail serializes); leaves
+    /// the mean gradients in the model and returns the input gradient.
     pub fn backward_overlapped(
         &mut self,
         ctx: &DeviceCtx,
@@ -250,129 +357,26 @@ impl BucketedGradSync {
         model: &mut dyn Layer,
         dy: &Tensor,
     ) -> Tensor {
-        let n = self.plan.param_sizes.len();
-        let scale = 1.0 / group.size() as f32;
-        let mut grads: Vec<Option<Tensor>> = vec![None; n];
-        let mut produced = n; // start of the produced suffix, in visit order
-        let mut next = self.plan.buckets.len(); // buckets fire back to front
-        let mut reduced: Vec<Option<Tensor>> = vec![None; self.plan.buckets.len()];
-        // field-disjoint borrows: the closure mutates the residuals while
-        // reading the plan
-        let plan = &self.plan;
-        let comp = self.compress;
-        let residuals = &mut self.residuals;
-        let dx = model.backward_staged(dy, &mut |stage| {
-            assert!(stage.len() <= produced, "stage overruns parameter list");
-            produced -= stage.len();
-            for (i, g) in stage.iter().enumerate() {
-                grads[produced + i] = Some(g.clone());
-            }
-            while next > 0 && plan.buckets[next - 1].params.start >= produced {
-                next -= 1;
-                let b = &plan.buckets[next];
-                let flat = flatten_slices(
-                    b.len,
-                    grads[b.params.clone()]
-                        .iter()
-                        .map(|g| g.as_ref().expect("bucket grad produced").data()),
-                );
-                let mut r =
-                    all_reduce_bucket(ctx, group, comp, &mut residuals[next], flat, Stream::Comm);
-                r.scale(scale);
-                reduced[next] = Some(r);
-            }
-        });
-        assert_eq!(produced, 0, "backward_staged must cover every parameter");
-        assert_eq!(next, 0, "every bucket must have launched");
-        // grads must be final before optimizer.step: join the comm stream
-        ctx.comm_sync();
-        let reduced: Vec<Tensor> = reduced.into_iter().map(|r| r.unwrap()).collect();
+        let (dx, reduced) = self.reducer.backward_overlapped(ctx, group, model, dy);
         self.write_back(model, &reduced);
         dx
     }
 
     /// Scatters the reduced flat buckets back into per-parameter gradients.
-    /// For large models the per-parameter copies (pure, disjoint reads of
-    /// `reduced`) run across the `tensor::par` pool: one visit collects each
-    /// parameter's (shape, bucket, offset), the tensors are built in
-    /// parallel, and a second visit assigns them in order.
     fn write_back(&self, model: &mut dyn Layer, reduced: &[Tensor]) {
-        let total = self.plan.total_elements();
-        if colossalai_tensor::par::par_eligible(total) && self.plan.param_sizes.len() > 1 {
-            let mut metas = Vec::with_capacity(self.plan.param_sizes.len());
-            {
-                let mut pi = 0;
-                let mut bi = 0;
-                let mut off = 0;
-                model.visit_params(&mut |p| {
-                    while pi >= self.plan.buckets[bi].params.end {
-                        bi += 1;
-                        off = 0;
-                    }
-                    metas.push((p.grad().shape().clone(), bi, off));
-                    off += p.numel();
-                    pi += 1;
-                });
-                assert_eq!(pi, self.plan.param_sizes.len());
-            }
-            let built = colossalai_tensor::par::par_map(metas, |_, (shape, bi, off)| {
-                let n = shape.numel();
-                Tensor::from_slice(shape, &reduced[bi].data()[off..off + n])
-            });
-            let mut built = built.into_iter();
-            model.visit_params(&mut |p| {
-                *p.grad_mut() = built.next().expect("one built grad per parameter");
-            });
-            return;
-        }
+        let r = &self.reducer;
         let mut pi = 0;
-        let mut bi = 0;
-        let mut off = 0;
         model.visit_params(&mut |p| {
-            while pi >= self.plan.buckets[bi].params.end {
-                bi += 1;
-                off = 0;
-            }
-            let n = p.numel();
+            let start = r.offsets[pi];
+            let bi = r.buckets.partition_point(|&(o, len)| o + len <= start);
+            let off = start - r.buckets[bi].0;
             let shape = p.grad().shape().clone();
             // pooled copy instead of a fresh `to_vec` per parameter
-            *p.grad_mut() = Tensor::from_slice(shape, &reduced[bi].data()[off..off + n]);
-            off += n;
+            *p.grad_mut() = Tensor::from_slice(shape, &reduced[bi].data()[off..off + p.numel()]);
             pi += 1;
         });
-        assert_eq!(pi, self.plan.param_sizes.len());
+        assert_eq!(pi + 1, r.offsets.len(), "model parameter set changed");
     }
-}
-
-/// Flattens ordered gradient slices into one pooled bucket buffer. Large
-/// buckets copy each slice's disjoint span on its own `tensor::par`
-/// executor; the result is byte-identical to sequential `extend_from_slice`.
-fn flatten_slices<'g>(len: usize, srcs: impl Iterator<Item = &'g [f32]>) -> Vec<f32> {
-    if colossalai_tensor::par::par_eligible(len) {
-        let srcs: Vec<&[f32]> = srcs.collect();
-        if srcs.len() > 1 {
-            let mut flat = colossalai_tensor::pool::take_zeroed(len);
-            let mut segs: Vec<(&[f32], &mut [f32])> = Vec::with_capacity(srcs.len());
-            let mut rest = flat.as_mut_slice();
-            for s in srcs {
-                let (head, tail) = rest.split_at_mut(s.len());
-                segs.push((s, head));
-                rest = tail;
-            }
-            colossalai_tensor::par::par_items(segs, |_, (s, d)| d.copy_from_slice(s));
-            return flat;
-        }
-        let mut flat = colossalai_tensor::pool::take_buffer(len);
-        for s in srcs {
-            flat.extend_from_slice(s);
-        }
-        return flat;
-    }
-    let mut flat = colossalai_tensor::pool::take_buffer(len);
-    for s in srcs {
-        flat.extend_from_slice(s);
-    }
-    flat
 }
 
 #[cfg(test)]
@@ -382,7 +386,7 @@ mod tests {
     use colossalai_autograd::{Gelu, Linear, Sequential};
     use colossalai_comm::{OpKind, Wire, World};
     use colossalai_tensor::init;
-    use colossalai_topology::systems::{system_i, system_iii};
+    use colossalai_topology::systems::system_i;
 
     fn make_model(seed: u64) -> Sequential {
         let mut rng = init::rng(seed);
@@ -460,7 +464,7 @@ mod tests {
 
             // tiny cap → many buckets; still must match bitwise
             let mut sync = BucketedGradSync::new(&mut model, 64);
-            assert!(sync.plan().buckets.len() > 1);
+            assert!(sync.reducer().buckets().len() > 1);
             sync.sync_blocking(ctx, &g, &mut model);
             let fused = flatten_grads(&mut model);
             assert_eq!(fused.data(), &baseline[..], "fused == per-param bitwise");
@@ -470,82 +474,10 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_backward_matches_blocking_bitwise() {
-        let p = 4;
-        let world = World::new(system_iii());
-        let results = world.run_on(p, |ctx| {
-            let g = ctx.world_group(p);
-            let mut rng = init::rng(910 + g.rank() as u64);
-            let x = init::uniform([2, 4], -1.0, 1.0, &mut rng);
-
-            // blocking reference
-            let mut m1 = make_model(821);
-            let y1 = m1.forward(&x);
-            let dy = Tensor::ones(y1.shape().clone());
-            let dx1 = m1.backward(&dy);
-            let mut sync = BucketedGradSync::new(&mut m1, 64);
-            sync.sync_blocking(ctx, &g, &mut m1);
-            let want = flatten_grads(&mut m1);
-
-            // overlapped run on an identical model
-            let mut m2 = make_model(821);
-            let y2 = m2.forward(&x);
-            assert_eq!(y1.data(), y2.data());
-            let mut sync2 = BucketedGradSync::new(&mut m2, 64);
-            let dx2 = sync2.backward_overlapped(ctx, &g, &mut m2, &dy);
-            assert_eq!(dx1.data(), dx2.data());
-            let got = flatten_grads(&mut m2);
-            assert_eq!(got.data(), want.data(), "overlap is bitwise-neutral");
-            got
-        });
-        assert_eq!(results[0].data(), results[1].data());
-    }
-
-    #[test]
-    fn compressed_sync_is_deterministic_and_overlap_neutral() {
-        // Every lossy channel: all ranks land on identical grads, and the
-        // overlapped schedule is bitwise-identical to the blocking one.
-        let p = 4;
-        for comp in [Compression::Fp16, Compression::Int8, Compression::TopK(3)] {
-            let run = |overlapped: bool| {
-                let world = World::new(system_iii());
-                world.run_on(p, |ctx| {
-                    let g = ctx.world_group(p);
-                    let mut model = make_model(830);
-                    let mut rng = init::rng(940 + g.rank() as u64);
-                    let x = init::uniform([2, 4], -1.0, 1.0, &mut rng);
-                    let y = model.forward(&x);
-                    let dy = Tensor::ones(y.shape().clone());
-                    let mut sync = BucketedGradSync::new(&mut model, 64).with_compression(comp);
-                    if overlapped {
-                        let _ = sync.backward_overlapped(ctx, &g, &mut model, &dy);
-                    } else {
-                        let _ = model.backward(&dy);
-                        sync.sync_blocking(ctx, &g, &mut model);
-                    }
-                    flatten_grads(&mut model)
-                })
-            };
-            let blocking = run(false);
-            let overlapped = run(true);
-            for r in 1..p {
-                assert_eq!(
-                    blocking[0].data(),
-                    blocking[r].data(),
-                    "{comp:?}: ranks agree"
-                );
-            }
-            for (b, o) in blocking.iter().zip(&overlapped) {
-                assert_eq!(b.data(), o.data(), "{comp:?}: overlap is bitwise-neutral");
-            }
-        }
-    }
-
-    #[test]
     fn error_feedback_residual_accounts_exactly_through_bucket_sync() {
         // On a single-rank group the all-reduced value IS the sent value, so
         // sent + residual must reconstruct the exact pre-compression gradient
-        // bitwise (the §14 error-feedback invariant), per channel.
+        // bitwise (the DESIGN.md §8.3 error-feedback invariant), per channel.
         for comp in [Compression::TopK(2), Compression::Int8, Compression::Fp16] {
             let world = World::new(system_i());
             world.run_on(1, |ctx| {
@@ -558,7 +490,7 @@ mod tests {
                 let mut sync = BucketedGradSync::new(&mut model, 64).with_compression(comp);
                 sync.sync_blocking(ctx, &g, &mut model);
                 let sent = flatten_grads(&mut model);
-                let residual: Vec<f32> = sync.residuals().concat();
+                let residual: Vec<f32> = sync.reducer().residuals().concat();
                 assert_eq!(residual.len(), exact.numel());
                 for (i, ((s, r), e)) in sent
                     .data()
@@ -591,11 +523,8 @@ mod tests {
             let mut sync =
                 BucketedGradSync::new(&mut model, 64).with_compression(Compression::TopK(k));
             sync.sync_blocking(ctx, &g, &mut model);
-            sync.plan()
-                .buckets
-                .iter()
-                .map(|b| b.len)
-                .collect::<Vec<_>>()
+            let lens = sync.reducer().buckets().iter().map(|&(_, len)| len);
+            lens.collect::<Vec<_>>()
         });
         let lens = &plans[0];
         assert!(lens.iter().any(|&n| n < k), "some bucket is shorter than k");
@@ -626,11 +555,8 @@ mod tests {
             let mut sync =
                 BucketedGradSync::new(&mut model, 64).with_compression(Compression::Int8);
             sync.sync_blocking(ctx, &g, &mut model);
-            sync.plan()
-                .buckets
-                .iter()
-                .map(|b| b.len)
-                .collect::<Vec<_>>()
+            let lens = sync.reducer().buckets().iter().map(|&(_, len)| len);
+            lens.collect::<Vec<_>>()
         });
         let stats = world.stats();
         let expect_elems: u64 = plans[0]

@@ -15,20 +15,20 @@
 //! parameters *bitwise equal* to the plain data-parallel baseline — the key
 //! invariant in DESIGN.md, checked by the tests below.
 //!
-//! Gradient communication is *bucketed*: the padded flat gradient is split
-//! into p-aligned element ranges of at most the bucket capacity (default
-//! 25 MB), and each bucket is reduced with one fused collective. The master
-//! copy and Adam moments are laid out bucket-by-bucket (rank `r` owns the
-//! `r`-th p-th of every bucket), so any bucket plan yields the same bits; a
-//! single default bucket degenerates to the classic contiguous shard.
-//! [`ZeroOptimizer::backward_overlapped`] additionally launches each
-//! bucket's reduction on the comm stream during backward.
+//! A `ZeroOptimizer` is the shared [`GradReducer`] (the one bucketed data
+//! parallelism runs, keeping a shard of each bucket instead of the whole)
+//! plus sharded AdamW plus the parameter all-gather. The padded flat
+//! gradient is split into p-aligned element ranges of at most the bucket
+//! capacity (default 25 MB); the master copy and Adam moments are laid out
+//! bucket-by-bucket (rank `r` owns the `r`-th p-th of every bucket), so any
+//! bucket plan yields the same bits, and a single default bucket
+//! degenerates to the classic contiguous shard.
 
-use crate::bucket::{BucketPlan, DEFAULT_BUCKET_BYTES};
-use crate::data_parallel::{flatten_grads, flatten_params, unflatten_into};
+use crate::bucket::{BucketPlan, GradReducer, Keep, DEFAULT_BUCKET_BYTES};
+use crate::data_parallel::{flatten_params, unflatten_from_slice};
 use colossalai_autograd::{adamw_update, Layer};
-use colossalai_comm::compress::{self, Compression};
-use colossalai_comm::{Collective, DeviceCtx, Group, Op, Stream};
+use colossalai_comm::compress::Compression;
+use colossalai_comm::{DeviceCtx, Group};
 use colossalai_tensor::{pool, Tensor};
 
 /// Which ZeRO stage to run.
@@ -66,72 +66,14 @@ pub struct ZeroOptimizer {
     n: usize,
     /// Padded length divisible by the group size.
     padded: usize,
-    /// p-aligned `(offset, len)` element buckets covering `[0, padded)`.
-    buckets: Vec<(usize, usize)>,
-    /// Element count of each parameter, in visit order.
-    param_sizes: Vec<usize>,
+    /// Bucketed gradient reduction over p-aligned element ranges of
+    /// `[0, padded)`; each rank keeps its p-th of every bucket.
+    reducer: GradReducer,
     /// This rank's FP32 master shard: for each bucket in order, the `r`-th
     /// p-th of that bucket's elements.
     master: Vec<f32>,
     m: Vec<f32>,
     v: Vec<f32>,
-    /// Reduced, scaled gradient shards (one per bucket) produced by
-    /// [`ZeroOptimizer::backward_overlapped`], consumed by the next `step`.
-    pending: Option<Vec<Tensor>>,
-    /// Lossy gradient channel for the bucket reductions. Quantized channels
-    /// (int8/fp16) apply to both the stage-1 all-reduce and the stage-2/3
-    /// reduce-scatter; top-k has no sparse reduce-scatter wire format and
-    /// falls back to the exact dense path (it is a DP-only channel).
-    compress: Compression,
-    /// Per-bucket error-feedback residuals for the quantized channels.
-    residuals: Vec<Vec<f32>>,
-}
-
-/// The channel ZeRO actually runs: top-k degrades to exact dense (see the
-/// `compress` field docs).
-fn zero_effective(comp: Compression) -> Compression {
-    match comp {
-        Compression::TopK(_) => Compression::None,
-        c => c,
-    }
-}
-
-/// Quantizes one flat gradient bucket (updating its error-feedback
-/// residual) and reduces it with the stage's collective at the channel's
-/// wire width on `stream`. Free function so
-/// [`ZeroOptimizer::backward_overlapped`] can call it under field-disjoint
-/// borrows; returns this rank's mean-scaled shard.
-fn reduce_bucket_quantized(
-    ctx: &DeviceCtx,
-    group: &Group,
-    stage: ZeroStage,
-    comp: Compression,
-    residual: &mut Vec<f32>,
-    mut bucket: Tensor,
-    stream: Stream,
-) -> Tensor {
-    let comp = zero_effective(comp);
-    if comp.is_lossy() {
-        if residual.is_empty() {
-            residual.resize(bucket.numel(), 0.0);
-        }
-        let _ = compress::compress_with_feedback(comp, bucket.data_mut(), residual);
-    }
-    let p = group.size();
-    let sl = bucket.numel() / p;
-    let desc = match stage {
-        ZeroStage::One => comp.all_reduce(),
-        ZeroStage::Two | ZeroStage::Three => {
-            Collective::from(Op::ReduceScatter { dim: 0 }).wire(comp.wire())
-        }
-    };
-    let mut shard = group.collective(ctx, desc.on(stream), bucket);
-    if stage == ZeroStage::One {
-        // full all-reduce, then slice: the ZeRO-1 communication shape
-        shard = shard.narrow(0, group.rank() * sl, sl);
-    }
-    shard.scale(1.0 / p as f32);
-    shard
 }
 
 impl ZeroOptimizer {
@@ -185,6 +127,10 @@ impl ZeroOptimizer {
             master.extend_from_slice(&full[o + r * sl..o + (r + 1) * sl]);
         }
         assert_eq!(master.len(), shard_len);
+        let keep = match stage {
+            ZeroStage::One => Keep::ShardOfAllReduce,
+            ZeroStage::Two | ZeroStage::Three => Keep::ShardOfReduceScatter,
+        };
         ZeroOptimizer {
             stage,
             ctx: ctx.clone(),
@@ -197,31 +143,20 @@ impl ZeroOptimizer {
             t: 0,
             n,
             padded,
-            buckets,
-            param_sizes,
+            reducer: GradReducer::new(&param_sizes, buckets, keep),
             master,
             m: vec![0.0; shard_len],
             v: vec![0.0; shard_len],
-            pending: None,
-            compress: Compression::None,
-            residuals: Vec::new(),
         }
     }
 
-    /// Selects the lossy gradient channel (exact f32 until then). Top-k
-    /// degrades to exact dense under ZeRO; int8/fp16 quantize each bucket
-    /// with error feedback before the stage's collective. Residual state
+    /// Selects the lossy gradient channel (exact f32 until then): int8 /
+    /// fp16 quantize each bucket with error feedback before the stage's
+    /// collective; top-k degrades to exact dense under ZeRO. Residual state
     /// resets on switch.
     pub fn with_compression(mut self, comp: Compression) -> Self {
-        self.compress = comp;
-        self.residuals.clear();
+        self.reducer.set_compression(comp);
         self
-    }
-
-    /// The configured gradient-compression channel (before the ZeRO top-k
-    /// fallback is applied).
-    pub fn compression(&self) -> Compression {
-        self.compress
     }
 
     /// Elements in one shard.
@@ -231,119 +166,42 @@ impl ZeroOptimizer {
 
     /// The p-aligned `(offset, len)` element buckets of the flat gradient.
     pub fn bucket_ranges(&self) -> &[(usize, usize)] {
-        &self.buckets
+        self.reducer.buckets()
     }
 
-    /// Ensures one residual buffer per bucket exists (lazily, so exact runs
-    /// never allocate them).
-    fn ensure_residuals(&mut self) {
-        if self.residuals.len() != self.buckets.len() {
-            self.residuals = vec![Vec::new(); self.buckets.len()];
-        }
+    /// Backward with the bucketed reduction overlapped on the comm stream
+    /// ([`GradReducer::backward_overlapped`]): returns the input gradient
+    /// and the reduced shards for [`ZeroOptimizer::step_with_shards`].
+    pub fn backward_overlapped(
+        &mut self,
+        model: &mut dyn Layer,
+        dy: &Tensor,
+    ) -> (Tensor, Vec<Tensor>) {
+        self.reducer
+            .backward_overlapped(&self.ctx, &self.group, model, dy)
     }
 
-    /// Runs the model's backward with bucketed gradient reduction overlapped
-    /// on the comm stream: each bucket's collective launches as soon as the
-    /// produced gradient suffix covers its element range. The reduced shards
-    /// are held as `pending` and consumed by the next [`ZeroOptimizer::step`]
-    /// (which then skips its own gradient communication). Returns the input
-    /// gradient; the trajectory stays bitwise-identical to the blocking path.
-    pub fn backward_overlapped(&mut self, model: &mut dyn Layer, dy: &Tensor) -> Tensor {
-        self.ensure_residuals();
-        // element offset of each parameter in the flat layout
-        let offsets: Vec<usize> = self
-            .param_sizes
-            .iter()
-            .scan(0, |acc, &s| {
-                let o = *acc;
-                *acc += s;
-                Some(o)
-            })
-            .collect();
-        let mut flat = pool::take_zeroed(self.padded);
-        let mut pi = self.param_sizes.len(); // start of the produced param suffix
-        let mut elem_start = self.n; // pad [n, padded) counts as produced
-        let mut next = self.buckets.len(); // buckets fire back to front
-        let mut shards: Vec<Option<Tensor>> = vec![None; self.buckets.len()];
-        // field-disjoint borrows of &mut self: backward_staged's closure
-        // needs the plan and comm handles immutably and the residuals
-        // mutably, but not the optimizer state
-        let ctx = &self.ctx;
-        let group = &self.group;
-        let stage_kind = self.stage;
-        let comp = self.compress;
-        let n = self.n;
-        let buckets = &self.buckets;
-        let residuals = &mut self.residuals;
-        let dx = model.backward_staged(dy, &mut |stage| {
-            pi -= stage.len();
-            for (k, g) in stage.iter().enumerate() {
-                let o = offsets[pi + k];
-                flat[o..o + g.numel()].copy_from_slice(g.data());
-            }
-            elem_start = offsets.get(pi).copied().unwrap_or(n);
-            while next > 0 && buckets[next - 1].0 >= elem_start {
-                next -= 1;
-                let (o, b) = buckets[next];
-                let bucket = Tensor::from_slice([b], &flat[o..o + b]);
-                shards[next] = Some(reduce_bucket_quantized(
-                    ctx,
-                    group,
-                    stage_kind,
-                    comp,
-                    &mut residuals[next],
-                    bucket,
-                    Stream::Comm,
-                ));
-            }
-        });
-        assert_eq!(pi, 0, "backward_staged must cover every parameter");
-        assert_eq!(next, 0, "every bucket must have launched");
-        pool::recycle(flat);
-        // shards must be final before the optimizer reads them
-        self.ctx.comm_sync();
-        self.pending = Some(shards.into_iter().map(|s| s.unwrap()).collect());
-        dx
+    /// Reduces the model's accumulated gradients (blocking) to this rank's
+    /// mean-scaled shards, one per bucket.
+    pub fn reduce(&mut self, model: &mut dyn Layer) -> Vec<Tensor> {
+        self.reducer.reduce(&self.ctx, &self.group, model)
     }
 
-    /// Synchronizes gradients, updates this rank's shard, and re-materializes
-    /// the full parameters into the model. Gradients are averaged over the
-    /// group (data-parallel mean). Clears the model's gradients afterwards.
-    /// Uses gradient shards left by [`ZeroOptimizer::backward_overlapped`]
-    /// when present, skipping its own communication.
+    /// Reduces the gradients (data-parallel mean), updates this rank's
+    /// shard and re-materializes the full parameters into the model. Clears
+    /// the model's gradients afterwards.
     pub fn step(&mut self, model: &mut dyn Layer) {
-        let shard_len = self.shard_len();
+        let shards = self.reduce(model);
+        self.step_with_shards(model, &shards);
+    }
 
-        let grad_shards = match self.pending.take() {
-            Some(shards) => shards,
-            None => {
-                self.ensure_residuals();
-                let mut flat_grads = flatten_grads(model).into_vec();
-                assert_eq!(flat_grads.len(), self.n, "model parameter set changed");
-                flat_grads.resize(self.padded, 0.0);
-                let buckets = &self.buckets;
-                let residuals = &mut self.residuals;
-                let mut shards: Vec<Tensor> = Vec::with_capacity(buckets.len());
-                for (bi, &(o, b)) in buckets.iter().enumerate() {
-                    let bucket = Tensor::from_slice([b], &flat_grads[o..o + b]);
-                    shards.push(reduce_bucket_quantized(
-                        &self.ctx,
-                        &self.group,
-                        self.stage,
-                        self.compress,
-                        &mut residuals[bi],
-                        bucket,
-                        Stream::Main,
-                    ));
-                }
-                pool::recycle(flat_grads);
-                shards
-            }
-        };
-
+    /// The update half of [`ZeroOptimizer::step`], from shards
+    /// [`ZeroOptimizer::reduce`] or [`ZeroOptimizer::backward_overlapped`]
+    /// produced (and the caller may since have unscaled or clipped).
+    pub fn step_with_shards(&mut self, model: &mut dyn Layer, grad_shards: &[Tensor]) {
         self.t += 1;
         let mut ms = 0;
-        for shard in &grad_shards {
+        for shard in grad_shards {
             let sl = shard.numel();
             adamw_update(
                 &mut self.master[ms..ms + sl],
@@ -359,29 +217,26 @@ impl ZeroOptimizer {
             );
             ms += sl;
         }
-        assert_eq!(ms, shard_len);
-
-        // re-materialize the full parameters
-        let full = self.gather_full();
-        let trimmed = full.narrow(0, 0, self.n);
-        unflatten_into(model, &trimmed);
+        assert_eq!(ms, self.shard_len());
+        self.gather_params_into(model);
         model.zero_grad();
     }
 
     /// All-gathers the bucket-sharded master copy back into the padded flat
-    /// parameter vector.
-    fn gather_full(&self) -> Tensor {
+    /// parameter vector and re-materializes the model's parameters from it.
+    fn gather_params_into(&self, model: &mut dyn Layer) {
         let p = self.group.size();
         let mut full = pool::take_zeroed(self.padded);
         let mut ms = 0;
-        for &(o, b) in &self.buckets {
+        for &(o, b) in self.reducer.buckets() {
             let sl = b / p;
             let part = Tensor::from_slice([sl], &self.master[ms..ms + sl]);
             let gathered = self.group.all_gather_cat(&self.ctx, part, 0);
             full[o..o + b].copy_from_slice(gathered.data());
             ms += sl;
         }
-        Tensor::from_vec([self.padded], full)
+        unflatten_from_slice(model, &full[..self.n]);
+        pool::recycle(full);
     }
 
     /// ZeRO-3 helper: drops the full parameters from the model, leaving
@@ -404,9 +259,7 @@ impl ZeroOptimizer {
             ZeroStage::Three,
             "materialize only applies to stage 3"
         );
-        let full = self.gather_full();
-        let trimmed = full.narrow(0, 0, self.n);
-        unflatten_into(model, &trimmed);
+        self.gather_params_into(model);
     }
 }
 
@@ -429,14 +282,24 @@ mod tests {
         ])
     }
 
+    /// What [`trajectory`] reports of one training run.
+    struct Run {
+        /// Final parameters, per rank.
+        params: Vec<Tensor>,
+        stats: colossalai_comm::CommStats,
+        /// Per rank, the bytes a gradient channel can influence: per-step
+        /// loss bits, final error-feedback residual bits and final (main,
+        /// comm) clock bits.
+        bytes: Vec<Vec<u8>>,
+        /// Per rank, the input gradient the last backward returned.
+        dx: Vec<Tensor>,
+    }
+
     /// One training run of `make_model(900)` on `p` ranks: bucketed data
     /// parallelism + AdamW when `stage` is `None`, else ZeRO at that stage
     /// (gradients synchronize inside the ZeRO step, not via DataParallel,
     /// matching the real system layering), optionally on the
-    /// comm-overlapped backward path. Returns rank 0's final parameters,
-    /// the world's stats and, per rank, the bytes a gradient channel can
-    /// influence: per-step loss bits, final error-feedback residual bits
-    /// and final (main, comm) clock bits.
+    /// comm-overlapped backward path.
     fn trajectory(
         stage: Option<ZeroStage>,
         p: usize,
@@ -444,7 +307,7 @@ mod tests {
         bucket_bytes: usize,
         overlap: bool,
         comp: Compression,
-    ) -> (Tensor, colossalai_comm::CommStats, Vec<Vec<u8>>) {
+    ) -> Run {
         let world = World::new(system_ii());
         let out = world.run_on(p, |ctx| {
             let g = ctx.world_group(p);
@@ -460,6 +323,7 @@ mod tests {
                 flat.flat_map(|r| r.to_bits().to_le_bytes()).collect()
             };
             let mut bytes: Vec<u8> = Vec::new();
+            let mut dx = Tensor::scalar(0.0);
             let params = match stage {
                 None => {
                     let model = make_model(900);
@@ -472,10 +336,10 @@ mod tests {
                         dp.zero_grad();
                         let (loss, dlogits) = cross_entropy(&dp.forward(&x), &t);
                         bytes.extend(loss.to_bits().to_le_bytes());
-                        let _ = dp.backward(&dlogits);
+                        dx = dp.backward(&dlogits);
                         opt.step_layer(&mut dp);
                     }
-                    bytes.extend(bits(dp.grad_sync().residuals()));
+                    bytes.extend(bits(dp.grad_sync().reducer().residuals()));
                     flatten_params(&mut dp)
                 }
                 Some(stage) => {
@@ -498,31 +362,44 @@ mod tests {
                         let (loss, dlogits) = cross_entropy(&model.forward(&x), &t);
                         bytes.extend(loss.to_bits().to_le_bytes());
                         if overlap {
-                            let _ = opt.backward_overlapped(&mut model, &dlogits);
+                            let shards;
+                            (dx, shards) = opt.backward_overlapped(&mut model, &dlogits);
+                            opt.step_with_shards(&mut model, &shards);
                         } else {
-                            let _ = model.backward(&dlogits);
+                            dx = model.backward(&dlogits);
+                            opt.step(&mut model);
                         }
-                        opt.step(&mut model);
                         if stage == ZeroStage::Three {
                             opt.release_params(&mut model);
                             opt.materialize_params(&mut model);
                         }
                     }
-                    bytes.extend(bits(&opt.residuals));
+                    bytes.extend(bits(opt.reducer.residuals()));
                     flatten_params(&mut model)
                 }
             };
             bytes.extend(ctx.clock().to_bits().to_le_bytes());
             bytes.extend(ctx.comm_clock().to_bits().to_le_bytes());
-            (params, bytes)
+            (params, bytes, dx)
         });
-        let (mut params, bytes): (Vec<Tensor>, Vec<Vec<u8>>) = out.into_iter().unzip();
-        (params.swap_remove(0), world.stats(), bytes)
+        let mut run = Run {
+            params: Vec::new(),
+            stats: world.stats(),
+            bytes: Vec::new(),
+            dx: Vec::new(),
+        };
+        for (params, bytes, dx) in out {
+            run.params.push(params);
+            run.bytes.push(bytes);
+            run.dx.push(dx);
+        }
+        run
     }
 
     /// Plain DP + AdamW baseline trajectory under `comp`.
     fn ddp_trajectory_compressed(p: usize, steps: usize, comp: Compression) -> Tensor {
-        trajectory(None, p, steps, DEFAULT_BUCKET_BYTES, false, comp).0
+        let mut run = trajectory(None, p, steps, DEFAULT_BUCKET_BYTES, false, comp);
+        run.params.swap_remove(0)
     }
 
     fn ddp_trajectory(p: usize, steps: usize) -> Tensor {
@@ -539,8 +416,8 @@ mod tests {
         overlap: bool,
         comp: Compression,
     ) -> (Tensor, colossalai_comm::CommStats) {
-        let (params, stats, _) = trajectory(Some(stage), p, steps, bucket_bytes, overlap, comp);
-        (params, stats)
+        let mut run = trajectory(Some(stage), p, steps, bucket_bytes, overlap, comp);
+        (run.params.swap_remove(0), run.stats)
     }
 
     fn zero_trajectory(
@@ -591,11 +468,48 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_backward_stays_bitwise_equal_to_ddp() {
-        let want = ddp_trajectory(4, 3);
-        for stage in [ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
-            let (got, _) = zero_trajectory_opts(4, 3, stage, 64, true, Compression::None);
-            assert_eq!(got.data(), want.data(), "stage {stage:?} overlapped");
+    fn every_scheme_channel_and_schedule_runs_the_one_reducer() {
+        // {DP, ZeRO-1/2/3} x {none, int8, fp16, topk} x {blocking,
+        // overlapped}, several 64-byte buckets firing per backward
+        use Compression::{Fp16, Int8, TopK};
+        let schemes = [
+            None,
+            Some(ZeroStage::One),
+            Some(ZeroStage::Two),
+            Some(ZeroStage::Three),
+        ];
+        let exact_ddp = trajectory(None, 4, 3, 64, false, Compression::None);
+        for scheme in schemes {
+            for comp in [Compression::None, Int8, Fp16, TopK(3)] {
+                let what = format!("{scheme:?}, {comp:?}");
+                let blocking = trajectory(scheme, 4, 3, 64, false, comp);
+                let overlapped = trajectory(scheme, 4, 3, 64, true, comp);
+                for r in 0..4 {
+                    // lossy or not, every replica lands on the same bits
+                    assert_eq!(
+                        blocking.params[r].data(),
+                        blocking.params[0].data(),
+                        "{what}: rank {r} diverged"
+                    );
+                    // and overlap changes neither the parameters nor the
+                    // input gradient the backward returns
+                    assert_eq!(
+                        overlapped.params[r].data(),
+                        blocking.params[r].data(),
+                        "{what}: overlap must not change the math"
+                    );
+                    assert_eq!(overlapped.dx[r].data(), blocking.dx[r].data(), "{what}");
+                }
+                // exact channels (top-k runs exact dense under ZeRO): every
+                // scheme is the plain data-parallel trajectory
+                if comp == Compression::None || (scheme.is_some() && comp == TopK(3)) {
+                    assert_eq!(
+                        overlapped.params[0].data(),
+                        exact_ddp.params[0].data(),
+                        "{what}: diverged from DDP"
+                    );
+                }
+            }
         }
     }
 
@@ -651,19 +565,6 @@ mod tests {
         assert_eq!(topk.data(), exact.data());
     }
 
-    #[test]
-    fn overlapped_zero_backward_is_bitwise_neutral_under_int8() {
-        for stage in [ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
-            let (blocking, _) = zero_trajectory_opts(4, 2, stage, 64, false, Compression::Int8);
-            let (overlapped, _) = zero_trajectory_opts(4, 2, stage, 64, true, Compression::Int8);
-            assert_eq!(
-                blocking.data(),
-                overlapped.data(),
-                "stage {stage:?}: overlap must not change compressed bits"
-            );
-        }
-    }
-
     /// FNV-1a 64 over everything [`trajectory`] reports of a 4-rank,
     /// 3-step, 64-byte-bucket run except the parameters: the per-rank
     /// channel bytes, then the `CommStats` breakdown (op kinds sorted).
@@ -672,7 +573,11 @@ mod tests {
         comp: Compression,
         overlap: bool,
     ) -> u64 {
-        let (_, stats, per_rank) = trajectory(stage, 4, 3, 64, overlap, comp);
+        let Run {
+            stats,
+            bytes: per_rank,
+            ..
+        } = trajectory(stage, 4, 3, 64, overlap, comp);
         let mut by_op: Vec<_> = stats.by_op.iter().collect();
         by_op.sort_by_key(|(kind, _)| kind.name());
         let stats_text = format!("{} {} {} {by_op:?}", stats.ops, stats.elements, stats.bytes);

@@ -1,7 +1,8 @@
 //! Cross-crate bitwise serial-vs-pool parity for the ops the `tensor::par`
-//! runtime accelerates outside the tensor crate: fused optimizer updates,
-//! bucketed gradient flatten/write-back, and the rank-ordered reductions
-//! inside `comm::Group` collectives.
+//! runtime accelerates outside the tensor crate: fused optimizer updates
+//! and the rank-ordered reductions inside `comm::Group` collectives — the
+//! latter also through bucketed gradient sync, whose copies into and out of
+//! the buckets are serial.
 //!
 //! Same contract as `crates/tensor/tests/par_props.rs`: the pool may change
 //! wall-clock, never bits. Budget/cutoff are process globals, so every test
