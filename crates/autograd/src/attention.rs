@@ -35,13 +35,20 @@ pub fn merge_heads(x: &Tensor, heads: usize) -> Tensor {
         .reshaped([b, s, heads * dk])
 }
 
-/// Standard multi-head self-attention (`softmax(QK^T / sqrt(dk)) V` followed
-/// by an output projection), optionally causal (GPT-style).
-pub struct MultiHeadAttention {
-    wq: Linear,
-    wk: Linear,
-    wv: Linear,
-    wo: Linear,
+/// The part of self-attention between the Q/K/V projections and the output
+/// projection: everything that depends on how heads and the sequence are
+/// laid out across devices, and nothing that holds a parameter.
+pub trait AttentionCore {
+    /// `softmax(QK^T / sqrt(dk)) V` over merged-head `[b, s, d]` inputs.
+    fn forward(&mut self, q: &Tensor, k: &Tensor, v: &Tensor) -> Tensor;
+
+    /// Gradients `(dq, dk, dv)` of the most recent forward, merged-head.
+    fn backward(&mut self, dz: &Tensor) -> (Tensor, Tensor, Tensor);
+}
+
+/// Attention over the heads and the whole sequence this device holds,
+/// optionally causal (GPT-style).
+pub struct LocalAttention {
     heads: usize,
     causal: bool,
     cache: Option<AttnCache>,
@@ -54,48 +61,13 @@ struct AttnCache {
     attn: Tensor,
 }
 
-impl MultiHeadAttention {
-    pub fn new(name: &str, dim: usize, heads: usize, causal: bool, rng: &mut InitRng) -> Self {
-        assert_eq!(
-            dim % heads,
-            0,
-            "hidden size {dim} not divisible by {heads} heads"
-        );
-        MultiHeadAttention {
-            wq: Linear::from_rng(&format!("{name}.q"), dim, dim, true, rng),
-            wk: Linear::from_rng(&format!("{name}.k"), dim, dim, true, rng),
-            wv: Linear::from_rng(&format!("{name}.v"), dim, dim, true, rng),
-            wo: Linear::from_rng(&format!("{name}.o"), dim, dim, true, rng),
+impl LocalAttention {
+    pub fn new(heads: usize, causal: bool) -> Self {
+        LocalAttention {
             heads,
             causal,
             cache: None,
         }
-    }
-
-    /// Builds from pre-constructed projections (used by tensor-parallel
-    /// shards, which split the projections by head).
-    pub fn from_parts(
-        wq: Linear,
-        wk: Linear,
-        wv: Linear,
-        wo: Linear,
-        heads: usize,
-        causal: bool,
-    ) -> Self {
-        MultiHeadAttention {
-            wq,
-            wk,
-            wv,
-            wo,
-            heads,
-            causal,
-            cache: None,
-        }
-    }
-
-    /// Number of attention heads.
-    pub fn heads(&self) -> usize {
-        self.heads
     }
 
     fn apply_causal_mask(&self, scores: &mut Tensor) {
@@ -114,18 +86,15 @@ impl MultiHeadAttention {
     }
 }
 
-impl Layer for MultiHeadAttention {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        assert_eq!(x.rank(), 3, "attention input must be [batch, seq, dim]");
+impl AttentionCore for LocalAttention {
+    fn forward(&mut self, q: &Tensor, k: &Tensor, v: &Tensor) -> Tensor {
         let heads = self.heads;
-        // head width comes from the projection output, not the input: the
-        // two differ in tensor-parallel shards where wq maps d -> d/p
-        let dk = self.wq.d_out() / heads;
-        let scale = 1.0 / (dk as f32).sqrt();
-
-        let q = split_heads(&self.wq.forward(x), heads);
-        let k = split_heads(&self.wk.forward(x), heads);
-        let v = split_heads(&self.wv.forward(x), heads);
+        let q = split_heads(q, heads);
+        let k = split_heads(k, heads);
+        let v = split_heads(v, heads);
+        // head width comes from the projection output, not the model width:
+        // the two differ in tensor-parallel shards where wq maps d -> d/p
+        let scale = 1.0 / (q.dims()[2] as f32).sqrt();
 
         let mut scores = bmm_bt(&q, &k);
         scores.scale(scale);
@@ -133,21 +102,16 @@ impl Layer for MultiHeadAttention {
         // scores is uniquely owned here: softmax runs in place, no copy
         softmax_inplace(&mut scores);
         let attn = scores;
-        let z = bmm(&attn, &v);
-        let merged = merge_heads(&z, heads);
-        let out = self.wo.forward(&merged);
+        let z = merge_heads(&bmm(&attn, &v), heads);
         self.cache = Some(AttnCache { q, k, v, attn });
-        out
+        z
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
+    fn backward(&mut self, dz: &Tensor) -> (Tensor, Tensor, Tensor) {
         let AttnCache { q, k, v, attn } = self.cache.take().expect("backward before forward");
         let heads = self.heads;
-        let dk = q.dims()[2];
-        let scale = 1.0 / (dk as f32).sqrt();
-
-        let dmerged = self.wo.backward(dy);
-        let dz = split_heads(&dmerged, heads);
+        let scale = 1.0 / (q.dims()[2] as f32).sqrt();
+        let dz = split_heads(dz, heads);
 
         // z = attn @ v
         let dattn = bmm_bt(&dz, &v);
@@ -160,11 +124,82 @@ impl Layer for MultiHeadAttention {
         dscores.scale(scale);
         // scores = q @ k^T
         let dq = bmm(&dscores, &k);
-        let dk_grad = bmm_at(&dscores, &q);
+        let dk = bmm_at(&dscores, &q);
+        (
+            merge_heads(&dq, heads),
+            merge_heads(&dk, heads),
+            merge_heads(&dv, heads),
+        )
+    }
+}
 
-        let dx_q = self.wq.backward(&merge_heads(&dq, heads));
-        let dx_k = self.wk.backward(&merge_heads(&dk_grad, heads));
-        let dx_v = self.wv.backward(&merge_heads(&dv, heads));
+/// Multi-head self-attention: Q/K/V projections, an [`AttentionCore`] and an
+/// output projection. The projections are any [`Layer`]s, so the same
+/// struct is serial attention (four [`Linear`]s around a [`LocalAttention`])
+/// and every tensor- or sequence-parallel variant.
+pub struct MultiHeadAttention {
+    wq: Box<dyn Layer>,
+    wk: Box<dyn Layer>,
+    wv: Box<dyn Layer>,
+    wo: Box<dyn Layer>,
+    core: Box<dyn AttentionCore>,
+}
+
+impl MultiHeadAttention {
+    pub fn new(name: &str, dim: usize, heads: usize, causal: bool, rng: &mut InitRng) -> Self {
+        assert_eq!(
+            dim % heads,
+            0,
+            "hidden size {dim} not divisible by {heads} heads"
+        );
+        let mut proj = |n: &str| -> Box<dyn Layer> {
+            Box::new(Linear::from_rng(
+                &format!("{name}.{n}"),
+                dim,
+                dim,
+                true,
+                rng,
+            ))
+        };
+        let (wq, wk, wv, wo) = (proj("q"), proj("k"), proj("v"), proj("o"));
+        Self::from_parts(wq, wk, wv, wo, Box::new(LocalAttention::new(heads, causal)))
+    }
+
+    /// Builds from pre-constructed projections and core (how the parallel
+    /// modes shard the projections and place the heads).
+    pub fn from_parts(
+        wq: Box<dyn Layer>,
+        wk: Box<dyn Layer>,
+        wv: Box<dyn Layer>,
+        wo: Box<dyn Layer>,
+        core: Box<dyn AttentionCore>,
+    ) -> Self {
+        MultiHeadAttention {
+            wq,
+            wk,
+            wv,
+            wo,
+            core,
+        }
+    }
+}
+
+impl Layer for MultiHeadAttention {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        assert_eq!(x.rank(), 3, "attention input must be [batch, seq, dim]");
+        let q = self.wq.forward(x);
+        let k = self.wk.forward(x);
+        let v = self.wv.forward(x);
+        let z = self.core.forward(&q, &k, &v);
+        self.wo.forward(&z)
+    }
+
+    fn backward(&mut self, dy: &Tensor) -> Tensor {
+        let dz = self.wo.backward(dy);
+        let (dq, dk, dv) = self.core.backward(&dz);
+        let dx_q = self.wq.backward(&dq);
+        let dx_k = self.wk.backward(&dk);
+        let dx_v = self.wv.backward(&dv);
         dx_q.zip(&dx_k, |a, b| a + b).zip(&dx_v, |a, b| a + b)
     }
 

@@ -14,11 +14,15 @@ pub struct Embedding {
 
 impl Embedding {
     pub fn new(name: &str, vocab: usize, dim: usize, rng: &mut InitRng) -> Self {
+        Self::from_table(name, init::normal([vocab, dim], 0.0, 0.02, rng))
+    }
+
+    /// Builds from an explicit `[vocab, dim]` table (a hidden-axis slice of
+    /// the global one, under the sharded tensor-parallel modes).
+    pub fn from_table(name: &str, table: Tensor) -> Self {
+        assert_eq!(table.rank(), 2, "embedding table must be [vocab, dim]");
         Embedding {
-            table: Param::new(
-                format!("{name}.table"),
-                init::normal([vocab, dim], 0.0, 0.02, rng),
-            ),
+            table: Param::new(format!("{name}.table"), table),
             cached_indices: None,
         }
     }
@@ -89,16 +93,32 @@ impl Layer for Embedding {
 /// Learned absolute position embedding added to a `[b, s, d]` input.
 pub struct PositionEmbedding {
     table: Param,
+    /// Which `s`-long block of positions the input covers (0 unless the
+    /// sequence axis is sharded).
+    seq_block: usize,
 }
 
 impl PositionEmbedding {
     pub fn new(name: &str, max_len: usize, dim: usize, rng: &mut InitRng) -> Self {
+        Self::from_table(name, init::normal([max_len, dim], 0.0, 0.02, rng))
+    }
+
+    /// Builds from an explicit `[max_len, dim]` table (a hidden-axis slice of
+    /// the global one, under the sharded tensor-parallel modes).
+    pub fn from_table(name: &str, table: Tensor) -> Self {
+        assert_eq!(table.rank(), 2, "position table must be [max_len, dim]");
         PositionEmbedding {
-            table: Param::new(
-                format!("{name}.pos"),
-                init::normal([max_len, dim], 0.0, 0.02, rng),
-            ),
+            table: Param::new(format!("{name}.pos"), table),
+            seq_block: 0,
         }
+    }
+
+    /// The input is the `block`-th of the equal sub-sequences the full
+    /// sequence is split into (sequence parallelism): an `[b, s, d]` input
+    /// takes positions `block * s ..`.
+    pub fn at_seq_block(mut self, block: usize) -> Self {
+        self.seq_block = block;
+        self
     }
 }
 
@@ -106,8 +126,9 @@ impl Layer for PositionEmbedding {
     fn forward(&mut self, x: &Tensor) -> Tensor {
         assert_eq!(x.rank(), 3, "position embedding expects [b, s, d]");
         let (b, s, d) = (x.dims()[0], x.dims()[1], x.dims()[2]);
+        let first = self.seq_block * s;
         assert!(
-            s <= self.table.value().dims()[0],
+            first + s <= self.table.value().dims()[0],
             "sequence longer than max_len"
         );
         assert_eq!(d, self.table.value().dims()[1], "dim mismatch");
@@ -116,7 +137,7 @@ impl Layer for PositionEmbedding {
             for si in 0..s {
                 let base = (bi * s + si) * d;
                 for di in 0..d {
-                    out.data_mut()[base + di] += self.table.value().data()[si * d + di];
+                    out.data_mut()[base + di] += self.table.value().data()[(first + si) * d + di];
                 }
             }
         }
@@ -125,13 +146,14 @@ impl Layer for PositionEmbedding {
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
         let (b, s, d) = (dy.dims()[0], dy.dims()[1], dy.dims()[2]);
+        let first = self.seq_block * s;
         {
             let grad = self.table.grad_mut().data_mut();
             for bi in 0..b {
                 for si in 0..s {
                     let base = (bi * s + si) * d;
                     for di in 0..d {
-                        grad[si * d + di] += dy.data()[base + di];
+                        grad[(first + si) * d + di] += dy.data()[base + di];
                     }
                 }
             }

@@ -25,7 +25,7 @@ pub mod param;
 pub mod state;
 
 pub use act::{Gelu, Relu};
-pub use attention::{merge_heads, split_heads, MultiHeadAttention};
+pub use attention::{merge_heads, split_heads, AttentionCore, LocalAttention, MultiHeadAttention};
 pub use checkpoint::Checkpoint;
 pub use dropout::Dropout;
 pub use embedding::{Embedding, PositionEmbedding};

@@ -22,4 +22,4 @@ pub use context::{ParallelAxis, ParallelContext};
 pub use engine::{clip_grad_norm, clip_grad_norm_distributed, initialize, Engine, OptimizerSpec};
 pub use hybrid_adam::HybridAdam;
 pub use trainer::{Hook, LossRecorder, Trainer};
-pub use zoo::{build_bert, build_gpt, build_vit};
+pub use zoo::{build_bert, build_gpt, build_vit, check_model, tensor_parallel, ZooModel};

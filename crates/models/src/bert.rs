@@ -4,26 +4,42 @@
 //! vocabulary head (masked-LM objective shape).
 
 use crate::config::TransformerConfig;
+use crate::gpt::lm_head;
+use crate::parallel::{Layout, Serial, TensorParallel};
 use crate::transformer::TransformerBlock;
-use colossalai_autograd::{Embedding, Layer, LayerNorm, Linear, Param, PositionEmbedding};
+use colossalai_autograd::{Layer, Param};
 use colossalai_tensor::init::InitRng;
 use colossalai_tensor::Tensor;
 
 /// A runnable BERT encoder. Input: `[batch, seq]` token ids (as f32);
-/// output: `[batch, seq, vocab]` logits.
+/// output: `[batch, seq, vocab]` logits — under a parallel mode, this
+/// device's [`Layout::Branch`] part of them (`mode.gather` reassembles).
 pub struct Bert {
-    tok: Embedding,
-    pos: PositionEmbedding,
+    mode: Box<dyn TensorParallel>,
+    tok: Box<dyn Layer>,
+    pos: Box<dyn Layer>,
     blocks: Vec<TransformerBlock>,
-    ln_f: LayerNorm,
-    head: Linear,
+    ln_f: Box<dyn Layer>,
+    head: Box<dyn Layer>,
 }
 
 impl Bert {
     pub fn new(cfg: &TransformerConfig, rng: &mut InitRng) -> Self {
+        Self::with_mode(Box::new(Serial), cfg, rng)
+    }
+
+    /// Builds this device's part of the BERT under `mode`; every device
+    /// passes an identically seeded `rng` (see
+    /// [`TransformerBlock::with_mode`]).
+    pub fn with_mode(
+        mode: Box<dyn TensorParallel>,
+        cfg: &TransformerConfig,
+        rng: &mut InitRng,
+    ) -> Self {
         let blocks = (0..cfg.layers)
             .map(|i| {
-                TransformerBlock::new(
+                TransformerBlock::with_mode(
+                    mode.as_ref(),
                     &format!("bert.block{i}"),
                     cfg.hidden,
                     cfg.heads,
@@ -33,13 +49,66 @@ impl Bert {
                 )
             })
             .collect();
+        let tok = mode.token_embedding("bert.tok", cfg.vocab, cfg.hidden, rng);
+        let pos = mode.position_embedding("bert", cfg.max_seq, cfg.hidden, rng);
+        let ln_f = mode.layer_norm("bert.ln_f", cfg.hidden);
+        let bias = Some(Tensor::zeros([cfg.vocab]));
+        let head = lm_head(mode.as_ref(), "bert.head", cfg, bias, rng);
         Bert {
-            tok: Embedding::new("bert.tok", cfg.vocab, cfg.hidden, rng),
-            pos: PositionEmbedding::new("bert", cfg.max_seq, cfg.hidden, rng),
+            mode,
+            tok,
+            pos,
             blocks,
-            ln_f: LayerNorm::new("bert.ln_f", cfg.hidden),
-            head: Linear::from_rng("bert.head", cfg.hidden, cfg.vocab, true, rng),
+            ln_f,
+            head,
         }
+    }
+
+    /// Masked-LM loss over `targets` at `positions` (flat indices into
+    /// `[batch * seq]`). The loss is the global mean over the masked
+    /// positions; the gradient is that of this device's logits, so no device
+    /// holds the full `[tokens, vocab]` matrix under a sharded mode.
+    pub fn mlm_loss(
+        &mut self,
+        masked_tokens: &Tensor,
+        targets: &[usize],
+        positions: &[usize],
+    ) -> (f32, Tensor) {
+        assert_eq!(targets.len(), positions.len());
+        let (b, s) = (masked_tokens.dims()[0], masked_tokens.dims()[1]);
+        let logits = self.forward(masked_tokens);
+        let vocab = *logits.dims().last().unwrap();
+        let flat = logits.reshape([logits.numel() / vocab, vocab]);
+        // the local row of each global position this device holds
+        let mut local_row = vec![None; b * s];
+        let ids = Tensor::arange(b * s).reshaped([b, s]);
+        for (row, &id) in self
+            .mode
+            .shard(&ids, Layout::Branch)
+            .data()
+            .iter()
+            .enumerate()
+        {
+            local_row[id as usize] = Some(row);
+        }
+        let (rows, held): (Vec<usize>, Vec<usize>) = positions
+            .iter()
+            .zip(targets)
+            .filter_map(|(&p, &t)| local_row[p].map(|row| (row, t)))
+            .unzip();
+        let picked: Vec<Tensor> = rows.iter().map(|&r| flat.narrow(0, r, 1)).collect();
+        let picked = if picked.is_empty() {
+            Tensor::zeros([0, vocab])
+        } else {
+            Tensor::cat(&picked, 0)
+        };
+        let (loss, dpicked) = self.mode.loss(&picked, &held, positions.len());
+        // scatter the gradient back into the full (local) logits
+        let mut dlogits = Tensor::zeros(logits.shape().clone());
+        for (&r, src) in rows.iter().zip(dpicked.data().chunks(vocab)) {
+            dlogits.data_mut()[r * vocab..(r + 1) * vocab].copy_from_slice(src);
+        }
+        (loss, dlogits)
     }
 }
 

@@ -3,26 +3,40 @@
 //! stack, language-model head.
 
 use crate::config::TransformerConfig;
+use crate::parallel::{Layout, Serial, TensorParallel};
 use crate::transformer::TransformerBlock;
-use colossalai_autograd::{Embedding, Layer, LayerNorm, Linear, Param, PositionEmbedding};
-use colossalai_tensor::init::InitRng;
+use colossalai_autograd::{Layer, Param};
+use colossalai_tensor::init::{self, InitRng};
 use colossalai_tensor::Tensor;
 
 /// A runnable GPT. Input: `[batch, seq]` token ids (as f32); output:
-/// `[batch, seq, vocab]` next-token logits.
+/// `[batch, seq, vocab]` next-token logits — under a parallel mode, this
+/// device's [`Layout::Branch`] part of them (`mode.gather` reassembles).
 pub struct Gpt {
-    tok: Embedding,
-    pos: PositionEmbedding,
+    mode: Box<dyn TensorParallel>,
+    tok: Box<dyn Layer>,
+    pos: Box<dyn Layer>,
     blocks: Vec<TransformerBlock>,
-    ln_f: LayerNorm,
-    head: Linear,
+    ln_f: Box<dyn Layer>,
+    head: Box<dyn Layer>,
 }
 
 impl Gpt {
     pub fn new(cfg: &TransformerConfig, rng: &mut InitRng) -> Self {
+        Self::with_mode(Box::new(Serial), cfg, rng)
+    }
+
+    /// Builds this device's part of the GPT under `mode`; every device passes
+    /// an identically seeded `rng` (see [`TransformerBlock::with_mode`]).
+    pub fn with_mode(
+        mode: Box<dyn TensorParallel>,
+        cfg: &TransformerConfig,
+        rng: &mut InitRng,
+    ) -> Self {
         let blocks = (0..cfg.layers)
             .map(|i| {
-                TransformerBlock::new(
+                TransformerBlock::with_mode(
+                    mode.as_ref(),
                     &format!("gpt.block{i}"),
                     cfg.hidden,
                     cfg.heads,
@@ -32,39 +46,63 @@ impl Gpt {
                 )
             })
             .collect();
+        let tok = mode.token_embedding("gpt.tok", cfg.vocab, cfg.hidden, rng);
+        let pos = mode.position_embedding("gpt", cfg.max_seq, cfg.hidden, rng);
+        let ln_f = mode.layer_norm("gpt.ln_f", cfg.hidden);
+        let head = lm_head(mode.as_ref(), "gpt.head", cfg, None, rng);
         Gpt {
-            tok: Embedding::new("gpt.tok", cfg.vocab, cfg.hidden, rng),
-            pos: PositionEmbedding::new("gpt", cfg.max_seq, cfg.hidden, rng),
+            mode,
+            tok,
+            pos,
             blocks,
-            ln_f: LayerNorm::new("gpt.ln_f", cfg.hidden),
-            head: Linear::from_rng("gpt.head", cfg.hidden, cfg.vocab, false, rng),
+            ln_f,
+            head,
         }
     }
 
     /// Next-token language-modeling loss and gradient for a batch of token
-    /// id sequences; predicts token `t+1` from positions `0..=t`.
+    /// id sequences; predicts token `t+1` from positions `0..=t`. The loss is
+    /// the global mean; the gradient is that of this device's logits.
     pub fn lm_loss(&mut self, tokens: &Tensor) -> (f32, Tensor) {
         let (b, s) = (tokens.dims()[0], tokens.dims()[1]);
         let logits = self.forward(tokens);
-        let vocab = logits.dims()[2];
+        let (held, vocab) = (logits.dims()[0], logits.dims()[2]);
         // shift: predictions at positions 0..s-1 target tokens 1..s
-        let pred = logits.narrow(1, 0, s - 1).reshaped([b * (s - 1), vocab]);
-        let targets: Vec<usize> = (0..b)
-            .flat_map(|bi| (1..s).map(move |si| (bi, si)))
-            .map(|(bi, si)| tokens.at(&[bi, si]) as usize)
+        let pred = logits.narrow(1, 0, s - 1).reshaped([held * (s - 1), vocab]);
+        let targets: Vec<usize> = self
+            .mode
+            .shard(tokens, Layout::Branch)
+            .data()
+            .chunks(s)
+            .flat_map(|seq| seq[1..].iter().map(|&t| t as usize))
             .collect();
-        let (loss, dpred) = colossalai_tensor::ops::cross_entropy(&pred, &targets);
-        // scatter the gradient back into full logits shape
-        let mut dlogits = Tensor::zeros([b, s, vocab]);
-        for bi in 0..b {
-            for si in 0..s - 1 {
-                for v in 0..vocab {
-                    dlogits.set(&[bi, si, v], dpred.at(&[bi * (s - 1) + si, v]));
-                }
-            }
+        let (loss, dpred) = self.mode.loss(&pred, &targets, b * (s - 1));
+        // scatter the gradient back into full logits shape: each sequence's
+        // s-1 predicting rows in one block, its last position left at zero
+        let mut dlogits = Tensor::zeros([held, s, vocab]);
+        let block = (s - 1) * vocab;
+        for (seq, rows) in dlogits
+            .data_mut()
+            .chunks_mut(s * vocab)
+            .zip(dpred.data().chunks(block))
+        {
+            seq[..block].copy_from_slice(rows);
         }
         (loss, dlogits)
     }
+}
+
+/// The vocabulary head GPT and BERT share: a `Stream -> Branch` linear whose
+/// input gradient is reduced like any other branch's.
+pub(crate) fn lm_head(
+    mode: &dyn TensorParallel,
+    name: &str,
+    cfg: &TransformerConfig,
+    bias: Option<Tensor>,
+    rng: &mut InitRng,
+) -> Box<dyn Layer> {
+    let w = init::lecun_normal(cfg.hidden, cfg.vocab, rng);
+    mode.branch(mode.linear(name, w, bias, Layout::Stream, Layout::Branch, false))
 }
 
 impl Layer for Gpt {

@@ -10,6 +10,7 @@ pub mod bert;
 pub mod config;
 pub mod data;
 pub mod gpt;
+pub mod parallel;
 pub mod transformer;
 pub mod vit;
 
@@ -17,5 +18,6 @@ pub use bert::Bert;
 pub use config::TransformerConfig;
 pub use data::{SyntheticText, SyntheticVision};
 pub use gpt::Gpt;
+pub use parallel::{Layout, Serial, TensorParallel};
 pub use transformer::{Residual, TransformerBlock};
 pub use vit::VisionTransformer;

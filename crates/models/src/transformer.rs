@@ -1,23 +1,25 @@
 //! The runnable Transformer block (Fig 2 of the paper): Multi-head
-//! Attention + Feed Forward, pre-LayerNorm, residual connections.
+//! Attention + Feed Forward, pre-LayerNorm, residual connections — written
+//! once against the [`TensorParallel`] seam.
 
-use colossalai_autograd::{Layer, LayerNorm, Linear, MultiHeadAttention, Param, Sequential};
-use colossalai_tensor::init::InitRng;
+use crate::parallel::{Layout, Serial, TensorParallel};
+use colossalai_autograd::{Layer, MultiHeadAttention, Param, Sequential};
+use colossalai_tensor::init::{self, InitRng};
 use colossalai_tensor::Tensor;
 
 /// `x + f(ln(x))` — the residual wrapper both halves of the block use.
-pub struct Residual<L: Layer> {
-    ln: LayerNorm,
-    inner: L,
+pub struct Residual {
+    ln: Box<dyn Layer>,
+    inner: Box<dyn Layer>,
 }
 
-impl<L: Layer> Residual<L> {
-    pub fn new(ln: LayerNorm, inner: L) -> Self {
+impl Residual {
+    pub fn new(ln: Box<dyn Layer>, inner: Box<dyn Layer>) -> Self {
         Residual { ln, inner }
     }
 }
 
-impl<L: Layer> Layer for Residual<L> {
+impl Layer for Residual {
     fn forward(&mut self, x: &Tensor) -> Tensor {
         let normed = self.ln.forward(x);
         let fx = self.inner.forward(&normed);
@@ -38,13 +40,13 @@ impl<L: Layer> Layer for Residual<L> {
 
 /// One Transformer layer.
 pub struct TransformerBlock {
-    attn: Residual<MultiHeadAttention>,
-    mlp: Residual<Sequential>,
+    attn: Residual,
+    mlp: Residual,
 }
 
 impl TransformerBlock {
-    /// Builds a block with hidden size `dim`, `heads` attention heads and an
-    /// `mlp_ratio`-times-wider feed-forward, optionally causal.
+    /// Builds a serial block with hidden size `dim`, `heads` attention heads
+    /// and an `mlp_ratio`-times-wider feed-forward, optionally causal.
     pub fn new(
         name: &str,
         dim: usize,
@@ -53,26 +55,53 @@ impl TransformerBlock {
         causal: bool,
         rng: &mut InitRng,
     ) -> Self {
-        let attn = MultiHeadAttention::new(&format!("{name}.attn"), dim, heads, causal, rng);
-        // fc1 carries its GELU fused (bitwise-identical to a separate Gelu
-        // layer, which held no params — the parameter visit order is
-        // unchanged)
-        let mlp = Sequential::new(vec![
-            Box::new(
-                Linear::from_rng(&format!("{name}.fc1"), dim, dim * mlp_ratio, true, rng)
-                    .with_gelu(),
-            ),
-            Box::new(Linear::from_rng(
-                &format!("{name}.fc2"),
-                dim * mlp_ratio,
-                dim,
-                true,
-                rng,
-            )),
-        ]);
+        Self::with_mode(&Serial, name, dim, heads, mlp_ratio, causal, rng)
+    }
+
+    /// Builds this device's part of the block under `mode`. Every device
+    /// must pass an identically seeded `rng`: the *global* weights are drawn
+    /// in one order (Q, K, V, O, MLP up, MLP down) whatever the mode, so a
+    /// seed names the same model under all of them.
+    pub fn with_mode(
+        mode: &dyn TensorParallel,
+        name: &str,
+        dim: usize,
+        heads: usize,
+        mlp_ratio: usize,
+        causal: bool,
+        rng: &mut InitRng,
+    ) -> Self {
+        assert_eq!(
+            dim % heads,
+            0,
+            "hidden size {dim} not divisible by {heads} heads"
+        );
+        let mut linear = |n: &str, d_in: usize, d_out: usize, to: Layout, gelu: bool| {
+            let from = match to {
+                Layout::Branch => Layout::Stream,
+                _ => Layout::Branch,
+            };
+            let w = init::lecun_normal(d_in, d_out, rng);
+            let b = Some(Tensor::zeros([d_out]));
+            mode.linear(&format!("{name}.{n}"), w, b, from, to, gelu)
+        };
+        let wq = linear("attn.q", dim, dim, Layout::Branch, false);
+        let wk = linear("attn.k", dim, dim, Layout::Branch, false);
+        let wv = linear("attn.v", dim, dim, Layout::Branch, false);
+        let wo = linear("attn.o", dim, dim, Layout::Stream, false);
+        let fc1 = linear("fc1", dim, dim * mlp_ratio, Layout::Branch, true);
+        let fc2 = linear("fc2", dim * mlp_ratio, dim, Layout::Stream, false);
+        let attn =
+            MultiHeadAttention::from_parts(wq, wk, wv, wo, mode.attention_core(heads, causal));
+        let residual = |ln: &str, inner: Box<dyn Layer>| {
+            Residual::new(
+                mode.layer_norm(&format!("{name}.{ln}"), dim),
+                mode.branch(inner),
+            )
+        };
         TransformerBlock {
-            attn: Residual::new(LayerNorm::new(&format!("{name}.ln1"), dim), attn),
-            mlp: Residual::new(LayerNorm::new(&format!("{name}.ln2"), dim), mlp),
+            attn: residual("ln1", Box::new(attn)),
+            mlp: residual("ln2", Box::new(Sequential::new(vec![fc1, fc2]))),
         }
     }
 }
@@ -97,8 +126,7 @@ impl Layer for TransformerBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use colossalai_autograd::grad_check;
-    use colossalai_tensor::init;
+    use colossalai_autograd::{grad_check, LayerNorm, Linear};
 
     #[test]
     fn block_preserves_shape() {
@@ -126,7 +154,7 @@ mod tests {
         let mut rng = init::rng(52);
         let ln = LayerNorm::new("ln", 4);
         let zero_linear = Linear::from_parts("z", Tensor::zeros([4, 4]), Some(Tensor::zeros([4])));
-        let mut r = Residual::new(ln, zero_linear);
+        let mut r = Residual::new(Box::new(ln), Box::new(zero_linear));
         let x = init::uniform([2, 4], -1.0, 1.0, &mut rng);
         let y = r.forward(&x);
         assert!(y.allclose(&x, 1e-6));

@@ -3,31 +3,45 @@
 //! LayerNorm, mean pooling, classification head.
 
 use crate::config::TransformerConfig;
+use crate::parallel::{Layout, Serial, TensorParallel};
 use crate::transformer::TransformerBlock;
-use colossalai_autograd::{Layer, LayerNorm, Linear, Param, PositionEmbedding};
-use colossalai_tensor::init::InitRng;
+use colossalai_autograd::{Layer, Param};
+use colossalai_tensor::init::{self, InitRng};
 use colossalai_tensor::ops::sum_axis;
 use colossalai_tensor::Tensor;
 
 /// A runnable ViT. Input is pre-patchified: `[batch, n_patches, patch_dim]`
 /// (the dataset generator emits patches directly, standing in for the
-/// image pipeline). Output is `[batch, classes]` logits.
+/// image pipeline). Output is `[batch, classes]` logits. Under a parallel
+/// mode both are the full tensors, the same on every device of the group.
 pub struct VisionTransformer {
-    proj: Linear,
-    pos: PositionEmbedding,
+    proj: Box<dyn Layer>,
+    pos: Box<dyn Layer>,
     blocks: Vec<TransformerBlock>,
-    ln_f: LayerNorm,
-    head: Linear,
+    ln_f: Box<dyn Layer>,
+    head: Box<dyn Layer>,
     n_patches: usize,
 }
 
 impl VisionTransformer {
-    /// Builds a ViT with `cfg.vocab` classes over `n_patches` patches of
-    /// `patch_dim` raw features.
+    /// Builds a serial ViT with `cfg.vocab` classes over `n_patches` patches
+    /// of `patch_dim` raw features.
     pub fn new(cfg: &TransformerConfig, patch_dim: usize, rng: &mut InitRng) -> Self {
+        Self::with_mode(&Serial, cfg, patch_dim, rng)
+    }
+
+    /// Builds this device's part of the ViT under `mode`; every device passes
+    /// an identically seeded `rng` (see [`TransformerBlock::with_mode`]).
+    pub fn with_mode(
+        mode: &dyn TensorParallel,
+        cfg: &TransformerConfig,
+        patch_dim: usize,
+        rng: &mut InitRng,
+    ) -> Self {
         let blocks = (0..cfg.layers)
             .map(|i| {
-                TransformerBlock::new(
+                TransformerBlock::with_mode(
+                    mode,
                     &format!("vit.block{i}"),
                     cfg.hidden,
                     cfg.heads,
@@ -37,12 +51,29 @@ impl VisionTransformer {
                 )
             })
             .collect();
+        let proj = mode.linear(
+            "vit.patch_proj",
+            init::lecun_normal(patch_dim, cfg.hidden, rng),
+            Some(Tensor::zeros([cfg.hidden])),
+            Layout::Full,
+            Layout::Stream,
+            false,
+        );
+        let pos = mode.position_embedding("vit", cfg.max_seq, cfg.hidden, rng);
+        let head = mode.linear(
+            "vit.head",
+            init::lecun_normal(cfg.hidden, cfg.vocab, rng),
+            Some(Tensor::zeros([cfg.vocab])),
+            Layout::Stream,
+            Layout::Full,
+            false,
+        );
         VisionTransformer {
-            proj: Linear::from_rng("vit.patch_proj", patch_dim, cfg.hidden, true, rng),
-            pos: PositionEmbedding::new("vit", cfg.max_seq, cfg.hidden, rng),
+            proj,
+            pos,
             blocks,
-            ln_f: LayerNorm::new("vit.ln_f", cfg.hidden),
-            head: Linear::from_rng("vit.head", cfg.hidden, cfg.vocab, true, rng),
+            ln_f: mode.layer_norm("vit.ln_f", cfg.hidden),
+            head,
             n_patches: cfg.max_seq,
         }
     }
@@ -56,8 +87,6 @@ impl VisionTransformer {
 impl Layer for VisionTransformer {
     fn forward(&mut self, x: &Tensor) -> Tensor {
         assert_eq!(x.rank(), 3, "ViT input must be [batch, patches, patch_dim]");
-        let b = x.dims()[0];
-        let s = x.dims()[1];
         let mut h = self.proj.forward(x);
         h = self.pos.forward(&h);
         for blk in &mut self.blocks {
@@ -65,28 +94,25 @@ impl Layer for VisionTransformer {
         }
         let h = self.ln_f.forward(&h);
         // mean pool over patches
-        let pooled = {
-            let mut p = sum_axis(&h, 1);
-            p.scale(1.0 / s as f32);
-            p
-        };
-        let logits = self.head.forward(&pooled);
-        assert_eq!(logits.dims()[0], b);
-        logits
+        let mut pooled = sum_axis(&h, 1);
+        pooled.scale(1.0 / h.dims()[1] as f32);
+        self.head.forward(&pooled)
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
         let dpooled = self.head.backward(dy);
-        // un-pool: distribute mean gradient over patches
+        // un-pool: every patch of a sample takes that sample's mean gradient
         let (b, d) = (dpooled.dims()[0], dpooled.dims()[1]);
         let s = self.n_patches;
         let mut dh = Tensor::zeros([b, s, d]);
-        for bi in 0..b {
-            for si in 0..s {
-                for di in 0..d {
-                    let v = dpooled.at(&[bi, di]) / s as f32;
-                    dh.set(&[bi, si, di], v);
-                }
+        for (sample, pooled) in dh
+            .data_mut()
+            .chunks_mut(s * d)
+            .zip(dpooled.data().chunks(d))
+        {
+            let mean: Vec<f32> = pooled.iter().map(|v| v / s as f32).collect();
+            for patch in sample.chunks_mut(d) {
+                patch.copy_from_slice(&mean);
             }
         }
         let mut dh = self.ln_f.backward(&dh);

@@ -10,9 +10,15 @@
 //! We implement the exchange with those collectives — same volume, same
 //! ring bottleneck, substantially less bookkeeping.
 
-use colossalai_autograd::{Layer, Linear, Param};
+use crate::grad_sync::GradSync;
+use colossalai_autograd::attention::{merge_heads, split_heads};
+use colossalai_autograd::{
+    AttentionCore, Embedding, Layer, LayerNorm, Linear, Param, PositionEmbedding,
+};
 use colossalai_comm::{DeviceCtx, Group};
-use colossalai_tensor::ops::{softmax, softmax_backward};
+use colossalai_models::{Layout, TensorParallel};
+use colossalai_tensor::init::InitRng;
+use colossalai_tensor::ops::{cross_entropy, softmax_backward_inplace, softmax_inplace};
 use colossalai_tensor::{bmm, bmm_at, bmm_bt, Tensor};
 
 /// Splits a `[b, s, ..]` tensor along the sequence dimension for `rank` of
@@ -21,15 +27,13 @@ pub fn split_sequence(x: &Tensor, p: usize, rank: usize) -> Tensor {
     x.chunk(1, p).swap_remove(rank)
 }
 
-/// Ring Self-Attention: multi-head attention over a sequence-sharded input
-/// `[b, s/p, d]`, with Q/K/V/O projections replicated across ranks.
+/// Ring Self-Attention: the attention core over sequence-sharded
+/// `[b, s/p, d]` queries, keys and values. Unlike 1D tensor parallelism,
+/// *any* number of ranks works — heads are not divided, the sequence is.
+/// (The Fig 12/13 advantage on 8 GPUs.)
 pub struct RingSelfAttention {
     ctx: DeviceCtx,
     group: Group,
-    wq: Linear,
-    wk: Linear,
-    wv: Linear,
-    wo: Linear,
     heads: usize,
     cache: Option<RingCache>,
 }
@@ -42,69 +46,45 @@ struct RingCache {
 }
 
 impl RingSelfAttention {
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_global(
-        ctx: &DeviceCtx,
-        group: &Group,
-        name: &str,
-        heads: usize,
-        wq: (&Tensor, &Tensor),
-        wk: (&Tensor, &Tensor),
-        wv: (&Tensor, &Tensor),
-        wo: (&Tensor, &Tensor),
-    ) -> Self {
-        let mk =
-            |n: &str, (w, b): (&Tensor, &Tensor)| Linear::from_parts(n, w.clone(), Some(b.clone()));
+    pub fn new(ctx: &DeviceCtx, group: &Group, heads: usize) -> Self {
         RingSelfAttention {
             ctx: ctx.clone(),
             group: group.clone(),
-            wq: mk(&format!("{name}.q"), wq),
-            wk: mk(&format!("{name}.k"), wk),
-            wv: mk(&format!("{name}.v"), wv),
-            wo: mk(&format!("{name}.o"), wo),
             heads,
             cache: None,
         }
     }
-
-    /// Unlike 1D tensor parallelism, *any* number of ranks works — heads are
-    /// not divided, the sequence is. (The Fig 12/13 advantage on 8 GPUs.)
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
 }
 
-impl Layer for RingSelfAttention {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        assert_eq!(x.rank(), 3, "ring attention input must be [b, s/p, d]");
+impl AttentionCore for RingSelfAttention {
+    fn forward(&mut self, q: &Tensor, k: &Tensor, v: &Tensor) -> Tensor {
         let heads = self.heads;
-        use colossalai_autograd::attention::{merge_heads, split_heads};
-        let q = split_heads(&self.wq.forward(x), heads); // [b*h, s/p, dk]
-        let k_local = split_heads(&self.wk.forward(x), heads);
-        let v_local = split_heads(&self.wv.forward(x), heads);
-        let dk = q.dims()[2];
-        let scale = 1.0 / (dk as f32).sqrt();
+        let q = split_heads(q, heads); // [b*h, s/p, dk]
+        let scale = 1.0 / (q.dims()[2] as f32).sqrt();
 
         // ring-circulate K and V blocks (= ring all-gather along sequence)
-        let k_full = self.group.all_gather_cat(&self.ctx, k_local, 1);
-        let v_full = self.group.all_gather_cat(&self.ctx, v_local, 1);
+        let k_full = self
+            .group
+            .all_gather_cat(&self.ctx, split_heads(k, heads), 1);
+        let v_full = self
+            .group
+            .all_gather_cat(&self.ctx, split_heads(v, heads), 1);
 
         let mut scores = bmm_bt(&q, &k_full); // [b*h, s/p, s]
         scores.scale(scale);
-        let attn = softmax(&scores);
-        let z = bmm(&attn, &v_full); // [b*h, s/p, dk]
-        let out = self.wo.forward(&merge_heads(&z, heads));
+        softmax_inplace(&mut scores);
+        let attn = scores;
+        let z = merge_heads(&bmm(&attn, &v_full), heads); // [b, s/p, d]
         self.cache = Some(RingCache {
             q,
             k_full,
             v_full,
             attn,
         });
-        out
+        z
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        use colossalai_autograd::attention::{merge_heads, split_heads};
+    fn backward(&mut self, dz: &Tensor) -> (Tensor, Tensor, Tensor) {
         let RingCache {
             q,
             k_full,
@@ -112,13 +92,12 @@ impl Layer for RingSelfAttention {
             attn,
         } = self.cache.take().expect("backward before forward");
         let heads = self.heads;
-        let dk = q.dims()[2];
-        let scale = 1.0 / (dk as f32).sqrt();
+        let scale = 1.0 / (q.dims()[2] as f32).sqrt();
 
-        let dz = split_heads(&self.wo.backward(dy), heads);
-        let dattn = bmm_bt(&dz, &v_full); // [b*h, s/p, s]
+        let dz = split_heads(dz, heads);
+        let mut dscores = bmm_bt(&dz, &v_full); // [b*h, s/p, s]
         let dv_full = bmm_at(&attn, &dz); // [b*h, s, dk]
-        let mut dscores = softmax_backward(&attn, &dattn);
+        softmax_backward_inplace(&attn, &mut dscores);
         dscores.scale(scale);
         let dq = bmm(&dscores, &k_full); // [b*h, s/p, dk]
         let dk_full = bmm_at(&dscores, &q); // [b*h, s, dk]
@@ -127,84 +106,199 @@ impl Layer for RingSelfAttention {
         // (= ring reduce-scatter along sequence)
         let dk_local = self.group.reduce_scatter(&self.ctx, dk_full, 1);
         let dv_local = self.group.reduce_scatter(&self.ctx, dv_full, 1);
+        (
+            merge_heads(&dq, heads),
+            merge_heads(&dk_local, heads),
+            merge_heads(&dv_local, heads),
+        )
+    }
+}
 
-        let dx_q = self.wq.backward(&merge_heads(&dq, heads));
-        let dx_k = self.wk.backward(&merge_heads(&dk_local, heads));
-        let dx_v = self.wv.backward(&merge_heads(&dv_local, heads));
-        dx_q.zip(&dx_k, |a, b| a + b).zip(&dx_v, |a, b| a + b)
+/// Sequence parallelism as a [`TensorParallel`] mode: every parameter is
+/// replicated, every activation holds `s/p` of the sequence. LayerNorm, the
+/// MLP and the heads are pointwise along the sequence and run locally; only
+/// attention rides the ring. The shards see different tokens, so each
+/// layer's parameter gradients are summed over the group (the paper's
+/// sequence parallelism inherits this from its data-parallel ancestry).
+#[derive(Clone)]
+pub struct SequenceParallel {
+    ctx: DeviceCtx,
+    group: Group,
+}
+
+impl SequenceParallel {
+    pub fn new(ctx: &DeviceCtx, group: &Group) -> Self {
+        SequenceParallel {
+            ctx: ctx.clone(),
+            group: group.clone(),
+        }
+    }
+
+    fn replicated(&self, layer: impl Layer + 'static) -> Box<dyn Layer> {
+        Box::new(GradSync::new(&self.ctx, vec![self.group.clone()], layer))
+    }
+}
+
+/// Token embedding of this rank's sub-sequence of the full `[b, s]` ids.
+struct LocalTokens {
+    mode: SequenceParallel,
+    inner: Embedding,
+}
+
+impl Layer for LocalTokens {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.inner.forward(&self.mode.shard(x, Layout::Stream))
+    }
+
+    fn backward(&mut self, dy: &Tensor) -> Tensor {
+        self.inner.backward(dy)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.wq.visit_params(f);
-        self.wk.visit_params(f);
-        self.wv.visit_params(f);
-        self.wo.visit_params(f);
+        self.inner.visit_params(f);
+    }
+}
+
+impl TensorParallel for SequenceParallel {
+    fn linear(
+        &self,
+        name: &str,
+        w: Tensor,
+        b: Option<Tensor>,
+        from: Layout,
+        to: Layout,
+        gelu: bool,
+    ) -> Box<dyn Layer> {
+        assert!(
+            from != Layout::Full && to != Layout::Full,
+            "sequence parallelism has no layer that enters or leaves the full sequence"
+        );
+        let linear = Linear::from_parts(name, w, b);
+        self.replicated(if gelu { linear.with_gelu() } else { linear })
+    }
+
+    fn layer_norm(&self, name: &str, dim: usize) -> Box<dyn Layer> {
+        self.replicated(LayerNorm::new(name, dim))
+    }
+
+    fn local_heads(&self, heads: usize) -> usize {
+        heads
+    }
+
+    fn attention_core(&self, heads: usize, causal: bool) -> Box<dyn AttentionCore> {
+        assert!(!causal, "ring self-attention is bidirectional");
+        Box::new(RingSelfAttention::new(&self.ctx, &self.group, heads))
+    }
+
+    fn token_embedding(
+        &self,
+        name: &str,
+        vocab: usize,
+        dim: usize,
+        rng: &mut InitRng,
+    ) -> Box<dyn Layer> {
+        self.replicated(LocalTokens {
+            mode: self.clone(),
+            inner: Embedding::new(name, vocab, dim, rng),
+        })
+    }
+
+    fn position_embedding(
+        &self,
+        name: &str,
+        max_seq: usize,
+        dim: usize,
+        rng: &mut InitRng,
+    ) -> Box<dyn Layer> {
+        let pos = PositionEmbedding::new(name, max_seq, dim, rng);
+        self.replicated(pos.at_seq_block(self.group.rank()))
+    }
+
+    fn loss(&self, logits: &Tensor, targets: &[usize], total: usize) -> (f32, Tensor) {
+        // a rank's mean counts for its share of the rows; a rank may hold none
+        let share = targets.len() as f32 / total as f32;
+        let (loss, mut grad) = if targets.is_empty() {
+            (0.0, logits.clone())
+        } else {
+            cross_entropy(logits, targets)
+        };
+        grad.scale(share);
+        let loss = self
+            .group
+            .all_reduce(&self.ctx, Tensor::scalar(loss * share));
+        (loss.item(), grad)
+    }
+
+    fn shard(&self, x: &Tensor, layout: Layout) -> Tensor {
+        match layout {
+            Layout::Full => x.clone(),
+            _ => split_sequence(x, self.group.size(), self.group.rank()),
+        }
+    }
+
+    fn gather(&self, y: &Tensor, layout: Layout) -> Tensor {
+        match layout {
+            Layout::Full => y.clone(),
+            _ => self.group.all_gather_cat(&self.ctx, y.clone(), 1),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use colossalai_autograd::MultiHeadAttention;
+    use colossalai_autograd::{LocalAttention, MultiHeadAttention};
     use colossalai_comm::{OpKind, World};
     use colossalai_tensor::init;
     use colossalai_topology::systems::system_iii;
 
-    fn weights(d: usize, seed: u64) -> (Tensor, Tensor) {
-        let mut rng = init::rng(seed);
-        (
-            init::lecun_normal(d, d, &mut rng),
-            init::uniform([d], -0.1, 0.1, &mut rng),
-        )
+    type Weights = [(Tensor, Tensor); 4];
+
+    fn weights(d: usize, seed: u64) -> Weights {
+        [0, 1, 2, 3].map(|i| {
+            let mut rng = init::rng(seed + i);
+            (
+                init::lecun_normal(d, d, &mut rng),
+                init::uniform([d], -0.1, 0.1, &mut rng),
+            )
+        })
+    }
+
+    /// Attention with replicated Q/K/V/O projections around `core`.
+    fn attention(w: &Weights, core: Box<dyn AttentionCore>) -> MultiHeadAttention {
+        let mut projections = w.iter().zip(["q", "k", "v", "o"]).map(|((w, b), name)| {
+            Box::new(Linear::from_parts(name, w.clone(), Some(b.clone()))) as Box<dyn Layer>
+        });
+        let mut next = || projections.next().unwrap();
+        MultiHeadAttention::from_parts(next(), next(), next(), next(), core)
     }
 
     fn run_case(p: usize, b: usize, s: usize, d: usize, heads: usize, seed: u64) {
-        let (wq, bq) = weights(d, seed);
-        let (wk, bk) = weights(d, seed + 1);
-        let (wv, bv) = weights(d, seed + 2);
-        let (wo, bo) = weights(d, seed + 3);
+        let w = weights(d, seed);
         let mut rng = init::rng(seed + 4);
         let x = init::uniform([b, s, d], -1.0, 1.0, &mut rng);
         let dy = init::uniform([b, s, d], -1.0, 1.0, &mut rng);
 
-        let mut serial = MultiHeadAttention::from_parts(
-            Linear::from_parts("q", wq.clone(), Some(bq.clone())),
-            Linear::from_parts("k", wk.clone(), Some(bk.clone())),
-            Linear::from_parts("v", wv.clone(), Some(bv.clone())),
-            Linear::from_parts("o", wo.clone(), Some(bo.clone())),
-            heads,
-            false,
-        );
+        let mut serial = attention(&w, Box::new(LocalAttention::new(heads, false)));
         let y_want = serial.forward(&x);
         let dx_want = serial.backward(&dy);
+        let mut g_want = Vec::new();
+        serial.visit_params(&mut |p| g_want.push(p.grad().clone()));
 
         let world = World::new(system_iii());
         let results = world.run_on(p, |ctx| {
             let g = ctx.world_group(p);
-            let mut rsa = RingSelfAttention::from_global(
-                ctx,
-                &g,
-                "rsa",
-                heads,
-                (&wq, &bq),
-                (&wk, &bk),
-                (&wv, &bv),
-                (&wo, &bo),
-            );
-            let x_local = split_sequence(&x, p, g.rank());
-            let dy_local = split_sequence(&dy, p, g.rank());
-            let y = rsa.forward(&x_local);
-            let dx = rsa.backward(&dy_local);
-            (y, dx)
+            let mut rsa = attention(&w, Box::new(RingSelfAttention::new(ctx, &g, heads)));
+            let y = rsa.forward(&split_sequence(&x, p, g.rank()));
+            let dx = rsa.backward(&split_sequence(&dy, p, g.rank()));
+            let mut grads = Vec::new();
+            rsa.visit_params(&mut |p| grads.push(p.grad().clone()));
+            (y, dx, grads)
         });
-        let y_got = Tensor::cat(
-            &results.iter().map(|(y, _)| y.clone()).collect::<Vec<_>>(),
-            1,
-        );
-        let dx_got = Tensor::cat(
-            &results.iter().map(|(_, dx)| dx.clone()).collect::<Vec<_>>(),
-            1,
-        );
+        let cat = |pick: fn(&(Tensor, Tensor, Vec<Tensor>)) -> Tensor| {
+            Tensor::cat(&results.iter().map(pick).collect::<Vec<_>>(), 1)
+        };
+        let (y_got, dx_got) = (cat(|r| r.0.clone()), cat(|r| r.1.clone()));
         assert!(
             y_got.allclose(&y_want, 2e-4),
             "p={p}: fwd diff {}",
@@ -215,6 +309,19 @@ mod tests {
             "p={p}: dx diff {}",
             dx_got.max_abs_diff(&dx_want)
         );
+        // the model is replicated; like data parallelism, summing the ranks'
+        // weight grads must give the serial gradient
+        for (i, want) in g_want.iter().enumerate() {
+            let mut sum = results[0].2[i].clone();
+            for r in &results[1..] {
+                sum.axpy(1.0, &r.2[i]);
+            }
+            assert!(
+                sum.allclose(want, 2e-4),
+                "grad {i} diff {}",
+                sum.max_abs_diff(want)
+            );
+        }
     }
 
     #[test]
@@ -235,84 +342,16 @@ mod tests {
     }
 
     #[test]
-    fn weight_grads_match_serial_after_allreduce() {
-        // model is replicated; like data parallelism, summing (all-reducing)
-        // per-rank weight grads must equal the serial gradient
-        let (p, b, s, d, heads) = (2usize, 1usize, 4usize, 4usize, 2usize);
-        let (wq, bq) = weights(d, 510);
-        let (wk, bk) = weights(d, 511);
-        let (wv, bv) = weights(d, 512);
-        let (wo, bo) = weights(d, 513);
-        let mut rng = init::rng(514);
-        let x = init::uniform([b, s, d], -1.0, 1.0, &mut rng);
-        let dy = init::uniform([b, s, d], -1.0, 1.0, &mut rng);
-
-        let mut serial = MultiHeadAttention::from_parts(
-            Linear::from_parts("q", wq.clone(), Some(bq.clone())),
-            Linear::from_parts("k", wk.clone(), Some(bk.clone())),
-            Linear::from_parts("v", wv.clone(), Some(bv.clone())),
-            Linear::from_parts("o", wo.clone(), Some(bo.clone())),
-            heads,
-            false,
-        );
-        let _ = serial.forward(&x);
-        let _ = serial.backward(&dy);
-        let mut want = Vec::new();
-        serial.visit_params(&mut |p| want.push(p.grad().clone()));
-
-        let world = World::new(system_iii());
-        let results = world.run_on(p, |ctx| {
-            let g = ctx.world_group(p);
-            let mut rsa = RingSelfAttention::from_global(
-                ctx,
-                &g,
-                "rsa",
-                heads,
-                (&wq, &bq),
-                (&wk, &bk),
-                (&wv, &bv),
-                (&wo, &bo),
-            );
-            let _ = rsa.forward(&split_sequence(&x, p, g.rank()));
-            let _ = rsa.backward(&split_sequence(&dy, p, g.rank()));
-            let mut grads = Vec::new();
-            rsa.visit_params(&mut |p| grads.push(p.grad().clone()));
-            grads
-        });
-        for (i, want_g) in want.iter().enumerate() {
-            let mut sum = results[0][i].clone();
-            for r in &results[1..] {
-                sum.axpy(1.0, &r[i]);
-            }
-            assert!(
-                sum.allclose(want_g, 2e-4),
-                "grad {i} diff {}",
-                sum.max_abs_diff(want_g)
-            );
-        }
-    }
-
-    #[test]
     fn ring_traffic_is_gather_plus_scatter() {
         let (p, b, s, d, heads) = (4usize, 1usize, 8usize, 8usize, 2usize);
-        let (wq, bq) = weights(d, 520);
+        let w = weights(d, 520);
         let mut rng = init::rng(521);
         let x = init::uniform([b, s, d], -1.0, 1.0, &mut rng);
         let world = World::new(system_iii());
         world.run_on(p, |ctx| {
             let g = ctx.world_group(p);
-            let mut rsa = RingSelfAttention::from_global(
-                ctx,
-                &g,
-                "rsa",
-                heads,
-                (&wq, &bq),
-                (&wq, &bq),
-                (&wq, &bq),
-                (&wq, &bq),
-            );
-            let x_local = split_sequence(&x, p, g.rank());
-            let y = rsa.forward(&x_local);
+            let mut rsa = attention(&w, Box::new(RingSelfAttention::new(ctx, &g, heads)));
+            let y = rsa.forward(&split_sequence(&x, p, g.rank()));
             let _ = rsa.backward(&y);
         });
         let stats = world.stats();

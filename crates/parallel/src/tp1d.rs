@@ -1,12 +1,16 @@
 //! 1D (Megatron-LM) tensor parallelism: column- and row-parallel linear
-//! layers, the parallel MLP of Fig 4, and head-split parallel attention.
+//! layers and the [`TensorParallel1d`] mode that assembles them into the
+//! parallel MLP of Fig 4 and head-split parallel attention.
 //!
 //! This is both a feature of Colossal-AI and the *baseline* of every tensor
 //! parallelism experiment in the paper ("Megatron-LM tensor parallelism is
 //! annotated as 1D").
 
-use colossalai_autograd::{Gelu, Layer, Linear, MultiHeadAttention, Param};
+use crate::vocab_parallel::{vocab_parallel_cross_entropy, VocabParallelEmbedding};
+use colossalai_autograd::{Layer, LayerNorm, Linear, Param, PositionEmbedding};
 use colossalai_comm::{DeviceCtx, Group};
+use colossalai_models::{Layout, TensorParallel};
+use colossalai_tensor::init::InitRng;
 use colossalai_tensor::ops::sum_axis;
 use colossalai_tensor::Tensor;
 
@@ -172,136 +176,141 @@ impl Layer for RowParallelLinear {
     }
 }
 
-/// The Megatron parallel MLP of Fig 4: column-parallel up-projection, GELU,
-/// row-parallel down-projection. Exactly one all-reduce in forward (the row
-/// layer's output) and one in backward (the column layer's input gradient).
-pub struct ParallelMlp {
-    col: ColumnParallelLinear,
-    act: Gelu,
-    row: RowParallelLinear,
-}
-
-impl ParallelMlp {
-    pub fn from_global(
-        ctx: &DeviceCtx,
-        group: &Group,
-        name: &str,
-        w1: &Tensor,
-        b1: &Tensor,
-        w2: &Tensor,
-        b2: &Tensor,
-    ) -> Self {
-        ParallelMlp {
-            col: ColumnParallelLinear::from_global(
-                ctx,
-                group,
-                &format!("{name}.fc1"),
-                w1,
-                Some(b1),
-                false,
-            ),
-            act: Gelu::new(),
-            row: RowParallelLinear::from_global(
-                ctx,
-                group,
-                &format!("{name}.fc2"),
-                w2,
-                Some(b2),
-                true,
-            ),
-        }
-    }
-}
-
-impl Layer for ParallelMlp {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let h = self.col.forward(x);
-        let h = self.act.forward(&h);
-        self.row.forward(&h)
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let dh = self.row.backward(dy);
-        let dh = self.act.backward(&dh);
-        self.col.backward(&dh)
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.col.visit_params(f);
-        self.act.visit_params(f);
-        self.row.visit_params(f);
-    }
-}
-
-/// Head-split parallel attention: Q/K/V projections column-split (each rank
-/// owns `heads / p` heads), output projection row-split. Requires
-/// `heads % p == 0` — the very restriction that forces Fig 12's 1D baseline
-/// onto 4/6/12 GPUs.
-pub struct ParallelAttention1d {
+/// Megatron's `f` operator around a residual branch: identity forward, one
+/// all-reduce of the input gradient backward. The branch's entering linears
+/// are plain column shards, so the partial input gradients of Q, K and V are
+/// summed locally first and cross the wire once.
+pub struct ParallelRegion {
     ctx: DeviceCtx,
     group: Group,
-    inner: MultiHeadAttention,
-    bias_o: Param,
+    inner: Box<dyn Layer>,
 }
 
-impl ParallelAttention1d {
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_global(
-        ctx: &DeviceCtx,
-        group: &Group,
-        name: &str,
-        heads: usize,
-        wq: (&Tensor, &Tensor),
-        wk: (&Tensor, &Tensor),
-        wv: (&Tensor, &Tensor),
-        wo: (&Tensor, &Tensor),
-        causal: bool,
-    ) -> Self {
-        let p = group.size();
-        let r = group.rank();
-        assert_eq!(
-            heads % p,
-            0,
-            "1D tensor parallelism requires heads ({heads}) divisible by the parallel size ({p})"
-        );
-        let mk_col = |n: &str, (w, b): (&Tensor, &Tensor)| {
-            Linear::from_parts(n, shard_cols(w, p, r), Some(b.chunk(0, p).swap_remove(r)))
-        };
-        let wo_local = Linear::from_parts(&format!("{name}.o"), shard_rows(wo.0, p, r), None);
-        ParallelAttention1d {
-            ctx: ctx.clone(),
-            group: group.clone(),
-            inner: MultiHeadAttention::from_parts(
-                mk_col(&format!("{name}.q"), wq),
-                mk_col(&format!("{name}.k"), wk),
-                mk_col(&format!("{name}.v"), wv),
-                wo_local,
-                heads / p,
-                causal,
-            ),
-            bias_o: Param::new(format!("{name}.o.bias"), wo.1.clone()),
-        }
-    }
-}
-
-impl Layer for ParallelAttention1d {
+impl Layer for ParallelRegion {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        let y_partial = self.inner.forward(x);
-        let y = self.group.all_reduce(&self.ctx, y_partial);
-        y.add_bias(self.bias_o.value())
+        self.inner.forward(x)
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let (rows, out) = dy.shape().as_matrix();
-        self.bias_o
-            .accumulate_grad(&sum_axis(&dy.reshape([rows, out]), 0));
         let dx_partial = self.inner.backward(dy);
         self.group.all_reduce(&self.ctx, dx_partial)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.inner.visit_params(f);
-        f(&mut self.bias_o);
+    }
+}
+
+/// 1D tensor parallelism as a [`TensorParallel`] mode: the stream is
+/// replicated, a branch splits the hidden axis (heads, MLP width,
+/// vocabulary) `p` ways. Each block costs the two all-reduces per branch of
+/// Fig 4: the row-parallel output forward, the branch entry backward.
+/// Requires `heads % p == 0` — the very restriction that forces Fig 12's 1D
+/// baseline onto 4/6/12 GPUs.
+#[derive(Clone)]
+pub struct TensorParallel1d {
+    ctx: DeviceCtx,
+    group: Group,
+}
+
+impl TensorParallel1d {
+    pub fn new(ctx: &DeviceCtx, group: &Group) -> Self {
+        TensorParallel1d {
+            ctx: ctx.clone(),
+            group: group.clone(),
+        }
+    }
+}
+
+impl TensorParallel for TensorParallel1d {
+    fn linear(
+        &self,
+        name: &str,
+        w: Tensor,
+        b: Option<Tensor>,
+        from: Layout,
+        to: Layout,
+        gelu: bool,
+    ) -> Box<dyn Layer> {
+        let (p, r) = (self.group.size(), self.group.rank());
+        match (from, to) {
+            (Layout::Stream, Layout::Branch) => {
+                let b = b.map(|b| b.chunk(0, p).swap_remove(r));
+                let local = Linear::from_parts(name, shard_cols(&w, p, r), b);
+                Box::new(if gelu { local.with_gelu() } else { local })
+            }
+            (Layout::Branch, Layout::Stream) => Box::new(RowParallelLinear::from_global(
+                &self.ctx,
+                &self.group,
+                name,
+                &w,
+                b.as_ref(),
+                true,
+            )),
+            // the stream is the full tensor on every rank
+            _ => Box::new(Linear::from_parts(name, w, b)),
+        }
+    }
+
+    fn layer_norm(&self, name: &str, dim: usize) -> Box<dyn Layer> {
+        Box::new(LayerNorm::new(name, dim))
+    }
+
+    fn local_heads(&self, heads: usize) -> usize {
+        heads / self.group.size()
+    }
+
+    fn branch(&self, inner: Box<dyn Layer>) -> Box<dyn Layer> {
+        Box::new(ParallelRegion {
+            ctx: self.ctx.clone(),
+            group: self.group.clone(),
+            inner,
+        })
+    }
+
+    fn token_embedding(
+        &self,
+        name: &str,
+        vocab: usize,
+        dim: usize,
+        rng: &mut InitRng,
+    ) -> Box<dyn Layer> {
+        Box::new(VocabParallelEmbedding::new(
+            &self.ctx,
+            &self.group,
+            name,
+            vocab,
+            dim,
+            rng,
+        ))
+    }
+
+    fn position_embedding(
+        &self,
+        name: &str,
+        max_seq: usize,
+        dim: usize,
+        rng: &mut InitRng,
+    ) -> Box<dyn Layer> {
+        Box::new(PositionEmbedding::new(name, max_seq, dim, rng))
+    }
+
+    fn loss(&self, logits: &Tensor, targets: &[usize], total: usize) -> (f32, Tensor) {
+        assert_eq!(targets.len(), total, "every 1D rank holds every row");
+        vocab_parallel_cross_entropy(&self.ctx, &self.group, logits, targets)
+    }
+
+    fn shard(&self, x: &Tensor, _layout: Layout) -> Tensor {
+        x.clone()
+    }
+
+    fn gather(&self, y: &Tensor, layout: Layout) -> Tensor {
+        match layout {
+            Layout::Branch => self
+                .group
+                .all_gather_cat(&self.ctx, y.clone(), y.rank() - 1),
+            _ => y.clone(),
+        }
     }
 }
 
@@ -379,150 +388,5 @@ mod tests {
             assert!(y.allclose(&y_want, 1e-4), "forward diverged");
             assert!(dx.allclose(&dx_want, 1e-4), "input grad diverged");
         }
-    }
-
-    #[test]
-    fn parallel_mlp_matches_serial_and_uses_two_allreduces() {
-        let h = 8;
-        let (w1, b1) = global_linear_weights(h, 4 * h, 104);
-        let (w2, b2) = global_linear_weights(4 * h, h, 105);
-        let mut rng = init::rng(106);
-        let x = init::uniform([2, 3, h], -1.0, 1.0, &mut rng);
-        let dy = init::uniform([2, 3, h], -1.0, 1.0, &mut rng);
-
-        // serial reference
-        let mut fc1 = Linear::from_parts("fc1", w1.clone(), Some(b1.clone()));
-        let mut act = Gelu::new();
-        let mut fc2 = Linear::from_parts("fc2", w2.clone(), Some(b2.clone()));
-        let y_want = fc2.forward(&act.forward(&fc1.forward(&x)));
-        let dx_want = fc1.backward(&act.backward(&fc2.backward(&dy)));
-
-        let world = World::new(system_i());
-        let results = world.run_on(4, |ctx| {
-            let g = ctx.world_group(4);
-            let mut mlp = ParallelMlp::from_global(ctx, &g, "mlp", &w1, &b1, &w2, &b2);
-            let y = mlp.forward(&x);
-            let dx = mlp.backward(&dy);
-            (y, dx)
-        });
-        for (y, dx) in &results {
-            assert!(
-                y.allclose(&y_want, 2e-4),
-                "forward diverged: {}",
-                y.max_abs_diff(&y_want)
-            );
-            assert!(dx.allclose(&dx_want, 2e-4), "input grad diverged");
-        }
-        // Megatron property: exactly 2 all-reduces per fwd+bwd
-        let stats = world.stats();
-        assert_eq!(stats.ops_of(colossalai_comm::OpKind::AllReduce), 2);
-    }
-
-    #[test]
-    fn parallel_attention_matches_serial() {
-        let d = 8;
-        let heads = 4;
-        let (wq, bq) = global_linear_weights(d, d, 107);
-        let (wk, bk) = global_linear_weights(d, d, 108);
-        let (wv, bv) = global_linear_weights(d, d, 109);
-        let (wo, bo) = global_linear_weights(d, d, 110);
-        let mut rng = init::rng(111);
-        let x = init::uniform([2, 3, d], -1.0, 1.0, &mut rng);
-        let dy = init::uniform([2, 3, d], -1.0, 1.0, &mut rng);
-
-        let mut serial = MultiHeadAttention::from_parts(
-            Linear::from_parts("q", wq.clone(), Some(bq.clone())),
-            Linear::from_parts("k", wk.clone(), Some(bk.clone())),
-            Linear::from_parts("v", wv.clone(), Some(bv.clone())),
-            Linear::from_parts("o", wo.clone(), Some(bo.clone())),
-            heads,
-            false,
-        );
-        let y_want = serial.forward(&x);
-        let dx_want = serial.backward(&dy);
-
-        let world = World::new(system_i());
-        for p in [2usize, 4] {
-            let results = world.run_on(p, |ctx| {
-                let g = ctx.world_group(p);
-                let mut attn = ParallelAttention1d::from_global(
-                    ctx,
-                    &g,
-                    "attn",
-                    heads,
-                    (&wq, &bq),
-                    (&wk, &bk),
-                    (&wv, &bv),
-                    (&wo, &bo),
-                    false,
-                );
-                let y = attn.forward(&x);
-                let dx = attn.backward(&dy);
-                (y, dx)
-            });
-            for (y, dx) in &results {
-                assert!(y.allclose(&y_want, 2e-4), "p={p} forward diverged");
-                assert!(dx.allclose(&dx_want, 2e-4), "p={p} input grad diverged");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "device thread panicked")]
-    fn attention_rejects_indivisible_heads() {
-        let d = 6;
-        let (w, b) = global_linear_weights(d, d, 112);
-        let world = World::new(system_i());
-        world.run_on(4, |ctx| {
-            let g = ctx.world_group(4);
-            // 3 heads over 4 ranks: must panic
-            let _ = ParallelAttention1d::from_global(
-                ctx,
-                &g,
-                "attn",
-                3,
-                (&w, &b),
-                (&w, &b),
-                (&w, &b),
-                (&w, &b),
-                false,
-            );
-        });
-    }
-
-    #[test]
-    fn one_d_volume_matches_table1_for_forward_allreduce() {
-        // The Table 1 "1D" row counts the all-reduce of Y (= S_X elements)
-        // in forward and of dX in backward: 2 * [2(p-1)/2 * ...] — our ring
-        // meter records 2(p-1)*n per all-reduce, n = S_X, and the MLP does
-        // exactly one forward + one backward all-reduce of that size.
-        let h = 4;
-        let (w1, b1) = global_linear_weights(h, 4 * h, 113);
-        let (w2, b2) = global_linear_weights(4 * h, h, 114);
-        let b = 2;
-        let s = 3;
-        let mut rng = init::rng(115);
-        let x = init::uniform([b, s, h], -1.0, 1.0, &mut rng);
-
-        let world = World::new(system_i());
-        let p = 4;
-        world.run_on(p, |ctx| {
-            let g = ctx.world_group(p);
-            let mut mlp = ParallelMlp::from_global(ctx, &g, "mlp", &w1, &b1, &w2, &b2);
-            let y = mlp.forward(&x);
-            let _ = mlp.backward(&y);
-        });
-        let sx = (b * s * h) as u64;
-        let measured = world
-            .stats()
-            .elements_of(colossalai_comm::OpKind::AllReduce);
-        // 2 all-reduces of S_X elements, each metered at 2(p-1) * S_X:
-        // total = 2 * 2(p-1) S_X; Table 1 counts one matmul (fwd+bwd of one
-        // W) as 2(p-1) S_X — the MLP has two weight matrices, hence 2x.
-        assert_eq!(
-            measured,
-            2 * crate::volume::volume_1d(crate::volume::MatmulShape { b, s, h }, p)
-        );
-        assert_eq!(measured, 4 * (p as u64 - 1) * sx);
     }
 }

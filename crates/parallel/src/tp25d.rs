@@ -6,8 +6,8 @@
 //! gradients are all-reduced over the depth group. With `d = 1` this
 //! degenerates to plain 2D, exactly as the paper notes.
 
+use crate::grad_sync::GradSync;
 use crate::tp2d::{tile_of, Grid2d, Linear2d};
-use colossalai_autograd::{Layer, Param};
 use colossalai_comm::{DeviceCtx, Group};
 use colossalai_tensor::Tensor;
 use colossalai_topology::DeviceId;
@@ -67,11 +67,7 @@ pub fn tile_x_25d(global: &Tensor, grid: &Grid25d) -> Tensor {
 
 /// 2.5D-parallel linear layer: a [`Linear2d`] within each depth layer plus a
 /// depth-group all-reduce of parameter gradients.
-pub struct Linear25d {
-    ctx: DeviceCtx,
-    depth_group: Group,
-    inner: Linear2d,
-}
+pub type Linear25d = GradSync<Linear2d>;
 
 impl Linear25d {
     pub fn from_global(
@@ -81,40 +77,8 @@ impl Linear25d {
         w_global: &Tensor,
         b_global: Option<&Tensor>,
     ) -> Self {
-        Linear25d {
-            ctx: ctx.clone(),
-            depth_group: grid.depth_group.clone(),
-            inner: Linear2d::from_global(ctx, &grid.grid2d, name, w_global, b_global),
-        }
-    }
-}
-
-impl Layer for Linear25d {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.inner.forward(x)
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        // snapshot accumulated grads so only this backward's contribution is
-        // depth-reduced (keeps gradient accumulation semantics intact)
-        let mut pre = Vec::new();
-        self.inner.visit_params(&mut |p| pre.push(p.grad().clone()));
-        let dx = self.inner.backward(dy);
-        let mut idx = 0;
-        let ctx = self.ctx.clone();
-        let dg = self.depth_group.clone();
-        self.inner.visit_params(&mut |p| {
-            let delta = p.grad().zip(&pre[idx], |g, old| g - old);
-            let reduced = dg.all_reduce(&ctx, delta);
-            let new_grad = pre[idx].zip(&reduced, |old, r| old + r);
-            *p.grad_mut() = new_grad;
-            idx += 1;
-        });
-        dx
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.inner.visit_params(f);
+        let inner = Linear2d::from_global(ctx, &grid.grid2d, name, w_global, b_global);
+        GradSync::new(ctx, vec![grid.depth_group.clone()], inner)
     }
 }
 
@@ -122,7 +86,7 @@ impl Layer for Linear25d {
 mod tests {
     use super::*;
     use crate::tp2d::assemble_tiles;
-    use colossalai_autograd::Linear;
+    use colossalai_autograd::{Layer, Linear};
     use colossalai_comm::World;
     use colossalai_tensor::init;
     use colossalai_topology::systems::system_i;

@@ -73,7 +73,8 @@ pub fn assemble_tiles(tiles: &[Tensor], j: usize) -> Tensor {
 
 /// 2D-parallel linear layer `Y = X W + b`.
 ///
-/// `X` tiles: `[M/j, K/j]` at `(r, c)`; `W` tiles: `[K/j, N/j]`; bias is
+/// `X` tiles: `[M/j, K/j]` at `(r, c)` (leading axes collapse into `M/j`,
+/// like [`colossalai_autograd::Linear`]); `W` tiles: `[K/j, N/j]`; bias is
 /// sharded by column (`[N/j]`, replicated down each grid column). Forward
 /// and backward are three SUMMA passes (`Y = X W`, `dX = dY W^T`,
 /// `dW = X^T dY`) — the "3" in Table 1's `3(j-1)(S_X + S_W)`.
@@ -145,22 +146,20 @@ impl Linear2d {
 
 impl Layer for Linear2d {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        assert_eq!(
-            x.rank(),
-            2,
-            "Linear2d operates on collapsed [M/j, K/j] tiles"
-        );
-        self.cached_x = Some(x.clone());
-        let mut y = self.summa_forward(x, self.w.value());
+        let (x, lead) = collapse(x);
+        let mut y = self.summa_forward(&x, self.w.value());
+        self.cached_x = Some(x);
         if let Some(b) = &self.bias {
             y = y.add_bias(b.value());
         }
-        y
+        expand(y, &lead)
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
         let g = self.grid.clone();
         let x = self.cached_x.take().expect("backward before forward");
+        let (dy, lead) = collapse(dy);
+        let dy = &dy;
 
         // bias gradient: column sums of dY, reduced over the grid column
         if let Some(b) = &mut self.bias {
@@ -207,7 +206,7 @@ impl Layer for Linear2d {
             }
         }
         self.w.accumulate_grad(&dw);
-        dx
+        expand(dx, &lead)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -216,6 +215,19 @@ impl Layer for Linear2d {
             f(b);
         }
     }
+}
+
+/// Collapses `[.., k]` into the `[rows, k]` matrix the tile algorithms work
+/// on, returning the leading axes for [`expand`].
+pub(crate) fn collapse(x: &Tensor) -> (Tensor, Vec<usize>) {
+    let (rows, k) = x.shape().as_matrix();
+    (x.reshape([rows, k]), x.dims()[..x.rank() - 1].to_vec())
+}
+
+/// Gives a `[rows, n]` result the leading axes [`collapse`] took off.
+pub(crate) fn expand(y: Tensor, lead: &[usize]) -> Tensor {
+    let n = y.dims()[1];
+    y.reshaped([lead, &[n]].concat())
 }
 
 #[cfg(test)]

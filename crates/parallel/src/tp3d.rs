@@ -15,6 +15,7 @@
 //! `i`-axis, local matmul, reduce-scatter over the `j`-axis. Each pass
 //! therefore moves `(l-1)/l * (S_X + S_W + S_Y)` elements — the Table 1 row.
 
+use crate::tp2d::{collapse, expand};
 use colossalai_autograd::{Layer, Param};
 use colossalai_comm::{DeviceCtx, Group};
 use colossalai_tensor::{matmul, matmul_at, matmul_bt, Tensor};
@@ -146,15 +147,11 @@ impl Linear3d {
 
 impl Layer for Linear3d {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        assert_eq!(
-            x.rank(),
-            2,
-            "Linear3d operates on collapsed [M/l^2, K/l] tiles"
-        );
+        let (x, lead) = collapse(x);
         self.cached_x = Some(x.clone());
         let g = &self.grid;
         // gather the full row-block of X over the k axis
-        let x_ij = g.k_group.all_gather_cat(&self.ctx, x.clone(), 0);
+        let x_ij = g.k_group.all_gather_cat(&self.ctx, x, 0);
         // gather the full W panel over the i axis
         let w_jk = g
             .i_group
@@ -165,12 +162,14 @@ impl Layer for Linear3d {
         if let Some(b) = &self.bias {
             y = y.add_bias(b.value());
         }
-        y
+        expand(y, &lead)
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
         let g = self.grid.clone();
         let x = self.cached_x.take().expect("backward before forward");
+        let (dy, lead) = collapse(dy);
+        let dy = &dy;
 
         if let Some(b) = &mut self.bias {
             let partial = colossalai_tensor::ops::sum_axis(dy, 0);
@@ -191,7 +190,7 @@ impl Layer for Linear3d {
         let partial_dw = matmul_at(&x_ij, &dy_ik);
         let dw = g.i_group.reduce_scatter(&self.ctx, partial_dw, 0);
         self.w.accumulate_grad(&dw);
-        dx
+        expand(dx, &lead)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

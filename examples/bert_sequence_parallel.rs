@@ -1,65 +1,49 @@
-//! Sequence parallelism demo: Ring Self-Attention on a sequence split
-//! across 4 simulated GPUs (Section 2.3 / Figs 12-13), checked against
-//! serial attention, plus the memory-capacity comparison that motivates it.
+//! Sequence parallelism demo: a BERT whose sequence is split across 4
+//! simulated GPUs with Ring Self-Attention (Section 2.3 / Figs 12-13), built
+//! by the zoo from a config and checked against the serial model, plus the
+//! memory-capacity comparison that motivates it.
 //!
 //! Run with: `cargo run --release --example bert_sequence_parallel`
 
 use colossalai::comm::World;
+use colossalai::core::{build_bert, check_model, Config, ZooModel};
+use colossalai::models::data::SyntheticText;
 use colossalai::models::TransformerConfig;
 use colossalai::parallel::memcalc::{max_batch, max_seq, seq_mode_admits, SeqMode};
-use colossalai::parallel::sequence::{split_sequence, RingSelfAttention};
-use colossalai::tensor::{init, Tensor};
+use colossalai::tensor::Tensor;
 use colossalai::topology::systems::system_iii;
-use colossalai_autograd::{Layer, Linear, MultiHeadAttention};
 
 fn main() {
-    let (b, s, d, heads, p) = (2usize, 16usize, 8usize, 2usize, 4usize);
-
-    // shared global weights
-    let mut rng = init::rng(55);
-    let mk = |rng: &mut init::InitRng| {
-        (
-            init::lecun_normal(d, d, rng),
-            init::uniform([d], -0.1, 0.1, rng),
-        )
+    let (b, p) = (2usize, 4usize);
+    // 3 heads on 4 GPUs: the sequence is split, not the heads
+    let tiny = TransformerConfig {
+        layers: 2,
+        hidden: 12,
+        heads: 3,
+        mlp_ratio: 2,
+        vocab: 32,
+        max_seq: 16,
     };
-    let wq = mk(&mut rng);
-    let wk = mk(&mut rng);
-    let wv = mk(&mut rng);
-    let wo = mk(&mut rng);
-    let x = init::uniform([b, s, d], -1.0, 1.0, &mut rng);
+    let tokens = SyntheticText::new(tiny.vocab, 55).batch(b, tiny.max_seq, 0);
 
-    // serial reference
-    let mut serial = MultiHeadAttention::from_parts(
-        Linear::from_parts("q", wq.0.clone(), Some(wq.1.clone())),
-        Linear::from_parts("k", wk.0.clone(), Some(wk.1.clone())),
-        Linear::from_parts("v", wv.0.clone(), Some(wv.1.clone())),
-        Linear::from_parts("o", wo.0.clone(), Some(wo.1.clone())),
-        heads,
-        false,
-    );
-    let y_want = serial.forward(&x);
-
-    // ring self-attention: each rank owns s/p = 4 positions
+    // the same seed under two configs: one device, then the ring
     let world = World::new(system_iii());
-    let results = world.run_on(p, |ctx| {
-        let g = ctx.world_group(p);
-        let mut rsa = RingSelfAttention::from_global(
-            ctx,
-            &g,
-            "rsa",
-            heads,
-            (&wq.0, &wq.1),
-            (&wk.0, &wk.1),
-            (&wv.0, &wv.1),
-            (&wo.0, &wo.1),
-        );
-        let x_local = split_sequence(&x, p, g.rank());
-        rsa.forward(&x_local)
-    });
-    let y_got = Tensor::cat(&results, 1);
+    let logits = |size: usize, json: &str| -> Tensor {
+        let config = Config::from_json(json).expect("config parses");
+        check_model(&config, ZooModel::Bert, &tiny, b).expect("the mode admits the model");
+        let parts = world.run_on(size, |ctx| {
+            build_bert(ctx, &config, size, &tiny, 77).forward(&tokens)
+        });
+        // each rank owns s/p = 4 positions of every sequence
+        Tensor::cat(&parts, 1)
+    };
+    let y_want = logits(1, "{}");
+    let y_got = logits(
+        p,
+        r#"{ "parallel": { "tensor": { "size": 4, "mode": "sequence" } } }"#,
+    );
     let diff = y_got.max_abs_diff(&y_want);
-    println!("ring self-attention vs serial attention: max |diff| = {diff:.2e}");
+    println!("sequence-parallel BERT vs serial BERT logits: max |diff| = {diff:.2e}");
     assert!(diff < 1e-4);
 
     // the capacity story of Fig 12 at paper scale (analytic)

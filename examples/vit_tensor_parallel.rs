@@ -1,21 +1,22 @@
-//! Trains a Vision Transformer with 1D tensor parallelism on 4 simulated
-//! GPUs and verifies the loss trajectory matches the serial model exactly —
-//! the workload of the paper's Fig 7 / Fig 11 experiments at example scale.
+//! Trains one Vision Transformer under every tensor-parallel mode — 1D, 2D,
+//! 2.5D, 3D, each picked by the `"tensor"` section of a config JSON — and
+//! verifies each loss trajectory matches the serial model: the workload of
+//! the paper's Fig 7 / Fig 11 experiments at example scale. The model code is
+//! `build_vit` every time; only the config changes.
 //!
 //! Run with: `cargo run --release --example vit_tensor_parallel`
 
 use colossalai::comm::World;
+use colossalai::core::{build_vit, check_model, Config, ZooModel};
 use colossalai::models::data::SyntheticVision;
-use colossalai::models::{TransformerConfig, VisionTransformer};
-use colossalai::parallel::vit1d::VisionTransformer1d;
-use colossalai::tensor::init;
+use colossalai::models::TransformerConfig;
 use colossalai::tensor::ops::cross_entropy;
 use colossalai::topology::systems::system_i;
-use colossalai_autograd::Layer;
 
 const STEPS: usize = 25;
 const LR: f32 = 0.03;
 const BATCH: usize = 8;
+const PATCH_DIM: usize = 12;
 
 fn main() {
     let cfg = TransformerConfig {
@@ -26,65 +27,63 @@ fn main() {
         vocab: 6,
         max_seq: 9,
     };
-    let patch_dim = 12;
-    let data = SyntheticVision::new(cfg.max_seq, patch_dim, cfg.vocab, 99);
+    let data = SyntheticVision::new(cfg.max_seq, PATCH_DIM, cfg.vocab, 99);
 
-    // serial reference run
-    let mut rng = init::rng(1234);
-    let mut serial = VisionTransformer::new(&cfg, patch_dim, &mut rng);
-    let mut serial_losses = Vec::new();
-    for step in 0..STEPS {
-        let (x, t) = data.batch(BATCH, step as u64);
-        serial.zero_grad();
-        let logits = serial.forward(&x);
-        let (loss, d) = cross_entropy(&logits, &t);
-        serial_losses.push(loss);
-        let _ = serial.backward(&d);
-        serial.visit_params(&mut |p| {
-            let g = p.grad().clone();
-            p.value_mut().axpy(-LR, &g);
-        });
-    }
+    // one training loop; `json` decides how many devices share the model
+    let train = |gpus: usize, json: &str| -> (Vec<f32>, f64) {
+        let config = Config::from_json(json).expect("config parses");
+        let model = ZooModel::Vit {
+            patch_dim: PATCH_DIM,
+        };
+        check_model(&config, model, &cfg, BATCH).expect("the mode admits the model");
+        let world = World::new(system_i());
+        world
+            .run_on(gpus, |ctx| {
+                // same seed -> same global weights under every mode
+                let mut vit = build_vit(ctx, &config, gpus, &cfg, PATCH_DIM, 1234);
+                let losses = (0..STEPS)
+                    .map(|step| {
+                        let (x, t) = data.batch(BATCH, step as u64);
+                        vit.zero_grad();
+                        let (loss, d) = cross_entropy(&vit.forward(&x), &t);
+                        let _ = vit.backward(&d);
+                        vit.visit_params(&mut |p| {
+                            let g = p.grad().clone();
+                            p.value_mut().axpy(-LR, &g);
+                        });
+                        loss
+                    })
+                    .collect();
+                (losses, ctx.clock())
+            })
+            .swap_remove(0)
+    };
 
-    // the same model sharded over 4 tensor-parallel devices
-    let world = World::new(system_i());
-    let tp_losses = world.run_on(4, |ctx| {
-        let group = ctx.world_group(4);
-        let mut rng = init::rng(1234); // same seed -> same global weights
-        let mut vit = VisionTransformer1d::new(ctx, &group, &cfg, patch_dim, &mut rng);
-        let mut losses = Vec::new();
-        for step in 0..STEPS {
-            let (x, t) = data.batch(BATCH, step as u64);
-            vit.zero_grad();
-            let logits = vit.forward(&x);
-            let (loss, d) = cross_entropy(&logits, &t);
-            losses.push(loss);
-            let _ = vit.backward(&d);
-            vit.visit_params(&mut |p| {
-                let g = p.grad().clone();
-                p.value_mut().axpy(-LR, &g);
-            });
-        }
-        (losses, ctx.clock())
-    });
-
-    println!("step  serial-loss  1D-TP-loss");
-    for (i, (s, t)) in serial_losses.iter().zip(&tp_losses[0].0).enumerate() {
-        println!("{i:>4}  {s:>11.5}  {t:>10.5}");
-    }
-    let max_dev = serial_losses
-        .iter()
-        .zip(&tp_losses[0].0)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f32, f32::max);
-    println!("\nmax deviation from the serial trajectory: {max_dev:.2e}");
-    assert!(
-        max_dev < 1e-3,
-        "tensor parallelism must be arithmetically faithful"
-    );
+    let (serial, _) = train(1, "{}");
     println!(
-        "virtual time on device 0: {:.3} ms of modeled communication",
-        tp_losses[0].1 * 1e3
+        "final serial loss after {STEPS} steps: {:.5}\n",
+        serial[STEPS - 1]
     );
-    println!("1D tensor-parallel ViT matches serial training — OK");
+    println!("mode   GPUs  final loss  max |dev| from serial  modeled comm (ms)");
+    for (gpus, mode) in [(4, "1d"), (4, "2d"), (8, "2.5d"), (8, "3d")] {
+        let json = format!(
+            r#"{{ "parallel": {{ "tensor": {{ "size": {gpus}, "mode": "{mode}", "depth": 2 }} }} }}"#
+        );
+        let (losses, clock) = train(gpus, &json);
+        let max_dev = serial
+            .iter()
+            .zip(&losses)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f32, f32::max);
+        println!(
+            "{mode:<6} {gpus:>4}  {:>10.5}  {max_dev:>21.2e}  {:>17.3}",
+            losses[STEPS - 1],
+            clock * 1e3
+        );
+        assert!(
+            max_dev < 1e-3,
+            "tensor parallelism must be arithmetically faithful"
+        );
+    }
+    println!("\nevery tensor-parallel ViT matches serial training — OK");
 }

@@ -5,9 +5,9 @@
 use colossalai::comm::World;
 use colossalai::core::{ParallelAxis, ParallelContext};
 use colossalai::models::data::SyntheticVision;
-use colossalai::models::TransformerConfig;
+use colossalai::models::{TransformerConfig, VisionTransformer};
 use colossalai::parallel::data_parallel::flatten_params;
-use colossalai::parallel::vit1d::VisionTransformer1d;
+use colossalai::parallel::TensorParallel1d;
 use colossalai::tensor::init;
 use colossalai::tensor::ops::cross_entropy;
 use colossalai::topology::systems::system_i;
@@ -23,7 +23,7 @@ fn serial_losses(
     steps: usize,
 ) -> Vec<f32> {
     let mut rng = init::rng(31337);
-    let mut vit = colossalai::models::VisionTransformer::new(cfg, patch_dim, &mut rng);
+    let mut vit = VisionTransformer::new(cfg, patch_dim, &mut rng);
     let mut losses = Vec::new();
     for step in 0..steps {
         let (x, t) = data.batch(batch, step as u64);
@@ -71,7 +71,8 @@ fn dp_times_tp_matches_serial() {
         let dp_group = ctx.group(&dp_members);
 
         let mut rng = init::rng(31337);
-        let mut vit = VisionTransformer1d::new(ctx, &tp_group, &cfg, patch_dim, &mut rng);
+        let mode = TensorParallel1d::new(ctx, &tp_group);
+        let mut vit = VisionTransformer::with_mode(&mode, &cfg, patch_dim, &mut rng);
         let dp_rank = pctx.axis_rank(ParallelAxis::Data);
         let dp = pctx.degree(ParallelAxis::Data);
         let mut losses = Vec::new();
@@ -119,9 +120,10 @@ fn dp_times_tp_matches_serial() {
 #[test]
 fn config_zoo_engine_compose_end_to_end() {
     // the whole Listing-1 stack with tensor parallelism: JSON config ->
-    // model zoo -> engine -> trainer, on 2 TP ranks
-    use colossalai::core::{build_vit, initialize, Config, OptimizerSpec, Trainer};
-    use colossalai::models::TransformerConfig;
+    // model zoo -> engine -> trainer, on 2 TP ranks and on 2 data-parallel
+    // replicas of a 2 x 2 mesh
+    use colossalai::core::ZooModel;
+    use colossalai::core::{build_vit, check_model, initialize, Config, OptimizerSpec, Trainer};
 
     let model_cfg = TransformerConfig {
         layers: 1,
@@ -132,33 +134,41 @@ fn config_zoo_engine_compose_end_to_end() {
         max_seq: 4,
     };
     let data = SyntheticVision::new(4, 6, 4, 99);
-    let world = World::new(system_i());
-    let losses = world.run_on(2, |ctx| {
-        let config = Config::from_json(
-            r#"{ "parallel": { "tensor": { "size": 2, "mode": "1d" } }, "grad_clip": 1.0 }"#,
-        )
+    for (ranks, parallel) in [
+        (2, r#"{ "tensor": { "size": 2, "mode": "1d" } }"#),
+        (8, r#"{ "tensor": { "size": 4, "mode": "2d" }, "data": 2 }"#),
+    ] {
+        let config = Config::from_json(&format!(
+            r#"{{ "parallel": {parallel}, "grad_clip": 1.0 }}"#
+        ))
         .unwrap();
-        let model = build_vit(ctx, &config, 2, &model_cfg, 6, 1717);
-        let engine = initialize(
-            ctx,
-            &config,
-            2,
-            model,
-            OptimizerSpec::AdamW {
-                lr: 0.02,
-                weight_decay: 0.0,
-            },
+        check_model(&config, ZooModel::Vit { patch_dim: 6 }, &model_cfg, 4).unwrap();
+        let world = World::new(system_i());
+        let losses = world.run_on(ranks, |ctx| {
+            let model = build_vit(ctx, &config, ranks, &model_cfg, 6, 1717);
+            let engine = initialize(
+                ctx,
+                &config,
+                ranks,
+                model,
+                OptimizerSpec::AdamW {
+                    lr: 0.02,
+                    weight_decay: 0.0,
+                },
+            );
+            let mut trainer = Trainer::new(engine);
+            trainer.fit(12, |step| data.batch(4, step))
+        });
+        // every rank computes identical losses (replicated data, sharded math)
+        for rank in &losses[1..] {
+            assert_eq!(&losses[0], rank, "{parallel}");
+        }
+        assert!(
+            losses[0].last().unwrap() < &(losses[0][0] * 0.9),
+            "config-driven TP training must converge under {parallel}: {:?}",
+            losses[0]
         );
-        let mut trainer = Trainer::new(engine);
-        trainer.fit(12, |step| data.batch(4, step))
-    });
-    // both TP ranks compute identical losses (replicated data, sharded math)
-    assert_eq!(losses[0], losses[1]);
-    assert!(
-        losses[0].last().unwrap() < &(losses[0][0] * 0.9),
-        "config-driven TP training must converge: {:?}",
-        losses[0]
-    );
+    }
 }
 
 #[test]

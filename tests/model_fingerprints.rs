@@ -1,6 +1,7 @@
 //! Golden fingerprints of the full models, frozen from the per-mode model
 //! copies (`vit1d` / `gpt1d` / `bert1d` / `bert_sp`) and the Fig 7 classifier
-//! harness before the one `TensorParallel` seam replaced them (PR 16):
+//! harness before the one `TensorParallel` seam replaced them (PR 16), and
+//! reproduced here by the one model definition under the matching mode:
 //! FNV-1a 64 over every rank's per-step loss bits and over every rank's final
 //! parameter bits, in visit order. A change to how a model is assembled must
 //! move none of them.
@@ -8,12 +9,11 @@
 use colossalai::comm::{DeviceCtx, World};
 use colossalai::models::data::{SyntheticText, SyntheticVision};
 use colossalai::models::{Bert, Gpt, TransformerConfig, VisionTransformer};
-use colossalai::parallel::bert_sp::TransformerBlockSp;
-use colossalai::parallel::sequence::split_sequence;
+use colossalai::models::{Layout, TensorParallel, TransformerBlock};
 use colossalai::parallel::tp25d::{tile_x_25d, Grid25d, Linear25d};
 use colossalai::parallel::tp2d::{tile_of, Grid2d, Linear2d};
 use colossalai::parallel::tp3d::{tile_x_3d, tile_y_3d, Grid3d, Linear3d};
-use colossalai::parallel::{Bert1d, Gpt1d, VisionTransformer1d};
+use colossalai::parallel::{SequenceParallel, TensorParallel1d};
 use colossalai::tensor::ops::{cross_entropy, relu, relu_grad};
 use colossalai::tensor::{init, Tensor};
 use colossalai::topology::systems::system_i;
@@ -87,6 +87,10 @@ fn model_cfg() -> TransformerConfig {
 
 const PATCH_DIM: usize = 6;
 
+fn one_d(ctx: &DeviceCtx, p: usize) -> TensorParallel1d {
+    TensorParallel1d::new(ctx, &ctx.world_group(p))
+}
+
 fn vit_run(vit: &mut dyn Layer) -> (Vec<f32>, Vec<f32>) {
     let cfg = model_cfg();
     let data = SyntheticVision::new(cfg.max_seq, PATCH_DIM, cfg.vocab, 41);
@@ -154,18 +158,9 @@ fn serial_models_reproduce_the_frozen_fingerprints() {
         let mut losses = Vec::new();
         for step in 0..STEPS {
             let (masked, targets, positions) = mlm_batch(step);
-            let rows = masked.numel();
-            let flat = bert.forward(&masked).reshaped([rows, cfg.vocab]);
-            let picked: Vec<Tensor> = positions.iter().map(|&p| flat.narrow(0, p, 1)).collect();
-            let (loss, dpicked) = cross_entropy(&Tensor::cat(&picked, 0), &targets);
+            let (loss, d) = bert.mlm_loss(&masked, &targets, &positions);
             losses.push(loss);
-            let mut dlogits = Tensor::zeros([rows, cfg.vocab]);
-            for (i, &p) in positions.iter().enumerate() {
-                for v in 0..cfg.vocab {
-                    dlogits.set(&[p, v], dpicked.at(&[i, v]));
-                }
-            }
-            let _ = bert.backward(&dlogits.reshaped([2, cfg.max_seq, cfg.vocab]));
+            let _ = bert.backward(&d);
             sgd(&mut bert);
         }
         (losses, params_of(&mut bert))
@@ -196,19 +191,17 @@ fn one_d_models_reproduce_the_frozen_fingerprints() {
     ];
     for (p, want_vit, want_gpt, want_bert) in golden {
         let vit = run(p, |ctx| {
-            let ctx = ctx.unwrap();
-            let g = ctx.world_group(p);
+            let mode = one_d(ctx.unwrap(), p);
             let mut rng = init::rng(7001);
-            vit_run(&mut VisionTransformer1d::new(
-                ctx, &g, &cfg, PATCH_DIM, &mut rng,
+            vit_run(&mut VisionTransformer::with_mode(
+                &mode, &cfg, PATCH_DIM, &mut rng,
             ))
         });
         check(&format!("1d vit p={p}"), vit, want_vit);
 
         let gpt = run(p, |ctx| {
-            let ctx = ctx.unwrap();
-            let g = ctx.world_group(p);
-            let mut gpt = Gpt1d::new(ctx, &g, &cfg, &mut init::rng(7002));
+            let mode = Box::new(one_d(ctx.unwrap(), p));
+            let mut gpt = Gpt::with_mode(mode, &cfg, &mut init::rng(7002));
             let mut losses = Vec::new();
             for step in 0..STEPS {
                 let (loss, d) = gpt.lm_loss(&gpt_tokens(step));
@@ -221,9 +214,8 @@ fn one_d_models_reproduce_the_frozen_fingerprints() {
         check(&format!("1d gpt p={p}"), gpt, want_gpt);
 
         let bert = run(p, |ctx| {
-            let ctx = ctx.unwrap();
-            let g = ctx.world_group(p);
-            let mut bert = Bert1d::new(ctx, &g, &cfg, &mut init::rng(7003));
+            let mode = Box::new(one_d(ctx.unwrap(), p));
+            let mut bert = Bert::with_mode(mode, &cfg, &mut init::rng(7003));
             let mut losses = Vec::new();
             for step in 0..STEPS {
                 let (masked, targets, positions) = mlm_batch(step);
@@ -245,17 +237,16 @@ fn sequence_parallel_block_reproduces_the_frozen_fingerprint() {
     let (dim, heads, ratio, p) = (8usize, 2usize, 2usize, 4usize);
     let got = run(p, |ctx| {
         let ctx = ctx.unwrap();
-        let g = ctx.world_group(p);
-        let mut blk =
-            TransformerBlockSp::from_rng(ctx, &g, "blk", dim, heads, ratio, &mut init::rng(7004));
+        let mode = SequenceParallel::new(ctx, &ctx.world_group(p));
+        let mut rng = init::rng(7004);
+        let mut blk = TransformerBlock::with_mode(&mode, "blk", dim, heads, ratio, false, &mut rng);
         let mut data = init::rng(7005);
         let mut losses = Vec::new();
         for _ in 0..STEPS {
             let x = init::uniform([2, 8, dim], -1.0, 1.0, &mut data);
-            let y = blk.forward(&split_sequence(&x, p, g.rank()));
+            let y = blk.forward(&mode.shard(&x, Layout::Stream));
             losses.push(y.data().iter().map(|v| v * v).sum::<f32>() / 2.0);
             let _ = blk.backward(&y);
-            blk.sync_grads(ctx, &g);
             sgd(&mut blk);
         }
         (losses, params_of(&mut blk))
