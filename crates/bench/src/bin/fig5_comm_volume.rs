@@ -9,6 +9,7 @@ fn main() {
         b: 32,
         s: 512,
         h: 1024,
+        n: 1024,
     };
     println!(
         "Fig 5 shape: X = (b={}, s={}, h={}), S_X = {}, S_W = {}",

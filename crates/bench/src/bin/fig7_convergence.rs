@@ -92,72 +92,74 @@ fn max_dev(serial: &[f32], mode: &[f32]) -> f32 {
         .fold(0.0f32, f32::max)
 }
 
+/// One table of the figure: a ViT with `classes` outputs, trained serially
+/// and under each `(devices, mode)`.
+struct Part {
+    title: &'static str,
+    classes: usize,
+    modes: &'static [(usize, &'static str)],
+}
+
+/// Part 2 has 6 classes where part 1 has 5, so that the 2-wide meshes can
+/// cut the logits.
+const PARTS: [Part; 2] = [
+    Part {
+        title: "Fig 7 (part 1): ViT-tiny loss — data parallel vs 1D tensor parallel (4 GPUs)",
+        classes: 5,
+        modes: &[(4, "1d")],
+    },
+    Part {
+        title: "Fig 7 (part 2): ViT-tiny loss — serial vs 2D (4 GPUs) / 2.5D / 3D (8 GPUs)",
+        classes: 6,
+        modes: &[(4, "2d"), (8, "2.5d"), (8, "3d")],
+    },
+];
+
 fn main() {
     let trace_path = trace_arg();
-    // Part 1: 5 classes. Part 2: 6, so the 2-wide meshes can cut the logits.
-    let parts: [(TransformerConfig, &[(usize, &str, &str)]); 2] = [
-        (vit_cfg(5), &[(4, "1d", "1D")]),
-        (
-            vit_cfg(6),
-            &[(4, "2d", "2D"), (8, "2.5d", "2.5D"), (8, "3d", "3D")],
-        ),
-    ];
-    let mut curves = Vec::new();
-    for (cfg, modes) in &parts {
-        let (serial, _) = train(cfg, None, false);
-        let runs: Vec<_> = modes
-            .iter()
-            .map(|&(gpus, mode, label)| {
-                let trace = mode == "1d" && trace_path.is_some();
-                let (losses, world) = train(cfg, Some((gpus, mode)), trace);
-                if let (true, Some(path)) = (trace, &trace_path) {
-                    write_trace(&world, path);
-                }
-                (gpus, mode, label, losses)
-            })
-            .collect();
-        curves.push((serial, runs));
-    }
-
-    if std::env::args().any(|a| a == "--json") {
-        let modes: Vec<String> = curves
-            .iter()
-            .flat_map(|(serial, runs)| {
-                runs.iter().map(move |(gpus, mode, _, losses)| {
-                    format!(
-                        "{{\"mode\": \"{mode}\", \"gpus\": {gpus}, \"max_dev\": {:e}}}",
-                        max_dev(serial, losses)
-                    )
-                })
-            })
-            .collect();
-        println!(
-            "{{\"steps\": {STEPS}, \"tolerance\": {TOLERANCE:e}, \"modes\": [{}]}}",
-            modes.join(", ")
-        );
-        return;
-    }
-
-    let titles = [
-        "Fig 7 (part 1): ViT-tiny loss — data parallel vs 1D tensor parallel (4 GPUs)",
-        "Fig 7 (part 2): ViT-tiny loss — serial vs 2D (4 GPUs) / 2.5D / 3D (8 GPUs)",
-    ];
-    for ((serial, runs), title) in curves.iter().zip(titles) {
-        let mut headers = vec!["step", "serial/DP"];
-        headers.extend(runs.iter().map(|r| r.2));
+    let json = std::env::args().any(|a| a == "--json");
+    let mut gates = Vec::new();
+    for part in &PARTS {
+        let cfg = vit_cfg(part.classes);
+        let (serial, _) = train(&cfg, None, false);
+        let mut headers = vec!["step".to_string(), "serial/DP".to_string()];
+        let mut columns = vec![serial.clone()];
+        let mut summary = Vec::new();
+        for &(gpus, mode) in part.modes {
+            // the trace is of the 1D run, as it always was
+            let trace = trace_path.as_ref().filter(|_| mode == "1d");
+            let (losses, world) = train(&cfg, Some((gpus, mode)), trace.is_some());
+            if let Some(path) = trace {
+                write_trace(&world, path);
+            }
+            let dev = max_dev(&serial, &losses);
+            gates.push(format!(
+                "{{\"mode\": \"{mode}\", \"gpus\": {gpus}, \"max_dev\": {dev:e}}}"
+            ));
+            let label = mode.to_uppercase();
+            summary.push(format!(
+                "{label}: max loss deviation from serial = {dev:.2e} (tolerance {TOLERANCE:.0e})"
+            ));
+            headers.push(label);
+            columns.push(losses);
+        }
+        if json {
+            continue;
+        }
+        let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
         let rows: Vec<Vec<String>> = (0..STEPS)
             .map(|i| {
-                let mut row = vec![i.to_string(), format!("{:.4}", serial[i])];
-                row.extend(runs.iter().map(|r| format!("{:.4}", r.3[i])));
-                row
+                let losses = columns.iter().map(|c| format!("{:.4}", c[i]));
+                std::iter::once(i.to_string()).chain(losses).collect()
             })
             .collect();
-        print_table(title, &headers, &rows);
-        for (_, _, label, losses) in runs {
-            println!(
-                "{label}: max loss deviation from serial = {:.2e} (tolerance {TOLERANCE:.0e})",
-                max_dev(serial, losses)
-            );
-        }
+        print_table(part.title, &headers, &rows);
+        println!("{}", summary.join("\n"));
+    }
+    if json {
+        println!(
+            "{{\"steps\": {STEPS}, \"tolerance\": {TOLERANCE:e}, \"modes\": [{}]}}",
+            gates.join(", ")
+        );
     }
 }

@@ -26,6 +26,7 @@ fn main() {
             b: 32,
             s: 512,
             h: 1024,
+            n: 1024,
         };
         let v1 = TpMode::OneD.volume(shape, 64) as f64;
         let v3 = TpMode::ThreeD.volume(shape, 64) as f64;

@@ -3,7 +3,7 @@
 //! All three shard every activation twice — the batch rows over some of the
 //! mesh axes, the hidden axis over another — and differ only in which
 //! distributed linear does the matmul and which process groups play which
-//! role. A [`Sharding`] names those groups for one layout; the rest of the
+//! role. A `Sharding` names those groups for one layout; the rest of the
 //! mode (LayerNorm, embeddings, heads, loss, scatter and gather) is written
 //! against it once.
 //!
@@ -169,39 +169,31 @@ impl MeshParallel {
         let width = table.dims()[1] / self.stream.hidden.size();
         table.narrow(1, self.stream.hidden.rank() * width, width)
     }
-}
 
-/// `inner` between a conversion of its input from the full tensor and of its
-/// output to the full tensor; `None` leaves that side as the mesh has it.
-struct FullEdge {
-    mode: MeshParallel,
-    /// Cut the full input into this layout (hidden axis too, if `true`).
-    input: Option<(Layout, bool)>,
-    inner: Box<dyn Layer>,
-    /// Gather the output from the branch layout; cut its gradient back.
-    gather_output: bool,
-}
-
-impl Layer for FullEdge {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let x = match self.input {
-            Some((layout, hidden)) => self.mode.sharding(layout).cut(x, hidden),
-            None => x.clone(),
-        };
-        let y = self.inner.forward(&x);
-        if self.gather_output {
-            self.mode.branch.gather(&self.mode.ctx, &y)
-        } else {
-            y
+    fn sharding(&self, layout: Layout) -> &Sharding {
+        match layout {
+            Layout::Branch => &self.branch,
+            _ => &self.stream,
         }
+    }
+}
+
+/// `inner` applied to this device's part of the full input. Its backward
+/// returns the gradient of that part.
+struct CutInput {
+    sharding: Sharding,
+    /// Cut the hidden axis too (`false` for token ids, which have none).
+    hidden: bool,
+    inner: Box<dyn Layer>,
+}
+
+impl Layer for CutInput {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.inner.forward(&self.sharding.cut(x, self.hidden))
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        if self.gather_output {
-            self.inner.backward(&self.mode.branch.cut(dy, true))
-        } else {
-            self.inner.backward(dy)
-        }
+        self.inner.backward(dy)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -209,12 +201,25 @@ impl Layer for FullEdge {
     }
 }
 
-impl MeshParallel {
-    fn sharding(&self, layout: Layout) -> &Sharding {
-        match layout {
-            Layout::Branch => &self.branch,
-            _ => &self.stream,
-        }
+/// `inner` with its output gathered into the full tensor on every device,
+/// and the full output gradient cut back into `inner`'s part of it.
+struct GatherOutput {
+    ctx: DeviceCtx,
+    sharding: Sharding,
+    inner: Box<dyn Layer>,
+}
+
+impl Layer for GatherOutput {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.sharding.gather(&self.ctx, &self.inner.forward(x))
+    }
+
+    fn backward(&mut self, dy: &Tensor) -> Tensor {
+        self.inner.backward(&self.sharding.cut(dy, true))
+    }
+
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.inner.visit_params(f);
     }
 }
 
@@ -232,17 +237,15 @@ impl TensorParallel for MeshParallel {
         // gathered from it, so every linear runs between the two mesh layouts
         let inner = self.mesh_linear(name, &w, b.as_ref(), to != Layout::Stream);
         match (from, to) {
-            (Layout::Full, _) => Box::new(FullEdge {
-                mode: self.clone(),
-                input: Some((Layout::Branch, true)),
+            (Layout::Full, _) => Box::new(CutInput {
+                sharding: self.branch.clone(),
+                hidden: true,
                 inner,
-                gather_output: false,
             }),
-            (_, Layout::Full) => Box::new(FullEdge {
-                mode: self.clone(),
-                input: None,
+            (_, Layout::Full) => Box::new(GatherOutput {
+                ctx: self.ctx.clone(),
+                sharding: self.branch.clone(),
                 inner,
-                gather_output: true,
             }),
             _ if gelu => Box::new(Sequential::new(vec![inner, Box::new(Gelu::new())])),
             _ => inner,
@@ -267,11 +270,10 @@ impl TensorParallel for MeshParallel {
         // every device looks its rows' ids up in its hidden-axis slice of
         // the table: the stream tile with no forward communication
         let table = init::normal([vocab, dim], 0.0, 0.02, rng);
-        self.row_replicated(FullEdge {
-            mode: self.clone(),
-            input: Some((Layout::Stream, false)),
+        self.row_replicated(CutInput {
+            sharding: self.stream.clone(),
+            hidden: false,
             inner: Box::new(Embedding::from_table(name, self.stream_columns(&table))),
-            gather_output: false,
         })
     }
 

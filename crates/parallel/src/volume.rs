@@ -2,8 +2,9 @@
 //! series.
 //!
 //! All formulas count *elements transferred in total across all devices* for
-//! the matrix multiplication `Y = W X` with `X: (b, s, h)`, `W: (h, h)`,
-//! `Y: (b, s, h)`, exactly as the paper defines them.
+//! the matrix multiplication `Y = W X` with `X: (b, s, h)`, `W: (h, n)`,
+//! `Y: (b, s, n)`, exactly as the paper defines them (the paper tabulates
+//! the square case `n = h`; a model's linears are not all square).
 
 /// Problem sizes for one `Y = W X` multiplication.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -12,8 +13,10 @@ pub struct MatmulShape {
     pub b: usize,
     /// Sequence length `s`.
     pub s: usize,
-    /// Hidden size `h` (weight is `h x h`).
+    /// Input width `h` (weight is `h x n`).
     pub h: usize,
+    /// Output width `n` (`h` in Table 1 and Fig 5).
+    pub n: usize,
 }
 
 impl MatmulShape {
@@ -22,14 +25,14 @@ impl MatmulShape {
         (self.b * self.s * self.h) as u64
     }
 
-    /// Elements of the weight `W` (`S_W = h * h`).
+    /// Elements of the weight `W` (`S_W = h * n`).
     pub fn s_w(&self) -> u64 {
-        (self.h * self.h) as u64
+        (self.h * self.n) as u64
     }
 
     /// Elements of the output `Y` (equal to `S_X` for a square weight).
     pub fn s_y(&self) -> u64 {
-        self.s_x()
+        (self.b * self.s * self.n) as u64
     }
 }
 
@@ -126,6 +129,7 @@ pub fn fig5_series(device_counts: &[usize]) -> Vec<(usize, Vec<(String, u64)>)> 
         b: 32,
         s: 512,
         h: 1024,
+        n: 1024,
     };
     device_counts
         .iter()
@@ -154,6 +158,7 @@ mod tests {
         b: 32,
         s: 512,
         h: 1024,
+        n: 1024,
     };
 
     #[test]
@@ -253,7 +258,12 @@ mod tests {
     #[test]
     fn table1_formula_spot_checks() {
         // hand-computed values
-        let s = MatmulShape { b: 1, s: 2, h: 4 };
+        let s = MatmulShape {
+            b: 1,
+            s: 2,
+            h: 4,
+            n: 4,
+        };
         // S_X = 8, S_W = 16
         assert_eq!(volume_1d(s, 4), 2 * 3 * 8);
         assert_eq!(volume_2d(s, 2), 3 * (8 + 16));
