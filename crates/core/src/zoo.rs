@@ -144,9 +144,7 @@ fn checked_mode(
     model: ZooModel,
     cfg: &TransformerConfig,
 ) -> Box<dyn TensorParallel> {
-    if let Err(e) = check_dims(config, model, cfg, None) {
-        panic!("{e}");
-    }
+    check_dims(config, model, cfg, None).unwrap_or_else(|e| panic!("{e}"));
     tensor_parallel(ctx, config, world)
 }
 

@@ -76,21 +76,19 @@ impl TransformerBlock {
             0,
             "hidden size {dim} not divisible by {heads} heads"
         );
-        let mut linear = |n: &str, d_in: usize, d_out: usize, to: Layout, gelu: bool| {
-            let from = match to {
-                Layout::Branch => Layout::Stream,
-                _ => Layout::Branch,
-            };
+        let enter = (Layout::Stream, Layout::Branch);
+        let exit = (Layout::Branch, Layout::Stream);
+        let mut linear = |n: &str, d_in: usize, d_out: usize, (from, to), gelu: bool| {
             let w = init::lecun_normal(d_in, d_out, rng);
             let b = Some(Tensor::zeros([d_out]));
             mode.linear(&format!("{name}.{n}"), w, b, from, to, gelu)
         };
-        let wq = linear("attn.q", dim, dim, Layout::Branch, false);
-        let wk = linear("attn.k", dim, dim, Layout::Branch, false);
-        let wv = linear("attn.v", dim, dim, Layout::Branch, false);
-        let wo = linear("attn.o", dim, dim, Layout::Stream, false);
-        let fc1 = linear("fc1", dim, dim * mlp_ratio, Layout::Branch, true);
-        let fc2 = linear("fc2", dim * mlp_ratio, dim, Layout::Stream, false);
+        let wq = linear("attn.q", dim, dim, enter, false);
+        let wk = linear("attn.k", dim, dim, enter, false);
+        let wv = linear("attn.v", dim, dim, enter, false);
+        let wo = linear("attn.o", dim, dim, exit, false);
+        let fc1 = linear("fc1", dim, dim * mlp_ratio, enter, true);
+        let fc2 = linear("fc2", dim * mlp_ratio, dim, exit, false);
         let attn =
             MultiHeadAttention::from_parts(wq, wk, wv, wo, mode.attention_core(heads, causal));
         let residual = |ln: &str, inner: Box<dyn Layer>| {

@@ -25,7 +25,7 @@ use crate::norm2d::LayerNorm2d;
 use crate::tp25d::{Grid25d, Linear25d};
 use crate::tp2d::{Grid2d, Linear2d};
 use crate::tp3d::{Grid3d, Linear3d};
-use crate::vocab_parallel::vocab_parallel_cross_entropy;
+use crate::vocab_parallel::{mean_loss_over_rows, vocab_parallel_cross_entropy};
 use colossalai_autograd::{Embedding, Gelu, Layer, Param, PositionEmbedding, Sequential};
 use colossalai_comm::{DeviceCtx, Group};
 use colossalai_models::{Layout, TensorParallel};
@@ -293,19 +293,11 @@ impl TensorParallel for MeshParallel {
 
     fn loss(&self, logits: &Tensor, targets: &[usize], total: usize) -> (f32, Tensor) {
         // the devices of `branch.hidden` hold the vocabulary slices of the
-        // same rows; a row block's mean counts for its share of the rows
-        let share = targets.len() as f32 / total as f32;
-        let (loss, mut grad) = if targets.is_empty() {
-            (0.0, logits.clone())
-        } else {
-            vocab_parallel_cross_entropy(&self.ctx, &self.branch.hidden, logits, targets)
-        };
-        grad.scale(share);
-        let mut loss = Tensor::scalar(loss * share);
-        for group in &self.branch.batch {
-            loss = group.all_reduce(&self.ctx, loss);
-        }
-        (loss.item(), grad)
+        // same rows; the row groups hold the other rows
+        let (ctx, vocab) = (&self.ctx, &self.branch.hidden);
+        mean_loss_over_rows(ctx, &self.branch.batch, logits, targets, total, |l, t| {
+            vocab_parallel_cross_entropy(ctx, vocab, l, t)
+        })
     }
 
     fn shard(&self, x: &Tensor, layout: Layout) -> Tensor {

@@ -11,6 +11,7 @@
 //! ring bottleneck, substantially less bookkeeping.
 
 use crate::grad_sync::GradSync;
+use crate::vocab_parallel::mean_loss_over_rows;
 use colossalai_autograd::attention::{merge_heads, split_heads};
 use colossalai_autograd::{
     AttentionCore, Embedding, Layer, LayerNorm, Linear, Param, PositionEmbedding,
@@ -215,18 +216,8 @@ impl TensorParallel for SequenceParallel {
     }
 
     fn loss(&self, logits: &Tensor, targets: &[usize], total: usize) -> (f32, Tensor) {
-        // a rank's mean counts for its share of the rows; a rank may hold none
-        let share = targets.len() as f32 / total as f32;
-        let (loss, mut grad) = if targets.is_empty() {
-            (0.0, logits.clone())
-        } else {
-            cross_entropy(logits, targets)
-        };
-        grad.scale(share);
-        let loss = self
-            .group
-            .all_reduce(&self.ctx, Tensor::scalar(loss * share));
-        (loss.item(), grad)
+        let ring = std::slice::from_ref(&self.group);
+        mean_loss_over_rows(&self.ctx, ring, logits, targets, total, cross_entropy)
     }
 
     fn shard(&self, x: &Tensor, layout: Layout) -> Tensor {

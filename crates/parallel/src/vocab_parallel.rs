@@ -187,6 +187,33 @@ pub fn vocab_parallel_cross_entropy(
     (loss, grad)
 }
 
+/// The global mean loss when the rows are spread over devices: this
+/// device's `local` mean over the `targets.len()` of `total` rows it holds
+/// counts for that share (a device may hold none), and the shares are summed
+/// over `groups`, one after the other. Returns the global loss and the
+/// gradient of the local logits.
+pub(crate) fn mean_loss_over_rows(
+    ctx: &DeviceCtx,
+    groups: &[Group],
+    logits: &Tensor,
+    targets: &[usize],
+    total: usize,
+    local: impl FnOnce(&Tensor, &[usize]) -> (f32, Tensor),
+) -> (f32, Tensor) {
+    let share = targets.len() as f32 / total as f32;
+    let (loss, mut grad) = if targets.is_empty() {
+        (0.0, logits.clone())
+    } else {
+        local(logits, targets)
+    };
+    grad.scale(share);
+    let mut loss = Tensor::scalar(loss * share);
+    for group in groups {
+        loss = group.all_reduce(ctx, loss);
+    }
+    (loss.item(), grad)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

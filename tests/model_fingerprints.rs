@@ -9,7 +9,7 @@
 use colossalai::comm::{DeviceCtx, World};
 use colossalai::models::data::{SyntheticText, SyntheticVision};
 use colossalai::models::{Bert, Gpt, TransformerConfig, VisionTransformer};
-use colossalai::models::{Layout, TensorParallel, TransformerBlock};
+use colossalai::models::{Layout, Serial, TensorParallel, TransformerBlock};
 use colossalai::parallel::tp25d::{tile_x_25d, Grid25d, Linear25d};
 use colossalai::parallel::tp2d::{tile_of, Grid2d, Linear2d};
 use colossalai::parallel::tp3d::{tile_x_3d, tile_y_3d, Grid3d, Linear3d};
@@ -87,11 +87,15 @@ fn model_cfg() -> TransformerConfig {
 
 const PATCH_DIM: usize = 6;
 
-fn one_d(ctx: &DeviceCtx, p: usize) -> TensorParallel1d {
-    TensorParallel1d::new(ctx, &ctx.world_group(p))
+/// Serial for the inline run, 1D over the whole `p`-rank world otherwise.
+fn mode(ctx: Option<&DeviceCtx>, p: usize) -> Box<dyn TensorParallel> {
+    match ctx {
+        None => Box::new(Serial),
+        Some(ctx) => Box::new(TensorParallel1d::new(ctx, &ctx.world_group(p))),
+    }
 }
 
-fn vit_run(vit: &mut dyn Layer) -> (Vec<f32>, Vec<f32>) {
+fn vit_run(mut vit: VisionTransformer) -> (Vec<f32>, Vec<f32>) {
     let cfg = model_cfg();
     let data = SyntheticVision::new(cfg.max_seq, PATCH_DIM, cfg.vocab, 41);
     let mut losses = Vec::new();
@@ -101,83 +105,53 @@ fn vit_run(vit: &mut dyn Layer) -> (Vec<f32>, Vec<f32>) {
         let (loss, d) = cross_entropy(&logits, &t);
         losses.push(loss);
         let _ = vit.backward(&d);
-        sgd(vit);
+        sgd(&mut vit);
     }
-    (losses, params_of(vit))
+    (losses, params_of(&mut vit))
 }
 
-fn gpt_tokens(step: usize) -> Tensor {
-    SyntheticText::new(model_cfg().vocab, 42).batch(2, model_cfg().max_seq, step as u64)
+fn gpt_run(mut gpt: Gpt) -> (Vec<f32>, Vec<f32>) {
+    let cfg = model_cfg();
+    let data = SyntheticText::new(cfg.vocab, 42);
+    let mut losses = Vec::new();
+    for step in 0..STEPS {
+        let (loss, d) = gpt.lm_loss(&data.batch(2, cfg.max_seq, step as u64));
+        losses.push(loss);
+        let _ = gpt.backward(&d);
+        sgd(&mut gpt);
+    }
+    (losses, params_of(&mut gpt))
 }
 
-/// The MLM batch of `step`: `(masked tokens, targets, flat positions)`.
-fn mlm_batch(step: usize) -> (Tensor, Vec<usize>, Vec<usize>) {
+fn bert_run(mut bert: Bert) -> (Vec<f32>, Vec<f32>) {
     let cfg = model_cfg();
     let data = SyntheticText::new(cfg.vocab, 43);
-    let tokens = data.batch(2, cfg.max_seq, step as u64);
-    let (masked, targets, positions) = data.mask_for_mlm(&tokens, 0.4, step as u64);
-    assert!(!targets.is_empty(), "step {step} masks nothing");
-    (masked, targets, positions)
+    let mut losses = Vec::new();
+    for step in 0..STEPS {
+        let tokens = data.batch(2, cfg.max_seq, step as u64);
+        let (masked, targets, positions) = data.mask_for_mlm(&tokens, 0.4, step as u64);
+        assert!(!targets.is_empty(), "step {step} masks nothing");
+        let (loss, d) = bert.mlm_loss(&masked, &targets, &positions);
+        losses.push(loss);
+        let _ = bert.backward(&d);
+        sgd(&mut bert);
+    }
+    (losses, params_of(&mut bert))
 }
 
 #[test]
-fn serial_models_reproduce_the_frozen_fingerprints() {
+fn serial_and_one_d_models_reproduce_the_frozen_fingerprints() {
     let cfg = model_cfg();
-    let vit = run(1, |_| {
-        vit_run(&mut VisionTransformer::new(
-            &cfg,
-            PATCH_DIM,
-            &mut init::rng(7001),
-        ))
-    });
-    check(
-        "serial vit",
-        vit,
-        (0x6e73_8dde_7d63_5081, 0xd393_7976_df17_c436),
-    );
-
-    let gpt = run(1, |_| {
-        let mut gpt = Gpt::new(&cfg, &mut init::rng(7002));
-        let mut losses = Vec::new();
-        for step in 0..STEPS {
-            let (loss, d) = gpt.lm_loss(&gpt_tokens(step));
-            losses.push(loss);
-            let _ = gpt.backward(&d);
-            sgd(&mut gpt);
-        }
-        (losses, params_of(&mut gpt))
-    });
-    check(
-        "serial gpt",
-        gpt,
-        (0x3d58_bca7_c614_da21, 0xc1d5_0114_8333_35a7),
-    );
-
-    let bert = run(1, |_| {
-        let mut bert = Bert::new(&cfg, &mut init::rng(7003));
-        let mut losses = Vec::new();
-        for step in 0..STEPS {
-            let (masked, targets, positions) = mlm_batch(step);
-            let (loss, d) = bert.mlm_loss(&masked, &targets, &positions);
-            losses.push(loss);
-            let _ = bert.backward(&d);
-            sgd(&mut bert);
-        }
-        (losses, params_of(&mut bert))
-    });
-    check(
-        "serial bert",
-        bert,
-        (0xf858_361a_a971_a62f, 0xed3e_af59_725c_70d4),
-    );
-}
-
-#[test]
-fn one_d_models_reproduce_the_frozen_fingerprints() {
-    let cfg = model_cfg();
+    // (ranks; 1 = serial), then the ViT, GPT and BERT fingerprints
     let golden = [
         (
-            2usize,
+            1usize,
+            (0x6e73_8dde_7d63_5081, 0xd393_7976_df17_c436),
+            (0x3d58_bca7_c614_da21, 0xc1d5_0114_8333_35a7),
+            (0xf858_361a_a971_a62f, 0xed3e_af59_725c_70d4),
+        ),
+        (
+            2,
             (0x62bf_44f9_494d_1cbd, 0x3043_042d_d544_abd1),
             (0x53d3_df6b_5710_0c1d, 0xddde_fb9b_2c19_0fc2),
             (0x005f_e5b2_063b_bcd5, 0x6050_279b_4018_f7a9),
@@ -191,42 +165,24 @@ fn one_d_models_reproduce_the_frozen_fingerprints() {
     ];
     for (p, want_vit, want_gpt, want_bert) in golden {
         let vit = run(p, |ctx| {
-            let mode = one_d(ctx.unwrap(), p);
             let mut rng = init::rng(7001);
-            vit_run(&mut VisionTransformer::with_mode(
-                &mode, &cfg, PATCH_DIM, &mut rng,
+            let mode = mode(ctx, p);
+            vit_run(VisionTransformer::with_mode(
+                mode.as_ref(),
+                &cfg,
+                PATCH_DIM,
+                &mut rng,
             ))
         });
-        check(&format!("1d vit p={p}"), vit, want_vit);
-
+        check(&format!("vit p={p}"), vit, want_vit);
         let gpt = run(p, |ctx| {
-            let mode = Box::new(one_d(ctx.unwrap(), p));
-            let mut gpt = Gpt::with_mode(mode, &cfg, &mut init::rng(7002));
-            let mut losses = Vec::new();
-            for step in 0..STEPS {
-                let (loss, d) = gpt.lm_loss(&gpt_tokens(step));
-                losses.push(loss);
-                let _ = gpt.backward(&d);
-                sgd(&mut gpt);
-            }
-            (losses, params_of(&mut gpt))
+            gpt_run(Gpt::with_mode(mode(ctx, p), &cfg, &mut init::rng(7002)))
         });
-        check(&format!("1d gpt p={p}"), gpt, want_gpt);
-
+        check(&format!("gpt p={p}"), gpt, want_gpt);
         let bert = run(p, |ctx| {
-            let mode = Box::new(one_d(ctx.unwrap(), p));
-            let mut bert = Bert::with_mode(mode, &cfg, &mut init::rng(7003));
-            let mut losses = Vec::new();
-            for step in 0..STEPS {
-                let (masked, targets, positions) = mlm_batch(step);
-                let (loss, d) = bert.mlm_loss(&masked, &targets, &positions);
-                losses.push(loss);
-                let _ = bert.backward(&d);
-                sgd(&mut bert);
-            }
-            (losses, params_of(&mut bert))
+            bert_run(Bert::with_mode(mode(ctx, p), &cfg, &mut init::rng(7003)))
         });
-        check(&format!("1d bert p={p}"), bert, want_bert);
+        check(&format!("bert p={p}"), bert, want_bert);
     }
 }
 
