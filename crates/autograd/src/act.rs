@@ -7,7 +7,8 @@ use colossalai_tensor::{ops, Tensor};
 /// Tanh-approximated GELU (the Transformer default).
 #[derive(Default)]
 pub struct Gelu {
-    cached_x: Option<Tensor>,
+    /// The input and the `tanh` factor the forward pass evaluated on it.
+    cache: Option<(Tensor, Tensor)>,
 }
 
 impl Gelu {
@@ -18,15 +19,16 @@ impl Gelu {
 
 impl Layer for Gelu {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.cached_x = Some(x.clone());
-        ops::gelu(x)
+        let (y, t) = ops::gelu_with_tanh(x);
+        self.cache = Some((x.clone(), t));
+        y
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let x = self.cached_x.take().expect("backward before forward");
-        // fused gelu'(x) * dy: one pooled buffer instead of the composed
-        // gelu_grad + zip pair, bitwise-identical arithmetic
-        ops::gelu_backward(&x, dy)
+        let (x, t) = self.cache.take().expect("backward before forward");
+        // gelu'(x) * dy from the forward's tanh: no second libm call, and
+        // bitwise the composed gelu_grad + zip pair
+        ops::gelu_backward_cached(&x, &t, dy)
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}

@@ -219,11 +219,27 @@ mod tests {
 
     #[test]
     fn split_merge_roundtrip() {
-        let x = Tensor::arange(2 * 3 * 8).reshaped([2, 3, 8]);
-        for heads in [1, 2, 4] {
-            let split = split_heads(&x, heads);
-            assert_eq!(split.dims(), &[2 * heads, 3, 8 / heads]);
-            assert_eq!(merge_heads(&split, heads), x);
+        // a toy shape, then the benchmark GPT's [4 seqs, 32 tokens, 256 wide]
+        for (dims, head_counts) in [([2, 3, 8], vec![1, 2, 4]), ([4, 32, 256], vec![8])] {
+            let [b, s, d] = dims;
+            let x = Tensor::arange(b * s * d).reshaped(dims);
+            for heads in head_counts {
+                let dk = d / heads;
+                let split = split_heads(&x, heads);
+                assert_eq!(split.dims(), &[b * heads, s, dk]);
+                // head h of sequence bi holds columns h*dk.. of its tokens
+                for (bi, h, si, k) in [
+                    (0, 0, 0, 0),
+                    (b - 1, heads - 1, s - 1, dk - 1),
+                    (1, 0, 2, 1),
+                ] {
+                    assert_eq!(
+                        split.at(&[bi * heads + h, si, k]),
+                        x.at(&[bi, si, h * dk + k])
+                    );
+                }
+                assert_eq!(merge_heads(&split, heads), x);
+            }
         }
     }
 

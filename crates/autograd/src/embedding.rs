@@ -3,7 +3,7 @@
 use crate::layer::Layer;
 use crate::param::Param;
 use colossalai_tensor::init::InitRng;
-use colossalai_tensor::{init, Tensor};
+use colossalai_tensor::{init, pool, Tensor};
 
 /// Lookup-table embedding: input holds integer indices (as `f32` values,
 /// the tensor crate's single dtype), output is `[.., dim]`.
@@ -54,9 +54,10 @@ impl Layer for Embedding {
                 i
             })
             .collect();
-        let mut out = Vec::with_capacity(indices.len() * dim);
+        let table = self.table.value().data();
+        let mut out = pool::take_buffer(indices.len() * dim);
         for &i in &indices {
-            out.extend_from_slice(&self.table.value().data()[i * dim..(i + 1) * dim]);
+            out.extend_from_slice(&table[i * dim..(i + 1) * dim]);
         }
         let mut dims = x.dims().to_vec();
         dims.push(dim);
@@ -125,20 +126,18 @@ impl PositionEmbedding {
 impl Layer for PositionEmbedding {
     fn forward(&mut self, x: &Tensor) -> Tensor {
         assert_eq!(x.rank(), 3, "position embedding expects [b, s, d]");
-        let (b, s, d) = (x.dims()[0], x.dims()[1], x.dims()[2]);
+        let (s, d) = (x.dims()[1], x.dims()[2]);
         let first = self.seq_block * s;
         assert!(
             first + s <= self.table.value().dims()[0],
             "sequence longer than max_len"
         );
         assert_eq!(d, self.table.value().dims()[1], "dim mismatch");
+        let positions = &self.table.value().data()[first * d..(first + s) * d];
         let mut out = x.clone();
-        for bi in 0..b {
-            for si in 0..s {
-                let base = (bi * s + si) * d;
-                for di in 0..d {
-                    out.data_mut()[base + di] += self.table.value().data()[(first + si) * d + di];
-                }
+        for seq in out.data_mut().chunks_mut((s * d).max(1)) {
+            for (o, &p) in seq.iter_mut().zip(positions) {
+                *o += p;
             }
         }
         out

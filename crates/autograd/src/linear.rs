@@ -3,7 +3,7 @@
 use crate::layer::Layer;
 use crate::param::Param;
 use colossalai_tensor::init::InitRng;
-use colossalai_tensor::ops::{add_bias_gelu, add_bias_gelu_backward, sum_axis0_acc};
+use colossalai_tensor::ops::{add_bias_gelu, gelu_backward_cached, sum_axis0_acc};
 use colossalai_tensor::{init, matmul_at_acc, matmul_bt, matmul_nd, Tensor};
 
 /// `y = x W + b` with `W: [in, out]`, applied to inputs of shape
@@ -16,8 +16,9 @@ pub struct Linear {
     b: Option<Param>,
     fused_gelu: bool,
     cached_x: Option<Tensor>,
-    /// Pre-activation `h = x W + b`, cached only in fused-GELU mode.
-    cached_h: Option<Tensor>,
+    /// Pre-activation `h = x W + b` and the `tanh` factor of `gelu(h)`,
+    /// cached only in fused-GELU mode.
+    cached_h: Option<(Tensor, Tensor)>,
 }
 
 impl Linear {
@@ -90,8 +91,8 @@ impl Layer for Linear {
         let mut y = matmul_nd(x, self.w.value());
         if self.fused_gelu {
             let b = self.b.as_ref().expect("fused gelu requires bias");
-            let (h, out) = add_bias_gelu(y, b.value());
-            self.cached_h = Some(h);
+            let (h, out, t) = add_bias_gelu(y, b.value());
+            self.cached_h = Some((h, t));
             return out;
         }
         if let Some(b) = &self.b {
@@ -108,8 +109,8 @@ impl Layer for Linear {
         // in fused-GELU mode, first pull dy back through the activation:
         // dh = gelu'(h) * dy, then the usual linear backward on dh
         let dy2 = if self.fused_gelu {
-            let h = self.cached_h.take().expect("backward before forward");
-            add_bias_gelu_backward(&h, dy).reshaped([rows, self.d_out()])
+            let (h, t) = self.cached_h.take().expect("backward before forward");
+            gelu_backward_cached(&h, &t, dy).reshaped([rows, self.d_out()])
         } else {
             dy.reshape([rows, self.d_out()])
         };

@@ -88,23 +88,32 @@ impl Layer for LayerNorm2d {
         let h = self.h_global as f32;
         let (dy, lead) = collapse(dy);
 
+        let (xs, dys) = (x.data(), dy.data());
+        let (means, inv_stds) = (mean.data(), inv_std.data());
+        let row = |r: usize| r * local..(r + 1) * local;
+
         // dgamma / dbeta: column sums over the rows this device holds
         let mut dgamma = Tensor::zeros([local]);
         let mut dbeta = Tensor::zeros([local]);
         // row sums of dy*gamma and dy*gamma*xhat span the `hidden` group
         let mut s1_local = Tensor::zeros([rows]);
         let mut s2_local = Tensor::zeros([rows]);
-        for r in 0..rows {
-            let m = mean.data()[r];
-            let is = inv_std.data()[r];
-            for c in 0..local {
-                let xhat = (x.at(&[r, c]) - m) * is;
-                let d = dy.at(&[r, c]);
-                let dyg = d * self.gamma.value().data()[c];
-                s1_local.data_mut()[r] += dyg;
-                s2_local.data_mut()[r] += dyg * xhat;
-                dgamma.data_mut()[c] += d * xhat;
-                dbeta.data_mut()[c] += d;
+        {
+            let gamma = self.gamma.value().data();
+            let (dgamma, dbeta) = (dgamma.data_mut(), dbeta.data_mut());
+            let (s1, s2) = (s1_local.data_mut(), s2_local.data_mut());
+            for r in 0..rows {
+                let (m, is) = (means[r], inv_stds[r]);
+                let (x_row, dy_row) = (&xs[row(r)], &dys[row(r)]);
+                for c in 0..local {
+                    let xhat = (x_row[c] - m) * is;
+                    let d = dy_row[c];
+                    let dyg = d * gamma[c];
+                    s1[r] += dyg;
+                    s2[r] += dyg * xhat;
+                    dgamma[c] += d * xhat;
+                    dbeta[c] += d;
+                }
             }
         }
         let s1 = self.hidden.all_reduce(&self.ctx, s1_local);
@@ -113,14 +122,17 @@ impl Layer for LayerNorm2d {
         self.beta.accumulate_grad(&dbeta);
 
         let mut dx = Tensor::zeros(x.shape().clone());
-        for r in 0..rows {
-            let m = mean.data()[r];
-            let is = inv_std.data()[r];
-            for c in 0..local {
-                let xhat = (x.at(&[r, c]) - m) * is;
-                let dyg = dy.at(&[r, c]) * self.gamma.value().data()[c];
-                let v = is * (dyg - s1.data()[r] / h - xhat * s2.data()[r] / h);
-                dx.set(&[r, c], v);
+        {
+            let gamma = self.gamma.value().data();
+            let (s1, s2, dx) = (s1.data(), s2.data(), dx.data_mut());
+            for r in 0..rows {
+                let (m, is) = (means[r], inv_stds[r]);
+                let (x_row, dy_row, dx_row) = (&xs[row(r)], &dys[row(r)], &mut dx[row(r)]);
+                for c in 0..local {
+                    let xhat = (x_row[c] - m) * is;
+                    let dyg = dy_row[c] * gamma[c];
+                    dx_row[c] = is * (dyg - s1[r] / h - xhat * s2[r] / h);
+                }
             }
         }
         expand(dx, &lead)

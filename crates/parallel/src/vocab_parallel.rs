@@ -6,7 +6,7 @@
 use colossalai_autograd::{Layer, Param};
 use colossalai_comm::{DeviceCtx, Group};
 use colossalai_tensor::init::{self, InitRng};
-use colossalai_tensor::Tensor;
+use colossalai_tensor::{pool, Tensor};
 
 /// Token embedding with the vocabulary dimension sharded across the group:
 /// rank `r` owns rows `[r * V/p, (r+1) * V/p)`. Lookups outside a rank's
@@ -77,7 +77,7 @@ impl Layer for VocabParallelEmbedding {
                 i
             })
             .collect();
-        let mut out = vec![0.0f32; indices.len() * dim];
+        let mut out = pool::take_zeroed(indices.len() * dim);
         for (row, &i) in indices.iter().enumerate() {
             if (start..start + local).contains(&i) {
                 let li = i - start;

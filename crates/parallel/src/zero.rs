@@ -127,6 +127,7 @@ impl ZeroOptimizer {
             master.extend_from_slice(&full[o + r * sl..o + (r + 1) * sl]);
         }
         assert_eq!(master.len(), shard_len);
+        pool::recycle(full);
         let keep = match stage {
             ZeroStage::One => Keep::ShardOfAllReduce,
             ZeroStage::Two | ZeroStage::Three => Keep::ShardOfReduceScatter,

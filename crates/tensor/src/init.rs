@@ -5,6 +5,7 @@
 //! ZeRO/tensor-parallel equivalence tests — every parallel mode can construct
 //! the *same* global parameters before sharding them.
 
+use crate::pool;
 use crate::tensor::Tensor;
 use rand::distributions::Distribution;
 use rand::{Rng, SeedableRng};
@@ -25,10 +26,7 @@ pub fn uniform(
     hi: f32,
     rng: &mut InitRng,
 ) -> Tensor {
-    let shape = shape.into();
-    let n = shape.numel();
-    let data = (0..n).map(|_| rng.gen_range(lo..hi)).collect();
-    Tensor::from_vec(shape, data)
+    filled(shape.into(), || rng.gen_range(lo..hi))
 }
 
 /// Normal values with the given mean and standard deviation (Box–Muller).
@@ -38,10 +36,18 @@ pub fn normal(
     std: f32,
     rng: &mut InitRng,
 ) -> Tensor {
-    let shape = shape.into();
-    let n = shape.numel();
     let dist = NormalDist { mean, std };
-    let data = (0..n).map(|_| dist.sample(rng)).collect();
+    filled(shape.into(), || dist.sample(rng))
+}
+
+/// A tensor of `draw()`s in row-major order, in pooled storage: a weight is
+/// handed back to the pool when its model drops, so one born in the
+/// allocator would leave the pool a buffer richer every time a model is
+/// rebuilt.
+fn filled(shape: crate::shape::Shape, mut draw: impl FnMut() -> f32) -> Tensor {
+    let n = shape.numel();
+    let mut data = pool::take_buffer(n);
+    data.extend((0..n).map(|_| draw()));
     Tensor::from_vec(shape, data)
 }
 

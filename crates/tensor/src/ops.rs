@@ -83,81 +83,125 @@ pub fn softmax_backward_inplace(y: &Tensor, dy: &mut Tensor) {
 /// results differ (by the documented ULP budgets, DESIGN.md §13).
 pub fn gelu(x: &Tensor) -> Tensor {
     if crate::kernel::fast_mode() {
-        x.map(gelu_scalar_fma)
+        x.map(|v| gelu_from_tanh::<true>(v, gelu_tanh::<true>(v)))
     } else {
-        x.map(gelu_scalar)
+        x.map(|v| gelu_from_tanh::<false>(v, gelu_tanh::<false>(v)))
+    }
+}
+
+/// `tanh` of the GELU's inner cubic: the one libm call per element. Forward
+/// and backward need the same value, so the layers evaluate it once in the
+/// forward pass and hand it to the backward ([`gelu_with_tanh`],
+/// [`add_bias_gelu`], [`gelu_backward_cached`]).
+///
+/// The fast (`FMA`) form fuses the cubic's multiply-add. `f32::mul_add` is
+/// correctly rounded whether it lowers to a `vfmadd` (inside the
+/// `target_feature` row sweeps) or to libm `fmaf` (composed `map` path), so
+/// every fast-mode call site produces identical bits.
+#[inline(always)]
+fn gelu_tanh<const FMA: bool>(x: f32) -> f32 {
+    const C: f32 = 0.797_884_6; // sqrt(2/pi)
+    let inner = if FMA {
+        C * 0.044_715f32.mul_add(x * x * x, x)
+    } else {
+        C * (x + 0.044_715 * x * x * x)
+    };
+    inner.tanh()
+}
+
+/// GELU of `x` given `t = gelu_tanh(x)`; the fast form fuses the blend.
+#[inline(always)]
+fn gelu_from_tanh<const FMA: bool>(x: f32, t: f32) -> f32 {
+    if FMA {
+        let half_x = 0.5 * x;
+        half_x.mul_add(t, half_x) // 0.5x*(1+t) = 0.5x*t + 0.5x
+    } else {
+        0.5 * x * (1.0 + t)
+    }
+}
+
+/// GELU derivative at `x` given `t = gelu_tanh(x)`, same fusion points.
+#[inline(always)]
+fn gelu_grad_from_tanh<const FMA: bool>(x: f32, t: f32) -> f32 {
+    const C: f32 = 0.797_884_6;
+    if FMA {
+        let dinner = C * (3.0 * 0.044_715f32).mul_add(x * x, 1.0);
+        (0.5 * x * (1.0 - t * t)).mul_add(dinner, 0.5 * (1.0 + t))
+    } else {
+        let dinner = C * (1.0 + 3.0 * 0.044_715 * x * x);
+        0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
     }
 }
 
 #[inline]
-fn gelu_scalar(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
-}
-
-/// FMA form of [`gelu_scalar`]: the cubic and the final blend each fuse one
-/// multiply-add. `f32::mul_add` is correctly rounded whether it lowers to a
-/// `vfmadd` (inside the `target_feature` row sweeps) or to libm `fmaf`
-/// (composed `map` path), so every fast-mode call site produces identical
-/// bits.
-#[inline]
-fn gelu_scalar_fma(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let inner = C * 0.044_715f32.mul_add(x * x * x, x);
-    let half_x = 0.5 * x;
-    half_x.mul_add(inner.tanh(), half_x) // 0.5x*(1+t) = 0.5x*t + 0.5x
-}
-
-#[inline]
-fn gelu_grad_scalar(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let inner = C * (x + 0.044_715 * x * x * x);
-    let t = inner.tanh();
-    let dinner = C * (1.0 + 3.0 * 0.044_715 * x * x);
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-}
-
-/// FMA form of [`gelu_grad_scalar`], same fusion points as
-/// [`gelu_scalar_fma`].
-#[inline]
-fn gelu_grad_scalar_fma(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let inner = C * 0.044_715f32.mul_add(x * x * x, x);
-    let t = inner.tanh();
-    let dinner = C * (3.0 * 0.044_715f32).mul_add(x * x, 1.0);
-    (0.5 * x * (1.0 - t * t)).mul_add(dinner, 0.5 * (1.0 + t))
-}
-
-#[inline]
-fn gelu_grad_dispatch(fast: bool, x: f32) -> f32 {
+fn gelu_grad_dispatch(fast: bool, x: f32, t: f32) -> f32 {
     if fast {
-        gelu_grad_scalar_fma(x)
+        gelu_grad_from_tanh::<true>(x, t)
     } else {
-        gelu_grad_scalar(x)
+        gelu_grad_from_tanh::<false>(x, t)
+    }
+}
+
+#[inline]
+fn gelu_tanh_dispatch(fast: bool, x: f32) -> f32 {
+    if fast {
+        gelu_tanh::<true>(x)
+    } else {
+        gelu_tanh::<false>(x)
     }
 }
 
 /// Derivative of the tanh-approximated GELU.
 pub fn gelu_grad(x: &Tensor) -> Tensor {
     let fast = crate::kernel::fast_mode();
-    x.map(move |v| gelu_grad_dispatch(fast, v))
+    x.map(move |v| gelu_grad_dispatch(fast, v, gelu_tanh_dispatch(fast, v)))
 }
 
-/// Fused GELU backward: `dx = gelu'(x) * dy` in one pooled buffer instead
-/// of the composed `gelu_grad(x).zip(dy, ..)` pair of allocations. Both
-/// paths compute `gelu_grad(x) * dy` per element with the same mode
-/// dispatch, so they are bitwise-identical.
+/// GELU backward from the input alone: `dx = gelu'(x) * dy`, evaluating
+/// `tanh` again. The layers use [`gelu_backward_cached`]; this is the
+/// reference it is tested against, and the composed
+/// `gelu_grad(x).zip(dy, ..)` computes the same per-element expression with
+/// the same mode dispatch, so all three are bitwise-identical.
 pub fn gelu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
     let fast = crate::kernel::fast_mode();
-    x.zip(dy, move |x, d| gelu_grad_dispatch(fast, x) * d)
+    x.zip(dy, move |x, d| {
+        gelu_grad_dispatch(fast, x, gelu_tanh_dispatch(fast, x)) * d
+    })
 }
 
-/// Fused bias-add + GELU: returns `(h, y)` where `h = x + bias` (row-wise)
-/// and `y = gelu(h)` — the forward of a `Linear`+`Gelu` pair, which needs
-/// `h` cached for the backward pass. Consumes `x` so a uniquely-owned GEMM
-/// output is updated in place; one pooled buffer for `y` replaces the
-/// composed chain's two fresh allocations (`add_bias` clone + `gelu` map).
-pub fn add_bias_gelu(mut x: Tensor, bias: &Tensor) -> (Tensor, Tensor) {
+/// GELU that also returns what its backward needs: `(y, t)` with
+/// `y = gelu(x)` and `t` the `tanh` factor inside it. `y` is bitwise
+/// [`gelu`]`(x)`.
+pub fn gelu_with_tanh(x: &Tensor) -> (Tensor, Tensor) {
+    let fast = crate::kernel::fast_mode();
+    let t = x.map(move |v| gelu_tanh_dispatch(fast, v));
+    let y = if fast {
+        x.zip(&t, gelu_from_tanh::<true>)
+    } else {
+        x.zip(&t, gelu_from_tanh::<false>)
+    };
+    (y, t)
+}
+
+/// GELU backward from the `tanh` the forward pass kept: `dx = gelu'(x) * dy`
+/// with `t` from [`gelu_with_tanh`]`(x)` or [`add_bias_gelu`] (where `x` is
+/// the pre-activation `h`; the bias gradient is `sum_axis(dh, 0)` as usual).
+/// The expression is [`gelu_backward`]'s with the libm call replaced by the
+/// value it returned in the forward pass, so the bits are the same in both
+/// numeric modes — `t` must come from a forward in the *current* mode.
+pub fn gelu_backward_cached(x: &Tensor, t: &Tensor, dy: &Tensor) -> Tensor {
+    let fast = crate::kernel::fast_mode();
+    let grad = x.zip(t, move |x, t| gelu_grad_dispatch(fast, x, t));
+    grad.zip(dy, |g, d| g * d)
+}
+
+/// Fused bias-add + GELU: returns `(h, y, t)` where `h = x + bias`
+/// (row-wise), `y = gelu(h)` and `t` is the `tanh` factor inside `y` — the
+/// forward of a `Linear`+`Gelu` pair, which keeps `h` and `t` for
+/// [`gelu_backward_cached`]. Consumes `x` so a uniquely-owned GEMM output is
+/// updated in place; pooled buffers for `y` and `t` replace the composed
+/// chain's fresh allocations (`add_bias` clone + `gelu` map).
+pub fn add_bias_gelu(mut x: Tensor, bias: &Tensor) -> (Tensor, Tensor, Tensor) {
     assert_eq!(bias.rank(), 1, "bias must be rank 1");
     let n = bias.numel();
     assert_eq!(
@@ -167,52 +211,54 @@ pub fn add_bias_gelu(mut x: Tensor, bias: &Tensor) -> (Tensor, Tensor) {
     );
     let numel = x.numel();
     let fast = crate::kernel::fast_mode();
-    if crate::par::par_eligible(numel) && n > 0 {
-        let rows = numel / n;
-        let min_rows = crate::par::MIN_CHUNK.div_ceil(n).max(1);
-        let (chunks, per) = crate::par::partition(rows, crate::kernel_threads(), min_rows);
-        if chunks > 1 {
-            // pre-sized output + lockstep (x, y) row-chunk pairs; each row
-            // runs the identical serial arithmetic (indexed stores instead
-            // of push produce the same bits)
-            let mut y = pool::take_zeroed(numel);
-            {
-                let b = bias.data();
-                let mut items: Vec<(&mut [f32], &mut [f32])> = Vec::with_capacity(chunks);
-                let mut xr = x.data_mut();
-                let mut yr = y.as_mut_slice();
-                while !xr.is_empty() {
-                    let take = (per * n).min(xr.len());
-                    let (xh, xt) = xr.split_at_mut(take);
-                    let (yh, yt) = yr.split_at_mut(take);
-                    items.push((xh, yh));
-                    xr = xt;
-                    yr = yt;
-                }
-                crate::par::par_items(items, |_, (xc, yc)| {
-                    run_add_bias_gelu_rows(fast, xc, yc, b, n)
-                });
-            }
-            let y = Tensor::from_vec(x.shape().clone(), y);
-            return (x, y);
-        }
-    }
+    let b = bias.data();
     let mut y = pool::take_zeroed(numel);
-    run_add_bias_gelu_rows(fast, x.data_mut(), &mut y, bias.data(), n);
+    let mut t = pool::take_zeroed(numel);
+    // elements per executor: whole rows on the deterministic partition, or
+    // everything (the serial sweep) below the cutoff
+    let mut per = numel;
+    if crate::par::par_eligible(numel) && n > 0 {
+        let min_rows = crate::par::MIN_CHUNK.div_ceil(n).max(1);
+        per = crate::par::partition(numel / n, crate::kernel_threads(), min_rows).1 * n;
+    }
+    if per < numel {
+        // lockstep (h, y, t) row chunks; each row runs the identical serial
+        // arithmetic
+        let items: Vec<_> = x
+            .data_mut()
+            .chunks_mut(per)
+            .zip(y.chunks_mut(per))
+            .zip(t.chunks_mut(per))
+            .collect();
+        crate::par::par_items(items, |_, ((xc, yc), tc)| {
+            run_add_bias_gelu_rows(fast, xc, yc, tc, b, n)
+        });
+    } else {
+        run_add_bias_gelu_rows(fast, x.data_mut(), &mut y, &mut t, b, n);
+    }
     let y = Tensor::from_vec(x.shape().clone(), y);
-    (x, y)
+    let t = Tensor::from_vec(x.shape().clone(), t);
+    (x, y, t)
 }
 
 #[inline(always)]
-fn add_bias_gelu_rows<const FMA: bool>(x: &mut [f32], y: &mut [f32], b: &[f32], n: usize) {
-    for (row, y_row) in x.chunks_mut(n).zip(y.chunks_mut(n)) {
-        for ((h, yv), &bv) in row.iter_mut().zip(y_row.iter_mut()).zip(b.iter()) {
+fn add_bias_gelu_rows<const FMA: bool>(
+    x: &mut [f32],
+    y: &mut [f32],
+    t: &mut [f32],
+    b: &[f32],
+    n: usize,
+) {
+    for ((row, y_row), t_row) in x.chunks_mut(n).zip(y.chunks_mut(n)).zip(t.chunks_mut(n)) {
+        for (((h, yv), tv), &bv) in row
+            .iter_mut()
+            .zip(y_row.iter_mut())
+            .zip(t_row.iter_mut())
+            .zip(b.iter())
+        {
             *h += bv;
-            *yv = if FMA {
-                gelu_scalar_fma(*h)
-            } else {
-                gelu_scalar(*h)
-            };
+            *tv = gelu_tanh::<FMA>(*h);
+            *yv = gelu_from_tanh::<FMA>(*h, *tv);
         }
     }
 }
@@ -222,26 +268,27 @@ fn add_bias_gelu_rows<const FMA: bool>(x: &mut [f32], y: &mut [f32], b: &[f32], 
 /// polynomial around it fuses for free).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn add_bias_gelu_rows_fma(x: &mut [f32], y: &mut [f32], b: &[f32], n: usize) {
-    add_bias_gelu_rows::<true>(x, y, b, n);
+unsafe fn add_bias_gelu_rows_fma(x: &mut [f32], y: &mut [f32], t: &mut [f32], b: &[f32], n: usize) {
+    add_bias_gelu_rows::<true>(x, y, t, b, n);
 }
 
-fn run_add_bias_gelu_rows(fast: bool, x: &mut [f32], y: &mut [f32], b: &[f32], n: usize) {
+fn run_add_bias_gelu_rows(
+    fast: bool,
+    x: &mut [f32],
+    y: &mut [f32],
+    t: &mut [f32],
+    b: &[f32],
+    n: usize,
+) {
     if fast {
         #[cfg(target_arch = "x86_64")]
         if crate::kernel::fma_available() {
             // SAFETY: fma_available() checked avx2+fma support.
-            return unsafe { add_bias_gelu_rows_fma(x, y, b, n) };
+            return unsafe { add_bias_gelu_rows_fma(x, y, t, b, n) };
         }
-        return add_bias_gelu_rows::<true>(x, y, b, n);
+        return add_bias_gelu_rows::<true>(x, y, t, b, n);
     }
-    add_bias_gelu_rows::<false>(x, y, b, n);
-}
-
-/// Backward of [`add_bias_gelu`] with respect to its pre-activation `h`:
-/// `dh = gelu'(h) * dy` (the bias gradient is `sum_axis(dh, 0)` as usual).
-pub fn add_bias_gelu_backward(h: &Tensor, dy: &Tensor) -> Tensor {
-    gelu_backward(h, dy)
+    add_bias_gelu_rows::<false>(x, y, t, b, n);
 }
 
 /// Rectified linear unit.
@@ -474,12 +521,19 @@ pub fn layernorm_backward(
     let rows = x.numel() / n;
     assert_eq!(means.len(), rows);
     assert_eq!(inv_stds.len(), rows);
+    assert_eq!(dy.numel(), x.numel(), "layernorm_backward dy size");
+    assert_eq!(gamma.numel(), n, "gamma length mismatch");
     let mut dx = Tensor::zeros(x.shape().clone());
     let mut dgamma = Tensor::zeros([n]);
     let mut dbeta = Tensor::zeros([n]);
+    // the slices are taken once: `data_mut()` is the copy-on-write check,
+    // far too dear to run per element
+    let (xs, dys, g) = (x.data(), dy.data(), gamma.data());
+    let (dxs, dgamma_s, dbeta_s) = (dx.data_mut(), dgamma.data_mut(), dbeta.data_mut());
+    let nf = n as f32;
     for r in 0..rows {
-        let x_row = &x.data()[r * n..(r + 1) * n];
-        let dy_row = &dy.data()[r * n..(r + 1) * n];
+        let row = r * n..(r + 1) * n;
+        let (x_row, dy_row, dx_row) = (&xs[row.clone()], &dys[row.clone()], &mut dxs[row]);
         let mean = means[r];
         let inv_std = inv_stds[r];
         // xhat_i = (x_i - mean) * inv_std
@@ -487,17 +541,16 @@ pub fn layernorm_backward(
         let mut sum_dy_g_xhat = 0.0f32;
         for i in 0..n {
             let xhat = (x_row[i] - mean) * inv_std;
-            let dyg = dy_row[i] * gamma.data()[i];
+            let dyg = dy_row[i] * g[i];
             sum_dy_g += dyg;
             sum_dy_g_xhat += dyg * xhat;
-            dgamma.data_mut()[i] += dy_row[i] * xhat;
-            dbeta.data_mut()[i] += dy_row[i];
+            dgamma_s[i] += dy_row[i] * xhat;
+            dbeta_s[i] += dy_row[i];
         }
-        let dx_row = &mut dx.data_mut()[r * n..(r + 1) * n];
         for i in 0..n {
             let xhat = (x_row[i] - mean) * inv_std;
-            let dyg = dy_row[i] * gamma.data()[i];
-            dx_row[i] = inv_std * (dyg - sum_dy_g / n as f32 - xhat * sum_dy_g_xhat / n as f32);
+            let dyg = dy_row[i] * g[i];
+            dx_row[i] = inv_std * (dyg - sum_dy_g / nf - xhat * sum_dy_g_xhat / nf);
         }
     }
     (dx, dgamma, dbeta)
@@ -529,24 +582,21 @@ pub fn sum_axis(x: &Tensor, axis: usize) -> Tensor {
     Tensor::from_vec(dims, out)
 }
 
-/// Fused bias-gradient accumulation: `out += column sums of x` for a
-/// `[rows, n]` matrix, without the temporary that `sum_axis(x, 0)` +
-/// `Tensor::axpy` would allocate. Each column's ascending-row sum is fully
-/// reduced in a register and added to `out` exactly once — the same
-/// summation sequence `sum_axis` performs into a zeroed buffer — so the
-/// result is bitwise-identical to the composed pair.
+/// Bias-gradient accumulation: `out += column sums of x` for a `[rows, n]`
+/// matrix. The rows are swept in memory order into one pooled accumulator
+/// row ([`sum_axis`] over axis 0), which is then added to `out`: every
+/// column still sums its rows ascending from 0 and meets the live gradient
+/// exactly once, so the bits are those of the column-at-a-time walk, without
+/// its `n`-element stride per load.
 pub fn sum_axis0_acc(x: &Tensor, out: &mut Tensor) {
     assert_eq!(x.rank(), 2, "sum_axis0_acc expects a matrix");
-    let (rows, n) = (x.dims()[0], x.dims()[1]);
-    assert_eq!(out.dims(), &[n][..], "sum_axis0_acc output shape mismatch");
-    let src = x.data();
-    for (j, o) in out.data_mut().iter_mut().enumerate() {
-        let mut acc = 0.0f32;
-        for r in 0..rows {
-            acc += src[r * n + j];
-        }
-        *o += acc;
-    }
+    assert_eq!(
+        out.dims(),
+        &x.dims()[1..],
+        "sum_axis0_acc output shape mismatch"
+    );
+    // alpha = 1: `o += 1.0 * s` is `o += s` exactly
+    out.axpy(1.0, &sum_axis(x, 0));
 }
 
 /// Mean along an axis, removing it.

@@ -430,17 +430,19 @@ impl Tensor {
     /// Transposes a rank-2 tensor.
     pub fn transpose(&self) -> Tensor {
         assert_eq!(self.rank(), 2, "transpose() requires rank 2");
-        let (r, c) = (self.dims()[0], self.dims()[1]);
-        let mut out = pool::take_zeroed(r * c);
-        for i in 0..r {
-            for j in 0..c {
-                out[j * r + i] = self.data[i * c + j];
-            }
-        }
-        Tensor::from_vec([c, r], out)
+        self.permute(&[1, 0])
     }
 
     /// Generic dimension permutation (copies).
+    ///
+    /// The output is written front to back in *runs*: the innermost block of
+    /// output dimensions that walks the source with one constant stride
+    /// (adjacent dimensions merge when the outer one's source stride spans
+    /// the inner one exactly; extent-1 dimensions drop out). A run of stride
+    /// 1 is contiguous on both sides and is one `memcpy`; any other stride
+    /// is a gather. The source offset of the next run comes from a stride
+    /// odometer over the remaining dimensions, so no element costs a
+    /// division or an allocation.
     pub fn permute(&self, perm: &[usize]) -> Tensor {
         assert_eq!(perm.len(), self.rank(), "permutation rank mismatch");
         let mut seen = vec![false; perm.len()];
@@ -448,17 +450,39 @@ impl Tensor {
             assert!(p < perm.len() && !seen[p], "invalid permutation {perm:?}");
             seen[p] = true;
         }
-        let out_dims: Vec<usize> = perm.iter().map(|&p| self.dims()[p]).collect();
-        let out_shape = Shape::new(out_dims);
-        let mut out = pool::take_zeroed(self.numel());
+        let out_shape = Shape::new(perm.iter().map(|&p| self.dims()[p]).collect::<Vec<_>>());
+        // (extent, source stride) of the merged output dimensions,
+        // innermost first
         let in_strides = self.shape.strides();
-        for (out_off, slot) in out.iter_mut().enumerate() {
-            let out_idx = out_shape.unravel(out_off);
-            let mut in_off = 0;
-            for (k, &p) in perm.iter().enumerate() {
-                in_off += out_idx[k] * in_strides[p];
+        let mut dims: Vec<(usize, usize)> = Vec::with_capacity(perm.len());
+        for &p in perm.iter().rev() {
+            let (extent, stride) = (self.dims()[p], in_strides[p]);
+            match dims.last_mut() {
+                _ if extent == 1 => {}
+                Some((inner, inner_stride)) if stride == *inner * *inner_stride => *inner *= extent,
+                _ => dims.push((extent, stride)),
             }
-            *slot = self.data[in_off];
+        }
+        let (&(run, run_stride), outer) = dims.split_first().unwrap_or((&(1, 1), &[]));
+        let numel = self.numel();
+        let mut out = pool::take_buffer(numel);
+        let mut index = vec![0usize; outer.len()];
+        let mut src = 0usize;
+        while out.len() < numel {
+            if run_stride == 1 {
+                out.extend_from_slice(&self.data[src..src + run]);
+            } else {
+                out.extend((0..run).map(|i| self.data[src + i * run_stride]));
+            }
+            for (i, &(extent, stride)) in index.iter_mut().zip(outer) {
+                *i += 1;
+                src += stride;
+                if *i < extent {
+                    break;
+                }
+                src -= extent * stride;
+                *i = 0;
+            }
         }
         Tensor {
             shape: out_shape,

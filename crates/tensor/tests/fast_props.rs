@@ -18,7 +18,8 @@
 use std::sync::Mutex;
 
 use colossalai_tensor::ops::{
-    add_bias_gelu, add_bias_gelu_backward, gelu, gelu_grad, layernorm, layernorm_fused,
+    add_bias_gelu, gelu, gelu_backward, gelu_backward_cached, gelu_grad, gelu_with_tanh, layernorm,
+    layernorm_fused,
 };
 use colossalai_tensor::{
     fast_mode, init, kernel_threads, matmul, matmul_at, matmul_at_acc, set_fast_mode,
@@ -146,13 +147,17 @@ fn fused_kernels_stay_composed_identical_within_fast_mode() {
             let bias = row(cols, 601);
             let composed_h = x.add_bias(&bias);
             let composed_y = gelu(&composed_h);
-            let (h, y) = add_bias_gelu(x.clone(), &bias);
+            let (h, y, t) = add_bias_gelu(x.clone(), &bias);
             assert_eq!(h.data(), composed_h.data());
             assert_eq!(y.data(), composed_y.data());
+            let (layer_y, layer_t) = gelu_with_tanh(&composed_h);
+            assert_eq!(layer_y.data(), composed_y.data());
+            assert_eq!(layer_t.data(), t.data());
             let dy = tensor(rows, cols, 602);
-            let fused_dh = add_bias_gelu_backward(&h, &dy);
+            let cached_dh = gelu_backward_cached(&h, &t, &dy);
             let composed_dh = gelu_grad(&composed_h).zip(&dy, |g, d| g * d);
-            assert_eq!(fused_dh.data(), composed_dh.data());
+            assert_eq!(cached_dh.data(), gelu_backward(&h, &dy).data());
+            assert_eq!(cached_dh.data(), composed_dh.data());
 
             let gamma = row(cols, 603);
             let beta = row(cols, 604);
@@ -213,7 +218,10 @@ fn fast_gelu_within_budget() {
             assert!((d - f).abs() <= allowed, "|{} - {}| > {}", d, f, allowed);
         }
         let dy = tensor(rows, cols, seed + 2);
-        let (dd, df) = with_modes(|| add_bias_gelu_backward(&det.0, &dy));
+        let (dd, df) = with_modes(|| {
+            let (h, _, t) = add_bias_gelu(x.clone(), &bias);
+            gelu_backward_cached(&h, &t, &dy)
+        });
         for ((d, f), dyv) in dd.data().iter().zip(df.data()).zip(dy.data()) {
             let allowed = 32.0 * ulp_at(d.abs().max(dyv.abs()).max(1e-6), 23);
             assert!((d - f).abs() <= allowed, "|{} - {}| > {}", d, f, allowed);

@@ -5,8 +5,8 @@
 //! tails.
 
 use colossalai_tensor::ops::{
-    add_bias_gelu, add_bias_gelu_backward, gelu, gelu_grad, layernorm, layernorm_fused, softmax,
-    softmax_backward, sum_axis, sum_axis0_acc,
+    add_bias_gelu, gelu, gelu_backward, gelu_backward_cached, gelu_grad, gelu_with_tanh, layernorm,
+    layernorm_backward, layernorm_fused, softmax, softmax_backward, sum_axis0_acc,
 };
 use colossalai_tensor::{axpy_slices, init, matmul_at, matmul_at_acc, scale_slice, Tensor};
 use rand::Rng;
@@ -47,14 +47,20 @@ fn add_bias_gelu_matches_composed() {
         let bias = row(cols, seed + 1);
         let composed_h = x.add_bias(&bias);
         let composed_y = gelu(&composed_h);
-        let (h, y) = add_bias_gelu(x.clone(), &bias);
+        let (h, y, t) = add_bias_gelu(x.clone(), &bias);
         assert_eq!(h.data(), composed_h.data());
         assert_eq!(y.data(), composed_y.data());
-        // backward identity: dh = gelu'(h) * dy
+        // the unfused layer's forward keeps the same tanh
+        let (layer_y, layer_t) = gelu_with_tanh(&composed_h);
+        assert_eq!(layer_y.data(), composed_y.data());
+        assert_eq!(layer_t.data(), t.data());
+        // backward identity: dh = gelu'(h) * dy, whether tanh is the
+        // forward's or evaluated again
         let dy = tensor(rows, cols, seed + 2);
-        let fused_dh = add_bias_gelu_backward(&h, &dy);
+        let cached_dh = gelu_backward_cached(&h, &t, &dy);
         let composed_dh = gelu_grad(&composed_h).zip(&dy, |g, d| g * d);
-        assert_eq!(fused_dh.data(), composed_dh.data());
+        assert_eq!(cached_dh.data(), gelu_backward(&h, &dy).data());
+        assert_eq!(cached_dh.data(), composed_dh.data());
     }
 }
 
@@ -138,19 +144,95 @@ fn matmul_at_acc_matches_composed() {
 }
 
 #[test]
-fn sum_axis0_acc_matches_composed() {
+fn sum_axis0_acc_matches_the_column_walk() {
+    // the loop `sum_axis0_acc` replaced: one column at a time, reduced in a
+    // register, added to the live gradient once
+    fn column_walk(x: &Tensor, out: &mut Tensor) {
+        let (rows, n) = (x.dims()[0], x.dims()[1]);
+        let src = x.data();
+        for (j, o) in out.data_mut().iter_mut().enumerate() {
+            let mut acc = 0.0f32;
+            for r in 0..rows {
+                acc += src[r * n + j];
+            }
+            *o += acc;
+        }
+    }
     for case in 0..64 {
         let mut draw = init::rng(case);
-        let rows = draw.gen_range(1usize..20);
-        let n = draw.gen_range(1usize..24);
+        // past 64 columns the accumulator row is a pooled buffer
+        let rows = draw.gen_range(0usize..40);
+        let n = draw.gen_range(1usize..150);
         let seed = draw.gen_range(0u64..1000);
         let x = tensor(rows, n, seed);
         let g0 = row(n, seed + 1);
-        let mut composed = g0.clone();
-        composed.axpy(1.0, &sum_axis(&x, 0));
-        let mut fused = g0;
-        sum_axis0_acc(&x, &mut fused);
-        assert_eq!(fused.data(), composed.data());
+        let mut want = g0.clone();
+        column_walk(&x, &mut want);
+        let mut got = g0;
+        sum_axis0_acc(&x, &mut got);
+        assert_eq!(got.data(), want.data());
+    }
+}
+
+#[test]
+fn layernorm_backward_matches_the_per_element_loop() {
+    // the loop `layernorm_backward` replaced, writing through `data_mut()`
+    // element by element
+    fn per_element(
+        x: &Tensor,
+        dy: &Tensor,
+        gamma: &Tensor,
+        means: &[f32],
+        inv_stds: &[f32],
+    ) -> (Tensor, Tensor, Tensor) {
+        let n = *x.dims().last().unwrap();
+        let rows = x.numel() / n;
+        let mut dx = Tensor::zeros(x.shape().clone());
+        let mut dgamma = Tensor::zeros([n]);
+        let mut dbeta = Tensor::zeros([n]);
+        for r in 0..rows {
+            let x_row = &x.data()[r * n..(r + 1) * n];
+            let dy_row = &dy.data()[r * n..(r + 1) * n];
+            let mean = means[r];
+            let inv_std = inv_stds[r];
+            let mut sum_dy_g = 0.0f32;
+            let mut sum_dy_g_xhat = 0.0f32;
+            for i in 0..n {
+                let xhat = (x_row[i] - mean) * inv_std;
+                let dyg = dy_row[i] * gamma.data()[i];
+                sum_dy_g += dyg;
+                sum_dy_g_xhat += dyg * xhat;
+                dgamma.data_mut()[i] += dy_row[i] * xhat;
+                dbeta.data_mut()[i] += dy_row[i];
+            }
+            let dx_row = &mut dx.data_mut()[r * n..(r + 1) * n];
+            for i in 0..n {
+                let xhat = (x_row[i] - mean) * inv_std;
+                let dyg = dy_row[i] * gamma.data()[i];
+                dx_row[i] = inv_std * (dyg - sum_dy_g / n as f32 - xhat * sum_dy_g_xhat / n as f32);
+            }
+        }
+        (dx, dgamma, dbeta)
+    }
+    for case in 0..64 {
+        let mut draw = init::rng(case);
+        let rows = draw.gen_range(1usize..12);
+        let cols = draw.gen_range(1usize..70);
+        let seed = draw.gen_range(0u64..1000);
+        let x = tensor(rows, cols, seed);
+        let dy = tensor(rows, cols, seed + 1);
+        let gamma = row(cols, seed + 2);
+        let (_, means, inv_stds) = layernorm_fused(&x, &gamma, &row(cols, seed + 3), 1e-5);
+        // a [b, s, d] input takes the same rows
+        for shape in [vec![rows, cols], vec![1, rows, cols]] {
+            let (x, dy) = (x.reshape(shape.clone()), dy.reshape(shape));
+            let want = per_element(&x, &dy, &gamma, &means, &inv_stds);
+            let got = layernorm_backward(&x, &dy, &gamma, &means, &inv_stds);
+            assert_eq!(got.0.data(), want.0.data(), "dx");
+            assert_eq!(got.0.shape(), x.shape());
+            assert_eq!(got.1.data(), want.1.data(), "dgamma");
+            assert_eq!(got.2.data(), want.2.data(), "dbeta");
+        }
     }
 }
 

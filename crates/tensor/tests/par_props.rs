@@ -10,7 +10,9 @@
 //! that touches them serializes on [`budget_lock`] and restores the
 //! defaults before releasing it.
 
-use colossalai_tensor::ops::{add_bias_gelu, gelu_backward, layernorm_fused, softmax_inplace};
+use colossalai_tensor::ops::{
+    add_bias_gelu, gelu_backward_cached, gelu_with_tanh, layernorm_fused, softmax_inplace,
+};
 use colossalai_tensor::par::{self, DEFAULT_PAR_CUTOFF};
 use colossalai_tensor::{init, set_kernel_threads, Tensor};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -102,9 +104,11 @@ fn add_bias_gelu_and_backward_are_bitwise_across_budgets() {
     let bias = init::uniform([1024], -1.0, 1.0, &mut init::rng(22));
     let dy = rand_t([64, 1024], 23);
     assert_bitwise_across_budgets("add_bias_gelu(+backward)", || {
-        let (h, y) = add_bias_gelu(x.clone(), &bias);
-        let dx = gelu_backward(&h, &dy);
-        (h.data().to_vec(), y.data().to_vec(), dx.data().to_vec())
+        let (h, y, t) = add_bias_gelu(x.clone(), &bias);
+        let dx = gelu_backward_cached(&h, &t, &dy);
+        let (layer_y, layer_t) = gelu_with_tanh(&h);
+        assert_eq!((y.data(), t.data()), (layer_y.data(), layer_t.data()));
+        [h, y, t, dx].map(|v| v.data().to_vec())
     });
 }
 

@@ -1,6 +1,6 @@
 //! Algebraic property tests for the tensor kernels.
 
-use colossalai_tensor::{bmm, matmul, matmul_at, matmul_bt, Tensor};
+use colossalai_tensor::{bmm, matmul, matmul_at, matmul_bt, Shape, Tensor};
 use rand::Rng;
 
 fn tensor(rows: usize, cols: usize, seed: u64) -> Tensor {
@@ -48,6 +48,74 @@ fn permute_roundtrip_3d() {
         let back = p.permute(&[1, 2, 0]);
         assert_eq!(back, t);
     }
+}
+
+/// The loop `Tensor::permute` replaced: every output element unravels its
+/// own multi-index and re-ravels it against the source strides.
+fn permute_by_multi_index(t: &Tensor, perm: &[usize]) -> Tensor {
+    let out_shape = Shape::new(perm.iter().map(|&p| t.dims()[p]).collect::<Vec<_>>());
+    let in_strides = t.shape().strides();
+    let data = (0..t.numel())
+        .map(|out_off| {
+            let out_idx = out_shape.unravel(out_off);
+            let in_off: usize = perm
+                .iter()
+                .zip(&out_idx)
+                .map(|(&p, &i)| i * in_strides[p])
+                .sum();
+            t.data()[in_off]
+        })
+        .collect();
+    Tensor::from_vec(out_shape, data)
+}
+
+/// Every ordering of `0..rank`, by Heap's algorithm.
+fn permutations(rank: usize) -> Vec<Vec<usize>> {
+    fn heap(k: usize, perm: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        if k <= 1 {
+            out.push(perm.clone());
+            return;
+        }
+        for i in 0..k {
+            heap(k - 1, perm, out);
+            perm.swap(if k.is_multiple_of(2) { i } else { 0 }, k - 1);
+        }
+    }
+    let mut out = Vec::new();
+    heap(rank, &mut (0..rank).collect(), &mut out);
+    out
+}
+
+#[test]
+fn permute_matches_the_multi_index_oracle_for_every_permutation() {
+    const EXTENTS: [usize; 5] = [1, 2, 3, 5, 8];
+    let mut draw = colossalai_tensor::init::rng(99);
+    for rank in 1..=5usize {
+        let perms = permutations(rank);
+        assert_eq!(perms.len(), (1..=rank).product::<usize>());
+        assert!(perms.contains(&(0..rank).collect()), "identity included");
+        for perm in &perms {
+            // fresh extents per permutation: runs of 1s, merged and split
+            // dimensions all turn up across the 153 cases
+            let mut dims: Vec<usize> = (0..rank)
+                .map(|_| EXTENTS[draw.gen_range(0usize..5)])
+                .collect();
+            let t = Tensor::arange(dims.iter().product()).reshaped(dims.clone());
+            let got = t.permute(perm);
+            assert_eq!(
+                got,
+                permute_by_multi_index(&t, perm),
+                "{dims:?} by {perm:?}"
+            );
+            // a zero extent anywhere leaves an empty tensor of the permuted shape
+            dims[draw.gen_range(0..rank)] = 0;
+            let empty = Tensor::zeros(dims.clone()).permute(perm);
+            let want: Vec<usize> = perm.iter().map(|&p| dims[p]).collect();
+            assert_eq!((empty.dims(), empty.numel()), (&want[..], 0));
+        }
+    }
+    // rank 0: one element, nothing to permute
+    assert_eq!(Tensor::scalar(3.0).permute(&[]), Tensor::scalar(3.0));
 }
 
 #[test]

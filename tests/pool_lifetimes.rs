@@ -1,0 +1,124 @@
+//! The storage pool across model lifetimes: building a model, training it
+//! and dropping it must leave the pool exactly as full as the previous
+//! lifetime left it.
+//!
+//! `Storage::drop` parks every tensor buffer, wherever it was born, so a
+//! tensor-sized `Vec` that came from the allocator instead of
+//! `pool::take_buffer` is a recycle without a matching take: the pool ends
+//! each lifetime one buffer richer and the process's resident set climbs
+//! with the number of models it has ever built (DESIGN.md §9.1).
+//!
+//! One test in a file of its own: the pool is process-global, so its gauge
+//! can only be compared across lifetimes where no other test is using it.
+
+use colossalai::autograd::{AdamW, Layer};
+use colossalai::comm::{World, WorldBackend};
+use colossalai::core::{build_gpt, initialize, Config, OptimizerSpec};
+use colossalai::models::{Gpt, TransformerConfig};
+use colossalai::tensor::ops::cross_entropy;
+use colossalai::tensor::{init, pool, Tensor};
+use colossalai::topology::systems::system_i;
+
+const LIFETIMES: usize = 6;
+const STEPS: usize = 2;
+const SEQS: usize = 2;
+
+/// Small, but every weight, activation and gradient is past the pool's
+/// 64-element floor.
+fn gpt_config() -> TransformerConfig {
+    TransformerConfig {
+        layers: 1,
+        hidden: 32,
+        heads: 2,
+        mlp_ratio: 2,
+        vocab: 64,
+        max_seq: 8,
+    }
+}
+
+/// `[SEQS, max_seq]` token ids and one target per position. Built once, by
+/// the caller: a tensor wrapped around a caller's own `Vec` is the one
+/// buffer the pool cannot have handed out.
+fn batch(cfg: &TransformerConfig) -> (Tensor, Vec<usize>) {
+    let n = SEQS * cfg.max_seq;
+    let ids: Vec<usize> = (0..n).map(|i| (i * 7 + 3) % cfg.vocab).collect();
+    let targets = ids.iter().map(|&t| (t + 1) % cfg.vocab).collect();
+    let tokens = Tensor::from_vec([SEQS, cfg.max_seq], ids.iter().map(|&t| t as f32).collect());
+    (tokens, targets)
+}
+
+fn lm_loss(logits: &Tensor, targets: &[usize]) -> (f32, Tensor) {
+    let dims = logits.dims().to_vec();
+    let (loss, d) = cross_entropy(&logits.reshape([dims[0] * dims[1], dims[2]]), targets);
+    (loss, d.reshaped(dims))
+}
+
+/// Runs `lifetime` [`LIFETIMES`] times and returns the pool's parked bytes
+/// after each.
+fn parked_after_each(mut lifetime: impl FnMut()) -> Vec<usize> {
+    (0..LIFETIMES)
+        .map(|_| {
+            lifetime();
+            pool::stats().pooled_bytes
+        })
+        .collect()
+}
+
+/// The first lifetime fills the pool and the second may still settle which
+/// buffer serves which request; from there on nothing may be added.
+fn assert_steady(what: &str, parked: &[usize]) {
+    assert!(parked[0] > 0, "{what}: the model's buffers are pooled");
+    for k in 2..parked.len() {
+        assert_eq!(
+            parked[k],
+            parked[k - 1],
+            "{what}: lifetime {} left the pool fuller than lifetime {k} did: {parked:?}",
+            k + 1
+        );
+    }
+}
+
+#[test]
+fn rebuilding_a_model_leaves_the_pool_no_fuller() {
+    let cfg = gpt_config();
+    let (tokens, targets) = batch(&cfg);
+
+    let serial = parked_after_each(|| {
+        let mut gpt = Gpt::new(&cfg, &mut init::rng(11));
+        let mut opt = AdamW::new(1e-3, 0.01);
+        for _ in 0..STEPS {
+            gpt.zero_grad();
+            let logits = gpt.forward(&tokens);
+            let (_, d) = lm_loss(&logits, &targets);
+            let _ = gpt.backward(&d);
+            opt.step_layer(&mut gpt);
+        }
+    });
+    assert_steady("serial GPT", &serial);
+
+    // the Listing-1 path on two data-parallel ranks. One executor slot: the
+    // ranks take turns, so how many buffers are in flight at once is the
+    // same in every lifetime
+    const RANKS: usize = 2;
+    let config = Config::from_json(r#"{ "parallel": { "data": 2 } }"#).unwrap();
+    let data_parallel = parked_after_each(|| {
+        let world = World::new(system_i());
+        world.set_backend(Some(WorldBackend::Stackless { pool: 1 }));
+        world.run_on(RANKS, |ctx| {
+            let model = build_gpt(ctx, &config, RANKS, &cfg, 11);
+            let spec = OptimizerSpec::AdamW {
+                lr: 1e-3,
+                weight_decay: 0.01,
+            };
+            let mut engine = initialize(ctx, &config, RANKS, model, spec);
+            for _ in 0..STEPS {
+                engine.zero_grad();
+                let logits = engine.forward(&tokens);
+                let (_, d) = lm_loss(&logits, &targets);
+                let _ = engine.backward(&d);
+                engine.step();
+            }
+        });
+    });
+    assert_steady("2-rank data-parallel GPT", &data_parallel);
+}
