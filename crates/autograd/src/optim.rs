@@ -1,7 +1,6 @@
 //! Optimizers: SGD and the AdamW used by every experiment in the paper.
 
 use crate::layer::Layer;
-use crate::param::Param;
 use colossalai_tensor::Tensor;
 
 /// Plain SGD with optional momentum.
@@ -17,32 +16,6 @@ impl Sgd {
             lr,
             momentum,
             velocity: Vec::new(),
-        }
-    }
-
-    /// Applies one update over `params` (order must be stable across steps).
-    pub fn step(&mut self, params: &mut [&mut Param]) {
-        if self.velocity.is_empty() {
-            self.velocity = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value().shape().clone()))
-                .collect();
-        }
-        assert_eq!(self.velocity.len(), params.len(), "parameter set changed");
-        for (p, v) in params.iter_mut().zip(self.velocity.iter_mut()) {
-            if self.momentum != 0.0 {
-                let grad = p.grad().clone(); // O(1) handle, not a copy
-                sgd_momentum_update(
-                    p.value_mut().data_mut(),
-                    v.data_mut(),
-                    grad.data(),
-                    self.lr,
-                    self.momentum,
-                );
-            } else {
-                let g = p.grad().clone();
-                p.value_mut().axpy(-self.lr, &g);
-            }
         }
     }
 
@@ -88,8 +61,8 @@ pub struct AdamState {
 
 /// AdamW (decoupled weight decay), the optimizer of the paper's ViT and
 /// BERT experiments. Exposed both as a whole-model optimizer and as the
-/// scalar kernel [`adamw_update`] that the ZeRO and hybrid (CPU+GPU)
-/// optimizers reuse on shards.
+/// scalar kernel [`adamw_update`] that the ZeRO optimizer reuses on shards,
+/// wherever an offload placement puts them.
 pub struct AdamW {
     pub lr: f32,
     pub beta1: f32,
@@ -116,36 +89,6 @@ impl AdamW {
     /// Steps taken so far.
     pub fn t(&self) -> u64 {
         self.t
-    }
-
-    /// Applies one AdamW update over `params` (stable order required).
-    pub fn step(&mut self, params: &mut [&mut Param]) {
-        if self.state.is_empty() {
-            self.state = params
-                .iter()
-                .map(|p| AdamState {
-                    m: Tensor::zeros(p.value().shape().clone()),
-                    v: Tensor::zeros(p.value().shape().clone()),
-                })
-                .collect();
-        }
-        assert_eq!(self.state.len(), params.len(), "parameter set changed");
-        self.t += 1;
-        for (p, s) in params.iter_mut().zip(self.state.iter_mut()) {
-            let grad = p.grad().clone();
-            adamw_update(
-                p.value_mut().data_mut(),
-                grad.data(),
-                s.m.data_mut(),
-                s.v.data_mut(),
-                self.t,
-                self.lr,
-                self.beta1,
-                self.beta2,
-                self.eps,
-                self.weight_decay,
-            );
-        }
     }
 
     /// Applies one AdamW update over every parameter of `layer`.
@@ -354,12 +297,11 @@ fn adamw_scalar<const FMA: bool>(
 /// The element-wise AdamW kernel over raw slices.
 ///
 /// Deliberately freestanding: the ZeRO sharded optimizer runs it on shard
-/// slices and the hybrid Adam runs it on the CPU- and GPU-resident halves of
-/// a parameter independently — all three paths share these exact arithmetic
-/// semantics, which is what makes the "hybrid equals full-GPU bitwise"
-/// invariant testable. The body runs over 8-wide `chunks_exact` lanes
-/// (bounds-check-free, autovectorizable) with a scalar tail; both call the
-/// same per-element recurrence.
+/// slices, CPU- or GPU-resident alike — both share these exact arithmetic
+/// semantics, which is what makes the "ZeRO under any placement equals
+/// plain AdamW bitwise" invariant testable. The body runs over 8-wide
+/// `chunks_exact` lanes (bounds-check-free, autovectorizable) with a scalar
+/// tail; both call the same per-element recurrence.
 #[allow(clippy::too_many_arguments)]
 pub fn adamw_update(
     param: &mut [f32],
@@ -572,9 +514,25 @@ fn adamw_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::param::Param;
 
-    fn quadratic_param() -> Param {
-        Param::new("w", Tensor::from_vec([2], vec![5.0, -3.0]))
+    /// A bare parameter as the model `step_layer` walks.
+    struct Bare(Param);
+
+    impl Layer for Bare {
+        fn forward(&mut self, x: &Tensor) -> Tensor {
+            x.clone()
+        }
+        fn backward(&mut self, dy: &Tensor) -> Tensor {
+            dy.clone()
+        }
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+            f(&mut self.0)
+        }
+    }
+
+    fn quadratic_param() -> Bare {
+        Bare(Param::new("w", Tensor::from_vec([2], vec![5.0, -3.0])))
     }
 
     fn set_quadratic_grad(p: &mut Param) {
@@ -589,10 +547,10 @@ mod tests {
         let mut p = quadratic_param();
         let mut opt = Sgd::new(0.1, 0.0);
         for _ in 0..100 {
-            set_quadratic_grad(&mut p);
-            opt.step(&mut [&mut p]);
+            set_quadratic_grad(&mut p.0);
+            opt.step_layer(&mut p);
         }
-        assert!(p.value().norm() < 1e-3, "norm {}", p.value().norm());
+        assert!(p.0.value().norm() < 1e-3, "norm {}", p.0.value().norm());
     }
 
     #[test]
@@ -602,12 +560,12 @@ mod tests {
         let mut plain = Sgd::new(0.01, 0.0);
         let mut momo = Sgd::new(0.01, 0.9);
         for _ in 0..30 {
-            set_quadratic_grad(&mut p1);
-            plain.step(&mut [&mut p1]);
-            set_quadratic_grad(&mut p2);
-            momo.step(&mut [&mut p2]);
+            set_quadratic_grad(&mut p1.0);
+            plain.step_layer(&mut p1);
+            set_quadratic_grad(&mut p2.0);
+            momo.step_layer(&mut p2);
         }
-        assert!(p2.value().norm() < p1.value().norm());
+        assert!(p2.0.value().norm() < p1.0.value().norm());
     }
 
     #[test]
@@ -615,19 +573,19 @@ mod tests {
         let mut p = quadratic_param();
         let mut opt = AdamW::new(0.1, 0.0);
         for _ in 0..200 {
-            set_quadratic_grad(&mut p);
-            opt.step(&mut [&mut p]);
+            set_quadratic_grad(&mut p.0);
+            opt.step_layer(&mut p);
         }
-        assert!(p.value().norm() < 1e-2, "norm {}", p.value().norm());
+        assert!(p.0.value().norm() < 1e-2, "norm {}", p.0.value().norm());
     }
 
     #[test]
     fn weight_decay_shrinks_without_gradient() {
-        let mut p = Param::new("w", Tensor::from_vec([1], vec![1.0]));
+        let mut p = Bare(Param::new("w", Tensor::from_vec([1], vec![1.0])));
         let mut opt = AdamW::new(0.1, 0.5);
         // zero gradient: only decay acts
-        opt.step(&mut [&mut p]);
-        let v = p.value().data()[0];
+        opt.step_layer(&mut p);
+        let v = p.0.value().data()[0];
         assert!(v < 1.0 && v > 0.9, "one decay step: {v}");
     }
 
@@ -635,13 +593,13 @@ mod tests {
     fn adamw_kernel_matches_optimizer() {
         // the freestanding kernel and the struct must agree exactly
         let mut p = quadratic_param();
-        set_quadratic_grad(&mut p);
+        set_quadratic_grad(&mut p.0);
         let mut opt = AdamW::new(0.01, 0.1);
-        let mut manual_param = p.value().data().to_vec();
+        let mut manual_param = p.0.value().data().to_vec();
         let mut m = vec![0.0; 2];
         let mut v = vec![0.0; 2];
-        let grad = p.grad().data().to_vec();
-        opt.step(&mut [&mut p]);
+        let grad = p.0.grad().data().to_vec();
+        opt.step_layer(&mut p);
         adamw_update(
             &mut manual_param,
             &grad,
@@ -654,7 +612,7 @@ mod tests {
             1e-8,
             0.1,
         );
-        assert_eq!(p.value().data(), &manual_param[..]);
+        assert_eq!(p.0.value().data(), &manual_param[..]);
     }
 
     #[test]
@@ -720,11 +678,11 @@ mod tests {
     #[test]
     fn first_step_direction_is_signed_gradient() {
         // with zero init moments, Adam's first step ~ lr * sign(grad)
-        let mut p = Param::new("w", Tensor::from_vec([2], vec![0.0, 0.0]));
-        p.accumulate_grad(&Tensor::from_vec([2], vec![3.0, -0.001]));
+        let mut p = Bare(Param::new("w", Tensor::from_vec([2], vec![0.0, 0.0])));
+        p.0.accumulate_grad(&Tensor::from_vec([2], vec![3.0, -0.001]));
         let mut opt = AdamW::new(0.1, 0.0);
-        opt.step(&mut [&mut p]);
-        let d = p.value().data();
+        opt.step_layer(&mut p);
+        let d = p.0.value().data();
         assert!((d[0] + 0.1).abs() < 1e-3, "{}", d[0]);
         assert!((d[1] - 0.1).abs() < 1e-2, "{}", d[1]);
     }

@@ -40,7 +40,7 @@ impl Param {
         &mut self.value
     }
 
-    /// Replaces the value wholesale (ZeRO re-materialization).
+    /// Replaces the value wholesale (state-dict restore).
     pub fn set_value(&mut self, v: Tensor) {
         assert_eq!(v.shape(), self.value.shape(), "parameter shape changed");
         self.value = v;

@@ -74,6 +74,12 @@ pub fn initialize(
     optimizer: OptimizerSpec,
 ) -> Engine {
     config.validate().expect("invalid configuration");
+    let stages = config.pipeline_size();
+    assert!(
+        stages == 1,
+        "parallel.pipeline.size = {stages}: initialize() would train the whole model on every \
+         stage rank; build the stages with parallel::PipelineStage"
+    );
     // the two process-wide kernel knobs: a key the config does not set
     // leaves its setter's value alone
     if config.compute.threads > 0 {
@@ -412,6 +418,19 @@ mod tests {
             Box::new(colossalai_autograd::Gelu::new()),
             Box::new(Linear::from_rng("l2", 8, 3, true, &mut rng)),
         ]))
+    }
+
+    #[test]
+    #[should_panic(expected = "parallel.pipeline.size")]
+    fn a_pipeline_axis_is_rejected_not_ignored() {
+        let cfg = Config::from_json(r#"{ "parallel": { "pipeline": { "size": 2 } } }"#).unwrap();
+        World::new(system_i()).run_on(2, |ctx| {
+            let spec = OptimizerSpec::Sgd {
+                lr: 0.1,
+                momentum: 0.0,
+            };
+            let _ = initialize(ctx, &cfg, 2, make_model(9), spec);
+        });
     }
 
     #[test]

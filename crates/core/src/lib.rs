@@ -5,14 +5,12 @@
 //! that carves devices into data/pipeline/tensor axes, the
 //! [`engine::initialize`] entry point producing a training [`engine::Engine`]
 //! (Listing 1's workflow), a [`trainer::Trainer`] with life-cycle hooks,
-//! automatic mixed precision with dynamic loss scaling ([`amp`]), and the
-//! adaptive CPU+GPU [`hybrid_adam::HybridAdam`] of Section 3.2.
+//! and automatic mixed precision with dynamic loss scaling ([`amp`]).
 
 pub mod amp;
 pub mod config;
 pub mod context;
 pub mod engine;
-pub mod hybrid_adam;
 pub mod trainer;
 pub mod zoo;
 
@@ -20,6 +18,5 @@ pub use amp::GradScaler;
 pub use config::{CommConfig, ComputeConfig, Config};
 pub use context::{ParallelAxis, ParallelContext};
 pub use engine::{clip_grad_norm, clip_grad_norm_distributed, initialize, Engine, OptimizerSpec};
-pub use hybrid_adam::HybridAdam;
 pub use trainer::{Hook, LossRecorder, Trainer};
 pub use zoo::{build_bert, build_gpt, build_vit, check_model, tensor_parallel, ZooModel};

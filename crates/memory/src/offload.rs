@@ -130,22 +130,49 @@ pub fn plan(
     }
 }
 
+/// Total seconds of `legs`.
+fn seconds(legs: impl Iterator<Item = (f64, SpanKind)>) -> f64 {
+    legs.fold(0.0, |t, (dt, _)| t + dt)
+}
+
+/// Advances `ctx`'s clock leg by leg, recording each leg's span when
+/// tracing is on. Returns the seconds charged.
+fn charge(ctx: &DeviceCtx, legs: impl Iterator<Item = (f64, SpanKind)>) -> f64 {
+    legs.fold(0.0, |t, (dt, span)| {
+        let start = ctx.clock();
+        ctx.advance(dt);
+        if ctx.tracing() {
+            ctx.trace_span(span, start);
+        }
+        t + dt
+    })
+}
+
 impl OffloadPlan {
+    /// The timed legs of one step's offload overhead, in the order they are
+    /// charged: the two PCIe directions as memory movement, then the CPU
+    /// share of the Adam update as compute. A leg that moves nothing is
+    /// absent.
+    fn legs(&self, pcie: Link, host: &HostSpec) -> impl Iterator<Item = (f64, SpanKind)> {
+        let pcie_leg = |bytes: u64, from: &'static str, to: &'static str| {
+            let span = SpanKind::MemMove { bytes, from, to };
+            (bytes > 0).then(|| (pcie.transfer_time(bytes), span))
+        };
+        let cpu_adam = (self.cpu_adam_params > 0).then(|| {
+            let label = "cpu_adam".to_string();
+            let flops = (self.cpu_adam_params * ADAM_FLOPS_PER_PARAM) as f64;
+            (flops / host.cpu_flops, SpanKind::Compute { label })
+        });
+        let h2d = pcie_leg(self.h2d_per_step, "cpu", "gpu");
+        let d2h = pcie_leg(self.d2h_per_step, "gpu", "cpu");
+        [h2d, d2h, cpu_adam].into_iter().flatten()
+    }
+
     /// Per-step overhead seconds attributable to offloading: PCIe traffic
     /// plus the CPU share of the Adam update. (GPU Adam time is charged by
     /// the training engine as ordinary device compute.)
     pub fn overhead_seconds(&self, pcie: Link, host: &HostSpec) -> f64 {
-        let mut t = 0.0;
-        if self.h2d_per_step > 0 {
-            t += pcie.transfer_time(self.h2d_per_step);
-        }
-        if self.d2h_per_step > 0 {
-            t += pcie.transfer_time(self.d2h_per_step);
-        }
-        if self.cpu_adam_params > 0 {
-            t += (self.cpu_adam_params * ADAM_FLOPS_PER_PARAM) as f64 / host.cpu_flops;
-        }
-        t
+        seconds(self.legs(pcie, host))
     }
 
     /// Charges one step's offload overhead to `ctx`'s virtual clock,
@@ -153,46 +180,7 @@ impl OffloadPlan {
     /// the CPU share of the Adam update (when tracing is on). Returns the
     /// seconds charged, equal to [`OffloadPlan::overhead_seconds`].
     pub fn charge_step(&self, ctx: &DeviceCtx, pcie: Link, host: &HostSpec) -> f64 {
-        let mut total = 0.0;
-        let mut leg = |bytes: u64, from: &'static str, to: &'static str, dt: f64| {
-            let start = ctx.clock();
-            ctx.advance(dt);
-            if ctx.tracing() {
-                ctx.trace_span(SpanKind::MemMove { bytes, from, to }, start);
-            }
-            total += dt;
-        };
-        if self.h2d_per_step > 0 {
-            leg(
-                self.h2d_per_step,
-                "cpu",
-                "gpu",
-                pcie.transfer_time(self.h2d_per_step),
-            );
-        }
-        if self.d2h_per_step > 0 {
-            leg(
-                self.d2h_per_step,
-                "gpu",
-                "cpu",
-                pcie.transfer_time(self.d2h_per_step),
-            );
-        }
-        if self.cpu_adam_params > 0 {
-            let dt = (self.cpu_adam_params * ADAM_FLOPS_PER_PARAM) as f64 / host.cpu_flops;
-            let start = ctx.clock();
-            ctx.advance(dt);
-            if ctx.tracing() {
-                ctx.trace_span(
-                    SpanKind::Compute {
-                        label: "cpu_adam".to_string(),
-                    },
-                    start,
-                );
-            }
-            total += dt;
-        }
-        total
+        charge(ctx, self.legs(pcie, host))
     }
 }
 
@@ -246,33 +234,30 @@ pub fn plan_tiered(
 }
 
 impl TieredPlan {
+    /// The GPU-boundary legs, then the NVMe round trip of the spilled
+    /// optimizer slice (read for the update + write back: one leg for the
+    /// pair).
+    fn legs(&self, pcie: Link, host: &HostSpec) -> impl Iterator<Item = (f64, SpanKind)> {
+        let span = SpanKind::MemMove {
+            bytes: 2 * self.nvme_bytes,
+            from: "nvme",
+            to: "cpu",
+        };
+        let seconds = self.nvme_seconds_per_step;
+        let nvme = (seconds > 0.0).then_some((seconds, span));
+        self.gpu_plan.legs(pcie, host).chain(nvme)
+    }
+
     /// Total per-step overhead across PCIe, CPU Adam and NVMe.
     pub fn overhead_seconds(&self, pcie: Link, host: &HostSpec) -> f64 {
-        self.gpu_plan.overhead_seconds(pcie, host) + self.nvme_seconds_per_step
+        seconds(self.legs(pcie, host))
     }
 
     /// Charges one step's three-tier overhead to `ctx`'s virtual clock with
     /// trace spans, mirroring [`OffloadPlan::charge_step`] plus the NVMe
     /// round trip of the spilled optimizer slice.
     pub fn charge_step(&self, ctx: &DeviceCtx, pcie: Link, host: &HostSpec) -> f64 {
-        let mut total = self.gpu_plan.charge_step(ctx, pcie, host);
-        if self.nvme_seconds_per_step > 0.0 {
-            let start = ctx.clock();
-            ctx.advance(self.nvme_seconds_per_step);
-            if ctx.tracing() {
-                // read for the update + write back: one span for the pair
-                ctx.trace_span(
-                    SpanKind::MemMove {
-                        bytes: 2 * self.nvme_bytes,
-                        from: "nvme",
-                        to: "cpu",
-                    },
-                    start,
-                );
-            }
-            total += self.nvme_seconds_per_step;
-        }
-        total
+        charge(ctx, self.legs(pcie, host))
     }
 }
 

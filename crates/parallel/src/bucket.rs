@@ -24,7 +24,7 @@
 //! mass is carried into the next step instead of lost (see
 //! `colossalai_comm::compress`).
 
-use colossalai_autograd::Layer;
+use colossalai_autograd::{Layer, Param};
 use colossalai_comm::compress::{self, Compression};
 use colossalai_comm::{Collective, DeviceCtx, Group, Op, Stream};
 use colossalai_tensor::{pool, Tensor};
@@ -138,7 +138,127 @@ pub enum Keep {
     ShardOfReduceScatter,
 }
 
-/// The gradient reducer: `(offset, len)` buckets over the flat
+/// The one flat layout of a model: its parameters' elements in
+/// `visit_params` order as one vector, covered by contiguous `(offset, len)`
+/// ranges — the only mapping between a model and flat buffers (DESIGN.md
+/// §8.3), with one gather (model → range buffers) and one scatter (range
+/// tensors → model).
+///
+/// Ranges and parameters are laid independently over the same axis: under a
+/// p-aligned plan ([`BucketPlan::element_ranges`]) a range spans several
+/// parameters, a parameter may straddle several ranges, and the last range
+/// runs past the final parameter into the padding that rounds the vector up
+/// to a multiple of p. Padding gathers as zeros and scatters nowhere.
+pub(crate) struct FlatLayout {
+    /// Flat element offset of each parameter, then the total.
+    offsets: Vec<usize>,
+    ranges: Vec<(usize, usize)>,
+}
+
+impl FlatLayout {
+    /// Lays contiguous `ranges` over parameters of `param_sizes` elements
+    /// (visit order). The ranges must cover every parameter element.
+    fn new(param_sizes: &[usize], ranges: Vec<(usize, usize)>) -> Self {
+        let mut offsets = vec![0];
+        for n in param_sizes {
+            offsets.push(offsets[offsets.len() - 1] + n);
+        }
+        let mut end = 0;
+        for &(o, len) in &ranges {
+            assert_eq!(o, end, "ranges must be contiguous from 0");
+            end += len;
+        }
+        assert!(
+            end >= offsets[param_sizes.len()],
+            "ranges must cover every parameter"
+        );
+        FlatLayout { offsets, ranges }
+    }
+
+    /// `model`'s parameters as a single range.
+    pub(crate) fn whole(model: &mut dyn Layer) -> Self {
+        let mut sizes = Vec::new();
+        model.visit_params(&mut |p| sizes.push(p.numel()));
+        let total = sizes.iter().sum();
+        FlatLayout::new(&sizes, vec![(0, total)])
+    }
+
+    /// One zeroed pooled buffer per range.
+    fn buffers(&self) -> Vec<Vec<f32>> {
+        self.ranges.iter().map(|r| pool::take_zeroed(r.1)).collect()
+    }
+
+    /// The ranges parameter `pi`, of `numel` elements, overlaps, as `(range
+    /// index, span within the range, span within the parameter)`: exactly
+    /// one under a parameter-aligned plan, none for an empty parameter.
+    fn overlaps(
+        &self,
+        pi: usize,
+        numel: usize,
+    ) -> impl Iterator<Item = (usize, Range<usize>, Range<usize>)> + '_ {
+        let (start, end) = (self.offsets[pi], self.offsets[pi + 1]);
+        assert_eq!(numel, end - start, "model parameter set changed");
+        let first = self.ranges.partition_point(|&(o, len)| o + len <= start);
+        let tail = self.ranges.iter().enumerate().skip(first);
+        tail.map_while(move |(ri, &(o, len))| {
+            let (lo, hi) = (start.max(o), end.min(o + len));
+            (lo < hi).then(|| (ri, lo - o..hi - o, lo - start..hi - start))
+        })
+    }
+
+    /// Copies parameter `pi`'s elements (`data`: its value or its gradient)
+    /// into the buffer of every range it overlaps — the only place model
+    /// data is copied out into flat buffers.
+    fn gather(&self, bufs: &mut [Vec<f32>], pi: usize, data: &[f32]) {
+        for (ri, in_range, in_param) in self.overlaps(pi, data.len()) {
+            bufs[ri][in_range].copy_from_slice(&data[in_param]);
+        }
+    }
+
+    /// Gathers `pick` ([`Param::value`] or [`Param::grad`]) of every
+    /// parameter into fresh range buffers, padding zero.
+    pub(crate) fn gather_all(
+        &self,
+        model: &mut dyn Layer,
+        pick: fn(&Param) -> &Tensor,
+    ) -> Vec<Vec<f32>> {
+        let mut bufs = self.buffers();
+        let mut pi = 0;
+        model.visit_params(&mut |p| {
+            self.gather(&mut bufs, pi, pick(p).data());
+            pi += 1;
+        });
+        assert_eq!(pi + 1, self.offsets.len(), "model parameter set changed");
+        bufs
+    }
+
+    /// Copies one tensor per range back into `pick` ([`Param::value_mut`] or
+    /// [`Param::grad_mut`]) of every parameter, in place — the only place
+    /// flat data is copied into a model.
+    pub(crate) fn scatter(
+        &self,
+        model: &mut dyn Layer,
+        pick: fn(&mut Param) -> &mut Tensor,
+        ranges: &[Tensor],
+    ) {
+        let lens = ranges.iter().map(Tensor::numel);
+        assert!(
+            lens.eq(self.ranges.iter().map(|r| r.1)),
+            "flat vector length mismatch"
+        );
+        let mut pi = 0;
+        model.visit_params(&mut |p| {
+            let dst = pick(p).data_mut();
+            for (ri, in_range, in_param) in self.overlaps(pi, dst.len()) {
+                dst[in_param].copy_from_slice(&ranges[ri].data()[in_range]);
+            }
+            pi += 1;
+        });
+        assert_eq!(pi + 1, self.offsets.len(), "model parameter set changed");
+    }
+}
+
+/// The gradient reducer: the buckets of a `FlatLayout` over the flat
 /// (`visit_params`-order) gradient, one error-feedback residual per bucket,
 /// one compress-and-reduce and two drivers over it, blocking
 /// ([`GradReducer::reduce`]) and overlapped with backward
@@ -148,9 +268,7 @@ pub struct GradReducer {
     /// Contiguous buckets covering the flat gradient, plus — for sharded
     /// kinds — the padding that rounds it up to a multiple of p (bucket
     /// buffers start zeroed, so the padding reduces as zeros).
-    buckets: Vec<(usize, usize)>,
-    /// Flat element offset of each parameter, then the total.
-    offsets: Vec<usize>,
+    pub(crate) layout: FlatLayout,
     keep: Keep,
     compress: Compression,
     /// Per-bucket error-feedback residuals: what the lossy channel has not
@@ -161,19 +279,13 @@ pub struct GradReducer {
 impl GradReducer {
     /// A reducer over parameters of `param_sizes` elements (visit order)
     /// and the `buckets` a planner laid over them — whole parameters
-    /// ([`BucketPlan::from_param_sizes`]) for [`Keep::Whole`], so the
-    /// write-back never straddles a bucket; p-aligned
+    /// ([`BucketPlan::from_param_sizes`]) for [`Keep::Whole`]; p-aligned
     /// [`BucketPlan::element_ranges`] for the sharded kinds, so every bucket
     /// shards evenly. Gradients start exact.
     pub fn new(param_sizes: &[usize], buckets: Vec<(usize, usize)>, keep: Keep) -> Self {
-        let mut offsets = vec![0];
-        for n in param_sizes {
-            offsets.push(offsets[offsets.len() - 1] + n);
-        }
         let residuals = vec![Vec::new(); buckets.len()];
         GradReducer {
-            buckets,
-            offsets,
+            layout: FlatLayout::new(param_sizes, buckets),
             keep,
             compress: Compression::None,
             residuals,
@@ -195,28 +307,7 @@ impl GradReducer {
 
     /// The `(offset, len)` buckets, in visit (forward) order.
     pub fn buckets(&self) -> &[(usize, usize)] {
-        &self.buckets
-    }
-
-    /// One zeroed pooled buffer per bucket.
-    fn bucket_buffers(&self) -> Vec<Vec<f32>> {
-        let zeroed = |b: &(usize, usize)| pool::take_zeroed(b.1);
-        self.buckets.iter().map(zeroed).collect()
-    }
-
-    /// Copies parameter `pi`'s gradient — once — into the buffer of every
-    /// bucket it overlaps (exactly one under a parameter-aligned plan).
-    fn copy_in(&self, bufs: &mut [Vec<f32>], pi: usize, grad: &[f32]) {
-        let (start, end) = (self.offsets[pi], self.offsets[pi + 1]);
-        assert_eq!(grad.len(), end - start, "model parameter set changed");
-        let first = self.buckets.partition_point(|&(o, len)| o + len <= start);
-        for (&(o, len), buf) in self.buckets.iter().zip(bufs).skip(first) {
-            let (lo, hi) = (start.max(o), end.min(o + len));
-            if lo >= hi {
-                break;
-            }
-            buf[lo - o..hi - o].copy_from_slice(&grad[lo - start..hi - start]);
-        }
+        &self.layout.ranges
     }
 
     /// Sends bucket `bi` through the compression channel (updating its
@@ -261,13 +352,7 @@ impl GradReducer {
     /// Reduces the model's accumulated gradients, blocking on the main
     /// stream: one fused collective per bucket, front to back.
     pub fn reduce(&mut self, ctx: &DeviceCtx, group: &Group, model: &mut dyn Layer) -> Vec<Tensor> {
-        let mut bufs = self.bucket_buffers();
-        let mut pi = 0;
-        model.visit_params(&mut |p| {
-            self.copy_in(&mut bufs, pi, p.grad().data());
-            pi += 1;
-        });
-        assert_eq!(pi + 1, self.offsets.len(), "model parameter set changed");
+        let bufs = self.layout.gather_all(model, Param::grad);
         let reduce = |(bi, flat)| self.reduce_bucket(ctx, group, bi, flat, Stream::Main);
         bufs.into_iter().enumerate().map(reduce).collect()
     }
@@ -284,18 +369,18 @@ impl GradReducer {
         model: &mut dyn Layer,
         dy: &Tensor,
     ) -> (Tensor, Vec<Tensor>) {
-        let mut bufs = self.bucket_buffers();
-        let mut produced = self.offsets.len() - 1; // start of the produced param suffix
-        let mut next = self.buckets.len(); // buckets fire back to front
+        let mut bufs = self.layout.buffers();
+        let mut produced = self.layout.offsets.len() - 1; // start of the produced param suffix
+        let mut next = self.layout.ranges.len(); // buckets fire back to front
         let mut reduced: Vec<Option<Tensor>> = vec![None; next];
         let dx = model.backward_staged(dy, &mut |stage| {
             assert!(stage.len() <= produced, "stage overruns parameter list");
             produced -= stage.len();
             for (i, g) in stage.iter().enumerate() {
-                self.copy_in(&mut bufs, produced + i, g.data());
+                self.layout.gather(&mut bufs, produced + i, g.data());
             }
             // the padding past the last parameter counts as produced
-            while next > 0 && self.buckets[next - 1].0 >= self.offsets[produced] {
+            while next > 0 && self.layout.ranges[next - 1].0 >= self.layout.offsets[produced] {
                 next -= 1;
                 let flat = std::mem::take(&mut bufs[next]);
                 reduced[next] = Some(self.reduce_bucket(ctx, group, next, flat, Stream::Comm));
@@ -344,7 +429,9 @@ impl BucketedGradSync {
     /// leaving the mean gradients in the model.
     pub fn sync_blocking(&mut self, ctx: &DeviceCtx, group: &Group, model: &mut dyn Layer) {
         let reduced = self.reducer.reduce(ctx, group, model);
-        self.write_back(model, &reduced);
+        self.reducer
+            .layout
+            .scatter(model, Param::grad_mut, &reduced);
     }
 
     /// Backward with each bucket's all-reduce hidden behind the remaining
@@ -358,24 +445,10 @@ impl BucketedGradSync {
         dy: &Tensor,
     ) -> Tensor {
         let (dx, reduced) = self.reducer.backward_overlapped(ctx, group, model, dy);
-        self.write_back(model, &reduced);
+        self.reducer
+            .layout
+            .scatter(model, Param::grad_mut, &reduced);
         dx
-    }
-
-    /// Scatters the reduced flat buckets back into per-parameter gradients.
-    fn write_back(&self, model: &mut dyn Layer, reduced: &[Tensor]) {
-        let r = &self.reducer;
-        let mut pi = 0;
-        model.visit_params(&mut |p| {
-            let start = r.offsets[pi];
-            let bi = r.buckets.partition_point(|&(o, len)| o + len <= start);
-            let off = start - r.buckets[bi].0;
-            let shape = p.grad().shape().clone();
-            // pooled copy instead of a fresh `to_vec` per parameter
-            *p.grad_mut() = Tensor::from_slice(shape, &reduced[bi].data()[off..off + p.numel()]);
-            pi += 1;
-        });
-        assert_eq!(pi + 1, r.offsets.len(), "model parameter set changed");
     }
 }
 
@@ -440,6 +513,110 @@ mod tests {
             o += len;
         }
         assert_eq!(o, padded);
+    }
+
+    /// A model that is nothing but its parameters.
+    struct Bag(Vec<Param>);
+
+    impl Layer for Bag {
+        fn forward(&mut self, x: &Tensor) -> Tensor {
+            x.clone()
+        }
+        fn backward(&mut self, dy: &Tensor) -> Tensor {
+            dy.clone()
+        }
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+            self.0.iter_mut().for_each(f);
+        }
+    }
+
+    #[test]
+    fn scatter_inverts_gather_bit_for_bit_over_ragged_layouts() {
+        use rand::Rng;
+        // shapes a plan must survive; each must occur somewhere in the sweep
+        let (mut empty_param, mut straddling_param, mut wide_range, mut padded_tail) =
+            (false, false, false, false);
+        for seed in 0..40u64 {
+            let mut rng = init::rng(4100 + seed);
+            let sizes: Vec<usize> = (0..rng.gen_range(1usize..9))
+                .map(|_| [0, 1, 3, 7, 20, 33][rng.gen_range(0usize..6)])
+                .collect();
+            let total: usize = sizes.iter().sum();
+            let p = rng.gen_range(1usize..5);
+            let cap_bytes = 4 * rng.gen_range(2usize..24);
+            let whole_params = BucketPlan::from_param_sizes(&sizes, cap_bytes);
+            let whole_params = whole_params.buckets.iter().map(|b| (b.offset, b.len));
+            let plans = [
+                whole_params.collect::<Vec<_>>(),
+                BucketPlan::element_ranges(total, p, cap_bytes),
+            ];
+            for ranges in plans {
+                let layout = FlatLayout::new(&sizes, ranges.clone());
+                let covered = ranges.iter().map(|r| r.1).sum::<usize>();
+                empty_param |= sizes.contains(&0);
+                padded_tail |= covered > total;
+                for (pi, &n) in sizes.iter().enumerate() {
+                    straddling_param |= layout.overlaps(pi, n).count() >= 2;
+                }
+                for &(o, len) in &ranges {
+                    let inside = layout
+                        .offsets
+                        .windows(2)
+                        .filter(|w| w[0] < w[1] && o <= w[0] && w[1] <= o + len);
+                    wide_range |= inside.count() >= 3;
+                }
+
+                type Picks = (fn(&Param) -> &Tensor, fn(&mut Param) -> &mut Tensor);
+                let picks: [Picks; 2] = [
+                    (Param::value, Param::value_mut),
+                    (Param::grad, Param::grad_mut),
+                ];
+                for (pick, pick_mut) in picks {
+                    let params = sizes.iter().map(|&n| {
+                        let mut param = Param::new("p", Tensor::zeros([n]));
+                        *pick_mut(&mut param) = init::uniform([n], -1.0, 1.0, &mut rng);
+                        param
+                    });
+                    let mut model = Bag(params.collect());
+                    let want: Vec<Vec<u32>> = model
+                        .0
+                        .iter()
+                        .map(|q| pick(q).data().iter().map(|x| x.to_bits()).collect())
+                        .collect();
+
+                    // gather is the flat concatenation, zero-padded
+                    let bufs = layout.gather_all(&mut model, pick);
+                    let mut flat: Vec<u32> = want.concat();
+                    flat.resize(covered, 0f32.to_bits());
+                    let got: Vec<u32> = bufs.concat().iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(
+                        got, flat,
+                        "seed {seed}: gather of {sizes:?} over {ranges:?}"
+                    );
+
+                    // and scatter puts every element back where it came from
+                    for q in &mut model.0 {
+                        pick_mut(q).data_mut().fill(f32::NAN);
+                    }
+                    let flat = |buf: Vec<f32>| Tensor::from_vec([buf.len()], buf);
+                    let bufs: Vec<Tensor> = bufs.into_iter().map(flat).collect();
+                    layout.scatter(&mut model, pick_mut, &bufs);
+                    let back: Vec<Vec<u32>> = model
+                        .0
+                        .iter()
+                        .map(|q| pick(q).data().iter().map(|x| x.to_bits()).collect())
+                        .collect();
+                    assert_eq!(
+                        back, want,
+                        "seed {seed}: scatter of {sizes:?} over {ranges:?}"
+                    );
+                }
+            }
+        }
+        assert!(empty_param, "no zero-length parameter was drawn");
+        assert!(straddling_param, "no parameter straddled two ranges");
+        assert!(wide_range, "no range spanned three parameters");
+        assert!(padded_tail, "no plan had a p-alignment padding tail");
     }
 
     #[test]

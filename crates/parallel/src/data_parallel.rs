@@ -10,7 +10,7 @@
 //! hiding communication behind the remaining backward compute. Both paths
 //! are bit-identical to naive per-parameter all-reduce.
 
-use crate::bucket::{BucketedGradSync, DEFAULT_BUCKET_BYTES};
+use crate::bucket::{BucketedGradSync, FlatLayout, DEFAULT_BUCKET_BYTES};
 use colossalai_autograd::{Layer, Param};
 use colossalai_comm::{Compression, DeviceCtx, Group};
 use colossalai_tensor::Tensor;
@@ -111,47 +111,29 @@ impl<M: Layer> Layer for DataParallel<M> {
     }
 }
 
-/// Total elements across a model's parameters (pre-sizes flatten buffers).
-fn total_param_elems(model: &mut dyn Layer) -> usize {
-    let mut n = 0;
-    model.visit_params(&mut |p| n += p.numel());
-    n
+/// `pick` of every parameter as one flat tensor, in `visit_params` order.
+fn flatten(model: &mut dyn Layer, pick: fn(&Param) -> &Tensor) -> Tensor {
+    let flat = FlatLayout::whole(model)
+        .gather_all(model, pick)
+        .swap_remove(0);
+    Tensor::from_vec([flat.len()], flat)
 }
 
 /// Flattens all parameter values of a model into one vector (ZeRO's working
 /// representation). Order is the model's `visit_params` order.
 pub fn flatten_params(model: &mut dyn Layer) -> Tensor {
-    let mut out = colossalai_tensor::pool::take_buffer(total_param_elems(model));
-    model.visit_params(&mut |p| out.extend_from_slice(p.value().data()));
-    Tensor::from_vec([out.len()], out)
+    flatten(model, Param::value)
 }
 
 /// Flattens all parameter gradients into one vector.
 pub fn flatten_grads(model: &mut dyn Layer) -> Tensor {
-    let mut out = colossalai_tensor::pool::take_buffer(total_param_elems(model));
-    model.visit_params(&mut |p| out.extend_from_slice(p.grad().data()));
-    Tensor::from_vec([out.len()], out)
+    flatten(model, Param::grad)
 }
 
 /// Writes a flat vector back into the model's parameters (inverse of
 /// [`flatten_params`]).
 pub fn unflatten_into(model: &mut dyn Layer, flat: &Tensor) {
-    unflatten_from_slice(model, flat.data());
-}
-
-/// Slice-based variant of [`unflatten_into`]: writes `flat` back into the
-/// parameters without requiring the caller to wrap it in a tensor first
-/// (the hybrid optimizer holds its master copy as a plain buffer).
-pub fn unflatten_from_slice(model: &mut dyn Layer, flat: &[f32]) {
-    let mut off = 0;
-    model.visit_params(&mut |p| {
-        let n = p.numel();
-        let shape = p.value().shape().clone();
-        // pooled copy instead of `to_vec` per parameter
-        p.set_value(Tensor::from_slice(shape, &flat[off..off + n]));
-        off += n;
-    });
-    assert_eq!(off, flat.len(), "flat vector length mismatch");
+    FlatLayout::whole(model).scatter(model, Param::value_mut, std::slice::from_ref(flat));
 }
 
 #[cfg(test)]

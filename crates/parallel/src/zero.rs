@@ -22,14 +22,18 @@
 //! capacity (default 25 MB); the master copy and Adam moments are laid out
 //! bucket-by-bucket (rank `r` owns the `r`-th p-th of every bucket), so any
 //! bucket plan yields the same bits, and a single default bucket
-//! degenerates to the classic contiguous shard.
+//! degenerates to the classic contiguous shard. The reducer's
+//! `bucket::FlatLayout` is the only mapping between the model and those
+//! buckets: it picks the master shards out of the parameters once and
+//! scatters every gathered bucket straight back into them.
 
 use crate::bucket::{BucketPlan, GradReducer, Keep, DEFAULT_BUCKET_BYTES};
-use crate::data_parallel::{flatten_params, unflatten_from_slice};
-use colossalai_autograd::{adamw_update, Layer};
+use colossalai_autograd::{adamw_update, Layer, Param};
 use colossalai_comm::compress::Compression;
 use colossalai_comm::{DeviceCtx, Group};
-use colossalai_tensor::{pool, Tensor};
+use colossalai_memory::offload::OffloadPlan;
+use colossalai_tensor::Tensor;
+use colossalai_topology::{HostSpec, Link};
 
 /// Which ZeRO stage to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,18 +66,19 @@ pub struct ZeroOptimizer {
     pub eps: f32,
     pub weight_decay: f32,
     t: u64,
-    /// Total (unpadded) parameter count.
-    n: usize,
-    /// Padded length divisible by the group size.
-    padded: usize,
-    /// Bucketed gradient reduction over p-aligned element ranges of
-    /// `[0, padded)`; each rank keeps its p-th of every bucket.
+    /// Bucketed gradient reduction over p-aligned element ranges of the
+    /// padded flat gradient; each rank keeps its p-th of every bucket.
     reducer: GradReducer,
-    /// This rank's FP32 master shard: for each bucket in order, the `r`-th
-    /// p-th of that bucket's elements.
-    master: Vec<f32>,
+    /// This rank's FP32 master shard, one pooled tensor per bucket: the
+    /// `r`-th p-th of that bucket's elements. Updated in place, and handed
+    /// to the parameter all-gather as an O(1) copy-on-write handle.
+    master: Vec<Tensor>,
+    /// Adam moments of the master shard, bucket after bucket.
     m: Vec<f32>,
     v: Vec<f32>,
+    /// Where the shard lives, and the PCIe link and host its off-device
+    /// share is charged against ([`ZeroOptimizer::with_offload`]).
+    offload: Option<(OffloadPlan, Link, HostSpec)>,
 }
 
 impl ZeroOptimizer {
@@ -112,26 +117,21 @@ impl ZeroOptimizer {
     ) -> Self {
         let mut param_sizes = Vec::new();
         model.visit_params(&mut |p| param_sizes.push(p.numel()));
-        let flat = flatten_params(model);
-        let n = flat.numel();
-        let p = group.size();
-        let padded = n.div_ceil(p) * p;
+        let n: usize = param_sizes.iter().sum();
+        let (p, r) = (group.size(), group.rank());
         let buckets = BucketPlan::element_ranges(n, p, bucket_bytes);
-        let shard_len = padded / p;
-        let mut full = flat.into_vec();
-        full.resize(padded, 0.0);
-        let r = group.rank();
-        let mut master = Vec::with_capacity(shard_len);
-        for &(o, b) in &buckets {
-            let sl = b / p;
-            master.extend_from_slice(&full[o + r * sl..o + (r + 1) * sl]);
-        }
-        assert_eq!(master.len(), shard_len);
-        pool::recycle(full);
         let keep = match stage {
             ZeroStage::One => Keep::ShardOfAllReduce,
             ZeroStage::Two | ZeroStage::Three => Keep::ShardOfReduceScatter,
         };
+        let reducer = GradReducer::new(&param_sizes, buckets, keep);
+        let values = reducer.layout.gather_all(model, Param::value);
+        let shard_of = |bucket: Vec<f32>| {
+            let sl = bucket.len() / p;
+            Tensor::from_vec([bucket.len()], bucket).narrow(0, r * sl, sl)
+        };
+        let master: Vec<Tensor> = values.into_iter().map(shard_of).collect();
+        let shard_len = master.iter().map(Tensor::numel).sum();
         ZeroOptimizer {
             stage,
             ctx: ctx.clone(),
@@ -142,12 +142,11 @@ impl ZeroOptimizer {
             eps: 1e-8,
             weight_decay,
             t: 0,
-            n,
-            padded,
-            reducer: GradReducer::new(&param_sizes, buckets, keep),
+            reducer,
             master,
             m: vec![0.0; shard_len],
             v: vec![0.0; shard_len],
+            offload: None,
         }
     }
 
@@ -160,9 +159,21 @@ impl ZeroOptimizer {
         self
     }
 
+    /// Places this rank's shard per `plan` (Section 3.2: `static` keeps
+    /// all of it in host memory, `adaptive` only what the device cannot
+    /// hold): every step charges the plan's PCIe legs and the CPU share of
+    /// the Adam update to the rank's clock ([`OffloadPlan::charge_step`]).
+    /// The update is the one elementwise kernel wherever the data lives, so
+    /// a placement changes no bit; on a one-rank group this is the paper's
+    /// hybrid CPU + GPU Adam.
+    pub fn with_offload(mut self, plan: OffloadPlan, pcie: Link, host: HostSpec) -> Self {
+        self.offload = Some((plan, pcie, host));
+        self
+    }
+
     /// Elements in one shard.
     pub fn shard_len(&self) -> usize {
-        self.padded / self.group.size()
+        self.m.len()
     }
 
     /// The p-aligned `(offset, len)` element buckets of the flat gradient.
@@ -200,12 +211,13 @@ impl ZeroOptimizer {
     /// [`ZeroOptimizer::reduce`] or [`ZeroOptimizer::backward_overlapped`]
     /// produced (and the caller may since have unscaled or clipped).
     pub fn step_with_shards(&mut self, model: &mut dyn Layer, grad_shards: &[Tensor]) {
+        assert_eq!(grad_shards.len(), self.master.len(), "one shard per bucket");
         self.t += 1;
         let mut ms = 0;
-        for shard in grad_shards {
+        for (master, shard) in self.master.iter_mut().zip(grad_shards) {
             let sl = shard.numel();
             adamw_update(
-                &mut self.master[ms..ms + sl],
+                master.data_mut(),
                 shard.data(),
                 &mut self.m[ms..ms + sl],
                 &mut self.v[ms..ms + sl],
@@ -219,29 +231,24 @@ impl ZeroOptimizer {
             ms += sl;
         }
         assert_eq!(ms, self.shard_len());
+        if let Some((plan, pcie, host)) = &self.offload {
+            plan.charge_step(&self.ctx, *pcie, host);
+        }
         self.gather_params_into(model);
         model.zero_grad();
     }
 
-    /// All-gathers the bucket-sharded master copy back into the padded flat
-    /// parameter vector and re-materializes the model's parameters from it.
+    /// All-gathers every bucket of the sharded master copy and scatters it
+    /// straight into the model's parameters.
     fn gather_params_into(&self, model: &mut dyn Layer) {
-        let p = self.group.size();
-        let mut full = pool::take_zeroed(self.padded);
-        let mut ms = 0;
-        for &(o, b) in self.reducer.buckets() {
-            let sl = b / p;
-            let part = Tensor::from_slice([sl], &self.master[ms..ms + sl]);
-            let gathered = self.group.all_gather_cat(&self.ctx, part, 0);
-            full[o..o + b].copy_from_slice(gathered.data());
-            ms += sl;
-        }
-        unflatten_from_slice(model, &full[..self.n]);
-        pool::recycle(full);
+        let gather = |part: &Tensor| self.group.all_gather_cat(&self.ctx, part.clone(), 0);
+        let gathered: Vec<Tensor> = self.master.iter().map(gather).collect();
+        let layout = &self.reducer.layout;
+        layout.scatter(model, Param::value_mut, &gathered);
     }
 
     /// ZeRO-3 helper: drops the full parameters from the model, leaving
-    /// zeros (the shard in `self.master` remains authoritative). Persistent
+    /// zeros (the master shard remains authoritative). Persistent
     /// parameter memory falls to `2N/p`.
     pub fn release_params(&self, model: &mut dyn Layer) {
         assert_eq!(
@@ -267,7 +274,7 @@ impl ZeroOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data_parallel::{split_batch, DataParallel};
+    use crate::data_parallel::{flatten_params, split_batch, DataParallel};
     use colossalai_autograd::{AdamW, Gelu, Linear, Sequential};
     use colossalai_comm::{OpKind, World};
     use colossalai_tensor::init;
@@ -667,6 +674,143 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Three steps of ZeRO at `stage` on a one-rank group — with a plan,
+    /// the hybrid CPU + GPU Adam of Section 3.2. Returns the final
+    /// parameters, how far each `step` advanced the main clock, and the
+    /// trace.
+    fn one_rank_run(
+        stage: ZeroStage,
+        offload: Option<OffloadPlan>,
+    ) -> (Tensor, Vec<f64>, Vec<colossalai_comm::Span>) {
+        let world = World::new(system_ii());
+        world.enable_tracing();
+        let mut out = world.run_on(1, |ctx| {
+            let g = ctx.world_group(1);
+            let mut model = make_model(910);
+            // 64-byte buckets: several master shards, parameters straddling them
+            let mut opt =
+                ZeroOptimizer::with_bucket_bytes(ctx, &g, &mut model, stage, 0.01, 0.05, 64);
+            if let Some(plan) = offload {
+                opt = opt.with_offload(plan, Link::pcie(), HostSpec::dgx());
+            }
+            let mut advanced = Vec::new();
+            for s in 0..3 {
+                seeded_backward(&mut model, s);
+                let before = ctx.clock();
+                opt.step(&mut model);
+                advanced.push(ctx.clock() - before);
+            }
+            (flatten_params(&mut model), advanced)
+        });
+        let (params, advanced) = out.swap_remove(0);
+        (params, advanced, world.trace())
+    }
+
+    /// Leaves the gradients of a seeded batch in `model`.
+    fn seeded_backward(model: &mut Sequential, step: u64) {
+        let x = init::uniform([4, 6], -1.0, 1.0, &mut init::rng(1100 + step));
+        let (_, dlogits) = cross_entropy(&model.forward(&x), &[0, 1, 2, 3]);
+        let _ = model.backward(&dlogits);
+    }
+
+    /// A plan that keeps the fp16 shard and half the optimizer shard of
+    /// `make_model` on the device, and one that keeps everything.
+    fn hybrid_and_resident_plans() -> (OffloadPlan, OffloadPlan) {
+        use colossalai_memory::offload::{plan, ModelData, PlacementPolicy};
+        let model = ModelData {
+            n_params: 114,
+            dp_degree: 1,
+        };
+        let half = model.fp16_shard_bytes() + model.optimizer_shard_bytes() / 2;
+        let hybrid = plan(PlacementPolicy::Adaptive, model, half, 0);
+        assert!(hybrid.cpu_adam_params > 0 && hybrid.gpu_adam_params > 0);
+        let resident = plan(PlacementPolicy::Adaptive, model, 1 << 20, 0);
+        assert_eq!(resident.cpu_adam_params, 0);
+        (hybrid, resident)
+    }
+
+    #[test]
+    fn every_stage_on_one_rank_is_plain_adamw_wherever_the_shard_lives() {
+        let mut reference = make_model(910);
+        let mut adamw = AdamW::new(0.01, 0.05);
+        for s in 0..3 {
+            seeded_backward(&mut reference, s);
+            adamw.step_layer(&mut reference);
+            reference.zero_grad();
+        }
+        let want = flatten_params(&mut reference);
+        let (hybrid, resident) = hybrid_and_resident_plans();
+        for stage in [ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
+            for offload in [None, Some(hybrid), Some(resident)] {
+                let (got, ..) = one_rank_run(stage, offload);
+                assert_eq!(got.data(), want.data(), "{stage:?}, {offload:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn offload_time_reaches_the_clock_through_the_optimizer() {
+        use colossalai_comm::SpanKind;
+        let (hybrid, resident) = hybrid_and_resident_plans();
+        let overhead = hybrid.overhead_seconds(Link::pcie(), &HostSpec::dgx());
+        assert!(overhead > 0.0);
+        let moves = |trace: &[colossalai_comm::Span]| {
+            let is_move = |s: &&colossalai_comm::Span| matches!(s.kind, SpanKind::MemMove { .. });
+            trace.iter().filter(is_move).count()
+        };
+
+        let (_, bare, trace) = one_rank_run(ZeroStage::Three, None);
+        assert_eq!(moves(&trace), 0);
+        let (_, advanced, trace) = one_rank_run(ZeroStage::Three, Some(resident));
+        assert_eq!(advanced, bare, "a fully resident plan charges nothing");
+        assert_eq!(moves(&trace), 0);
+
+        let (_, advanced, trace) = one_rank_run(ZeroStage::Three, Some(hybrid));
+        // the first step starts from a zero clock, where the sum is exact
+        assert_eq!(advanced[0], bare[0] + overhead);
+        for (with, without) in advanced.iter().zip(&bare) {
+            assert!(
+                (with - without - overhead).abs() < 1e-12,
+                "{with} vs {without}"
+            );
+        }
+        // an h2d and a d2h leg per step, and the CPU share of the update
+        assert_eq!(moves(&trace), 2 * 3);
+        let cpu_adam = |s: &&colossalai_comm::Span| matches!(&s.kind, SpanKind::Compute { label } if label == "cpu_adam");
+        assert_eq!(trace.iter().filter(cpu_adam).count(), 3);
+    }
+
+    #[test]
+    fn master_shards_update_in_place() {
+        // the all-gather takes an O(1) handle to each master shard; once it
+        // has published, nothing else may still hold one, or every step's
+        // update would first copy the shard
+        let world = World::new(system_ii());
+        world.run_on(4, |ctx| {
+            let g = ctx.world_group(4);
+            let mut model = make_model(911);
+            let mut opt = ZeroOptimizer::with_bucket_bytes(
+                ctx,
+                &g,
+                &mut model,
+                ZeroStage::Three,
+                0.01,
+                0.0,
+                64,
+            );
+            let homes = |opt: &ZeroOptimizer| -> Vec<*const f32> {
+                opt.master.iter().map(|t| t.data().as_ptr()).collect()
+            };
+            let before = homes(&opt);
+            for s in 0..2 {
+                opt.materialize_params(&mut model);
+                seeded_backward(&mut model, s);
+                opt.step(&mut model);
+            }
+            assert_eq!(homes(&opt), before);
+        });
     }
 
     #[test]

@@ -1,19 +1,93 @@
 //! ZeRO + heterogeneous offloading demo (Sections 2.1, 2.4, 3.2 / Fig 14):
-//! trains a small GPT with ZeRO-3 sharding across 4 simulated GPUs, checks
-//! the trajectory against plain data-parallel AdamW, and contrasts the
-//! static vs adaptive placement policies on the paper's GPT-2 10B setup.
+//! trains a small GPT with ZeRO-3 sharding across 4 simulated GPUs three
+//! times — shard fully device-resident, under DeepSpeed's static CPU
+//! placement and under Colossal-AI's adaptive placement — and meters each
+//! run's per-step offload overhead from its trace. A placement moves time
+//! and PCIe bytes, never a bit of the trajectory.
 //!
 //! Run with: `cargo run --release --example gpt_zero_offload`
 
-use colossalai::comm::World;
-use colossalai::memory::offload::{plan, ModelData, PlacementPolicy};
+use colossalai::comm::{SpanKind, World};
+use colossalai::memory::offload::{plan, ModelData, OffloadPlan, PlacementPolicy};
 use colossalai::models::data::SyntheticText;
 use colossalai::models::{Gpt, TransformerConfig};
 use colossalai::parallel::data_parallel::flatten_params;
 use colossalai::parallel::zero::{model_data_bytes_per_device, ZeroOptimizer, ZeroStage};
-use colossalai::tensor::init;
+use colossalai::tensor::{init, Tensor};
 use colossalai::topology::systems::system_ii;
+use colossalai::topology::{HostSpec, Link};
 use colossalai_autograd::Layer;
+
+const RANKS: usize = 4;
+const STEPS: u64 = 10;
+
+/// What rank 0's trace metered per step: PCIe bytes each way and the
+/// virtual seconds of the PCIe legs plus the CPU share of the Adam update.
+struct Metered {
+    h2d_bytes: u64,
+    d2h_bytes: u64,
+    seconds: f64,
+}
+
+/// One ZeRO-3 run with the shard placed per `offload` (`None`: all of it
+/// on the device). Returns rank 0's loss curve, every rank's final
+/// parameters and the metered offload overhead.
+fn train(
+    cfg: &TransformerConfig,
+    offload: Option<OffloadPlan>,
+) -> (Vec<f32>, Vec<Tensor>, Metered) {
+    let data = SyntheticText::new(cfg.vocab, 3);
+    let world = World::new(system_ii());
+    world.enable_tracing();
+    let mut results = world.run_on(RANKS, |ctx| {
+        let g = ctx.world_group(RANKS);
+        let mut gpt = Gpt::new(cfg, &mut init::rng(2024));
+        let mut opt = ZeroOptimizer::new(ctx, &g, &mut gpt, ZeroStage::Three, 0.01, 0.0);
+        if let Some(plan) = offload {
+            opt = opt.with_offload(plan, Link::pcie(), HostSpec::dgx());
+        }
+        let mut losses = Vec::new();
+        for step in 0..STEPS {
+            opt.materialize_params(&mut gpt);
+            // each rank trains on its own batch slice
+            let tokens = data.batch(RANKS, cfg.max_seq, step);
+            let local = tokens.chunk(0, RANKS).swap_remove(g.rank());
+            let (loss, dlogits) = gpt.lm_loss(&local);
+            losses.push(loss);
+            let _ = gpt.backward(&dlogits);
+            opt.step(&mut gpt);
+        }
+        (losses, flatten_params(&mut gpt))
+    });
+    let mut metered = Metered {
+        h2d_bytes: 0,
+        d2h_bytes: 0,
+        seconds: 0.0,
+    };
+    for span in world.trace().iter().filter(|s| s.rank == 0) {
+        match &span.kind {
+            SpanKind::MemMove { bytes, to, .. } => {
+                let leg = if *to == "gpu" {
+                    &mut metered.h2d_bytes
+                } else {
+                    &mut metered.d2h_bytes
+                };
+                *leg += bytes;
+                metered.seconds += span.duration();
+            }
+            SpanKind::Compute { label } if label == "cpu_adam" => {
+                metered.seconds += span.duration();
+            }
+            _ => {}
+        }
+    }
+    metered.h2d_bytes /= STEPS;
+    metered.d2h_bytes /= STEPS;
+    metered.seconds /= STEPS as f64;
+    let losses = std::mem::take(&mut results[0].0);
+    let params = results.into_iter().map(|(_, p)| p).collect();
+    (losses, params, metered)
+}
 
 fn main() {
     let cfg = TransformerConfig {
@@ -24,41 +98,63 @@ fn main() {
         vocab: 17,
         max_seq: 6,
     };
-    let data = SyntheticText::new(cfg.vocab, 3);
-    let p = 4;
+    let n = Gpt::new(&cfg, &mut init::rng(2024)).n_params() as u64;
+    let model = ModelData {
+        n_params: n,
+        dp_degree: RANKS as u64,
+    };
+    // a device whose headroom holds the fp16 shard and half the optimizer
+    // shard: the adaptive policy keeps those resident and updates the rest
+    // on the CPU, the static policy offloads everything regardless
+    let working = 1 << 10;
+    let capacity = working + model.fp16_shard_bytes() + model.optimizer_shard_bytes() / 2;
+    let static_plan = plan(PlacementPolicy::StaticCpu, model, capacity, working);
+    let adaptive_plan = plan(PlacementPolicy::Adaptive, model, capacity, working);
 
-    // --- ZeRO-3 training on 4 simulated GPUs -----------------------------
-    let world = World::new(system_ii());
-    let results = world.run_on(p, |ctx| {
-        let g = ctx.world_group(p);
-        let mut rng = init::rng(2024);
-        let mut gpt = Gpt::new(&cfg, &mut rng);
-        let mut opt = ZeroOptimizer::new(ctx, &g, &mut gpt, ZeroStage::Three, 0.01, 0.0);
-        let mut losses = Vec::new();
-        for step in 0..10u64 {
-            opt.materialize_params(&mut gpt);
-            // each rank trains on its own batch slice
-            let tokens = data.batch(p, cfg.max_seq, step);
-            let local = tokens.chunk(0, p).swap_remove(g.rank());
-            let (loss, dlogits) = gpt.lm_loss(&local);
-            losses.push(loss);
-            let _ = gpt.backward(&dlogits);
-            opt.step(&mut gpt);
-        }
-        (losses, flatten_params(&mut gpt))
-    });
-    println!("ZeRO-3 GPT loss curve (rank 0): {:?}", results[0].0);
+    let (resident_losses, resident_params, resident) = train(&cfg, None);
+    let (static_losses, static_params, static_cost) = train(&cfg, Some(static_plan));
+    let (adaptive_losses, adaptive_params, adaptive_cost) = train(&cfg, Some(adaptive_plan));
+
+    println!("ZeRO-3 GPT ({n} parameters) loss curve (rank 0): {resident_losses:?}");
     assert!(
-        results[0].0.last().unwrap() < &results[0].0[0],
+        resident_losses.last().unwrap() < &resident_losses[0],
         "LM loss must fall"
     );
-    // replicas agree bitwise
-    assert_eq!(results[0].1.data(), results[3].1.data());
-    println!("all ZeRO-3 ranks hold identical parameters after 10 steps — OK");
+    for params in [&resident_params, &static_params, &adaptive_params] {
+        for replica in params {
+            assert_eq!(replica.data(), resident_params[0].data());
+        }
+    }
+    assert_eq!(static_losses, resident_losses);
+    assert_eq!(adaptive_losses, resident_losses);
+    println!(
+        "every rank under every placement holds identical parameters after {STEPS} steps — OK"
+    );
 
-    // --- memory & placement at paper scale --------------------------------
-    let gpt10b = TransformerConfig::gpt2_10b();
-    let n = gpt10b.transformer_params();
+    println!("\nmetered per-step offload overhead (rank 0, virtual clock):");
+    for (label, cost) in [
+        ("device-resident  ", &resident),
+        ("DeepSpeed static ", &static_cost),
+        ("Colossal adaptive", &adaptive_cost),
+    ] {
+        println!(
+            "  {label}: h2d {:>5} B, d2h {:>5} B, {:.3} us",
+            cost.h2d_bytes,
+            cost.d2h_bytes,
+            cost.seconds * 1e6
+        );
+    }
+    assert_eq!(resident.seconds, 0.0);
+    assert!(
+        adaptive_cost.seconds > 0.0,
+        "half the optimizer shard is off-device"
+    );
+    assert!(adaptive_cost.seconds < static_cost.seconds);
+    assert!(adaptive_cost.h2d_bytes < static_cost.h2d_bytes);
+    println!("adaptive placement streams less over PCIe than the static policy — OK");
+
+    // --- model data at paper scale ----------------------------------------
+    let n = TransformerConfig::gpt2_10b().transformer_params();
     println!("\nGPT-2 10B model data per device (fp16 + fp32 Adam states):");
     for (stage, label) in [
         (ZeroStage::One, "ZeRO-1"),
@@ -71,28 +167,4 @@ fn main() {
             bytes as f64 / (1u64 << 30) as f64
         );
     }
-
-    let capacity = 80u64 << 30;
-    let working = 10u64 << 30;
-    let model = ModelData {
-        n_params: n,
-        dp_degree: 8,
-    };
-    let static_plan = plan(PlacementPolicy::StaticCpu, model, capacity, working);
-    let adaptive_plan = plan(PlacementPolicy::Adaptive, model, capacity, working);
-    println!("\nper-step PCIe traffic (batch small enough to leave headroom):");
-    println!(
-        "  DeepSpeed static : h2d {:.1} GiB, d2h {:.1} GiB, {} params on CPU Adam",
-        static_plan.h2d_per_step as f64 / (1u64 << 30) as f64,
-        static_plan.d2h_per_step as f64 / (1u64 << 30) as f64,
-        static_plan.cpu_adam_params
-    );
-    println!(
-        "  Colossal adaptive: h2d {:.1} GiB, d2h {:.1} GiB, {} params on CPU Adam",
-        adaptive_plan.h2d_per_step as f64 / (1u64 << 30) as f64,
-        adaptive_plan.d2h_per_step as f64 / (1u64 << 30) as f64,
-        adaptive_plan.cpu_adam_params
-    );
-    assert!(adaptive_plan.h2d_per_step < static_plan.h2d_per_step);
-    println!("\nadaptive placement eliminates the static policy's PCIe streaming — OK");
 }

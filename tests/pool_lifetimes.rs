@@ -8,16 +8,21 @@
 //! each lifetime one buffer richer and the process's resident set climbs
 //! with the number of models it has ever built (DESIGN.md §9.1).
 //!
-//! One test in a file of its own: the pool is process-global, so its gauge
-//! can only be compared across lifetimes where no other test is using it.
+//! A file of its own, and its tests take turns under [`POOL`]: the pool is
+//! process-global, so its gauges can only be compared where no other test
+//! is using it.
 
 use colossalai::autograd::{AdamW, Layer};
 use colossalai::comm::{World, WorldBackend};
 use colossalai::core::{build_gpt, initialize, Config, OptimizerSpec};
 use colossalai::models::{Gpt, TransformerConfig};
+use colossalai::parallel::zero::{ZeroOptimizer, ZeroStage};
 use colossalai::tensor::ops::cross_entropy;
 use colossalai::tensor::{init, pool, Tensor};
 use colossalai::topology::systems::system_i;
+use std::sync::Mutex;
+
+static POOL: Mutex<()> = Mutex::new(());
 
 const LIFETIMES: usize = 6;
 const STEPS: usize = 2;
@@ -80,6 +85,7 @@ fn assert_steady(what: &str, parked: &[usize]) {
 
 #[test]
 fn rebuilding_a_model_leaves_the_pool_no_fuller() {
+    let _pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = gpt_config();
     let (tokens, targets) = batch(&cfg);
 
@@ -121,4 +127,78 @@ fn rebuilding_a_model_leaves_the_pool_no_fuller() {
         });
     });
     assert_steady("2-rank data-parallel GPT", &data_parallel);
+}
+
+#[test]
+fn zero3_steady_state_stages_nothing_the_size_of_the_model() {
+    // ZeRO-3's parameter gather is bucket by bucket, straight into the
+    // parameters: with buckets far below the model's size, a
+    // `materialize_params` + `step` pair may not touch the pool's size class
+    // of the whole (padded) model — a flat staging copy of it would
+    let _pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
+    const RANKS: usize = 2;
+    const BUCKET_BYTES: usize = 1 << 10;
+    let cfg = gpt_config();
+    let (tokens, targets) = batch(&cfg);
+
+    let mut sizes = Vec::new();
+    Gpt::new(&cfg, &mut init::rng(11)).visit_params(&mut |p| sizes.push(p.numel()));
+    let padded = sizes.iter().sum::<usize>().div_ceil(RANKS) * RANKS;
+    let class = (0..pool::N_CLASSES)
+        .find(|&i| pool::class_elems(i) >= padded)
+        .expect("the model is within pooling range");
+    // nothing else a step allocates is in that class: not a parameter, not
+    // a bucket or a gathered bucket, not the logits
+    let below = pool::class_elems(class) / 2;
+    let logits = SEQS * cfg.max_seq * cfg.vocab;
+    for n in [
+        *sizes.iter().max().unwrap(),
+        BUCKET_BYTES / 4 + RANKS,
+        logits,
+    ] {
+        assert!(n <= below, "{n} elements share the model's size class");
+    }
+
+    let world = World::new(system_i());
+    world.set_backend(Some(WorldBackend::Stackless { pool: 1 }));
+    world.run_on(RANKS, |ctx| {
+        let g = ctx.world_group(RANKS);
+        let mut gpt = Gpt::new(&cfg, &mut init::rng(11));
+        let mut opt = ZeroOptimizer::with_bucket_bytes(
+            ctx,
+            &g,
+            &mut gpt,
+            ZeroStage::Three,
+            1e-3,
+            0.01,
+            BUCKET_BYTES,
+        );
+        let mut train_step = |gpt: &mut Gpt| {
+            opt.materialize_params(gpt);
+            let logits = gpt.forward(&tokens);
+            let (_, d) = lm_loss(&logits, &targets);
+            let _ = gpt.backward(&d);
+            opt.step(gpt);
+        };
+        for _ in 0..STEPS {
+            train_step(&mut gpt);
+        }
+        // every rank is past its warm-up before rank 0 empties the pool and
+        // restarts its high-water marks, and no rank goes on until it has
+        let barrier = || g.all_reduce(ctx, Tensor::scalar(0.0));
+        barrier();
+        if ctx.rank() == 0 {
+            pool::clear();
+            pool::reset_stats();
+        }
+        barrier();
+        train_step(&mut gpt);
+    });
+    assert_eq!(
+        pool::stats().class_high_water[class],
+        0,
+        "a buffer of {}..={} elements went through the pool",
+        below + 1,
+        2 * below
+    );
 }
