@@ -148,49 +148,12 @@ pub fn sgd_momentum_update(
 ) {
     assert_eq!(param.len(), vel.len());
     assert_eq!(param.len(), grad.len());
-    if colossalai_tensor::par::par_eligible(param.len()) {
-        // element-independent recurrence: lockstep (param, vel, grad)
-        // chunks on deterministic boundaries, the serial kernel on each
-        let items = lockstep3(param, vel, grad);
-        if items.len() > 1 {
-            colossalai_tensor::par::par_items(items, |_, (p, v, g)| {
-                sgd_momentum_chunk(p, v, g, lr, momentum);
-            });
-            return;
-        }
-    }
     sgd_momentum_chunk(param, vel, grad, lr, momentum);
 }
 
-/// Splits `(a, b, c)` into lockstep chunk triples on the deterministic
-/// [`colossalai_tensor::par::partition`] boundaries (depends only on length
-/// and the thread budget, never on timing).
-fn lockstep3<'s>(
-    a: &'s mut [f32],
-    b: &'s mut [f32],
-    c: &'s [f32],
-) -> Vec<(&'s mut [f32], &'s mut [f32], &'s [f32])> {
-    let budget = colossalai_tensor::kernel_threads();
-    let (chunks, per) =
-        colossalai_tensor::par::partition(a.len(), budget, colossalai_tensor::par::MIN_CHUNK);
-    let mut items = Vec::with_capacity(chunks);
-    let (mut ar, mut br, mut cr) = (a, b, c);
-    while !ar.is_empty() {
-        let take = per.min(ar.len());
-        let (ah, at) = ar.split_at_mut(take);
-        let (bh, bt) = br.split_at_mut(take);
-        let (ch, ct) = cr.split_at(take);
-        items.push((ah, bh, ch));
-        ar = at;
-        br = bt;
-        cr = ct;
-    }
-    items
-}
-
-/// The serial SGD+momentum sweep over one chunk: 8-wide `chunks_exact`
-/// lanes plus a scalar tail computing the identical per-element expression,
-/// so chunk boundaries never change a bit. The `FMA = true` instantiation
+/// The SGD+momentum sweep: 8-wide `chunks_exact` lanes plus a scalar tail
+/// computing the identical per-element expression, so where a caller cuts
+/// its slices never changes a bit. The `FMA = true` instantiation
 /// (fast numeric mode) fuses both the velocity blend and the parameter
 /// update; `f32::mul_add` is correctly rounded on every path, so the
 /// hardware-FMA wrapper and the libm fallback agree bitwise.
@@ -320,37 +283,6 @@ pub fn adamw_update(
     assert_eq!(param.len(), v.len());
     let bc1 = 1.0 - beta1.powi(t as i32);
     let bc2 = 1.0 - beta2.powi(t as i32);
-    if colossalai_tensor::par::par_eligible(param.len()) {
-        // lockstep (param, m, v, grad) chunks; each runs the serial kernel
-        // with the same precomputed bias corrections
-        let budget = colossalai_tensor::kernel_threads();
-        let (chunks, per) = colossalai_tensor::par::partition(
-            param.len(),
-            budget,
-            colossalai_tensor::par::MIN_CHUNK,
-        );
-        if chunks > 1 {
-            type AdamItem<'s> = (&'s mut [f32], &'s [f32], &'s mut [f32], &'s mut [f32]);
-            let mut items: Vec<AdamItem> = Vec::with_capacity(chunks);
-            let (mut pr, mut gr, mut mr, mut vr) = (param, grad, m, v);
-            while !pr.is_empty() {
-                let take = per.min(pr.len());
-                let (ph, pt) = pr.split_at_mut(take);
-                let (gh, gt) = gr.split_at(take);
-                let (mh, mt) = mr.split_at_mut(take);
-                let (vh, vt) = vr.split_at_mut(take);
-                items.push((ph, gh, mh, vh));
-                pr = pt;
-                gr = gt;
-                mr = mt;
-                vr = vt;
-            }
-            colossalai_tensor::par::par_items(items, |_, (p, g, mm, vv)| {
-                adamw_chunk(p, g, mm, vv, bc1, bc2, lr, beta1, beta2, eps, weight_decay);
-            });
-            return;
-        }
-    }
     adamw_chunk(
         param,
         grad,
@@ -366,9 +298,9 @@ pub fn adamw_update(
     );
 }
 
-/// The serial AdamW sweep over one chunk, with the step's bias corrections
-/// precomputed by the caller: 8-wide lanes plus a scalar tail, both calling
-/// [`adamw_scalar`], so chunk boundaries never change a bit.
+/// The AdamW sweep, with the step's bias corrections precomputed by the
+/// caller: 8-wide lanes plus a scalar tail, both calling [`adamw_scalar`],
+/// so where a caller (a ZeRO shard) cuts its slices never changes a bit.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn adamw_chunk_impl<const FMA: bool>(

@@ -1,8 +1,8 @@
 //! Bench: local GEMM kernel generations on transformer shapes.
 //!
 //! Compares the two seed kernels (`gemm_ref_ikj`, `gemm_ref_blocked`) against
-//! the packed register-blocked core (`kernel::gemm_mat`) and its row-panel
-//! threaded variant, on shapes a transformer actually hits:
+//! the packed register-blocked core (`kernel::gemm_mat`) and its fast-mode
+//! FMA instantiation, on shapes a transformer actually hits:
 //!
 //! * `512x512x512` — the square reference point quoted in `results/`;
 //! * `128x768x768`  — BERT-base attention output projection, 128 tokens;
@@ -13,7 +13,7 @@
 //! `results/gemm_kernels.txt`.
 
 use colossalai_bench::{bench_fn, median_secs};
-use colossalai_tensor::kernel::{gemm_mat, gemm_mat_threaded, Mat};
+use colossalai_tensor::kernel::{gemm_mat, Mat};
 use colossalai_tensor::matmul::{gemm_ref_blocked, gemm_ref_ikj, matmul_flops};
 use colossalai_tensor::{axpy_slices, scale_slice, set_fast_mode};
 
@@ -69,13 +69,6 @@ fn main() {
             std::hint::black_box(&mut out);
         });
         set_fast_mode(false);
-        for threads in [2, 4] {
-            bench_fn(&label(&format!("packed_{threads}thr")), || {
-                out.fill(0.0);
-                gemm_mat_threaded(am, bm, &mut out, m, k, n, threads);
-                std::hint::black_box(&mut out);
-            });
-        }
     }
     micro_assert_axpy_scale();
 }

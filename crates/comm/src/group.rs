@@ -964,55 +964,21 @@ impl Group {
     }
 }
 
-/// Elementwise sum of the rank-ordered rendezvous inputs. On the parallel
-/// path the element range is chunked across the `tensor::par` pool while
-/// each chunk still accumulates ranks in ascending order — the per-element
-/// float sequence is exactly the serial loop's, so the result is
-/// bitwise-identical at any thread count (the repo's arithmetic-equivalence
+/// Elementwise sum of the rank-ordered rendezvous inputs, accumulated in
+/// ascending rank order on every rank (the repo's arithmetic-equivalence
 /// contract for collectives).
 fn reduce_sum_rank_ordered(inputs: &[Tensor]) -> Tensor {
     let mut sum = inputs[0].clone();
-    if inputs.len() > 1 && colossalai_tensor::par::par_eligible(sum.numel()) {
-        let srcs: Vec<&[f32]> = inputs[1..].iter().map(|t| t.data()).collect();
-        colossalai_tensor::par::par_chunks_static(
-            sum.data_mut(),
-            colossalai_tensor::par::MIN_CHUNK,
-            |off, dst| {
-                let len = dst.len();
-                for s in &srcs {
-                    colossalai_tensor::axpy_slices(dst, 1.0, &s[off..off + len]);
-                }
-            },
-        );
-        return sum;
-    }
     for x in &inputs[1..] {
         sum.axpy(1.0, x);
     }
     sum
 }
 
-/// Elementwise max of the rank-ordered rendezvous inputs; parallel over
-/// element chunks like [`reduce_sum_rank_ordered`] (max is exact, but the
-/// ascending-rank order is kept anyway for uniformity).
+/// Elementwise max of the rank-ordered rendezvous inputs (max is exact,
+/// but the ascending-rank order is kept anyway for uniformity).
 fn reduce_max_rank_ordered(inputs: &[Tensor]) -> Tensor {
     let mut acc = inputs[0].clone();
-    if inputs.len() > 1 && colossalai_tensor::par::par_eligible(acc.numel()) {
-        let srcs: Vec<&[f32]> = inputs[1..].iter().map(|t| t.data()).collect();
-        colossalai_tensor::par::par_chunks_static(
-            acc.data_mut(),
-            colossalai_tensor::par::MIN_CHUNK,
-            |off, dst| {
-                let len = dst.len();
-                for s in &srcs {
-                    for (d, &v) in dst.iter_mut().zip(&s[off..off + len]) {
-                        *d = f32::max(*d, v);
-                    }
-                }
-            },
-        );
-        return acc;
-    }
     for x in &inputs[1..] {
         acc = acc.zip(x, f32::max);
     }

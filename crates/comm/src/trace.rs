@@ -253,11 +253,9 @@ pub fn rollup(spans: &[Span]) -> Vec<RankRollup> {
 pub const ROLLUP_COMPACT_THRESHOLD: usize = 64;
 
 /// Formats a rollup as a fixed-width table (times in milliseconds). The
-/// `pool_hit%` column reports the storage pool's global hit rate and the
-/// `par_util%` column the worker-pool utilization (the share of intra-op
-/// task units executed by `tensor::par` workers rather than the submitting
-/// rank threads); both pools are process-wide, so every rank shows the same
-/// figures. Footers summarize the full allocator and worker-pool counters.
+/// `pool_hit%` column reports the storage pool's global hit rate; the pool
+/// is process-wide, so every rank shows the same figure. Footers summarize
+/// the full allocator counters.
 ///
 /// At [`ROLLUP_COMPACT_THRESHOLD`] ranks and above, the per-rank rows
 /// collapse into per-column min/median/max summary lines; use
@@ -276,20 +274,18 @@ pub fn rollup_table_full(rollups: &[RankRollup]) -> String {
 /// median, the sorted element at `len / 2`).
 pub fn rollup_table_opts(rollups: &[RankRollup], full: bool) -> String {
     let pool = colossalai_tensor::pool::stats();
-    let par = colossalai_tensor::par::stats();
     let mut out = String::from(
-        "rank   compute_ms      comm_ms   overlap_ms    pool_hit%    par_util%       mem_ms      idle_ms\n\
-         -------------------------------------------------------------------------------------------------\n",
+        "rank   compute_ms      comm_ms   overlap_ms    pool_hit%       mem_ms      idle_ms\n\
+         ------------------------------------------------------------------------------------\n",
     );
     let row = |out: &mut String, label: &str, r: &RankRollup| {
         out.push_str(&format!(
-            "{:>4} {:>12.3} {:>12.3} {:>12.3} {:>12.1} {:>12.1} {:>12.3} {:>12.3}\n",
+            "{:>4} {:>12.3} {:>12.3} {:>12.3} {:>12.1} {:>12.3} {:>12.3}\n",
             label,
             r.compute * 1e3,
             r.comm * 1e3,
             r.comm_overlap * 1e3,
             pool.hit_rate() * 100.0,
-            par.util() * 100.0,
             r.mem * 1e3,
             r.idle * 1e3
         ));
@@ -326,7 +322,6 @@ pub fn rollup_table_opts(rollups: &[RankRollup], full: bool) -> String {
     }
     out.push_str(&format!("pool: {}\n", pool.summary()));
     out.push_str(&format!("pool class hw: {}\n", pool.class_summary()));
-    out.push_str(&format!("par:  {}\n", par.summary()));
     out
 }
 
@@ -503,8 +498,6 @@ mod tests {
         assert!(table.contains("idle_ms"));
         assert!(table.contains("pool_hit%"));
         assert!(table.contains("pool: hits="));
-        assert!(table.contains("par_util%"));
-        assert!(table.contains("par:  jobs="));
     }
 
     #[test]

@@ -140,16 +140,13 @@ impl Default for CommConfig {
     }
 }
 
-/// Compute section: the two process-wide kernel knobs. Each key lands on
-/// one setter at `initialize`; a key the config does not mention leaves
-/// that setter's value alone (nothing else — no environment variable — can
-/// have moved it).
+/// Compute section: the one process-wide kernel knob. The key lands on its
+/// setter at `initialize`; a config that does not mention it leaves the
+/// setter's value alone (nothing else — no environment variable — can have
+/// moved it). There is no thread budget: a kernel runs on its rank's thread,
+/// and the world executor hands the host cores to ranks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct ComputeConfig {
-    /// Intra-op kernel thread budget (`set_kernel_threads`, default 1).
-    /// 0 or missing = leave the setter's value.
-    #[serde(default)]
-    pub threads: usize,
     /// Opt-in fast numeric mode (`set_fast_mode`, default off): FMA-fused
     /// kernels, trading bitwise reproducibility against the deterministic
     /// default for throughput (results stay within documented ULP budgets,
@@ -178,7 +175,7 @@ pub struct Config {
     /// Gradient-sync bucketing and overlap.
     #[serde(default)]
     pub comm: CommConfig,
-    /// Process-wide kernel knobs (thread budget, fast numeric mode).
+    /// Process-wide kernel knob (fast numeric mode).
     #[serde(default)]
     pub compute: ComputeConfig,
 }
@@ -460,14 +457,10 @@ mod tests {
     #[test]
     fn compute_section_defaults_and_parses() {
         let cfg = Config::from_json("{}").unwrap();
-        assert_eq!(cfg.compute.threads, 0, "0 = leave the setter's value");
         assert_eq!(cfg.compute.fast, None, "missing = leave the setter's value");
-        let cfg = Config::from_json(r#"{ "compute": { "threads": 4, "fast": true } }"#).unwrap();
-        assert_eq!(cfg.compute.threads, 4);
+        let cfg = Config::from_json(r#"{ "compute": { "fast": true } }"#).unwrap();
         assert_eq!(cfg.compute.fast, Some(true));
-        // partial section: missing keys are left alone
-        let cfg = Config::from_json(r#"{ "compute": { "threads": 2 } }"#).unwrap();
-        assert_eq!(cfg.compute.threads, 2);
+        let cfg = Config::from_json(r#"{ "compute": {} }"#).unwrap();
         assert_eq!(cfg.compute.fast, None);
         let cfg = Config::from_json(r#"{ "compute": { "fast": false } }"#).unwrap();
         assert_eq!(cfg.compute.fast, Some(false));
@@ -491,9 +484,10 @@ mod tests {
                 "compute.par_cutoff",
             ),
             (
-                r#"{ "compute": { "threads": 2, "par_flop_cutoff": 4096 } }"#,
+                r#"{ "compute": { "par_flop_cutoff": 4096 } }"#,
                 "compute.par_flop_cutoff",
             ),
+            (r#"{ "compute": { "threads": 2 } }"#, "compute.threads"),
         ] {
             let err = Config::from_json(json).unwrap_err();
             assert_eq!(err, format!("unknown key {path:?}"), "{json}");

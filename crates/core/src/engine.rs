@@ -80,11 +80,8 @@ pub fn initialize(
         "parallel.pipeline.size = {stages}: initialize() would train the whole model on every \
          stage rank; build the stages with parallel::PipelineStage"
     );
-    // the two process-wide kernel knobs: a key the config does not set
-    // leaves its setter's value alone
-    if config.compute.threads > 0 {
-        colossalai_tensor::set_kernel_threads(config.compute.threads);
-    }
+    // the process-wide kernel knob: a config that does not set it leaves
+    // the setter's value alone
     if let Some(fast) = config.compute.fast {
         colossalai_tensor::set_fast_mode(fast);
     }

@@ -26,13 +26,10 @@
 //! ascending within and across blocks), which can differ from the unblocked
 //! order by normal rounding only.
 //!
-//! Threading: [`gemm_mat_auto`] splits row panels across a scoped thread pool
-//! when the problem is large enough and the global thread budget
-//! ([`kernel_threads`], default 1) allows it.
-//! Each output row is computed by exactly one thread with the same block
-//! schedule as the serial path, so results do not depend on the thread count.
+//! A GEMM runs on the thread of the rank that called it: the world executor
+//! (`comm::sched`) is the only owner of host cores.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Microtile rows held in registers (deterministic mul-then-add kernel).
 pub const MR: usize = 4;
@@ -61,11 +58,6 @@ pub const NC: usize = 256;
 /// kernel instead of paying the packing round-trip.
 const SMALL_FLOP_CUTOFF: usize = 16 * 16 * 16;
 
-/// Minimum multiply-add count before [`gemm_mat_auto`] / [`for_each_batch`]
-/// go parallel: below it the dispatch cost beats the split.
-pub const PAR_FLOP_CUTOFF: usize = 64 * 64 * 64;
-
-static THREADS: AtomicUsize = AtomicUsize::new(1);
 static FAST: AtomicBool = AtomicBool::new(false);
 
 /// Turns the opt-in **fast numeric mode** on or off for every subsequent
@@ -76,8 +68,8 @@ static FAST: AtomicBool = AtomicBool::new(false);
 /// kernels). Results are no longer bitwise comparable to the deterministic
 /// default — only tolerance/ULP-budget comparable (see
 /// `tests/fast_props.rs` and DESIGN.md §13) — but within fast mode the
-/// serial/threaded/pool determinism contract still holds: every path uses
-/// the same fused arithmetic in the same order.
+/// determinism contract still holds: every size dispatch uses the same
+/// fused arithmetic in the same order.
 pub fn set_fast_mode(on: bool) {
     FAST.store(on, Ordering::Relaxed);
 }
@@ -103,24 +95,6 @@ pub fn fma_available() -> bool {
 #[cfg(not(target_arch = "x86_64"))]
 pub fn fma_available() -> bool {
     false
-}
-
-/// Sets the kernel thread budget for every subsequent kernel on any thread
-/// (`compute.threads` in the engine config lands here). A value of 0 clamps
-/// to 1 — "no parallelism", never "no work": budget 1 means every kernel
-/// (GEMM, element-wise, the `par` pool) runs its plain serial path.
-pub fn set_kernel_threads(n: usize) {
-    THREADS.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The kernel thread budget: the last [`set_kernel_threads`] value, 1 until
-/// then.
-///
-/// The default is deliberately 1: the simulated cluster already runs many
-/// ranks at once, so an eager per-GEMM pool would oversubscribe the host as
-/// soon as a `World` spans more than a couple of ranks.
-pub fn kernel_threads() -> usize {
-    THREADS.load(Ordering::Relaxed)
 }
 
 /// A logical row-major `rows x cols` matrix over a strided storage slice:
@@ -159,15 +133,6 @@ impl<'a> Mat<'a> {
     #[inline(always)]
     fn at(&self, r: usize, c: usize) -> f32 {
         self.data[r * self.rs + c * self.cs]
-    }
-
-    /// The view starting at logical row `r0`.
-    fn rows_from(&self, r0: usize) -> Mat<'a> {
-        Mat {
-            data: &self.data[r0 * self.rs..],
-            rs: self.rs,
-            cs: self.cs,
-        }
     }
 }
 
@@ -364,7 +329,7 @@ fn run_macro_tile(
     macro_tile::<false, MR>(apack, bpack, kb, mb, nb, c, ldc, ic, jc);
 }
 
-/// Serial packed GEMM: `c += a @ b` for logical `(m, k) @ (k, n)` operands,
+/// Packed GEMM: `c += a @ b` for logical `(m, k) @ (k, n)` operands,
 /// `c` row-major `m x n`.
 pub fn gemm_mat(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
     if m == 0 || n == 0 || k == 0 {
@@ -399,49 +364,6 @@ pub fn gemm_mat(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
     }
     crate::pool::recycle(apack);
     crate::pool::recycle(bpack);
-}
-
-/// Splits `c` into `MR`-aligned row panels — the partition depends only on
-/// `(m, threads)`, per the `par` determinism contract — yielding
-/// `(row_offset, rows, panel)` triples.
-type RowPanels<'c> = Vec<(usize, usize, &'c mut [f32])>;
-
-fn row_panels<'c>(c: &'c mut [f32], m: usize, n: usize, threads: usize) -> RowPanels<'c> {
-    let t = threads.min(m.div_ceil(MR)).max(1);
-    let rows_per = m.div_ceil(MR).div_ceil(t) * MR;
-    let mut panels = Vec::with_capacity(t);
-    let mut rest = c;
-    let mut i0 = 0;
-    while i0 < m {
-        let rows = rows_per.min(m - i0);
-        let (head, tail) = rest.split_at_mut(rows * n);
-        rest = tail;
-        panels.push((i0, rows, head));
-        i0 += rows;
-    }
-    panels
-}
-
-/// Packed GEMM with the output's row panels split across up to `threads`
-/// executors. Each row of `c` is produced by exactly one executor running
-/// the same serial block schedule, so the result is independent of
-/// `threads`.
-pub fn gemm_mat_threaded(
-    a: Mat,
-    b: Mat,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    threads: usize,
-) {
-    let t = threads.min(m.div_ceil(MR)).max(1);
-    if t == 1 {
-        return gemm_mat(a, b, c, m, k, n);
-    }
-    crate::par::par_items(row_panels(c, m, n, threads), |_, (i0, rows, panel)| {
-        gemm_mat(a.rows_from(i0), b, panel, rows, k, n);
-    });
 }
 
 /// Branch-free direct i-k-j kernel for problems too small to amortize
@@ -556,57 +478,24 @@ pub fn gemm_mat_acc(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize)
 }
 
 /// The kernel entry point every matmul variant routes through:
-/// `c += a @ b`, picking direct / packed / packed+threads by problem size
-/// and the [`kernel_threads`] budget.
+/// `c += a @ b`, picking the direct or the packed kernel by problem size.
 pub fn gemm_mat_auto(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let macs = m * n * k;
-    if macs <= SMALL_FLOP_CUTOFF {
+    if m * n * k <= SMALL_FLOP_CUTOFF {
         return gemm_small(a, b, c, m, k, n);
     }
-    let threads = kernel_threads();
-    if threads > 1 && macs >= PAR_FLOP_CUTOFF && m > MR {
-        gemm_mat_threaded(a, b, c, m, k, n, threads);
-    } else {
-        gemm_mat(a, b, c, m, k, n);
-    }
+    gemm_mat(a, b, c, m, k, n);
 }
 
 /// Runs `run(t, c_t)` for each of `ba` equal `csize`-element chunks of `c`
-/// (one per batch), fanning out across the [`kernel_threads`] budget when
-/// the total work is large enough. Batched matmuls parallelize here — at the
-/// batch level — rather than inside each (typically small) per-batch GEMM.
-pub fn for_each_batch<F>(ba: usize, csize: usize, macs_per_batch: usize, c: &mut [f32], run: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
+/// (one per batch of a batched matmul), in batch order.
+pub fn for_each_batch(ba: usize, csize: usize, c: &mut [f32], run: impl Fn(usize, &mut [f32])) {
     assert_eq!(c.len(), ba * csize, "for_each_batch output size");
-    let threads = kernel_threads().min(ba).max(1);
-    if threads == 1 || ba.saturating_mul(macs_per_batch) < PAR_FLOP_CUTOFF {
-        for (t, c_t) in c.chunks_exact_mut(csize.max(1)).take(ba).enumerate() {
-            run(t, c_t);
-        }
-        return;
+    for (t, c_t) in c.chunks_exact_mut(csize.max(1)).take(ba).enumerate() {
+        run(t, c_t);
     }
-    // batch-range split depends only on (ba, threads), never on timing
-    let per = ba.div_ceil(threads);
-    let mut items: Vec<(usize, &mut [f32])> = Vec::with_capacity(threads);
-    let mut rest = c;
-    let mut t0 = 0;
-    while t0 < ba {
-        let batches = per.min(ba - t0);
-        let (head, tail) = rest.split_at_mut(batches * csize);
-        rest = tail;
-        items.push((t0, head));
-        t0 += batches;
-    }
-    crate::par::par_items(items, |_, (t0, head)| {
-        for (off, c_t) in head.chunks_exact_mut(csize.max(1)).enumerate() {
-            run(t0 + off, c_t);
-        }
-    });
 }
 
 #[cfg(test)]
@@ -670,35 +559,6 @@ mod tests {
                 close(&c, &want, 1e-3 * k as f32),
                 "mismatch at ({m},{k},{n})"
             );
-        }
-    }
-
-    #[test]
-    fn threaded_is_bitwise_equal_to_serial() {
-        let (m, k, n) = (70, 65, 50);
-        let a = rand_vec(m * k, 21);
-        let b = rand_vec(k * n, 22);
-        let mut serial = vec![0.0f32; m * n];
-        gemm_mat(
-            Mat::row_major(&a, k),
-            Mat::row_major(&b, n),
-            &mut serial,
-            m,
-            k,
-            n,
-        );
-        for threads in [2, 3, 7] {
-            let mut par = vec![0.0f32; m * n];
-            gemm_mat_threaded(
-                Mat::row_major(&a, k),
-                Mat::row_major(&b, n),
-                &mut par,
-                m,
-                k,
-                n,
-                threads,
-            );
-            assert_eq!(serial, par, "threads={threads}");
         }
     }
 
@@ -773,17 +633,9 @@ mod tests {
     }
 
     #[test]
-    fn thread_budget_roundtrip() {
-        set_kernel_threads(3);
-        assert_eq!(kernel_threads(), 3);
-        set_kernel_threads(0); // 0 clamps to 1: "no parallelism", never "no work"
-        assert_eq!(kernel_threads(), 1);
-    }
-
-    #[test]
     fn for_each_batch_covers_every_batch() {
         let mut c = vec![0.0f32; 12];
-        for_each_batch(4, 3, 1, &mut c, |t, c_t| {
+        for_each_batch(4, 3, &mut c, |t, c_t| {
             for v in c_t.iter_mut() {
                 *v = t as f32;
             }

@@ -16,19 +16,16 @@
 //! * all randomness is seeded ChaCha8 so parallel-vs-serial equivalence tests
 //!   can construct identical global parameters;
 //! * real arithmetic runs on a packed, register-blocked GEMM core (see
-//!   [`kernel`]) with an opt-in thread budget ([`set_kernel_threads`]);
-//! * intra-op parallelism (GEMM row panels, element-wise sweeps, row-wise
-//!   normalizations) executes on a persistent deterministic worker pool
-//!   (see [`par`]) whose partitions depend only on `(len, budget)` — results
-//!   are bitwise-identical to serial at any thread count;
+//!   [`kernel`]); every kernel runs on the calling rank's thread — the
+//!   world executor is the only owner of host cores, and results carry no
+//!   dependence on how many of them there are;
 //! * an opt-in **fast numeric mode** ([`set_fast_mode`], `compute.fast` in
 //!   the engine config) swaps the deterministic mul-then-add kernels for
 //!   FMA-fused ones; results then differ from the default mode by documented
-//!   ULP budgets but remain deterministic across thread counts and backends
-//!   within the mode (see DESIGN.md §13);
-//! * nothing here reads the process environment: the two setters above are
-//!   the only runtime knobs, and both default to the deterministic serial
-//!   path (budget 1, fast off).
+//!   ULP budgets but remain deterministic across backends within the mode
+//!   (see DESIGN.md §13);
+//! * nothing here reads the process environment: that setter is the only
+//!   runtime knob, and it defaults to the deterministic path (fast off).
 
 pub mod f16;
 pub mod init;
@@ -41,7 +38,7 @@ pub mod shape;
 pub mod tensor;
 
 pub use f16::F16;
-pub use kernel::{fast_mode, fma_available, kernel_threads, set_fast_mode, set_kernel_threads};
+pub use kernel::{fast_mode, fma_available, set_fast_mode};
 pub use matmul::{
     bmm, bmm_at, bmm_bt, gemm, matmul, matmul_at, matmul_at_acc, matmul_bt, matmul_nd,
 };

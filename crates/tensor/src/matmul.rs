@@ -185,7 +185,7 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(ba, bb, "bmm batch mismatch");
     assert_eq!(k, k2, "bmm inner-dimension mismatch");
     let mut out = crate::pool::take_zeroed(ba * m * n);
-    for_each_batch(ba, m * n, m * k * n, &mut out, |t, c_t| {
+    for_each_batch(ba, m * n, &mut out, |t, c_t| {
         gemm_mat_auto(
             Mat::row_major(&a.data()[t * m * k..(t + 1) * m * k], k),
             Mat::row_major(&b.data()[t * k * n..(t + 1) * k * n], n),
@@ -207,7 +207,7 @@ pub fn bmm_bt(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(ba, bb, "bmm_bt batch mismatch");
     assert_eq!(k, k2, "bmm_bt inner-dimension mismatch");
     let mut out = crate::pool::take_zeroed(ba * m * n);
-    for_each_batch(ba, m * n, m * k * n, &mut out, |t, c_t| {
+    for_each_batch(ba, m * n, &mut out, |t, c_t| {
         gemm_mat_auto(
             Mat::row_major(&a.data()[t * m * k..(t + 1) * m * k], k),
             Mat::transposed(&b.data()[t * n * k..(t + 1) * n * k], k),
@@ -229,7 +229,7 @@ pub fn bmm_at(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(ba, bb, "bmm_at batch mismatch");
     assert_eq!(k, k2, "bmm_at inner-dimension mismatch");
     let mut out = crate::pool::take_zeroed(ba * m * n);
-    for_each_batch(ba, m * n, m * k * n, &mut out, |t, c_t| {
+    for_each_batch(ba, m * n, &mut out, |t, c_t| {
         gemm_mat_auto(
             Mat::transposed(&a.data()[t * k * m..(t + 1) * k * m], m),
             Mat::row_major(&b.data()[t * k * n..(t + 1) * k * n], n),

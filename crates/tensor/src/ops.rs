@@ -25,20 +25,7 @@ pub fn softmax(x: &Tensor) -> Tensor {
 pub fn softmax_inplace(x: &mut Tensor) {
     assert!(x.rank() >= 1, "softmax requires rank >= 1");
     let n = *x.dims().last().unwrap();
-    let numel = x.numel();
-    if crate::par::par_eligible(numel) && n > 0 && numel > n {
-        // rows are independent: chunking on row boundaries runs the exact
-        // serial per-row arithmetic on each executor
-        crate::par::par_chunks_unit(x.data_mut(), n, crate::par::MIN_CHUNK, |_, rows| {
-            softmax_rows(rows, n);
-        });
-        return;
-    }
-    softmax_rows(x.data_mut(), n);
-}
-
-fn softmax_rows(data: &mut [f32], n: usize) {
-    for row in data.chunks_mut(n) {
+    for row in x.data_mut().chunks_mut(n) {
         let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0;
         for v in row.iter_mut() {
@@ -214,28 +201,7 @@ pub fn add_bias_gelu(mut x: Tensor, bias: &Tensor) -> (Tensor, Tensor, Tensor) {
     let b = bias.data();
     let mut y = pool::take_zeroed(numel);
     let mut t = pool::take_zeroed(numel);
-    // elements per executor: whole rows on the deterministic partition, or
-    // everything (the serial sweep) below the cutoff
-    let mut per = numel;
-    if crate::par::par_eligible(numel) && n > 0 {
-        let min_rows = crate::par::MIN_CHUNK.div_ceil(n).max(1);
-        per = crate::par::partition(numel / n, crate::kernel_threads(), min_rows).1 * n;
-    }
-    if per < numel {
-        // lockstep (h, y, t) row chunks; each row runs the identical serial
-        // arithmetic
-        let items: Vec<_> = x
-            .data_mut()
-            .chunks_mut(per)
-            .zip(y.chunks_mut(per))
-            .zip(t.chunks_mut(per))
-            .collect();
-        crate::par::par_items(items, |_, ((xc, yc), tc)| {
-            run_add_bias_gelu_rows(fast, xc, yc, tc, b, n)
-        });
-    } else {
-        run_add_bias_gelu_rows(fast, x.data_mut(), &mut y, &mut t, b, n);
-    }
+    run_add_bias_gelu_rows(fast, x.data_mut(), &mut y, &mut t, b, n);
     let y = Tensor::from_vec(x.shape().clone(), y);
     let t = Tensor::from_vec(x.shape().clone(), t);
     (x, y, t)
@@ -385,43 +351,6 @@ pub fn layernorm_fused(
     assert_eq!(beta.numel(), n, "beta length mismatch");
     let rows = x.numel() / n;
     let fast = crate::kernel::fast_mode();
-    if crate::par::par_eligible(x.numel()) && n > 0 && rows > 1 {
-        let min_rows = crate::par::MIN_CHUNK.div_ceil(n).max(1);
-        let (chunks, per) = crate::par::partition(rows, crate::kernel_threads(), min_rows);
-        if chunks > 1 {
-            // pre-sized out/means/inv_stds split in lockstep on the same
-            // deterministic row boundaries; per-row arithmetic is the exact
-            // serial body (indexed stores instead of push)
-            let mut out = pool::take_zeroed(x.numel());
-            let mut means = vec![0.0f32; rows];
-            let mut inv_stds = vec![0.0f32; rows];
-            {
-                let xs = x.data();
-                let (g, bt) = (gamma.data(), beta.data());
-                type LnItem<'a> = (usize, &'a mut [f32], &'a mut [f32], &'a mut [f32]);
-                let mut items: Vec<LnItem> = Vec::with_capacity(chunks);
-                let mut xo = 0usize;
-                let mut or = out.as_mut_slice();
-                let mut mr = means.as_mut_slice();
-                let mut ir = inv_stds.as_mut_slice();
-                while !mr.is_empty() {
-                    let rtake = per.min(mr.len());
-                    let (oh, ot) = or.split_at_mut(rtake * n);
-                    let (mh, mt) = mr.split_at_mut(rtake);
-                    let (ih, it) = ir.split_at_mut(rtake);
-                    items.push((xo, oh, mh, ih));
-                    or = ot;
-                    mr = mt;
-                    ir = it;
-                    xo += rtake * n;
-                }
-                crate::par::par_items(items, |_, (xo, oc, mc, ic)| {
-                    run_layernorm_rows(fast, &xs[xo..xo + oc.len()], oc, mc, ic, g, bt, eps, n);
-                });
-            }
-            return (Tensor::from_vec(x.shape().clone(), out), means, inv_stds);
-        }
-    }
     let mut out = pool::take_zeroed(x.numel());
     let mut means = vec![0.0f32; rows];
     let mut inv_stds = vec![0.0f32; rows];

@@ -287,27 +287,9 @@ impl Tensor {
         self
     }
 
-    /// Applies `f` to every element, returning a new (pooled) tensor. Large
-    /// tensors fan element chunks out across the [`crate::par`] pool; `f`
-    /// runs exactly once per element either way, so the parallel path is
-    /// bitwise-identical to the serial sweep.
-    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
-        let n = self.numel();
-        if crate::par::par_eligible(n) {
-            let mut buf = pool::take_zeroed(n);
-            let src = self.data();
-            crate::par::par_chunks_static(&mut buf, crate::par::MIN_CHUNK, |off, chunk| {
-                let src = &src[off..off + chunk.len()];
-                for (d, &s) in chunk.iter_mut().zip(src) {
-                    *d = f(s);
-                }
-            });
-            return Tensor {
-                shape: self.shape.clone(),
-                data: Arc::new(Storage::from_vec(buf)),
-            };
-        }
-        let mut buf = pool::take_buffer(n);
+    /// Applies `f` to every element, returning a new (pooled) tensor.
+    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
+        let mut buf = pool::take_buffer(self.numel());
         buf.extend(self.data.iter().map(|&x| f(x)));
         Tensor {
             shape: self.shape.clone(),
@@ -316,44 +298,20 @@ impl Tensor {
     }
 
     /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync) {
-        let n = self.numel();
-        if crate::par::par_eligible(n) {
-            crate::par::par_chunks_static(self.data_mut(), crate::par::MIN_CHUNK, |_, chunk| {
-                for x in chunk.iter_mut() {
-                    *x = f(*x);
-                }
-            });
-            return;
-        }
+    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
         for x in self.data_mut() {
             *x = f(*x);
         }
     }
 
-    /// Elementwise combination of two same-shape tensors; parallel over
-    /// element chunks for large tensors (bitwise-identical, like [`map`](Self::map)).
-    pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
+    /// Elementwise combination of two same-shape tensors.
+    pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!(
             self.shape, other.shape,
             "shape mismatch: {} vs {}",
             self.shape, other.shape
         );
-        let n = self.numel();
-        if crate::par::par_eligible(n) {
-            let mut buf = pool::take_zeroed(n);
-            let (a, b) = (self.data(), other.data());
-            crate::par::par_chunks_static(&mut buf, crate::par::MIN_CHUNK, |off, chunk| {
-                for (i, d) in chunk.iter_mut().enumerate() {
-                    *d = f(a[off + i], b[off + i]);
-                }
-            });
-            return Tensor {
-                shape: self.shape.clone(),
-                data: Arc::new(Storage::from_vec(buf)),
-            };
-        }
-        let mut buf = pool::take_buffer(n);
+        let mut buf = pool::take_buffer(self.numel());
         buf.extend(
             self.data
                 .iter()
@@ -576,41 +534,6 @@ impl Tensor {
         // repeated `extend_from_slice`
         let mut out = pool::take_zeroed(out_shape.numel());
         let out_row = total * inner;
-        if crate::par::par_eligible(out.len()) && outer > 1 {
-            // pure memcpy per (tensor, row): split on output-row boundaries
-            // and copy every tensor's slice of each row — byte-identical to
-            // the serial order below
-            let mut col_offs = Vec::with_capacity(tensors.len());
-            let mut off = 0usize;
-            for t in tensors {
-                col_offs.push(off);
-                off += t.dims()[dim] * inner;
-            }
-            crate::par::par_chunks_unit(&mut out, out_row, crate::par::MIN_CHUNK, |off, chunk| {
-                let o0 = off / out_row;
-                for (row_i, row) in chunk.chunks_exact_mut(out_row).enumerate() {
-                    let o = o0 + row_i;
-                    for (t, &c0) in tensors.iter().zip(&col_offs) {
-                        let part = t.dims()[dim] * inner;
-                        row[c0..c0 + part].copy_from_slice(&t.data[o * part..(o + 1) * part]);
-                    }
-                }
-            });
-            return Tensor::from_vec(out_shape, out);
-        }
-        if crate::par::par_eligible(out.len()) && tensors.len() > 1 {
-            // outer == 1 (e.g. dim-0 cat): the output is one row made of
-            // disjoint per-tensor segments — copy each on its own executor
-            let mut segs: Vec<(&Tensor, &mut [f32])> = Vec::with_capacity(tensors.len());
-            let mut rest = out.as_mut_slice();
-            for t in tensors {
-                let (head, tail) = rest.split_at_mut(t.numel());
-                segs.push((t, head));
-                rest = tail;
-            }
-            crate::par::par_items(segs, |_, (t, seg)| seg.copy_from_slice(&t.data));
-            return Tensor::from_vec(out_shape, out);
-        }
         let mut col_off = 0usize;
         for t in tensors {
             let part = t.dims()[dim] * inner;

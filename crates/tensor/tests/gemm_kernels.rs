@@ -1,9 +1,9 @@
 //! Property tests for the packed GEMM core: every routed variant (plain,
-//! transposed, batched, threaded) must agree with a naive triple loop on
+//! transposed, batched) must agree with a naive triple loop on
 //! arbitrary shapes — including degenerate ones (`1 x N`, `N x 1`, zero-size
 //! dims) and sizes that straddle the microtile and cache-block boundaries.
 
-use colossalai_tensor::kernel::{self, gemm_mat, gemm_mat_threaded, Mat};
+use colossalai_tensor::kernel::{self, gemm_mat, Mat};
 use colossalai_tensor::{bmm, bmm_at, bmm_bt, matmul, matmul_at, matmul_bt, Tensor};
 use rand::Rng;
 
@@ -78,41 +78,6 @@ fn packed_gemm_matches_naive() {
                 "({m},{k},{n}): {got} vs {want}"
             );
         }
-    }
-}
-
-#[test]
-fn threaded_gemm_is_bitwise_serial() {
-    for case in 0..48 {
-        let mut draw = colossalai_tensor::init::rng(case);
-        let mi = draw.gen_range(0usize..11);
-        let ki = draw.gen_range(0usize..6);
-        let ni = draw.gen_range(0usize..11);
-        let threads = draw.gen_range(2usize..6);
-        let seed = draw.gen_range(0u64..1000);
-        let (m, k, n) = (DIMS[mi], KDIMS[ki], DIMS[ni]);
-        let a = rand_t([m, k], seed);
-        let b = rand_t([k, n], seed + 2);
-        let mut serial = vec![0.0f32; m * n];
-        gemm_mat(
-            Mat::row_major(a.data(), k),
-            Mat::row_major(b.data(), n),
-            &mut serial,
-            m,
-            k,
-            n,
-        );
-        let mut par = vec![0.0f32; m * n];
-        gemm_mat_threaded(
-            Mat::row_major(a.data(), k),
-            Mat::row_major(b.data(), n),
-            &mut par,
-            m,
-            k,
-            n,
-            threads,
-        );
-        assert_eq!(serial, par);
     }
 }
 

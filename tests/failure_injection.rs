@@ -115,6 +115,32 @@ fn dead_rank_failure_surfaces_to_the_caller() {
 }
 
 #[test]
+fn rank_panic_after_an_all_reduce_names_the_rank_and_the_world_recovers() {
+    // rank 1 dies right after an all-reduce, with its peers parked in a
+    // barrier: the failure names the rank, and the same world and storage
+    // pool serve the next run bitwise
+    let world = World::new(system_i());
+    let run = |boom: bool| {
+        world.run_on(4, |ctx| {
+            let g = ctx.world_group(4);
+            let t = init::uniform([64 * 1024], -1.0, 1.0, &mut init::rng(70 + g.rank() as u64));
+            let sum = g.all_reduce(ctx, t);
+            if boom && ctx.rank() == 1 {
+                panic!("injected device failure");
+            }
+            g.barrier(ctx);
+            sum.data().to_vec()
+        })
+    };
+    let want = run(false);
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(true)))
+        .expect_err("the injected failure must surface");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(msg.contains("rank 1: injected device failure"), "{msg}");
+    assert_eq!(run(false), want, "second run on the same world and pool");
+}
+
+#[test]
 fn scaler_rescues_scale_after_repeated_overflows() {
     let world = World::new(system_i());
     world.run_on(1, |ctx| {

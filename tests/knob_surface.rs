@@ -1,13 +1,13 @@
 //! The knob surface cannot grow back: runtime behaviour changes through
 //! `Config → initialize()` and the one setter each key lands on, never
-//! through the process environment, and every default is pinned here.
+//! through the process environment, and every default is pinned here. So
+//! are the two things the retired intra-op pool took with it: threads
+//! spawned outside the world executor, and a third of the `unsafe` sites.
 
 use colossalai::comm::compress::Compression;
 use colossalai::comm::{World, WorldBackend};
 use colossalai::core::{initialize, Config, OptimizerSpec};
-use colossalai::tensor::{
-    fast_mode, init, kernel_threads, par, pool, set_fast_mode, set_kernel_threads,
-};
+use colossalai::tensor::{fast_mode, init, pool, set_fast_mode};
 use colossalai::topology::systems::system_i;
 use colossalai_autograd::Linear;
 use std::path::Path;
@@ -24,8 +24,9 @@ fn rust_sources(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
     }
 }
 
-#[test]
-fn library_sources_never_read_the_environment() {
+/// `(path relative to the repo root, text)` of every `.rs` file under
+/// `src/` and `crates/*/src`.
+fn library_sources() -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
     rust_sources(&root.join("src"), &mut files);
@@ -33,15 +34,63 @@ fn library_sources_never_read_the_environment() {
         rust_sources(&krate.unwrap().path().join("src"), &mut files);
     }
     assert!(files.len() > 50, "the scan found the workspace: {files:?}");
-    for file in files {
-        let text = std::fs::read_to_string(&file).unwrap();
+    files
+        .into_iter()
+        .map(|file| {
+            let rel = file
+                .strip_prefix(root)
+                .unwrap()
+                .to_string_lossy()
+                .into_owned();
+            (rel, std::fs::read_to_string(&file).unwrap())
+        })
+        .collect()
+}
+
+#[test]
+fn library_sources_never_read_the_environment() {
+    for (file, text) in library_sources() {
         for banned in ["env::var", "COLOSSAL_"] {
             assert!(
                 !text.contains(banned),
-                "{} contains {banned:?}: knobs are config keys and setters only",
-                file.display()
+                "{file} contains {banned:?}: knobs are config keys and setters only"
             );
         }
+    }
+}
+
+/// The rank executor is the only owner of host cores: outside its own file
+/// no library code (a file up to its unit-test module) starts a thread.
+#[test]
+fn only_the_world_executor_starts_threads() {
+    for (file, text) in library_sources() {
+        if file == "crates/comm/src/world.rs" {
+            continue;
+        }
+        let library = text.split("#[cfg(test)]\nmod ").next().unwrap();
+        for banned in ["thread::spawn", "thread::Builder", "thread::scope"] {
+            assert!(
+                !library.contains(banned),
+                "{file} contains {banned:?}: parallel work is a task of the world executor"
+            );
+        }
+    }
+}
+
+/// Lines naming `unsafe`, per file: the list a Miri leg has to cover
+/// (ROADMAP item 4). A new site changes this table in the same PR.
+#[test]
+fn unsafe_census_is_pinned_per_file() {
+    const CENSUS: [(&str, usize); 4] = [
+        ("crates/tensor/src/kernel.rs", 8),
+        ("crates/tensor/src/ops.rs", 4),
+        ("crates/autograd/src/optim.rs", 4),
+        ("crates/comm/src/world.rs", 1),
+    ];
+    for (file, text) in library_sources() {
+        let want = CENSUS.iter().find(|(f, _)| *f == file).map_or(0, |c| c.1);
+        let got = text.lines().filter(|l| l.contains("unsafe")).count();
+        assert_eq!(got, want, "{file}: lines naming `unsafe`");
     }
 }
 
@@ -49,12 +98,12 @@ fn library_sources_never_read_the_environment() {
 /// the defaults are read.
 #[test]
 fn defaults_hold_and_a_default_initialize_moves_no_setter() {
-    assert_eq!(kernel_threads(), 1);
     assert!(!fast_mode());
-    assert_eq!(par::par_cutoff(), 32 * 1024);
-    assert_eq!(colossalai::tensor::kernel::PAR_FLOP_CUTOFF, 64 * 64 * 64);
     assert_eq!(Config::default().compression(), Compression::None);
     assert_eq!(Config::from_json("{}").unwrap(), Config::default());
+    // the thread budget is gone, not ignored
+    let err = Config::from_json(r#"{"compute":{"threads":2}}"#).unwrap_err();
+    assert!(err.contains("compute.threads"), "{err}");
     // the storage pool is on: a recycled buffer comes straight back
     let hits = pool::stats().hits;
     pool::recycle(pool::take_buffer(100_003));
@@ -65,8 +114,7 @@ fn defaults_hold_and_a_default_initialize_moves_no_setter() {
     let world = World::new(system_i());
     assert_eq!(world.backend(), WorldBackend::Stackless { pool: cores });
 
-    for (threads, fast) in [(3, true), (1, false)] {
-        set_kernel_threads(threads);
+    for fast in [true, false] {
         set_fast_mode(fast);
         world.run_on(1, |ctx| {
             let model = Linear::from_rng("l", 4, 3, true, &mut init::rng(7));
@@ -76,6 +124,6 @@ fn defaults_hold_and_a_default_initialize_moves_no_setter() {
             };
             let _engine = initialize(ctx, &Config::default(), 1, Box::new(model), opt);
         });
-        assert_eq!((kernel_threads(), fast_mode()), (threads, fast));
+        assert_eq!(fast_mode(), fast);
     }
 }

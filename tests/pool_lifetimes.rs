@@ -12,11 +12,13 @@
 //! process-global, so its gauges can only be compared where no other test
 //! is using it.
 
-use colossalai::autograd::{AdamW, Layer};
+use colossalai::autograd::{AdamW, Gelu, Layer, Linear, Sequential};
 use colossalai::comm::{World, WorldBackend};
 use colossalai::core::{build_gpt, initialize, Config, OptimizerSpec};
 use colossalai::models::{Gpt, TransformerConfig};
+use colossalai::parallel::data_parallel::flatten_grads;
 use colossalai::parallel::zero::{ZeroOptimizer, ZeroStage};
+use colossalai::parallel::BucketedGradSync;
 use colossalai::tensor::ops::cross_entropy;
 use colossalai::tensor::{init, pool, Tensor};
 use colossalai::topology::systems::system_i;
@@ -201,4 +203,52 @@ fn zero3_steady_state_stages_nothing_the_size_of_the_model() {
         below + 1,
         2 * below
     );
+}
+
+/// One bucketed gradient sync on 4 data-parallel ranks, 64-byte buckets,
+/// either launched from inside the backward or after it; each rank's
+/// flattened synced gradients.
+fn bucket_sync_grads(overlapped: bool) -> Vec<Vec<f32>> {
+    const RANKS: usize = 4;
+    let world = World::new(system_i());
+    world.run_on(RANKS, |ctx| {
+        let g = ctx.world_group(RANKS);
+        let mut rng = init::rng(50);
+        let mut model = Sequential::new(vec![
+            Box::new(Linear::from_rng("l1", 16, 32, true, &mut rng)),
+            Box::new(Gelu::new()),
+            Box::new(Linear::from_rng("l2", 32, 8, true, &mut rng)),
+        ]);
+        let x = init::uniform([2, 16], -1.0, 1.0, &mut init::rng(60 + g.rank() as u64));
+        let y = model.forward(&x);
+        let dy = Tensor::ones(y.shape().clone());
+        let mut sync = BucketedGradSync::new(&mut model, 64);
+        if overlapped {
+            let _ = sync.backward_overlapped(ctx, &g, &mut model, &dy);
+        } else {
+            let _ = model.backward(&dy);
+            sync.sync_blocking(ctx, &g, &mut model);
+        }
+        flatten_grads(&mut model).data().to_vec()
+    })
+}
+
+#[test]
+fn a_warm_bucketed_sync_is_served_from_the_pool_and_overlap_moves_no_bit() {
+    let _pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
+    let blocking = bucket_sync_grads(false);
+    assert_eq!(
+        blocking,
+        bucket_sync_grads(true),
+        "backward_overlapped == backward + sync_blocking, bitwise"
+    );
+    // the two runs above parked the working set: from here on more than
+    // 90 % of in-range requests must be served from parked buffers
+    pool::reset_stats();
+    for _ in 0..2 {
+        assert_eq!(blocking, bucket_sync_grads(false));
+        assert_eq!(blocking, bucket_sync_grads(true));
+    }
+    let stats = pool::stats();
+    assert!(stats.hit_rate() > 0.9, "steady-state pool: {stats:?}");
 }
