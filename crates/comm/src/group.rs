@@ -17,7 +17,7 @@ use crate::stats::OpKind;
 use crate::task::{Poll, WakeKey};
 use crate::trace::{group_track_name, SpanKind, Track};
 use crate::world::DeviceCtx;
-use colossalai_tensor::Tensor;
+use colossalai_tensor::{axpy_slices, pool, Tensor};
 use colossalai_topology::{cost, AllReduceAlgo, Cluster, DeviceId};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -285,11 +285,7 @@ fn finish_spec(desc: Collective, ctx: &DeviceCtx, members: &[DeviceId], inputs: 
     let wire = desc.wire;
     match desc.op {
         Op::AllReduce { max } => {
-            let acc = if max {
-                reduce_max_rank_ordered(inputs)
-            } else {
-                reduce_sum_rank_ordered(inputs)
-            };
+            let acc = reduce_rank_ordered(inputs, max);
             let n = acc.numel() as u64;
             // max is associative+commutative, so the hierarchical schedule
             // applies to it exactly as to sum
@@ -306,7 +302,7 @@ fn finish_spec(desc: Collective, ctx: &DeviceCtx, members: &[DeviceId], inputs: 
             }
         }
         Op::SparseAllReduce { k } => {
-            let acc = reduce_sum_rank_ordered(inputs);
+            let acc = reduce_rank_ordered(inputs, false);
             // a rank never sends more pairs than it has elements
             let k = (k as u64).min(acc.numel() as u64);
             // ring all-gather of every rank's k pairs; each rank sums the
@@ -323,9 +319,8 @@ fn finish_spec(desc: Collective, ctx: &DeviceCtx, members: &[DeviceId], inputs: 
             Done::new(vec![full; p], cost, OpKind::AllGather, elements)
         }
         Op::ReduceScatter { dim } => {
-            let sum = reduce_sum_rank_ordered(inputs);
-            let n = sum.numel() as u64;
-            let outs = sum.chunk(dim, p);
+            let n = inputs[0].numel() as u64;
+            let outs = reduce_scatter_rank_ordered(inputs, dim);
             let cost = cost::reduce_scatter_time(cluster, members, n * wire.bytes());
             let elements = (p as u64 - 1) * n;
             Done::new(outs, cost, OpKind::ReduceScatter, elements)
@@ -402,7 +397,7 @@ fn finish_spec(desc: Collective, ctx: &DeviceCtx, members: &[DeviceId], inputs: 
             Done::new(outs, cost, OpKind::AllToAll, elements)
         }
         Op::ReduceSum { root } => {
-            let sum = reduce_sum_rank_ordered(inputs);
+            let sum = reduce_rank_ordered(inputs, false);
             let n = sum.numel() as u64;
             let outs = (0..p)
                 .map(|r| {
@@ -964,25 +959,83 @@ impl Group {
     }
 }
 
-/// Elementwise sum of the rank-ordered rendezvous inputs, accumulated in
-/// ascending rank order on every rank (the repo's arithmetic-equivalence
-/// contract for collectives).
-fn reduce_sum_rank_ordered(inputs: &[Tensor]) -> Tensor {
-    let mut sum = inputs[0].clone();
-    for x in &inputs[1..] {
-        sum.axpy(1.0, x);
+/// Elements one block of a rank-ordered reduction spans: 16 KB of
+/// accumulator, so it is still in L1 when the last rank's values arrive.
+const REDUCE_BLOCK: usize = 4096;
+
+/// Appends to `out` the elementwise reduction of every input's flat
+/// elements `range`, in one pass: each [`REDUCE_BLOCK`] starts as rank 0's
+/// values and `take`s (adds, or maximizes with) ranks 1..p in ascending
+/// order while it is hot. Per element that is the ascending-rank chain of
+/// the repo's arithmetic-equivalence contract for collectives, so the bits
+/// do not depend on the blocking.
+fn reduce_rank_ordered_into(
+    out: &mut Vec<f32>,
+    inputs: &[Tensor],
+    range: std::ops::Range<usize>,
+    take: impl Fn(&mut [f32], &[f32]),
+) {
+    for start in range.clone().step_by(REDUCE_BLOCK) {
+        let block = start..range.end.min(start + REDUCE_BLOCK);
+        let filled = out.len();
+        out.extend_from_slice(&inputs[0].data()[block.clone()]);
+        for x in &inputs[1..] {
+            take(&mut out[filled..], &x.data()[block.clone()]);
+        }
     }
-    sum
 }
 
-/// Elementwise max of the rank-ordered rendezvous inputs (max is exact,
-/// but the ascending-rank order is kept anyway for uniformity).
-fn reduce_max_rank_ordered(inputs: &[Tensor]) -> Tensor {
-    let mut acc = inputs[0].clone();
-    for x in &inputs[1..] {
-        acc = acc.zip(x, f32::max);
+/// `acc[i] += x[i]`: the step of a rank-ordered sum.
+fn add_rank(acc: &mut [f32], x: &[f32]) {
+    axpy_slices(acc, 1.0, x);
+}
+
+/// The rank-ordered sum of the rendezvous inputs, cut into one chunk per
+/// rank along `dim`. Rank r's chunk is `outer` strips of the flat elements
+/// (one when `dim` is 0); each is summed straight into the buffer r alone
+/// will own, so r may scale it in place — nothing sums the whole vector
+/// and copies chunks out of it.
+fn reduce_scatter_rank_ordered(inputs: &[Tensor], dim: usize) -> Vec<Tensor> {
+    let (p, dims) = (inputs.len(), inputs[0].dims());
+    assert!(
+        dims[dim].is_multiple_of(p),
+        "dim {dim} extent {} not divisible into {p} parts",
+        dims[dim]
+    );
+    let outer: usize = dims[..dim].iter().product();
+    let strip = inputs[0].numel() / (outer * p).max(1);
+    let shape = inputs[0].shape().with_dim(dim, dims[dim] / p);
+    (0..p)
+        .map(|r| {
+            let mut out = pool::take_buffer(outer * strip);
+            for o in 0..outer {
+                let start = (o * p + r) * strip;
+                reduce_rank_ordered_into(&mut out, inputs, start..start + strip, add_rank);
+            }
+            Tensor::from_vec(shape.clone(), out)
+        })
+        .collect()
+}
+
+/// Elementwise sum (or, with `max`, maximum — exact, but reduced in the
+/// same ascending-rank order for uniformity) of the rank-ordered rendezvous
+/// inputs: a fresh pooled buffer, or the input itself on a one-rank group.
+fn reduce_rank_ordered(inputs: &[Tensor], max: bool) -> Tensor {
+    if let [only] = inputs {
+        return only.clone();
     }
-    acc
+    let n = inputs[0].numel();
+    let mut out = pool::take_buffer(n);
+    if max {
+        reduce_rank_ordered_into(&mut out, inputs, 0..n, |acc, x| {
+            for (a, &b) in acc.iter_mut().zip(x) {
+                *a = a.max(b);
+            }
+        });
+    } else {
+        reduce_rank_ordered_into(&mut out, inputs, 0..n, add_rank);
+    }
+    Tensor::from_vec(inputs[0].shape().clone(), out)
 }
 
 #[cfg(test)]
@@ -1045,6 +1098,98 @@ mod tests {
         });
         for (full, rebuilt) in &out {
             assert_eq!(full.data(), rebuilt.data());
+        }
+    }
+
+    /// Contributions of mixed magnitude (2^-20 .. 2^20, both signs), where
+    /// the order of a sum shows in its last bits.
+    fn mixed_magnitudes(p: usize, n: usize) -> Vec<Tensor> {
+        let mut s = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul((p * 131 + n) as u64 + 1);
+        let mut draw = || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let mantissa = (s >> 40) as f32 / (1u64 << 24) as f32 + 0.5;
+            let exponent = ((s >> 33) & 0x3f) as i32 - 20;
+            let sign = if s & (1 << 32) == 0 { 1.0 } else { -1.0 };
+            sign * mantissa * 2f32.powi(exponent.clamp(-20, 20))
+        };
+        (0..p)
+            .map(|_| Tensor::from_vec([n], (0..n).map(|_| draw()).collect()))
+            .collect()
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn one_pass_reductions_equal_the_rank_by_rank_chains_bitwise() {
+        let mut order_mattered = false;
+        for p in [1, 2, 3, 8] {
+            for n in [0, 1, 4095, 4096, 4097, 3 * 4096 + 5] {
+                let inputs = mixed_magnitudes(p, n);
+                // the chains the one-pass reduction replaced
+                let mut sum = inputs[0].clone();
+                let mut max = inputs[0].clone();
+                for x in &inputs[1..] {
+                    sum.axpy(1.0, x);
+                    max = max.zip(x, f32::max);
+                }
+                assert_eq!(
+                    bits(&reduce_rank_ordered(&inputs, false)),
+                    bits(&sum),
+                    "sum, p {p}, n {n}"
+                );
+                assert_eq!(
+                    bits(&reduce_rank_ordered(&inputs, true)),
+                    bits(&max),
+                    "max, p {p}, n {n}"
+                );
+                let mut backwards = inputs[p - 1].clone();
+                for x in inputs[..p - 1].iter().rev() {
+                    backwards.axpy(1.0, x);
+                }
+                order_mattered |= bits(&backwards) != bits(&sum);
+            }
+        }
+        assert!(order_mattered, "the inputs never told two orders apart");
+    }
+
+    #[test]
+    fn reduce_scatter_is_the_chunk_of_the_sum_in_a_buffer_of_its_own() {
+        let p = 4;
+        for (shape, dim) in [
+            (vec![4 * 4097], 0),
+            (vec![8, 5], 0),
+            (vec![3, 8, 5], 1),
+            (vec![2, 3, 4], 2),
+            (vec![0, 4], 1),
+        ] {
+            let n: usize = shape.iter().product();
+            let shaped = |t: Tensor| t.reshaped(shape.clone());
+            let inputs: Vec<Tensor> = mixed_magnitudes(p, n).into_iter().map(shaped).collect();
+            let mut sum = inputs[0].clone();
+            for x in &inputs[1..] {
+                sum.axpy(1.0, x);
+            }
+            let want = sum.chunk(dim, p);
+            let world = World::new(system_i());
+            let got = world.run_on(p, |ctx| {
+                let g = ctx.world_group(p);
+                let mut mine = g.reduce_scatter(ctx, inputs[g.rank()].clone(), dim);
+                let home = mine.data().as_ptr();
+                // nobody else holds the shard: scaling it moves nothing
+                mine.scale(0.25);
+                assert_eq!(mine.data().as_ptr(), home, "scaled in place");
+                mine
+            });
+            for (r, (got, want)) in got.iter().zip(&want).enumerate() {
+                let mut want = want.clone();
+                want.scale(0.25);
+                assert_eq!(got.dims(), want.dims(), "{shape:?} along {dim}");
+                assert_eq!(bits(got), bits(&want), "{shape:?} along {dim}, rank {r}");
+            }
         }
     }
 

@@ -142,7 +142,8 @@ pub enum Keep {
 /// `visit_params` order as one vector, covered by contiguous `(offset, len)`
 /// ranges — the only mapping between a model and flat buffers (DESIGN.md
 /// §8.3), with one gather (model → range buffers) and one scatter (range
-/// tensors → model).
+/// tensors → model), which hands parameter values out as O(1) views of the
+/// range tensors instead of copying them.
 ///
 /// Ranges and parameters are laid independently over the same axis: under a
 /// p-aligned plan ([`BucketPlan::element_ranges`]) a range spans several
@@ -183,7 +184,10 @@ impl FlatLayout {
         FlatLayout::new(&sizes, vec![(0, total)])
     }
 
-    /// One zeroed pooled buffer per range.
+    /// One zeroed pooled buffer per range, for [`FlatLayout::gather`] to
+    /// fill in any order: `backward_overlapped`'s stages arrive back to
+    /// front. (A front-to-back fill needs no zeroing: see
+    /// [`FlatLayout::gather_all`].)
     fn buffers(&self) -> Vec<Vec<f32>> {
         self.ranges.iter().map(|r| pool::take_zeroed(r.1)).collect()
     }
@@ -207,8 +211,7 @@ impl FlatLayout {
     }
 
     /// Copies parameter `pi`'s elements (`data`: its value or its gradient)
-    /// into the buffer of every range it overlaps — the only place model
-    /// data is copied out into flat buffers.
+    /// into the zeroed buffer of every range it overlaps.
     fn gather(&self, bufs: &mut [Vec<f32>], pi: usize, data: &[f32]) {
         for (ri, in_range, in_param) in self.overlaps(pi, data.len()) {
             bufs[ri][in_range].copy_from_slice(&data[in_param]);
@@ -216,43 +219,91 @@ impl FlatLayout {
     }
 
     /// Gathers `pick` ([`Param::value`] or [`Param::grad`]) of every
-    /// parameter into fresh range buffers, padding zero.
+    /// parameter into fresh range buffers, padding zero. Parameters arrive
+    /// in flat order, so every buffer is extended front to back and only
+    /// the padding is ever zeroed.
     pub(crate) fn gather_all(
         &self,
         model: &mut dyn Layer,
         pick: fn(&Param) -> &Tensor,
     ) -> Vec<Vec<f32>> {
-        let mut bufs = self.buffers();
+        let take = |r: &(usize, usize)| pool::take_buffer(r.1);
+        let mut bufs: Vec<Vec<f32>> = self.ranges.iter().map(take).collect();
         let mut pi = 0;
         model.visit_params(&mut |p| {
-            self.gather(&mut bufs, pi, pick(p).data());
+            let data = pick(p).data();
+            for (ri, in_range, in_param) in self.overlaps(pi, data.len()) {
+                assert_eq!(bufs[ri].len(), in_range.start, "ranges fill in order");
+                bufs[ri].extend_from_slice(&data[in_param]);
+            }
             pi += 1;
         });
         assert_eq!(pi + 1, self.offsets.len(), "model parameter set changed");
+        for (buf, r) in bufs.iter_mut().zip(&self.ranges) {
+            buf.resize(r.1, 0.0);
+        }
         bufs
     }
 
-    /// Copies one tensor per range back into `pick` ([`Param::value_mut`] or
-    /// [`Param::grad_mut`]) of every parameter, in place — the only place
-    /// flat data is copied into a model.
-    pub(crate) fn scatter(
-        &self,
-        model: &mut dyn Layer,
-        pick: fn(&mut Param) -> &mut Tensor,
-        ranges: &[Tensor],
-    ) {
+    /// Panics unless `ranges` holds one tensor of the right length per range.
+    fn check_lens(&self, ranges: &[Tensor]) {
         let lens = ranges.iter().map(Tensor::numel);
         assert!(
             lens.eq(self.ranges.iter().map(|r| r.1)),
             "flat vector length mismatch"
         );
+    }
+
+    /// Writes `scale` times one tensor per range back into `pick`
+    /// ([`Param::value_mut`] or [`Param::grad_mut`]) of every parameter, in
+    /// place: one pass that copies and scales (`x * scale`, the bits of
+    /// scaling the range tensors first and copying after).
+    pub(crate) fn scatter(
+        &self,
+        model: &mut dyn Layer,
+        pick: fn(&mut Param) -> &mut Tensor,
+        ranges: &[Tensor],
+        scale: f32,
+    ) {
+        self.check_lens(ranges);
         let mut pi = 0;
         model.visit_params(&mut |p| {
             let dst = pick(p).data_mut();
             for (ri, in_range, in_param) in self.overlaps(pi, dst.len()) {
-                dst[in_param].copy_from_slice(&ranges[ri].data()[in_range]);
+                let src = &ranges[ri].data()[in_range];
+                for (d, &x) in dst[in_param].iter_mut().zip(src) {
+                    *d = x * scale;
+                }
             }
             pi += 1;
+        });
+        assert_eq!(pi + 1, self.offsets.len(), "model parameter set changed");
+    }
+
+    /// Lands one tensor per range in the model's parameter values without
+    /// moving the bytes again: a parameter inside one range becomes an O(1)
+    /// view of that range's tensor, so every rank holding a handle to a
+    /// gathered bucket reads the one buffer. A parameter straddling ranges
+    /// keeps storage of its own and is copied into.
+    pub(crate) fn scatter_values(&self, model: &mut dyn Layer, ranges: &[Tensor]) {
+        self.check_lens(ranges);
+        let mut pi = 0;
+        model.visit_params(&mut |p| {
+            let n = p.numel();
+            let mut spans = self.overlaps(pi, n).peekable();
+            pi += 1;
+            match spans.peek() {
+                Some((ri, in_range, in_param)) if in_param.len() == n => {
+                    let shape = p.value().shape().clone();
+                    p.set_value(ranges[*ri].view(in_range.start, shape));
+                }
+                _ => {
+                    let dst = p.value_mut().data_mut();
+                    for (ri, in_range, in_param) in spans {
+                        dst[in_param].copy_from_slice(&ranges[ri].data()[in_range]);
+                    }
+                }
+            }
         });
         assert_eq!(pi + 1, self.offsets.len(), "model parameter set changed");
     }
@@ -262,8 +313,9 @@ impl FlatLayout {
 /// (`visit_params`-order) gradient, one error-feedback residual per bucket,
 /// one compress-and-reduce and two drivers over it, blocking
 /// ([`GradReducer::reduce`]) and overlapped with backward
-/// ([`GradReducer::backward_overlapped`]). Both return one mean-scaled
-/// tensor per bucket: the whole bucket or this rank's shard, per [`Keep`].
+/// ([`GradReducer::backward_overlapped`]). Both return one tensor per
+/// bucket: this rank's mean-scaled shard, or under [`Keep::Whole`] the
+/// whole summed bucket.
 pub struct GradReducer {
     /// Contiguous buckets covering the flat gradient, plus — for sharded
     /// kinds — the padding that rounds it up to a multiple of p (bucket
@@ -312,7 +364,11 @@ impl GradReducer {
 
     /// Sends bucket `bi` through the compression channel (updating its
     /// error-feedback residual) and the kind's collective at the channel's
-    /// wire width on `stream`; returns what this rank keeps, scaled by 1/p.
+    /// wire width on `stream`; returns what this rank keeps. A shard is this
+    /// rank's alone and is scaled by 1/p here, in place; a whole bucket is
+    /// the one all-reduce result every rank holds a handle to and stays the
+    /// sum (the 1/p goes into [`BucketedGradSync`]'s write-back instead of a
+    /// private copy per rank).
     fn reduce_bucket(
         &mut self,
         ctx: &DeviceCtx,
@@ -345,7 +401,9 @@ impl GradReducer {
             let shard = kept.numel() / p;
             kept = kept.narrow(0, group.rank() * shard, shard);
         }
-        kept.scale(1.0 / p as f32);
+        if self.keep != Keep::Whole {
+            kept.scale(1.0 / p as f32);
+        }
         kept
     }
 
@@ -429,9 +487,15 @@ impl BucketedGradSync {
     /// leaving the mean gradients in the model.
     pub fn sync_blocking(&mut self, ctx: &DeviceCtx, group: &Group, model: &mut dyn Layer) {
         let reduced = self.reducer.reduce(ctx, group, model);
-        self.reducer
-            .layout
-            .scatter(model, Param::grad_mut, &reduced);
+        self.write_back(group, model, &reduced);
+    }
+
+    /// Leaves the mean of the summed buckets in the model's gradients: the
+    /// 1/p rides the copy every rank makes anyway.
+    fn write_back(&self, group: &Group, model: &mut dyn Layer, summed: &[Tensor]) {
+        let mean = 1.0 / group.size() as f32;
+        let layout = &self.reducer.layout;
+        layout.scatter(model, Param::grad_mut, summed, mean);
     }
 
     /// Backward with each bucket's all-reduce hidden behind the remaining
@@ -445,9 +509,7 @@ impl BucketedGradSync {
         dy: &Tensor,
     ) -> Tensor {
         let (dx, reduced) = self.reducer.backward_overlapped(ctx, group, model, dy);
-        self.reducer
-            .layout
-            .scatter(model, Param::grad_mut, &reduced);
+        self.write_back(group, model, &reduced);
         dx
     }
 }
@@ -600,7 +662,7 @@ mod tests {
                     }
                     let flat = |buf: Vec<f32>| Tensor::from_vec([buf.len()], buf);
                     let bufs: Vec<Tensor> = bufs.into_iter().map(flat).collect();
-                    layout.scatter(&mut model, pick_mut, &bufs);
+                    layout.scatter(&mut model, pick_mut, &bufs, 1.0);
                     let back: Vec<Vec<u32>> = model
                         .0
                         .iter()
@@ -609,6 +671,26 @@ mod tests {
                     assert_eq!(
                         back, want,
                         "seed {seed}: scatter of {sizes:?} over {ranges:?}"
+                    );
+                }
+
+                // values land as views: the same elements, and a parameter
+                // inside one range reads that range's own storage
+                let params = sizes.iter().map(|&n| Param::new("p", Tensor::zeros([n])));
+                let mut model = Bag(params.collect());
+                let flat = |&(_, len): &(usize, usize)| init::uniform([len], -1.0, 1.0, &mut rng);
+                let bufs: Vec<Tensor> = ranges.iter().map(flat).collect();
+                layout.scatter_values(&mut model, &bufs);
+                let all: Vec<f32> = bufs.iter().flat_map(|b| b.data().to_vec()).collect();
+                for (pi, q) in model.0.iter().enumerate() {
+                    let (start, n) = (layout.offsets[pi], sizes[pi]);
+                    assert_eq!(q.value().data(), &all[start..start + n], "seed {seed}");
+                    let homes: Vec<usize> = layout.overlaps(pi, n).map(|o| o.0).collect();
+                    let shared = bufs.iter().filter(|b| b.shares_storage(q.value()));
+                    assert_eq!(
+                        shared.count(),
+                        usize::from(homes.len() == 1),
+                        "seed {seed}: parameter {pi} of {sizes:?} over {ranges:?}"
                     );
                 }
             }

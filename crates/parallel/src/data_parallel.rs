@@ -131,9 +131,9 @@ pub fn flatten_grads(model: &mut dyn Layer) -> Tensor {
 }
 
 /// Writes a flat vector back into the model's parameters (inverse of
-/// [`flatten_params`]).
+/// [`flatten_params`]): each becomes a copy-on-write view of `flat`.
 pub fn unflatten_into(model: &mut dyn Layer, flat: &Tensor) {
-    FlatLayout::whole(model).scatter(model, Param::value_mut, std::slice::from_ref(flat));
+    FlatLayout::whole(model).scatter_values(model, std::slice::from_ref(flat));
 }
 
 #[cfg(test)]

@@ -24,8 +24,10 @@
 //! bucket plan yields the same bits, and a single default bucket
 //! degenerates to the classic contiguous shard. The reducer's
 //! `bucket::FlatLayout` is the only mapping between the model and those
-//! buckets: it picks the master shards out of the parameters once and
-//! scatters every gathered bucket straight back into them.
+//! buckets: it picks the master shards out of the parameters once, and
+//! every gathered bucket lands in the model as O(1) views — a parameter
+//! *is* a region of the bucket it arrived in, shared by the p ranks of the
+//! group, not a copy of it.
 
 use crate::bucket::{BucketPlan, GradReducer, Keep, DEFAULT_BUCKET_BYTES};
 use colossalai_autograd::{adamw_update, Layer, Param};
@@ -238,25 +240,35 @@ impl ZeroOptimizer {
         model.zero_grad();
     }
 
-    /// All-gathers every bucket of the sharded master copy and scatters it
-    /// straight into the model's parameters.
+    /// All-gathers every bucket of the sharded master copy and lands it in
+    /// the model: each parameter becomes a view of the gathered bucket that
+    /// holds it (one that straddles two buckets is copied into).
     fn gather_params_into(&self, model: &mut dyn Layer) {
         let gather = |part: &Tensor| self.group.all_gather_cat(&self.ctx, part.clone(), 0);
         let gathered: Vec<Tensor> = self.master.iter().map(gather).collect();
-        let layout = &self.reducer.layout;
-        layout.scatter(model, Param::value_mut, &gathered);
+        self.reducer.layout.scatter_values(model, &gathered);
     }
 
     /// ZeRO-3 helper: drops the full parameters from the model, leaving
     /// zeros (the master shard remains authoritative). Persistent
-    /// parameter memory falls to `2N/p`.
+    /// parameter memory falls to `2N/p`, and the memory really goes: every
+    /// value becomes a view of one shared zero tensor the size of the
+    /// largest parameter, so this rank's handles to the gathered buckets
+    /// drop and a bucket's storage returns to the pool once the last rank
+    /// of the group has released it.
     pub fn release_params(&self, model: &mut dyn Layer) {
         assert_eq!(
             self.stage,
             ZeroStage::Three,
             "release only applies to stage 3"
         );
-        model.visit_params(&mut |p| p.value_mut().data_mut().fill(0.0));
+        let mut largest = 0;
+        model.visit_params(&mut |p| largest = largest.max(p.numel()));
+        let zeros = Tensor::zeros([largest]);
+        model.visit_params(&mut |p| {
+            let shape = p.value().shape().clone();
+            p.set_value(zeros.view(0, shape));
+        });
     }
 
     /// ZeRO-3 helper: re-materializes full parameters by all-gathering the

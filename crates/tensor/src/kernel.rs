@@ -130,45 +130,65 @@ impl<'a> Mat<'a> {
         }
     }
 
+    /// The transpose: the same storage with the two strides swapped.
+    fn t(self) -> Self {
+        Mat {
+            data: self.data,
+            rs: self.cs,
+            cs: self.rs,
+        }
+    }
+
     #[inline(always)]
     fn at(&self, r: usize, c: usize) -> f32 {
         self.data[r * self.rs + c * self.cs]
     }
 }
 
-/// Packs logical rows `[i0, i0 + mb)` x cols `[p0, p0 + kb)` of `a` into
-/// `MRR`-row panels: panel `ip` holds rows `i0 + ip*MRR ..`, stored as `kb`
-/// groups of `MRR` values (rows beyond `mb` zero-filled so the microkernel
-/// never branches on the edge). `MRR` is [`MR`] for the deterministic
-/// kernel and [`MR_FMA`] for the taller fast-mode tile.
-fn pack_a<const MRR: usize>(a: Mat, i0: usize, mb: usize, p0: usize, kb: usize, buf: &mut [f32]) {
-    for (ip, panel) in buf.chunks_mut(kb * MRR).take(mb.div_ceil(MRR)).enumerate() {
-        let ir = ip * MRR;
-        let rows = (mb - ir).min(MRR);
-        for (kk, dst) in panel.chunks_exact_mut(MRR).take(kb).enumerate() {
-            for (r, d) in dst[..rows].iter_mut().enumerate() {
-                *d = a.at(i0 + ir + r, p0 + kk);
+/// Packs logical rows `[x0, x0 + xb)` x cols `[p0, p0 + kb)` of `m` into
+/// `W`-row panels: panel `ip` holds rows `x0 + ip*W ..`, stored as `kb`
+/// groups of `W` values (rows beyond `xb` zero-filled so the microkernel
+/// never branches on the edge). `A` packs as itself with `W` = [`MR`] (or
+/// [`MR_FMA`] for the taller fast-mode tile); `B` packs as its transpose
+/// with `W` = [`NR`], so its panels run along its columns.
+///
+/// Packing is a pure gather, and the two layouts a training step produces
+/// have a unit stride on one side: when the panel dimension is contiguous
+/// (row-major `B`, transposed `A`) each `k` group is one slice copy, when
+/// `k` is contiguous (row-major `A`, transposed `B`) each source row is
+/// walked once; any other striding takes the element-by-element loop.
+fn pack<const W: usize>(m: Mat, x0: usize, xb: usize, p0: usize, kb: usize, buf: &mut [f32]) {
+    let Mat { data, rs, cs } = m;
+    for (ip, panel) in buf.chunks_mut(kb * W).take(xb.div_ceil(W)).enumerate() {
+        let x = x0 + ip * W;
+        let rows = (xb - ip * W).min(W);
+        if cs == 1 {
+            for r in 0..rows {
+                let at = (x + r) * rs + p0;
+                for (dst, &v) in panel.chunks_exact_mut(W).zip(&data[at..at + kb]) {
+                    dst[r] = v;
+                }
             }
-            for d in dst[rows..].iter_mut() {
-                *d = 0.0;
+            if rows < W {
+                for dst in panel.chunks_exact_mut(W).take(kb) {
+                    dst[rows..].fill(0.0);
+                }
             }
+            continue;
         }
-    }
-}
-
-/// Packs logical rows `[p0, p0 + kb)` x cols `[j0, j0 + nb)` of `b` into
-/// `NR`-column panels, `kb` groups of `NR` values each, zero-filled past `nb`.
-fn pack_b(b: Mat, p0: usize, kb: usize, j0: usize, nb: usize, buf: &mut [f32]) {
-    for (jp, panel) in buf.chunks_mut(kb * NR).take(nb.div_ceil(NR)).enumerate() {
-        let jr = jp * NR;
-        let cols = (nb - jr).min(NR);
-        for (kk, dst) in panel.chunks_exact_mut(NR).take(kb).enumerate() {
-            for (c, d) in dst[..cols].iter_mut().enumerate() {
-                *d = b.at(p0 + kk, j0 + jr + c);
+        for (kk, dst) in panel.chunks_exact_mut(W).take(kb).enumerate() {
+            let at = x * rs + (p0 + kk) * cs;
+            if rs == 1 && rows == W {
+                // a constant length: a few vector moves, not a `memcpy` call
+                dst.copy_from_slice(&data[at..at + W]);
+            } else if rs == 1 {
+                dst[..rows].copy_from_slice(&data[at..at + rows]);
+            } else {
+                for (r, d) in dst[..rows].iter_mut().enumerate() {
+                    *d = data[at + r * rs];
+                }
             }
-            for d in dst[cols..].iter_mut() {
-                *d = 0.0;
-            }
+            dst[rows..].fill(0.0);
         }
     }
 }
@@ -349,14 +369,14 @@ pub fn gemm_mat(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
         for pc in (0..k).step_by(KC) {
             let kb = (k - pc).min(KC);
             let bbuf = &mut bpack[..nb.div_ceil(NR) * NR * kb];
-            pack_b(b, pc, kb, jc, nb, bbuf);
+            pack::<NR>(b.t(), jc, nb, pc, kb, bbuf);
             for ic in (0..m).step_by(MC) {
                 let mb = (m - ic).min(MC);
                 let abuf = &mut apack[..mb.div_ceil(mr) * mr * kb];
                 if fast {
-                    pack_a::<MR_FMA>(a, ic, mb, pc, kb, abuf);
+                    pack::<MR_FMA>(a, ic, mb, pc, kb, abuf);
                 } else {
-                    pack_a::<MR>(a, ic, mb, pc, kb, abuf);
+                    pack::<MR>(a, ic, mb, pc, kb, abuf);
                 }
                 run_macro_tile(fast, abuf, bbuf, kb, mb, nb, c, n, ic, jc);
             }
@@ -560,6 +580,81 @@ mod tests {
                 "mismatch at ({m},{k},{n})"
             );
         }
+    }
+
+    /// The loop `pack` replaced: every element through `Mat::at`.
+    fn pack_by_at<const W: usize>(
+        m: Mat,
+        x0: usize,
+        xb: usize,
+        p0: usize,
+        kb: usize,
+        buf: &mut [f32],
+    ) {
+        for (ip, panel) in buf.chunks_mut(kb * W).take(xb.div_ceil(W)).enumerate() {
+            let rows = (xb - ip * W).min(W);
+            for (kk, dst) in panel.chunks_exact_mut(W).take(kb).enumerate() {
+                for (r, d) in dst.iter_mut().enumerate() {
+                    *d = if r < rows {
+                        m.at(x0 + ip * W + r, p0 + kk)
+                    } else {
+                        0.0
+                    };
+                }
+            }
+        }
+    }
+
+    fn pack_matches_the_at_loop<const W: usize>() {
+        let (rows, cols) = (2 * W + 3, 37);
+        let data = rand_vec(3 * rows * cols, W as u64);
+        let operands = [
+            ("row-major", Mat::row_major(&data, cols)),
+            ("transposed", Mat::transposed(&data, rows)),
+            // every third element of a row-major buffer: no unit stride
+            (
+                "strided",
+                Mat {
+                    data: &data,
+                    rs: 3 * cols,
+                    cs: 3,
+                },
+            ),
+        ];
+        for (what, m) in operands {
+            for (m, rows, cols) in [(m, rows, cols), (m.t(), cols, rows)] {
+                // whole extent, a ragged interior block, one full panel, the
+                // last element, nothing
+                for (x0, xb, p0, kb) in [
+                    (0, rows, 0, cols),
+                    (1, W + 2, 2, 5),
+                    (W, W, 0, 1),
+                    (rows - 1, 1, cols - 1, 1),
+                    (2, 0, 3, 4),
+                ] {
+                    let len = xb.div_ceil(W) * W * kb;
+                    // poisoned: every element of every panel must be written
+                    let (mut got, mut want) = (vec![f32::NAN; len], vec![f32::NAN; len]);
+                    pack::<W>(m, x0, xb, p0, kb, &mut got);
+                    pack_by_at::<W>(m, x0, xb, p0, kb, &mut want);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{what} (rs {}, cs {}), W {W}, block ({x0}+{xb}, {p0}+{kb})",
+                        m.rs,
+                        m.cs
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pack_equals_the_element_loop_for_every_layout_and_width() {
+        pack_matches_the_at_loop::<MR>();
+        pack_matches_the_at_loop::<MR_FMA>();
+        pack_matches_the_at_loop::<NR>();
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!
 //! Design choices:
 //! * tensors are contiguous and row-major with copy-on-write storage —
-//!   clones share one allocation and any mutation path unshares first, so
-//!   value semantics are preserved while broadcast-style fan-out of one
-//!   buffer to many simulated devices stays O(1) per rank;
+//!   clones and contiguous views share one allocation and any mutation
+//!   path unshares first, so value semantics are preserved while
+//!   broadcast-style fan-out of one buffer to many simulated devices stays
+//!   O(1) per rank and a parameter can be a region of a gathered bucket;
 //! * shape errors panic (like `ndarray`), since they are programming errors
 //!   in a training system, not recoverable conditions;
 //! * all randomness is seeded ChaCha8 so parallel-vs-serial equivalence tests

@@ -6,23 +6,28 @@ use std::fmt;
 ///
 /// A scalar is represented by an empty shape (`rank() == 0`, `numel() == 1`).
 /// Shapes are always paired with contiguous row-major strides in this crate;
-/// views materialize copies instead of aliasing, which keeps the kernel code
-/// simple and the per-device buffers independent (important because each
-/// simulated device owns its buffers outright).
+/// strided slices materialize copies instead of aliasing (the only O(1)
+/// sub-tensor is a contiguous `Tensor::view`), which keeps the kernel code
+/// simple.
+///
+/// The extents are a boxed slice, not a `Vec`: a shape never grows, and
+/// without the capacity word a `Tensor` handle — shape, storage and element
+/// offset — stays four words (`hybrid_4096` moves thousands of 256-element
+/// tensors per step and read 2–6 % slower with a fifth).
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Shape(Vec<usize>);
+pub struct Shape(Box<[usize]>);
 
 impl Shape {
     /// Creates a shape from dimension extents.
     ///
     /// Zero-sized dimensions are allowed and yield `numel() == 0`.
     pub fn new(dims: impl Into<Vec<usize>>) -> Self {
-        Shape(dims.into())
+        Shape(dims.into().into_boxed_slice())
     }
 
     /// Scalar shape (rank 0).
     pub fn scalar() -> Self {
-        Shape(Vec::new())
+        Shape(Box::default())
     }
 
     /// Number of dimensions.
@@ -116,19 +121,19 @@ impl fmt::Display for Shape {
 
 impl From<Vec<usize>> for Shape {
     fn from(v: Vec<usize>) -> Self {
-        Shape(v)
+        Shape(v.into_boxed_slice())
     }
 }
 
 impl From<&[usize]> for Shape {
     fn from(v: &[usize]) -> Self {
-        Shape(v.to_vec())
+        Shape(v.into())
     }
 }
 
 impl<const N: usize> From<[usize; N]> for Shape {
     fn from(v: [usize; N]) -> Self {
-        Shape(v.to_vec())
+        Shape(v.into())
     }
 }
 

@@ -61,36 +61,20 @@ impl Clone for Storage {
     }
 }
 
-impl PartialEq for Storage {
-    fn eq(&self, other: &Self) -> bool {
-        self.buf == other.buf
-    }
-}
-
-impl std::ops::Deref for Storage {
-    type Target = [f32];
-    #[inline]
-    fn deref(&self) -> &[f32] {
-        &self.buf
-    }
-}
-
-impl fmt::Debug for Storage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.buf.fmt(f)
-    }
-}
-
 /// A dense, contiguous, row-major `f32` tensor with copy-on-write storage.
 ///
 /// This is the single numeric currency of the reproduction: simulated-device
 /// buffers, parameters, gradients and activations are all `Tensor`s. The
 /// buffer is shared behind an [`Arc`], so `Clone` (and [`Tensor::reshape`])
 /// is O(1) — collectives that fan one buffer out to `p` ranks hand out `p`
-/// handles to a single allocation instead of `p` deep copies. Every mutation
-/// path goes through [`Arc::make_mut`], which copies the buffer first if it
-/// is shared, so tensors still *behave* exactly like independent values:
-/// writing through one handle can never be observed through another.
+/// handles to a single allocation instead of `p` deep copies. A handle may
+/// also name just a contiguous range of the allocation ([`Tensor::view`]):
+/// a parameter is a view of the gathered bucket it arrived in. Every
+/// mutation path goes through [`Tensor::data_mut`], which first copies the
+/// handle's own range into fresh storage unless the handle is the only one
+/// and covers the whole allocation, so tensors still *behave* exactly like
+/// independent values: writing through one handle can never be observed
+/// through another.
 ///
 /// # Examples
 ///
@@ -107,13 +91,31 @@ impl fmt::Debug for Storage {
 /// d.scale(2.0);                   // unshares before writing
 /// assert_eq!(c.data(), &[3.0, 3.0, 7.0, 7.0]);
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Tensor {
     shape: Shape,
-    data: Arc<Storage>,
+    storage: Arc<Storage>,
+    /// Where this handle's `shape.numel()` elements start in `storage`.
+    offset: usize,
+}
+
+/// Same shape and same elements, wherever each side's storage lives.
+impl PartialEq for Tensor {
+    fn eq(&self, other: &Tensor) -> bool {
+        self.shape == other.shape && self.data() == other.data()
+    }
 }
 
 impl Tensor {
+    /// A handle to all of a fresh `storage`.
+    fn owning(shape: Shape, storage: Storage) -> Self {
+        Tensor {
+            shape,
+            storage: Arc::new(storage),
+            offset: 0,
+        }
+    }
+
     /// Builds a tensor from a shape and matching data buffer.
     ///
     /// Panics if `data.len() != shape.numel()`.
@@ -127,10 +129,7 @@ impl Tensor {
             shape,
             shape.numel()
         );
-        Tensor {
-            shape,
-            data: Arc::new(Storage::from_vec(data)),
-        }
+        Tensor::owning(shape, Storage::from_vec(data))
     }
 
     /// Builds a tensor by copying a slice into pooled storage.
@@ -144,20 +143,14 @@ impl Tensor {
             shape,
             shape.numel()
         );
-        Tensor {
-            shape,
-            data: Arc::new(Storage::copied_from(data)),
-        }
+        Tensor::owning(shape, Storage::copied_from(data))
     }
 
     /// All-zeros tensor (drawn from the storage pool when possible).
     pub fn zeros(shape: impl Into<Shape>) -> Self {
         let shape = shape.into();
         let n = shape.numel();
-        Tensor {
-            shape,
-            data: Arc::new(Storage::zeroed(n)),
-        }
+        Tensor::owning(shape, Storage::zeroed(n))
     }
 
     /// All-ones tensor.
@@ -171,28 +164,19 @@ impl Tensor {
         let n = shape.numel();
         let mut buf = pool::take_buffer(n);
         buf.resize(n, value);
-        Tensor {
-            shape,
-            data: Arc::new(Storage::from_vec(buf)),
-        }
+        Tensor::owning(shape, Storage::from_vec(buf))
     }
 
     /// Rank-0 tensor holding a single value.
     pub fn scalar(value: f32) -> Self {
-        Tensor {
-            shape: Shape::scalar(),
-            data: Arc::new(Storage::from_vec(vec![value])),
-        }
+        Tensor::owning(Shape::scalar(), Storage::from_vec(vec![value]))
     }
 
     /// `[0, 1, 2, .., n-1]` as a 1-D tensor (useful in tests).
     pub fn arange(n: usize) -> Self {
         let mut buf = pool::take_buffer(n);
         buf.extend((0..n).map(|i| i as f32));
-        Tensor {
-            shape: Shape::new([n]),
-            data: Arc::new(Storage::from_vec(buf)),
-        }
+        Tensor::owning(Shape::new([n]), Storage::from_vec(buf))
     }
 
     /// The tensor's shape.
@@ -207,7 +191,7 @@ impl Tensor {
 
     /// Number of elements.
     pub fn numel(&self) -> usize {
-        self.data.len()
+        self.shape.numel()
     }
 
     /// Rank (number of dimensions).
@@ -217,37 +201,74 @@ impl Tensor {
 
     /// Read-only view of the backing buffer in row-major order.
     pub fn data(&self) -> &[f32] {
-        &self.data
+        &self.storage.buf[self.offset..self.offset + self.numel()]
     }
 
     /// Mutable view of the backing buffer in row-major order.
     ///
     /// This is the copy-on-write point: if the storage is shared with other
-    /// handles, it is unshared (copied) first, so the returned slice is
-    /// always exclusively owned.
+    /// handles, or this handle is a view of part of it, exactly the
+    /// handle's own elements are copied into fresh pooled storage first, so
+    /// the returned slice is always exclusively owned (and the handle no
+    /// longer pins the storage it was a view of).
     pub fn data_mut(&mut self) -> &mut [f32] {
-        Arc::make_mut(&mut self.data).buf.as_mut_slice()
+        if !self.covers_storage() {
+            self.storage = Arc::new(Storage::copied_from(self.data()));
+            self.offset = 0;
+        }
+        // a handle to the whole storage copies all of it, and only if shared
+        Arc::make_mut(&mut self.storage).buf.as_mut_slice()
     }
 
-    /// Consumes the tensor, returning the backing buffer (copying — into a
-    /// pooled buffer — only if the storage is still shared with other
-    /// handles).
+    /// Consumes the tensor, returning its elements as a buffer (copying —
+    /// into a pooled buffer — if the storage is still shared with other
+    /// handles or this handle is a view of part of it).
     pub fn into_vec(self) -> Vec<f32> {
-        match Arc::try_unwrap(self.data) {
+        if !self.covers_storage() {
+            return Storage::copied_from(self.data()).into_buf();
+        }
+        match Arc::try_unwrap(self.storage) {
             Ok(storage) => storage.into_buf(),
-            Err(shared) => Storage::copied_from(&shared).into_buf(),
+            Err(shared) => Storage::copied_from(&shared.buf).into_buf(),
         }
     }
 
     /// True if `self` and `other` share one storage allocation (i.e. both
-    /// are copy-on-write handles to the same buffer).
+    /// are copy-on-write handles to the same buffer, or views of it).
     pub fn shares_storage(&self, other: &Tensor) -> bool {
-        Arc::ptr_eq(&self.data, &other.data)
+        Arc::ptr_eq(&self.storage, &other.storage)
+    }
+
+    /// Whether this handle names every element of its storage.
+    fn covers_storage(&self) -> bool {
+        self.offset == 0 && self.numel() == self.storage.buf.len()
+    }
+
+    /// An O(1) handle to the `shape.numel()` elements starting at flat
+    /// element `start`, under `shape`. Copy-on-write like every shared
+    /// handle: writing through the view (or through `self`) copies the
+    /// writer's own range first. A view keeps the *whole* storage alive, so
+    /// it suits a piece whose siblings live just as long (the parameters
+    /// inside one gathered bucket); a lone shard is cut with
+    /// [`Tensor::narrow`], which copies.
+    pub fn view(&self, start: usize, shape: impl Into<Shape>) -> Tensor {
+        let shape = shape.into();
+        assert!(
+            start + shape.numel() <= self.numel(),
+            "view [{start}, {}) out of bounds for {} elements",
+            start + shape.numel(),
+            self.numel()
+        );
+        Tensor {
+            shape,
+            storage: self.storage.clone(),
+            offset: self.offset + start,
+        }
     }
 
     /// Element at a multi-index.
     pub fn at(&self, index: &[usize]) -> f32 {
-        self.data[self.shape.offset(index)]
+        self.data()[self.shape.offset(index)]
     }
 
     /// Sets the element at a multi-index (unsharing the storage if needed).
@@ -259,7 +280,7 @@ impl Tensor {
     /// The value of a rank-0 or single-element tensor.
     pub fn item(&self) -> f32 {
         assert_eq!(self.numel(), 1, "item() requires exactly one element");
-        self.data[0]
+        self.data()[0]
     }
 
     /// Reinterprets the buffer under a new shape with the same element count.
@@ -273,10 +294,7 @@ impl Tensor {
             self.numel(),
             shape
         );
-        Tensor {
-            shape,
-            data: self.data.clone(),
-        }
+        self.view(0, shape)
     }
 
     /// In-place variant of [`Tensor::reshape`] (no buffer copy).
@@ -290,11 +308,8 @@ impl Tensor {
     /// Applies `f` to every element, returning a new (pooled) tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         let mut buf = pool::take_buffer(self.numel());
-        buf.extend(self.data.iter().map(|&x| f(x)));
-        Tensor {
-            shape: self.shape.clone(),
-            data: Arc::new(Storage::from_vec(buf)),
-        }
+        buf.extend(self.data().iter().map(|&x| f(x)));
+        Tensor::owning(self.shape.clone(), Storage::from_vec(buf))
     }
 
     /// Applies `f` to every element in place.
@@ -313,15 +328,12 @@ impl Tensor {
         );
         let mut buf = pool::take_buffer(self.numel());
         buf.extend(
-            self.data
+            self.data()
                 .iter()
-                .zip(other.data.iter())
+                .zip(other.data().iter())
                 .map(|(&a, &b)| f(a, b)),
         );
-        Tensor {
-            shape: self.shape.clone(),
-            data: Arc::new(Storage::from_vec(buf)),
-        }
+        Tensor::owning(self.shape.clone(), Storage::from_vec(buf))
     }
 
     /// `self += alpha * other`, the fused update at the heart of every
@@ -343,27 +355,30 @@ impl Tensor {
 
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
+        self.data().iter().sum()
     }
 
     /// Mean of all elements (0 for an empty tensor).
     pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
+        if self.data().is_empty() {
             0.0
         } else {
-            self.sum() / self.data.len() as f32
+            self.sum() / self.data().len() as f32
         }
     }
 
     /// Maximum element. Panics on an empty tensor.
     pub fn max(&self) -> f32 {
-        assert!(!self.data.is_empty(), "max() of empty tensor");
-        self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max)
+        assert!(!self.data().is_empty(), "max() of empty tensor");
+        self.data()
+            .iter()
+            .copied()
+            .fold(f32::NEG_INFINITY, f32::max)
     }
 
     /// L2 norm of the flattened tensor.
     pub fn norm(&self) -> f32 {
-        self.data
+        self.data()
             .iter()
             .map(|&x| x as f64 * x as f64)
             .sum::<f64>()
@@ -373,9 +388,9 @@ impl Tensor {
     /// Largest absolute elementwise difference to `other`.
     pub fn max_abs_diff(&self, other: &Tensor) -> f32 {
         assert_eq!(self.shape, other.shape, "max_abs_diff shape mismatch");
-        self.data
+        self.data()
             .iter()
-            .zip(other.data.iter())
+            .zip(other.data().iter())
             .map(|(&a, &b)| (a - b).abs())
             .fold(0.0, f32::max)
     }
@@ -422,15 +437,16 @@ impl Tensor {
             }
         }
         let (&(run, run_stride), outer) = dims.split_first().unwrap_or((&(1, 1), &[]));
-        let numel = self.numel();
+        let data = self.data();
+        let numel = data.len();
         let mut out = pool::take_buffer(numel);
         let mut index = vec![0usize; outer.len()];
         let mut src = 0usize;
         while out.len() < numel {
             if run_stride == 1 {
-                out.extend_from_slice(&self.data[src..src + run]);
+                out.extend_from_slice(&data[src..src + run]);
             } else {
-                out.extend((0..run).map(|i| self.data[src + i * run_stride]));
+                out.extend((0..run).map(|i| data[src + i * run_stride]));
             }
             for (i, &(extent, stride)) in index.iter_mut().zip(outer) {
                 *i += 1;
@@ -442,16 +458,15 @@ impl Tensor {
                 *i = 0;
             }
         }
-        Tensor {
-            shape: out_shape,
-            data: Arc::new(Storage::from_vec(out)),
-        }
+        Tensor::owning(out_shape, Storage::from_vec(out))
     }
 
     /// Copies a contiguous slab `start..start+len` of dimension `dim`.
     ///
     /// This is the sharding primitive: splitting a batch, a hidden dimension
-    /// or a sequence across devices is `narrow` along the relevant axis.
+    /// or a sequence across devices is `narrow` along the relevant axis. It
+    /// copies even where the slab is contiguous, so a shard never keeps the
+    /// tensor it was cut from alive ([`Tensor::view`] is the O(1) form).
     pub fn narrow(&self, dim: usize, start: usize, len: usize) -> Tensor {
         assert!(dim < self.rank(), "narrow dim {dim} out of range");
         let extent = self.dims()[dim];
@@ -462,10 +477,11 @@ impl Tensor {
         );
         let outer: usize = self.dims()[..dim].iter().product();
         let inner: usize = self.dims()[dim + 1..].iter().product();
+        let data = self.data();
         let mut out = pool::take_buffer(outer * len * inner);
         for o in 0..outer {
             let base = o * extent * inner + start * inner;
-            out.extend_from_slice(&self.data[base..base + len * inner]);
+            out.extend_from_slice(&data[base..base + len * inner]);
         }
         Tensor::from_vec(self.shape.with_dim(dim, len), out)
     }
@@ -529,19 +545,14 @@ impl Tensor {
         let out_shape = first.shape.with_dim(dim, total);
         let outer: usize = first.dims()[..dim].iter().product();
         let inner: usize = first.dims()[dim + 1..].iter().product();
-        // one pre-sized pooled buffer, filled with row-strided copies (one
-        // `copy_from_slice` per (tensor, outer) pair) instead of growing via
-        // repeated `extend_from_slice`
-        let mut out = pool::take_zeroed(out_shape.numel());
-        let out_row = total * inner;
-        let mut col_off = 0usize;
-        for t in tensors {
-            let part = t.dims()[dim] * inner;
-            for o in 0..outer {
-                out[o * out_row + col_off..o * out_row + col_off + part]
-                    .copy_from_slice(&t.data[o * part..(o + 1) * part]);
+        // one pooled buffer of the output's capacity, extended in output
+        // order: every element is written exactly once, none zeroed first
+        let mut out = pool::take_buffer(out_shape.numel());
+        for o in 0..outer {
+            for t in tensors {
+                let part = t.dims()[dim] * inner;
+                out.extend_from_slice(&t.data()[o * part..(o + 1) * part]);
             }
-            col_off += part;
         }
         Tensor::from_vec(out_shape, out)
     }
@@ -553,7 +564,7 @@ impl Tensor {
         let mut data = pool::take_buffer(first_shape.numel() * tensors.len());
         for t in tensors {
             assert_eq!(t.shape, first_shape, "stack shape mismatch");
-            data.extend_from_slice(&t.data);
+            data.extend_from_slice(t.data());
         }
         let mut dims = vec![tensors.len()];
         dims.extend_from_slice(first_shape.dims());
@@ -578,7 +589,7 @@ impl Tensor {
             "bias length mismatch"
         );
         for row in self.data_mut().chunks_mut(n) {
-            for (x, &b) in row.iter_mut().zip(bias.data.iter()) {
+            for (x, &b) in row.iter_mut().zip(bias.data().iter()) {
                 *x += b;
             }
         }
@@ -633,14 +644,15 @@ impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Tensor(shape={}, ", self.shape)?;
         if self.numel() <= 16 {
-            write!(f, "data={:?})", self.data)
+            write!(f, "data={:?})", self.data())
         } else {
+            let data = self.data();
             write!(
                 f,
                 "data=[{}, {}, .. {} elements])",
-                self.data[0],
-                self.data[1],
-                self.numel()
+                data[0],
+                data[1],
+                data.len()
             )
         }
     }
@@ -790,6 +802,12 @@ mod tests {
     #[should_panic(expected = "not divisible")]
     fn chunk_requires_divisibility() {
         t2x3().chunk(1, 2);
+    }
+
+    #[test]
+    fn a_handle_is_four_words() {
+        // the element offset took the place of `Shape`'s capacity word
+        assert_eq!(mem::size_of::<Tensor>(), 4 * mem::size_of::<usize>());
     }
 
     #[test]

@@ -242,3 +242,128 @@ fn narrow_matches_indexing() {
         }
     }
 }
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn a_view_reads_the_slice_it_names_and_shares_its_parents_storage() {
+    let parent = tensor(6, 7, 11);
+    for (start, rows, cols) in [(0, 6, 7), (0, 2, 3), (5, 4, 4), (41, 1, 1), (42, 0, 3)] {
+        let view = parent.view(start, [rows, cols]);
+        assert_eq!(view.dims(), &[rows, cols]);
+        assert_eq!(view.numel(), rows * cols);
+        assert_eq!(view.data(), &parent.data()[start..start + rows * cols]);
+        assert!(view.shares_storage(&parent), "a view is O(1)");
+        // reshape and clone keep the offset: the same elements of the same storage
+        for same in [view.reshape([rows * cols]), view.clone()] {
+            assert!(same.shares_storage(&parent));
+            assert_eq!(same.data().as_ptr(), view.data().as_ptr());
+            assert_eq!(same.data(), view.data());
+        }
+        // a view of a view counts from the outer view's start
+        if rows * cols >= 2 {
+            let inner = view.view(1, [rows * cols - 1]);
+            assert_eq!(inner.data(), &parent.data()[start + 1..start + rows * cols]);
+        }
+    }
+    // narrow still cuts a shard with storage of its own
+    assert!(!parent.narrow(0, 2, 3).shares_storage(&parent));
+    assert!(!parent.chunk(0, 2)[0].shares_storage(&parent));
+}
+
+#[test]
+#[should_panic(expected = "out of bounds")]
+fn a_view_past_the_end_is_rejected() {
+    let _ = tensor(2, 3, 1).view(4, [3]);
+}
+
+#[test]
+fn writing_through_a_view_copies_exactly_its_range() {
+    let parent = tensor(4, 8, 12);
+    let before = bits(&parent);
+    let mut view = parent.view(8, [2, 8]);
+    let sibling = parent.view(4, [12]);
+    view.data_mut()[3] = 99.0;
+    assert_eq!(bits(&parent), before, "the parent reads as before");
+    assert_eq!(bits(&sibling), before[4..16], "and so does a sibling");
+    assert!(!view.shares_storage(&parent));
+    assert_eq!(view.data()[3], 99.0);
+    assert_eq!(view.data()[..3], parent.data()[8..11]);
+    assert_eq!(view.data()[4..], parent.data()[12..24]);
+    // uniquely owned from element 0 of storage all its own: a second write
+    // stays put and `into_vec` hands that very buffer over
+    let home = view.data().as_ptr();
+    view.scale(2.0);
+    assert_eq!(view.data().as_ptr(), home);
+    let moved = view.into_vec();
+    assert_eq!(moved.as_ptr(), home);
+
+    // the parent, too, copies before writing while a view is alive
+    let mut parent = parent;
+    parent.data_mut()[5] = -1.0;
+    assert_eq!(bits(&sibling), before[4..16]);
+    // a view that outlives every other handle still copies only its range
+    let whole = tensor(4, 8, 13);
+    let mut last = whole.view(16, [16]);
+    let want = bits(&last);
+    drop(whole);
+    assert_eq!(last.data_mut().len(), 16);
+    assert_eq!(bits(&last), want);
+}
+
+#[test]
+fn every_operation_on_a_view_equals_that_on_a_copy() {
+    for case in 0..32 {
+        let mut draw = colossalai_tensor::init::rng(500 + case);
+        let (m, k, n) = (
+            draw.gen_range(1usize..6),
+            draw.gen_range(1usize..6),
+            draw.gen_range(1usize..6),
+        );
+        let parent = tensor(1, 3 + m * k + 5, case);
+        let start = draw.gen_range(0usize..4);
+        let view = parent.view(start, [m, k]);
+        let copy = Tensor::from_slice([m, k], &parent.data()[start..start + m * k]);
+        assert!(!copy.shares_storage(&parent));
+
+        assert_eq!(view, copy, "== compares contents, not storage");
+        assert_ne!(view, copy.map(|x| x + 1.0));
+        assert_ne!(view, copy.reshape([m * k]), "same elements, another shape");
+        assert_eq!(view.clone().into_vec(), copy.clone().into_vec());
+        assert_eq!(view.sum().to_bits(), copy.sum().to_bits());
+        for dim in 0..2 {
+            let len = view.dims()[dim];
+            assert_eq!(
+                view.narrow(dim, len / 2, len - len / 2),
+                copy.narrow(dim, len / 2, len - len / 2)
+            );
+            let both = [view.clone(), copy.clone()];
+            assert_eq!(
+                Tensor::cat(&both, dim),
+                Tensor::cat(&[copy.clone(), copy.clone()], dim)
+            );
+        }
+        assert_eq!(view.permute(&[1, 0]), copy.permute(&[1, 0]));
+        let other = tensor(m, k, 900 + case);
+        let (mut via_view, mut via_copy) = (view.clone(), copy.clone());
+        via_view.axpy(0.5, &other);
+        via_copy.axpy(0.5, &other);
+        assert_eq!(bits(&via_view), bits(&via_copy));
+        let mut acc = other.clone();
+        acc.axpy(-2.0, &view);
+        let mut acc_copy = other.clone();
+        acc_copy.axpy(-2.0, &copy);
+        assert_eq!(bits(&acc), bits(&acc_copy));
+        let rhs = tensor(k, n, 700 + case);
+        assert_eq!(bits(&matmul(&view, &rhs)), bits(&matmul(&copy, &rhs)));
+        let lhs = tensor(n, m, 800 + case);
+        assert_eq!(bits(&matmul(&lhs, &view)), bits(&matmul(&lhs, &copy)));
+        assert_eq!(
+            bits(&matmul_bt(&rhs.transpose(), &view)),
+            bits(&matmul_bt(&rhs.transpose(), &copy))
+        );
+        assert_eq!(format!("{view:?}"), format!("{copy:?}"));
+    }
+}

@@ -16,7 +16,7 @@ use colossalai::autograd::{AdamW, Gelu, Layer, Linear, Sequential};
 use colossalai::comm::{World, WorldBackend};
 use colossalai::core::{build_gpt, initialize, Config, OptimizerSpec};
 use colossalai::models::{Gpt, TransformerConfig};
-use colossalai::parallel::data_parallel::flatten_grads;
+use colossalai::parallel::data_parallel::{flatten_grads, flatten_params, DataParallel};
 use colossalai::parallel::zero::{ZeroOptimizer, ZeroStage};
 use colossalai::parallel::BucketedGradSync;
 use colossalai::tensor::ops::cross_entropy;
@@ -146,9 +146,7 @@ fn zero3_steady_state_stages_nothing_the_size_of_the_model() {
     let mut sizes = Vec::new();
     Gpt::new(&cfg, &mut init::rng(11)).visit_params(&mut |p| sizes.push(p.numel()));
     let padded = sizes.iter().sum::<usize>().div_ceil(RANKS) * RANKS;
-    let class = (0..pool::N_CLASSES)
-        .find(|&i| pool::class_elems(i) >= padded)
-        .expect("the model is within pooling range");
+    let class = class_of(padded);
     // nothing else a step allocates is in that class: not a parameter, not
     // a bucket or a gathered bucket, not the logits
     let below = pool::class_elems(class) / 2;
@@ -205,6 +203,170 @@ fn zero3_steady_state_stages_nothing_the_size_of_the_model() {
     );
 }
 
+/// 808 parameters: 512 + 32 + 256 + 8.
+fn mlp() -> Sequential {
+    let mut rng = init::rng(50);
+    Sequential::new(vec![
+        Box::new(Linear::from_rng("l1", 16, 32, true, &mut rng)),
+        Box::new(Gelu::new()),
+        Box::new(Linear::from_rng("l2", 32, 8, true, &mut rng)),
+    ])
+}
+
+/// Bytes parked in the pool's size `class` right now (restarts the
+/// high-water marks to read it).
+fn parked_in(class: usize) -> usize {
+    pool::reset_stats();
+    pool::stats().class_high_water[class]
+}
+
+fn class_of(elems: usize) -> usize {
+    (0..pool::N_CLASSES)
+        .find(|&i| pool::class_elems(i) >= elems)
+        .expect("within pooling range")
+}
+
+#[test]
+fn storage_returns_to_the_pool_only_when_its_last_view_drops() {
+    let _pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
+    let class = class_of(3000);
+    let parent = Tensor::zeros([3000]);
+    let out = parked_in(class);
+    let mut a = parent.view(0, [10]);
+    let b = parent.view(100, [5, 5]);
+    drop(parent);
+    assert_eq!(parked_in(class), out, "two views still read the storage");
+    a.data_mut()[0] = 1.0; // copies its ten elements and lets go of the rest
+    assert!(!a.shares_storage(&b));
+    assert_eq!(parked_in(class), out, "one view still reads the storage");
+    drop(b);
+    assert!(
+        parked_in(class) >= out + 3000 * 4,
+        "nothing reads it any more"
+    );
+}
+
+#[test]
+fn zero3_parameters_are_views_of_the_gathered_bucket_until_every_rank_releases() {
+    let _pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
+    const RANKS: usize = 2;
+    // one default-sized bucket holds the whole model, in a size class no
+    // parameter (and nothing `release_params` allocates) shares
+    let class = class_of(808);
+    assert!(class_of(512) < class);
+    let world = World::new(system_i());
+    world.set_backend(Some(WorldBackend::Stackless { pool: 1 }));
+    let out = world.run_on(RANKS, |ctx| {
+        let g = ctx.world_group(RANKS);
+        let mut model = mlp();
+        let opt = ZeroOptimizer::new(ctx, &g, &mut model, ZeroStage::Three, 1e-3, 0.01);
+        assert_eq!(opt.bucket_ranges(), &[(0, 808)]);
+        // rank 0 reads the gauge while every rank stands still
+        let parked = || {
+            g.all_reduce(ctx, Tensor::scalar(0.0));
+            let now = parked_in(class);
+            g.all_reduce(ctx, Tensor::scalar(0.0));
+            now
+        };
+        // a first round trip parks the buffer every later gather takes
+        opt.materialize_params(&mut model);
+        opt.release_params(&mut model);
+        let before = parked();
+        opt.materialize_params(&mut model);
+        let held = parked();
+        if ctx.rank() == 0 {
+            opt.release_params(&mut model);
+        }
+        let one_released = parked();
+        opt.release_params(&mut model);
+        let all_released = parked();
+
+        opt.materialize_params(&mut model);
+        let mut values = Vec::new();
+        model.visit_params(&mut |p| values.push(p.value().clone()));
+        ((before, held, one_released, all_released), values)
+    });
+    let (before, held, one_released, all_released) = out[0].0;
+    assert!(
+        held < before,
+        "the gathered bucket is out of the pool while parameters read it"
+    );
+    assert_eq!(
+        one_released, held,
+        "the other rank's parameters still read it"
+    );
+    assert_eq!(all_released, before, "the last release parks it again");
+    // one buffer per group, not one per rank: every parameter of every rank
+    // reads the storage of rank 0's first
+    let bucket = &out[0].1[0];
+    for (rank, (_, values)) in out.iter().enumerate() {
+        for (pi, value) in values.iter().enumerate() {
+            assert!(value.shares_storage(bucket), "rank {rank}, parameter {pi}");
+        }
+    }
+}
+
+#[test]
+fn zero3_with_parameters_straddling_buckets_still_matches_ddp_bitwise() {
+    let _pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
+    const RANKS: usize = 4;
+    const STEPS: u64 = 3;
+    let train = |zero3: bool| {
+        let world = World::new(system_i());
+        world.run_on(RANKS, |ctx| {
+            let g = ctx.world_group(RANKS);
+            let mut model = mlp();
+            let batch = |s: u64| {
+                let seed = 60 + s * RANKS as u64 + g.rank() as u64;
+                let x = init::uniform([2, 16], -1.0, 1.0, &mut init::rng(seed));
+                (x, [(s as usize + g.rank()) % 8, 3])
+            };
+            if zero3 {
+                // 16-element buckets: every parameter but the last bias
+                // straddles several and keeps storage of its own
+                let mut opt = ZeroOptimizer::with_bucket_bytes(
+                    ctx,
+                    &g,
+                    &mut model,
+                    ZeroStage::Three,
+                    0.01,
+                    0.05,
+                    64,
+                );
+                for s in 0..STEPS {
+                    opt.materialize_params(&mut model);
+                    let (x, t) = batch(s);
+                    let (_, d) = cross_entropy(&model.forward(&x), &t);
+                    let _ = model.backward(&d);
+                    opt.step(&mut model);
+                    opt.release_params(&mut model);
+                }
+                opt.materialize_params(&mut model);
+                let mut values = Vec::new();
+                model.visit_params(&mut |p| values.push(p.value().clone()));
+                assert!(!values[0].shares_storage(&values[1]));
+                flatten_params(&mut model).into_vec()
+            } else {
+                let mut dp = DataParallel::with_bucket_bytes(ctx, &g, model, 64);
+                let mut opt = AdamW::new(0.01, 0.05);
+                for s in 0..STEPS {
+                    dp.zero_grad();
+                    let (x, t) = batch(s);
+                    let (_, d) = cross_entropy(&dp.forward(&x), &t);
+                    let _ = dp.backward(&d);
+                    opt.step_layer(&mut dp);
+                }
+                flatten_params(&mut dp).into_vec()
+            }
+        })
+    };
+    let bits = |runs: Vec<Vec<f32>>| -> Vec<Vec<u32>> {
+        let to_bits = |r: Vec<f32>| r.iter().map(|x| x.to_bits()).collect();
+        runs.into_iter().map(to_bits).collect()
+    };
+    assert_eq!(bits(train(true)), bits(train(false)));
+}
+
 /// One bucketed gradient sync on 4 data-parallel ranks, 64-byte buckets,
 /// either launched from inside the backward or after it; each rank's
 /// flattened synced gradients.
@@ -213,12 +375,7 @@ fn bucket_sync_grads(overlapped: bool) -> Vec<Vec<f32>> {
     let world = World::new(system_i());
     world.run_on(RANKS, |ctx| {
         let g = ctx.world_group(RANKS);
-        let mut rng = init::rng(50);
-        let mut model = Sequential::new(vec![
-            Box::new(Linear::from_rng("l1", 16, 32, true, &mut rng)),
-            Box::new(Gelu::new()),
-            Box::new(Linear::from_rng("l2", 32, 8, true, &mut rng)),
-        ]);
+        let mut model = mlp();
         let x = init::uniform([2, 16], -1.0, 1.0, &mut init::rng(60 + g.rank() as u64));
         let y = model.forward(&x);
         let dy = Tensor::ones(y.shape().clone());
