@@ -5,7 +5,7 @@
 //! movement and high-level engine phases. The tracer lives in the
 //! [`crate::World`] so one timeline sees every layer — collectives in this
 //! crate, pipeline schedules in `colossalai-parallel`, engine phases in
-//! `colossalai-core`, chunk/offload movement in `colossalai-memory`.
+//! `colossalai-core`, offload movement in `colossalai-memory`.
 //!
 //! Tracing is off by default and costs one relaxed atomic load per
 //! potential span when disabled. When enabled, spans are appended to

@@ -1,5 +1,5 @@
 //! Automatic mixed precision: fp16 parameter/gradient emulation with
-//! dynamic loss scaling, plus the Fig 6 storage-reuse accounting.
+//! dynamic loss scaling.
 //!
 //! Numerics: master weights stay fp32; before each forward the working
 //! parameters are rounded through binary16 (software [`colossalai_tensor::F16`]),
@@ -100,16 +100,6 @@ pub fn amp_matmul_nd(a: &Tensor, b: &Tensor) -> Tensor {
     colossalai_tensor::matmul_nd(a, b)
 }
 
-/// FP16 model-data bytes for `n` parameters with and without the Fig 6
-/// parameter/gradient storage reuse.
-pub fn fp16_model_bytes(n_params: u64, reuse_storage: bool) -> u64 {
-    if reuse_storage {
-        colossalai_memory::reuse::peak_bytes_with_reuse(n_params)
-    } else {
-        colossalai_memory::reuse::peak_bytes_without_reuse(n_params)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,12 +154,6 @@ mod tests {
             let h = colossalai_tensor::F16::from_f32(*a);
             assert_eq!(h.to_f32(), *a);
         }
-    }
-
-    #[test]
-    fn reuse_accounting() {
-        assert_eq!(fp16_model_bytes(1000, true), 2000);
-        assert_eq!(fp16_model_bytes(1000, false), 4000);
     }
 
     #[test]

@@ -339,9 +339,15 @@ impl Engine {
     }
 
     /// Restores a snapshot produced by [`Engine::state_dict`] on the same
-    /// model/parallel layout.
+    /// model/parallel layout. Under ZeRO the master shards are re-captured
+    /// from the restored model: they, not the model, are what the next step
+    /// updates and gathers.
     pub fn load_state_dict(&mut self, sd: &colossalai_autograd::StateDict) -> Result<(), String> {
-        sd.restore(self.model.as_mut())
+        sd.restore(self.model.as_mut())?;
+        if let EngineOptimizer::Zero(o) = &mut self.optimizer {
+            o.reload_master(self.model.as_mut());
+        }
+        Ok(())
     }
 }
 

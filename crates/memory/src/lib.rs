@@ -1,22 +1,19 @@
 //! # colossalai-memory
 //!
-//! Device-memory accounting and heterogeneous-storage management for the
-//! Colossal-AI reproduction:
+//! Device-memory accounting and placement planning for the Colossal-AI
+//! reproduction. It holds no parameters: the one parameter store is
+//! `colossalai_parallel::zero`'s bucket store, and [`offload`] plans where
+//! its shards live.
 //!
 //! * [`tracker`] — live/peak byte accounting with OOM detection (the
 //!   instrument behind Fig 8's range tests and Fig 12's max-batch search);
-//! * [`chunk`] — PatrickStar-style chunked tensor storage with LRU GPU
-//!   residency and migration cost metering;
-//! * [`reuse`] — the Fig 6 FP16 parameter/gradient storage-reuse lifecycle;
 //! * [`offload`] — DeepSpeed-static vs Colossal-adaptive placement planning
-//!   for ZeRO-offload training (Fig 14).
+//!   for ZeRO-offload training (Fig 14), and the one model of PCIe
+//!   movement; Fig 6's fp16 parameter/gradient storage reuse is accounted
+//!   in [`ModelData::fp16_shard_bytes`].
 
-pub mod chunk;
 pub mod offload;
-pub mod reuse;
 pub mod tracker;
 
-pub use chunk::{ChunkManager, MoveCost, TensorRef, Tier};
-pub use offload::{plan, plan_tiered, ModelData, OffloadPlan, PlacementPolicy, TieredPlan};
-pub use reuse::{Holds, ReusableBuffer};
-pub use tracker::{MemoryTracker, OomError};
+pub use offload::{plan, ModelData, OffloadPlan, PlacementPolicy};
+pub use tracker::MemoryTracker;

@@ -130,24 +130,6 @@ pub fn plan(
     }
 }
 
-/// Total seconds of `legs`.
-fn seconds(legs: impl Iterator<Item = (f64, SpanKind)>) -> f64 {
-    legs.fold(0.0, |t, (dt, _)| t + dt)
-}
-
-/// Advances `ctx`'s clock leg by leg, recording each leg's span when
-/// tracing is on. Returns the seconds charged.
-fn charge(ctx: &DeviceCtx, legs: impl Iterator<Item = (f64, SpanKind)>) -> f64 {
-    legs.fold(0.0, |t, (dt, span)| {
-        let start = ctx.clock();
-        ctx.advance(dt);
-        if ctx.tracing() {
-            ctx.trace_span(span, start);
-        }
-        t + dt
-    })
-}
-
 impl OffloadPlan {
     /// The timed legs of one step's offload overhead, in the order they are
     /// charged: the two PCIe directions as memory movement, then the CPU
@@ -172,92 +154,23 @@ impl OffloadPlan {
     /// plus the CPU share of the Adam update. (GPU Adam time is charged by
     /// the training engine as ordinary device compute.)
     pub fn overhead_seconds(&self, pcie: Link, host: &HostSpec) -> f64 {
-        seconds(self.legs(pcie, host))
+        self.legs(pcie, host).fold(0.0, |t, (dt, _)| t + dt)
     }
 
-    /// Charges one step's offload overhead to `ctx`'s virtual clock,
-    /// recording a memory-movement span per PCIe leg and a compute span for
-    /// the CPU share of the Adam update (when tracing is on). Returns the
-    /// seconds charged, equal to [`OffloadPlan::overhead_seconds`].
+    /// Charges one step's offload overhead to `ctx`'s virtual clock leg by
+    /// leg, recording a memory-movement span per PCIe leg and a compute
+    /// span for the CPU share of the Adam update (when tracing is on).
+    /// Returns the seconds charged, equal to
+    /// [`OffloadPlan::overhead_seconds`].
     pub fn charge_step(&self, ctx: &DeviceCtx, pcie: Link, host: &HostSpec) -> f64 {
-        charge(ctx, self.legs(pcie, host))
-    }
-}
-
-/// Three-tier residency split (GPU / CPU DRAM / NVMe) for ZeRO-offload
-/// model data, Section 2.4's "CPU or NVMe disks" path.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TieredPlan {
-    /// The two-tier plan for the GPU boundary.
-    pub gpu_plan: OffloadPlan,
-    /// Model-data bytes resident in CPU DRAM.
-    pub dram_bytes: u64,
-    /// Model-data bytes spilled to NVMe (only when DRAM is exhausted).
-    pub nvme_bytes: u64,
-    /// Extra per-step seconds for the NVMe round trips of the spilled
-    /// optimizer data.
-    pub nvme_seconds_per_step: f64,
-}
-
-/// Plans placement across all three tiers: fill GPU headroom first (per
-/// `policy`), then CPU DRAM, then spill the remainder to NVMe. Returns
-/// `None` when the model does not fit even with NVMe (or NVMe is absent
-/// and DRAM overflows).
-pub fn plan_tiered(
-    policy: PlacementPolicy,
-    model: ModelData,
-    gpu_capacity: u64,
-    working_bytes: u64,
-    host: &HostSpec,
-    nvme: Link,
-) -> Option<TieredPlan> {
-    let gpu_plan = plan(policy, model, gpu_capacity, working_bytes);
-    let off_gpu = gpu_plan.cpu_model_bytes;
-    let dram_bytes = off_gpu.min(host.dram_bytes);
-    let nvme_bytes = off_gpu - dram_bytes;
-    if nvme_bytes > 0 && (host.nvme_bytes == 0 || nvme_bytes > host.nvme_bytes) {
-        return None;
-    }
-    // every step, the NVMe-resident optimizer slice must be read for the
-    // update and written back
-    let nvme_seconds_per_step = if nvme_bytes > 0 {
-        2.0 * nvme.transfer_time(nvme_bytes)
-    } else {
-        0.0
-    };
-    Some(TieredPlan {
-        gpu_plan,
-        dram_bytes,
-        nvme_bytes,
-        nvme_seconds_per_step,
-    })
-}
-
-impl TieredPlan {
-    /// The GPU-boundary legs, then the NVMe round trip of the spilled
-    /// optimizer slice (read for the update + write back: one leg for the
-    /// pair).
-    fn legs(&self, pcie: Link, host: &HostSpec) -> impl Iterator<Item = (f64, SpanKind)> {
-        let span = SpanKind::MemMove {
-            bytes: 2 * self.nvme_bytes,
-            from: "nvme",
-            to: "cpu",
-        };
-        let seconds = self.nvme_seconds_per_step;
-        let nvme = (seconds > 0.0).then_some((seconds, span));
-        self.gpu_plan.legs(pcie, host).chain(nvme)
-    }
-
-    /// Total per-step overhead across PCIe, CPU Adam and NVMe.
-    pub fn overhead_seconds(&self, pcie: Link, host: &HostSpec) -> f64 {
-        seconds(self.legs(pcie, host))
-    }
-
-    /// Charges one step's three-tier overhead to `ctx`'s virtual clock with
-    /// trace spans, mirroring [`OffloadPlan::charge_step`] plus the NVMe
-    /// round trip of the spilled optimizer slice.
-    pub fn charge_step(&self, ctx: &DeviceCtx, pcie: Link, host: &HostSpec) -> f64 {
-        charge(ctx, self.legs(pcie, host))
+        self.legs(pcie, host).fold(0.0, |t, (dt, span)| {
+            let start = ctx.clock();
+            ctx.advance(dt);
+            if ctx.tracing() {
+                ctx.trace_span(span, start);
+            }
+            t + dt
+        })
     }
 }
 
@@ -361,91 +274,6 @@ mod tests {
         assert_eq!(a.h2d_per_step, s.h2d_per_step);
         assert_eq!(a.d2h_per_step, s.d2h_per_step);
         assert_eq!(a.cpu_adam_params, s.cpu_adam_params);
-    }
-
-    #[test]
-    fn tiered_plan_spills_to_nvme_only_when_dram_full() {
-        // a 100B-parameter model: 1.6 TB of model data on one device
-        let model = ModelData {
-            n_params: 100_000_000_000,
-            dp_degree: 1,
-        };
-        let big_host = HostSpec::dgx(); // 1 TiB DRAM + NVMe
-        let plan = plan_tiered(
-            PlacementPolicy::Adaptive,
-            model,
-            80 * GIB,
-            10 * GIB,
-            &big_host,
-            Link::nvme(),
-        )
-        .expect("fits with NVMe");
-        assert!(plan.nvme_bytes > 0, "1.6TB exceeds 1TiB DRAM");
-        assert_eq!(
-            plan.gpu_plan.cpu_model_bytes,
-            plan.dram_bytes + plan.nvme_bytes
-        );
-        assert!(plan.nvme_seconds_per_step > 0.0);
-
-        // 10B params fit in DRAM: no NVMe traffic
-        let small = ModelData {
-            n_params: 10_000_000_000,
-            dp_degree: 1,
-        };
-        let plan = plan_tiered(
-            PlacementPolicy::Adaptive,
-            small,
-            80 * GIB,
-            10 * GIB,
-            &big_host,
-            Link::nvme(),
-        )
-        .unwrap();
-        assert_eq!(plan.nvme_bytes, 0);
-        assert_eq!(plan.nvme_seconds_per_step, 0.0);
-    }
-
-    #[test]
-    fn tiered_plan_fails_without_nvme() {
-        let model = ModelData {
-            n_params: 100_000_000_000,
-            dp_degree: 1,
-        };
-        let no_nvme = HostSpec::workstation(); // 256 GiB DRAM, no NVMe
-        assert!(plan_tiered(
-            PlacementPolicy::StaticCpu,
-            model,
-            80 * GIB,
-            10 * GIB,
-            &no_nvme,
-            Link::nvme(),
-        )
-        .is_none());
-    }
-
-    #[test]
-    fn nvme_overhead_dominated_by_low_bandwidth() {
-        let model = ModelData {
-            n_params: 100_000_000_000,
-            dp_degree: 1,
-        };
-        let host = HostSpec::dgx();
-        let plan = plan_tiered(
-            PlacementPolicy::StaticCpu,
-            model,
-            80 * GIB,
-            10 * GIB,
-            &host,
-            Link::nvme(),
-        )
-        .unwrap();
-        let total = plan.overhead_seconds(Link::pcie(), &host);
-        assert!(
-            plan.nvme_seconds_per_step > 0.5 * total,
-            "NVMe round trips should dominate: {} of {}",
-            plan.nvme_seconds_per_step,
-            total
-        );
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //! bucket plan yields the same bits, and a single default bucket
 //! degenerates to the classic contiguous shard. The reducer's
 //! `bucket::FlatLayout` is the only mapping between the model and those
-//! buckets: it picks the master shards out of the parameters once, and
+//! buckets: it picks the master shards out of the parameters (at
+//! construction, and again when a checkpoint restore rewrote them), and
 //! every gathered bucket lands in the model as O(1) views — a parameter
 //! *is* a region of the bucket it arrived in, shared by the p ranks of the
 //! group, not a copy of it.
@@ -83,6 +84,18 @@ pub struct ZeroOptimizer {
     offload: Option<(OffloadPlan, Link, HostSpec)>,
 }
 
+/// This rank's p-th of every bucket of the model's current parameter
+/// values: the FP32 master shards.
+fn master_shards(reducer: &GradReducer, group: &Group, model: &mut dyn Layer) -> Vec<Tensor> {
+    let (p, r) = (group.size(), group.rank());
+    let shard_of = |bucket: Vec<f32>| {
+        let sl = bucket.len() / p;
+        Tensor::from_vec([bucket.len()], bucket).narrow(0, r * sl, sl)
+    };
+    let values = reducer.layout.gather_all(model, Param::value);
+    values.into_iter().map(shard_of).collect()
+}
+
 impl ZeroOptimizer {
     /// Captures the model's current parameters as the master copy and
     /// shards all optimizer state. Buckets default to
@@ -120,19 +133,13 @@ impl ZeroOptimizer {
         let mut param_sizes = Vec::new();
         model.visit_params(&mut |p| param_sizes.push(p.numel()));
         let n: usize = param_sizes.iter().sum();
-        let (p, r) = (group.size(), group.rank());
-        let buckets = BucketPlan::element_ranges(n, p, bucket_bytes);
+        let buckets = BucketPlan::element_ranges(n, group.size(), bucket_bytes);
         let keep = match stage {
             ZeroStage::One => Keep::ShardOfAllReduce,
             ZeroStage::Two | ZeroStage::Three => Keep::ShardOfReduceScatter,
         };
         let reducer = GradReducer::new(&param_sizes, buckets, keep);
-        let values = reducer.layout.gather_all(model, Param::value);
-        let shard_of = |bucket: Vec<f32>| {
-            let sl = bucket.len() / p;
-            Tensor::from_vec([bucket.len()], bucket).narrow(0, r * sl, sl)
-        };
-        let master: Vec<Tensor> = values.into_iter().map(shard_of).collect();
+        let master = master_shards(&reducer, group, model);
         let shard_len = master.iter().map(Tensor::numel).sum();
         ZeroOptimizer {
             stage,
@@ -171,6 +178,14 @@ impl ZeroOptimizer {
     pub fn with_offload(mut self, plan: OffloadPlan, pcie: Link, host: HostSpec) -> Self {
         self.offload = Some((plan, pcie, host));
         self
+    }
+
+    /// Re-captures the master shards from the model's current parameters —
+    /// after a checkpoint restore wrote them, since the next step gathers
+    /// the shards back over the model. The moments and step count stay, as
+    /// they do for a dense AdamW whose parameters were restored.
+    pub fn reload_master(&mut self, model: &mut dyn Layer) {
+        self.master = master_shards(&self.reducer, &self.group, model);
     }
 
     /// Elements in one shard.

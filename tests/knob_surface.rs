@@ -77,6 +77,42 @@ fn only_the_world_executor_starts_threads() {
     }
 }
 
+/// `crates/memory` re-exports nothing the rest of the repository does not
+/// use: every name on its `pub use` lines is an identifier of some `.rs`
+/// file outside the crate that also names the crate. A second parameter
+/// store grew there once with no caller but its own bench.
+#[test]
+fn memory_exports_are_all_used() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let lib = std::fs::read_to_string(root.join("crates/memory/src/lib.rs")).unwrap();
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let exports: Vec<&str> = lib
+        .split(';')
+        .filter_map(|stmt| stmt.trim().strip_prefix("pub use "))
+        .flat_map(|path| path.rsplit("::").next().unwrap().split(','))
+        .map(|name| name.trim_matches(|c| !is_ident(c)))
+        .collect();
+    assert!(exports.contains(&"OffloadPlan"), "parsed {exports:?}");
+
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
+        rust_sources(&root.join(dir), &mut files);
+    }
+    let users: Vec<String> = files
+        .iter()
+        .filter(|file| !file.starts_with(root.join("crates/memory")))
+        .map(|file| std::fs::read_to_string(file).unwrap())
+        .filter(|text| text.contains("colossalai_memory") || text.contains("colossalai::memory"))
+        .collect();
+    for name in exports {
+        let names_it = |text: &String| text.split(|c| !is_ident(c)).any(|word| word == name);
+        assert!(
+            users.iter().any(names_it),
+            "colossalai_memory::{name} has no user outside crates/memory"
+        );
+    }
+}
+
 /// Lines naming `unsafe`, per file: the list a Miri leg has to cover
 /// (ROADMAP item 4). A new site changes this table in the same PR.
 #[test]

@@ -1,15 +1,13 @@
 //! Property-based integration tests (seeded random cases) for the DESIGN.md invariants
 //! that span crates: distributed-vs-serial equivalence for arbitrary
-//! admissible shapes, collective algebra, chunk-manager data integrity.
+//! admissible shapes, collective algebra.
 
 use colossalai::comm::World;
-use colossalai::memory::{ChunkManager, Tier};
 use colossalai::parallel::tp25d::{tile_x_25d, Grid25d, Linear25d};
 use colossalai::parallel::tp2d::{assemble_tiles, tile_of, Grid2d, Linear2d};
 use colossalai::parallel::tp3d::{tile_x_3d, tile_y_3d, Grid3d, Linear3d};
 use colossalai::tensor::{init, Tensor};
 use colossalai::topology::systems::system_i;
-use colossalai::topology::Link;
 use colossalai_autograd::{Layer, Linear};
 use rand::Rng;
 
@@ -180,40 +178,6 @@ fn linear3d_equals_serial_random_shapes() {
                 "3D tile mismatch"
             );
         });
-    }
-}
-
-#[test]
-fn chunk_manager_preserves_data_under_pressure() {
-    for case in 0..12 {
-        let mut draw = init::rng(case);
-        let n_tensors = draw.gen_range(2usize..10);
-        let budget_chunks = draw.gen_range(1u64..4);
-        let seed = draw.gen_range(0u64..1000);
-        let chunk_elems = 8;
-        let mut mgr = ChunkManager::new(
-            chunk_elems,
-            budget_chunks * chunk_elems as u64 * 4,
-            Link::pcie(),
-        );
-        let mut rng = init::rng(seed);
-        let payloads: Vec<Vec<f32>> = (0..n_tensors)
-            .map(|_| init::uniform([chunk_elems], -9.0, 9.0, &mut rng).into_vec())
-            .collect();
-        let refs: Vec<_> = payloads.iter().map(|p| mgr.register(p)).collect();
-        // random access pattern: read everything twice in different orders
-        for r in refs.iter() {
-            assert_eq!(
-                mgr.read(*r),
-                payloads[refs.iter().position(|x| x == r).unwrap()].clone()
-            );
-        }
-        for (i, r) in refs.iter().enumerate().rev() {
-            assert_eq!(mgr.read(*r), payloads[i].clone());
-            assert_eq!(mgr.tier_of(*r), Tier::Gpu);
-        }
-        // GPU budget is never exceeded
-        assert!(mgr.gpu_peak() <= budget_chunks * chunk_elems as u64 * 4);
     }
 }
 
