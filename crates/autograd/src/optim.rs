@@ -138,7 +138,9 @@ impl AdamW {
 /// chain (three passes over the state) with one pass; each element sees
 /// exactly the same operations in the same order, so results are
 /// bitwise-identical. The 8-wide `chunks_exact` body drops bounds checks so
-/// the loop autovectorizes.
+/// the loop autovectorizes; the scalar tail computes the identical
+/// per-element expression, so where a caller cuts its slices never changes
+/// a bit.
 pub fn sgd_momentum_update(
     param: &mut [f32],
     vel: &mut [f32],
@@ -148,36 +150,14 @@ pub fn sgd_momentum_update(
 ) {
     assert_eq!(param.len(), vel.len());
     assert_eq!(param.len(), grad.len());
-    sgd_momentum_chunk(param, vel, grad, lr, momentum);
-}
-
-/// The SGD+momentum sweep: 8-wide `chunks_exact` lanes plus a scalar tail
-/// computing the identical per-element expression, so where a caller cuts
-/// its slices never changes a bit. The `FMA = true` instantiation
-/// (fast numeric mode) fuses both the velocity blend and the parameter
-/// update; `f32::mul_add` is correctly rounded on every path, so the
-/// hardware-FMA wrapper and the libm fallback agree bitwise.
-#[inline(always)]
-fn sgd_momentum_chunk_impl<const FMA: bool>(
-    param: &mut [f32],
-    vel: &mut [f32],
-    grad: &[f32],
-    lr: f32,
-    momentum: f32,
-) {
     const LANES: usize = 8;
     let mut p = param.chunks_exact_mut(LANES);
     let mut v = vel.chunks_exact_mut(LANES);
     let mut g = grad.chunks_exact(LANES);
     for ((pc, vc), gc) in (&mut p).zip(&mut v).zip(&mut g) {
         for i in 0..LANES {
-            if FMA {
-                vc[i] = momentum.mul_add(vc[i], gc[i]);
-                pc[i] = (-lr).mul_add(vc[i], pc[i]);
-            } else {
-                vc[i] = momentum * vc[i] + 1.0 * gc[i];
-                pc[i] += -lr * vc[i];
-            }
+            vc[i] = momentum * vc[i] + 1.0 * gc[i];
+            pc[i] += -lr * vc[i];
         }
     }
     for ((pp, vv), &gg) in p
@@ -186,47 +166,16 @@ fn sgd_momentum_chunk_impl<const FMA: bool>(
         .zip(v.into_remainder())
         .zip(g.remainder())
     {
-        if FMA {
-            *vv = momentum.mul_add(*vv, gg);
-            *pp = (-lr).mul_add(*vv, *pp);
-        } else {
-            *vv = momentum * *vv + 1.0 * gg;
-            *pp += -lr * *vv;
-        }
+        *vv = momentum * *vv + 1.0 * gg;
+        *pp += -lr * *vv;
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn sgd_momentum_chunk_fma(
-    param: &mut [f32],
-    vel: &mut [f32],
-    grad: &[f32],
-    lr: f32,
-    momentum: f32,
-) {
-    sgd_momentum_chunk_impl::<true>(param, vel, grad, lr, momentum);
-}
-
-fn sgd_momentum_chunk(param: &mut [f32], vel: &mut [f32], grad: &[f32], lr: f32, momentum: f32) {
-    if colossalai_tensor::fast_mode() {
-        #[cfg(target_arch = "x86_64")]
-        if colossalai_tensor::fma_available() {
-            // SAFETY: fma_available() checked avx2+fma support.
-            return unsafe { sgd_momentum_chunk_fma(param, vel, grad, lr, momentum) };
-        }
-        return sgd_momentum_chunk_impl::<true>(param, vel, grad, lr, momentum);
-    }
-    sgd_momentum_chunk_impl::<false>(param, vel, grad, lr, momentum);
 }
 
 /// One element of the AdamW recurrence; shared by the vector body and the
 /// scalar tail of [`adamw_update`] so both compute byte-identical results.
-/// The fast instantiation fuses the moment blends, the decay term and the
-/// final parameter update.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn adamw_scalar<const FMA: bool>(
+fn adamw_scalar(
     p: &mut f32,
     g: f32,
     m: &mut f32,
@@ -239,22 +188,12 @@ fn adamw_scalar<const FMA: bool>(
     eps: f32,
     weight_decay: f32,
 ) {
-    if FMA {
-        *m = beta1.mul_add(*m, (1.0 - beta1) * g);
-        *v = beta2.mul_add(*v, (1.0 - beta2) * g * g);
-        let m_hat = *m / bc1;
-        let v_hat = *v / bc2;
-        // decoupled weight decay, fused into the step
-        let step = weight_decay.mul_add(*p, m_hat / (v_hat.sqrt() + eps));
-        *p = (-lr).mul_add(step, *p);
-    } else {
-        *m = beta1 * *m + (1.0 - beta1) * g;
-        *v = beta2 * *v + (1.0 - beta2) * g * g;
-        let m_hat = *m / bc1;
-        let v_hat = *v / bc2;
-        // decoupled weight decay
-        *p -= lr * (m_hat / (v_hat.sqrt() + eps) + weight_decay * *p);
-    }
+    *m = beta1 * *m + (1.0 - beta1) * g;
+    *v = beta2 * *v + (1.0 - beta2) * g * g;
+    let m_hat = *m / bc1;
+    let v_hat = *v / bc2;
+    // decoupled weight decay
+    *p -= lr * (m_hat / (v_hat.sqrt() + eps) + weight_decay * *p);
 }
 
 /// The element-wise AdamW kernel over raw slices.
@@ -264,7 +203,8 @@ fn adamw_scalar<const FMA: bool>(
 /// semantics, which is what makes the "ZeRO under any placement equals
 /// plain AdamW bitwise" invariant testable. The body runs over 8-wide
 /// `chunks_exact` lanes (bounds-check-free, autovectorizable) with a scalar
-/// tail; both call the same per-element recurrence.
+/// tail; both call the same per-element recurrence, so where a caller (a
+/// ZeRO shard) cuts its slices never changes a bit.
 #[allow(clippy::too_many_arguments)]
 pub fn adamw_update(
     param: &mut [f32],
@@ -283,39 +223,6 @@ pub fn adamw_update(
     assert_eq!(param.len(), v.len());
     let bc1 = 1.0 - beta1.powi(t as i32);
     let bc2 = 1.0 - beta2.powi(t as i32);
-    adamw_chunk(
-        param,
-        grad,
-        m,
-        v,
-        bc1,
-        bc2,
-        lr,
-        beta1,
-        beta2,
-        eps,
-        weight_decay,
-    );
-}
-
-/// The AdamW sweep, with the step's bias corrections precomputed by the
-/// caller: 8-wide lanes plus a scalar tail, both calling [`adamw_scalar`],
-/// so where a caller (a ZeRO shard) cuts its slices never changes a bit.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn adamw_chunk_impl<const FMA: bool>(
-    param: &mut [f32],
-    grad: &[f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    bc1: f32,
-    bc2: f32,
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
-) {
     const LANES: usize = 8;
     let mut pc = param.chunks_exact_mut(LANES);
     let mut gc = grad.chunks_exact(LANES);
@@ -323,7 +230,7 @@ fn adamw_chunk_impl<const FMA: bool>(
     let mut vc = v.chunks_exact_mut(LANES);
     for (((p, g), m), v) in (&mut pc).zip(&mut gc).zip(&mut mc).zip(&mut vc) {
         for i in 0..LANES {
-            adamw_scalar::<FMA>(
+            adamw_scalar(
                 &mut p[i],
                 g[i],
                 &mut m[i],
@@ -345,102 +252,8 @@ fn adamw_chunk_impl<const FMA: bool>(
         .zip(mc.into_remainder())
         .zip(vc.into_remainder())
     {
-        adamw_scalar::<FMA>(p, g, m, v, bc1, bc2, lr, beta1, beta2, eps, weight_decay);
+        adamw_scalar(p, g, m, v, bc1, bc2, lr, beta1, beta2, eps, weight_decay);
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn adamw_chunk_fma(
-    param: &mut [f32],
-    grad: &[f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    bc1: f32,
-    bc2: f32,
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
-) {
-    adamw_chunk_impl::<true>(
-        param,
-        grad,
-        m,
-        v,
-        bc1,
-        bc2,
-        lr,
-        beta1,
-        beta2,
-        eps,
-        weight_decay,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn adamw_chunk(
-    param: &mut [f32],
-    grad: &[f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    bc1: f32,
-    bc2: f32,
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
-) {
-    if colossalai_tensor::fast_mode() {
-        #[cfg(target_arch = "x86_64")]
-        if colossalai_tensor::fma_available() {
-            // SAFETY: fma_available() checked avx2+fma support.
-            return unsafe {
-                adamw_chunk_fma(
-                    param,
-                    grad,
-                    m,
-                    v,
-                    bc1,
-                    bc2,
-                    lr,
-                    beta1,
-                    beta2,
-                    eps,
-                    weight_decay,
-                )
-            };
-        }
-        return adamw_chunk_impl::<true>(
-            param,
-            grad,
-            m,
-            v,
-            bc1,
-            bc2,
-            lr,
-            beta1,
-            beta2,
-            eps,
-            weight_decay,
-        );
-    }
-    adamw_chunk_impl::<false>(
-        param,
-        grad,
-        m,
-        v,
-        bc1,
-        bc2,
-        lr,
-        beta1,
-        beta2,
-        eps,
-        weight_decay,
-    );
 }
 
 #[cfg(test)]

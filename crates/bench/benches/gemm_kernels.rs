@@ -1,8 +1,8 @@
 //! Bench: local GEMM kernel generations on transformer shapes.
 //!
 //! Compares the two seed kernels (`gemm_ref_ikj`, `gemm_ref_blocked`) against
-//! the packed register-blocked core (`kernel::gemm_mat`) and its fast-mode
-//! FMA instantiation, on shapes a transformer actually hits:
+//! the packed register-blocked core (`kernel::gemm_mat`), on shapes a
+//! transformer actually hits:
 //!
 //! * `512x512x512` — the square reference point quoted in `results/`;
 //! * `128x768x768`  — BERT-base attention output projection, 128 tokens;
@@ -15,7 +15,7 @@
 use colossalai_bench::{bench_fn, median_secs};
 use colossalai_tensor::kernel::{gemm_mat, Mat};
 use colossalai_tensor::matmul::{gemm_ref_blocked, gemm_ref_ikj, matmul_flops};
-use colossalai_tensor::{axpy_slices, scale_slice, set_fast_mode};
+use colossalai_tensor::{axpy_slices, scale_slice};
 
 const SHAPES: &[(usize, usize, usize)] = &[
     (512, 512, 512),
@@ -60,15 +60,6 @@ fn main() {
             gemm_mat(am, bm, &mut out, m, k, n);
             std::hint::black_box(&mut out);
         });
-        // paired fast-mode row: same packed core with the FMA microkernel;
-        // the deterministic default is restored so the other rows stay honest
-        set_fast_mode(true);
-        bench_fn(&label("packed_fast"), || {
-            out.fill(0.0);
-            gemm_mat(am, bm, &mut out, m, k, n);
-            std::hint::black_box(&mut out);
-        });
-        set_fast_mode(false);
     }
     micro_assert_axpy_scale();
 }

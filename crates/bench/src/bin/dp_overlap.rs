@@ -13,13 +13,9 @@
 //! Chrome trace of the overlapped run — the per-rank "device N comm" tracks
 //! show the bucket collectives riding under the backward span.
 //!
-//! A fourth leg measures *wall-clock* steps/s of the overlapped schedule
-//! with a larger per-rank batch (so the real GEMMs dominate), once under
-//! the deterministic default and once under fast numeric mode
-//! (`compute.fast` — FMA microkernels; DESIGN.md §13). Both legs are
-//! bitwise-reproducible within their mode; only the cross-mode bits differ.
-//! `--json` prints one machine-readable object with the virtual times,
-//! the parity verdict and the det/fast wall throughputs.
+//! `--json` prints one machine-readable object with the virtual times and
+//! the parity verdict; every field is a virtual-clock value, so the output
+//! does not depend on the host.
 
 use colossalai_autograd::{Layer, Linear, Sequential};
 use colossalai_bench::{print_table, trace_arg, write_trace};
@@ -96,105 +92,6 @@ fn run(algo: Option<AllReduceAlgo>, overlap: bool, trace: bool) -> (f64, Vec<f32
     (makespan, out.into_iter().next().unwrap().1, world)
 }
 
-/// Wall-clock steps/s of the overlapped schedule, deterministic vs fast
-/// mode. This leg reshapes the workload so the *real GEMMs* dominate the
-/// wall: 4 ranks (the 16-rank world's message simulation would swamp the
-/// compute on a 1-core host), a 512-wide model without `TimedLayer`
-/// wrappers (virtual time is irrelevant here), and 128 rows per rank.
-/// Passes **interleave** the two modes (det, fast, det, fast, ...) and each
-/// mode reports its median — on a shared host, back-to-back legs let
-/// machine-speed drift land entirely on one mode and invert the ratio.
-/// Each mode's final parameters are asserted bitwise-reproducible across
-/// its passes.
-fn run_wall_pair() -> (f64, f64) {
-    const WALL_P: usize = 4;
-    const WALL_HIDDEN: usize = 512;
-    const WALL_ROWS: usize = 128; // rows per rank (vs 2 in the virtual legs)
-    const PASSES: usize = 5;
-    let make_wall_model = |seed: u64| {
-        let mut rng = init::rng(seed);
-        let mut layers: Vec<Box<dyn Layer>> = vec![Box::new(Linear::from_rng(
-            "in",
-            32,
-            WALL_HIDDEN,
-            true,
-            &mut rng,
-        ))];
-        for i in 0..LAYERS {
-            layers.push(Box::new(Linear::from_rng(
-                &format!("h{i}"),
-                WALL_HIDDEN,
-                WALL_HIDDEN,
-                true,
-                &mut rng,
-            )));
-        }
-        layers.push(Box::new(Linear::from_rng(
-            "out",
-            WALL_HIDDEN,
-            8,
-            true,
-            &mut rng,
-        )));
-        Sequential::new(layers)
-    };
-    let one_pass = |fast: bool| -> (f64, Vec<f32>) {
-        colossalai_tensor::set_fast_mode(fast);
-        let world = World::new(system_iii());
-        world.force_allreduce_algo(None);
-        let mut rng = init::rng(7);
-        let xs: Vec<_> = (0..STEPS)
-            .map(|_| init::uniform([WALL_P * WALL_ROWS, 32], -1.0, 1.0, &mut rng))
-            .collect();
-        let t0 = std::time::Instant::now();
-        let out = world.run_on(WALL_P, |ctx| {
-            let g = ctx.world_group(WALL_P);
-            let mut dp = DataParallel::with_bucket_bytes(
-                ctx,
-                &g,
-                make_wall_model(11),
-                DEFAULT_BUCKET_BYTES.min(WALL_HIDDEN * WALL_HIDDEN * 2 * 4),
-            )
-            .with_overlap(true);
-            let mut opt = colossalai_autograd::AdamW::new(0.01, 0.01);
-            for x in &xs {
-                dp.zero_grad();
-                let x_local = split_batch(x, WALL_P, g.rank());
-                let t: Vec<usize> = (0..x_local.dims()[0]).map(|i| i % 8).collect();
-                let logits = dp.forward(&x_local);
-                let (_, d) = cross_entropy(&logits, &t);
-                let _ = dp.backward(&d);
-                opt.step_layer(&mut dp);
-            }
-            flatten_params(&mut dp).into_vec()
-        });
-        let wall = t0.elapsed().as_secs_f64();
-        colossalai_tensor::set_fast_mode(false);
-        (wall, out.into_iter().next().unwrap())
-    };
-    let mut walls = [Vec::with_capacity(PASSES), Vec::with_capacity(PASSES)];
-    let mut params: [Option<Vec<f32>>; 2] = [None, None];
-    for _ in 0..PASSES {
-        for (mode, fast) in [(0usize, false), (1, true)] {
-            let (wall, p) = one_pass(fast);
-            walls[mode].push(wall);
-            match &params[mode] {
-                None => params[mode] = Some(p),
-                Some(prev) => assert_eq!(
-                    prev, &p,
-                    "wall leg not reproducible within mode (fast={fast})"
-                ),
-            }
-        }
-    }
-    let mut sps = [0.0f64; 2];
-    for mode in 0..2 {
-        walls[mode].sort_by(|a, b| a.total_cmp(b));
-        sps[mode] = STEPS as f64 / walls[mode][PASSES / 2];
-    }
-    (sps[0], sps[1])
-}
-
 fn main() {
     let (t_flat, p_flat, _) = run(Some(AllReduceAlgo::FlatRing), false, false);
     let (t_hier, p_hier, _) = run(None, false, false);
@@ -203,22 +100,15 @@ fn main() {
     assert_eq!(p_flat, p_hier, "algorithm choice changed the bits");
     assert_eq!(p_flat, p_over, "overlap changed the bits");
 
-    let (sps_det, sps_fast) = run_wall_pair();
-    let fma = colossalai_tensor::fma_available();
-
     if std::env::args().any(|a| a == "--json") {
         println!(
-            "{{\"bitwise_match\": true, \"fma\": {fma}, \
+            "{{\"bitwise_match\": true, \
              \"virtual_step_ms_flat\": {:.3}, \
              \"virtual_step_ms_hier\": {:.3}, \
-             \"virtual_step_ms_overlap\": {:.3}, \
-             \"wall_steps_per_s_det\": {sps_det:.2}, \
-             \"wall_steps_per_s_fast\": {sps_fast:.2}, \
-             \"fast_speedup\": {:.3}}}",
+             \"virtual_step_ms_overlap\": {:.3}}}",
             t_flat * 1e3 / STEPS as f64,
             t_hier * 1e3 / STEPS as f64,
             t_over * 1e3 / STEPS as f64,
-            sps_fast / sps_det
         );
         return;
     }
@@ -254,16 +144,6 @@ fn main() {
          per node, and overlap hides the bucket collectives behind backward \
          compute (see the comm tracks in the Chrome trace)."
     );
-    println!(
-        "\nwall clock (overlapped schedule, fat batch): deterministic \
-         {sps_det:.2} steps/s vs fast mode {sps_fast:.2} steps/s \
-         ({:.2}x, hardware FMA {}); each mode is bitwise-reproducible \
-         across passes, the two modes differ within the DESIGN.md §13 ULP \
-         budgets.",
-        sps_fast / sps_det,
-        if fma { "available" } else { "NOT available" }
-    );
-
     if let Some(path) = trace_arg() {
         write_trace(&world, &path);
     }

@@ -88,8 +88,7 @@ pub fn quantize_grads_f16(model: &mut dyn Layer) {
 }
 
 /// The AMP matmul: the f32 GEMM over operands already rounded through fp16
-/// ([`quantize_params_f16`]) — fp16 storage, fp32 accumulate — in both
-/// numeric modes.
+/// ([`quantize_params_f16`]) — fp16 storage, fp32 accumulate.
 pub fn amp_matmul(a: &Tensor, b: &Tensor) -> Tensor {
     colossalai_tensor::matmul(a, b)
 }
@@ -167,6 +166,8 @@ mod tests {
             colossalai_tensor::matmul(&a, &b).data()
         );
         let a3 = init::uniform([2, 5, k], -1.0, 1.0, &mut rng);
-        assert_eq!(amp_matmul_nd(&a3, &b).dims(), &[2, 5, n]);
+        let c3 = amp_matmul_nd(&a3, &b);
+        assert_eq!(c3.dims(), &[2, 5, n]);
+        assert_eq!(c3.data(), colossalai_tensor::matmul_nd(&a3, &b).data());
     }
 }

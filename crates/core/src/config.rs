@@ -140,22 +140,9 @@ impl Default for CommConfig {
     }
 }
 
-/// Compute section: the one process-wide kernel knob. The key lands on its
-/// setter at `initialize`; a config that does not mention it leaves the
-/// setter's value alone (nothing else — no environment variable — can have
-/// moved it). There is no thread budget: a kernel runs on its rank's thread,
-/// and the world executor hands the host cores to ranks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub struct ComputeConfig {
-    /// Opt-in fast numeric mode (`set_fast_mode`, default off): FMA-fused
-    /// kernels, trading bitwise reproducibility against the deterministic
-    /// default for throughput (results stay within documented ULP budgets,
-    /// DESIGN.md §13). Missing = leave the setter's value.
-    #[serde(default)]
-    pub fast: Option<bool>,
-}
-
-/// Top-level configuration.
+/// Top-level configuration. There is no compute section: kernels have one
+/// arithmetic (DESIGN.md §13) and no thread budget (a kernel runs on its
+/// rank's thread, and the world executor hands the host cores to ranks).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize, Default)]
 pub struct Config {
     #[serde(default)]
@@ -175,15 +162,12 @@ pub struct Config {
     /// Gradient-sync bucketing and overlap.
     #[serde(default)]
     pub comm: CommConfig,
-    /// Process-wide kernel knob (fast numeric mode).
-    #[serde(default)]
-    pub compute: ComputeConfig,
 }
 
 impl Config {
     /// Parses a JSON config string. A key the schema does not know is an
-    /// error naming its path (`unknown key "compute.par_cutoff"`), never
-    /// silently ignored.
+    /// error naming the path to the first value under it (`unknown key
+    /// "compute.threads"`), never silently ignored.
     ///
     /// # Examples
     ///
@@ -304,20 +288,30 @@ impl Config {
 
 /// Fails on the first key of `given` (the parsed JSON) that `known` (the
 /// config it deserialized to, serialized back) does not have, naming the
-/// dotted path to it.
+/// dotted path to it — continued down the first entry of any object under
+/// it, so a removed section is reported at the key that set something
+/// (`compute.threads`, not `compute`).
 fn reject_unknown_keys(given: &Value, known: &Value, path: &str) -> Result<(), String> {
     let Value::Map(entries) = given else {
         return Ok(());
     };
     for (key, sub) in entries {
-        let here = if path.is_empty() {
+        let mut here = if path.is_empty() {
             key.clone()
         } else {
             format!("{path}.{key}")
         };
-        let known_sub = known
-            .get(key)
-            .ok_or_else(|| format!("unknown key {here:?}"))?;
+        let Some(known_sub) = known.get(key) else {
+            let mut v = sub;
+            while let Value::Map(inner) = v {
+                let Some((k, next)) = inner.first() else {
+                    break;
+                };
+                here = format!("{here}.{k}");
+                v = next;
+            }
+            return Err(format!("unknown key {here:?}"));
+        };
         reject_unknown_keys(sub, known_sub, &here)?;
     }
     Ok(())
@@ -455,18 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn compute_section_defaults_and_parses() {
-        let cfg = Config::from_json("{}").unwrap();
-        assert_eq!(cfg.compute.fast, None, "missing = leave the setter's value");
-        let cfg = Config::from_json(r#"{ "compute": { "fast": true } }"#).unwrap();
-        assert_eq!(cfg.compute.fast, Some(true));
-        let cfg = Config::from_json(r#"{ "compute": {} }"#).unwrap();
-        assert_eq!(cfg.compute.fast, None);
-        let cfg = Config::from_json(r#"{ "compute": { "fast": false } }"#).unwrap();
-        assert_eq!(cfg.compute.fast, Some(false));
-    }
-
-    #[test]
     fn unknown_keys_are_rejected_with_their_path() {
         for (json, path) in [
             // a top-level typo (would otherwise train in fp32 without a word)
@@ -478,7 +460,7 @@ mod tests {
             ),
             (r#"{ "comm": { "bucket_mbs": 4 } }"#, "comm.bucket_mbs"),
             // the removed keys: old configs must fail, not be half-applied
-            (r#"{ "mem": { "pool": false } }"#, "mem"),
+            (r#"{ "mem": { "pool": false } }"#, "mem.pool"),
             (
                 r#"{ "compute": { "par_cutoff": 1 } }"#,
                 "compute.par_cutoff",
@@ -488,6 +470,7 @@ mod tests {
                 "compute.par_flop_cutoff",
             ),
             (r#"{ "compute": { "threads": 2 } }"#, "compute.threads"),
+            (r#"{ "compute": {} }"#, "compute"),
         ] {
             let err = Config::from_json(json).unwrap_err();
             assert_eq!(err, format!("unknown key {path:?}"), "{json}");

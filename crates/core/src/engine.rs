@@ -80,11 +80,6 @@ pub fn initialize(
         "parallel.pipeline.size = {stages}: initialize() would train the whole model on every \
          stage rank; build the stages with parallel::PipelineStage"
     );
-    // the process-wide kernel knob: a config that does not set it leaves
-    // the setter's value alone
-    if let Some(fast) = config.compute.fast {
-        colossalai_tensor::set_fast_mode(fast);
-    }
     // activation checkpointing: wrap the whole model (the paper's engine
     // applies it per injected module; at engine granularity the numerics
     // are identical and the memory model is strictly conservative)

@@ -15,7 +15,7 @@ pub mod trainer;
 pub mod zoo;
 
 pub use amp::GradScaler;
-pub use config::{CommConfig, ComputeConfig, Config};
+pub use config::{CommConfig, Config};
 pub use context::{ParallelAxis, ParallelContext};
 pub use engine::{clip_grad_norm, clip_grad_norm_distributed, initialize, Engine, OptimizerSpec};
 pub use trainer::{Hook, LossRecorder, Trainer};

@@ -29,19 +29,8 @@
 //! A GEMM runs on the thread of the rank that called it: the world executor
 //! (`comm::sched`) is the only owner of host cores.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Microtile rows held in registers (deterministic mul-then-add kernel).
+/// Microtile rows held in registers.
 pub const MR: usize = 4;
-/// Microtile rows for the fast-mode FMA kernel: fused multiply-add needs no
-/// separate product temporaries, so a `6 x 16` tile — 12 accumulator ymm
-/// plus two `B` vectors and one broadcast — fits the 16-register AVX2 file
-/// where the mul-then-add form would spill. The taller tile reads each
-/// packed `B` column once per 6 rows instead of per 4 and keeps 12
-/// independent FMA chains in flight, covering the 4-5 cycle FMA latency.
-/// Summation order per output element is ascending `k` regardless of the
-/// tile height, so this is a speed knob, never a bits knob.
-pub const MR_FMA: usize = 6;
 /// Microtile columns held in registers (two AVX2 f32 vectors), giving a
 /// `4 x 16` accumulator tile — 8 ymm registers — with room left for loads.
 pub const NR: usize = 16;
@@ -58,32 +47,9 @@ pub const NC: usize = 256;
 /// kernel instead of paying the packing round-trip.
 const SMALL_FLOP_CUTOFF: usize = 16 * 16 * 16;
 
-static FAST: AtomicBool = AtomicBool::new(false);
-
-/// Turns the opt-in **fast numeric mode** on or off for every subsequent
-/// kernel on any thread (`compute.fast` in the engine config lands here).
-///
-/// Fast mode swaps the deterministic mul-then-add microkernel for an
-/// FMA-fused one (and enables the FMA variants of the fused element-wise
-/// kernels). Results are no longer bitwise comparable to the deterministic
-/// default — only tolerance/ULP-budget comparable (see
-/// `tests/fast_props.rs` and DESIGN.md §13) — but within fast mode the
-/// determinism contract still holds: every size dispatch uses the same
-/// fused arithmetic in the same order.
-pub fn set_fast_mode(on: bool) {
-    FAST.store(on, Ordering::Relaxed);
-}
-
-/// Whether fast numeric mode is active: the last [`set_fast_mode`] value,
-/// off until then.
-pub fn fast_mode() -> bool {
-    FAST.load(Ordering::Relaxed)
-}
-
-/// True when the CPU supports the `avx2,fma` feature pair the fast
-/// microkernels are compiled for. On other hardware fast mode still works —
-/// `f32::mul_add` falls back to the (slow, correctly-rounded) libm `fmaf`,
-/// producing bit-identical results to the hardware FMA path.
+/// Host capability probe: whether the CPU has both AVX2 and FMA units. No
+/// kernel here uses FMA (see the module docs); the benchmark reports it in
+/// its host block.
 #[cfg(target_arch = "x86_64")]
 pub fn fma_available() -> bool {
     static FMA: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
@@ -92,6 +58,7 @@ pub fn fma_available() -> bool {
     })
 }
 
+/// Host capability probe: never true off x86-64.
 #[cfg(not(target_arch = "x86_64"))]
 pub fn fma_available() -> bool {
     false
@@ -148,9 +115,9 @@ impl<'a> Mat<'a> {
 /// Packs logical rows `[x0, x0 + xb)` x cols `[p0, p0 + kb)` of `m` into
 /// `W`-row panels: panel `ip` holds rows `x0 + ip*W ..`, stored as `kb`
 /// groups of `W` values (rows beyond `xb` zero-filled so the microkernel
-/// never branches on the edge). `A` packs as itself with `W` = [`MR`] (or
-/// [`MR_FMA`] for the taller fast-mode tile); `B` packs as its transpose
-/// with `W` = [`NR`], so its panels run along its columns.
+/// never branches on the edge). `A` packs as itself with `W` = [`MR`]; `B`
+/// packs as its transpose with `W` = [`NR`], so its panels run along its
+/// columns.
 ///
 /// Packing is a pure gather, and the two layouts a training step produces
 /// have a unit stride on one side: when the panel dimension is contiguous
@@ -195,32 +162,20 @@ fn pack<const W: usize>(m: Mat, x0: usize, xb: usize, p0: usize, kb: usize, buf:
 
 /// The register microkernel: `acc += ap_panel @ bp_panel` over `kb` packed
 /// columns. Fixed-size tiles and `chunks_exact` keep the body branch- and
-/// bounds-check-free so LLVM holds `acc` in vector registers. `FMA = false`
-/// is the deterministic mul-then-add form; `FMA = true` fuses each step with
-/// `f32::mul_add`, which LLVM lowers to `vfmadd` when the enclosing function
-/// enables the `fma` target feature (and to the correctly-rounded libm
-/// `fmaf` otherwise — same bits, much slower).
+/// bounds-check-free so LLVM holds `acc` in vector registers; every step is
+/// a plain multiply then add.
 #[inline(always)]
-fn microtile<const FMA: bool, const MRR: usize>(
-    kb: usize,
-    ap: &[f32],
-    bp: &[f32],
-    acc: &mut [[f32; NR]; MRR],
-) {
-    for (a, b) in ap[..kb * MRR]
-        .chunks_exact(MRR)
+fn microtile(kb: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
+    for (a, b) in ap[..kb * MR]
+        .chunks_exact(MR)
         .zip(bp[..kb * NR].chunks_exact(NR))
     {
-        let a: &[f32; MRR] = a.try_into().unwrap();
+        let a: &[f32; MR] = a.try_into().unwrap();
         let b: &[f32; NR] = b.try_into().unwrap();
-        for r in 0..MRR {
+        for r in 0..MR {
             let ar = a[r];
             for j in 0..NR {
-                if FMA {
-                    acc[r][j] = ar.mul_add(b[j], acc[r][j]);
-                } else {
-                    acc[r][j] += ar * b[j];
-                }
+                acc[r][j] += ar * b[j];
             }
         }
     }
@@ -228,12 +183,11 @@ fn microtile<const FMA: bool, const MRR: usize>(
 
 /// Runs every microtile of one packed `(mb x kb) @ (kb x nb)` block and
 /// scatter-adds the accumulators into `c` (full `ldc`-wide output, block
-/// origin at `(ic, jc)`). `#[inline(always)]` so the target-feature wrappers
-/// below recompile the whole loop nest with wide lanes (and, for the fast
-/// instantiation, hardware FMA).
+/// origin at `(ic, jc)`). `#[inline(always)]` so the target-feature wrapper
+/// below recompiles the whole loop nest with wide lanes.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // flat scalars keep the hot path register-friendly
-fn macro_tile<const FMA: bool, const MRR: usize>(
+fn macro_tile(
     apack: &[f32],
     bpack: &[f32],
     kb: usize,
@@ -248,12 +202,12 @@ fn macro_tile<const FMA: bool, const MRR: usize>(
         let jr = jp * NR;
         let cols = (nb - jr).min(NR);
         let bp = &bpack[jp * kb * NR..][..kb * NR];
-        for ip in 0..mb.div_ceil(MRR) {
-            let ir = ip * MRR;
-            let rows = (mb - ir).min(MRR);
-            let ap = &apack[ip * kb * MRR..][..kb * MRR];
-            let mut acc = [[0.0f32; NR]; MRR];
-            microtile::<FMA, MRR>(kb, ap, bp, &mut acc);
+        for ip in 0..mb.div_ceil(MR) {
+            let ir = ip * MR;
+            let rows = (mb - ir).min(MR);
+            let ap = &apack[ip * kb * MR..][..kb * MR];
+            let mut acc = [[0.0f32; NR]; MR];
+            microtile(kb, ap, bp, &mut acc);
             for (r, acc_row) in acc[..rows].iter().enumerate() {
                 let row = &mut c[(ic + ir + r) * ldc + jc + jr..][..cols];
                 for (cv, &av) in row.iter_mut().zip(acc_row[..cols].iter()) {
@@ -264,6 +218,11 @@ fn macro_tile<const FMA: bool, const MRR: usize>(
     }
 }
 
+/// [`macro_tile`] compiled with 8-wide AVX2 lanes; the same bits.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 ([`avx2_available`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
@@ -278,30 +237,7 @@ unsafe fn macro_tile_avx2(
     ic: usize,
     jc: usize,
 ) {
-    macro_tile::<false, MR>(apack, bpack, kb, mb, nb, c, ldc, ic, jc);
-}
-
-/// The fast-mode instantiation: same loop nest, but every multiply-add in
-/// the register tile is a single `vfmadd231ps`, and the tile is the taller
-/// [`MR_FMA`]-row one the FMA register budget affords. One rounding per
-/// step instead of two is why its results differ (by bounded ULPs) from
-/// the deterministic kernel — see DESIGN.md §13; the tile height never
-/// changes bits.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn macro_tile_avx2_fma(
-    apack: &[f32],
-    bpack: &[f32],
-    kb: usize,
-    mb: usize,
-    nb: usize,
-    c: &mut [f32],
-    ldc: usize,
-    ic: usize,
-    jc: usize,
-) {
-    macro_tile::<true, MR_FMA>(apack, bpack, kb, mb, nb, c, ldc, ic, jc);
+    macro_tile(apack, bpack, kb, mb, nb, c, ldc, ic, jc);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -310,13 +246,10 @@ fn avx2_available() -> bool {
     *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }
 
-/// Dispatches one packed block to the right macro-tile instantiation.
-/// `fast` is resolved once by the caller (never re-read here) because the
-/// `A` panel layout must match the tile height: `MR`-row panels for the
-/// deterministic kernel, `MR_FMA`-row panels for both fast arms.
+/// Runs one packed block through the AVX2 instantiation when the CPU has
+/// it; the portable one computes the same bits.
 #[allow(clippy::too_many_arguments)]
 fn run_macro_tile(
-    fast: bool,
     apack: &[f32],
     bpack: &[f32],
     kb: usize,
@@ -327,18 +260,6 @@ fn run_macro_tile(
     ic: usize,
     jc: usize,
 ) {
-    if fast {
-        #[cfg(target_arch = "x86_64")]
-        if fma_available() {
-            // SAFETY: fma_available() checked the CPU supports every feature
-            // macro_tile_avx2_fma enables.
-            unsafe { macro_tile_avx2_fma(apack, bpack, kb, mb, nb, c, ldc, ic, jc) };
-            return;
-        }
-        // No hardware FMA: libm mul_add keeps the bits identical to the
-        // vfmadd path, trading away the speed win but never the results.
-        return macro_tile::<true, MR_FMA>(apack, bpack, kb, mb, nb, c, ldc, ic, jc);
-    }
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: avx2_available() checked the CPU supports every feature
@@ -346,7 +267,7 @@ fn run_macro_tile(
         unsafe { macro_tile_avx2(apack, bpack, kb, mb, nb, c, ldc, ic, jc) };
         return;
     }
-    macro_tile::<false, MR>(apack, bpack, kb, mb, nb, c, ldc, ic, jc);
+    macro_tile(apack, bpack, kb, mb, nb, c, ldc, ic, jc);
 }
 
 /// Packed GEMM: `c += a @ b` for logical `(m, k) @ (k, n)` operands,
@@ -355,14 +276,10 @@ pub fn gemm_mat(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    // the mode (and with it the A-panel height) is resolved once per GEMM,
-    // so a concurrent toggle can never mismatch packing and microkernel
-    let fast = fast_mode();
-    let mr = if fast { MR_FMA } else { MR };
     let kb_max = k.min(KC);
     // packing panels recycle through the storage pool: a training step calls
     // this kernel hundreds of times with identical panel sizes
-    let mut apack = crate::pool::take_zeroed(m.min(MC).div_ceil(mr) * mr * kb_max);
+    let mut apack = crate::pool::take_zeroed(m.min(MC).div_ceil(MR) * MR * kb_max);
     let mut bpack = crate::pool::take_zeroed(n.min(NC).div_ceil(NR) * NR * kb_max);
     for jc in (0..n).step_by(NC) {
         let nb = (n - jc).min(NC);
@@ -372,13 +289,9 @@ pub fn gemm_mat(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
             pack::<NR>(b.t(), jc, nb, pc, kb, bbuf);
             for ic in (0..m).step_by(MC) {
                 let mb = (m - ic).min(MC);
-                let abuf = &mut apack[..mb.div_ceil(mr) * mr * kb];
-                if fast {
-                    pack::<MR_FMA>(a, ic, mb, pc, kb, abuf);
-                } else {
-                    pack::<MR>(a, ic, mb, pc, kb, abuf);
-                }
-                run_macro_tile(fast, abuf, bbuf, kb, mb, nb, c, n, ic, jc);
+                let abuf = &mut apack[..mb.div_ceil(MR) * MR * kb];
+                pack::<MR>(a, ic, mb, pc, kb, abuf);
+                run_macro_tile(abuf, bbuf, kb, mb, nb, c, n, ic, jc);
             }
         }
     }
@@ -388,44 +301,19 @@ pub fn gemm_mat(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
 
 /// Branch-free direct i-k-j kernel for problems too small to amortize
 /// packing. Summation per output element is ascending `k`, the same order as
-/// the packed path, so the size dispatch never changes results — a property
-/// that holds *per mode*: the fast instantiation fuses every step exactly
-/// like `microtile::<true>`, so the cutoff stays invisible under fast mode
-/// too (for a zero-initialized `c`, folding a fused chain into memory per
-/// `k` step produces the same bits as reducing it in a register).
-#[inline(always)]
-fn gemm_small_impl<const FMA: bool>(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
+/// the packed path, so the size dispatch never changes results (for a
+/// zero-initialized `c`, folding the chain into memory per `k` step produces
+/// the same bits as reducing it in a register).
+fn gemm_small(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
     for i in 0..m {
         let c_row = &mut c[i * n..(i + 1) * n];
         for p in 0..k {
             let a_ip = a.at(i, p);
             for (j, c_ij) in c_row.iter_mut().enumerate() {
-                if FMA {
-                    *c_ij = a_ip.mul_add(b.at(p, j), *c_ij);
-                } else {
-                    *c_ij += a_ip * b.at(p, j);
-                }
+                *c_ij += a_ip * b.at(p, j);
             }
         }
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_small_fma(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_small_impl::<true>(a, b, c, m, k, n);
-}
-
-fn gemm_small(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
-    if fast_mode() {
-        #[cfg(target_arch = "x86_64")]
-        if fma_available() {
-            // SAFETY: fma_available() checked avx2+fma support.
-            return unsafe { gemm_small_fma(a, b, c, m, k, n) };
-        }
-        return gemm_small_impl::<true>(a, b, c, m, k, n);
-    }
-    gemm_small_impl::<false>(a, b, c, m, k, n);
 }
 
 /// Register-dot variant of [`gemm_small`] for a `c` that already holds live
@@ -433,47 +321,17 @@ fn gemm_small(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
 /// register first and added to `c` exactly once. `gemm_small` itself folds
 /// into `c` memory once per `k` step, which is the same sequence only when
 /// `c` starts at zero — this variant keeps the bits right when it doesn't.
-#[inline(always)]
-fn gemm_small_acc_impl<const FMA: bool>(
-    a: Mat,
-    b: Mat,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
+fn gemm_small_acc(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
     for i in 0..m {
         let c_row = &mut c[i * n..(i + 1) * n];
         for (j, c_ij) in c_row.iter_mut().enumerate() {
             let mut acc = 0.0f32;
             for p in 0..k {
-                if FMA {
-                    acc = a.at(i, p).mul_add(b.at(p, j), acc);
-                } else {
-                    acc += a.at(i, p) * b.at(p, j);
-                }
+                acc += a.at(i, p) * b.at(p, j);
             }
             *c_ij += acc;
         }
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_small_acc_fma(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_small_acc_impl::<true>(a, b, c, m, k, n);
-}
-
-fn gemm_small_acc(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
-    if fast_mode() {
-        #[cfg(target_arch = "x86_64")]
-        if fma_available() {
-            // SAFETY: fma_available() checked avx2+fma support.
-            return unsafe { gemm_small_acc_fma(a, b, c, m, k, n) };
-        }
-        return gemm_small_acc_impl::<true>(a, b, c, m, k, n);
-    }
-    gemm_small_acc_impl::<false>(a, b, c, m, k, n);
 }
 
 /// `c += a @ b` where `c` may already hold live data (fused gradient
@@ -653,7 +511,6 @@ mod tests {
     #[test]
     fn pack_equals_the_element_loop_for_every_layout_and_width() {
         pack_matches_the_at_loop::<MR>();
-        pack_matches_the_at_loop::<MR_FMA>();
         pack_matches_the_at_loop::<NR>();
     }
 

@@ -20,13 +20,12 @@
 //!   [`kernel`]); every kernel runs on the calling rank's thread — the
 //!   world executor is the only owner of host cores, and results carry no
 //!   dependence on how many of them there are;
-//! * an opt-in **fast numeric mode** ([`set_fast_mode`], `compute.fast` in
-//!   the engine config) swaps the deterministic mul-then-add kernels for
-//!   FMA-fused ones; results then differ from the default mode by documented
-//!   ULP budgets but remain deterministic across backends within the mode
-//!   (see DESIGN.md §13);
-//! * nothing here reads the process environment: that setter is the only
-//!   runtime knob, and it defaults to the deterministic path (fast off).
+//! * every kernel has one arithmetic — plain multiply-then-add in a fixed
+//!   order, no fused multiply-add — so scalar and vector lanes, fused and
+//!   composed ops, and every size dispatch agree bit for bit (DESIGN.md §13
+//!   records the retired FMA mode);
+//! * nothing here reads the process environment, and there is no numeric
+//!   knob to set.
 
 pub mod f16;
 pub mod init;
@@ -39,7 +38,7 @@ pub mod shape;
 pub mod tensor;
 
 pub use f16::F16;
-pub use kernel::{fast_mode, fma_available, set_fast_mode};
+pub use kernel::fma_available;
 pub use matmul::{
     bmm, bmm_at, bmm_bt, gemm, matmul, matmul_at, matmul_at_acc, matmul_bt, matmul_nd,
 };

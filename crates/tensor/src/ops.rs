@@ -61,112 +61,54 @@ pub fn softmax_backward_inplace(y: &Tensor, dy: &mut Tensor) {
 }
 
 /// The tanh-approximated GELU used by BERT/GPT/ViT.
-///
-/// Fast-mode gating note (applies to every fused/composed pair in this
-/// module): the composed form dispatches on the *same*
-/// [`crate::kernel::fast_mode`] flag as its fused counterpart, so the
-/// "fused is bitwise-identical to composed" contract of
-/// `tests/fused_props.rs` holds within each mode — only *across* modes do
-/// results differ (by the documented ULP budgets, DESIGN.md §13).
 pub fn gelu(x: &Tensor) -> Tensor {
-    if crate::kernel::fast_mode() {
-        x.map(|v| gelu_from_tanh::<true>(v, gelu_tanh::<true>(v)))
-    } else {
-        x.map(|v| gelu_from_tanh::<false>(v, gelu_tanh::<false>(v)))
-    }
+    x.map(|v| gelu_from_tanh(v, gelu_tanh(v)))
 }
 
 /// `tanh` of the GELU's inner cubic: the one libm call per element. Forward
 /// and backward need the same value, so the layers evaluate it once in the
 /// forward pass and hand it to the backward ([`gelu_with_tanh`],
 /// [`add_bias_gelu`], [`gelu_backward_cached`]).
-///
-/// The fast (`FMA`) form fuses the cubic's multiply-add. `f32::mul_add` is
-/// correctly rounded whether it lowers to a `vfmadd` (inside the
-/// `target_feature` row sweeps) or to libm `fmaf` (composed `map` path), so
-/// every fast-mode call site produces identical bits.
 #[inline(always)]
-fn gelu_tanh<const FMA: bool>(x: f32) -> f32 {
+fn gelu_tanh(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    let inner = if FMA {
-        C * 0.044_715f32.mul_add(x * x * x, x)
-    } else {
-        C * (x + 0.044_715 * x * x * x)
-    };
-    inner.tanh()
+    (C * (x + 0.044_715 * x * x * x)).tanh()
 }
 
-/// GELU of `x` given `t = gelu_tanh(x)`; the fast form fuses the blend.
+/// GELU of `x` given `t = gelu_tanh(x)`.
 #[inline(always)]
-fn gelu_from_tanh<const FMA: bool>(x: f32, t: f32) -> f32 {
-    if FMA {
-        let half_x = 0.5 * x;
-        half_x.mul_add(t, half_x) // 0.5x*(1+t) = 0.5x*t + 0.5x
-    } else {
-        0.5 * x * (1.0 + t)
-    }
+fn gelu_from_tanh(x: f32, t: f32) -> f32 {
+    0.5 * x * (1.0 + t)
 }
 
-/// GELU derivative at `x` given `t = gelu_tanh(x)`, same fusion points.
+/// GELU derivative at `x` given `t = gelu_tanh(x)`.
 #[inline(always)]
-fn gelu_grad_from_tanh<const FMA: bool>(x: f32, t: f32) -> f32 {
+fn gelu_grad_from_tanh(x: f32, t: f32) -> f32 {
     const C: f32 = 0.797_884_6;
-    if FMA {
-        let dinner = C * (3.0 * 0.044_715f32).mul_add(x * x, 1.0);
-        (0.5 * x * (1.0 - t * t)).mul_add(dinner, 0.5 * (1.0 + t))
-    } else {
-        let dinner = C * (1.0 + 3.0 * 0.044_715 * x * x);
-        0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-    }
-}
-
-#[inline]
-fn gelu_grad_dispatch(fast: bool, x: f32, t: f32) -> f32 {
-    if fast {
-        gelu_grad_from_tanh::<true>(x, t)
-    } else {
-        gelu_grad_from_tanh::<false>(x, t)
-    }
-}
-
-#[inline]
-fn gelu_tanh_dispatch(fast: bool, x: f32) -> f32 {
-    if fast {
-        gelu_tanh::<true>(x)
-    } else {
-        gelu_tanh::<false>(x)
-    }
+    let dinner = C * (1.0 + 3.0 * 0.044_715 * x * x);
+    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
 }
 
 /// Derivative of the tanh-approximated GELU.
 pub fn gelu_grad(x: &Tensor) -> Tensor {
-    let fast = crate::kernel::fast_mode();
-    x.map(move |v| gelu_grad_dispatch(fast, v, gelu_tanh_dispatch(fast, v)))
+    x.map(|v| gelu_grad_from_tanh(v, gelu_tanh(v)))
 }
 
 /// GELU backward from the input alone: `dx = gelu'(x) * dy`, evaluating
 /// `tanh` again. The layers use [`gelu_backward_cached`]; this is the
 /// reference it is tested against, and the composed
-/// `gelu_grad(x).zip(dy, ..)` computes the same per-element expression with
-/// the same mode dispatch, so all three are bitwise-identical.
+/// `gelu_grad(x).zip(dy, ..)` computes the same per-element expression, so
+/// all three are bitwise-identical.
 pub fn gelu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
-    let fast = crate::kernel::fast_mode();
-    x.zip(dy, move |x, d| {
-        gelu_grad_dispatch(fast, x, gelu_tanh_dispatch(fast, x)) * d
-    })
+    x.zip(dy, |x, d| gelu_grad_from_tanh(x, gelu_tanh(x)) * d)
 }
 
 /// GELU that also returns what its backward needs: `(y, t)` with
 /// `y = gelu(x)` and `t` the `tanh` factor inside it. `y` is bitwise
 /// [`gelu`]`(x)`.
 pub fn gelu_with_tanh(x: &Tensor) -> (Tensor, Tensor) {
-    let fast = crate::kernel::fast_mode();
-    let t = x.map(move |v| gelu_tanh_dispatch(fast, v));
-    let y = if fast {
-        x.zip(&t, gelu_from_tanh::<true>)
-    } else {
-        x.zip(&t, gelu_from_tanh::<false>)
-    };
+    let t = x.map(gelu_tanh);
+    let y = x.zip(&t, gelu_from_tanh);
     (y, t)
 }
 
@@ -174,11 +116,9 @@ pub fn gelu_with_tanh(x: &Tensor) -> (Tensor, Tensor) {
 /// with `t` from [`gelu_with_tanh`]`(x)` or [`add_bias_gelu`] (where `x` is
 /// the pre-activation `h`; the bias gradient is `sum_axis(dh, 0)` as usual).
 /// The expression is [`gelu_backward`]'s with the libm call replaced by the
-/// value it returned in the forward pass, so the bits are the same in both
-/// numeric modes — `t` must come from a forward in the *current* mode.
+/// value it returned in the forward pass, so the bits are the same.
 pub fn gelu_backward_cached(x: &Tensor, t: &Tensor, dy: &Tensor) -> Tensor {
-    let fast = crate::kernel::fast_mode();
-    let grad = x.zip(t, move |x, t| gelu_grad_dispatch(fast, x, t));
+    let grad = x.zip(t, gelu_grad_from_tanh);
     grad.zip(dy, |g, d| g * d)
 }
 
@@ -197,25 +137,15 @@ pub fn add_bias_gelu(mut x: Tensor, bias: &Tensor) -> (Tensor, Tensor, Tensor) {
         "bias length mismatch"
     );
     let numel = x.numel();
-    let fast = crate::kernel::fast_mode();
     let b = bias.data();
     let mut y = pool::take_zeroed(numel);
     let mut t = pool::take_zeroed(numel);
-    run_add_bias_gelu_rows(fast, x.data_mut(), &mut y, &mut t, b, n);
-    let y = Tensor::from_vec(x.shape().clone(), y);
-    let t = Tensor::from_vec(x.shape().clone(), t);
-    (x, y, t)
-}
-
-#[inline(always)]
-fn add_bias_gelu_rows<const FMA: bool>(
-    x: &mut [f32],
-    y: &mut [f32],
-    t: &mut [f32],
-    b: &[f32],
-    n: usize,
-) {
-    for ((row, y_row), t_row) in x.chunks_mut(n).zip(y.chunks_mut(n)).zip(t.chunks_mut(n)) {
+    for ((row, y_row), t_row) in x
+        .data_mut()
+        .chunks_mut(n)
+        .zip(y.chunks_mut(n))
+        .zip(t.chunks_mut(n))
+    {
         for (((h, yv), tv), &bv) in row
             .iter_mut()
             .zip(y_row.iter_mut())
@@ -223,38 +153,13 @@ fn add_bias_gelu_rows<const FMA: bool>(
             .zip(b.iter())
         {
             *h += bv;
-            *tv = gelu_tanh::<FMA>(*h);
-            *yv = gelu_from_tanh::<FMA>(*h, *tv);
+            *tv = gelu_tanh(*h);
+            *yv = gelu_from_tanh(*h, *tv);
         }
     }
-}
-
-/// Recompiles the fast row sweep with hardware FMA so `mul_add` is a single
-/// instruction rather than a libm call (`tanh` still dominates, but the
-/// polynomial around it fuses for free).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn add_bias_gelu_rows_fma(x: &mut [f32], y: &mut [f32], t: &mut [f32], b: &[f32], n: usize) {
-    add_bias_gelu_rows::<true>(x, y, t, b, n);
-}
-
-fn run_add_bias_gelu_rows(
-    fast: bool,
-    x: &mut [f32],
-    y: &mut [f32],
-    t: &mut [f32],
-    b: &[f32],
-    n: usize,
-) {
-    if fast {
-        #[cfg(target_arch = "x86_64")]
-        if crate::kernel::fma_available() {
-            // SAFETY: fma_available() checked avx2+fma support.
-            return unsafe { add_bias_gelu_rows_fma(x, y, t, b, n) };
-        }
-        return add_bias_gelu_rows::<true>(x, y, t, b, n);
-    }
-    add_bias_gelu_rows::<false>(x, y, t, b, n);
+    let y = Tensor::from_vec(x.shape().clone(), y);
+    let t = Tensor::from_vec(x.shape().clone(), t);
+    (x, y, t)
 }
 
 /// Rectified linear unit.
@@ -281,25 +186,16 @@ pub fn layernorm(
     assert_eq!(gamma.numel(), n, "gamma length mismatch");
     assert_eq!(beta.numel(), n, "beta length mismatch");
     let rows = x.numel() / n;
-    let fast = crate::kernel::fast_mode();
     let mut out = x.clone();
     let mut means = Vec::with_capacity(rows);
     let mut inv_stds = Vec::with_capacity(rows);
     for row in out.data_mut().chunks_mut(n) {
-        let (mean, inv_std) = if fast {
-            ln_stats::<true>(row, eps, n)
-        } else {
-            ln_stats::<false>(row, eps, n)
-        };
+        let (mean, inv_std) = ln_stats(row, eps, n);
         for (v, (&g, &b)) in row
             .iter_mut()
             .zip(gamma.data().iter().zip(beta.data().iter()))
         {
-            *v = if fast {
-                ln_elem::<true>(*v, mean, inv_std, g, b)
-            } else {
-                ln_elem::<false>(*v, mean, inv_std, g, b)
-            };
+            *v = ln_elem(*v, mean, inv_std, g, b);
         }
         means.push(mean);
         inv_stds.push(inv_std);
@@ -308,31 +204,20 @@ pub fn layernorm(
 }
 
 /// Per-row layernorm statistics: two-pass mean/variance (a one-pass
-/// sum-of-squares would change rounding), returning `(mean, inv_std)`. The
-/// fast instantiation fuses each squared-deviation accumulation; every
-/// layernorm entry point routes through this so the composed/fused pair
-/// stays bitwise-identical within a mode.
+/// sum-of-squares would change rounding), returning `(mean, inv_std)`.
+/// Every layernorm entry point routes through this so the composed/fused
+/// pair stays bitwise-identical.
 #[inline(always)]
-fn ln_stats<const FMA: bool>(row: &[f32], eps: f32, n: usize) -> (f32, f32) {
+fn ln_stats(row: &[f32], eps: f32, n: usize) -> (f32, f32) {
     let mean = row.iter().sum::<f32>() / n as f32;
-    let var = if FMA {
-        row.iter()
-            .fold(0.0f32, |acc, &v| (v - mean).mul_add(v - mean, acc))
-            / n as f32
-    } else {
-        row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / n as f32
-    };
+    let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / n as f32;
     (mean, 1.0 / (var + eps).sqrt())
 }
 
-/// One normalized element; the fast form fuses the affine step.
+/// One normalized element.
 #[inline(always)]
-fn ln_elem<const FMA: bool>(v: f32, mean: f32, inv_std: f32, g: f32, b: f32) -> f32 {
-    if FMA {
-        ((v - mean) * inv_std).mul_add(g, b)
-    } else {
-        (v - mean) * inv_std * g + b
-    }
+fn ln_elem(v: f32, mean: f32, inv_std: f32, g: f32, b: f32) -> f32 {
+    (v - mean) * inv_std * g + b
 }
 
 /// Fused layer normalization: identical statistics and normalization
@@ -350,92 +235,29 @@ pub fn layernorm_fused(
     assert_eq!(gamma.numel(), n, "gamma length mismatch");
     assert_eq!(beta.numel(), n, "beta length mismatch");
     let rows = x.numel() / n;
-    let fast = crate::kernel::fast_mode();
     let mut out = pool::take_zeroed(x.numel());
     let mut means = vec![0.0f32; rows];
     let mut inv_stds = vec![0.0f32; rows];
-    run_layernorm_rows(
-        fast,
-        x.data(),
-        &mut out,
-        &mut means,
-        &mut inv_stds,
-        gamma.data(),
-        beta.data(),
-        eps,
-        n,
-    );
-    (Tensor::from_vec(x.shape().clone(), out), means, inv_stds)
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)] // internal lockstep row sweep
-fn layernorm_rows<const FMA: bool>(
-    x: &[f32],
-    out: &mut [f32],
-    means: &mut [f32],
-    inv_stds: &mut [f32],
-    gamma: &[f32],
-    beta: &[f32],
-    eps: f32,
-    n: usize,
-) {
+    let (gamma, beta) = (gamma.data(), beta.data());
     for (((row, o_row), m_slot), i_slot) in x
+        .data()
         .chunks(n)
         .zip(out.chunks_mut(n))
         .zip(means.iter_mut())
         .zip(inv_stds.iter_mut())
     {
-        let (mean, inv_std) = ln_stats::<FMA>(row, eps, n);
+        let (mean, inv_std) = ln_stats(row, eps, n);
         for ((&v, o), (&g, &b)) in row
             .iter()
             .zip(o_row.iter_mut())
             .zip(gamma.iter().zip(beta.iter()))
         {
-            *o = ln_elem::<FMA>(v, mean, inv_std, g, b);
+            *o = ln_elem(v, mean, inv_std, g, b);
         }
         *m_slot = mean;
         *i_slot = inv_std;
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn layernorm_rows_fma(
-    x: &[f32],
-    out: &mut [f32],
-    means: &mut [f32],
-    inv_stds: &mut [f32],
-    gamma: &[f32],
-    beta: &[f32],
-    eps: f32,
-    n: usize,
-) {
-    layernorm_rows::<true>(x, out, means, inv_stds, gamma, beta, eps, n);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_layernorm_rows(
-    fast: bool,
-    x: &[f32],
-    out: &mut [f32],
-    means: &mut [f32],
-    inv_stds: &mut [f32],
-    gamma: &[f32],
-    beta: &[f32],
-    eps: f32,
-    n: usize,
-) {
-    if fast {
-        #[cfg(target_arch = "x86_64")]
-        if crate::kernel::fma_available() {
-            // SAFETY: fma_available() checked avx2+fma support.
-            return unsafe { layernorm_rows_fma(x, out, means, inv_stds, gamma, beta, eps, n) };
-        }
-        return layernorm_rows::<true>(x, out, means, inv_stds, gamma, beta, eps, n);
-    }
-    layernorm_rows::<false>(x, out, means, inv_stds, gamma, beta, eps, n);
+    (Tensor::from_vec(x.shape().clone(), out), means, inv_stds)
 }
 
 /// Backward of [`layernorm`]. Returns `(dx, dgamma, dbeta)`.

@@ -1,13 +1,14 @@
 //! The knob surface cannot grow back: runtime behaviour changes through
 //! `Config → initialize()` and the one setter each key lands on, never
 //! through the process environment, and every default is pinned here. So
-//! are the two things the retired intra-op pool took with it: threads
-//! spawned outside the world executor, and a third of the `unsafe` sites.
+//! are the things the retired intra-op pool and fast numeric mode took with
+//! them: threads spawned outside the world executor, a second arithmetic
+//! beside each kernel, and 14 of the 17 `unsafe` sites.
 
 use colossalai::comm::compress::Compression;
 use colossalai::comm::{World, WorldBackend};
 use colossalai::core::{initialize, Config, OptimizerSpec};
-use colossalai::tensor::{fast_mode, init, pool, set_fast_mode};
+use colossalai::tensor::{init, pool};
 use colossalai::topology::systems::system_i;
 use colossalai_autograd::Linear;
 use std::path::Path;
@@ -47,6 +48,11 @@ fn library_sources() -> Vec<(String, String)> {
         .collect()
 }
 
+/// A library file up to its unit-test module.
+fn before_unit_tests(text: &str) -> &str {
+    text.split("#[cfg(test)]\nmod ").next().unwrap()
+}
+
 #[test]
 fn library_sources_never_read_the_environment() {
     for (file, text) in library_sources() {
@@ -67,11 +73,33 @@ fn only_the_world_executor_starts_threads() {
         if file == "crates/comm/src/world.rs" {
             continue;
         }
-        let library = text.split("#[cfg(test)]\nmod ").next().unwrap();
+        let library = before_unit_tests(&text);
         for banned in ["thread::spawn", "thread::Builder", "thread::scope"] {
             assert!(
                 !library.contains(banned),
                 "{file} contains {banned:?}: parallel work is a task of the world executor"
+            );
+        }
+    }
+}
+
+/// Every kernel has one arithmetic (DESIGN.md §13): no library code fuses a
+/// multiply-add, compiles a function for the `fma` target feature or reads
+/// a numeric mode. The names are assembled from pieces so that this file
+/// passes the same scan.
+#[test]
+fn library_kernels_have_one_arithmetic() {
+    let banned = [
+        ["mul", "_add"].concat(),
+        ["\"avx2,", "fma\""].concat(),
+        ["fast", "_mode"].concat(),
+    ];
+    for (file, text) in library_sources() {
+        let library = before_unit_tests(&text);
+        for b in &banned {
+            assert!(
+                !library.contains(b.as_str()),
+                "{file} contains {b:?}: a kernel has one arithmetic, not a mode beside it"
             );
         }
     }
@@ -117,10 +145,8 @@ fn memory_exports_are_all_used() {
 /// (ROADMAP item 4). A new site changes this table in the same PR.
 #[test]
 fn unsafe_census_is_pinned_per_file() {
-    const CENSUS: [(&str, usize); 4] = [
-        ("crates/tensor/src/kernel.rs", 8),
-        ("crates/tensor/src/ops.rs", 4),
-        ("crates/autograd/src/optim.rs", 4),
+    const CENSUS: [(&str, usize); 2] = [
+        ("crates/tensor/src/kernel.rs", 2),
         ("crates/comm/src/world.rs", 1),
     ];
     for (file, text) in library_sources() {
@@ -134,12 +160,14 @@ fn unsafe_census_is_pinned_per_file() {
 /// the defaults are read.
 #[test]
 fn defaults_hold_and_a_default_initialize_moves_no_setter() {
-    assert!(!fast_mode());
     assert_eq!(Config::default().compression(), Compression::None);
     assert_eq!(Config::from_json("{}").unwrap(), Config::default());
-    // the thread budget is gone, not ignored
+    // the thread budget and the fast numeric mode are gone, not ignored
     let err = Config::from_json(r#"{"compute":{"threads":2}}"#).unwrap_err();
     assert!(err.contains("compute.threads"), "{err}");
+    let err = Config::from_json(r#"{"compute":{"fast":true}}"#).unwrap_err();
+    let key = ["compute", "fast"].join(".");
+    assert_eq!(err, format!("unknown key {key:?}"));
     // the storage pool is on: a recycled buffer comes straight back
     let hits = pool::stats().hits;
     pool::recycle(pool::take_buffer(100_003));
@@ -150,16 +178,13 @@ fn defaults_hold_and_a_default_initialize_moves_no_setter() {
     let world = World::new(system_i());
     assert_eq!(world.backend(), WorldBackend::Stackless { pool: cores });
 
-    for fast in [true, false] {
-        set_fast_mode(fast);
-        world.run_on(1, |ctx| {
-            let model = Linear::from_rng("l", 4, 3, true, &mut init::rng(7));
-            let opt = OptimizerSpec::Sgd {
-                lr: 0.1,
-                momentum: 0.9,
-            };
-            let _engine = initialize(ctx, &Config::default(), 1, Box::new(model), opt);
-        });
-        assert_eq!(fast_mode(), fast);
-    }
+    world.run_on(1, |ctx| {
+        let model = Linear::from_rng("l", 4, 3, true, &mut init::rng(7));
+        let opt = OptimizerSpec::Sgd {
+            lr: 0.1,
+            momentum: 0.9,
+        };
+        let _engine = initialize(ctx, &Config::default(), 1, Box::new(model), opt);
+    });
+    assert_eq!(world.backend(), WorldBackend::Stackless { pool: cores });
 }
