@@ -38,6 +38,14 @@ impl<L: Layer> Checkpoint<L> {
     pub fn inner_mut(&mut self) -> &mut L {
         &mut self.inner
     }
+
+    /// Re-runs the forward from the saved input to rebuild the activation
+    /// caches backward needs.
+    fn recompute(&mut self) {
+        let x = self.saved_input.take().expect("backward before forward");
+        let _ = self.inner.forward(&x);
+        self.recompute_count += 1;
+    }
 }
 
 impl<L: Layer> Layer for Checkpoint<L> {
@@ -53,11 +61,15 @@ impl<L: Layer> Layer for Checkpoint<L> {
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let x = self.saved_input.take().expect("backward before forward");
-        // recompute forward to rebuild activation caches
-        let _ = self.inner.forward(&x);
-        self.recompute_count += 1;
+        self.recompute();
         self.inner.backward(dy)
+    }
+
+    /// Recomputes, then fires the inner layer's own stages, so a checkpointed
+    /// model launches its gradient buckets as early as the plain one.
+    fn backward_staged(&mut self, dy: &Tensor, on_stage: &mut dyn FnMut(&[Tensor])) -> Tensor {
+        self.recompute();
+        self.inner.backward_staged(dy, on_stage)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -102,8 +102,8 @@ impl Deserialize for CompressSpec {
     }
 }
 
-/// Communication section: gradient-bucket sizing, backward overlap and the
-/// lossy gradient channel.
+/// Communication section: gradient-bucket sizing and the lossy gradient
+/// channel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CommConfig {
     /// Gradient-sync bucket capacity in megabytes (PyTorch DDP's 25 MB
@@ -111,10 +111,6 @@ pub struct CommConfig {
     /// each bucket pays one all-reduce latency term.
     #[serde(default = "default_bucket_mb")]
     pub bucket_mb: usize,
-    /// Launch each bucket's collective on the comm stream as soon as its
-    /// last gradient is produced during backward (data-parallel overlap).
-    #[serde(default = "default_overlap")]
-    pub overlap: bool,
     /// Lossy gradient-compression channel for bucketed sync: `"none"`,
     /// `"topk(k)"`, `"int8"` or `"fp16"`, each with error feedback.
     /// Missing = none (exact f32 gradients).
@@ -126,15 +122,10 @@ fn default_bucket_mb() -> usize {
     25
 }
 
-fn default_overlap() -> bool {
-    true
-}
-
 impl Default for CommConfig {
     fn default() -> Self {
         CommConfig {
             bucket_mb: default_bucket_mb(),
-            overlap: default_overlap(),
             compress: None,
         }
     }
@@ -159,7 +150,7 @@ pub struct Config {
     /// Micro-batches accumulated per optimizer step (0/1 = no accumulation).
     #[serde(default)]
     pub gradient_accumulation: u32,
-    /// Gradient-sync bucketing and overlap.
+    /// Gradient-sync bucketing and compression.
     #[serde(default)]
     pub comm: CommConfig,
 }
@@ -411,14 +402,10 @@ mod tests {
     fn comm_section_defaults_and_parses() {
         let cfg = Config::from_json("{}").unwrap();
         assert_eq!(cfg.comm.bucket_mb, 25);
-        assert!(cfg.comm.overlap);
         assert_eq!(cfg.bucket_bytes(), 25 << 20);
-        let cfg = Config::from_json(r#"{ "comm": { "bucket_mb": 4, "overlap": false } }"#).unwrap();
-        assert_eq!(cfg.bucket_bytes(), 4 << 20);
-        assert!(!cfg.comm.overlap);
         // partial section: missing keys take their defaults
-        let cfg = Config::from_json(r#"{ "comm": { "bucket_mb": 1 } }"#).unwrap();
-        assert!(cfg.comm.overlap);
+        let cfg = Config::from_json(r#"{ "comm": { "bucket_mb": 4 } }"#).unwrap();
+        assert_eq!(cfg.bucket_bytes(), 4 << 20);
         assert_eq!(cfg.comm.compress, None);
         assert_eq!(cfg.compression(), Compression::None, "missing = none");
     }

@@ -44,8 +44,6 @@ pub struct Engine {
     ctx: DeviceCtx,
     /// Fused bucketed gradient sync over `dp_group` (non-ZeRO engines).
     grad_sync: Option<BucketedGradSync>,
-    /// Overlap bucket collectives with backward compute when eligible.
-    overlap: bool,
     /// `Some` once an overlapped backward reduced this step's gradients, so
     /// `step` must not reduce them again: ZeRO's shards, or empty for dense
     /// optimizers, whose reduced gradients are written back into the model.
@@ -143,7 +141,6 @@ pub fn initialize(
         mp_group,
         ctx: ctx.clone(),
         grad_sync,
-        overlap: config.comm.overlap,
         reduced: None,
         scaler: config.mixed_precision.then(GradScaler::default),
         grad_clip: config.grad_clip,
@@ -173,11 +170,12 @@ impl Engine {
     /// Backward pass from the loss gradient (scaled when mixed precision is
     /// on). Returns the input gradient.
     ///
-    /// With `comm.overlap` on (the default) and no gradient accumulation,
-    /// data-parallel gradient reduction happens *inside* this call: each
-    /// bucket's collective launches on the comm stream as soon as its last
-    /// gradient is produced, and the streams join before returning. The
-    /// reduced gradients are bit-identical to the blocking path's.
+    /// With a data-parallel group and no gradient accumulation, gradient
+    /// reduction happens *inside* this call: each bucket's collective
+    /// launches on the comm stream as soon as the model's staged backward
+    /// has produced its last gradient, and the streams join before
+    /// returning. The reduced gradients are bit-identical to the blocking
+    /// path's, which `step` takes under accumulation.
     pub fn backward(&mut self, dloss: &Tensor) -> Tensor {
         let dy = match &self.scaler {
             Some(s) => s.scale_grad(dloss),
@@ -188,8 +186,7 @@ impl Engine {
         // overlap needs each backward to be a full, final gradient pass:
         // under accumulation, grads keep accumulating across micro-batches
         // and must only reduce once at the end
-        let group = self.dp_group.as_ref();
-        let group = group.filter(|_| self.overlap && self.accumulation == 1);
+        let group = self.dp_group.as_ref().filter(|_| self.accumulation == 1);
         let (dx, reduced) = ctx.trace_phase("backward", || {
             match (group, &mut self.optimizer, &mut self.grad_sync) {
                 (Some(_), EngineOptimizer::Zero(o), _) => {
@@ -498,8 +495,9 @@ mod tests {
     }
 
     /// Three AdamW steps of a 2-rank engine on `Linear(4, 3)` with per-rank
-    /// data; `poison` puts `+inf` into rank 1's loss gradient at step 0.
-    /// Per rank: final parameters, `steps()`, `skipped_steps()`, loss scale.
+    /// data, each over `gradient_accumulation` micro-batches; `poison` puts
+    /// `+inf` into rank 1's first loss gradient at step 0. Per rank: final
+    /// parameters, `steps()`, `skipped_steps()`, loss scale.
     fn two_rank_run(json: &str, poison: bool) -> Vec<(Tensor, u64, u64, Option<f32>)> {
         let world = World::new(system_i());
         world.run_on(2, |ctx| {
@@ -513,15 +511,17 @@ mod tests {
             let mut engine = initialize(ctx, &cfg, 2, model, spec);
             let mut rng = init::rng(31 + ctx.rank() as u64);
             for step in 0..3 {
-                let x = init::uniform([2, 4], -1.0, 1.0, &mut rng);
                 engine.zero_grad();
-                let logits = engine.forward(&x);
-                let (_, mut d) = cross_entropy(&logits, &[0, 2]);
-                if poison && step == 0 && ctx.rank() == 1 {
-                    d.data_mut()[0] = f32::INFINITY;
+                for micro in 0..cfg.gradient_accumulation.max(1) {
+                    let x = init::uniform([2, 4], -1.0, 1.0, &mut rng);
+                    let logits = engine.forward(&x);
+                    let (_, mut d) = cross_entropy(&logits, &[0, 2]);
+                    if poison && step == 0 && micro == 0 && ctx.rank() == 1 {
+                        d.data_mut()[0] = f32::INFINITY;
+                    }
+                    let _ = engine.backward(&d);
+                    engine.step();
                 }
-                let _ = engine.backward(&d);
-                engine.step();
             }
             let flat = colossalai_parallel::data_parallel::flatten_params(engine.model_mut());
             let scale = engine.scaler.as_ref().map(|s| s.scale());
@@ -568,11 +568,14 @@ mod tests {
     #[test]
     fn overflow_on_one_rank_skips_the_step_on_every_rank() {
         // rank 1 alone overflows at step 0: the reduction must still run on
-        // both ranks (ZeRO used to deadlock here), and both must skip
-        for overlap in [true, false] {
-            let base = format!(r#""mixed_precision": true, "comm": {{ "overlap": {overlap} }}"#);
+        // both ranks (ZeRO used to deadlock here), and both must skip. The
+        // backward reduces unless gradients accumulate, which takes the
+        // blocking reduce in `step` (plain DP only: ZeRO rejects accumulation)
+        for (accumulation, stages) in [(1, 0..=3), (2, 0..=0)] {
+            let base =
+                format!(r#""mixed_precision": true, "gradient_accumulation": {accumulation}"#);
             let plain = two_rank_run(&format!("{{ {base} }}"), true);
-            for stage in 0..=3 {
+            for stage in stages {
                 let runs = match stage {
                     0 => plain.clone(),
                     s => two_rank_run(
@@ -580,7 +583,7 @@ mod tests {
                         true,
                     ),
                 };
-                let what = format!("stage {stage}, overlap {overlap}");
+                let what = format!("stage {stage}, accumulation {accumulation}");
                 for (params, steps, skipped, scale) in &runs {
                     assert_eq!((*steps, *skipped), (2, 1), "{what}");
                     assert_eq!(*scale, Some(32768.0), "{what}");
@@ -592,38 +595,49 @@ mod tests {
 
     #[test]
     fn overlapped_engine_matches_blocking_bitwise_and_is_no_slower() {
+        use colossalai_parallel::data_parallel::{flatten_params, DataParallel};
         use colossalai_topology::systems::system_iii;
-        let run = |json: &str| {
+        // the engine (which overlaps) against a blocking `DataParallel` of
+        // the same model, both with one bucket per parameter so several
+        // buckets fire during the backward
+        let run = |engine: bool| {
             let world = World::new(system_iii());
             let mut out = world.run_on(4, |ctx| {
-                let cfg = Config::from_json(json).unwrap();
-                let mut engine = initialize(
-                    ctx,
-                    &cfg,
-                    4,
-                    make_model(60),
-                    OptimizerSpec::AdamW {
-                        lr: 0.01,
-                        weight_decay: 0.01,
-                    },
-                );
+                let cfg = Config::from_json(r#"{ "comm": { "bucket_mb": 0 } }"#).unwrap();
+                let spec = OptimizerSpec::AdamW {
+                    lr: 0.01,
+                    weight_decay: 0.01,
+                };
                 let mut rng = init::rng(61 + ctx.rank() as u64);
-                for _ in 0..3 {
-                    let x = init::uniform([2, 4], -1.0, 1.0, &mut rng);
-                    engine.zero_grad();
-                    let logits = engine.forward(&x);
-                    let (_, d) = cross_entropy(&logits, &[0, 1]);
-                    let _ = engine.backward(&d);
-                    engine.step();
-                }
-                let flat = colossalai_parallel::data_parallel::flatten_params(engine.model_mut());
-                (flat, engine.device().clock())
+                let mut batches = (0..3).map(|_| init::uniform([2, 4], -1.0, 1.0, &mut rng));
+                let flat = if engine {
+                    let mut engine = initialize(ctx, &cfg, 4, make_model(60), spec);
+                    for x in &mut batches {
+                        engine.zero_grad();
+                        let (_, d) = cross_entropy(&engine.forward(&x), &[0, 1]);
+                        let _ = engine.backward(&d);
+                        engine.step();
+                    }
+                    flatten_params(engine.model_mut())
+                } else {
+                    let g = ctx.world_group(4);
+                    let mut dp = DataParallel::with_bucket_bytes(ctx, &g, make_model(60), 0)
+                        .with_overlap(false);
+                    let mut opt = AdamW::new(0.01, 0.01);
+                    for x in &mut batches {
+                        dp.zero_grad();
+                        let (_, d) = cross_entropy(&dp.forward(&x), &[0, 1]);
+                        let _ = dp.backward(&d);
+                        opt.step_layer(&mut dp);
+                    }
+                    flatten_params(&mut dp)
+                };
+                (flat, ctx.clock())
             });
             out.swap_remove(0)
         };
-        // bucket_mb 0 → one bucket per parameter, exercising multi-bucket fire
-        let (blocking, t_block) = run(r#"{ "comm": { "bucket_mb": 0, "overlap": false } }"#);
-        let (overlapped, t_overlap) = run(r#"{ "comm": { "bucket_mb": 0, "overlap": true } }"#);
+        let (blocking, t_block) = run(false);
+        let (overlapped, t_overlap) = run(true);
         assert_eq!(
             blocking.data(),
             overlapped.data(),

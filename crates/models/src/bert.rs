@@ -4,10 +4,9 @@
 //! vocabulary head (masked-LM objective shape).
 
 use crate::config::TransformerConfig;
-use crate::gpt::lm_head;
+use crate::gpt::lm_layers;
 use crate::parallel::{Layout, Serial, TensorParallel};
-use crate::transformer::TransformerBlock;
-use colossalai_autograd::{Layer, Param};
+use colossalai_autograd::{Layer, Param, Sequential};
 use colossalai_tensor::init::InitRng;
 use colossalai_tensor::Tensor;
 
@@ -16,11 +15,8 @@ use colossalai_tensor::Tensor;
 /// device's [`Layout::Branch`] part of them (`mode.gather` reassembles).
 pub struct Bert {
     mode: Box<dyn TensorParallel>,
-    tok: Box<dyn Layer>,
-    pos: Box<dyn Layer>,
-    blocks: Vec<TransformerBlock>,
-    ln_f: Box<dyn Layer>,
-    head: Box<dyn Layer>,
+    /// `[tok, pos, block0..blockL-1, ln_f, head]`, as GPT's.
+    layers: Sequential,
 }
 
 impl Bert {
@@ -30,38 +26,15 @@ impl Bert {
 
     /// Builds this device's part of the BERT under `mode`; every device
     /// passes an identically seeded `rng` (see
-    /// [`TransformerBlock::with_mode`]).
+    /// [`crate::TransformerBlock::with_mode`]).
     pub fn with_mode(
         mode: Box<dyn TensorParallel>,
         cfg: &TransformerConfig,
         rng: &mut InitRng,
     ) -> Self {
-        let blocks = (0..cfg.layers)
-            .map(|i| {
-                TransformerBlock::with_mode(
-                    mode.as_ref(),
-                    &format!("bert.block{i}"),
-                    cfg.hidden,
-                    cfg.heads,
-                    cfg.mlp_ratio,
-                    false,
-                    rng,
-                )
-            })
-            .collect();
-        let tok = mode.token_embedding("bert.tok", cfg.vocab, cfg.hidden, rng);
-        let pos = mode.position_embedding("bert", cfg.max_seq, cfg.hidden, rng);
-        let ln_f = mode.layer_norm("bert.ln_f", cfg.hidden);
         let bias = Some(Tensor::zeros([cfg.vocab]));
-        let head = lm_head(mode.as_ref(), "bert.head", cfg, bias, rng);
-        Bert {
-            mode,
-            tok,
-            pos,
-            blocks,
-            ln_f,
-            head,
-        }
+        let layers = lm_layers(mode.as_ref(), "bert", cfg, false, bias, rng);
+        Bert { mode, layers }
     }
 
     /// Masked-LM loss over `targets` at `positions` (flat indices into
@@ -115,33 +88,19 @@ impl Bert {
 impl Layer for Bert {
     fn forward(&mut self, x: &Tensor) -> Tensor {
         assert_eq!(x.rank(), 2, "BERT input must be [batch, seq] token ids");
-        let mut h = self.tok.forward(x);
-        h = self.pos.forward(&h);
-        for blk in &mut self.blocks {
-            h = blk.forward(&h);
-        }
-        let h = self.ln_f.forward(&h);
-        self.head.forward(&h)
+        self.layers.forward(x)
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mut dh = self.head.backward(dy);
-        dh = self.ln_f.backward(&dh);
-        for blk in self.blocks.iter_mut().rev() {
-            dh = blk.backward(&dh);
-        }
-        let dh = self.pos.backward(&dh);
-        self.tok.backward(&dh)
+        self.layers.backward(dy)
+    }
+
+    fn backward_staged(&mut self, dy: &Tensor, on_stage: &mut dyn FnMut(&[Tensor])) -> Tensor {
+        self.layers.backward_staged(dy, on_stage)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.tok.visit_params(f);
-        self.pos.visit_params(f);
-        for blk in &mut self.blocks {
-            blk.visit_params(f);
-        }
-        self.ln_f.visit_params(f);
-        self.head.visit_params(f);
+        self.layers.visit_params(f);
     }
 }
 

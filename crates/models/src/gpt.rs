@@ -4,8 +4,8 @@
 
 use crate::config::TransformerConfig;
 use crate::parallel::{Layout, Serial, TensorParallel};
-use crate::transformer::TransformerBlock;
-use colossalai_autograd::{Layer, Param};
+use crate::transformer::blocks;
+use colossalai_autograd::{Layer, Param, Sequential};
 use colossalai_tensor::init::{self, InitRng};
 use colossalai_tensor::Tensor;
 
@@ -14,11 +14,8 @@ use colossalai_tensor::Tensor;
 /// device's [`Layout::Branch`] part of them (`mode.gather` reassembles).
 pub struct Gpt {
     mode: Box<dyn TensorParallel>,
-    tok: Box<dyn Layer>,
-    pos: Box<dyn Layer>,
-    blocks: Vec<TransformerBlock>,
-    ln_f: Box<dyn Layer>,
-    head: Box<dyn Layer>,
+    /// `[tok, pos, block0..blockL-1, ln_f, head]` (see [`lm_layers`]).
+    layers: Sequential,
 }
 
 impl Gpt {
@@ -27,37 +24,14 @@ impl Gpt {
     }
 
     /// Builds this device's part of the GPT under `mode`; every device passes
-    /// an identically seeded `rng` (see [`TransformerBlock::with_mode`]).
+    /// an identically seeded `rng` (see [`crate::TransformerBlock::with_mode`]).
     pub fn with_mode(
         mode: Box<dyn TensorParallel>,
         cfg: &TransformerConfig,
         rng: &mut InitRng,
     ) -> Self {
-        let blocks = (0..cfg.layers)
-            .map(|i| {
-                TransformerBlock::with_mode(
-                    mode.as_ref(),
-                    &format!("gpt.block{i}"),
-                    cfg.hidden,
-                    cfg.heads,
-                    cfg.mlp_ratio,
-                    true,
-                    rng,
-                )
-            })
-            .collect();
-        let tok = mode.token_embedding("gpt.tok", cfg.vocab, cfg.hidden, rng);
-        let pos = mode.position_embedding("gpt", cfg.max_seq, cfg.hidden, rng);
-        let ln_f = mode.layer_norm("gpt.ln_f", cfg.hidden);
-        let head = lm_head(mode.as_ref(), "gpt.head", cfg, None, rng);
-        Gpt {
-            mode,
-            tok,
-            pos,
-            blocks,
-            ln_f,
-            head,
-        }
+        let layers = lm_layers(mode.as_ref(), "gpt", cfg, true, None, rng);
+        Gpt { mode, layers }
     }
 
     /// Next-token language-modeling loss and gradient for a batch of token
@@ -92,55 +66,54 @@ impl Gpt {
     }
 }
 
-/// The vocabulary head GPT and BERT share: a `Stream -> Branch` linear whose
-/// input gradient is reduced like any other branch's.
-pub(crate) fn lm_head(
+/// The layer list GPT and BERT share, in visit order: `[tok, pos,
+/// block0..blockL-1, ln_f, head]`. The global weights are drawn blocks
+/// first, then the embeddings, then the vocabulary head: a `Stream ->
+/// Branch` linear whose input gradient is reduced like any other branch's.
+pub(crate) fn lm_layers(
     mode: &dyn TensorParallel,
     name: &str,
     cfg: &TransformerConfig,
-    bias: Option<Tensor>,
+    causal: bool,
+    head_bias: Option<Tensor>,
     rng: &mut InitRng,
-) -> Box<dyn Layer> {
+) -> Sequential {
+    let blocks = blocks(mode, name, cfg, causal, rng);
+    let tok = mode.token_embedding(&format!("{name}.tok"), cfg.vocab, cfg.hidden, rng);
+    let pos = mode.position_embedding(name, cfg.max_seq, cfg.hidden, rng);
+    let ln_f = mode.layer_norm(&format!("{name}.ln_f"), cfg.hidden);
     let w = init::lecun_normal(cfg.hidden, cfg.vocab, rng);
-    mode.branch(mode.linear(name, w, bias, Layout::Stream, Layout::Branch, false))
+    let (from, to) = (Layout::Stream, Layout::Branch);
+    let head = mode.linear(&format!("{name}.head"), w, head_bias, from, to, false);
+    let mut layers = vec![tok, pos];
+    layers.extend(blocks);
+    layers.extend([ln_f, mode.branch(head)]);
+    Sequential::new(layers)
 }
 
 impl Layer for Gpt {
     fn forward(&mut self, x: &Tensor) -> Tensor {
         assert_eq!(x.rank(), 2, "GPT input must be [batch, seq] token ids");
-        let mut h = self.tok.forward(x);
-        h = self.pos.forward(&h);
-        for blk in &mut self.blocks {
-            h = blk.forward(&h);
-        }
-        let h = self.ln_f.forward(&h);
-        self.head.forward(&h)
+        self.layers.forward(x)
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mut dh = self.head.backward(dy);
-        dh = self.ln_f.backward(&dh);
-        for blk in self.blocks.iter_mut().rev() {
-            dh = blk.backward(&dh);
-        }
-        let dh = self.pos.backward(&dh);
-        self.tok.backward(&dh)
+        self.layers.backward(dy)
+    }
+
+    fn backward_staged(&mut self, dy: &Tensor, on_stage: &mut dyn FnMut(&[Tensor])) -> Tensor {
+        self.layers.backward_staged(dy, on_stage)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.tok.visit_params(f);
-        self.pos.visit_params(f);
-        for blk in &mut self.blocks {
-            blk.visit_params(f);
-        }
-        self.ln_f.visit_params(f);
-        self.head.visit_params(f);
+        self.layers.visit_params(f);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use colossalai_autograd::Checkpoint;
     use colossalai_tensor::init;
 
     fn tiny_cfg() -> TransformerConfig {
@@ -206,6 +179,33 @@ mod tests {
         // the last position has no target -> zero gradient there
         for v in 0..13 {
             assert_eq!(dlogits.at(&[0, 3, v]), 0.0);
+        }
+    }
+
+    #[test]
+    fn checkpointed_gpt_fires_the_same_stages_with_the_same_bits() {
+        let x = Tensor::from_vec([2, 4], vec![1., 2., 3., 4., 5., 6., 7., 8.]);
+        let staged = |model: &mut dyn Layer| {
+            let y = model.forward(&x);
+            let mut stages: Vec<Vec<Tensor>> = Vec::new();
+            let dx = model.backward_staged(&y, &mut |stage| stages.push(stage.to_vec()));
+            (dx, stages)
+        };
+        let mut plain = Gpt::new(&tiny_cfg(), &mut init::rng(83));
+        let mut ckpt = Checkpoint::new(Gpt::new(&tiny_cfg(), &mut init::rng(83)));
+        for step in 1..=2 {
+            let (dx, stages) = staged(&mut plain);
+            let (dx_ckpt, stages_ckpt) = staged(&mut ckpt);
+            assert_eq!(ckpt.recompute_count, step, "one recompute per backward");
+            assert_eq!(dx.data(), dx_ckpt.data());
+            assert_eq!(stages.len(), tiny_cfg().layers + 4);
+            assert_eq!(stages.len(), stages_ckpt.len());
+            for (a, b) in stages.iter().zip(&stages_ckpt) {
+                assert_eq!(a.len(), b.len());
+                for (ga, gb) in a.iter().zip(b) {
+                    assert_eq!(ga.data(), gb.data());
+                }
+            }
         }
     }
 }

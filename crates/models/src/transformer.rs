@@ -2,6 +2,7 @@
 //! Attention + Feed Forward, pre-LayerNorm, residual connections — written
 //! once against the [`TensorParallel`] seam.
 
+use crate::config::TransformerConfig;
 use crate::parallel::{Layout, Serial, TensorParallel};
 use colossalai_autograd::{Layer, MultiHeadAttention, Param, Sequential};
 use colossalai_tensor::init::{self, InitRng};
@@ -119,6 +120,26 @@ impl Layer for TransformerBlock {
         self.attn.visit_params(f);
         self.mlp.visit_params(f);
     }
+}
+
+/// The `cfg.layers` blocks of the model `name` (`{name}.block{i}`) in order,
+/// boxed for its layer list; their weights are drawn from `rng` block by
+/// block.
+pub(crate) fn blocks(
+    mode: &dyn TensorParallel,
+    name: &str,
+    cfg: &TransformerConfig,
+    causal: bool,
+    rng: &mut InitRng,
+) -> Vec<Box<dyn Layer>> {
+    (0..cfg.layers)
+        .map(|i| {
+            let (dim, heads, ratio) = (cfg.hidden, cfg.heads, cfg.mlp_ratio);
+            let name = format!("{name}.block{i}");
+            let block = TransformerBlock::with_mode(mode, &name, dim, heads, ratio, causal, rng);
+            Box::new(block) as Box<dyn Layer>
+        })
+        .collect()
 }
 
 #[cfg(test)]

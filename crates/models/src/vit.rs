@@ -4,53 +4,38 @@
 
 use crate::config::TransformerConfig;
 use crate::parallel::{Layout, Serial, TensorParallel};
-use crate::transformer::TransformerBlock;
-use colossalai_autograd::{Layer, Param};
+use crate::transformer::blocks;
+use colossalai_autograd::{Layer, Param, Sequential};
 use colossalai_tensor::init::{self, InitRng};
 use colossalai_tensor::ops::sum_axis;
 use colossalai_tensor::Tensor;
 
 /// A runnable ViT. Input is pre-patchified: `[batch, n_patches, patch_dim]`
 /// (the dataset generator emits patches directly, standing in for the
-/// image pipeline). Output is `[batch, classes]` logits. Under a parallel
-/// mode both are the full tensors, the same on every device of the group.
+/// image pipeline), with at most `cfg.max_seq` patches. Output is `[batch,
+/// classes]` logits. Under a parallel mode both are the full tensors, the
+/// same on every device of the group.
 pub struct VisionTransformer {
-    proj: Box<dyn Layer>,
-    pos: Box<dyn Layer>,
-    blocks: Vec<TransformerBlock>,
-    ln_f: Box<dyn Layer>,
-    head: Box<dyn Layer>,
-    n_patches: usize,
+    /// `[proj, pos, block0..blockL-1, ln_f, MeanPool, head]`.
+    layers: Sequential,
 }
 
 impl VisionTransformer {
-    /// Builds a serial ViT with `cfg.vocab` classes over `n_patches` patches
-    /// of `patch_dim` raw features.
+    /// Builds a serial ViT with `cfg.vocab` classes over patches of
+    /// `patch_dim` raw features.
     pub fn new(cfg: &TransformerConfig, patch_dim: usize, rng: &mut InitRng) -> Self {
         Self::with_mode(&Serial, cfg, patch_dim, rng)
     }
 
     /// Builds this device's part of the ViT under `mode`; every device passes
-    /// an identically seeded `rng` (see [`TransformerBlock::with_mode`]).
+    /// an identically seeded `rng` (see [`crate::TransformerBlock::with_mode`]).
     pub fn with_mode(
         mode: &dyn TensorParallel,
         cfg: &TransformerConfig,
         patch_dim: usize,
         rng: &mut InitRng,
     ) -> Self {
-        let blocks = (0..cfg.layers)
-            .map(|i| {
-                TransformerBlock::with_mode(
-                    mode,
-                    &format!("vit.block{i}"),
-                    cfg.hidden,
-                    cfg.heads,
-                    cfg.mlp_ratio,
-                    false,
-                    rng,
-                )
-            })
-            .collect();
+        let blocks = blocks(mode, "vit", cfg, false, rng);
         let proj = mode.linear(
             "vit.patch_proj",
             init::lecun_normal(patch_dim, cfg.hidden, rng),
@@ -68,75 +53,69 @@ impl VisionTransformer {
             Layout::Full,
             false,
         );
+        let ln_f = mode.layer_norm("vit.ln_f", cfg.hidden);
+        let mut layers = vec![proj, pos];
+        layers.extend(blocks);
+        layers.extend([ln_f, Box::new(MeanPool { patches: 0 }), head]);
         VisionTransformer {
-            proj,
-            pos,
-            blocks,
-            ln_f: mode.layer_norm("vit.ln_f", cfg.hidden),
-            head,
-            n_patches: cfg.max_seq,
+            layers: Sequential::new(layers),
         }
-    }
-
-    /// Number of patches the model expects.
-    pub fn n_patches(&self) -> usize {
-        self.n_patches
     }
 }
 
 impl Layer for VisionTransformer {
     fn forward(&mut self, x: &Tensor) -> Tensor {
         assert_eq!(x.rank(), 3, "ViT input must be [batch, patches, patch_dim]");
-        let mut h = self.proj.forward(x);
-        h = self.pos.forward(&h);
-        for blk in &mut self.blocks {
-            h = blk.forward(&h);
-        }
-        let h = self.ln_f.forward(&h);
-        // mean pool over patches
-        let mut pooled = sum_axis(&h, 1);
-        pooled.scale(1.0 / h.dims()[1] as f32);
-        self.head.forward(&pooled)
+        self.layers.forward(x)
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let dpooled = self.head.backward(dy);
-        // un-pool: every patch of a sample takes that sample's mean gradient
-        let (b, d) = (dpooled.dims()[0], dpooled.dims()[1]);
-        let s = self.n_patches;
+        self.layers.backward(dy)
+    }
+
+    fn backward_staged(&mut self, dy: &Tensor, on_stage: &mut dyn FnMut(&[Tensor])) -> Tensor {
+        self.layers.backward_staged(dy, on_stage)
+    }
+
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.layers.visit_params(f);
+    }
+}
+
+/// Mean over the patch axis, `[batch, patches, hidden]` to `[batch, hidden]`.
+/// Backward gives every patch of a sample that sample's gradient divided by
+/// the patch count of the forward it follows.
+struct MeanPool {
+    patches: usize,
+}
+
+impl Layer for MeanPool {
+    fn forward(&mut self, h: &Tensor) -> Tensor {
+        self.patches = h.dims()[1];
+        let mut pooled = sum_axis(h, 1);
+        pooled.scale(1.0 / self.patches as f32);
+        pooled
+    }
+
+    fn backward(&mut self, dy: &Tensor) -> Tensor {
+        let (b, d, s) = (dy.dims()[0], dy.dims()[1], self.patches);
         let mut dh = Tensor::zeros([b, s, d]);
-        for (sample, pooled) in dh
-            .data_mut()
-            .chunks_mut(s * d)
-            .zip(dpooled.data().chunks(d))
-        {
+        for (sample, pooled) in dh.data_mut().chunks_mut(s * d).zip(dy.data().chunks(d)) {
             let mean: Vec<f32> = pooled.iter().map(|v| v / s as f32).collect();
             for patch in sample.chunks_mut(d) {
                 patch.copy_from_slice(&mean);
             }
         }
-        let mut dh = self.ln_f.backward(&dh);
-        for blk in self.blocks.iter_mut().rev() {
-            dh = blk.backward(&dh);
-        }
-        let dh = self.pos.backward(&dh);
-        self.proj.backward(&dh)
+        dh
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.proj.visit_params(f);
-        self.pos.visit_params(f);
-        for blk in &mut self.blocks {
-            blk.visit_params(f);
-        }
-        self.ln_f.visit_params(f);
-        self.head.visit_params(f);
-    }
+    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use colossalai_autograd::grad_check;
     use colossalai_tensor::init;
     use colossalai_tensor::ops::cross_entropy;
 
@@ -197,5 +176,20 @@ mod tests {
         let y = vit.forward(&x);
         let dx = vit.backward(&Tensor::ones(y.shape().clone()));
         assert_eq!(dx.dims(), x.dims());
+    }
+
+    #[test]
+    fn fewer_patches_than_max_seq_pool_and_unpool_alike() {
+        let mut rng = init::rng(63);
+        let cfg = TransformerConfig {
+            max_seq: 6,
+            ..tiny_cfg()
+        };
+        let mut vit = VisionTransformer::new(&cfg, 3, &mut rng);
+        let x = init::uniform([2, 4, 3], -1.0, 1.0, &mut rng);
+        let y = vit.forward(&x);
+        let dx = vit.backward(&Tensor::ones(y.shape().clone()));
+        assert_eq!(dx.dims(), x.dims());
+        grad_check(&mut vit, &x, 1e-2, 1e-1).unwrap();
     }
 }

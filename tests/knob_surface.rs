@@ -168,6 +168,11 @@ fn defaults_hold_and_a_default_initialize_moves_no_setter() {
     let err = Config::from_json(r#"{"compute":{"fast":true}}"#).unwrap_err();
     let key = ["compute", "fast"].join(".");
     assert_eq!(err, format!("unknown key {key:?}"));
+    // the backward always overlaps the data-parallel reduce, so its switch
+    // is gone too
+    let err = Config::from_json(r#"{"comm":{"overlap":false}}"#).unwrap_err();
+    let key = ["comm", "overlap"].join(".");
+    assert_eq!(err, format!("unknown key {key:?}"));
     // the storage pool is on: a recycled buffer comes straight back
     let hits = pool::stats().hits;
     pool::recycle(pool::take_buffer(100_003));
