@@ -16,7 +16,7 @@ pub struct Checkpoint<L: Layer> {
     inner: L,
     saved_input: Option<Tensor>,
     /// Forward invocations of the inner layer (recomputation is observable
-    /// for tests and for the FLOPs accounting of the engine).
+    /// for tests).
     pub recompute_count: u64,
 }
 
@@ -32,11 +32,6 @@ impl<L: Layer> Checkpoint<L> {
     /// The wrapped layer.
     pub fn inner(&self) -> &L {
         &self.inner
-    }
-
-    /// Mutable access to the wrapped layer.
-    pub fn inner_mut(&mut self) -> &mut L {
-        &mut self.inner
     }
 
     /// Re-runs the forward from the saved input to rebuild the activation

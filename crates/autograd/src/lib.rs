@@ -14,11 +14,9 @@
 pub mod act;
 pub mod attention;
 pub mod checkpoint;
-pub mod dropout;
 pub mod embedding;
 pub mod layer;
 pub mod linear;
-pub mod lr;
 pub mod norm;
 pub mod optim;
 pub mod param;
@@ -27,11 +25,9 @@ pub mod state;
 pub use act::{Gelu, Relu};
 pub use attention::{merge_heads, split_heads, AttentionCore, LocalAttention, MultiHeadAttention};
 pub use checkpoint::Checkpoint;
-pub use dropout::Dropout;
 pub use embedding::{Embedding, PositionEmbedding};
 pub use layer::{grad_check, Layer, Sequential};
 pub use linear::Linear;
-pub use lr::LrSchedule;
 pub use norm::LayerNorm;
 pub use optim::{adamw_update, sgd_momentum_update, AdamState, AdamW, Sgd};
 pub use param::Param;

@@ -73,11 +73,6 @@ impl Linear {
     pub fn bias(&self) -> Option<&Param> {
         self.b.as_ref()
     }
-
-    /// FLOPs of one forward pass over `rows` input rows.
-    pub fn forward_flops(&self, rows: usize) -> u64 {
-        2 * rows as u64 * self.d_in() as u64 * self.d_out() as u64
-    }
 }
 
 impl Layer for Linear {
@@ -209,12 +204,5 @@ mod tests {
         let mut rng = init::rng(9);
         let mut l = Linear::from_rng("l", 2, 2, false, &mut rng);
         let _ = l.backward(&Tensor::ones([1, 2]));
-    }
-
-    #[test]
-    fn flops_formula() {
-        let mut rng = init::rng(10);
-        let l = Linear::from_rng("l", 128, 256, false, &mut rng);
-        assert_eq!(l.forward_flops(10), 2 * 10 * 128 * 256);
     }
 }

@@ -4,7 +4,9 @@
 use colossalai_autograd::{Gelu, Linear, Sequential};
 use colossalai_bench::bench_fn;
 use colossalai_comm::World;
-use colossalai_parallel::pipeline::{bubble_fraction, PipelineStage, Schedule};
+use colossalai_parallel::pipeline::{
+    bubble_fraction, interleaved_bubble_fraction, PipelineStage, Schedule,
+};
 use colossalai_tensor::init::{self, InitRng};
 use colossalai_tensor::ops::cross_entropy;
 use colossalai_tensor::Tensor;
@@ -53,10 +55,16 @@ fn main() {
         });
     }
 
+    // v = 2: Megatron's interleaved schedule with two model chunks per
+    // device, a closed form only (no interleaved schedule runs here)
     println!("\n== pipeline ablation: bubble fraction (p stages, m micro-batches) ==");
     for p in [2usize, 4, 8] {
         for m in [4usize, 16, 64] {
-            println!("p={p:<2} m={m:<3} bubble = {:.3}", bubble_fraction(p, m));
+            println!(
+                "p={p:<2} m={m:<3} bubble = {:.3}  interleaved v=2 = {:.3}",
+                bubble_fraction(p, m),
+                interleaved_bubble_fraction(p, m, 2)
+            );
         }
     }
 }

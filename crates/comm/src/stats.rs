@@ -76,18 +76,6 @@ impl CommStats {
     pub fn ops_of(&self, kind: OpKind) -> u64 {
         self.by_op.get(&kind).map_or(0, |&(o, _)| o)
     }
-
-    /// Merges another stats block into this one.
-    pub fn merge(&mut self, other: &CommStats) {
-        self.ops += other.ops;
-        self.elements += other.elements;
-        self.bytes += other.bytes;
-        for (&k, &(o, e)) in &other.by_op {
-            let entry = self.by_op.entry(k).or_insert((0, 0));
-            entry.0 += o;
-            entry.1 += e;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -106,18 +94,5 @@ mod tests {
         assert_eq!(s.elements_of(OpKind::AllReduce), 150);
         assert_eq!(s.ops_of(OpKind::AllReduce), 2);
         assert_eq!(s.elements_of(OpKind::AllToAll), 0);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = CommStats::default();
-        a.record(OpKind::AllGather, 5, 20);
-        let mut b = CommStats::default();
-        b.record(OpKind::AllGather, 7, 28);
-        b.record(OpKind::SendRecv, 3, 12);
-        a.merge(&b);
-        assert_eq!(a.elements_of(OpKind::AllGather), 12);
-        assert_eq!(a.elements_of(OpKind::SendRecv), 3);
-        assert_eq!(a.ops, 3);
     }
 }

@@ -625,7 +625,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// communication is charged implicitly by the collectives in
 /// [`Group`] type.
 /// Cloning a `DeviceCtx` yields a handle to the *same* device: clones share
-/// the clock and FLOP counter, so layers and optimizers can each hold one.
+/// the clocks, so layers and optimizers can each hold one.
 #[derive(Clone)]
 pub struct DeviceCtx {
     pub(crate) world: Arc<WorldInner>,
@@ -640,7 +640,6 @@ pub struct DeviceCtx {
     /// while compute keeps running on the main clock;
     /// [`DeviceCtx::comm_sync`] joins the two.
     comm_clock: Arc<AtomicU64>,
-    flops: Arc<AtomicU64>,
 }
 
 impl DeviceCtx {
@@ -650,7 +649,6 @@ impl DeviceCtx {
             rank,
             tasks: Arc::clone(waker),
             comm_clock: Arc::new(AtomicU64::new(0.0f64.to_bits())),
-            flops: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -767,26 +765,13 @@ impl DeviceCtx {
 
     /// Charges `flops` of FP32 compute at this device's modeled rate.
     pub fn charge_flops_f32(&self, flops: u64) {
-        self.flops.fetch_add(flops, Ordering::Relaxed);
         let dt = self.world.cluster.gpu(self.rank).compute_time_f32(flops);
-        self.advance(dt);
-    }
-
-    /// Charges `flops` of FP16 tensor-core compute.
-    pub fn charge_flops_f16(&self, flops: u64) {
-        self.flops.fetch_add(flops, Ordering::Relaxed);
-        let dt = self.world.cluster.gpu(self.rank).compute_time_f16(flops);
         self.advance(dt);
     }
 
     /// Charges raw seconds (e.g. host-side optimizer time, offload DMA).
     pub fn charge_seconds(&self, dt: f64) {
         self.advance(dt);
-    }
-
-    /// Total FLOPs charged so far.
-    pub fn flops(&self) -> u64 {
-        self.flops.load(Ordering::Relaxed)
     }
 
     /// Records traffic into the world-level stats (one call per group op).
@@ -971,14 +956,6 @@ impl DeviceCtx {
     pub fn recv(&self, from: DeviceId, tag: u64) -> Tensor {
         self.block_on(self.start_recv(from, tag))
     }
-
-    /// Full-duplex ring exchange: sends `t` to `to` while receiving from
-    /// `from`. Both transfers overlap, so only one transfer time is charged
-    /// (the p2p links are modeled as full duplex).
-    pub fn ring_exchange(&self, to: DeviceId, from: DeviceId, tag: u64, t: Tensor) -> Tensor {
-        self.send(to, tag, t);
-        self.recv(from, tag)
-    }
 }
 
 /// An in-flight point-to-point receive: the resumable form of
@@ -1137,24 +1114,6 @@ mod tests {
         assert_eq!(stats.bytes, 16 + 8, "stats charge wire bytes, not numel*4");
         assert_eq!(stats.elements_of(crate::stats::OpKind::SendRecv), 8);
         assert_eq!(world.wake_stats().p2p_msgs, 2);
-    }
-
-    #[test]
-    fn ring_exchange_charges_once() {
-        let world = World::new(system_i());
-        let clocks = world.run_on(2, |ctx| {
-            let to = 1 - ctx.rank();
-            let got = ctx.ring_exchange(to, to, 0, Tensor::scalar(ctx.rank() as f32));
-            assert_eq!(got.item(), to as f32);
-            ctx.clock()
-        });
-        let single = system_i().p2p_time(0, 1, 4);
-        assert!(
-            (clocks[0] - single).abs() < 1e-12,
-            "{} vs {}",
-            clocks[0],
-            single
-        );
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! Automatic mixed precision: fp16 parameter/gradient emulation with
-//! dynamic loss scaling.
+//! Automatic mixed precision as this reproduction runs it: dynamic loss
+//! scaling over f32 arithmetic.
 //!
-//! Numerics: master weights stay fp32; before each forward the working
-//! parameters are rounded through binary16 (software [`colossalai_tensor::F16`]),
-//! gradients are computed against those rounded weights and rounded to fp16
-//! themselves — the exact numeric path of GPU fp16 training with fp32
-//! accumulate.
+//! `mixed_precision: true` scales the loss gradient, checks the reduced
+//! gradients for overflow on every rank, and skips the step (backing the
+//! scale off) when any is non-finite. Parameters, activations and gradients
+//! stay f32 and nothing is rounded through binary16; the scale is a power of
+//! two, so a step that is not skipped takes the f32 update unless a value
+//! leaves the normal range. fp16 appears only as a wire format
+//! (`comm::compress`) and in the memory model's byte counts.
 
-use colossalai_autograd::Layer;
-use colossalai_tensor::f16::convert_slice;
 use colossalai_tensor::Tensor;
 
 /// Dynamic loss scaler (the DeepSpeed/Apex scheme): scale doubles after a
@@ -74,36 +74,9 @@ impl GradScaler {
     }
 }
 
-/// Rounds every parameter through fp16 (the "cast weights to half for the
-/// forward" step) via the batched [`convert_slice`] sweep. Master copies
-/// should be snapshotted by the optimizer before calling this.
-pub fn quantize_params_f16(model: &mut dyn Layer) {
-    model.visit_params(&mut |p| convert_slice(p.value_mut().data_mut()));
-}
-
-/// Rounds every gradient through fp16 (gradients live in the reused fp16
-/// storage of Fig 6), batched like [`quantize_params_f16`].
-pub fn quantize_grads_f16(model: &mut dyn Layer) {
-    model.visit_params(&mut |p| convert_slice(p.grad_mut().data_mut()));
-}
-
-/// The AMP matmul: the f32 GEMM over operands already rounded through fp16
-/// ([`quantize_params_f16`]) — fp16 storage, fp32 accumulate.
-pub fn amp_matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    colossalai_tensor::matmul(a, b)
-}
-
-/// [`amp_matmul`] for left operands with arbitrary leading dimensions (the
-/// linear-layer activation contract of `matmul_nd`).
-pub fn amp_matmul_nd(a: &Tensor, b: &Tensor) -> Tensor {
-    colossalai_tensor::matmul_nd(a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use colossalai_autograd::Linear;
-    use colossalai_tensor::init;
 
     #[test]
     fn overflow_halves_scale_and_skips() {
@@ -138,36 +111,5 @@ mod tests {
         let scaler = GradScaler::new(4.0);
         let dy = Tensor::full([3], 0.5);
         assert_eq!(scaler.scale_grad(&dy).data(), &[2.0; 3]);
-    }
-
-    #[test]
-    fn quantization_rounds_through_f16() {
-        let mut rng = init::rng(43);
-        let mut l = Linear::from_rng("l", 4, 4, false, &mut rng);
-        let before: Vec<f32> = l.weight().value().data().to_vec();
-        quantize_params_f16(&mut l);
-        let after = l.weight().value().data();
-        for (b, a) in before.iter().zip(after) {
-            assert!((b - a).abs() <= b.abs() * 2.0f32.powi(-11) + 1e-8);
-            // and the value is exactly representable in f16 now
-            let h = colossalai_tensor::F16::from_f32(*a);
-            assert_eq!(h.to_f32(), *a);
-        }
-    }
-
-    #[test]
-    fn amp_matmul_is_the_full_precision_gemm() {
-        let mut rng = init::rng(7);
-        let (m, k, n) = (9, 33, 11);
-        let a = init::uniform([m, k], -1.0, 1.0, &mut rng);
-        let b = init::uniform([k, n], -1.0, 1.0, &mut rng);
-        assert_eq!(
-            amp_matmul(&a, &b).data(),
-            colossalai_tensor::matmul(&a, &b).data()
-        );
-        let a3 = init::uniform([2, 5, k], -1.0, 1.0, &mut rng);
-        let c3 = amp_matmul_nd(&a3, &b);
-        assert_eq!(c3.dims(), &[2, 5, n]);
-        assert_eq!(c3.data(), colossalai_tensor::matmul_nd(&a3, &b).data());
     }
 }

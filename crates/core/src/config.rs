@@ -140,6 +140,8 @@ pub struct Config {
     pub parallel: ParallelConfig,
     #[serde(default)]
     pub zero: Option<ZeroConfig>,
+    /// Dynamic loss scaling ([`crate::amp::GradScaler`]); the arithmetic
+    /// stays f32.
     #[serde(default)]
     pub mixed_precision: bool,
     #[serde(default)]
@@ -203,17 +205,6 @@ impl Config {
         })
     }
 
-    /// True if the tensor section requests sequence parallelism.
-    pub fn is_sequence_parallel(&self) -> bool {
-        matches!(
-            self.parallel.tensor,
-            Some(TensorConfig {
-                mode: TensorModeName::Sequence,
-                ..
-            })
-        )
-    }
-
     /// Validates internal consistency (grid shapes, ZeRO stage range, ...).
     pub fn validate(&self) -> Result<(), String> {
         if let Some(t) = self.parallel.tensor {
@@ -248,8 +239,8 @@ impl Config {
                 return Err("ZeRO combines with data parallelism only in this reproduction".into());
             }
             if let Compression::TopK(_) = self.compression() {
-                // there is no sparse reduce-scatter wire format: ZeRO would
-                // run the exact dense channel and compress nothing
+                // there is no sparse reduce-scatter wire format; the
+                // reducer panics in the same words, this names the key
                 return Err(format!(
                     "comm.compress {:?} does not combine with zero: top-k is a \
                      data-parallel-only channel (use int8 or fp16)",
@@ -258,11 +249,6 @@ impl Config {
             }
         }
         Ok(())
-    }
-
-    /// Total devices this configuration occupies per data-parallel replica.
-    pub fn devices_per_replica(&self) -> usize {
-        self.tensor_size() * self.pipeline_size()
     }
 
     /// Gradient-sync bucket capacity in bytes.
@@ -393,7 +379,7 @@ mod tests {
     #[test]
     fn defaults_are_serial() {
         let cfg = Config::from_json("{}").unwrap();
-        assert_eq!(cfg.devices_per_replica(), 1);
+        assert_eq!((cfg.tensor_size(), cfg.pipeline_size()), (1, 1));
         assert!(!cfg.mixed_precision);
         assert!(cfg.tp_mode().is_none());
     }
@@ -478,6 +464,6 @@ mod tests {
         let json = serde_json::to_string(&cfg).unwrap();
         let back = Config::from_json(&json).unwrap();
         assert_eq!(cfg, back);
-        assert_eq!(back.devices_per_replica(), 16);
+        assert_eq!((back.tensor_size(), back.pipeline_size()), (8, 2));
     }
 }

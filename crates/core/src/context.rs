@@ -117,16 +117,6 @@ impl ParallelContext {
                 .collect(),
         }
     }
-
-    /// True when this device runs the first pipeline stage.
-    pub fn is_first_stage(&self) -> bool {
-        self.pp_rank == 0
-    }
-
-    /// True when this device runs the last pipeline stage.
-    pub fn is_last_stage(&self) -> bool {
-        self.pp_rank + 1 == self.pp_degree
-    }
 }
 
 #[cfg(test)]
@@ -208,15 +198,6 @@ mod tests {
             let deg = ctx0.degree(axis) as u32;
             assert!(seen.iter().all(|&s| s == deg), "{axis:?}: {seen:?}");
         }
-    }
-
-    #[test]
-    fn stage_predicates() {
-        let c = cfg(1, 4);
-        assert!(ParallelContext::new(&c, 0, 4).is_first_stage());
-        assert!(ParallelContext::new(&c, 3, 4).is_last_stage());
-        assert!(!ParallelContext::new(&c, 1, 4).is_first_stage());
-        assert!(!ParallelContext::new(&c, 1, 4).is_last_stage());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::amp::GradScaler;
 use crate::config::Config;
 use crate::context::{ParallelAxis, ParallelContext};
-use colossalai_autograd::{AdamW, Checkpoint, Layer, LrSchedule, Sgd};
+use colossalai_autograd::{AdamW, Checkpoint, Layer, Sgd};
 use colossalai_comm::{DeviceCtx, Group};
 use colossalai_parallel::bucket::BucketedGradSync;
 use colossalai_parallel::zero::{ZeroOptimizer, ZeroStage};
@@ -50,8 +50,6 @@ pub struct Engine {
     reduced: Option<Vec<Tensor>>,
     scaler: Option<GradScaler>,
     grad_clip: f32,
-    lr_schedule: LrSchedule,
-    base_lr: f32,
     /// Micro-batches per optimizer step (>= 1).
     accumulation: u32,
     micro_steps: u32,
@@ -122,11 +120,6 @@ pub fn initialize(
         (None, OptimizerSpec::Sgd { lr, momentum }) => EngineOptimizer::Sgd(Sgd::new(lr, momentum)),
     };
 
-    let base_lr = match &optimizer {
-        EngineOptimizer::AdamW(o) => o.lr,
-        EngineOptimizer::Sgd(o) => o.lr,
-        EngineOptimizer::Zero(o) => o.lr,
-    };
     // plain (non-ZeRO) data-parallel engines sync gradients through fused
     // size-capped buckets instead of one all-reduce per parameter
     let grad_sync =
@@ -144,8 +137,6 @@ pub fn initialize(
         reduced: None,
         scaler: config.mixed_precision.then(GradScaler::default),
         grad_clip: config.grad_clip,
-        lr_schedule: LrSchedule::Constant,
-        base_lr,
         accumulation: config.gradient_accumulation.max(1),
         micro_steps: 0,
         steps: 0,
@@ -271,13 +262,6 @@ impl Engine {
             let span = shards_over.or(self.mp_group.as_ref());
             clip_grads(span.map(|g| (ctx, g)), &mut grads, self.grad_clip);
         }
-        // schedule the learning rate for this optimizer step
-        let lr = self.lr_schedule.lr(self.base_lr, self.steps);
-        match &mut self.optimizer {
-            EngineOptimizer::AdamW(o) => o.lr = lr,
-            EngineOptimizer::Sgd(o) => o.lr = lr,
-            EngineOptimizer::Zero(o) => o.lr = lr,
-        }
         match &mut self.optimizer {
             EngineOptimizer::AdamW(o) => {
                 o.step_layer(self.model.as_mut());
@@ -296,16 +280,6 @@ impl Engine {
     /// The wrapped model.
     pub fn model_mut(&mut self) -> &mut dyn Layer {
         self.model.as_mut()
-    }
-
-    /// Installs a learning-rate schedule applied on top of the base LR.
-    pub fn set_lr_schedule(&mut self, schedule: LrSchedule) {
-        self.lr_schedule = schedule;
-    }
-
-    /// The learning rate the *next* optimizer step will use.
-    pub fn current_lr(&self) -> f32 {
-        self.lr_schedule.lr(self.base_lr, self.steps)
     }
 
     /// Optimizer steps taken (excluding overflow skips).
@@ -378,23 +352,6 @@ fn clip_grads(span: Option<(&DeviceCtx, &Group)>, grads: &mut Grads, max_norm: f
         grads.for_each(&mut |g| g.scale(scale));
     }
     norm
-}
-
-/// Distributed gradient clipping for model-parallel shards: the global
-/// gradient norm spans parameters scattered over a tensor-parallel group
-/// (the Megatron `clip_grad_norm` with a model-parallel reduction).
-pub fn clip_grad_norm_distributed(
-    ctx: &DeviceCtx,
-    group: &Group,
-    model: &mut dyn Layer,
-    max_norm: f32,
-) -> f32 {
-    clip_grads(Some((ctx, group)), &mut Grads::Model(model), max_norm)
-}
-
-/// Clips gradients to a global L2 norm (Megatron-style).
-pub fn clip_grad_norm(model: &mut dyn Layer, max_norm: f32) -> f32 {
-    clip_grads(None, &mut Grads::Model(model), max_norm)
 }
 
 #[cfg(test)]
@@ -696,42 +653,6 @@ mod tests {
     }
 
     #[test]
-    fn lr_schedule_drives_the_optimizer() {
-        let world = World::new(system_i());
-        world.run_on(1, |ctx| {
-            let cfg = Config::from_json("{}").unwrap();
-            let mut engine = initialize(
-                ctx,
-                &cfg,
-                1,
-                make_model(97),
-                OptimizerSpec::Sgd {
-                    lr: 1.0,
-                    momentum: 0.0,
-                },
-            );
-            engine.set_lr_schedule(LrSchedule::WarmupConstant { warmup: 2 });
-            assert_eq!(engine.current_lr(), 0.5);
-            // SGD with lr = 0.5 and grad = 1 moves params by -0.5
-            engine.model_mut().visit_params(&mut |p: &mut Param| {
-                p.accumulate_grad(&Tensor::ones(p.value().shape().clone()));
-            });
-            let mut before = Vec::new();
-            engine
-                .model_mut()
-                .visit_params(&mut |p| before.push(p.value().data()[0]));
-            assert!(engine.step());
-            let mut after = Vec::new();
-            engine
-                .model_mut()
-                .visit_params(&mut |p| after.push(p.value().data()[0]));
-            assert!((before[0] - after[0] - 0.5).abs() < 1e-6);
-            // after the warmup, full LR
-            assert_eq!(engine.current_lr(), 1.0);
-        });
-    }
-
-    #[test]
     fn gradient_accumulation_equals_large_batch() {
         // 4 micro-batches of 2 with accumulation == one batch of 8
         let mut rng = init::rng(95);
@@ -831,7 +752,7 @@ mod tests {
             model.visit_params(&mut |p: &mut Param| {
                 p.accumulate_grad(&Tensor::full(p.value().shape().clone(), 2.0));
             });
-            let norm = clip_grad_norm_distributed(ctx, &g, model.as_mut(), 1.0);
+            let norm = clip_grads(Some((ctx, &g)), &mut Grads::Model(model.as_mut()), 1.0);
             // check the post-clip global norm is 1
             let mut sq = 0.0f32;
             model.visit_params(&mut |p| {
@@ -891,13 +812,13 @@ mod tests {
     }
 
     #[test]
-    fn clip_grad_norm_scales_down() {
+    fn clip_grads_scales_down() {
         let mut model = make_model(50);
         model.visit_params(&mut |p| {
             p.accumulate_grad(&Tensor::full(p.value().shape().clone(), 1.0));
         });
         let n_params = model.n_params() as f32;
-        let before = clip_grad_norm(model.as_mut(), 1.0);
+        let before = clip_grads(None, &mut Grads::Model(model.as_mut()), 1.0);
         assert!((before - n_params.sqrt()).abs() < 1e-3);
         // all grads now have global norm 1
         let mut sq = 0.0f32;

@@ -17,6 +17,6 @@ pub mod zoo;
 pub use amp::GradScaler;
 pub use config::{CommConfig, Config};
 pub use context::{ParallelAxis, ParallelContext};
-pub use engine::{clip_grad_norm, clip_grad_norm_distributed, initialize, Engine, OptimizerSpec};
+pub use engine::{initialize, Engine, OptimizerSpec};
 pub use trainer::{Hook, LossRecorder, Trainer};
 pub use zoo::{build_bert, build_gpt, build_vit, check_model, tensor_parallel, ZooModel};

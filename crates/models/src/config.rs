@@ -26,19 +26,6 @@ pub struct TransformerConfig {
 }
 
 impl TransformerConfig {
-    /// ViT of Fig 7's convergence run: 12 layers, hidden 384, 6 heads,
-    /// ImageNet-1k classes, 196 patches (224/16 squared).
-    pub fn vit_fig7() -> Self {
-        TransformerConfig {
-            layers: 12,
-            hidden: 384,
-            heads: 6,
-            mlp_ratio: 4,
-            vocab: 1000,
-            max_seq: 196,
-        }
-    }
-
     /// ViT of Fig 11a (4 GPUs on Systems I/II): 64 layers, hidden 3072, 48
     /// heads.
     pub fn vit_fig11_4gpu() -> Self {
@@ -257,7 +244,7 @@ mod tests {
 
     #[test]
     fn model_data_is_16_bytes_per_param() {
-        let c = TransformerConfig::vit_fig7();
+        let c = TransformerConfig::vit_table3_small();
         assert_eq!(c.model_data_bytes(), 16 * c.total_params());
     }
 }

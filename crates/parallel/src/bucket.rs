@@ -346,8 +346,17 @@ impl GradReducer {
 
     /// Selects the lossy gradient channel. Residual state resets: switching
     /// channels mid-training would otherwise replay another channel's
-    /// backlog.
+    /// backlog. Panics on top-k for a sharded kind: there is no sparse
+    /// reduce-scatter wire format, and running it as the exact channel
+    /// would compress nothing without a word.
     pub fn set_compression(&mut self, comp: Compression) {
+        assert!(
+            self.keep == Keep::Whole || !matches!(comp, Compression::TopK(_)),
+            "comm.compress {:?} does not combine with zero ({:?}): top-k is a \
+             data-parallel-only channel (use int8 or fp16)",
+            comp.name(),
+            self.keep
+        );
         self.compress = comp;
         self.residuals.iter_mut().for_each(Vec::clear);
     }
@@ -377,12 +386,7 @@ impl GradReducer {
         mut flat: Vec<f32>,
         stream: Stream,
     ) -> Tensor {
-        // top-k has no sparse reduce-scatter wire format: sharded kinds run
-        // it as the exact dense channel (it is a DP-only channel)
-        let comp = match self.compress {
-            Compression::TopK(_) if self.keep != Keep::Whole => Compression::None,
-            comp => comp,
-        };
+        let comp = self.compress;
         if comp.is_lossy() {
             let residual = &mut self.residuals[bi];
             residual.resize(flat.len(), 0.0);

@@ -130,12 +130,6 @@ pub fn flatten_grads(model: &mut dyn Layer) -> Tensor {
     flatten(model, Param::grad)
 }
 
-/// Writes a flat vector back into the model's parameters (inverse of
-/// [`flatten_params`]): each becomes a copy-on-write view of `flat`.
-pub fn unflatten_into(model: &mut dyn Layer, flat: &Tensor) {
-    FlatLayout::whole(model).scatter_values(model, std::slice::from_ref(flat));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,7 +154,7 @@ mod tests {
         let flat = flatten_params(&mut m);
         assert_eq!(flat.numel(), 4 * 8 + 8 + 8 * 3 + 3);
         let mut m2 = make_model(601); // different weights
-        unflatten_into(&mut m2, &flat);
+        FlatLayout::whole(&mut m2).scatter_values(&mut m2, std::slice::from_ref(&flat));
         assert_eq!(flatten_params(&mut m2), flat);
     }
 

@@ -31,7 +31,8 @@ pub fn bubble_fraction(p: usize, m: usize) -> f64 {
 /// Bubble fraction of Megatron's *interleaved* schedule with `v` virtual
 /// stages (model chunks) per device: the fill shrinks by `1/v` at the cost
 /// of `v`x the inter-stage communication. (Listed as related work the
-/// paper's schedules build on; exposed for the ablation benches.)
+/// paper's schedules build on; the `v = 2` column of the
+/// `pipeline_schedules` bench.)
 pub fn interleaved_bubble_fraction(p: usize, m: usize, v: usize) -> f64 {
     assert!(v >= 1);
     (p as f64 - 1.0) / (v as f64 * m as f64 + p as f64 - 1.0)
@@ -157,11 +158,6 @@ impl<M: Layer> PipelineStage<M> {
     /// True for the last stage (computes the loss).
     pub fn is_last(&self) -> bool {
         self.stage + 1 == self.n_stages
-    }
-
-    /// The wrapped layer stack.
-    pub fn layers_mut(&mut self) -> &mut M {
-        &mut self.layers
     }
 
     fn forward_micro(&mut self, micro: u64, input: Option<&Tensor>) {

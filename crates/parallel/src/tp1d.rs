@@ -60,11 +60,6 @@ impl ColumnParallelLinear {
             full_out: w_global.dims()[1],
         }
     }
-
-    /// Output width of the *local* shard.
-    pub fn local_out(&self) -> usize {
-        self.local.d_out()
-    }
 }
 
 impl Layer for ColumnParallelLinear {
@@ -98,10 +93,10 @@ impl Layer for ColumnParallelLinear {
     }
 }
 
-/// Row-parallel linear: `W` split along the input dimension; the input is
-/// expected pre-split along its last dimension ("input is parallel", the
-/// output of a preceding column-parallel layer), each rank computes a
-/// partial full-width output that is all-reduced.
+/// Row-parallel linear: `W` split along the input dimension; the input
+/// arrives split along its last dimension (the output of a preceding
+/// column-parallel layer), each rank computes a partial full-width output
+/// that is all-reduced, and the input gradient stays split.
 pub struct RowParallelLinear {
     ctx: DeviceCtx,
     group: Group,
@@ -109,8 +104,6 @@ pub struct RowParallelLinear {
     /// Bias replicated on every rank and added after the all-reduce (adding
     /// sharded biases before reduction would multiply it by `p`).
     bias: Option<Param>,
-    /// When false, the forward narrows a replicated input itself.
-    input_is_parallel: bool,
 }
 
 impl RowParallelLinear {
@@ -120,7 +113,6 @@ impl RowParallelLinear {
         name: &str,
         w_global: &Tensor,
         b_global: Option<&Tensor>,
-        input_is_parallel: bool,
     ) -> Self {
         let p = group.size();
         let r = group.rank();
@@ -130,21 +122,13 @@ impl RowParallelLinear {
             group: group.clone(),
             local: Linear::from_parts(name, w, None),
             bias: b_global.map(|b| Param::new(format!("{name}.bias"), b.clone())),
-            input_is_parallel,
         }
     }
 }
 
 impl Layer for RowParallelLinear {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        let x_local = if self.input_is_parallel {
-            x.clone()
-        } else {
-            let dim = x.rank() - 1;
-            let each = x.dims()[dim] / self.group.size();
-            x.narrow(dim, self.group.rank() * each, each)
-        };
-        let y_partial = self.local.forward(&x_local);
+        let y_partial = self.local.forward(x);
         let y = self.group.all_reduce(&self.ctx, y_partial);
         match &self.bias {
             Some(b) => y.add_bias(b.value()),
@@ -159,13 +143,7 @@ impl Layer for RowParallelLinear {
         }
         // dy is replicated (it is the gradient of the all-reduced output),
         // so the local weight-shard gradient needs no communication
-        let dx_local = self.local.backward(dy);
-        if self.input_is_parallel {
-            dx_local
-        } else {
-            let dim = dx_local.rank() - 1;
-            self.group.all_gather_cat(&self.ctx, dx_local, dim)
-        }
+        self.local.backward(dy)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -245,7 +223,6 @@ impl TensorParallel for TensorParallel1d {
                 name,
                 &w,
                 b.as_ref(),
-                true,
             )),
             // the stream is the full tensor on every rank
             _ => Box::new(Linear::from_parts(name, w, b)),
@@ -378,15 +355,21 @@ mod tests {
         let world = World::new(system_i());
         let results = world.run_on(4, |ctx| {
             let g = ctx.world_group(4);
-            // feed the replicated input; the layer narrows it itself
-            let mut l = RowParallelLinear::from_global(ctx, &g, "r", &w, Some(&b), false);
-            let y = l.forward(&x);
+            // the input arrives split along its last dimension
+            let x_local = x.narrow(1, g.rank() * 2, 2);
+            let mut l = RowParallelLinear::from_global(ctx, &g, "r", &w, Some(&b));
+            let y = l.forward(&x_local);
             let dx = l.backward(&dy);
             (y, dx)
         });
-        for (y, dx) in &results {
+        for (y, _) in &results {
             assert!(y.allclose(&y_want, 1e-4), "forward diverged");
-            assert!(dx.allclose(&dx_want, 1e-4), "input grad diverged");
         }
+        // the split input gradients reassemble the serial one
+        let dx_shards: Vec<Tensor> = results.iter().map(|(_, dx)| dx.clone()).collect();
+        assert!(
+            Tensor::cat(&dx_shards, 1).allclose(&dx_want, 1e-4),
+            "input grad diverged"
+        );
     }
 }

@@ -161,8 +161,8 @@ impl ZeroOptimizer {
 
     /// Selects the lossy gradient channel (exact f32 until then): int8 /
     /// fp16 quantize each bucket with error feedback before the stage's
-    /// collective; top-k degrades to exact dense under ZeRO. Residual state
-    /// resets on switch.
+    /// collective. Top-k is a data-parallel-only channel and panics here.
+    /// Residual state resets on switch.
     pub fn with_compression(mut self, comp: Compression) -> Self {
         self.reducer.set_compression(comp);
         self
@@ -504,8 +504,8 @@ mod tests {
 
     #[test]
     fn every_scheme_channel_and_schedule_runs_the_one_reducer() {
-        // {DP, ZeRO-1/2/3} x {none, int8, fp16, topk} x {blocking,
-        // overlapped}, several 64-byte buckets firing per backward
+        // {DP, ZeRO-1/2/3} x {none, int8, fp16} x {blocking, overlapped},
+        // plus DP x topk, several 64-byte buckets firing per backward
         use Compression::{Fp16, Int8, TopK};
         let schemes = [
             None,
@@ -516,6 +516,9 @@ mod tests {
         let exact_ddp = trajectory(None, 4, 3, 64, false, Compression::None);
         for scheme in schemes {
             for comp in [Compression::None, Int8, Fp16, TopK(3)] {
+                if scheme.is_some() && comp == TopK(3) {
+                    continue; // rejected: see `zero_rejects_topk_by_name`
+                }
                 let what = format!("{scheme:?}, {comp:?}");
                 let blocking = trajectory(scheme, 4, 3, 64, false, comp);
                 let overlapped = trajectory(scheme, 4, 3, 64, true, comp);
@@ -535,9 +538,9 @@ mod tests {
                     );
                     assert_eq!(overlapped.dx[r].data(), blocking.dx[r].data(), "{what}");
                 }
-                // exact channels (top-k runs exact dense under ZeRO): every
-                // scheme is the plain data-parallel trajectory
-                if comp == Compression::None || (scheme.is_some() && comp == TopK(3)) {
+                // the exact channel: every scheme is the plain data-parallel
+                // trajectory
+                if comp == Compression::None {
                     assert_eq!(
                         overlapped.params[0].data(),
                         exact_ddp.params[0].data(),
@@ -585,11 +588,14 @@ mod tests {
     }
 
     #[test]
-    fn zero_topk_falls_back_to_exact_dense() {
-        // Top-k has no sparse reduce-scatter wire format; ZeRO documents it
-        // as DP-only and runs the exact dense path instead.
-        let (exact, _) = zero_trajectory(4, 2, ZeroStage::Two);
-        let (topk, _) = zero_trajectory_opts(
+    #[should_panic(
+        expected = "comm.compress \"topk(4)\" does not combine with zero (ShardOfReduceScatter)"
+    )]
+    fn zero_rejects_topk_by_name() {
+        // Top-k has no sparse reduce-scatter wire format: a ZeRO optimizer
+        // built with it directly (not through `Config::validate`) must fail
+        // loudly rather than train on the exact dense channel.
+        let _ = zero_trajectory_opts(
             4,
             2,
             ZeroStage::Two,
@@ -597,7 +603,6 @@ mod tests {
             false,
             Compression::TopK(4),
         );
-        assert_eq!(topk.data(), exact.data());
     }
 
     /// FNV-1a 64 over everything [`trajectory`] reports of a 4-rank,
@@ -648,13 +653,6 @@ mod tests {
                 0xb2c8_b2b3_54a1_ba6f,
                 0x2dc3_c839_046b_0523,
             ),
-            // top-k is DP-only: ZeRO runs the exact dense path
-            (
-                Some(One),
-                TopK(3),
-                0xb2c8_b2b3_54a1_ba6f,
-                0x2dc3_c839_046b_0523,
-            ),
             (
                 Some(One),
                 Int8,
@@ -670,12 +668,6 @@ mod tests {
             (
                 Some(Two),
                 Compression::None,
-                0x296a_7899_fcdd_58d4,
-                0x526a_1f2b_a5fa_fea0,
-            ),
-            (
-                Some(Two),
-                TopK(3),
                 0x296a_7899_fcdd_58d4,
                 0x526a_1f2b_a5fa_fea0,
             ),

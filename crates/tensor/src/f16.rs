@@ -1,10 +1,9 @@
 //! Software IEEE 754 binary16 ("half precision").
 //!
-//! Mixed-precision training (Section 3.2 of the paper: FP16 parameters whose
-//! storage is reused for FP16 gradients) needs a faithful half type. We
-//! implement conversion with round-to-nearest-even and denormal support; all
-//! arithmetic routes through `f32`, exactly like GPU half units with fp32
-//! accumulate.
+//! The fp16 gradient wire format (`comm::compress`) needs a faithful half
+//! type. We implement conversion
+//! with round-to-nearest-even and denormal support; all arithmetic routes
+//! through `f32`, exactly like GPU half units with fp32 accumulate.
 
 /// IEEE 754 binary16 value stored as its bit pattern.
 #[derive(Clone, Copy, PartialEq, Eq, Default)]
@@ -98,14 +97,6 @@ impl F16 {
         f32::from_bits(bits)
     }
 
-    pub fn is_nan(self) -> bool {
-        (self.0 & 0x7C00) == 0x7C00 && (self.0 & 0x3FF) != 0
-    }
-
-    pub fn is_infinite(self) -> bool {
-        (self.0 & 0x7FFF) == 0x7C00
-    }
-
     pub fn is_finite(self) -> bool {
         (self.0 & 0x7C00) != 0x7C00
     }
@@ -126,37 +117,6 @@ impl From<f32> for F16 {
 impl From<F16> for f32 {
     fn from(h: F16) -> f32 {
         h.to_f32()
-    }
-}
-
-/// Quantizes an `f32` slice to half and back — the canonical "cast to fp16"
-/// used by the mixed-precision engine. Delegates to [`convert_slice`].
-pub fn round_trip_f16(data: &mut [f32]) {
-    convert_slice(data);
-}
-
-/// Batch f32 -> f16 -> f32 conversion, the slice-level form of
-/// `F16::from_f32(x).to_f32()`. Unrolled over fixed-width chunks so the
-/// branchy per-element converter pipelines across lanes instead of
-/// serializing on one element's branch chain; the AMP quantize path
-/// (`quantize_params_f16` / `quantize_grads_f16`) calls this on every
-/// parameter and gradient buffer each step.
-pub fn convert_slice(data: &mut [f32]) {
-    const LANES: usize = 8;
-    let mut chunks = data.chunks_exact_mut(LANES);
-    for chunk in &mut chunks {
-        // fixed-size temporaries keep the loads/stores unit-stride and let
-        // the compiler interleave the per-lane conversion chains
-        let mut h = [F16::ZERO; LANES];
-        for (d, h) in chunk.iter().zip(h.iter_mut()) {
-            *h = F16::from_f32(*d);
-        }
-        for (d, h) in chunk.iter_mut().zip(h.iter()) {
-            *d = h.to_f32();
-        }
-    }
-    for x in chunks.into_remainder() {
-        *x = F16::from_f32(*x).to_f32();
     }
 }
 
@@ -194,7 +154,7 @@ mod tests {
 
     #[test]
     fn special_values() {
-        assert!(F16::from_f32(f32::NAN).is_nan());
+        assert_eq!(F16::from_f32(f32::NAN), F16::NAN);
         assert_eq!(F16::from_f32(f32::INFINITY), F16::INFINITY);
         assert_eq!(F16::from_f32(f32::NEG_INFINITY), F16::NEG_INFINITY);
         assert_eq!(F16::from_f32(1e10), F16::INFINITY); // overflow
@@ -251,40 +211,9 @@ mod tests {
     #[test]
     fn roundtrip_error_within_half_ulp() {
         // quantization error of normal values is <= 2^-11 relative
-        let mut v: Vec<f32> = (1..2000).map(|i| i as f32 * 0.3127).collect();
-        let orig = v.clone();
-        round_trip_f16(&mut v);
-        for (a, b) in orig.iter().zip(v.iter()) {
+        for a in (1..2000).map(|i| i as f32 * 0.3127) {
+            let b = F16::from_f32(a).to_f32();
             assert!((a - b).abs() <= a.abs() * 2.0f32.powi(-11) + 1e-8);
-        }
-    }
-
-    #[test]
-    fn convert_slice_matches_per_element_loop() {
-        // every interesting length around the 8-lane unroll boundary, with
-        // specials mixed in so the remainder loop sees them too
-        for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 100] {
-            let mut v: Vec<f32> = (0..len)
-                .map(|i| match i % 7 {
-                    0 => (i as f32 - 3.0) * 0.317,
-                    1 => f32::INFINITY,
-                    2 => -0.0,
-                    3 => 2.0f32.powi(-24), // f16 subnormal
-                    4 => 1e10,             // f16 overflow
-                    5 => f32::NAN,
-                    _ => -(i as f32) * 1e-3,
-                })
-                .collect();
-            let mut want = v.clone();
-            for x in want.iter_mut() {
-                *x = F16::from_f32(*x).to_f32();
-            }
-            convert_slice(&mut v);
-            assert_eq!(
-                v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "len={len}"
-            );
         }
     }
 }

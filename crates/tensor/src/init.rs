@@ -75,12 +75,6 @@ pub fn lecun_normal(fan_in: usize, fan_out: usize, rng: &mut InitRng) -> Tensor 
     normal([fan_in, fan_out], 0.0, std, rng)
 }
 
-/// Xavier/Glorot-uniform initialization: U(-a, a), a = sqrt(6/(fan_in+fan_out)).
-pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut InitRng) -> Tensor {
-    let a = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    uniform([fan_in, fan_out], -a, a, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,12 +120,5 @@ mod tests {
             / t.numel() as f32)
             .sqrt();
         assert!((std - 0.05).abs() < 0.005, "std {std}");
-    }
-
-    #[test]
-    fn xavier_bound() {
-        let t = xavier_uniform(10, 14, &mut rng(4));
-        let a = (6.0f32 / 24.0).sqrt();
-        assert!(t.data().iter().all(|&x| x.abs() <= a));
     }
 }

@@ -350,14 +350,6 @@ pub fn sum_axis0_acc(x: &Tensor, out: &mut Tensor) {
     out.axpy(1.0, &sum_axis(x, 0));
 }
 
-/// Mean along an axis, removing it.
-pub fn mean_axis(x: &Tensor, axis: usize) -> Tensor {
-    let extent = x.dims()[axis];
-    let mut out = sum_axis(x, axis);
-    out.scale(1.0 / extent.max(1) as f32);
-    out
-}
-
 /// Maximum along an axis, removing it.
 pub fn max_axis(x: &Tensor, axis: usize) -> Tensor {
     assert!(axis < x.rank(), "max_axis out of range");
@@ -384,29 +376,6 @@ pub fn max_axis(x: &Tensor, axis: usize) -> Tensor {
         .map(|(_, &d)| d)
         .collect();
     Tensor::from_vec(dims, out)
-}
-
-/// Population variance along an axis, removing it.
-pub fn var_axis(x: &Tensor, axis: usize) -> Tensor {
-    let extent = x.dims()[axis] as f32;
-    let mean = mean_axis(x, axis);
-    let sq = sum_axis(&x.map(|v| v * v), axis);
-    sq.zip(&mean, move |s, m| s / extent - m * m)
-}
-
-/// Index of the maximum element in each row of the last dimension.
-pub fn argmax_rows(x: &Tensor) -> Vec<usize> {
-    let n = *x.dims().last().expect("argmax on scalar");
-    x.data()
-        .chunks(n)
-        .map(|row| {
-            row.iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                .map(|(i, _)| i)
-                .unwrap()
-        })
-        .collect()
 }
 
 /// Mean softmax cross-entropy between logits `[rows, classes]` and integer
@@ -579,27 +548,21 @@ mod tests {
     }
 
     #[test]
-    fn mean_max_var_axis() {
+    fn max_axis_both_axes() {
         let x = Tensor::from_vec([2, 3], vec![1., 2., 3., 4., 5., 6.]);
-        assert_eq!(mean_axis(&x, 1).data(), &[2.0, 5.0]);
-        assert_eq!(mean_axis(&x, 0).data(), &[2.5, 3.5, 4.5]);
         assert_eq!(max_axis(&x, 1).data(), &[3.0, 6.0]);
         assert_eq!(max_axis(&x, 0).data(), &[4.0, 5.0, 6.0]);
-        let v = var_axis(&x, 1);
-        // var of [1,2,3] = 2/3
-        assert!((v.data()[0] - 2.0 / 3.0).abs() < 1e-5);
-        assert!((v.data()[1] - 2.0 / 3.0).abs() < 1e-5);
     }
 
     #[test]
-    fn axis_ops_consistent_with_layernorm_stats() {
+    fn layernorm_stats_are_the_row_mean_and_inverse_std() {
+        // mean 4, population variance (4 + 0 + 0 + 4) / 4 = 2
         let x = Tensor::from_vec([1, 4], vec![2.0, 4.0, 4.0, 6.0]);
         let gamma = Tensor::ones([4]);
         let beta = Tensor::zeros([4]);
         let (_, means, inv_stds) = layernorm(&x, &gamma, &beta, 0.0);
-        assert!((means[0] - mean_axis(&x, 1).data()[0]).abs() < 1e-6);
-        let var = var_axis(&x, 1).data()[0];
-        assert!((inv_stds[0] - 1.0 / var.sqrt()).abs() < 1e-4);
+        assert!((means[0] - 4.0).abs() < 1e-6);
+        assert!((inv_stds[0] - 1.0 / 2.0f32.sqrt()).abs() < 1e-4);
     }
 
     #[test]
@@ -618,12 +581,6 @@ mod tests {
         // gradient: (0.25 - onehot)/1
         assert!((grad.data()[1] + 0.75).abs() < 1e-5);
         assert!((grad.data()[0] - 0.25).abs() < 1e-5);
-    }
-
-    #[test]
-    fn argmax_picks_max() {
-        let x = Tensor::from_vec([2, 3], vec![0., 5., 1., 9., 2., 3.]);
-        assert_eq!(argmax_rows(&x), vec![1, 0]);
     }
 
     #[test]

@@ -312,13 +312,6 @@ impl Tensor {
         Tensor::owning(self.shape.clone(), Storage::from_vec(buf))
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in self.data_mut() {
-            *x = f(*x);
-        }
-    }
-
     /// Elementwise combination of two same-shape tensors.
     pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!(
@@ -557,20 +550,6 @@ impl Tensor {
         Tensor::from_vec(out_shape, out)
     }
 
-    /// Stacks rank-equal tensors along a new leading dimension.
-    pub fn stack(tensors: &[Tensor]) -> Tensor {
-        assert!(!tensors.is_empty(), "stack of empty list");
-        let first_shape = tensors[0].shape.clone();
-        let mut data = pool::take_buffer(first_shape.numel() * tensors.len());
-        for t in tensors {
-            assert_eq!(t.shape, first_shape, "stack shape mismatch");
-            data.extend_from_slice(t.data());
-        }
-        let mut dims = vec![tensors.len()];
-        dims.extend_from_slice(first_shape.dims());
-        Tensor::from_vec(dims, data)
-    }
-
     /// Adds a rank-1 bias of length `n` to the last dimension (`n`-wide rows).
     pub fn add_bias(&self, bias: &Tensor) -> Tensor {
         let mut out = self.clone();
@@ -593,16 +572,6 @@ impl Tensor {
                 *x += b;
             }
         }
-    }
-
-    /// Memory footprint in bytes if stored as `f32`.
-    pub fn bytes_f32(&self) -> usize {
-        self.numel() * 4
-    }
-
-    /// Memory footprint in bytes if stored as `f16`.
-    pub fn bytes_f16(&self) -> usize {
-        self.numel() * 2
     }
 }
 
@@ -767,15 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn stack_shapes() {
-        let a = Tensor::zeros([2, 3]);
-        let b = Tensor::ones([2, 3]);
-        let s = Tensor::stack(&[a, b]);
-        assert_eq!(s.dims(), &[2, 2, 3]);
-        assert_eq!(s.at(&[1, 1, 1]), 1.0);
-    }
-
-    #[test]
     fn add_bias_broadcasts_rows() {
         let x = Tensor::zeros([2, 2, 3]);
         let b = Tensor::from_vec([3], vec![1., 2., 3.]);
@@ -840,7 +800,7 @@ mod tests {
         let mutations: Vec<Mutation> = vec![
             Box::new(|t| t.set(&[0, 0], -1.0)),
             Box::new(|t| t.data_mut()[0] = -1.0),
-            Box::new(|t| t.map_inplace(|x| x + 1.0)),
+            Box::new(|t| t.add_bias_assign(&Tensor::ones([3]))),
             Box::new(|t| t.axpy(2.0, &Tensor::ones([2, 3]))),
             Box::new(|t| t.scale(0.5)),
         ];

@@ -88,7 +88,7 @@ impl Cluster {
         self.node_of[d]
     }
 
-    /// Host (CPU/NVMe) spec shared by all nodes.
+    /// Host (CPU + DRAM) spec shared by all nodes.
     pub fn host(&self) -> &HostSpec {
         &self.host
     }
@@ -127,11 +127,6 @@ impl Cluster {
     /// Sets the intra-node fallback for pairs with no explicit link.
     pub fn set_intra_node_fallback(&mut self, link: Link) {
         self.intra_node_fallback = link;
-    }
-
-    /// Sets the GPU <-> host DRAM channel.
-    pub fn set_host_link(&mut self, link: Link) {
-        self.host_link = link;
     }
 
     /// Groups nodes into pods of `nodes_per_pod` consecutive nodes and sets

@@ -59,38 +59,30 @@ impl GpuSpec {
     }
 }
 
-/// Host (CPU + DRAM + optional NVMe) attached to a node: the offload targets
-/// of Section 2.4 / 3.2.
+/// Host (CPU + DRAM) attached to a node: the offload target of Section 2.4 /
+/// 3.2.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct HostSpec {
     /// CPU DRAM in bytes.
     pub dram_bytes: u64,
-    /// NVMe capacity in bytes (0 = no NVMe tier).
-    pub nvme_bytes: u64,
     /// Sustained CPU throughput for optimizer math, FLOP/s.
     pub cpu_flops: f64,
-    /// NVMe sequential bandwidth, bytes/s.
-    pub nvme_bandwidth: f64,
 }
 
 impl HostSpec {
-    /// A DGX-class host: 1 TiB DRAM, 15 TiB NVMe.
+    /// A DGX-class host: 1 TiB DRAM.
     pub fn dgx() -> Self {
         HostSpec {
             dram_bytes: 1 << 40,
-            nvme_bytes: 15 * (1 << 40),
             cpu_flops: 2.0e12,
-            nvme_bandwidth: 3.0e9,
         }
     }
 
-    /// A modest host: 256 GiB DRAM, no NVMe.
+    /// A modest host: 256 GiB DRAM.
     pub fn workstation() -> Self {
         HostSpec {
             dram_bytes: 256 * (1 << 30),
-            nvme_bytes: 0,
             cpu_flops: 1.0e12,
-            nvme_bandwidth: 0.0,
         }
     }
 }

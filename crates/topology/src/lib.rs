@@ -1,7 +1,7 @@
 //! # colossalai-topology
 //!
 //! Hardware model of the four experimental systems in Table 2 of the
-//! Colossal-AI paper: GPU specs, host (CPU/NVMe) specs, a link-level
+//! Colossal-AI paper: GPU specs, host (CPU + DRAM) specs, a link-level
 //! interconnect graph (NVLink / PCIe / InfiniBand HDR / Cray Aries), the
 //! alpha-beta collective cost model, and bandwidth probes reproducing the
 //! NCCL bandwidth test of Fig 10.

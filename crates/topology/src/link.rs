@@ -16,8 +16,6 @@ pub enum LinkKind {
     InfiniBandHdr,
     /// Cray Aries ASIC links of System IV.
     Aries,
-    /// NVMe storage channel (offload tier).
-    Nvme,
 }
 
 /// A point-to-point link with an alpha-beta cost: transferring `n` bytes
@@ -69,15 +67,6 @@ impl Link {
         }
     }
 
-    /// NVMe tier for offloading.
-    pub fn nvme() -> Link {
-        Link {
-            kind: LinkKind::Nvme,
-            bandwidth: 3.0e9,
-            latency: 20.0e-6,
-        }
-    }
-
     /// Seconds to move `bytes` across this link (alpha + n/B).
     pub fn transfer_time(&self, bytes: u64) -> f64 {
         self.latency + bytes as f64 / self.bandwidth
@@ -98,7 +87,7 @@ mod tests {
     fn ordering_of_technologies() {
         assert!(Link::nvlink().bandwidth > Link::infiniband_hdr().bandwidth);
         assert!(Link::infiniband_hdr().bandwidth > Link::pcie().bandwidth);
-        assert!(Link::pcie().bandwidth > Link::nvme().bandwidth);
+        assert!(Link::pcie().bandwidth > Link::aries().bandwidth);
     }
 
     #[test]

@@ -3,16 +3,19 @@
 //! Builds a simulated 4-GPU cluster, configures data parallelism from a
 //! JSON config, and trains a tiny classifier with the
 //! `initialize -> zero_grad -> forward -> criterion -> backward -> step`
-//! loop of the paper's usage example.
+//! loop of the paper's usage example, driven by a `Trainer` with a
+//! `LossRecorder` hook attached (Section 4's extensibility point).
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use colossalai::comm::World;
-use colossalai::core::{initialize, Config, OptimizerSpec, Trainer};
+use colossalai::core::{initialize, Config, LossRecorder, OptimizerSpec, Trainer};
 use colossalai::models::data::SyntheticVision;
 use colossalai::tensor::init;
 use colossalai::topology::systems::system_i;
 use colossalai_autograd::{Gelu, Layer, Linear, Sequential};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn main() {
     // 1. describe the parallelization declaratively (Listing 1)
@@ -30,7 +33,7 @@ fn main() {
     let n_devices = 4;
     let data = SyntheticVision::new(4, 8, 5, 42);
 
-    let losses = world.run_on(n_devices, |ctx| {
+    let runs = world.run_on(n_devices, |ctx| {
         // 3. define your training components exactly as in serial code
         let mut rng = init::rng(7);
         let model: Box<dyn Layer> = Box::new(Sequential::new(vec![
@@ -52,9 +55,13 @@ fn main() {
         );
         let mut trainer = Trainer::new(engine);
 
-        // 5. run training — each rank takes its slice of the global batch
+        // 5. attach a life-cycle hook; the rank keeps a handle to read it
+        let recorder = Rc::new(RefCell::new(LossRecorder::default()));
+        trainer.add_hook(Box::new(Rc::clone(&recorder)));
+
+        // 6. run training — each rank takes its slice of the global batch
         let rank = ctx.rank();
-        let losses = trainer.fit(30, |step| {
+        trainer.fit(30, |step| {
             let (x, t) = data.batch(16, step);
             let x_local = colossalai::parallel::split_batch(&x.reshape([16, 32]), n_devices, rank);
             let t_local = t[rank * 4..(rank + 1) * 4].to_vec();
@@ -62,18 +69,24 @@ fn main() {
         });
         let params =
             colossalai::parallel::data_parallel::flatten_params(trainer.engine_mut().model_mut());
-        (losses, params)
+        (recorder.take(), params)
     });
 
-    println!("rank 0 loss curve: {:?}", &losses[0].0);
-    let first = losses[0].0.first().copied().unwrap();
-    let last = losses[0].0.last().copied().unwrap();
+    let recorded = &runs[0].0;
+    println!("rank 0 loss curve: {:?}", recorded.losses);
+    println!(
+        "the LossRecorder hook saw {} steps, {} skipped by the loss scaler",
+        recorded.losses.len(),
+        recorded.skips
+    );
+    let first = recorded.losses.first().copied().unwrap();
+    let last = recorded.losses.last().copied().unwrap();
     println!("loss {first:.4} -> {last:.4} over 30 data-parallel steps on 4 simulated GPUs");
     assert!(last < first, "training should reduce the loss");
     // losses differ per rank (each sees its own batch slice), but the
     // gradient all-reduce keeps the *parameters* in perfect lockstep
     for r in 1..n_devices {
-        assert_eq!(losses[0].1.data(), losses[r].1.data());
+        assert_eq!(runs[0].1.data(), runs[r].1.data());
     }
     println!("all 4 replicas hold bitwise-identical parameters (DP lockstep) — OK");
 }

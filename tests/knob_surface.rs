@@ -3,7 +3,8 @@
 //! through the process environment, and every default is pinned here. So
 //! are the things the retired intra-op pool and fast numeric mode took with
 //! them: threads spawned outside the world executor, a second arithmetic
-//! beside each kernel, and 14 of the 17 `unsafe` sites.
+//! beside each kernel, and 14 of the 17 `unsafe` sites. The API surface
+//! cannot grow back either: every public function has a caller.
 
 use colossalai::comm::compress::Compression;
 use colossalai::comm::{World, WorldBackend};
@@ -11,6 +12,7 @@ use colossalai::core::{initialize, Config, OptimizerSpec};
 use colossalai::tensor::{init, pool};
 use colossalai::topology::systems::system_i;
 use colossalai_autograd::Linear;
+use std::collections::BTreeSet;
 use std::path::Path;
 
 /// Every `.rs` file under `dir`, recursively.
@@ -139,6 +141,106 @@ fn memory_exports_are_all_used() {
             "colossalai_memory::{name} has no user outside crates/memory"
         );
     }
+}
+
+/// The lines of `text` a caller can be on: no comment and no `pub use`
+/// statement (a re-export names a function without calling it).
+fn code_lines(text: &str) -> Vec<&str> {
+    let mut in_reexport = false;
+    text.lines()
+        .filter(|line| {
+            let line = line.trim_start();
+            if line.starts_with("pub use ") {
+                in_reexport = true;
+            }
+            let keep = !in_reexport && !line.starts_with("//");
+            if in_reexport && line.contains(';') {
+                in_reexport = false;
+            }
+            keep
+        })
+        .collect()
+}
+
+/// Every `pub fn` of a library file (up to its unit-test module) has a
+/// caller: its name is a word of a code line in another `.rs` file of the
+/// workspace, its benches and tests, the examples or `benchmark/src`, or of
+/// a second code line of its own library part. A function that only its own
+/// unit tests call is dead API, and goes with the tests that held it.
+#[test]
+fn every_public_function_has_a_caller() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["src", "tests", "examples", "benchmark/src"] {
+        rust_sources(&root.join(dir), &mut files);
+    }
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        let krate = krate.unwrap().path();
+        for dir in ["src", "benches", "tests"] {
+            if krate.join(dir).is_dir() {
+                rust_sources(&krate.join(dir), &mut files);
+            }
+        }
+    }
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let words = |line: &str| -> BTreeSet<String> {
+        line.split(|c| !is_ident(c))
+            .filter(|w| !w.is_empty())
+            .map(str::to_owned)
+            .collect()
+    };
+    let texts: Vec<(std::path::PathBuf, String)> = files
+        .into_iter()
+        .map(|file| {
+            let text = std::fs::read_to_string(&file).unwrap();
+            (file, text)
+        })
+        .collect();
+    // per file: the words of all its code lines, once
+    let file_words: Vec<BTreeSet<String>> = texts
+        .iter()
+        .map(|(_, text)| code_lines(text).into_iter().flat_map(words).collect())
+        .collect();
+
+    let mut dead = Vec::new();
+    let mut checked = 0;
+    for (i, (file, text)) in texts.iter().enumerate() {
+        let rel = file.strip_prefix(root).unwrap().to_string_lossy();
+        if !(rel.starts_with("src/") || (rel.starts_with("crates/") && rel.contains("/src/"))) {
+            continue;
+        }
+        let lines = code_lines(before_unit_tests(text));
+        let own: Vec<BTreeSet<String>> = lines.iter().map(|line| words(line)).collect();
+        for line in &lines {
+            let line = line.trim_start();
+            let Some(rest) = line
+                .strip_prefix("pub fn ")
+                .or_else(|| line.strip_prefix("pub const fn "))
+            else {
+                continue;
+            };
+            let name: String = rest.chars().take_while(|&c| is_ident(c)).collect();
+            checked += 1;
+            let in_own = own.iter().filter(|words| words.contains(&name)).count() > 1;
+            let elsewhere = file_words
+                .iter()
+                .enumerate()
+                .any(|(j, words)| j != i && words.contains(&name));
+            if !in_own && !elsewhere {
+                dead.push(format!("{rel}: {name}"));
+            }
+        }
+    }
+    assert!(
+        checked > 300,
+        "the scan found the public functions: {checked}"
+    );
+    assert!(
+        dead.is_empty(),
+        "{} public functions have no caller outside their unit tests:\n{}",
+        dead.len(),
+        dead.join("\n")
+    );
 }
 
 /// Lines naming `unsafe`, per file: the list a Miri leg has to cover
