@@ -22,7 +22,8 @@ use colossalai_autograd::{AdamW, Gelu, Layer, Linear, Sequential};
 use colossalai_bench::print_table;
 use colossalai_comm::{Compression, World};
 use colossalai_models::data::SyntheticVision;
-use colossalai_parallel::data_parallel::{split_batch, DataParallel};
+use colossalai_parallel::data_parallel::split_batch;
+use colossalai_parallel::GradReducer;
 use colossalai_tensor::init;
 use colossalai_tensor::ops::cross_entropy;
 use colossalai_topology::systems::{system_ii, system_iv};
@@ -82,21 +83,23 @@ fn convergence_losses(comp: Compression) -> Vec<f32> {
     let world = World::new(system_ii());
     let per_rank = world.run_on(P, |ctx| {
         let g = ctx.world_group(P);
-        let mut dp = DataParallel::with_bucket_bytes(ctx, &g, make_classifier(41), 256)
-            .with_compression(comp);
+        let mut model = make_classifier(41);
+        let mut reducer = GradReducer::data_parallel(&mut model, 256);
+        reducer.set_compression(comp);
         let mut opt = AdamW::new(0.01, 0.01);
         let mut losses = Vec::with_capacity(STEPS);
         for step in 0..STEPS {
             let (x, t) = data.batch(4 * P, step as u64);
             let x = x.reshape([4 * P, 16]);
-            dp.zero_grad();
+            model.zero_grad();
             let x_local = split_batch(&x, P, g.rank());
             let t_local: Vec<usize> = t.chunks(4).nth(g.rank()).unwrap().to_vec();
-            let logits = dp.forward(&x_local);
+            let logits = model.forward(&x_local);
             let (loss, d) = cross_entropy(&logits, &t_local);
             losses.push(loss);
-            let _ = dp.backward(&d);
-            opt.step_layer(&mut dp);
+            let _ = model.backward(&d);
+            reducer.reduce(ctx, &g, &mut model);
+            opt.step_layer(&mut model);
         }
         losses
     });
@@ -130,17 +133,19 @@ fn comm_step_ms(cluster: Cluster, comp: Compression) -> f64 {
         .collect();
     let clocks = world.run_on(COMM_P, |ctx| {
         let g = ctx.world_group(COMM_P);
-        let mut dp = DataParallel::with_bucket_bytes(ctx, &g, make_wide(11), COMM_BUCKET)
-            .with_compression(comp);
+        let mut model = make_wide(11);
+        let mut reducer = GradReducer::data_parallel(&mut model, COMM_BUCKET);
+        reducer.set_compression(comp);
         let mut opt = AdamW::new(0.01, 0.01);
         for x in &xs {
-            dp.zero_grad();
+            model.zero_grad();
             let x_local = split_batch(x, COMM_P, g.rank());
             let t: Vec<usize> = (0..x_local.dims()[0]).map(|i| i % 8).collect();
-            let logits = dp.forward(&x_local);
+            let logits = model.forward(&x_local);
             let (_, d) = cross_entropy(&logits, &t);
-            let _ = dp.backward(&d);
-            opt.step_layer(&mut dp);
+            let _ = model.backward(&d);
+            reducer.reduce(ctx, &g, &mut model);
+            opt.step_layer(&mut model);
         }
         ctx.clock()
     });

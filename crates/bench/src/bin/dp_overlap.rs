@@ -20,8 +20,8 @@
 use colossalai_autograd::{Layer, Linear, Sequential};
 use colossalai_bench::{print_table, trace_arg, write_trace};
 use colossalai_comm::{AllReduceAlgo, DeviceCtx, World};
-use colossalai_parallel::data_parallel::{flatten_params, split_batch, DataParallel};
-use colossalai_parallel::{TimedLayer, DEFAULT_BUCKET_BYTES};
+use colossalai_parallel::data_parallel::{flatten_params, split_batch};
+use colossalai_parallel::{GradReducer, TimedLayer, DEFAULT_BUCKET_BYTES};
 use colossalai_tensor::init;
 use colossalai_tensor::ops::cross_entropy;
 use colossalai_topology::systems::system_iii;
@@ -59,34 +59,33 @@ fn make_model(ctx: &DeviceCtx, seed: u64) -> Sequential {
 fn run(algo: Option<AllReduceAlgo>, overlap: bool, trace: bool) -> (f64, Vec<f32>, World) {
     let world = World::new(system_iii());
     world.force_allreduce_algo(algo);
-    if trace {
-        world.enable_tracing();
-    }
+    world.set_tracing(trace);
     let mut rng = init::rng(7);
     let xs: Vec<_> = (0..STEPS)
         .map(|_| init::uniform([P * 2, 32], -1.0, 1.0, &mut rng))
         .collect();
     let out = world.run_on(P, |ctx| {
         let g = ctx.world_group(P);
+        let mut model = make_model(ctx, 11);
         // small buckets relative to the model so several fire per backward
-        let mut dp = DataParallel::with_bucket_bytes(
-            ctx,
-            &g,
-            make_model(ctx, 11),
-            DEFAULT_BUCKET_BYTES.min(HIDDEN * HIDDEN * 2 * 4),
-        )
-        .with_overlap(overlap);
+        let cap = DEFAULT_BUCKET_BYTES.min(HIDDEN * HIDDEN * 2 * 4);
+        let mut reducer = GradReducer::data_parallel(&mut model, cap);
         let mut opt = colossalai_autograd::AdamW::new(0.01, 0.01);
         for x in &xs {
-            dp.zero_grad();
+            model.zero_grad();
             let x_local = split_batch(x, P, g.rank());
             let t: Vec<usize> = (0..x_local.dims()[0]).map(|i| i % 8).collect();
-            let logits = dp.forward(&x_local);
+            let logits = model.forward(&x_local);
             let (_, d) = cross_entropy(&logits, &t);
-            let _ = dp.backward(&d);
-            opt.step_layer(&mut dp);
+            if overlap {
+                let _ = reducer.backward_overlapped(ctx, &g, &mut model, &d);
+            } else {
+                let _ = model.backward(&d);
+                reducer.reduce(ctx, &g, &mut model);
+            }
+            opt.step_layer(&mut model);
         }
-        (ctx.clock(), flatten_params(&mut dp).into_vec())
+        (ctx.clock(), flatten_params(&mut model).into_vec())
     });
     let makespan = out.iter().map(|(t, _)| *t).fold(0.0, f64::max);
     (makespan, out.into_iter().next().unwrap().1, world)

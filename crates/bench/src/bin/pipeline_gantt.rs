@@ -23,7 +23,7 @@ const T_FWD: f64 = 1.0e-3;
 
 fn run(schedule: Schedule) -> (World, f64) {
     let world = World::new(system_i());
-    world.enable_tracing();
+    world.set_tracing(true);
     let mut rng = init::rng(42);
     let micros: Vec<Tensor> = (0..M)
         .map(|_| init::uniform([2, 8], -1.0, 1.0, &mut rng))

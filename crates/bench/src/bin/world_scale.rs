@@ -252,7 +252,7 @@ fn main() {
     );
 
     // The compacted rollup of the largest run: at >= 64 ranks per-rank rows
-    // elide into min/med/max (rollup_table_full prints everything).
+    // elide into min/med/max (`World::trace_rollup` keeps every rank).
     let spec_max = {
         let &(dp, tp, pp) = SCALES.last().unwrap();
         spec_for(dp, tp, pp)

@@ -1699,7 +1699,7 @@ mod tests {
         ];
         for (algo, want) in cases {
             let world = World::new(system_i());
-            world.enable_tracing();
+            world.set_tracing(true);
             world.force_allreduce_algo(Some(algo));
             world.run_on(8, |ctx| {
                 let g = ctx.world_group(8);
@@ -1741,7 +1741,7 @@ mod tests {
             let red = g.collective(ctx, ALL_REDUCE_COMM, Tensor::zeros([n]));
             let launched = ctx.clock();
             // compute that outlasts the collective
-            ctx.charge_seconds(10.0 * comm_t);
+            ctx.advance(10.0 * comm_t);
             ctx.comm_sync();
             (red, launched, ctx.clock(), ctx.comm_clock())
         });
@@ -1757,7 +1757,7 @@ mod tests {
         let blocking = world2.run_on(4, |ctx| {
             let g = ctx.world_group(4);
             let _ = g.all_reduce(ctx, Tensor::zeros([n]));
-            ctx.charge_seconds(10.0 * comm_t);
+            ctx.advance(10.0 * comm_t);
             ctx.clock()
         });
         assert!(blocking[0] > out[0].2, "overlap must be strictly faster");
@@ -1787,7 +1787,7 @@ mod tests {
     #[test]
     fn hierarchical_trace_has_three_group_phases() {
         let world = World::new(system_iii());
-        world.enable_tracing();
+        world.set_tracing(true);
         world.force_allreduce_algo(Some(AllReduceAlgo::Hierarchical));
         world.run_on(8, |ctx| {
             let g = ctx.world_group(8);
@@ -1955,7 +1955,7 @@ mod tests {
                 let run = |tasks: bool| {
                     let world = World::new(system_i());
                     world.set_backend(Some(crate::WorldBackend::Stackless { pool }));
-                    world.enable_tracing();
+                    world.set_tracing(true);
                     let out = if tasks {
                         world.run_tasks(4, |rank| OneOp::new(4, desc, table_input(rank)))
                     } else {

@@ -258,21 +258,10 @@ pub const ROLLUP_COMPACT_THRESHOLD: usize = 64;
 /// the full allocator counters.
 ///
 /// At [`ROLLUP_COMPACT_THRESHOLD`] ranks and above, the per-rank rows
-/// collapse into per-column min/median/max summary lines; use
-/// [`rollup_table_full`] to force every row.
+/// collapse into per-column min/median/max summary lines (median is the
+/// upper median, the sorted element at `len / 2`).
 pub fn rollup_table(rollups: &[RankRollup]) -> String {
-    rollup_table_opts(rollups, rollups.len() < ROLLUP_COMPACT_THRESHOLD)
-}
-
-/// [`rollup_table`] with one row per rank regardless of world size.
-pub fn rollup_table_full(rollups: &[RankRollup]) -> String {
-    rollup_table_opts(rollups, true)
-}
-
-/// [`rollup_table`] with explicit row control: `full` prints every rank,
-/// otherwise the compact min/median/max summary (median is the upper
-/// median, the sorted element at `len / 2`).
-pub fn rollup_table_opts(rollups: &[RankRollup], full: bool) -> String {
+    let full = rollups.len() < ROLLUP_COMPACT_THRESHOLD;
     let pool = colossalai_tensor::pool::stats();
     let mut out = String::from(
         "rank   compute_ms      comm_ms   overlap_ms    pool_hit%       mem_ms      idle_ms\n\
@@ -290,7 +279,7 @@ pub fn rollup_table_opts(rollups: &[RankRollup], full: bool) -> String {
             r.idle * 1e3
         ));
     };
-    if full || rollups.is_empty() {
+    if full {
         for r in rollups {
             row(&mut out, &r.rank.to_string(), r);
         }
@@ -316,7 +305,7 @@ pub fn rollup_table_opts(rollups: &[RankRollup], full: bool) -> String {
         row(&mut out, "med", &stat(|v| v[v.len() / 2]));
         row(&mut out, "max", &stat(|v| v[v.len() - 1]));
         out.push_str(&format!(
-            "ranks: {} (per-rank rows elided; rollup_table_full prints all)\n",
+            "ranks: {} (per-rank rows elided)\n",
             rollups.len()
         ));
     }
@@ -557,10 +546,6 @@ mod tests {
         let small = rollup_table(&rollups[..ROLLUP_COMPACT_THRESHOLD - 1]);
         assert!(!small.contains(" med"), "{small}");
         assert!(small.contains("\n  62 "), "{small}");
-        // the full variant always prints every rank
-        let full = rollup_table_full(&rollups);
-        assert!(full.contains("\n  63 "), "{full}");
-        assert!(!full.contains(" med"), "{full}");
     }
 
     #[test]

@@ -446,11 +446,6 @@ impl World {
         self.inner.tracer.set_enabled(on);
     }
 
-    /// Enables span recording. Shorthand for `set_tracing(true)`.
-    pub fn enable_tracing(&self) {
-        self.set_tracing(true);
-    }
-
     /// Whether spans are currently being recorded.
     pub fn tracing(&self) -> bool {
         self.inner.tracer.enabled()
@@ -483,18 +478,11 @@ impl World {
     }
 
     /// The rollup formatted as a fixed-width table. At 64 ranks and above
-    /// the per-rank rows collapse into min/median/max summary lines; use
-    /// [`World::rollup_table_full`] to force every row. A footer reports
+    /// the per-rank rows collapse into min/median/max summary lines (the
+    /// per-rank numbers stay in [`World::trace_rollup`]). A footer reports
     /// this world's OS-thread gauge next to the process-wide pool/par ones.
     pub fn rollup_table(&self) -> String {
         let mut table = trace::rollup_table(&self.trace_rollup());
-        table.push_str(&format!("threads: {}\n", self.thread_stats().summary()));
-        table
-    }
-
-    /// The rollup table with one row per rank regardless of world size.
-    pub fn rollup_table_full(&self) -> String {
-        let mut table = trace::rollup_table_full(&self.trace_rollup());
         table.push_str(&format!("threads: {}\n", self.thread_stats().summary()));
         table
     }
@@ -621,7 +609,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Per-device execution context handed to the closure of [`World::run`].
 ///
 /// Holds the device's virtual clock. Compute is charged explicitly via
-/// [`DeviceCtx::charge_flops_f32`] / [`DeviceCtx::charge_seconds`];
+/// [`DeviceCtx::charge_flops_f32`] / [`DeviceCtx::advance`];
 /// communication is charged implicitly by the collectives in
 /// [`Group`] type.
 /// Cloning a `DeviceCtx` yields a handle to the *same* device: clones share
@@ -766,11 +754,6 @@ impl DeviceCtx {
     /// Charges `flops` of FP32 compute at this device's modeled rate.
     pub fn charge_flops_f32(&self, flops: u64) {
         let dt = self.world.cluster.gpu(self.rank).compute_time_f32(flops);
-        self.advance(dt);
-    }
-
-    /// Charges raw seconds (e.g. host-side optimizer time, offload DMA).
-    pub fn charge_seconds(&self, dt: f64) {
         self.advance(dt);
     }
 
@@ -1193,14 +1176,13 @@ mod tests {
     #[test]
     fn rollup_footer_reports_thread_gauge() {
         let world = World::new(system_i());
-        world.enable_tracing();
+        world.set_tracing(true);
         world.run_on(2, |ctx| ctx.charge_flops_f32(1_000_000));
         assert!(
             world.rollup_table().contains("threads: spawned="),
             "{}",
             world.rollup_table()
         );
-        assert!(world.rollup_table_full().contains("threads: spawned="));
     }
 
     /// Peers park on a barrier that can never complete; the abort must

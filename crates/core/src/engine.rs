@@ -15,7 +15,7 @@ use crate::config::Config;
 use crate::context::{ParallelAxis, ParallelContext};
 use colossalai_autograd::{AdamW, Checkpoint, Layer, Sgd};
 use colossalai_comm::{DeviceCtx, Group};
-use colossalai_parallel::bucket::BucketedGradSync;
+use colossalai_parallel::bucket::GradReducer;
 use colossalai_parallel::zero::{ZeroOptimizer, ZeroStage};
 use colossalai_tensor::Tensor;
 
@@ -42,8 +42,9 @@ pub struct Engine {
     /// because each rank holds only a shard of the parameters.
     mp_group: Option<Group>,
     ctx: DeviceCtx,
-    /// Fused bucketed gradient sync over `dp_group` (non-ZeRO engines).
-    grad_sync: Option<BucketedGradSync>,
+    /// Bucketed data parallelism over `dp_group` (non-ZeRO engines; a ZeRO
+    /// optimizer holds its own sharding reducer).
+    reducer: Option<GradReducer>,
     /// `Some` once an overlapped backward reduced this step's gradients, so
     /// `step` must not reduce them again: ZeRO's shards, or empty for dense
     /// optimizers, whose reduced gradients are written back into the model.
@@ -120,12 +121,13 @@ pub fn initialize(
         (None, OptimizerSpec::Sgd { lr, momentum }) => EngineOptimizer::Sgd(Sgd::new(lr, momentum)),
     };
 
-    // plain (non-ZeRO) data-parallel engines sync gradients through fused
+    // plain (non-ZeRO) data-parallel engines reduce gradients through fused
     // size-capped buckets instead of one all-reduce per parameter
-    let grad_sync =
+    let reducer =
         (dp_group.is_some() && !matches!(optimizer, EngineOptimizer::Zero(_))).then(|| {
-            BucketedGradSync::new(model.as_mut(), config.bucket_bytes())
-                .with_compression(config.compression())
+            let mut reducer = GradReducer::data_parallel(model.as_mut(), config.bucket_bytes());
+            reducer.set_compression(config.compression());
+            reducer
         });
     Engine {
         model,
@@ -133,7 +135,7 @@ pub fn initialize(
         dp_group,
         mp_group,
         ctx: ctx.clone(),
-        grad_sync,
+        reducer,
         reduced: None,
         scaler: config.mixed_precision.then(GradScaler::default),
         grad_clip: config.grad_clip,
@@ -179,17 +181,12 @@ impl Engine {
         // and must only reduce once at the end
         let group = self.dp_group.as_ref().filter(|_| self.accumulation == 1);
         let (dx, reduced) = ctx.trace_phase("backward", || {
-            match (group, &mut self.optimizer, &mut self.grad_sync) {
-                (Some(_), EngineOptimizer::Zero(o), _) => {
-                    let (dx, shards) = o.backward_overlapped(model, &dy);
-                    (dx, Some(shards))
-                }
-                (Some(g), _, Some(sync)) => {
-                    let dx = sync.backward_overlapped(&ctx, g, model, &dy);
-                    (dx, Some(Vec::new()))
-                }
-                _ => (model.backward(&dy), None),
-            }
+            let (dx, reduced) = match (group, &mut self.optimizer, &mut self.reducer) {
+                (Some(_), EngineOptimizer::Zero(o), _) => o.backward_overlapped(model, &dy),
+                (Some(g), _, Some(r)) => r.backward_overlapped(&ctx, g, model, &dy),
+                _ => return (model.backward(&dy), None),
+            };
+            (dx, Some(reduced))
         });
         self.reduced = reduced;
         dx
@@ -225,12 +222,11 @@ impl Engine {
         // 1. reduce to the data-parallel mean (fused per bucket), unless an
         // overlapped backward already did
         let mut shards = self.reduced.take().unwrap_or_else(|| {
-            match (&mut self.optimizer, &mut self.grad_sync, dp) {
-                (EngineOptimizer::Zero(o), ..) => return o.reduce(model),
-                (_, Some(sync), Some(g)) => sync.sync_blocking(ctx, g, model),
-                _ => {}
+            match (&mut self.optimizer, &mut self.reducer, dp) {
+                (EngineOptimizer::Zero(o), ..) => o.reduce(model),
+                (_, Some(r), Some(g)) => r.reduce(ctx, g, model),
+                _ => Vec::new(),
             }
-            Vec::new()
         });
         // what the reduction left: ZeRO's shards, which differ on every
         // rank of the data-parallel group, or the model's own gradients
@@ -552,11 +548,11 @@ mod tests {
 
     #[test]
     fn overlapped_engine_matches_blocking_bitwise_and_is_no_slower() {
-        use colossalai_parallel::data_parallel::{flatten_params, DataParallel};
+        use colossalai_parallel::data_parallel::flatten_params;
         use colossalai_topology::systems::system_iii;
-        // the engine (which overlaps) against a blocking `DataParallel` of
-        // the same model, both with one bucket per parameter so several
-        // buckets fire during the backward
+        // the engine (which overlaps) against the same model and reducer
+        // driven blocking (backward, then reduce), both with one bucket per
+        // parameter so several buckets fire during the backward
         let run = |engine: bool| {
             let world = World::new(system_iii());
             let mut out = world.run_on(4, |ctx| {
@@ -578,16 +574,17 @@ mod tests {
                     flatten_params(engine.model_mut())
                 } else {
                     let g = ctx.world_group(4);
-                    let mut dp = DataParallel::with_bucket_bytes(ctx, &g, make_model(60), 0)
-                        .with_overlap(false);
+                    let mut model = make_model(60);
+                    let mut reducer = GradReducer::data_parallel(model.as_mut(), 0);
                     let mut opt = AdamW::new(0.01, 0.01);
                     for x in &mut batches {
-                        dp.zero_grad();
-                        let (_, d) = cross_entropy(&dp.forward(&x), &[0, 1]);
-                        let _ = dp.backward(&d);
-                        opt.step_layer(&mut dp);
+                        model.zero_grad();
+                        let (_, d) = cross_entropy(&model.forward(&x), &[0, 1]);
+                        let _ = model.backward(&d);
+                        reducer.reduce(ctx, &g, model.as_mut());
+                        opt.step_layer(model.as_mut());
                     }
-                    flatten_params(&mut dp)
+                    flatten_params(model.as_mut())
                 };
                 (flat, ctx.clock())
             });

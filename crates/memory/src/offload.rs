@@ -286,7 +286,7 @@ mod tests {
         let want = p.overhead_seconds(Link::pcie(), &host);
         assert!(want > 0.0);
         let world = World::new(system_i());
-        world.enable_tracing();
+        world.set_tracing(true);
         let clocks = world.run_on(1, |ctx| {
             let charged = p.charge_step(ctx, Link::pcie(), &host);
             (charged, ctx.clock())

@@ -313,9 +313,9 @@ impl FlatLayout {
 /// (`visit_params`-order) gradient, one error-feedback residual per bucket,
 /// one compress-and-reduce and two drivers over it, blocking
 /// ([`GradReducer::reduce`]) and overlapped with backward
-/// ([`GradReducer::backward_overlapped`]). Both return one tensor per
-/// bucket: this rank's mean-scaled shard, or under [`Keep::Whole`] the
-/// whole summed bucket.
+/// ([`GradReducer::backward_overlapped`]). The sharded kinds return this
+/// rank's mean-scaled shard of every bucket; [`Keep::Whole`] (bucketed data
+/// parallelism) leaves the mean gradients in the model and returns nothing.
 pub struct GradReducer {
     /// Contiguous buckets covering the flat gradient, plus — for sharded
     /// kinds — the padding that rounds it up to a multiple of p (bucket
@@ -342,6 +342,17 @@ impl GradReducer {
             compress: Compression::None,
             residuals,
         }
+    }
+
+    /// Bucketed data parallelism over `model`: a [`Keep::Whole`] reducer
+    /// whose buckets hold whole parameters, at most `cap_bytes` each (see
+    /// [`DEFAULT_BUCKET_BYTES`]). The model must have been built identically
+    /// on every rank (same seed), as real DDP assumes rank-0 broadcast
+    /// weights.
+    pub fn data_parallel(model: &mut dyn Layer, cap_bytes: usize) -> Self {
+        let plan = BucketPlan::for_model(model, cap_bytes);
+        let buckets = plan.buckets.iter().map(|b| (b.offset, b.len)).collect();
+        GradReducer::new(&plan.param_sizes, buckets, Keep::Whole)
     }
 
     /// Selects the lossy gradient channel. Residual state resets: switching
@@ -376,8 +387,8 @@ impl GradReducer {
     /// wire width on `stream`; returns what this rank keeps. A shard is this
     /// rank's alone and is scaled by 1/p here, in place; a whole bucket is
     /// the one all-reduce result every rank holds a handle to and stays the
-    /// sum (the 1/p goes into [`BucketedGradSync`]'s write-back instead of a
-    /// private copy per rank).
+    /// sum (the 1/p goes into [`GradReducer::finish`]'s write-back instead of
+    /// a private copy per rank).
     fn reduce_bucket(
         &mut self,
         ctx: &DeviceCtx,
@@ -411,19 +422,35 @@ impl GradReducer {
         kept
     }
 
+    /// What a reduction hands back: the shards of a sharded kind, or — under
+    /// [`Keep::Whole`] — nothing, with the mean of the summed buckets left in
+    /// the model's gradients (the 1/p rides the copy every rank makes
+    /// anyway).
+    fn finish(&self, group: &Group, model: &mut dyn Layer, reduced: Vec<Tensor>) -> Vec<Tensor> {
+        if self.keep != Keep::Whole {
+            return reduced;
+        }
+        let mean = 1.0 / group.size() as f32;
+        self.layout.scatter(model, Param::grad_mut, &reduced, mean);
+        Vec::new()
+    }
+
     /// Reduces the model's accumulated gradients, blocking on the main
-    /// stream: one fused collective per bucket, front to back.
+    /// stream: one fused collective per bucket, front to back. Returns the
+    /// shards, or under [`Keep::Whole`] nothing (see [`GradReducer`]).
     pub fn reduce(&mut self, ctx: &DeviceCtx, group: &Group, model: &mut dyn Layer) -> Vec<Tensor> {
         let bufs = self.layout.gather_all(model, Param::grad);
         let reduce = |(bi, flat)| self.reduce_bucket(ctx, group, bi, flat, Stream::Main);
-        bufs.into_iter().enumerate().map(reduce).collect()
+        let reduced = bufs.into_iter().enumerate().map(reduce).collect();
+        self.finish(group, model, reduced)
     }
 
     /// Runs the staged backward, launching each bucket's collective on the
     /// comm stream as soon as the produced gradient suffix covers its
     /// element range, then joins compute and comm clocks. Returns the input
-    /// gradient and the reduced buckets, bit-identical to a plain backward
-    /// followed by [`GradReducer::reduce`].
+    /// gradient and what [`GradReducer::reduce`] returns, bit-identical to a
+    /// plain backward followed by it; each bucket's collective rides under
+    /// the remaining backward compute.
     pub fn backward_overlapped(
         &mut self,
         ctx: &DeviceCtx,
@@ -452,69 +479,8 @@ impl GradReducer {
         assert_eq!(next, 0, "every bucket must have launched");
         // the reduced gradients must be final before anyone reads them
         ctx.comm_sync();
-        (dx, reduced.into_iter().map(|r| r.unwrap()).collect())
-    }
-}
-
-/// Fused, bucketed data-parallel gradient synchronization over a [`Group`]:
-/// a [`Keep::Whole`] [`GradReducer`] plus the write-back of the mean
-/// gradients into the model.
-pub struct BucketedGradSync {
-    reducer: GradReducer,
-}
-
-impl BucketedGradSync {
-    /// Plans buckets for `model` with the given capacity
-    /// (see [`DEFAULT_BUCKET_BYTES`]) and exact f32 gradients; pick a lossy
-    /// channel with [`BucketedGradSync::with_compression`].
-    pub fn new(model: &mut dyn Layer, cap_bytes: usize) -> Self {
-        let plan = BucketPlan::for_model(model, cap_bytes);
-        let buckets = plan.buckets.iter().map(|b| (b.offset, b.len)).collect();
-        BucketedGradSync {
-            reducer: GradReducer::new(&plan.param_sizes, buckets, Keep::Whole),
-        }
-    }
-
-    /// Selects the lossy gradient channel ([`GradReducer::set_compression`]).
-    pub fn with_compression(mut self, comp: Compression) -> Self {
-        self.reducer.set_compression(comp);
-        self
-    }
-
-    /// The reducer (buckets, channel, residuals).
-    pub fn reducer(&self) -> &GradReducer {
-        &self.reducer
-    }
-
-    /// After a normal backward: one blocking fused all-reduce per bucket
-    /// (same result as per-parameter all-reduce, far fewer latency terms),
-    /// leaving the mean gradients in the model.
-    pub fn sync_blocking(&mut self, ctx: &DeviceCtx, group: &Group, model: &mut dyn Layer) {
-        let reduced = self.reducer.reduce(ctx, group, model);
-        self.write_back(group, model, &reduced);
-    }
-
-    /// Leaves the mean of the summed buckets in the model's gradients: the
-    /// 1/p rides the copy every rank makes anyway.
-    fn write_back(&self, group: &Group, model: &mut dyn Layer, summed: &[Tensor]) {
-        let mean = 1.0 / group.size() as f32;
-        let layout = &self.reducer.layout;
-        layout.scatter(model, Param::grad_mut, summed, mean);
-    }
-
-    /// Backward with each bucket's all-reduce hidden behind the remaining
-    /// backward compute (only the final bucket's tail serializes); leaves
-    /// the mean gradients in the model and returns the input gradient.
-    pub fn backward_overlapped(
-        &mut self,
-        ctx: &DeviceCtx,
-        group: &Group,
-        model: &mut dyn Layer,
-        dy: &Tensor,
-    ) -> Tensor {
-        let (dx, reduced) = self.reducer.backward_overlapped(ctx, group, model, dy);
-        self.write_back(group, model, &reduced);
-        dx
+        let reduced = reduced.into_iter().map(|r| r.unwrap()).collect();
+        (dx, self.finish(group, model, reduced))
     }
 }
 
@@ -726,9 +692,9 @@ mod tests {
             });
 
             // tiny cap → many buckets; still must match bitwise
-            let mut sync = BucketedGradSync::new(&mut model, 64);
-            assert!(sync.reducer().buckets().len() > 1);
-            sync.sync_blocking(ctx, &g, &mut model);
+            let mut reducer = GradReducer::data_parallel(&mut model, 64);
+            assert!(reducer.buckets().len() > 1);
+            assert!(reducer.reduce(ctx, &g, &mut model).is_empty());
             let fused = flatten_grads(&mut model);
             assert_eq!(fused.data(), &baseline[..], "fused == per-param bitwise");
             fused
@@ -750,10 +716,11 @@ mod tests {
                 let y = model.forward(&x);
                 let _ = model.backward(&Tensor::ones(y.shape().clone()));
                 let exact = flatten_grads(&mut model);
-                let mut sync = BucketedGradSync::new(&mut model, 64).with_compression(comp);
-                sync.sync_blocking(ctx, &g, &mut model);
+                let mut reducer = GradReducer::data_parallel(&mut model, 64);
+                reducer.set_compression(comp);
+                reducer.reduce(ctx, &g, &mut model);
                 let sent = flatten_grads(&mut model);
-                let residual: Vec<f32> = sync.reducer().residuals().concat();
+                let residual: Vec<f32> = reducer.residuals().concat();
                 assert_eq!(residual.len(), exact.numel());
                 for (i, ((s, r), e)) in sent
                     .data()
@@ -783,10 +750,10 @@ mod tests {
             let x = init::uniform([2, 4], -1.0, 1.0, &mut rng);
             let y = model.forward(&x);
             let _ = model.backward(&Tensor::ones(y.shape().clone()));
-            let mut sync =
-                BucketedGradSync::new(&mut model, 64).with_compression(Compression::TopK(k));
-            sync.sync_blocking(ctx, &g, &mut model);
-            let lens = sync.reducer().buckets().iter().map(|&(_, len)| len);
+            let mut reducer = GradReducer::data_parallel(&mut model, 64);
+            reducer.set_compression(Compression::TopK(k));
+            reducer.reduce(ctx, &g, &mut model);
+            let lens = reducer.buckets().iter().map(|&(_, len)| len);
             lens.collect::<Vec<_>>()
         });
         let lens = &plans[0];
@@ -815,10 +782,10 @@ mod tests {
             let x = init::uniform([2, 4], -1.0, 1.0, &mut rng);
             let y = model.forward(&x);
             let _ = model.backward(&Tensor::ones(y.shape().clone()));
-            let mut sync =
-                BucketedGradSync::new(&mut model, 64).with_compression(Compression::Int8);
-            sync.sync_blocking(ctx, &g, &mut model);
-            let lens = sync.reducer().buckets().iter().map(|&(_, len)| len);
+            let mut reducer = GradReducer::data_parallel(&mut model, 64);
+            reducer.set_compression(Compression::Int8);
+            reducer.reduce(ctx, &g, &mut model);
+            let lens = reducer.buckets().iter().map(|&(_, len)| len);
             lens.collect::<Vec<_>>()
         });
         let stats = world.stats();
@@ -839,8 +806,10 @@ mod tests {
             let mut model = make_model(822);
             let x = init::uniform([2, 4], -1.0, 1.0, &mut init::rng(930));
             let y = model.forward(&x);
-            let mut sync = BucketedGradSync::new(&mut model, 64);
-            let _ = sync.backward_overlapped(ctx, &g, &mut model, &Tensor::ones(y.shape().clone()));
+            let mut reducer = GradReducer::data_parallel(&mut model, 64);
+            let dy = Tensor::ones(y.shape().clone());
+            let (_, reduced) = reducer.backward_overlapped(ctx, &g, &mut model, &dy);
+            assert!(reduced.is_empty(), "whole buckets land in the model");
             (ctx.clock(), ctx.comm_clock())
         });
         for (main, comm) in clocks {

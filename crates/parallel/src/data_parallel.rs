@@ -1,114 +1,21 @@
 //! Distributed data parallelism: replicated model, sharded batch, gradient
 //! all-reduce — the baseline every ZeRO stage must match bitwise.
 //!
-//! Gradient sync is the shared gradient reducer (`crate::bucket`) keeping
-//! whole buckets, plus a write-back into the model: gradients are fused
-//! into size-capped flat buckets (default 25 MB) so each bucket pays one
-//! all-reduce latency term instead of one per parameter. With
-//! [`DataParallel::with_overlap`], each bucket's all-reduce launches on the
-//! comm stream as soon as its last gradient is produced during backward,
-//! hiding communication behind the remaining backward compute. Both paths
-//! are bit-identical to naive per-parameter all-reduce.
+//! A data-parallel rank drives its replica plus the shared gradient reducer
+//! keeping whole buckets
+//! ([`GradReducer::data_parallel`](crate::bucket::GradReducer::data_parallel)),
+//! exactly as a ZeRO rank drives its model plus the same reducer keeping
+//! shards. This module holds the batch split and the flat views of a model
+//! that tests and benchmarks compare replicas by.
 
-use crate::bucket::{BucketedGradSync, FlatLayout, DEFAULT_BUCKET_BYTES};
+use crate::bucket::FlatLayout;
 use colossalai_autograd::{Layer, Param};
-use colossalai_comm::{Compression, DeviceCtx, Group};
 use colossalai_tensor::Tensor;
 
 /// Splits a global batch along dim 0 for `rank` of `p` (every rank sees the
 /// same deterministic global batch and takes its slice).
 pub fn split_batch(x: &Tensor, p: usize, rank: usize) -> Tensor {
     x.chunk(0, p).swap_remove(rank)
-}
-
-/// Wraps a replicated model with data-parallel gradient synchronization.
-pub struct DataParallel<M: Layer> {
-    ctx: DeviceCtx,
-    group: Group,
-    model: M,
-    sync: BucketedGradSync,
-    overlap: bool,
-}
-
-impl<M: Layer> DataParallel<M> {
-    /// The model must have been constructed identically on every rank (same
-    /// seed) — exactly how real DDP assumes rank-0 broadcast weights.
-    /// Gradient sync is fused into [`DEFAULT_BUCKET_BYTES`] buckets and
-    /// blocks at the end of backward; see [`DataParallel::with_overlap`].
-    pub fn new(ctx: &DeviceCtx, group: &Group, model: M) -> Self {
-        Self::with_bucket_bytes(ctx, group, model, DEFAULT_BUCKET_BYTES)
-    }
-
-    /// Like [`DataParallel::new`] with an explicit bucket capacity in bytes.
-    pub fn with_bucket_bytes(
-        ctx: &DeviceCtx,
-        group: &Group,
-        mut model: M,
-        bucket_bytes: usize,
-    ) -> Self {
-        let sync = BucketedGradSync::new(&mut model, bucket_bytes);
-        DataParallel {
-            ctx: ctx.clone(),
-            group: group.clone(),
-            model,
-            sync,
-            overlap: false,
-        }
-    }
-
-    /// Enables (or disables) backward-overlapped gradient sync: each
-    /// bucket's all-reduce launches on the comm stream as soon as its last
-    /// gradient is produced, and backward ends with a stream join.
-    pub fn with_overlap(mut self, overlap: bool) -> Self {
-        self.overlap = overlap;
-        self
-    }
-
-    /// Selects the lossy gradient-compression channel (top-k / int8 / fp16
-    /// with error feedback); the sync engine starts exact.
-    pub fn with_compression(mut self, comp: Compression) -> Self {
-        self.sync = self.sync.with_compression(comp);
-        self
-    }
-
-    /// The bucket-sync engine (for inspecting its reducer).
-    pub fn grad_sync(&self) -> &BucketedGradSync {
-        &self.sync
-    }
-
-    /// The wrapped model.
-    pub fn model(&self) -> &M {
-        &self.model
-    }
-
-    /// Mutable access to the wrapped model.
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-}
-
-impl<M: Layer> Layer for DataParallel<M> {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.model.forward(x)
-    }
-
-    /// Backward through the local replica, then all-reduce the gradients
-    /// (one fused collective per bucket, overlapped with backward compute
-    /// when enabled), leaving the *mean* gradient on every rank.
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let (ctx, group, model) = (&self.ctx, &self.group, &mut self.model);
-        if self.overlap {
-            self.sync.backward_overlapped(ctx, group, model, dy)
-        } else {
-            let dx = model.backward(dy);
-            self.sync.sync_blocking(ctx, group, model);
-            dx
-        }
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.model.visit_params(f);
-    }
 }
 
 /// `pick` of every parameter as one flat tensor, in `visit_params` order.
@@ -133,6 +40,7 @@ pub fn flatten_grads(model: &mut dyn Layer) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bucket::{GradReducer, DEFAULT_BUCKET_BYTES};
     use colossalai_autograd::{AdamW, Linear, Sequential};
     use colossalai_comm::World;
     use colossalai_tensor::init;
@@ -188,21 +96,23 @@ mod tests {
         let world = World::new(system_i());
         let results = world.run_on(p, |ctx| {
             let g = ctx.world_group(p);
-            let mut dp = DataParallel::new(ctx, &g, make_model(603));
+            let mut model = make_model(603);
+            let mut reducer = GradReducer::data_parallel(&mut model, DEFAULT_BUCKET_BYTES);
             let mut opt = AdamW::new(0.01, 0.01);
             for s in 0..steps {
-                dp.zero_grad();
+                model.zero_grad();
                 let x_local = split_batch(&xs[s], p, g.rank());
                 let t_local: Vec<usize> = targets[s].chunks(8 / p).nth(g.rank()).unwrap().to_vec();
-                let logits = dp.forward(&x_local);
+                let logits = model.forward(&x_local);
                 // cross_entropy means over the local rows; averaging those
-                // local means across ranks (the sync_grads 1/p) equals the
+                // local means across ranks (the reducer's 1/p) equals the
                 // serial mean over the full batch, since shards are equal.
                 let (_, dlogits) = cross_entropy(&logits, &t_local);
-                let _ = dp.backward(&dlogits);
-                opt.step_layer(&mut dp);
+                let _ = model.backward(&dlogits);
+                reducer.reduce(ctx, &g, &mut model);
+                opt.step_layer(&mut model);
             }
-            flatten_params(&mut dp)
+            flatten_params(&mut model)
         });
         for r in &results {
             assert!(
@@ -221,13 +131,15 @@ mod tests {
         let world = World::new(system_i());
         let grads = world.run_on(p, |ctx| {
             let g = ctx.world_group(p);
-            let mut dp = DataParallel::new(ctx, &g, make_model(604));
+            let mut model = make_model(604);
+            let mut reducer = GradReducer::data_parallel(&mut model, DEFAULT_BUCKET_BYTES);
             // different data per rank
             let mut rng = init::rng(700 + g.rank() as u64);
             let x = init::uniform([2, 4], -1.0, 1.0, &mut rng);
-            let y = dp.forward(&x);
-            let _ = dp.backward(&Tensor::ones(y.shape().clone()));
-            flatten_grads(&mut dp)
+            let y = model.forward(&x);
+            let _ = model.backward(&Tensor::ones(y.shape().clone()));
+            reducer.reduce(ctx, &g, &mut model);
+            flatten_grads(&mut model)
         });
         assert_eq!(grads[0].data(), grads[1].data());
     }

@@ -10,8 +10,9 @@
 //! * [`mesh`] — 2D / 2.5D / 3D as one mode of the model definitions;
 //! * [`sequence`] — sequence parallelism with Ring Self-Attention;
 //! * [`grad_sync`] — gradient sums across replicas that saw different rows;
-//! * [`data_parallel`] — distributed data parallelism;
-//! * [`bucket`] — bucketed, backward-overlapped gradient synchronization;
+//! * [`data_parallel`] — the batch split and flat views of a replica;
+//! * [`bucket`] — the gradient reducer: bucketed, backward-overlapped
+//!   reduction for data parallelism and every ZeRO stage;
 //! * [`zero`] — the Zero Redundancy Optimizer, stages 1-3;
 //! * [`pipeline`] — GPipe and 1F1B pipeline schedules;
 //! * [`vocab_parallel`] — Megatron vocabulary-parallel embedding + the
@@ -48,8 +49,8 @@ pub mod vocab_parallel;
 pub mod volume;
 pub mod zero;
 
-pub use bucket::{Bucket, BucketPlan, BucketedGradSync, DEFAULT_BUCKET_BYTES};
-pub use data_parallel::{split_batch, DataParallel};
+pub use bucket::{Bucket, BucketPlan, GradReducer, DEFAULT_BUCKET_BYTES};
+pub use data_parallel::split_batch;
 pub use grad_sync::GradSync;
 pub use mesh::MeshParallel;
 pub use norm2d::LayerNorm2d;

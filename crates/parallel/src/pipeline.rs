@@ -168,7 +168,7 @@ impl<M: Layer> PipelineStage<M> {
         };
         if self.micro_forward_seconds > 0.0 {
             let start = self.ctx.clock();
-            self.ctx.charge_seconds(self.micro_forward_seconds);
+            self.ctx.advance(self.micro_forward_seconds);
             if self.ctx.tracing() {
                 self.ctx.trace_span(
                     SpanKind::Compute {
@@ -206,7 +206,7 @@ impl<M: Layer> PipelineStage<M> {
             // recompute + backward: ~2x a forward, plus the rematerialized
             // forward itself
             let start = self.ctx.clock();
-            self.ctx.charge_seconds(3.0 * self.micro_forward_seconds);
+            self.ctx.advance(3.0 * self.micro_forward_seconds);
             if self.ctx.tracing() {
                 self.ctx.trace_span(
                     SpanKind::Compute {
@@ -525,7 +525,7 @@ mod tests {
             .collect();
         let targets: Vec<Vec<usize>> = (0..m).map(|i| vec![i % 3, (i + 1) % 3]).collect();
         let world = World::new(system_i());
-        world.enable_tracing();
+        world.set_tracing(true);
         world.run_on(p, |ctx| {
             let devices: Vec<usize> = (0..p).collect();
             let mut stage = PipelineStage::new(ctx, &devices, stage_slice(seed, p, ctx.rank()));

@@ -12,15 +12,14 @@
 
 use crate::grad_sync::GradSync;
 use crate::vocab_parallel::mean_loss_over_rows;
-use colossalai_autograd::attention::{merge_heads, split_heads};
 use colossalai_autograd::{
-    AttentionCore, Embedding, Layer, LayerNorm, Linear, Param, PositionEmbedding,
+    AttentionCore, Embedding, Layer, LayerNorm, Linear, LocalAttention, Param, PositionEmbedding,
 };
 use colossalai_comm::{DeviceCtx, Group};
 use colossalai_models::{Layout, TensorParallel};
 use colossalai_tensor::init::InitRng;
-use colossalai_tensor::ops::{cross_entropy, softmax_backward_inplace, softmax_inplace};
-use colossalai_tensor::{bmm, bmm_at, bmm_bt, Tensor};
+use colossalai_tensor::ops::cross_entropy;
+use colossalai_tensor::Tensor;
 
 /// Splits a `[b, s, ..]` tensor along the sequence dimension for `rank` of
 /// `p` (test/data-loader helper).
@@ -31,19 +30,13 @@ pub fn split_sequence(x: &Tensor, p: usize, rank: usize) -> Tensor {
 /// Ring Self-Attention: the attention core over sequence-sharded
 /// `[b, s/p, d]` queries, keys and values. Unlike 1D tensor parallelism,
 /// *any* number of ranks works — heads are not divided, the sequence is.
-/// (The Fig 12/13 advantage on 8 GPUs.)
+/// (The Fig 12/13 advantage on 8 GPUs.) It is [`LocalAttention`] between
+/// two collectives: the local queries attend over the full gathered keys
+/// and values, and the key/value gradients go back to their owners.
 pub struct RingSelfAttention {
     ctx: DeviceCtx,
     group: Group,
-    heads: usize,
-    cache: Option<RingCache>,
-}
-
-struct RingCache {
-    q: Tensor,      // [b*h, s/p, dk]
-    k_full: Tensor, // [b*h, s, dk]
-    v_full: Tensor, // [b*h, s, dk]
-    attn: Tensor,   // [b*h, s/p, s]
+    local: LocalAttention,
 }
 
 impl RingSelfAttention {
@@ -51,67 +44,26 @@ impl RingSelfAttention {
         RingSelfAttention {
             ctx: ctx.clone(),
             group: group.clone(),
-            heads,
-            cache: None,
+            local: LocalAttention::new(heads, false),
         }
     }
 }
 
 impl AttentionCore for RingSelfAttention {
     fn forward(&mut self, q: &Tensor, k: &Tensor, v: &Tensor) -> Tensor {
-        let heads = self.heads;
-        let q = split_heads(q, heads); // [b*h, s/p, dk]
-        let scale = 1.0 / (q.dims()[2] as f32).sqrt();
-
         // ring-circulate K and V blocks (= ring all-gather along sequence)
-        let k_full = self
-            .group
-            .all_gather_cat(&self.ctx, split_heads(k, heads), 1);
-        let v_full = self
-            .group
-            .all_gather_cat(&self.ctx, split_heads(v, heads), 1);
-
-        let mut scores = bmm_bt(&q, &k_full); // [b*h, s/p, s]
-        scores.scale(scale);
-        softmax_inplace(&mut scores);
-        let attn = scores;
-        let z = merge_heads(&bmm(&attn, &v_full), heads); // [b, s/p, d]
-        self.cache = Some(RingCache {
-            q,
-            k_full,
-            v_full,
-            attn,
-        });
-        z
+        let k_full = self.group.all_gather_cat(&self.ctx, k.clone(), 1);
+        let v_full = self.group.all_gather_cat(&self.ctx, v.clone(), 1);
+        self.local.forward(q, &k_full, &v_full)
     }
 
     fn backward(&mut self, dz: &Tensor) -> (Tensor, Tensor, Tensor) {
-        let RingCache {
-            q,
-            k_full,
-            v_full,
-            attn,
-        } = self.cache.take().expect("backward before forward");
-        let heads = self.heads;
-        let scale = 1.0 / (q.dims()[2] as f32).sqrt();
-
-        let dz = split_heads(dz, heads);
-        let mut dscores = bmm_bt(&dz, &v_full); // [b*h, s/p, s]
-        let dv_full = bmm_at(&attn, &dz); // [b*h, s, dk]
-        softmax_backward_inplace(&attn, &mut dscores);
-        dscores.scale(scale);
-        let dq = bmm(&dscores, &k_full); // [b*h, s/p, dk]
-        let dk_full = bmm_at(&dscores, &q); // [b*h, s, dk]
-
+        let (dq, dk_full, dv_full) = self.local.backward(dz);
         // contributions to remote K/V blocks ride the ring back
         // (= ring reduce-scatter along sequence)
-        let dk_local = self.group.reduce_scatter(&self.ctx, dk_full, 1);
-        let dv_local = self.group.reduce_scatter(&self.ctx, dv_full, 1);
-        (
-            merge_heads(&dq, heads),
-            merge_heads(&dk_local, heads),
-            merge_heads(&dv_local, heads),
-        )
+        let dk = self.group.reduce_scatter(&self.ctx, dk_full, 1);
+        let dv = self.group.reduce_scatter(&self.ctx, dv_full, 1);
+        (dq, dk, dv)
     }
 }
 
@@ -238,7 +190,7 @@ impl TensorParallel for SequenceParallel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use colossalai_autograd::{LocalAttention, MultiHeadAttention};
+    use colossalai_autograd::MultiHeadAttention;
     use colossalai_comm::{OpKind, World};
     use colossalai_tensor::init;
     use colossalai_topology::systems::system_iii;

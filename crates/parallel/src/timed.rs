@@ -40,12 +40,12 @@ impl<L: Layer> TimedLayer<L> {
 
 impl<L: Layer> Layer for TimedLayer<L> {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.ctx.charge_seconds(self.forward_seconds);
+        self.ctx.advance(self.forward_seconds);
         self.inner.forward(x)
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        self.ctx.charge_seconds(self.backward_seconds);
+        self.ctx.advance(self.backward_seconds);
         self.inner.backward(dy)
     }
 

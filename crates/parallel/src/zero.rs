@@ -301,7 +301,7 @@ impl ZeroOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data_parallel::{flatten_params, split_batch, DataParallel};
+    use crate::data_parallel::{flatten_params, split_batch};
     use colossalai_autograd::{AdamW, Gelu, Linear, Sequential};
     use colossalai_comm::{OpKind, World};
     use colossalai_tensor::init;
@@ -331,10 +331,9 @@ mod tests {
     }
 
     /// One training run of `make_model(900)` on `p` ranks: bucketed data
-    /// parallelism + AdamW when `stage` is `None`, else ZeRO at that stage
-    /// (gradients synchronize inside the ZeRO step, not via DataParallel,
-    /// matching the real system layering), optionally on the
-    /// comm-overlapped backward path.
+    /// parallelism + AdamW when `stage` is `None`, else ZeRO at that stage;
+    /// either way the model plus one [`GradReducer`], blocking (backward,
+    /// then reduce) or on the comm-overlapped backward path.
     fn trajectory(
         stage: Option<ZeroStage>,
         p: usize,
@@ -361,21 +360,25 @@ mod tests {
             let mut dx = Tensor::scalar(0.0);
             let params = match stage {
                 None => {
-                    let model = make_model(900);
-                    let mut dp = DataParallel::with_bucket_bytes(ctx, &g, model, bucket_bytes)
-                        .with_overlap(overlap)
-                        .with_compression(comp);
+                    let mut model = make_model(900);
+                    let mut reducer = GradReducer::data_parallel(&mut model, bucket_bytes);
+                    reducer.set_compression(comp);
                     let mut opt = AdamW::new(0.01, 0.05);
                     for s in 0..steps {
                         let (x, t) = batch(s);
-                        dp.zero_grad();
-                        let (loss, dlogits) = cross_entropy(&dp.forward(&x), &t);
+                        model.zero_grad();
+                        let (loss, dlogits) = cross_entropy(&model.forward(&x), &t);
                         bytes.extend(loss.to_bits().to_le_bytes());
-                        dx = dp.backward(&dlogits);
-                        opt.step_layer(&mut dp);
+                        if overlap {
+                            (dx, _) = reducer.backward_overlapped(ctx, &g, &mut model, &dlogits);
+                        } else {
+                            dx = model.backward(&dlogits);
+                            reducer.reduce(ctx, &g, &mut model);
+                        }
+                        opt.step_layer(&mut model);
                     }
-                    bytes.extend(bits(dp.grad_sync().reducer().residuals()));
-                    flatten_params(&mut dp)
+                    bytes.extend(bits(reducer.residuals()));
+                    flatten_params(&mut model)
                 }
                 Some(stage) => {
                     let mut model = make_model(900);
@@ -704,7 +707,7 @@ mod tests {
         offload: Option<OffloadPlan>,
     ) -> (Tensor, Vec<f64>, Vec<colossalai_comm::Span>) {
         let world = World::new(system_ii());
-        world.enable_tracing();
+        world.set_tracing(true);
         let mut out = world.run_on(1, |ctx| {
             let g = ctx.world_group(1);
             let mut model = make_model(910);

@@ -38,7 +38,7 @@ fn train(
 ) -> (Vec<f32>, Vec<Tensor>, Metered) {
     let data = SyntheticText::new(cfg.vocab, 3);
     let world = World::new(system_ii());
-    world.enable_tracing();
+    world.set_tracing(true);
     let mut results = world.run_on(RANKS, |ctx| {
         let g = ctx.world_group(RANKS);
         let mut gpt = Gpt::new(cfg, &mut init::rng(2024));

@@ -10,8 +10,8 @@
 
 use colossalai::autograd::{AdamW, Layer, Linear, Sequential};
 use colossalai::comm::{AllReduceAlgo, DeviceCtx, SpanKind, Track, World};
-use colossalai::parallel::data_parallel::{flatten_params, split_batch, DataParallel};
-use colossalai::parallel::TimedLayer;
+use colossalai::parallel::data_parallel::{flatten_params, split_batch};
+use colossalai::parallel::{GradReducer, TimedLayer};
 use colossalai::tensor::ops::cross_entropy;
 use colossalai::tensor::{init, Tensor};
 use colossalai::topology::systems::{system_i, system_ii, system_iii, system_iv};
@@ -110,29 +110,35 @@ fn timed_model(ctx: &DeviceCtx, seed: u64) -> Sequential {
 /// One DP training run on System III; returns (params, max clock, world).
 fn dp_run(p: usize, overlap: bool, trace: bool) -> (Vec<f32>, f64, World) {
     let world = World::new(system_iii());
-    if trace {
-        world.enable_tracing();
-    }
+    world.set_tracing(trace);
     let mut rng = init::rng(31);
     let xs: Vec<Tensor> = (0..3)
         .map(|_| init::uniform([p * 2, 8], -1.0, 1.0, &mut rng))
         .collect();
     let out = world.run_on(p, |ctx| {
         let g = ctx.world_group(p);
+        let mut model = timed_model(ctx, 32);
         // 4 KiB buckets over ~3k params -> several buckets per backward
-        let mut dp = DataParallel::with_bucket_bytes(ctx, &g, timed_model(ctx, 32), 4096)
-            .with_overlap(overlap);
+        let mut reducer = GradReducer::data_parallel(&mut model, 4096);
         let mut opt = AdamW::new(0.01, 0.01);
         for x in &xs {
-            dp.zero_grad();
+            model.zero_grad();
             let x_local = split_batch(x, p, g.rank());
             let t: Vec<usize> = (0..x_local.dims()[0]).map(|i| i % 32).collect();
-            let logits = dp.forward(&x_local);
+            let logits = model.forward(&x_local);
             let (_, d) = cross_entropy(&logits, &t);
-            let _ = ctx.trace_phase("backward", || dp.backward(&d));
-            opt.step_layer(&mut dp);
+            let _ = ctx.trace_phase("backward", || {
+                if overlap {
+                    reducer.backward_overlapped(ctx, &g, &mut model, &d).0
+                } else {
+                    let dx = model.backward(&d);
+                    reducer.reduce(ctx, &g, &mut model);
+                    dx
+                }
+            });
+            opt.step_layer(&mut model);
         }
-        (flatten_params(&mut dp).into_vec(), ctx.clock())
+        (flatten_params(&mut model).into_vec(), ctx.clock())
     });
     let makespan = out.iter().map(|(_, t)| *t).fold(0.0, f64::max);
     (out.into_iter().next().unwrap().0, makespan, world)

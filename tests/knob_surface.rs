@@ -3,8 +3,9 @@
 //! through the process environment, and every default is pinned here. So
 //! are the things the retired intra-op pool and fast numeric mode took with
 //! them: threads spawned outside the world executor, a second arithmetic
-//! beside each kernel, and 14 of the 17 `unsafe` sites. The API surface
-//! cannot grow back either: every public function has a caller.
+//! beside each kernel, and 14 of the 17 `unsafe` sites. Nor can a switch
+//! that turns the overlapped gradient reduce off. The API surface cannot
+//! grow back either: every public function has a caller.
 
 use colossalai::comm::compress::Compression;
 use colossalai::comm::{World, WorldBackend};
@@ -104,6 +105,24 @@ fn library_kernels_have_one_arithmetic() {
                 "{file} contains {b:?}: a kernel has one arithmetic, not a mode beside it"
             );
         }
+    }
+}
+
+/// Overlap is a rule, not an option: the engine overlaps the gradient
+/// reduce with the backward whenever it has a data-parallel group and no
+/// accumulation, and no library type offers a switch beside that rule. The
+/// name is assembled from pieces so that a search of the sources for it
+/// comes back empty.
+#[test]
+fn no_library_type_switches_overlap() {
+    let banned = ["with", "_overlap"].concat();
+    for (file, text) in library_sources() {
+        assert!(
+            !before_unit_tests(&text).contains(banned.as_str()),
+            "{file} contains {banned:?}: the backward overlaps the reduce whenever there is \
+             a data-parallel group and no accumulation (a blocking reduce is a plain \
+             backward followed by `GradReducer::reduce`)"
+        );
     }
 }
 

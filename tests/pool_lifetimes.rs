@@ -16,9 +16,9 @@ use colossalai::autograd::{AdamW, Gelu, Layer, Linear, Sequential};
 use colossalai::comm::{World, WorldBackend};
 use colossalai::core::{build_gpt, initialize, Config, OptimizerSpec};
 use colossalai::models::{Gpt, TransformerConfig};
-use colossalai::parallel::data_parallel::{flatten_grads, flatten_params, DataParallel};
+use colossalai::parallel::data_parallel::{flatten_grads, flatten_params};
 use colossalai::parallel::zero::{ZeroOptimizer, ZeroStage};
-use colossalai::parallel::BucketedGradSync;
+use colossalai::parallel::GradReducer;
 use colossalai::tensor::ops::cross_entropy;
 use colossalai::tensor::{init, pool, Tensor};
 use colossalai::topology::systems::system_i;
@@ -347,16 +347,17 @@ fn zero3_with_parameters_straddling_buckets_still_matches_ddp_bitwise() {
                 assert!(!values[0].shares_storage(&values[1]));
                 flatten_params(&mut model).into_vec()
             } else {
-                let mut dp = DataParallel::with_bucket_bytes(ctx, &g, model, 64);
+                let mut reducer = GradReducer::data_parallel(&mut model, 64);
                 let mut opt = AdamW::new(0.01, 0.05);
                 for s in 0..STEPS {
-                    dp.zero_grad();
+                    model.zero_grad();
                     let (x, t) = batch(s);
-                    let (_, d) = cross_entropy(&dp.forward(&x), &t);
-                    let _ = dp.backward(&d);
-                    opt.step_layer(&mut dp);
+                    let (_, d) = cross_entropy(&model.forward(&x), &t);
+                    let _ = model.backward(&d);
+                    reducer.reduce(ctx, &g, &mut model);
+                    opt.step_layer(&mut model);
                 }
-                flatten_params(&mut dp).into_vec()
+                flatten_params(&mut model).into_vec()
             }
         })
     };
@@ -379,12 +380,12 @@ fn bucket_sync_grads(overlapped: bool) -> Vec<Vec<f32>> {
         let x = init::uniform([2, 16], -1.0, 1.0, &mut init::rng(60 + g.rank() as u64));
         let y = model.forward(&x);
         let dy = Tensor::ones(y.shape().clone());
-        let mut sync = BucketedGradSync::new(&mut model, 64);
+        let mut reducer = GradReducer::data_parallel(&mut model, 64);
         if overlapped {
-            let _ = sync.backward_overlapped(ctx, &g, &mut model, &dy);
+            let _ = reducer.backward_overlapped(ctx, &g, &mut model, &dy);
         } else {
             let _ = model.backward(&dy);
-            sync.sync_blocking(ctx, &g, &mut model);
+            reducer.reduce(ctx, &g, &mut model);
         }
         flatten_grads(&mut model).data().to_vec()
     })
@@ -397,7 +398,7 @@ fn a_warm_bucketed_sync_is_served_from_the_pool_and_overlap_moves_no_bit() {
     assert_eq!(
         blocking,
         bucket_sync_grads(true),
-        "backward_overlapped == backward + sync_blocking, bitwise"
+        "backward_overlapped == backward + reduce, bitwise"
     );
     // the two runs above parked the working set: from here on more than
     // 90 % of in-range requests must be served from parked buffers

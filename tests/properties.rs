@@ -262,8 +262,9 @@ fn zero_stages_bitwise_equal_ddp_for_random_models() {
         let steps = draw.gen_range(1usize..4);
         let seed = draw.gen_range(0u64..1000);
         let stage_sel = draw.gen_range(0u32..3) as u8;
-        use colossalai::parallel::data_parallel::{flatten_params, split_batch, DataParallel};
+        use colossalai::parallel::data_parallel::{flatten_params, split_batch};
         use colossalai::parallel::zero::{ZeroOptimizer, ZeroStage};
+        use colossalai::parallel::{GradReducer, DEFAULT_BUCKET_BYTES};
         use colossalai_autograd::{AdamW, Sequential};
 
         let p = 2;
@@ -286,18 +287,20 @@ fn zero_stages_bitwise_equal_ddp_for_random_models() {
         let batches2 = batches.clone();
         let mut ddp = world.run_on(p, |ctx| {
             let g = ctx.world_group(p);
-            let mut dp = DataParallel::new(ctx, &g, make_model(seed));
+            let mut model = make_model(seed);
+            let mut reducer = GradReducer::data_parallel(&mut model, DEFAULT_BUCKET_BYTES);
             let mut opt = AdamW::new(0.01, 0.01);
             for x in &batches2 {
-                dp.zero_grad();
+                model.zero_grad();
                 let x_local = split_batch(x, p, g.rank());
-                let y = dp.forward(&x_local);
-                let _ = dp.backward(&y); // quadratic objective
-                                         // match ZeRO's mean semantics: DataParallel::backward already
-                                         // averaged, so step directly
-                opt.step_layer(&mut dp);
+                let y = model.forward(&x_local);
+                // quadratic objective; the reducer leaves the mean gradient
+                // in the model (ZeRO's mean semantics), so step directly
+                let _ = model.backward(&y);
+                reducer.reduce(ctx, &g, &mut model);
+                opt.step_layer(&mut model);
             }
-            flatten_params(&mut dp)
+            flatten_params(&mut model)
         });
         let want = ddp.swap_remove(0);
 

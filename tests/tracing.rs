@@ -18,7 +18,7 @@ fn hybrid_step(ctx: &DeviceCtx) {
     let rank = ctx.rank();
     // compute: charge the clock, then publish the window as a Compute span
     let start = ctx.clock();
-    ctx.charge_seconds(2e-4);
+    ctx.advance(2e-4);
     ctx.trace_span(
         SpanKind::Compute {
             label: format!("fwd{rank}"),
@@ -57,7 +57,7 @@ fn leaf_spans_of(spans: &[Span], rank: usize) -> Vec<Span> {
 
 fn run_traced_step() -> World {
     let world = World::new(system_i());
-    world.enable_tracing();
+    world.set_tracing(true);
     world.run_on(P, hybrid_step);
     world
 }

@@ -59,7 +59,7 @@ fn fingerprint(losses: &[Vec<f32>], stats: &CommStats, trace: &[Span]) -> (u64, 
 fn run_spec(world: &World, tasks: bool) -> (u64, u64, u64) {
     world.reset_stats();
     world.clear_trace();
-    world.enable_tracing();
+    world.set_tracing(true);
     let losses = if tasks {
         world.run_tasks(SPEC.ranks(), |_rank| HybridTask::new(SPEC))
     } else {
