@@ -12,6 +12,7 @@ use colossalai_comm::World;
 use colossalai_parallel::pipeline::{
     bubble_fraction, stage_events, PipelineStage, Schedule, StageEvent,
 };
+use colossalai_parallel::TimedLayer;
 use colossalai_tensor::init;
 use colossalai_tensor::ops::cross_entropy;
 use colossalai_tensor::Tensor;
@@ -34,8 +35,8 @@ fn run(schedule: Schedule) -> (World, f64) {
         let layers = Sequential::new(vec![
             Box::new(Linear::from_rng("l", 8, 8, true, &mut srng)) as Box<dyn Layer>
         ]);
-        let mut stage = PipelineStage::new(ctx, &devices, layers);
-        stage.micro_forward_seconds = T_FWD;
+        let timed = TimedLayer::new(ctx, layers, T_FWD, 2.0 * T_FWD);
+        let mut stage = PipelineStage::new(ctx, &devices, timed);
         let mut lf = |_: u64, o: &Tensor| cross_entropy(o, &[0, 1]);
         let _ = stage.run_step(
             schedule,

@@ -18,7 +18,8 @@ use crate::task::{Poll, WakeKey};
 use crate::trace::{group_track_name, SpanKind, Track};
 use crate::world::DeviceCtx;
 use colossalai_tensor::{axpy_slices, pool, Tensor};
-use colossalai_topology::{cost, AllReduceAlgo, Cluster, DeviceId};
+use colossalai_topology::cost::{self, AllReduceSchedule};
+use colossalai_topology::{AllReduceAlgo, DeviceId};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -78,10 +79,9 @@ struct Done {
     /// Element hops the modeled schedule moves (drives stats + bytes, at
     /// the descriptor's wire width).
     elements: u64,
-    /// Labeled phase durations of multi-phase schedules (hierarchical,
-    /// tree, halving-doubling), in execution order; empty for single-phase
-    /// schedules. Phases always sum to `cost`.
-    phases: Vec<(OpKind, f64)>,
+    /// The all-reduce schedule that ran, whose phases tile the op on the
+    /// group track; `None` for the single-phase ops.
+    schedule: Option<AllReduceSchedule>,
 }
 
 impl Done {
@@ -91,66 +91,26 @@ impl Done {
             cost,
             kind,
             elements,
-            phases: Vec::new(),
+            schedule: None,
         }
     }
 }
 
-/// Cost, element hops and (for multi-phase schedules) labeled phase
-/// durations of a sum/max all-reduce of `n` elements under `algo`.
-/// Inapplicable schedules (hierarchical on single-node or ragged groups,
-/// halving-doubling on non-power-of-two groups) silently degrade to the
-/// flat ring, exactly like their `cost::*_time` estimators. The tree and
-/// halving-doubling schedules move the same `2 (p-1) n` element hops as the
-/// flat ring (every schedule sends each rank's contribution to every other
-/// rank exactly once in each direction); only the hierarchical one differs,
-/// keeping bulk hops off the bottleneck link.
-fn allreduce_plan(
-    algo: AllReduceAlgo,
-    cluster: &Cluster,
-    members: &[DeviceId],
-    n: u64,
-    wire: Wire,
-) -> (f64, u64, Vec<(OpKind, f64)>) {
-    let p = members.len() as u64;
-    let bytes = n * wire.bytes();
-    let flat_elements = 2 * p.saturating_sub(1) * n;
-    if p > 1 && n > 0 {
-        match algo {
-            AllReduceAlgo::Hierarchical => {
-                if let Some((t1, t2, t3)) =
-                    cost::hierarchical_allreduce_phases(cluster, members, bytes)
-                {
-                    let elements = cost::hierarchical_allreduce_elements(cluster, members, n)
-                        .expect("phase breakdown implies applicability");
-                    let phases = vec![
-                        (OpKind::ReduceScatter, t1),
-                        (OpKind::AllReduce, t2),
-                        (OpKind::AllGather, t3),
-                    ];
-                    return (t1 + t2 + t3, elements, phases);
-                }
-            }
-            AllReduceAlgo::Tree => {
-                let (t1, t2) = cost::tree_allreduce_phases(cluster, members, bytes);
-                let phases = vec![(OpKind::Reduce, t1), (OpKind::Broadcast, t2)];
-                return (t1 + t2, flat_elements, phases);
-            }
-            AllReduceAlgo::RecursiveHalvingDoubling => {
-                if let Some((t1, t2)) = cost::rhd_allreduce_phases(cluster, members, bytes) {
-                    let phases = vec![(OpKind::ReduceScatter, t1), (OpKind::AllGather, t2)];
-                    return (t1 + t2, flat_elements, phases);
-                }
-            }
-            AllReduceAlgo::FlatRing => {}
+/// What each phase of an all-reduce schedule is, in execution order (the
+/// labels of its group-track spans).
+fn phase_kinds(algo: AllReduceAlgo) -> &'static [OpKind] {
+    match algo {
+        AllReduceAlgo::FlatRing => &[OpKind::AllReduce],
+        AllReduceAlgo::Hierarchical => {
+            &[OpKind::ReduceScatter, OpKind::AllReduce, OpKind::AllGather]
         }
+        AllReduceAlgo::Tree => &[OpKind::Reduce, OpKind::Broadcast],
+        AllReduceAlgo::RecursiveHalvingDoubling => &[OpKind::ReduceScatter, OpKind::AllGather],
     }
-    let cost = cost::allreduce_time(cluster, members, bytes);
-    (cost, flat_elements, Vec::new())
 }
 
 /// What the last arrival computes from the deposited inputs. Roots are
-/// group ranks; `dim` is the axis chunked or concatenated along.
+/// group ranks; `dim` is the axis split or concatenated along.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Op {
     /// Sum (or, with `max`, elementwise-max) all-reduce. The schedule (flat
@@ -176,15 +136,6 @@ pub enum Op {
     /// Every rank receives `root`'s tensor. Non-root inputs are ignored
     /// (pass an empty tensor, e.g. `Tensor::zeros([0])`).
     Broadcast { root: usize },
-    /// `root`'s tensor is chunked along `dim` into `size()` pieces; rank i
-    /// receives piece i. Non-root inputs are ignored.
-    Scatter { dim: usize, root: usize },
-    /// `root` receives the concatenation along `dim`, other ranks an empty
-    /// tensor.
-    Gather { dim: usize, root: usize },
-    /// Each rank's tensor is chunked along `dim`; rank i ends with the
-    /// concatenation (along `dim`) of everyone's chunk i.
-    AllToAll { dim: usize },
     /// `root` receives the elementwise sum of all contributions, other
     /// ranks an empty tensor. (Cost model: the mirror image of a pipelined
     /// broadcast.)
@@ -195,15 +146,16 @@ pub enum Op {
 }
 
 impl Op {
-    /// Whether every member must contribute the same shape. False where
-    /// only the root's input counts or contributions may be ragged.
+    /// Whether every member must contribute the same shape: false only
+    /// where the root's input alone counts. (An all-gather bills every rank
+    /// at one rank's size, so its shards must agree too.)
     fn same_shape(self) -> bool {
         matches!(
             self,
             Op::AllReduce { .. }
                 | Op::SparseAllReduce { .. }
+                | Op::AllGather { .. }
                 | Op::ReduceScatter { .. }
-                | Op::AllToAll { .. }
                 | Op::ReduceSum { .. }
         )
     }
@@ -266,9 +218,6 @@ impl std::fmt::Display for Collective {
             Op::AllGather { dim } => write!(f, "all_gather(dim {dim}, {w})"),
             Op::ReduceScatter { dim } => write!(f, "reduce_scatter(dim {dim}, {w})"),
             Op::Broadcast { root } => write!(f, "broadcast(root {root}, {w})"),
-            Op::Scatter { dim, root } => write!(f, "scatter(dim {dim}, root {root}, {w})"),
-            Op::Gather { dim, root } => write!(f, "gather(dim {dim}, root {root}, {w})"),
-            Op::AllToAll { dim } => write!(f, "all_to_all(dim {dim}, {w})"),
             Op::ReduceSum { root } => write!(f, "reduce_sum(root {root}, {w})"),
             Op::Barrier => write!(f, "barrier"),
         }
@@ -289,16 +238,27 @@ fn finish_spec(desc: Collective, ctx: &DeviceCtx, members: &[DeviceId], inputs: 
             let n = acc.numel() as u64;
             // max is associative+commutative, so the hierarchical schedule
             // applies to it exactly as to sum
+            let bytes = n * wire.bytes();
             let algo = ctx
                 .forced_allreduce_algo()
-                .unwrap_or_else(|| cost::select_allreduce_algo(cluster, members, n * wire.bytes()));
-            let (cost, elements, phases) = allreduce_plan(algo, cluster, members, n, wire);
+                .unwrap_or_else(|| cost::select_allreduce_algo(cluster, members, bytes));
+            let schedule = cost::allreduce_schedule(algo, cluster, members, bytes);
+            // every schedule sends each contribution to every other rank
+            // once each way, as the flat ring does; only the hierarchical
+            // one keeps bulk hops off the bottleneck link
+            let elements = match schedule.algo {
+                AllReduceAlgo::Hierarchical => {
+                    cost::hierarchical_allreduce_elements(cluster, members, n)
+                        .expect("a hierarchical schedule ran, so it applies")
+                }
+                _ => 2 * (p as u64 - 1) * n,
+            };
             Done {
                 outputs: vec![acc; p],
-                cost,
+                cost: schedule.time(),
                 kind: OpKind::AllReduce,
                 elements,
-                phases,
+                schedule: Some(schedule),
             }
         }
         Op::SparseAllReduce { k } => {
@@ -331,70 +291,6 @@ fn finish_spec(desc: Collective, ctx: &DeviceCtx, members: &[DeviceId], inputs: 
             let cost = cost::broadcast_time(cluster, members, n * wire.bytes());
             let elements = (p as u64 - 1) * n;
             Done::new(vec![src; p], cost, OpKind::Broadcast, elements)
-        }
-        Op::Scatter { dim, root } => {
-            let src = &inputs[root];
-            let n = src.numel() as u64;
-            let outs = src.chunk_ragged(dim, p);
-            // uneven chunks: the largest one gates the pairwise exchange
-            let max_chunk = outs.iter().map(|c| c.numel() as u64).max().unwrap_or(0);
-            let kept = outs[root].numel() as u64;
-            let cost = cost::alltoall_time(cluster, members, max_chunk * wire.bytes());
-            // the root wires out everything except its own chunk
-            let elements = n - kept;
-            Done::new(outs, cost, OpKind::Scatter, elements)
-        }
-        Op::Gather { dim, root } => {
-            // contributions may be ragged: bill what each rank actually sends
-            let max_contrib = inputs
-                .iter()
-                .enumerate()
-                .filter(|&(r, _)| r != root)
-                .map(|(_, t)| t.numel() as u64)
-                .max()
-                .unwrap_or(0);
-            let elements: u64 = inputs
-                .iter()
-                .enumerate()
-                .filter(|&(r, _)| r != root)
-                .map(|(_, t)| t.numel() as u64)
-                .sum();
-            let full = Tensor::cat(inputs, dim);
-            let outs = (0..p)
-                .map(|r| {
-                    if r == root {
-                        full.clone()
-                    } else {
-                        Tensor::zeros([0])
-                    }
-                })
-                .collect();
-            let cost = cost::alltoall_time(cluster, members, max_contrib * wire.bytes());
-            Done::new(outs, cost, OpKind::Gather, elements)
-        }
-        Op::AllToAll { dim } => {
-            let n = inputs[0].numel() as u64;
-            let per_rank: Vec<Vec<Tensor>> =
-                inputs.iter().map(|t| t.chunk_ragged(dim, p)).collect();
-            // chunk sizes need not divide evenly; the largest chunk gates
-            // each pairwise exchange step
-            let max_chunk = per_rank[0]
-                .iter()
-                .map(|c| c.numel() as u64)
-                .max()
-                .unwrap_or(0);
-            let outs = (0..p)
-                .map(|i| {
-                    let mine: Vec<Tensor> =
-                        per_rank.iter().map(|chunks| chunks[i].clone()).collect();
-                    Tensor::cat(&mine, dim)
-                })
-                .collect();
-            let cost = cost::alltoall_time(cluster, members, max_chunk * wire.bytes());
-            // each rank wires out its tensor minus the chunk it keeps; the
-            // kept chunks across ranks sum to exactly one tensor
-            let elements = (p as u64 - 1) * n;
-            Done::new(outs, cost, OpKind::AllToAll, elements)
         }
         Op::ReduceSum { root } => {
             let sum = reduce_rank_ordered(inputs, false);
@@ -441,9 +337,6 @@ pub struct CollectiveOp {
     /// This rank's arrival clock, latched on the first poll.
     t_arrive: Option<f64>,
     stage: CollStage,
-    /// Set when the previous poll returned `Pending`: the next poll counts
-    /// one observed group wakeup.
-    parked: bool,
 }
 
 struct SlotState {
@@ -581,23 +474,19 @@ impl Group {
     /// The blocking [`Group::collective`] drives this same method, which
     /// is what keeps closure and task ranks bitwise identical.
     ///
-    /// Members that disagree on the op, its wire, root, dim or (for
-    /// reductions and all-to-all) input shape would silently compute
+    /// Members that disagree on the op, its wire, root, dim or (for every
+    /// op but the rooted broadcast) input shape would silently compute
     /// whatever the last arrival asked for; the second arrival of such a
-    /// pair panics instead, naming both ranks.
+    /// pair panics instead, naming both ranks. A one-rank group runs the
+    /// same rendezvous: its one arrival is the last.
     ///
     /// When tracing is enabled, every rank emits a [`SpanKind::Collective`]
     /// span (on its device or comm-stream track) from its arrival to the
     /// group-wide completion, and the last arrival additionally emits the
-    /// group-track span(s) — one per op, or one per phase for the
-    /// hierarchical schedule.
+    /// group-track span(s) — one per op, or one per phase of a multi-phase
+    /// all-reduce schedule.
     pub fn poll_collective(&self, ctx: &DeviceCtx, op: &mut CollectiveOp) -> Poll<Tensor> {
         ctx.check_abort();
-        if op.parked {
-            // resumed after a Pending
-            op.parked = false;
-            ctx.world.count_group_wake();
-        }
         let p = self.size();
         let stream = op.desc.stream;
         // arrival time latches on the first poll — re-polls after Pending
@@ -613,43 +502,12 @@ impl Group {
                 t
             }
         };
-        if p == 1 {
-            // single-rank group: identity data-wise and zero cost, but still
-            // one group op — record the promised stats entry (zero element
-            // hops) and a zero-length trace span
-            let input = op
-                .input
-                .take()
-                .expect("collective op polled after completion");
-            let done = finish_spec(op.desc, ctx, self.members(), std::slice::from_ref(&input));
-            let bytes = done.elements * op.desc.wire.bytes();
-            ctx.record_stats(done.kind, done.elements, bytes);
-            let t_done = t_arrive + done.cost;
-            self.advance_stream(ctx, stream, t_done);
-            if ctx.tracing() {
-                let group = self.members().to_vec();
-                ctx.trace_span_on(
-                    self.device_track(ctx, stream),
-                    SpanKind::Collective {
-                        kind: done.kind,
-                        bytes,
-                        group,
-                    },
-                    t_arrive,
-                    t_done,
-                );
-                self.trace_group_phases(ctx, &done, bytes, t_arrive, t_done);
-            }
-            let mut outs = done.outputs;
-            return Poll::Ready(outs.pop().expect("finish produced no output"));
-        }
         let shared = &*self.shared;
         let mut st = shared.slot.lock();
         if matches!(op.stage, CollStage::Enter) {
             if st.phase == Phase::Distribute {
                 // previous op not fully drained: park until the last picker
                 // resets the slot
-                op.parked = true;
                 if !st.parked_drain.contains(&ctx.rank()) {
                     st.parked_drain.push(ctx.rank());
                 }
@@ -730,14 +588,12 @@ impl Group {
                 }
                 // fall through to pick our own output
             } else {
-                op.parked = true;
                 st.parked_publish.push(ctx.rank());
                 return Poll::Pending(WakeKey::publish(&self.shared));
             }
         } else if st.phase == Phase::Collect {
             // spurious resume: the publish we are waiting for has not
             // happened yet — re-park (a waiter's predicate re-check)
-            op.parked = true;
             if !st.parked_publish.contains(&ctx.rank()) {
                 st.parked_publish.push(ctx.rank());
             }
@@ -790,12 +646,7 @@ impl Group {
         // (root, axis this rank's input must have); rootless ops pass for 0
         let (root, dim) = match desc.op {
             Op::Broadcast { root } | Op::ReduceSum { root } => (root, None),
-            // non-root scatter inputs are ignored, whatever their shape
-            Op::Scatter { dim, root } => (root, (self.rank() == root).then_some(dim)),
-            Op::Gather { dim, root } => (root, Some(dim)),
-            Op::AllGather { dim } | Op::ReduceScatter { dim } | Op::AllToAll { dim } => {
-                (0, Some(dim))
-            }
+            Op::AllGather { dim } | Op::ReduceScatter { dim } => (0, Some(dim)),
             Op::AllReduce { .. } | Op::SparseAllReduce { .. } | Op::Barrier => (0, None),
         };
         assert!(
@@ -819,7 +670,6 @@ impl Group {
             input: Some(t),
             t_arrive: None,
             stage: CollStage::Enter,
-            parked: false,
         }
     }
 
@@ -875,21 +725,6 @@ impl Group {
         self.collective(ctx, Op::Broadcast { root }.into(), t)
     }
 
-    /// [`Op::Scatter`].
-    pub fn scatter(&self, ctx: &DeviceCtx, t: Tensor, dim: usize, root: usize) -> Tensor {
-        self.collective(ctx, Op::Scatter { dim, root }.into(), t)
-    }
-
-    /// [`Op::Gather`].
-    pub fn gather_cat(&self, ctx: &DeviceCtx, t: Tensor, dim: usize, root: usize) -> Tensor {
-        self.collective(ctx, Op::Gather { dim, root }.into(), t)
-    }
-
-    /// [`Op::AllToAll`].
-    pub fn all_to_all(&self, ctx: &DeviceCtx, t: Tensor, dim: usize) -> Tensor {
-        self.collective(ctx, Op::AllToAll { dim }.into(), t)
-    }
-
     /// [`Op::ReduceSum`].
     pub fn reduce_sum(&self, ctx: &DeviceCtx, t: Tensor, root: usize) -> Tensor {
         self.collective(ctx, Op::ReduceSum { root }.into(), t)
@@ -914,24 +749,21 @@ impl Group {
         }
     }
 
-    /// Emits this op's group-track span(s): a single span for one-phase
-    /// schedules, or one labeled span per phase for the multi-phase ones
-    /// (hierarchical RS/AR/AG, tree reduce/broadcast, halving-doubling
-    /// RS/AG), tiling the op interval contiguously.
+    /// Emits this op's group-track span(s): one per phase of the all-reduce
+    /// schedule that ran (hierarchical RS/AR/AG, tree reduce/broadcast,
+    /// halving-doubling RS/AG, one for the flat ring), tiling the op
+    /// interval contiguously, and one span for every other op.
     fn trace_group_phases(&self, ctx: &DeviceCtx, done: &Done, bytes: u64, start: f64, end: f64) {
-        if done.phases.is_empty() {
+        let Some(schedule) = &done.schedule else {
             self.trace_group_span(ctx, done.kind, bytes, start, end);
             return;
-        }
+        };
+        let kinds = phase_kinds(schedule.algo);
         let mut t = start;
-        for (i, &(kind, dt)) in done.phases.iter().enumerate() {
+        for (i, (&kind, &dt)) in kinds.iter().zip(schedule.phases()).enumerate() {
             // the last phase snaps to the op's end so float rounding never
             // leaves a gap in the tiling
-            let stop = if i + 1 == done.phases.len() {
-                end
-            } else {
-                t + dt
-            };
+            let stop = if i + 1 == kinds.len() { end } else { t + dt };
             self.trace_group_span(ctx, kind, bytes, t, stop);
             t = stop;
         }
@@ -1041,6 +873,7 @@ fn reduce_rank_ordered(inputs: &[Tensor], max: bool) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Span;
     use crate::world::World;
     use colossalai_topology::systems::{system_i, system_ii, system_iii};
 
@@ -1211,51 +1044,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_distributes_chunks() {
-        let world = World::new(system_i());
-        let out = world.run_on(4, |ctx| {
-            let g = ctx.world_group(4);
-            let t = if ctx.rank() == 0 {
-                Tensor::arange(8)
-            } else {
-                Tensor::zeros([0])
-            };
-            g.scatter(ctx, t, 0, 0)
-        });
-        for (r, o) in out.iter().enumerate() {
-            assert_eq!(o.data(), &[(2 * r) as f32, (2 * r + 1) as f32]);
-        }
-    }
-
-    #[test]
-    fn gather_only_root_receives() {
-        let world = World::new(system_i());
-        let out = world.run_on(3, |ctx| {
-            let g = ctx.world_group(3);
-            g.gather_cat(ctx, Tensor::full([1], ctx.rank() as f32), 0, 1)
-        });
-        assert_eq!(out[0].numel(), 0);
-        assert_eq!(out[1].data(), &[0., 1., 2.]);
-        assert_eq!(out[2].numel(), 0);
-    }
-
-    #[test]
-    fn all_to_all_transposes_chunks() {
-        let world = World::new(system_i());
-        let out = world.run_on(2, |ctx| {
-            let g = ctx.world_group(2);
-            // rank r holds [r*10, r*10+1]
-            let t = Tensor::from_vec(
-                [2],
-                vec![ctx.rank() as f32 * 10.0, ctx.rank() as f32 * 10.0 + 1.0],
-            );
-            g.all_to_all(ctx, t, 0)
-        });
-        assert_eq!(out[0].data(), &[0., 10.]);
-        assert_eq!(out[1].data(), &[1., 11.]);
-    }
-
-    #[test]
     fn all_reduce_max_takes_elementwise_max() {
         let world = World::new(system_i());
         let out = world.run_on(3, |ctx| {
@@ -1335,16 +1123,13 @@ mod tests {
     }
 
     /// Every op the descriptor can name, on a 4-rank group; roots are 1.
-    const EVERY_OP: [Op; 11] = [
+    const EVERY_OP: [Op; 8] = [
         Op::AllReduce { max: false },
         Op::AllReduce { max: true },
         Op::SparseAllReduce { k: 12 },
         Op::AllGather { dim: 0 },
         Op::ReduceScatter { dim: 0 },
         Op::Broadcast { root: 1 },
-        Op::Scatter { dim: 0, root: 1 },
-        Op::Gather { dim: 0, root: 1 },
-        Op::AllToAll { dim: 0 },
         Op::ReduceSum { root: 1 },
         Op::Barrier,
     ];
@@ -1524,9 +1309,12 @@ mod tests {
         // p == 1 used to skip record_stats entirely; the op must still show
         // up in the ledger (with zero element hops — nothing crosses a wire)
         let world = World::new(system_i());
+        world.set_tracing(true);
         world.run_on(1, |ctx| {
             let g = ctx.world_group(1);
+            ctx.advance(1e-3);
             let _ = g.all_reduce(ctx, Tensor::full([3], 7.0));
+            ctx.advance(2e-3);
             g.barrier(ctx);
         });
         let stats = world.stats();
@@ -1534,53 +1322,30 @@ mod tests {
         assert_eq!(stats.elements_of(OpKind::AllReduce), 0);
         assert_eq!(stats.ops_of(OpKind::Barrier), 1);
         assert_eq!(stats.bytes, 0);
-    }
-
-    #[test]
-    fn uneven_all_to_all_counts_exact_elements() {
-        // n = 10, p = 4: chunks are 3/3/2/2. The old accounting truncated to
-        // n/p and undercounted; each rank wires out n minus its kept chunk,
-        // and the kept chunks sum to one tensor: (p-1)*n = 30 element hops.
-        let world = World::new(system_i());
-        let out = world.run_on(4, |ctx| {
-            let g = ctx.world_group(4);
-            let base = ctx.rank() as f32 * 100.0;
-            let t = Tensor::from_vec([10], (0..10).map(|i| base + i as f32).collect());
-            g.all_to_all(ctx, t, 0)
-        });
-        // rank 0 gets everyone's first (3-element) chunk
+        // each op is one zero-length span at its arrival clock on the
+        // device track and one on the group track
+        let span = |track: Track, kind: OpKind, at: f64| Span {
+            rank: 0,
+            track,
+            kind: SpanKind::Collective {
+                kind,
+                bytes: 0,
+                group: vec![0],
+            },
+            start: at,
+            end: at,
+        };
+        let group = || Track::Group(group_track_name(&[0]));
+        let t_barrier = 1e-3 + 2e-3;
         assert_eq!(
-            out[0].data(),
-            &[0., 1., 2., 100., 101., 102., 200., 201., 202., 300., 301., 302.]
+            world.trace(),
+            vec![
+                span(Track::Device(0), OpKind::AllReduce, 1e-3),
+                span(Track::Device(0), OpKind::Barrier, t_barrier),
+                span(group(), OpKind::AllReduce, 1e-3),
+                span(group(), OpKind::Barrier, t_barrier),
+            ]
         );
-        // rank 2 gets everyone's third (2-element) chunk
-        assert_eq!(out[2].data(), &[6., 7., 106., 107., 206., 207., 306., 307.]);
-        let stats = world.stats();
-        assert_eq!(stats.elements_of(OpKind::AllToAll), 30);
-        assert_eq!(stats.bytes, 30 * 4);
-    }
-
-    #[test]
-    fn uneven_scatter_counts_exact_elements() {
-        // n = 10, p = 4 from root 0: root keeps its 3-element chunk and
-        // wires out the remaining 7 elements
-        let world = World::new(system_i());
-        let out = world.run_on(4, |ctx| {
-            let g = ctx.world_group(4);
-            let t = if ctx.rank() == 0 {
-                Tensor::arange(10)
-            } else {
-                Tensor::zeros([0])
-            };
-            g.scatter(ctx, t, 0, 0)
-        });
-        assert_eq!(out[0].data(), &[0., 1., 2.]);
-        assert_eq!(out[1].data(), &[3., 4., 5.]);
-        assert_eq!(out[2].data(), &[6., 7.]);
-        assert_eq!(out[3].data(), &[8., 9.]);
-        let stats = world.stats();
-        assert_eq!(stats.elements_of(OpKind::Scatter), 7);
-        assert_eq!(stats.bytes, 7 * 4);
     }
 
     #[test]
@@ -1596,7 +1361,8 @@ mod tests {
             cost::select_allreduce_algo(&cluster, &group, bytes),
             AllReduceAlgo::Hierarchical
         );
-        let expected = cost::hierarchical_allreduce_time(&cluster, &group, bytes);
+        let expected =
+            cost::allreduce_time_with(AllReduceAlgo::Hierarchical, &cluster, &group, bytes);
         let flat = cost::allreduce_time(&cluster, &group, bytes);
         let world = World::new(cluster.clone());
         let clocks = world.run_on(16, |ctx| {
@@ -1636,8 +1402,9 @@ mod tests {
         assert!((flat[0].1 - flat_t).abs() < 1e-12);
         assert!(hier[0].1 < flat[0].1);
         assert_eq!(auto[0].1, hier[0].1, "auto must select hierarchical here");
-        let tree_t = cost::tree_allreduce_time(&cluster, &group, (n * 4) as u64);
-        let rhd_t = cost::rhd_allreduce_time(&cluster, &group, (n * 4) as u64);
+        let time = |algo| cost::allreduce_time_with(algo, &cluster, &group, (n * 4) as u64);
+        let tree_t = time(AllReduceAlgo::Tree);
+        let rhd_t = time(AllReduceAlgo::RecursiveHalvingDoubling);
         assert!((tree[0].1 - tree_t).abs() < 1e-12);
         assert!((rhd[0].1 - rhd_t).abs() < 1e-12);
         // bitwise-identical data under every schedule (canonical rank order)
@@ -1669,8 +1436,9 @@ mod tests {
         let (tree, tree_stats) = run(AllReduceAlgo::Tree);
         let (rhd, rhd_stats) = run(AllReduceAlgo::RecursiveHalvingDoubling);
         let bytes = (n * 4) as u64;
-        let tree_t = cost::tree_allreduce_time(&cluster, &group, bytes);
-        let rhd_t = cost::rhd_allreduce_time(&cluster, &group, bytes);
+        let time = |algo| cost::allreduce_time_with(algo, &cluster, &group, bytes);
+        let tree_t = time(AllReduceAlgo::Tree);
+        let rhd_t = time(AllReduceAlgo::RecursiveHalvingDoubling);
         assert!(
             (tree[0].1 - tree_t).abs() < 1e-12,
             "{} vs {tree_t}",
@@ -1910,19 +1678,25 @@ mod tests {
     }
 
     #[test]
+    fn ragged_all_gather_is_a_mismatch() {
+        // the op bills every rank at rank 0's size, so members must agree
+        let gather = Collective::from(Op::AllGather { dim: 0 });
+        for tasks in [false, true] {
+            let msg = panic_of(2, tasks, |rank| {
+                OneOp::new(2, gather, Tensor::zeros([rank + 1]))
+            });
+            let want = "collective mismatch on group [0,1]: \
+                        rank 0 all_gather(dim 0, f32)[1] vs rank 1 all_gather(dim 0, f32)[2]";
+            assert!(msg.contains(want), "tasks={tasks}: {msg}");
+        }
+    }
+
+    #[test]
     fn start_rejects_bad_roots_and_dims_naming_the_op() {
         let cases = [
             (
                 Collective::from(Op::Broadcast { root: 2 }),
                 "broadcast(root 2, f32): root out of range for a group of 2",
-            ),
-            (
-                Collective::from(Op::Scatter { dim: 0, root: 7 }).wire(Wire::F16),
-                "scatter(dim 0, root 7, f16): root out of range for a group of 2",
-            ),
-            (
-                Collective::from(Op::Gather { dim: 0, root: 2 }),
-                "gather(dim 0, root 2, f32): root out of range for a group of 2",
             ),
             (
                 Collective::from(Op::ReduceSum { root: 3 }).on(Stream::Comm),
@@ -1947,7 +1721,7 @@ mod tests {
         // stream: reachable from a heap task only through `start`
         let ops = [
             Collective::from(Op::ReduceScatter { dim: 0 }).wire(Wire::F16),
-            Collective::from(Op::AllToAll { dim: 0 }),
+            Collective::from(Op::ReduceSum { root: 2 }),
             Collective::from(Op::Broadcast { root: 1 }).on(Stream::Comm),
         ];
         for pool in [1, 2] {

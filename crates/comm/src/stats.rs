@@ -14,9 +14,6 @@ pub enum OpKind {
     AllGather,
     ReduceScatter,
     Broadcast,
-    Scatter,
-    Gather,
-    AllToAll,
     Reduce,
     SendRecv,
     Barrier,
@@ -29,9 +26,6 @@ impl OpKind {
             OpKind::AllGather => "all_gather",
             OpKind::ReduceScatter => "reduce_scatter",
             OpKind::Broadcast => "broadcast",
-            OpKind::Scatter => "scatter",
-            OpKind::Gather => "gather",
-            OpKind::AllToAll => "all_to_all",
             OpKind::Reduce => "reduce",
             OpKind::SendRecv => "send_recv",
             OpKind::Barrier => "barrier",
@@ -93,6 +87,6 @@ mod tests {
         assert_eq!(s.bytes, 640);
         assert_eq!(s.elements_of(OpKind::AllReduce), 150);
         assert_eq!(s.ops_of(OpKind::AllReduce), 2);
-        assert_eq!(s.elements_of(OpKind::AllToAll), 0);
+        assert_eq!(s.elements_of(OpKind::SendRecv), 0);
     }
 }

@@ -51,8 +51,6 @@ struct WakeCounters {
     p2p_msgs: AtomicU64,
     /// Times a receiver was resumed after parking on a mailbox key.
     p2p_wakes: AtomicU64,
-    /// Times a rank was resumed after parking on a group-rendezvous key.
-    group_wakes: AtomicU64,
 }
 
 /// Snapshot of the world's wakeup counters ([`World::wake_stats`]).
@@ -68,8 +66,6 @@ pub struct WakeStats {
     pub p2p_msgs: u64,
     /// Resumes observed by receivers parked on a mailbox key.
     pub p2p_wakes: u64,
-    /// Resumes observed by members parked on a group-rendezvous key.
-    pub group_wakes: u64,
 }
 
 impl WakeStats {
@@ -202,11 +198,6 @@ impl WorldInner {
             .map(|(rank, key)| format!("rank {rank} blocked on {key:?}"))
             .collect();
         lines.join("; ")
-    }
-
-    /// Count one observed resume from a group-rendezvous wake key.
-    pub(crate) fn count_group_wake(&self) {
-        self.wakes.group_wakes.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -389,14 +380,13 @@ impl World {
     }
 
     /// Snapshot of the wakeup-discipline counters: messages delivered and
-    /// resumes observed. `wakeups_per_msg()` ~1 proves keyed
+    /// receiver resumes observed. `wakeups_per_msg()` ~1 proves keyed
     /// per-`(from, to, tag)` wakeups; O(world) means the herd is back.
     /// Host-timing-dependent — never compared for parity.
     pub fn wake_stats(&self) -> WakeStats {
         WakeStats {
             p2p_msgs: self.inner.wakes.p2p_msgs.load(Ordering::Relaxed),
             p2p_wakes: self.inner.wakes.p2p_wakes.load(Ordering::Relaxed),
-            group_wakes: self.inner.wakes.group_wakes.load(Ordering::Relaxed),
         }
     }
 
@@ -404,7 +394,6 @@ impl World {
     pub fn reset_wake_stats(&self) {
         self.inner.wakes.p2p_msgs.store(0, Ordering::Relaxed);
         self.inner.wakes.p2p_wakes.store(0, Ordering::Relaxed);
-        self.inner.wakes.group_wakes.store(0, Ordering::Relaxed);
     }
 
     /// Snapshot of the OS-thread gauge: threads spawned by runs on this

@@ -7,7 +7,9 @@
 //!   table, limiting the number of sharded dimensions; Colossal-AI searches
 //!   conversion paths greedily. [`conversion_path`] runs a shortest-path
 //!   search over the spec graph using the collectives' modeled costs, so
-//!   any spec pair gets an optimal multi-step plan without a table.
+//!   any spec pair gets an optimal multi-step plan without a table. The
+//!   steps are an element-hop model, not executed: `ConvOp::AllToAll` in
+//!   particular has no `colossalai-comm` collective behind it.
 //! * **Checkpoint-aware strategy search** — activation checkpointing is
 //!   folded into the per-layer strategy choice ([`plan_strategies`]), so a
 //!   model can be simultaneously sharded *and* checkpointed to fit a memory
@@ -271,7 +273,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_to_shard_uses_all_to_all_not_gather_slice() {
+    fn shard_to_shard_is_one_alltoall_not_gather_slice() {
         // all-to-all moves (p-1)/p * N; gather+slice would move (p-1) * N
         let (ops, cost) = conversion_path(ShardSpec::Shard(0), ShardSpec::Shard(1), N, P);
         assert_eq!(ops, vec![ConvOp::AllToAll(0, 1)]);

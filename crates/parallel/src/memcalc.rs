@@ -134,24 +134,7 @@ pub fn max_batch(
     p: usize,
     capacity: u64,
 ) -> usize {
-    let mut lo = 0usize;
-    let mut hi = 1usize;
-    while bert_step_bytes(mode, cfg, hi, seq, p) <= capacity {
-        lo = hi;
-        hi *= 2;
-        if hi > 1 << 24 {
-            break;
-        }
-    }
-    while hi - lo > 1 {
-        let mid = (lo + hi) / 2;
-        if bert_step_bytes(mode, cfg, mid, seq, p) <= capacity {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
+    largest_fit(|batch| bert_step_bytes(mode, cfg, batch, seq, p) <= capacity)
 }
 
 /// Largest sequence length (at fixed `batch`) that fits — the Fig 12b
@@ -163,9 +146,15 @@ pub fn max_seq(
     p: usize,
     capacity: u64,
 ) -> usize {
-    let mut lo = 0usize;
-    let mut hi = 64usize;
-    while bert_step_bytes(mode, cfg, batch, hi, p) <= capacity {
+    largest_fit(|seq| bert_step_bytes(mode, cfg, batch, seq, p) <= capacity)
+}
+
+/// The largest `n` whose footprint fits, for a `fits` that holds from 1 up
+/// to some `n` and fails beyond it: double until the first miss (or past
+/// 2^24), then bisect between the last hit and it. 0 when even 1 misses.
+pub(crate) fn largest_fit(fits: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, 1);
+    while fits(hi) {
         lo = hi;
         hi *= 2;
         if hi > 1 << 24 {
@@ -174,7 +163,7 @@ pub fn max_seq(
     }
     while hi - lo > 1 {
         let mid = (lo + hi) / 2;
-        if bert_step_bytes(mode, cfg, batch, mid, p) <= capacity {
+        if fits(mid) {
             lo = mid;
         } else {
             hi = mid;

@@ -113,9 +113,6 @@ pub struct PipelineStage<M: Layer> {
     n_stages: usize,
     prev: Option<DeviceId>,
     next: Option<DeviceId>,
-    /// Seconds of modeled compute per micro-batch forward (backward is
-    /// charged at 2x). Zero disables compute charging.
-    pub micro_forward_seconds: f64,
     saved_inputs: HashMap<u64, Tensor>,
     saved_outputs: HashMap<u64, Tensor>,
     /// Peak number of in-flight micro-batches (the schedule's activation
@@ -138,7 +135,6 @@ impl<M: Layer> PipelineStage<M> {
             n_stages: devices.len(),
             prev: (stage > 0).then(|| devices[stage - 1]),
             next: (stage + 1 < devices.len()).then(|| devices[stage + 1]),
-            micro_forward_seconds: 0.0,
             saved_inputs: HashMap::new(),
             saved_outputs: HashMap::new(),
             peak_in_flight: 0,
@@ -166,25 +162,24 @@ impl<M: Layer> PipelineStage<M> {
             (Some(prev), None) => self.ctx.recv(prev, micro),
             _ => panic!("stage {} given wrong input source", self.stage),
         };
-        if self.micro_forward_seconds > 0.0 {
-            let start = self.ctx.clock();
-            self.ctx.advance(self.micro_forward_seconds);
-            if self.ctx.tracing() {
-                self.ctx.trace_span(
-                    SpanKind::Compute {
-                        label: format!("F{micro}"),
-                    },
-                    start,
-                );
-            }
-        }
+        let start = self.ctx.clock();
         let y = self.layers.forward(&x);
+        self.trace_compute('F', micro, start);
         self.saved_inputs.insert(micro, x);
         self.peak_in_flight = self.peak_in_flight.max(self.saved_inputs.len());
         if let Some(next) = self.next {
             self.ctx.send(next, micro, y);
         } else {
             self.saved_outputs.insert(micro, y);
+        }
+    }
+
+    /// Records the `F{micro}` / `B{micro}` compute span [`stage_events`]
+    /// reads, from `start` to the clock the stage's own layers left.
+    fn trace_compute(&self, pass: char, micro: u64, start: f64) {
+        if self.ctx.tracing() {
+            let label = format!("{pass}{micro}");
+            self.ctx.trace_span(SpanKind::Compute { label }, start);
         }
     }
 
@@ -202,22 +197,10 @@ impl<M: Layer> PipelineStage<M> {
             .remove(&micro)
             .expect("backward before forward for this micro-batch");
         // rematerialize (GPipe-style) then walk back
-        if self.micro_forward_seconds > 0.0 {
-            // recompute + backward: ~2x a forward, plus the rematerialized
-            // forward itself
-            let start = self.ctx.clock();
-            self.ctx.advance(3.0 * self.micro_forward_seconds);
-            if self.ctx.tracing() {
-                self.ctx.trace_span(
-                    SpanKind::Compute {
-                        label: format!("B{micro}"),
-                    },
-                    start,
-                );
-            }
-        }
+        let start = self.ctx.clock();
         let _ = self.layers.forward(&x);
         let dx = self.layers.backward(&dy);
+        self.trace_compute('B', micro, start);
         if let Some(prev) = self.prev {
             self.ctx.send(prev, GRAD_TAG_OFFSET + micro, dx);
         }
@@ -316,6 +299,7 @@ impl<M: Layer> Layer for PipelineStage<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TimedLayer;
     use colossalai_autograd::{Gelu, Linear, Sequential};
     use colossalai_comm::World;
     use colossalai_tensor::init;
@@ -470,8 +454,9 @@ mod tests {
 
     #[test]
     fn virtual_time_shows_pipeline_bubble() {
-        // charge 1 ms per micro forward; the last stage's clock should be
-        // close to ideal_time = (m + p - 1) * t_fwd + m * 3 t_fwd-ish
+        // charge 1 ms per stage forward and 2 ms per stage backward; the
+        // last stage's clock should be close to
+        // ideal_time = (m + p - 1) * t_fwd + m * 3 t_fwd-ish
         let p = 4;
         let m = 8;
         let t_fwd = 1e-3;
@@ -484,8 +469,9 @@ mod tests {
         let world = World::new(system_i());
         let clocks = world.run_on(p, |ctx| {
             let devices: Vec<usize> = (0..p).collect();
-            let mut stage = PipelineStage::new(ctx, &devices, stage_slice(seed, p, ctx.rank()));
-            stage.micro_forward_seconds = t_fwd;
+            let layers = stage_slice(seed, p, ctx.rank());
+            let timed = TimedLayer::new(ctx, layers, t_fwd, 2.0 * t_fwd);
+            let mut stage = PipelineStage::new(ctx, &devices, timed);
             let mut lf = |micro: u64, out: &Tensor| cross_entropy(out, &targets[micro as usize]);
             let _ = stage.run_step(
                 Schedule::GPipe,
@@ -528,8 +514,9 @@ mod tests {
         world.set_tracing(true);
         world.run_on(p, |ctx| {
             let devices: Vec<usize> = (0..p).collect();
-            let mut stage = PipelineStage::new(ctx, &devices, stage_slice(seed, p, ctx.rank()));
-            stage.micro_forward_seconds = t_fwd;
+            let layers = stage_slice(seed, p, ctx.rank());
+            let timed = TimedLayer::new(ctx, layers, t_fwd, 2.0 * t_fwd);
+            let mut stage = PipelineStage::new(ctx, &devices, timed);
             let mut lf = |micro: u64, out: &Tensor| cross_entropy(out, &targets[micro as usize]);
             let _ = stage.run_step(
                 Schedule::OneFOneB,

@@ -254,30 +254,14 @@ pub fn tp_step(
 /// Largest batch that fits for a TP mode: 1D duplicates layer boundaries,
 /// advanced modes shard all activations (see `memcalc`).
 pub fn tp_max_batch(mode: TpMode, cfg: &TransformerConfig, p: usize, capacity: u64) -> usize {
-    let fits = |b: usize| -> bool {
-        if b == 0 {
-            return true;
-        }
+    memcalc::largest_fit(|b| {
         let model = cfg.model_data_bytes() / p as u64;
         let act = match mode {
             TpMode::OneD => cfg.layers as u64 * memcalc::act_bytes_1d_tp(cfg, b, cfg.max_seq, p),
             _ => cfg.layers as u64 * cfg.activation_bytes_per_layer(b, cfg.max_seq) / p as u64,
         };
         model + act <= capacity
-    };
-    let mut b = 0usize;
-    let mut step = 1usize;
-    while fits(b + step) {
-        b += step;
-        step *= 2;
-    }
-    while step > 1 {
-        step /= 2;
-        if fits(b + step) {
-            b += step;
-        }
-    }
-    b
+    })
 }
 
 /// Best throughput over batch sizes for a mode (the paper's "trained with

@@ -496,25 +496,6 @@ impl Tensor {
             .collect()
     }
 
-    /// Splits dimension `dim` into `parts` chunks without requiring even
-    /// divisibility: the first `extent % parts` chunks carry one extra
-    /// element (torch `tensor_split` semantics).
-    pub fn chunk_ragged(&self, dim: usize, parts: usize) -> Vec<Tensor> {
-        assert!(parts > 0, "chunk into zero parts");
-        let extent = self.dims()[dim];
-        let base = extent / parts;
-        let extra = extent % parts;
-        let mut start = 0;
-        (0..parts)
-            .map(|p| {
-                let len = base + usize::from(p < extra);
-                let piece = self.narrow(dim, start, len);
-                start += len;
-                piece
-            })
-            .collect()
-    }
-
     /// Concatenates tensors along `dim`. All other extents must agree.
     pub fn cat(tensors: &[Tensor], dim: usize) -> Tensor {
         assert!(!tensors.is_empty(), "cat of empty list");

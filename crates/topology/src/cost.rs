@@ -58,22 +58,12 @@ pub fn broadcast_time(cluster: &Cluster, group: &[DeviceId], bytes: u64) -> f64 
     (p - 1) as f64 * link.latency + bytes as f64 / link.bandwidth
 }
 
-/// Seconds for an all-to-all where every rank sends `bytes_per_pair` to every
-/// other rank (pairwise-exchange model on the bottleneck link).
-pub fn alltoall_time(cluster: &Cluster, group: &[DeviceId], bytes_per_pair: u64) -> f64 {
-    let p = group.len();
-    if p <= 1 || bytes_per_pair == 0 {
-        return 0.0;
-    }
-    let link = cluster.ring_bottleneck(group);
-    (p - 1) as f64 * (link.latency + bytes_per_pair as f64 / link.bandwidth)
-}
-
 /// Which executable schedule realizes an all-reduce over a group.
 ///
 /// [`select_allreduce_algo`] picks per call by evaluating the alpha-beta
-/// model on the actual link graph; `colossalai-comm` consults it so the
-/// *executed* collective charges the same schedule the model predicts.
+/// model on the actual link graph; `colossalai-comm` runs the
+/// [`allreduce_schedule`] of the pick, so the *executed* collective charges
+/// the very phases the selector priced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AllReduceAlgo {
     /// One ring over the whole group (bottleneck = slowest ring link).
@@ -97,7 +87,7 @@ pub enum AllReduceAlgo {
 
 /// `ceil(log2 p)` — pairwise-exchange or tree rounds needed to span `p`
 /// ranks. Zero for the trivial group.
-pub fn ceil_log2(p: usize) -> u32 {
+fn ceil_log2(p: usize) -> u32 {
     if p <= 1 {
         0
     } else {
@@ -105,70 +95,9 @@ pub fn ceil_log2(p: usize) -> u32 {
     }
 }
 
-/// True when the recursive-halving-doubling schedule is well-formed for a
-/// group of `p` ranks: the pairwise exchange pattern needs a power of two.
-pub fn rhd_applicable(p: usize) -> bool {
-    p > 1 && p.is_power_of_two()
-}
-
-/// The two phase durations of the binomial-tree all-reduce: reduce to the
-/// root, broadcast back. Each phase is `ceil(log2 p)` rounds moving the
-/// full payload over the group's bottleneck link.
-pub fn tree_allreduce_phases(cluster: &Cluster, group: &[DeviceId], bytes: u64) -> (f64, f64) {
-    let p = group.len();
-    if p <= 1 || bytes == 0 {
-        return (0.0, 0.0);
-    }
-    let link = cluster.ring_bottleneck(group);
-    let t = ceil_log2(p) as f64 * (link.latency + bytes as f64 / link.bandwidth);
-    (t, t)
-}
-
-/// Seconds for a binomial-tree all-reduce (reduce + broadcast).
-pub fn tree_allreduce_time(cluster: &Cluster, group: &[DeviceId], bytes: u64) -> f64 {
-    let (t1, t2) = tree_allreduce_phases(cluster, group, bytes);
-    t1 + t2
-}
-
-/// The two phase durations of the recursive-halving-doubling all-reduce
-/// (halving reduce-scatter, doubling all-gather), or `None` when the group
-/// is not a power of two. Each phase runs `log2 p` rounds; round `s` moves
-/// `bytes / 2^s`, so the per-phase volume telescopes to
-/// `bytes (p-1)/p` — the ring's bandwidth optimum at log latency.
-pub fn rhd_allreduce_phases(
-    cluster: &Cluster,
-    group: &[DeviceId],
-    bytes: u64,
-) -> Option<(f64, f64)> {
-    let p = group.len();
-    if !rhd_applicable(p) {
-        return None;
-    }
-    if bytes == 0 {
-        return Some((0.0, 0.0));
-    }
-    let link = cluster.ring_bottleneck(group);
-    let steps = ceil_log2(p) as f64;
-    let t = steps * link.latency + bytes as f64 * (p as f64 - 1.0) / p as f64 / link.bandwidth;
-    Some((t, t))
-}
-
-/// Seconds for a recursive-halving-doubling all-reduce; non-power-of-two
-/// groups degrade to the flat ring (like the hierarchical fallback).
-pub fn rhd_allreduce_time(cluster: &Cluster, group: &[DeviceId], bytes: u64) -> f64 {
-    let p = group.len();
-    if p <= 1 || bytes == 0 {
-        return 0.0;
-    }
-    match rhd_allreduce_phases(cluster, group, bytes) {
-        Some((t1, t2)) => t1 + t2,
-        None => allreduce_time(cluster, group, bytes),
-    }
-}
-
 /// Partitions `group` into node-local subgroups, nodes in first-seen order
 /// and devices in group-rank order within each node.
-pub fn node_partition(cluster: &Cluster, group: &[DeviceId]) -> Vec<Vec<DeviceId>> {
+fn node_partition(cluster: &Cluster, group: &[DeviceId]) -> Vec<Vec<DeviceId>> {
     let mut nodes: Vec<Vec<DeviceId>> = Vec::new();
     for &d in group {
         match nodes
@@ -182,39 +111,14 @@ pub fn node_partition(cluster: &Cluster, group: &[DeviceId]) -> Vec<Vec<DeviceId
     nodes
 }
 
-/// True when the two-level schedule is well-formed for `group`: at least two
-/// nodes, every node contributing the same number of devices. Ragged layouts
-/// (and single nodes) fall back to the flat ring.
-pub fn hierarchical_applicable(cluster: &Cluster, group: &[DeviceId]) -> bool {
+/// The node partition of `group` when the two-level schedule is well-formed
+/// for it: at least two nodes, every node contributing the same number (at
+/// least two) of devices. `None` for ragged layouts and single nodes, which
+/// run the flat ring.
+fn hierarchical_nodes(cluster: &Cluster, group: &[DeviceId]) -> Option<Vec<Vec<DeviceId>>> {
     let nodes = node_partition(cluster, group);
-    nodes.len() > 1 && nodes.iter().all(|n| n.len() == nodes[0].len()) && nodes[0].len() > 1
-}
-
-/// The three phase durations of the hierarchical all-reduce, or `None` when
-/// the schedule does not apply (single node / ragged layout): intra-node
-/// reduce-scatter (slowest node gates), leader ring all-reduce over the slow
-/// link, intra-node all-gather.
-pub fn hierarchical_allreduce_phases(
-    cluster: &Cluster,
-    group: &[DeviceId],
-    bytes: u64,
-) -> Option<(f64, f64, f64)> {
-    if !hierarchical_applicable(cluster, group) {
-        return None;
-    }
-    let nodes = node_partition(cluster, group);
-    let local = nodes[0].len();
-    let leaders: Vec<DeviceId> = nodes.iter().map(|n| n[0]).collect();
-    let t1 = nodes
-        .iter()
-        .map(|n| reduce_scatter_time(cluster, n, bytes))
-        .fold(0.0, f64::max);
-    let t2 = allreduce_time(cluster, &leaders, bytes / local as u64);
-    let t3 = nodes
-        .iter()
-        .map(|n| allgather_time(cluster, n, bytes / local as u64))
-        .fold(0.0, f64::max);
-    Some((t1, t2, t3))
+    let even = nodes.len() > 1 && nodes.iter().all(|n| n.len() == nodes[0].len());
+    (even && nodes[0].len() > 1).then_some(nodes)
 }
 
 /// Element hops the hierarchical schedule moves for an `n`-element
@@ -227,47 +131,117 @@ pub fn hierarchical_allreduce_elements(
     group: &[DeviceId],
     n: u64,
 ) -> Option<u64> {
-    if !hierarchical_applicable(cluster, group) {
-        return None;
-    }
-    let nodes = node_partition(cluster, group);
+    let nodes = hierarchical_nodes(cluster, group)?;
     let m = nodes.len() as u64;
     let l = nodes[0].len() as u64;
     Some(2 * m * (l - 1) * n + 2 * (m - 1) * (n / l))
 }
 
-/// Seconds for a *hierarchical* all-reduce: ring reduce-scatter inside each
-/// node, ring all-reduce of the shards across node leaders, ring all-gather
-/// inside each node — the standard two-level NCCL strategy that keeps the
-/// bulk of the traffic on intra-node links.
-///
-/// `group` must contain whole groups of co-located devices; singleton nodes
-/// degrade gracefully to the flat ring.
-pub fn hierarchical_allreduce_time(cluster: &Cluster, group: &[DeviceId], bytes: u64) -> f64 {
-    let p = group.len();
-    if p <= 1 || bytes == 0 {
-        return 0.0;
+/// The all-reduce schedule that runs: the algorithm after the fallback to
+/// the flat ring, and its phase durations in execution order. A fixed-size
+/// value, so the per-call selector allocates nothing for it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct AllReduceSchedule {
+    /// The algorithm that runs (never an inapplicable one).
+    pub algo: AllReduceAlgo,
+    phases: [f64; 3],
+    len: usize,
+}
+
+impl AllReduceSchedule {
+    fn new(algo: AllReduceAlgo, phases: &[f64]) -> AllReduceSchedule {
+        let mut all = [0.0; 3];
+        all[..phases.len()].copy_from_slice(phases);
+        AllReduceSchedule {
+            algo,
+            phases: all,
+            len: phases.len(),
+        }
     }
-    match hierarchical_allreduce_phases(cluster, group, bytes) {
-        Some((t1, t2, t3)) => t1 + t2 + t3,
-        // single node or ragged layout: flat ring
-        None => allreduce_time(cluster, group, bytes),
+
+    /// Phase durations in execution order: one for the flat ring, three for
+    /// the hierarchical schedule, two for the tree and halving-doubling.
+    pub fn phases(&self) -> &[f64] {
+        &self.phases[..self.len]
+    }
+
+    /// Seconds the whole schedule takes: its phases, summed in order.
+    pub fn time(&self) -> f64 {
+        self.phases().iter().sum()
     }
 }
 
-/// Seconds for an all-reduce under an explicit algorithm choice.
+/// The schedule an all-reduce of `bytes` over `group` runs when `algo` is
+/// asked for. Inapplicable requests (hierarchical on a single node or a
+/// ragged layout, halving-doubling on a non-power-of-two group) and trivial
+/// calls (one rank, no bytes) run the flat ring. The phases:
+///
+/// * flat ring — [`allreduce_time`];
+/// * hierarchical (NCCL's two-level strategy, which keeps the bulk of the
+///   traffic on intra-node links) — ring reduce-scatter inside each node
+///   (the slowest node gates), ring all-reduce of the shards across node
+///   leaders over the slow link, ring all-gather inside each node;
+/// * tree — reduce to a root, broadcast back: each `ceil(log2 p)` rounds of
+///   the full payload over the group's bottleneck link;
+/// * recursive halving-doubling — halving reduce-scatter, doubling
+///   all-gather: each `log2 p` rounds, round `s` moving `bytes / 2^s`, so a
+///   phase's volume telescopes to `bytes (p-1)/p` — the ring's bandwidth
+///   optimum at log latency.
+pub fn allreduce_schedule(
+    algo: AllReduceAlgo,
+    cluster: &Cluster,
+    group: &[DeviceId],
+    bytes: u64,
+) -> AllReduceSchedule {
+    let p = group.len();
+    if p > 1 && bytes > 0 {
+        match algo {
+            AllReduceAlgo::Hierarchical => {
+                if let Some(nodes) = hierarchical_nodes(cluster, group) {
+                    let shard = bytes / nodes[0].len() as u64;
+                    let leaders: Vec<DeviceId> = nodes.iter().map(|n| n[0]).collect();
+                    let t1 = nodes
+                        .iter()
+                        .map(|n| reduce_scatter_time(cluster, n, bytes))
+                        .fold(0.0, f64::max);
+                    let t2 = allreduce_time(cluster, &leaders, shard);
+                    let t3 = nodes
+                        .iter()
+                        .map(|n| allgather_time(cluster, n, shard))
+                        .fold(0.0, f64::max);
+                    return AllReduceSchedule::new(algo, &[t1, t2, t3]);
+                }
+            }
+            AllReduceAlgo::Tree => {
+                let link = cluster.ring_bottleneck(group);
+                let t = ceil_log2(p) as f64 * (link.latency + bytes as f64 / link.bandwidth);
+                return AllReduceSchedule::new(algo, &[t, t]);
+            }
+            AllReduceAlgo::RecursiveHalvingDoubling => {
+                if p.is_power_of_two() {
+                    let link = cluster.ring_bottleneck(group);
+                    let steps = ceil_log2(p) as f64;
+                    let t = steps * link.latency
+                        + bytes as f64 * (p as f64 - 1.0) / p as f64 / link.bandwidth;
+                    return AllReduceSchedule::new(algo, &[t, t]);
+                }
+            }
+            AllReduceAlgo::FlatRing => {}
+        }
+    }
+    let flat = allreduce_time(cluster, group, bytes);
+    AllReduceSchedule::new(AllReduceAlgo::FlatRing, &[flat])
+}
+
+/// Seconds for an all-reduce under an explicit algorithm choice: the
+/// [`allreduce_schedule`] that runs for it.
 pub fn allreduce_time_with(
     algo: AllReduceAlgo,
     cluster: &Cluster,
     group: &[DeviceId],
     bytes: u64,
 ) -> f64 {
-    match algo {
-        AllReduceAlgo::FlatRing => allreduce_time(cluster, group, bytes),
-        AllReduceAlgo::Hierarchical => hierarchical_allreduce_time(cluster, group, bytes),
-        AllReduceAlgo::Tree => tree_allreduce_time(cluster, group, bytes),
-        AllReduceAlgo::RecursiveHalvingDoubling => rhd_allreduce_time(cluster, group, bytes),
-    }
+    allreduce_schedule(algo, cluster, group, bytes).time()
 }
 
 /// Picks the cheapest all-reduce schedule for this call by evaluating every
@@ -276,24 +250,22 @@ pub fn allreduce_time_with(
 /// log-latency schedule on non-power-of-two groups), large power-of-two
 /// groups to recursive halving-doubling (log latency at ring bandwidth),
 /// multi-node groups with a slow inter-node link to the hierarchical
-/// schedule. Inapplicable schedules price as the flat ring, and an
-/// equal-time challenger never displaces the incumbent — so ties (including
-/// every trivial group) keep the flat ring.
+/// schedule. Inapplicable schedules run as the flat ring, and an equal-time
+/// challenger never displaces the incumbent — so ties (including every
+/// trivial group) keep the flat ring.
 pub fn select_allreduce_algo(cluster: &Cluster, group: &[DeviceId], bytes: u64) -> AllReduceAlgo {
-    let mut best = AllReduceAlgo::FlatRing;
-    let mut best_t = allreduce_time(cluster, group, bytes);
+    let mut best = allreduce_schedule(AllReduceAlgo::FlatRing, cluster, group, bytes);
     for algo in [
         AllReduceAlgo::Tree,
         AllReduceAlgo::RecursiveHalvingDoubling,
         AllReduceAlgo::Hierarchical,
     ] {
-        let t = allreduce_time_with(algo, cluster, group, bytes);
-        if t < best_t {
-            best = algo;
-            best_t = t;
+        let challenger = allreduce_schedule(algo, cluster, group, bytes);
+        if challenger.time() < best.time() {
+            best = challenger;
         }
     }
-    best
+    best.algo
 }
 
 /// The "algorithm bandwidth" a bandwidth probe would report for a collective
@@ -394,7 +366,7 @@ mod tests {
         let group: Vec<usize> = (0..16).collect();
         let bytes = 256 << 20;
         let flat = allreduce_time(&c, &group, bytes);
-        let hier = hierarchical_allreduce_time(&c, &group, bytes);
+        let hier = allreduce_time_with(AllReduceAlgo::Hierarchical, &c, &group, bytes);
         assert!(
             hier < flat,
             "hierarchical {hier} should beat flat ring {flat} when the ring crosses IB"
@@ -407,7 +379,7 @@ mod tests {
         let group: Vec<usize> = (0..8).collect();
         let bytes = 64 << 20;
         assert_eq!(
-            hierarchical_allreduce_time(&c, &group, bytes),
+            allreduce_time_with(AllReduceAlgo::Hierarchical, &c, &group, bytes),
             allreduce_time(&c, &group, bytes)
         );
     }
@@ -460,11 +432,16 @@ mod tests {
         let group: Vec<usize> = (0..6).collect();
         let bytes: u64 = 8 << 20;
         let link = Link::nvlink();
-        let (t1, t2) = tree_allreduce_phases(&c, &group, bytes);
+        let tree = allreduce_schedule(AllReduceAlgo::Tree, &c, &group, bytes);
+        assert_eq!(tree.algo, AllReduceAlgo::Tree);
+        let &[t1, t2] = tree.phases() else {
+            panic!("two phases: {tree:?}")
+        };
         let expect = 3.0 * (link.latency + bytes as f64 / link.bandwidth);
         assert!((t1 - expect).abs() < 1e-15);
         assert_eq!(t1, t2);
-        assert!((tree_allreduce_time(&c, &group, bytes) - 2.0 * expect).abs() < 1e-15);
+        let time = allreduce_time_with(AllReduceAlgo::Tree, &c, &group, bytes);
+        assert!((time - 2.0 * expect).abs() < 1e-15);
     }
 
     #[test]
@@ -473,19 +450,17 @@ mod tests {
         let group: Vec<usize> = (0..8).collect();
         let bytes: u64 = 64 << 20;
         let link = Link::nvlink();
-        let rhd = rhd_allreduce_time(&c, &group, bytes);
+        let rhd = allreduce_time_with(AllReduceAlgo::RecursiveHalvingDoubling, &c, &group, bytes);
         let expect = 2.0 * (3.0 * link.latency + bytes as f64 * (7.0 / 8.0) / link.bandwidth);
         assert!((rhd - expect).abs() < 1e-12, "{rhd} vs {expect}");
         // same bandwidth term as the ring, fewer latency terms: RHD must be
         // strictly cheaper on a power-of-two group at any size
         assert!(rhd < allreduce_time(&c, &group, bytes));
-        // non-power-of-two: inapplicable, prices as the flat ring
+        // non-power-of-two: inapplicable, runs and prices as the flat ring
         let group6: Vec<usize> = (0..6).collect();
-        assert!(rhd_allreduce_phases(&c, &group6, bytes).is_none());
-        assert_eq!(
-            rhd_allreduce_time(&c, &group6, bytes),
-            allreduce_time(&c, &group6, bytes)
-        );
+        let rhd6 = allreduce_schedule(AllReduceAlgo::RecursiveHalvingDoubling, &c, &group6, bytes);
+        assert_eq!(rhd6.algo, AllReduceAlgo::FlatRing);
+        assert_eq!(rhd6.time(), allreduce_time(&c, &group6, bytes));
     }
 
     #[test]
@@ -554,14 +529,14 @@ mod tests {
         multi.full_mesh_intra_node(Link::nvlink());
         // 3 devices from node 0, 2 from node 1
         let ragged = [0usize, 1, 2, 4, 5];
-        assert!(!hierarchical_applicable(&multi, &ragged));
+        assert!(hierarchical_nodes(&multi, &ragged).is_none());
         assert_eq!(
-            hierarchical_allreduce_time(&multi, &ragged, 8 << 20),
+            allreduce_time_with(AllReduceAlgo::Hierarchical, &multi, &ragged, 8 << 20),
             allreduce_time(&multi, &ragged, 8 << 20)
         );
         // 1 GPU per node: no intra-node phase possible
         let leaders = [0usize, 4];
-        assert!(!hierarchical_applicable(&multi, &leaders));
+        assert!(hierarchical_nodes(&multi, &leaders).is_none());
     }
 
     #[test]
@@ -591,9 +566,13 @@ mod tests {
         multi.full_mesh_intra_node(Link::nvlink());
         let group: Vec<usize> = (0..16).collect();
         let bytes = 32 << 20;
-        let (t1, t2, t3) = hierarchical_allreduce_phases(&multi, &group, bytes).unwrap();
+        let hier = allreduce_schedule(AllReduceAlgo::Hierarchical, &multi, &group, bytes);
+        let &[t1, t2, t3] = hier.phases() else {
+            panic!("three phases: {hier:?}")
+        };
         assert!(t1 > 0.0 && t2 > 0.0 && t3 > 0.0);
-        assert!((t1 + t2 + t3 - hierarchical_allreduce_time(&multi, &group, bytes)).abs() < 1e-15);
+        let time = allreduce_time_with(AllReduceAlgo::Hierarchical, &multi, &group, bytes);
+        assert!((t1 + t2 + t3 - time).abs() < 1e-15);
         // the leader ring over IB dominates both intra-node phases
         assert!(t2 > t1 && t2 > t3);
     }

@@ -262,6 +262,129 @@ fn every_public_function_has_a_caller() {
     );
 }
 
+/// Whether `line` spells `Op::<variant>` as a path of its own (not
+/// `ConvOp::<variant>`, not a longer variant name).
+fn names_op(line: &str, variant: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let path = format!("Op::{variant}");
+    line.match_indices(&path).any(|(at, _)| {
+        let before = line[..at].chars().next_back();
+        let after = line[at + path.len()..].chars().next();
+        !before.is_some_and(is_ident) && !after.is_some_and(is_ident)
+    })
+}
+
+/// Every collective `Op` can name is one the models, the engine, a bench or
+/// a benchmark workload issues: each variant is spelled `Op::<variant>`, or
+/// its `Group` wrapper is called, on a code line of a non-test file outside
+/// `group.rs` — a library file up to its unit-test module, a bench, an
+/// example or `benchmark/src`. A wrapper whose name some other library
+/// function also has (`FlatLayout`'s `scatter`) cannot be told apart by a
+/// word scan, so only the `Op::` spelling counts for it.
+#[test]
+fn every_collective_has_a_caller() {
+    // synchronization only: the failure-injection and backend-parity suites
+    // park ranks in it to prove the abort paths, and no step needs one
+    const TEST_ONLY: [&str; 1] = ["Barrier"];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let ident = |s: &str| -> String { s.chars().take_while(|&c| is_ident(c)).collect() };
+    let group_text = std::fs::read_to_string(root.join("crates/comm/src/group.rs")).unwrap();
+    let group = before_unit_tests(&group_text);
+
+    let enum_body = group.split("pub enum Op {").nth(1).unwrap();
+    let enum_body = enum_body.split("\n}").next().unwrap();
+    let variants: Vec<String> = code_lines(enum_body)
+        .into_iter()
+        .map(str::trim_start)
+        .filter(|line| line.starts_with(|c: char| c.is_ascii_uppercase()))
+        .map(ident)
+        .collect();
+    assert!(
+        variants.iter().any(|v| v == "AllReduce"),
+        "parsed {variants:?}"
+    );
+
+    // (variant, wrapper): each `pub fn` whose body hands `Op::<variant>` to
+    // `self.collective` or `self.start`
+    let mut wrappers = Vec::new();
+    let mut current = String::new();
+    for line in code_lines(group) {
+        let line = line.trim_start();
+        if let Some(rest) = line.strip_prefix("pub fn ") {
+            current = ident(rest);
+        }
+        if line.contains("self.collective(") || line.contains("self.start(") {
+            for v in variants.iter().filter(|v| names_op(line, v)) {
+                wrappers.push((v.clone(), current.clone()));
+            }
+        }
+    }
+    assert!(
+        wrappers.iter().any(|(_, w)| w == "all_gather_cat"),
+        "parsed {wrappers:?}"
+    );
+
+    let mut files = Vec::new();
+    for dir in ["src", "examples", "benchmark/src"] {
+        rust_sources(&root.join(dir), &mut files);
+    }
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        let krate = krate.unwrap().path();
+        for dir in ["src", "benches"] {
+            if krate.join(dir).is_dir() {
+                rust_sources(&krate.join(dir), &mut files);
+            }
+        }
+    }
+    let texts: Vec<(String, String)> = files
+        .into_iter()
+        .filter(|file| !file.ends_with("crates/comm/src/group.rs"))
+        .map(|file| {
+            let rel = file.strip_prefix(root).unwrap().to_string_lossy();
+            let text = std::fs::read_to_string(&file).unwrap();
+            let is_library = rel.starts_with("src/") || rel.contains("/src/");
+            let text = if is_library && !rel.starts_with("benchmark/") {
+                before_unit_tests(&text).to_owned()
+            } else {
+                text
+            };
+            (rel.into_owned(), text)
+        })
+        .collect();
+    let defined_elsewhere = |name: &str| {
+        let def = format!("fn {name}(");
+        texts.iter().any(|(rel, text)| {
+            !rel.starts_with("benchmark/") && code_lines(text).iter().any(|l| l.contains(&def))
+        })
+    };
+    let lines: Vec<&str> = texts
+        .iter()
+        .flat_map(|(_, text)| code_lines(text))
+        .collect();
+
+    let mut uncalled = Vec::new();
+    for v in variants.iter().filter(|v| !TEST_ONLY.contains(&v.as_str())) {
+        let calls: Vec<String> = wrappers
+            .iter()
+            .filter(|(of, w)| of == v && !defined_elsewhere(w))
+            .map(|(_, w)| format!(".{w}("))
+            .collect();
+        let issued = lines
+            .iter()
+            .any(|line| names_op(line, v) || calls.iter().any(|c| line.contains(c.as_str())));
+        if !issued {
+            uncalled.push(format!("Op::{v}"));
+        }
+    }
+    assert!(
+        uncalled.is_empty(),
+        "collectives no model, engine, bench or benchmark workload issues \
+         (delete them with their tests): {}",
+        uncalled.join(", ")
+    );
+}
+
 /// Lines naming `unsafe`, per file: the list a Miri leg has to cover
 /// (ROADMAP item 4). A new site changes this table in the same PR.
 #[test]

@@ -60,31 +60,6 @@ fn reduce_scatter_then_gather_equals_all_reduce() {
 }
 
 #[test]
-fn scatter_gather_roundtrip() {
-    for case in 0..12 {
-        let mut draw = init::rng(case);
-        let chunks = draw.gen_range(1usize..4);
-        let seed = draw.gen_range(0u64..1000);
-        let p = 4;
-        let n = chunks * p;
-        let mut rng = init::rng(seed);
-        let payload = init::uniform([n], -1.0, 1.0, &mut rng);
-        let world = World::new(system_i());
-        let out = world.run_on(p, |ctx| {
-            let g = ctx.world_group(p);
-            let input = if g.rank() == 0 {
-                payload.clone()
-            } else {
-                Tensor::zeros([0])
-            };
-            let mine = g.scatter(ctx, input, 0, 0);
-            g.gather_cat(ctx, mine, 0, 0)
-        });
-        assert_eq!(out[0].data(), payload.data());
-    }
-}
-
-#[test]
 fn linear2d_equals_serial_random_shapes() {
     for case in 0..12 {
         let mut draw = init::rng(case);
