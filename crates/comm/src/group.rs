@@ -239,25 +239,15 @@ fn finish_spec(desc: Collective, ctx: &DeviceCtx, members: &[DeviceId], inputs: 
             // max is associative+commutative, so the hierarchical schedule
             // applies to it exactly as to sum
             let bytes = n * wire.bytes();
-            let algo = ctx
-                .forced_allreduce_algo()
-                .unwrap_or_else(|| cost::select_allreduce_algo(cluster, members, bytes));
-            let schedule = cost::allreduce_schedule(algo, cluster, members, bytes);
-            // every schedule sends each contribution to every other rank
-            // once each way, as the flat ring does; only the hierarchical
-            // one keeps bulk hops off the bottleneck link
-            let elements = match schedule.algo {
-                AllReduceAlgo::Hierarchical => {
-                    cost::hierarchical_allreduce_elements(cluster, members, n)
-                        .expect("a hierarchical schedule ran, so it applies")
-                }
-                _ => 2 * (p as u64 - 1) * n,
+            let schedule = match ctx.forced_allreduce_algo() {
+                Some(algo) => cost::allreduce_schedule(algo, cluster, members, bytes),
+                None => cost::select_allreduce_schedule(cluster, members, bytes),
             };
             Done {
                 outputs: vec![acc; p],
                 cost: schedule.time(),
                 kind: OpKind::AllReduce,
-                elements,
+                elements: schedule.elements(n),
                 schedule: Some(schedule),
             }
         }

@@ -9,9 +9,10 @@
 //! communication-intensive axis on the fastest links.
 
 use crate::config::Config;
+use colossalai_parallel::mesh::{axis_group, position};
 use colossalai_topology::DeviceId;
 
-/// Which axis a group lives on.
+/// Which axis a group lives on (its index in the `[dp, pp, tp]` grid).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ParallelAxis {
     Data,
@@ -25,12 +26,10 @@ pub enum ParallelAxis {
 pub struct ParallelContext {
     rank: DeviceId,
     world: usize,
-    dp_degree: usize,
-    pp_degree: usize,
-    tp_degree: usize,
-    dp_rank: usize,
-    pp_rank: usize,
-    tp_rank: usize,
+    /// `[dp, pp, tp]` degrees, indexed by [`ParallelAxis`].
+    grid: [usize; 3],
+    /// This device's rank along each axis.
+    at: [usize; 3],
 }
 
 impl ParallelContext {
@@ -56,18 +55,12 @@ impl ParallelContext {
             _ => world / per_replica,
         };
         assert!(rank < world, "rank {rank} out of world {world}");
-        let tp_rank = rank % tp;
-        let pp_rank = (rank / tp) % pp;
-        let dp_rank = rank / (tp * pp);
+        let grid = [dp, pp, tp];
         ParallelContext {
             rank,
             world,
-            dp_degree: dp,
-            pp_degree: pp,
-            tp_degree: tp,
-            dp_rank,
-            pp_rank,
-            tp_rank,
+            grid,
+            at: position(grid, rank),
         }
     }
 
@@ -83,39 +76,19 @@ impl ParallelContext {
 
     /// Degree of an axis.
     pub fn degree(&self, axis: ParallelAxis) -> usize {
-        match axis {
-            ParallelAxis::Data => self.dp_degree,
-            ParallelAxis::Pipeline => self.pp_degree,
-            ParallelAxis::Tensor => self.tp_degree,
-        }
+        self.grid[axis as usize]
     }
 
     /// This device's rank along an axis.
     pub fn axis_rank(&self, axis: ParallelAxis) -> usize {
-        match axis {
-            ParallelAxis::Data => self.dp_rank,
-            ParallelAxis::Pipeline => self.pp_rank,
-            ParallelAxis::Tensor => self.tp_rank,
-        }
+        self.at[axis as usize]
     }
 
     /// Global device ids of this device's group along an axis, in axis-rank
     /// order (the list every member passes to `DeviceCtx::group`).
     pub fn group_members(&self, axis: ParallelAxis) -> Vec<DeviceId> {
-        let tp = self.tp_degree;
-        let pp = self.pp_degree;
-        match axis {
-            ParallelAxis::Tensor => {
-                let base = self.rank - self.tp_rank;
-                (0..tp).map(|t| base + t).collect()
-            }
-            ParallelAxis::Pipeline => (0..pp)
-                .map(|s| (self.dp_rank * pp + s) * tp + self.tp_rank)
-                .collect(),
-            ParallelAxis::Data => (0..self.dp_degree)
-                .map(|d| (d * pp + self.pp_rank) * tp + self.tp_rank)
-                .collect(),
-        }
+        let devices: Vec<DeviceId> = (0..self.world).collect();
+        axis_group(&devices, self.grid, self.at, &[axis as usize])
     }
 }
 

@@ -15,7 +15,7 @@ use crate::context::{ParallelAxis, ParallelContext};
 use colossalai_autograd::Layer;
 use colossalai_comm::DeviceCtx;
 use colossalai_models::{Bert, Gpt, Serial, TensorParallel, TransformerConfig, VisionTransformer};
-use colossalai_parallel::volume::{int_cbrt, int_sqrt};
+use colossalai_parallel::mesh::MeshLayout;
 use colossalai_parallel::{MeshParallel, SequenceParallel, TensorParallel1d, TpMode};
 use colossalai_tensor::init;
 
@@ -41,11 +41,7 @@ pub fn tensor_parallel(ctx: &DeviceCtx, config: &Config, world: usize) -> Box<dy
     match config.tp_mode() {
         None => Box::new(SequenceParallel::new(ctx, &ctx.group(&members))),
         Some(TpMode::OneD) => Box::new(TensorParallel1d::new(ctx, &ctx.group(&members))),
-        Some(TpMode::TwoD) => Box::new(MeshParallel::two_d(ctx, &members)),
-        Some(TpMode::TwoPointFiveD { depth }) => {
-            Box::new(MeshParallel::two_point_five_d(ctx, &members, depth))
-        }
-        Some(TpMode::ThreeD) => Box::new(MeshParallel::three_d(ctx, &members)),
+        Some(mode) => Box::new(MeshParallel::new(ctx, mode, &members)),
     }
 }
 
@@ -99,17 +95,15 @@ fn check_dims(
             ZooModel::Vit { .. } => (mode.label(), p, 1, 1, 1, 1),
             _ => (mode.label(), p, p, 1, 1, 1),
         },
-        Some(mode @ TpMode::TwoD) => {
-            let j = int_sqrt(p).expect("validated square");
-            (mode.label(), j, j, j, j, 1)
-        }
-        Some(mode @ TpMode::TwoPointFiveD { depth }) => {
-            let j = int_sqrt(p / depth).expect("validated depth x square");
-            (mode.label(), j, j, j, depth * j, 1)
-        }
-        Some(mode @ TpMode::ThreeD) => {
-            let l = int_cbrt(p).expect("validated cubic");
-            (mode.label(), l, l, l * l, l * l, 1)
+        // the mesh modes cut the heads and the logits along the branch's
+        // hidden axis, the weight rows along the weight's row axes and the
+        // batch along the stream's row axes
+        Some(mode) => {
+            let mesh = MeshLayout::over(mode, mode.grid(p).expect("validated mesh"));
+            let parts = |axes: &[usize]| axes.iter().map(|&a| mesh.grid[a]).product::<usize>();
+            let branch = parts(&[mesh.branch.cols]);
+            let (rows, batch) = (parts(mesh.weight.rows), parts(mesh.stream.rows));
+            (mode.label(), branch, branch, rows, batch, 1)
         }
     };
     let mut cuts = vec![

@@ -9,7 +9,7 @@
 //! * per-layer Transformer activation bytes for the 1D-TP vs sequence-
 //!   parallel comparison of Fig 12.
 
-use crate::volume::{int_cbrt, TpMode};
+use crate::volume::TpMode;
 use colossalai_models::TransformerConfig;
 
 /// Bytes per f32 element.
@@ -36,22 +36,12 @@ pub fn fig8_peak_bytes(mode: TpMode, rows: u64, h: u64, p: u64) -> u64 {
             // X and Y full, H sharded
             rows * h + rows * h / p + rows * h
         }
-        TpMode::TwoD => {
-            let tiles = 3 * rows * h / p;
-            let panels = rows * h / p + h * h / p;
-            tiles + panels
-        }
-        TpMode::TwoPointFiveD { depth } => {
-            let d = depth as u64;
-            let tiles = 3 * rows * h / p;
-            let panels = rows * h / p + h * h * d / p;
-            tiles + panels
-        }
-        TpMode::ThreeD => {
-            let l = int_cbrt(p as usize).expect("3D needs a cube") as u64;
-            let tiles = 3 * rows * h / p;
-            let panels = rows * h * l / p + h * h * l / p;
-            tiles + panels
+        _ => {
+            // the grid's first extent: 1 (2D), d (2.5D) or l (3D)
+            let [n, ..] = mode.grid(p as usize).expect("the mode admits p");
+            let n = n as u64;
+            let x_panel = if mode == TpMode::ThreeD { n } else { 1 };
+            3 * rows * h / p + rows * h * x_panel / p + h * h * n / p
         }
     };
     (weights_and_grads + act) * F32
@@ -272,12 +262,5 @@ mod tests {
         assert!(b > 0);
         assert!(bert_step_bytes(SeqMode::SequenceParallel, &cfg, b, 512, 4) <= capacity);
         assert!(bert_step_bytes(SeqMode::SequenceParallel, &cfg, b + 1, 512, 4) > capacity);
-    }
-
-    #[test]
-    fn int_cbrt_helper_reexport_consistency() {
-        // guards against the memcalc <-> volume helpers drifting apart
-        assert_eq!(crate::volume::int_sqrt(49), Some(7));
-        assert_eq!(int_cbrt(8), Some(2));
     }
 }

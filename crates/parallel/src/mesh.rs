@@ -1,24 +1,27 @@
 //! 2D, 2.5D and 3D tensor parallelism as one [`TensorParallel`] mode.
 //!
-//! All three shard every activation twice — the batch rows over some of the
-//! mesh axes, the hidden axis over another — and differ only in which
-//! distributed linear does the matmul and which process groups play which
-//! role. A `Sharding` names those groups for one layout; the rest of the
-//! mode (LayerNorm, embeddings, heads, loss, scatter and gather) is written
-//! against it once.
+//! All three put the devices on a three-axis grid and shard every
+//! activation twice — the batch rows over some grid axes, the hidden axis
+//! over another — and differ only in the grid, in which axes cut what, and
+//! in which distributed linear does the matmul. [`MeshLayout`] is that
+//! table as a value; the grids, the tiles, the shardings below,
+//! `check_model` and the cost model of `throughput` all read it, and
+//! [`axis_group`] lists the members of every one of their process groups.
 //!
-//! | mode | linear | hidden split by | batch rows split by |
-//! |---|---|---|---|
-//! | 2D `j x j` | [`Linear2d`] | grid row (`col` index) | grid column |
-//! | 2.5D `j x j x d` | [`Linear25d`] | grid row | depth, then grid column |
-//! | 3D `l^3`, stream | [`Linear3d`], input | `j` axis | `i`, then `k` |
-//! | 3D `l^3`, branch | [`Linear3d`], output | `k` axis | `i`, then `j` |
+//! | mode | grid | linear | stream rows / hidden | branch rows / hidden | weight rows / columns |
+//! |---|---|---|---|---|---|
+//! | 2D | `[1, j, j]` | [`Linear2d`] | 1 / 2 | 1 / 2 | 1 / 2 |
+//! | 2.5D | `[d, j, j]` | [`Linear25d`] | 0, 1 / 2 | 0, 1 / 2 | 1 / 2 |
+//! | 3D | `[l, l, l]` | [`Linear3d`] | 0, 2 / 1 | 0, 1 / 2 | 1, 0 / 2 |
 //!
-//! Under 2D and 2.5D the stream and the branch share one layout. Under 3D a
-//! `Stream -> Branch` linear runs on the cube as built and a `Branch ->
-//! Stream` one on the cube with its `j` and `k` axes exchanged, whose input
-//! layout is the first one's output layout and vice versa: consecutive
-//! linears chain X -> Y -> X with no re-layout between them.
+//! Axis 0 is the 2.5D depth (size 1 under 2D), axis 1 the grid row and axis
+//! 2 the grid column; under 3D they are `i`, `j` and `k`. Row axes are
+//! listed outermost first. Under 2D and 2.5D the stream and the branch share
+//! one layout. Under 3D a `Stream -> Branch` linear runs on the cube as
+//! built and a `Branch -> Stream` one on the cube with axes 1 and 2
+//! exchanged, whose input layout is the first one's output layout and vice
+//! versa: consecutive linears chain X -> Y -> X with no re-layout between
+//! them.
 
 use crate::grad_sync::GradSync;
 use crate::norm2d::LayerNorm2d;
@@ -26,12 +29,135 @@ use crate::tp25d::{Grid25d, Linear25d};
 use crate::tp2d::{Grid2d, Linear2d};
 use crate::tp3d::{Grid3d, Linear3d};
 use crate::vocab_parallel::{mean_loss_over_rows, vocab_parallel_cross_entropy};
+use crate::volume::TpMode;
 use colossalai_autograd::{Embedding, Gelu, Layer, Param, PositionEmbedding, Sequential};
 use colossalai_comm::{DeviceCtx, Group};
 use colossalai_models::{Layout, TensorParallel};
 use colossalai_tensor::init::{self, InitRng};
 use colossalai_tensor::Tensor;
 use colossalai_topology::DeviceId;
+
+/// Which grid axes cut one tensor.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Cut {
+    /// The axes that split the rows (the leading axis), outermost first.
+    pub rows: &'static [usize],
+    /// The axis that splits the last axis.
+    pub cols: usize,
+}
+
+/// One row of the module table: a 2D / 2.5D / 3D device grid and the axes
+/// that cut the stream, the branch and a linear's weight on it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MeshLayout {
+    /// [`TpMode::grid`]: device `members[(a0 * n1 + a1) * n2 + a2]` sits at
+    /// position `[a0, a1, a2]` of grid `[n0, n1, n2]`.
+    pub grid: [usize; 3],
+    /// The residual stream: the input of a `Stream -> Branch` linear.
+    pub stream: Cut,
+    /// The branch: that linear's output, and the logits.
+    pub branch: Cut,
+    /// A linear's `[in, out]` weight.
+    pub weight: Cut,
+}
+
+impl MeshLayout {
+    /// `mode`'s layout over `grid`. Panics for 1D, which has none.
+    pub fn over(mode: TpMode, grid: [usize; 3]) -> MeshLayout {
+        let cut = |rows, cols| Cut { rows, cols };
+        let (stream, branch, weight) = match mode {
+            TpMode::OneD => panic!("1D tensor parallelism has no mesh layout"),
+            TpMode::TwoD => (cut(&[1], 2), cut(&[1], 2), cut(&[1], 2)),
+            TpMode::TwoPointFiveD { .. } => (cut(&[0, 1], 2), cut(&[0, 1], 2), cut(&[1], 2)),
+            TpMode::ThreeD => (cut(&[0, 2], 1), cut(&[0, 1], 2), cut(&[1, 0], 2)),
+        };
+        MeshLayout {
+            grid,
+            stream,
+            branch,
+            weight,
+        }
+    }
+
+    /// The block of a full `[rows, .., cols]` tensor that grid position `at`
+    /// holds under `cut`.
+    pub(crate) fn tile(&self, x: &Tensor, cut: Cut, at: [usize; 3]) -> Tensor {
+        let rows: Vec<(usize, usize)> = cut.rows.iter().map(|&a| (at[a], self.grid[a])).collect();
+        tile(x, &rows, Some((at[cut.cols], self.grid[cut.cols])))
+    }
+}
+
+/// The members of the process group through grid position `at` along
+/// `axes`: the devices whose positions differ from `at` only on `axes`,
+/// row-major over `axes` as listed. Every 2D / 2.5D / 3D group is one, and
+/// so is every group of the `[dp, pp, tp]` grid of `core::ParallelContext`.
+pub fn axis_group(
+    members: &[DeviceId],
+    grid: [usize; 3],
+    at: [usize; 3],
+    axes: &[usize],
+) -> Vec<DeviceId> {
+    let count: usize = axes.iter().map(|&a| grid[a]).product();
+    (0..count)
+        .map(|mut q| {
+            let mut pos = at;
+            for &a in axes.iter().rev() {
+                pos[a] = q % grid[a];
+                q /= grid[a];
+            }
+            members[(pos[0] * grid[1] + pos[1]) * grid[2] + pos[2]]
+        })
+        .collect()
+}
+
+/// The grid position of `members[index]`.
+pub fn position(grid: [usize; 3], index: usize) -> [usize; 3] {
+    [
+        index / (grid[1] * grid[2]),
+        index / grid[2] % grid[1],
+        index % grid[2],
+    ]
+}
+
+/// The grid position of the calling device.
+pub(crate) fn my_position(ctx: &DeviceCtx, members: &[DeviceId], grid: [usize; 3]) -> [usize; 3] {
+    let index = members
+        .iter()
+        .position(|&m| m == ctx.rank())
+        .expect("calling device not in the grid");
+    position(grid, index)
+}
+
+/// The block of `x` at row block `rows` of its leading axis — `(index,
+/// parts)` digits, outermost first, read as one mixed-radix index — and,
+/// with `cols`, at column block `cols` of its last axis. Every tile and
+/// shard of the mesh modes is one.
+pub(crate) fn tile(x: &Tensor, rows: &[(usize, usize)], cols: Option<(usize, usize)>) -> Tensor {
+    let (index, parts) = rows
+        .iter()
+        .fold((0, 1), |(index, parts), &(i, n)| (index * n + i, parts * n));
+    let (c, width) = cols.unwrap_or((0, 1));
+    let last = x.rank() - 1;
+    let (m, k) = (x.dims()[0], x.dims()[last]);
+    assert!(
+        m.is_multiple_of(parts) && k.is_multiple_of(width),
+        "{:?} does not cut into {parts} row blocks and {width} column blocks",
+        x.dims()
+    );
+    let x = match rows {
+        [] => x.clone(),
+        _ => x.narrow(0, index * (m / parts), m / parts),
+    };
+    match cols {
+        Some(_) => x.narrow(last, c * (k / width), k / width),
+        None => x,
+    }
+}
+
+/// The calling device's `(index, parts)` block along `group`.
+fn block(group: &Group) -> (usize, usize) {
+    (group.rank(), group.size())
+}
 
 /// The process groups that cut one activation layout.
 #[derive(Clone)]
@@ -44,20 +170,21 @@ struct Sharding {
 }
 
 impl Sharding {
+    /// The groups along `cut`'s axes through the calling device.
+    fn new(ctx: &DeviceCtx, members: &[DeviceId], layout: &MeshLayout, cut: Cut) -> Sharding {
+        let at = my_position(ctx, members, layout.grid);
+        let group = |axis| ctx.group(&axis_group(members, layout.grid, at, &[axis]));
+        Sharding {
+            hidden: group(cut.cols),
+            batch: cut.rows.iter().map(|&axis| group(axis)).collect(),
+        }
+    }
+
     /// This device's part of a full `[batch, ..]` tensor: its block of the
     /// leading axis and, with `hidden`, its slice of the last one.
     fn cut(&self, x: &Tensor, hidden: bool) -> Tensor {
-        let (parts, index) = self.batch.iter().fold((1, 0), |(parts, index), g| {
-            (parts * g.size(), index * g.size() + g.rank())
-        });
-        let rows = x.dims()[0] / parts;
-        let x = x.narrow(0, index * rows, rows);
-        if !hidden {
-            return x;
-        }
-        let last = x.rank() - 1;
-        let width = x.dims()[last] / self.hidden.size();
-        x.narrow(last, self.hidden.rank() * width, width)
+        let rows: Vec<(usize, usize)> = self.batch.iter().map(block).collect();
+        tile(x, &rows, hidden.then(|| block(&self.hidden)))
     }
 
     /// The inverse of `cut(.., true)`.
@@ -74,7 +201,7 @@ impl Sharding {
 enum Mesh {
     TwoD(Grid2d),
     TwoPointFiveD(Grid25d),
-    /// The cube, and the cube over the same devices with `j` and `k`
+    /// The cube, and the cube over the same devices with axes 1 and 2
     /// exchanged.
     ThreeD(Grid3d, Grid3d),
 }
@@ -89,52 +216,30 @@ pub struct MeshParallel {
 }
 
 impl MeshParallel {
-    /// 2D over `members` (row-major `j x j`, see [`Grid2d::new`]).
-    pub fn two_d(ctx: &DeviceCtx, members: &[DeviceId]) -> Self {
-        let grid = Grid2d::new(ctx, members);
-        let tile = Sharding {
-            hidden: grid.row_group.clone(),
-            batch: vec![grid.col_group.clone()],
+    /// `mode` (2D, 2.5D or 3D) over `members`, laid out on its grid as
+    /// [`MeshLayout`] places them. Every member must call with the same list.
+    pub fn new(ctx: &DeviceCtx, mode: TpMode, members: &[DeviceId]) -> Self {
+        let p = members.len();
+        let grid = mode
+            .grid(p)
+            .unwrap_or_else(|| panic!("{} does not admit {p} devices", mode.label()));
+        let layout = MeshLayout::over(mode, grid);
+        let mesh = match mode {
+            TpMode::TwoD => Mesh::TwoD(Grid2d::new(ctx, members)),
+            TpMode::TwoPointFiveD { depth } => {
+                Mesh::TwoPointFiveD(Grid25d::new(ctx, members, depth))
+            }
+            _ => {
+                // the whole cube listed with axes 1 and 2 exchanged
+                let exchanged = axis_group(members, grid, [0; 3], &[0, 2, 1]);
+                Mesh::ThreeD(Grid3d::new(ctx, members), Grid3d::new(ctx, &exchanged))
+            }
         };
-        Self::new(ctx, Mesh::TwoD(grid), tile.clone(), tile)
-    }
-
-    /// 2.5D over `members` (depth-major `d x j x j`, see [`Grid25d::new`]).
-    pub fn two_point_five_d(ctx: &DeviceCtx, members: &[DeviceId], depth: usize) -> Self {
-        let grid = Grid25d::new(ctx, members, depth);
-        let tile = Sharding {
-            hidden: grid.grid2d.row_group.clone(),
-            batch: vec![grid.depth_group.clone(), grid.grid2d.col_group.clone()],
-        };
-        Self::new(ctx, Mesh::TwoPointFiveD(grid), tile.clone(), tile)
-    }
-
-    /// 3D over `members` (`i`-major `l x l x l`, see [`Grid3d::new`]).
-    pub fn three_d(ctx: &DeviceCtx, members: &[DeviceId]) -> Self {
-        let grid = Grid3d::new(ctx, members);
-        let l = grid.l;
-        // device (i, j, k) of the exchanged cube is device (i, k, j) of this one
-        let exchanged: Vec<DeviceId> = (0..members.len())
-            .map(|at| members[at / (l * l) * l * l + at % l * l + at / l % l])
-            .collect();
-        let stream = Sharding {
-            hidden: grid.j_group.clone(),
-            batch: vec![grid.i_group.clone(), grid.k_group.clone()],
-        };
-        let branch = Sharding {
-            hidden: grid.k_group.clone(),
-            batch: vec![grid.i_group.clone(), grid.j_group.clone()],
-        };
-        let mesh = Mesh::ThreeD(grid, Grid3d::new(ctx, &exchanged));
-        Self::new(ctx, mesh, stream, branch)
-    }
-
-    fn new(ctx: &DeviceCtx, mesh: Mesh, stream: Sharding, branch: Sharding) -> Self {
         MeshParallel {
             ctx: ctx.clone(),
             mesh,
-            stream,
-            branch,
+            stream: Sharding::new(ctx, members, &layout, layout.stream),
+            branch: Sharding::new(ctx, members, &layout, layout.branch),
         }
     }
 
@@ -166,8 +271,7 @@ impl MeshParallel {
 
     /// This device's hidden-axis slice of a global `[rows, hidden]` table.
     fn stream_columns(&self, table: &Tensor) -> Tensor {
-        let width = table.dims()[1] / self.stream.hidden.size();
-        table.narrow(1, self.stream.hidden.rank() * width, width)
+        tile(table, &[], Some(block(&self.stream.hidden)))
     }
 
     fn sharding(&self, layout: Layout) -> &Sharding {

@@ -23,6 +23,31 @@ pub enum Schedule {
     OneFOneB,
 }
 
+impl Schedule {
+    /// What stage `stage` of `n_stages` runs for `m` micro-batches, in
+    /// order: `(true, i)` is micro-batch `i`'s forward, `(false, i)` its
+    /// backward.
+    pub fn order(self, stage: usize, n_stages: usize, m: usize) -> Vec<(bool, usize)> {
+        match self {
+            Schedule::GPipe => (0..m)
+                .map(|i| (true, i))
+                .chain((0..m).rev().map(|i| (false, i)))
+                .collect(),
+            Schedule::OneFOneB => {
+                // warm up with the forwards the later stages need, then
+                // alternate, then drain
+                let warmup = (n_stages - 1 - stage).min(m);
+                let steady = (warmup..m).flat_map(|i| [(true, i), (false, i - warmup)]);
+                (0..warmup)
+                    .map(|i| (true, i))
+                    .chain(steady)
+                    .chain((m - warmup..m).map(|i| (false, i)))
+                    .collect()
+            }
+        }
+    }
+}
+
 /// Ideal bubble fraction of a `p`-stage pipeline running `m` micro-batches.
 pub fn bubble_fraction(p: usize, m: usize) -> f64 {
     (p as f64 - 1.0) / (m as f64 + p as f64 - 1.0)
@@ -183,14 +208,21 @@ impl<M: Layer> PipelineStage<M> {
         }
     }
 
-    /// `loss_dy` carries the last stage's `(loss, dOutput)` computed by the
-    /// caller from the saved output; inner stages pass `None` and receive
-    /// their upstream gradient from the next stage.
-    fn backward_micro(&mut self, micro: u64, loss_dy: Option<(f32, Tensor)>) -> f32 {
-        let (loss, dy) = if let Some(next) = self.next {
-            (0.0, self.ctx.recv(next, GRAD_TAG_OFFSET + micro))
-        } else {
-            loss_dy.expect("last stage requires a loss gradient")
+    /// Inner stages receive their upstream gradient from the next stage; the
+    /// last one computes `(loss, dOutput)` from its saved output.
+    fn backward_micro(&mut self, micro: u64, loss_fn: &mut Option<LossFn<'_>>) -> f32 {
+        let (loss, dy) = match self.next {
+            Some(next) => (0.0, self.ctx.recv(next, GRAD_TAG_OFFSET + micro)),
+            None => {
+                let out = self
+                    .saved_outputs
+                    .remove(&micro)
+                    .expect("backward before forward for this micro-batch");
+                let f = loss_fn
+                    .as_mut()
+                    .expect("last stage requires a loss function");
+                f(micro, &out)
+            }
         };
         let x = self
             .saved_inputs
@@ -230,52 +262,12 @@ impl<M: Layer> PipelineStage<M> {
                 "first stage needs m inputs"
             );
         }
-        let input_at = |i: usize, inputs: Option<&[Tensor]>| inputs.map(|xs| xs[i].clone());
         let mut total_loss = 0.0;
-        // the last stage computes (loss, dOutput) from its saved output
-        // before entering backward_micro
-        macro_rules! bwd {
-            ($i:expr) => {{
-                let micro = $i as u64;
-                let loss_dy = if self.is_last() {
-                    let out = self
-                        .saved_outputs
-                        .remove(&micro)
-                        .expect("backward before forward for this micro-batch");
-                    let f = loss_fn
-                        .as_mut()
-                        .expect("last stage requires a loss function");
-                    Some(f(micro, &out))
-                } else {
-                    None
-                };
-                total_loss += self.backward_micro(micro, loss_dy);
-            }};
-        }
-        match schedule {
-            Schedule::GPipe => {
-                for i in 0..m {
-                    let x = input_at(i, inputs);
-                    self.forward_micro(i as u64, x.as_ref());
-                }
-                for i in (0..m).rev() {
-                    bwd!(i);
-                }
-            }
-            Schedule::OneFOneB => {
-                let warmup = (self.n_stages - 1 - self.stage).min(m);
-                for i in 0..warmup {
-                    let x = input_at(i, inputs);
-                    self.forward_micro(i as u64, x.as_ref());
-                }
-                for i in 0..m - warmup {
-                    let x = input_at(warmup + i, inputs);
-                    self.forward_micro((warmup + i) as u64, x.as_ref());
-                    bwd!(i);
-                }
-                for i in m - warmup..m {
-                    bwd!(i);
-                }
+        for (forward, i) in schedule.order(self.stage, self.n_stages, m) {
+            if forward {
+                self.forward_micro(i as u64, inputs.map(|xs| &xs[i]));
+            } else {
+                total_loss += self.backward_micro(i as u64, &mut loss_fn);
             }
         }
         total_loss / m as f32
@@ -434,6 +426,34 @@ mod tests {
                 "schedules disagree by {}",
                 a.max_abs_diff(b)
             );
+        }
+    }
+
+    #[test]
+    fn schedule_orders_run_each_micro_batch_forward_then_backward() {
+        for p in 1..=4 {
+            for m in 1..=6 {
+                for stage in 0..p {
+                    for schedule in [Schedule::GPipe, Schedule::OneFOneB] {
+                        let order = schedule.order(stage, p, m);
+                        let case = format!("{schedule:?} p={p} m={m} stage={stage}: {order:?}");
+                        assert_eq!(order.len(), 2 * m, "{case}");
+                        for i in 0..m {
+                            let at = |pass| order.iter().position(|&e| e == (pass, i));
+                            let (f, b) = (at(true), at(false));
+                            assert!(f.is_some() && b.is_some() && f < b, "{case}");
+                        }
+                        if schedule == Schedule::OneFOneB {
+                            let in_flight = order.iter().scan(0i64, |n, &(forward, _)| {
+                                *n += if forward { 1 } else { -1 };
+                                Some(*n)
+                            });
+                            let peak = in_flight.max().unwrap() as usize;
+                            assert!(peak <= (p - stage).min(m), "{case}: {peak} in flight");
+                        }
+                    }
+                }
+            }
         }
     }
 

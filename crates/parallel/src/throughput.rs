@@ -10,7 +10,8 @@
 //! training; compute runs at the GPU's fp16 tensor-core rate.
 
 use crate::memcalc;
-use crate::volume::{int_cbrt, int_sqrt, TpMode};
+use crate::mesh::{axis_group, position};
+use crate::volume::TpMode;
 use colossalai_memory::offload::{self, PlacementPolicy};
 use colossalai_models::TransformerConfig;
 use colossalai_topology::{cost, Cluster, DeviceId};
@@ -57,28 +58,24 @@ fn layer_matmuls(h: usize, mlp_ratio: usize) -> Vec<(usize, usize)> {
     ]
 }
 
-/// Groups of a row-major `j x j` grid over `devices`.
-fn grid_groups(devices: &[DeviceId], j: usize) -> (Vec<Vec<DeviceId>>, Vec<Vec<DeviceId>>) {
-    let rows = (0..j)
-        .map(|r| devices[r * j..(r + 1) * j].to_vec())
-        .collect();
-    let cols = (0..j)
-        .map(|c| (0..j).map(|r| devices[r * j + c]).collect())
-        .collect();
-    (rows, cols)
+/// Every group of `grid` along `axes`, in the order of their first members.
+fn axis_groups(devices: &[DeviceId], grid: [usize; 3], axes: &[usize]) -> Vec<Vec<DeviceId>> {
+    (0..devices.len())
+        .map(|index| position(grid, index))
+        .filter(|at| axes.iter().all(|&a| at[a] == 0))
+        .map(|at| axis_group(devices, grid, at, axes))
+        .collect()
 }
 
 /// Worst-case collective time over a set of simultaneous groups (a barrier
 /// waits for the slowest subgroup).
-fn max_bcast(cluster: &Cluster, groups: &[Vec<DeviceId>], bytes: u64) -> f64 {
-    groups
-        .iter()
-        .map(|g| cost::broadcast_time(cluster, g, bytes))
-        .fold(0.0, f64::max)
+fn worst(groups: &[Vec<DeviceId>], time: impl Fn(&[DeviceId]) -> f64) -> f64 {
+    groups.iter().map(|g| time(g)).fold(0.0, f64::max)
 }
 
-/// Communication seconds of one fwd+bwd pass of a single matmul under the
-/// given tensor-parallel mode. `m_rows` is the token count (batch x seq).
+/// Communication seconds of one fwd+bwd pass of a single matmul under a
+/// 2D / 2.5D / 3D mode, including fixed launch overhead per collective.
+/// `m_rows` is the token count (batch x seq).
 fn matmul_comm_seconds(
     mode: TpMode,
     cluster: &Cluster,
@@ -87,82 +84,21 @@ fn matmul_comm_seconds(
     k: usize,
     n: usize,
 ) -> f64 {
-    let p = devices.len();
-    if p == 1 {
-        return 0.0;
-    }
     let m = m_rows as u64;
     let (k, n) = (k as u64, n as u64);
-    match mode {
-        TpMode::OneD => {
-            // Megatron: the per-layer all-reduces are shared across the
-            // layer's matmuls; we charge them at the layer level in
-            // `tp_layer_comm_seconds` and nothing per matmul here.
-            0.0
-        }
-        TpMode::TwoD => {
-            let j = int_sqrt(p).expect("2D grid");
-            let (rows, cols) = grid_groups(devices, j);
-            let x_panel = m * k / p as u64 * FP16;
-            let w_panel = k * n / p as u64 * FP16;
-            // 3 SUMMA passes x j rounds of (row bcast + col bcast)
-            3.0 * j as f64
-                * (max_bcast(cluster, &rows, x_panel) + max_bcast(cluster, &cols, w_panel))
-        }
-        TpMode::TwoPointFiveD { depth } => {
-            let d = depth;
-            assert!(p.is_multiple_of(d), "2.5D depth mismatch");
-            let jj = p / d;
-            let j = int_sqrt(jj).expect("2.5D grid");
-            // each depth layer runs 2D on its own batch slice
-            let mut worst_layer = 0.0f64;
-            for dep in 0..d {
-                let layer = &devices[dep * jj..(dep + 1) * jj];
-                let (rows, cols) = grid_groups(layer, j);
-                let x_panel = (m / d as u64) * k / jj as u64 * FP16;
-                let w_panel = k * n / jj as u64 * FP16;
-                let t = 3.0
-                    * j as f64
-                    * (max_bcast(cluster, &rows, x_panel) + max_bcast(cluster, &cols, w_panel));
-                worst_layer = worst_layer.max(t);
-            }
-            // dW all-reduce across depth
-            let depth_groups: Vec<Vec<DeviceId>> = (0..jj)
-                .map(|w| (0..d).map(|dep| devices[dep * jj + w]).collect())
-                .collect();
-            let dw_bytes = k * n / jj as u64 * FP16;
-            let dw = depth_groups
-                .iter()
-                .map(|g| cost::allreduce_time(cluster, g, dw_bytes))
-                .fold(0.0, f64::max);
-            worst_layer + dw
-        }
+    let grid = mode.grid(devices.len()).expect("the mode admits p");
+    let (seconds, launches) = match mode {
         TpMode::ThreeD => {
-            let l = int_cbrt(p).expect("3D cube");
-            let at = |i: usize, j: usize, kk: usize| devices[i * l * l + j * l + kk];
-            let mut i_groups = Vec::new();
-            let mut j_groups = Vec::new();
-            let mut k_groups = Vec::new();
-            for a in 0..l {
-                for b in 0..l {
-                    i_groups.push((0..l).map(|q| at(q, a, b)).collect::<Vec<_>>());
-                    j_groups.push((0..l).map(|q| at(a, q, b)).collect::<Vec<_>>());
-                    k_groups.push((0..l).map(|q| at(a, b, q)).collect::<Vec<_>>());
-                }
-            }
+            let l = grid[0];
+            let [i_groups, j_groups, k_groups] =
+                [0, 1, 2].map(|a| axis_groups(devices, grid, &[a]));
             let l3 = (l * l * l) as u64;
             let l2 = (l * l) as u64;
             let max_ag = |groups: &[Vec<DeviceId>], contrib: u64| {
-                groups
-                    .iter()
-                    .map(|g| cost::allgather_time(cluster, g, contrib))
-                    .fold(0.0, f64::max)
+                worst(groups, |g| cost::allgather_time(cluster, g, contrib))
             };
             let max_rs = |groups: &[Vec<DeviceId>], total: u64| {
-                groups
-                    .iter()
-                    .map(|g| cost::reduce_scatter_time(cluster, g, total))
-                    .fold(0.0, f64::max)
+                worst(groups, |g| cost::reduce_scatter_time(cluster, g, total))
             };
             // forward: AG_k(X) + AG_i(W) + RS_j(partial Y)
             let fwd = max_ag(&k_groups, m * k / l3 * FP16)
@@ -175,25 +111,34 @@ fn matmul_comm_seconds(
                 + max_rs(&k_groups, m * k / l2 * FP16)
                 + max_ag(&k_groups, m * k / l3 * FP16)
                 + max_rs(&i_groups, k * n / l2 * FP16);
-            fwd + bwd
+            (fwd + bwd, 8) // 3 fwd + 5 bwd collectives
         }
-    }
-}
-
-/// Number of distinct collective launches one fwd+bwd of a matmul issues.
-fn matmul_collective_ops(mode: TpMode, p: usize) -> u64 {
-    match mode {
-        TpMode::OneD => 0, // charged per layer, not per matmul
-        TpMode::TwoD => {
-            let j = int_sqrt(p).expect("2D grid") as u64;
-            3 * j * 2 // passes x rounds x (row bcast + col bcast)
+        _ => {
+            // 2D, and 2.5D's depth layers (2D has one): each runs 2D SUMMA
+            // on its own batch slice, with its j row groups and j column
+            // groups
+            let [d, j, _] = grid;
+            let jj = j * j;
+            let rows = axis_groups(devices, grid, &[2]);
+            let cols = axis_groups(devices, grid, &[1]);
+            let x_panel = (m / d as u64) * k / jj as u64 * FP16;
+            let w_panel = k * n / jj as u64 * FP16;
+            let bcast = |groups, bytes| worst(groups, |g| cost::broadcast_time(cluster, g, bytes));
+            let mut worst_layer = 0.0f64;
+            for (rows, cols) in rows.chunks(j).zip(cols.chunks(j)) {
+                // 3 SUMMA passes x j rounds of (row bcast + col bcast)
+                let t = 3.0 * j as f64 * (bcast(rows, x_panel) + bcast(cols, w_panel));
+                worst_layer = worst_layer.max(t);
+            }
+            // dW all-reduce across depth (one-device groups under 2D, free)
+            let depth = axis_groups(devices, grid, &[0]);
+            let dw = worst(&depth, |g| cost::allreduce_time(cluster, g, w_panel));
+            // passes x rounds x (row bcast + col bcast), + the 2.5D dW all-reduce
+            let launches = 3 * j as u64 * 2 + u64::from(mode != TpMode::TwoD);
+            (worst_layer + dw, launches)
         }
-        TpMode::TwoPointFiveD { depth } => {
-            let j = int_sqrt(p / depth).expect("2.5D grid") as u64;
-            3 * j * 2 + 1 // + the depth-group dW all-reduce
-        }
-        TpMode::ThreeD => 8, // 3 fwd + 5 bwd collectives
-    }
+    };
+    seconds + launches as f64 * COLLECTIVE_LAUNCH_SECONDS
 }
 
 /// Communication seconds of one fwd+bwd pass of a whole Transformer layer,
@@ -218,10 +163,7 @@ fn tp_layer_comm_seconds(
         }
         _ => layer_matmuls(cfg.hidden, cfg.mlp_ratio)
             .into_iter()
-            .map(|(k, n)| {
-                matmul_comm_seconds(mode, cluster, devices, m_rows, k, n)
-                    + matmul_collective_ops(mode, devices.len()) as f64 * COLLECTIVE_LAUNCH_SECONDS
-            })
+            .map(|(k, n)| matmul_comm_seconds(mode, cluster, devices, m_rows, k, n))
             .sum(),
     }
 }

@@ -7,7 +7,9 @@
 //! degenerates to plain 2D, exactly as the paper notes.
 
 use crate::grad_sync::GradSync;
-use crate::tp2d::{tile_of, Grid2d, Linear2d};
+use crate::mesh::{axis_group, my_position, MeshLayout};
+use crate::tp2d::{Grid2d, Linear2d};
+use crate::volume::TpMode;
 use colossalai_comm::{DeviceCtx, Group};
 use colossalai_tensor::Tensor;
 use colossalai_topology::DeviceId;
@@ -30,28 +32,16 @@ impl Grid25d {
     /// `members[dep * j^2 + r * j + c]`.
     pub fn new(ctx: &DeviceCtx, members: &[DeviceId], depth: usize) -> Self {
         let p = members.len();
-        assert!(
-            depth >= 1 && p.is_multiple_of(depth),
-            "p = {p} not divisible by depth {depth}"
-        );
-        let jj = p / depth;
-        let j = crate::volume::int_sqrt(jj).unwrap_or_else(|| {
+        let grid = TpMode::TwoPointFiveD { depth }.grid(p).unwrap_or_else(|| {
             panic!("2.5D requires d * j^2 devices, got p = {p} with depth {depth}")
         });
-        let my = members
-            .iter()
-            .position(|&m| m == ctx.rank())
-            .expect("calling device not in 2.5D cuboid");
-        let dep = my / jj;
-        let layer_members: Vec<DeviceId> = members[dep * jj..(dep + 1) * jj].to_vec();
-        let within = my % jj;
-        let depth_members: Vec<DeviceId> = (0..depth).map(|q| members[q * jj + within]).collect();
+        let at = my_position(ctx, members, grid);
         Grid25d {
-            j,
+            j: grid[1],
             depth,
-            dep,
-            grid2d: Grid2d::new(ctx, &layer_members),
-            depth_group: ctx.group(&depth_members),
+            dep: at[0],
+            grid2d: Grid2d::new(ctx, &axis_group(members, grid, at, &[1, 2])),
+            depth_group: ctx.group(&axis_group(members, grid, at, &[0])),
         }
     }
 }
@@ -59,10 +49,12 @@ impl Grid25d {
 /// Slices the 2.5D input tile: depth layer `dep` owns batch rows
 /// `[dep * M/d, (dep+1) * M/d)`, tiled 2D within the layer.
 pub fn tile_x_25d(global: &Tensor, grid: &Grid25d) -> Tensor {
-    let m = global.dims()[0];
-    assert_eq!(m % grid.depth, 0, "batch rows not divisible by depth");
-    let slice = global.narrow(0, grid.dep * (m / grid.depth), m / grid.depth);
-    tile_of(&slice, grid.j, grid.grid2d.row, grid.grid2d.col)
+    let (g, j) = (&grid.grid2d, grid.j);
+    let cuboid = MeshLayout::over(
+        TpMode::TwoPointFiveD { depth: grid.depth },
+        [grid.depth, j, j],
+    );
+    cuboid.tile(global, cuboid.stream, [grid.dep, g.row, g.col])
 }
 
 /// 2.5D-parallel linear layer: a [`Linear2d`] within each depth layer plus a

@@ -6,6 +6,8 @@
 //! and of every `[K, N]` weight, so per-device memory falls as `1/p` for
 //! weights *and* activations — the effect measured in Fig 8.
 
+use crate::mesh::{axis_group, my_position, tile, MeshLayout};
+use crate::volume::TpMode;
 use colossalai_autograd::{Layer, Param};
 use colossalai_comm::{DeviceCtx, Group};
 use colossalai_tensor::ops::sum_axis;
@@ -28,37 +30,25 @@ impl Grid2d {
     /// + c]` sits at `(r, c)`). Every member must call with the same list.
     pub fn new(ctx: &DeviceCtx, members: &[DeviceId]) -> Self {
         let p = members.len();
-        let j = crate::volume::int_sqrt(p).unwrap_or_else(|| {
+        let grid = TpMode::TwoD.grid(p).unwrap_or_else(|| {
             panic!("2D tensor parallelism requires a square device count, got {p}")
         });
-        let my = members
-            .iter()
-            .position(|&m| m == ctx.rank())
-            .expect("calling device not in 2D grid");
-        let (row, col) = (my / j, my % j);
-        let row_members: Vec<DeviceId> = members[row * j..(row + 1) * j].to_vec();
-        let col_members: Vec<DeviceId> = (0..j).map(|r| members[r * j + col]).collect();
+        let at = my_position(ctx, members, grid);
+        let group = |axis| ctx.group(&axis_group(members, grid, at, &[axis]));
         Grid2d {
-            j,
-            row,
-            col,
-            row_group: ctx.group(&row_members),
-            col_group: ctx.group(&col_members),
+            j: grid[1],
+            row: at[1],
+            col: at[2],
+            row_group: group(2),
+            col_group: group(1),
         }
     }
 }
 
 /// Slices tile `(r, c)` of a global `[M, K]` matrix for a `j x j` grid.
 pub fn tile_of(global: &Tensor, j: usize, r: usize, c: usize) -> Tensor {
-    assert_eq!(global.rank(), 2, "tile_of expects a collapsed matrix");
-    let (m, k) = (global.dims()[0], global.dims()[1]);
-    assert!(
-        m % j == 0 && k % j == 0,
-        "matrix {m}x{k} not tileable by {j}"
-    );
-    global
-        .narrow(0, r * (m / j), m / j)
-        .narrow(1, c * (k / j), k / j)
+    let grid = MeshLayout::over(TpMode::TwoD, [1, j, j]);
+    grid.tile(global, grid.stream, [0, r, c])
 }
 
 /// Reassembles a `j x j` list of tiles (row-major) into the global matrix
@@ -97,13 +87,8 @@ impl Linear2d {
     ) -> Self {
         let j = grid.j;
         let w = tile_of(w_global, j, grid.row, grid.col);
-        let bias = b_global.map(|b| {
-            let n = b.numel();
-            Param::new(
-                format!("{name}.bias"),
-                b.narrow(0, grid.col * (n / j), n / j),
-            )
-        });
+        let bias =
+            b_global.map(|b| Param::new(format!("{name}.bias"), tile(b, &[], Some((grid.col, j)))));
         Linear2d {
             ctx: ctx.clone(),
             grid: grid.clone(),
@@ -113,6 +98,17 @@ impl Linear2d {
         }
     }
 
+    /// `t` of the member of `group` at rank `root`, on every member: one
+    /// SUMMA round's panel.
+    fn panel(&self, group: &Group, root: usize, t: &Tensor) -> Tensor {
+        let mine = if group.rank() == root {
+            t.clone()
+        } else {
+            Tensor::zeros([0])
+        };
+        group.broadcast(&self.ctx, mine, root)
+    }
+
     /// SUMMA pass computing `C_rc = sum_l A_rl B_lc` where this rank holds
     /// `A_rc` and `B_rc`.
     fn summa_forward(&self, a: &Tensor, b: &Tensor) -> Tensor {
@@ -120,24 +116,8 @@ impl Linear2d {
         let mut c_tile = Tensor::zeros([a.dims()[0], b.dims()[1]]);
         for l in 0..g.j {
             // A panel travels along the row; B panel along the column
-            let a_panel = g.row_group.broadcast(
-                &self.ctx,
-                if g.col == l {
-                    a.clone()
-                } else {
-                    Tensor::zeros([0])
-                },
-                l,
-            );
-            let b_panel = g.col_group.broadcast(
-                &self.ctx,
-                if g.row == l {
-                    b.clone()
-                } else {
-                    Tensor::zeros([0])
-                },
-                l,
-            );
+            let a_panel = self.panel(&g.row_group, l, a);
+            let b_panel = self.panel(&g.col_group, l, b);
             c_tile.axpy(1.0, &matmul(&a_panel, &b_panel));
         }
         c_tile
@@ -171,15 +151,7 @@ impl Layer for Linear2d {
         // pass 2: dX_rl = sum_c dY_rc (W^T)_cl = sum_c dY_rc W_lc^T
         let mut dx = Tensor::zeros(x.shape().clone());
         for l in 0..g.j {
-            let w_panel = g.col_group.broadcast(
-                &self.ctx,
-                if g.row == l {
-                    self.w.value().clone()
-                } else {
-                    Tensor::zeros([0])
-                },
-                l,
-            );
+            let w_panel = self.panel(&g.col_group, l, self.w.value());
             let partial = matmul_bt(dy, &w_panel);
             let reduced = g.row_group.reduce_sum(&self.ctx, partial, l);
             if g.col == l {
@@ -190,15 +162,7 @@ impl Layer for Linear2d {
         // pass 3: dW_lc = sum_r X_rl^T dY_rc
         let mut dw = Tensor::zeros(self.w.value().shape().clone());
         for l in 0..g.j {
-            let x_panel = g.row_group.broadcast(
-                &self.ctx,
-                if g.col == l {
-                    x.clone()
-                } else {
-                    Tensor::zeros([0])
-                },
-                l,
-            );
+            let x_panel = self.panel(&g.row_group, l, &x);
             let partial = matmul_at(&x_panel, dy);
             let reduced = g.col_group.reduce_sum(&self.ctx, partial, l);
             if g.row == l {

@@ -2,20 +2,18 @@
 //! 3D matmul, as adapted for tensor parallelism by Bian et al. — the
 //! algorithm inside Colossal-AI).
 //!
-//! Layouts for `Y = X W` with `X: [M, K]`, `W: [K, N]` on device `(i, j, k)`:
-//!
-//! * `X` tile `[M/l^2, K/l]` — the first dimension is partitioned *twice*
-//!   (by `i`, then `k`), the last once (by `j`), exactly the paper's
-//!   "partition the first and last dimension only where the first dimension
-//!   will be partitioned twice";
-//! * `W` tile `[K/l^2, N/l]` — `K` split by `(j, i)`, `N` by `k`;
-//! * `Y` tile `[M/l^2, N/l]` — `M` split by `(i, j)`, `N` by `k`.
+//! For `Y = X W` on device `(i, j, k)` the `X`, `W` and `Y` tiles are the
+//! 3D row of the [`crate::mesh`] table: `X` rows split twice (by `i`, then
+//! `k`) and columns by `j` — the paper's "partition the first and last
+//! dimension only where the first dimension will be partitioned twice".
 //!
 //! Forward: all-gather `X` over the `k`-axis, all-gather `W` over the
 //! `i`-axis, local matmul, reduce-scatter over the `j`-axis. Each pass
 //! therefore moves `(l-1)/l * (S_X + S_W + S_Y)` elements — the Table 1 row.
 
+use crate::mesh::{axis_group, my_position, tile, MeshLayout};
 use crate::tp2d::{collapse, expand};
+use crate::volume::TpMode;
 use colossalai_autograd::{Layer, Param};
 use colossalai_comm::{DeviceCtx, Group};
 use colossalai_tensor::{matmul, matmul_at, matmul_bt, Tensor};
@@ -42,72 +40,40 @@ impl Grid3d {
     /// Builds the cube over `members` ordered `members[i*l^2 + j*l + k]`.
     pub fn new(ctx: &DeviceCtx, members: &[DeviceId]) -> Self {
         let p = members.len();
-        let l = crate::volume::int_cbrt(p).unwrap_or_else(|| {
+        let grid = TpMode::ThreeD.grid(p).unwrap_or_else(|| {
             panic!("3D tensor parallelism requires a cubic device count, got {p}")
         });
-        let my = members
-            .iter()
-            .position(|&m| m == ctx.rank())
-            .expect("calling device not in 3D cube");
-        let (i, rest) = (my / (l * l), my % (l * l));
-        let (j, k) = (rest / l, rest % l);
-        let at = |i: usize, j: usize, k: usize| members[i * l * l + j * l + k];
-        let i_members: Vec<DeviceId> = (0..l).map(|q| at(q, j, k)).collect();
-        let j_members: Vec<DeviceId> = (0..l).map(|q| at(i, q, k)).collect();
-        let k_members: Vec<DeviceId> = (0..l).map(|q| at(i, j, q)).collect();
-        let ij_members: Vec<DeviceId> = (0..l)
-            .flat_map(|qi| (0..l).map(move |qj| (qi, qj)))
-            .map(|(qi, qj)| at(qi, qj, k))
-            .collect();
+        let at = my_position(ctx, members, grid);
+        let group = |axes: &[usize]| ctx.group(&axis_group(members, grid, at, axes));
         Grid3d {
-            l,
-            i,
-            j,
-            k,
-            i_group: ctx.group(&i_members),
-            j_group: ctx.group(&j_members),
-            k_group: ctx.group(&k_members),
-            ij_group: ctx.group(&ij_members),
+            l: grid[0],
+            i: at[0],
+            j: at[1],
+            k: at[2],
+            i_group: group(&[0]),
+            j_group: group(&[1]),
+            k_group: group(&[2]),
+            ij_group: group(&[0, 1]),
         }
     }
 }
 
 /// Slices the `X` tile `[M/l^2, K/l]` for device `(i, j, k)`.
 pub fn tile_x_3d(global: &Tensor, g: &Grid3d) -> Tensor {
-    let (m, kk) = (global.dims()[0], global.dims()[1]);
-    let l = g.l;
-    assert!(
-        m % (l * l) == 0 && kk % l == 0,
-        "X {m}x{kk} not tileable by l={l}"
-    );
-    let row_block = g.i * l + g.k;
-    global
-        .narrow(0, row_block * (m / (l * l)), m / (l * l))
-        .narrow(1, g.j * (kk / l), kk / l)
+    let cube = MeshLayout::over(TpMode::ThreeD, [g.l; 3]);
+    cube.tile(global, cube.stream, [g.i, g.j, g.k])
 }
 
 /// Slices the `W` tile `[K/l^2, N/l]` for device `(i, j, k)`.
 pub fn tile_w_3d(global: &Tensor, g: &Grid3d) -> Tensor {
-    let (kk, n) = (global.dims()[0], global.dims()[1]);
-    let l = g.l;
-    assert!(
-        kk % (l * l) == 0 && n % l == 0,
-        "W {kk}x{n} not tileable by l={l}"
-    );
-    let row_block = g.j * l + g.i;
-    global
-        .narrow(0, row_block * (kk / (l * l)), kk / (l * l))
-        .narrow(1, g.k * (n / l), n / l)
+    let cube = MeshLayout::over(TpMode::ThreeD, [g.l; 3]);
+    cube.tile(global, cube.weight, [g.i, g.j, g.k])
 }
 
 /// Slices the `Y` tile `[M/l^2, N/l]` for device `(i, j, k)`.
 pub fn tile_y_3d(global: &Tensor, g: &Grid3d) -> Tensor {
-    let (m, n) = (global.dims()[0], global.dims()[1]);
-    let l = g.l;
-    let row_block = g.i * l + g.j;
-    global
-        .narrow(0, row_block * (m / (l * l)), m / (l * l))
-        .narrow(1, g.k * (n / l), n / l)
+    let cube = MeshLayout::over(TpMode::ThreeD, [g.l; 3]);
+    cube.tile(global, cube.branch, [g.i, g.j, g.k])
 }
 
 /// 3D-parallel linear layer.
@@ -128,13 +94,8 @@ impl Linear3d {
         b_global: Option<&Tensor>,
     ) -> Self {
         let w = tile_w_3d(w_global, grid);
-        let bias = b_global.map(|b| {
-            let n = b.numel();
-            Param::new(
-                format!("{name}.bias"),
-                b.narrow(0, grid.k * (n / grid.l), n / grid.l),
-            )
-        });
+        let bias = b_global
+            .map(|b| Param::new(format!("{name}.bias"), tile(b, &[], Some((grid.k, grid.l)))));
         Linear3d {
             ctx: ctx.clone(),
             grid: grid.clone(),

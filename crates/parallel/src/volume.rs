@@ -82,42 +82,51 @@ impl TpMode {
         }
     }
 
+    /// The device grid `p` devices form under this mode, or `None` when `p`
+    /// does not fit it: `[1, 1, p]` (1D), `[1, j, j]` (2D), `[d, j, j]`
+    /// (2.5D) or `[l, l, l]` (3D). [`crate::mesh::MeshLayout`] says which
+    /// axes cut what.
+    pub fn grid(&self, p: usize) -> Option<[usize; 3]> {
+        match *self {
+            TpMode::OneD => (p >= 1).then_some([1, 1, p]),
+            TpMode::TwoD => int_sqrt(p).map(|j| [1, j, j]),
+            TpMode::TwoPointFiveD { depth } if depth >= 1 && p.is_multiple_of(depth) => {
+                int_sqrt(p / depth).map(|j| [depth, j, j])
+            }
+            TpMode::TwoPointFiveD { .. } => None,
+            TpMode::ThreeD => int_cbrt(p).map(|l| [l, l, l]),
+        }
+    }
+
     /// Whether `p` devices can form this mode's required topology
     /// (`any`, `j^2`, `d*k^2`, `l^3` respectively).
     pub fn admits(&self, p: usize) -> bool {
-        match self {
-            TpMode::OneD => p >= 1,
-            TpMode::TwoD => int_sqrt(p).is_some(),
-            TpMode::TwoPointFiveD { depth } => {
-                p.is_multiple_of(*depth) && int_sqrt(p / depth).is_some()
-            }
-            TpMode::ThreeD => int_cbrt(p).is_some(),
-        }
+        self.grid(p).is_some()
     }
 
     /// Total communication volume (elements) for `Y = W X` over `p` devices.
     /// Panics if `p` does not fit the mode's topology.
     pub fn volume(&self, shape: MatmulShape, p: usize) -> u64 {
-        assert!(self.admits(p), "{} does not admit p = {p}", self.label());
+        let Some([d, j, _]) = self.grid(p) else {
+            panic!("{} does not admit p = {p}", self.label())
+        };
         match self {
             TpMode::OneD => volume_1d(shape, p),
-            TpMode::TwoD => volume_2d(shape, int_sqrt(p).unwrap()),
-            TpMode::TwoPointFiveD { depth } => {
-                volume_25d(shape, int_sqrt(p / depth).unwrap(), *depth)
-            }
-            TpMode::ThreeD => volume_3d(shape, int_cbrt(p).unwrap()),
+            TpMode::TwoD => volume_2d(shape, j),
+            TpMode::TwoPointFiveD { .. } => volume_25d(shape, j, d),
+            TpMode::ThreeD => volume_3d(shape, d),
         }
     }
 }
 
 /// Exact integer square root, if `p` is a perfect square.
-pub fn int_sqrt(p: usize) -> Option<usize> {
+fn int_sqrt(p: usize) -> Option<usize> {
     let r = (p as f64).sqrt().round() as usize;
     (r * r == p).then_some(r)
 }
 
 /// Exact integer cube root, if `p` is a perfect cube.
-pub fn int_cbrt(p: usize) -> Option<usize> {
+fn int_cbrt(p: usize) -> Option<usize> {
     let r = (p as f64).cbrt().round() as usize;
     (r * r * r == p).then_some(r)
 }

@@ -132,9 +132,8 @@ pub fn hierarchical_allreduce_elements(
     n: u64,
 ) -> Option<u64> {
     let nodes = hierarchical_nodes(cluster, group)?;
-    let m = nodes.len() as u64;
-    let l = nodes[0].len() as u64;
-    Some(2 * m * (l - 1) * n + 2 * (m - 1) * (n / l))
+    let shape = (nodes.len(), nodes[0].len());
+    Some(AllReduceSchedule::new(AllReduceAlgo::Hierarchical, &[], shape).elements(n))
 }
 
 /// The all-reduce schedule that runs: the algorithm after the fallback to
@@ -146,17 +145,29 @@ pub struct AllReduceSchedule {
     pub algo: AllReduceAlgo,
     phases: [f64; 3],
     len: usize,
+    /// `(nodes, ranks per node)`: one node unless hierarchical.
+    nodes: (usize, usize),
 }
 
 impl AllReduceSchedule {
-    fn new(algo: AllReduceAlgo, phases: &[f64]) -> AllReduceSchedule {
+    fn new(algo: AllReduceAlgo, phases: &[f64], nodes: (usize, usize)) -> AllReduceSchedule {
         let mut all = [0.0; 3];
         all[..phases.len()].copy_from_slice(phases);
         AllReduceSchedule {
             algo,
             phases: all,
             len: phases.len(),
+            nodes,
         }
+    }
+
+    /// Element hops an `n`-element all-reduce moves under this schedule:
+    /// each node's two ring passes plus the leader ring over `n / l` shards
+    /// (see [`hierarchical_allreduce_elements`]). With one node that is the
+    /// flat ring's `2 (p-1) n`, which every other schedule moves too.
+    pub fn elements(&self, n: u64) -> u64 {
+        let (m, l) = (self.nodes.0 as u64, self.nodes.1 as u64);
+        2 * m * (l - 1) * n + 2 * (m - 1) * (n / l)
     }
 
     /// Phase durations in execution order: one for the flat ring, three for
@@ -209,13 +220,14 @@ pub fn allreduce_schedule(
                         .iter()
                         .map(|n| allgather_time(cluster, n, shard))
                         .fold(0.0, f64::max);
-                    return AllReduceSchedule::new(algo, &[t1, t2, t3]);
+                    let shape = (nodes.len(), nodes[0].len());
+                    return AllReduceSchedule::new(algo, &[t1, t2, t3], shape);
                 }
             }
             AllReduceAlgo::Tree => {
                 let link = cluster.ring_bottleneck(group);
                 let t = ceil_log2(p) as f64 * (link.latency + bytes as f64 / link.bandwidth);
-                return AllReduceSchedule::new(algo, &[t, t]);
+                return AllReduceSchedule::new(algo, &[t, t], (1, p));
             }
             AllReduceAlgo::RecursiveHalvingDoubling => {
                 if p.is_power_of_two() {
@@ -223,14 +235,14 @@ pub fn allreduce_schedule(
                     let steps = ceil_log2(p) as f64;
                     let t = steps * link.latency
                         + bytes as f64 * (p as f64 - 1.0) / p as f64 / link.bandwidth;
-                    return AllReduceSchedule::new(algo, &[t, t]);
+                    return AllReduceSchedule::new(algo, &[t, t], (1, p));
                 }
             }
             AllReduceAlgo::FlatRing => {}
         }
     }
     let flat = allreduce_time(cluster, group, bytes);
-    AllReduceSchedule::new(AllReduceAlgo::FlatRing, &[flat])
+    AllReduceSchedule::new(AllReduceAlgo::FlatRing, &[flat], (1, p))
 }
 
 /// Seconds for an all-reduce under an explicit algorithm choice: the
@@ -245,15 +257,19 @@ pub fn allreduce_time_with(
 }
 
 /// Picks the cheapest all-reduce schedule for this call by evaluating every
-/// alpha-beta estimate on the actual link graph. The resulting policy falls
-/// out of the model: latency-bound small messages go to the tree (the only
-/// log-latency schedule on non-power-of-two groups), large power-of-two
-/// groups to recursive halving-doubling (log latency at ring bandwidth),
-/// multi-node groups with a slow inter-node link to the hierarchical
-/// schedule. Inapplicable schedules run as the flat ring, and an equal-time
-/// challenger never displaces the incumbent — so ties (including every
-/// trivial group) keep the flat ring.
-pub fn select_allreduce_algo(cluster: &Cluster, group: &[DeviceId], bytes: u64) -> AllReduceAlgo {
+/// alpha-beta estimate on the actual link graph, and returns it to run. The
+/// resulting policy falls out of the model: latency-bound small messages go
+/// to the tree (the only log-latency schedule on non-power-of-two groups),
+/// large power-of-two groups to recursive halving-doubling (log latency at
+/// ring bandwidth), multi-node groups with a slow inter-node link to the
+/// hierarchical schedule. Inapplicable schedules run as the flat ring, and
+/// an equal-time challenger never displaces the incumbent — so ties
+/// (including every trivial group) keep the flat ring.
+pub fn select_allreduce_schedule(
+    cluster: &Cluster,
+    group: &[DeviceId],
+    bytes: u64,
+) -> AllReduceSchedule {
     let mut best = allreduce_schedule(AllReduceAlgo::FlatRing, cluster, group, bytes);
     for algo in [
         AllReduceAlgo::Tree,
@@ -265,7 +281,12 @@ pub fn select_allreduce_algo(cluster: &Cluster, group: &[DeviceId], bytes: u64) 
             best = challenger;
         }
     }
-    best.algo
+    best
+}
+
+/// The algorithm [`select_allreduce_schedule`] picks.
+pub fn select_allreduce_algo(cluster: &Cluster, group: &[DeviceId], bytes: u64) -> AllReduceAlgo {
+    select_allreduce_schedule(cluster, group, bytes).algo
 }
 
 /// The "algorithm bandwidth" a bandwidth probe would report for a collective
