@@ -1,8 +1,9 @@
 //! Bench: local GEMM kernel generations on transformer shapes.
 //!
 //! Compares the two seed kernels (`gemm_ref_ikj`, `gemm_ref_blocked`) against
-//! the packed register-blocked core (`kernel::gemm_mat`), on shapes a
-//! transformer actually hits:
+//! the packed register-blocked core (`kernel::gemm_mat`, on the widest
+//! `kernel::lanes()` the CPU has, printed first), on shapes a transformer
+//! actually hits:
 //!
 //! * `512x512x512` — the square reference point quoted in `results/`;
 //! * `128x768x768`  — BERT-base attention output projection, 128 tokens;
@@ -13,7 +14,7 @@
 //! `results/gemm_kernels.txt`.
 
 use colossalai_bench::{bench_fn, median_secs};
-use colossalai_tensor::kernel::{gemm_mat, Mat};
+use colossalai_tensor::kernel::{self, gemm_mat, Mat};
 use colossalai_tensor::matmul::{gemm_ref_blocked, gemm_ref_ikj, matmul_flops};
 use colossalai_tensor::{axpy_slices, scale_slice};
 
@@ -37,6 +38,7 @@ fn rand_vec(len: usize, seed: u64) -> Vec<f32> {
 }
 
 fn main() {
+    println!("packed runs on {:?} lanes", kernel::lanes());
     for &(m, k, n) in SHAPES {
         let a = rand_vec(m * k, 3);
         let b = rand_vec(k * n, 5);

@@ -13,12 +13,15 @@
 //! * the **microkernel** holds an `MR x NR` accumulator tile in registers and
 //!   performs `MR * NR` multiply-adds per packed column, with no branches in
 //!   the loop body, so it autovectorizes cleanly;
-//! * on x86-64 the microkernel is additionally compiled under
-//!   `#[target_feature(enable = "avx2")]` and selected at runtime, giving
-//!   8-wide f32 lanes without requiring `-C target-cpu` flags. Only `avx2` is
-//!   enabled — not `fma` — so no fused multiply-add can change rounding: every
-//!   output element is a plain mul-then-add chain in ascending `k` order, and
-//!   results are bit-identical between the scalar and AVX2 paths.
+//! * the driver is generic over its register tile and compiled three times,
+//!   one per [`Lanes`]: under `#[target_feature(enable = "avx512f")]` with a
+//!   `4 x 32` tile (eight zmm accumulators), under `avx2` with a `4 x 16`
+//!   tile (eight ymm), and portable at `4 x 16`. [`gemm_mat`] picks the
+//!   widest the CPU has at runtime, so no `-C target-cpu` flag is needed.
+//!   `avx512f` implies `fma`, but Rust never contracts a multiply and an add
+//!   into one instruction, so every output element is the same plain
+//!   mul-then-add chain in ascending `k` order under all three, and the
+//!   results are bit-identical.
 //!
 //! Floating-point contract: for `k <= KC` the summation order per output
 //! element is exactly ascending `k`, matching a textbook triple loop bit for
@@ -29,19 +32,27 @@
 //! A GEMM runs on the thread of the rank that called it: the world executor
 //! (`comm::sched`) is the only owner of host cores.
 
-/// Microtile rows held in registers.
+/// Microtile rows held in registers, at every lane width.
 pub const MR: usize = 4;
-/// Microtile columns held in registers (two AVX2 f32 vectors), giving a
-/// `4 x 16` accumulator tile — 8 ymm registers — with room left for loads.
+/// Microtile columns of the AVX2 and portable tiles (two AVX2 f32 vectors),
+/// giving a `4 x 16` accumulator tile — 8 ymm registers — with room left for
+/// loads.
 pub const NR: usize = 16;
+/// Microtile columns of the AVX-512 tile (two zmm f32 vectors): `4 x 32`, 8
+/// zmm registers.
+pub const NR_WIDE: usize = 32;
 /// `k`-extent of a packed block: `A` and `B` panels are `MR * KC` and
 /// `NR * KC` floats, so a handful of panels fit in L1.
 pub const KC: usize = 512;
 /// Row-extent of a packed `A` block (multiple of `MR`); `MC * KC` floats
 /// target L2 residency.
 pub const MC: usize = 128;
-/// Column-extent of a packed `B` block (multiple of `NR`).
+/// Column-extent of a packed `B` block (multiple of `NR` and `NR_WIDE`).
 pub const NC: usize = 256;
+
+/// `k`-extent of one strip of a transposing [`pack`]: `PACK_STRIP * NR_WIDE`
+/// floats is 16 KB of panel, resident in L1 while every row fills it.
+const PACK_STRIP: usize = 128;
 
 /// Problems with `m * n * k` at or below this run a branch-free direct
 /// kernel instead of paying the packing round-trip.
@@ -62,6 +73,43 @@ pub fn fma_available() -> bool {
 #[cfg(not(target_arch = "x86_64"))]
 pub fn fma_available() -> bool {
     false
+}
+
+/// The vector lanes a packed GEMM runs on. Each is one instantiation of the
+/// same driver source, and all three compute the same bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Lanes {
+    /// The build's baseline instruction set, `MR x NR` tile.
+    Portable,
+    /// 8-wide `avx2` lanes, `MR x NR` tile.
+    Avx2,
+    /// 16-wide `avx512f` lanes, `MR x NR_WIDE` tile.
+    Avx512,
+}
+
+impl Lanes {
+    /// Whether this CPU can run these lanes.
+    fn on_host(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return match self {
+            Lanes::Portable => true,
+            Lanes::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            Lanes::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        return self == Lanes::Portable;
+    }
+}
+
+/// The widest lanes this CPU has, probed once: what [`gemm_mat`] runs on.
+pub fn lanes() -> Lanes {
+    static LANES: std::sync::OnceLock<Lanes> = std::sync::OnceLock::new();
+    *LANES.get_or_init(|| {
+        [Lanes::Avx512, Lanes::Avx2]
+            .into_iter()
+            .find(|l| l.on_host())
+            .unwrap_or(Lanes::Portable)
+    })
 }
 
 /// A logical row-major `rows x cols` matrix over a strided storage slice:
@@ -115,9 +163,9 @@ impl<'a> Mat<'a> {
 /// Packs logical rows `[x0, x0 + xb)` x cols `[p0, p0 + kb)` of `m` into
 /// `W`-row panels: panel `ip` holds rows `x0 + ip*W ..`, stored as `kb`
 /// groups of `W` values (rows beyond `xb` zero-filled so the microkernel
-/// never branches on the edge). `A` packs as itself with `W` = [`MR`]; `B`
-/// packs as its transpose with `W` = [`NR`], so its panels run along its
-/// columns.
+/// never branches on the edge). `A` packs as itself with `W` = the tile's
+/// `MR`; `B` packs as its transpose with `W` = the tile's `NR`, so its panels
+/// run along its columns.
 ///
 /// Packing is a pure gather, and the two layouts a training step produces
 /// have a unit stride on one side: when the panel dimension is contiguous
@@ -130,10 +178,17 @@ fn pack<const W: usize>(m: Mat, x0: usize, xb: usize, p0: usize, kb: usize, buf:
         let x = x0 + ip * W;
         let rows = (xb - ip * W).min(W);
         if cs == 1 {
-            for r in 0..rows {
-                let at = (x + r) * rs + p0;
-                for (dst, &v) in panel.chunks_exact_mut(W).zip(&data[at..at + kb]) {
-                    dst[r] = v;
+            // a transpose: each source row scatters into the panel at stride
+            // `W`, so walk `k` in strips whose slice of the panel stays in
+            // L1 while all `W` rows fill it (a whole 512-deep 4 x 32 panel
+            // is 64 KB, past L1)
+            for k0 in (0..kb).step_by(PACK_STRIP) {
+                let kn = (kb - k0).min(PACK_STRIP);
+                for r in 0..rows {
+                    let at = (x + r) * rs + p0 + k0;
+                    for (dst, &v) in panel[k0 * W..].chunks_exact_mut(W).zip(&data[at..at + kn]) {
+                        dst[r] = v;
+                    }
                 }
             }
             if rows < W {
@@ -165,7 +220,12 @@ fn pack<const W: usize>(m: Mat, x0: usize, xb: usize, p0: usize, kb: usize, buf:
 /// bounds-check-free so LLVM holds `acc` in vector registers; every step is
 /// a plain multiply then add.
 #[inline(always)]
-fn microtile(kb: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
+fn microtile<const MR: usize, const NR: usize>(
+    kb: usize,
+    ap: &[f32],
+    bp: &[f32],
+    acc: &mut [[f32; NR]; MR],
+) {
     for (a, b) in ap[..kb * MR]
         .chunks_exact(MR)
         .zip(bp[..kb * NR].chunks_exact(NR))
@@ -183,11 +243,10 @@ fn microtile(kb: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
 
 /// Runs every microtile of one packed `(mb x kb) @ (kb x nb)` block and
 /// scatter-adds the accumulators into `c` (full `ldc`-wide output, block
-/// origin at `(ic, jc)`). `#[inline(always)]` so the target-feature wrapper
-/// below recompiles the whole loop nest with wide lanes.
+/// origin at `(ic, jc)`).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // flat scalars keep the hot path register-friendly
-fn macro_tile(
+fn macro_tile<const MR: usize, const NR: usize>(
     apack: &[f32],
     bpack: &[f32],
     kb: usize,
@@ -207,7 +266,7 @@ fn macro_tile(
             let rows = (mb - ir).min(MR);
             let ap = &apack[ip * kb * MR..][..kb * MR];
             let mut acc = [[0.0f32; NR]; MR];
-            microtile(kb, ap, bp, &mut acc);
+            microtile::<MR, NR>(kb, ap, bp, &mut acc);
             for (r, acc_row) in acc[..rows].iter().enumerate() {
                 let row = &mut c[(ic + ir + r) * ldc + jc + jr..][..cols];
                 for (cv, &av) in row.iter_mut().zip(acc_row[..cols].iter()) {
@@ -218,64 +277,19 @@ fn macro_tile(
     }
 }
 
-/// [`macro_tile`] compiled with 8-wide AVX2 lanes; the same bits.
-///
-/// # Safety
-///
-/// The CPU must support AVX2 ([`avx2_available`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn macro_tile_avx2(
-    apack: &[f32],
-    bpack: &[f32],
-    kb: usize,
-    mb: usize,
-    nb: usize,
+/// The packed driver at an `MR x NR` register tile: `c += a @ b`.
+/// `#[inline(always)]` so each target-feature wrapper below recompiles the
+/// whole loop nest, packing included, with its lanes. The per-element chain
+/// does not depend on the tile, so neither do the bits.
+#[inline(always)]
+fn gemm_packed<const MR: usize, const NR: usize>(
+    a: Mat,
+    b: Mat,
     c: &mut [f32],
-    ldc: usize,
-    ic: usize,
-    jc: usize,
+    m: usize,
+    k: usize,
+    n: usize,
 ) {
-    macro_tile(apack, bpack, kb, mb, nb, c, ldc, ic, jc);
-}
-
-#[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
-    static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-}
-
-/// Runs one packed block through the AVX2 instantiation when the CPU has
-/// it; the portable one computes the same bits.
-#[allow(clippy::too_many_arguments)]
-fn run_macro_tile(
-    apack: &[f32],
-    bpack: &[f32],
-    kb: usize,
-    mb: usize,
-    nb: usize,
-    c: &mut [f32],
-    ldc: usize,
-    ic: usize,
-    jc: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: avx2_available() checked the CPU supports every feature
-        // macro_tile_avx2 enables.
-        unsafe { macro_tile_avx2(apack, bpack, kb, mb, nb, c, ldc, ic, jc) };
-        return;
-    }
-    macro_tile(apack, bpack, kb, mb, nb, c, ldc, ic, jc);
-}
-
-/// Packed GEMM: `c += a @ b` for logical `(m, k) @ (k, n)` operands,
-/// `c` row-major `m x n`.
-pub fn gemm_mat(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
     let kb_max = k.min(KC);
     // packing panels recycle through the storage pool: a training step calls
     // this kernel hundreds of times with identical panel sizes
@@ -291,12 +305,49 @@ pub fn gemm_mat(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
                 let mb = (m - ic).min(MC);
                 let abuf = &mut apack[..mb.div_ceil(MR) * MR * kb];
                 pack::<MR>(a, ic, mb, pc, kb, abuf);
-                run_macro_tile(abuf, bbuf, kb, mb, nb, c, n, ic, jc);
+                macro_tile::<MR, NR>(abuf, bbuf, kb, mb, nb, c, n, ic, jc);
             }
         }
     }
     crate::pool::recycle(apack);
     crate::pool::recycle(bpack);
+}
+
+/// [`gemm_packed`] on 16-wide AVX-512 lanes at a `4 x 32` tile.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gemm_avx512(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
+    gemm_packed::<MR, NR_WIDE>(a, b, c, m, k, n);
+}
+
+/// [`gemm_packed`] on 8-wide AVX2 lanes at a `4 x 16` tile.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_avx2(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
+    gemm_packed::<MR, NR>(a, b, c, m, k, n);
+}
+
+/// Packed GEMM on the given lanes, which this CPU must have.
+fn gemm_packed_on(lanes: Lanes, a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
+    assert!(lanes.on_host(), "{lanes:?} lanes on a CPU without them");
+    match lanes {
+        // SAFETY: the assert above checked the CPU has avx512f.
+        #[cfg(target_arch = "x86_64")]
+        Lanes::Avx512 => unsafe { gemm_avx512(a, b, c, m, k, n) },
+        // SAFETY: the assert above checked the CPU has avx2.
+        #[cfg(target_arch = "x86_64")]
+        Lanes::Avx2 => unsafe { gemm_avx2(a, b, c, m, k, n) },
+        _ => gemm_packed::<MR, NR>(a, b, c, m, k, n),
+    }
+}
+
+/// Packed GEMM: `c += a @ b` for logical `(m, k) @ (k, n)` operands,
+/// `c` row-major `m x n`, on the widest [`lanes`] this CPU has.
+pub fn gemm_mat(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    gemm_packed_on(lanes(), a, b, c, m, k, n);
 }
 
 /// Branch-free direct i-k-j kernel for problems too small to amortize
@@ -464,7 +515,8 @@ mod tests {
     }
 
     fn pack_matches_the_at_loop<const W: usize>() {
-        let (rows, cols) = (2 * W + 3, 37);
+        // deeper than a transposing pack's strip
+        let (rows, cols) = (2 * W + 3, PACK_STRIP + 37);
         let data = rand_vec(3 * rows * cols, W as u64);
         let operands = [
             ("row-major", Mat::row_major(&data, cols)),
@@ -481,11 +533,13 @@ mod tests {
         ];
         for (what, m) in operands {
             for (m, rows, cols) in [(m, rows, cols), (m.t(), cols, rows)] {
-                // whole extent, a ragged interior block, one full panel, the
-                // last element, nothing
+                // whole extent, ragged interior blocks (the deep one crosses
+                // a strip from an offset), one full panel, the last element,
+                // nothing
                 for (x0, xb, p0, kb) in [
                     (0, rows, 0, cols),
                     (1, W + 2, 2, 5),
+                    (1, W + 2, 3, cols - 3),
                     (W, W, 0, 1),
                     (rows - 1, 1, cols - 1, 1),
                     (2, 0, 3, 4),
@@ -512,6 +566,93 @@ mod tests {
     fn pack_equals_the_element_loop_for_every_layout_and_width() {
         pack_matches_the_at_loop::<MR>();
         pack_matches_the_at_loop::<NR>();
+        pack_matches_the_at_loop::<NR_WIDE>();
+    }
+
+    #[test]
+    fn every_lane_width_computes_the_portable_bits() {
+        let on_host: Vec<Lanes> = [Lanes::Portable, Lanes::Avx2, Lanes::Avx512]
+            .into_iter()
+            .filter(|l| l.on_host())
+            .collect();
+        // no silent skip: a CPU that reports avx512f runs (and ships) the
+        // AVX-512 arm
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            assert!(on_host.contains(&Lanes::Avx512));
+            assert_eq!(lanes(), Lanes::Avx512);
+        }
+        // each extent swept across its edges (both tiles' MR / NR, MC, NC,
+        // KC + 1) with the other two held small, then the three block
+        // straddlers at once
+        let mut shapes = Vec::new();
+        for m in [1, MR - 1, MR, MR + 1, MC - 1, MC, MC + 1] {
+            shapes.push((m, KC + 1, NR_WIDE + 1));
+        }
+        for n in [
+            1,
+            NR - 1,
+            NR,
+            NR + 1,
+            NR_WIDE - 1,
+            NR_WIDE,
+            NR_WIDE + 1,
+            NC - 1,
+            NC,
+            NC + 1,
+        ] {
+            shapes.push((MR + 1, 9, n));
+        }
+        for k in [1, MR + 1, KC - 1, KC, KC + 1] {
+            shapes.push((MR + 1, k, NR_WIDE + 1));
+        }
+        shapes.push((MC + 1, KC + 1, NC + 1));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (m, k, n) in shapes {
+            let a = rand_vec(m * k, (m * 7 + k) as u64);
+            let b = rand_vec(k * n, (k * 13 + n) as u64);
+            let c0 = rand_vec(m * n, (m + n) as u64);
+            // the same logical operands, row-major and as transposed views
+            let (mut at, mut bt) = (vec![0.0; m * k], vec![0.0; k * n]);
+            for i in 0..m {
+                for p in 0..k {
+                    at[p * m + i] = a[i * k + p];
+                }
+            }
+            for p in 0..k {
+                for j in 0..n {
+                    bt[j * k + p] = b[p * n + j];
+                }
+            }
+            let operands = [
+                (Mat::row_major(&a, k), Mat::row_major(&b, n)),
+                (Mat::transposed(&at, m), Mat::transposed(&bt, k)),
+            ];
+            // into a zeroed `c`, and into one that already holds data (what
+            // `gemm_mat_acc` runs above the small cutoff, for k <= KC)
+            for start in [vec![0.0; m * n], c0] {
+                let mut want = start.clone();
+                gemm_packed_on(
+                    Lanes::Portable,
+                    operands[0].0,
+                    operands[0].1,
+                    &mut want,
+                    m,
+                    k,
+                    n,
+                );
+                for lanes in on_host.iter().copied() {
+                    for (layout, (am, bm)) in ["row-major", "transposed"].iter().zip(operands) {
+                        let mut got = start.clone();
+                        gemm_packed_on(lanes, am, bm, &mut got, m, k, n);
+                        assert!(
+                            bits(&got) == bits(&want),
+                            "{lanes:?} {layout} ({m},{k},{n}) differs from portable"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@ use colossalai_tensor::{bmm, bmm_at, bmm_bt, matmul, matmul_at, matmul_bt, Tenso
 use rand::Rng;
 
 /// Dimension menu biased toward the edges the kernel has to get right:
-/// degenerate sizes, the microtile extents `MR`/`NR` and straddlers of both.
+/// degenerate sizes, the microtile extents `MR`/`NR`/`NR_WIDE` and
+/// straddlers of each.
 const DIMS: &[usize] = &[
     0,
     1,
@@ -19,8 +20,9 @@ const DIMS: &[usize] = &[
     kernel::NR - 1,
     kernel::NR,
     kernel::NR + 1,
-    31,
-    33,
+    kernel::NR_WIDE - 1,
+    kernel::NR_WIDE,
+    kernel::NR_WIDE + 1,
 ];
 
 /// Inner-dimension menu; kept moderate so the naive reference stays fast in
@@ -55,9 +57,9 @@ fn tol(k: usize) -> f32 {
 fn packed_gemm_matches_naive() {
     for case in 0..48 {
         let mut draw = colossalai_tensor::init::rng(case);
-        let mi = draw.gen_range(0usize..11);
-        let ki = draw.gen_range(0usize..6);
-        let ni = draw.gen_range(0usize..11);
+        let mi = draw.gen_range(0..DIMS.len());
+        let ki = draw.gen_range(0..KDIMS.len());
+        let ni = draw.gen_range(0..DIMS.len());
         let seed = draw.gen_range(0u64..1000);
         let (m, k, n) = (DIMS[mi], KDIMS[ki], DIMS[ni]);
         let a = rand_t([m, k], seed);
@@ -85,9 +87,9 @@ fn packed_gemm_matches_naive() {
 fn transposed_variants_match_materialized() {
     for case in 0..48 {
         let mut draw = colossalai_tensor::init::rng(case);
-        let mi = draw.gen_range(0usize..11);
-        let ki = draw.gen_range(0usize..6);
-        let ni = draw.gen_range(0usize..11);
+        let mi = draw.gen_range(0..DIMS.len());
+        let ki = draw.gen_range(0..KDIMS.len());
+        let ni = draw.gen_range(0..DIMS.len());
         let seed = draw.gen_range(0u64..1000);
         // matmul_bt / matmul_at feed strided views into the packed kernel;
         // they must agree with explicitly transposing first
@@ -106,9 +108,9 @@ fn batched_variants_match_per_batch() {
     for case in 0..48 {
         let mut draw = colossalai_tensor::init::rng(case);
         let ba = draw.gen_range(1usize..4);
-        let mi = draw.gen_range(0usize..11);
-        let ki = draw.gen_range(0usize..6);
-        let ni = draw.gen_range(0usize..11);
+        let mi = draw.gen_range(0..DIMS.len());
+        let ki = draw.gen_range(0..KDIMS.len());
+        let ni = draw.gen_range(0..DIMS.len());
         let seed = draw.gen_range(0u64..1000);
         let (m, k, n) = (DIMS[mi].max(1), KDIMS[ki].max(1), DIMS[ni].max(1));
         let a = rand_t([ba, m, k], seed);
@@ -134,9 +136,9 @@ fn batched_variants_match_per_batch() {
 fn gemm_accumulation_contract() {
     for case in 0..48 {
         let mut draw = colossalai_tensor::init::rng(case);
-        let mi = draw.gen_range(0usize..11);
-        let ki = draw.gen_range(0usize..6);
-        let ni = draw.gen_range(0usize..11);
+        let mi = draw.gen_range(0..DIMS.len());
+        let ki = draw.gen_range(0..KDIMS.len());
+        let ni = draw.gen_range(0..DIMS.len());
         let seed = draw.gen_range(0u64..1000);
         // C += A@B on a non-zero C: running twice must add exactly twice
         let (m, k, n) = (DIMS[mi], KDIMS[ki], DIMS[ni]);
