@@ -1,14 +1,18 @@
 //! Bench: local GEMM kernel generations on transformer shapes.
 //!
 //! Compares the two seed kernels (`gemm_ref_ikj`, `gemm_ref_blocked`) against
-//! the packed register-blocked core (`kernel::gemm_mat`, on the widest
-//! `kernel::lanes()` the CPU has, printed first), on shapes a transformer
-//! actually hits:
+//! the GEMM core (`kernel::gemm_mat`, on the widest `kernel::lanes()` the CPU
+//! has, printed first; each row is named by the `kernel::path` its shape
+//! takes), on shapes a transformer actually hits:
 //!
 //! * `512x512x512` — the square reference point quoted in `results/`;
 //! * `128x768x768`  — BERT-base attention output projection, 128 tokens;
 //! * `128x768x3072` — BERT-base MLP up-projection, 128 tokens;
-//! * `64x64x64`     — a per-device tile after 2D/3D sharding.
+//! * `64x64x64`     — a per-device tile after 2D/3D sharding;
+//! * `8x256x1024`, `256x8x1024` with a transposed `A`, `8x1024x256` with a
+//!   transposed `B` — an MLP up-projection's forward, weight gradient and
+//!   input gradient at 8 tokens (`zero3_comm`'s rank). The seed kernels read
+//!   row-major operands only, so they skip the transposed ones.
 //!
 //! Run with `cargo bench --bench gemm_kernels`; numbers are recorded in
 //! `results/gemm_kernels.txt`.
@@ -18,11 +22,15 @@ use colossalai_tensor::kernel::{self, gemm_mat, Mat};
 use colossalai_tensor::matmul::{gemm_ref_blocked, gemm_ref_ikj, matmul_flops};
 use colossalai_tensor::{axpy_slices, scale_slice};
 
-const SHAPES: &[(usize, usize, usize)] = &[
-    (512, 512, 512),
-    (128, 768, 768),
-    (128, 768, 3072),
-    (64, 64, 64),
+/// `(m, k, n, A transposed, B transposed)`.
+const SHAPES: &[(usize, usize, usize, bool, bool)] = &[
+    (512, 512, 512, false, false),
+    (128, 768, 768, false, false),
+    (128, 768, 3072, false, false),
+    (64, 64, 64, false, false),
+    (8, 256, 1024, false, false),
+    (256, 8, 1024, true, false),
+    (8, 1024, 256, false, true),
 ];
 
 fn rand_vec(len: usize, seed: u64) -> Vec<f32> {
@@ -38,26 +46,42 @@ fn rand_vec(len: usize, seed: u64) -> Vec<f32> {
 }
 
 fn main() {
-    println!("packed runs on {:?} lanes", kernel::lanes());
-    for &(m, k, n) in SHAPES {
+    println!("gemm_mat runs on {:?} lanes", kernel::lanes());
+    for &(m, k, n, a_t, b_t) in SHAPES {
         let a = rand_vec(m * k, 3);
         let b = rand_vec(k * n, 5);
         let mut out = vec![0.0f32; m * n];
         let gflop = matmul_flops(m, k, n) as f64 / 1e9;
-        let label = |kernel: &str| format!("gemm_kernels/{kernel}/{m}x{k}x{n} ({gflop:.2} GFLOP)");
-        let (am, bm) = (Mat::row_major(&a, k), Mat::row_major(&b, n));
+        let layout = [(a_t, " A^T"), (b_t, " B^T")]
+            .map(|(t, name)| if t { name } else { "" })
+            .concat();
+        let label =
+            |kernel: &str| format!("gemm_kernels/{kernel}/{m}x{k}x{n}{layout} ({gflop:.2} GFLOP)");
+        let am = if a_t {
+            Mat::transposed(&a, m)
+        } else {
+            Mat::row_major(&a, k)
+        };
+        let bm = if b_t {
+            Mat::transposed(&b, k)
+        } else {
+            Mat::row_major(&b, n)
+        };
 
-        bench_fn(&label("seed_ikj"), || {
-            out.fill(0.0);
-            gemm_ref_ikj(&a, &b, &mut out, m, k, n);
-            std::hint::black_box(&mut out);
-        });
-        bench_fn(&label("seed_blocked"), || {
-            out.fill(0.0);
-            gemm_ref_blocked(&a, &b, &mut out, m, k, n);
-            std::hint::black_box(&mut out);
-        });
-        bench_fn(&label("packed"), || {
+        if !a_t && !b_t {
+            bench_fn(&label("seed_ikj"), || {
+                out.fill(0.0);
+                gemm_ref_ikj(&a, &b, &mut out, m, k, n);
+                std::hint::black_box(&mut out);
+            });
+            bench_fn(&label("seed_blocked"), || {
+                out.fill(0.0);
+                gemm_ref_blocked(&a, &b, &mut out, m, k, n);
+                std::hint::black_box(&mut out);
+            });
+        }
+        let path = format!("{:?}", kernel::path(bm, m, k, n)).to_lowercase();
+        bench_fn(&label(&path), || {
             out.fill(0.0);
             gemm_mat(am, bm, &mut out, m, k, n);
             std::hint::black_box(&mut out);

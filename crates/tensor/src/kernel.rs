@@ -1,4 +1,5 @@
-//! Packed, register-blocked GEMM core.
+//! The GEMM core: one shape rule over a packed, register-blocked kernel
+//! and two unpacked streams.
 //!
 //! The distributed matmul algorithms (1D/2D/2.5D/3D tensor parallelism) all
 //! bottom out in a local `C += A @ B` on one simulated device, so this kernel
@@ -23,11 +24,17 @@
 //!   mul-then-add chain in ascending `k` order under all three, and the
 //!   results are bit-identical.
 //!
-//! Floating-point contract: for `k <= KC` the summation order per output
-//! element is exactly ascending `k`, matching a textbook triple loop bit for
-//! bit. For `k > KC` partial sums are accumulated per `KC`-block (still
-//! ascending within and across blocks), which can differ from the unblocked
-//! order by normal rounding only.
+//! Packing pays off when the copy is amortized over many rows and columns.
+//! A skinny product is dominated by it, so [`path`] sends shallow-`k` and
+//! few-row products with a unit-stride `B` to one of two streams that read
+//! the operands in place ([`Path`]); the driver holds the rule, so each
+//! instantiation compiles every path with its lanes.
+//!
+//! Floating-point contract, on every path: each output element's
+//! ascending-`k` chain is reduced from zero and added to `c` once per `KC`
+//! block. For `k <= KC` that is a textbook triple loop bit for bit; for
+//! `k > KC` the per-block partial sums (still ascending within and across
+//! blocks) can differ from the unblocked order by normal rounding only.
 //!
 //! A GEMM runs on the thread of the rank that called it: the world executor
 //! (`comm::sched`) is the only owner of host cores.
@@ -54,9 +61,13 @@ pub const NC: usize = 256;
 /// floats is 16 KB of panel, resident in L1 while every row fills it.
 const PACK_STRIP: usize = 128;
 
-/// Problems with `m * n * k` at or below this run a branch-free direct
-/// kernel instead of paying the packing round-trip.
-const SMALL_FLOP_CUTOFF: usize = 16 * 16 * 16;
+/// Problems with `m * n * k` at or below this stream their rows whatever
+/// the operand layout ([`Path::Tiny`]).
+const TINY_MACS: usize = 16 * 16 * 16;
+/// Deepest `k` the row stream takes ([`Path::RowStream`]).
+pub const ROW_STREAM_MAX_K: usize = 16;
+/// Tallest `m` the `B`-row stream takes ([`Path::BRowStream`]).
+pub const B_ROW_STREAM_MAX_M: usize = 16;
 
 /// Host capability probe: whether the CPU has both AVX2 and FMA units. No
 /// kernel here uses FMA (see the module docs); the benchmark reports it in
@@ -277,10 +288,8 @@ fn macro_tile<const MR: usize, const NR: usize>(
     }
 }
 
-/// The packed driver at an `MR x NR` register tile: `c += a @ b`.
-/// `#[inline(always)]` so each target-feature wrapper below recompiles the
-/// whole loop nest, packing included, with its lanes. The per-element chain
-/// does not depend on the tile, so neither do the bits.
+/// The packed path at an `MR x NR` register tile: `c += a @ b`. The
+/// per-element chain does not depend on the tile, so neither do the bits.
 #[inline(always)]
 fn gemm_packed<const MR: usize, const NR: usize>(
     a: Mat,
@@ -313,22 +322,185 @@ fn gemm_packed<const MR: usize, const NR: usize>(
     crate::pool::recycle(bpack);
 }
 
-/// [`gemm_packed`] on 16-wide AVX-512 lanes at a `4 x 32` tile.
+/// Which kernel [`gemm_mat`] runs for a shape. Every path reduces each
+/// output element's ascending-`k` chain from zero and adds it to `c` once
+/// per `KC` block, so the choice never moves a bit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Path {
+    /// At most 16³ multiply-adds, any layout: the row stream, reading `B`
+    /// element by element where its rows are strided.
+    Tiny,
+    /// Shallow `k`, unit-stride `B` rows: each row of `C` reduces
+    /// register-wide chunks over `k`, nothing packed.
+    RowStream,
+    /// Few rows of `C`, unit-stride `B` rows: each `B` row is read once and
+    /// folded into every row of a zeroed temporary.
+    BRowStream,
+    /// Everything else: packed panels and the register microtile.
+    Packed,
+}
+
+/// The shape rule: which [`Path`] `c += a @ b` takes for a logical
+/// `(m, k) @ (k, n)` product with right operand `b`.
+pub fn path(b: Mat, m: usize, k: usize, n: usize) -> Path {
+    if m * n * k <= TINY_MACS {
+        Path::Tiny
+    } else if b.cs != 1 {
+        Path::Packed
+    } else if k <= ROW_STREAM_MAX_K {
+        Path::RowStream
+    } else if m <= B_ROW_STREAM_MAX_M {
+        Path::BRowStream
+    } else {
+        Path::Packed
+    }
+}
+
+/// `c += a @ b` one row of `c` at a time, nothing packed: per row, per `KC`
+/// block and per `MR * NR`-wide chunk, the chunk's chains are reduced from
+/// zero in the microtile's registers and then added to `c`. Full chunks of a
+/// unit-stride `B` go through [`stream_tile`]; a ragged tail or a strided
+/// `B` goes element by element through [`Mat::at`].
+#[inline(always)]
+fn stream_rows<const MR: usize, const NR: usize>(
+    a: Mat,
+    b: Mat,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    for pc in (0..k).step_by(KC) {
+        let ks = pc..(pc + KC).min(k);
+        for (i, c_row) in c.chunks_exact_mut(n).take(m).enumerate() {
+            for (jc, c_part) in c_row.chunks_mut(MR * NR).enumerate() {
+                let j0 = jc * MR * NR;
+                if b.cs == 1 && c_part.len() == MR * NR {
+                    let mut acc = [[0.0f32; NR]; MR];
+                    stream_tile::<MR, NR>(a, i, ks.clone(), &b.data[j0..], b.rs, &mut acc);
+                    for (c_r, acc_r) in c_part.chunks_exact_mut(NR).zip(acc) {
+                        for (cv, s) in c_r.iter_mut().zip(acc_r) {
+                            *cv += s;
+                        }
+                    }
+                } else {
+                    for (x, cv) in c_part.iter_mut().enumerate() {
+                        let mut s = 0.0f32;
+                        for p in ks.clone() {
+                            s += a.at(i, p) * b.at(p, j0 + x);
+                        }
+                        *cv += s;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The row stream's register kernel: `acc` (one row's `MR * NR` columns, in
+/// `NR`-wide pieces) gains `a[i, p] * b[p, ..]` for each `p` in `ks`, where
+/// `b` starts at the chunk's first column and its rows are `rs` apart.
+/// Fixed-size pieces keep `acc` in registers, as in [`microtile`].
+#[inline(always)]
+fn stream_tile<const MR: usize, const NR: usize>(
+    a: Mat,
+    i: usize,
+    ks: std::ops::Range<usize>,
+    b: &[f32],
+    rs: usize,
+    acc: &mut [[f32; NR]; MR],
+) {
+    for p in ks {
+        let a_ip = a.at(i, p);
+        let row = &b[p * rs..][..MR * NR];
+        for (acc_r, b_r) in acc.iter_mut().zip(row.chunks_exact(NR)) {
+            let b_r: &[f32; NR] = b_r.try_into().unwrap();
+            for j in 0..NR {
+                acc_r[j] += a_ip * b_r[j];
+            }
+        }
+    }
+}
+
+/// `c += a @ b` for a unit-stride `B`, one `B` row at a time: per `KC`
+/// block, each row `p` is folded into all `m` rows of a zeroed pooled
+/// `m x n` temporary (row `i` gains `a[i, p] * b[p, ..]`), and the
+/// temporary is added to `c` once. Four `B` rows share one pass over the
+/// temporary: `(((t + a0 b0) + a1 b1) + a2 b2) + a3 b3` is the chain four
+/// passes would build, with a quarter of the loads and stores.
+#[inline(always)]
+fn stream_b_rows(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
+    let b_row = |p: usize| &b.data[p * b.rs..][..n];
+    let mut t = crate::pool::take_zeroed(m * n);
+    for pc in (0..k).step_by(KC) {
+        if pc > 0 {
+            t.fill(0.0);
+        }
+        let ks = pc..(pc + KC).min(k);
+        let quads = ks.len() / 4;
+        for p in ks.clone().step_by(4).take(quads) {
+            let (b0, b1, b2, b3) = (b_row(p), b_row(p + 1), b_row(p + 2), b_row(p + 3));
+            for (i, t_row) in t.chunks_exact_mut(n).enumerate() {
+                let (a0, a1) = (a.at(i, p), a.at(i, p + 1));
+                let (a2, a3) = (a.at(i, p + 2), a.at(i, p + 3));
+                for ((((s, &x0), &x1), &x2), &x3) in
+                    t_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
+                {
+                    *s = *s + a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3;
+                }
+            }
+        }
+        for p in ks.start + 4 * quads..ks.end {
+            let b0 = b_row(p);
+            for (i, t_row) in t.chunks_exact_mut(n).enumerate() {
+                let a0 = a.at(i, p);
+                for (s, &x0) in t_row.iter_mut().zip(b0) {
+                    *s += a0 * x0;
+                }
+            }
+        }
+        for (cv, &s) in c.iter_mut().zip(&t) {
+            *cv += s;
+        }
+    }
+    crate::pool::recycle(t);
+}
+
+/// The driver at an `MR x NR` register tile: `c += a @ b` down the [`path`]
+/// the shape takes. `#[inline(always)]` so each target-feature wrapper below
+/// recompiles every path, packing included, with its lanes.
+#[inline(always)]
+fn gemm_tile<const MR: usize, const NR: usize>(
+    a: Mat,
+    b: Mat,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    match path(b, m, k, n) {
+        Path::Tiny | Path::RowStream => stream_rows::<MR, NR>(a, b, c, m, k, n),
+        Path::BRowStream => stream_b_rows(a, b, c, m, k, n),
+        Path::Packed => gemm_packed::<MR, NR>(a, b, c, m, k, n),
+    }
+}
+
+/// [`gemm_tile`] on 16-wide AVX-512 lanes at a `4 x 32` tile.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn gemm_avx512(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_packed::<MR, NR_WIDE>(a, b, c, m, k, n);
+    gemm_tile::<MR, NR_WIDE>(a, b, c, m, k, n);
 }
 
-/// [`gemm_packed`] on 8-wide AVX2 lanes at a `4 x 16` tile.
+/// [`gemm_tile`] on 8-wide AVX2 lanes at a `4 x 16` tile.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn gemm_avx2(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_packed::<MR, NR>(a, b, c, m, k, n);
+    gemm_tile::<MR, NR>(a, b, c, m, k, n);
 }
 
-/// Packed GEMM on the given lanes, which this CPU must have.
-fn gemm_packed_on(lanes: Lanes, a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
+/// `c += a @ b` on the given lanes, which this CPU must have.
+fn gemm_on(lanes: Lanes, a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
     assert!(lanes.on_host(), "{lanes:?} lanes on a CPU without them");
     match lanes {
         // SAFETY: the assert above checked the CPU has avx512f.
@@ -337,85 +509,23 @@ fn gemm_packed_on(lanes: Lanes, a: Mat, b: Mat, c: &mut [f32], m: usize, k: usiz
         // SAFETY: the assert above checked the CPU has avx2.
         #[cfg(target_arch = "x86_64")]
         Lanes::Avx2 => unsafe { gemm_avx2(a, b, c, m, k, n) },
-        _ => gemm_packed::<MR, NR>(a, b, c, m, k, n),
+        _ => gemm_tile::<MR, NR>(a, b, c, m, k, n),
     }
 }
 
-/// Packed GEMM: `c += a @ b` for logical `(m, k) @ (k, n)` operands,
-/// `c` row-major `m x n`, on the widest [`lanes`] this CPU has.
+/// The kernel entry point every matmul variant routes through: `c += a @ b`
+/// for logical `(m, k) @ (k, n)` operands, `c` row-major `m x n`, down the
+/// [`path`] the shape takes, on the widest [`lanes`] this CPU has.
+///
+/// Each element of `c` gains its ascending-`k` chain, reduced from zero,
+/// once per `KC` block. For `k <= KC` that is one addition, so a live `c`
+/// (fused gradient accumulation) ends up bitwise equal to adding the
+/// product from a zeroed temporary.
 pub fn gemm_mat(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    gemm_packed_on(lanes(), a, b, c, m, k, n);
-}
-
-/// Branch-free direct i-k-j kernel for problems too small to amortize
-/// packing. Summation per output element is ascending `k`, the same order as
-/// the packed path, so the size dispatch never changes results (for a
-/// zero-initialized `c`, folding the chain into memory per `k` step produces
-/// the same bits as reducing it in a register).
-fn gemm_small(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
-    for i in 0..m {
-        let c_row = &mut c[i * n..(i + 1) * n];
-        for p in 0..k {
-            let a_ip = a.at(i, p);
-            for (j, c_ij) in c_row.iter_mut().enumerate() {
-                *c_ij += a_ip * b.at(p, j);
-            }
-        }
-    }
-}
-
-/// Register-dot variant of [`gemm_small`] for a `c` that already holds live
-/// data: each output element's ascending-`k` dot is fully reduced in a
-/// register first and added to `c` exactly once. `gemm_small` itself folds
-/// into `c` memory once per `k` step, which is the same sequence only when
-/// `c` starts at zero — this variant keeps the bits right when it doesn't.
-fn gemm_small_acc(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
-    for i in 0..m {
-        let c_row = &mut c[i * n..(i + 1) * n];
-        for (j, c_ij) in c_row.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for p in 0..k {
-                acc += a.at(i, p) * b.at(p, j);
-            }
-            *c_ij += acc;
-        }
-    }
-}
-
-/// `c += a @ b` where `c` may already hold live data (fused gradient
-/// accumulation): every output element receives its fully-reduced
-/// ascending-`k` dot exactly once, so accumulating in place is
-/// bitwise-identical to running [`gemm_mat_auto`] into a zeroed temporary
-/// and adding that element-wise. Only valid for `k <= KC` — a single packed
-/// k-block, hence a single writeback per element; callers with deeper
-/// reductions must take the temporary path.
-pub fn gemm_mat_acc(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert!(k <= KC, "gemm_mat_acc requires k <= KC (single k-block)");
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    if m * n * k <= SMALL_FLOP_CUTOFF {
-        return gemm_small_acc(a, b, c, m, k, n);
-    }
-    // above the small cutoff the auto dispatch always takes the packed
-    // microkernel, whose writeback adds each register tile to `c` once per
-    // k-block — exactly once here, since k <= KC
-    gemm_mat_auto(a, b, c, m, k, n);
-}
-
-/// The kernel entry point every matmul variant routes through:
-/// `c += a @ b`, picking the direct or the packed kernel by problem size.
-pub fn gemm_mat_auto(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    if m * n * k <= SMALL_FLOP_CUTOFF {
-        return gemm_small(a, b, c, m, k, n);
-    }
-    gemm_mat(a, b, c, m, k, n);
+    gemm_on(lanes(), a, b, c, m, k, n);
 }
 
 /// Runs `run(t, c_t)` for each of `ba` equal `csize`-element chunks of `c`
@@ -570,7 +680,7 @@ mod tests {
     }
 
     #[test]
-    fn every_lane_width_computes_the_portable_bits() {
+    fn every_path_on_every_lane_width_computes_the_portable_packed_bits() {
         let on_host: Vec<Lanes> = [Lanes::Portable, Lanes::Avx2, Lanes::Avx512]
             .into_iter()
             .filter(|l| l.on_host())
@@ -607,7 +717,35 @@ mod tests {
             shapes.push((MR + 1, k, NR_WIDE + 1));
         }
         shapes.push((MC + 1, KC + 1, NC + 1));
+        // the shape rule's edges: T - 1, T and T + 1 of each threshold
+        // (4095 = 15·13·21, 4097 = 17·241), tiny products as deep as KC ± 1,
+        // and ragged widths around both row-stream chunks
+        shapes.extend([(15, 13, 21), (16, 16, 16), (1, 17, 241)]);
+        shapes.extend([(1, KC - 1, 8), (1, KC, 8), (1, KC + 1, 7)]);
+        let (tall, deep) = (B_ROW_STREAM_MAX_M + 17, ROW_STREAM_MAX_K + 18);
+        for k in [ROW_STREAM_MAX_K - 1, ROW_STREAM_MAX_K, ROW_STREAM_MAX_K + 1] {
+            for n in [
+                MR * NR - 1,
+                MR * NR + 1,
+                MR * NR_WIDE - 1,
+                MR * NR_WIDE,
+                MR * NR_WIDE + 1,
+                2 * MR * NR_WIDE + 3,
+            ] {
+                shapes.push((tall, k, n));
+            }
+        }
+        for m in [
+            B_ROW_STREAM_MAX_M - 1,
+            B_ROW_STREAM_MAX_M,
+            B_ROW_STREAM_MAX_M + 1,
+        ] {
+            for k in [deep, KC - 1, KC + 1] {
+                shapes.push((m, k, MR * NR_WIDE + 1));
+            }
+        }
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut taken = Vec::new();
         for (m, k, n) in shapes {
             let a = rand_vec(m * k, (m * 7 + k) as u64);
             let b = rand_vec(k * n, (k * 13 + n) as u64);
@@ -624,34 +762,38 @@ mod tests {
                     bt[j * k + p] = b[p * n + j];
                 }
             }
-            let operands = [
-                (Mat::row_major(&a, k), Mat::row_major(&b, n)),
-                (Mat::transposed(&at, m), Mat::transposed(&bt, k)),
+            let a_views = [
+                ("row-major", Mat::row_major(&a, k)),
+                ("transposed", Mat::transposed(&at, m)),
             ];
-            // into a zeroed `c`, and into one that already holds data (what
-            // `gemm_mat_acc` runs above the small cutoff, for k <= KC)
+            let b_views = [
+                ("row-major", Mat::row_major(&b, n)),
+                ("transposed", Mat::transposed(&bt, k)),
+            ];
+            // into a zeroed `c`, and into one that already holds data (a
+            // fused gradient accumulation)
             for start in [vec![0.0; m * n], c0] {
                 let mut want = start.clone();
-                gemm_packed_on(
-                    Lanes::Portable,
-                    operands[0].0,
-                    operands[0].1,
-                    &mut want,
-                    m,
-                    k,
-                    n,
-                );
-                for lanes in on_host.iter().copied() {
-                    for (layout, (am, bm)) in ["row-major", "transposed"].iter().zip(operands) {
-                        let mut got = start.clone();
-                        gemm_packed_on(lanes, am, bm, &mut got, m, k, n);
-                        assert!(
-                            bits(&got) == bits(&want),
-                            "{lanes:?} {layout} ({m},{k},{n}) differs from portable"
-                        );
+                gemm_packed::<MR, NR>(a_views[0].1, b_views[0].1, &mut want, m, k, n);
+                for (a_layout, am) in a_views {
+                    for (b_layout, bm) in b_views {
+                        let path = path(bm, m, k, n);
+                        taken.push(path);
+                        for lanes in on_host.iter().copied() {
+                            let mut got = start.clone();
+                            gemm_on(lanes, am, bm, &mut got, m, k, n);
+                            assert!(
+                                bits(&got) == bits(&want),
+                                "{path:?} on {lanes:?}, A {a_layout}, B {b_layout}, \
+                                 ({m},{k},{n}) differs from portable packed"
+                            );
+                        }
                     }
                 }
             }
+        }
+        for path in [Path::Tiny, Path::RowStream, Path::BRowStream, Path::Packed] {
+            assert!(taken.contains(&path), "no shape took {path:?}");
         }
     }
 
@@ -692,7 +834,7 @@ mod tests {
         let a = vec![1.0f32; 4];
         let b = vec![1.0f32; 4];
         let mut c = vec![1.0f32; 4];
-        gemm_mat_auto(
+        gemm_mat(
             Mat::row_major(&a, 2),
             Mat::row_major(&b, 2),
             &mut c,
@@ -706,7 +848,7 @@ mod tests {
     #[test]
     fn zero_extent_dims_are_noops() {
         let mut c = vec![5.0f32; 6];
-        gemm_mat_auto(
+        gemm_mat(
             Mat::row_major(&[], 0),
             Mat::row_major(&[], 3),
             &mut c,
@@ -715,7 +857,7 @@ mod tests {
             3,
         );
         assert_eq!(c, vec![5.0; 6]); // k == 0: empty sum adds nothing
-        gemm_mat_auto(
+        gemm_mat(
             Mat::row_major(&[], 4),
             Mat::row_major(&[], 0),
             &mut [],

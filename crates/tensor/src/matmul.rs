@@ -2,15 +2,15 @@
 //!
 //! All distributed matmul algorithms (1D/2D/2.5D/3D tensor parallelism)
 //! bottom out in these local kernels. Every variant — plain, transposed, and
-//! batched — routes through the packed register-blocked core in
-//! [`crate::kernel`]; transposed operands are passed as strided views so the
-//! transpose is never materialized and never touches the hot loop.
+//! batched — routes through [`gemm_mat`], the GEMM core in [`crate::kernel`]
+//! (packed, or streamed for skinny shapes); transposed operands are passed
+//! as strided views so the transpose is never materialized.
 //!
 //! The seed kernels ([`gemm_ref_ikj`], [`gemm_ref_blocked`]) are kept as
 //! reference baselines for the `gemm_kernels` benchmark and for differential
 //! tests; they are not used by any production path.
 
-use crate::kernel::{for_each_batch, gemm_mat_auto, Mat};
+use crate::kernel::{for_each_batch, gemm_mat, Mat};
 use crate::tensor::Tensor;
 
 /// Block edge for the reference tiled kernel; sized so that three `B x B`
@@ -31,14 +31,13 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec([m, n], out)
 }
 
-/// `C += A @ B` on raw row-major slices. The accumulation form is what the
-/// SUMMA / Cannon / 2.5D loops need (they accumulate partial products panel
-/// by panel into a local tile).
+/// `C += A @ B` on raw row-major slices. [`matmul`] and [`matmul_nd`] pass
+/// a zeroed `C`; a live one gains the product as [`gemm_mat`] adds it.
 pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "gemm lhs size");
     assert_eq!(b.len(), k * n, "gemm rhs size");
     assert_eq!(c.len(), m * n, "gemm out size");
-    gemm_mat_auto(Mat::row_major(a, k), Mat::row_major(b, n), c, m, k, n);
+    gemm_mat(Mat::row_major(a, k), Mat::row_major(b, n), c, m, k, n);
 }
 
 /// Reference i-k-j kernel from the seed tree, kept for benchmarking and
@@ -113,7 +112,7 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Tensor {
     let (n, k2) = (b.dims()[0], b.dims()[1]);
     assert_eq!(k, k2, "matmul_bt inner-dimension mismatch");
     let mut out = crate::pool::take_zeroed(m * n);
-    gemm_mat_auto(
+    gemm_mat(
         Mat::row_major(a.data(), k),
         Mat::transposed(b.data(), k),
         &mut out,
@@ -128,9 +127,9 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Tensor {
 /// temporary tensor (and its zero-fill and second axpy pass) that
 /// `matmul_at` + `Tensor::axpy` would cost. Bitwise-identical to that
 /// composed pair: for `k <= kernel::KC` each output element gets its
-/// fully-reduced ascending-`k` dot added exactly once (see
-/// [`crate::kernel::gemm_mat_acc`]); deeper reductions fall back to the
-/// composed path itself.
+/// fully-reduced ascending-`k` dot added exactly once (see [`gemm_mat`]);
+/// deeper reductions, which add once per `KC` block, take the composed path
+/// itself.
 pub fn matmul_at_acc(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     assert_eq!(a.rank(), 2);
     assert_eq!(b.rank(), 2);
@@ -143,7 +142,7 @@ pub fn matmul_at_acc(a: &Tensor, b: &Tensor, out: &mut Tensor) {
         "matmul_at_acc output shape mismatch"
     );
     if k <= crate::kernel::KC {
-        crate::kernel::gemm_mat_acc(
+        gemm_mat(
             Mat::transposed(a.data(), m),
             Mat::row_major(b.data(), n),
             out.data_mut(),
@@ -164,7 +163,7 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
     let (k2, n) = (b.dims()[0], b.dims()[1]);
     assert_eq!(k, k2, "matmul_at inner-dimension mismatch");
     let mut out = crate::pool::take_zeroed(m * n);
-    gemm_mat_auto(
+    gemm_mat(
         Mat::transposed(a.data(), m),
         Mat::row_major(b.data(), n),
         &mut out,
@@ -186,7 +185,7 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(k, k2, "bmm inner-dimension mismatch");
     let mut out = crate::pool::take_zeroed(ba * m * n);
     for_each_batch(ba, m * n, &mut out, |t, c_t| {
-        gemm_mat_auto(
+        gemm_mat(
             Mat::row_major(&a.data()[t * m * k..(t + 1) * m * k], k),
             Mat::row_major(&b.data()[t * k * n..(t + 1) * k * n], n),
             c_t,
@@ -208,7 +207,7 @@ pub fn bmm_bt(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(k, k2, "bmm_bt inner-dimension mismatch");
     let mut out = crate::pool::take_zeroed(ba * m * n);
     for_each_batch(ba, m * n, &mut out, |t, c_t| {
-        gemm_mat_auto(
+        gemm_mat(
             Mat::row_major(&a.data()[t * m * k..(t + 1) * m * k], k),
             Mat::transposed(&b.data()[t * n * k..(t + 1) * n * k], k),
             c_t,
@@ -230,7 +229,7 @@ pub fn bmm_at(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(k, k2, "bmm_at inner-dimension mismatch");
     let mut out = crate::pool::take_zeroed(ba * m * n);
     for_each_batch(ba, m * n, &mut out, |t, c_t| {
-        gemm_mat_auto(
+        gemm_mat(
             Mat::transposed(&a.data()[t * k * m..(t + 1) * k * m], m),
             Mat::row_major(&b.data()[t * k * n..(t + 1) * k * n], n),
             c_t,

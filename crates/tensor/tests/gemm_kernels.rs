@@ -8,8 +8,8 @@ use colossalai_tensor::{bmm, bmm_at, bmm_bt, matmul, matmul_at, matmul_bt, Tenso
 use rand::Rng;
 
 /// Dimension menu biased toward the edges the kernel has to get right:
-/// degenerate sizes, the microtile extents `MR`/`NR`/`NR_WIDE` and
-/// straddlers of each.
+/// degenerate sizes, the microtile extents `MR`/`NR`/`NR_WIDE`, the
+/// `B`-row stream's row threshold and straddlers of each.
 const DIMS: &[usize] = &[
     0,
     1,
@@ -23,12 +23,25 @@ const DIMS: &[usize] = &[
     kernel::NR_WIDE - 1,
     kernel::NR_WIDE,
     kernel::NR_WIDE + 1,
+    kernel::B_ROW_STREAM_MAX_M - 1,
+    kernel::B_ROW_STREAM_MAX_M,
+    kernel::B_ROW_STREAM_MAX_M + 1,
 ];
 
-/// Inner-dimension menu; kept moderate so the naive reference stays fast in
-/// debug builds (the `KC`/`MC`/`NC` straddlers are covered by the unit tests
-/// in `kernel.rs`).
-const KDIMS: &[usize] = &[0, 1, 2, kernel::MR + 1, kernel::NR + 1, 40];
+/// Inner-dimension menu, with the row stream's depth threshold and its
+/// straddlers; kept moderate so the naive reference stays fast in debug
+/// builds (the `KC`/`MC`/`NC` straddlers are covered by the unit tests in
+/// `kernel.rs`).
+const KDIMS: &[usize] = &[
+    0,
+    1,
+    2,
+    kernel::MR + 1,
+    kernel::ROW_STREAM_MAX_K - 1,
+    kernel::ROW_STREAM_MAX_K,
+    kernel::ROW_STREAM_MAX_K + 1,
+    40,
+];
 
 fn naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut c = vec![0.0f32; m * n];
