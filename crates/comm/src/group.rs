@@ -9,9 +9,9 @@
 //! wrappers over the same path.
 //!
 //! Data movement is real (tensors cross threads through a rendezvous slot);
-//! time is virtual (charged from the cluster's alpha-beta model for the
-//! canonical ring algorithm of each collective). Reductions are applied in
-//! rank order, so results are bit-deterministic across runs.
+//! time is virtual: each op charges its `topology::cost` price, launch
+//! included, on the stream it names. Reductions are applied in rank order,
+//! so results are bit-deterministic across runs.
 
 use crate::stats::OpKind;
 use crate::task::{Poll, WakeKey};
@@ -739,10 +739,11 @@ impl Group {
         }
     }
 
-    /// Emits this op's group-track span(s): one per phase of the all-reduce
-    /// schedule that ran (hierarchical RS/AR/AG, tree reduce/broadcast,
-    /// halving-doubling RS/AG, one for the flat ring), tiling the op
-    /// interval contiguously, and one span for every other op.
+    /// Emits this op's group-track span(s): one per (launch-free) phase of
+    /// the all-reduce schedule that ran (hierarchical RS/AR/AG, tree
+    /// reduce/broadcast, halving-doubling RS/AG, one for the flat ring),
+    /// tiling the op interval contiguously — the last span ends at the op's
+    /// end, so it carries the launch — and one span for every other op.
     fn trace_group_phases(&self, ctx: &DeviceCtx, done: &Done, bytes: u64, start: f64, end: f64) {
         let Some(schedule) = &done.schedule else {
             self.trace_group_span(ctx, done.kind, bytes, start, end);
@@ -1177,6 +1178,22 @@ mod tests {
                         }
                     }
                 }
+                // the cost layer's price of the 12 billed elements on the
+                // 4-rank group, launch included
+                let (c, g, bytes) = (&system_i(), &[0, 1, 2, 3][..], 12 * billed.bytes());
+                let price = match op {
+                    Op::AllReduce { .. } => cost::select_allreduce_schedule(c, g, bytes).time(),
+                    Op::SparseAllReduce { .. } | Op::AllGather { .. } => {
+                        cost::allgather_time(c, g, bytes)
+                    }
+                    Op::ReduceScatter { .. } => cost::reduce_scatter_time(c, g, bytes),
+                    Op::Broadcast { .. } | Op::ReduceSum { .. } => {
+                        cost::broadcast_time(c, g, bytes)
+                    }
+                    Op::Barrier => cost::allreduce_time(c, g, billed.bytes()),
+                };
+                assert_eq!(cost, price, "{op:?} at {wire:?}");
+                assert!(cost > cost::COLLECTIVE_LAUNCH_SECONDS, "{op:?} at {wire:?}");
                 cost_by_wire.push(cost);
             }
             // the virtual clock sees the cheaper wire too, not just stats
@@ -1298,14 +1315,17 @@ mod tests {
     fn single_rank_group_still_records_stats() {
         // p == 1 used to skip record_stats entirely; the op must still show
         // up in the ledger (with zero element hops — nothing crosses a wire)
+        // and still charge nothing, not even a launch
         let world = World::new(system_i());
         world.set_tracing(true);
         world.run_on(1, |ctx| {
             let g = ctx.world_group(1);
             ctx.advance(1e-3);
             let _ = g.all_reduce(ctx, Tensor::full([3], 7.0));
+            assert_eq!(ctx.clock(), 1e-3);
             ctx.advance(2e-3);
             g.barrier(ctx);
+            assert_eq!(ctx.clock(), 1e-3 + 2e-3);
         });
         let stats = world.stats();
         assert_eq!(stats.ops_of(OpKind::AllReduce), 1);

@@ -18,13 +18,6 @@ use colossalai_topology::{cost, Cluster, DeviceId};
 
 const FP16: u64 = 2;
 
-/// Fixed per-collective overhead (kernel launch + NCCL communicator setup,
-/// ~100 us in practice). This is the real-system effect behind Fig 11a:
-/// SUMMA-family modes issue tens of small collectives per layer where
-/// Megatron 1D issues four large all-reduces, so on a full-NVLink box the
-/// launch overhead — not volume — decides the ranking.
-const COLLECTIVE_LAUNCH_SECONDS: f64 = 1.0e-4;
-
 /// Result of a step-time estimate.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StepEstimate {
@@ -74,8 +67,8 @@ fn worst(groups: &[Vec<DeviceId>], time: impl Fn(&[DeviceId]) -> f64) -> f64 {
 }
 
 /// Communication seconds of one fwd+bwd pass of a single matmul under a
-/// 2D / 2.5D / 3D mode, including fixed launch overhead per collective.
-/// `m_rows` is the token count (batch x seq).
+/// 2D / 2.5D / 3D mode, each collective at its cost-model price (launch
+/// included). `m_rows` is the token count (batch x seq).
 fn matmul_comm_seconds(
     mode: TpMode,
     cluster: &Cluster,
@@ -87,7 +80,7 @@ fn matmul_comm_seconds(
     let m = m_rows as u64;
     let (k, n) = (k as u64, n as u64);
     let grid = mode.grid(devices.len()).expect("the mode admits p");
-    let (seconds, launches) = match mode {
+    match mode {
         TpMode::ThreeD => {
             let l = grid[0];
             let [i_groups, j_groups, k_groups] =
@@ -111,7 +104,7 @@ fn matmul_comm_seconds(
                 + max_rs(&k_groups, m * k / l2 * FP16)
                 + max_ag(&k_groups, m * k / l3 * FP16)
                 + max_rs(&i_groups, k * n / l2 * FP16);
-            (fwd + bwd, 8) // 3 fwd + 5 bwd collectives
+            fwd + bwd
         }
         _ => {
             // 2D, and 2.5D's depth layers (2D has one): each runs 2D SUMMA
@@ -132,17 +125,12 @@ fn matmul_comm_seconds(
             }
             // dW all-reduce across depth (one-device groups under 2D, free)
             let depth = axis_groups(devices, grid, &[0]);
-            let dw = worst(&depth, |g| cost::allreduce_time(cluster, g, w_panel));
-            // passes x rounds x (row bcast + col bcast), + the 2.5D dW all-reduce
-            let launches = 3 * j as u64 * 2 + u64::from(mode != TpMode::TwoD);
-            (worst_layer + dw, launches)
+            worst_layer + worst(&depth, |g| cost::allreduce_time(cluster, g, w_panel))
         }
-    };
-    seconds + launches as f64 * COLLECTIVE_LAUNCH_SECONDS
+    }
 }
 
-/// Communication seconds of one fwd+bwd pass of a whole Transformer layer,
-/// including fixed launch overhead per collective.
+/// Communication seconds of one fwd+bwd pass of a whole Transformer layer.
 fn tp_layer_comm_seconds(
     mode: TpMode,
     cfg: &TransformerConfig,
@@ -150,16 +138,13 @@ fn tp_layer_comm_seconds(
     devices: &[DeviceId],
     batch: usize,
 ) -> f64 {
-    if devices.len() == 1 {
-        return 0.0; // no parallelism, no collectives
-    }
     let m_rows = batch * cfg.max_seq;
     match mode {
         TpMode::OneD => {
             // 2 all-reduces of [M, h] forward + 2 backward, across the whole
             // TP group — the Fig 4 pattern
             let bytes = (m_rows * cfg.hidden) as u64 * FP16;
-            4.0 * (cost::allreduce_time(cluster, devices, bytes) + COLLECTIVE_LAUNCH_SECONDS)
+            4.0 * cost::allreduce_time(cluster, devices, bytes)
         }
         _ => layer_matmuls(cfg.hidden, cfg.mlp_ratio)
             .into_iter()
@@ -284,9 +269,6 @@ pub fn bert_pipeline_step(
         "stages must divide layers"
     );
     let base = bert_step(mode, cfg, cluster, devices, batch, seq);
-    if stages == 1 {
-        return base;
-    }
     // per-stage work is 1/stages of the step, bubble-stretched
     let bubble = 1.0
         + crate::pipeline::bubble_fraction(stages, micro_batches)
@@ -329,12 +311,8 @@ pub fn offload_step(
     // reduce-scatter gradients. Both engines prefetch the next layer's
     // parameters while computing the current one, so collective time
     // overlaps with compute; the step is gated by whichever is longer.
-    let comm = if p > 1 {
-        2.0 * cost::allgather_time(cluster, devices, 2 * n / p)
-            + cost::reduce_scatter_time(cluster, devices, 2 * n)
-    } else {
-        0.0
-    };
+    let comm = 2.0 * cost::allgather_time(cluster, devices, 2 * n / p)
+        + cost::reduce_scatter_time(cluster, devices, 2 * n);
 
     // placement-policy overhead: PCIe streaming + CPU share of Adam.
     // Both systems train 10B+ models with full activation checkpointing, so

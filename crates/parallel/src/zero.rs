@@ -322,10 +322,11 @@ mod tests {
         /// Final parameters, per rank.
         params: Vec<Tensor>,
         stats: colossalai_comm::CommStats,
-        /// Per rank, the bytes a gradient channel can influence: per-step
-        /// loss bits, final error-feedback residual bits and final (main,
-        /// comm) clock bits.
-        bytes: Vec<Vec<u8>>,
+        /// Per rank, the bits a gradient channel can influence: per-step
+        /// loss bits and final error-feedback residual bits.
+        bits: Vec<Vec<u8>>,
+        /// Per rank, the final (main, comm) clocks.
+        clocks: Vec<[f64; 2]>,
         /// Per rank, the input gradient the last backward returned.
         dx: Vec<Tensor>,
     }
@@ -416,19 +417,19 @@ mod tests {
                     flatten_params(&mut model)
                 }
             };
-            bytes.extend(ctx.clock().to_bits().to_le_bytes());
-            bytes.extend(ctx.comm_clock().to_bits().to_le_bytes());
-            (params, bytes, dx)
+            (params, bytes, [ctx.clock(), ctx.comm_clock()], dx)
         });
         let mut run = Run {
             params: Vec::new(),
             stats: world.stats(),
-            bytes: Vec::new(),
+            bits: Vec::new(),
+            clocks: Vec::new(),
             dx: Vec::new(),
         };
-        for (params, bytes, dx) in out {
+        for (params, bits, clocks, dx) in out {
             run.params.push(params);
-            run.bytes.push(bytes);
+            run.bits.push(bits);
+            run.clocks.push(clocks);
             run.dx.push(dx);
         }
         run
@@ -608,94 +609,128 @@ mod tests {
         );
     }
 
-    /// FNV-1a 64 over everything [`trajectory`] reports of a 4-rank,
-    /// 3-step, 64-byte-bucket run except the parameters: the per-rank
-    /// channel bytes, then the `CommStats` breakdown (op kinds sorted).
+    /// FNV-1a 64 hashes of everything [`trajectory`] reports of a 4-rank,
+    /// 3-step, 64-byte-bucket run except the parameters, as `(bits,
+    /// clocks)`: the bits hash covers the per-rank channel bytes, then the
+    /// `CommStats` breakdown (op kinds sorted); the clock hash covers the
+    /// per-rank final (main, comm) clocks. A change to the time model
+    /// moves only the second.
     fn compressed_run_fingerprint(
         stage: Option<ZeroStage>,
         comp: Compression,
         overlap: bool,
-    ) -> u64 {
+    ) -> (u64, u64) {
         let Run {
             stats,
-            bytes: per_rank,
+            bits,
+            clocks,
             ..
         } = trajectory(stage, 4, 3, 64, overlap, comp);
         let mut by_op: Vec<_> = stats.by_op.iter().collect();
         by_op.sort_by_key(|(kind, _)| kind.name());
         let stats_text = format!("{} {} {} {by_op:?}", stats.ops, stats.elements, stats.bytes);
-        per_rank
-            .into_iter()
-            .flatten()
-            .chain(stats_text.bytes())
-            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        let fnv = |bytes: &mut dyn Iterator<Item = u8>| {
+            bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
                 (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
             })
+        };
+        (
+            fnv(&mut bits.into_iter().flatten().chain(stats_text.bytes())),
+            fnv(&mut clocks
+                .iter()
+                .flatten()
+                .flat_map(|c| c.to_bits().to_le_bytes())),
+        )
     }
 
     #[test]
     fn compressed_dp_and_zero_reproduce_the_frozen_fingerprints() {
-        // (blocking, overlapped) fingerprints per scheme x channel, frozen
-        // from the per-width, per-stream `Group` methods before the
-        // `Collective` descriptor replaced them (PR 13)
+        // per scheme x channel, the bits fingerprint (overlap moves no bit)
+        // and the clock fingerprints of the blocking and of the overlapped
+        // run. The bits were frozen from the
+        // per-width, per-stream `Group` methods before the `Collective`
+        // descriptor replaced them; the clocks were re-pinned when every
+        // collective started paying the cost model's launch term
         use Compression::{Fp16, Int8, TopK};
         use ZeroStage::{One, Two};
         let golden = [
             (
                 None,
                 Compression::None,
-                0xd887_1225_cfbb_66df,
-                0x5f45_9215_df05_759f,
+                0x1e79_3363_a889_ea6f,
+                [0x8724_d8d1_53a9_5795, 0x195d_6cd6_e591_2245],
             ),
-            (None, TopK(3), 0xab6a_7a86_97ae_779a, 0xe68c_b575_975e_34e2),
-            (None, Int8, 0x1d78_7e2e_674e_1a87, 0xe77d_dce3_9420_cbab),
-            (None, Fp16, 0xf96a_5dc1_fe7a_f89d, 0x85f8_65fd_8e80_8a2d),
+            (
+                None,
+                TopK(3),
+                0xc49d_2b77_b530_ac72,
+                [0x4018_e788_291a_8e3d, 0x9a9b_2ad4_3406_f0b5],
+            ),
+            (
+                None,
+                Int8,
+                0x8aac_71f0_e105_3003,
+                [0x165b_08df_afa8_4e3d, 0x93a1_af70_3be0_5995],
+            ),
+            (
+                None,
+                Fp16,
+                0xe50f_85ec_9e95_1d1d,
+                [0x2590_3429_d936_6d15, 0x9017_52b4_da32_0615],
+            ),
             (
                 Some(One),
                 Compression::None,
-                0xb2c8_b2b3_54a1_ba6f,
-                0x2dc3_c839_046b_0523,
+                0x524b_4b39_304f_8e9b,
+                [0x0d9c_4647_813a_accd, 0x108e_c799_1209_ae6d],
             ),
             (
                 Some(One),
                 Int8,
-                0xf592_0bcf_c48b_f847,
-                0x068b_4615_c98f_eb03,
+                0xc3eb_3b21_2873_8b3b,
+                [0x39d1_56b9_8a85_a89d, 0x8f41_d69f_4c37_54b5],
             ),
             (
                 Some(One),
                 Fp16,
-                0xacc1_cc29_d693_9282,
-                0x37d4_baa2_b421_f796,
+                0x908d_5baf_b4fb_eb22,
+                [0x8103_cd73_acd7_3c9d, 0xb5b3_f29d_cc31_e775],
             ),
             (
                 Some(Two),
                 Compression::None,
-                0x296a_7899_fcdd_58d4,
-                0x526a_1f2b_a5fa_fea0,
+                0xf918_95d0_a5b7_651c,
+                [0xb720_5848_a23f_be35, 0x9a96_80d6_a63d_488d],
             ),
             (
                 Some(Two),
                 Int8,
-                0x0c34_31d4_0108_96d1,
-                0xd505_18ff_6ac9_c6e9,
+                0xe846_a71a_e0c3_599d,
+                [0x8cc6_ef3c_5ece_9515, 0x634b_4aaf_cebc_2c35],
             ),
             (
                 Some(Two),
                 Fp16,
-                0x6b2f_7f4b_93f8_ee0d,
-                0xf10f_af58_5542_0a0d,
+                0x040e_5f14_b3a0_8e31,
+                [0x97b8_efd8_8ad3_e025, 0xd797_b4e6_5774_53e5],
             ),
         ];
-        for (stage, comp, blocking, overlapped) in golden {
-            for (overlap, want) in [(false, blocking), (true, overlapped)] {
+        let mut moved = Vec::new();
+        for (stage, comp, bits, clocks) in golden {
+            for (overlap, clocks) in [false, true].into_iter().zip(clocks) {
                 let got = compressed_run_fingerprint(stage, comp, overlap);
-                assert_eq!(
-                    got, want,
-                    "stage {stage:?}, {comp:?}, overlap={overlap}: {got:#018x}"
-                );
+                if got != (bits, clocks) {
+                    let (bits, clocks) = got;
+                    let at = format!("{stage:?}, {comp:?}, overlap={overlap}");
+                    moved.push(format!("{at}: ({bits:#018x}, {clocks:#018x})"));
+                }
             }
         }
+        assert!(
+            moved.is_empty(),
+            "moved fingerprints:\n{}",
+            moved.join("\n")
+        );
     }
 
     /// Three steps of ZeRO at `stage` on a one-rank group — with a plan,

@@ -1,5 +1,6 @@
 //! Bandwidth probing — the simulation analogue of the NCCL bandwidth test
-//! used for Fig 10 of the paper.
+//! used for Fig 10 of the paper. Like that back-to-back test, a collective
+//! probe reports payload over data-plane (launch-free) seconds.
 
 use crate::cluster::Cluster;
 use crate::cost;
@@ -18,7 +19,7 @@ pub struct PairProbe {
 #[derive(Clone, Debug, PartialEq)]
 pub struct GroupProbe {
     pub group: Vec<DeviceId>,
-    /// Algorithm bandwidth (payload bytes / completion time) in bytes/s.
+    /// Algorithm bandwidth (payload bytes / data-plane seconds) in bytes/s.
     pub bandwidth: f64,
 }
 
@@ -48,7 +49,7 @@ pub fn probe_collective(cluster: &Cluster, group_sizes: &[usize], bytes: u64) ->
         .map(|&k| {
             assert!(k >= 2 && k <= cluster.n_devices(), "bad group size {k}");
             let group: Vec<DeviceId> = (0..k).collect();
-            let t = cost::broadcast_time(cluster, &group, bytes);
+            let t = cost::data_plane(cost::Ring::Broadcast, cluster, &group, bytes);
             GroupProbe {
                 group,
                 bandwidth: cost::algorithm_bandwidth(bytes, t),
@@ -91,7 +92,7 @@ pub fn probe_allreduce(
         .map(|&k| {
             assert!(k >= 2 && k <= cluster.n_devices(), "bad group size {k}");
             let group: Vec<DeviceId> = (0..k).collect();
-            let t = |algo| cost::allreduce_time_with(algo, cluster, &group, bytes);
+            let t = |algo| cost::allreduce_schedule(algo, cluster, &group, bytes).data_plane();
             AllReduceProbe {
                 selected: cost::select_allreduce_algo(cluster, &group, bytes),
                 flat: cost::algorithm_bandwidth(bytes, t(cost::AllReduceAlgo::FlatRing)),

@@ -9,53 +9,66 @@
 use crate::cluster::Cluster;
 use crate::device::DeviceId;
 
-/// Seconds for a ring all-reduce of `bytes` over `group`.
-///
-/// Standard ring model: `2 (p-1)` steps, each moving `bytes / p` across the
-/// slowest ring link.
-pub fn allreduce_time(cluster: &Cluster, group: &[DeviceId], bytes: u64) -> f64 {
+/// Fixed overhead of one collective (kernel launch + NCCL communicator
+/// setup, ~100 µs in practice), charged once per collective that moves data
+/// between two or more devices; point-to-point ([`Cluster::p2p_time`]) is
+/// free of it. SUMMA's many small broadcasts pay it where 1D's four large
+/// all-reduces do not: the effect behind Fig 11a.
+pub const COLLECTIVE_LAUNCH_SECONDS: f64 = 1.0e-4;
+
+/// A collective's price from its launch-free data-plane seconds.
+fn launched(data_plane: f64) -> f64 {
+    let launches = if data_plane > 0.0 { 1.0 } else { 0.0 };
+    data_plane + launches * COLLECTIVE_LAUNCH_SECONDS
+}
+
+/// The ring-family collectives [`data_plane`] prices (steps: below).
+#[derive(Clone, Copy)]
+pub(crate) enum Ring {
+    AllReduce,
+    AllGather,
+    ReduceScatter,
+    Broadcast,
+}
+
+/// Launch-free seconds of a `ring` collective of `bytes` over `group` (0: one device, no bytes).
+pub(crate) fn data_plane(ring: Ring, cluster: &Cluster, group: &[DeviceId], bytes: u64) -> f64 {
     let p = group.len();
     if p <= 1 || bytes == 0 {
         return 0.0;
     }
     let link = cluster.ring_bottleneck(group);
-    let steps = 2 * (p - 1);
-    steps as f64 * (link.latency + bytes as f64 / p as f64 / link.bandwidth)
+    let (hops, b) = ((p - 1) as f64, bytes as f64);
+    match ring {
+        Ring::AllReduce => (2 * (p - 1)) as f64 * (link.latency + b / p as f64 / link.bandwidth),
+        Ring::AllGather => hops * (link.latency + b / link.bandwidth),
+        Ring::ReduceScatter => hops * (link.latency + b / p as f64 / link.bandwidth),
+        Ring::Broadcast => hops * link.latency + b / link.bandwidth,
+    }
+}
+
+/// Seconds for a ring all-reduce of `bytes` over `group`: `2 (p-1)` steps,
+/// each moving `bytes / p` across the slowest ring link, plus one launch.
+pub fn allreduce_time(cluster: &Cluster, group: &[DeviceId], bytes: u64) -> f64 {
+    launched(data_plane(Ring::AllReduce, cluster, group, bytes))
 }
 
 /// Seconds for a ring all-gather where each rank contributes `bytes_per_rank`
-/// and ends with `p * bytes_per_rank`.
+/// and ends with `p * bytes_per_rank`, plus one launch.
 pub fn allgather_time(cluster: &Cluster, group: &[DeviceId], bytes_per_rank: u64) -> f64 {
-    let p = group.len();
-    if p <= 1 || bytes_per_rank == 0 {
-        return 0.0;
-    }
-    let link = cluster.ring_bottleneck(group);
-    (p - 1) as f64 * (link.latency + bytes_per_rank as f64 / link.bandwidth)
+    launched(data_plane(Ring::AllGather, cluster, group, bytes_per_rank))
 }
 
 /// Seconds for a ring reduce-scatter of a `bytes`-sized buffer (each rank
-/// keeps `bytes / p`).
+/// keeps `bytes / p`), plus one launch.
 pub fn reduce_scatter_time(cluster: &Cluster, group: &[DeviceId], bytes: u64) -> f64 {
-    let p = group.len();
-    if p <= 1 || bytes == 0 {
-        return 0.0;
-    }
-    let link = cluster.ring_bottleneck(group);
-    (p - 1) as f64 * (link.latency + bytes as f64 / p as f64 / link.bandwidth)
+    launched(data_plane(Ring::ReduceScatter, cluster, group, bytes))
 }
 
-/// Seconds for a pipelined broadcast of `bytes` from `group[0]`.
-///
-/// Pipelined chunking makes large-message broadcast approach `bytes / B_min`,
-/// with a `(p-1) * alpha` pipeline fill.
+/// Seconds for a pipelined broadcast of `bytes` from `group[0]` (chunking nears `bytes / B_min`
+/// after a `(p-1) * alpha` pipeline fill), plus one launch.
 pub fn broadcast_time(cluster: &Cluster, group: &[DeviceId], bytes: u64) -> f64 {
-    let p = group.len();
-    if p <= 1 || bytes == 0 {
-        return 0.0;
-    }
-    let link = cluster.ring_bottleneck(group);
-    (p - 1) as f64 * link.latency + bytes as f64 / link.bandwidth
+    launched(data_plane(Ring::Broadcast, cluster, group, bytes))
 }
 
 /// Which executable schedule realizes an all-reduce over a group.
@@ -170,24 +183,30 @@ impl AllReduceSchedule {
         2 * m * (l - 1) * n + 2 * (m - 1) * (n / l)
     }
 
-    /// Phase durations in execution order: one for the flat ring, three for
-    /// the hierarchical schedule, two for the tree and halving-doubling.
+    /// Launch-free phase durations in execution order: one for the flat ring,
+    /// three for the hierarchical schedule, two for tree and halving-doubling.
     pub fn phases(&self) -> &[f64] {
         &self.phases[..self.len]
     }
 
-    /// Seconds the whole schedule takes: its phases, summed in order.
-    pub fn time(&self) -> f64 {
+    /// Seconds on the wire: the phases, summed in order.
+    pub(crate) fn data_plane(&self) -> f64 {
         self.phases().iter().sum()
+    }
+
+    /// Seconds the whole schedule takes: its data plane plus one launch (so
+    /// three hierarchical ring phases pay one launch, not three).
+    pub fn time(&self) -> f64 {
+        launched(self.data_plane())
     }
 }
 
 /// The schedule an all-reduce of `bytes` over `group` runs when `algo` is
 /// asked for. Inapplicable requests (hierarchical on a single node or a
 /// ragged layout, halving-doubling on a non-power-of-two group) and trivial
-/// calls (one rank, no bytes) run the flat ring. The phases:
+/// calls (one rank, no bytes) run the flat ring. The launch-free phases:
 ///
-/// * flat ring — [`allreduce_time`];
+/// * flat ring — the ring all-reduce of [`allreduce_time`];
 /// * hierarchical (NCCL's two-level strategy, which keeps the bulk of the
 ///   traffic on intra-node links) — ring reduce-scatter inside each node
 ///   (the slowest node gates), ring all-reduce of the shards across node
@@ -213,12 +232,12 @@ pub fn allreduce_schedule(
                     let leaders: Vec<DeviceId> = nodes.iter().map(|n| n[0]).collect();
                     let t1 = nodes
                         .iter()
-                        .map(|n| reduce_scatter_time(cluster, n, bytes))
+                        .map(|n| data_plane(Ring::ReduceScatter, cluster, n, bytes))
                         .fold(0.0, f64::max);
-                    let t2 = allreduce_time(cluster, &leaders, shard);
+                    let t2 = data_plane(Ring::AllReduce, cluster, &leaders, shard);
                     let t3 = nodes
                         .iter()
-                        .map(|n| allgather_time(cluster, n, shard))
+                        .map(|n| data_plane(Ring::AllGather, cluster, n, shard))
                         .fold(0.0, f64::max);
                     let shape = (nodes.len(), nodes[0].len());
                     return AllReduceSchedule::new(algo, &[t1, t2, t3], shape);
@@ -241,7 +260,7 @@ pub fn allreduce_schedule(
             AllReduceAlgo::FlatRing => {}
         }
     }
-    let flat = allreduce_time(cluster, group, bytes);
+    let flat = data_plane(Ring::AllReduce, cluster, group, bytes);
     AllReduceSchedule::new(AllReduceAlgo::FlatRing, &[flat], (1, p))
 }
 
@@ -262,8 +281,9 @@ pub fn allreduce_time_with(
 /// to the tree (the only log-latency schedule on non-power-of-two groups),
 /// large power-of-two groups to recursive halving-doubling (log latency at
 /// ring bandwidth), multi-node groups with a slow inter-node link to the
-/// hierarchical schedule. Inapplicable schedules run as the flat ring, and
-/// an equal-time challenger never displaces the incumbent — so ties
+/// hierarchical schedule. Every candidate pays the same one launch, so the
+/// data planes decide; inapplicable schedules run as the flat ring, and an
+/// equal-time challenger never displaces the incumbent — so ties
 /// (including every trivial group) keep the flat ring.
 pub fn select_allreduce_schedule(
     cluster: &Cluster,
@@ -277,7 +297,7 @@ pub fn select_allreduce_schedule(
         AllReduceAlgo::Hierarchical,
     ] {
         let challenger = allreduce_schedule(algo, cluster, group, bytes);
-        if challenger.time() < best.time() {
+        if challenger.data_plane() < best.data_plane() {
             best = challenger;
         }
     }
@@ -343,31 +363,59 @@ mod tests {
 
     #[test]
     fn trivial_groups_cost_nothing() {
+        // no launch either: a one-device group or an empty payload is free
         let c = nvlink_box();
         assert_eq!(allreduce_time(&c, &[0], 1 << 20), 0.0);
         assert_eq!(allgather_time(&c, &[3], 1 << 20), 0.0);
+        assert_eq!(reduce_scatter_time(&c, &[5], 1 << 20), 0.0);
+        assert_eq!(broadcast_time(&c, &[2], 1 << 20), 0.0);
         assert_eq!(broadcast_time(&c, &[0, 1], 0), 0.0);
+        for algo in ALGOS {
+            let one = allreduce_schedule(algo, &c, &[0], 1 << 20);
+            assert_eq!((one.algo, one.time()), (AllReduceAlgo::FlatRing, 0.0));
+        }
     }
+
+    /// Every all-reduce algorithm, the flat ring first.
+    const ALGOS: [AllReduceAlgo; 4] = [
+        AllReduceAlgo::FlatRing,
+        AllReduceAlgo::Hierarchical,
+        AllReduceAlgo::Tree,
+        AllReduceAlgo::RecursiveHalvingDoubling,
+    ];
 
     #[test]
     fn allreduce_equals_reduce_scatter_plus_allgather() {
-        // ring all-reduce is definitionally RS + AG; the model must agree
+        // ring all-reduce is definitionally RS + AG on the wire; the model
+        // must agree, and the fused collective saves the second launch
         let c = nvlink_box();
         let group: Vec<usize> = (0..4).collect();
         let bytes: u64 = 64 << 20;
         let ar = allreduce_time(&c, &group, bytes);
         let rs = reduce_scatter_time(&c, &group, bytes);
         let ag = allgather_time(&c, &group, bytes / 4);
-        assert!((ar - (rs + ag)).abs() < 1e-12);
+        assert!((ar + COLLECTIVE_LAUNCH_SECONDS - (rs + ag)).abs() < 1e-12);
+        let wire = |ring, bytes| data_plane(ring, &c, &group, bytes);
+        let split = wire(Ring::ReduceScatter, bytes) + wire(Ring::AllGather, bytes / 4);
+        assert!((wire(Ring::AllReduce, bytes) - split).abs() < 1e-12);
+        for (ring, price) in [
+            (Ring::AllReduce, ar),
+            (Ring::ReduceScatter, rs),
+            (Ring::AllGather, allgather_time(&c, &group, bytes)),
+            (Ring::Broadcast, broadcast_time(&c, &group, bytes)),
+        ] {
+            assert_eq!(price, wire(ring, bytes) + COLLECTIVE_LAUNCH_SECONDS);
+        }
     }
 
     #[test]
     fn broadcast_bandwidth_matches_fig10_shape() {
         // Fig 10: 125 MB broadcast achieves ~link bandwidth on System I
+        // (the probe reads the data plane, as a back-to-back test does)
         let c = nvlink_box();
         let group: Vec<usize> = (0..8).collect();
         let bytes: u64 = 125 << 20;
-        let t = broadcast_time(&c, &group, bytes);
+        let t = data_plane(Ring::Broadcast, &c, &group, bytes);
         let bw = algorithm_bandwidth(bytes, t);
         assert!(bw > 0.9 * Link::nvlink().bandwidth, "bw {bw}");
     }
@@ -462,7 +510,7 @@ mod tests {
         assert!((t1 - expect).abs() < 1e-15);
         assert_eq!(t1, t2);
         let time = allreduce_time_with(AllReduceAlgo::Tree, &c, &group, bytes);
-        assert!((time - 2.0 * expect).abs() < 1e-15);
+        assert!((time - 2.0 * expect - COLLECTIVE_LAUNCH_SECONDS).abs() < 1e-15);
     }
 
     #[test]
@@ -472,7 +520,8 @@ mod tests {
         let bytes: u64 = 64 << 20;
         let link = Link::nvlink();
         let rhd = allreduce_time_with(AllReduceAlgo::RecursiveHalvingDoubling, &c, &group, bytes);
-        let expect = 2.0 * (3.0 * link.latency + bytes as f64 * (7.0 / 8.0) / link.bandwidth);
+        let expect = 2.0 * (3.0 * link.latency + bytes as f64 * (7.0 / 8.0) / link.bandwidth)
+            + COLLECTIVE_LAUNCH_SECONDS;
         assert!((rhd - expect).abs() < 1e-12, "{rhd} vs {expect}");
         // same bandwidth term as the ring, fewer latency terms: RHD must be
         // strictly cheaper on a power-of-two group at any size
@@ -521,16 +570,19 @@ mod tests {
             for bytes in [4u64, 1 << 10, 1 << 20, 125 << 20] {
                 let sel = select_allreduce_algo(&multi, &group, bytes);
                 let t_sel = allreduce_time_with(sel, &multi, &group, bytes);
-                for algo in [
-                    AllReduceAlgo::FlatRing,
-                    AllReduceAlgo::Hierarchical,
-                    AllReduceAlgo::Tree,
-                    AllReduceAlgo::RecursiveHalvingDoubling,
-                ] {
+                let wire = |algo| allreduce_schedule(algo, &multi, &group, bytes).data_plane();
+                for algo in ALGOS {
                     let t = allreduce_time_with(algo, &multi, &group, bytes);
                     assert!(
                         t_sel <= t,
                         "p={group_len} bytes={bytes}: selected {sel:?} ({t_sel}) loses to {algo:?} ({t})"
+                    );
+                    // flat, hierarchical, tree and halving-doubling each
+                    // price exactly one launch above their data plane
+                    let launch = t - wire(algo);
+                    assert!(
+                        (launch - COLLECTIVE_LAUNCH_SECONDS).abs() < 1e-12,
+                        "{algo:?}"
                     );
                 }
             }
@@ -593,7 +645,8 @@ mod tests {
         };
         assert!(t1 > 0.0 && t2 > 0.0 && t3 > 0.0);
         let time = allreduce_time_with(AllReduceAlgo::Hierarchical, &multi, &group, bytes);
-        assert!((t1 + t2 + t3 - time).abs() < 1e-15);
+        // three ring phases, one launch
+        assert_eq!(time, (t1 + t2 + t3) + COLLECTIVE_LAUNCH_SECONDS);
         // the leader ring over IB dominates both intra-node phases
         assert!(t2 > t1 && t2 > t3);
     }
