@@ -9,8 +9,9 @@
 //!    tolerance — error feedback carries what a step drops into the next
 //!    step, so the trajectories stay close even at high compression.
 //! 2. **Comm time** — a wider model on the bandwidth-starved System II
-//!    (bimodal single node) and System IV (one P100 per node over Aries),
-//!    no modeled compute, so the virtual clock is pure gradient traffic.
+//!    (bimodal single node) and System IV (one P100 per node over Aries).
+//!    The clock is the gradient traffic plus the model's metered GEMMs,
+//!    which are the same under every channel and small beside the traffic.
 //!    The quantized channels cut wire bytes 2-4x (fp16/int8) and top-k cuts
 //!    them by orders of magnitude; modeled step time follows.
 //!
@@ -108,9 +109,9 @@ fn convergence_losses(comp: Compression) -> Vec<f32> {
         .collect()
 }
 
-/// Comm leg: pure-communication virtual step time (ms) of DP gradient sync
-/// under one channel on one system. No modeled compute, so the rank clock
-/// is exactly the charged collective time.
+/// Comm leg: virtual step time (ms) of blocking DP gradient sync under one
+/// channel on one system: the charged collective time plus the metered
+/// forward and backward GEMMs, which no channel changes.
 fn comm_step_ms(cluster: Cluster, comp: Compression) -> f64 {
     let make_wide = |seed: u64| {
         let mut rng = init::rng(seed);

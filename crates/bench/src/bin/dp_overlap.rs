@@ -1,4 +1,4 @@
-//! Data-parallel step time on the multi-node System III under three
+//! Data-parallel GPT step time on the multi-node System III under three
 //! gradient-sync schedules:
 //!
 //! 1. **flat blocking** — flat-ring all-reduce after backward (the PR-2
@@ -7,6 +7,13 @@
 //!    two-level schedule, still blocking;
 //! 3. **hierarchical + overlap** — each bucket's all-reduce launches on the
 //!    comm stream as soon as its last gradient is produced during backward.
+//!
+//! The model is the `dp_gemm` benchmark's GPT (2 layers, hidden 256, vocab
+//! 512, 1.8M parameters = 7.4 MB of f32 gradients). Its compute reaches the
+//! virtual clock through the kernels' metered FLOPs at the A100's rate. The
+//! reducer's bucket cap is set to 2 MiB, below the model size: one default
+//! 25 MiB bucket would hold every gradient, launch only after the whole
+//! backward, and leave overlap nothing to hide.
 //!
 //! All three produce bitwise-identical parameters (checked here); only the
 //! charged virtual time moves. Pass `--trace <out.json>` to export the
@@ -17,66 +24,46 @@
 //! the parity verdict; every field is a virtual-clock value, so the output
 //! does not depend on the host.
 
-use colossalai_autograd::{Layer, Linear, Sequential};
+use colossalai_autograd::{AdamW, Layer};
 use colossalai_bench::{print_table, trace_arg, write_trace};
-use colossalai_comm::{AllReduceAlgo, DeviceCtx, World};
-use colossalai_parallel::data_parallel::{flatten_params, split_batch};
-use colossalai_parallel::{GradReducer, TimedLayer, DEFAULT_BUCKET_BYTES};
+use colossalai_comm::{AllReduceAlgo, World};
+use colossalai_models::{Gpt, SyntheticText, TransformerConfig};
+use colossalai_parallel::data_parallel::flatten_params;
+use colossalai_parallel::GradReducer;
 use colossalai_tensor::init;
-use colossalai_tensor::ops::cross_entropy;
 use colossalai_topology::systems::system_iii;
 
 /// Data-parallel degree: 16 ranks = 4 full nodes of System III.
 const P: usize = 16;
 const STEPS: usize = 3;
-const HIDDEN: usize = 256;
-const LAYERS: usize = 4;
-/// Modeled kernel time per layer (an A100-scale GEMM at this size).
-const T_FWD: f64 = 8e-6;
-const T_BWD: f64 = 16e-6;
-
-fn make_model(ctx: &DeviceCtx, seed: u64) -> Sequential {
-    let mut rng = init::rng(seed);
-    let timed = |ctx: &DeviceCtx, l: Linear| Box::new(TimedLayer::new(ctx, l, T_FWD, T_BWD));
-    let mut layers: Vec<Box<dyn Layer>> = vec![timed(
-        ctx,
-        Linear::from_rng("in", 32, HIDDEN, true, &mut rng),
-    )];
-    for i in 0..LAYERS {
-        layers.push(timed(
-            ctx,
-            Linear::from_rng(&format!("h{i}"), HIDDEN, HIDDEN, true, &mut rng),
-        ));
-    }
-    layers.push(timed(
-        ctx,
-        Linear::from_rng("out", HIDDEN, 8, true, &mut rng),
-    ));
-    Sequential::new(layers)
-}
+/// Sequences of `GPT.max_seq` tokens per rank and step.
+const SEQS: usize = 2;
+/// Gradient bucket cap: several buckets per backward (see the module doc).
+const BUCKET_BYTES: usize = 2 << 20;
+const GPT: TransformerConfig = TransformerConfig {
+    layers: 2,
+    hidden: 256,
+    heads: 8,
+    mlp_ratio: 4,
+    vocab: 512,
+    max_seq: 32,
+};
 
 /// Runs STEPS of DP training; returns (max rank clock, params, world).
 fn run(algo: Option<AllReduceAlgo>, overlap: bool, trace: bool) -> (f64, Vec<f32>, World) {
     let world = World::new(system_iii());
     world.force_allreduce_algo(algo);
     world.set_tracing(trace);
-    let mut rng = init::rng(7);
-    let xs: Vec<_> = (0..STEPS)
-        .map(|_| init::uniform([P * 2, 32], -1.0, 1.0, &mut rng))
-        .collect();
+    let text = SyntheticText::new(GPT.vocab, 7);
     let out = world.run_on(P, |ctx| {
         let g = ctx.world_group(P);
-        let mut model = make_model(ctx, 11);
-        // small buckets relative to the model so several fire per backward
-        let cap = DEFAULT_BUCKET_BYTES.min(HIDDEN * HIDDEN * 2 * 4);
-        let mut reducer = GradReducer::data_parallel(&mut model, cap);
-        let mut opt = colossalai_autograd::AdamW::new(0.01, 0.01);
-        for x in &xs {
+        let mut model = Gpt::new(&GPT, &mut init::rng(11));
+        let mut reducer = GradReducer::data_parallel(&mut model, BUCKET_BYTES);
+        let mut opt = AdamW::new(1e-3, 0.01);
+        for step in 0..STEPS {
             model.zero_grad();
-            let x_local = split_batch(x, P, g.rank());
-            let t: Vec<usize> = (0..x_local.dims()[0]).map(|i| i % 8).collect();
-            let logits = model.forward(&x_local);
-            let (_, d) = cross_entropy(&logits, &t);
+            let tokens = text.batch(SEQS, GPT.max_seq, (step * P + g.rank()) as u64);
+            let (_, d) = model.lm_loss(&tokens);
             if overlap {
                 let _ = reducer.backward_overlapped(ctx, &g, &mut model, &d);
             } else {
@@ -131,8 +118,8 @@ fn main() {
     ];
     print_table(
         &format!(
-            "DP step time, {P} ranks on System III ({} params, {STEPS} steps)",
-            HIDDEN * HIDDEN * LAYERS
+            "DP GPT step time, {P} ranks on System III ({} params, {STEPS} steps)",
+            GPT.total_params()
         ),
         &["gradient sync", "step ms (virtual)", "speedup"],
         &rows,

@@ -2,17 +2,21 @@
 //! time: GPipe's all-forward/all-backward waves vs 1F1B's interleaving,
 //! with the measured bubble fraction against the analytic `(p-1)/(m+p-1)`.
 //!
+//! Each stage is a stack of `WIDTH x WIDTH` linears between two narrow
+//! `EDGE`-wide ends, so the activation a stage hands on is small while its
+//! metered GEMMs cost ~0.2 ms of A100 time per micro-batch forward — enough
+//! that the ~5 µs NVLink hop between stages barely shows in the bubble.
+//!
 //! The chart is rendered from the world's shared tracer; pass
 //! `--trace <out.json>` to also export the Chrome-trace JSON of the last
 //! schedule (load it at chrome://tracing or ui.perfetto.dev).
 
 use colossalai_autograd::{Layer, Linear, Sequential};
 use colossalai_bench::{trace_arg, write_trace};
-use colossalai_comm::World;
+use colossalai_comm::{World, WorldBackend};
 use colossalai_parallel::pipeline::{
     bubble_fraction, stage_events, PipelineStage, Schedule, StageEvent,
 };
-use colossalai_parallel::TimedLayer;
 use colossalai_tensor::init;
 use colossalai_tensor::ops::cross_entropy;
 use colossalai_tensor::Tensor;
@@ -20,24 +24,37 @@ use colossalai_topology::systems::system_i;
 
 const P: usize = 4;
 const M: usize = 6;
-const T_FWD: f64 = 1.0e-3;
+/// Tokens per micro-batch.
+const ROWS: usize = 1024;
+/// Width of the activation passed between stages.
+const EDGE: usize = 16;
+/// Width of a stage's inner linears, and how many of them it has.
+const WIDTH: usize = 256;
+const INNER: usize = 13;
 
 fn run(schedule: Schedule) -> (World, f64) {
     let world = World::new(system_i());
+    // one rank at a time: the process-wide storage pool then sees the same
+    // take / recycle order every run, so the rollup's pool lines are
+    // deterministic too
+    world.set_backend(Some(WorldBackend::Stackless { pool: 1 }));
     world.set_tracing(true);
     let mut rng = init::rng(42);
     let micros: Vec<Tensor> = (0..M)
-        .map(|_| init::uniform([2, 8], -1.0, 1.0, &mut rng))
+        .map(|_| init::uniform([ROWS, EDGE], -1.0, 1.0, &mut rng))
         .collect();
+    let targets: Vec<usize> = (0..ROWS).map(|i| i % EDGE).collect();
     let out = world.run_on(P, |ctx| {
         let devices: Vec<usize> = (0..P).collect();
         let mut srng = init::rng(7 + ctx.rank() as u64);
-        let layers = Sequential::new(vec![
-            Box::new(Linear::from_rng("l", 8, 8, true, &mut srng)) as Box<dyn Layer>
-        ]);
-        let timed = TimedLayer::new(ctx, layers, T_FWD, 2.0 * T_FWD);
-        let mut stage = PipelineStage::new(ctx, &devices, timed);
-        let mut lf = |_: u64, o: &Tensor| cross_entropy(o, &[0, 1]);
+        let mut linear = |d_in, d_out| -> Box<dyn Layer> {
+            Box::new(Linear::from_rng("l", d_in, d_out, true, &mut srng))
+        };
+        let mut layers = vec![linear(EDGE, WIDTH)];
+        layers.extend((0..INNER).map(|_| linear(WIDTH, WIDTH)));
+        layers.push(linear(WIDTH, EDGE));
+        let mut stage = PipelineStage::new(ctx, &devices, Sequential::new(layers));
+        let mut lf = |_: u64, o: &Tensor| cross_entropy(o, &targets);
         let _ = stage.run_step(
             schedule,
             stage.is_first().then_some(&micros[..]),

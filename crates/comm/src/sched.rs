@@ -311,8 +311,11 @@ impl TaskWaker {
     /// the resource lock before returning, so any wake since then either
     /// lost the requeue CAS (we were still RUNNING) and left `notified`
     /// set — converted into an immediate requeue here — or arrives later
-    /// and wins the CAS itself.
+    /// and wins the CAS itself. The rank's clock — its heap key — must
+    /// already hold every FLOP it metered.
     pub(crate) fn park(&self, rank: usize) {
+        let undrained = colossalai_tensor::meter::take();
+        assert_eq!(undrained, 0, "rank {rank} yields with undrained FLOPs");
         self.state[rank].store(TASK_BLOCKED, Ordering::SeqCst);
         if (self.notified[rank].load(Ordering::SeqCst) || self.abort.load(Ordering::SeqCst))
             && self.unblock(rank)

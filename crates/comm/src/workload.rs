@@ -16,7 +16,7 @@
 use crate::group::{CollectiveOp, Group};
 use crate::task::{Poll, RankTask};
 use crate::world::{DeviceCtx, RecvOp};
-use colossalai_tensor::Tensor;
+use colossalai_tensor::{meter, Tensor};
 
 /// Shape of a hybrid data x tensor x pipeline parallel run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,7 +103,7 @@ enum StepStage {
 /// function so callers holding a borrow of the task's wiring can still
 /// store the returned stage.
 fn after_fwd(ctx: &DeviceCtx, spec: HybridSpec, w: &Wiring, step: usize, act: Tensor) -> StepStage {
-    ctx.charge_flops_f32(4 * spec.elems as u64);
+    meter::record(4 * spec.elems as u64);
     let fwd_tag = (step * 2) as u64;
     if let Some(next) = w.next {
         ctx.send(next, fwd_tag, act.clone());
@@ -128,7 +128,7 @@ fn after_bwd(
     step: usize,
     grad: Tensor,
 ) -> StepStage {
-    ctx.charge_flops_f32(8 * spec.elems as u64);
+    meter::record(8 * spec.elems as u64);
     if let Some(prev) = w.prev {
         ctx.send(prev, (step * 2 + 1) as u64, grad.clone());
     }
@@ -213,7 +213,7 @@ impl RankTask for HybridTask {
                             .map(|i| synth(ctx.rank(), self.step, i))
                             .collect(),
                     );
-                    ctx.charge_flops_f32(6 * spec.elems as u64);
+                    meter::record(6 * spec.elems as u64);
                     self.stage = StepStage::TpReduce(w.tp_group.start_all_reduce(act));
                 }
                 StepStage::TpReduce(mut op) => match w.tp_group.poll_collective(ctx, &mut op) {
@@ -271,7 +271,7 @@ impl RankTask for HybridTask {
                         return Poll::Pending(key);
                     }
                     Poll::Ready(reduced) => {
-                        ctx.charge_flops_f32(2 * spec.elems as u64);
+                        meter::record(2 * spec.elems as u64);
                         self.losses.push(reduced.mean());
                         self.step += 1;
                     }

@@ -8,7 +8,7 @@ use crate::sched::{AbortRun, TaskWaker};
 use crate::stats::CommStats;
 use crate::task::{Poll, RankTask, WakeKey};
 use crate::trace::{self, RankRollup, Span, SpanKind, Tracer, Track};
-use colossalai_tensor::Tensor;
+use colossalai_tensor::{meter, Tensor};
 use colossalai_topology::{AllReduceAlgo, Cluster, DeviceId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -540,9 +540,18 @@ impl<'w, O> Run<'w, O> {
     /// heap order) must still reach its own panic, however late its thread
     /// wakes, or which message is "the lowest rank's" would depend on
     /// timing.
+    ///
+    /// The thread's compute meter starts the poll at zero and is drained
+    /// into `rank`'s clock before the rank parks or retires, so a pool
+    /// worker charges each heap rank only its own FLOPs.
     fn dispatch(&self, rank: usize, poll: impl FnOnce(&DeviceCtx) -> Poll<O>) {
         let ctx = &self.ctxs[rank];
-        let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| poll(ctx)));
+        meter::take();
+        let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let polled = poll(ctx);
+            ctx.clock(); // drains the meter
+            polled
+        }));
         match polled {
             Ok(Poll::Pending(_)) => return self.waker.park(rank),
             Ok(Poll::Ready(out)) => *self.results[rank].lock() = Some(out),
@@ -597,10 +606,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Per-device execution context handed to the closure of [`World::run`].
 ///
-/// Holds the device's virtual clock. Compute is charged explicitly via
-/// [`DeviceCtx::charge_flops_f32`] / [`DeviceCtx::advance`];
-/// communication is charged implicitly by the collectives in
-/// [`Group`] type.
+/// Holds the device's virtual clock. Compute reaches it one way: the
+/// kernels record their FLOPs on the thread's [`meter`], and every read of
+/// the clock first drains the meter at the GPU's FP32 rate
+/// ([`DeviceCtx::clock`]). Communication is charged by the collectives of
+/// [`Group`] and by send / recv; [`DeviceCtx::advance`] is for modeled
+/// time that is neither (PCIe legs, host CPU work).
 /// Cloning a `DeviceCtx` yields a handle to the *same* device: clones share
 /// the clocks, so layers and optimizers can each hold one.
 #[derive(Clone)]
@@ -639,7 +650,13 @@ impl DeviceCtx {
         &self.world.cluster
     }
 
-    /// Current virtual time in seconds.
+    /// Current virtual time in seconds, after charging the FLOPs this
+    /// rank's kernels recorded since the last read: one
+    /// `compute_time_f32` of their sum, traced as one `gemm` compute span.
+    /// Every clock observation goes through here (send, recv, collectives,
+    /// `comm_sync`, phase bounds), the executor drains before a rank parks
+    /// or retires, and none of those points depends on whether tracing is
+    /// on — so a traced run ends on the same clock bits as an untraced one.
     ///
     /// The clock is only ever written by its own rank, so relaxed atomics
     /// are sufficient — it lives in the executor's shared array so that
@@ -647,7 +664,19 @@ impl DeviceCtx {
     /// clock and wakers can read it as a heap key, not for cross-thread
     /// communication.
     pub fn clock(&self) -> f64 {
-        f64::from_bits(self.tasks.clock_bits(self.rank))
+        let t = f64::from_bits(self.tasks.clock_bits(self.rank));
+        let flops = meter::take();
+        if flops == 0 {
+            return t;
+        }
+        let end = t + self.world.cluster.gpu(self.rank).compute_time_f32(flops);
+        self.set_clock(end);
+        if self.tracing() {
+            let label = "gemm".to_string();
+            let track = Track::Device(self.rank);
+            self.trace_span_on(track, SpanKind::Compute { label }, t, end);
+        }
+        end
     }
 
     fn set_clock(&self, t: f64) {
@@ -692,7 +721,12 @@ impl DeviceCtx {
         loop {
             match poll() {
                 Poll::Ready(out) => return out,
-                Poll::Pending(_) => self.tasks.block(self.rank),
+                Poll::Pending(_) => {
+                    // drain the meter: the ready heap keys a parked rank
+                    // by its clock
+                    self.clock();
+                    self.tasks.block(self.rank);
+                }
             }
             self.check_abort();
         }
@@ -740,12 +774,6 @@ impl DeviceCtx {
         *self.world.forced_algo.lock()
     }
 
-    /// Charges `flops` of FP32 compute at this device's modeled rate.
-    pub fn charge_flops_f32(&self, flops: u64) {
-        let dt = self.world.cluster.gpu(self.rank).compute_time_f32(flops);
-        self.advance(dt);
-    }
-
     /// Records traffic into the world-level stats (one call per group op).
     pub(crate) fn record_stats(&self, kind: crate::stats::OpKind, elements: u64, bytes: u64) {
         self.world.stats.lock().record(kind, elements, bytes);
@@ -760,17 +788,11 @@ impl DeviceCtx {
     }
 
     /// Records a span on this device's track from `start` to the current
-    /// clock. No-op unless tracing is enabled.
+    /// clock (which it reads, tracing or not). No-op unless tracing is
+    /// enabled.
     pub fn trace_span(&self, kind: SpanKind, start: f64) {
-        if self.tracing() {
-            self.world.tracer.record(Span {
-                rank: self.rank,
-                track: Track::Device(self.rank),
-                kind,
-                start,
-                end: self.clock(),
-            });
-        }
+        let end = self.clock();
+        self.trace_span_on(Track::Device(self.rank), kind, start, end);
     }
 
     /// Records a span on an arbitrary track (used by collectives for the
@@ -809,19 +831,19 @@ impl DeviceCtx {
     }
 
     /// Runs `f` inside a [`SpanKind::Phase`] span named `name`. Phase spans
-    /// nest over the leaf spans `f` records.
+    /// nest over the leaf spans `f` records. The clock is read at entry and
+    /// exit whether or not tracing is on, so the compute `f` meters is
+    /// charged at the same points either way.
     pub fn trace_phase<R>(&self, name: &str, f: impl FnOnce() -> R) -> R {
-        if !self.tracing() {
-            return f();
-        }
         let start = self.clock();
         let out = f();
-        self.trace_span(
-            SpanKind::Phase {
+        let end = self.clock();
+        if self.tracing() {
+            let kind = SpanKind::Phase {
                 name: name.to_string(),
-            },
-            start,
-        );
+            };
+            self.trace_span_on(Track::Device(self.rank), kind, start, end);
+        }
         out
     }
 
@@ -1020,7 +1042,7 @@ mod tests {
     fn clock_advances_with_flops() {
         let world = World::new(system_i());
         let clocks = world.run_on(2, |ctx| {
-            ctx.charge_flops_f32(1_000_000_000_000);
+            meter::record(1_000_000_000_000);
             ctx.clock()
         });
         // 1 TFLOP on a 19.5 TFLOPS A100 at 40% MFU: ~0.128s
@@ -1166,7 +1188,7 @@ mod tests {
     fn rollup_footer_reports_thread_gauge() {
         let world = World::new(system_i());
         world.set_tracing(true);
-        world.run_on(2, |ctx| ctx.charge_flops_f32(1_000_000));
+        world.run_on(2, |_| meter::record(1_000_000));
         assert!(
             world.rollup_table().contains("threads: spawned="),
             "{}",

@@ -86,36 +86,31 @@ impl Trainer {
         let ctx = self.engine.device().clone();
         let mut losses = Vec::with_capacity(steps as usize);
         for step in 0..steps {
-            let mut body = |this: &mut Self, losses: &mut Vec<f32>| {
-                for h in &mut this.hooks {
+            ctx.trace_phase(&format!("step{step}"), || {
+                for h in &mut self.hooks {
                     h.before_step(step);
                 }
                 let (x, targets) = data(step);
-                this.engine.zero_grad();
-                let logits = this.engine.forward(&x);
+                self.engine.zero_grad();
+                let logits = self.engine.forward(&x);
                 let flat_classes = *logits.dims().last().unwrap();
                 let rows = logits.numel() / flat_classes;
                 let (loss, dlogits) =
                     cross_entropy(&logits.reshape([rows, flat_classes]), &targets);
-                let _ = this
+                let _ = self
                     .engine
                     .backward(&dlogits.reshaped(logits.shape().clone()));
-                if this.engine.step() {
+                if self.engine.step() {
                     losses.push(loss);
-                    for h in &mut this.hooks {
+                    for h in &mut self.hooks {
                         h.after_step(step, loss);
                     }
                 } else {
-                    for h in &mut this.hooks {
+                    for h in &mut self.hooks {
                         h.on_skip(step);
                     }
                 }
-            };
-            // the phase label is only materialized when tracing is on
-            match ctx.tracing().then(|| format!("step{step}")) {
-                Some(label) => ctx.trace_phase(&label, || body(self, &mut losses)),
-                None => body(self, &mut losses),
-            }
+            });
         }
         for h in &mut self.hooks {
             h.after_fit(steps);

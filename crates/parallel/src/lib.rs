@@ -18,7 +18,6 @@
 //! * [`vocab_parallel`] — Megatron vocabulary-parallel embedding + the
 //!   gather-free parallel cross-entropy;
 //! * [`norm2d`] — LayerNorm over a sharded hidden axis;
-//! * [`timed`] — a layer wrapper charging modeled compute time;
 //! * [`auto`] — the experimental automatic parallelization of Section 3.3;
 //! * [`volume`] — the closed-form communication volumes of Table 1 / Fig 5;
 //! * [`memcalc`] — per-mode memory footprints behind Figs 8 and 12;
@@ -40,7 +39,6 @@ pub mod norm2d;
 pub mod pipeline;
 pub mod sequence;
 pub mod throughput;
-pub mod timed;
 pub mod tp1d;
 pub mod tp25d;
 pub mod tp2d;
@@ -57,7 +55,6 @@ pub use norm2d::LayerNorm2d;
 pub use pipeline::{PipelineStage, Schedule};
 pub use sequence::{RingSelfAttention, SequenceParallel};
 pub use throughput::StepEstimate;
-pub use timed::TimedLayer;
 pub use tp1d::{ColumnParallelLinear, RowParallelLinear, TensorParallel1d};
 pub use tp25d::{Grid25d, Linear25d};
 pub use tp2d::{Grid2d, Linear2d};

@@ -99,17 +99,17 @@ pub struct StageEvent {
 }
 
 /// Extracts `rank`'s pipeline compute events from a shared-tracer snapshot
-/// (the `F{micro}` / `B{micro}` spans recorded by [`PipelineStage`]),
-/// ordered by virtual start time.
+/// (the `F{micro}` / `B{micro}` phase windows [`PipelineStage`] opens
+/// around its own layer calls), ordered by virtual start time.
 pub fn stage_events(spans: &[Span], rank: DeviceId) -> Vec<StageEvent> {
     let mut out: Vec<StageEvent> = spans
         .iter()
         .filter(|s| s.track == Track::Device(rank))
         .filter_map(|s| {
-            let SpanKind::Compute { label } = &s.kind else {
+            let SpanKind::Phase { name } = &s.kind else {
                 return None;
             };
-            let (forward, digits) = match (label.strip_prefix('F'), label.strip_prefix('B')) {
+            let (forward, digits) = match (name.strip_prefix('F'), name.strip_prefix('B')) {
                 (Some(d), _) => (true, d),
                 (_, Some(d)) => (false, d),
                 _ => return None,
@@ -187,24 +187,16 @@ impl<M: Layer> PipelineStage<M> {
             (Some(prev), None) => self.ctx.recv(prev, micro),
             _ => panic!("stage {} given wrong input source", self.stage),
         };
-        let start = self.ctx.clock();
-        let y = self.layers.forward(&x);
-        self.trace_compute('F', micro, start);
+        let layers = &mut self.layers;
+        let y = self
+            .ctx
+            .trace_phase(&format!("F{micro}"), || layers.forward(&x));
         self.saved_inputs.insert(micro, x);
         self.peak_in_flight = self.peak_in_flight.max(self.saved_inputs.len());
         if let Some(next) = self.next {
             self.ctx.send(next, micro, y);
         } else {
             self.saved_outputs.insert(micro, y);
-        }
-    }
-
-    /// Records the `F{micro}` / `B{micro}` compute span [`stage_events`]
-    /// reads, from `start` to the clock the stage's own layers left.
-    fn trace_compute(&self, pass: char, micro: u64, start: f64) {
-        if self.ctx.tracing() {
-            let label = format!("{pass}{micro}");
-            self.ctx.trace_span(SpanKind::Compute { label }, start);
         }
     }
 
@@ -229,10 +221,11 @@ impl<M: Layer> PipelineStage<M> {
             .remove(&micro)
             .expect("backward before forward for this micro-batch");
         // rematerialize (GPipe-style) then walk back
-        let start = self.ctx.clock();
-        let _ = self.layers.forward(&x);
-        let dx = self.layers.backward(&dy);
-        self.trace_compute('B', micro, start);
+        let layers = &mut self.layers;
+        let dx = self.ctx.trace_phase(&format!("B{micro}"), || {
+            let _ = layers.forward(&x);
+            layers.backward(&dy)
+        });
         if let Some(prev) = self.prev {
             self.ctx.send(prev, GRAD_TAG_OFFSET + micro, dx);
         }
@@ -291,12 +284,13 @@ impl<M: Layer> Layer for PipelineStage<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TimedLayer;
     use colossalai_autograd::{Gelu, Linear, Sequential};
     use colossalai_comm::World;
     use colossalai_tensor::init;
+    use colossalai_tensor::matmul::matmul_flops;
     use colossalai_tensor::ops::cross_entropy;
     use colossalai_topology::systems::system_i;
+    use colossalai_topology::{Cluster, GpuSpec, HostSpec, Link};
 
     /// A 4-layer MLP split into `n_stages` chunks; every rank builds the
     /// full model from the same seed and keeps its slice.
@@ -472,29 +466,49 @@ mod tests {
         assert!(interleaved_bubble_fraction(4, 8, 4) < interleaved_bubble_fraction(4, 8, 2));
     }
 
-    #[test]
-    fn virtual_time_shows_pipeline_bubble() {
-        // charge 1 ms per stage forward and 2 ms per stage backward; the
-        // last stage's clock should be close to
-        // ideal_time = (m + p - 1) * t_fwd + m * 3 t_fwd-ish
-        let p = 4;
-        let m = 8;
-        let t_fwd = 1e-3;
-        let seed = 555;
+    /// One stage of the timed tests: a `WIDTH x WIDTH` linear per stage, fed
+    /// `[2, WIDTH]` micro-batches, so every stage meters the same FLOPs.
+    const WIDTH: usize = 8;
+
+    /// System I's NVLink mesh with GPUs slow enough (256 kFLOP/s sustained)
+    /// that one stage's `2 x 8 x 8` product takes a millisecond against the
+    /// 5 µs hop between stages.
+    fn slow_gpus(n: usize) -> Cluster {
+        let gpu = GpuSpec {
+            peak_flops_f32: 256e3,
+            sustained_fraction: 1.0,
+            ..GpuSpec::a100(80)
+        };
+        let mut c = Cluster::homogeneous("slow", 1, n, gpu, HostSpec::dgx(), Link::nvlink());
+        c.full_mesh_intra_node(Link::nvlink());
+        c
+    }
+
+    /// Seconds a stage's forward and backward windows take: the forward
+    /// meters one product, the backward re-runs it (rematerialization) and
+    /// adds `dW` and `dX` — each drained as one price at the window's end.
+    fn stage_seconds(world: &World) -> (f64, f64) {
+        let gpu = world.cluster().gpu(0);
+        let fwd = matmul_flops(2, WIDTH, WIDTH);
+        (gpu.compute_time_f32(fwd), gpu.compute_time_f32(3 * fwd))
+    }
+
+    /// Runs one step of `m` micro-batches through `p` one-linear stages and
+    /// returns each rank's final clock.
+    fn run_timed(world: &World, schedule: Schedule, p: usize, m: usize) -> Vec<f64> {
         let mut rng = init::rng(78);
         let micros: Vec<Tensor> = (0..m)
-            .map(|_| init::uniform([2, 4], -1.0, 1.0, &mut rng))
+            .map(|_| init::uniform([2, WIDTH], -1.0, 1.0, &mut rng))
             .collect();
-        let targets: Vec<Vec<usize>> = (0..m).map(|i| vec![i % 3, (i + 1) % 3]).collect();
-        let world = World::new(system_i());
-        let clocks = world.run_on(p, |ctx| {
+        let targets: Vec<Vec<usize>> = (0..m).map(|i| vec![i % WIDTH, (i + 1) % WIDTH]).collect();
+        world.run_on(p, |ctx| {
             let devices: Vec<usize> = (0..p).collect();
-            let layers = stage_slice(seed, p, ctx.rank());
-            let timed = TimedLayer::new(ctx, layers, t_fwd, 2.0 * t_fwd);
-            let mut stage = PipelineStage::new(ctx, &devices, timed);
+            let mut srng = init::rng(555 + ctx.rank() as u64);
+            let layer = Linear::from_rng("l", WIDTH, WIDTH, true, &mut srng);
+            let mut stage = PipelineStage::new(ctx, &devices, layer);
             let mut lf = |micro: u64, out: &Tensor| cross_entropy(out, &targets[micro as usize]);
             let _ = stage.run_step(
-                Schedule::GPipe,
+                schedule,
                 stage.is_first().then_some(&micros[..]),
                 stage
                     .is_last()
@@ -502,12 +516,20 @@ mod tests {
                 m,
             );
             ctx.clock()
-        });
+        })
+    }
+
+    #[test]
+    fn virtual_time_shows_pipeline_bubble() {
+        // each stage's metered work is m forwards and m backwards; the
+        // pipeline fill adds (p - 1) of each on the critical path
+        let (p, m) = (4, 8);
+        let world = World::new(slow_gpus(p));
+        let (t_fwd, t_bwd) = stage_seconds(&world);
+        let clocks = run_timed(&world, Schedule::GPipe, p, m);
         let step_time = clocks.iter().cloned().fold(0.0, f64::max);
-        // per-device work: m micros * (1 fwd + 3 bwd-equivalent) = 4m t_fwd;
-        // pipeline fill adds ~(p-1) * (1 + 3) t_fwd
-        let ideal = (4 * m) as f64 * t_fwd;
-        let with_bubble = ideal + 4.0 * (p as f64 - 1.0) * t_fwd;
+        let ideal = m as f64 * (t_fwd + t_bwd);
+        let with_bubble = ideal + (p as f64 - 1.0) * (t_fwd + t_bwd);
         assert!(
             step_time >= ideal && step_time < with_bubble * 1.3,
             "step {step_time} vs ideal {ideal} / bubble bound {with_bubble}"
@@ -518,35 +540,14 @@ mod tests {
 
     #[test]
     fn shared_tracer_reconstructs_schedule() {
-        // the gantt view is now derived from the world tracer; per stage it
-        // must see m forward + m backward compute segments with the charged
-        // durations, non-overlapping in virtual time
-        let p = 3;
-        let m = 4;
-        let t_fwd = 1e-3;
-        let seed = 555;
-        let mut rng = init::rng(79);
-        let micros: Vec<Tensor> = (0..m)
-            .map(|_| init::uniform([2, 4], -1.0, 1.0, &mut rng))
-            .collect();
-        let targets: Vec<Vec<usize>> = (0..m).map(|i| vec![i % 3, (i + 1) % 3]).collect();
-        let world = World::new(system_i());
+        // the gantt view is derived from the world tracer; per stage it
+        // must see m forward + m backward windows lasting exactly the
+        // metered compute, non-overlapping in virtual time
+        let (p, m) = (3, 4);
+        let world = World::new(slow_gpus(p));
         world.set_tracing(true);
-        world.run_on(p, |ctx| {
-            let devices: Vec<usize> = (0..p).collect();
-            let layers = stage_slice(seed, p, ctx.rank());
-            let timed = TimedLayer::new(ctx, layers, t_fwd, 2.0 * t_fwd);
-            let mut stage = PipelineStage::new(ctx, &devices, timed);
-            let mut lf = |micro: u64, out: &Tensor| cross_entropy(out, &targets[micro as usize]);
-            let _ = stage.run_step(
-                Schedule::OneFOneB,
-                stage.is_first().then_some(&micros[..]),
-                stage
-                    .is_last()
-                    .then_some(&mut lf as &mut dyn FnMut(u64, &Tensor) -> (f32, Tensor)),
-                m,
-            );
-        });
+        let (t_fwd, t_bwd) = stage_seconds(&world);
+        run_timed(&world, Schedule::OneFOneB, p, m);
         let spans = world.trace();
         for rank in 0..p {
             let ev = stage_events(&spans, rank);
@@ -556,7 +557,7 @@ mod tests {
                 assert!(w[1].start >= w[0].end - 1e-12, "rank {rank} overlaps");
             }
             for e in &ev {
-                let want = if e.forward { t_fwd } else { 3.0 * t_fwd };
+                let want = if e.forward { t_fwd } else { t_bwd };
                 assert!(
                     (e.end - e.start - want).abs() < 1e-12,
                     "rank {rank} event {e:?}"

@@ -650,7 +650,8 @@ mod tests {
         // run. The bits were frozen from the
         // per-width, per-stream `Group` methods before the `Collective`
         // descriptor replaced them; the clocks were re-pinned when every
-        // collective started paying the cost model's launch term
+        // collective started paying the cost model's launch term, and again
+        // when the kernels' metered FLOPs reached the clock
         use Compression::{Fp16, Int8, TopK};
         use ZeroStage::{One, Two};
         let golden = [
@@ -658,61 +659,61 @@ mod tests {
                 None,
                 Compression::None,
                 0x1e79_3363_a889_ea6f,
-                [0x8724_d8d1_53a9_5795, 0x195d_6cd6_e591_2245],
+                [0x7086_79c4_b933_0b7d, 0xda54_e808_749b_3805],
             ),
             (
                 None,
                 TopK(3),
                 0xc49d_2b77_b530_ac72,
-                [0x4018_e788_291a_8e3d, 0x9a9b_2ad4_3406_f0b5],
+                [0xd031_8117_bc43_a6dd, 0x40f6_b81f_b0a2_4ba5],
             ),
             (
                 None,
                 Int8,
                 0x8aac_71f0_e105_3003,
-                [0x165b_08df_afa8_4e3d, 0x93a1_af70_3be0_5995],
+                [0x979f_7883_14f0_28f5, 0x7072_37d5_5bbc_d585],
             ),
             (
                 None,
                 Fp16,
                 0xe50f_85ec_9e95_1d1d,
-                [0x2590_3429_d936_6d15, 0x9017_52b4_da32_0615],
+                [0xdca9_aa5a_b638_d0c5, 0xdaac_bfe2_23f2_bc45],
             ),
             (
                 Some(One),
                 Compression::None,
                 0x524b_4b39_304f_8e9b,
-                [0x0d9c_4647_813a_accd, 0x108e_c799_1209_ae6d],
+                [0x86eb_3aa3_c312_77ed, 0x2def_1729_5b61_a5a5],
             ),
             (
                 Some(One),
                 Int8,
                 0xc3eb_3b21_2873_8b3b,
-                [0x39d1_56b9_8a85_a89d, 0x8f41_d69f_4c37_54b5],
+                [0x91eb_720f_4600_6685, 0xcc0d_e528_3176_0285],
             ),
             (
                 Some(One),
                 Fp16,
                 0x908d_5baf_b4fb_eb22,
-                [0x8103_cd73_acd7_3c9d, 0xb5b3_f29d_cc31_e775],
+                [0x9f73_9caa_3c05_6a0d, 0x58d4_7b8c_76fb_670d],
             ),
             (
                 Some(Two),
                 Compression::None,
                 0xf918_95d0_a5b7_651c,
-                [0xb720_5848_a23f_be35, 0x9a96_80d6_a63d_488d],
+                [0x16c0_5014_5795_42c5, 0x76c4_46fa_500c_7d85],
             ),
             (
                 Some(Two),
                 Int8,
                 0xe846_a71a_e0c3_599d,
-                [0x8cc6_ef3c_5ece_9515, 0x634b_4aaf_cebc_2c35],
+                [0x32f7_f190_48bb_81b5, 0xf6c5_911d_eb80_e62d],
             ),
             (
                 Some(Two),
                 Fp16,
                 0x040e_5f14_b3a0_8e31,
-                [0x97b8_efd8_8ad3_e025, 0xd797_b4e6_5774_53e5],
+                [0xc51c_baad_44bd_a425, 0xa4ae_37a3_6d6f_84a5],
             ),
         ];
         let mut moved = Vec::new();

@@ -520,11 +520,13 @@ fn gemm_on(lanes: Lanes, a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: u
 /// Each element of `c` gains its ascending-`k` chain, reduced from zero,
 /// once per `KC` block. For `k <= KC` that is one addition, so a live `c`
 /// (fused gradient accumulation) ends up bitwise equal to adding the
-/// product from a zeroed temporary.
+/// product from a zeroed temporary. Records `2mkn` FLOPs on the
+/// [`crate::meter`].
 pub fn gemm_mat(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
+    crate::meter::record(crate::matmul::matmul_flops(m, k, n));
     gemm_on(lanes(), a, b, c, m, k, n);
 }
 

@@ -31,6 +31,7 @@ pub mod f16;
 pub mod init;
 pub mod kernel;
 pub mod matmul;
+pub mod meter;
 pub mod ops;
 pub mod par;
 pub mod pool;

@@ -64,7 +64,7 @@ fn main() {
         "final serial loss after {STEPS} steps: {:.5}\n",
         serial[STEPS - 1]
     );
-    println!("mode   GPUs  final loss  max |dev| from serial  modeled comm (ms)");
+    println!("mode   GPUs  final loss  max |dev| from serial  modeled time (ms)");
     for (gpus, mode) in [(4, "1d"), (4, "2d"), (8, "2.5d"), (8, "3d")] {
         let json = format!(
             r#"{{ "parallel": {{ "tensor": {{ "size": {gpus}, "mode": "{mode}", "depth": 2 }} }} }}"#

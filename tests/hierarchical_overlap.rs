@@ -9,13 +9,13 @@
 //! ring.
 
 use colossalai::autograd::{AdamW, Layer, Linear, Sequential};
-use colossalai::comm::{AllReduceAlgo, DeviceCtx, SpanKind, Track, World};
+use colossalai::comm::{AllReduceAlgo, SpanKind, Track, World};
 use colossalai::parallel::data_parallel::{flatten_params, split_batch};
-use colossalai::parallel::{GradReducer, TimedLayer};
+use colossalai::parallel::GradReducer;
 use colossalai::tensor::ops::cross_entropy;
 use colossalai::tensor::{init, Tensor};
 use colossalai::topology::systems::{system_i, system_ii, system_iii, system_iv};
-use colossalai::topology::Cluster;
+use colossalai::topology::{Cluster, GpuSpec, HostSpec, Link};
 
 /// All-reduce over `members` under a pinned algorithm; every rank
 /// contributes a deterministic rank-dependent payload.
@@ -92,24 +92,45 @@ fn hierarchical_equals_flat_equals_serial_on_every_system() {
     }
 }
 
-fn timed_model(ctx: &DeviceCtx, seed: u64) -> Sequential {
+fn model(seed: u64) -> Sequential {
     let mut rng = init::rng(seed);
     let mut layers: Vec<Box<dyn Layer>> = Vec::new();
     for i in 0..4 {
         let (d_in, d_out) = if i == 0 { (8, 32) } else { (32, 32) };
-        layers.push(Box::new(TimedLayer::new(
-            ctx,
-            Linear::from_rng(&format!("l{i}"), d_in, d_out, true, &mut rng),
-            10e-6,
-            20e-6,
+        let name = format!("l{i}");
+        layers.push(Box::new(Linear::from_rng(
+            &name, d_in, d_out, true, &mut rng,
         )));
     }
     Sequential::new(layers)
 }
 
-/// One DP training run on System III; returns (params, max clock, world).
+/// System III's shape (16 nodes x 4, NVLink inside a node, InfiniBand HDR
+/// between) with GPUs slow enough (40 MFLOP/s sustained) that the toy
+/// model's metered backward, ~0.7 ms per rank, outweighs the 100 µs launch
+/// of each bucket all-reduce it can hide.
+fn slow_system_iii() -> Cluster {
+    let gpu = GpuSpec {
+        peak_flops_f32: 40e6,
+        sustained_fraction: 1.0,
+        ..GpuSpec::a100(40)
+    };
+    let mut c = Cluster::homogeneous(
+        "slow System III",
+        16,
+        4,
+        gpu,
+        HostSpec::workstation(),
+        Link::infiniband_hdr(),
+    );
+    c.full_mesh_intra_node(Link::nvlink());
+    c
+}
+
+/// One DP training run on the slow System III; returns (params, max clock,
+/// world).
 fn dp_run(p: usize, overlap: bool, trace: bool) -> (Vec<f32>, f64, World) {
-    let world = World::new(system_iii());
+    let world = World::new(slow_system_iii());
     world.set_tracing(trace);
     let mut rng = init::rng(31);
     let xs: Vec<Tensor> = (0..3)
@@ -117,7 +138,7 @@ fn dp_run(p: usize, overlap: bool, trace: bool) -> (Vec<f32>, f64, World) {
         .collect();
     let out = world.run_on(p, |ctx| {
         let g = ctx.world_group(p);
-        let mut model = timed_model(ctx, 32);
+        let mut model = model(32);
         // 4 KiB buckets over ~3k params -> several buckets per backward
         let mut reducer = GradReducer::data_parallel(&mut model, 4096);
         let mut opt = AdamW::new(0.01, 0.01);

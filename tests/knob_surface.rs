@@ -385,6 +385,31 @@ fn every_collective_has_a_caller() {
     );
 }
 
+/// Compute reaches a rank's clock one way: the kernels meter their FLOPs
+/// and the clock prices them (DESIGN.md §7). No library code wraps a layer
+/// in hand-picked seconds or charges FLOPs beside the meter, and outside
+/// the world itself only the offload plan advances a clock — by PCIe legs
+/// and host CPU Adam, which are not GPU compute. The retired names are
+/// assembled from pieces so that a search of the sources comes back empty.
+#[test]
+fn compute_reaches_the_clock_only_through_the_meter() {
+    let retired = [["Timed", "Layer"].concat(), ["charge", "_flops"].concat()];
+    let mut advancers = Vec::new();
+    for (file, text) in library_sources() {
+        let library = before_unit_tests(&text);
+        for name in &retired {
+            assert!(
+                !library.contains(name.as_str()),
+                "{file} names {name:?}: compute is what the kernels meter"
+            );
+        }
+        if file != "crates/comm/src/world.rs" && library.contains(".advance(") {
+            advancers.push(file);
+        }
+    }
+    assert_eq!(advancers, ["crates/memory/src/offload.rs"]);
+}
+
 /// Lines naming `unsafe`, per file: the list a Miri leg has to cover
 /// (ROADMAP item 4). A new site changes this table in the same PR.
 #[test]

@@ -4,32 +4,31 @@
 //! pipeline-style point-to-point traffic) must leave every rank with compute,
 //! collective AND p2p spans; per-rank leaf spans must be non-overlapping and
 //! monotonic; and `World::trace_json()` must be valid Chrome-trace JSON.
+//! Tracing observes the clock and never moves it: a traced GPT step ends on
+//! the same clock bits as an untraced one.
 
+use colossalai::autograd::Layer;
 use colossalai::comm::{DeviceCtx, Span, SpanKind, Track, World};
-use colossalai::tensor::{init, Tensor};
-use colossalai::topology::systems::system_i;
+use colossalai::core::{initialize, Config, OptimizerSpec};
+use colossalai::models::{Gpt, SyntheticText, TransformerConfig};
+use colossalai::tensor::{init, matmul, Tensor};
+use colossalai::topology::systems::{system_i, system_iii};
 use serde_json::Value;
 
 const P: usize = 4;
 
-/// One hybrid step: local "compute", TP all-gather + DP all-reduce
-/// collectives, and a ring exchange of activations over send/recv.
+/// One hybrid step: a local matmul (metered compute), TP all-gather + DP
+/// all-reduce collectives, and a ring exchange of activations over
+/// send/recv.
 fn hybrid_step(ctx: &DeviceCtx) {
     let rank = ctx.rank();
-    // compute: charge the clock, then publish the window as a Compute span
-    let start = ctx.clock();
-    ctx.advance(2e-4);
-    ctx.trace_span(
-        SpanKind::Compute {
-            label: format!("fwd{rank}"),
-        },
-        start,
-    );
+    let mut rng = init::rng(17 + rank as u64);
+    let x = init::uniform([8, 16], -1.0, 1.0, &mut rng);
+    let w = init::uniform([16, 8], -1.0, 1.0, &mut rng);
+    let act = matmul(&x, &w);
 
     // tensor-parallel axis: ranks {0,1} and {2,3}
     let tp = ctx.group(&[rank / 2 * 2, rank / 2 * 2 + 1]);
-    let mut rng = init::rng(17 + rank as u64);
-    let act = init::uniform([8, 8], -1.0, 1.0, &mut rng);
     let gathered = tp.all_gather_cat(ctx, act, 0);
     assert_eq!(gathered.dims(), &[16, 8]);
 
@@ -153,4 +152,48 @@ fn clearing_resets_the_trace() {
     assert!(!world.trace().is_empty());
     world.clear_trace();
     assert!(world.trace().is_empty());
+}
+
+/// Every rank's final clock after two data-parallel GPT engine steps on
+/// System III, with or without tracing.
+fn gpt_step_clocks(traced: bool) -> Vec<u64> {
+    let cfg = TransformerConfig {
+        layers: 2,
+        hidden: 32,
+        heads: 4,
+        mlp_ratio: 4,
+        vocab: 64,
+        max_seq: 8,
+    };
+    let data = SyntheticText::new(cfg.vocab, 3);
+    let world = World::new(system_iii());
+    world.set_tracing(traced);
+    world.run_on(2, |ctx| {
+        let config = Config::from_json(r#"{ "parallel": { "data": 2 } }"#).unwrap();
+        let model: Box<dyn Layer> = Box::new(Gpt::new(&cfg, &mut init::rng(9)));
+        let adam = OptimizerSpec::AdamW {
+            lr: 1e-3,
+            weight_decay: 0.0,
+        };
+        let mut engine = initialize(ctx, &config, 2, model, adam);
+        for step in 0..2 {
+            let tokens = data.batch(2, cfg.max_seq, 2 * step + ctx.rank() as u64);
+            engine.zero_grad();
+            let logits = engine.forward(&tokens);
+            let rows = 2 * cfg.max_seq;
+            let targets = data.next_tokens(&tokens);
+            let flat = logits.reshape([rows, cfg.vocab]);
+            let (_, d) = colossalai::tensor::ops::cross_entropy(&flat, &targets);
+            let _ = engine.backward(&d.reshaped(logits.shape().clone()));
+            assert!(engine.step());
+        }
+        ctx.clock().to_bits()
+    })
+}
+
+#[test]
+fn a_traced_gpt_step_ends_on_the_untraced_clock_bits() {
+    let untraced = gpt_step_clocks(false);
+    assert!(untraced.iter().all(|&t| f64::from_bits(t) > 0.0));
+    assert_eq!(gpt_step_clocks(true), untraced);
 }
