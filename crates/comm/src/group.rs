@@ -866,6 +866,7 @@ mod tests {
     use super::*;
     use crate::trace::Span;
     use crate::world::World;
+    use colossalai_tensor::meter;
     use colossalai_topology::systems::{system_i, system_ii, system_iii};
 
     #[test]
@@ -1514,12 +1515,16 @@ mod tests {
         let world = World::new(system_ii());
         let n: usize = 1 << 20;
         let comm_t = cost::allreduce_time(&system_ii(), &(0..4).collect::<Vec<_>>(), 4 * n as u64);
+        // metered compute that outlasts the collective ten times over
+        let gpu = system_ii().gpu(0).clone();
+        let flops = (10.0 * comm_t * gpu.peak_flops_f32 * gpu.sustained_fraction) as u64;
+        let compute_t = gpu.compute_time_f32(flops);
+        assert!(compute_t > 9.0 * comm_t);
         let out = world.run_on(4, |ctx| {
             let g = ctx.world_group(4);
             let red = g.collective(ctx, ALL_REDUCE_COMM, Tensor::zeros([n]));
             let launched = ctx.clock();
-            // compute that outlasts the collective
-            ctx.advance(10.0 * comm_t);
+            meter::record(flops);
             ctx.comm_sync();
             (red, launched, ctx.clock(), ctx.comm_clock())
         });
@@ -1527,7 +1532,7 @@ mod tests {
             assert_eq!(red.numel(), n);
             assert_eq!(*launched, 0.0, "launch must not advance the main clock");
             // the collective fully hides behind compute
-            assert!((clock - 10.0 * comm_t).abs() < 1e-12, "{clock}");
+            assert_eq!(*clock, compute_t);
             assert_eq!(clock, comm_clock, "comm_sync joins the streams");
         }
         // blocking baseline: compute + collective serialize
@@ -1535,7 +1540,7 @@ mod tests {
         let blocking = world2.run_on(4, |ctx| {
             let g = ctx.world_group(4);
             let _ = g.all_reduce(ctx, Tensor::zeros([n]));
-            ctx.advance(10.0 * comm_t);
+            meter::record(flops);
             ctx.clock()
         });
         assert!(blocking[0] > out[0].2, "overlap must be strictly faster");
