@@ -19,6 +19,8 @@
 //!   `4 x 32` tile (eight zmm accumulators), under `avx2` with a `4 x 16`
 //!   tile (eight ymm), and portable at `4 x 16`. [`gemm_mat`] picks the
 //!   widest the CPU has at runtime, so no `-C target-cpu` flag is needed.
+//!   The instantiations are the one lane entry (`on_lanes` over a
+//!   `LaneWork`), which the GELU rows in `ops` go through too.
 //!   `avx512f` implies `fma`, but Rust never contracts a multiply and an add
 //!   into one instruction, so every output element is the same plain
 //!   mul-then-add chain in ascending `k` order under all three, and the
@@ -485,32 +487,67 @@ fn gemm_tile<const MR: usize, const NR: usize>(
     }
 }
 
-/// [`gemm_tile`] on 16-wide AVX-512 lanes at a `4 x 32` tile.
+/// Work that runs on vector lanes: the GEMM driver and the GELU rows
+/// (`ops::add_bias_gelu`, `ops::gelu_with_tanh`). [`on_lanes`] compiles
+/// `run` once per [`Lanes`] arm, under that arm's `#[target_feature]`, so an
+/// `#[inline(always)]` `run` vectorizes its loops for those lanes. `NR` is the
+/// arm's register-tile width: [`NR_WIDE`] on AVX-512, [`NR`] otherwise.
+pub(crate) trait LaneWork {
+    type Out;
+    fn run<const NR: usize>(self) -> Self::Out;
+}
+
+/// [`LaneWork::run`] on 16-wide AVX-512 lanes.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn gemm_avx512(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_tile::<MR, NR_WIDE>(a, b, c, m, k, n);
+fn on_avx512<W: LaneWork>(work: W) -> W::Out {
+    work.run::<NR_WIDE>()
 }
 
-/// [`gemm_tile`] on 8-wide AVX2 lanes at a `4 x 16` tile.
+/// [`LaneWork::run`] on 8-wide AVX2 lanes.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn gemm_avx2(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_tile::<MR, NR>(a, b, c, m, k, n);
+fn on_avx2<W: LaneWork>(work: W) -> W::Out {
+    work.run::<NR>()
 }
 
-/// `c += a @ b` on the given lanes, which this CPU must have.
-fn gemm_on(lanes: Lanes, a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
+/// Runs `work` on the given lanes, which this CPU must have: the one entry
+/// to the `#[target_feature]` instantiations.
+pub(crate) fn on_lanes<W: LaneWork>(lanes: Lanes, work: W) -> W::Out {
     assert!(lanes.on_host(), "{lanes:?} lanes on a CPU without them");
     match lanes {
         // SAFETY: the assert above checked the CPU has avx512f.
         #[cfg(target_arch = "x86_64")]
-        Lanes::Avx512 => unsafe { gemm_avx512(a, b, c, m, k, n) },
+        Lanes::Avx512 => unsafe { on_avx512(work) },
         // SAFETY: the assert above checked the CPU has avx2.
         #[cfg(target_arch = "x86_64")]
-        Lanes::Avx2 => unsafe { gemm_avx2(a, b, c, m, k, n) },
-        _ => gemm_tile::<MR, NR>(a, b, c, m, k, n),
+        Lanes::Avx2 => unsafe { on_avx2(work) },
+        _ => work.run::<NR>(),
     }
+}
+
+/// `c += a @ b` as [`LaneWork`]: [`gemm_tile`] at the lanes' tile.
+struct Gemm<'a> {
+    a: Mat<'a>,
+    b: Mat<'a>,
+    c: &'a mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+}
+
+impl LaneWork for Gemm<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<const NR: usize>(self) {
+        let Gemm { a, b, c, m, k, n } = self;
+        gemm_tile::<MR, NR>(a, b, c, m, k, n);
+    }
+}
+
+/// `c += a @ b` on the given lanes, which this CPU must have.
+fn gemm_on(lanes: Lanes, a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
+    on_lanes(lanes, Gemm { a, b, c, m, k, n });
 }
 
 /// The kernel entry point every matmul variant routes through: `c += a @ b`
@@ -537,6 +574,23 @@ pub fn for_each_batch(ba: usize, csize: usize, c: &mut [f32], run: impl Fn(usize
     for (t, c_t) in c.chunks_exact_mut(csize.max(1)).take(ba).enumerate() {
         run(t, c_t);
     }
+}
+
+/// Every [`Lanes`] arm this CPU can run, for tests that hold each to the
+/// same bits. No silent skip: a CPU that reports `avx512f` must run (and
+/// ship) the AVX-512 arm.
+#[cfg(test)]
+pub(crate) fn lanes_on_host() -> Vec<Lanes> {
+    let on_host: Vec<Lanes> = [Lanes::Portable, Lanes::Avx2, Lanes::Avx512]
+        .into_iter()
+        .filter(|l| l.on_host())
+        .collect();
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        assert!(on_host.contains(&Lanes::Avx512));
+        assert_eq!(lanes(), Lanes::Avx512);
+    }
+    on_host
 }
 
 #[cfg(test)]
@@ -683,17 +737,7 @@ mod tests {
 
     #[test]
     fn every_path_on_every_lane_width_computes_the_portable_packed_bits() {
-        let on_host: Vec<Lanes> = [Lanes::Portable, Lanes::Avx2, Lanes::Avx512]
-            .into_iter()
-            .filter(|l| l.on_host())
-            .collect();
-        // no silent skip: a CPU that reports avx512f runs (and ships) the
-        // AVX-512 arm
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            assert!(on_host.contains(&Lanes::Avx512));
-            assert_eq!(lanes(), Lanes::Avx512);
-        }
+        let on_host = lanes_on_host();
         // each extent swept across its edges (both tiles' MR / NR, MC, NC,
         // KC + 1) with the other two held small, then the three block
         // straddlers at once

@@ -5,12 +5,17 @@
 //! collective AND p2p spans; per-rank leaf spans must be non-overlapping and
 //! monotonic; and `World::trace_json()` must be valid Chrome-trace JSON.
 //! Tracing observes the clock and never moves it: a traced GPT step ends on
-//! the same clock bits as an untraced one.
+//! the same clock bits as an untraced one. No rank's main track holds more
+//! busy time than the makespan, so the rollup's idle clamp never hides a
+//! double-counted span.
 
-use colossalai::autograd::Layer;
-use colossalai::comm::{DeviceCtx, Span, SpanKind, Track, World};
+use colossalai::autograd::{Layer, Linear, Sequential};
+use colossalai::comm::{DeviceCtx, Span, SpanKind, Track, World, WorldBackend};
 use colossalai::core::{initialize, Config, OptimizerSpec};
 use colossalai::models::{Gpt, SyntheticText, TransformerConfig};
+use colossalai::parallel::pipeline::{PipelineStage, Schedule};
+use colossalai::parallel::GradReducer;
+use colossalai::tensor::ops::cross_entropy;
 use colossalai::tensor::{init, matmul, Tensor};
 use colossalai::topology::systems::{system_i, system_iii};
 use serde_json::Value;
@@ -196,4 +201,107 @@ fn a_traced_gpt_step_ends_on_the_untraced_clock_bits() {
     let untraced = gpt_step_clocks(false);
     assert!(untraced.iter().all(|&t| f64::from_bits(t) > 0.0));
     assert_eq!(gpt_step_clocks(true), untraced);
+}
+
+/// Asserts that every rank's main-track `compute + comm + mem` fits in the
+/// makespan (the latest span end on any device track), as the rollup's
+/// `idle = (makespan - busy).max(0.0)` assumes. The slack is float
+/// summation error over the rank's spans, not time.
+fn assert_busy_fits_the_makespan(world: &World, ranks: usize) {
+    let spans = world.trace();
+    let makespan = spans
+        .iter()
+        .filter(|s| matches!(s.track, Track::Device(_) | Track::DeviceComm(_)))
+        .map(|s| s.end)
+        .fold(0.0, f64::max);
+    let rollup = world.trace_rollup();
+    assert_eq!(rollup.len(), ranks);
+    for r in rollup {
+        let busy = r.compute + r.comm + r.mem;
+        assert!(r.compute > 0.0, "rank {} metered no compute", r.rank);
+        assert!(
+            busy <= makespan * (1.0 + 1e-12),
+            "rank {}: compute {} + comm {} + mem {} = {busy} s > makespan {makespan} s",
+            r.rank,
+            r.compute,
+            r.comm,
+            r.mem
+        );
+    }
+}
+
+/// `dp_overlap`'s overlapped leg: its GPT, System III and 2 MiB buckets
+/// launched on the comm stream during backward, at 8 ranks (two nodes),
+/// one 8-token sequence per rank and one backward.
+#[test]
+fn overlapped_dp_gpt_ranks_are_busy_no_longer_than_the_makespan() {
+    const RANKS: usize = 8;
+    let cfg = TransformerConfig {
+        layers: 2,
+        hidden: 256,
+        heads: 8,
+        mlp_ratio: 4,
+        vocab: 512,
+        max_seq: 32,
+    };
+    let text = SyntheticText::new(cfg.vocab, 7);
+    let world = World::new(system_iii());
+    world.set_tracing(true);
+    world.run_on(RANKS, |ctx| {
+        let g = ctx.world_group(RANKS);
+        let mut model = Gpt::new(&cfg, &mut init::rng(11));
+        let mut reducer = GradReducer::data_parallel(&mut model, 2 << 20);
+        let tokens = text.batch(1, 8, g.rank() as u64);
+        let (_, d) = model.lm_loss(&tokens);
+        let _ = reducer.backward_overlapped(ctx, &g, &mut model, &d);
+    });
+    assert!(world
+        .trace()
+        .iter()
+        .any(|s| matches!(s.track, Track::DeviceComm(_))));
+    assert_busy_fits_the_makespan(&world, RANKS);
+}
+
+/// `pipeline_gantt`'s stages (an `EDGE`-wide end, inner `WIDTH`-wide
+/// linears, an `EDGE`-wide end) under both schedules on one executor slot,
+/// with fewer rows and inner layers.
+#[test]
+fn pipeline_stages_are_busy_no_longer_than_the_makespan() {
+    const P: usize = 4;
+    const M: usize = 6;
+    const ROWS: usize = 64;
+    const EDGE: usize = 16;
+    const WIDTH: usize = 64;
+    const INNER: usize = 3;
+    for schedule in [Schedule::GPipe, Schedule::OneFOneB] {
+        let world = World::new(system_i());
+        world.set_backend(Some(WorldBackend::Stackless { pool: 1 }));
+        world.set_tracing(true);
+        let mut rng = init::rng(42);
+        let micros: Vec<Tensor> = (0..M)
+            .map(|_| init::uniform([ROWS, EDGE], -1.0, 1.0, &mut rng))
+            .collect();
+        let targets: Vec<usize> = (0..ROWS).map(|i| i % EDGE).collect();
+        world.run_on(P, |ctx| {
+            let devices: Vec<usize> = (0..P).collect();
+            let mut srng = init::rng(7 + ctx.rank() as u64);
+            let mut linear = |d_in, d_out| -> Box<dyn Layer> {
+                Box::new(Linear::from_rng("l", d_in, d_out, true, &mut srng))
+            };
+            let mut layers = vec![linear(EDGE, WIDTH)];
+            layers.extend((0..INNER).map(|_| linear(WIDTH, WIDTH)));
+            layers.push(linear(WIDTH, EDGE));
+            let mut stage = PipelineStage::new(ctx, &devices, Sequential::new(layers));
+            let mut lf = |_: u64, o: &Tensor| cross_entropy(o, &targets);
+            let _ = stage.run_step(
+                schedule,
+                stage.is_first().then_some(&micros[..]),
+                stage
+                    .is_last()
+                    .then_some(&mut lf as &mut dyn FnMut(u64, &Tensor) -> (f32, Tensor)),
+                M,
+            );
+        });
+        assert_busy_fits_the_makespan(&world, P);
+    }
 }
