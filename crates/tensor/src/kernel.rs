@@ -20,11 +20,14 @@
 //!   tile (eight ymm), and portable at `4 x 16`. [`gemm_mat`] picks the
 //!   widest the CPU has at runtime, so no `-C target-cpu` flag is needed.
 //!   The instantiations are the one lane entry (`on_lanes` over a
-//!   `LaneWork`), which the GELU rows in `ops` go through too.
-//!   `avx512f` implies `fma`, but Rust never contracts a multiply and an add
-//!   into one instruction, so every output element is the same plain
-//!   mul-then-add chain in ascending `k` order under all three, and the
-//!   results are bit-identical.
+//!   `LaneWork`), which the GELU rows in `ops` and the initializers in
+//!   `init` go through too. Both vector arms enable `fma` (`avx512f`
+//!   implies it; the AVX2 arm names it), but Rust never contracts a
+//!   multiply and an add into one instruction, so every output element is
+//!   the same plain mul-then-add chain in ascending `k` order under all
+//!   three, and the results are bit-identical. Only an explicit fused
+//!   multiply-add fuses: the libm ports `init`'s Box–Muller calls make one
+//!   where glibc's FMA builds do, and it rounds once on every arm.
 //!
 //! Packing pays off when the copy is amortized over many rows and columns.
 //! A skinny product is dominated by it, so [`path`] sends shallow-`k` and
@@ -71,9 +74,10 @@ pub const ROW_STREAM_MAX_K: usize = 16;
 /// Tallest `m` the `B`-row stream takes ([`Path::BRowStream`]).
 pub const B_ROW_STREAM_MAX_M: usize = 16;
 
-/// Host capability probe: whether the CPU has both AVX2 and FMA units. No
-/// kernel here uses FMA (see the module docs); the benchmark reports it in
-/// its host block.
+/// Host capability probe: whether the CPU has both AVX2 and FMA units, which
+/// the [`Lanes::Avx2`] arm needs. No GEMM or fused op fuses a multiply and
+/// an add (see the module docs); only the libm ports' explicit fused
+/// multiply-adds do. The benchmark reports it in its host block.
 #[cfg(target_arch = "x86_64")]
 pub fn fma_available() -> bool {
     static FMA: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
@@ -94,7 +98,7 @@ pub fn fma_available() -> bool {
 pub enum Lanes {
     /// The build's baseline instruction set, `MR x NR` tile.
     Portable,
-    /// 8-wide `avx2` lanes, `MR x NR` tile.
+    /// 8-wide `avx2` lanes (with `fma`), `MR x NR` tile.
     Avx2,
     /// 16-wide `avx512f` lanes, `MR x NR_WIDE` tile.
     Avx512,
@@ -106,7 +110,7 @@ impl Lanes {
         #[cfg(target_arch = "x86_64")]
         return match self {
             Lanes::Portable => true,
-            Lanes::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            Lanes::Avx2 => fma_available(),
             Lanes::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
         };
         #[cfg(not(target_arch = "x86_64"))]
@@ -487,8 +491,9 @@ fn gemm_tile<const MR: usize, const NR: usize>(
     }
 }
 
-/// Work that runs on vector lanes: the GEMM driver and the GELU rows
-/// (`ops::add_bias_gelu`, `ops::gelu_with_tanh`). [`on_lanes`] compiles
+/// Work that runs on vector lanes: the GEMM driver, the GELU rows
+/// (`ops::add_bias_gelu`, `ops::gelu_with_tanh`) and the initializers'
+/// ChaCha blocks and Box–Muller (`init`). [`on_lanes`] compiles
 /// `run` once per [`Lanes`] arm, under that arm's `#[target_feature]`, so an
 /// `#[inline(always)]` `run` vectorizes its loops for those lanes. `NR` is the
 /// arm's register-tile width: [`NR_WIDE`] on AVX-512, [`NR`] otherwise.
@@ -504,9 +509,10 @@ fn on_avx512<W: LaneWork>(work: W) -> W::Out {
     work.run::<NR_WIDE>()
 }
 
-/// [`LaneWork::run`] on 8-wide AVX2 lanes.
+/// [`LaneWork::run`] on 8-wide AVX2 lanes, with FMA so an explicit
+/// multiply-add is one instruction rather than a libm call.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 fn on_avx2<W: LaneWork>(work: W) -> W::Out {
     work.run::<NR>()
 }
@@ -519,7 +525,7 @@ pub(crate) fn on_lanes<W: LaneWork>(lanes: Lanes, work: W) -> W::Out {
         // SAFETY: the assert above checked the CPU has avx512f.
         #[cfg(target_arch = "x86_64")]
         Lanes::Avx512 => unsafe { on_avx512(work) },
-        // SAFETY: the assert above checked the CPU has avx2.
+        // SAFETY: the assert above checked the CPU has avx2 and fma.
         #[cfg(target_arch = "x86_64")]
         Lanes::Avx2 => unsafe { on_avx2(work) },
         _ => work.run::<NR>(),

@@ -23,13 +23,17 @@
 //! * every kernel has one arithmetic — plain multiply-then-add in a fixed
 //!   order, no fused multiply-add — so scalar and vector lanes, fused and
 //!   composed ops, and every size dispatch agree bit for bit (DESIGN.md §13
-//!   records the retired FMA mode);
+//!   records the retired FMA mode). The one exception is explicit: the
+//!   ports of libm's `logf` / `cosf` behind `init::normal` fuse a
+//!   multiply-add where glibc's FMA builds do, rounding once on every lane
+//!   arm;
 //! * nothing here reads the process environment, and there is no numeric
 //!   knob to set.
 
 pub mod f16;
 pub mod init;
 pub mod kernel;
+mod libm;
 pub mod matmul;
 pub mod meter;
 pub mod ops;

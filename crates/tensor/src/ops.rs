@@ -9,6 +9,7 @@
 //! property-tests that identity.
 
 use crate::kernel::{self, LaneWork};
+use crate::libm::tanh;
 use crate::pool;
 use crate::tensor::Tensor;
 
@@ -74,115 +75,6 @@ pub fn gelu(x: &Tensor) -> Tensor {
 fn gelu_tanh(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
     tanh(C * (x + 0.044_715 * x * x * x))
-}
-
-/// `tanh`, bit for bit what glibc's `tanhf` returns: fdlibm's `s_tanhf.c`
-/// and the `s_expm1f.c` it calls, ported arm by arm in separately rounded
-/// f32 operations (glibc builds them that way: neither is an ifunc, so no
-/// CPU-selected FMA variant exists). Branch-free, so a loop over it
-/// vectorizes: every lane computes every arm and a select keeps one.
-#[inline(always)]
-fn tanh(x: f32) -> f32 {
-    let jx = x.to_bits();
-    let ix = jx & 0x7fff_ffff;
-    // only 2^-55 <= |x| < 22 reads `expm1`; the other lanes hand it 1, so no
-    // subnormal (a microcode assist on every lane of the vector) or NaN
-    // reaches it
-    let ax = if (0x2400_0000..0x41b0_0000).contains(&ix) {
-        f32::from_bits(ix)
-    } else {
-        1.0
-    };
-    // |x| >= 1: 1 - 2 / (expm1(2|x|) + 2); else -t / (t + 2), t = expm1(-2|x|)
-    let big = ix >= 0x3f80_0000;
-    let t = expm1(if big { 2.0 * ax } else { -2.0 * ax });
-    let q = if big { 2.0 } else { -t } / (t + 2.0);
-    let z = if big { 1.0 - q } else { q };
-    // |x| >= 22 (and inf): 1 - tiny, which rounds to 1
-    let z = if ix < 0x41b0_0000 { z } else { 1.0 };
-    // `-z` for negative x: z >= +0 here, so that is its sign bit set
-    let z = f32::from_bits(z.to_bits() | jx & 0x8000_0000);
-    // |x| < 2^-55 (zero included: ±0 * 1 is ±0)
-    let z = if ix < 0x2400_0000 { x * (1.0 + x) } else { z };
-    // NaN: libm's `1/x ± 1` returns `x` quieted, as `x + x` does
-    if ix > 0x7f80_0000 {
-        x + x
-    } else {
-        z
-    }
-}
-
-/// `expm1` as fdlibm's `s_expm1f.c` computes it, on the arguments [`tanh`]
-/// passes: `(-2, -2^-54]` and `[2, 44)`. Those reach the tiny argument,
-/// `k = 0`, `k = -1`, `k <= -2`, `2 <= k < 23`, `23 <= k <= 56` and
-/// `k > 56`; the overflow, `-1` and `k = 1` arms are unreachable and left
-/// out. The reduction `x = u - k ln2` is the C's general one: its `k = ±1`
-/// shortcut and its `k = 0` case compute the same bits through it.
-#[inline(always)]
-fn expm1(u: f32) -> f32 {
-    const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
-    const LN2_LO: f32 = f32::from_bits(0x3717_f7d1);
-    const INV_LN2: f32 = f32::from_bits(0x3fb8_aa3b);
-    const Q1: f32 = f32::from_bits(0xbd08_8889);
-    const Q2: f32 = f32::from_bits(0x3ad0_0d01);
-    const Q3: f32 = f32::from_bits(0xb8a6_70cd);
-    const Q4: f32 = f32::from_bits(0x3686_7e54);
-    const Q5: f32 = f32::from_bits(0xb457_edbb);
-    const ROUND: f32 = 12_582_912.0; // 1.5 * 2^23
-    let hx = u.to_bits() & 0x7fff_ffff;
-    // |u| < 2^-25 returns u; its lanes reduce 0 instead, whose cube cannot
-    // go subnormal
-    let tiny = hx < 0x3300_0000;
-    let v = if tiny { 0.0 } else { u };
-    let neg = u.to_bits() >> 31 != 0;
-    // argument reduction: |u| <= ln2/2 keeps k = 0, |u| < 3ln2/2 takes ±1,
-    // else k = (int)(u/ln2 ± 1/2), which truncates; the small integer is
-    // read off the mantissa of its sum with ROUND, since a float-to-int
-    // `as` saturates and that check goes lane by lane
-    let n = (INV_LN2 * v + if neg { -0.5 } else { 0.5 }).trunc();
-    let k_general = ((n + ROUND).to_bits() as i32).wrapping_sub(0x4b40_0000);
-    let k = if hx < 0x3f85_1592 {
-        if neg {
-            -1
-        } else {
-            1
-        }
-    } else {
-        k_general
-    };
-    let k = if hx <= 0x3eb1_7218 { 0 } else { k };
-    let kf = k as f32;
-    let hi = v - kf * LN2_HI;
-    let lo = kf * LN2_LO;
-    let x = hi - lo;
-    let c = (hi - x) - lo;
-    // x is now in the primary range
-    let hfx = 0.5 * x;
-    let hxs = x * hfx;
-    let r1 = 1.0 + hxs * (Q1 + hxs * (Q2 + hxs * (Q3 + hxs * (Q4 + hxs * Q5))));
-    let t = 3.0 - r1 * hfx;
-    let e = hxs * ((r1 - t) / (6.0 - x * t));
-    let k_zero = x - (x * e - hxs);
-    let e = (x * (e - c) - c) - hxs;
-    // 2^k, 1 - 2^-k and 2^-k from exponent bits; the integer steps wrap,
-    // so no lane's k can overflow them
-    let twopk = f32::from_bits((0x7f_i32.wrapping_add(k) as u32).wrapping_shl(23));
-    let k_minus_one = 0.5 * (x - e) - 0.5;
-    let k_far = (1.0 - (e - x)) * twopk - 1.0;
-    let k_low = f32::from_bits(0x3f80_0000 - 0x0100_0000_u32.wrapping_shr(k as u32));
-    let k_low = (k_low - (e - x)) * twopk;
-    let k_high = f32::from_bits((0x7f_i32.wrapping_sub(k) as u32).wrapping_shl(23));
-    let k_high = ((x - (e + k_high)) + 1.0) * twopk;
-    // the C's if-chain, as selects from its last arm up
-    let y = if k < 23 { k_low } else { k_high };
-    let y = if k <= -2 || k > 56 { k_far } else { y };
-    let y = if k == -1 { k_minus_one } else { y };
-    let y = if k == 0 { k_zero } else { y };
-    if tiny {
-        u
-    } else {
-        y
-    }
 }
 
 /// GELU of `x` given `t = gelu_tanh(x)`.
@@ -562,172 +454,11 @@ pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> (f32, Tensor) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{lanes_on_host, Lanes};
+    use crate::kernel::lanes_on_host;
     use std::hint::black_box;
-
-    /// `tanh` over a slice as [`LaneWork`]: the port on one lane width.
-    struct TanhSlice<'a>(&'a [f32], &'a mut [f32]);
-
-    impl LaneWork for TanhSlice<'_> {
-        type Out = ();
-        #[inline(always)]
-        fn run<const NR: usize>(self) {
-            for (out, &x) in self.1.iter_mut().zip(self.0) {
-                *out = tanh(x);
-            }
-        }
-    }
-
-    /// The port one element at a time: a call the vectorizer cannot widen.
-    #[inline(never)]
-    fn tanh_scalar(x: f32) -> f32 {
-        tanh(x)
-    }
-
-    fn scalar_tanh(xs: &[f32]) -> Vec<f32> {
-        xs.iter().map(|&x| tanh_scalar(x)).collect()
-    }
-
-    fn tanh_on(lanes: Lanes, xs: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0; xs.len()];
-        kernel::on_lanes(lanes, TanhSlice(xs, &mut out));
-        out
-    }
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    /// `(input, output)` bit pairs of glibc 2.36's `tanhf`: ±0, subnormals,
-    /// both sides of 2^-55 and 2^-26 (`expm1`'s tiny argument), a quarter
-    /// and three quarters of ln2 (`expm1`'s `k = 0` / `k = ±1` edges at
-    /// `2|x|`), inputs in each `k` arm, 1, 27 ln2, 22, ±inf and two NaNs
-    /// with payloads (one signalling, returned quieted).
-    const TANH_TABLE: [(u32, u32); 33] = [
-        (0x0000_0000, 0x0000_0000), // 0
-        (0x8000_0000, 0x8000_0000), // -0
-        (0x0000_0001, 0x0000_0001), // 1e-45
-        (0x807f_ffff, 0x807f_ffff), // -1.1754942e-38
-        (0x23ff_ffff, 0x23ff_ffff), // 2.7755574e-17
-        (0x2400_0000, 0x2400_0000), // 2^-55
-        (0xa400_0000, 0xa400_0000), // -2^-55
-        (0x327f_ffff, 0x327f_ffff), // 1.490116e-8
-        (0x3280_0000, 0x3280_0000), // 2^-26
-        (0x3e31_7218, 0x3e2f_b0cd), // ln2 / 4
-        (0x3e31_7219, 0x3e2f_b0cd), // 1.7328681e-1
-        (0xbeb1_7218, 0xbeaa_aaab), // -ln2 / 2
-        (0x3f05_1592, 0x3ef4_86f8), // 3 ln2 / 4
-        (0x3dcc_cccd, 0x3dcc_1ebc), // 0.1
-        (0xbf19_999a, 0xbf09_7c15), // -0.6
-        (0xbf66_6666, 0xbf37_5f4c), // -0.9
-        (0x3f7f_ffff, 0x3f42_f7d5), // 9.9999994e-1
-        (0x3f80_0000, 0x3f42_f7d6), // 1
-        (0xbf80_0000, 0xbf42_f7d6), // -1
-        (0x4040_0000, 0x3f7e_bbe9), // 3
-        (0xc0a0_0000, 0xbf7f_fa0d), // -5
-        (0x3f85_1592, 0x3f47_1c72), // 3 ln2 / 2
-        (0x4100_0000, 0x3f7f_fffc), // 8
-        (0x4195_b844, 0x3f80_0000), // 27 ln2
-        (0x419e_0000, 0x3f80_0000), // 19.75
-        (0x41af_ffff, 0x3f80_0000), // 21.999998
-        (0x41b0_0000, 0x3f80_0000), // 22
-        (0xc1b0_0000, 0xbf80_0000), // -22
-        (0x7f7f_ffff, 0x3f80_0000), // f32::MAX
-        (0x7f80_0000, 0x3f80_0000), // inf
-        (0xff80_0000, 0xbf80_0000), // -inf
-        (0x7fa0_0001, 0x7fe0_0001), // signalling NaN
-        (0xffc1_2345, 0xffc1_2345), // -NaN
-    ];
-
-    /// FNV-1a over the output bits of glibc 2.36's `tanhf` at every 65 537th
-    /// bit pattern, `0` to `u32::MAX` (65 536 inputs).
-    const TANH_SPARSE_HASH: u64 = 0x4e02_5101_774e_312d;
-
-    fn fnv1a(v: &[f32]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in v.iter().flat_map(|x| x.to_bits().to_le_bytes()) {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
-    #[test]
-    fn tanh_reads_the_frozen_libm_table_on_every_lane_width() {
-        let xs: Vec<f32> = TANH_TABLE.iter().map(|&(x, _)| f32::from_bits(x)).collect();
-        let want: Vec<u32> = TANH_TABLE.iter().map(|&(_, y)| y).collect();
-        assert_eq!(bits(&scalar_tanh(&xs)), want, "scalar");
-        for lanes in lanes_on_host() {
-            assert_eq!(bits(&tanh_on(lanes, &xs)), want, "{lanes:?}");
-        }
-    }
-
-    #[test]
-    fn tanh_hashes_every_65537th_pattern_to_the_frozen_libm_hash() {
-        let xs: Vec<f32> = (0..=u32::MAX).step_by(65_537).map(f32::from_bits).collect();
-        assert_eq!(xs.len(), 65_536);
-        assert_eq!(fnv1a(&scalar_tanh(&xs)), TANH_SPARSE_HASH, "scalar");
-        for lanes in lanes_on_host() {
-            assert_eq!(fnv1a(&tanh_on(lanes, &xs)), TANH_SPARSE_HASH, "{lanes:?}");
-        }
-    }
-
-    /// Runs `check(first_bits, inputs)` over all 2^32 bit patterns in
-    /// 4096-element blocks (small enough for the allocator to reuse the
-    /// checks' buffers), on every core.
-    fn every_f32(check: impl Fn(u32, &[f32]) + Sync) {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let check = &check;
-                s.spawn(move || {
-                    let mut xs = vec![0.0f32; 1 << 12];
-                    for block in (w..1 << 20).step_by(workers) {
-                        let first = (block as u32) << 12;
-                        for (i, x) in xs.iter_mut().enumerate() {
-                            *x = f32::from_bits(first | i as u32);
-                        }
-                        check(first, &xs);
-                    }
-                });
-            }
-        });
-    }
-
-    /// Every lane width against the scalar port on all 2^32 inputs. Run it
-    /// with `--release -- --ignored` (under a minute on 2 cores).
-    #[test]
-    #[ignore]
-    fn tanh_lanes_equal_the_scalar_port_on_every_f32() {
-        let on_host = lanes_on_host();
-        every_f32(|first, xs| {
-            let want = bits(&scalar_tanh(xs));
-            for &lanes in &on_host {
-                assert!(
-                    bits(&tanh_on(lanes, xs)) == want,
-                    "{lanes:?} differs from the scalar port in block {first:#010x}"
-                );
-            }
-        });
-    }
-
-    /// The port against this host's libm on all 2^32 inputs: a local check,
-    /// since another glibc may round differently (EXPERIMENTS.md names the
-    /// one it passed on).
-    #[test]
-    #[ignore]
-    fn tanh_equals_libm_on_every_f32() {
-        every_f32(|_, xs| {
-            let got = tanh_on(kernel::lanes(), xs);
-            for (&x, &y) in xs.iter().zip(&got) {
-                assert_eq!(
-                    y.to_bits(),
-                    x.tanh().to_bits(),
-                    "tanh({:#010x})",
-                    x.to_bits()
-                );
-            }
-        });
     }
 
     #[test]
