@@ -30,12 +30,6 @@ pub enum Wire {
     F32,
     /// 2 bytes/element (FP16 payloads of mixed-precision/ZeRO traffic).
     F16,
-    /// 1 byte/element (int8-quantized gradient traffic; the per-bucket
-    /// scale is amortized into the element byte, like NCCL's int8 path).
-    I8,
-    /// 8 bytes/element — one (u32 index, f32 value) pair of a top-k
-    /// sparsified payload.
-    IdxVal,
 }
 
 impl Wire {
@@ -44,8 +38,6 @@ impl Wire {
         match self {
             Wire::F32 => 4,
             Wire::F16 => 2,
-            Wire::I8 => 1,
-            Wire::IdxVal => 8,
         }
     }
 }
@@ -119,14 +111,6 @@ pub enum Op {
     /// itself always applies in canonical group-rank order, so results are
     /// bitwise identical under every schedule.
     AllReduce { max: bool },
-    /// Sum all-reduce of top-k-sparsified contributions: each rank's tensor
-    /// is dense but holds at most `k` nonzeros; the wire carries only those
-    /// as (u32 index, f32 value) pairs, all-gathered and summed locally
-    /// (supports need not overlap, so a reduce tree cannot stay k-sparse —
-    /// the standard sparse all-reduce schedule). The output is the dense
-    /// rank-ordered sum, bitwise identical to [`Op::AllReduce`] of the same
-    /// tensors. The wire is always [`Wire::IdxVal`].
-    SparseAllReduce { k: usize },
     /// Every rank contributes a shard and receives the concatenation along
     /// `dim`, in rank order.
     AllGather { dim: usize },
@@ -140,9 +124,6 @@ pub enum Op {
     /// ranks an empty tensor. (Cost model: the mirror image of a pipelined
     /// broadcast.)
     ReduceSum { root: usize },
-    /// Synchronization only; costs one latency-bound all-reduce of a single
-    /// FP32 wire element. Input and output are empty.
-    Barrier,
 }
 
 impl Op {
@@ -150,14 +131,7 @@ impl Op {
     /// where the root's input alone counts. (An all-gather bills every rank
     /// at one rank's size, so its shards must agree too.)
     fn same_shape(self) -> bool {
-        matches!(
-            self,
-            Op::AllReduce { .. }
-                | Op::SparseAllReduce { .. }
-                | Op::AllGather { .. }
-                | Op::ReduceScatter { .. }
-                | Op::ReduceSum { .. }
-        )
+        !matches!(self, Op::Broadcast { .. })
     }
 }
 
@@ -175,8 +149,7 @@ impl Op {
 /// is at hand.
 ///
 /// The wire width only changes the modeled bytes (cost, stats, trace): the
-/// payload stays f32, so a caller that wants the *values* rounded (fp16,
-/// int8 grid) rounds them first — see [`crate::compress`].
+/// payload stays f32.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Collective {
     pub op: Op,
@@ -214,12 +187,10 @@ impl std::fmt::Display for Collective {
         match self.op {
             Op::AllReduce { max: false } => write!(f, "all_reduce({w})"),
             Op::AllReduce { max: true } => write!(f, "all_reduce_max({w})"),
-            Op::SparseAllReduce { k } => write!(f, "all_reduce_sparse(k {k})"),
             Op::AllGather { dim } => write!(f, "all_gather(dim {dim}, {w})"),
             Op::ReduceScatter { dim } => write!(f, "reduce_scatter(dim {dim}, {w})"),
             Op::Broadcast { root } => write!(f, "broadcast(root {root}, {w})"),
             Op::ReduceSum { root } => write!(f, "reduce_sum(root {root}, {w})"),
-            Op::Barrier => write!(f, "barrier"),
         }
     }
 }
@@ -250,16 +221,6 @@ fn finish_spec(desc: Collective, ctx: &DeviceCtx, members: &[DeviceId], inputs: 
                 elements: schedule.elements(n),
                 schedule: Some(schedule),
             }
-        }
-        Op::SparseAllReduce { k } => {
-            let acc = reduce_rank_ordered(inputs, false);
-            // a rank never sends more pairs than it has elements
-            let k = (k as u64).min(acc.numel() as u64);
-            // ring all-gather of every rank's k pairs; each rank sums the
-            // incoming pairs into its dense buffer at zero modeled cost
-            let cost = cost::allgather_time(cluster, members, k * wire.bytes());
-            let elements = (p as u64 - 1) * p as u64 * k;
-            Done::new(vec![acc; p], cost, OpKind::AllReduce, elements)
         }
         Op::AllGather { dim } => {
             let contrib = inputs[0].numel() as u64;
@@ -297,10 +258,6 @@ fn finish_spec(desc: Collective, ctx: &DeviceCtx, members: &[DeviceId], inputs: 
             let cost = cost::broadcast_time(cluster, members, n * wire.bytes());
             let elements = (p as u64 - 1) * n;
             Done::new(outs, cost, OpKind::Reduce, elements)
-        }
-        Op::Barrier => {
-            let cost = cost::allreduce_time(cluster, members, wire.bytes());
-            Done::new(vec![Tensor::zeros([0]); p], cost, OpKind::Barrier, 0)
         }
     }
 }
@@ -637,7 +594,7 @@ impl Group {
         let (root, dim) = match desc.op {
             Op::Broadcast { root } | Op::ReduceSum { root } => (root, None),
             Op::AllGather { dim } | Op::ReduceScatter { dim } => (0, Some(dim)),
-            Op::AllReduce { .. } | Op::SparseAllReduce { .. } | Op::Barrier => (0, None),
+            Op::AllReduce { .. } => (0, None),
         };
         assert!(
             root < self.size(),
@@ -649,14 +606,8 @@ impl Group {
             "{desc}: dim out of range for input {}",
             bracketed(t.dims())
         );
-        // ops that fix their own wire format
-        let wire = match desc.op {
-            Op::SparseAllReduce { .. } => Wire::IdxVal,
-            Op::Barrier => Wire::F32,
-            _ => desc.wire,
-        };
         CollectiveOp {
-            desc: desc.wire(wire),
+            desc,
             input: Some(t),
             t_arrive: None,
             stage: CollStage::Enter,
@@ -682,11 +633,6 @@ impl Group {
     /// [`Group::start`] of an all-gather along `dim`.
     pub fn start_all_gather_cat(&self, t: Tensor, dim: usize) -> CollectiveOp {
         self.start(Op::AllGather { dim }.into(), t)
-    }
-
-    /// [`Group::start`] of a barrier; the output tensor is empty.
-    pub fn start_barrier(&self) -> CollectiveOp {
-        self.start(Op::Barrier.into(), Tensor::zeros([0]))
     }
 
     /// [`Op::AllReduce`] (sum).
@@ -718,11 +664,6 @@ impl Group {
     /// [`Op::ReduceSum`].
     pub fn reduce_sum(&self, ctx: &DeviceCtx, t: Tensor, root: usize) -> Tensor {
         self.collective(ctx, Op::ReduceSum { root }.into(), t)
-    }
-
-    /// [`Op::Barrier`].
-    pub fn barrier(&self, ctx: &DeviceCtx) {
-        let _ = self.collective(ctx, Op::Barrier.into(), Tensor::zeros([0]));
     }
 
     fn advance_stream(&self, ctx: &DeviceCtx, stream: Stream, t_done: f64) {
@@ -1075,7 +1016,7 @@ mod tests {
             let sel = cost::select_allreduce_algo(&cluster, &group, bytes as u64);
             let expected = cost::allreduce_time_with(sel, &cluster, &group, bytes as u64);
             let world = World::new(cluster);
-            let clocks = world.run(|ctx| {
+            let clocks = world.run_on(8, |ctx| {
                 let g = ctx.world_group(8);
                 let _ = g.all_reduce(ctx, Tensor::zeros([n]));
                 ctx.clock()
@@ -1115,15 +1056,13 @@ mod tests {
     }
 
     /// Every op the descriptor can name, on a 4-rank group; roots are 1.
-    const EVERY_OP: [Op; 8] = [
+    const EVERY_OP: [Op; 6] = [
         Op::AllReduce { max: false },
         Op::AllReduce { max: true },
-        Op::SparseAllReduce { k: 12 },
         Op::AllGather { dim: 0 },
         Op::ReduceScatter { dim: 0 },
         Op::Broadcast { root: 1 },
         Op::ReduceSum { root: 1 },
-        Op::Barrier,
     ];
 
     /// A 12-element input that differs per rank (ops that ignore non-root
@@ -1150,20 +1089,14 @@ mod tests {
         for op in EVERY_OP {
             let (base, base_stats) = run(op.into());
             let mut cost_by_wire = Vec::new();
-            for wire in [Wire::F32, Wire::F16, Wire::I8] {
-                // sparse and barrier fix their own wire format
-                let billed = match op {
-                    Op::SparseAllReduce { .. } => Wire::IdxVal,
-                    Op::Barrier => Wire::F32,
-                    _ => wire,
-                };
+            for wire in [Wire::F32, Wire::F16] {
                 let mut cost = 0.0;
                 for stream in [Stream::Main, Stream::Comm] {
                     let desc = Collective { op, wire, stream };
                     let (out, stats) = run(desc);
                     assert_eq!(stats.ops, 1, "{desc:?}");
                     assert_eq!(stats.elements, base_stats.elements, "{desc:?}");
-                    assert_eq!(stats.bytes, stats.elements * billed.bytes(), "{desc:?}");
+                    assert_eq!(stats.bytes, stats.elements * wire.bytes(), "{desc:?}");
                     for ((t, main, comm), (want, ..)) in out.iter().zip(&base) {
                         // the wire only changes the bill, never the payload
                         assert_eq!(t.dims(), want.dims(), "{desc:?}");
@@ -1179,31 +1112,26 @@ mod tests {
                         }
                     }
                 }
-                // the cost layer's price of the 12 billed elements on the
-                // 4-rank group, launch included
-                let (c, g, bytes) = (&system_i(), &[0, 1, 2, 3][..], 12 * billed.bytes());
+                // the cost layer's price of the 12 elements on the 4-rank
+                // group, launch included
+                let (c, g, bytes) = (&system_i(), &[0, 1, 2, 3][..], 12 * wire.bytes());
                 let price = match op {
                     Op::AllReduce { .. } => cost::select_allreduce_schedule(c, g, bytes).time(),
-                    Op::SparseAllReduce { .. } | Op::AllGather { .. } => {
-                        cost::allgather_time(c, g, bytes)
-                    }
+                    Op::AllGather { .. } => cost::allgather_time(c, g, bytes),
                     Op::ReduceScatter { .. } => cost::reduce_scatter_time(c, g, bytes),
                     Op::Broadcast { .. } | Op::ReduceSum { .. } => {
                         cost::broadcast_time(c, g, bytes)
                     }
-                    Op::Barrier => cost::allreduce_time(c, g, billed.bytes()),
                 };
                 assert_eq!(cost, price, "{op:?} at {wire:?}");
                 assert!(cost > cost::COLLECTIVE_LAUNCH_SECONDS, "{op:?} at {wire:?}");
                 cost_by_wire.push(cost);
             }
             // the virtual clock sees the cheaper wire too, not just stats
-            if base_stats.bytes > 0 && !matches!(op, Op::SparseAllReduce { .. }) {
-                assert!(
-                    cost_by_wire[0] > cost_by_wire[1] && cost_by_wire[1] > cost_by_wire[2],
-                    "{op:?}: {cost_by_wire:?}"
-                );
-            }
+            assert!(
+                cost_by_wire[0] > cost_by_wire[1],
+                "{op:?}: {cost_by_wire:?}"
+            );
         }
     }
 
@@ -1274,7 +1202,7 @@ mod tests {
         let run = || {
             let world = World::new(system_i());
 
-            world.run(|ctx| {
+            world.run_on(8, |ctx| {
                 let r = ctx.rank();
                 let row = ctx.group(&if r < 4 {
                     vec![0, 1, 2, 3]
@@ -1325,13 +1253,13 @@ mod tests {
             let _ = g.all_reduce(ctx, Tensor::full([3], 7.0));
             assert_eq!(ctx.clock(), 1e-3);
             ctx.advance(2e-3);
-            g.barrier(ctx);
+            let _ = g.broadcast(ctx, Tensor::full([3], 7.0), 0);
             assert_eq!(ctx.clock(), 1e-3 + 2e-3);
         });
         let stats = world.stats();
         assert_eq!(stats.ops_of(OpKind::AllReduce), 1);
         assert_eq!(stats.elements_of(OpKind::AllReduce), 0);
-        assert_eq!(stats.ops_of(OpKind::Barrier), 1);
+        assert_eq!(stats.ops_of(OpKind::Broadcast), 1);
         assert_eq!(stats.bytes, 0);
         // each op is one zero-length span at its arrival clock on the
         // device track and one on the group track
@@ -1347,14 +1275,14 @@ mod tests {
             end: at,
         };
         let group = || Track::Group(group_track_name(&[0]));
-        let t_barrier = 1e-3 + 2e-3;
+        let t_broadcast = 1e-3 + 2e-3;
         assert_eq!(
             world.trace(),
             vec![
                 span(Track::Device(0), OpKind::AllReduce, 1e-3),
-                span(Track::Device(0), OpKind::Barrier, t_barrier),
+                span(Track::Device(0), OpKind::Broadcast, t_broadcast),
                 span(group(), OpKind::AllReduce, 1e-3),
-                span(group(), OpKind::Barrier, t_barrier),
+                span(group(), OpKind::Broadcast, t_broadcast),
             ]
         );
     }
@@ -1385,9 +1313,12 @@ mod tests {
             assert!((c - expected).abs() < 1e-12, "{c} vs {expected}");
             assert!(*c < flat, "hierarchical must beat the flat ring");
         }
-        let hops = cost::hierarchical_allreduce_elements(&cluster, &group, n as u64).unwrap();
+        // m = 4 nodes of l = 4 ranks: two intra-node ring passes move
+        // 2m(l-1)n hops and the leader ring 2(m-1)n/l
+        let (m, l, n) = (4, 4, n as u64);
+        let hops = 2 * m * (l - 1) * n + 2 * (m - 1) * n / l;
         assert_eq!(world.stats().elements_of(OpKind::AllReduce), hops);
-        assert!(hops < 2 * 15 * n as u64, "fewer hops than the flat ring");
+        assert!(hops < 2 * 15 * n, "fewer hops than the flat ring");
     }
 
     #[test]
@@ -1758,23 +1689,6 @@ mod tests {
                 };
                 assert_eq!(run(true), run(false), "{desc:?} at pool {pool}");
             }
-        }
-    }
-
-    #[test]
-    fn barrier_records_op_without_bytes() {
-        let world = World::new(system_i());
-        let clocks = world.run_on(4, |ctx| {
-            let g = ctx.world_group(4);
-            g.barrier(ctx);
-            ctx.clock()
-        });
-        let stats = world.stats();
-        assert_eq!(stats.ops_of(OpKind::Barrier), 1);
-        assert_eq!(stats.bytes, 0);
-        // latency-bound, but not free
-        for c in &clocks {
-            assert!(*c > 0.0);
         }
     }
 }

@@ -24,7 +24,6 @@
 //! resource's parked list, get woken through the executor — and produce
 //! bitwise-identical results.
 
-pub mod compress;
 pub mod group;
 pub(crate) mod sched;
 pub mod stats;
@@ -34,7 +33,6 @@ pub mod workload;
 pub mod world;
 
 pub use colossalai_topology::AllReduceAlgo;
-pub use compress::Compression;
 pub use group::{Collective, CollectiveOp, Group, Op, Stream, Wire};
 pub use stats::{CommStats, OpKind};
 pub use task::{Poll, RankTask, WakeKey};

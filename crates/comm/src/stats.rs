@@ -16,7 +16,6 @@ pub enum OpKind {
     Broadcast,
     Reduce,
     SendRecv,
-    Barrier,
 }
 
 impl OpKind {
@@ -28,7 +27,6 @@ impl OpKind {
             OpKind::Broadcast => "broadcast",
             OpKind::Reduce => "reduce",
             OpKind::SendRecv => "send_recv",
-            OpKind::Barrier => "barrier",
         }
     }
 }

@@ -203,7 +203,7 @@ impl WorldInner {
 
 /// A simulated cluster execution context.
 ///
-/// `World::run` launches one task per participating device and hands each
+/// [`World::run_on`] launches one task per participating device and hands each
 /// a [`DeviceCtx`]. Collectives exchange real tensors through shared memory
 /// while charging virtual time according to the cluster's link model, so
 /// results are numerically real and timings follow the modeled hardware.
@@ -358,15 +358,6 @@ impl World {
             }
         });
         run.join()
-    }
-
-    /// Runs `f` on every device of the cluster.
-    pub fn run<R, F>(&self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&DeviceCtx) -> R + Send + Sync,
-    {
-        self.run_on(self.inner.cluster.n_devices(), f)
     }
 
     /// Snapshot of the accumulated communication statistics.
@@ -604,7 +595,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Per-device execution context handed to the closure of [`World::run`].
+/// Per-device execution context handed to the closure of [`World::run_on`].
 ///
 /// Holds the device's virtual clock. Compute reaches it one way: the
 /// kernels record their FLOPs on the thread's [`meter`], and every read of
@@ -1027,7 +1018,7 @@ mod tests {
     #[test]
     fn run_returns_rank_ordered_results() {
         let world = World::new(system_i());
-        let ranks = world.run(|ctx| ctx.rank());
+        let ranks = world.run_on(8, |ctx| ctx.rank());
         assert_eq!(ranks, (0..8).collect::<Vec<_>>());
     }
 
@@ -1179,7 +1170,9 @@ mod tests {
         world.reset_thread_stats();
         assert_eq!(world.thread_stats(), ThreadStats::default());
         // closures: one thread each and no worker besides
-        world.run_on(6, |ctx| ctx.world_group(6).barrier(ctx));
+        world.run_on(6, |ctx| {
+            ctx.world_group(6).all_reduce(ctx, Tensor::scalar(0.0))
+        });
         let threads = world.thread_stats();
         assert_eq!((threads.spawned, threads.peak_live), (6, 6), "{threads:?}");
     }
@@ -1196,7 +1189,7 @@ mod tests {
         );
     }
 
-    /// Peers park on a barrier that can never complete; the abort must
+    /// Peers park in an all-reduce that can never complete; the abort must
     /// requeue and unwind them — as heap tasks and as closures.
     struct BoomTask {
         op: Option<crate::group::CollectiveOp>,
@@ -1209,7 +1202,9 @@ mod tests {
                 panic!("rank two exploded");
             }
             let g = ctx.world_group(4);
-            let op = self.op.get_or_insert_with(|| g.start_barrier());
+            let op = self
+                .op
+                .get_or_insert_with(|| g.start_all_reduce(Tensor::scalar(0.0)));
             match g.poll_collective(ctx, op) {
                 Poll::Ready(_) => Poll::Ready(()),
                 Poll::Pending(key) => Poll::Pending(key),
@@ -1234,8 +1229,10 @@ mod tests {
             assert!(msg.contains("device thread panicked"), "{msg}");
             assert!(msg.contains("rank 2"), "{msg}");
             assert!(msg.contains("rank two exploded"), "{msg}");
-            // the half-finished barrier is gone: the same group works again
-            world.run_on(4, |ctx| ctx.world_group(4).barrier(ctx));
+            // the half-finished all-reduce is gone: the same group works again
+            world.run_on(4, |ctx| {
+                ctx.world_group(4).all_reduce(ctx, Tensor::scalar(0.0))
+            });
         }
     }
 }

@@ -6,8 +6,8 @@
 //! scale off) when any is non-finite. Parameters, activations and gradients
 //! stay f32 and nothing is rounded through binary16; the scale is a power of
 //! two, so a step that is not skipped takes the f32 update unless a value
-//! leaves the normal range. fp16 appears only as a wire format
-//! (`comm::compress`) and in the memory model's byte counts.
+//! leaves the normal range. fp16 appears only as a modeled wire width
+//! (`comm::Wire::F16`) and in the memory model's byte counts.
 
 use colossalai_tensor::Tensor;
 

@@ -17,7 +17,6 @@
 //! }
 //! ```
 
-use colossalai_comm::compress::Compression;
 use colossalai_parallel::TpMode;
 use serde::{Deserialize, Serialize, Value};
 
@@ -81,29 +80,7 @@ pub struct ZeroConfig {
     pub stage: u8,
 }
 
-/// A gradient-compression channel in its config spelling (`"none"`,
-/// `"topk(k)"`, `"int8"`, `"fp16"`); serializes as that string. Wrapping
-/// [`Compression`] keeps serde at the config boundary (and `Config: Copy`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CompressSpec(pub Compression);
-
-impl Serialize for CompressSpec {
-    fn serialize_value(&self) -> Value {
-        Value::Str(self.0.name())
-    }
-}
-
-impl Deserialize for CompressSpec {
-    fn deserialize_value(v: &Value) -> Result<Self, String> {
-        let raw = String::deserialize_value(v)?;
-        Compression::parse(&raw).map(CompressSpec).ok_or_else(|| {
-            format!("invalid comm.compress {raw:?}: expected none|topk(k>=1)|int8|fp16")
-        })
-    }
-}
-
-/// Communication section: gradient-bucket sizing and the lossy gradient
-/// channel.
+/// Communication section: gradient-bucket sizing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CommConfig {
     /// Gradient-sync bucket capacity in megabytes (PyTorch DDP's 25 MB
@@ -111,11 +88,6 @@ pub struct CommConfig {
     /// each bucket pays one all-reduce latency term.
     #[serde(default = "default_bucket_mb")]
     pub bucket_mb: usize,
-    /// Lossy gradient-compression channel for bucketed sync: `"none"`,
-    /// `"topk(k)"`, `"int8"` or `"fp16"`, each with error feedback.
-    /// Missing = none (exact f32 gradients).
-    #[serde(default)]
-    pub compress: Option<CompressSpec>,
 }
 
 fn default_bucket_mb() -> usize {
@@ -126,7 +98,6 @@ impl Default for CommConfig {
     fn default() -> Self {
         CommConfig {
             bucket_mb: default_bucket_mb(),
-            compress: None,
         }
     }
 }
@@ -152,7 +123,7 @@ pub struct Config {
     /// Micro-batches accumulated per optimizer step (0/1 = no accumulation).
     #[serde(default)]
     pub gradient_accumulation: u32,
-    /// Gradient-sync bucketing and compression.
+    /// Gradient-sync bucketing.
     #[serde(default)]
     pub comm: CommConfig,
 }
@@ -238,15 +209,6 @@ impl Config {
             if self.tensor_size() > 1 {
                 return Err("ZeRO combines with data parallelism only in this reproduction".into());
             }
-            if let Compression::TopK(_) = self.compression() {
-                // there is no sparse reduce-scatter wire format; the
-                // reducer panics in the same words, this names the key
-                return Err(format!(
-                    "comm.compress {:?} does not combine with zero: top-k is a \
-                     data-parallel-only channel (use int8 or fp16)",
-                    self.compression().name()
-                ));
-            }
         }
         Ok(())
     }
@@ -254,12 +216,6 @@ impl Config {
     /// Gradient-sync bucket capacity in bytes.
     pub fn bucket_bytes(&self) -> usize {
         self.comm.bucket_mb << 20
-    }
-
-    /// The gradient-compression channel this config asks for
-    /// (`comm.compress`; none when missing).
-    pub fn compression(&self) -> Compression {
-        self.comm.compress.map_or(Compression::None, |c| c.0)
     }
 }
 
@@ -339,26 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_with_topk_rejected_naming_both_keys() {
-        let err =
-            Config::from_json(r#"{ "zero": { "stage": 2 }, "comm": { "compress": "topk(8)" } }"#)
-                .unwrap_err();
-        assert!(
-            err.contains("comm.compress") && err.contains("zero"),
-            "{err}"
-        );
-        assert!(err.contains("topk(8)"), "{err}");
-        // the dense lossy channels and top-k without ZeRO stay valid
-        for ok in [
-            r#"{ "zero": { "stage": 2 }, "comm": { "compress": "int8" } }"#,
-            r#"{ "zero": { "stage": 1 }, "comm": { "compress": "fp16" } }"#,
-            r#"{ "comm": { "compress": "topk(8)" } }"#,
-        ] {
-            assert!(Config::from_json(ok).is_ok(), "{ok}");
-        }
-    }
-
-    #[test]
     fn zero_with_tensor_parallel_rejected() {
         let err = Config::from_json(
             r#"{ "parallel": { "tensor": { "size": 2, "mode": "1d" } }, "zero": { "stage": 2 } }"#,
@@ -392,33 +328,6 @@ mod tests {
         // partial section: missing keys take their defaults
         let cfg = Config::from_json(r#"{ "comm": { "bucket_mb": 4 } }"#).unwrap();
         assert_eq!(cfg.bucket_bytes(), 4 << 20);
-        assert_eq!(cfg.comm.compress, None);
-        assert_eq!(cfg.compression(), Compression::None, "missing = none");
-    }
-
-    #[test]
-    fn comm_compress_parses_and_rejects_garbage() {
-        for (raw, want) in [
-            ("none", Compression::None),
-            ("int8", Compression::Int8),
-            ("fp16", Compression::Fp16),
-            ("topk(4096)", Compression::TopK(4096)),
-        ] {
-            let cfg =
-                Config::from_json(&format!(r#"{{ "comm": {{ "compress": "{raw}" }} }}"#)).unwrap();
-            assert_eq!(cfg.comm.compress, Some(CompressSpec(want)), "{raw}");
-            assert_eq!(cfg.compression(), want);
-        }
-        for bad in ["topk(0)", "int4", "gzip"] {
-            let err = Config::from_json(&format!(r#"{{ "comm": {{ "compress": "{bad}" }} }}"#))
-                .unwrap_err();
-            assert!(err.contains("compress"), "{bad}: {err}");
-        }
-        // round-trips through serialization as the spelling string
-        let cfg = Config::from_json(r#"{ "comm": { "compress": "topk(32)" } }"#).unwrap();
-        let json = serde_json::to_string(&cfg).unwrap();
-        assert!(json.contains(r#""compress":"topk(32)""#), "{json}");
-        assert_eq!(Config::from_json(&json).unwrap(), cfg);
     }
 
     #[test]
@@ -443,6 +352,7 @@ mod tests {
                 "compute.par_flop_cutoff",
             ),
             (r#"{ "compute": { "threads": 2 } }"#, "compute.threads"),
+            (r#"{ "comm": { "compress": "int8" } }"#, "comm.compress"),
             (r#"{ "compute": {} }"#, "compute"),
         ] {
             let err = Config::from_json(json).unwrap_err();

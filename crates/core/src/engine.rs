@@ -99,18 +99,15 @@ pub fn initialize(
                 _ => ZeroStage::Three,
             };
             let group = dp_group.clone().unwrap_or_else(|| ctx.group(&[ctx.rank()]));
-            EngineOptimizer::Zero(Box::new(
-                ZeroOptimizer::with_bucket_bytes(
-                    ctx,
-                    &group,
-                    model.as_mut(),
-                    stage,
-                    lr,
-                    weight_decay,
-                    config.bucket_bytes(),
-                )
-                .with_compression(config.compression()),
-            ))
+            EngineOptimizer::Zero(Box::new(ZeroOptimizer::with_bucket_bytes(
+                ctx,
+                &group,
+                model.as_mut(),
+                stage,
+                lr,
+                weight_decay,
+                config.bucket_bytes(),
+            )))
         }
         (Some(_), OptimizerSpec::Sgd { .. }) => {
             panic!("ZeRO requires the AdamW optimizer in this reproduction")
@@ -123,12 +120,8 @@ pub fn initialize(
 
     // plain (non-ZeRO) data-parallel engines reduce gradients through fused
     // size-capped buckets instead of one all-reduce per parameter
-    let reducer =
-        (dp_group.is_some() && !matches!(optimizer, EngineOptimizer::Zero(_))).then(|| {
-            let mut reducer = GradReducer::data_parallel(model.as_mut(), config.bucket_bytes());
-            reducer.set_compression(config.compression());
-            reducer
-        });
+    let reducer = (dp_group.is_some() && !matches!(optimizer, EngineOptimizer::Zero(_)))
+        .then(|| GradReducer::data_parallel(model.as_mut(), config.bucket_bytes()));
     Engine {
         model,
         optimizer,

@@ -16,16 +16,10 @@
 //! Bitwise safety: a fused bucket reduction performs exactly the same
 //! per-element rank-order additions as per-parameter all-reduces, and the
 //! 1/p scale is elementwise — so the reduced gradients are bit-identical to
-//! the unbucketed baseline for *any* bucket plan.
-//!
-//! Opt-in **lossy channels** ([`Compression`], via `comm.compress`) trade
-//! gradient fidelity for wire bytes: top-k sparsification, int8 or fp16
-//! quantization, each with a per-bucket error-feedback residual so dropped
-//! mass is carried into the next step instead of lost (see
-//! `colossalai_comm::compress`).
+//! the unbucketed baseline for *any* bucket plan. Every bucket crosses the
+//! wire as exact f32.
 
 use colossalai_autograd::{Layer, Param};
-use colossalai_comm::compress::{self, Compression};
 use colossalai_comm::{Collective, DeviceCtx, Group, Op, Stream};
 use colossalai_tensor::{pool, Tensor};
 use std::ops::Range;
@@ -310,8 +304,8 @@ impl FlatLayout {
 }
 
 /// The gradient reducer: the buckets of a `FlatLayout` over the flat
-/// (`visit_params`-order) gradient, one error-feedback residual per bucket,
-/// one compress-and-reduce and two drivers over it, blocking
+/// (`visit_params`-order) gradient, one bucket reduction and two drivers
+/// over it, blocking
 /// ([`GradReducer::reduce`]) and overlapped with backward
 /// ([`GradReducer::backward_overlapped`]). The sharded kinds return this
 /// rank's mean-scaled shard of every bucket; [`Keep::Whole`] (bucketed data
@@ -322,10 +316,6 @@ pub struct GradReducer {
     /// buffers start zeroed, so the padding reduces as zeros).
     pub(crate) layout: FlatLayout,
     keep: Keep,
-    compress: Compression,
-    /// Per-bucket error-feedback residuals: what the lossy channel has not
-    /// sent yet. Empty until the first lossy reduction touches a bucket.
-    residuals: Vec<Vec<f32>>,
 }
 
 impl GradReducer {
@@ -333,14 +323,11 @@ impl GradReducer {
     /// and the `buckets` a planner laid over them — whole parameters
     /// ([`BucketPlan::from_param_sizes`]) for [`Keep::Whole`]; p-aligned
     /// [`BucketPlan::element_ranges`] for the sharded kinds, so every bucket
-    /// shards evenly. Gradients start exact.
+    /// shards evenly.
     pub fn new(param_sizes: &[usize], buckets: Vec<(usize, usize)>, keep: Keep) -> Self {
-        let residuals = vec![Vec::new(); buckets.len()];
         GradReducer {
             layout: FlatLayout::new(param_sizes, buckets),
             keep,
-            compress: Compression::None,
-            residuals,
         }
     }
 
@@ -355,63 +342,32 @@ impl GradReducer {
         GradReducer::new(&plan.param_sizes, buckets, Keep::Whole)
     }
 
-    /// Selects the lossy gradient channel. Residual state resets: switching
-    /// channels mid-training would otherwise replay another channel's
-    /// backlog. Panics on top-k for a sharded kind: there is no sparse
-    /// reduce-scatter wire format, and running it as the exact channel
-    /// would compress nothing without a word.
-    pub fn set_compression(&mut self, comp: Compression) {
-        assert!(
-            self.keep == Keep::Whole || !matches!(comp, Compression::TopK(_)),
-            "comm.compress {:?} does not combine with zero ({:?}): top-k is a \
-             data-parallel-only channel (use int8 or fp16)",
-            comp.name(),
-            self.keep
-        );
-        self.compress = comp;
-        self.residuals.iter_mut().for_each(Vec::clear);
-    }
-
-    /// Per-bucket error-feedback residuals (empty until a lossy reduction).
-    pub fn residuals(&self) -> &[Vec<f32>] {
-        &self.residuals
-    }
-
     /// The `(offset, len)` buckets, in visit (forward) order.
     pub fn buckets(&self) -> &[(usize, usize)] {
         &self.layout.ranges
     }
 
-    /// Sends bucket `bi` through the compression channel (updating its
-    /// error-feedback residual) and the kind's collective at the channel's
-    /// wire width on `stream`; returns what this rank keeps. A shard is this
+    /// Sends the bucket `flat` through the kind's collective — an all-reduce,
+    /// or a reduce-scatter for [`Keep::ShardOfReduceScatter`] — at f32 wire
+    /// width on `stream`; returns what this rank keeps. A shard is this
     /// rank's alone and is scaled by 1/p here, in place; a whole bucket is
     /// the one all-reduce result every rank holds a handle to and stays the
     /// sum (the 1/p goes into [`GradReducer::finish`]'s write-back instead of
     /// a private copy per rank).
     fn reduce_bucket(
-        &mut self,
+        &self,
         ctx: &DeviceCtx,
         group: &Group,
-        bi: usize,
-        mut flat: Vec<f32>,
+        flat: Vec<f32>,
         stream: Stream,
     ) -> Tensor {
-        let comp = self.compress;
-        if comp.is_lossy() {
-            let residual = &mut self.residuals[bi];
-            residual.resize(flat.len(), 0.0);
-            let _ = compress::compress_with_feedback(comp, &mut flat, residual);
-        }
-        let desc = match self.keep {
-            Keep::Whole | Keep::ShardOfAllReduce => comp.all_reduce(),
-            Keep::ShardOfReduceScatter => {
-                Collective::from(Op::ReduceScatter { dim: 0 }).wire(comp.wire())
-            }
+        let op = match self.keep {
+            Keep::Whole | Keep::ShardOfAllReduce => Op::AllReduce { max: false },
+            Keep::ShardOfReduceScatter => Op::ReduceScatter { dim: 0 },
         };
         let p = group.size();
         let bucket = Tensor::from_vec([flat.len()], flat);
-        let mut kept = group.collective(ctx, desc.on(stream), bucket);
+        let mut kept = group.collective(ctx, Collective::from(op).on(stream), bucket);
         if self.keep == Keep::ShardOfAllReduce {
             let shard = kept.numel() / p;
             kept = kept.narrow(0, group.rank() * shard, shard);
@@ -440,8 +396,8 @@ impl GradReducer {
     /// shards, or under [`Keep::Whole`] nothing (see [`GradReducer`]).
     pub fn reduce(&mut self, ctx: &DeviceCtx, group: &Group, model: &mut dyn Layer) -> Vec<Tensor> {
         let bufs = self.layout.gather_all(model, Param::grad);
-        let reduce = |(bi, flat)| self.reduce_bucket(ctx, group, bi, flat, Stream::Main);
-        let reduced = bufs.into_iter().enumerate().map(reduce).collect();
+        let reduce = |flat| self.reduce_bucket(ctx, group, flat, Stream::Main);
+        let reduced = bufs.into_iter().map(reduce).collect();
         self.finish(group, model, reduced)
     }
 
@@ -472,7 +428,7 @@ impl GradReducer {
             while next > 0 && self.layout.ranges[next - 1].0 >= self.layout.offsets[produced] {
                 next -= 1;
                 let flat = std::mem::take(&mut bufs[next]);
-                reduced[next] = Some(self.reduce_bucket(ctx, group, next, flat, Stream::Comm));
+                reduced[next] = Some(self.reduce_bucket(ctx, group, flat, Stream::Comm));
             }
         });
         assert_eq!(produced, 0, "backward_staged must cover every parameter");
@@ -489,7 +445,7 @@ mod tests {
     use super::*;
     use crate::data_parallel::flatten_grads;
     use colossalai_autograd::{Gelu, Linear, Sequential};
-    use colossalai_comm::{OpKind, Wire, World};
+    use colossalai_comm::World;
     use colossalai_tensor::init;
     use colossalai_topology::systems::system_i;
 
@@ -700,101 +656,6 @@ mod tests {
             fused
         });
         assert_eq!(grads[0].data(), grads[1].data());
-    }
-
-    #[test]
-    fn error_feedback_residual_accounts_exactly_through_bucket_sync() {
-        // On a single-rank group the all-reduced value IS the sent value, so
-        // sent + residual must reconstruct the exact pre-compression gradient
-        // bitwise (the DESIGN.md §8.3 error-feedback invariant), per channel.
-        for comp in [Compression::TopK(2), Compression::Int8, Compression::Fp16] {
-            let world = World::new(system_i());
-            world.run_on(1, |ctx| {
-                let g = ctx.world_group(1);
-                let mut model = make_model(831);
-                let x = init::uniform([2, 4], -1.0, 1.0, &mut init::rng(950));
-                let y = model.forward(&x);
-                let _ = model.backward(&Tensor::ones(y.shape().clone()));
-                let exact = flatten_grads(&mut model);
-                let mut reducer = GradReducer::data_parallel(&mut model, 64);
-                reducer.set_compression(comp);
-                reducer.reduce(ctx, &g, &mut model);
-                let sent = flatten_grads(&mut model);
-                let residual: Vec<f32> = reducer.residuals().concat();
-                assert_eq!(residual.len(), exact.numel());
-                for (i, ((s, r), e)) in sent
-                    .data()
-                    .iter()
-                    .zip(&residual)
-                    .zip(exact.data())
-                    .enumerate()
-                {
-                    assert_eq!(s + r, *e, "{comp:?}: sent + residual == exact at {i}");
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn topk_wire_bytes_match_idxval_allgather_accounting() {
-        // Ragged buckets (64-byte cap over 4/8/3-sized params): each bucket
-        // crosses as an all-gather of min(k, len) (index, value) pairs per
-        // rank, charged at Wire::IdxVal width.
-        let p = 4;
-        let k = 5;
-        let world = World::new(system_i());
-        let plans = world.run_on(p, |ctx| {
-            let g = ctx.world_group(p);
-            let mut model = make_model(832);
-            let mut rng = init::rng(960 + g.rank() as u64);
-            let x = init::uniform([2, 4], -1.0, 1.0, &mut rng);
-            let y = model.forward(&x);
-            let _ = model.backward(&Tensor::ones(y.shape().clone()));
-            let mut reducer = GradReducer::data_parallel(&mut model, 64);
-            reducer.set_compression(Compression::TopK(k));
-            reducer.reduce(ctx, &g, &mut model);
-            let lens = reducer.buckets().iter().map(|&(_, len)| len);
-            lens.collect::<Vec<_>>()
-        });
-        let lens = &plans[0];
-        assert!(lens.iter().any(|&n| n < k), "some bucket is shorter than k");
-        assert!(lens.iter().any(|&n| n > k), "some bucket is longer than k");
-        let stats = world.stats();
-        let expect_elems: u64 = lens
-            .iter()
-            .map(|&n| (p as u64) * (p as u64 - 1) * k.min(n) as u64)
-            .sum();
-        assert_eq!(stats.elements_of(OpKind::AllReduce), expect_elems);
-        assert_eq!(stats.bytes, expect_elems * Wire::IdxVal.bytes());
-        assert_eq!(stats.ops_of(OpKind::AllReduce), lens.len() as u64);
-    }
-
-    #[test]
-    fn int8_wire_bytes_are_one_per_element_hop() {
-        // Ring all-reduce moves 2(p-1)·n element-hops per bucket; the int8
-        // channel charges each at Wire::I8 (one byte).
-        let p = 4;
-        let world = World::new(system_i());
-        let plans = world.run_on(p, |ctx| {
-            let g = ctx.world_group(p);
-            let mut model = make_model(833);
-            let mut rng = init::rng(970 + g.rank() as u64);
-            let x = init::uniform([2, 4], -1.0, 1.0, &mut rng);
-            let y = model.forward(&x);
-            let _ = model.backward(&Tensor::ones(y.shape().clone()));
-            let mut reducer = GradReducer::data_parallel(&mut model, 64);
-            reducer.set_compression(Compression::Int8);
-            reducer.reduce(ctx, &g, &mut model);
-            let lens = reducer.buckets().iter().map(|&(_, len)| len);
-            lens.collect::<Vec<_>>()
-        });
-        let stats = world.stats();
-        let expect_elems: u64 = plans[0]
-            .iter()
-            .map(|&n| 2 * (p as u64 - 1) * n as u64)
-            .sum();
-        assert_eq!(stats.elements_of(OpKind::AllReduce), expect_elems);
-        assert_eq!(stats.bytes, expect_elems * Wire::I8.bytes());
     }
 
     #[test]

@@ -32,7 +32,6 @@
 
 use crate::bucket::{BucketPlan, GradReducer, Keep, DEFAULT_BUCKET_BYTES};
 use colossalai_autograd::{adamw_update, Layer, Param};
-use colossalai_comm::compress::Compression;
 use colossalai_comm::{DeviceCtx, Group};
 use colossalai_memory::offload::OffloadPlan;
 use colossalai_tensor::Tensor;
@@ -157,15 +156,6 @@ impl ZeroOptimizer {
             v: vec![0.0; shard_len],
             offload: None,
         }
-    }
-
-    /// Selects the lossy gradient channel (exact f32 until then): int8 /
-    /// fp16 quantize each bucket with error feedback before the stage's
-    /// collective. Top-k is a data-parallel-only channel and panics here.
-    /// Residual state resets on switch.
-    pub fn with_compression(mut self, comp: Compression) -> Self {
-        self.reducer.set_compression(comp);
-        self
     }
 
     /// Places this rank's shard per `plan` (Section 3.2: `static` keeps
@@ -322,8 +312,7 @@ mod tests {
         /// Final parameters, per rank.
         params: Vec<Tensor>,
         stats: colossalai_comm::CommStats,
-        /// Per rank, the bits a gradient channel can influence: per-step
-        /// loss bits and final error-feedback residual bits.
+        /// Per rank, the per-step loss bits.
         bits: Vec<Vec<u8>>,
         /// Per rank, the final (main, comm) clocks.
         clocks: Vec<[f64; 2]>,
@@ -341,7 +330,6 @@ mod tests {
         steps: usize,
         bucket_bytes: usize,
         overlap: bool,
-        comp: Compression,
     ) -> Run {
         let world = World::new(system_ii());
         let out = world.run_on(p, |ctx| {
@@ -353,17 +341,12 @@ mod tests {
                 let t_local = t.chunks(2).nth(g.rank()).unwrap().to_vec();
                 (split_batch(&x, p, g.rank()), t_local)
             };
-            let bits = |residuals: &[Vec<f32>]| -> Vec<u8> {
-                let flat = residuals.iter().flatten();
-                flat.flat_map(|r| r.to_bits().to_le_bytes()).collect()
-            };
             let mut bytes: Vec<u8> = Vec::new();
             let mut dx = Tensor::scalar(0.0);
             let params = match stage {
                 None => {
                     let mut model = make_model(900);
                     let mut reducer = GradReducer::data_parallel(&mut model, bucket_bytes);
-                    reducer.set_compression(comp);
                     let mut opt = AdamW::new(0.01, 0.05);
                     for s in 0..steps {
                         let (x, t) = batch(s);
@@ -378,7 +361,6 @@ mod tests {
                         }
                         opt.step_layer(&mut model);
                     }
-                    bytes.extend(bits(reducer.residuals()));
                     flatten_params(&mut model)
                 }
                 Some(stage) => {
@@ -391,8 +373,7 @@ mod tests {
                         0.01,
                         0.05,
                         bucket_bytes,
-                    )
-                    .with_compression(comp);
+                    );
                     for s in 0..steps {
                         let (x, t) = batch(s);
                         if stage == ZeroStage::Three {
@@ -413,7 +394,6 @@ mod tests {
                             opt.materialize_params(&mut model);
                         }
                     }
-                    bytes.extend(bits(opt.reducer.residuals()));
                     flatten_params(&mut model)
                 }
             };
@@ -435,27 +415,20 @@ mod tests {
         run
     }
 
-    /// Plain DP + AdamW baseline trajectory under `comp`.
-    fn ddp_trajectory_compressed(p: usize, steps: usize, comp: Compression) -> Tensor {
-        let mut run = trajectory(None, p, steps, DEFAULT_BUCKET_BYTES, false, comp);
+    /// Plain DP + AdamW baseline trajectory.
+    fn ddp_trajectory(p: usize, steps: usize) -> Tensor {
+        let mut run = trajectory(None, p, steps, DEFAULT_BUCKET_BYTES, false);
         run.params.swap_remove(0)
     }
 
-    fn ddp_trajectory(p: usize, steps: usize) -> Tensor {
-        ddp_trajectory_compressed(p, steps, Compression::None)
-    }
-
-    /// ZeRO trajectory with an explicit bucket capacity, optionally the
-    /// comm-overlapped backward path, and a compression channel.
+    /// ZeRO trajectory with an explicit bucket capacity.
     fn zero_trajectory_opts(
         p: usize,
         steps: usize,
         stage: ZeroStage,
         bucket_bytes: usize,
-        overlap: bool,
-        comp: Compression,
     ) -> (Tensor, colossalai_comm::CommStats) {
-        let mut run = trajectory(Some(stage), p, steps, bucket_bytes, overlap, comp);
+        let mut run = trajectory(Some(stage), p, steps, bucket_bytes, false);
         (run.params.swap_remove(0), run.stats)
     }
 
@@ -464,14 +437,7 @@ mod tests {
         steps: usize,
         stage: ZeroStage,
     ) -> (Tensor, colossalai_comm::CommStats) {
-        zero_trajectory_opts(
-            p,
-            steps,
-            stage,
-            DEFAULT_BUCKET_BYTES,
-            false,
-            Compression::None,
-        )
+        zero_trajectory_opts(p, steps, stage, DEFAULT_BUCKET_BYTES)
     }
 
     #[test]
@@ -501,131 +467,64 @@ mod tests {
         // buckets, bucket-sharded master layout; the bits must not move
         let want = ddp_trajectory(4, 3);
         for stage in [ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
-            let (got, _) = zero_trajectory_opts(4, 3, stage, 64, false, Compression::None);
+            let (got, _) = zero_trajectory_opts(4, 3, stage, 64);
             assert_eq!(got.data(), want.data(), "stage {stage:?} with tiny buckets");
         }
     }
 
     #[test]
-    fn every_scheme_channel_and_schedule_runs_the_one_reducer() {
-        // {DP, ZeRO-1/2/3} x {none, int8, fp16} x {blocking, overlapped},
-        // plus DP x topk, several 64-byte buckets firing per backward
-        use Compression::{Fp16, Int8, TopK};
+    fn every_scheme_and_schedule_runs_the_one_reducer() {
+        // {DP, ZeRO-1/2/3} x {blocking, overlapped}, several 64-byte
+        // buckets firing per backward
         let schemes = [
             None,
             Some(ZeroStage::One),
             Some(ZeroStage::Two),
             Some(ZeroStage::Three),
         ];
-        let exact_ddp = trajectory(None, 4, 3, 64, false, Compression::None);
+        let exact_ddp = trajectory(None, 4, 3, 64, false);
         for scheme in schemes {
-            for comp in [Compression::None, Int8, Fp16, TopK(3)] {
-                if scheme.is_some() && comp == TopK(3) {
-                    continue; // rejected: see `zero_rejects_topk_by_name`
-                }
-                let what = format!("{scheme:?}, {comp:?}");
-                let blocking = trajectory(scheme, 4, 3, 64, false, comp);
-                let overlapped = trajectory(scheme, 4, 3, 64, true, comp);
-                for r in 0..4 {
-                    // lossy or not, every replica lands on the same bits
-                    assert_eq!(
-                        blocking.params[r].data(),
-                        blocking.params[0].data(),
-                        "{what}: rank {r} diverged"
-                    );
-                    // and overlap changes neither the parameters nor the
-                    // input gradient the backward returns
-                    assert_eq!(
-                        overlapped.params[r].data(),
-                        blocking.params[r].data(),
-                        "{what}: overlap must not change the math"
-                    );
-                    assert_eq!(overlapped.dx[r].data(), blocking.dx[r].data(), "{what}");
-                }
-                // the exact channel: every scheme is the plain data-parallel
-                // trajectory
-                if comp == Compression::None {
-                    assert_eq!(
-                        overlapped.params[0].data(),
-                        exact_ddp.params[0].data(),
-                        "{what}: diverged from DDP"
-                    );
-                }
+            let what = format!("{scheme:?}");
+            let blocking = trajectory(scheme, 4, 3, 64, false);
+            let overlapped = trajectory(scheme, 4, 3, 64, true);
+            for r in 0..4 {
+                // every replica lands on the same bits
+                assert_eq!(
+                    blocking.params[r].data(),
+                    blocking.params[0].data(),
+                    "{what}: rank {r} diverged"
+                );
+                // and overlap changes neither the parameters nor the
+                // input gradient the backward returns
+                assert_eq!(
+                    overlapped.params[r].data(),
+                    blocking.params[r].data(),
+                    "{what}: overlap must not change the math"
+                );
+                assert_eq!(overlapped.dx[r].data(), blocking.dx[r].data(), "{what}");
             }
+            // every scheme is the plain data-parallel trajectory
+            assert_eq!(
+                overlapped.params[0].data(),
+                exact_ddp.params[0].data(),
+                "{what}: diverged from DDP"
+            );
         }
-    }
-
-    #[test]
-    fn zero_stages_agree_bitwise_under_quantized_channels() {
-        // Stages share `element_ranges` bucketing, so a quantized channel
-        // perturbs each stage's gradients identically: all three must still
-        // land on the same bits (and differ from the exact run — the lossy
-        // channel really engaged).
-        let (exact, _) = zero_trajectory(4, 3, ZeroStage::One);
-        for comp in [Compression::Int8, Compression::Fp16] {
-            let runs: Vec<Tensor> = [ZeroStage::One, ZeroStage::Two, ZeroStage::Three]
-                .into_iter()
-                .map(|stage| zero_trajectory_opts(4, 3, stage, DEFAULT_BUCKET_BYTES, false, comp).0)
-                .collect();
-            assert_eq!(runs[0].data(), runs[1].data(), "{comp:?}: stage1 == stage2");
-            assert_eq!(runs[0].data(), runs[2].data(), "{comp:?}: stage1 == stage3");
-            assert_ne!(runs[0].data(), exact.data(), "{comp:?} actually engaged");
-        }
-    }
-
-    #[test]
-    fn zero1_int8_matches_dp_int8_at_default_bucket_cap() {
-        // At the default 25 MB cap both DP and ZeRO fuse all gradients into
-        // a single bucket; ZeRO's tail padding is zeros, which change
-        // neither the bucket's maxabs nor any quantized value — so the two
-        // trajectories must agree bitwise.
-        let want = ddp_trajectory_compressed(4, 3, Compression::Int8);
-        let (got, _) = zero_trajectory_opts(
-            4,
-            3,
-            ZeroStage::One,
-            DEFAULT_BUCKET_BYTES,
-            false,
-            Compression::Int8,
-        );
-        assert_eq!(got.data(), want.data());
-    }
-
-    #[test]
-    #[should_panic(
-        expected = "comm.compress \"topk(4)\" does not combine with zero (ShardOfReduceScatter)"
-    )]
-    fn zero_rejects_topk_by_name() {
-        // Top-k has no sparse reduce-scatter wire format: a ZeRO optimizer
-        // built with it directly (not through `Config::validate`) must fail
-        // loudly rather than train on the exact dense channel.
-        let _ = zero_trajectory_opts(
-            4,
-            2,
-            ZeroStage::Two,
-            DEFAULT_BUCKET_BYTES,
-            false,
-            Compression::TopK(4),
-        );
     }
 
     /// FNV-1a 64 hashes of everything [`trajectory`] reports of a 4-rank,
     /// 3-step, 64-byte-bucket run except the parameters, as `(bits,
-    /// clocks)`: the bits hash covers the per-rank channel bytes, then the
+    /// clocks)`: the bits hash covers the per-rank loss bytes, then the
     /// `CommStats` breakdown (op kinds sorted); the clock hash covers the
     /// per-rank final (main, comm) clocks. A change to the time model
     /// moves only the second.
-    fn compressed_run_fingerprint(
-        stage: Option<ZeroStage>,
-        comp: Compression,
-        overlap: bool,
-    ) -> (u64, u64) {
+    fn run_fingerprint(stage: Option<ZeroStage>, overlap: bool) -> (u64, u64) {
         let Run {
             stats,
             bits,
             clocks,
             ..
-        } = trajectory(stage, 4, 3, 64, overlap, comp);
+        } = trajectory(stage, 4, 3, 64, overlap);
         let mut by_op: Vec<_> = stats.by_op.iter().collect();
         by_op.sort_by_key(|(kind, _)| kind.name());
         let stats_text = format!("{} {} {} {by_op:?}", stats.ops, stats.elements, stats.bytes);
@@ -644,85 +543,39 @@ mod tests {
     }
 
     #[test]
-    fn compressed_dp_and_zero_reproduce_the_frozen_fingerprints() {
-        // per scheme x channel, the bits fingerprint (overlap moves no bit)
-        // and the clock fingerprints of the blocking and of the overlapped
-        // run. The bits were frozen from the
-        // per-width, per-stream `Group` methods before the `Collective`
-        // descriptor replaced them; the clocks were re-pinned when every
-        // collective started paying the cost model's launch term, and again
-        // when the kernels' metered FLOPs reached the clock
-        use Compression::{Fp16, Int8, TopK};
+    fn dp_and_zero_reproduce_the_frozen_fingerprints() {
+        // per scheme, the bits fingerprint (overlap moves no bit) and the
+        // clock fingerprints of the blocking and of the overlapped run. The
+        // bits were frozen from the per-width, per-stream `Group` methods
+        // before the `Collective` descriptor replaced them; the clocks were
+        // re-pinned when every collective started paying the cost model's
+        // launch term, and again when the kernels' metered FLOPs reached the
+        // clock
         use ZeroStage::{One, Two};
         let golden = [
             (
                 None,
-                Compression::None,
                 0x1e79_3363_a889_ea6f,
                 [0x7086_79c4_b933_0b7d, 0xda54_e808_749b_3805],
             ),
             (
-                None,
-                TopK(3),
-                0xc49d_2b77_b530_ac72,
-                [0xd031_8117_bc43_a6dd, 0x40f6_b81f_b0a2_4ba5],
-            ),
-            (
-                None,
-                Int8,
-                0x8aac_71f0_e105_3003,
-                [0x979f_7883_14f0_28f5, 0x7072_37d5_5bbc_d585],
-            ),
-            (
-                None,
-                Fp16,
-                0xe50f_85ec_9e95_1d1d,
-                [0xdca9_aa5a_b638_d0c5, 0xdaac_bfe2_23f2_bc45],
-            ),
-            (
                 Some(One),
-                Compression::None,
                 0x524b_4b39_304f_8e9b,
                 [0x86eb_3aa3_c312_77ed, 0x2def_1729_5b61_a5a5],
             ),
             (
-                Some(One),
-                Int8,
-                0xc3eb_3b21_2873_8b3b,
-                [0x91eb_720f_4600_6685, 0xcc0d_e528_3176_0285],
-            ),
-            (
-                Some(One),
-                Fp16,
-                0x908d_5baf_b4fb_eb22,
-                [0x9f73_9caa_3c05_6a0d, 0x58d4_7b8c_76fb_670d],
-            ),
-            (
                 Some(Two),
-                Compression::None,
                 0xf918_95d0_a5b7_651c,
                 [0x16c0_5014_5795_42c5, 0x76c4_46fa_500c_7d85],
             ),
-            (
-                Some(Two),
-                Int8,
-                0xe846_a71a_e0c3_599d,
-                [0x32f7_f190_48bb_81b5, 0xf6c5_911d_eb80_e62d],
-            ),
-            (
-                Some(Two),
-                Fp16,
-                0x040e_5f14_b3a0_8e31,
-                [0xc51c_baad_44bd_a425, 0xa4ae_37a3_6d6f_84a5],
-            ),
         ];
         let mut moved = Vec::new();
-        for (stage, comp, bits, clocks) in golden {
+        for (stage, bits, clocks) in golden {
             for (overlap, clocks) in [false, true].into_iter().zip(clocks) {
-                let got = compressed_run_fingerprint(stage, comp, overlap);
+                let got = run_fingerprint(stage, overlap);
                 if got != (bits, clocks) {
                     let (bits, clocks) = got;
-                    let at = format!("{stage:?}, {comp:?}, overlap={overlap}");
+                    let at = format!("{stage:?}, overlap={overlap}");
                     moved.push(format!("{at}: ({bits:#018x}, {clocks:#018x})"));
                 }
             }

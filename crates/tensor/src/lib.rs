@@ -2,9 +2,8 @@
 //!
 //! Dense n-dimensional `f32` tensors and the numeric kernels every other
 //! crate in the Colossal-AI reproduction builds on: blocked matmul, batched
-//! matmul, softmax/layernorm/GELU with analytic backward passes, seeded
-//! initializers, and a software IEEE binary16 type for mixed-precision
-//! storage emulation.
+//! matmul, softmax/layernorm/GELU with analytic backward passes and seeded
+//! initializers.
 //!
 //! Design choices:
 //! * tensors are contiguous and row-major with copy-on-write storage —
@@ -30,7 +29,6 @@
 //! * nothing here reads the process environment, and there is no numeric
 //!   knob to set.
 
-pub mod f16;
 pub mod init;
 pub mod kernel;
 mod libm;
@@ -42,7 +40,6 @@ pub mod pool;
 pub mod shape;
 pub mod tensor;
 
-pub use f16::F16;
 pub use kernel::fma_available;
 pub use matmul::{
     bmm, bmm_at, bmm_bt, gemm, matmul, matmul_at, matmul_at_acc, matmul_bt, matmul_nd,

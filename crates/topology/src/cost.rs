@@ -134,21 +134,6 @@ fn hierarchical_nodes(cluster: &Cluster, group: &[DeviceId]) -> Option<Vec<Vec<D
     (even && nodes[0].len() > 1).then_some(nodes)
 }
 
-/// Element hops the hierarchical schedule moves for an `n`-element
-/// all-reduce, or `None` when the schedule does not apply. With `m` nodes of
-/// `l` ranks each: two intra-node ring passes move `2 m (l-1) n` hops and
-/// the leader ring moves `2 (m-1) n/l` — compare the flat ring's
-/// `2 (m l - 1) n`, which drags every hop across the bottleneck link.
-pub fn hierarchical_allreduce_elements(
-    cluster: &Cluster,
-    group: &[DeviceId],
-    n: u64,
-) -> Option<u64> {
-    let nodes = hierarchical_nodes(cluster, group)?;
-    let shape = (nodes.len(), nodes[0].len());
-    Some(AllReduceSchedule::new(AllReduceAlgo::Hierarchical, &[], shape).elements(n))
-}
-
 /// The all-reduce schedule that runs: the algorithm after the fallback to
 /// the flat ring, and its phase durations in execution order. A fixed-size
 /// value, so the per-call selector allocates nothing for it.
@@ -174,10 +159,12 @@ impl AllReduceSchedule {
         }
     }
 
-    /// Element hops an `n`-element all-reduce moves under this schedule:
-    /// each node's two ring passes plus the leader ring over `n / l` shards
-    /// (see [`hierarchical_allreduce_elements`]). With one node that is the
-    /// flat ring's `2 (p-1) n`, which every other schedule moves too.
+    /// Element hops an `n`-element all-reduce moves under this schedule.
+    /// With `m` nodes of `l` ranks each, two intra-node ring passes move
+    /// `2 m (l-1) n` hops and the leader ring moves `2 (m-1) n/l` — compare
+    /// the flat ring's `2 (m l - 1) n`, which drags every hop across the
+    /// bottleneck link. With one node that is the flat ring's `2 (p-1) n`,
+    /// which every other schedule moves too.
     pub fn elements(&self, n: u64) -> u64 {
         let (m, l) = (self.nodes.0 as u64, self.nodes.1 as u64);
         2 * m * (l - 1) * n + 2 * (m - 1) * (n / l)

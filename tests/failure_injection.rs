@@ -105,7 +105,7 @@ fn dead_rank_failure_surfaces_to_the_caller() {
 #[test]
 fn rank_panic_after_an_all_reduce_names_the_rank_and_the_world_recovers() {
     // rank 1 dies right after an all-reduce, with its peers parked in a
-    // barrier: the failure names the rank, and the same world and storage
+    // second, scalar one: the failure names the rank, and the same world and storage
     // pool serve the next run bitwise
     let world = World::new(system_i());
     let run = |boom: bool| {
@@ -116,7 +116,7 @@ fn rank_panic_after_an_all_reduce_names_the_rank_and_the_world_recovers() {
             if boom && ctx.rank() == 1 {
                 panic!("injected device failure");
             }
-            g.barrier(ctx);
+            let _ = g.all_reduce(ctx, Tensor::scalar(0.0));
             sum.data().to_vec()
         })
     };

@@ -7,7 +7,6 @@
 //! that turns the overlapped gradient reduce off. The API surface cannot
 //! grow back either: every public function has a caller.
 
-use colossalai::comm::compress::Compression;
 use colossalai::comm::{World, WorldBackend};
 use colossalai::core::{initialize, Config, OptimizerSpec};
 use colossalai::tensor::{init, pool};
@@ -285,9 +284,6 @@ fn names_op(line: &str, variant: &str) -> bool {
 /// word scan, so only the `Op::` spelling counts for it.
 #[test]
 fn every_collective_has_a_caller() {
-    // synchronization only: the failure-injection and backend-parity suites
-    // park ranks in it to prove the abort paths, and no step needs one
-    const TEST_ONLY: [&str; 1] = ["Barrier"];
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let is_ident = |c: char| c.is_alphanumeric() || c == '_';
     let ident = |s: &str| -> String { s.chars().take_while(|&c| is_ident(c)).collect() };
@@ -366,7 +362,7 @@ fn every_collective_has_a_caller() {
         .collect();
 
     let mut uncalled = Vec::new();
-    for v in variants.iter().filter(|v| !TEST_ONLY.contains(&v.as_str())) {
+    for v in &variants {
         let calls: Vec<String> = wrappers
             .iter()
             .filter(|(of, w)| of == v && !defined_elsewhere(w))
@@ -431,7 +427,6 @@ fn unsafe_census_is_pinned_per_file() {
 /// the defaults are read.
 #[test]
 fn defaults_hold_and_a_default_initialize_moves_no_setter() {
-    assert_eq!(Config::default().compression(), Compression::None);
     assert_eq!(Config::from_json("{}").unwrap(), Config::default());
     // the thread budget and the fast numeric mode are gone, not ignored
     let err = Config::from_json(r#"{"compute":{"threads":2}}"#).unwrap_err();
@@ -443,6 +438,11 @@ fn defaults_hold_and_a_default_initialize_moves_no_setter() {
     // is gone too
     let err = Config::from_json(r#"{"comm":{"overlap":false}}"#).unwrap_err();
     let key = ["comm", "overlap"].join(".");
+    assert_eq!(err, format!("unknown key {key:?}"));
+    // gradients always cross the wire exact: the lossy channels and their
+    // key are gone
+    let err = Config::from_json(r#"{"comm":{"compress":"int8"}}"#).unwrap_err();
+    let key = ["comm", "compress"].join(".");
     assert_eq!(err, format!("unknown key {key:?}"));
     // the storage pool is on: a recycled buffer comes straight back
     let hits = pool::stats().hits;

@@ -293,10 +293,10 @@ fn closure_panic_reaches_peers_parked_in_a_rendezvous() {
             if ctx.rank() == 3 {
                 panic!("rank three exploded");
             }
-            // peers park in a barrier that can never complete; the abort
-            // must wake and unwind them instead of hanging the run
+            // peers park in an all-reduce that can never complete; the
+            // abort must wake and unwind them instead of hanging the run
             let g = ctx.world_group(8);
-            g.barrier(ctx);
+            let _ = g.all_reduce(ctx, colossalai_tensor::Tensor::scalar(0.0));
         });
     }))
     .expect_err("a rank panic must abort the run");
