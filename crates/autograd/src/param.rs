@@ -12,6 +12,8 @@ pub struct Param {
     name: String,
     value: Tensor,
     grad: Tensor,
+    /// Replicated over devices that saw other rows: the gradient is a share.
+    pub replicated: bool,
 }
 
 impl Param {
@@ -22,6 +24,7 @@ impl Param {
             name: name.into(),
             value,
             grad,
+            replicated: false,
         }
     }
 

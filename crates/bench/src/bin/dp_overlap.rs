@@ -58,17 +58,17 @@ fn run(algo: Option<AllReduceAlgo>, overlap: bool, trace: bool) -> (f64, Vec<f32
     let out = world.run_on(P, |ctx| {
         let g = ctx.world_group(P);
         let mut model = Gpt::new(&GPT, &mut init::rng(11));
-        let mut reducer = GradReducer::data_parallel(&mut model, BUCKET_BYTES);
+        let mut reducer = GradReducer::data_parallel(&mut model, BUCKET_BYTES, &[]);
         let mut opt = AdamW::new(1e-3, 0.01);
         for step in 0..STEPS {
             model.zero_grad();
             let tokens = text.batch(SEQS, GPT.max_seq, (step * P + g.rank()) as u64);
             let (_, d) = model.lm_loss(&tokens);
             if overlap {
-                let _ = reducer.backward_overlapped(ctx, &g, &mut model, &d);
+                let _ = reducer.backward_overlapped(ctx, Some(&g), &mut model, &d);
             } else {
                 let _ = model.backward(&d);
-                reducer.reduce(ctx, &g, &mut model);
+                reducer.reduce(ctx, Some(&g), &mut model);
             }
             opt.step_layer(&mut model);
         }

@@ -18,6 +18,7 @@ use colossalai_comm::World;
 use colossalai_core::{build_vit, check_model, Config, ZooModel};
 use colossalai_models::data::SyntheticVision;
 use colossalai_models::TransformerConfig;
+use colossalai_parallel::{GradReducer, DEFAULT_BUCKET_BYTES};
 use colossalai_tensor::ops::cross_entropy;
 use colossalai_topology::systems::system_i;
 
@@ -67,12 +68,15 @@ fn train(cfg: &TransformerConfig, tensor: Option<(usize, &str)>, trace: bool) ->
     world.set_tracing(trace);
     let mut losses = world.run_on(size, |ctx| {
         let mut vit = build_vit(ctx, &config, size, cfg, PATCH_DIM, 1000);
+        let replicas = colossalai_core::zoo::replica_groups(ctx, &config, size);
+        let mut reducer = GradReducer::data_parallel(vit.as_mut(), DEFAULT_BUCKET_BYTES, &replicas);
         (0..STEPS)
             .map(|step| {
                 let (x, t) = data.batch(BATCH, step as u64);
                 vit.zero_grad();
                 let (loss, d) = cross_entropy(&vit.forward(&x), &t);
                 let _ = vit.backward(&d);
+                reducer.reduce(ctx, None, vit.as_mut());
                 vit.visit_params(&mut |p| {
                     let g = p.grad().clone();
                     p.value_mut().axpy(-LR, &g);

@@ -42,8 +42,8 @@ pub struct Engine {
     /// because each rank holds only a shard of the parameters.
     mp_group: Option<Group>,
     ctx: DeviceCtx,
-    /// Bucketed data parallelism over `dp_group` (non-ZeRO engines; a ZeRO
-    /// optimizer holds its own sharding reducer).
+    /// The gradient reducer of non-ZeRO engines with data-parallel peers or
+    /// replica groups (a ZeRO optimizer holds its own sharding reducer).
     reducer: Option<GradReducer>,
     /// `Some` once an overlapped backward reduced this step's gradients, so
     /// `step` must not reduce them again: ZeRO's shards, or empty for dense
@@ -118,10 +118,12 @@ pub fn initialize(
         (None, OptimizerSpec::Sgd { lr, momentum }) => EngineOptimizer::Sgd(Sgd::new(lr, momentum)),
     };
 
-    // plain (non-ZeRO) data-parallel engines reduce gradients through fused
-    // size-capped buckets instead of one all-reduce per parameter
-    let reducer = (dp_group.is_some() && !matches!(optimizer, EngineOptimizer::Zero(_)))
-        .then(|| GradReducer::data_parallel(model.as_mut(), config.bucket_bytes()));
+    // non-ZeRO engines reduce gradients through fused size-capped buckets:
+    // the mode's replica sums and the data-parallel mean
+    let replicas = crate::zoo::replica_groups(ctx, config, world);
+    let reducer = ((dp_group.is_some() || !replicas.is_empty())
+        && !matches!(optimizer, EngineOptimizer::Zero(_)))
+    .then(|| GradReducer::data_parallel(model.as_mut(), config.bucket_bytes(), &replicas));
     Engine {
         model,
         optimizer,
@@ -156,12 +158,13 @@ impl Engine {
     /// Backward pass from the loss gradient (scaled when mixed precision is
     /// on). Returns the input gradient.
     ///
-    /// With a data-parallel group and no gradient accumulation, gradient
-    /// reduction happens *inside* this call: each bucket's collective
-    /// launches on the comm stream as soon as the model's staged backward
-    /// has produced its last gradient, and the streams join before
-    /// returning. The reduced gradients are bit-identical to the blocking
-    /// path's, which `step` takes under accumulation.
+    /// With data-parallel peers or replica groups and no gradient
+    /// accumulation, gradient reduction happens *inside* this call: each
+    /// bucket's collectives (a replicated bucket's sums, then the
+    /// data-parallel mean) launch on the comm stream as soon as the staged
+    /// backward has produced its last gradient, and the streams join before
+    /// returning, bit-identical to the blocking reduce `step` takes under
+    /// accumulation, once per optimizer step (replica sums included).
     pub fn backward(&mut self, dloss: &Tensor) -> Tensor {
         let dy = match &self.scaler {
             Some(s) => s.scale_grad(dloss),
@@ -172,11 +175,12 @@ impl Engine {
         // overlap needs each backward to be a full, final gradient pass:
         // under accumulation, grads keep accumulating across micro-batches
         // and must only reduce once at the end
-        let group = self.dp_group.as_ref().filter(|_| self.accumulation == 1);
         let (dx, reduced) = ctx.trace_phase("backward", || {
-            let (dx, reduced) = match (group, &mut self.optimizer, &mut self.reducer) {
-                (Some(_), EngineOptimizer::Zero(o), _) => o.backward_overlapped(model, &dy),
-                (Some(g), _, Some(r)) => r.backward_overlapped(&ctx, g, model, &dy),
+            let dp = self.dp_group.as_ref();
+            let (dx, reduced) = match (&mut self.optimizer, &mut self.reducer) {
+                _ if self.accumulation > 1 => return (model.backward(&dy), None),
+                (EngineOptimizer::Zero(o), _) if dp.is_some() => o.backward_overlapped(model, &dy),
+                (_, Some(r)) => r.backward_overlapped(&ctx, dp, model, &dy),
                 _ => return (model.backward(&dy), None),
             };
             (dx, Some(reduced))
@@ -212,14 +216,13 @@ impl Engine {
         let ctx = &self.ctx;
         let dp = self.dp_group.as_ref();
         let model = self.model.as_mut();
-        // 1. reduce to the data-parallel mean (fused per bucket), unless an
-        // overlapped backward already did
-        let mut shards = self.reduced.take().unwrap_or_else(|| {
-            match (&mut self.optimizer, &mut self.reducer, dp) {
-                (EngineOptimizer::Zero(o), ..) => o.reduce(model),
-                (_, Some(r), Some(g)) => r.reduce(ctx, g, model),
-                _ => Vec::new(),
-            }
+        // 1. reduce: replica sums and the data-parallel mean, fused per
+        // bucket, unless an overlapped backward already did
+        let reducers = (&mut self.optimizer, &mut self.reducer);
+        let mut shards = self.reduced.take().unwrap_or_else(|| match reducers {
+            (EngineOptimizer::Zero(o), _) => o.reduce(model),
+            (_, Some(r)) => r.reduce(ctx, dp, model),
+            _ => Vec::new(),
         });
         // what the reduction left: ZeRO's shards, which differ on every
         // rank of the data-parallel group, or the model's own gradients
@@ -568,13 +571,13 @@ mod tests {
                 } else {
                     let g = ctx.world_group(4);
                     let mut model = make_model(60);
-                    let mut reducer = GradReducer::data_parallel(model.as_mut(), 0);
+                    let mut reducer = GradReducer::data_parallel(model.as_mut(), 0, &[]);
                     let mut opt = AdamW::new(0.01, 0.01);
                     for x in &mut batches {
                         model.zero_grad();
                         let (_, d) = cross_entropy(&model.forward(&x), &[0, 1]);
                         let _ = model.backward(&d);
-                        reducer.reduce(ctx, &g, model.as_mut());
+                        reducer.reduce(ctx, Some(&g), model.as_mut());
                         opt.step_layer(model.as_mut());
                     }
                     flatten_params(model.as_mut())

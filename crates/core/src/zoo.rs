@@ -13,7 +13,7 @@
 use crate::config::Config;
 use crate::context::{ParallelAxis, ParallelContext};
 use colossalai_autograd::Layer;
-use colossalai_comm::DeviceCtx;
+use colossalai_comm::{DeviceCtx, Group};
 use colossalai_models::{Bert, Gpt, Serial, TensorParallel, TransformerConfig, VisionTransformer};
 use colossalai_parallel::mesh::MeshLayout;
 use colossalai_parallel::{MeshParallel, SequenceParallel, TensorParallel1d, TpMode};
@@ -42,6 +42,19 @@ pub fn tensor_parallel(ctx: &DeviceCtx, config: &Config, world: usize) -> Box<dy
         None => Box::new(SequenceParallel::new(ctx, &ctx.group(&members))),
         Some(TpMode::OneD) => Box::new(TensorParallel1d::new(ctx, &ctx.group(&members))),
         Some(mode) => Box::new(MeshParallel::new(ctx, mode, &members)),
+    }
+}
+
+/// The groups over which the gradient reducer sums what `config`'s mode
+/// marks replicated: the sequence ring, a mesh stream's row groups, or none.
+pub fn replica_groups(ctx: &DeviceCtx, config: &Config, world: usize) -> Vec<Group> {
+    let members =
+        ParallelContext::new(config, ctx.rank(), world).group_members(ParallelAxis::Tensor);
+    match config.tp_mode() {
+        _ if members.len() <= 1 => Vec::new(),
+        None => vec![ctx.group(&members)],
+        Some(TpMode::OneD) => Vec::new(),
+        Some(mode) => MeshParallel::new(ctx, mode, &members).replica_groups(),
     }
 }
 

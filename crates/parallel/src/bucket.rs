@@ -1,5 +1,8 @@
 //! The gradient reducer: bucketed, backward-overlapped reduction of the flat
-//! gradient, shared by data parallelism and every ZeRO stage.
+//! gradient, shared by data parallelism, every ZeRO stage and the replica
+//! sums of sequence and mesh parallelism: no bucket mixes parameters marked
+//! [`Param::replicated`] with others, and a marked one is all-reduced over
+//! the mode's replica groups first, then the data-parallel group.
 //!
 //! Per-parameter all-reduce pays one latency (alpha) term per tensor; with
 //! hundreds of small parameters the latency terms dominate. Instead the
@@ -37,6 +40,8 @@ pub struct Bucket {
     pub offset: usize,
     /// Total elements in the bucket.
     pub len: usize,
+    /// Whether its parameters are marked replicated.
+    pub replicated: bool,
 }
 
 /// A deterministic partition of a model's parameters into buckets. Every
@@ -52,21 +57,23 @@ pub struct BucketPlan {
 }
 
 impl BucketPlan {
-    /// Greedily packs parameters (in visit order) into buckets of at most
-    /// `cap_bytes` of f32 data. A parameter larger than the cap gets a
-    /// bucket of its own — parameters are never split across buckets.
-    pub fn from_param_sizes(sizes: &[usize], cap_bytes: usize) -> BucketPlan {
+    /// Greedily packs `(size, replicated)` parameters (in visit order) into
+    /// buckets of one mark and at most `cap_bytes` of f32 data. A parameter
+    /// larger than the cap gets a bucket of its own — parameters are never
+    /// split across buckets.
+    pub fn from_params(params: &[(usize, bool)], cap_bytes: usize) -> BucketPlan {
         let cap_elems = (cap_bytes / std::mem::size_of::<f32>()).max(1);
         let mut buckets = Vec::new();
         let mut start = 0;
         let mut offset = 0;
         let mut len = 0;
-        for (i, &n) in sizes.iter().enumerate() {
-            if len > 0 && len + n > cap_elems {
+        for (i, &(n, replicated)) in params.iter().enumerate() {
+            if len > 0 && (len + n > cap_elems || replicated != params[i - 1].1) {
                 buckets.push(Bucket {
                     params: start..i,
                     offset,
                     len,
+                    replicated: params[i - 1].1,
                 });
                 start = i;
                 offset += len;
@@ -74,24 +81,25 @@ impl BucketPlan {
             }
             len += n;
         }
-        if len > 0 || sizes.is_empty() {
+        if len > 0 || params.is_empty() {
             buckets.push(Bucket {
-                params: start..sizes.len(),
+                params: start..params.len(),
                 offset,
                 len,
+                replicated: params.last().is_some_and(|p| p.1),
             });
         }
         BucketPlan {
             buckets,
-            param_sizes: sizes.to_vec(),
+            param_sizes: params.iter().map(|p| p.0).collect(),
         }
     }
 
     /// Builds the plan for a model's parameters.
     pub fn for_model(model: &mut dyn Layer, cap_bytes: usize) -> BucketPlan {
-        let mut sizes = Vec::new();
-        model.visit_params(&mut |p| sizes.push(p.numel()));
-        BucketPlan::from_param_sizes(&sizes, cap_bytes)
+        let mut params = Vec::new();
+        model.visit_params(&mut |p| params.push((p.numel(), p.replicated)));
+        BucketPlan::from_params(&params, cap_bytes)
     }
 
     /// Partitions `[0, total.div_ceil(p) * p)` — the flat gradient padded to
@@ -309,37 +317,50 @@ impl FlatLayout {
 /// ([`GradReducer::reduce`]) and overlapped with backward
 /// ([`GradReducer::backward_overlapped`]). The sharded kinds return this
 /// rank's mean-scaled shard of every bucket; [`Keep::Whole`] (bucketed data
-/// parallelism) leaves the mean gradients in the model and returns nothing.
+/// parallelism, replica sums) leaves the reduced gradients in the model and
+/// returns nothing. A rank without data-parallel peers passes `None`.
 pub struct GradReducer {
     /// Contiguous buckets covering the flat gradient, plus — for sharded
     /// kinds — the padding that rounds it up to a multiple of p (bucket
     /// buffers start zeroed, so the padding reduces as zeros).
     pub(crate) layout: FlatLayout,
     keep: Keep,
+    /// Per bucket: summed over `replicas` first, in order.
+    replicated: Vec<bool>,
+    replicas: Vec<Group>,
 }
 
 impl GradReducer {
     /// A reducer over parameters of `param_sizes` elements (visit order)
     /// and the `buckets` a planner laid over them — whole parameters
-    /// ([`BucketPlan::from_param_sizes`]) for [`Keep::Whole`]; p-aligned
+    /// ([`BucketPlan::from_params`]) for [`Keep::Whole`]; p-aligned
     /// [`BucketPlan::element_ranges`] for the sharded kinds, so every bucket
-    /// shards evenly.
+    /// shards evenly. No bucket is replicated.
     pub fn new(param_sizes: &[usize], buckets: Vec<(usize, usize)>, keep: Keep) -> Self {
         GradReducer {
+            replicated: vec![false; buckets.len()],
             layout: FlatLayout::new(param_sizes, buckets),
             keep,
+            replicas: Vec::new(),
         }
     }
 
     /// Bucketed data parallelism over `model`: a [`Keep::Whole`] reducer
     /// whose buckets hold whole parameters, at most `cap_bytes` each (see
-    /// [`DEFAULT_BUCKET_BYTES`]). The model must have been built identically
-    /// on every rank (same seed), as real DDP assumes rank-0 broadcast
-    /// weights.
-    pub fn data_parallel(model: &mut dyn Layer, cap_bytes: usize) -> Self {
+    /// [`DEFAULT_BUCKET_BYTES`]), marked ones summed over `replicas` first.
+    /// The model must have been built identically on every rank (same
+    /// seed), as real DDP assumes rank-0 broadcast weights.
+    pub fn data_parallel(model: &mut dyn Layer, cap_bytes: usize, replicas: &[Group]) -> Self {
         let plan = BucketPlan::for_model(model, cap_bytes);
         let buckets = plan.buckets.iter().map(|b| (b.offset, b.len)).collect();
-        GradReducer::new(&plan.param_sizes, buckets, Keep::Whole)
+        let replicated: Vec<bool> = plan.buckets.iter().map(|b| b.replicated).collect();
+        let unmarked = !replicated.contains(&true);
+        assert!(unmarked || !replicas.is_empty(), "no replica groups");
+        GradReducer {
+            replicated,
+            replicas: replicas.to_vec(),
+            ..GradReducer::new(&plan.param_sizes, buckets, Keep::Whole)
+        }
     }
 
     /// The `(offset, len)` buckets, in visit (forward) order.
@@ -347,26 +368,34 @@ impl GradReducer {
         &self.layout.ranges
     }
 
-    /// Sends the bucket `flat` through the kind's collective — an all-reduce,
-    /// or a reduce-scatter for [`Keep::ShardOfReduceScatter`] — at f32 wire
-    /// width on `stream`; returns what this rank keeps. A shard is this
-    /// rank's alone and is scaled by 1/p here, in place; a whole bucket is
-    /// the one all-reduce result every rank holds a handle to and stays the
-    /// sum (the 1/p goes into [`GradReducer::finish`]'s write-back instead of
-    /// a private copy per rank).
+    /// Sends bucket `b`'s elements `flat` (all-reduced over each replica
+    /// group first if it is replicated) through the kind's collective at f32
+    /// width on `stream`: an all-reduce, or a reduce-scatter for
+    /// [`Keep::ShardOfReduceScatter`]. A shard is this rank's alone and is
+    /// scaled by 1/p here, in place; a whole bucket is the one all-reduce
+    /// result every rank holds a handle to and stays the sum (the 1/p goes
+    /// into [`GradReducer::finish`]'s write-back instead of a private copy).
     fn reduce_bucket(
         &self,
         ctx: &DeviceCtx,
-        group: &Group,
+        dp: Option<&Group>,
+        b: usize,
         flat: Vec<f32>,
         stream: Stream,
     ) -> Tensor {
+        let mut bucket = Tensor::from_vec([flat.len()], flat);
+        let all_reduce = Collective::from(Op::AllReduce { max: false }).on(stream);
+        for group in self.replicas.iter().filter(|_| self.replicated[b]) {
+            bucket = group.collective(ctx, all_reduce, bucket);
+        }
+        let Some(group) = dp else {
+            return bucket;
+        };
         let op = match self.keep {
             Keep::Whole | Keep::ShardOfAllReduce => Op::AllReduce { max: false },
             Keep::ShardOfReduceScatter => Op::ReduceScatter { dim: 0 },
         };
         let p = group.size();
-        let bucket = Tensor::from_vec([flat.len()], flat);
         let mut kept = group.collective(ctx, Collective::from(op).on(stream), bucket);
         if self.keep == Keep::ShardOfAllReduce {
             let shard = kept.numel() / p;
@@ -382,23 +411,28 @@ impl GradReducer {
     /// [`Keep::Whole`] — nothing, with the mean of the summed buckets left in
     /// the model's gradients (the 1/p rides the copy every rank makes
     /// anyway).
-    fn finish(&self, group: &Group, model: &mut dyn Layer, reduced: Vec<Tensor>) -> Vec<Tensor> {
+    fn finish(&self, dp: Option<&Group>, model: &mut dyn Layer, kept: Vec<Tensor>) -> Vec<Tensor> {
         if self.keep != Keep::Whole {
-            return reduced;
+            return kept;
         }
-        let mean = 1.0 / group.size() as f32;
-        self.layout.scatter(model, Param::grad_mut, &reduced, mean);
+        let mean = 1.0 / dp.map_or(1, Group::size) as f32;
+        self.layout.scatter(model, Param::grad_mut, &kept, mean);
         Vec::new()
     }
 
     /// Reduces the model's accumulated gradients, blocking on the main
     /// stream: one fused collective per bucket, front to back. Returns the
     /// shards, or under [`Keep::Whole`] nothing (see [`GradReducer`]).
-    pub fn reduce(&mut self, ctx: &DeviceCtx, group: &Group, model: &mut dyn Layer) -> Vec<Tensor> {
+    pub fn reduce(
+        &mut self,
+        ctx: &DeviceCtx,
+        dp: Option<&Group>,
+        model: &mut dyn Layer,
+    ) -> Vec<Tensor> {
         let bufs = self.layout.gather_all(model, Param::grad);
-        let reduce = |flat| self.reduce_bucket(ctx, group, flat, Stream::Main);
-        let reduced = bufs.into_iter().map(reduce).collect();
-        self.finish(group, model, reduced)
+        let reduce = |(b, flat)| self.reduce_bucket(ctx, dp, b, flat, Stream::Main);
+        let reduced = bufs.into_iter().enumerate().map(reduce).collect();
+        self.finish(dp, model, reduced)
     }
 
     /// Runs the staged backward, launching each bucket's collective on the
@@ -410,7 +444,7 @@ impl GradReducer {
     pub fn backward_overlapped(
         &mut self,
         ctx: &DeviceCtx,
-        group: &Group,
+        dp: Option<&Group>,
         model: &mut dyn Layer,
         dy: &Tensor,
     ) -> (Tensor, Vec<Tensor>) {
@@ -428,7 +462,7 @@ impl GradReducer {
             while next > 0 && self.layout.ranges[next - 1].0 >= self.layout.offsets[produced] {
                 next -= 1;
                 let flat = std::mem::take(&mut bufs[next]);
-                reduced[next] = Some(self.reduce_bucket(ctx, group, flat, Stream::Comm));
+                reduced[next] = Some(self.reduce_bucket(ctx, dp, next, flat, Stream::Comm));
             }
         });
         assert_eq!(produced, 0, "backward_staged must cover every parameter");
@@ -436,7 +470,7 @@ impl GradReducer {
         // the reduced gradients must be final before anyone reads them
         ctx.comm_sync();
         let reduced = reduced.into_iter().map(|r| r.unwrap()).collect();
-        (dx, self.finish(group, model, reduced))
+        (dx, self.finish(dp, model, reduced))
     }
 }
 
@@ -462,7 +496,7 @@ mod tests {
     fn greedy_packing_respects_cap_and_covers_params() {
         // sizes in elements; cap of 100 elements = 400 bytes
         let sizes = [40, 50, 30, 200, 10, 10];
-        let plan = BucketPlan::from_param_sizes(&sizes, 400);
+        let plan = BucketPlan::from_params(&sizes.map(|n| (n, false)), 400);
         // 40+50 fits the 100-element cap; +30 would exceed → new bucket;
         // 30+200 exceeds → 200 gets its own; 10+10 closes it out
         let ranges: Vec<_> = plan.buckets.iter().map(|b| b.params.clone()).collect();
@@ -481,9 +515,25 @@ mod tests {
     }
 
     #[test]
+    fn a_bucket_never_mixes_replicated_and_unreplicated_parameters() {
+        let marks = [false, true, true, false, false, true];
+        let params: Vec<_> = [4, 4, 4, 0, 4, 4].into_iter().zip(marks).collect();
+        let plan = BucketPlan::from_params(&params, 1 << 20);
+        let got: Vec<_> = plan
+            .buckets
+            .iter()
+            .map(|b| (b.params.clone(), b.replicated))
+            .collect();
+        assert_eq!(
+            got,
+            vec![(0..1, false), (1..3, true), (3..5, false), (5..6, true)]
+        );
+    }
+
+    #[test]
     fn oversized_param_gets_own_bucket() {
         let sizes = [1000, 4, 4];
-        let plan = BucketPlan::from_param_sizes(&sizes, 64);
+        let plan = BucketPlan::from_params(&sizes.map(|n| (n, false)), 64);
         assert_eq!(plan.buckets[0].params, 0..1);
         assert_eq!(plan.buckets[0].len, 1000);
     }
@@ -532,7 +582,12 @@ mod tests {
             let total: usize = sizes.iter().sum();
             let p = rng.gen_range(1usize..5);
             let cap_bytes = 4 * rng.gen_range(2usize..24);
-            let whole_params = BucketPlan::from_param_sizes(&sizes, cap_bytes);
+            // a replica mark on every third parameter splits buckets too
+            let marked = sizes.iter().enumerate();
+            let marked: Vec<_> = marked
+                .map(|(i, &n)| (n, (i + seed as usize).is_multiple_of(3)))
+                .collect();
+            let whole_params = BucketPlan::from_params(&marked, cap_bytes);
             let whole_params = whole_params.buckets.iter().map(|b| (b.offset, b.len));
             let plans = [
                 whole_params.collect::<Vec<_>>(),
@@ -648,9 +703,9 @@ mod tests {
             });
 
             // tiny cap → many buckets; still must match bitwise
-            let mut reducer = GradReducer::data_parallel(&mut model, 64);
+            let mut reducer = GradReducer::data_parallel(&mut model, 64, &[]);
             assert!(reducer.buckets().len() > 1);
-            assert!(reducer.reduce(ctx, &g, &mut model).is_empty());
+            assert!(reducer.reduce(ctx, Some(&g), &mut model).is_empty());
             let fused = flatten_grads(&mut model);
             assert_eq!(fused.data(), &baseline[..], "fused == per-param bitwise");
             fused
@@ -667,9 +722,9 @@ mod tests {
             let mut model = make_model(822);
             let x = init::uniform([2, 4], -1.0, 1.0, &mut init::rng(930));
             let y = model.forward(&x);
-            let mut reducer = GradReducer::data_parallel(&mut model, 64);
+            let mut reducer = GradReducer::data_parallel(&mut model, 64, &[]);
             let dy = Tensor::ones(y.shape().clone());
-            let (_, reduced) = reducer.backward_overlapped(ctx, &g, &mut model, &dy);
+            let (_, reduced) = reducer.backward_overlapped(ctx, Some(&g), &mut model, &dy);
             assert!(reduced.is_empty(), "whole buckets land in the model");
             (ctx.clock(), ctx.comm_clock())
         });

@@ -97,7 +97,7 @@ mod tests {
         let results = world.run_on(p, |ctx| {
             let g = ctx.world_group(p);
             let mut model = make_model(603);
-            let mut reducer = GradReducer::data_parallel(&mut model, DEFAULT_BUCKET_BYTES);
+            let mut reducer = GradReducer::data_parallel(&mut model, DEFAULT_BUCKET_BYTES, &[]);
             let mut opt = AdamW::new(0.01, 0.01);
             for s in 0..steps {
                 model.zero_grad();
@@ -109,7 +109,7 @@ mod tests {
                 // serial mean over the full batch, since shards are equal.
                 let (_, dlogits) = cross_entropy(&logits, &t_local);
                 let _ = model.backward(&dlogits);
-                reducer.reduce(ctx, &g, &mut model);
+                reducer.reduce(ctx, Some(&g), &mut model);
                 opt.step_layer(&mut model);
             }
             flatten_params(&mut model)
@@ -132,13 +132,13 @@ mod tests {
         let grads = world.run_on(p, |ctx| {
             let g = ctx.world_group(p);
             let mut model = make_model(604);
-            let mut reducer = GradReducer::data_parallel(&mut model, DEFAULT_BUCKET_BYTES);
+            let mut reducer = GradReducer::data_parallel(&mut model, DEFAULT_BUCKET_BYTES, &[]);
             // different data per rank
             let mut rng = init::rng(700 + g.rank() as u64);
             let x = init::uniform([2, 4], -1.0, 1.0, &mut rng);
             let y = model.forward(&x);
             let _ = model.backward(&Tensor::ones(y.shape().clone()));
-            reducer.reduce(ctx, &g, &mut model);
+            reducer.reduce(ctx, Some(&g), &mut model);
             flatten_grads(&mut model)
         });
         assert_eq!(grads[0].data(), grads[1].data());

@@ -5,14 +5,16 @@
 //!
 //! * [`tp1d`] — Megatron-LM 1D tensor parallelism (the baseline);
 //! * [`tp2d`] — 2D tensor parallelism (SUMMA);
-//! * [`tp25d`] — 2.5D tensor parallelism (Solomonik–Demmel style depth);
+//! * [`tp25d`] — 2.5D tensor parallelism (Solomonik–Demmel style depth;
+//!   the depth gradient sum lives in the matmul's backward);
 //! * [`tp3d`] — 3D tensor parallelism (Agarwal);
 //! * [`mesh`] — 2D / 2.5D / 3D as one mode of the model definitions;
 //! * [`sequence`] — sequence parallelism with Ring Self-Attention;
-//! * [`grad_sync`] — gradient sums across replicas that saw different rows;
 //! * [`data_parallel`] — the batch split and flat views of a replica;
-//! * [`bucket`] — the gradient reducer: bucketed, backward-overlapped
-//!   reduction for data parallelism and every ZeRO stage;
+//! * [`bucket`] — the gradient reducer, the one gradient front end:
+//!   bucketed, backward-overlapped reduction for data parallelism, every
+//!   ZeRO stage and the sums over replicas that saw different rows
+//!   (sequence parallelism's ring, a mesh stream's row groups);
 //! * [`zero`] — the Zero Redundancy Optimizer, stages 1-3;
 //! * [`pipeline`] — GPipe and 1F1B pipeline schedules;
 //! * [`vocab_parallel`] — Megatron vocabulary-parallel embedding + the
@@ -32,7 +34,6 @@
 pub mod auto;
 pub mod bucket;
 pub mod data_parallel;
-pub mod grad_sync;
 pub mod memcalc;
 pub mod mesh;
 pub mod norm2d;
@@ -49,7 +50,6 @@ pub mod zero;
 
 pub use bucket::{Bucket, BucketPlan, GradReducer, DEFAULT_BUCKET_BYTES};
 pub use data_parallel::split_batch;
-pub use grad_sync::GradSync;
 pub use mesh::MeshParallel;
 pub use norm2d::LayerNorm2d;
 pub use pipeline::{PipelineStage, Schedule};

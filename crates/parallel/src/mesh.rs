@@ -8,22 +8,24 @@
 //! `check_model` and the cost model of `throughput` all read it, and
 //! [`axis_group`] lists the members of every one of their process groups.
 //!
-//! | mode | grid | linear | stream rows / hidden | branch rows / hidden | weight rows / columns |
-//! |---|---|---|---|---|---|
-//! | 2D | `[1, j, j]` | [`Linear2d`] | 1 / 2 | 1 / 2 | 1 / 2 |
-//! | 2.5D | `[d, j, j]` | [`Linear25d`] | 0, 1 / 2 | 0, 1 / 2 | 1 / 2 |
-//! | 3D | `[l, l, l]` | [`Linear3d`] | 0, 2 / 1 | 0, 1 / 2 | 1, 0 / 2 |
+//! | mode | grid | linear | stream rows / hidden | branch rows / hidden | weight rows / columns | weight replicas |
+//! |---|---|---|---|---|---|---|
+//! | 2D | `[1, j, j]` | [`Linear2d`] | 1 / 2 | 1 / 2 | 1 / 2 | none |
+//! | 2.5D | `[d, j, j]` | [`Linear25d`] | 0, 1 / 2 | 0, 1 / 2 | 1 / 2 | 0, summed in the linear |
+//! | 3D | `[l, l, l]` | [`Linear3d`] | 0, 2 / 1 | 0, 1 / 2 | 1, 0 / 2 | none |
 //!
 //! Axis 0 is the 2.5D depth (size 1 under 2D), axis 1 the grid row and axis
 //! 2 the grid column; under 3D they are `i`, `j` and `k`. Row axes are
-//! listed outermost first. Under 2D and 2.5D the stream and the branch share
-//! one layout. Under 3D a `Stream -> Branch` linear runs on the cube as
-//! built and a `Branch -> Stream` one on the cube with axes 1 and 2
+//! listed outermost first. The norms and embeddings hold stream columns
+//! replicated over the stream's row axes: they are marked
+//! [`Param::replicated`] and the gradient reducer sums them over
+//! [`MeshParallel::replica_groups`]. Under 2D and 2.5D the stream and the
+//! branch share one layout. Under 3D a `Stream -> Branch` linear runs on the
+//! cube as built and a `Branch -> Stream` one on the cube with axes 1 and 2
 //! exchanged, whose input layout is the first one's output layout and vice
 //! versa: consecutive linears chain X -> Y -> X with no re-layout between
 //! them.
 
-use crate::grad_sync::GradSync;
 use crate::norm2d::LayerNorm2d;
 use crate::tp25d::{Grid25d, Linear25d};
 use crate::tp2d::{Grid2d, Linear2d};
@@ -263,10 +265,15 @@ impl MeshParallel {
         }
     }
 
-    /// `layer`, whose parameters are replicated across the devices that hold
-    /// other rows of the stream, with their gradients summed over them.
-    fn row_replicated(&self, layer: impl Layer + 'static) -> Box<dyn Layer> {
-        Box::new(GradSync::new(&self.ctx, self.stream.batch.clone(), layer))
+    /// The groups that split the stream's rows, outermost first.
+    pub fn replica_groups(&self) -> Vec<Group> {
+        self.stream.batch.clone()
+    }
+
+    /// `layer` with its parameters marked replicated over the row groups.
+    fn row_replicated(&self, mut layer: impl Layer + 'static) -> Box<dyn Layer> {
+        layer.visit_params(&mut |p| p.replicated = true);
+        Box::new(layer)
     }
 
     /// This device's hidden-axis slice of a global `[rows, hidden]` table.

@@ -2,7 +2,9 @@
 //! (Colossal-AI's `layernorm_2d`, generalised): each device normalizes its
 //! `[rows, h/n]` slice with row statistics (mean, variance) assembled by
 //! all-reduces over the group that splits the hidden axis — the grid row
-//! under 2D / 2.5D, the `j` (or `k`) axis under 3D.
+//! under 2D / 2.5D, the `j` (or `k`) axis under 3D. Gamma and beta's
+//! gradients are this device's rows' share: the mesh mode marks them
+//! [`Param::replicated`] and the gradient reducer sums them over the rows.
 
 use crate::tp2d::{collapse, expand};
 use colossalai_autograd::{Layer, Param};
@@ -10,9 +12,8 @@ use colossalai_comm::{DeviceCtx, Group};
 use colossalai_tensor::Tensor;
 
 /// LayerNorm over `[.., h/n]` slices: statistics span `hidden`; gamma and
-/// beta are sharded like the hidden axis. Their gradients are this device's
-/// rows' contribution only: devices that hold other rows of the same slice
-/// sum them with a [`crate::GradSync`] over the groups that split the rows.
+/// beta are sharded like the hidden axis and hold this device's rows'
+/// gradient share.
 pub struct LayerNorm2d {
     ctx: DeviceCtx,
     hidden: Group,
@@ -49,7 +50,6 @@ impl Layer for LayerNorm2d {
     fn forward(&mut self, x: &Tensor) -> Tensor {
         let (x, lead) = collapse(x);
         let x = &x;
-        let rows = x.dims()[0];
         let h = self.h_global as f32;
 
         // per-global-row sums assembled across the devices holding the row
@@ -63,18 +63,11 @@ impl Layer for LayerNorm2d {
             .zip(&mean, |q, m| q / h - m * m)
             .map(|var| 1.0 / (var + self.eps).sqrt());
 
+        let (gamma, beta) = (self.gamma.value().data(), self.beta.value().data());
         let mut y = x.clone();
-        for r in 0..rows {
-            let m = mean.data()[r];
-            let is = inv_std.data()[r];
-            let row = &mut y.data_mut()[r * x.dims()[1]..(r + 1) * x.dims()[1]];
-            for (v, (&g, &b)) in row.iter_mut().zip(
-                self.gamma
-                    .value()
-                    .data()
-                    .iter()
-                    .zip(self.beta.value().data()),
-            ) {
+        for (r, row) in y.data_mut().chunks_mut(x.dims()[1]).enumerate() {
+            let (m, is) = (mean.data()[r], inv_std.data()[r]);
+            for ((v, &g), &b) in row.iter_mut().zip(gamma).zip(beta) {
                 *v = (*v - m) * is * g + b;
             }
         }
@@ -91,48 +84,45 @@ impl Layer for LayerNorm2d {
         let (xs, dys) = (x.data(), dy.data());
         let (means, inv_stds) = (mean.data(), inv_std.data());
         let row = |r: usize| r * local..(r + 1) * local;
+        // an O(1) handle, so that the gradients below can accumulate
+        let gamma = self.gamma.value().clone();
+        let gamma = gamma.data();
 
         // dgamma / dbeta: column sums over the rows this device holds
         let mut dgamma = Tensor::zeros([local]);
         let mut dbeta = Tensor::zeros([local]);
         // row sums of dy*gamma and dy*gamma*xhat span the `hidden` group
-        let mut s1_local = Tensor::zeros([rows]);
-        let mut s2_local = Tensor::zeros([rows]);
-        {
-            let gamma = self.gamma.value().data();
-            let (dgamma, dbeta) = (dgamma.data_mut(), dbeta.data_mut());
-            let (s1, s2) = (s1_local.data_mut(), s2_local.data_mut());
-            for r in 0..rows {
-                let (m, is) = (means[r], inv_stds[r]);
-                let (x_row, dy_row) = (&xs[row(r)], &dys[row(r)]);
-                for c in 0..local {
-                    let xhat = (x_row[c] - m) * is;
-                    let d = dy_row[c];
-                    let dyg = d * gamma[c];
-                    s1[r] += dyg;
-                    s2[r] += dyg * xhat;
-                    dgamma[c] += d * xhat;
-                    dbeta[c] += d;
-                }
+        let mut s1 = Tensor::zeros([rows]);
+        let mut s2 = Tensor::zeros([rows]);
+        let (dg, db) = (dgamma.data_mut(), dbeta.data_mut());
+        let (s1_local, s2_local) = (s1.data_mut(), s2.data_mut());
+        for r in 0..rows {
+            let (m, is) = (means[r], inv_stds[r]);
+            let (x_row, dy_row) = (&xs[row(r)], &dys[row(r)]);
+            for c in 0..local {
+                let xhat = (x_row[c] - m) * is;
+                let d = dy_row[c];
+                let dyg = d * gamma[c];
+                s1_local[r] += dyg;
+                s2_local[r] += dyg * xhat;
+                dg[c] += d * xhat;
+                db[c] += d;
             }
         }
-        let s1 = self.hidden.all_reduce(&self.ctx, s1_local);
-        let s2 = self.hidden.all_reduce(&self.ctx, s2_local);
+        let s1 = self.hidden.all_reduce(&self.ctx, s1);
+        let s2 = self.hidden.all_reduce(&self.ctx, s2);
         self.gamma.accumulate_grad(&dgamma);
         self.beta.accumulate_grad(&dbeta);
 
         let mut dx = Tensor::zeros(x.shape().clone());
-        {
-            let gamma = self.gamma.value().data();
-            let (s1, s2, dx) = (s1.data(), s2.data(), dx.data_mut());
-            for r in 0..rows {
-                let (m, is) = (means[r], inv_stds[r]);
-                let (x_row, dy_row, dx_row) = (&xs[row(r)], &dys[row(r)], &mut dx[row(r)]);
-                for c in 0..local {
-                    let xhat = (x_row[c] - m) * is;
-                    let dyg = dy_row[c] * gamma[c];
-                    dx_row[c] = is * (dyg - s1[r] / h - xhat * s2[r] / h);
-                }
+        let (s1, s2, dxs) = (s1.data(), s2.data(), dx.data_mut());
+        for r in 0..rows {
+            let (m, is) = (means[r], inv_stds[r]);
+            let (x_row, dy_row, dx_row) = (&xs[row(r)], &dys[row(r)], &mut dxs[row(r)]);
+            for c in 0..local {
+                let xhat = (x_row[c] - m) * is;
+                let dyg = dy_row[c] * gamma[c];
+                dx_row[c] = is * (dyg - s1[r] / h - xhat * s2[r] / h);
             }
         }
         expand(dx, &lead)
@@ -148,7 +138,7 @@ impl Layer for LayerNorm2d {
 mod tests {
     use super::*;
     use crate::tp2d::{assemble_tiles, tile_of, Grid2d};
-    use crate::GradSync;
+    use crate::{GradReducer, DEFAULT_BUCKET_BYTES};
     use colossalai_autograd::LayerNorm;
     use colossalai_comm::World;
     use colossalai_tensor::init;
@@ -171,10 +161,14 @@ mod tests {
         let results = world.run_on(j * j, |ctx| {
             let members: Vec<usize> = (0..j * j).collect();
             let grid = Grid2d::new(ctx, &members);
-            let ln = LayerNorm2d::new(ctx, &grid.row_group, "ln", h);
-            let mut ln = GradSync::new(ctx, vec![grid.col_group.clone()], ln);
+            let mut ln = LayerNorm2d::new(ctx, &grid.row_group, "ln", h);
+            // replicated down the grid column, whose devices hold other rows
+            ln.visit_params(&mut |p| p.replicated = true);
+            let replicas = [grid.col_group.clone()];
+            let mut reducer = GradReducer::data_parallel(&mut ln, DEFAULT_BUCKET_BYTES, &replicas);
             let y = ln.forward(&tile_of(&x, j, grid.row, grid.col));
             let dx = ln.backward(&tile_of(&dy, j, grid.row, grid.col));
+            assert!(reducer.reduce(ctx, None, &mut ln).is_empty());
             let mut grads = Vec::new();
             ln.visit_params(&mut |p| grads.push(p.grad().clone()));
             (y, dx, grads, grid.col)

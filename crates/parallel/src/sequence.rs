@@ -9,8 +9,9 @@
 //! returning the dK/dV contributions moves that of a ring reduce-scatter.
 //! We implement the exchange with those collectives — same volume, same
 //! ring bottleneck, substantially less bookkeeping.
+//!
+//! Every parameter is marked [`Param::replicated`]; the reducer sums it over the ring.
 
-use crate::grad_sync::GradSync;
 use crate::vocab_parallel::mean_loss_over_rows;
 use colossalai_autograd::{
     AttentionCore, Embedding, Layer, LayerNorm, Linear, LocalAttention, Param, PositionEmbedding,
@@ -70,9 +71,9 @@ impl AttentionCore for RingSelfAttention {
 /// Sequence parallelism as a [`TensorParallel`] mode: every parameter is
 /// replicated, every activation holds `s/p` of the sequence. LayerNorm, the
 /// MLP and the heads are pointwise along the sequence and run locally; only
-/// attention rides the ring. The shards see different tokens, so each
-/// layer's parameter gradients are summed over the group (the paper's
-/// sequence parallelism inherits this from its data-parallel ancestry).
+/// attention rides the ring. The shards see different tokens, so every
+/// parameter is marked replicated (the paper's sequence parallelism
+/// inherits its gradient sum from its data-parallel ancestry).
 #[derive(Clone)]
 pub struct SequenceParallel {
     ctx: DeviceCtx,
@@ -87,8 +88,10 @@ impl SequenceParallel {
         }
     }
 
-    fn replicated(&self, layer: impl Layer + 'static) -> Box<dyn Layer> {
-        Box::new(GradSync::new(&self.ctx, vec![self.group.clone()], layer))
+    /// `layer` with every parameter marked replicated across the ring.
+    fn replicate(&self, mut layer: impl Layer + 'static) -> Box<dyn Layer> {
+        layer.visit_params(&mut |p| p.replicated = true);
+        Box::new(layer)
     }
 }
 
@@ -127,11 +130,11 @@ impl TensorParallel for SequenceParallel {
             "sequence parallelism has no layer that enters or leaves the full sequence"
         );
         let linear = Linear::from_parts(name, w, b);
-        self.replicated(if gelu { linear.with_gelu() } else { linear })
+        self.replicate(if gelu { linear.with_gelu() } else { linear })
     }
 
     fn layer_norm(&self, name: &str, dim: usize) -> Box<dyn Layer> {
-        self.replicated(LayerNorm::new(name, dim))
+        self.replicate(LayerNorm::new(name, dim))
     }
 
     fn local_heads(&self, heads: usize) -> usize {
@@ -150,7 +153,7 @@ impl TensorParallel for SequenceParallel {
         dim: usize,
         rng: &mut InitRng,
     ) -> Box<dyn Layer> {
-        self.replicated(LocalTokens {
+        self.replicate(LocalTokens {
             mode: self.clone(),
             inner: Embedding::new(name, vocab, dim, rng),
         })
@@ -164,7 +167,7 @@ impl TensorParallel for SequenceParallel {
         rng: &mut InitRng,
     ) -> Box<dyn Layer> {
         let pos = PositionEmbedding::new(name, max_seq, dim, rng);
-        self.replicated(pos.at_seq_block(self.group.rank()))
+        self.replicate(pos.at_seq_block(self.group.rank()))
     }
 
     fn loss(&self, logits: &Tensor, targets: &[usize], total: usize) -> (f32, Tensor) {

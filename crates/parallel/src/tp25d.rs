@@ -3,24 +3,21 @@
 //!
 //! Each of the `d` depth layers runs 2D SUMMA over its own slice of the
 //! batch dimension; weight tiles are replicated across depth, so weight
-//! gradients are all-reduced over the depth group. With `d = 1` this
+//! gradients are all-reduced over the depth group — inside the matmul's
+//! backward, as 3D's reductions live inside `Linear3d`. With `d = 1` this
 //! degenerates to plain 2D, exactly as the paper notes.
 
-use crate::grad_sync::GradSync;
 use crate::mesh::{axis_group, my_position, MeshLayout};
-use crate::tp2d::{Grid2d, Linear2d};
+use crate::tp2d::{Grid2d, Linear2d, SummaGrid};
 use crate::volume::TpMode;
 use colossalai_comm::{DeviceCtx, Group};
 use colossalai_tensor::Tensor;
 use colossalai_topology::DeviceId;
 
-/// A device's place in the `j x j x d` cuboid.
+/// A device's place in the `j x j x d` cuboid: its depth layer is its rank
+/// in the depth group.
 #[derive(Clone)]
 pub struct Grid25d {
-    pub j: usize,
-    pub depth: usize,
-    /// This device's depth layer.
-    pub dep: usize,
     /// The 2D grid within this depth layer.
     pub grid2d: Grid2d,
     /// The group of devices sharing this (row, col) across depth.
@@ -37,9 +34,6 @@ impl Grid25d {
         });
         let at = my_position(ctx, members, grid);
         Grid25d {
-            j: grid[1],
-            depth,
-            dep: at[0],
             grid2d: Grid2d::new(ctx, &axis_group(members, grid, at, &[1, 2])),
             depth_group: ctx.group(&axis_group(members, grid, at, &[0])),
         }
@@ -49,30 +43,21 @@ impl Grid25d {
 /// Slices the 2.5D input tile: depth layer `dep` owns batch rows
 /// `[dep * M/d, (dep+1) * M/d)`, tiled 2D within the layer.
 pub fn tile_x_25d(global: &Tensor, grid: &Grid25d) -> Tensor {
-    let (g, j) = (&grid.grid2d, grid.j);
-    let cuboid = MeshLayout::over(
-        TpMode::TwoPointFiveD { depth: grid.depth },
-        [grid.depth, j, j],
-    );
-    cuboid.tile(global, cuboid.stream, [grid.dep, g.row, g.col])
+    let (g, depth) = (&grid.grid2d, grid.depth_group.size());
+    let cuboid = MeshLayout::over(TpMode::TwoPointFiveD { depth }, [depth, g.j, g.j]);
+    let at = [grid.depth_group.rank(), g.row, g.col];
+    cuboid.tile(global, cuboid.stream, at)
 }
 
-/// 2.5D-parallel linear layer: a [`Linear2d`] within each depth layer plus a
-/// depth-group all-reduce of parameter gradients.
-pub type Linear25d = GradSync<Linear2d>;
-
-impl Linear25d {
-    pub fn from_global(
-        ctx: &DeviceCtx,
-        grid: &Grid25d,
-        name: &str,
-        w_global: &Tensor,
-        b_global: Option<&Tensor>,
-    ) -> Self {
-        let inner = Linear2d::from_global(ctx, &grid.grid2d, name, w_global, b_global);
-        GradSync::new(ctx, vec![grid.depth_group.clone()], inner)
+impl SummaGrid for Grid25d {
+    fn layer(&self) -> (&Grid2d, &[Group]) {
+        (&self.grid2d, std::slice::from_ref(&self.depth_group))
     }
 }
+
+/// 2.5D-parallel linear layer: a [`Linear2d`] on a [`Grid25d`], whose
+/// backward sums its weight and bias gradients over the depth group.
+pub type Linear25d = Linear2d;
 
 #[cfg(test)]
 mod tests {

@@ -45,6 +45,18 @@ impl Grid2d {
     }
 }
 
+/// A grid [`Linear2d`] runs on: its 2D grid, and under 2.5D the depth group
+/// across which its weight tiles are replicated.
+pub trait SummaGrid {
+    fn layer(&self) -> (&Grid2d, &[Group]);
+}
+
+impl SummaGrid for Grid2d {
+    fn layer(&self) -> (&Grid2d, &[Group]) {
+        (self, &[])
+    }
+}
+
 /// Slices tile `(r, c)` of a global `[M, K]` matrix for a `j x j` grid.
 pub fn tile_of(global: &Tensor, j: usize, r: usize, c: usize) -> Tensor {
     let grid = MeshLayout::over(TpMode::TwoD, [1, j, j]);
@@ -71,6 +83,8 @@ pub fn assemble_tiles(tiles: &[Tensor], j: usize) -> Tensor {
 pub struct Linear2d {
     ctx: DeviceCtx,
     grid: Grid2d,
+    /// Under 2.5D: backward sums its dW and db over the depth group.
+    depth: Vec<Group>,
     w: Param,
     bias: Option<Param>,
     cached_x: Option<Tensor>,
@@ -80,11 +94,12 @@ impl Linear2d {
     /// Builds from global weight/bias, sharding locally.
     pub fn from_global(
         ctx: &DeviceCtx,
-        grid: &Grid2d,
+        grid: &impl SummaGrid,
         name: &str,
         w_global: &Tensor,
         b_global: Option<&Tensor>,
     ) -> Self {
+        let (grid, depth) = grid.layer();
         let j = grid.j;
         let w = tile_of(w_global, j, grid.row, grid.col);
         let bias =
@@ -92,6 +107,7 @@ impl Linear2d {
         Linear2d {
             ctx: ctx.clone(),
             grid: grid.clone(),
+            depth: depth.to_vec(),
             w: Param::new(format!("{name}.weight"), w),
             bias,
             cached_x: None,
@@ -142,11 +158,8 @@ impl Layer for Linear2d {
         let dy = &dy;
 
         // bias gradient: column sums of dY, reduced over the grid column
-        if let Some(b) = &mut self.bias {
-            let partial = sum_axis(dy, 0);
-            let full = g.col_group.all_reduce(&self.ctx, partial);
-            b.accumulate_grad(&full);
-        }
+        let db = self.bias.as_ref().map(|_| sum_axis(dy, 0));
+        let db = db.map(|partial| g.col_group.all_reduce(&self.ctx, partial));
 
         // pass 2: dX_rl = sum_c dY_rc (W^T)_cl = sum_c dY_rc W_lc^T
         let mut dx = Tensor::zeros(x.shape().clone());
@@ -169,7 +182,11 @@ impl Layer for Linear2d {
                 dw.axpy(1.0, &reduced);
             }
         }
-        self.w.accumulate_grad(&dw);
+        let sum = |t| self.depth.iter().fold(t, |t, d| d.all_reduce(&self.ctx, t));
+        self.w.accumulate_grad(&sum(dw));
+        if let (Some(b), Some(db)) = (&mut self.bias, db) {
+            b.accumulate_grad(&sum(db));
+        }
         expand(dx, &lead)
     }
 

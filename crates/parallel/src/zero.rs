@@ -197,13 +197,13 @@ impl ZeroOptimizer {
         dy: &Tensor,
     ) -> (Tensor, Vec<Tensor>) {
         self.reducer
-            .backward_overlapped(&self.ctx, &self.group, model, dy)
+            .backward_overlapped(&self.ctx, Some(&self.group), model, dy)
     }
 
     /// Reduces the model's accumulated gradients (blocking) to this rank's
     /// mean-scaled shards, one per bucket.
     pub fn reduce(&mut self, model: &mut dyn Layer) -> Vec<Tensor> {
-        self.reducer.reduce(&self.ctx, &self.group, model)
+        self.reducer.reduce(&self.ctx, Some(&self.group), model)
     }
 
     /// Reduces the gradients (data-parallel mean), updates this rank's
@@ -346,7 +346,7 @@ mod tests {
             let params = match stage {
                 None => {
                     let mut model = make_model(900);
-                    let mut reducer = GradReducer::data_parallel(&mut model, bucket_bytes);
+                    let mut reducer = GradReducer::data_parallel(&mut model, bucket_bytes, &[]);
                     let mut opt = AdamW::new(0.01, 0.05);
                     for s in 0..steps {
                         let (x, t) = batch(s);
@@ -354,10 +354,11 @@ mod tests {
                         let (loss, dlogits) = cross_entropy(&model.forward(&x), &t);
                         bytes.extend(loss.to_bits().to_le_bytes());
                         if overlap {
-                            (dx, _) = reducer.backward_overlapped(ctx, &g, &mut model, &dlogits);
+                            (dx, _) =
+                                reducer.backward_overlapped(ctx, Some(&g), &mut model, &dlogits);
                         } else {
                             dx = model.backward(&dlogits);
-                            reducer.reduce(ctx, &g, &mut model);
+                            reducer.reduce(ctx, Some(&g), &mut model);
                         }
                         opt.step_layer(&mut model);
                     }

@@ -7,9 +7,11 @@
 //! Run with: `cargo run --release --example vit_tensor_parallel`
 
 use colossalai::comm::World;
+use colossalai::core::zoo::replica_groups;
 use colossalai::core::{build_vit, check_model, Config, ZooModel};
 use colossalai::models::data::SyntheticVision;
 use colossalai::models::TransformerConfig;
+use colossalai::parallel::{GradReducer, DEFAULT_BUCKET_BYTES};
 use colossalai::tensor::ops::cross_entropy;
 use colossalai::topology::systems::system_i;
 
@@ -41,12 +43,17 @@ fn main() {
             .run_on(gpus, |ctx| {
                 // same seed -> same global weights under every mode
                 let mut vit = build_vit(ctx, &config, gpus, &cfg, PATCH_DIM, 1234);
+                // sums the gradients of what the mode replicates across rows
+                let replicas = replica_groups(ctx, &config, gpus);
+                let mut reducer =
+                    GradReducer::data_parallel(vit.as_mut(), DEFAULT_BUCKET_BYTES, &replicas);
                 let losses = (0..STEPS)
                     .map(|step| {
                         let (x, t) = data.batch(BATCH, step as u64);
                         vit.zero_grad();
                         let (loss, d) = cross_entropy(&vit.forward(&x), &t);
                         let _ = vit.backward(&d);
+                        reducer.reduce(ctx, None, vit.as_mut());
                         vit.visit_params(&mut |p| {
                             let g = p.grad().clone();
                             p.value_mut().axpy(-LR, &g);

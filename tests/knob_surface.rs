@@ -109,8 +109,53 @@ fn library_kernels_have_one_arithmetic() {
     }
 }
 
+/// One gradient front end: no library file names the per-layer gradient
+/// sync the reducer replaced, `Param::replicated` is set only by the two
+/// modes that replicate parameters across rows (sequence and mesh
+/// parallelism, when they build a layer), and only the bucketed reducer
+/// reads it. The retired names are assembled from pieces so that a search
+/// of the sources for them comes back empty.
+#[test]
+fn one_gradient_front_end_reads_the_replica_mark() {
+    let retired = [["Grad", "Sync"].concat(), ["grad", "_sync"].concat()];
+    let setters = [
+        "crates/parallel/src/sequence.rs",
+        "crates/parallel/src/mesh.rs",
+    ];
+    let mut users = BTreeSet::new();
+    for (file, text) in library_sources() {
+        for name in &retired {
+            assert!(!text.contains(name.as_str()), "{file} names {name:?}");
+        }
+        if file == "crates/autograd/src/param.rs" {
+            continue;
+        }
+        for line in code_lines(before_unit_tests(&text)) {
+            if line.contains(".replicated = true") {
+                assert!(
+                    setters.contains(&file.as_str()),
+                    "{file} marks a parameter: {line}"
+                );
+            } else if line.contains(".replicated") {
+                assert_eq!(
+                    file, "crates/parallel/src/bucket.rs",
+                    "reads the mark: {line}"
+                );
+            } else {
+                continue;
+            }
+            users.insert(file.clone());
+        }
+    }
+    assert_eq!(
+        users.len(),
+        3,
+        "each of the three files uses the mark: {users:?}"
+    );
+}
+
 /// Overlap is a rule, not an option: the engine overlaps the gradient
-/// reduce with the backward whenever it has a data-parallel group and no
+/// reduce with the backward whenever it has a gradient reducer and no
 /// accumulation, and no library type offers a switch beside that rule. The
 /// name is assembled from pieces so that a search of the sources for it
 /// comes back empty.
@@ -121,7 +166,7 @@ fn no_library_type_switches_overlap() {
         assert!(
             !before_unit_tests(&text).contains(banned.as_str()),
             "{file} contains {banned:?}: the backward overlaps the reduce whenever there is \
-             a data-parallel group and no accumulation (a blocking reduce is a plain \
+             a gradient reducer and no accumulation (a blocking reduce is a plain \
              backward followed by `GradReducer::reduce`)"
         );
     }

@@ -13,7 +13,7 @@ use colossalai::models::{Layout, Serial, TensorParallel, TransformerBlock};
 use colossalai::parallel::tp25d::{tile_x_25d, Grid25d, Linear25d};
 use colossalai::parallel::tp2d::{tile_of, Grid2d, Linear2d};
 use colossalai::parallel::tp3d::{tile_x_3d, tile_y_3d, Grid3d, Linear3d};
-use colossalai::parallel::{SequenceParallel, TensorParallel1d};
+use colossalai::parallel::{GradReducer, SequenceParallel, TensorParallel1d, DEFAULT_BUCKET_BYTES};
 use colossalai::tensor::ops::{cross_entropy, relu, relu_grad};
 use colossalai::tensor::{init, Tensor};
 use colossalai::topology::systems::system_i;
@@ -193,9 +193,12 @@ fn sequence_parallel_block_reproduces_the_frozen_fingerprint() {
     let (dim, heads, ratio, p) = (8usize, 2usize, 2usize, 4usize);
     let got = run(p, |ctx| {
         let ctx = ctx.unwrap();
-        let mode = SequenceParallel::new(ctx, &ctx.world_group(p));
+        let ring = ctx.world_group(p);
+        let mode = SequenceParallel::new(ctx, &ring);
         let mut rng = init::rng(7004);
         let mut blk = TransformerBlock::with_mode(&mode, "blk", dim, heads, ratio, false, &mut rng);
+        // every parameter is replicated: its gradient sums over the ring
+        let mut reducer = GradReducer::data_parallel(&mut blk, DEFAULT_BUCKET_BYTES, &[ring]);
         let mut data = init::rng(7005);
         let mut losses = Vec::new();
         for _ in 0..STEPS {
@@ -203,6 +206,7 @@ fn sequence_parallel_block_reproduces_the_frozen_fingerprint() {
             let y = blk.forward(&mode.shard(&x, Layout::Stream));
             losses.push(y.data().iter().map(|v| v * v).sum::<f32>() / 2.0);
             let _ = blk.backward(&y);
+            reducer.reduce(ctx, None, &mut blk);
             sgd(&mut blk);
         }
         (losses, params_of(&mut blk))

@@ -9,13 +9,18 @@
 //! * Conservation: one forward + backward of the whole ViT (BERT under
 //!   sequence parallelism) meters exactly the element-hops of the closed
 //!   forms — Table 1 of `volume.rs` summed over the model's linears, plus
-//!   the norm, embedding, bias and head / loss collectives, itemised.
+//!   the norm, embedding, bias and head / loss collectives, itemised — and
+//!   issues the itemised number of all-reduces (every collective under
+//!   sequence parallelism): the replica sums ride one fused all-reduce per
+//!   bucket and row group, not one per parameter.
 
-use colossalai::comm::{CommStats, World};
+use colossalai::comm::{CommStats, OpKind, World};
+use colossalai::core::zoo::replica_groups;
 use colossalai::core::{check_model, tensor_parallel, Config, ZooModel};
 use colossalai::models::data::{SyntheticText, SyntheticVision};
 use colossalai::models::{Bert, Gpt, TransformerConfig, VisionTransformer};
 use colossalai::parallel::volume::{volume_1d, volume_25d, volume_2d, volume_3d, MatmulShape};
+use colossalai::parallel::{GradReducer, DEFAULT_BUCKET_BYTES};
 use colossalai::tensor::init;
 use colossalai::tensor::ops::cross_entropy;
 use colossalai::topology::systems::system_i;
@@ -68,7 +73,8 @@ fn sgd(layer: &mut dyn Layer) {
 
 /// Trains `model` for `steps` under `mode`, without the optimizer when
 /// `steps == 0` (one forward + backward): every rank's losses, and what the
-/// world metered.
+/// world metered. After each backward the gradient reducer sums the
+/// parameters the mode replicates over its replica groups.
 fn train(model: ZooModel, mode: &str, steps: usize) -> (Vec<Vec<f32>>, CommStats) {
     let cfg = model_cfg();
     let (size, config) = config(mode);
@@ -79,15 +85,21 @@ fn train(model: ZooModel, mode: &str, steps: usize) -> (Vec<Vec<f32>>, CommStats
         let vision = SyntheticVision::new(cfg.max_seq, PATCH_DIM, cfg.vocab, 11);
         let text = SyntheticText::new(cfg.vocab, 12);
         let tp = tensor_parallel(ctx, &config, size);
+        let replicas = replica_groups(ctx, &config, size);
+        let reducer = |model: &mut dyn Layer| {
+            GradReducer::data_parallel(model, DEFAULT_BUCKET_BYTES, &replicas)
+        };
         let mut rng = init::rng(4242);
         // one training step of the model, returning its loss
-        let mut step: Box<dyn FnMut(u64) -> f32> = match model {
+        let mut step: Box<dyn FnMut(u64) -> f32 + '_> = match model {
             ZooModel::Vit { patch_dim } => {
                 let mut vit = VisionTransformer::with_mode(tp.as_ref(), &cfg, patch_dim, &mut rng);
+                let mut reducer = reducer(&mut vit);
                 Box::new(move |i| {
                     let (x, t) = vision.batch(BATCH, i);
                     let (loss, d) = cross_entropy(&vit.forward(&x), &t);
                     let _ = vit.backward(&d);
+                    reducer.reduce(ctx, None, &mut vit);
                     if update {
                         sgd(&mut vit);
                     }
@@ -96,9 +108,11 @@ fn train(model: ZooModel, mode: &str, steps: usize) -> (Vec<Vec<f32>>, CommStats
             }
             ZooModel::Gpt => {
                 let mut gpt = Gpt::with_mode(tp, &cfg, &mut rng);
+                let mut reducer = reducer(&mut gpt);
                 Box::new(move |i| {
                     let (loss, d) = gpt.lm_loss(&text.batch(BATCH, cfg.max_seq, i));
                     let _ = gpt.backward(&d);
+                    reducer.reduce(ctx, None, &mut gpt);
                     if update {
                         sgd(&mut gpt);
                     }
@@ -107,11 +121,13 @@ fn train(model: ZooModel, mode: &str, steps: usize) -> (Vec<Vec<f32>>, CommStats
             }
             ZooModel::Bert => {
                 let mut bert = Bert::with_mode(tp, &cfg, &mut rng);
+                let mut reducer = reducer(&mut bert);
                 Box::new(move |i| {
                     let tokens = text.batch(BATCH, cfg.max_seq, i);
                     let (masked, targets, positions) = text.mask_for_mlm(&tokens, 0.3, i);
                     let (loss, d) = bert.mlm_loss(&masked, &targets, &positions);
                     let _ = bert.backward(&d);
+                    reducer.reduce(ctx, None, &mut bert);
                     if update {
                         sgd(&mut bert);
                     }
@@ -173,11 +189,16 @@ impl Mesh {
         2 * (g - 1) * n * self.p / g
     }
 
+    /// How many groups of size `g` the devices form.
+    fn groups(&self, g: u64) -> u64 {
+        self.p / g
+    }
+
     fn row_parts(&self) -> u64 {
         self.batch.iter().product()
     }
 
-    /// A `GradSync` over the batch groups of an `n`-element parameter shard.
+    /// Summing an `n`-element parameter shard over the batch groups.
     fn row_replicated(&self, n: u64) -> u64 {
         self.batch.iter().map(|&g| self.all_reduce(g, n)).sum()
     }
@@ -326,6 +347,34 @@ fn whole_model_traffic_equals_the_closed_forms() {
             "{mode}: metered {} element-hops, closed forms {items:?}",
             stats.elements
         );
+
+        // the all-reduces, each counted once per group: a run of replicated
+        // parameters (the position embedding rides with the first norm's)
+        // is one bucket, summed over each row group in turn
+        let n_linears = linears.len() as u64;
+        let bias_group = if mode == "3d" { 4 } else { 2 };
+        let all_reduces = [
+            ("norm statistics", norms * 4 * mesh.groups(mesh.hidden)),
+            ("bias gradients", n_linears * mesh.groups(bias_group)),
+            (
+                "2.5D depth gradient sum",
+                if mode == "2.5d" {
+                    2 * n_linears * mesh.groups(2)
+                } else {
+                    0
+                },
+            ),
+            (
+                "replicated buckets",
+                norms * mesh.batch.iter().map(|&g| mesh.groups(g)).sum::<u64>(),
+            ),
+        ];
+        let expected: u64 = all_reduces.iter().map(|(_, ops)| ops).sum();
+        assert_eq!(
+            stats.ops_of(OpKind::AllReduce),
+            expected,
+            "{mode}: all-reduces, closed forms {all_reduces:?}"
+        );
     }
 
     // sequence parallelism (BERT; the ViT pools over the sharded axis): K and
@@ -352,5 +401,18 @@ fn whole_model_traffic_equals_the_closed_forms() {
         4 * expected,
         "sequence: metered {} element-hops, closed forms {items:?}",
         stats.elements
+    );
+    // four ring collectives per layer, then one all-reduce per bucket (every
+    // parameter is replicated: the default cap holds them in one) and the
+    // loss
+    let ops = [
+        ("ring", 4 * layers as u64),
+        ("parameter gradient buckets", 1),
+        ("loss", 1),
+    ];
+    assert_eq!(
+        stats.ops,
+        ops.iter().map(|(_, n)| n).sum::<u64>(),
+        "sequence: collectives, closed forms {ops:?}"
     );
 }
