@@ -1,4 +1,6 @@
-//! Trainable parameters: a value tensor paired with its gradient accumulator.
+//! Trainable parameters: a value tensor paired with its gradient
+//! accumulator, and — when the parameter is replicated over devices that
+//! saw other rows — the member lists of the groups that sum its gradient.
 
 use colossalai_tensor::Tensor;
 
@@ -12,8 +14,11 @@ pub struct Param {
     name: String,
     value: Tensor,
     grad: Tensor,
-    /// Replicated over devices that saw other rows: the gradient is a share.
-    pub replicated: bool,
+    /// The member lists of the groups whose gradient shares sum to this
+    /// parameter's gradient, outermost first: the parallel mode that
+    /// replicates it over devices that saw other rows writes them, and the
+    /// gradient reducer sums over them. Empty: not replicated.
+    pub replicas: Vec<Vec<usize>>,
 }
 
 impl Param {
@@ -24,7 +29,7 @@ impl Param {
             name: name.into(),
             value,
             grad,
-            replicated: false,
+            replicas: Vec::new(),
         }
     }
 

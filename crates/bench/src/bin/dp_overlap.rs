@@ -58,7 +58,7 @@ fn run(algo: Option<AllReduceAlgo>, overlap: bool, trace: bool) -> (f64, Vec<f32
     let out = world.run_on(P, |ctx| {
         let g = ctx.world_group(P);
         let mut model = Gpt::new(&GPT, &mut init::rng(11));
-        let mut reducer = GradReducer::data_parallel(&mut model, BUCKET_BYTES, &[]);
+        let mut reducer = GradReducer::data_parallel(&mut model, BUCKET_BYTES);
         let mut opt = AdamW::new(1e-3, 0.01);
         for step in 0..STEPS {
             model.zero_grad();

@@ -68,8 +68,7 @@ fn train(cfg: &TransformerConfig, tensor: Option<(usize, &str)>, trace: bool) ->
     world.set_tracing(trace);
     let mut losses = world.run_on(size, |ctx| {
         let mut vit = build_vit(ctx, &config, size, cfg, PATCH_DIM, 1000);
-        let replicas = colossalai_core::zoo::replica_groups(ctx, &config, size);
-        let mut reducer = GradReducer::data_parallel(vit.as_mut(), DEFAULT_BUCKET_BYTES, &replicas);
+        let mut reducer = GradReducer::data_parallel(vit.as_mut(), DEFAULT_BUCKET_BYTES);
         (0..STEPS)
             .map(|step| {
                 let (x, t) = data.batch(BATCH, step as u64);

@@ -572,7 +572,8 @@ impl Group {
         self.advance_stream(ctx, stream, t_done);
         if ctx.tracing() {
             let group = self.members().to_vec();
-            ctx.trace_span_on(
+            ctx.trace_span_as(
+                ctx.rank(),
                 self.device_track(ctx, stream),
                 SpanKind::Collective { kind, bytes, group },
                 t_arrive,

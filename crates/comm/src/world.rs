@@ -172,7 +172,8 @@ pub(crate) struct WorldInner {
     /// OS-thread observability (never part of the parity surface); every
     /// run's executor marks its sleeps here.
     threads: Arc<ThreadCounters>,
-    /// Programmatic pool-size override (wins over the environment).
+    /// The pool size [`World::set_backend`] pinned; `None` runs one slot
+    /// per host core.
     backend: Mutex<Option<WorldBackend>>,
 }
 
@@ -665,7 +666,7 @@ impl DeviceCtx {
         if self.tracing() {
             let label = "gemm".to_string();
             let track = Track::Device(self.rank);
-            self.trace_span_on(track, SpanKind::Compute { label }, t, end);
+            self.trace_span_as(self.rank, track, SpanKind::Compute { label }, t, end);
         }
         end
     }
@@ -783,25 +784,13 @@ impl DeviceCtx {
     /// enabled.
     pub fn trace_span(&self, kind: SpanKind, start: f64) {
         let end = self.clock();
-        self.trace_span_on(Track::Device(self.rank), kind, start, end);
+        self.trace_span_as(self.rank, Track::Device(self.rank), kind, start, end);
     }
 
-    /// Records a span on an arbitrary track (used by collectives for the
-    /// per-group timeline).
-    pub(crate) fn trace_span_on(&self, track: Track, kind: SpanKind, start: f64, end: f64) {
-        if self.tracing() {
-            self.world.tracer.record(Span {
-                rank: self.rank,
-                track,
-                kind,
-                start,
-                end,
-            });
-        }
-    }
-
-    /// Records a span attributed to an explicit rank (group-track spans use
-    /// the group's first member so traces don't depend on arrival order).
+    /// Records a span attributed to `rank` on an arbitrary track: this
+    /// device's for its own track, the group's first member for a
+    /// group-track span (so traces don't depend on arrival order). No-op
+    /// unless tracing is enabled.
     pub(crate) fn trace_span_as(
         &self,
         rank: DeviceId,
@@ -833,7 +822,7 @@ impl DeviceCtx {
             let kind = SpanKind::Phase {
                 name: name.to_string(),
             };
-            self.trace_span_on(Track::Device(self.rank), kind, start, end);
+            self.trace_span_as(self.rank, Track::Device(self.rank), kind, start, end);
         }
         out
     }

@@ -36,13 +36,6 @@ impl Default for GradScaler {
 }
 
 impl GradScaler {
-    pub fn new(initial_scale: f32) -> Self {
-        GradScaler {
-            scale: initial_scale,
-            ..Default::default()
-        }
-    }
-
     /// Current loss scale.
     pub fn scale(&self) -> f32 {
         self.scale
@@ -80,14 +73,20 @@ mod tests {
 
     #[test]
     fn overflow_halves_scale_and_skips() {
-        let mut scaler = GradScaler::new(1024.0);
+        let mut scaler = GradScaler {
+            scale: 1024.0,
+            ..Default::default()
+        };
         assert_eq!(scaler.update(false), None);
         assert_eq!(scaler.scale(), 512.0);
     }
 
     #[test]
     fn finite_step_returns_the_unscale_factor() {
-        let mut scaler = GradScaler::new(8.0);
+        let mut scaler = GradScaler {
+            scale: 8.0,
+            ..Default::default()
+        };
         assert_eq!(scaler.update(true), Some(0.125));
         assert_eq!(
             scaler.scale(),
@@ -98,8 +97,11 @@ mod tests {
 
     #[test]
     fn scale_grows_after_interval() {
-        let mut scaler = GradScaler::new(4.0);
-        scaler.growth_interval = 3;
+        let mut scaler = GradScaler {
+            scale: 4.0,
+            growth_interval: 3,
+            ..Default::default()
+        };
         for _ in 0..3 {
             assert!(scaler.update(true).is_some());
         }
@@ -108,7 +110,10 @@ mod tests {
 
     #[test]
     fn scale_grad_multiplies() {
-        let scaler = GradScaler::new(4.0);
+        let scaler = GradScaler {
+            scale: 4.0,
+            ..Default::default()
+        };
         let dy = Tensor::full([3], 0.5);
         assert_eq!(scaler.scale_grad(&dy).data(), &[2.0; 3]);
     }

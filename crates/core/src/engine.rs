@@ -43,7 +43,8 @@ pub struct Engine {
     mp_group: Option<Group>,
     ctx: DeviceCtx,
     /// The gradient reducer of non-ZeRO engines with data-parallel peers or
-    /// replica groups (a ZeRO optimizer holds its own sharding reducer).
+    /// replicated parameters (a ZeRO optimizer holds its own sharding
+    /// reducer).
     reducer: Option<GradReducer>,
     /// `Some` once an overlapped backward reduced this step's gradients, so
     /// `step` must not reduce them again: ZeRO's shards, or empty for dense
@@ -63,6 +64,12 @@ pub struct Engine {
 ///
 /// `world` is the number of devices participating in this run (the closure
 /// count passed to `World::run_on`).
+///
+/// No caller names a process group. A non-ZeRO engine reduces gradients
+/// through one [`GradReducer`] when the rank has data-parallel peers or the
+/// model holds parameters its parallel mode replicated: those name the
+/// groups that sum them (`Param::replicas`), and the reducer finds the
+/// groups from the names.
 pub fn initialize(
     ctx: &DeviceCtx,
     config: &Config,
@@ -119,11 +126,10 @@ pub fn initialize(
     };
 
     // non-ZeRO engines reduce gradients through fused size-capped buckets:
-    // the mode's replica sums and the data-parallel mean
-    let replicas = crate::zoo::replica_groups(ctx, config, world);
-    let reducer = ((dp_group.is_some() || !replicas.is_empty())
-        && !matches!(optimizer, EngineOptimizer::Zero(_)))
-    .then(|| GradReducer::data_parallel(model.as_mut(), config.bucket_bytes(), &replicas));
+    // the replica sums the model's parameters name and the data-parallel mean
+    let reducer = (!matches!(optimizer, EngineOptimizer::Zero(_)))
+        .then(|| GradReducer::data_parallel(model.as_mut(), config.bucket_bytes()))
+        .filter(|reducer| dp_group.is_some() || reducer.sums_replicas());
     Engine {
         model,
         optimizer,
@@ -571,7 +577,7 @@ mod tests {
                 } else {
                     let g = ctx.world_group(4);
                     let mut model = make_model(60);
-                    let mut reducer = GradReducer::data_parallel(model.as_mut(), 0, &[]);
+                    let mut reducer = GradReducer::data_parallel(model.as_mut(), 0);
                     let mut opt = AdamW::new(0.01, 0.01);
                     for x in &mut batches {
                         model.zero_grad();

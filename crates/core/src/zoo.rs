@@ -9,11 +9,16 @@
 //! A model whose dimensions the mesh cannot cut evenly is rejected by
 //! [`check_model`], which names the dimension — call it before
 //! `World::run_on`, where an `Err` is still an `Err` and not a panicked rank.
+//!
+//! A model the zoo returns carries its own gradient plan: the sequence and
+//! mesh modes write, on each parameter they replicate, the member lists of
+//! the groups that sum its gradient (`Param::replicas`), so the gradient
+//! reducer needs nothing from the config and the zoo returns no groups.
 
 use crate::config::Config;
 use crate::context::{ParallelAxis, ParallelContext};
 use colossalai_autograd::Layer;
-use colossalai_comm::{DeviceCtx, Group};
+use colossalai_comm::DeviceCtx;
 use colossalai_models::{Bert, Gpt, Serial, TensorParallel, TransformerConfig, VisionTransformer};
 use colossalai_parallel::mesh::MeshLayout;
 use colossalai_parallel::{MeshParallel, SequenceParallel, TensorParallel1d, TpMode};
@@ -42,19 +47,6 @@ pub fn tensor_parallel(ctx: &DeviceCtx, config: &Config, world: usize) -> Box<dy
         None => Box::new(SequenceParallel::new(ctx, &ctx.group(&members))),
         Some(TpMode::OneD) => Box::new(TensorParallel1d::new(ctx, &ctx.group(&members))),
         Some(mode) => Box::new(MeshParallel::new(ctx, mode, &members)),
-    }
-}
-
-/// The groups over which the gradient reducer sums what `config`'s mode
-/// marks replicated: the sequence ring, a mesh stream's row groups, or none.
-pub fn replica_groups(ctx: &DeviceCtx, config: &Config, world: usize) -> Vec<Group> {
-    let members =
-        ParallelContext::new(config, ctx.rank(), world).group_members(ParallelAxis::Tensor);
-    match config.tp_mode() {
-        _ if members.len() <= 1 => Vec::new(),
-        None => vec![ctx.group(&members)],
-        Some(TpMode::OneD) => Vec::new(),
-        Some(mode) => MeshParallel::new(ctx, mode, &members).replica_groups(),
     }
 }
 

@@ -1,8 +1,10 @@
 //! The gradient reducer: bucketed, backward-overlapped reduction of the flat
 //! gradient, shared by data parallelism, every ZeRO stage and the replica
-//! sums of sequence and mesh parallelism: no bucket mixes parameters marked
-//! [`Param::replicated`] with others, and a marked one is all-reduced over
-//! the mode's replica groups first, then the data-parallel group.
+//! sums of sequence and mesh parallelism. A parameter such a mode replicates
+//! names the groups that sum its gradient ([`Param::replicas`]); no bucket
+//! mixes parameters whose lists differ, and a marked bucket is all-reduced
+//! over each of its groups, outermost first, then over the data-parallel
+//! group. This file is the one reader of the mark.
 //!
 //! Per-parameter all-reduce pays one latency (alpha) term per tensor; with
 //! hundreds of small parameters the latency terms dominate. Instead the
@@ -40,8 +42,8 @@ pub struct Bucket {
     pub offset: usize,
     /// Total elements in the bucket.
     pub len: usize,
-    /// Whether its parameters are marked replicated.
-    pub replicated: bool,
+    /// Its parameters' [`Param::replicas`], which they all share.
+    pub replicas: Vec<Vec<usize>>,
 }
 
 /// A deterministic partition of a model's parameters into buckets. Every
@@ -57,23 +59,23 @@ pub struct BucketPlan {
 }
 
 impl BucketPlan {
-    /// Greedily packs `(size, replicated)` parameters (in visit order) into
-    /// buckets of one mark and at most `cap_bytes` of f32 data. A parameter
-    /// larger than the cap gets a bucket of its own — parameters are never
-    /// split across buckets.
-    pub fn from_params(params: &[(usize, bool)], cap_bytes: usize) -> BucketPlan {
+    /// Greedily packs `(size, replicas)` parameters (in visit order) into
+    /// buckets of one replica list and at most `cap_bytes` of f32 data. A
+    /// parameter larger than the cap gets a bucket of its own — parameters
+    /// are never split across buckets.
+    pub fn from_params(params: &[(usize, Vec<Vec<usize>>)], cap_bytes: usize) -> BucketPlan {
         let cap_elems = (cap_bytes / std::mem::size_of::<f32>()).max(1);
         let mut buckets = Vec::new();
         let mut start = 0;
         let mut offset = 0;
         let mut len = 0;
-        for (i, &(n, replicated)) in params.iter().enumerate() {
-            if len > 0 && (len + n > cap_elems || replicated != params[i - 1].1) {
+        for (i, (n, replicas)) in params.iter().enumerate() {
+            if len > 0 && (len + n > cap_elems || *replicas != params[i - 1].1) {
                 buckets.push(Bucket {
                     params: start..i,
                     offset,
                     len,
-                    replicated: params[i - 1].1,
+                    replicas: params[i - 1].1.clone(),
                 });
                 start = i;
                 offset += len;
@@ -86,7 +88,7 @@ impl BucketPlan {
                 params: start..params.len(),
                 offset,
                 len,
-                replicated: params.last().is_some_and(|p| p.1),
+                replicas: params.last().map(|p| p.1.clone()).unwrap_or_default(),
             });
         }
         BucketPlan {
@@ -98,7 +100,7 @@ impl BucketPlan {
     /// Builds the plan for a model's parameters.
     pub fn for_model(model: &mut dyn Layer, cap_bytes: usize) -> BucketPlan {
         let mut params = Vec::new();
-        model.visit_params(&mut |p| params.push((p.numel(), p.replicated)));
+        model.visit_params(&mut |p| params.push((p.numel(), p.replicas.clone())));
         BucketPlan::from_params(&params, cap_bytes)
     }
 
@@ -325,9 +327,9 @@ pub struct GradReducer {
     /// buffers start zeroed, so the padding reduces as zeros).
     pub(crate) layout: FlatLayout,
     keep: Keep,
-    /// Per bucket: summed over `replicas` first, in order.
-    replicated: Vec<bool>,
-    replicas: Vec<Group>,
+    /// Per bucket: the member lists of the groups it is summed over first,
+    /// outermost first (empty: not replicated).
+    replicas: Vec<Vec<Vec<usize>>>,
 }
 
 impl GradReducer {
@@ -338,29 +340,33 @@ impl GradReducer {
     /// shards evenly. No bucket is replicated.
     pub fn new(param_sizes: &[usize], buckets: Vec<(usize, usize)>, keep: Keep) -> Self {
         GradReducer {
-            replicated: vec![false; buckets.len()],
+            replicas: vec![Vec::new(); buckets.len()],
             layout: FlatLayout::new(param_sizes, buckets),
             keep,
-            replicas: Vec::new(),
         }
     }
 
     /// Bucketed data parallelism over `model`: a [`Keep::Whole`] reducer
     /// whose buckets hold whole parameters, at most `cap_bytes` each (see
-    /// [`DEFAULT_BUCKET_BYTES`]), marked ones summed over `replicas` first.
-    /// The model must have been built identically on every rank (same
-    /// seed), as real DDP assumes rank-0 broadcast weights.
-    pub fn data_parallel(model: &mut dyn Layer, cap_bytes: usize, replicas: &[Group]) -> Self {
+    /// [`DEFAULT_BUCKET_BYTES`]), marked ones summed over the groups their
+    /// [`Param::replicas`] name first. The model must have been built
+    /// identically on every rank (same seed), as real DDP assumes rank-0
+    /// broadcast weights.
+    pub fn data_parallel(model: &mut dyn Layer, cap_bytes: usize) -> Self {
         let plan = BucketPlan::for_model(model, cap_bytes);
-        let buckets = plan.buckets.iter().map(|b| (b.offset, b.len)).collect();
-        let replicated: Vec<bool> = plan.buckets.iter().map(|b| b.replicated).collect();
-        let unmarked = !replicated.contains(&true);
-        assert!(unmarked || !replicas.is_empty(), "no replica groups");
+        let (buckets, replicas) = (plan.buckets.into_iter())
+            .map(|b| ((b.offset, b.len), b.replicas))
+            .unzip();
         GradReducer {
-            replicated,
-            replicas: replicas.to_vec(),
+            replicas,
             ..GradReducer::new(&plan.param_sizes, buckets, Keep::Whole)
         }
+    }
+
+    /// Whether some bucket holds replicated parameters: a reducer a rank
+    /// without data-parallel peers still needs.
+    pub fn sums_replicas(&self) -> bool {
+        self.replicas.iter().any(|lists| !lists.is_empty())
     }
 
     /// The `(offset, len)` buckets, in visit (forward) order.
@@ -368,8 +374,8 @@ impl GradReducer {
         &self.layout.ranges
     }
 
-    /// Sends bucket `b`'s elements `flat` (all-reduced over each replica
-    /// group first if it is replicated) through the kind's collective at f32
+    /// Sends bucket `b`'s elements `flat` (all-reduced over each of its
+    /// replica groups first) through the kind's collective at f32
     /// width on `stream`: an all-reduce, or a reduce-scatter for
     /// [`Keep::ShardOfReduceScatter`]. A shard is this rank's alone and is
     /// scaled by 1/p here, in place; a whole bucket is the one all-reduce
@@ -385,8 +391,8 @@ impl GradReducer {
     ) -> Tensor {
         let mut bucket = Tensor::from_vec([flat.len()], flat);
         let all_reduce = Collective::from(Op::AllReduce { max: false }).on(stream);
-        for group in self.replicas.iter().filter(|_| self.replicated[b]) {
-            bucket = group.collective(ctx, all_reduce, bucket);
+        for members in &self.replicas[b] {
+            bucket = ctx.group(members).collective(ctx, all_reduce, bucket);
         }
         let Some(group) = dp else {
             return bucket;
@@ -496,7 +502,7 @@ mod tests {
     fn greedy_packing_respects_cap_and_covers_params() {
         // sizes in elements; cap of 100 elements = 400 bytes
         let sizes = [40, 50, 30, 200, 10, 10];
-        let plan = BucketPlan::from_params(&sizes.map(|n| (n, false)), 400);
+        let plan = BucketPlan::from_params(&sizes.map(|n| (n, Vec::new())), 400);
         // 40+50 fits the 100-element cap; +30 would exceed → new bucket;
         // 30+200 exceeds → 200 gets its own; 10+10 closes it out
         let ranges: Vec<_> = plan.buckets.iter().map(|b| b.params.clone()).collect();
@@ -517,12 +523,13 @@ mod tests {
     #[test]
     fn a_bucket_never_mixes_replicated_and_unreplicated_parameters() {
         let marks = [false, true, true, false, false, true];
-        let params: Vec<_> = [4, 4, 4, 0, 4, 4].into_iter().zip(marks).collect();
+        let lists = marks.map(|m| if m { vec![vec![0, 1]] } else { Vec::new() });
+        let params: Vec<_> = [4, 4, 4, 0, 4, 4].into_iter().zip(lists).collect();
         let plan = BucketPlan::from_params(&params, 1 << 20);
         let got: Vec<_> = plan
             .buckets
             .iter()
-            .map(|b| (b.params.clone(), b.replicated))
+            .map(|b| (b.params.clone(), !b.replicas.is_empty()))
             .collect();
         assert_eq!(
             got,
@@ -531,9 +538,40 @@ mod tests {
     }
 
     #[test]
+    fn each_bucket_is_summed_over_the_groups_its_parameters_name() {
+        // on 4 ranks, `a` sums over {0, 1} / {2, 3} and `b` over {0, 2} / {1, 3};
+        // rank r contributes 2^r, so every sum names the ranks it added
+        let world = World::new(system_i());
+        let grads = world.run_on(4, |ctx| {
+            let r = ctx.rank();
+            let groups = [vec![r & !1, r | 1], vec![r & !2, r | 2]];
+            let params = groups.into_iter().zip(["a", "b"]).map(|(members, name)| {
+                let mut p = Param::new(name, Tensor::zeros([3]));
+                p.accumulate_grad(&Tensor::full([3], (1 << r) as f32));
+                p.replicas = vec![members];
+                p
+            });
+            let mut model = Bag(params.collect());
+            let mut reducer = GradReducer::data_parallel(&mut model, DEFAULT_BUCKET_BYTES);
+            assert!(reducer.sums_replicas());
+            assert_eq!(reducer.buckets(), &[(0, 3), (3, 3)], "one bucket per list");
+            assert!(reducer.reduce(ctx, None, &mut model).is_empty());
+            model
+                .0
+                .iter()
+                .map(|p| p.grad().data().to_vec())
+                .collect::<Vec<_>>()
+        });
+        let hand = [[3.0, 5.0], [3.0, 10.0], [12.0, 5.0], [12.0, 10.0]];
+        for (r, (got, want)) in grads.iter().zip(hand).enumerate() {
+            assert_eq!(got, &want.map(|g| vec![g; 3]), "rank {r}");
+        }
+    }
+
+    #[test]
     fn oversized_param_gets_own_bucket() {
         let sizes = [1000, 4, 4];
-        let plan = BucketPlan::from_params(&sizes.map(|n| (n, false)), 64);
+        let plan = BucketPlan::from_params(&sizes.map(|n| (n, Vec::new())), 64);
         assert_eq!(plan.buckets[0].params, 0..1);
         assert_eq!(plan.buckets[0].len, 1000);
     }
@@ -584,9 +622,8 @@ mod tests {
             let cap_bytes = 4 * rng.gen_range(2usize..24);
             // a replica mark on every third parameter splits buckets too
             let marked = sizes.iter().enumerate();
-            let marked: Vec<_> = marked
-                .map(|(i, &n)| (n, (i + seed as usize).is_multiple_of(3)))
-                .collect();
+            let mark = |i: usize| vec![vec![0]; usize::from((i + seed as usize).is_multiple_of(3))];
+            let marked: Vec<_> = marked.map(|(i, &n)| (n, mark(i))).collect();
             let whole_params = BucketPlan::from_params(&marked, cap_bytes);
             let whole_params = whole_params.buckets.iter().map(|b| (b.offset, b.len));
             let plans = [
@@ -703,7 +740,7 @@ mod tests {
             });
 
             // tiny cap → many buckets; still must match bitwise
-            let mut reducer = GradReducer::data_parallel(&mut model, 64, &[]);
+            let mut reducer = GradReducer::data_parallel(&mut model, 64);
             assert!(reducer.buckets().len() > 1);
             assert!(reducer.reduce(ctx, Some(&g), &mut model).is_empty());
             let fused = flatten_grads(&mut model);
@@ -722,7 +759,7 @@ mod tests {
             let mut model = make_model(822);
             let x = init::uniform([2, 4], -1.0, 1.0, &mut init::rng(930));
             let y = model.forward(&x);
-            let mut reducer = GradReducer::data_parallel(&mut model, 64, &[]);
+            let mut reducer = GradReducer::data_parallel(&mut model, 64);
             let dy = Tensor::ones(y.shape().clone());
             let (_, reduced) = reducer.backward_overlapped(ctx, Some(&g), &mut model, &dy);
             assert!(reduced.is_empty(), "whole buckets land in the model");

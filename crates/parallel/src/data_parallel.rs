@@ -97,7 +97,7 @@ mod tests {
         let results = world.run_on(p, |ctx| {
             let g = ctx.world_group(p);
             let mut model = make_model(603);
-            let mut reducer = GradReducer::data_parallel(&mut model, DEFAULT_BUCKET_BYTES, &[]);
+            let mut reducer = GradReducer::data_parallel(&mut model, DEFAULT_BUCKET_BYTES);
             let mut opt = AdamW::new(0.01, 0.01);
             for s in 0..steps {
                 model.zero_grad();
@@ -132,7 +132,7 @@ mod tests {
         let grads = world.run_on(p, |ctx| {
             let g = ctx.world_group(p);
             let mut model = make_model(604);
-            let mut reducer = GradReducer::data_parallel(&mut model, DEFAULT_BUCKET_BYTES, &[]);
+            let mut reducer = GradReducer::data_parallel(&mut model, DEFAULT_BUCKET_BYTES);
             // different data per rank
             let mut rng = init::rng(700 + g.rank() as u64);
             let x = init::uniform([2, 4], -1.0, 1.0, &mut rng);

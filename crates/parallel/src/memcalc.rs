@@ -70,24 +70,6 @@ pub fn act_bytes_1d_tp(cfg: &TransformerConfig, batch: usize, seq: usize, p: usi
     (s * b * h * (dup + sharded / p as f64)) as u64
 }
 
-/// Per-layer activation bytes (fp16) of sequence-parallel training: *every*
-/// activation is split along the sequence, so the whole footprint shards by
-/// `1/p`.
-pub fn act_bytes_seq_parallel(cfg: &TransformerConfig, batch: usize, seq: usize, p: usize) -> u64 {
-    cfg.activation_bytes_per_layer(batch, seq) / p as u64
-}
-
-/// Model-data bytes per device (fp16 weights/grads + fp32 Adam states):
-/// 1D TP shards by `p`; sequence parallelism replicates.
-pub fn model_bytes_1d_tp(cfg: &TransformerConfig, p: usize) -> u64 {
-    cfg.model_data_bytes() / p as u64
-}
-
-/// See [`model_bytes_1d_tp`].
-pub fn model_bytes_seq_parallel(cfg: &TransformerConfig, _p: usize) -> u64 {
-    cfg.model_data_bytes()
-}
-
 /// Whether sequence length/batch combination fits on a device with
 /// `capacity` bytes under the given mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,7 +78,11 @@ pub enum SeqMode {
     SequenceParallel,
 }
 
-/// Total per-device bytes for BERT-style training at `(batch, seq)`.
+/// Total per-device bytes for BERT-style training at `(batch, seq)`: the
+/// model data (fp16 weights / grads + fp32 Adam states), which 1D TP shards
+/// by `p` and sequence parallelism replicates, plus every layer's
+/// activations, of which sequence parallelism splits *every* one along the
+/// sequence (the whole footprint shards by `1/p`).
 pub fn bert_step_bytes(
     mode: SeqMode,
     cfg: &TransformerConfig,
@@ -107,10 +93,11 @@ pub fn bert_step_bytes(
     let layers = cfg.layers as u64;
     match mode {
         SeqMode::TensorParallel1d => {
-            model_bytes_1d_tp(cfg, p) + layers * act_bytes_1d_tp(cfg, batch, seq, p)
+            cfg.model_data_bytes() / p as u64 + layers * act_bytes_1d_tp(cfg, batch, seq, p)
         }
         SeqMode::SequenceParallel => {
-            model_bytes_seq_parallel(cfg, p) + layers * act_bytes_seq_parallel(cfg, batch, seq, p)
+            let act = cfg.activation_bytes_per_layer(batch, seq) / p as u64;
+            cfg.model_data_bytes() + layers * act
         }
     }
 }

@@ -17,14 +17,13 @@
 //! Axis 0 is the 2.5D depth (size 1 under 2D), axis 1 the grid row and axis
 //! 2 the grid column; under 3D they are `i`, `j` and `k`. Row axes are
 //! listed outermost first. The norms and embeddings hold stream columns
-//! replicated over the stream's row axes: they are marked
-//! [`Param::replicated`] and the gradient reducer sums them over
-//! [`MeshParallel::replica_groups`]. Under 2D and 2.5D the stream and the
-//! branch share one layout. Under 3D a `Stream -> Branch` linear runs on the
-//! cube as built and a `Branch -> Stream` one on the cube with axes 1 and 2
-//! exchanged, whose input layout is the first one's output layout and vice
-//! versa: consecutive linears chain X -> Y -> X with no re-layout between
-//! them.
+//! replicated over the stream's row axes: their [`Param::replicas`] name the
+//! stream's row groups, and the gradient reducer sums them there. Under 2D
+//! and 2.5D the stream and the branch share one layout. Under 3D a
+//! `Stream -> Branch` linear runs on the cube as built and a
+//! `Branch -> Stream` one on the cube with axes 1 and 2 exchanged, whose
+//! input layout is the first one's output layout and vice versa:
+//! consecutive linears chain X -> Y -> X with no re-layout between them.
 
 use crate::norm2d::LayerNorm2d;
 use crate::tp25d::{Grid25d, Linear25d};
@@ -265,14 +264,16 @@ impl MeshParallel {
         }
     }
 
-    /// The groups that split the stream's rows, outermost first.
-    pub fn replica_groups(&self) -> Vec<Group> {
-        self.stream.batch.clone()
-    }
-
-    /// `layer` with its parameters marked replicated over the row groups.
+    /// `layer` with its parameters marked replicated over the groups that
+    /// split the stream's rows, outermost first.
     fn row_replicated(&self, mut layer: impl Layer + 'static) -> Box<dyn Layer> {
-        layer.visit_params(&mut |p| p.replicated = true);
+        let rows: Vec<_> = self
+            .stream
+            .batch
+            .iter()
+            .map(|g| g.members().to_vec())
+            .collect();
+        layer.visit_params(&mut |p| p.replicas = rows.clone());
         Box::new(layer)
     }
 

@@ -3,8 +3,9 @@
 //! `[rows, h/n]` slice with row statistics (mean, variance) assembled by
 //! all-reduces over the group that splits the hidden axis — the grid row
 //! under 2D / 2.5D, the `j` (or `k`) axis under 3D. Gamma and beta's
-//! gradients are this device's rows' share: the mesh mode marks them
-//! [`Param::replicated`] and the gradient reducer sums them over the rows.
+//! gradients are this device's rows' share: the mesh mode names the row
+//! groups in their [`Param::replicas`] and the gradient reducer sums them
+//! there.
 
 use crate::tp2d::{collapse, expand};
 use colossalai_autograd::{Layer, Param};
@@ -163,9 +164,9 @@ mod tests {
             let grid = Grid2d::new(ctx, &members);
             let mut ln = LayerNorm2d::new(ctx, &grid.row_group, "ln", h);
             // replicated down the grid column, whose devices hold other rows
-            ln.visit_params(&mut |p| p.replicated = true);
-            let replicas = [grid.col_group.clone()];
-            let mut reducer = GradReducer::data_parallel(&mut ln, DEFAULT_BUCKET_BYTES, &replicas);
+            let column = vec![grid.col_group.members().to_vec()];
+            ln.visit_params(&mut |p| p.replicas = column.clone());
+            let mut reducer = GradReducer::data_parallel(&mut ln, DEFAULT_BUCKET_BYTES);
             let y = ln.forward(&tile_of(&x, j, grid.row, grid.col));
             let dx = ln.backward(&tile_of(&dy, j, grid.row, grid.col));
             assert!(reducer.reduce(ctx, None, &mut ln).is_empty());

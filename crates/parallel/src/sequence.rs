@@ -10,7 +10,8 @@
 //! We implement the exchange with those collectives — same volume, same
 //! ring bottleneck, substantially less bookkeeping.
 //!
-//! Every parameter is marked [`Param::replicated`]; the reducer sums it over the ring.
+//! Every parameter is replicated: its [`Param::replicas`] name the ring, and
+//! the gradient reducer sums it there.
 
 use crate::vocab_parallel::mean_loss_over_rows;
 use colossalai_autograd::{
@@ -73,7 +74,8 @@ impl AttentionCore for RingSelfAttention {
 /// MLP and the heads are pointwise along the sequence and run locally; only
 /// attention rides the ring. The shards see different tokens, so every
 /// parameter is marked replicated (the paper's sequence parallelism
-/// inherits its gradient sum from its data-parallel ancestry).
+/// inherits its gradient sum from its data-parallel ancestry), and the mark
+/// names the ring.
 #[derive(Clone)]
 pub struct SequenceParallel {
     ctx: DeviceCtx,
@@ -90,7 +92,8 @@ impl SequenceParallel {
 
     /// `layer` with every parameter marked replicated across the ring.
     fn replicate(&self, mut layer: impl Layer + 'static) -> Box<dyn Layer> {
-        layer.visit_params(&mut |p| p.replicated = true);
+        let ring = vec![self.group.members().to_vec()];
+        layer.visit_params(&mut |p| p.replicas = ring.clone());
         Box::new(layer)
     }
 }

@@ -346,7 +346,7 @@ mod tests {
             let params = match stage {
                 None => {
                     let mut model = make_model(900);
-                    let mut reducer = GradReducer::data_parallel(&mut model, bucket_bytes, &[]);
+                    let mut reducer = GradReducer::data_parallel(&mut model, bucket_bytes);
                     let mut opt = AdamW::new(0.01, 0.05);
                     for s in 0..steps {
                         let (x, t) = batch(s);

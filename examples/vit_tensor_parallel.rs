@@ -7,7 +7,6 @@
 //! Run with: `cargo run --release --example vit_tensor_parallel`
 
 use colossalai::comm::World;
-use colossalai::core::zoo::replica_groups;
 use colossalai::core::{build_vit, check_model, Config, ZooModel};
 use colossalai::models::data::SyntheticVision;
 use colossalai::models::TransformerConfig;
@@ -44,9 +43,7 @@ fn main() {
                 // same seed -> same global weights under every mode
                 let mut vit = build_vit(ctx, &config, gpus, &cfg, PATCH_DIM, 1234);
                 // sums the gradients of what the mode replicates across rows
-                let replicas = replica_groups(ctx, &config, gpus);
-                let mut reducer =
-                    GradReducer::data_parallel(vit.as_mut(), DEFAULT_BUCKET_BYTES, &replicas);
+                let mut reducer = GradReducer::data_parallel(vit.as_mut(), DEFAULT_BUCKET_BYTES);
                 let losses = (0..STEPS)
                     .map(|step| {
                         let (x, t) = data.batch(BATCH, step as u64);

@@ -140,7 +140,7 @@ fn dp_run(p: usize, overlap: bool, trace: bool) -> (Vec<f32>, f64, World) {
         let g = ctx.world_group(p);
         let mut model = model(32);
         // 4 KiB buckets over ~3k params -> several buckets per backward
-        let mut reducer = GradReducer::data_parallel(&mut model, 4096, &[]);
+        let mut reducer = GradReducer::data_parallel(&mut model, 4096);
         let mut opt = AdamW::new(0.01, 0.01);
         for x in &xs {
             model.zero_grad();

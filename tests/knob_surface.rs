@@ -110,14 +110,19 @@ fn library_kernels_have_one_arithmetic() {
 }
 
 /// One gradient front end: no library file names the per-layer gradient
-/// sync the reducer replaced, `Param::replicated` is set only by the two
-/// modes that replicate parameters across rows (sequence and mesh
-/// parallelism, when they build a layer), and only the bucketed reducer
+/// sync the reducer replaced or the replica groups a caller once fetched
+/// for it, `Param::replicas` is set only by the two modes that replicate
+/// parameters across rows (sequence and mesh parallelism, when they build a
+/// layer, naming the groups that sum them), and only the bucketed reducer
 /// reads it. The retired names are assembled from pieces so that a search
 /// of the sources for them comes back empty.
 #[test]
 fn one_gradient_front_end_reads_the_replica_mark() {
-    let retired = [["Grad", "Sync"].concat(), ["grad", "_sync"].concat()];
+    let retired = [
+        ["Grad", "Sync"].concat(),
+        ["grad", "_sync"].concat(),
+        ["replica", "_groups"].concat(),
+    ];
     let setters = [
         "crates/parallel/src/sequence.rs",
         "crates/parallel/src/mesh.rs",
@@ -131,12 +136,12 @@ fn one_gradient_front_end_reads_the_replica_mark() {
             continue;
         }
         for line in code_lines(before_unit_tests(&text)) {
-            if line.contains(".replicated = true") {
+            if line.contains(".replicas = ") {
                 assert!(
                     setters.contains(&file.as_str()),
                     "{file} marks a parameter: {line}"
                 );
-            } else if line.contains(".replicated") {
+            } else if line.contains(".replicas") {
                 assert_eq!(
                     file, "crates/parallel/src/bucket.rs",
                     "reads the mark: {line}"

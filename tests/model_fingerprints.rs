@@ -198,7 +198,7 @@ fn sequence_parallel_block_reproduces_the_frozen_fingerprint() {
         let mut rng = init::rng(7004);
         let mut blk = TransformerBlock::with_mode(&mode, "blk", dim, heads, ratio, false, &mut rng);
         // every parameter is replicated: its gradient sums over the ring
-        let mut reducer = GradReducer::data_parallel(&mut blk, DEFAULT_BUCKET_BYTES, &[ring]);
+        let mut reducer = GradReducer::data_parallel(&mut blk, DEFAULT_BUCKET_BYTES);
         let mut data = init::rng(7005);
         let mut losses = Vec::new();
         for _ in 0..STEPS {

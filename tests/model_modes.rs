@@ -15,7 +15,6 @@
 //!   bucket and row group, not one per parameter.
 
 use colossalai::comm::{CommStats, OpKind, World};
-use colossalai::core::zoo::replica_groups;
 use colossalai::core::{check_model, tensor_parallel, Config, ZooModel};
 use colossalai::models::data::{SyntheticText, SyntheticVision};
 use colossalai::models::{Bert, Gpt, TransformerConfig, VisionTransformer};
@@ -74,7 +73,7 @@ fn sgd(layer: &mut dyn Layer) {
 /// Trains `model` for `steps` under `mode`, without the optimizer when
 /// `steps == 0` (one forward + backward): every rank's losses, and what the
 /// world metered. After each backward the gradient reducer sums the
-/// parameters the mode replicates over its replica groups.
+/// parameters the mode replicates over the groups each names.
 fn train(model: ZooModel, mode: &str, steps: usize) -> (Vec<Vec<f32>>, CommStats) {
     let cfg = model_cfg();
     let (size, config) = config(mode);
@@ -85,10 +84,8 @@ fn train(model: ZooModel, mode: &str, steps: usize) -> (Vec<Vec<f32>>, CommStats
         let vision = SyntheticVision::new(cfg.max_seq, PATCH_DIM, cfg.vocab, 11);
         let text = SyntheticText::new(cfg.vocab, 12);
         let tp = tensor_parallel(ctx, &config, size);
-        let replicas = replica_groups(ctx, &config, size);
-        let reducer = |model: &mut dyn Layer| {
-            GradReducer::data_parallel(model, DEFAULT_BUCKET_BYTES, &replicas)
-        };
+        let reducer =
+            |model: &mut dyn Layer| GradReducer::data_parallel(model, DEFAULT_BUCKET_BYTES);
         let mut rng = init::rng(4242);
         // one training step of the model, returning its loss
         let mut step: Box<dyn FnMut(u64) -> f32 + '_> = match model {

@@ -347,7 +347,7 @@ fn zero3_with_parameters_straddling_buckets_still_matches_ddp_bitwise() {
                 assert!(!values[0].shares_storage(&values[1]));
                 flatten_params(&mut model).into_vec()
             } else {
-                let mut reducer = GradReducer::data_parallel(&mut model, 64, &[]);
+                let mut reducer = GradReducer::data_parallel(&mut model, 64);
                 let mut opt = AdamW::new(0.01, 0.05);
                 for s in 0..STEPS {
                     model.zero_grad();
@@ -380,7 +380,7 @@ fn bucket_sync_grads(overlapped: bool) -> Vec<Vec<f32>> {
         let x = init::uniform([2, 16], -1.0, 1.0, &mut init::rng(60 + g.rank() as u64));
         let y = model.forward(&x);
         let dy = Tensor::ones(y.shape().clone());
-        let mut reducer = GradReducer::data_parallel(&mut model, 64, &[]);
+        let mut reducer = GradReducer::data_parallel(&mut model, 64);
         if overlapped {
             let _ = reducer.backward_overlapped(ctx, Some(&g), &mut model, &dy);
         } else {

@@ -263,7 +263,7 @@ fn zero_stages_bitwise_equal_ddp_for_random_models() {
         let mut ddp = world.run_on(p, |ctx| {
             let g = ctx.world_group(p);
             let mut model = make_model(seed);
-            let mut reducer = GradReducer::data_parallel(&mut model, DEFAULT_BUCKET_BYTES, &[]);
+            let mut reducer = GradReducer::data_parallel(&mut model, DEFAULT_BUCKET_BYTES);
             let mut opt = AdamW::new(0.01, 0.01);
             for x in &batches2 {
                 model.zero_grad();

@@ -250,7 +250,7 @@ fn overlapped_dp_gpt_ranks_are_busy_no_longer_than_the_makespan() {
     world.run_on(RANKS, |ctx| {
         let g = ctx.world_group(RANKS);
         let mut model = Gpt::new(&cfg, &mut init::rng(11));
-        let mut reducer = GradReducer::data_parallel(&mut model, 2 << 20, &[]);
+        let mut reducer = GradReducer::data_parallel(&mut model, 2 << 20);
         let tokens = text.batch(1, 8, g.rank() as u64);
         let (_, d) = model.lm_loss(&tokens);
         let _ = reducer.backward_overlapped(ctx, Some(&g), &mut model, &d);
