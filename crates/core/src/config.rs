@@ -206,9 +206,6 @@ impl Config {
             if !(1..=3).contains(&z.stage) {
                 return Err(format!("ZeRO stage must be 1..=3, got {}", z.stage));
             }
-            if self.tensor_size() > 1 {
-                return Err("ZeRO combines with data parallelism only in this reproduction".into());
-            }
         }
         Ok(())
     }
@@ -292,15 +289,6 @@ mod tests {
         assert!(Config::from_json(r#"{ "zero": { "stage": 0 } }"#).is_err());
         assert!(Config::from_json(r#"{ "zero": { "stage": 4 } }"#).is_err());
         assert!(Config::from_json(r#"{ "zero": { "stage": 3 } }"#).is_ok());
-    }
-
-    #[test]
-    fn zero_with_tensor_parallel_rejected() {
-        let err = Config::from_json(
-            r#"{ "parallel": { "tensor": { "size": 2, "mode": "1d" } }, "zero": { "stage": 2 } }"#,
-        )
-        .unwrap_err();
-        assert!(err.contains("ZeRO"), "{err}");
     }
 
     #[test]

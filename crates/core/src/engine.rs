@@ -6,9 +6,10 @@
 //! Every optimizer steps in one order — reduce (unless the overlapped
 //! backward already did) → unscale + finite check → clip → update — because
 //! only the *reduced* gradient is the same on every rank: a rank judging
-//! its local gradient would skip or scale a step its peers take. Where the
-//! reduction leaves shards (ZeRO), the finite flag and the squared norm are
-//! agreed over the data-parallel group.
+//! its local gradient would skip or scale a step its peers take. The finite
+//! flag and the squared norm are agreed over the ranks whose reduced
+//! gradients differ: every rank under ZeRO, whose shards differ across the
+//! data-parallel group, else the tensor-parallel group.
 
 use crate::amp::GradScaler;
 use crate::config::Config;
@@ -38,9 +39,11 @@ pub struct Engine {
     model: Box<dyn Layer>,
     optimizer: EngineOptimizer,
     dp_group: Option<Group>,
-    /// Tensor(model)-parallel group; gradient-norm clipping must span it
-    /// because each rank holds only a shard of the parameters.
-    mp_group: Option<Group>,
+    /// The ranks whose reduced gradients differ, over which the overflow
+    /// flag and the clip norm are agreed: the whole run under ZeRO (with
+    /// one pipeline stage, DP x TP is every rank), else the tensor-parallel
+    /// group, whose ranks hold different shards of the parameters.
+    span: Option<Group>,
     ctx: DeviceCtx,
     /// The gradient reducer of non-ZeRO engines with data-parallel peers or
     /// replicated parameters (a ZeRO optimizer holds its own sharding
@@ -95,8 +98,11 @@ pub fn initialize(
     let pctx = ParallelContext::new(config, ctx.rank(), world);
     let dp_members = pctx.group_members(ParallelAxis::Data);
     let dp_group = (dp_members.len() > 1).then(|| ctx.group(&dp_members));
-    let mp_members = pctx.group_members(ParallelAxis::Tensor);
-    let mp_group = (mp_members.len() > 1).then(|| ctx.group(&mp_members));
+    let span_members = match config.zero {
+        Some(_) => (0..world).collect(),
+        None => pctx.group_members(ParallelAxis::Tensor),
+    };
+    let span = (span_members.len() > 1).then(|| ctx.group(&span_members));
 
     let optimizer = match (config.zero, optimizer) {
         (Some(z), OptimizerSpec::AdamW { lr, weight_decay }) => {
@@ -134,7 +140,7 @@ pub fn initialize(
         model,
         optimizer,
         dp_group,
-        mp_group,
+        span,
         ctx: ctx.clone(),
         reducer,
         reduced: None,
@@ -230,17 +236,18 @@ impl Engine {
             (_, Some(r)) => r.reduce(ctx, dp, model),
             _ => Vec::new(),
         });
-        // what the reduction left: ZeRO's shards, which differ on every
-        // rank of the data-parallel group, or the model's own gradients
-        let (mut grads, shards_over) = match self.optimizer {
-            EngineOptimizer::Zero(_) => (Grads::Shards(&mut shards), dp),
-            _ => (Grads::Model(model), None),
+        // what the reduction left: ZeRO's shards or the model's own
+        // gradients, which differ across the span
+        let mut grads = match self.optimizer {
+            EngineOptimizer::Zero(_) => Grads::Shards(&mut shards),
+            _ => Grads::Model(model),
         };
+        let span = self.span.as_ref();
         // 2. unscale; any overflow anywhere skips the step on every rank
         if let Some(scaler) = &mut self.scaler {
             let mut finite = true;
             grads.for_each(&mut |g| finite &= g.data().iter().all(|v| v.is_finite()));
-            if let Some(g) = shards_over {
+            if let Some(g) = span {
                 let overflow = Tensor::scalar(if finite { 0.0 } else { 1.0 });
                 finite = g.all_reduce_max(ctx, overflow).item() == 0.0;
             }
@@ -251,13 +258,10 @@ impl Engine {
             };
             grads.for_each(&mut |g| g.scale(inv));
         }
-        // 3. clip. The global norm spans the shards of a ZeRO gradient, or
-        // the tensor-parallel group when the parameters themselves are
-        // sharded (replicated layers are counted once per rank, a
-        // consistent overestimate that keeps replicas in lockstep — the
-        // Megatron approximation)
+        // 3. clip by the global norm over the span (replicated layers are
+        // counted once per tensor-parallel rank, a consistent overestimate
+        // that keeps replicas in lockstep — the Megatron approximation)
         if self.grad_clip > 0.0 {
-            let span = shards_over.or(self.mp_group.as_ref());
             clip_grads(span.map(|g| (ctx, g)), &mut grads, self.grad_clip);
         }
         match &mut self.optimizer {
@@ -288,6 +292,11 @@ impl Engine {
     /// Steps skipped by the loss scaler.
     pub fn skipped_steps(&self) -> u64 {
         self.skipped
+    }
+
+    /// The loss scaler's current scale (`None` without `mixed_precision`).
+    pub fn loss_scale(&self) -> Option<f32> {
+        self.scaler.as_ref().map(GradScaler::scale)
     }
 
     /// The device context driving this engine.
@@ -333,18 +342,23 @@ impl Grads<'_> {
 
 /// Clips `grads` to a global L2 norm of `max_norm` (Megatron-style) and
 /// returns the pre-clip norm. With a `span` group each rank holds only part
-/// of the gradient, so it contributes its local sum of squares and the
-/// group all-reduces the scalar before scaling.
+/// of the gradient, so it contributes its local sum of squares: each crosses
+/// as an f32 pair that carries 48 of its bits, and every rank adds them in
+/// f64, so how the span cuts the gradient moves the sum far below an f32 ulp.
 fn clip_grads(span: Option<(&DeviceCtx, &Group)>, grads: &mut Grads, max_norm: f32) -> f32 {
     let mut sq = 0.0f64;
     grads.for_each(&mut |g| sq += g.data().iter().map(|&g| g as f64 * g as f64).sum::<f64>());
-    let norm = match span {
-        Some((ctx, group)) => group
-            .all_reduce(ctx, Tensor::scalar(sq as f32))
-            .item()
-            .sqrt(),
-        None => sq.sqrt() as f32,
-    };
+    if let Some((ctx, group)) = span {
+        let hi = sq as f32;
+        let lo = if hi.is_finite() {
+            (sq - hi as f64) as f32
+        } else {
+            0.0
+        };
+        let pairs = group.all_gather_cat(ctx, Tensor::from_vec([2], vec![hi, lo]), 0);
+        sq = pairs.data().iter().map(|&x| x as f64).sum();
+    }
+    let norm = sq.sqrt() as f32;
     if norm > max_norm {
         let scale = max_norm / norm;
         grads.for_each(&mut |g| g.scale(scale));
@@ -479,7 +493,7 @@ mod tests {
                 }
             }
             let flat = colossalai_parallel::data_parallel::flatten_params(engine.model_mut());
-            let scale = engine.scaler.as_ref().map(|s| s.scale());
+            let scale = engine.loss_scale();
             (flat, engine.steps(), engine.skipped_steps(), scale)
         })
     }

@@ -9,14 +9,16 @@
 //! Per-parameter all-reduce pays one latency (alpha) term per tensor; with
 //! hundreds of small parameters the latency terms dominate. Instead the
 //! gradient is packed into size-capped *buckets* (default 25 MB, like
-//! PyTorch DDP and the Colossal-AI gradient handler) with one fused
-//! collective each. Because [`Layer::backward_staged`] fires stages in
-//! reverse-forward order, the produced gradients always form a growing
-//! suffix of the visit-order parameter list — so a bucket can launch on the
-//! comm stream as soon as the suffix reaches its first element, overlapping
-//! communication with the rest of the backward pass. Which collective is
-//! fused — what each rank [`Keep`]s — is all that bucketed DP ("ZeRO stage
-//! 0") and ZeRO 1/2/3 differ in, so [`GradReducer`] takes it as a parameter.
+//! PyTorch DDP and the Colossal-AI gradient handler) of whole parameters
+//! with one fused collective each. Because [`Layer::backward_staged`] fires
+//! stages in reverse-forward order, the produced gradients always form a
+//! growing suffix of the visit-order parameter list — so a bucket can launch
+//! on the comm stream as soon as the suffix reaches its first parameter,
+//! overlapping communication with the rest of the backward pass. Which
+//! collective is fused — what each rank [`Keep`]s — is all that bucketed DP
+//! ("ZeRO stage 0") and ZeRO 1/2/3 differ in, so [`GradReducer`] takes it
+//! as a parameter; a sharded kind pads each bucket to a multiple of the
+//! data-parallel size so its shards are equal.
 //!
 //! Bitwise safety: a fused bucket reduction performs exactly the same
 //! per-element rank-order additions as per-parameter all-reduces, and the
@@ -38,9 +40,7 @@ pub const DEFAULT_BUCKET_BYTES: usize = 25 << 20;
 pub struct Bucket {
     /// Half-open range of parameter indices (visit order).
     pub params: Range<usize>,
-    /// Flat element offset of the bucket's first element.
-    pub offset: usize,
-    /// Total elements in the bucket.
+    /// Total elements of its parameters.
     pub len: usize,
     /// Its parameters' [`Param::replicas`], which they all share.
     pub replicas: Vec<Vec<usize>>,
@@ -67,30 +67,26 @@ impl BucketPlan {
         let cap_elems = (cap_bytes / std::mem::size_of::<f32>()).max(1);
         let mut buckets = Vec::new();
         let mut start = 0;
-        let mut offset = 0;
         let mut len = 0;
         for (i, (n, replicas)) in params.iter().enumerate() {
             if len > 0 && (len + n > cap_elems || *replicas != params[i - 1].1) {
                 buckets.push(Bucket {
                     params: start..i,
-                    offset,
                     len,
                     replicas: params[i - 1].1.clone(),
                 });
                 start = i;
-                offset += len;
                 len = 0;
             }
             len += n;
         }
-        if len > 0 || params.is_empty() {
-            buckets.push(Bucket {
-                params: start..params.len(),
-                offset,
-                len,
-                replicas: params.last().map(|p| p.1.clone()).unwrap_or_default(),
-            });
-        }
+        // the last run, even if only empty parameters are left for it:
+        // every parameter lies in exactly one bucket
+        buckets.push(Bucket {
+            params: start..params.len(),
+            len,
+            replicas: params.last().map(|p| p.1.clone()).unwrap_or_default(),
+        });
         BucketPlan {
             buckets,
             param_sizes: params.iter().map(|p| p.0).collect(),
@@ -102,30 +98,6 @@ impl BucketPlan {
         let mut params = Vec::new();
         model.visit_params(&mut |p| params.push((p.numel(), p.replicas.clone())));
         BucketPlan::from_params(&params, cap_bytes)
-    }
-
-    /// Partitions `[0, total.div_ceil(p) * p)` — the flat gradient padded to
-    /// a multiple of `p` — into contiguous element ranges of at most
-    /// `cap_bytes`, each range a multiple of `p` elements. ZeRO shards every
-    /// bucket evenly across the `p` ranks, so p-alignment keeps the
-    /// reduce-scatter chunks equal. Returns `(offset, len)` pairs.
-    pub fn element_ranges(total: usize, p: usize, cap_bytes: usize) -> Vec<(usize, usize)> {
-        assert!(p > 0);
-        let padded = total.div_ceil(p) * p;
-        let cap_elems = (cap_bytes / std::mem::size_of::<f32>()).max(1);
-        // round the cap up so each bucket length is a multiple of p
-        let chunk = cap_elems.div_ceil(p) * p;
-        let mut out = Vec::new();
-        let mut o = 0;
-        while o < padded {
-            let len = chunk.min(padded - o);
-            out.push((o, len));
-            o += len;
-        }
-        if out.is_empty() {
-            out.push((0, 0));
-        }
-        out
     }
 }
 
@@ -142,53 +114,55 @@ pub enum Keep {
     ShardOfReduceScatter,
 }
 
-/// The one flat layout of a model: its parameters' elements in
-/// `visit_params` order as one vector, covered by contiguous `(offset, len)`
-/// ranges — the only mapping between a model and flat buffers (DESIGN.md
-/// §8.3), with one gather (model → range buffers) and one scatter (range
-/// tensors → model), which hands parameter values out as O(1) views of the
-/// range tensors instead of copying them.
-///
-/// Ranges and parameters are laid independently over the same axis: under a
-/// p-aligned plan ([`BucketPlan::element_ranges`]) a range spans several
-/// parameters, a parameter may straddle several ranges, and the last range
-/// runs past the final parameter into the padding that rounds the vector up
-/// to a multiple of p. Padding gathers as zeros and scatters nowhere.
+/// The one flat layout of a model: the buckets of a [`BucketPlan`] end to
+/// end, each its parameters' elements in `visit_params` order followed by
+/// the zeros that pad it to a multiple of the shard count — the only
+/// mapping between a model and flat buffers (DESIGN.md §8.3), with one
+/// gather (model → bucket buffers) and one scatter (bucket tensors →
+/// model), which hands parameter values out as O(1) views of the bucket
+/// tensors instead of copying them. Every parameter lies in exactly one
+/// bucket. Padding gathers as zeros and scatters nowhere.
 pub(crate) struct FlatLayout {
-    /// Flat element offset of each parameter, then the total.
-    offsets: Vec<usize>,
+    /// Per parameter: its bucket and its elements' span within it.
+    homes: Vec<(usize, Range<usize>)>,
+    /// Per bucket: its first parameter.
+    firsts: Vec<usize>,
+    /// Per bucket: its padded `(offset, len)` in the flat vector.
     ranges: Vec<(usize, usize)>,
 }
 
 impl FlatLayout {
-    /// Lays contiguous `ranges` over parameters of `param_sizes` elements
-    /// (visit order). The ranges must cover every parameter element.
-    fn new(param_sizes: &[usize], ranges: Vec<(usize, usize)>) -> Self {
-        let mut offsets = vec![0];
-        for n in param_sizes {
-            offsets.push(offsets[offsets.len() - 1] + n);
+    /// Lays `plan`'s buckets end to end, each padded to a multiple of `pad`
+    /// elements.
+    fn new(plan: &BucketPlan, pad: usize) -> Self {
+        let mut layout = FlatLayout {
+            homes: Vec::new(),
+            firsts: Vec::new(),
+            ranges: Vec::new(),
+        };
+        let mut offset = 0;
+        for (b, bucket) in plan.buckets.iter().enumerate() {
+            let mut o = 0;
+            for n in &plan.param_sizes[bucket.params.clone()] {
+                layout.homes.push((b, o..o + n));
+                o += n;
+            }
+            let len = bucket.len.div_ceil(pad) * pad;
+            layout.firsts.push(bucket.params.start);
+            layout.ranges.push((offset, len));
+            offset += len;
         }
-        let mut end = 0;
-        for &(o, len) in &ranges {
-            assert_eq!(o, end, "ranges must be contiguous from 0");
-            end += len;
-        }
-        assert!(
-            end >= offsets[param_sizes.len()],
-            "ranges must cover every parameter"
-        );
-        FlatLayout { offsets, ranges }
+        layout
     }
 
-    /// `model`'s parameters as a single range.
+    /// `model`'s parameters as a single bucket.
     pub(crate) fn whole(model: &mut dyn Layer) -> Self {
-        let mut sizes = Vec::new();
-        model.visit_params(&mut |p| sizes.push(p.numel()));
-        let total = sizes.iter().sum();
-        FlatLayout::new(&sizes, vec![(0, total)])
+        let mut params = Vec::new();
+        model.visit_params(&mut |p| params.push((p.numel(), Vec::new())));
+        FlatLayout::new(&BucketPlan::from_params(&params, usize::MAX), 1)
     }
 
-    /// One zeroed pooled buffer per range, for [`FlatLayout::gather`] to
+    /// One zeroed pooled buffer per bucket, for [`FlatLayout::gather`] to
     /// fill in any order: `backward_overlapped`'s stages arrive back to
     /// front. (A front-to-back fill needs no zeroing: see
     /// [`FlatLayout::gather_all`].)
@@ -196,34 +170,15 @@ impl FlatLayout {
         self.ranges.iter().map(|r| pool::take_zeroed(r.1)).collect()
     }
 
-    /// The ranges parameter `pi`, of `numel` elements, overlaps, as `(range
-    /// index, span within the range, span within the parameter)`: exactly
-    /// one under a parameter-aligned plan, none for an empty parameter.
-    fn overlaps(
-        &self,
-        pi: usize,
-        numel: usize,
-    ) -> impl Iterator<Item = (usize, Range<usize>, Range<usize>)> + '_ {
-        let (start, end) = (self.offsets[pi], self.offsets[pi + 1]);
-        assert_eq!(numel, end - start, "model parameter set changed");
-        let first = self.ranges.partition_point(|&(o, len)| o + len <= start);
-        let tail = self.ranges.iter().enumerate().skip(first);
-        tail.map_while(move |(ri, &(o, len))| {
-            let (lo, hi) = (start.max(o), end.min(o + len));
-            (lo < hi).then(|| (ri, lo - o..hi - o, lo - start..hi - start))
-        })
-    }
-
     /// Copies parameter `pi`'s elements (`data`: its value or its gradient)
-    /// into the zeroed buffer of every range it overlaps.
+    /// into its bucket's zeroed buffer.
     fn gather(&self, bufs: &mut [Vec<f32>], pi: usize, data: &[f32]) {
-        for (ri, in_range, in_param) in self.overlaps(pi, data.len()) {
-            bufs[ri][in_range].copy_from_slice(&data[in_param]);
-        }
+        let (b, span) = &self.homes[pi];
+        bufs[*b][span.clone()].copy_from_slice(data);
     }
 
     /// Gathers `pick` ([`Param::value`] or [`Param::grad`]) of every
-    /// parameter into fresh range buffers, padding zero. Parameters arrive
+    /// parameter into fresh bucket buffers, padding zero. Parameters arrive
     /// in flat order, so every buffer is extended front to back and only
     /// the padding is ever zeroed.
     pub(crate) fn gather_all(
@@ -235,81 +190,76 @@ impl FlatLayout {
         let mut bufs: Vec<Vec<f32>> = self.ranges.iter().map(take).collect();
         let mut pi = 0;
         model.visit_params(&mut |p| {
-            let data = pick(p).data();
-            for (ri, in_range, in_param) in self.overlaps(pi, data.len()) {
-                assert_eq!(bufs[ri].len(), in_range.start, "ranges fill in order");
-                bufs[ri].extend_from_slice(&data[in_param]);
-            }
+            let (b, span) = &self.homes[pi];
+            assert_eq!(bufs[*b].len(), span.start, "buckets fill in order");
+            bufs[*b].extend_from_slice(pick(p).data());
+            assert_eq!(bufs[*b].len(), span.end, "model parameter set changed");
             pi += 1;
         });
-        assert_eq!(pi + 1, self.offsets.len(), "model parameter set changed");
+        assert_eq!(pi, self.homes.len(), "model parameter set changed");
         for (buf, r) in bufs.iter_mut().zip(&self.ranges) {
             buf.resize(r.1, 0.0);
         }
         bufs
     }
 
-    /// Panics unless `ranges` holds one tensor of the right length per range.
-    fn check_lens(&self, ranges: &[Tensor]) {
-        let lens = ranges.iter().map(Tensor::numel);
+    /// Panics unless `buckets` holds one tensor of the right length per
+    /// bucket.
+    fn check_lens(&self, buckets: &[Tensor]) {
+        let lens = buckets.iter().map(Tensor::numel);
         assert!(
             lens.eq(self.ranges.iter().map(|r| r.1)),
             "flat vector length mismatch"
         );
     }
 
-    /// Writes `scale` times one tensor per range back into `pick`
+    /// Calls `f` with every parameter, its bucket's tensor and its
+    /// elements' span there.
+    fn for_each_home(
+        &self,
+        model: &mut dyn Layer,
+        buckets: &[Tensor],
+        f: &mut dyn FnMut(&mut Param, &Tensor, Range<usize>),
+    ) {
+        self.check_lens(buckets);
+        let mut pi = 0;
+        model.visit_params(&mut |p| {
+            let (b, span) = &self.homes[pi];
+            assert_eq!(p.numel(), span.len(), "model parameter set changed");
+            f(p, &buckets[*b], span.clone());
+            pi += 1;
+        });
+        assert_eq!(pi, self.homes.len(), "model parameter set changed");
+    }
+
+    /// Writes `scale` times one tensor per bucket back into `pick`
     /// ([`Param::value_mut`] or [`Param::grad_mut`]) of every parameter, in
     /// place: one pass that copies and scales (`x * scale`, the bits of
-    /// scaling the range tensors first and copying after).
+    /// scaling the bucket tensors first and copying after).
     pub(crate) fn scatter(
         &self,
         model: &mut dyn Layer,
         pick: fn(&mut Param) -> &mut Tensor,
-        ranges: &[Tensor],
+        buckets: &[Tensor],
         scale: f32,
     ) {
-        self.check_lens(ranges);
-        let mut pi = 0;
-        model.visit_params(&mut |p| {
+        self.for_each_home(model, buckets, &mut |p, bucket, span| {
             let dst = pick(p).data_mut();
-            for (ri, in_range, in_param) in self.overlaps(pi, dst.len()) {
-                let src = &ranges[ri].data()[in_range];
-                for (d, &x) in dst[in_param].iter_mut().zip(src) {
-                    *d = x * scale;
-                }
+            for (d, &x) in dst.iter_mut().zip(&bucket.data()[span]) {
+                *d = x * scale;
             }
-            pi += 1;
         });
-        assert_eq!(pi + 1, self.offsets.len(), "model parameter set changed");
     }
 
-    /// Lands one tensor per range in the model's parameter values without
-    /// moving the bytes again: a parameter inside one range becomes an O(1)
-    /// view of that range's tensor, so every rank holding a handle to a
-    /// gathered bucket reads the one buffer. A parameter straddling ranges
-    /// keeps storage of its own and is copied into.
-    pub(crate) fn scatter_values(&self, model: &mut dyn Layer, ranges: &[Tensor]) {
-        self.check_lens(ranges);
-        let mut pi = 0;
-        model.visit_params(&mut |p| {
-            let n = p.numel();
-            let mut spans = self.overlaps(pi, n).peekable();
-            pi += 1;
-            match spans.peek() {
-                Some((ri, in_range, in_param)) if in_param.len() == n => {
-                    let shape = p.value().shape().clone();
-                    p.set_value(ranges[*ri].view(in_range.start, shape));
-                }
-                _ => {
-                    let dst = p.value_mut().data_mut();
-                    for (ri, in_range, in_param) in spans {
-                        dst[in_param].copy_from_slice(&ranges[ri].data()[in_range]);
-                    }
-                }
-            }
+    /// Lands one tensor per bucket in the model's parameter values without
+    /// moving the bytes again: every parameter becomes an O(1) view of its
+    /// bucket's tensor, so every rank holding a handle to a gathered bucket
+    /// reads the one buffer.
+    pub(crate) fn scatter_values(&self, model: &mut dyn Layer, buckets: &[Tensor]) {
+        self.for_each_home(model, buckets, &mut |p, bucket, span| {
+            let shape = p.value().shape().clone();
+            p.set_value(bucket.view(span.start, shape));
         });
-        assert_eq!(pi + 1, self.offsets.len(), "model parameter set changed");
     }
 }
 
@@ -322,9 +272,9 @@ impl FlatLayout {
 /// parallelism, replica sums) leaves the reduced gradients in the model and
 /// returns nothing. A rank without data-parallel peers passes `None`.
 pub struct GradReducer {
-    /// Contiguous buckets covering the flat gradient, plus — for sharded
-    /// kinds — the padding that rounds it up to a multiple of p (bucket
-    /// buffers start zeroed, so the padding reduces as zeros).
+    /// Buckets of whole parameters covering the flat gradient, each padded
+    /// to a multiple of p for the sharded kinds (bucket buffers start
+    /// zeroed, so the padding reduces as zeros).
     pub(crate) layout: FlatLayout,
     keep: Keep,
     /// Per bucket: the member lists of the groups it is summed over first,
@@ -333,34 +283,26 @@ pub struct GradReducer {
 }
 
 impl GradReducer {
-    /// A reducer over parameters of `param_sizes` elements (visit order)
-    /// and the `buckets` a planner laid over them — whole parameters
-    /// ([`BucketPlan::from_params`]) for [`Keep::Whole`]; p-aligned
-    /// [`BucketPlan::element_ranges`] for the sharded kinds, so every bucket
-    /// shards evenly. No bucket is replicated.
-    pub fn new(param_sizes: &[usize], buckets: Vec<(usize, usize)>, keep: Keep) -> Self {
+    /// The reducer over `model`: buckets of whole parameters, at most
+    /// `cap_bytes` each (see [`DEFAULT_BUCKET_BYTES`]) and split wherever
+    /// [`Param::replicas`] differ ([`BucketPlan::for_model`]), each padded
+    /// to a multiple of `p` — the data-parallel size a sharded `keep` cuts
+    /// it into, 1 for [`Keep::Whole`] — and each marked one summed over the
+    /// groups its parameters name first.
+    pub(crate) fn new(model: &mut dyn Layer, cap_bytes: usize, keep: Keep, p: usize) -> Self {
+        let plan = BucketPlan::for_model(model, cap_bytes);
         GradReducer {
-            replicas: vec![Vec::new(); buckets.len()],
-            layout: FlatLayout::new(param_sizes, buckets),
+            layout: FlatLayout::new(&plan, p),
             keep,
+            replicas: plan.buckets.into_iter().map(|b| b.replicas).collect(),
         }
     }
 
-    /// Bucketed data parallelism over `model`: a [`Keep::Whole`] reducer
-    /// whose buckets hold whole parameters, at most `cap_bytes` each (see
-    /// [`DEFAULT_BUCKET_BYTES`]), marked ones summed over the groups their
-    /// [`Param::replicas`] name first. The model must have been built
-    /// identically on every rank (same seed), as real DDP assumes rank-0
-    /// broadcast weights.
+    /// Bucketed data parallelism over `model`: the [`Keep::Whole`] reducer.
+    /// The model must have been built identically on every rank (same
+    /// seed), as real DDP assumes rank-0 broadcast weights.
     pub fn data_parallel(model: &mut dyn Layer, cap_bytes: usize) -> Self {
-        let plan = BucketPlan::for_model(model, cap_bytes);
-        let (buckets, replicas) = (plan.buckets.into_iter())
-            .map(|b| ((b.offset, b.len), b.replicas))
-            .unzip();
-        GradReducer {
-            replicas,
-            ..GradReducer::new(&plan.param_sizes, buckets, Keep::Whole)
-        }
+        GradReducer::new(model, cap_bytes, Keep::Whole, 1)
     }
 
     /// Whether some bucket holds replicated parameters: a reducer a rank
@@ -369,7 +311,7 @@ impl GradReducer {
         self.replicas.iter().any(|lists| !lists.is_empty())
     }
 
-    /// The `(offset, len)` buckets, in visit (forward) order.
+    /// The padded `(offset, len)` buckets, in visit (forward) order.
     pub fn buckets(&self) -> &[(usize, usize)] {
         &self.layout.ranges
     }
@@ -442,8 +384,8 @@ impl GradReducer {
     }
 
     /// Runs the staged backward, launching each bucket's collective on the
-    /// comm stream as soon as the produced gradient suffix covers its
-    /// element range, then joins compute and comm clocks. Returns the input
+    /// comm stream as soon as the produced gradient suffix reaches its
+    /// first parameter, then joins compute and comm clocks. Returns the input
     /// gradient and what [`GradReducer::reduce`] returns, bit-identical to a
     /// plain backward followed by it; each bucket's collective rides under
     /// the remaining backward compute.
@@ -455,7 +397,7 @@ impl GradReducer {
         dy: &Tensor,
     ) -> (Tensor, Vec<Tensor>) {
         let mut bufs = self.layout.buffers();
-        let mut produced = self.layout.offsets.len() - 1; // start of the produced param suffix
+        let mut produced = self.layout.homes.len(); // start of the produced param suffix
         let mut next = self.layout.ranges.len(); // buckets fire back to front
         let mut reduced: Vec<Option<Tensor>> = vec![None; next];
         let dx = model.backward_staged(dy, &mut |stage| {
@@ -464,8 +406,7 @@ impl GradReducer {
             for (i, g) in stage.iter().enumerate() {
                 self.layout.gather(&mut bufs, produced + i, g.data());
             }
-            // the padding past the last parameter counts as produced
-            while next > 0 && self.layout.ranges[next - 1].0 >= self.layout.offsets[produced] {
+            while next > 0 && self.layout.firsts[next - 1] >= produced {
                 next -= 1;
                 let flat = std::mem::take(&mut bufs[next]);
                 reduced[next] = Some(self.reduce_bucket(ctx, dp, next, flat, Stream::Comm));
@@ -507,16 +448,14 @@ mod tests {
         // 30+200 exceeds → 200 gets its own; 10+10 closes it out
         let ranges: Vec<_> = plan.buckets.iter().map(|b| b.params.clone()).collect();
         assert_eq!(ranges, vec![0..2, 2..3, 3..4, 4..6]);
-        let mut covered = 0;
         for b in &plan.buckets {
-            assert_eq!(b.offset, covered);
-            covered += b.len;
             assert_eq!(
                 b.len,
                 sizes[b.params.clone()].iter().sum::<usize>(),
                 "bucket length equals its params' elements"
             );
         }
+        let covered: usize = plan.buckets.iter().map(|b| b.len).sum();
         assert_eq!(covered, sizes.iter().sum::<usize>());
     }
 
@@ -537,12 +476,19 @@ mod tests {
         );
     }
 
-    #[test]
-    fn each_bucket_is_summed_over_the_groups_its_parameters_name() {
-        // on 4 ranks, `a` sums over {0, 1} / {2, 3} and `b` over {0, 2} / {1, 3};
-        // rank r contributes 2^r, so every sum names the ranks it added
+    /// Two 3-element parameters, `a` marked to sum over the pair of ranks
+    /// that differ in bit 0 and `b` over the pair that differ in bit 1, with
+    /// rank r's gradient 2^r, reduced by the reducer that keeps `keep` over
+    /// `dp` (the data-parallel group's members, if any): per rank, the
+    /// reduction's output (each parameter's gradient under [`Keep::Whole`]),
+    /// and what the world metered.
+    fn reduce_marked_pair(
+        ranks: usize,
+        keep: Keep,
+        dp: fn(usize) -> Option<Vec<usize>>,
+    ) -> (Vec<Vec<Vec<f32>>>, colossalai_comm::CommStats) {
         let world = World::new(system_i());
-        let grads = world.run_on(4, |ctx| {
+        let out = world.run_on(ranks, |ctx| {
             let r = ctx.rank();
             let groups = [vec![r & !1, r | 1], vec![r & !2, r | 2]];
             let params = groups.into_iter().zip(["a", "b"]).map(|(members, name)| {
@@ -552,19 +498,60 @@ mod tests {
                 p
             });
             let mut model = Bag(params.collect());
-            let mut reducer = GradReducer::data_parallel(&mut model, DEFAULT_BUCKET_BYTES);
+            let dp = dp(r).map(|members| ctx.group(&members));
+            let p = dp.as_ref().map_or(1, Group::size);
+            let mut reducer = GradReducer::new(&mut model, DEFAULT_BUCKET_BYTES, keep, p);
             assert!(reducer.sums_replicas());
-            assert_eq!(reducer.buckets(), &[(0, 3), (3, 3)], "one bucket per list");
-            assert!(reducer.reduce(ctx, None, &mut model).is_empty());
-            model
-                .0
-                .iter()
-                .map(|p| p.grad().data().to_vec())
-                .collect::<Vec<_>>()
+            let padded = 3usize.div_ceil(p) * p;
+            assert_eq!(reducer.buckets(), &[(0, padded), (padded, padded)]);
+            let kept = reducer.reduce(ctx, dp.as_ref(), &mut model);
+            let out = match keep {
+                Keep::Whole => model.0.iter().map(|p| p.grad().data().to_vec()).collect(),
+                _ => kept.iter().map(|shard| shard.data().to_vec()).collect(),
+            };
+            out
         });
+        (out, world.stats())
+    }
+
+    #[test]
+    fn each_bucket_is_summed_over_the_groups_its_parameters_name() {
+        use colossalai_comm::OpKind::{AllReduce, ReduceScatter};
+        // on 4 ranks, `a` sums over {0, 1} / {2, 3} and `b` over {0, 2} /
+        // {1, 3}; rank r contributes 2^r, so every sum names the ranks it added
+        let (grads, stats) = reduce_marked_pair(4, Keep::Whole, |_| None);
         let hand = [[3.0, 5.0], [3.0, 10.0], [12.0, 5.0], [12.0, 10.0]];
         for (r, (got, want)) in grads.iter().zip(hand).enumerate() {
             assert_eq!(got, &want.map(|g| vec![g; 3]), "rank {r}");
+        }
+        // one all-reduce per marked bucket per replica group: 2 x 2
+        assert_eq!((stats.ops_of(AllReduce), stats.ops), (4, 4));
+
+        // on 8 ranks the pairs that differ in bit 2 are the data-parallel
+        // groups: a bucket is summed over its replica group, then over the
+        // data-parallel pair, so `a` adds the 4 ranks that share bit 1 and
+        // `b` the 4 that share bit 0. Each 3-element bucket pads to 4, of
+        // which data-parallel rank d keeps elements 2d..2d + 2, over p = 2
+        let dp = |r: usize| Some(vec![r & !4, r | 4]);
+        // per reduction: one all-reduce per marked bucket per replica group
+        // (2 buckets x 4 pairs), plus one data-parallel collective per
+        // bucket per data-parallel pair (2 x 4)
+        for (keep, all_reduces, reduce_scatters) in [
+            (Keep::ShardOfAllReduce, 8 + 8, 0),
+            (Keep::ShardOfReduceScatter, 8, 8),
+        ] {
+            let (shards, stats) = reduce_marked_pair(8, keep, dp);
+            for (r, got) in shards.iter().enumerate() {
+                let hand = [[51.0, 204.0][r >> 1 & 1], [85.0, 170.0][r & 1]];
+                let want = hand.map(|sum: f32| match r >> 2 {
+                    0 => vec![sum / 2.0, sum / 2.0],
+                    _ => vec![sum / 2.0, 0.0],
+                });
+                assert_eq!(got, &want, "{keep:?}, rank {r}");
+            }
+            let ops = (stats.ops_of(AllReduce), stats.ops_of(ReduceScatter));
+            assert_eq!(ops, (all_reduces, reduce_scatters), "{keep:?}");
+            assert_eq!(stats.ops, 16, "{keep:?}");
         }
     }
 
@@ -577,17 +564,20 @@ mod tests {
     }
 
     #[test]
-    fn element_ranges_are_p_aligned_and_cover_padded_total() {
+    fn padded_buckets_are_p_aligned_and_cover_padded_total() {
         let p = 4;
-        let total = 114; // pads to 116
-        let ranges = BucketPlan::element_ranges(total, p, 40 * 4); // 40-elem cap
-        let padded = total.div_ceil(p) * p;
+        let sizes = [7, 3, 30, 1, 1, 50, 22]; // 114 elements
+        let plan = BucketPlan::from_params(&sizes.map(|n| (n, Vec::new())), 40 * 4); // 40-elem cap
+        let ranges = FlatLayout::new(&plan, p).ranges;
+        // [7, 3, 30] | [1, 1] | [50] | [22], each rounded up to a multiple of p
+        assert_eq!(ranges, [(0, 40), (40, 4), (44, 52), (96, 24)]);
         let mut o = 0;
         for &(off, len) in &ranges {
             assert_eq!(off, o);
             assert_eq!(len % p, 0, "every bucket shards evenly over p ranks");
             o += len;
         }
+        let padded: usize = plan.buckets.iter().map(|b| b.len.div_ceil(p) * p).sum();
         assert_eq!(o, padded);
     }
 
@@ -610,8 +600,7 @@ mod tests {
     fn scatter_inverts_gather_bit_for_bit_over_ragged_layouts() {
         use rand::Rng;
         // shapes a plan must survive; each must occur somewhere in the sweep
-        let (mut empty_param, mut straddling_param, mut wide_range, mut padded_tail) =
-            (false, false, false, false);
+        let (mut empty_param, mut wide_range, mut padded_tail) = (false, false, false);
         for seed in 0..40u64 {
             let mut rng = init::rng(4100 + seed);
             let sizes: Vec<usize> = (0..rng.gen_range(1usize..9))
@@ -620,29 +609,20 @@ mod tests {
             let total: usize = sizes.iter().sum();
             let p = rng.gen_range(1usize..5);
             let cap_bytes = 4 * rng.gen_range(2usize..24);
-            // a replica mark on every third parameter splits buckets too
+            // a replica mark on every fourth parameter splits buckets too
             let marked = sizes.iter().enumerate();
-            let mark = |i: usize| vec![vec![0]; usize::from((i + seed as usize).is_multiple_of(3))];
+            let mark = |i: usize| vec![vec![0]; usize::from((i + seed as usize).is_multiple_of(4))];
             let marked: Vec<_> = marked.map(|(i, &n)| (n, mark(i))).collect();
-            let whole_params = BucketPlan::from_params(&marked, cap_bytes);
-            let whole_params = whole_params.buckets.iter().map(|b| (b.offset, b.len));
-            let plans = [
-                whole_params.collect::<Vec<_>>(),
-                BucketPlan::element_ranges(total, p, cap_bytes),
-            ];
-            for ranges in plans {
-                let layout = FlatLayout::new(&sizes, ranges.clone());
+            let plan = BucketPlan::from_params(&marked, cap_bytes);
+            // the buckets whole, and padded to shard over p ranks
+            for pad in [1, p] {
+                let layout = FlatLayout::new(&plan, pad);
+                let ranges = layout.ranges.clone();
                 let covered = ranges.iter().map(|r| r.1).sum::<usize>();
                 empty_param |= sizes.contains(&0);
                 padded_tail |= covered > total;
-                for (pi, &n) in sizes.iter().enumerate() {
-                    straddling_param |= layout.overlaps(pi, n).count() >= 2;
-                }
-                for &(o, len) in &ranges {
-                    let inside = layout
-                        .offsets
-                        .windows(2)
-                        .filter(|w| w[0] < w[1] && o <= w[0] && w[1] <= o + len);
+                for b in &plan.buckets {
+                    let inside = sizes[b.params.clone()].iter().filter(|&&n| n > 0);
                     wide_range |= inside.count() >= 3;
                 }
 
@@ -664,10 +644,14 @@ mod tests {
                         .map(|q| pick(q).data().iter().map(|x| x.to_bits()).collect())
                         .collect();
 
-                    // gather is the flat concatenation, zero-padded
+                    // gather is the flat concatenation, each bucket
+                    // zero-padded
                     let bufs = layout.gather_all(&mut model, pick);
-                    let mut flat: Vec<u32> = want.concat();
-                    flat.resize(covered, 0f32.to_bits());
+                    let mut flat: Vec<u32> = Vec::new();
+                    for (b, &(o, len)) in plan.buckets.iter().zip(&ranges) {
+                        flat.extend(want[b.params.clone()].concat());
+                        flat.resize(o + len, 0f32.to_bits());
+                    }
                     let got: Vec<u32> = bufs.concat().iter().map(|x| x.to_bits()).collect();
                     assert_eq!(
                         got, flat,
@@ -692,29 +676,29 @@ mod tests {
                     );
                 }
 
-                // values land as views: the same elements, and a parameter
-                // inside one range reads that range's own storage
+                // values land as views: the same elements, and every
+                // parameter reads its own bucket's storage
                 let params = sizes.iter().map(|&n| Param::new("p", Tensor::zeros([n])));
                 let mut model = Bag(params.collect());
                 let flat = |&(_, len): &(usize, usize)| init::uniform([len], -1.0, 1.0, &mut rng);
                 let bufs: Vec<Tensor> = ranges.iter().map(flat).collect();
                 layout.scatter_values(&mut model, &bufs);
-                let all: Vec<f32> = bufs.iter().flat_map(|b| b.data().to_vec()).collect();
-                for (pi, q) in model.0.iter().enumerate() {
-                    let (start, n) = (layout.offsets[pi], sizes[pi]);
-                    assert_eq!(q.value().data(), &all[start..start + n], "seed {seed}");
-                    let homes: Vec<usize> = layout.overlaps(pi, n).map(|o| o.0).collect();
-                    let shared = bufs.iter().filter(|b| b.shares_storage(q.value()));
-                    assert_eq!(
-                        shared.count(),
-                        usize::from(homes.len() == 1),
-                        "seed {seed}: parameter {pi} of {sizes:?} over {ranges:?}"
-                    );
+                for (b, home) in plan.buckets.iter().zip(&bufs) {
+                    let mut start = 0;
+                    for pi in b.params.clone() {
+                        let (q, n) = (&model.0[pi], sizes[pi]);
+                        assert_eq!(q.value().data(), &home.data()[start..start + n]);
+                        let shared = bufs.iter().filter(|b| b.shares_storage(q.value()));
+                        assert!(
+                            shared.count() == 1 && home.shares_storage(q.value()),
+                            "seed {seed}: parameter {pi} of {sizes:?} over {ranges:?}"
+                        );
+                        start += n;
+                    }
                 }
             }
         }
         assert!(empty_param, "no zero-length parameter was drawn");
-        assert!(straddling_param, "no parameter straddled two ranges");
         assert!(wide_range, "no range spanned three parameters");
         assert!(padded_tail, "no plan had a p-alignment padding tail");
     }

@@ -17,20 +17,21 @@
 //!
 //! A `ZeroOptimizer` is the shared [`GradReducer`] (the one bucketed data
 //! parallelism runs, keeping a shard of each bucket instead of the whole)
-//! plus sharded AdamW plus the parameter all-gather. The padded flat
-//! gradient is split into p-aligned element ranges of at most the bucket
-//! capacity (default 25 MB); the master copy and Adam moments are laid out
-//! bucket-by-bucket (rank `r` owns the `r`-th p-th of every bucket), so any
-//! bucket plan yields the same bits, and a single default bucket
-//! degenerates to the classic contiguous shard. The reducer's
-//! `bucket::FlatLayout` is the only mapping between the model and those
-//! buckets: it picks the master shards out of the parameters (at
-//! construction, and again when a checkpoint restore rewrote them), and
-//! every gathered bucket lands in the model as O(1) views — a parameter
-//! *is* a region of the bucket it arrived in, shared by the p ranks of the
-//! group, not a copy of it.
+//! plus sharded AdamW plus the parameter all-gather. Its buckets are data
+//! parallelism's: runs of whole parameters of at most the bucket capacity
+//! (default 25 MB) and of one replica mark, each padded to a multiple of
+//! p, so a layout's replica sums ride them as they ride DP's. The master
+//! copy and Adam moments are laid out bucket-by-bucket (rank `r` owns the
+//! `r`-th p-th of every bucket), so any bucket plan yields the same bits,
+//! and a single default bucket degenerates to the classic contiguous
+//! shard. The reducer's `bucket::FlatLayout` is the only mapping between
+//! the model and those buckets: it picks the master shards out of the
+//! parameters (at construction, and again when a checkpoint restore
+//! rewrote them), and every gathered bucket lands in the model as O(1)
+//! views — a parameter *is* a region of the bucket it arrived in, shared by
+//! the p ranks of the group, not a copy of it.
 
-use crate::bucket::{BucketPlan, GradReducer, Keep, DEFAULT_BUCKET_BYTES};
+use crate::bucket::{GradReducer, Keep, DEFAULT_BUCKET_BYTES};
 use colossalai_autograd::{adamw_update, Layer, Param};
 use colossalai_comm::{DeviceCtx, Group};
 use colossalai_memory::offload::OffloadPlan;
@@ -68,8 +69,8 @@ pub struct ZeroOptimizer {
     pub eps: f32,
     pub weight_decay: f32,
     t: u64,
-    /// Bucketed gradient reduction over p-aligned element ranges of the
-    /// padded flat gradient; each rank keeps its p-th of every bucket.
+    /// Bucketed gradient reduction over buckets of whole parameters, each
+    /// padded to a multiple of p; each rank keeps its p-th of every bucket.
     reducer: GradReducer,
     /// This rank's FP32 master shard, one pooled tensor per bucket: the
     /// `r`-th p-th of that bucket's elements. Updated in place, and handed
@@ -129,15 +130,11 @@ impl ZeroOptimizer {
         weight_decay: f32,
         bucket_bytes: usize,
     ) -> Self {
-        let mut param_sizes = Vec::new();
-        model.visit_params(&mut |p| param_sizes.push(p.numel()));
-        let n: usize = param_sizes.iter().sum();
-        let buckets = BucketPlan::element_ranges(n, group.size(), bucket_bytes);
         let keep = match stage {
             ZeroStage::One => Keep::ShardOfAllReduce,
             ZeroStage::Two | ZeroStage::Three => Keep::ShardOfReduceScatter,
         };
-        let reducer = GradReducer::new(&param_sizes, buckets, keep);
+        let reducer = GradReducer::new(model, bucket_bytes, keep, group.size());
         let master = master_shards(&reducer, group, model);
         let shard_len = master.iter().map(Tensor::numel).sum();
         ZeroOptimizer {
@@ -183,7 +180,8 @@ impl ZeroOptimizer {
         self.m.len()
     }
 
-    /// The p-aligned `(offset, len)` element buckets of the flat gradient.
+    /// The `(offset, len)` buckets of the flat gradient: runs of whole
+    /// parameters, each padded to a multiple of p.
     pub fn bucket_ranges(&self) -> &[(usize, usize)] {
         self.reducer.buckets()
     }
@@ -247,7 +245,7 @@ impl ZeroOptimizer {
 
     /// All-gathers every bucket of the sharded master copy and lands it in
     /// the model: each parameter becomes a view of the gathered bucket that
-    /// holds it (one that straddles two buckets is copied into).
+    /// holds it.
     fn gather_params_into(&self, model: &mut dyn Layer) {
         let gather = |part: &Tensor| self.group.all_gather_cat(&self.ctx, part.clone(), 0);
         let gathered: Vec<Tensor> = self.master.iter().map(gather).collect();
@@ -464,8 +462,9 @@ mod tests {
 
     #[test]
     fn tiny_buckets_stay_bitwise_equal_to_ddp() {
-        // 16-element buckets over the 116-element padded flat grad → many
-        // buckets, bucket-sharded master layout; the bits must not move
+        // 16-element buckets over the 114-element model → a bucket per
+        // parameter (60 / 12 / 40 / 4 after padding), bucket-sharded master
+        // layout; the bits must not move
         let want = ddp_trajectory(4, 3);
         for stage in [ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
             let (got, _) = zero_trajectory_opts(4, 3, stage, 64);
@@ -551,7 +550,13 @@ mod tests {
         // before the `Collective` descriptor replaced them; the clocks were
         // re-pinned when every collective started paying the cost model's
         // launch term, and again when the kernels' metered FLOPs reached the
-        // clock
+        // clock. The two ZeRO rows were re-pinned, bits and clocks, when ZeRO
+        // moved onto data parallelism's whole-parameter buckets: at this
+        // 64-byte cap the 114-element model went from 8 p-aligned buckets
+        // to 4 (60 / 12 / 40 / 4 after padding), so half as many gradient
+        // and parameter collectives of the same 116 elements. The per-rank
+        // loss bytes both rows hash did not move; the `CommStats` text and
+        // the launches did
         use ZeroStage::{One, Two};
         let golden = [
             (
@@ -561,13 +566,13 @@ mod tests {
             ),
             (
                 Some(One),
-                0x524b_4b39_304f_8e9b,
-                [0x86eb_3aa3_c312_77ed, 0x2def_1729_5b61_a5a5],
+                0x0289_14b4_4b3b_e063,
+                [0x4539_dae3_bae1_605d, 0x4f2a_acdc_4eb4_9475],
             ),
             (
                 Some(Two),
-                0xf918_95d0_a5b7_651c,
-                [0x16c0_5014_5795_42c5, 0x76c4_46fa_500c_7d85],
+                0xce3f_18c5_804a_8954,
+                [0x23f1_5741_28ef_ff55, 0xdc18_af76_93a4_0265],
             ),
         ];
         let mut moved = Vec::new();
@@ -601,7 +606,7 @@ mod tests {
         let mut out = world.run_on(1, |ctx| {
             let g = ctx.world_group(1);
             let mut model = make_model(910);
-            // 64-byte buckets: several master shards, parameters straddling them
+            // 64-byte buckets: a master shard per parameter
             let mut opt =
                 ZeroOptimizer::with_bucket_bytes(ctx, &g, &mut model, stage, 0.01, 0.05, 64);
             if let Some(plan) = offload {

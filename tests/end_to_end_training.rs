@@ -1,10 +1,14 @@
 //! Integration: full engine-level training paths across crates — GPT with
 //! ZeRO, BERT serially vs sequence-parallel, mixed precision end to end.
 
-use colossalai::comm::World;
-use colossalai::core::{initialize, Config, OptimizerSpec};
+use colossalai::comm::{CommStats, OpKind, World};
+use colossalai::core::{
+    build_bert, build_gpt, check_model, initialize, Config, OptimizerSpec, ParallelAxis,
+    ParallelContext, ZooModel,
+};
 use colossalai::models::data::SyntheticText;
 use colossalai::models::{Gpt, TransformerConfig};
+use colossalai::parallel::bucket::BucketPlan;
 use colossalai::parallel::data_parallel::flatten_params;
 use colossalai::tensor::{init, Tensor};
 use colossalai::topology::systems::{system_i, system_ii};
@@ -67,6 +71,158 @@ fn gpt_engine_with_zero_matches_ddp_engine() {
             z, plain,
             "ZeRO-{stage} engine diverged from plain DP engine"
         );
+    }
+
+    // ZeRO beside tensor and sequence parallelism: each layout with ZeRO
+    // trains to the bits of the same layout without it, and its one-rank
+    // form (2.5D at DP1) runs the marked buckets over a one-rank ZeRO group
+    for (ranks, parallel, model, stages) in [
+        (
+            4,
+            r#""tensor": { "size": 2, "mode": "1d" }, "data": 2"#,
+            ZooModel::Gpt,
+            1..=3,
+        ),
+        (
+            8,
+            r#""tensor": { "size": 4, "mode": "2d" }, "data": 2"#,
+            ZooModel::Gpt,
+            1..=3,
+        ),
+        (
+            4,
+            r#""tensor": { "size": 2, "mode": "sequence" }, "data": 2"#,
+            ZooModel::Bert,
+            2..=2,
+        ),
+        (
+            8,
+            r#""tensor": { "size": 8, "mode": "2.5d", "depth": 2 }"#,
+            ZooModel::Gpt,
+            2..=2,
+        ),
+    ] {
+        let layout = |zero: &str, clip: &str| {
+            let json = format!(r#"{{ "parallel": {{ {parallel} }}, "grad_clip": {clip}{zero} }}"#);
+            layout_run(ranks, &Config::from_json(&json).unwrap(), model)
+        };
+        let plain = layout("", "0");
+        let plain_clipped = layout("", "0.5");
+        assert_ne!(
+            plain.params, plain_clipped.params,
+            "{parallel}: the clip must fire"
+        );
+        for stage in stages {
+            let zero = format!(r#", "zero": {{ "stage": {stage} }}"#);
+            let what = format!("{parallel}, ZeRO-{stage}");
+            let z = layout(&zero, "0");
+            assert_eq!(
+                z.params, plain.params,
+                "{what} diverged from the layout without ZeRO"
+            );
+            // per step, what ZeRO changes in the reduction, once per bucket
+            // and data-parallel group: its data-parallel collective (an
+            // all-reduce at stage 1, a reduce-scatter from stage 2, over a
+            // one-rank group too) replaces the layout's (an all-reduce, if
+            // the group has peers), and a parameter all-gather joins it.
+            // The replica all-reduces stay
+            let n = z.dp_collectives as i64;
+            let replaced = if z.dp_size > 1 { n } else { 0 };
+            let (ar, rs) = if stage == 1 { (n, 0) } else { (0, n) };
+            let delta = |kind| {
+                (z.stats.ops_of(kind) as i64 - plain.stats.ops_of(kind) as i64) / STEPS as i64
+            };
+            assert_eq!(
+                [
+                    delta(OpKind::AllReduce),
+                    delta(OpKind::ReduceScatter),
+                    delta(OpKind::AllGather)
+                ],
+                [ar - replaced, rs, n],
+                "{what}: collectives per step"
+            );
+            // a clip that fires: the norm is agreed over every rank instead
+            // of the tensor group, and the replicas stay in lockstep
+            let z = layout(&zero, "0.5");
+            for (rank, (got, want)) in z.params.iter().zip(&plain_clipped.params).enumerate() {
+                let gap = got
+                    .iter()
+                    .zip(want)
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0, f32::max);
+                assert!(gap <= 1e-6, "{what} + clip: rank {rank} is {gap:e} away");
+                let replica = z.replica_of[rank];
+                assert_eq!(
+                    got, &z.params[replica],
+                    "{what} + clip: rank {rank} diverged from rank {replica}"
+                );
+            }
+        }
+    }
+}
+
+const STEPS: u64 = 20;
+
+/// What [`layout_run`] reports.
+struct LayoutRun {
+    /// Per rank, the final parameters.
+    params: Vec<Vec<f32>>,
+    stats: CommStats,
+    /// Per rank, the lowest rank of its data-parallel group.
+    replica_of: Vec<usize>,
+    /// Gradient buckets summed over all data-parallel groups: the number
+    /// of data-parallel collectives one reduction issues.
+    dp_collectives: usize,
+    dp_size: usize,
+}
+
+/// [`STEPS`] AdamW steps of a zoo `model` through `initialize()` under
+/// `config` on `ranks` devices, with `½‖logits‖²` as the loss; the two
+/// ranks of a data-parallel pair read different tokens.
+fn layout_run(ranks: usize, config: &Config, model: ZooModel) -> LayoutRun {
+    let cfg = TransformerConfig {
+        layers: 1,
+        hidden: 8,
+        heads: 4,
+        mlp_ratio: 2,
+        vocab: 8,
+        max_seq: 4,
+    };
+    check_model(config, model, &cfg, 4).unwrap();
+    let world = World::new(system_i());
+    let out = world.run_on(ranks, |ctx| {
+        let layer = match model {
+            ZooModel::Bert => build_bert(ctx, config, ranks, &cfg, 77),
+            _ => build_gpt(ctx, config, ranks, &cfg, 77),
+        };
+        let spec = OptimizerSpec::AdamW {
+            lr: 0.01,
+            weight_decay: 0.01,
+        };
+        let mut engine = initialize(ctx, config, ranks, layer, spec);
+        let pctx = ParallelContext::new(config, ctx.rank(), ranks);
+        let replica = pctx.axis_rank(ParallelAxis::Data);
+        for step in 0..STEPS as usize {
+            // every sequence differs, so every row group sums distinct shares
+            let ids = (0..16).map(|i| ((5 * i + 3 * (i / 4) + 7 * replica + step) % 8) as f32);
+            let tokens = Tensor::from_vec([4, cfg.max_seq], ids.collect());
+            engine.zero_grad();
+            let logits = engine.forward(&tokens);
+            let _ = engine.backward(&logits);
+            assert!(engine.step());
+        }
+        let dp = pctx.group_members(ParallelAxis::Data);
+        let buckets = BucketPlan::for_model(engine.model_mut(), config.bucket_bytes()).buckets;
+        let params = flatten_params(engine.model_mut()).into_vec();
+        (params, dp[0], buckets.len(), dp.len())
+    });
+    let dp = out[0].3;
+    LayoutRun {
+        params: out.iter().map(|o| o.0.clone()).collect(),
+        stats: world.stats(),
+        replica_of: out.iter().map(|o| o.1).collect(),
+        dp_collectives: out.iter().map(|o| o.2).sum::<usize>() / dp,
+        dp_size: dp,
     }
 }
 

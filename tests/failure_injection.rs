@@ -2,7 +2,7 @@
 //! and misuse detection across the stack.
 
 use colossalai::comm::{CollectiveOp, DeviceCtx, Poll, RankTask, RecvOp, World, WorldBackend};
-use colossalai::core::{initialize, Config, OptimizerSpec};
+use colossalai::core::{build_gpt, initialize, Config, OptimizerSpec};
 use colossalai::models::TransformerConfig;
 use colossalai::parallel::memcalc::{bert_step_bytes, SeqMode};
 use colossalai::tensor::init;
@@ -64,6 +64,58 @@ fn training_survives_injected_overflow() {
             "training must keep converging after the skip: {losses:?}"
         );
     });
+}
+
+#[test]
+fn an_overflow_in_one_tensor_parallel_shard_skips_the_step_on_every_rank() {
+    // on 2 ranks of 1D tensor parallelism, rank 1 alone finds +inf in its
+    // shard of a weight gradient. Both must skip and halve the scale, with
+    // and without clipping: a rank that judged only its own shard skipped
+    // alone, and its peer stepped (the replicas silently diverged) or
+    // blocked in the clip all-reduce the skipper never joined
+    let cfg = TransformerConfig {
+        layers: 1,
+        hidden: 8,
+        heads: 2,
+        mlp_ratio: 2,
+        vocab: 8,
+        max_seq: 4,
+    };
+    for clip in ["0", "1.0"] {
+        let config = Config::from_json(&format!(
+            r#"{{ "mixed_precision": true, "grad_clip": {clip},
+                 "parallel": {{ "tensor": {{ "size": 2, "mode": "1d" }} }} }}"#
+        ))
+        .unwrap();
+        let world = World::new(system_i());
+        let out = world.run_on(2, |ctx| {
+            let model = build_gpt(ctx, &config, 2, &cfg, 503);
+            let spec = OptimizerSpec::AdamW {
+                lr: 0.01,
+                weight_decay: 0.0,
+            };
+            let mut engine = initialize(ctx, &config, 2, model, spec);
+            let tokens = Tensor::from_vec([2, 4], (0..8).map(|t| t as f32).collect());
+            engine.zero_grad();
+            let logits = engine.forward(&tokens);
+            let _ = engine.backward(&logits);
+            if ctx.rank() == 1 {
+                engine.model_mut().visit_params(&mut |p: &mut Param| {
+                    if p.name().ends_with("attn.q.weight") {
+                        p.grad_mut().data_mut()[0] = f32::INFINITY;
+                    }
+                });
+            }
+            (engine.step(), engine.skipped_steps(), engine.loss_scale())
+        });
+        for (rank, got) in out.iter().enumerate() {
+            assert_eq!(
+                *got,
+                (false, 1, Some(32768.0)),
+                "grad_clip {clip}, rank {rank}"
+            );
+        }
+    }
 }
 
 #[test]

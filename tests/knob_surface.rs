@@ -110,18 +110,21 @@ fn library_kernels_have_one_arithmetic() {
 }
 
 /// One gradient front end: no library file names the per-layer gradient
-/// sync the reducer replaced or the replica groups a caller once fetched
-/// for it, `Param::replicas` is set only by the two modes that replicate
-/// parameters across rows (sequence and mesh parallelism, when they build a
-/// layer, naming the groups that sum them), and only the bucketed reducer
-/// reads it. The retired names are assembled from pieces so that a search
-/// of the sources for them comes back empty.
+/// sync the reducer replaced, the replica groups a caller once fetched for
+/// it or the p-aligned planner ZeRO once had beside the one that reads the
+/// mark, `Param::replicas` is set only by the two modes that
+/// replicate parameters across rows (sequence and mesh parallelism, when
+/// they build a layer, naming the groups that sum them), and only the
+/// bucketed reducer reads it — ZeRO reaches it only through the planner.
+/// The retired names are assembled from pieces so that a search of the
+/// sources for them comes back empty.
 #[test]
 fn one_gradient_front_end_reads_the_replica_mark() {
     let retired = [
         ["Grad", "Sync"].concat(),
         ["grad", "_sync"].concat(),
         ["replica", "_groups"].concat(),
+        ["element", "_ranges"].concat(),
     ];
     let setters = [
         "crates/parallel/src/sequence.rs",

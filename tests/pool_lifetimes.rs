@@ -322,8 +322,10 @@ fn zero3_with_parameters_straddling_buckets_still_matches_ddp_bitwise() {
                 (x, [(s as usize + g.rank()) % 8, 3])
             };
             if zero3 {
-                // 16-element buckets: every parameter but the last bias
-                // straddles several and keeps storage of its own
+                // 16-element buckets: in the p-aligned element ranges
+                // ZeRO once cut, every parameter but the last bias
+                // straddled several; now each parameter is a bucket of
+                // its own, which it reads as a view
                 let mut opt = ZeroOptimizer::with_bucket_bytes(
                     ctx,
                     &g,
