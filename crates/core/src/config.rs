@@ -54,12 +54,6 @@ fn default_depth() -> usize {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PipelineConfig {
     pub size: usize,
-    #[serde(default = "default_micro_batches")]
-    pub micro_batches: usize,
-}
-
-fn default_micro_batches() -> usize {
-    4
 }
 
 /// The `parallel` section.
@@ -192,15 +186,8 @@ impl Config {
                 }
             }
         }
-        if let Some(p) = self.parallel.pipeline {
-            if p.size == 0 || p.micro_batches == 0 {
-                return Err("pipeline size and micro_batches must be >= 1".into());
-            }
-        }
-        if self.gradient_accumulation > 1 && self.zero.is_some() {
-            return Err(
-                "gradient accumulation with ZeRO is not supported in this reproduction".into(),
-            );
+        if self.parallel.pipeline.is_some_and(|p| p.size == 0) {
+            return Err("pipeline size must be >= 1".into());
         }
         if let Some(z) = self.zero {
             if !(1..=3).contains(&z.stage) {
@@ -295,9 +282,6 @@ mod tests {
     fn gradient_accumulation_parses_and_guards() {
         let cfg = Config::from_json(r#"{ "gradient_accumulation": 4 }"#).unwrap();
         assert_eq!(cfg.gradient_accumulation, 4);
-        assert!(
-            Config::from_json(r#"{ "gradient_accumulation": 2, "zero": { "stage": 1 } }"#).is_err()
-        );
     }
 
     #[test]
@@ -341,6 +325,10 @@ mod tests {
             ),
             (r#"{ "compute": { "threads": 2 } }"#, "compute.threads"),
             (r#"{ "comm": { "compress": "int8" } }"#, "comm.compress"),
+            (
+                r#"{ "parallel": { "pipeline": { "size": 2, "micro_batches": 8 } } }"#,
+                "parallel.pipeline.micro_batches",
+            ),
             (r#"{ "compute": {} }"#, "compute"),
         ] {
             let err = Config::from_json(json).unwrap_err();
@@ -355,7 +343,7 @@ mod tests {
     fn roundtrip_serialization() {
         let cfg = Config::from_json(
             r#"{ "parallel": { "tensor": { "size": 8, "mode": "2.5d", "depth": 2 },
-                               "pipeline": { "size": 2, "micro_batches": 8 } },
+                               "pipeline": { "size": 2 } },
                  "mixed_precision": true, "grad_clip": 1.0 }"#,
         )
         .unwrap();

@@ -53,6 +53,8 @@ pub struct Engine {
     /// `step` must not reduce them again: ZeRO's shards, or empty for dense
     /// optimizers, whose reduced gradients are written back into the model.
     reduced: Option<Vec<Tensor>>,
+    /// A ZeRO-3 step released the parameters; the next read gathers them.
+    released: bool,
     scaler: Option<GradScaler>,
     grad_clip: f32,
     /// Micro-batches per optimizer step (>= 1).
@@ -70,9 +72,9 @@ pub struct Engine {
 ///
 /// No caller names a process group. A non-ZeRO engine reduces gradients
 /// through one [`GradReducer`] when the rank has data-parallel peers or the
-/// model holds parameters its parallel mode replicated: those name the
-/// groups that sum them (`Param::replicas`), and the reducer finds the
-/// groups from the names.
+/// model holds parameters its parallel mode replicated (`Param::replicas`
+/// names the groups that sum them). A ZeRO-3 engine holds only shards
+/// between steps and gathers the parameters again at the next read.
 pub fn initialize(
     ctx: &DeviceCtx,
     config: &Config,
@@ -144,6 +146,7 @@ pub fn initialize(
         ctx: ctx.clone(),
         reducer,
         reduced: None,
+        released: false,
         scaler: config.mixed_precision.then(GradScaler::default),
         grad_clip: config.grad_clip,
         accumulation: config.gradient_accumulation.max(1),
@@ -160,20 +163,19 @@ impl Engine {
         self.reduced = None;
     }
 
-    /// Forward pass.
+    /// Forward pass, over [`Engine::model_mut`]'s gathered parameters.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
         let ctx = self.ctx.clone();
-        let model = &mut self.model;
-        ctx.trace_phase("forward", || model.forward(x))
+        ctx.trace_phase("forward", || self.model_mut().forward(x))
     }
 
     /// Backward pass from the loss gradient (scaled when mixed precision is
     /// on). Returns the input gradient.
     ///
-    /// With data-parallel peers or replica groups and no gradient
-    /// accumulation, gradient reduction happens *inside* this call: each
+    /// Under ZeRO or with data-parallel peers or replica groups, and with
+    /// no accumulation, gradient reduction happens *inside* this call: each
     /// bucket's collectives (a replicated bucket's sums, then the
-    /// data-parallel mean) launch on the comm stream as soon as the staged
+    /// data-parallel one) launch on the comm stream as soon as the staged
     /// backward has produced its last gradient, and the streams join before
     /// returning, bit-identical to the blocking reduce `step` takes under
     /// accumulation, once per optimizer step (replica sums included).
@@ -191,7 +193,7 @@ impl Engine {
             let dp = self.dp_group.as_ref();
             let (dx, reduced) = match (&mut self.optimizer, &mut self.reducer) {
                 _ if self.accumulation > 1 => return (model.backward(&dy), None),
-                (EngineOptimizer::Zero(o), _) if dp.is_some() => o.backward_overlapped(model, &dy),
+                (EngineOptimizer::Zero(o), _) => o.backward_overlapped(model, &dy),
                 (_, Some(r)) => r.backward_overlapped(&ctx, dp, model, &dy),
                 _ => return (model.backward(&dy), None),
             };
@@ -273,14 +275,20 @@ impl Engine {
                 o.step_layer(self.model.as_mut());
                 self.model.zero_grad();
             }
-            EngineOptimizer::Zero(o) => o.step_with_shards(self.model.as_mut(), &shards),
+            EngineOptimizer::Zero(o) => {
+                self.released = o.step_with_shards(self.model.as_mut(), &shards)
+            }
         }
         self.steps += 1;
         true
     }
 
-    /// The wrapped model.
+    /// The wrapped model; the first call after a ZeRO-3 step gathers it.
     pub fn model_mut(&mut self) -> &mut dyn Layer {
+        let released = std::mem::take(&mut self.released);
+        if let (true, EngineOptimizer::Zero(o)) = (released, &self.optimizer) {
+            o.materialize_params(self.model.as_mut());
+        }
         self.model.as_mut()
     }
 
@@ -306,9 +314,9 @@ impl Engine {
 
     /// Snapshots the model parameters (per-rank: tensor-parallel engines
     /// checkpoint their shards, which restore onto the same parallel
-    /// layout).
+    /// layout), gathered after a ZeRO-3 step.
     pub fn state_dict(&mut self) -> colossalai_autograd::StateDict {
-        colossalai_autograd::StateDict::capture(self.model.as_mut())
+        colossalai_autograd::StateDict::capture(self.model_mut())
     }
 
     /// Restores a snapshot produced by [`Engine::state_dict`] on the same
@@ -317,6 +325,7 @@ impl Engine {
     /// updates and gathers.
     pub fn load_state_dict(&mut self, sd: &colossalai_autograd::StateDict) -> Result<(), String> {
         sd.restore(self.model.as_mut())?;
+        self.released = false;
         if let EngineOptimizer::Zero(o) = &mut self.optimizer {
             o.reload_master(self.model.as_mut());
         }
@@ -539,8 +548,8 @@ mod tests {
         // rank 1 alone overflows at step 0: the reduction must still run on
         // both ranks (ZeRO used to deadlock here), and both must skip. The
         // backward reduces unless gradients accumulate, which takes the
-        // blocking reduce in `step` (plain DP only: ZeRO rejects accumulation)
-        for (accumulation, stages) in [(1, 0..=3), (2, 0..=0)] {
+        // blocking reduce in `step`
+        for (accumulation, stages) in [(1, 0..=3), (2, 0..=3)] {
             let base =
                 format!(r#""mixed_precision": true, "gradient_accumulation": {accumulation}"#);
             let plain = two_rank_run(&format!("{{ {base} }}"), true);
@@ -559,6 +568,54 @@ mod tests {
                     assert_eq!(params.data(), plain[0].0.data(), "{what}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_stage3_step_leaves_shards_and_the_next_read_gathers_once() {
+        // all-gathers inside `step()`, then in a first and a second
+        // `model_mut()`: stages 1 and 2 gather in the step, stage 3's step
+        // releases the parameters and the first read after it gathers them
+        use colossalai_comm::OpKind;
+        use colossalai_parallel::bucket::BucketPlan;
+        let buckets = BucketPlan::for_model(make_model(80).as_mut(), 0)
+            .buckets
+            .len() as u64;
+        let world = World::new(system_i());
+        for stage in 1..=3 {
+            let json =
+                format!(r#"{{ "zero": {{ "stage": {stage} }}, "comm": {{ "bucket_mb": 0 }} }}"#);
+            let cfg = Config::from_json(&json).unwrap();
+            let counts = world.run_on(1, |ctx| {
+                let spec = OptimizerSpec::AdamW {
+                    lr: 0.01,
+                    weight_decay: 0.0,
+                };
+                let mut engine = initialize(ctx, &cfg, 1, make_model(80), spec);
+                let x = init::uniform([2, 4], -1.0, 1.0, &mut init::rng(81));
+                let (_, d) = cross_entropy(&engine.forward(&x), &[0, 2]);
+                let _ = engine.backward(&d);
+                let gathers = || world.stats().ops_of(OpKind::AllGather);
+                let mut at = gathers();
+                let mut since = || {
+                    let now = gathers();
+                    now - std::mem::replace(&mut at, now)
+                };
+                assert!(engine.step());
+                let step = since();
+                let _ = engine.model_mut();
+                let first = since();
+                let _ = engine.model_mut();
+                [step, first, since()]
+            });
+            let want = match stage {
+                3 => [0, buckets, 0],
+                _ => [buckets, 0, 0],
+            };
+            assert_eq!(
+                counts[0], want,
+                "stage {stage}: step, first and second read"
+            );
         }
     }
 

@@ -7,9 +7,9 @@
 //!   sharded; gradients still all-reduced in full.
 //! * **Stage 2** — gradients reduce-scattered, so each rank only ever
 //!   materializes its gradient shard.
-//! * **Stage 3** — parameters sharded too: ranks persist only their shard
-//!   and re-materialize the full parameters by all-gather around each
-//!   forward/backward.
+//! * **Stage 3** — parameters sharded too: a step releases them, so ranks
+//!   persist only their shard, and one all-gather
+//!   ([`ZeroOptimizer::materialize_params`]) gathers them for the forward.
 //!
 //! Because our reductions are rank-order deterministic, every stage yields
 //! parameters *bitwise equal* to the plain data-parallel baseline — the key
@@ -168,7 +168,7 @@ impl ZeroOptimizer {
     }
 
     /// Re-captures the master shards from the model's current parameters —
-    /// after a checkpoint restore wrote them, since the next step gathers
+    /// after a checkpoint restore wrote them, since the next gather lands
     /// the shards back over the model. The moments and step count stay, as
     /// they do for a dense AdamW whose parameters were restored.
     pub fn reload_master(&mut self, model: &mut dyn Layer) {
@@ -205,8 +205,8 @@ impl ZeroOptimizer {
     }
 
     /// Reduces the gradients (data-parallel mean), updates this rank's
-    /// shard and re-materializes the full parameters into the model. Clears
-    /// the model's gradients afterwards.
+    /// shard, gathers the parameters back (stage 3: releases them for
+    /// `materialize_params`) and clears the model's gradients.
     pub fn step(&mut self, model: &mut dyn Layer) {
         let shards = self.reduce(model);
         self.step_with_shards(model, &shards);
@@ -214,8 +214,9 @@ impl ZeroOptimizer {
 
     /// The update half of [`ZeroOptimizer::step`], from shards
     /// [`ZeroOptimizer::reduce`] or [`ZeroOptimizer::backward_overlapped`]
-    /// produced (and the caller may since have unscaled or clipped).
-    pub fn step_with_shards(&mut self, model: &mut dyn Layer, grad_shards: &[Tensor]) {
+    /// produced (and the caller may since have unscaled or clipped);
+    /// returns whether it released the parameters (stage 3).
+    pub fn step_with_shards(&mut self, model: &mut dyn Layer, grad_shards: &[Tensor]) -> bool {
         assert_eq!(grad_shards.len(), self.master.len(), "one shard per bucket");
         self.t += 1;
         let mut ms = 0;
@@ -239,8 +240,12 @@ impl ZeroOptimizer {
         if let Some((plan, pcie, host)) = &self.offload {
             plan.charge_step(&self.ctx, *pcie, host);
         }
-        self.gather_params_into(model);
+        match self.stage {
+            ZeroStage::Three => self.release_params(model),
+            _ => self.gather_params_into(model),
+        }
         model.zero_grad();
+        self.stage == ZeroStage::Three
     }
 
     /// All-gathers every bucket of the sharded master copy and lands it in
@@ -252,13 +257,12 @@ impl ZeroOptimizer {
         self.reducer.layout.scatter_values(model, &gathered);
     }
 
-    /// ZeRO-3 helper: drops the full parameters from the model, leaving
-    /// zeros (the master shard remains authoritative). Persistent
-    /// parameter memory falls to `2N/p`, and the memory really goes: every
-    /// value becomes a view of one shared zero tensor the size of the
-    /// largest parameter, so this rank's handles to the gathered buckets
-    /// drop and a bucket's storage returns to the pool once the last rank
-    /// of the group has released it.
+    /// How every ZeRO-3 step ends: drops the full parameters, leaving zeros
+    /// (the master shard is authoritative). Persistent parameter memory
+    /// falls to `2N/p`, and the memory really goes: every value becomes a
+    /// view of one shared zero tensor the size of the largest parameter, so
+    /// this rank's handles to the gathered buckets drop and a bucket's
+    /// storage returns to the pool once the last rank has released it.
     pub fn release_params(&self, model: &mut dyn Layer) {
         assert_eq!(
             self.stage,
@@ -274,8 +278,8 @@ impl ZeroOptimizer {
         });
     }
 
-    /// ZeRO-3 helper: re-materializes full parameters by all-gathering the
-    /// master shards (called before each forward pass).
+    /// ZeRO-3's one parameter gather: all-gathers the master shards into
+    /// the model, after a step released it and before the next forward.
     pub fn materialize_params(&self, model: &mut dyn Layer) {
         assert_eq!(
             self.stage,
@@ -618,6 +622,9 @@ mod tests {
                 let before = ctx.clock();
                 opt.step(&mut model);
                 advanced.push(ctx.clock() - before);
+                if stage == ZeroStage::Three {
+                    opt.materialize_params(&mut model);
+                }
             }
             (flatten_params(&mut model), advanced)
         });
@@ -728,6 +735,43 @@ mod tests {
             }
             assert_eq!(homes(&opt), before);
         });
+    }
+
+    #[test]
+    fn a_zero3_step_leaves_only_shards_and_gathers_the_model_once() {
+        // materialize → forward → backward → step, the hand-driven stage-3
+        // loop: the step releases what the pre-forward gather brought, so
+        // each step issues one all-gather per bucket
+        let world = World::new(system_ii());
+        let buckets = world.run_on(4, |ctx| {
+            let g = ctx.world_group(4);
+            let mut model = make_model(912);
+            let mut opt = ZeroOptimizer::with_bucket_bytes(
+                ctx,
+                &g,
+                &mut model,
+                ZeroStage::Three,
+                0.01,
+                0.0,
+                64,
+            );
+            for s in 0..3 {
+                opt.materialize_params(&mut model);
+                seeded_backward(&mut model, s);
+                opt.step(&mut model);
+                // every value is a view of one zero tensor: no gathered
+                // bucket is held
+                let mut values = Vec::new();
+                model.visit_params(&mut |p| values.push(p.value().clone()));
+                for v in &values {
+                    assert!(v.shares_storage(&values[0]));
+                    assert!(v.data().iter().all(|&x| x == 0.0));
+                }
+            }
+            opt.bucket_ranges().len() as u64
+        });
+        assert_eq!(buckets[0], 4);
+        assert_eq!(world.stats().ops_of(OpKind::AllGather), 3 * buckets[0]);
     }
 
     #[test]

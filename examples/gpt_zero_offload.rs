@@ -57,6 +57,8 @@ fn train(
             let _ = gpt.backward(&dlogits);
             opt.step(&mut gpt);
         }
+        // the step left only shards: gather to compare full parameters
+        opt.materialize_params(&mut gpt);
         (losses, flatten_params(&mut gpt))
     });
     let mut metered = Metered {

@@ -162,6 +162,24 @@ fn one_gradient_front_end_reads_the_replica_mark() {
     );
 }
 
+/// One ZeRO-3 protocol: a stage-3 step ends by releasing the parameters
+/// inside `ZeroOptimizer`, and everything else only gathers them
+/// (`materialize_params`, which the engine calls before the next read). No
+/// library file but `zero.rs` may release, so no second protocol with its
+/// own release point can grow in the engine. The name is assembled from
+/// pieces so that a search of the sources for it finds only its owner.
+#[test]
+fn only_zero_releases_parameters() {
+    let release = ["release", "_params("].concat();
+    let mut owners = Vec::new();
+    for (file, text) in library_sources() {
+        if text.contains(release.as_str()) {
+            owners.push(file);
+        }
+    }
+    assert_eq!(owners, ["crates/parallel/src/zero.rs"]);
+}
+
 /// Overlap is a rule, not an option: the engine overlaps the gradient
 /// reduce with the backward whenever it has a gradient reducer and no
 /// accumulation, and no library type offers a switch beside that rule. The

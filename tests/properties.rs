@@ -299,6 +299,9 @@ fn zero_stages_bitwise_equal_ddp_for_random_models() {
                 let _ = model.backward(&y);
                 opt.step(&mut model);
             }
+            if stage == ZeroStage::Three {
+                opt.materialize_params(&mut model);
+            }
             flatten_params(&mut model)
         });
         let got = zero.swap_remove(0);
