@@ -1,10 +1,13 @@
 //! Activation checkpointing (gradient checkpointing), the
 //! compute-for-memory trade of Chen et al. that Colossal-AI integrates.
 //!
-//! The wrapped layer's forward result is returned but its activation caches
-//! are immediately discarded; backward re-runs the forward from the saved
-//! input to rebuild them. Peak activation memory of the wrapped segment
-//! drops to (input + output) at the cost of one extra forward.
+//! The wrapper saves its input and backward re-runs the wrapped forward from
+//! it, so the gradients are exactly the plain ones at the cost of one extra
+//! forward. It does not yet free anything: the wrapped layers keep their
+//! activation caches between the forward and the recompute (nothing drops
+//! them), so peak activation memory is the plain model's plus the saved
+//! input. [`checkpointed_activation_bytes`] is what a cache-freeing
+//! checkpoint *would* hold.
 
 use crate::layer::Layer;
 use crate::param::Param;
@@ -47,11 +50,10 @@ impl<L: Layer> Layer for Checkpoint<L> {
     fn forward(&mut self, x: &Tensor) -> Tensor {
         self.saved_input = Some(x.clone());
         let y = self.inner.forward(x);
-        // Discard the inner caches by running a throwaway backward would
-        // corrupt parameter grads; instead we simply let the caches sit and
-        // overwrite them during recomputation. The *memory model* (what the
-        // engine charges) treats the segment as cache-free; the functional
-        // recomputation below keeps gradients exact either way.
+        // The inner caches stay alive until the recompute overwrites them:
+        // a layer has no way to drop its cache, and a throwaway backward
+        // would corrupt the parameter gradients. So this wrapper trades
+        // compute for no memory yet; the recompute keeps gradients exact.
         y
     }
 
@@ -72,8 +74,9 @@ impl<L: Layer> Layer for Checkpoint<L> {
     }
 }
 
-/// Activation bytes held by a checkpointed segment between forward and
-/// backward: just the saved input.
+/// Activation bytes a cache-freeing checkpoint would hold for a segment
+/// between forward and backward: just the saved input. [`Checkpoint`] holds
+/// the inner caches as well.
 pub fn checkpointed_activation_bytes(input_elems: u64) -> u64 {
     input_elems * 4
 }

@@ -3,9 +3,9 @@
 //!
 //! Instead of a dynamic tape, layers cache what their backward needs. This
 //! "module" style mirrors how Megatron/Colossal-AI structure tensor-parallel
-//! layers, makes activation checkpointing a trivial wrapper (drop the cache,
-//! recompute on demand), and keeps every simulated device's state fully
-//! thread-local.
+//! layers, makes activation checkpointing a wrapper (save the input,
+//! recompute on demand; the wrapped caches are not dropped yet), and keeps
+//! every simulated device's state fully thread-local.
 
 use crate::param::Param;
 use colossalai_tensor::Tensor;

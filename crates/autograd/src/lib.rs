@@ -29,6 +29,6 @@ pub use embedding::{Embedding, PositionEmbedding};
 pub use layer::{grad_check, Layer, Sequential};
 pub use linear::Linear;
 pub use norm::LayerNorm;
-pub use optim::{adamw_update, sgd_momentum_update, AdamState, AdamW, Sgd};
+pub use optim::{adamw_update, sgd_momentum_update, AdamW, Sgd};
 pub use param::Param;
 pub use state::StateDict;

@@ -1,12 +1,17 @@
 //! Optimizers: SGD and the AdamW used by every experiment in the paper.
+//!
+//! Both step through one skeleton (`step_each`): a stable sequence of
+//! (value, gradient) pairs, zeroed per-tensor state created on the first
+//! step, the same tensor count on every later one. Hyperparameters are fixed
+//! at construction.
 
 use crate::layer::Layer;
 use colossalai_tensor::Tensor;
 
 /// Plain SGD with optional momentum.
 pub struct Sgd {
-    pub lr: f32,
-    pub momentum: f32,
+    lr: f32,
+    momentum: f32,
     velocity: Vec<Tensor>,
 }
 
@@ -22,55 +27,36 @@ impl Sgd {
     /// Applies one update over every parameter of `layer` (visit order must
     /// be stable across steps, which `Layer::visit_params` guarantees).
     pub fn step_layer(&mut self, layer: &mut dyn Layer) {
-        if self.velocity.is_empty() {
-            layer.visit_params(&mut |p| {
-                self.velocity.push(Tensor::zeros(p.value().shape().clone()));
-            });
-        }
-        let mut idx = 0;
-        let lr = self.lr;
-        let momentum = self.momentum;
-        let velocity = &mut self.velocity;
-        layer.visit_params(&mut |p| {
-            let v = &mut velocity[idx];
-            if momentum != 0.0 {
-                let grad = p.grad().clone();
-                sgd_momentum_update(
-                    p.value_mut().data_mut(),
-                    v.data_mut(),
-                    grad.data(),
-                    lr,
-                    momentum,
-                );
-            } else {
-                let g = p.grad().clone();
-                p.value_mut().axpy(-lr, &g);
-            }
-            idx += 1;
-        });
-        assert_eq!(idx, velocity.len(), "parameter set changed");
+        let (lr, momentum) = (self.lr, self.momentum);
+        step_each(
+            &mut self.velocity,
+            |f| each_param(layer, f),
+            |value| Tensor::zeros(value.shape().clone()),
+            |value, grad, v| {
+                if momentum != 0.0 {
+                    sgd_momentum_update(value.data_mut(), v.data_mut(), grad.data(), lr, momentum);
+                } else {
+                    value.axpy(-lr, grad);
+                }
+            },
+        );
     }
 }
 
-/// Per-parameter Adam state (first and second moments).
-#[derive(Clone, Debug)]
-pub struct AdamState {
-    pub m: Tensor,
-    pub v: Tensor,
-}
-
 /// AdamW (decoupled weight decay), the optimizer of the paper's ViT and
-/// BERT experiments. Exposed both as a whole-model optimizer and as the
-/// scalar kernel [`adamw_update`] that the ZeRO optimizer reuses on shards,
-/// wherever an offload placement puts them.
+/// BERT experiments. It steps a whole model ([`AdamW::step_layer`]) or any
+/// list of tensors ([`AdamW::step_tensors`]: the ZeRO optimizer's master
+/// shards, one per bucket, wherever an offload placement puts them), with
+/// the element-wise kernel [`adamw_update`] either way.
 pub struct AdamW {
-    pub lr: f32,
-    pub beta1: f32,
-    pub beta2: f32,
-    pub eps: f32,
-    pub weight_decay: f32,
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    weight_decay: f32,
     t: u64,
-    state: Vec<AdamState>,
+    /// Per tensor stepped, its first and second moments.
+    moments: Vec<(Tensor, Tensor)>,
 }
 
 impl AdamW {
@@ -82,25 +68,23 @@ impl AdamW {
             eps: 1e-8,
             weight_decay,
             t: 0,
-            state: Vec::new(),
+            moments: Vec::new(),
         }
-    }
-
-    /// Steps taken so far.
-    pub fn t(&self) -> u64 {
-        self.t
     }
 
     /// Applies one AdamW update over every parameter of `layer`.
     pub fn step_layer(&mut self, layer: &mut dyn Layer) {
-        if self.state.is_empty() {
-            layer.visit_params(&mut |p| {
-                self.state.push(AdamState {
-                    m: Tensor::zeros(p.value().shape().clone()),
-                    v: Tensor::zeros(p.value().shape().clone()),
-                });
-            });
-        }
+        self.step(|f| each_param(layer, f));
+    }
+
+    /// Applies one AdamW update to each of `values` from the gradient at
+    /// the same index; every step must pass the same number of tensors.
+    pub fn step_tensors(&mut self, values: &mut [Tensor], grads: &[Tensor]) {
+        assert_eq!(values.len(), grads.len(), "one gradient per tensor");
+        self.step(|f| values.iter_mut().zip(grads).for_each(|(v, g)| f(v, g)));
+    }
+
+    fn step(&mut self, visit: impl FnOnce(&mut dyn FnMut(&mut Tensor, &Tensor))) {
         self.t += 1;
         let (t, lr, b1, b2, eps, wd) = (
             self.t,
@@ -110,27 +94,50 @@ impl AdamW {
             self.eps,
             self.weight_decay,
         );
-        let state = &mut self.state;
-        let mut idx = 0;
-        layer.visit_params(&mut |p| {
-            let s = &mut state[idx];
-            let grad = p.grad().clone();
-            adamw_update(
-                p.value_mut().data_mut(),
-                grad.data(),
-                s.m.data_mut(),
-                s.v.data_mut(),
-                t,
-                lr,
-                b1,
-                b2,
-                eps,
-                wd,
-            );
-            idx += 1;
-        });
-        assert_eq!(idx, state.len(), "parameter set changed");
+        step_each(
+            &mut self.moments,
+            visit,
+            |value| {
+                let zeros = || Tensor::zeros(value.shape().clone());
+                (zeros(), zeros())
+            },
+            |value, grad, (m, v)| {
+                let (m, v) = (m.data_mut(), v.data_mut());
+                adamw_update(value.data_mut(), grad.data(), m, v, t, lr, b1, b2, eps, wd);
+            },
+        );
     }
+}
+
+/// Hands `f` each parameter's value and gradient, in visit order.
+fn each_param(layer: &mut dyn Layer, f: &mut dyn FnMut(&mut Tensor, &Tensor)) {
+    layer.visit_params(&mut |p| {
+        let grad = p.grad().clone();
+        f(p.value_mut(), &grad);
+    });
+}
+
+/// The one step skeleton of [`Sgd`] and [`AdamW`]: `visit` hands over each
+/// (value, gradient) pair in a stable order, the first step creates each
+/// tensor's zeroed state beside it, and `update` steps the pair with its
+/// state. A later step that sees another tensor count panics.
+fn step_each<S>(
+    state: &mut Vec<S>,
+    visit: impl FnOnce(&mut dyn FnMut(&mut Tensor, &Tensor)),
+    zeroed: impl Fn(&Tensor) -> S,
+    mut update: impl FnMut(&mut Tensor, &Tensor, &mut S),
+) {
+    let first = state.is_empty();
+    let mut idx = 0;
+    visit(&mut |value, grad| {
+        if first {
+            state.push(zeroed(value));
+        }
+        let s = state.get_mut(idx).expect("parameter set changed");
+        update(value, grad, s);
+        idx += 1;
+    });
+    assert_eq!(idx, state.len(), "parameter set changed");
 }
 
 /// Fused SGD-with-momentum update over raw slices: `v = momentum*v + g;
@@ -198,13 +205,14 @@ fn adamw_scalar(
 
 /// The element-wise AdamW kernel over raw slices.
 ///
-/// Deliberately freestanding: the ZeRO sharded optimizer runs it on shard
-/// slices, CPU- or GPU-resident alike — both share these exact arithmetic
-/// semantics, which is what makes the "ZeRO under any placement equals
-/// plain AdamW bitwise" invariant testable. The body runs over 8-wide
-/// `chunks_exact` lanes (bounds-check-free, autovectorizable) with a scalar
-/// tail; both call the same per-element recurrence, so where a caller (a
-/// ZeRO shard) cuts its slices never changes a bit.
+/// [`AdamW`] runs it on every tensor it steps — a whole parameter, or a
+/// ZeRO master shard, CPU- or GPU-resident alike — so every placement
+/// shares these exact arithmetic semantics, which is what makes the "ZeRO
+/// under any placement equals plain AdamW bitwise" invariant testable. The
+/// body runs over 8-wide `chunks_exact` lanes (bounds-check-free,
+/// autovectorizable) with a scalar tail; both call the same per-element
+/// recurrence, so where a caller (a ZeRO bucket) cuts its slices never
+/// changes a bit.
 #[allow(clippy::too_many_arguments)]
 pub fn adamw_update(
     param: &mut [f32],
@@ -418,6 +426,48 @@ mod tests {
             assert_eq!(am, wm, "adamw m, n={n}");
             assert_eq!(av, wv, "adamw v, n={n}");
         }
+
+        // and `step_tensors` over a model's values cut into ragged buckets
+        // (the ZeRO master shards' step) is `step_layer` over the model
+        let mut rng = colossalai_tensor::init::rng(120);
+        let mut model = crate::layer::Sequential::new(vec![
+            Box::new(crate::linear::Linear::from_rng("a", 5, 13, true, &mut rng)),
+            Box::new(crate::linear::Linear::from_rng("b", 13, 3, true, &mut rng)),
+        ]);
+        let flat = |model: &mut dyn Layer, of: fn(&Param) -> &Tensor| {
+            let mut out = Vec::new();
+            model.visit_params(&mut |p| out.extend_from_slice(of(p).data()));
+            out
+        };
+        // 120 elements in buckets of 1, 7, 9, 64 and 39
+        let cuts = [0usize, 1, 8, 17, 81, 120];
+        let cut = |flat: &[f32]| -> Vec<Tensor> {
+            let bucket = |w: &[usize]| Tensor::from_slice([w[1] - w[0]], &flat[w[0]..w[1]]);
+            cuts.windows(2).map(bucket).collect()
+        };
+        let mut buckets = cut(&flat(&mut model, Param::value));
+        let (mut dense, mut bucketed) = (AdamW::new(0.01, 0.1), AdamW::new(0.01, 0.1));
+        for _ in 0..3 {
+            model.visit_params(&mut |p| {
+                let g = colossalai_tensor::init::uniform(
+                    p.value().shape().clone(),
+                    -1.0,
+                    1.0,
+                    &mut rng,
+                );
+                p.zero_grad();
+                p.accumulate_grad(&g);
+            });
+            let grads = cut(&flat(&mut model, Param::grad));
+            dense.step_layer(&mut model);
+            bucketed.step_tensors(&mut buckets, &grads);
+        }
+        let got: Vec<f32> = buckets.iter().flat_map(|b| b.data().to_vec()).collect();
+        assert_eq!(
+            got,
+            flat(&mut model, Param::value),
+            "adamw over ragged buckets"
+        );
     }
 
     #[test]

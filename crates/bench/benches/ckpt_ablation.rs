@@ -1,6 +1,8 @@
 //! Bench + ablation: activation checkpointing — the extra
-//! recompute it costs (wall time) and the activation memory it saves
-//! (modeled), the trade Colossal-AI's search integrates (Section 3.3).
+//! recompute it costs (wall time) and the activation memory a
+//! cache-freeing checkpoint would save (modeled), the trade Colossal-AI's
+//! search integrates (Section 3.3). `Checkpoint` keeps the inner caches,
+//! so it saves none of that yet.
 
 use colossalai_autograd::{Checkpoint, Layer, Sequential};
 use colossalai_bench::bench_fn;
@@ -56,7 +58,8 @@ fn main() {
         )
         + cfg.activation_bytes_per_layer(batch, seq);
     println!(
-        "plain: {:.2} GiB | checkpointed: {:.2} GiB ({:.1}x less) at +1 forward of compute",
+        "plain: {:.2} GiB | checkpointed: {:.2} GiB ({:.1}x less, the saving a cache-freeing \
+         checkpoint would give; `Checkpoint` keeps its caches) at +1 forward of compute",
         plain as f64 / (1u64 << 30) as f64,
         ckpt as f64 / (1u64 << 30) as f64,
         plain as f64 / ckpt as f64

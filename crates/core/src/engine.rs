@@ -91,7 +91,8 @@ pub fn initialize(
     );
     // activation checkpointing: wrap the whole model (the paper's engine
     // applies it per injected module; at engine granularity the numerics
-    // are identical and the memory model is strictly conservative)
+    // are identical). `Checkpoint` keeps the inner caches, so this
+    // recomputes the forward and frees no activation memory
     let mut model: Box<dyn Layer> = if config.activation_checkpoint {
         Box::new(Checkpoint::new(model))
     } else {
@@ -119,8 +120,7 @@ pub fn initialize(
                 &group,
                 model.as_mut(),
                 stage,
-                lr,
-                weight_decay,
+                AdamW::new(lr, weight_decay),
                 config.bucket_bytes(),
             )))
         }

@@ -17,22 +17,24 @@
 //!
 //! A `ZeroOptimizer` is the shared [`GradReducer`] (the one bucketed data
 //! parallelism runs, keeping a shard of each bucket instead of the whole)
-//! plus sharded AdamW plus the parameter all-gather. Its buckets are data
-//! parallelism's: runs of whole parameters of at most the bucket capacity
-//! (default 25 MB) and of one replica mark, each padded to a multiple of
-//! p, so a layout's replica sums ride them as they ride DP's. The master
-//! copy and Adam moments are laid out bucket-by-bucket (rank `r` owns the
-//! `r`-th p-th of every bucket), so any bucket plan yields the same bits,
-//! and a single default bucket degenerates to the classic contiguous
-//! shard. The reducer's `bucket::FlatLayout` is the only mapping between
-//! the model and those buckets: it picks the master shards out of the
-//! parameters (at construction, and again when a checkpoint restore
-//! rewrote them), and every gathered bucket lands in the model as O(1)
-//! views — a parameter *is* a region of the bucket it arrived in, shared by
-//! the p ranks of the group, not a copy of it.
+//! plus [`AdamW`] over the shards plus the parameter all-gather. Its
+//! buckets are data parallelism's: runs of whole parameters of at most the
+//! bucket capacity (default 25 MB) and of one replica mark, each padded to
+//! a multiple of p, so a layout's replica sums ride them as they ride DP's.
+//! Rank `r` owns the `r`-th p-th of every bucket as one FP32 master tensor,
+//! and the dense optimizer's [`AdamW::step_tensors`] steps that list, so
+//! each bucket's Adam moments sit beside its master shard. The update is
+//! element-wise, so any bucket plan yields the same bits, and a single
+//! default bucket degenerates to the classic contiguous shard. The
+//! reducer's `bucket::FlatLayout` is the only mapping between the model and
+//! those buckets: it picks the master shards out of the parameters (at
+//! construction, and again when a checkpoint restore rewrote them), and
+//! every gathered bucket lands in the model as O(1) views — a parameter
+//! *is* a region of the bucket it arrived in, shared by the p ranks of the
+//! group, not a copy of it.
 
 use crate::bucket::{GradReducer, Keep, DEFAULT_BUCKET_BYTES};
-use colossalai_autograd::{adamw_update, Layer, Param};
+use colossalai_autograd::{AdamW, Layer, Param};
 use colossalai_comm::{DeviceCtx, Group};
 use colossalai_memory::offload::OffloadPlan;
 use colossalai_tensor::Tensor;
@@ -58,17 +60,15 @@ pub fn model_data_bytes_per_device(stage: ZeroStage, n: u64, p: u64) -> u64 {
     params + grads + optim
 }
 
-/// A ZeRO sharded AdamW over any [`Layer`] model.
+/// ZeRO over any [`Layer`] model: [`AdamW`] stepping this rank's shard of
+/// every gradient bucket.
 pub struct ZeroOptimizer {
     stage: ZeroStage,
     ctx: DeviceCtx,
     group: Group,
-    pub lr: f32,
-    pub beta1: f32,
-    pub beta2: f32,
-    pub eps: f32,
-    pub weight_decay: f32,
-    t: u64,
+    /// The optimizer of the master shards; its moments are per bucket,
+    /// beside the shard they update.
+    adam: AdamW,
     /// Bucketed gradient reduction over buckets of whole parameters, each
     /// padded to a multiple of p; each rank keeps its p-th of every bucket.
     reducer: GradReducer,
@@ -76,9 +76,6 @@ pub struct ZeroOptimizer {
     /// `r`-th p-th of that bucket's elements. Updated in place, and handed
     /// to the parameter all-gather as an O(1) copy-on-write handle.
     master: Vec<Tensor>,
-    /// Adam moments of the master shard, bucket after bucket.
-    m: Vec<f32>,
-    v: Vec<f32>,
     /// Where the shard lives, and the PCIe link and host its off-device
     /// share is charged against ([`ZeroOptimizer::with_offload`]).
     offload: Option<(OffloadPlan, Link, HostSpec)>,
@@ -108,26 +105,18 @@ impl ZeroOptimizer {
         lr: f32,
         weight_decay: f32,
     ) -> Self {
-        Self::with_bucket_bytes(
-            ctx,
-            group,
-            model,
-            stage,
-            lr,
-            weight_decay,
-            DEFAULT_BUCKET_BYTES,
-        )
+        let adam = AdamW::new(lr, weight_decay);
+        Self::with_bucket_bytes(ctx, group, model, stage, adam, DEFAULT_BUCKET_BYTES)
     }
 
-    /// Like [`ZeroOptimizer::new`] with an explicit gradient-bucket capacity.
-    #[allow(clippy::too_many_arguments)]
+    /// Like [`ZeroOptimizer::new`], stepping the shards with `adam` and with
+    /// an explicit gradient-bucket capacity.
     pub fn with_bucket_bytes(
         ctx: &DeviceCtx,
         group: &Group,
         model: &mut dyn Layer,
         stage: ZeroStage,
-        lr: f32,
-        weight_decay: f32,
+        adam: AdamW,
         bucket_bytes: usize,
     ) -> Self {
         let keep = match stage {
@@ -136,21 +125,13 @@ impl ZeroOptimizer {
         };
         let reducer = GradReducer::new(model, bucket_bytes, keep, group.size());
         let master = master_shards(&reducer, group, model);
-        let shard_len = master.iter().map(Tensor::numel).sum();
         ZeroOptimizer {
             stage,
             ctx: ctx.clone(),
             group: group.clone(),
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay,
-            t: 0,
+            adam,
             reducer,
             master,
-            m: vec![0.0; shard_len],
-            v: vec![0.0; shard_len],
             offload: None,
         }
     }
@@ -173,11 +154,6 @@ impl ZeroOptimizer {
     /// they do for a dense AdamW whose parameters were restored.
     pub fn reload_master(&mut self, model: &mut dyn Layer) {
         self.master = master_shards(&self.reducer, &self.group, model);
-    }
-
-    /// Elements in one shard.
-    pub fn shard_len(&self) -> usize {
-        self.m.len()
     }
 
     /// The `(offset, len)` buckets of the flat gradient: runs of whole
@@ -217,26 +193,7 @@ impl ZeroOptimizer {
     /// produced (and the caller may since have unscaled or clipped);
     /// returns whether it released the parameters (stage 3).
     pub fn step_with_shards(&mut self, model: &mut dyn Layer, grad_shards: &[Tensor]) -> bool {
-        assert_eq!(grad_shards.len(), self.master.len(), "one shard per bucket");
-        self.t += 1;
-        let mut ms = 0;
-        for (master, shard) in self.master.iter_mut().zip(grad_shards) {
-            let sl = shard.numel();
-            adamw_update(
-                master.data_mut(),
-                shard.data(),
-                &mut self.m[ms..ms + sl],
-                &mut self.v[ms..ms + sl],
-                self.t,
-                self.lr,
-                self.beta1,
-                self.beta2,
-                self.eps,
-                self.weight_decay,
-            );
-            ms += sl;
-        }
-        assert_eq!(ms, self.shard_len());
+        self.adam.step_tensors(&mut self.master, grad_shards);
         if let Some((plan, pcie, host)) = &self.offload {
             plan.charge_step(&self.ctx, *pcie, host);
         }
@@ -373,8 +330,7 @@ mod tests {
                         &g,
                         &mut model,
                         stage,
-                        0.01,
-                        0.05,
+                        AdamW::new(0.01, 0.05),
                         bucket_bytes,
                     );
                     for s in 0..steps {
@@ -611,8 +567,14 @@ mod tests {
             let g = ctx.world_group(1);
             let mut model = make_model(910);
             // 64-byte buckets: a master shard per parameter
-            let mut opt =
-                ZeroOptimizer::with_bucket_bytes(ctx, &g, &mut model, stage, 0.01, 0.05, 64);
+            let mut opt = ZeroOptimizer::with_bucket_bytes(
+                ctx,
+                &g,
+                &mut model,
+                stage,
+                AdamW::new(0.01, 0.05),
+                64,
+            );
             if let Some(plan) = offload {
                 opt = opt.with_offload(plan, Link::pcie(), HostSpec::dgx());
             }
@@ -720,8 +682,7 @@ mod tests {
                 &g,
                 &mut model,
                 ZeroStage::Three,
-                0.01,
-                0.0,
+                AdamW::new(0.01, 0.0),
                 64,
             );
             let homes = |opt: &ZeroOptimizer| -> Vec<*const f32> {
@@ -751,8 +712,7 @@ mod tests {
                 &g,
                 &mut model,
                 ZeroStage::Three,
-                0.01,
-                0.0,
+                AdamW::new(0.01, 0.0),
                 64,
             );
             for s in 0..3 {
@@ -785,8 +745,7 @@ mod tests {
                 &g,
                 &mut model,
                 ZeroStage::Two,
-                0.01,
-                0.0,
+                AdamW::new(0.01, 0.0),
                 64,
             );
             let mut o = 0;
@@ -833,7 +792,11 @@ mod tests {
             let g = ctx.world_group(4);
             let mut model = make_model(901);
             let opt = ZeroOptimizer::new(ctx, &g, &mut model, ZeroStage::Two, 0.01, 0.0);
-            opt.shard_len()
+            opt.bucket_ranges()
+                .iter()
+                .map(|&(_, len)| len)
+                .sum::<usize>()
+                / 4
         });
         assert_eq!(out, vec![29; 4]); // ceil(114/4) = 29
     }

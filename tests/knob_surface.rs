@@ -180,6 +180,27 @@ fn only_zero_releases_parameters() {
     assert_eq!(owners, ["crates/parallel/src/zero.rs"]);
 }
 
+/// One AdamW: ZeRO steps its master shards with the dense optimizer's
+/// `AdamW::step_tensors`, so no library file but `optim.rs` runs an
+/// optimizer's element-wise update itself, with state and hyperparameters
+/// of its own beside `AdamW`'s. The names are assembled from pieces so that
+/// a search of the sources for them finds only their owner.
+#[test]
+fn only_the_optimizers_run_their_updates() {
+    let kernels = [
+        ["adamw", "_update("].concat(),
+        ["sgd_momentum", "_update("].concat(),
+    ];
+    for (file, text) in library_sources() {
+        for kernel in &kernels {
+            assert!(
+                file == "crates/autograd/src/optim.rs" || !text.contains(kernel.as_str()),
+                "{file} calls {kernel:?}: step the tensors through `AdamW` / `Sgd`"
+            );
+        }
+    }
+}
+
 /// Overlap is a rule, not an option: the engine overlaps the gradient
 /// reduce with the backward whenever it has a gradient reducer and no
 /// accumulation, and no library type offers a switch beside that rule. The

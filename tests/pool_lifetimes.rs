@@ -169,8 +169,7 @@ fn zero3_steady_state_stages_nothing_the_size_of_the_model() {
             &g,
             &mut gpt,
             ZeroStage::Three,
-            1e-3,
-            0.01,
+            AdamW::new(1e-3, 0.01),
             BUCKET_BYTES,
         );
         let mut train_step = |gpt: &mut Gpt| {
@@ -331,8 +330,7 @@ fn zero3_with_parameters_straddling_buckets_still_matches_ddp_bitwise() {
                     &g,
                     &mut model,
                     ZeroStage::Three,
-                    0.01,
-                    0.05,
+                    AdamW::new(0.01, 0.05),
                     64,
                 );
                 for s in 0..STEPS {
