@@ -6,8 +6,10 @@
 //! forward. It does not yet free anything: the wrapped layers keep their
 //! activation caches between the forward and the recompute (nothing drops
 //! them), so peak activation memory is the plain model's plus the saved
-//! input. [`checkpointed_activation_bytes`] is what a cache-freeing
-//! checkpoint *would* hold.
+//! input. No library code wraps a layer in it yet: the engine checkpoints
+//! nothing, since one checkpoint around the whole model would recompute
+//! every activation at the start of backward and lower no peak even once
+//! the wrapper frees its caches.
 
 use crate::layer::Layer;
 use crate::param::Param;
@@ -30,11 +32,6 @@ impl<L: Layer> Checkpoint<L> {
             saved_input: None,
             recompute_count: 0,
         }
-    }
-
-    /// The wrapped layer.
-    pub fn inner(&self) -> &L {
-        &self.inner
     }
 
     /// Re-runs the forward from the saved input to rebuild the activation
@@ -72,13 +69,6 @@ impl<L: Layer> Layer for Checkpoint<L> {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.inner.visit_params(f);
     }
-}
-
-/// Activation bytes a cache-freeing checkpoint would hold for a segment
-/// between forward and backward: just the saved input. [`Checkpoint`] holds
-/// the inner caches as well.
-pub fn checkpointed_activation_bytes(input_elems: u64) -> u64 {
-    input_elems * 4
 }
 
 #[cfg(test)]
@@ -134,10 +124,5 @@ mod tests {
             let _ = ckpt.backward(&Tensor::ones([2, 4]));
             assert_eq!(ckpt.recompute_count, step);
         }
-    }
-
-    #[test]
-    fn activation_bytes_formula() {
-        assert_eq!(checkpointed_activation_bytes(1000), 4000);
     }
 }

@@ -9,7 +9,8 @@
 //! Megatron-LM and Colossal-AI structure tensor-parallel layers: distributed
 //! variants in `colossalai-parallel` implement the same [`layer::Layer`]
 //! shape with collectives interleaved into forward/backward, and activation
-//! checkpointing is a wrapper that drops caches and recomputes.
+//! checkpointing is a wrapper that recomputes its forward in backward (it
+//! does not yet drop the caches in between).
 
 pub mod act;
 pub mod attention;

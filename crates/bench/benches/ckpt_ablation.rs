@@ -1,12 +1,11 @@
-//! Bench + ablation: activation checkpointing — the extra
-//! recompute it costs (wall time) and the activation memory a
-//! cache-freeing checkpoint would save (modeled), the trade Colossal-AI's
-//! search integrates (Section 3.3). `Checkpoint` keeps the inner caches,
-//! so it saves none of that yet.
+//! Bench: activation checkpointing's compute side — the wall time of the
+//! extra recompute, plain forward + backward against the same blocks under
+//! one `Checkpoint`. `Checkpoint` keeps the inner caches, so it saves no
+//! activation memory yet, and this bench reports none.
 
 use colossalai_autograd::{Checkpoint, Layer, Sequential};
 use colossalai_bench::bench_fn;
-use colossalai_models::{TransformerBlock, TransformerConfig};
+use colossalai_models::TransformerBlock;
 use colossalai_tensor::init;
 
 fn make_blocks(n: usize, dim: usize, heads: usize) -> Sequential {
@@ -46,22 +45,4 @@ fn main() {
         std::hint::black_box(m.backward(&dy));
         std::hint::black_box(y);
     });
-
-    // modeled memory ablation at paper scale
-    println!("\n== checkpointing ablation: BERT-Base activation memory per device ==");
-    let cfg = TransformerConfig::bert_base();
-    let (batch, seq) = (32usize, 512usize);
-    let plain = cfg.activation_bytes(batch, seq);
-    let ckpt = cfg.layers as u64
-        * colossalai_autograd::checkpoint::checkpointed_activation_bytes(
-            (batch * seq * cfg.hidden) as u64,
-        )
-        + cfg.activation_bytes_per_layer(batch, seq);
-    println!(
-        "plain: {:.2} GiB | checkpointed: {:.2} GiB ({:.1}x less, the saving a cache-freeing \
-         checkpoint would give; `Checkpoint` keeps its caches) at +1 forward of compute",
-        plain as f64 / (1u64 << 30) as f64,
-        ckpt as f64 / (1u64 << 30) as f64,
-        plain as f64 / ckpt as f64
-    );
 }

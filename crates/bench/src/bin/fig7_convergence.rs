@@ -15,10 +15,9 @@
 
 use colossalai_bench::{print_table, trace_arg, write_trace};
 use colossalai_comm::World;
-use colossalai_core::{build_vit, check_model, Config, ZooModel};
+use colossalai_core::{build_vit, check_model, initialize, Config, OptimizerSpec, ZooModel};
 use colossalai_models::data::SyntheticVision;
 use colossalai_models::TransformerConfig;
-use colossalai_parallel::{GradReducer, DEFAULT_BUCKET_BYTES};
 use colossalai_tensor::ops::cross_entropy;
 use colossalai_topology::systems::system_i;
 
@@ -42,7 +41,8 @@ fn vit_cfg(classes: usize) -> TransformerConfig {
 }
 
 /// Trains the ViT of `cfg` under the `"tensor"` section `tensor` (`None` =
-/// serial) and returns rank 0's per-step losses and the world they ran on.
+/// serial) through `initialize()` with plain SGD, and returns rank 0's
+/// per-step losses and the world they ran on.
 fn train(cfg: &TransformerConfig, tensor: Option<(usize, &str)>, trace: bool) -> (Vec<f32>, World) {
     let (size, json) = match tensor {
         None => (1, "{}".to_string()),
@@ -67,19 +67,19 @@ fn train(cfg: &TransformerConfig, tensor: Option<(usize, &str)>, trace: bool) ->
     let world = World::new(system_i());
     world.set_tracing(trace);
     let mut losses = world.run_on(size, |ctx| {
-        let mut vit = build_vit(ctx, &config, size, cfg, PATCH_DIM, 1000);
-        let mut reducer = GradReducer::data_parallel(vit.as_mut(), DEFAULT_BUCKET_BYTES);
+        let vit = build_vit(ctx, &config, size, cfg, PATCH_DIM, 1000);
+        let sgd = OptimizerSpec::Sgd {
+            lr: LR,
+            momentum: 0.0,
+        };
+        let mut engine = initialize(ctx, &config, size, vit, sgd);
         (0..STEPS)
             .map(|step| {
                 let (x, t) = data.batch(BATCH, step as u64);
-                vit.zero_grad();
-                let (loss, d) = cross_entropy(&vit.forward(&x), &t);
-                let _ = vit.backward(&d);
-                reducer.reduce(ctx, None, vit.as_mut());
-                vit.visit_params(&mut |p| {
-                    let g = p.grad().clone();
-                    p.value_mut().axpy(-LR, &g);
-                });
+                engine.zero_grad();
+                let (loss, d) = cross_entropy(&engine.forward(&x), &t);
+                let _ = engine.backward(&d);
+                engine.step();
                 loss
             })
             .collect::<Vec<f32>>()

@@ -88,7 +88,7 @@ impl SpanKind {
     }
 
     /// Chrome-trace category (`cat` field); also drives the rollup buckets.
-    pub fn category(&self) -> &'static str {
+    fn category(&self) -> &'static str {
         match self {
             SpanKind::Compute { .. } => "compute",
             SpanKind::Collective { .. } => "collective",

@@ -42,15 +42,15 @@ impl HybridSpec {
     /// `(stage, dp_index, tp_index)` of `rank`. Tensor-parallel neighbors
     /// get adjacent ranks (they communicate most), then data-parallel
     /// replicas, then pipeline stages — the usual hybrid rank layout.
-    pub fn coords(&self, rank: usize) -> (usize, usize, usize) {
+    fn coords(&self, rank: usize) -> (usize, usize, usize) {
         let tp_idx = rank % self.tp;
         let dp_idx = (rank / self.tp) % self.dp;
         let stage = rank / (self.tp * self.dp);
         (stage, dp_idx, tp_idx)
     }
 
-    /// Inverse of [`HybridSpec::coords`].
-    pub fn rank_of(&self, stage: usize, dp_idx: usize, tp_idx: usize) -> usize {
+    /// Inverse of `coords`.
+    fn rank_of(&self, stage: usize, dp_idx: usize, tp_idx: usize) -> usize {
         (stage * self.dp + dp_idx) * self.tp + tp_idx
     }
 }

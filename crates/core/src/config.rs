@@ -12,8 +12,7 @@
 //!     "data":     { "size": 1 }
 //!   },
 //!   "zero": { "stage": 2 },
-//!   "mixed_precision": true,
-//!   "activation_checkpoint": false
+//!   "mixed_precision": true
 //! }
 //! ```
 
@@ -109,8 +108,6 @@ pub struct Config {
     /// stays f32.
     #[serde(default)]
     pub mixed_precision: bool,
-    #[serde(default)]
-    pub activation_checkpoint: bool,
     /// Gradient clipping threshold (0 disables).
     #[serde(default)]
     pub grad_clip: f32,
@@ -328,6 +325,10 @@ mod tests {
             (
                 r#"{ "parallel": { "pipeline": { "size": 2, "micro_batches": 8 } } }"#,
                 "parallel.pipeline.micro_batches",
+            ),
+            (
+                r#"{ "activation_checkpoint": true }"#,
+                "activation_checkpoint",
             ),
             (r#"{ "compute": {} }"#, "compute"),
         ] {

@@ -14,7 +14,7 @@
 use crate::amp::GradScaler;
 use crate::config::Config;
 use crate::context::{ParallelAxis, ParallelContext};
-use colossalai_autograd::{AdamW, Checkpoint, Layer, Sgd};
+use colossalai_autograd::{AdamW, Layer, Sgd};
 use colossalai_comm::{DeviceCtx, Group};
 use colossalai_parallel::bucket::GradReducer;
 use colossalai_parallel::zero::{ZeroOptimizer, ZeroStage};
@@ -75,11 +75,16 @@ pub struct Engine {
 /// model holds parameters its parallel mode replicated (`Param::replicas`
 /// names the groups that sum them). A ZeRO-3 engine holds only shards
 /// between steps and gathers the parameters again at the next read.
+///
+/// The model trains as given: the engine checkpoints no activations. One
+/// checkpoint around the whole model would recompute every activation at
+/// the start of backward and so lower no peak; checkpointing belongs around
+/// each block.
 pub fn initialize(
     ctx: &DeviceCtx,
     config: &Config,
     world: usize,
-    model: Box<dyn Layer>,
+    mut model: Box<dyn Layer>,
     optimizer: OptimizerSpec,
 ) -> Engine {
     config.validate().expect("invalid configuration");
@@ -89,15 +94,6 @@ pub fn initialize(
         "parallel.pipeline.size = {stages}: initialize() would train the whole model on every \
          stage rank; build the stages with parallel::PipelineStage"
     );
-    // activation checkpointing: wrap the whole model (the paper's engine
-    // applies it per injected module; at engine granularity the numerics
-    // are identical). `Checkpoint` keeps the inner caches, so this
-    // recomputes the forward and frees no activation memory
-    let mut model: Box<dyn Layer> = if config.activation_checkpoint {
-        Box::new(Checkpoint::new(model))
-    } else {
-        model
-    };
     let pctx = ParallelContext::new(config, ctx.rank(), world);
     let dp_members = pctx.group_members(ParallelAxis::Data);
     let dp_group = (dp_members.len() > 1).then(|| ctx.group(&dp_members));
@@ -769,44 +765,6 @@ mod tests {
             accumulated.allclose(&big, 1e-5),
             "accumulated diverged by {}",
             accumulated.max_abs_diff(&big)
-        );
-    }
-
-    #[test]
-    fn checkpointed_engine_matches_plain() {
-        let run = |json: &str| {
-            let world = World::new(system_i());
-            let mut out = world.run_on(1, |ctx| {
-                let cfg = Config::from_json(json).unwrap();
-                let mut engine = initialize(
-                    ctx,
-                    &cfg,
-                    1,
-                    make_model(70),
-                    OptimizerSpec::AdamW {
-                        lr: 0.02,
-                        weight_decay: 0.0,
-                    },
-                );
-                let mut rng = init::rng(71);
-                let x = init::uniform([4, 4], -1.0, 1.0, &mut rng);
-                for _ in 0..4 {
-                    engine.zero_grad();
-                    let logits = engine.forward(&x);
-                    let (_, d) = cross_entropy(&logits, &[0, 1, 2, 0]);
-                    let _ = engine.backward(&d);
-                    engine.step();
-                }
-                colossalai_parallel::data_parallel::flatten_params(engine.model_mut())
-            });
-            out.swap_remove(0)
-        };
-        let plain = run("{}");
-        let ckpt = run(r#"{ "activation_checkpoint": true }"#);
-        assert_eq!(
-            plain.data(),
-            ckpt.data(),
-            "checkpointing must not change numerics"
         );
     }
 

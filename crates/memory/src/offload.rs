@@ -50,7 +50,7 @@ impl ModelData {
     }
 
     /// Parameters owned (updated) by one rank.
-    pub fn params_per_rank(&self) -> u64 {
+    fn params_per_rank(&self) -> u64 {
         self.n_params / self.dp_degree
     }
 }

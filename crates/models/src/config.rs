@@ -162,11 +162,6 @@ impl TransformerConfig {
         (s * b * h * (34.0 + 5.0 * a * s / h)) as u64
     }
 
-    /// Total activation bytes for the whole stack.
-    pub fn activation_bytes(&self, batch: usize, seq: usize) -> u64 {
-        self.layers as u64 * self.activation_bytes_per_layer(batch, seq)
-    }
-
     /// FP16 model-data bytes (params + grads) plus FP32 optimizer state
     /// (master weights, Adam m and v): the 16-bytes-per-param rule of
     /// mixed-precision Adam training.

@@ -59,7 +59,7 @@ pub enum ConvOp {
 /// Element-hops a single conversion step moves, for a tensor of `elems`
 /// elements over `p` devices (ring-algorithm accounting, matching
 /// `colossalai-comm`'s meters).
-pub fn step_cost(op: ConvOp, elems: u64, p: u64) -> u64 {
+fn step_cost(op: ConvOp, elems: u64, p: u64) -> u64 {
     match op {
         ConvOp::Slice(_) => 0,
         ConvOp::AllGather(_) => (p - 1) * elems,

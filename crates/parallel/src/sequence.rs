@@ -25,7 +25,7 @@ use colossalai_tensor::Tensor;
 
 /// Splits a `[b, s, ..]` tensor along the sequence dimension for `rank` of
 /// `p` (test/data-loader helper).
-pub fn split_sequence(x: &Tensor, p: usize, rank: usize) -> Tensor {
+fn split_sequence(x: &Tensor, p: usize, rank: usize) -> Tensor {
     x.chunk(1, p).swap_remove(rank)
 }
 

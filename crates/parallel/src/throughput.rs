@@ -154,7 +154,7 @@ fn tp_layer_comm_seconds(
 }
 
 /// Step-time estimate for tensor-parallel ViT training (Figs 11, Table 3).
-pub fn tp_step(
+fn tp_step(
     mode: TpMode,
     cfg: &TransformerConfig,
     cluster: &Cluster,
@@ -180,7 +180,7 @@ pub fn tp_step(
 
 /// Largest batch that fits for a TP mode: 1D duplicates layer boundaries,
 /// advanced modes shard all activations (see `memcalc`).
-pub fn tp_max_batch(mode: TpMode, cfg: &TransformerConfig, p: usize, capacity: u64) -> usize {
+fn tp_max_batch(mode: TpMode, cfg: &TransformerConfig, p: usize, capacity: u64) -> usize {
     memcalc::largest_fit(|b| {
         let model = cfg.model_data_bytes() / p as u64;
         let act = match mode {

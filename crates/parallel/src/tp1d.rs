@@ -15,12 +15,12 @@ use colossalai_tensor::ops::sum_axis;
 use colossalai_tensor::Tensor;
 
 /// Shards a `[in, out]` weight along its output (column) dimension.
-pub fn shard_cols(w: &Tensor, parts: usize, rank: usize) -> Tensor {
+fn shard_cols(w: &Tensor, parts: usize, rank: usize) -> Tensor {
     w.chunk(1, parts).swap_remove(rank)
 }
 
 /// Shards a `[in, out]` weight along its input (row) dimension.
-pub fn shard_rows(w: &Tensor, parts: usize, rank: usize) -> Tensor {
+fn shard_rows(w: &Tensor, parts: usize, rank: usize) -> Tensor {
     w.chunk(0, parts).swap_remove(rank)
 }
 

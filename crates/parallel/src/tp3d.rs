@@ -65,7 +65,7 @@ pub fn tile_x_3d(global: &Tensor, g: &Grid3d) -> Tensor {
 }
 
 /// Slices the `W` tile `[K/l^2, N/l]` for device `(i, j, k)`.
-pub fn tile_w_3d(global: &Tensor, g: &Grid3d) -> Tensor {
+fn tile_w_3d(global: &Tensor, g: &Grid3d) -> Tensor {
     let cube = MeshLayout::over(TpMode::ThreeD, [g.l; 3]);
     cube.tile(global, cube.weight, [g.i, g.j, g.k])
 }

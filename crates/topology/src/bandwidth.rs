@@ -25,7 +25,7 @@ pub struct GroupProbe {
 
 /// Probes every unordered device pair with a `bytes`-sized transfer
 /// (Fig 10a: "Communication Bandwidth between GPU Pairs").
-pub fn probe_pairs(cluster: &Cluster, bytes: u64) -> Vec<PairProbe> {
+fn probe_pairs(cluster: &Cluster, bytes: u64) -> Vec<PairProbe> {
     let n = cluster.n_devices();
     let mut out = Vec::with_capacity(n * (n - 1) / 2);
     for a in 0..n {

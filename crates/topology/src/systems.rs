@@ -69,7 +69,7 @@ pub fn system_iv() -> Cluster {
 /// table is materialized), InfiniBand HDR between nodes of a pod, and a
 /// 2:1-oversubscribed, higher-latency uplink between pods. The shape of the
 /// large production clusters the paper's scaling discussion targets.
-pub fn fat_tree(name: impl Into<String>, pods: usize, nodes_per_pod: usize) -> Cluster {
+fn fat_tree(name: impl Into<String>, pods: usize, nodes_per_pod: usize) -> Cluster {
     let mut c = Cluster::homogeneous(
         name,
         pods * nodes_per_pod,

@@ -2,15 +2,15 @@
 //! 2.5D, 3D, each picked by the `"tensor"` section of a config JSON — and
 //! verifies each loss trajectory matches the serial model: the workload of
 //! the paper's Fig 7 / Fig 11 experiments at example scale. The model code is
-//! `build_vit` every time; only the config changes.
+//! `build_vit` every time, trained through `initialize()` with plain SGD;
+//! only the config changes.
 //!
 //! Run with: `cargo run --release --example vit_tensor_parallel`
 
 use colossalai::comm::World;
-use colossalai::core::{build_vit, check_model, Config, ZooModel};
+use colossalai::core::{build_vit, check_model, initialize, Config, OptimizerSpec, ZooModel};
 use colossalai::models::data::SyntheticVision;
 use colossalai::models::TransformerConfig;
-use colossalai::parallel::{GradReducer, DEFAULT_BUCKET_BYTES};
 use colossalai::tensor::ops::cross_entropy;
 use colossalai::topology::systems::system_i;
 
@@ -41,20 +41,21 @@ fn main() {
         world
             .run_on(gpus, |ctx| {
                 // same seed -> same global weights under every mode
-                let mut vit = build_vit(ctx, &config, gpus, &cfg, PATCH_DIM, 1234);
-                // sums the gradients of what the mode replicates across rows
-                let mut reducer = GradReducer::data_parallel(vit.as_mut(), DEFAULT_BUCKET_BYTES);
+                let vit = build_vit(ctx, &config, gpus, &cfg, PATCH_DIM, 1234);
+                // the engine sums the gradients of what the mode replicates
+                // across rows, overlapped with the backward
+                let sgd = OptimizerSpec::Sgd {
+                    lr: LR,
+                    momentum: 0.0,
+                };
+                let mut engine = initialize(ctx, &config, gpus, vit, sgd);
                 let losses = (0..STEPS)
                     .map(|step| {
                         let (x, t) = data.batch(BATCH, step as u64);
-                        vit.zero_grad();
-                        let (loss, d) = cross_entropy(&vit.forward(&x), &t);
-                        let _ = vit.backward(&d);
-                        reducer.reduce(ctx, None, vit.as_mut());
-                        vit.visit_params(&mut |p| {
-                            let g = p.grad().clone();
-                            p.value_mut().axpy(-LR, &g);
-                        });
+                        engine.zero_grad();
+                        let (loss, d) = cross_entropy(&engine.forward(&x), &t);
+                        let _ = engine.backward(&d);
+                        engine.step();
                         loss
                     })
                     .collect();

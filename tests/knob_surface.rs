@@ -4,8 +4,9 @@
 //! are the things the retired intra-op pool and fast numeric mode took with
 //! them: threads spawned outside the world executor, a second arithmetic
 //! beside each kernel, and 14 of the 17 `unsafe` sites. Nor can a switch
-//! that turns the overlapped gradient reduce off. The API surface cannot
-//! grow back either: every public function has a caller.
+//! that turns the overlapped gradient reduce off, or a whole-model
+//! activation checkpoint. The API surface cannot grow back either: every
+//! public function has a caller.
 
 use colossalai::comm::{World, WorldBackend};
 use colossalai::core::{initialize, Config, OptimizerSpec};
@@ -216,6 +217,27 @@ fn no_library_type_switches_overlap() {
              a gradient reducer and no accumulation (a blocking reduce is a plain \
              backward followed by `GradReducer::reduce`)"
         );
+    }
+}
+
+/// No whole-model activation checkpoint: no library code line (up to its
+/// unit-test module, `pub use` re-exports aside) outside `checkpoint.rs`
+/// names `Checkpoint`. A checkpoint around the whole model recomputes every
+/// activation at the start of backward and lowers no peak; the wrapper comes
+/// back into library code only around each block.
+#[test]
+fn only_checkpoint_rs_names_the_checkpoint_wrapper() {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    for (file, text) in library_sources() {
+        if file == "crates/autograd/src/checkpoint.rs" {
+            continue;
+        }
+        for line in code_lines(before_unit_tests(&text)) {
+            assert!(
+                !line.split(|c| !is_ident(c)).any(|w| w == "Checkpoint"),
+                "{file} names `Checkpoint`: {line:?}"
+            );
+        }
     }
 }
 
