@@ -12,7 +12,7 @@ use colossalai_tensor::{bmm, bmm_at, bmm_bt, Tensor};
 const MASK_VALUE: f32 = -1.0e9;
 
 /// Splits `[b, s, d]` into per-head batches `[b*h, s, d/h]`.
-pub fn split_heads(x: &Tensor, heads: usize) -> Tensor {
+fn split_heads(x: &Tensor, heads: usize) -> Tensor {
     let (b, s, d) = (x.dims()[0], x.dims()[1], x.dims()[2]);
     assert_eq!(
         d % heads,
@@ -26,7 +26,7 @@ pub fn split_heads(x: &Tensor, heads: usize) -> Tensor {
 }
 
 /// Inverse of [`split_heads`].
-pub fn merge_heads(x: &Tensor, heads: usize) -> Tensor {
+fn merge_heads(x: &Tensor, heads: usize) -> Tensor {
     let (bh, s, dk) = (x.dims()[0], x.dims()[1], x.dims()[2]);
     assert_eq!(bh % heads, 0, "batch {bh} not divisible by {heads} heads");
     let b = bh / heads;

@@ -24,12 +24,12 @@ pub mod param;
 pub mod state;
 
 pub use act::{Gelu, Relu};
-pub use attention::{merge_heads, split_heads, AttentionCore, LocalAttention, MultiHeadAttention};
+pub use attention::{AttentionCore, LocalAttention, MultiHeadAttention};
 pub use checkpoint::Checkpoint;
 pub use embedding::{Embedding, PositionEmbedding};
 pub use layer::{grad_check, Layer, Sequential};
 pub use linear::Linear;
 pub use norm::LayerNorm;
-pub use optim::{adamw_update, sgd_momentum_update, AdamW, Sgd};
+pub use optim::{adamw_update, AdamW, Sgd};
 pub use param::Param;
 pub use state::StateDict;

@@ -148,13 +148,7 @@ fn step_each<S>(
 /// the loop autovectorizes; the scalar tail computes the identical
 /// per-element expression, so where a caller cuts its slices never changes
 /// a bit.
-pub fn sgd_momentum_update(
-    param: &mut [f32],
-    vel: &mut [f32],
-    grad: &[f32],
-    lr: f32,
-    momentum: f32,
-) {
+fn sgd_momentum_update(param: &mut [f32], vel: &mut [f32], grad: &[f32], lr: f32, momentum: f32) {
     assert_eq!(param.len(), vel.len());
     assert_eq!(param.len(), grad.len());
     const LANES: usize = 8;

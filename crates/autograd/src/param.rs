@@ -8,7 +8,11 @@ use colossalai_tensor::Tensor;
 ///
 /// The gradient has the same shape as the value and is *accumulated* across
 /// backward calls (gradient accumulation / micro-batching falls out for
-/// free); optimizers read it and then call [`Param::zero_grad`].
+/// free); optimizers read it and then call [`Param::zero_grad`]. A fresh
+/// gradient is a view of the shared zero storage
+/// ([`Tensor::shared_zeros`]) and holds no memory until its first write,
+/// which copies on write into a pooled buffer; from then on it is written
+/// in place.
 #[derive(Clone, Debug)]
 pub struct Param {
     name: String,
@@ -22,9 +26,10 @@ pub struct Param {
 }
 
 impl Param {
-    /// Creates a named parameter with a zeroed gradient.
+    /// Creates a named parameter whose gradient reads zeros and holds no
+    /// memory yet.
     pub fn new(name: impl Into<String>, value: Tensor) -> Self {
-        let grad = Tensor::zeros(value.shape().clone());
+        let grad = Tensor::shared_zeros(value.shape().clone());
         Param {
             name: name.into(),
             value,
@@ -69,9 +74,12 @@ impl Param {
         self.grad.axpy(1.0, g);
     }
 
-    /// Clears the accumulated gradient.
+    /// Clears the accumulated gradient in place; a gradient never written
+    /// is left as it is, holding no memory.
     pub fn zero_grad(&mut self) {
-        self.grad.data_mut().fill(0.0);
+        if !self.grad.is_shared_zeros() {
+            self.grad.data_mut().fill(0.0);
+        }
     }
 
     /// Number of scalar parameters.
@@ -90,7 +98,18 @@ mod tests {
         p.accumulate_grad(&Tensor::full([2, 2], 1.0));
         p.accumulate_grad(&Tensor::full([2, 2], 0.5));
         assert_eq!(p.grad().data(), &[1.5; 4]);
+        let home = p.grad().data().as_ptr();
         p.zero_grad();
+        assert_eq!(p.grad().data(), &[0.0; 4]);
+        assert_eq!(p.grad().data().as_ptr(), home, "cleared in place");
+    }
+
+    #[test]
+    fn a_gradient_never_written_stays_shared_zeros() {
+        let mut p = Param::new("w", Tensor::zeros([2, 2]));
+        assert!(p.grad().is_shared_zeros());
+        p.zero_grad();
+        assert!(p.grad().is_shared_zeros(), "clearing it allocated");
         assert_eq!(p.grad().data(), &[0.0; 4]);
     }
 

@@ -11,16 +11,20 @@
 //! Data movement is real (tensors cross threads through a rendezvous slot);
 //! time is virtual: each op charges its `topology::cost` price, launch
 //! included, on the stream it names. Reductions are applied in rank order,
-//! so results are bit-deterministic across runs.
+//! so results are bit-deterministic across runs. A rank's input is a
+//! tensor or a list of them ([`Pieces`]: a gradient bucket), which the
+//! last arrival's combine reads in place and drops before any rank
+//! resumes.
 
 use crate::stats::OpKind;
 use crate::task::{Poll, WakeKey};
 use crate::trace::{group_track_name, SpanKind, Track};
 use crate::world::DeviceCtx;
-use colossalai_tensor::{axpy_slices, pool, Tensor};
+use colossalai_tensor::{axpy_slices, pool, Shape, Tensor};
 use colossalai_topology::cost::{self, AllReduceSchedule};
 use colossalai_topology::{AllReduceAlgo, DeviceId};
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Wire width of a collective payload.
@@ -195,11 +199,131 @@ impl std::fmt::Display for Collective {
     }
 }
 
+/// One rank's input to a collective: tensors laid end to end in order and
+/// zero-padded to a flat length, which the combine reads in place. A
+/// gradient bucket crosses this way, as its parameters' gradient handles,
+/// so no rank copies its gradients into a flat buffer first. A single
+/// tensor is a one-piece list (`From<Tensor>`) under its own shape, and is
+/// no wider than its handle.
+#[derive(Clone)]
+pub enum Pieces {
+    /// A lone tensor, under its own shape.
+    Lone(Tensor),
+    /// Parts padded to a flat length (boxed, so the lone form stays small).
+    Padded(Box<Padded>),
+}
+
+/// The parts of a [`Pieces::Padded`] input.
+#[derive(Clone)]
+pub struct Padded {
+    /// The parts in order, each with the flat offset one past its end.
+    parts: Vec<(Tensor, usize)>,
+    /// The flat length the parts are zero-padded to.
+    len: usize,
+}
+
+/// Zeros the padding of a [`Pieces`] reads from, a block at a time.
+static ZERO_BLOCK: [f32; REDUCE_BLOCK] = [0.0; REDUCE_BLOCK];
+
+impl Pieces {
+    /// `parts` end to end, then zeros up to `len` elements, as one flat
+    /// `[len]` input.
+    pub fn padded(parts: Vec<Tensor>, len: usize) -> Pieces {
+        let mut end = 0;
+        let parts: Vec<(Tensor, usize)> = parts
+            .into_iter()
+            .map(|t| {
+                end += t.numel();
+                (t, end)
+            })
+            .collect();
+        assert!(end <= len, "{end} elements do not fit in {len}");
+        Pieces::Padded(Box::new(Padded { parts, len }))
+    }
+
+    /// Extents of the input the pieces stand for.
+    fn dims(&self) -> &[usize] {
+        match self {
+            Pieces::Lone(t) => t.dims(),
+            Pieces::Padded(padded) => std::slice::from_ref(&padded.len),
+        }
+    }
+
+    /// Elements of the input, padding included.
+    pub fn numel(&self) -> usize {
+        match self {
+            Pieces::Lone(t) => t.numel(),
+            Pieces::Padded(padded) => padded.len,
+        }
+    }
+
+    /// Calls `f(at, run)` for each run of the flat elements `range`, in
+    /// order: slices of the parts, then zeros for the padding; `at` is the
+    /// run's offset from `range.start`.
+    fn for_each_run(&self, range: Range<usize>, mut f: impl FnMut(usize, &[f32])) {
+        let padded = match self {
+            Pieces::Lone(t) => return f(0, &t.data()[range]),
+            Pieces::Padded(padded) => padded,
+        };
+        let first = padded.parts.partition_point(|&(_, end)| end <= range.start);
+        let mut a = range.start;
+        for (t, end) in &padded.parts[first..] {
+            if a >= range.end {
+                return;
+            }
+            let start = end - t.numel();
+            let b = range.end.min(*end);
+            f(a - range.start, &t.data()[a - start..b - start]);
+            a = b;
+        }
+        while a < range.end {
+            let b = range.end.min(a + REDUCE_BLOCK);
+            f(a - range.start, &ZERO_BLOCK[..b - a]);
+            a = b;
+        }
+    }
+
+    /// A fresh pooled copy of the flat elements `range`, padding as zeros.
+    pub fn copy_range(&self, range: Range<usize>) -> Tensor {
+        let n = range.len();
+        let mut out = pool::take_buffer(n);
+        self.for_each_run(range, |_, run| out.extend_from_slice(run));
+        Tensor::from_vec([n], out)
+    }
+
+    /// The input as one tensor of its shape: the part itself when it is the
+    /// only one and fills the shape (an O(1) handle), else a copy.
+    pub fn into_tensor(self) -> Tensor {
+        match self {
+            Pieces::Lone(t) => t,
+            Pieces::Padded(padded) => {
+                let len = padded.len;
+                match &padded.parts[..] {
+                    [(only, end)] if *end == len => only.clone().reshaped([len]),
+                    _ => Pieces::Padded(padded).copy_range(0..len),
+                }
+            }
+        }
+    }
+}
+
+impl From<Tensor> for Pieces {
+    fn from(t: Tensor) -> Pieces {
+        Pieces::Lone(t)
+    }
+}
+
 /// Runs `desc.op`'s combine over the rank-ordered inputs: per-rank outputs,
 /// modeled cost and traffic accounting at `desc.wire` width. Pure in the
 /// inputs plus the cluster model (and the world's forced-algo pin), so the
-/// outputs are bitwise identical no matter which rank arrives last.
-fn finish_spec(desc: Collective, ctx: &DeviceCtx, members: &[DeviceId], inputs: &[Tensor]) -> Done {
+/// outputs are bitwise identical no matter which rank arrives last. The
+/// inputs drop here, so no rank's handles outlive the combine.
+fn finish_spec(
+    desc: Collective,
+    ctx: &DeviceCtx,
+    members: &[DeviceId],
+    mut inputs: Vec<Pieces>,
+) -> Done {
     let p = members.len();
     let cluster = ctx.cluster();
     let wire = desc.wire;
@@ -224,20 +348,20 @@ fn finish_spec(desc: Collective, ctx: &DeviceCtx, members: &[DeviceId], inputs: 
         }
         Op::AllGather { dim } => {
             let contrib = inputs[0].numel() as u64;
-            let full = Tensor::cat(inputs, dim);
+            let full = gather_rank_ordered(&inputs, dim);
             let cost = cost::allgather_time(cluster, members, contrib * wire.bytes());
             let elements = (p as u64 - 1) * p as u64 * contrib;
             Done::new(vec![full; p], cost, OpKind::AllGather, elements)
         }
         Op::ReduceScatter { dim } => {
             let n = inputs[0].numel() as u64;
-            let outs = reduce_scatter_rank_ordered(inputs, dim);
+            let outs = reduce_scatter_rank_ordered(&inputs, dim);
             let cost = cost::reduce_scatter_time(cluster, members, n * wire.bytes());
             let elements = (p as u64 - 1) * n;
             Done::new(outs, cost, OpKind::ReduceScatter, elements)
         }
         Op::Broadcast { root } => {
-            let src = inputs[root].clone();
+            let src = inputs.swap_remove(root).into_tensor();
             let n = src.numel() as u64;
             let cost = cost::broadcast_time(cluster, members, n * wire.bytes());
             let elements = (p as u64 - 1) * n;
@@ -280,7 +404,7 @@ enum CollStage {
 /// [`DeviceCtx::block_on`]'s poll/sleep loop.
 pub struct CollectiveOp {
     desc: Collective,
-    input: Option<Tensor>,
+    input: Option<Pieces>,
     /// This rank's arrival clock, latched on the first poll.
     t_arrive: Option<f64>,
     stage: CollStage,
@@ -288,7 +412,7 @@ pub struct CollectiveOp {
 
 struct SlotState {
     phase: Phase,
-    inputs: Vec<Option<Tensor>>,
+    inputs: Vec<Option<Pieces>>,
     outputs: Vec<Option<Tensor>>,
     arrived: usize,
     picked: usize,
@@ -508,8 +632,8 @@ impl Group {
             op.stage = CollStage::AwaitPublish;
             if st.arrived == p {
                 // last arrival: combine and publish
-                let inputs: Vec<Tensor> = st.inputs.iter_mut().map(|i| i.take().unwrap()).collect();
-                let mut done = finish_spec(op.desc, ctx, self.members(), &inputs);
+                let inputs = st.inputs.iter_mut().map(|i| i.take().unwrap()).collect();
+                let mut done = finish_spec(op.desc, ctx, self.members(), inputs);
                 assert_eq!(
                     done.outputs.len(),
                     p,
@@ -583,14 +707,15 @@ impl Group {
         Poll::Ready(out)
     }
 
-    /// Starts `desc` on this rank's input `t` as a resumable op; advance it
-    /// with [`Group::poll_collective`]. This is the one way a collective
-    /// begins — [`Group::collective`] and every named wrapper go through it
-    /// — so heap [`crate::RankTask`]s get every op, width and stream, and
-    /// the same argument checks: a root outside the group or a `dim` the
-    /// input does not have panics here, naming the op, instead of deep in
-    /// the last arrival's combine on some other rank.
-    pub fn start(&self, desc: Collective, t: Tensor) -> CollectiveOp {
+    /// Starts `desc` on this rank's input `t` (a tensor, or [`Pieces`]) as
+    /// a resumable op; advance it with [`Group::poll_collective`]. This is
+    /// the one way a collective begins — [`Group::collective`] and every
+    /// named wrapper go through it — so heap [`crate::RankTask`]s get every
+    /// op, width and stream, and the same argument checks: a root outside
+    /// the group or a `dim` the input does not have panics here, naming the
+    /// op, instead of deep in the last arrival's combine on some other rank.
+    pub fn start(&self, desc: Collective, t: impl Into<Pieces>) -> CollectiveOp {
+        let t = t.into();
         // (root, axis this rank's input must have); rootless ops pass for 0
         let (root, dim) = match desc.op {
             Op::Broadcast { root } | Op::ReduceSum { root } => (root, None),
@@ -603,7 +728,7 @@ impl Group {
             self.size()
         );
         assert!(
-            dim.is_none_or(|d| d < t.rank()),
+            dim.is_none_or(|d| d < t.dims().len()),
             "{desc}: dim out of range for input {}",
             bracketed(t.dims())
         );
@@ -619,7 +744,7 @@ impl Group {
     /// blocking form for closure ranks, polling the op and sleeping on the
     /// rank's own thread whenever the poll returns `Pending` — the same
     /// state machine a heap task advances by hand.
-    pub fn collective(&self, ctx: &DeviceCtx, desc: Collective, t: Tensor) -> Tensor {
+    pub fn collective(&self, ctx: &DeviceCtx, desc: Collective, t: impl Into<Pieces>) -> Tensor {
         let mut op = self.start(desc, t);
         ctx.block_until(|| self.poll_collective(ctx, &mut op))
     }
@@ -733,21 +858,44 @@ const REDUCE_BLOCK: usize = 4096;
 /// values and `take`s (adds, or maximizes with) ranks 1..p in ascending
 /// order while it is hot. Per element that is the ascending-rank chain of
 /// the repo's arithmetic-equivalence contract for collectives, so the bits
-/// do not depend on the blocking.
+/// do not depend on the blocking — nor on where an input's pieces break:
+/// each is read in place, and padding takes part as the zeros it stands for.
 fn reduce_rank_ordered_into(
     out: &mut Vec<f32>,
-    inputs: &[Tensor],
-    range: std::ops::Range<usize>,
+    inputs: &[Pieces],
+    range: Range<usize>,
     take: impl Fn(&mut [f32], &[f32]),
 ) {
     for start in range.clone().step_by(REDUCE_BLOCK) {
         let block = start..range.end.min(start + REDUCE_BLOCK);
         let filled = out.len();
-        out.extend_from_slice(&inputs[0].data()[block.clone()]);
+        inputs[0].for_each_run(block.clone(), |_, run| out.extend_from_slice(run));
+        let acc = &mut out[filled..];
         for x in &inputs[1..] {
-            take(&mut out[filled..], &x.data()[block.clone()]);
+            x.for_each_run(block.clone(), |at, run| {
+                take(&mut acc[at..at + run.len()], run)
+            });
         }
     }
+}
+
+/// The rendezvous inputs (one shape, checked at arrival) concatenated
+/// along `dim` in rank order, each read in place: one pooled buffer
+/// extended in output order.
+fn gather_rank_ordered(inputs: &[Pieces], dim: usize) -> Tensor {
+    let dims = inputs[0].dims();
+    let outer: usize = dims[..dim].iter().product();
+    let part = inputs[0].numel() / outer.max(1);
+    let mut out = pool::take_buffer(inputs.len() * inputs[0].numel());
+    for o in 0..outer {
+        for x in inputs {
+            x.for_each_run(o * part..(o + 1) * part, |_, run| {
+                out.extend_from_slice(run)
+            });
+        }
+    }
+    let shape = Shape::from(dims).with_dim(dim, dims[dim] * inputs.len());
+    Tensor::from_vec(shape, out)
 }
 
 /// `acc[i] += x[i]`: the step of a rank-ordered sum.
@@ -760,7 +908,7 @@ fn add_rank(acc: &mut [f32], x: &[f32]) {
 /// (one when `dim` is 0); each is summed straight into the buffer r alone
 /// will own, so r may scale it in place — nothing sums the whole vector
 /// and copies chunks out of it.
-fn reduce_scatter_rank_ordered(inputs: &[Tensor], dim: usize) -> Vec<Tensor> {
+fn reduce_scatter_rank_ordered(inputs: &[Pieces], dim: usize) -> Vec<Tensor> {
     let (p, dims) = (inputs.len(), inputs[0].dims());
     assert!(
         dims[dim].is_multiple_of(p),
@@ -769,7 +917,7 @@ fn reduce_scatter_rank_ordered(inputs: &[Tensor], dim: usize) -> Vec<Tensor> {
     );
     let outer: usize = dims[..dim].iter().product();
     let strip = inputs[0].numel() / (outer * p).max(1);
-    let shape = inputs[0].shape().with_dim(dim, dims[dim] / p);
+    let shape = Shape::from(dims).with_dim(dim, dims[dim] / p);
     (0..p)
         .map(|r| {
             let mut out = pool::take_buffer(outer * strip);
@@ -785,22 +933,22 @@ fn reduce_scatter_rank_ordered(inputs: &[Tensor], dim: usize) -> Vec<Tensor> {
 /// Elementwise sum (or, with `max`, maximum — exact, but reduced in the
 /// same ascending-rank order for uniformity) of the rank-ordered rendezvous
 /// inputs: a fresh pooled buffer, or the input itself on a one-rank group.
-fn reduce_rank_ordered(inputs: &[Tensor], max: bool) -> Tensor {
-    if let [only] = inputs {
-        return only.clone();
+fn reduce_rank_ordered(mut inputs: Vec<Pieces>, max: bool) -> Tensor {
+    if inputs.len() == 1 {
+        return inputs.swap_remove(0).into_tensor();
     }
     let n = inputs[0].numel();
     let mut out = pool::take_buffer(n);
     if max {
-        reduce_rank_ordered_into(&mut out, inputs, 0..n, |acc, x| {
+        reduce_rank_ordered_into(&mut out, &inputs, 0..n, |acc, x| {
             for (a, &b) in acc.iter_mut().zip(x) {
                 *a = a.max(b);
             }
         });
     } else {
-        reduce_rank_ordered_into(&mut out, inputs, 0..n, add_rank);
+        reduce_rank_ordered_into(&mut out, &inputs, 0..n, add_rank);
     }
-    Tensor::from_vec(inputs[0].shape().clone(), out)
+    Tensor::from_vec(inputs[0].dims(), out)
 }
 
 #[cfg(test)]
@@ -890,6 +1038,11 @@ mod tests {
         t.data().iter().map(|x| x.to_bits()).collect()
     }
 
+    /// Each tensor as a one-piece input.
+    fn whole(inputs: &[Tensor]) -> Vec<Pieces> {
+        inputs.iter().cloned().map(Pieces::from).collect()
+    }
+
     #[test]
     fn one_pass_reductions_equal_the_rank_by_rank_chains_bitwise() {
         let mut order_mattered = false;
@@ -904,12 +1057,12 @@ mod tests {
                     max = max.zip(x, f32::max);
                 }
                 assert_eq!(
-                    bits(&reduce_rank_ordered(&inputs, false)),
+                    bits(&reduce_rank_ordered(whole(&inputs), false)),
                     bits(&sum),
                     "sum, p {p}, n {n}"
                 );
                 assert_eq!(
-                    bits(&reduce_rank_ordered(&inputs, true)),
+                    bits(&reduce_rank_ordered(whole(&inputs), true)),
                     bits(&max),
                     "max, p {p}, n {n}"
                 );
@@ -921,6 +1074,70 @@ mod tests {
             }
         }
         assert!(order_mattered, "the inputs never told two orders apart");
+    }
+
+    #[test]
+    fn combining_pieces_in_place_equals_the_flat_combine_bitwise() {
+        // ragged parameter sizes: pieces straddle the shard and block
+        // boundaries, an empty piece sits mid-list, and every bucket is
+        // zero-padded past its last piece
+        let sizes = [4095, 0, 7, 4099, 1, 2 * 4096 + 3, 13];
+        let total: usize = sizes.iter().sum();
+        let (mut straddled, mut padded) = (false, false);
+        for p in [1, 2, 3, 8] {
+            for extra in [0, 1, 4096 + 5] {
+                let len = (total + extra).div_ceil(p) * p;
+                let mut inputs = mixed_magnitudes(p, len);
+                // negative zeros, and the padding each rank really sends
+                for (r, x) in inputs.iter_mut().enumerate() {
+                    let data = x.data_mut();
+                    data[r * 3] = -0.0;
+                    data[total..].fill(0.0);
+                }
+                // each rank cuts its own values into the parameter sizes
+                let pieces: Vec<Pieces> = inputs
+                    .iter()
+                    .map(|x| {
+                        let mut at = 0;
+                        let parts = sizes.map(|n| {
+                            at += n;
+                            Tensor::from_slice([n], &x.data()[at - n..at])
+                        });
+                        Pieces::padded(parts.to_vec(), len)
+                    })
+                    .collect();
+                let shard = len / p;
+                let mut at = 0;
+                for n in sizes {
+                    straddled |= p > 1 && at / shard != (at + n).saturating_sub(1) / shard;
+                    at += n;
+                }
+                padded |= len > total;
+                for max in [false, true] {
+                    assert_eq!(
+                        bits(&reduce_rank_ordered(pieces.clone(), max)),
+                        bits(&reduce_rank_ordered(whole(&inputs), max)),
+                        "max {max}, p {p}, len {len}"
+                    );
+                }
+                let flat = reduce_scatter_rank_ordered(&whole(&inputs), 0);
+                let got = reduce_scatter_rank_ordered(&pieces, 0);
+                for (r, (got, want)) in got.iter().zip(&flat).enumerate() {
+                    assert_eq!(bits(got), bits(want), "p {p}, len {len}, shard {r}");
+                }
+                // and through the rendezvous, as a gradient bucket crosses
+                let world = World::new(system_i());
+                let out = world.run_on(p, |ctx| {
+                    let g = ctx.world_group(p);
+                    let mine = pieces[g.rank()].clone();
+                    g.collective(ctx, Op::ReduceScatter { dim: 0 }.into(), mine)
+                });
+                for (r, (got, want)) in out.iter().zip(&flat).enumerate() {
+                    assert_eq!(bits(got), bits(want), "rendezvous, p {p}, shard {r}");
+                }
+            }
+        }
+        assert!(straddled && padded, "the sweep missed a case it claims");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! precision ([`Wire`]) and overlap ([`Stream`]) are parameters of the
 //! operation, not separate operations — with one blocking entry
 //! ([`Group::collective`]) and one resumable one ([`Group::start`]); point
-//! to point follows the same rule ([`DeviceCtx::send_wire`]).
+//! to point ([`DeviceCtx::send`]) bills the FP32 width.
 //!
 //! Ranks run on one executor (`sched`): `pool` running slots handed out
 //! in virtual-time order. A rank body is either a resumable
@@ -33,7 +33,7 @@ pub mod workload;
 pub mod world;
 
 pub use colossalai_topology::AllReduceAlgo;
-pub use group::{Collective, CollectiveOp, Group, Op, Stream, Wire};
+pub use group::{Collective, CollectiveOp, Group, Op, Pieces, Stream, Wire};
 pub use stats::{CommStats, OpKind};
 pub use task::{Poll, RankTask, WakeKey};
 pub use trace::{RankRollup, Span, SpanKind, Track};

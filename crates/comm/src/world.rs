@@ -866,19 +866,17 @@ impl DeviceCtx {
 
     // ---- point-to-point -------------------------------------------------
 
-    /// [`DeviceCtx::send_wire`] at FP32 wire width.
+    /// Sends `t` to device `to` under `tag` at FP32 wire width.
+    /// Synchronous-send model: the sender's clock advances by the full
+    /// transfer time and the message becomes visible to the receiver at the
+    /// sender's post-send clock.
     pub fn send(&self, to: DeviceId, tag: u64, t: Tensor) {
         self.send_wire(to, tag, t, Wire::F32);
     }
 
-    /// Sends `t` to device `to` under `tag`, charging `wire` bytes/element
-    /// on the link (e.g. [`Wire::F16`] for mixed-precision activation and
-    /// gradient traffic between pipeline stages). The payload tensor is
-    /// unchanged — only the billed width differs. Synchronous-send model:
-    /// the sender's clock advances by the full transfer time and the
-    /// message becomes visible to the receiver at the sender's post-send
-    /// clock.
-    pub fn send_wire(&self, to: DeviceId, tag: u64, t: Tensor, wire: Wire) {
+    /// [`DeviceCtx::send`], charging `wire` bytes/element on the link. The
+    /// payload tensor is unchanged — only the billed width differs.
+    fn send_wire(&self, to: DeviceId, tag: u64, t: Tensor, wire: Wire) {
         assert_ne!(to, self.rank, "send to self");
         self.check_abort();
         let bytes = t.numel() as u64 * wire.bytes();

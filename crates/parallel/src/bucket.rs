@@ -27,8 +27,8 @@
 //! wire as exact f32.
 
 use colossalai_autograd::{Layer, Param};
-use colossalai_comm::{Collective, DeviceCtx, Group, Op, Stream};
-use colossalai_tensor::{pool, Tensor};
+use colossalai_comm::{Collective, DeviceCtx, Group, Op, Pieces, Stream};
+use colossalai_tensor::Tensor;
 use std::ops::Range;
 
 /// Default bucket capacity: 25 MB of f32 gradient, PyTorch DDP's default.
@@ -63,7 +63,7 @@ impl BucketPlan {
     /// buckets of one replica list and at most `cap_bytes` of f32 data. A
     /// parameter larger than the cap gets a bucket of its own — parameters
     /// are never split across buckets.
-    pub fn from_params(params: &[(usize, Vec<Vec<usize>>)], cap_bytes: usize) -> BucketPlan {
+    fn from_params(params: &[(usize, Vec<Vec<usize>>)], cap_bytes: usize) -> BucketPlan {
         let cap_elems = (cap_bytes / std::mem::size_of::<f32>()).max(1);
         let mut buckets = Vec::new();
         let mut start = 0;
@@ -117,16 +117,18 @@ pub enum Keep {
 /// The one flat layout of a model: the buckets of a [`BucketPlan`] end to
 /// end, each its parameters' elements in `visit_params` order followed by
 /// the zeros that pad it to a multiple of the shard count — the only
-/// mapping between a model and flat buffers (DESIGN.md §8.3), with one
-/// gather (model → bucket buffers) and one scatter (bucket tensors →
-/// model), which hands parameter values out as O(1) views of the bucket
-/// tensors instead of copying them. Every parameter lies in exactly one
-/// bucket. Padding gathers as zeros and scatters nowhere.
+/// mapping between a model and flat buffers (DESIGN.md §8.3). Nothing is
+/// copied into a bucket: a bucket is its parameters' tensors as
+/// [`Pieces`], O(1) handles a collective reads in place. The way back is
+/// one scatter (bucket tensors → model), which hands parameter values out
+/// as O(1) views of the bucket tensors instead of copying them. Every
+/// parameter lies in exactly one bucket. Padding reads as zeros and
+/// scatters nowhere.
 pub(crate) struct FlatLayout {
     /// Per parameter: its bucket and its elements' span within it.
     homes: Vec<(usize, Range<usize>)>,
-    /// Per bucket: its first parameter.
-    firsts: Vec<usize>,
+    /// Per bucket: its parameters, as visit-order indices.
+    params: Vec<Range<usize>>,
     /// Per bucket: its padded `(offset, len)` in the flat vector.
     ranges: Vec<(usize, usize)>,
 }
@@ -137,7 +139,7 @@ impl FlatLayout {
     fn new(plan: &BucketPlan, pad: usize) -> Self {
         let mut layout = FlatLayout {
             homes: Vec::new(),
-            firsts: Vec::new(),
+            params: Vec::new(),
             ranges: Vec::new(),
         };
         let mut offset = 0;
@@ -148,7 +150,7 @@ impl FlatLayout {
                 o += n;
             }
             let len = bucket.len.div_ceil(pad) * pad;
-            layout.firsts.push(bucket.params.start);
+            layout.params.push(bucket.params.clone());
             layout.ranges.push((offset, len));
             offset += len;
         }
@@ -162,45 +164,31 @@ impl FlatLayout {
         FlatLayout::new(&BucketPlan::from_params(&params, usize::MAX), 1)
     }
 
-    /// One zeroed pooled buffer per bucket, for [`FlatLayout::gather`] to
-    /// fill in any order: `backward_overlapped`'s stages arrive back to
-    /// front. (A front-to-back fill needs no zeroing: see
-    /// [`FlatLayout::gather_all`].)
-    fn buffers(&self) -> Vec<Vec<f32>> {
-        self.ranges.iter().map(|r| pool::take_zeroed(r.1)).collect()
-    }
-
-    /// Copies parameter `pi`'s elements (`data`: its value or its gradient)
-    /// into its bucket's zeroed buffer.
-    fn gather(&self, bufs: &mut [Vec<f32>], pi: usize, data: &[f32]) {
-        let (b, span) = &self.homes[pi];
-        bufs[*b][span.clone()].copy_from_slice(data);
-    }
-
-    /// Gathers `pick` ([`Param::value`] or [`Param::grad`]) of every
-    /// parameter into fresh bucket buffers, padding zero. Parameters arrive
-    /// in flat order, so every buffer is extended front to back and only
-    /// the padding is ever zeroed.
-    pub(crate) fn gather_all(
-        &self,
-        model: &mut dyn Layer,
-        pick: fn(&Param) -> &Tensor,
-    ) -> Vec<Vec<f32>> {
-        let take = |r: &(usize, usize)| pool::take_buffer(r.1);
-        let mut bufs: Vec<Vec<f32>> = self.ranges.iter().map(take).collect();
-        let mut pi = 0;
-        model.visit_params(&mut |p| {
-            let (b, span) = &self.homes[pi];
-            assert_eq!(bufs[*b].len(), span.start, "buckets fill in order");
-            bufs[*b].extend_from_slice(pick(p).data());
-            assert_eq!(bufs[*b].len(), span.end, "model parameter set changed");
-            pi += 1;
-        });
-        assert_eq!(pi, self.homes.len(), "model parameter set changed");
-        for (buf, r) in bufs.iter_mut().zip(&self.ranges) {
-            buf.resize(r.1, 0.0);
+    /// Bucket `b` as its parameters' tensors `parts`, in order, padded.
+    fn bucket(&self, b: usize, parts: Vec<Tensor>) -> Pieces {
+        let homes = &self.homes[self.params[b].clone()];
+        assert_eq!(parts.len(), homes.len(), "model parameter set changed");
+        for (part, (_, span)) in parts.iter().zip(homes) {
+            assert_eq!(part.numel(), span.len(), "model parameter set changed");
         }
-        bufs
+        Pieces::padded(parts, self.ranges[b].1)
+    }
+
+    /// Every bucket as `pick` ([`Param::value`] or [`Param::grad`]) of its
+    /// parameters: O(1) handles, padded with zeros, copying nothing.
+    pub(crate) fn pieces(&self, model: &mut dyn Layer, pick: fn(&Param) -> &Tensor) -> Vec<Pieces> {
+        let mut handles = Vec::with_capacity(self.homes.len());
+        model.visit_params(&mut |p| handles.push(pick(p).clone()));
+        assert_eq!(
+            handles.len(),
+            self.homes.len(),
+            "model parameter set changed"
+        );
+        let mut handles = handles.into_iter();
+        let bucket = |(b, params): (usize, &Range<usize>)| {
+            self.bucket(b, handles.by_ref().take(params.len()).collect())
+        };
+        self.params.iter().enumerate().map(bucket).collect()
     }
 
     /// Panics unless `buckets` holds one tensor of the right length per
@@ -267,14 +255,17 @@ impl FlatLayout {
 /// (`visit_params`-order) gradient, one bucket reduction and two drivers
 /// over it, blocking
 /// ([`GradReducer::reduce`]) and overlapped with backward
-/// ([`GradReducer::backward_overlapped`]). The sharded kinds return this
-/// rank's mean-scaled shard of every bucket; [`Keep::Whole`] (bucketed data
-/// parallelism, replica sums) leaves the reduced gradients in the model and
-/// returns nothing. A rank without data-parallel peers passes `None`.
+/// ([`GradReducer::backward_overlapped`]). Each bucket's collective reads
+/// the parameters' gradients in place, from O(1) handles the combine drops
+/// before any rank resumes, so no rank copies its gradients first and none
+/// is left shared. The sharded kinds return this rank's mean-scaled shard
+/// of every bucket; [`Keep::Whole`] (bucketed data parallelism, replica
+/// sums) leaves the reduced gradients in the model and returns nothing. A
+/// rank without data-parallel peers passes `None`.
 pub struct GradReducer {
     /// Buckets of whole parameters covering the flat gradient, each padded
-    /// to a multiple of p for the sharded kinds (bucket buffers start
-    /// zeroed, so the padding reduces as zeros).
+    /// to a multiple of p for the sharded kinds (the padding reduces as
+    /// zeros).
     pub(crate) layout: FlatLayout,
     keep: Keep,
     /// Per bucket: the member lists of the groups it is summed over first,
@@ -316,28 +307,30 @@ impl GradReducer {
         &self.layout.ranges
     }
 
-    /// Sends bucket `b`'s elements `flat` (all-reduced over each of its
-    /// replica groups first) through the kind's collective at f32
-    /// width on `stream`: an all-reduce, or a reduce-scatter for
-    /// [`Keep::ShardOfReduceScatter`]. A shard is this rank's alone and is
-    /// scaled by 1/p here, in place; a whole bucket is the one all-reduce
-    /// result every rank holds a handle to and stays the sum (the 1/p goes
-    /// into [`GradReducer::finish`]'s write-back instead of a private copy).
+    /// Sends bucket `b` (all-reduced over each of its replica groups
+    /// first) through the kind's collective at f32 width on `stream`: an
+    /// all-reduce, or a reduce-scatter for [`Keep::ShardOfReduceScatter`].
+    /// A shard is this rank's alone and is scaled by 1/p here, in place; a
+    /// whole bucket is the one all-reduce result every rank holds a handle
+    /// to and stays the sum (the 1/p goes into [`GradReducer::finish`]'s
+    /// write-back instead of a private copy).
     fn reduce_bucket(
         &self,
         ctx: &DeviceCtx,
         dp: Option<&Group>,
         b: usize,
-        flat: Vec<f32>,
+        mut bucket: Pieces,
         stream: Stream,
     ) -> Tensor {
-        let mut bucket = Tensor::from_vec([flat.len()], flat);
         let all_reduce = Collective::from(Op::AllReduce { max: false }).on(stream);
         for members in &self.replicas[b] {
-            bucket = ctx.group(members).collective(ctx, all_reduce, bucket);
+            bucket = ctx
+                .group(members)
+                .collective(ctx, all_reduce, bucket)
+                .into();
         }
         let Some(group) = dp else {
-            return bucket;
+            return bucket.into_tensor();
         };
         let op = match self.keep {
             Keep::Whole | Keep::ShardOfAllReduce => Op::AllReduce { max: false },
@@ -377,9 +370,9 @@ impl GradReducer {
         dp: Option<&Group>,
         model: &mut dyn Layer,
     ) -> Vec<Tensor> {
-        let bufs = self.layout.gather_all(model, Param::grad);
-        let reduce = |(b, flat)| self.reduce_bucket(ctx, dp, b, flat, Stream::Main);
-        let reduced = bufs.into_iter().enumerate().map(reduce).collect();
+        let buckets = self.layout.pieces(model, Param::grad);
+        let reduce = |(b, bucket)| self.reduce_bucket(ctx, dp, b, bucket, Stream::Main);
+        let reduced = buckets.into_iter().enumerate().map(reduce).collect();
         self.finish(dp, model, reduced)
     }
 
@@ -396,20 +389,25 @@ impl GradReducer {
         model: &mut dyn Layer,
         dy: &Tensor,
     ) -> (Tensor, Vec<Tensor>) {
-        let mut bufs = self.layout.buffers();
-        let mut produced = self.layout.homes.len(); // start of the produced param suffix
+        // the produced gradients' handles, until their bucket launches
+        let mut grads: Vec<Option<Tensor>> = vec![None; self.layout.homes.len()];
+        let mut produced = grads.len(); // start of the produced param suffix
         let mut next = self.layout.ranges.len(); // buckets fire back to front
         let mut reduced: Vec<Option<Tensor>> = vec![None; next];
         let dx = model.backward_staged(dy, &mut |stage| {
             assert!(stage.len() <= produced, "stage overruns parameter list");
             produced -= stage.len();
-            for (i, g) in stage.iter().enumerate() {
-                self.layout.gather(&mut bufs, produced + i, g.data());
+            for (slot, g) in grads[produced..].iter_mut().zip(stage) {
+                *slot = Some(g.clone());
             }
-            while next > 0 && self.layout.firsts[next - 1] >= produced {
+            while next > 0 && self.layout.params[next - 1].start >= produced {
                 next -= 1;
-                let flat = std::mem::take(&mut bufs[next]);
-                reduced[next] = Some(self.reduce_bucket(ctx, dp, next, flat, Stream::Comm));
+                let parts = grads[self.layout.params[next].clone()]
+                    .iter_mut()
+                    .map(|g| g.take().expect("a launched bucket's gradient"))
+                    .collect();
+                let bucket = self.layout.bucket(next, parts);
+                reduced[next] = Some(self.reduce_bucket(ctx, dp, next, bucket, Stream::Comm));
             }
         });
         assert_eq!(produced, 0, "backward_staged must cover every parameter");
@@ -596,8 +594,12 @@ mod tests {
         }
     }
 
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
-    fn scatter_inverts_gather_bit_for_bit_over_ragged_layouts() {
+    fn scatter_inverts_the_pieces_bit_for_bit_over_ragged_layouts() {
         use rand::Rng;
         // shapes a plan must survive; each must occur somewhere in the sweep
         let (mut empty_param, mut wide_range, mut padded_tail) = (false, false, false);
@@ -638,38 +640,29 @@ mod tests {
                         param
                     });
                     let mut model = Bag(params.collect());
-                    let want: Vec<Vec<u32>> = model
-                        .0
-                        .iter()
-                        .map(|q| pick(q).data().iter().map(|x| x.to_bits()).collect())
-                        .collect();
+                    let want: Vec<Vec<u32>> = model.0.iter().map(|q| bits(pick(q))).collect();
 
-                    // gather is the flat concatenation, each bucket
+                    // the buckets read as the flat concatenation, each
                     // zero-padded
-                    let bufs = layout.gather_all(&mut model, pick);
+                    let pieces = layout.pieces(&mut model, pick);
+                    let bufs: Vec<Tensor> = pieces.into_iter().map(Pieces::into_tensor).collect();
                     let mut flat: Vec<u32> = Vec::new();
                     for (b, &(o, len)) in plan.buckets.iter().zip(&ranges) {
                         flat.extend(want[b.params.clone()].concat());
                         flat.resize(o + len, 0f32.to_bits());
                     }
-                    let got: Vec<u32> = bufs.concat().iter().map(|x| x.to_bits()).collect();
+                    let got: Vec<u32> = bufs.iter().flat_map(bits).collect();
                     assert_eq!(
                         got, flat,
-                        "seed {seed}: gather of {sizes:?} over {ranges:?}"
+                        "seed {seed}: pieces of {sizes:?} over {ranges:?}"
                     );
 
                     // and scatter puts every element back where it came from
                     for q in &mut model.0 {
                         pick_mut(q).data_mut().fill(f32::NAN);
                     }
-                    let flat = |buf: Vec<f32>| Tensor::from_vec([buf.len()], buf);
-                    let bufs: Vec<Tensor> = bufs.into_iter().map(flat).collect();
                     layout.scatter(&mut model, pick_mut, &bufs, 1.0);
-                    let back: Vec<Vec<u32>> = model
-                        .0
-                        .iter()
-                        .map(|q| pick(q).data().iter().map(|x| x.to_bits()).collect())
-                        .collect();
+                    let back: Vec<Vec<u32>> = model.0.iter().map(|q| bits(pick(q))).collect();
                     assert_eq!(
                         back, want,
                         "seed {seed}: scatter of {sizes:?} over {ranges:?}"

@@ -20,10 +20,8 @@ pub fn split_batch(x: &Tensor, p: usize, rank: usize) -> Tensor {
 
 /// `pick` of every parameter as one flat tensor, in `visit_params` order.
 fn flatten(model: &mut dyn Layer, pick: fn(&Param) -> &Tensor) -> Tensor {
-    let flat = FlatLayout::whole(model)
-        .gather_all(model, pick)
-        .swap_remove(0);
-    Tensor::from_vec([flat.len()], flat)
+    let whole = FlatLayout::whole(model).pieces(model, pick).swap_remove(0);
+    whole.into_tensor()
 }
 
 /// Flattens all parameter values of a model into one vector (ZeRO's working

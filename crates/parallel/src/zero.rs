@@ -5,8 +5,10 @@
 //!
 //! * **Stage 1** — optimizer states (FP32 master weights + Adam moments)
 //!   sharded; gradients still all-reduced in full.
-//! * **Stage 2** — gradients reduce-scattered, so each rank only ever
-//!   materializes its gradient shard.
+//! * **Stage 2** — gradients reduce-scattered: each rank still holds its
+//!   full per-parameter gradients until the reduce (the backward writes
+//!   them), but receives and keeps only its shard of the reduced sum, and
+//!   the full gradients are cleared in place by the step.
 //! * **Stage 3** — parameters sharded too: a step releases them, so ranks
 //!   persist only their shard, and one all-gather
 //!   ([`ZeroOptimizer::materialize_params`]) gathers them for the forward.
@@ -27,15 +29,19 @@
 //! element-wise, so any bucket plan yields the same bits, and a single
 //! default bucket degenerates to the classic contiguous shard. The
 //! reducer's `bucket::FlatLayout` is the only mapping between the model and
-//! those buckets: it picks the master shards out of the parameters (at
-//! construction, and again when a checkpoint restore rewrote them), and
-//! every gathered bucket lands in the model as O(1) views — a parameter
-//! *is* a region of the bucket it arrived in, shared by the p ranks of the
-//! group, not a copy of it.
+//! those buckets, and it copies no whole bucket: the reduce-scatter reads
+//! the gradients in place, the master shards are cut straight from the
+//! parameters (at construction, and again when a checkpoint restore
+//! rewrote them), and every gathered bucket lands in the model as O(1)
+//! views — a parameter *is* a region of the bucket it arrived in, shared by
+//! the p ranks of the group, not a copy of it. Gradients take no memory
+//! until the first backward writes them, so the initial parameter buffers
+//! a stage-3 rank drops at its first gather are the ones its gradients
+//! reuse from the pool.
 
 use crate::bucket::{GradReducer, Keep, DEFAULT_BUCKET_BYTES};
 use colossalai_autograd::{AdamW, Layer, Param};
-use colossalai_comm::{DeviceCtx, Group};
+use colossalai_comm::{DeviceCtx, Group, Pieces};
 use colossalai_memory::offload::OffloadPlan;
 use colossalai_tensor::Tensor;
 use colossalai_topology::{HostSpec, Link};
@@ -82,14 +88,14 @@ pub struct ZeroOptimizer {
 }
 
 /// This rank's p-th of every bucket of the model's current parameter
-/// values: the FP32 master shards.
+/// values, cut straight from the parameters: the FP32 master shards.
 fn master_shards(reducer: &GradReducer, group: &Group, model: &mut dyn Layer) -> Vec<Tensor> {
     let (p, r) = (group.size(), group.rank());
-    let shard_of = |bucket: Vec<f32>| {
-        let sl = bucket.len() / p;
-        Tensor::from_vec([bucket.len()], bucket).narrow(0, r * sl, sl)
+    let shard_of = |bucket: Pieces| {
+        let sl = bucket.numel() / p;
+        bucket.copy_range(r * sl..(r + 1) * sl)
     };
-    let values = reducer.layout.gather_all(model, Param::value);
+    let values = reducer.layout.pieces(model, Param::value);
     values.into_iter().map(shard_of).collect()
 }
 
@@ -217,9 +223,11 @@ impl ZeroOptimizer {
     /// How every ZeRO-3 step ends: drops the full parameters, leaving zeros
     /// (the master shard is authoritative). Persistent parameter memory
     /// falls to `2N/p`, and the memory really goes: every value becomes a
-    /// view of one shared zero tensor the size of the largest parameter, so
-    /// this rank's handles to the gathered buckets drop and a bucket's
-    /// storage returns to the pool once the last rank has released it.
+    /// view of one zero tensor the size of the largest parameter, itself a
+    /// view of the shared zero storage ([`Tensor::shared_zeros`]) that holds
+    /// nothing of its own, so this rank's handles to the gathered buckets
+    /// drop and a bucket's storage returns to the pool once the last rank
+    /// has released it.
     pub fn release_params(&self, model: &mut dyn Layer) {
         assert_eq!(
             self.stage,
@@ -228,7 +236,7 @@ impl ZeroOptimizer {
         );
         let mut largest = 0;
         model.visit_params(&mut |p| largest = largest.max(p.numel()));
-        let zeros = Tensor::zeros([largest]);
+        let zeros = Tensor::shared_zeros([largest]);
         model.visit_params(&mut |p| {
             let shape = p.value().shape().clone();
             p.set_value(zeros.view(0, shape));
@@ -277,6 +285,16 @@ mod tests {
         clocks: Vec<[f64; 2]>,
         /// Per rank, the input gradient the last backward returned.
         dx: Vec<Tensor>,
+        /// Per rank, per step: where each parameter's gradient lives once
+        /// the step is done.
+        grad_homes: Vec<Vec<Vec<usize>>>,
+    }
+
+    /// Where each of `model`'s gradients lives.
+    fn grad_homes(model: &mut dyn Layer) -> Vec<usize> {
+        let mut homes = Vec::new();
+        model.visit_params(&mut |p| homes.push(p.grad().data().as_ptr() as usize));
+        homes
     }
 
     /// One training run of `make_model(900)` on `p` ranks: bucketed data
@@ -302,6 +320,7 @@ mod tests {
             };
             let mut bytes: Vec<u8> = Vec::new();
             let mut dx = Tensor::scalar(0.0);
+            let mut homes = Vec::new();
             let params = match stage {
                 None => {
                     let mut model = make_model(900);
@@ -320,6 +339,7 @@ mod tests {
                             reducer.reduce(ctx, Some(&g), &mut model);
                         }
                         opt.step_layer(&mut model);
+                        homes.push(grad_homes(&mut model));
                     }
                     flatten_params(&mut model)
                 }
@@ -352,11 +372,12 @@ mod tests {
                             opt.release_params(&mut model);
                             opt.materialize_params(&mut model);
                         }
+                        homes.push(grad_homes(&mut model));
                     }
                     flatten_params(&mut model)
                 }
             };
-            (params, bytes, [ctx.clock(), ctx.comm_clock()], dx)
+            (params, bytes, [ctx.clock(), ctx.comm_clock()], dx, homes)
         });
         let mut run = Run {
             params: Vec::new(),
@@ -364,12 +385,14 @@ mod tests {
             bits: Vec::new(),
             clocks: Vec::new(),
             dx: Vec::new(),
+            grad_homes: Vec::new(),
         };
-        for (params, bits, clocks, dx) in out {
+        for (params, bits, clocks, dx, homes) in out {
             run.params.push(params);
             run.bits.push(bits);
             run.clocks.push(clocks);
             run.dx.push(dx);
+            run.grad_homes.push(homes);
         }
         run
     }
@@ -469,6 +492,25 @@ mod tests {
                 exact_ddp.params[0].data(),
                 "{what}: diverged from DDP"
             );
+        }
+    }
+
+    #[test]
+    fn gradients_keep_their_buffers_from_step_to_step() {
+        // the bucket collectives read the gradients through handles the
+        // combine drops; one the rendezvous kept would make the next
+        // write-back, `zero_grad` or accumulation copy the gradient away
+        for stage in [None, Some(ZeroStage::Two), Some(ZeroStage::Three)] {
+            for overlap in [false, true] {
+                let run = trajectory(stage, 4, 3, 64, overlap);
+                for (r, homes) in run.grad_homes.iter().enumerate() {
+                    assert_eq!(homes.len(), 3);
+                    assert!(
+                        homes.iter().all(|h| h == &homes[0]),
+                        "{stage:?}, overlap {overlap}, rank {r}: a gradient moved"
+                    );
+                }
+            }
         }
     }
 

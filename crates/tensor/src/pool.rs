@@ -89,7 +89,7 @@ fn class_counters() -> &'static [ClassCounters] {
 /// Size class serving a request of `n` elements, or `None` when the request
 /// is out of pooling range (tiny or enormous).
 #[inline]
-fn class_for_request(n: usize) -> Option<usize> {
+pub(crate) fn class_for_request(n: usize) -> Option<usize> {
     if n < MIN_POOL_ELEMS {
         return None;
     }

@@ -5,7 +5,7 @@ use crate::shape::Shape;
 use std::fmt;
 use std::mem;
 use std::ops::{Add, Div, Mul, Neg, Sub};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The owned backing buffer of a [`Tensor`], wrapped so the buffer recycles
 /// through the global [`pool`] when the last handle drops instead of hitting
@@ -60,6 +60,13 @@ impl Clone for Storage {
         Storage::copied_from(&self.buf)
     }
 }
+
+/// The zero storages behind [`Tensor::shared_zeros`], one per pool size
+/// class, each made on first use and never written: every handle to one
+/// shares it with this table, so a write through any of them copies first.
+/// Allocated zeroed (`calloc`), a page nobody writes holds no memory.
+static SHARED_ZEROS: [OnceLock<Arc<Storage>>; pool::N_CLASSES] =
+    [const { OnceLock::new() }; pool::N_CLASSES];
 
 /// A dense, contiguous, row-major `f32` tensor with copy-on-write storage.
 ///
@@ -151,6 +158,34 @@ impl Tensor {
         let shape = shape.into();
         let n = shape.numel();
         Tensor::owning(shape, Storage::zeroed(n))
+    }
+
+    /// All-zeros tensor that holds no memory of its own: a view of the
+    /// process-wide zero storage of its size class, which nothing writes.
+    /// Its first write copies into a pooled buffer like any shared handle's
+    /// ([`Tensor::data_mut`]); until then it costs nothing, which is what a
+    /// fresh gradient is. Beyond the largest pool class it is a plain
+    /// [`Tensor::zeros`].
+    pub fn shared_zeros(shape: impl Into<Shape>) -> Self {
+        let shape = shape.into();
+        let Some(idx) = pool::class_for_request(shape.numel().max(pool::MIN_POOL_ELEMS)) else {
+            return Tensor::zeros(shape);
+        };
+        let n = pool::class_elems(idx);
+        let zeros = SHARED_ZEROS[idx].get_or_init(|| Arc::new(Storage::from_vec(vec![0.0; n])));
+        Tensor {
+            shape,
+            storage: zeros.clone(),
+            offset: 0,
+        }
+    }
+
+    /// Whether this handle is a view made by [`Tensor::shared_zeros`] (so
+    /// it reads zeros and holds no memory of its own).
+    pub fn is_shared_zeros(&self) -> bool {
+        let class = pool::class_for_request(self.storage.buf.len());
+        let zeros = class.and_then(|idx| SHARED_ZEROS[idx].get());
+        zeros.is_some_and(|zeros| Arc::ptr_eq(zeros, &self.storage))
     }
 
     /// All-ones tensor.
@@ -799,6 +834,28 @@ mod tests {
                 "mutation {i} leaked"
             );
         }
+    }
+
+    #[test]
+    fn shared_zeros_hold_no_memory_until_written() {
+        let a = Tensor::shared_zeros([2, 50]);
+        let mut b = Tensor::shared_zeros([100]);
+        let tiny = Tensor::shared_zeros([2]);
+        // one size class, one storage; a tiny request views the smallest
+        assert!(a.shares_storage(&b) && a.is_shared_zeros() && tiny.is_shared_zeros());
+        assert!(a.data().iter().chain(tiny.data()).all(|&x| x == 0.0));
+        // a view covering its whole class still copies on write
+        let mut whole = Tensor::shared_zeros([pool::MIN_POOL_ELEMS]);
+        whole.data_mut()[0] = 1.0;
+        assert!(!whole.is_shared_zeros());
+        b.axpy(1.0, &Tensor::ones([100]));
+        assert!(!b.is_shared_zeros() && !b.shares_storage(&a));
+        assert_eq!(b.data(), &[1.0; 100]);
+        assert!(
+            a.data().iter().all(|&x| x == 0.0),
+            "the sibling still reads zeros"
+        );
+        assert!(!Tensor::zeros([100]).is_shared_zeros());
     }
 
     #[test]

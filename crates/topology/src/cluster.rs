@@ -141,7 +141,7 @@ impl Cluster {
     }
 
     /// Pod index hosting device `d` (0 when no pod tier is configured).
-    pub fn pod(&self, d: DeviceId) -> usize {
+    fn pod(&self, d: DeviceId) -> usize {
         self.pod_of_node.get(self.node_of[d]).copied().unwrap_or(0)
     }
 

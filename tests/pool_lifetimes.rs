@@ -132,6 +132,64 @@ fn rebuilding_a_model_leaves_the_pool_no_fuller() {
 }
 
 #[test]
+fn a_fresh_models_gradients_take_nothing_until_first_written() {
+    let _pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut gpt = Gpt::new(&gpt_config(), &mut init::rng(11));
+    let takes = || {
+        let s = pool::stats();
+        s.hits + s.misses
+    };
+    // every gradient is a view of the shared zero storage: it reads zeros
+    // and holds no buffer, pooled or not
+    let fresh = |gpt: &mut Gpt| {
+        let mut zeros = Vec::new();
+        gpt.visit_params(&mut |p| {
+            let g = p.grad();
+            zeros.push(g.is_shared_zeros() && g.data().iter().all(|&x| x == 0.0));
+        });
+        zeros
+    };
+    let n = fresh(&mut gpt).len();
+    assert_eq!(fresh(&mut gpt), vec![true; n]);
+    let before = takes();
+    gpt.zero_grad();
+    assert_eq!(
+        takes(),
+        before,
+        "clearing unwritten gradients took from the pool"
+    );
+    assert_eq!(fresh(&mut gpt), vec![true; n]);
+
+    // the first write copies one gradient into a buffer from the pool; its
+    // siblings stay shared zeros
+    let mut first = None;
+    gpt.visit_params(&mut |p| {
+        first.get_or_insert_with(|| Tensor::ones(p.value().shape().clone()));
+    });
+    let ones = first.unwrap();
+    assert!(ones.numel() >= pool::MIN_POOL_ELEMS, "a pooled size");
+    let before = takes();
+    let mut written = false;
+    gpt.visit_params(&mut |p| {
+        if !written {
+            p.accumulate_grad(&ones);
+            written = true;
+        }
+    });
+    assert_eq!(
+        takes(),
+        before + 1,
+        "the first write draws one pooled buffer"
+    );
+    let mut want = vec![true; n];
+    want[0] = false;
+    assert_eq!(fresh(&mut gpt), want);
+    let mut grads = Vec::new();
+    gpt.visit_params(&mut |p| grads.push(p.grad().clone()));
+    assert_eq!(grads[0].data(), ones.data());
+}
+
+#[test]
 fn zero3_steady_state_stages_nothing_the_size_of_the_model() {
     // ZeRO-3's parameter gather is bucket by bucket, straight into the
     // parameters: with buckets far below the model's size, a
