@@ -4,7 +4,7 @@ use crate::layer::Layer;
 use crate::param::Param;
 use colossalai_tensor::init::InitRng;
 use colossalai_tensor::ops::{add_bias_gelu, gelu_backward_cached, sum_axis0_acc};
-use colossalai_tensor::{init, matmul_at_acc, matmul_bt, matmul_nd, Tensor};
+use colossalai_tensor::{init, matmul_at_acc, matmul_at_store, matmul_bt, matmul_nd, Tensor};
 
 /// `y = x W + b` with `W: [in, out]`, applied to inputs of shape
 /// `[.., in]`. With [`Linear::with_gelu`], the layer computes
@@ -109,9 +109,13 @@ impl Layer for Linear {
         } else {
             dy.reshape([rows, self.d_out()])
         };
-        // dW = x^T dy, accumulated straight into the parameter gradient —
-        // no dW temporary, no zero-fill, no second axpy pass
-        matmul_at_acc(&x2, &dy2, self.w.grad_mut());
+        // dW = x^T dy, straight into the parameter gradient — no dW
+        // temporary, no second axpy pass: stored over a cleared gradient's
+        // buffer (no zero-fill), else accumulated into the live sum
+        match self.w.grad_to_overwrite() {
+            Some(dw) => matmul_at_store(&x2, &dy2, dw),
+            None => matmul_at_acc(&x2, &dy2, self.w.grad_mut()),
+        }
         // db = column sums of dy, same fused accumulation
         if let Some(b) = &mut self.b {
             sum_axis0_acc(&dy2, b.grad_mut());

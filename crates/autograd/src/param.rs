@@ -11,13 +11,19 @@ use colossalai_tensor::Tensor;
 /// free); optimizers read it and then call [`Param::zero_grad`]. A fresh
 /// gradient is a view of the shared zero storage
 /// ([`Tensor::shared_zeros`]) and holds no memory until its first write,
-/// which copies on write into a pooled buffer; from then on it is written
-/// in place.
+/// which copies on write into a pooled buffer. A cleared gradient is such a
+/// view again, its buffer parked on the `Param`: the next write takes the
+/// buffer back, zero-filled ([`Param::grad_mut`]) or, for a write that
+/// covers every element, as it is ([`Param::grad_to_overwrite`]), so a
+/// gradient lives in one buffer from step to step.
 #[derive(Clone, Debug)]
 pub struct Param {
     name: String,
     value: Tensor,
     grad: Tensor,
+    /// The buffer of the gradient [`Param::zero_grad`] last cleared, kept
+    /// for its next write.
+    parked: Option<Tensor>,
     /// The member lists of the groups whose gradient shares sum to this
     /// parameter's gradient, outermost first: the parallel mode that
     /// replicates it over devices that saw other rows writes them, and the
@@ -34,6 +40,7 @@ impl Param {
             name: name.into(),
             value,
             grad,
+            parked: None,
             replicas: Vec::new(),
         }
     }
@@ -64,21 +71,41 @@ impl Param {
         &self.grad
     }
 
-    /// Mutable gradient (collectives reduce in place).
+    /// Mutable gradient (collectives reduce in place). A cleared
+    /// gradient takes its parked buffer back, zero-filled.
     pub fn grad_mut(&mut self) -> &mut Tensor {
+        if let Some(mut buf) = self.parked.take() {
+            buf.data_mut().fill(0.0);
+            self.grad = buf;
+        }
         &mut self.grad
+    }
+
+    /// The gradient for a write that overwrites every element of it (the
+    /// weight-gradient GEMM's store form): a cleared gradient's parked
+    /// buffer, taken back *as it is*, stale contents and all, or `None`
+    /// when nothing is parked — the gradient holds a sum to add to, or was
+    /// never written — and the write accumulates through
+    /// [`Param::grad_mut`].
+    pub fn grad_to_overwrite(&mut self) -> Option<&mut Tensor> {
+        let buf = self.parked.take()?;
+        self.grad = buf;
+        Some(&mut self.grad)
     }
 
     /// Adds `g` into the gradient accumulator.
     pub fn accumulate_grad(&mut self, g: &Tensor) {
-        self.grad.axpy(1.0, g);
+        self.grad_mut().axpy(1.0, g);
     }
 
-    /// Clears the accumulated gradient in place; a gradient never written
-    /// is left as it is, holding no memory.
+    /// Clears the accumulated gradient without touching its elements: the
+    /// gradient becomes a view of the shared zero storage and its buffer
+    /// is parked for the next write. A gradient never written is left as
+    /// it is, holding no memory.
     pub fn zero_grad(&mut self) {
         if !self.grad.is_shared_zeros() {
-            self.grad.data_mut().fill(0.0);
+            let zeros = Tensor::shared_zeros(self.grad.shape().clone());
+            self.parked = Some(std::mem::replace(&mut self.grad, zeros));
         }
     }
 
@@ -101,7 +128,31 @@ mod tests {
         let home = p.grad().data().as_ptr();
         p.zero_grad();
         assert_eq!(p.grad().data(), &[0.0; 4]);
-        assert_eq!(p.grad().data().as_ptr(), home, "cleared in place");
+        p.accumulate_grad(&Tensor::full([2, 2], 0.25));
+        assert_eq!(p.grad().data(), &[0.25; 4]);
+        assert_eq!(p.grad().data().as_ptr(), home, "written where it lived");
+    }
+
+    #[test]
+    fn a_cleared_gradient_is_overwritten_in_its_own_buffer() {
+        let mut p = Param::new("w", Tensor::zeros([2, 2]));
+        assert!(p.grad_to_overwrite().is_none(), "nothing parked yet");
+        p.accumulate_grad(&Tensor::full([2, 2], 3.0));
+        assert!(p.grad_to_overwrite().is_none(), "a live sum is added to");
+        let home = p.grad().data().as_ptr();
+        p.zero_grad();
+        assert!(p.grad().is_shared_zeros(), "clearing wrote the buffer");
+        // stale, for the caller to overwrite whole
+        let g = p.grad_to_overwrite().expect("the parked buffer");
+        assert_eq!(g.data(), &[3.0; 4]);
+        g.data_mut().copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(p.grad().data().as_ptr(), home);
+        assert!(p.grad_to_overwrite().is_none(), "taken once");
+        p.zero_grad();
+        p.zero_grad();
+        assert_eq!(p.grad().data(), &[0.0; 4]);
+        assert_eq!(p.grad_mut().data(), &[0.0; 4], "taken back zero-filled");
+        assert_eq!(p.grad().data().as_ptr(), home);
     }
 
     #[test]

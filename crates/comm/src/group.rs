@@ -13,8 +13,9 @@
 //! included, on the stream it names. Reductions are applied in rank order,
 //! so results are bit-deterministic across runs. A rank's input is a
 //! tensor or a list of them ([`Pieces`]: a gradient bucket), which the
-//! last arrival's combine reads in place and drops before any rank
-//! resumes.
+//! combine reads in place and drops before any rank resumes. The last
+//! arrival combines, except in a reduce-scatter: there it publishes the
+//! inputs, and each member sums its own chunk.
 
 use crate::stats::OpKind;
 use crate::task::{Poll, WakeKey};
@@ -49,6 +50,9 @@ impl Wire {
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Collect,
+    /// A reduce-scatter's inputs are published; members are summing their
+    /// own chunks.
+    Combine,
     Distribute,
 }
 
@@ -66,10 +70,16 @@ pub enum Stream {
     Comm,
 }
 
-/// What the last arrival's `finish` computation hands back to the
-/// rendezvous: per-rank outputs plus the op's modeled cost and accounting.
+/// What the last arrival publishes: every rank's output, or — a
+/// reduce-scatter — the inputs, from which each member sums its own chunk.
+enum Published {
+    Outputs(Vec<Tensor>),
+    Inputs(Arc<[Pieces]>),
+}
+
+/// The op's modeled cost and accounting, which the last arrival's
+/// `finish_spec` hands back to the rendezvous with what it publishes.
 struct Done {
-    outputs: Vec<Tensor>,
     cost: f64,
     kind: OpKind,
     /// Element hops the modeled schedule moves (drives stats + bytes, at
@@ -81,9 +91,8 @@ struct Done {
 }
 
 impl Done {
-    fn new(outputs: Vec<Tensor>, cost: f64, kind: OpKind, elements: u64) -> Done {
+    fn new(cost: f64, kind: OpKind, elements: u64) -> Done {
         Done {
-            outputs,
             cost,
             kind,
             elements,
@@ -317,13 +326,16 @@ impl From<Tensor> for Pieces {
 /// modeled cost and traffic accounting at `desc.wire` width. Pure in the
 /// inputs plus the cluster model (and the world's forced-algo pin), so the
 /// outputs are bitwise identical no matter which rank arrives last. The
-/// inputs drop here, so no rank's handles outlive the combine.
+/// inputs drop here, so no rank's handles outlive the combine — except a
+/// reduce-scatter's, which are published for every member to sum its own
+/// chunk from (`reduce_scatter_chunk`); the last member to finish drops
+/// them.
 fn finish_spec(
     desc: Collective,
     ctx: &DeviceCtx,
     members: &[DeviceId],
     mut inputs: Vec<Pieces>,
-) -> Done {
+) -> (Published, Done) {
     let p = members.len();
     let cluster = ctx.cluster();
     let wire = desc.wire;
@@ -338,34 +350,41 @@ fn finish_spec(
                 Some(algo) => cost::allreduce_schedule(algo, cluster, members, bytes),
                 None => cost::select_allreduce_schedule(cluster, members, bytes),
             };
-            Done {
-                outputs: vec![acc; p],
+            let done = Done {
                 cost: schedule.time(),
                 kind: OpKind::AllReduce,
                 elements: schedule.elements(n),
                 schedule: Some(schedule),
-            }
+            };
+            (Published::Outputs(vec![acc; p]), done)
         }
         Op::AllGather { dim } => {
             let contrib = inputs[0].numel() as u64;
             let full = gather_rank_ordered(&inputs, dim);
             let cost = cost::allgather_time(cluster, members, contrib * wire.bytes());
             let elements = (p as u64 - 1) * p as u64 * contrib;
-            Done::new(vec![full; p], cost, OpKind::AllGather, elements)
+            let done = Done::new(cost, OpKind::AllGather, elements);
+            (Published::Outputs(vec![full; p]), done)
         }
         Op::ReduceScatter { dim } => {
+            let extent = inputs[0].dims()[dim];
+            assert!(
+                extent.is_multiple_of(p),
+                "dim {dim} extent {extent} not divisible into {p} parts"
+            );
             let n = inputs[0].numel() as u64;
-            let outs = reduce_scatter_rank_ordered(&inputs, dim);
             let cost = cost::reduce_scatter_time(cluster, members, n * wire.bytes());
             let elements = (p as u64 - 1) * n;
-            Done::new(outs, cost, OpKind::ReduceScatter, elements)
+            let done = Done::new(cost, OpKind::ReduceScatter, elements);
+            (Published::Inputs(inputs.into()), done)
         }
         Op::Broadcast { root } => {
             let src = inputs.swap_remove(root).into_tensor();
             let n = src.numel() as u64;
             let cost = cost::broadcast_time(cluster, members, n * wire.bytes());
             let elements = (p as u64 - 1) * n;
-            Done::new(vec![src; p], cost, OpKind::Broadcast, elements)
+            let done = Done::new(cost, OpKind::Broadcast, elements);
+            (Published::Outputs(vec![src; p]), done)
         }
         Op::ReduceSum { root } => {
             let sum = reduce_rank_ordered(inputs, false);
@@ -381,7 +400,8 @@ fn finish_spec(
                 .collect();
             let cost = cost::broadcast_time(cluster, members, n * wire.bytes());
             let elements = (p as u64 - 1) * n;
-            Done::new(outs, cost, OpKind::Reduce, elements)
+            let done = Done::new(cost, OpKind::Reduce, elements);
+            (Published::Outputs(outs), done)
         }
     }
 }
@@ -390,8 +410,12 @@ fn finish_spec(
 enum CollStage {
     /// Not yet deposited (possibly waiting out the previous op's drain).
     Enter,
-    /// Deposited; waiting for the last arrival to publish the outputs.
+    /// Deposited; waiting for the last arrival to publish the outputs (or
+    /// a reduce-scatter's inputs, for this rank to sum its chunk from).
     AwaitPublish,
+    /// This rank's reduce-scatter chunk is summed; waiting for the other
+    /// members to finish theirs and drop the inputs.
+    AwaitCombined,
 }
 
 /// One in-flight collective on this rank: the resumable form of a
@@ -428,6 +452,14 @@ struct SlotState {
     /// Global ranks parked `Pending` for this op's publish; drained (and
     /// woken through the executor) by the last arrival.
     parked_publish: Vec<DeviceId>,
+    /// A reduce-scatter's published inputs while members sum their chunks
+    /// (each reads them through its own handle, outside the lock), and how
+    /// many have finished.
+    combining: Option<Arc<[Pieces]>>,
+    combined: usize,
+    /// Ranks whose chunk is summed, parked until the last member finishes
+    /// its own and drops the inputs.
+    parked_combine: Vec<DeviceId>,
     /// Ranks parked waiting for the previous op's drain; woken by the last
     /// picker's reset.
     parked_drain: Vec<DeviceId>,
@@ -435,12 +467,14 @@ struct SlotState {
 
 /// Shared state of one process group (all member handles point here).
 ///
-/// The rendezvous has two distinct wait reasons, each with its own parked
-/// list so a wake never reaches ranks parked for the *other* reason:
+/// The rendezvous has three distinct wait reasons, each with its own parked
+/// list so a wake never reaches ranks parked for *another* reason:
 /// Collect-phase waiters sit in `parked_publish` (woken once, by the last
-/// arrival), while next-op entrants draining a still-Distribute slot sit in
-/// `parked_drain` (woken once, by the last picker). Every spurious wake
-/// would cost a full requeue/dispatch cycle.
+/// arrival); members that have summed their reduce-scatter chunk sit in
+/// `parked_combine` (woken once, by the last member to sum its own); and
+/// next-op entrants draining a slot still in use sit in `parked_drain`
+/// (woken once, by the last picker). Every spurious wake would cost a full
+/// requeue/dispatch cycle.
 pub(crate) struct GroupShared {
     members: Vec<DeviceId>,
     slot: Mutex<SlotState>,
@@ -465,6 +499,9 @@ impl GroupShared {
                 op: None,
                 first: None,
                 parked_publish: Vec::new(),
+                combining: None,
+                combined: 0,
+                parked_combine: Vec::new(),
                 parked_drain: Vec::new(),
             }),
         }
@@ -480,9 +517,11 @@ impl GroupShared {
     pub(crate) fn parked(shared: &Arc<GroupShared>) -> Vec<(DeviceId, WakeKey)> {
         let st = shared.slot.lock();
         let publish = st.parked_publish.iter();
+        let combine = st.parked_combine.iter();
         let drain = st.parked_drain.iter();
         publish
             .map(|&r| (r, WakeKey::publish(shared)))
+            .chain(combine.map(|&r| (r, WakeKey::combine(shared))))
             .chain(drain.map(|&r| (r, WakeKey::drain(shared))))
             .collect()
     }
@@ -534,14 +573,18 @@ impl Group {
     /// runs `finish_spec` (one output per rank, the op's virtual cost,
     /// kind and element-hop count); every rank leaves with its output and
     /// the charged stream's clock advanced to `max(arrival clocks) + cost`.
+    /// A reduce-scatter's last arrival publishes the inputs instead of the
+    /// outputs: each member sums its own chunk outside the slot lock, and
+    /// the last to finish drops the inputs and releases the others, so no
+    /// rank resumes while a peer still holds its input's handles.
     /// On [`Stream::Main`] the arrival clock is the main clock; on
     /// [`Stream::Comm`] it is `max(main, comm)` and only the comm clock
     /// advances, so compute may keep accruing behind the collective.
     ///
     /// A rank that must wait returns [`Poll::Pending`] with the wake key of
-    /// the edge it needs (publish or drain), after registering itself in
-    /// the slot's parked list *under the slot lock*, so the waking rank
-    /// cannot miss it. Spurious re-polls re-check the phase and re-park.
+    /// the edge it needs (publish, combine or drain), after registering
+    /// itself in the slot's parked list *under the slot lock*, so the waking
+    /// rank cannot miss it. Spurious re-polls re-check the phase and re-park.
     /// The blocking [`Group::collective`] drives this same method, which
     /// is what keeps closure and task ranks bitwise identical.
     ///
@@ -576,7 +619,7 @@ impl Group {
         let shared = &*self.shared;
         let mut st = shared.slot.lock();
         if matches!(op.stage, CollStage::Enter) {
-            if st.phase == Phase::Distribute {
+            if st.phase != Phase::Collect {
                 // previous op not fully drained: park until the last picker
                 // resets the slot
                 if !st.parked_drain.contains(&ctx.rank()) {
@@ -596,6 +639,10 @@ impl Group {
                 debug_assert_eq!(st.t_max, 0.0, "stale t_max entering Collect");
                 debug_assert_eq!(st.t_done, 0.0, "stale t_done entering Collect");
                 debug_assert!(st.op.is_none(), "stale op metadata entering Collect");
+                debug_assert!(
+                    st.combining.is_none() && st.combined == 0,
+                    "stale reduce-scatter inputs entering Collect"
+                );
             }
             assert!(
                 st.inputs[self.my_index].is_none(),
@@ -631,21 +678,24 @@ impl Group {
             st.t_max = st.t_max.max(t_arrive);
             op.stage = CollStage::AwaitPublish;
             if st.arrived == p {
-                // last arrival: combine and publish
+                // last arrival: combine (or, a reduce-scatter, hand the
+                // inputs to the members' own sums) and publish
                 let inputs = st.inputs.iter_mut().map(|i| i.take().unwrap()).collect();
-                let mut done = finish_spec(op.desc, ctx, self.members(), inputs);
-                assert_eq!(
-                    done.outputs.len(),
-                    p,
-                    "finish must produce one output per rank"
-                );
+                let (published, done) = finish_spec(op.desc, ctx, self.members(), inputs);
                 let bytes = done.elements * op.desc.wire.bytes();
-                st.outputs = std::mem::take(&mut done.outputs)
-                    .into_iter()
-                    .map(Some)
-                    .collect();
+                match published {
+                    Published::Outputs(outputs) => {
+                        assert_eq!(outputs.len(), p, "finish must produce one output per rank");
+                        st.outputs = outputs.into_iter().map(Some).collect();
+                        st.phase = Phase::Distribute;
+                    }
+                    Published::Inputs(inputs) => {
+                        st.outputs = vec![None; p];
+                        st.combining = Some(inputs);
+                        st.phase = Phase::Combine;
+                    }
+                }
                 st.t_done = st.t_max + done.cost;
-                st.phase = Phase::Distribute;
                 st.op = Some((done.kind, bytes));
                 st.first = None;
                 ctx.record_stats(done.kind, done.elements, bytes);
@@ -657,7 +707,7 @@ impl Group {
                 for r in std::mem::take(&mut st.parked_publish) {
                     ctx.tasks.wake(r);
                 }
-                // fall through to pick our own output
+                // fall through to sum our chunk or pick our output
             } else {
                 st.parked_publish.push(ctx.rank());
                 return Poll::Pending(WakeKey::publish(&self.shared));
@@ -669,6 +719,42 @@ impl Group {
                 st.parked_publish.push(ctx.rank());
             }
             return Poll::Pending(WakeKey::publish(&self.shared));
+        }
+        if st.phase == Phase::Combine && matches!(op.stage, CollStage::AwaitPublish) {
+            // a reduce-scatter's inputs are out: sum this rank's chunk
+            // through a handle of our own, with the lock free for peers
+            // doing the same
+            let inputs = Arc::clone(st.combining.as_ref().expect("published inputs"));
+            drop(st);
+            let Op::ReduceScatter { dim } = op.desc.op else {
+                unreachable!("only a reduce-scatter publishes its inputs")
+            };
+            let mine = reduce_scatter_chunk(&inputs, dim, self.my_index);
+            // let go before counting ourselves done, so the last member to
+            // finish holds the last handle
+            drop(inputs);
+            st = shared.slot.lock();
+            st.outputs[self.my_index] = Some(mine);
+            st.combined += 1;
+            op.stage = CollStage::AwaitCombined;
+            if st.combined == p {
+                // last to finish: every rank's input drops here, before any
+                // rank resumes
+                st.combining = None;
+                st.combined = 0;
+                st.phase = Phase::Distribute;
+                for r in std::mem::take(&mut st.parked_combine) {
+                    ctx.tasks.wake(r);
+                }
+            }
+        }
+        if st.phase == Phase::Combine {
+            // our chunk is summed, a peer's is not (or a spurious resume):
+            // park until the last member finishes
+            if !st.parked_combine.contains(&ctx.rank()) {
+                st.parked_combine.push(ctx.rank());
+            }
+            return Poll::Pending(WakeKey::combine(&self.shared));
         }
         let out = st.outputs[self.my_index]
             .take()
@@ -903,31 +989,22 @@ fn add_rank(acc: &mut [f32], x: &[f32]) {
     axpy_slices(acc, 1.0, x);
 }
 
-/// The rank-ordered sum of the rendezvous inputs, cut into one chunk per
-/// rank along `dim`. Rank r's chunk is `outer` strips of the flat elements
-/// (one when `dim` is 0); each is summed straight into the buffer r alone
-/// will own, so r may scale it in place — nothing sums the whole vector
-/// and copies chunks out of it.
-fn reduce_scatter_rank_ordered(inputs: &[Pieces], dim: usize) -> Vec<Tensor> {
+/// Rank `r`'s chunk along `dim` of the rank-ordered sum of the rendezvous
+/// inputs (whose `dim` extent the last arrival checked divides by p):
+/// `outer` strips of the flat elements (one when `dim` is 0), each summed
+/// straight into the buffer r alone will own, so r may scale it in place —
+/// nothing sums the whole vector and copies chunks out of it. Each member
+/// sums its own, so the p chunks are summed side by side.
+fn reduce_scatter_chunk(inputs: &[Pieces], dim: usize, r: usize) -> Tensor {
     let (p, dims) = (inputs.len(), inputs[0].dims());
-    assert!(
-        dims[dim].is_multiple_of(p),
-        "dim {dim} extent {} not divisible into {p} parts",
-        dims[dim]
-    );
     let outer: usize = dims[..dim].iter().product();
     let strip = inputs[0].numel() / (outer * p).max(1);
-    let shape = Shape::from(dims).with_dim(dim, dims[dim] / p);
-    (0..p)
-        .map(|r| {
-            let mut out = pool::take_buffer(outer * strip);
-            for o in 0..outer {
-                let start = (o * p + r) * strip;
-                reduce_rank_ordered_into(&mut out, inputs, start..start + strip, add_rank);
-            }
-            Tensor::from_vec(shape.clone(), out)
-        })
-        .collect()
+    let mut out = pool::take_buffer(outer * strip);
+    for o in 0..outer {
+        let start = (o * p + r) * strip;
+        reduce_rank_ordered_into(&mut out, inputs, start..start + strip, add_rank);
+    }
+    Tensor::from_vec(Shape::from(dims).with_dim(dim, dims[dim] / p), out)
 }
 
 /// Elementwise sum (or, with `max`, maximum — exact, but reduced in the
@@ -1043,6 +1120,13 @@ mod tests {
         inputs.iter().cloned().map(Pieces::from).collect()
     }
 
+    /// Every rank's reduce-scatter chunk along dim 0, summed by one caller.
+    fn every_chunk(inputs: &[Pieces]) -> Vec<Tensor> {
+        (0..inputs.len())
+            .map(|r| reduce_scatter_chunk(inputs, 0, r))
+            .collect()
+    }
+
     #[test]
     fn one_pass_reductions_equal_the_rank_by_rank_chains_bitwise() {
         let mut order_mattered = false;
@@ -1120,24 +1204,56 @@ mod tests {
                         "max {max}, p {p}, len {len}"
                     );
                 }
-                let flat = reduce_scatter_rank_ordered(&whole(&inputs), 0);
-                let got = reduce_scatter_rank_ordered(&pieces, 0);
+                let flat = every_chunk(&whole(&inputs));
+                let got = every_chunk(&pieces);
                 for (r, (got, want)) in got.iter().zip(&flat).enumerate() {
                     assert_eq!(bits(got), bits(want), "p {p}, len {len}, shard {r}");
                 }
-                // and through the rendezvous, as a gradient bucket crosses
-                let world = World::new(system_i());
-                let out = world.run_on(p, |ctx| {
-                    let g = ctx.world_group(p);
-                    let mine = pieces[g.rank()].clone();
-                    g.collective(ctx, Op::ReduceScatter { dim: 0 }.into(), mine)
-                });
-                for (r, (got, want)) in out.iter().zip(&flat).enumerate() {
-                    assert_eq!(bits(got), bits(want), "rendezvous, p {p}, shard {r}");
+                // and through the rendezvous, as a gradient bucket crosses,
+                // each member summing its own chunk: as closures and as heap
+                // tasks
+                let scatter = Collective::from(Op::ReduceScatter { dim: 0 });
+                for tasks in [false, true] {
+                    let world = World::new(system_i());
+                    let out = if tasks {
+                        let pieces = &pieces;
+                        world.run_tasks(p, |r| OneOp::new(p, scatter, pieces[r].clone()))
+                    } else {
+                        world.run_on(p, |ctx| {
+                            let g = ctx.world_group(p);
+                            g.collective(ctx, scatter, pieces[g.rank()].clone())
+                        })
+                    };
+                    for (r, (got, want)) in out.iter().zip(&flat).enumerate() {
+                        let what = format!("rendezvous, tasks {tasks}, p {p}, shard {r}");
+                        assert_eq!(bits(got), bits(want), "{what}");
+                    }
                 }
             }
         }
         assert!(straddled && padded, "the sweep missed a case it claims");
+    }
+
+    #[test]
+    fn every_wait_edge_is_reported_by_name() {
+        // what a deadlock report reads: each parked list under its edge
+        let shared = Arc::new(GroupShared::new(vec![4, 5, 6]));
+        {
+            let mut st = shared.slot.lock();
+            st.parked_publish.push(4);
+            st.parked_combine.push(5);
+            st.parked_drain.push(6);
+        }
+        let got: Vec<String> = GroupShared::parked(&shared)
+            .iter()
+            .map(|(rank, key)| format!("{rank} {key:?}"))
+            .collect();
+        let want = [
+            "4 publish(group [4,5,6])",
+            "5 combine(group [4,5,6])",
+            "6 drain(group [4,5,6])",
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -1758,16 +1874,16 @@ mod tests {
     struct OneOp {
         n: usize,
         desc: Collective,
-        input: Option<Tensor>,
+        input: Option<Pieces>,
         op: Option<CollectiveOp>,
     }
 
     impl OneOp {
-        fn new(n: usize, desc: Collective, input: Tensor) -> OneOp {
+        fn new(n: usize, desc: Collective, input: impl Into<Pieces>) -> OneOp {
             OneOp {
                 n,
                 desc,
-                input: Some(input),
+                input: Some(input.into()),
                 op: None,
             }
         }

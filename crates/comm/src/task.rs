@@ -5,7 +5,7 @@
 //! instead of an OS thread stack: `poll` either completes with
 //! [`Poll::Ready`] or parks the rank by returning [`Poll::Pending`] with the
 //! [`WakeKey`] naming the resource that will wake it — a keyed mailbox
-//! slot or a group-rendezvous publish/drain edge. One stack + futex per
+//! slot or a group-rendezvous publish/combine/drain edge. One stack + futex per
 //! rank is exactly the kernel cost that caps world size (EXPERIMENTS.md
 //! measures idle parked threads, not our locks, as the residual scaling
 //! term at 4096 ranks), so [`crate::World::run_tasks`] runs any number of
@@ -42,13 +42,16 @@ pub enum Poll<T> {
 pub struct WakeKey(WakeSource);
 
 /// The concrete wake sources: the parked rank's mailbox slot for
-/// `(from, tag)`, or one of the two rendezvous edges of a group slot.
+/// `(from, tag)`, or one of the three rendezvous edges of a group slot.
 enum WakeSource {
     /// A message from `from` under `tag` wakes the receiver.
     Mail { from: DeviceId, tag: u64 },
     /// The last arrival publishing the group's outputs wakes Collect-phase
     /// waiters.
     Publish(Arc<GroupShared>),
+    /// The last member to sum its reduce-scatter chunk, dropping the
+    /// inputs, wakes the members that finished theirs first.
+    Combine(Arc<GroupShared>),
     /// The last picker resetting the slot wakes next-op entrants waiting
     /// out a still-Distribute slot.
     Drain(Arc<GroupShared>),
@@ -63,6 +66,10 @@ impl WakeKey {
         WakeKey(WakeSource::Publish(Arc::clone(shared)))
     }
 
+    pub(crate) fn combine(shared: &Arc<GroupShared>) -> WakeKey {
+        WakeKey(WakeSource::Combine(Arc::clone(shared)))
+    }
+
     pub(crate) fn drain(shared: &Arc<GroupShared>) -> WakeKey {
         WakeKey(WakeSource::Drain(Arc::clone(shared)))
     }
@@ -73,6 +80,7 @@ impl std::fmt::Debug for WakeKey {
         match &self.0 {
             WakeSource::Mail { from, tag } => write!(f, "recv(src={from}, tag={tag})"),
             WakeSource::Publish(g) => write!(f, "publish(group {})", g.members_text()),
+            WakeSource::Combine(g) => write!(f, "combine(group {})", g.members_text()),
             WakeSource::Drain(g) => write!(f, "drain(group {})", g.members_text()),
         }
     }

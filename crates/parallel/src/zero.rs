@@ -7,8 +7,9 @@
 //!   sharded; gradients still all-reduced in full.
 //! * **Stage 2** — gradients reduce-scattered: each rank still holds its
 //!   full per-parameter gradients until the reduce (the backward writes
-//!   them), but receives and keeps only its shard of the reduced sum, and
-//!   the full gradients are cleared in place by the step.
+//!   them), but receives and keeps only its shard of the reduced sum. The
+//!   step clears the full gradients without writing them: each parks its
+//!   buffer (`Param::zero_grad`), which the next backward overwrites.
 //! * **Stage 3** — parameters sharded too: a step releases them, so ranks
 //!   persist only their shard, and one all-gather
 //!   ([`ZeroOptimizer::materialize_params`]) gathers them for the forward.
@@ -505,6 +506,50 @@ mod tests {
                 let run = trajectory(stage, 4, 3, 64, overlap);
                 for (r, homes) in run.grad_homes.iter().enumerate() {
                     assert_eq!(homes.len(), 3);
+                    assert!(
+                        homes.iter().all(|h| h == &homes[0]),
+                        "{stage:?}, overlap {overlap}, rank {r}: a gradient moved"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn each_backward_writes_the_gradients_where_the_last_one_did() {
+        // the step clears the gradients by parking their buffers, and the
+        // next backward writes them there (the weight GEMM stores over
+        // its stale contents); a handle a peer's reduce-scatter still held
+        // when this rank resumed would make that write copy it away
+        for stage in [ZeroStage::Two, ZeroStage::Three] {
+            for overlap in [false, true] {
+                let world = World::new(system_ii());
+                let homes = world.run_on(4, |ctx| {
+                    let g = ctx.world_group(4);
+                    let mut model = make_model(900);
+                    let adam = AdamW::new(0.01, 0.05);
+                    let mut opt =
+                        ZeroOptimizer::with_bucket_bytes(ctx, &g, &mut model, stage, adam, 64);
+                    let mut homes = Vec::new();
+                    for s in 0..3 {
+                        let mut rng = init::rng(1000 + (4 * s + g.rank()) as u64);
+                        let x = init::uniform([2, 6], -1.0, 1.0, &mut rng);
+                        if stage == ZeroStage::Three {
+                            opt.materialize_params(&mut model);
+                        }
+                        let (_, dlogits) = cross_entropy(&model.forward(&x), &[s % 4, 1]);
+                        let shards = if overlap {
+                            opt.backward_overlapped(&mut model, &dlogits).1
+                        } else {
+                            model.backward(&dlogits);
+                            opt.reduce(&mut model)
+                        };
+                        homes.push(grad_homes(&mut model));
+                        opt.step_with_shards(&mut model, &shards);
+                    }
+                    homes
+                });
+                for (r, homes) in homes.iter().enumerate() {
                     assert!(
                         homes.iter().all(|h| h == &homes[0]),
                         "{stage:?}, overlap {overlap}, rank {r}: a gradient moved"

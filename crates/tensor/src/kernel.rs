@@ -40,6 +40,10 @@
 //! block. For `k <= KC` that is a textbook triple loop bit for bit; for
 //! `k > KC` the per-block partial sums (still ascending within and across
 //! blocks) can differ from the unblocked order by normal rounding only.
+//! The store form ([`gemm_mat_store`], `c = a @ b`) stores the first
+//! block's chain instead of adding it to `c`. A chain reduced from `+0.0`
+//! is never `-0.0` (`+0.0 + -0.0` rounds to `+0.0`), so storing it gives
+//! the bits of adding it to a zeroed `c`, on every path and lane width.
 //!
 //! A GEMM runs on the thread of the rank that called it: the world executor
 //! (`comm::sched`) is the only owner of host cores.
@@ -260,7 +264,7 @@ fn microtile<const MR: usize, const NR: usize>(
 
 /// Runs every microtile of one packed `(mb x kb) @ (kb x nb)` block and
 /// scatter-adds the accumulators into `c` (full `ldc`-wide output, block
-/// origin at `(ic, jc)`).
+/// origin at `(ic, jc)`), or with `store` writes them over what `c` held.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // flat scalars keep the hot path register-friendly
 fn macro_tile<const MR: usize, const NR: usize>(
@@ -273,6 +277,7 @@ fn macro_tile<const MR: usize, const NR: usize>(
     ldc: usize,
     ic: usize,
     jc: usize,
+    store: bool,
 ) {
     for jp in 0..nb.div_ceil(NR) {
         let jr = jp * NR;
@@ -286,6 +291,10 @@ fn macro_tile<const MR: usize, const NR: usize>(
             microtile::<MR, NR>(kb, ap, bp, &mut acc);
             for (r, acc_row) in acc[..rows].iter().enumerate() {
                 let row = &mut c[(ic + ir + r) * ldc + jc + jr..][..cols];
+                if store {
+                    row.copy_from_slice(&acc_row[..cols]);
+                    continue;
+                }
                 for (cv, &av) in row.iter_mut().zip(acc_row[..cols].iter()) {
                     *cv += av;
                 }
@@ -294,8 +303,9 @@ fn macro_tile<const MR: usize, const NR: usize>(
     }
 }
 
-/// The packed path at an `MR x NR` register tile: `c += a @ b`. The
-/// per-element chain does not depend on the tile, so neither do the bits.
+/// The packed path at an `MR x NR` register tile: `c += a @ b`, or with
+/// `store` `c = a @ b`. The per-element chain does not depend on the tile,
+/// so neither do the bits.
 #[inline(always)]
 fn gemm_packed<const MR: usize, const NR: usize>(
     a: Mat,
@@ -304,6 +314,7 @@ fn gemm_packed<const MR: usize, const NR: usize>(
     m: usize,
     k: usize,
     n: usize,
+    store: bool,
 ) {
     let kb_max = k.min(KC);
     // packing panels recycle through the storage pool: a training step calls
@@ -320,7 +331,7 @@ fn gemm_packed<const MR: usize, const NR: usize>(
                 let mb = (m - ic).min(MC);
                 let abuf = &mut apack[..mb.div_ceil(MR) * MR * kb];
                 pack::<MR>(a, ic, mb, pc, kb, abuf);
-                macro_tile::<MR, NR>(abuf, bbuf, kb, mb, nb, c, n, ic, jc);
+                macro_tile::<MR, NR>(abuf, bbuf, kb, mb, nb, c, n, ic, jc, store && pc == 0);
             }
         }
     }
@@ -330,7 +341,8 @@ fn gemm_packed<const MR: usize, const NR: usize>(
 
 /// Which kernel [`gemm_mat`] runs for a shape. Every path reduces each
 /// output element's ascending-`k` chain from zero and adds it to `c` once
-/// per `KC` block, so the choice never moves a bit.
+/// per `KC` block (the store form stores the first block's), so the choice
+/// never moves a bit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Path {
     /// At most 16³ multiply-adds, any layout: the row stream, reading `B`
@@ -364,10 +376,12 @@ pub fn path(b: Mat, m: usize, k: usize, n: usize) -> Path {
 
 /// `c += a @ b` one row of `c` at a time, nothing packed: per row, per `KC`
 /// block and per `MR * NR`-wide chunk, the chunk's chains are reduced from
-/// zero in the microtile's registers and then added to `c`. Full chunks of a
-/// unit-stride `B` go through [`stream_tile`]; a ragged tail or a strided
-/// `B` goes element by element through [`Mat::at`].
+/// zero in the microtile's registers and then added to `c` (with `store`,
+/// the first block's stored). Full chunks of a unit-stride `B` go through
+/// [`stream_tile`]; a ragged tail or a strided `B` goes element by element
+/// through [`Mat::at`].
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn stream_rows<const MR: usize, const NR: usize>(
     a: Mat,
     b: Mat,
@@ -375,9 +389,11 @@ fn stream_rows<const MR: usize, const NR: usize>(
     m: usize,
     k: usize,
     n: usize,
+    store: bool,
 ) {
     for pc in (0..k).step_by(KC) {
         let ks = pc..(pc + KC).min(k);
+        let set = store && pc == 0;
         for (i, c_row) in c.chunks_exact_mut(n).take(m).enumerate() {
             for (jc, c_part) in c_row.chunks_mut(MR * NR).enumerate() {
                 let j0 = jc * MR * NR;
@@ -386,7 +402,7 @@ fn stream_rows<const MR: usize, const NR: usize>(
                     stream_tile::<MR, NR>(a, i, ks.clone(), &b.data[j0..], b.rs, &mut acc);
                     for (c_r, acc_r) in c_part.chunks_exact_mut(NR).zip(acc) {
                         for (cv, s) in c_r.iter_mut().zip(acc_r) {
-                            *cv += s;
+                            *cv = if set { s } else { *cv + s };
                         }
                     }
                 } else {
@@ -395,7 +411,7 @@ fn stream_rows<const MR: usize, const NR: usize>(
                         for p in ks.clone() {
                             s += a.at(i, p) * b.at(p, j0 + x);
                         }
-                        *cv += s;
+                        *cv = if set { s } else { *cv + s };
                     }
                 }
             }
@@ -431,11 +447,12 @@ fn stream_tile<const MR: usize, const NR: usize>(
 /// `c += a @ b` for a unit-stride `B`, one `B` row at a time: per `KC`
 /// block, each row `p` is folded into all `m` rows of a zeroed pooled
 /// `m x n` temporary (row `i` gains `a[i, p] * b[p, ..]`), and the
-/// temporary is added to `c` once. Four `B` rows share one pass over the
-/// temporary: `(((t + a0 b0) + a1 b1) + a2 b2) + a3 b3` is the chain four
-/// passes would build, with a quarter of the loads and stores.
+/// temporary is added to `c` once (with `store`, the first block's copied
+/// over it). Four `B` rows share one pass over the temporary:
+/// `(((t + a0 b0) + a1 b1) + a2 b2) + a3 b3` is the chain four passes would
+/// build, with a quarter of the loads and stores.
 #[inline(always)]
-fn stream_b_rows(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
+fn stream_b_rows(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize, store: bool) {
     let b_row = |p: usize| &b.data[p * b.rs..][..n];
     let mut t = crate::pool::take_zeroed(m * n);
     for pc in (0..k).step_by(KC) {
@@ -465,6 +482,10 @@ fn stream_b_rows(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
                 }
             }
         }
+        if store && pc == 0 {
+            c[..m * n].copy_from_slice(&t);
+            continue;
+        }
         for (cv, &s) in c.iter_mut().zip(&t) {
             *cv += s;
         }
@@ -472,9 +493,10 @@ fn stream_b_rows(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
     crate::pool::recycle(t);
 }
 
-/// The driver at an `MR x NR` register tile: `c += a @ b` down the [`path`]
-/// the shape takes. `#[inline(always)]` so each target-feature wrapper below
-/// recompiles every path, packing included, with its lanes.
+/// The GEMM at an `MR x NR` register tile: `c += a @ b` (with `store`,
+/// `c = a @ b`) down the [`path`] the shape takes. `#[inline(always)]` so
+/// each target-feature wrapper below recompiles every path, packing
+/// included, with its lanes.
 #[inline(always)]
 fn gemm_tile<const MR: usize, const NR: usize>(
     a: Mat,
@@ -483,11 +505,12 @@ fn gemm_tile<const MR: usize, const NR: usize>(
     m: usize,
     k: usize,
     n: usize,
+    store: bool,
 ) {
     match path(b, m, k, n) {
-        Path::Tiny | Path::RowStream => stream_rows::<MR, NR>(a, b, c, m, k, n),
-        Path::BRowStream => stream_b_rows(a, b, c, m, k, n),
-        Path::Packed => gemm_packed::<MR, NR>(a, b, c, m, k, n),
+        Path::Tiny | Path::RowStream => stream_rows::<MR, NR>(a, b, c, m, k, n, store),
+        Path::BRowStream => stream_b_rows(a, b, c, m, k, n, store),
+        Path::Packed => gemm_packed::<MR, NR>(a, b, c, m, k, n, store),
     }
 }
 
@@ -532,7 +555,8 @@ pub(crate) fn on_lanes<W: LaneWork>(lanes: Lanes, work: W) -> W::Out {
     }
 }
 
-/// `c += a @ b` as [`LaneWork`]: [`gemm_tile`] at the lanes' tile.
+/// `c += a @ b` (with `store`, `c = a @ b`) as [`LaneWork`]: [`gemm_tile`]
+/// at the lanes' tile.
 struct Gemm<'a> {
     a: Mat<'a>,
     b: Mat<'a>,
@@ -540,20 +564,40 @@ struct Gemm<'a> {
     m: usize,
     k: usize,
     n: usize,
+    store: bool,
 }
 
 impl LaneWork for Gemm<'_> {
     type Out = ();
     #[inline(always)]
     fn run<const NR: usize>(self) {
-        let Gemm { a, b, c, m, k, n } = self;
-        gemm_tile::<MR, NR>(a, b, c, m, k, n);
+        let Gemm {
+            a,
+            b,
+            c,
+            m,
+            k,
+            n,
+            store,
+        } = self;
+        gemm_tile::<MR, NR>(a, b, c, m, k, n, store);
     }
 }
 
-/// `c += a @ b` on the given lanes, which this CPU must have.
-fn gemm_on(lanes: Lanes, a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
-    on_lanes(lanes, Gemm { a, b, c, m, k, n });
+/// `c += a @ b` (with `store`, `c = a @ b`) on the given lanes, which this
+/// CPU must have.
+#[allow(clippy::too_many_arguments)]
+fn gemm_on(lanes: Lanes, a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize, store: bool) {
+    let work = Gemm {
+        a,
+        b,
+        c,
+        m,
+        k,
+        n,
+        store,
+    };
+    on_lanes(lanes, work);
 }
 
 /// The kernel entry point every matmul variant routes through: `c += a @ b`
@@ -566,11 +610,32 @@ fn gemm_on(lanes: Lanes, a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: u
 /// product from a zeroed temporary. Records `2mkn` FLOPs on the
 /// [`crate::meter`].
 pub fn gemm_mat(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
-    if m == 0 || n == 0 || k == 0 {
+    gemm_mat_as(a, b, c, m, k, n, false);
+}
+
+/// The store form of [`gemm_mat`]: `c = a @ b`, whatever `c` held. The
+/// first `KC` block stores its chains where [`gemm_mat`] adds them, and
+/// every chain starts at `+0.0`, so it is never `-0.0` (`+0.0 + -0.0` is
+/// `+0.0`): the bits are those of [`gemm_mat`] into a zeroed `c`, without
+/// the zero-fill and without reading `c` back.
+pub fn gemm_mat_store(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize) {
+    gemm_mat_as(a, b, c, m, k, n, true);
+}
+
+/// [`gemm_mat`], or with `store` [`gemm_mat_store`].
+fn gemm_mat_as(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize, store: bool) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    if k == 0 {
+        // the empty sum: nothing to add, zeros to store
+        if store {
+            c[..m * n].fill(0.0);
+        }
         return;
     }
     crate::meter::record(crate::matmul::matmul_flops(m, k, n));
-    gemm_on(lanes(), a, b, c, m, k, n);
+    gemm_on(lanes(), a, b, c, m, k, n, store);
 }
 
 /// Runs `run(t, c_t)` for each of `ba` equal `csize`-element chunks of `c`
@@ -797,48 +862,71 @@ mod tests {
             }
         }
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let mut taken = Vec::new();
+        // a `rows x cols` row-major buffer's transpose
+        let transpose = |x: &[f32], rows: usize, cols: usize| {
+            let mut t = vec![0.0; rows * cols];
+            for r in 0..rows {
+                for c in 0..cols {
+                    t[c * rows + r] = x[r * cols + c];
+                }
+            }
+            t
+        };
+        let (mut taken, mut stored) = (Vec::new(), Vec::new());
         for (m, k, n) in shapes {
             let a = rand_vec(m * k, (m * 7 + k) as u64);
             let b = rand_vec(k * n, (k * 13 + n) as u64);
             let c0 = rand_vec(m * n, (m + n) as u64);
-            // the same logical operands, row-major and as transposed views
-            let (mut at, mut bt) = (vec![0.0; m * k], vec![0.0; k * n]);
-            for i in 0..m {
-                for p in 0..k {
-                    at[p * m + i] = a[i * k + p];
-                }
-            }
-            for p in 0..k {
-                for j in 0..n {
-                    bt[j * k + p] = b[p * n + j];
-                }
-            }
-            let a_views = [
-                ("row-major", Mat::row_major(&a, k)),
-                ("transposed", Mat::transposed(&at, m)),
-            ];
-            let b_views = [
-                ("row-major", Mat::row_major(&b, n)),
-                ("transposed", Mat::transposed(&bt, k)),
-            ];
-            // into a zeroed `c`, and into one that already holds data (a
-            // fused gradient accumulation)
-            for start in [vec![0.0; m * n], c0] {
-                let mut want = start.clone();
-                gemm_packed::<MR, NR>(a_views[0].1, b_views[0].1, &mut want, m, k, n);
-                for (a_layout, am) in a_views {
-                    for (b_layout, bm) in b_views {
-                        let path = path(bm, m, k, n);
-                        taken.push(path);
-                        for lanes in on_host.iter().copied() {
-                            let mut got = start.clone();
-                            gemm_on(lanes, am, bm, &mut got, m, k, n);
-                            assert!(
-                                bits(&got) == bits(&want),
-                                "{path:?} on {lanes:?}, A {a_layout}, B {b_layout}, \
-                                 ({m},{k},{n}) differs from portable packed"
-                            );
+            // the store form also sees a last row whose products are all
+            // -0.0: -0.0 times a `b` with no negative element
+            let mut neg_a = a.clone();
+            neg_a[(m - 1) * k..].fill(-0.0);
+            let abs_b: Vec<f32> = b.iter().map(|x| x.abs()).collect();
+            for (a, b, starts) in [
+                // into a zeroed `c`, into one that already holds data (a
+                // fused gradient accumulation), and stored over garbage
+                (&a, &b, vec![Some(vec![0.0; m * n]), Some(c0.clone()), None]),
+                (&neg_a, &abs_b, vec![None]),
+            ] {
+                // the same logical operands, row-major and as transposed views
+                let (at, bt) = (transpose(a, m, k), transpose(b, k, n));
+                let a_views = [
+                    ("row-major", Mat::row_major(a, k)),
+                    ("transposed", Mat::transposed(&at, m)),
+                ];
+                let b_views = [
+                    ("row-major", Mat::row_major(b, n)),
+                    ("transposed", Mat::transposed(&bt, k)),
+                ];
+                for start in starts {
+                    // the store form must equal accumulating into zeros
+                    let store = start.is_none();
+                    let mut want = start.clone().unwrap_or_else(|| vec![0.0; m * n]);
+                    let (a0, b0) = (a_views[0].1, b_views[0].1);
+                    gemm_packed::<MR, NR>(a0, b0, &mut want, m, k, n, false);
+                    if std::ptr::eq(a, &neg_a) {
+                        let last = &want[(m - 1) * n..];
+                        assert!(last.iter().all(|x| x.to_bits() == 0), "-0.0 chains");
+                    }
+                    for (a_layout, am) in a_views {
+                        for (b_layout, bm) in b_views {
+                            let path = path(bm, m, k, n);
+                            taken.push(path);
+                            if store {
+                                stored.push((path, k > KC));
+                            }
+                            for lanes in on_host.iter().copied() {
+                                // poisoned: the store form writes every element
+                                let mut got =
+                                    start.clone().unwrap_or_else(|| vec![f32::NAN; m * n]);
+                                gemm_on(lanes, am, bm, &mut got, m, k, n, store);
+                                assert!(
+                                    bits(&got) == bits(&want),
+                                    "{path:?} on {lanes:?}, A {a_layout}, B {b_layout}, \
+                                     ({m},{k},{n}), store {store}: differs from portable \
+                                     packed into a zeroed or live c"
+                                );
+                            }
                         }
                     }
                 }
@@ -846,6 +934,15 @@ mod tests {
         }
         for path in [Path::Tiny, Path::RowStream, Path::BRowStream, Path::Packed] {
             assert!(taken.contains(&path), "no shape took {path:?}");
+            for deep in [false, true] {
+                let case = (path, deep);
+                // the row stream takes no `k` past ROW_STREAM_MAX_K
+                let reachable = !(path == Path::RowStream && deep);
+                assert!(
+                    stored.contains(&case) || !reachable,
+                    "no store took {path:?} with k > KC: {deep}"
+                );
+            }
         }
     }
 
@@ -909,6 +1006,15 @@ mod tests {
             3,
         );
         assert_eq!(c, vec![5.0; 6]); // k == 0: empty sum adds nothing
+        gemm_mat_store(
+            Mat::row_major(&[], 0),
+            Mat::row_major(&[], 3),
+            &mut c,
+            2,
+            0,
+            3,
+        );
+        assert_eq!(c, vec![0.0; 6]); // ... and stores zeros
         gemm_mat(
             Mat::row_major(&[], 4),
             Mat::row_major(&[], 0),

@@ -42,7 +42,8 @@ pub mod tensor;
 
 pub use kernel::fma_available;
 pub use matmul::{
-    bmm, bmm_at, bmm_bt, gemm, matmul, matmul_at, matmul_at_acc, matmul_bt, matmul_nd,
+    bmm, bmm_at, bmm_bt, gemm, matmul, matmul_at, matmul_at_acc, matmul_at_store, matmul_bt,
+    matmul_nd,
 };
 pub use par::ParStats;
 pub use pool::PoolStats;

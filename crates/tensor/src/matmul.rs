@@ -155,6 +155,31 @@ pub fn matmul_at_acc(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     }
 }
 
+/// The store form of [`matmul_at_acc`]: `out = a^T @ b`, whatever `out`
+/// held, through [`crate::kernel::gemm_mat_store`] — the bits of
+/// [`matmul_at_acc`] into a zeroed `out` at every depth, with neither the
+/// zero-fill nor the read of `out`.
+pub fn matmul_at_store(a: &Tensor, b: &Tensor, out: &mut Tensor) {
+    assert_eq!(a.rank(), 2);
+    assert_eq!(b.rank(), 2);
+    let (k, m) = (a.dims()[0], a.dims()[1]);
+    let (k2, n) = (b.dims()[0], b.dims()[1]);
+    assert_eq!(k, k2, "matmul_at_store inner-dimension mismatch");
+    assert_eq!(
+        out.dims(),
+        &[m, n][..],
+        "matmul_at_store output shape mismatch"
+    );
+    crate::kernel::gemm_mat_store(
+        Mat::transposed(a.data(), m),
+        Mat::row_major(b.data(), n),
+        out.data_mut(),
+        m,
+        k,
+        n,
+    );
+}
+
 /// `A^T @ B` without materializing the transpose: `(k, m)^T @ (k, n) -> (m, n)`.
 pub fn matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.rank(), 2);

@@ -8,7 +8,9 @@ use colossalai_tensor::ops::{
     add_bias_gelu, gelu, gelu_backward, gelu_backward_cached, gelu_grad, gelu_with_tanh, layernorm,
     layernorm_backward, layernorm_fused, softmax, softmax_backward, sum_axis0_acc,
 };
-use colossalai_tensor::{axpy_slices, init, matmul_at, matmul_at_acc, scale_slice, Tensor};
+use colossalai_tensor::{
+    axpy_slices, init, matmul_at, matmul_at_acc, matmul_at_store, scale_slice, Tensor,
+};
 use rand::Rng;
 
 fn tensor(rows: usize, cols: usize, seed: u64) -> Tensor {
@@ -140,6 +142,31 @@ fn matmul_at_acc_matches_composed() {
         let mut fused = g0;
         matmul_at_acc(&a, &b, &mut fused);
         assert_eq!(fused.data(), composed.data());
+    }
+}
+
+#[test]
+fn matmul_at_store_equals_accumulating_into_zeros() {
+    // a cleared gradient's stale buffer, overwritten: the bits of the
+    // fused accumulation into a zeroed one, shallow and deeper than KC
+    for case in 0..32 {
+        let mut draw = init::rng(100 + case);
+        let k = if case == 0 {
+            600
+        } else {
+            draw.gen_range(1usize..40)
+        };
+        let m = draw.gen_range(1usize..24);
+        let n = draw.gen_range(1usize..24);
+        let seed = draw.gen_range(0u64..1000);
+        let a = tensor(k, m, seed);
+        let b = tensor(k, n, seed + 1);
+        let mut acc = Tensor::zeros([m, n]);
+        matmul_at_acc(&a, &b, &mut acc);
+        let mut stored = Tensor::full([m, n], f32::NAN);
+        matmul_at_store(&a, &b, &mut stored);
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&stored), bits(&acc), "k {k}, m {m}, n {n}");
     }
 }
 

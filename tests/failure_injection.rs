@@ -1,6 +1,7 @@
 //! Integration: failure injection — fp16 overflow recovery, OOM behaviour,
 //! and misuse detection across the stack.
 
+use colossalai::comm::Op::ReduceScatter;
 use colossalai::comm::{CollectiveOp, DeviceCtx, Poll, RankTask, RecvOp, World, WorldBackend};
 use colossalai::core::{build_gpt, initialize, Config, OptimizerSpec};
 use colossalai::models::TransformerConfig;
@@ -295,6 +296,113 @@ fn recv_with_no_sender_is_reported_with_every_blocked_rank() {
             deadlock_message(4, pool, tasks),
             "deadlock: rank 0 blocked on publish(group [0,1]); \
              rank 3 blocked on recv(src=2, tag=7)",
+            "pool={pool}, tasks={tasks}"
+        );
+    }
+}
+
+/// Rank `rank`'s input to the reduce-scatters below.
+fn scatter_input(rank: usize) -> Tensor {
+    init::uniform([2 * 4096], -1.0, 1.0, &mut init::rng(90 + rank as u64))
+}
+
+/// One reduce-scatter over the 2-rank world group, in which rank 0 dies
+/// when it is resumed after the publish, before summing its chunk. On one
+/// slot the ranks run in rank order, so rank 0 parks first and rank 1, the
+/// last arrival, publishes, sums its own chunk and parks on the combine
+/// edge: rank 0 dies while its peer waits there. On two slots rank 0 may
+/// arrive last and finish in one poll; it dies then instead.
+struct DiesBeforeItsChunk {
+    op: Option<(colossalai::comm::Group, CollectiveOp)>,
+}
+
+impl RankTask for DiesBeforeItsChunk {
+    type Output = Tensor;
+    fn poll(&mut self, ctx: &DeviceCtx) -> Poll<Tensor> {
+        let resumed = self.op.is_some();
+        if resumed && ctx.rank() == 0 {
+            panic!("injected failure in a reduce-scatter");
+        }
+        let (g, op) = self.op.get_or_insert_with(|| {
+            let g = ctx.world_group(2);
+            let op = g.start(ReduceScatter { dim: 0 }.into(), scatter_input(g.rank()));
+            (g, op)
+        });
+        let polled = g.poll_collective(ctx, op);
+        if ctx.rank() == 0 && matches!(polled, Poll::Ready(_)) {
+            panic!("injected failure in a reduce-scatter");
+        }
+        polled
+    }
+}
+
+#[test]
+fn a_rank_that_dies_while_its_peer_waits_on_the_combine_edge_aborts_the_run() {
+    for (pool, tasks) in [(1, false), (2, false), (1, true), (2, true)] {
+        let world = World::new(system_i());
+        world.set_backend(Some(WorldBackend::Stackless { pool }));
+        let task = |_rank| DiesBeforeItsChunk { op: None };
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if tasks {
+                world.run_tasks(2, task);
+            } else {
+                world.run_on(2, |ctx| ctx.block_on(task(ctx.rank())));
+            }
+        }))
+        .expect_err("the injected failure must surface, not hang");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert_eq!(
+            msg, "device thread panicked: rank 0: injected failure in a reduce-scatter",
+            "pool={pool}, tasks={tasks}"
+        );
+        // the world is left usable: a clean reduce-scatter completes
+        let out = world.run_on(2, |ctx| {
+            let g = ctx.world_group(2);
+            g.reduce_scatter(ctx, scatter_input(g.rank()), 0)
+        });
+        let sum = &scatter_input(0) + &scatter_input(1);
+        assert_eq!(out, sum.chunk(0, 2), "pool={pool}, tasks={tasks}");
+    }
+}
+
+/// Ranks 0 and 1 of a 3-rank world reduce-scatter over all three; rank 2
+/// skips it.
+struct SkipsTheScatter(Option<CollectiveOp>);
+
+impl RankTask for SkipsTheScatter {
+    type Output = ();
+    fn poll(&mut self, ctx: &DeviceCtx) -> Poll<()> {
+        if ctx.rank() == 2 {
+            return Poll::Ready(());
+        }
+        let g = ctx.world_group(3);
+        let scatter = || g.start(ReduceScatter { dim: 0 }.into(), Tensor::zeros([6]));
+        match g.poll_collective(ctx, self.0.get_or_insert_with(scatter)) {
+            Poll::Ready(_) => Poll::Ready(()),
+            Poll::Pending(key) => Poll::Pending(key),
+        }
+    }
+}
+
+#[test]
+fn a_rank_that_never_reaches_a_reduce_scatter_is_reported_with_its_group() {
+    // ranks 0 and 1 wait on the publish that rank 2's input would trigger
+    for (pool, tasks) in [(1, false), (3, false), (1, true), (3, true)] {
+        let world = World::new(system_i());
+        world.set_backend(Some(WorldBackend::Stackless { pool }));
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if tasks {
+                world.run_tasks(3, |_rank| SkipsTheScatter(None));
+            } else {
+                world.run_on(3, |ctx| ctx.block_on(SkipsTheScatter(None)));
+            }
+        }))
+        .expect_err("a run that cannot finish must panic, not hang");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert_eq!(
+            msg,
+            "deadlock: rank 0 blocked on publish(group [0,1,2]); \
+             rank 1 blocked on publish(group [0,1,2])",
             "pool={pool}, tasks={tasks}"
         );
     }
