@@ -11,8 +11,14 @@
 //! * `64x64x64`     — a per-device tile after 2D/3D sharding;
 //! * `8x256x1024`, `256x8x1024` with a transposed `A`, `8x1024x256` with a
 //!   transposed `B` — an MLP up-projection's forward, weight gradient and
-//!   input gradient at 8 tokens (`zero3_comm`'s rank). The seed kernels read
-//!   row-major operands only, so they skip the transposed ones.
+//!   input gradient at 8 tokens (`zero3_comm`'s rank), one per stream:
+//!   the `B`-row, row and `B`-column streams;
+//! * `8x8x32` and `8x32x8` with a transposed `B` — one attention head at 8
+//!   tokens (`P·V` and `Q·Kᵀ`): the row stream's ragged chunk and the
+//!   `B`-column stream's tiny end.
+//!
+//! The seed kernels read row-major operands only, so they skip the
+//! transposed shapes.
 //!
 //! Run with `cargo bench --bench gemm_kernels`; numbers are recorded in
 //! `results/gemm_kernels.txt`.
@@ -31,6 +37,8 @@ const SHAPES: &[(usize, usize, usize, bool, bool)] = &[
     (8, 256, 1024, false, false),
     (256, 8, 1024, true, false),
     (8, 1024, 256, false, true),
+    (8, 8, 32, false, false),
+    (8, 32, 8, false, true),
 ];
 
 fn rand_vec(len: usize, seed: u64) -> Vec<f32> {

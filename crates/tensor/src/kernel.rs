@@ -1,5 +1,5 @@
 //! The GEMM core: one shape rule over a packed, register-blocked kernel
-//! and two unpacked streams.
+//! and three unpacked streams.
 //!
 //! The distributed matmul algorithms (1D/2D/2.5D/3D tensor parallelism) all
 //! bottom out in a local `C += A @ B` on one simulated device, so this kernel
@@ -30,10 +30,11 @@
 //!   where glibc's FMA builds do, and it rounds once on every arm.
 //!
 //! Packing pays off when the copy is amortized over many rows and columns.
-//! A skinny product is dominated by it, so [`path`] sends shallow-`k` and
-//! few-row products with a unit-stride `B` to one of two streams that read
-//! the operands in place ([`Path`]); the driver holds the rule, so each
-//! instantiation compiles every path with its lanes.
+//! A skinny product is dominated by it, so [`path`] sends few-row products
+//! whose `B` has unit-stride columns (`B = Wᵀ`) to the `B`-column stream,
+//! and shallow-`k` and few-row products with unit-stride `B` rows to one of
+//! two row streams, all three reading `B` in place ([`Path`]); the driver
+//! holds the rule, so each instantiation compiles every path with its lanes.
 //!
 //! Floating-point contract, on every path: each output element's
 //! ascending-`k` chain is reduced from zero and added to `c` once per `KC`
@@ -75,8 +76,12 @@ const PACK_STRIP: usize = 128;
 const TINY_MACS: usize = 16 * 16 * 16;
 /// Deepest `k` the row stream takes ([`Path::RowStream`]).
 pub const ROW_STREAM_MAX_K: usize = 16;
-/// Tallest `m` the `B`-row stream takes ([`Path::BRowStream`]).
+/// Tallest `m` the `B`-row and `B`-column streams take
+/// ([`Path::BRowStream`], [`Path::BColStream`]).
 pub const B_ROW_STREAM_MAX_M: usize = 16;
+/// Rows of `C` per lane buffer of the `B`-column stream, and `B` columns
+/// per pass: its register tile is `COL_TILE x COL_TILE`.
+const COL_TILE: usize = 8;
 
 /// Host capability probe: whether the CPU has both AVX2 and FMA units, which
 /// the [`Lanes::Avx2`] arm needs. No GEMM or fused op fuses a multiply and
@@ -345,8 +350,13 @@ fn gemm_packed<const MR: usize, const NR: usize>(
 /// never moves a bit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Path {
-    /// At most 16³ multiply-adds, any layout: the row stream, reading `B`
-    /// element by element where its rows are strided.
+    /// Few rows of `C`, unit-stride `B` columns (`B = Wᵀ` of a row-major
+    /// `W`): each group of eight `A` rows is copied into a lane buffer and
+    /// eight rows of `W` at a time are read in place against it.
+    BColStream,
+    /// At most 16³ multiply-adds, any layout the `B`-column stream does not
+    /// take: the row stream, reading `B` element by element where its rows
+    /// are strided.
     Tiny,
     /// Shallow `k`, unit-stride `B` rows: each row of `C` reduces
     /// register-wide chunks over `k`, nothing packed.
@@ -361,7 +371,9 @@ pub enum Path {
 /// The shape rule: which [`Path`] `c += a @ b` takes for a logical
 /// `(m, k) @ (k, n)` product with right operand `b`.
 pub fn path(b: Mat, m: usize, k: usize, n: usize) -> Path {
-    if m * n * k <= TINY_MACS {
+    if b.rs == 1 && m <= B_ROW_STREAM_MAX_M {
+        Path::BColStream
+    } else if m * n * k <= TINY_MACS {
         Path::Tiny
     } else if b.cs != 1 {
         Path::Packed
@@ -378,8 +390,9 @@ pub fn path(b: Mat, m: usize, k: usize, n: usize) -> Path {
 /// block and per `MR * NR`-wide chunk, the chunk's chains are reduced from
 /// zero in the microtile's registers and then added to `c` (with `store`,
 /// the first block's stored). Full chunks of a unit-stride `B` go through
-/// [`stream_tile`]; a ragged tail or a strided `B` goes element by element
-/// through [`Mat::at`].
+/// [`stream_tile`], a ragged last chunk through it in `NR`-wide pieces;
+/// the last `n % NR` elements, or every element of a strided `B`, go
+/// element by element through [`Mat::at`].
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn stream_rows<const MR: usize, const NR: usize>(
@@ -405,14 +418,23 @@ fn stream_rows<const MR: usize, const NR: usize>(
                             *cv = if set { s } else { *cv + s };
                         }
                     }
-                } else {
-                    for (x, cv) in c_part.iter_mut().enumerate() {
-                        let mut s = 0.0f32;
-                        for p in ks.clone() {
-                            s += a.at(i, p) * b.at(p, j0 + x);
-                        }
+                    continue;
+                }
+                let pieces = if b.cs == 1 { c_part.len() / NR } else { 0 };
+                for (q, c_r) in c_part.chunks_exact_mut(NR).take(pieces).enumerate() {
+                    let mut acc = [[0.0f32; NR]; 1];
+                    let b_q = &b.data[j0 + q * NR..];
+                    stream_tile::<1, NR>(a, i, ks.clone(), b_q, b.rs, &mut acc);
+                    for (cv, s) in c_r.iter_mut().zip(acc[0]) {
                         *cv = if set { s } else { *cv + s };
                     }
+                }
+                for (x, cv) in c_part.iter_mut().enumerate().skip(pieces * NR) {
+                    let mut s = 0.0f32;
+                    for p in ks.clone() {
+                        s += a.at(i, p) * b.at(p, j0 + x);
+                    }
+                    *cv = if set { s } else { *cv + s };
                 }
             }
         }
@@ -493,6 +515,79 @@ fn stream_b_rows(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize, st
     crate::pool::recycle(t);
 }
 
+/// `c += a @ b` for a `B` with unit-stride columns (`B = Wᵀ` of a
+/// row-major `W`: column `j` of `B` is row `j` of `W`), nothing of `B`
+/// packed: per `KC` block and per group of [`COL_TILE`] rows of `C`, the
+/// group's `A` rows are copied once into a zero-padded `kb x COL_TILE` lane
+/// buffer, then [`col_tile`] reads [`COL_TILE`] rows of `W` at a time in
+/// place against it and the tile is added to `c` (with `store`, the first
+/// block's stored). A ragged last pass reads its last `W` row again in the
+/// slots past `n` and drops what they compute, as it drops the padded lanes.
+#[inline(always)]
+fn stream_b_cols(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize, store: bool) {
+    let mut a_lanes = crate::pool::take_zeroed(k.min(KC) * COL_TILE);
+    for pc in (0..k).step_by(KC) {
+        let kb = (k - pc).min(KC);
+        let set = store && pc == 0;
+        let a_lanes = &mut a_lanes[..kb * COL_TILE];
+        for i0 in (0..m).step_by(COL_TILE) {
+            let rows = (m - i0).min(COL_TILE);
+            for (p, lane) in a_lanes.chunks_exact_mut(COL_TILE).enumerate() {
+                for (r, v) in lane.iter_mut().enumerate() {
+                    *v = if r < rows { a.at(i0 + r, pc + p) } else { 0.0 };
+                }
+            }
+            for j0 in (0..n).step_by(COL_TILE) {
+                let cols = (n - j0).min(COL_TILE);
+                let w =
+                    std::array::from_fn(|j| &b.data[(j0 + j.min(cols - 1)) * b.cs + pc..][..kb]);
+                let tile = col_tile(a_lanes, w);
+                for r in 0..rows {
+                    for (cv, t) in c[(i0 + r) * n + j0..][..cols].iter_mut().zip(&tile) {
+                        *cv = if set { t[r] } else { *cv + t[r] };
+                    }
+                }
+            }
+        }
+    }
+    crate::pool::recycle(a_lanes);
+}
+
+/// The `B`-column stream's register kernel: `t[j][r]` is the chain over
+/// `p` of `a_lanes[p][r] * w[j][p]`, reduced from zero in ascending `p`.
+/// The tile lives in its own `#[inline(always)]` fn and is returned by
+/// value: written inside [`stream_b_cols`]' loop nest, LLVM kept it on the
+/// stack and went scalar. It went back there with the `W` values taken as
+/// `&f32` or the tile's rows walked with `zip`, hence the copy into `x` and
+/// the index loops (DESIGN.md §6).
+#[inline(always)]
+fn col_tile(a_lanes: &[f32], w: [&[f32]; COL_TILE]) -> [[f32; COL_TILE]; COL_TILE] {
+    let [w0, w1, w2, w3, w4, w5, w6, w7] = w;
+    // zipped, the eight rows share one trip count: no bounds check per load
+    let w_cols = w0
+        .iter()
+        .zip(w1)
+        .zip(w2)
+        .zip(w3)
+        .zip(w4)
+        .zip(w5)
+        .zip(w6)
+        .zip(w7);
+    let mut t = [[0.0f32; COL_TILE]; COL_TILE];
+    for (lane, (((((((x0, x1), x2), x3), x4), x5), x6), x7)) in
+        a_lanes.chunks_exact(COL_TILE).zip(w_cols)
+    {
+        let lane: &[f32; COL_TILE] = lane.try_into().unwrap();
+        let x = [*x0, *x1, *x2, *x3, *x4, *x5, *x6, *x7];
+        for j in 0..COL_TILE {
+            for r in 0..COL_TILE {
+                t[j][r] += x[j] * lane[r];
+            }
+        }
+    }
+    t
+}
+
 /// The GEMM at an `MR x NR` register tile: `c += a @ b` (with `store`,
 /// `c = a @ b`) down the [`path`] the shape takes. `#[inline(always)]` so
 /// each target-feature wrapper below recompiles every path, packing
@@ -508,6 +603,7 @@ fn gemm_tile<const MR: usize, const NR: usize>(
     store: bool,
 ) {
     match path(b, m, k, n) {
+        Path::BColStream => stream_b_cols(a, b, c, m, k, n, store),
         Path::Tiny | Path::RowStream => stream_rows::<MR, NR>(a, b, c, m, k, n, store),
         Path::BRowStream => stream_b_rows(a, b, c, m, k, n, store),
         Path::Packed => gemm_packed::<MR, NR>(a, b, c, m, k, n, store),
@@ -861,6 +957,18 @@ mod tests {
                 shapes.push((m, k, MR * NR_WIDE + 1));
             }
         }
+        // the `B`-column stream (every shape here also runs with `B`
+        // transposed): ragged row groups and column passes around its
+        // `COL_TILE` tile, up to one row past two groups, `k = KC ± 1`,
+        // and tiny products such as attention's `8×32×8`
+        let (t, t2) = (COL_TILE, 2 * COL_TILE);
+        for m in [1, t - 1, t, t + 1, t2 - 1, t2, t2 + 1] {
+            for n in [t - 1, t, t + 1, t2 + 1] {
+                shapes.push((m, deep, n));
+            }
+        }
+        shapes.extend([(t + 1, KC - 1, t2 + 1), (t + 1, KC + 1, t2 + 1)]);
+        shapes.extend([(t, 32, t), (t - 1, 3, t + 1)]);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         // a `rows x cols` row-major buffer's transpose
         let transpose = |x: &[f32], rows: usize, cols: usize| {
@@ -916,10 +1024,20 @@ mod tests {
                                 stored.push((path, k > KC));
                             }
                             for lanes in on_host.iter().copied() {
-                                // poisoned: the store form writes every element
+                                // poisoned: the store form writes every
+                                // element, and nothing past `m x n` (a row
+                                // of NaN after `c`, which a padded lane
+                                // stored there would zero)
                                 let mut got =
                                     start.clone().unwrap_or_else(|| vec![f32::NAN; m * n]);
+                                got.extend(vec![f32::NAN; n]);
                                 gemm_on(lanes, am, bm, &mut got, m, k, n, store);
+                                assert!(
+                                    got[m * n..].iter().all(|x| x.is_nan()),
+                                    "{path:?} on {lanes:?}, ({m},{k},{n}), store {store}: \
+                                     wrote past c"
+                                );
+                                got.truncate(m * n);
                                 assert!(
                                     bits(&got) == bits(&want),
                                     "{path:?} on {lanes:?}, A {a_layout}, B {b_layout}, \
@@ -932,7 +1050,13 @@ mod tests {
                 }
             }
         }
-        for path in [Path::Tiny, Path::RowStream, Path::BRowStream, Path::Packed] {
+        for path in [
+            Path::BColStream,
+            Path::Tiny,
+            Path::RowStream,
+            Path::BRowStream,
+            Path::Packed,
+        ] {
             assert!(taken.contains(&path), "no shape took {path:?}");
             for deep in [false, true] {
                 let case = (path, deep);
