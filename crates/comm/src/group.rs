@@ -1,11 +1,11 @@
 //! Process groups and their collective operations.
 //!
-//! A collective is one value — [`Collective`]` { op, wire, stream }`: what
-//! to compute ([`Op`]), how wide an element is on the wire ([`Wire`]) and
-//! which virtual-time stream pays ([`Stream`]). [`Group`] has two entries
+//! A collective is one value — [`Collective`]` { op, stream }`: what to
+//! compute ([`Op`]) and which virtual-time stream pays ([`Stream`]). Every
+//! payload is f32 and bills 4 bytes per element. [`Group`] has two entries
 //! for it, [`Group::collective`] (blocking) and [`Group::start`] +
 //! [`Group::poll_collective`] (resumable, for heap tasks); the named
-//! methods (`all_reduce`, `broadcast`, ...) are one-line FP32/main-stream
+//! methods (`all_reduce`, `broadcast`, ...) are one-line main-stream
 //! wrappers over the same path.
 //!
 //! Data movement is real (tensors cross threads through a rendezvous slot);
@@ -17,7 +17,7 @@
 //! arrival combines, except in a reduce-scatter: there it publishes the
 //! inputs, and each member sums its own chunk.
 
-use crate::stats::OpKind;
+use crate::stats::{OpKind, ELEMENT_BYTES};
 use crate::task::{Poll, WakeKey};
 use crate::trace::{group_track_name, SpanKind, Track};
 use crate::world::DeviceCtx;
@@ -27,25 +27,6 @@ use colossalai_topology::{AllReduceAlgo, DeviceId};
 use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Wire width of a collective payload.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Wire {
-    /// 4 bytes/element (FP32).
-    F32,
-    /// 2 bytes/element (FP16 payloads of mixed-precision/ZeRO traffic).
-    F16,
-}
-
-impl Wire {
-    /// Bytes per element at this wire width.
-    pub fn bytes(self) -> u64 {
-        match self {
-            Wire::F32 => 4,
-            Wire::F16 => 2,
-        }
-    }
-}
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -82,8 +63,7 @@ enum Published {
 struct Done {
     cost: f64,
     kind: OpKind,
-    /// Element hops the modeled schedule moves (drives stats + bytes, at
-    /// the descriptor's wire width).
+    /// Element hops the modeled schedule moves (drives stats + bytes).
     elements: u64,
     /// The all-reduce schedule that ran, whose phases tile the op on the
     /// group track; `None` for the single-phase ops.
@@ -148,46 +128,35 @@ impl Op {
     }
 }
 
-/// One collective, fully described: what to compute, how wide each element
-/// is on the wire, and which virtual-time stream pays for it. Precision and
-/// overlap are *parameters* of a collective, not separate collectives —
-/// every op runs at every wire width on either stream through
-/// [`Group::collective`] (blocking) or [`Group::start`] (resumable).
+/// One collective, fully described: what to compute and which
+/// virtual-time stream pays for it. Overlap is a *parameter* of a
+/// collective, not a separate collective — every op runs on either stream
+/// through [`Group::collective`] (blocking) or [`Group::start`]
+/// (resumable).
 ///
 /// A plain `Copy` value instead of a `FnOnce` closure so a [`CollectiveOp`]
 /// is a small `'static` struct a heap [`crate::task::RankTask`] can hold
 /// across polls, and so the rendezvous can check that every member asked
-/// for the same `op` and `wire`; the combine itself (`finish_spec`) runs
-/// in the last arrival's poll, where a `DeviceCtx` (cluster, forced algo)
-/// is at hand.
-///
-/// The wire width only changes the modeled bytes (cost, stats, trace): the
-/// payload stays f32.
+/// for the same `op`; the combine itself (`finish_spec`) runs in the last
+/// arrival's poll, where a `DeviceCtx` (cluster, forced algo) is at hand.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Collective {
     pub op: Op,
-    pub wire: Wire,
     pub stream: Stream,
 }
 
 impl Collective {
-    /// The same collective at `wire` width.
-    pub fn wire(self, wire: Wire) -> Collective {
-        Collective { wire, ..self }
-    }
-
     /// The same collective charged to `stream`.
     pub fn on(self, stream: Stream) -> Collective {
         Collective { stream, ..self }
     }
 }
 
-/// The defaults: `op` at FP32 wire width on the main stream.
+/// The default: `op` on the main stream.
 impl From<Op> for Collective {
     fn from(op: Op) -> Collective {
         Collective {
             op,
-            wire: Wire::F32,
             stream: Stream::Main,
         }
     }
@@ -196,14 +165,13 @@ impl From<Op> for Collective {
 /// `op(parameters)` as the mismatch diagnostic prints it.
 impl std::fmt::Display for Collective {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let w = format!("{:?}", self.wire).to_lowercase();
         match self.op {
-            Op::AllReduce { max: false } => write!(f, "all_reduce({w})"),
-            Op::AllReduce { max: true } => write!(f, "all_reduce_max({w})"),
-            Op::AllGather { dim } => write!(f, "all_gather(dim {dim}, {w})"),
-            Op::ReduceScatter { dim } => write!(f, "reduce_scatter(dim {dim}, {w})"),
-            Op::Broadcast { root } => write!(f, "broadcast(root {root}, {w})"),
-            Op::ReduceSum { root } => write!(f, "reduce_sum(root {root}, {w})"),
+            Op::AllReduce { max: false } => write!(f, "all_reduce"),
+            Op::AllReduce { max: true } => write!(f, "all_reduce_max"),
+            Op::AllGather { dim } => write!(f, "all_gather(dim {dim})"),
+            Op::ReduceScatter { dim } => write!(f, "reduce_scatter(dim {dim})"),
+            Op::Broadcast { root } => write!(f, "broadcast(root {root})"),
+            Op::ReduceSum { root } => write!(f, "reduce_sum(root {root})"),
         }
     }
 }
@@ -323,10 +291,10 @@ impl From<Tensor> for Pieces {
 }
 
 /// Runs `desc.op`'s combine over the rank-ordered inputs: per-rank outputs,
-/// modeled cost and traffic accounting at `desc.wire` width. Pure in the
-/// inputs plus the cluster model (and the world's forced-algo pin), so the
-/// outputs are bitwise identical no matter which rank arrives last. The
-/// inputs drop here, so no rank's handles outlive the combine — except a
+/// modeled cost and traffic accounting. Pure in the inputs plus the
+/// cluster model (and the world's forced-algo pin), so the outputs are
+/// bitwise identical no matter which rank arrives last. The inputs drop
+/// here, so no rank's handles outlive the combine — except a
 /// reduce-scatter's, which are published for every member to sum its own
 /// chunk from (`reduce_scatter_chunk`); the last member to finish drops
 /// them.
@@ -338,14 +306,13 @@ fn finish_spec(
 ) -> (Published, Done) {
     let p = members.len();
     let cluster = ctx.cluster();
-    let wire = desc.wire;
     match desc.op {
         Op::AllReduce { max } => {
             let acc = reduce_rank_ordered(inputs, max);
             let n = acc.numel() as u64;
             // max is associative+commutative, so the hierarchical schedule
             // applies to it exactly as to sum
-            let bytes = n * wire.bytes();
+            let bytes = n * ELEMENT_BYTES;
             let schedule = match ctx.forced_allreduce_algo() {
                 Some(algo) => cost::allreduce_schedule(algo, cluster, members, bytes),
                 None => cost::select_allreduce_schedule(cluster, members, bytes),
@@ -361,7 +328,7 @@ fn finish_spec(
         Op::AllGather { dim } => {
             let contrib = inputs[0].numel() as u64;
             let full = gather_rank_ordered(&inputs, dim);
-            let cost = cost::allgather_time(cluster, members, contrib * wire.bytes());
+            let cost = cost::allgather_time(cluster, members, contrib * ELEMENT_BYTES);
             let elements = (p as u64 - 1) * p as u64 * contrib;
             let done = Done::new(cost, OpKind::AllGather, elements);
             (Published::Outputs(vec![full; p]), done)
@@ -373,7 +340,7 @@ fn finish_spec(
                 "dim {dim} extent {extent} not divisible into {p} parts"
             );
             let n = inputs[0].numel() as u64;
-            let cost = cost::reduce_scatter_time(cluster, members, n * wire.bytes());
+            let cost = cost::reduce_scatter_time(cluster, members, n * ELEMENT_BYTES);
             let elements = (p as u64 - 1) * n;
             let done = Done::new(cost, OpKind::ReduceScatter, elements);
             (Published::Inputs(inputs.into()), done)
@@ -381,7 +348,7 @@ fn finish_spec(
         Op::Broadcast { root } => {
             let src = inputs.swap_remove(root).into_tensor();
             let n = src.numel() as u64;
-            let cost = cost::broadcast_time(cluster, members, n * wire.bytes());
+            let cost = cost::broadcast_time(cluster, members, n * ELEMENT_BYTES);
             let elements = (p as u64 - 1) * n;
             let done = Done::new(cost, OpKind::Broadcast, elements);
             (Published::Outputs(vec![src; p]), done)
@@ -398,7 +365,7 @@ fn finish_spec(
                     }
                 })
                 .collect();
-            let cost = cost::broadcast_time(cluster, members, n * wire.bytes());
+            let cost = cost::broadcast_time(cluster, members, n * ELEMENT_BYTES);
             let elements = (p as u64 - 1) * n;
             let done = Done::new(cost, OpKind::Reduce, elements);
             (Published::Outputs(outs), done)
@@ -442,8 +409,8 @@ struct SlotState {
     picked: usize,
     t_max: f64,
     t_done: f64,
-    /// Kind and wire bytes of the op in flight, published by the last
-    /// arrival so every rank can emit its own trace span.
+    /// Kind and bytes of the op in flight, published by the last arrival
+    /// so every rank can emit its own trace span.
     op: Option<(OpKind, u64)>,
     /// What the first arrival of the op in flight asked for, and its group
     /// index (its input sits in `inputs` until the publish): every later
@@ -588,8 +555,8 @@ impl Group {
     /// The blocking [`Group::collective`] drives this same method, which
     /// is what keeps closure and task ranks bitwise identical.
     ///
-    /// Members that disagree on the op, its wire, root, dim or (for every
-    /// op but the rooted broadcast) input shape would silently compute
+    /// Members that disagree on the op, its root, dim or (for every op
+    /// but the rooted broadcast) input shape would silently compute
     /// whatever the last arrival asked for; the second arrival of such a
     /// pair panics instead, naming both ranks. A one-rank group runs the
     /// same rendezvous: its one arrival is the last.
@@ -657,7 +624,7 @@ impl Group {
                 Some((first, idx)) => {
                     let theirs = st.inputs[idx].as_ref().expect("first arrival's input");
                     // streams are per-rank bookkeeping and may differ
-                    if (first.op, first.wire) != (op.desc.op, op.desc.wire)
+                    if first.op != op.desc.op
                         || (first.op.same_shape() && theirs.dims() != input.dims())
                     {
                         let mut sides = [
@@ -682,7 +649,7 @@ impl Group {
                 // inputs to the members' own sums) and publish
                 let inputs = st.inputs.iter_mut().map(|i| i.take().unwrap()).collect();
                 let (published, done) = finish_spec(op.desc, ctx, self.members(), inputs);
-                let bytes = done.elements * op.desc.wire.bytes();
+                let bytes = done.elements * ELEMENT_BYTES;
                 match published {
                     Published::Outputs(outputs) => {
                         assert_eq!(outputs.len(), p, "finish must produce one output per rank");
@@ -835,7 +802,7 @@ impl Group {
         ctx.block_until(|| self.poll_collective(ctx, &mut op))
     }
 
-    // ---- named forms: FP32 wire, main stream ----------------------------
+    // ---- named forms: main stream --------------------------------------
 
     /// [`Group::start`] of a sum all-reduce.
     pub fn start_all_reduce(&self, t: Tensor) -> CollectiveOp {
@@ -1409,7 +1376,7 @@ mod tests {
     }
 
     #[test]
-    fn every_op_runs_at_every_wire_on_either_stream() {
+    fn every_op_runs_on_either_stream() {
         // per-rank (output, main clock, comm clock) and the world's stats
         let run = |desc: Collective| {
             let world = World::new(system_i());
@@ -1422,50 +1389,39 @@ mod tests {
         };
         for op in EVERY_OP {
             let (base, base_stats) = run(op.into());
-            let mut cost_by_wire = Vec::new();
-            for wire in [Wire::F32, Wire::F16] {
-                let mut cost = 0.0;
-                for stream in [Stream::Main, Stream::Comm] {
-                    let desc = Collective { op, wire, stream };
-                    let (out, stats) = run(desc);
-                    assert_eq!(stats.ops, 1, "{desc:?}");
-                    assert_eq!(stats.elements, base_stats.elements, "{desc:?}");
-                    assert_eq!(stats.bytes, stats.elements * wire.bytes(), "{desc:?}");
-                    for ((t, main, comm), (want, ..)) in out.iter().zip(&base) {
-                        // the wire only changes the bill, never the payload
-                        assert_eq!(t.dims(), want.dims(), "{desc:?}");
-                        assert_eq!(t.data(), want.data(), "{desc:?}");
-                        match stream {
-                            Stream::Main => {
-                                assert!(*main > 0.0, "{desc:?} must advance the main clock");
-                                assert_eq!(*comm, 0.0, "{desc:?}");
-                                cost = *main;
-                            }
-                            // the same latency, on the comm clock only
-                            Stream::Comm => assert_eq!((*main, *comm), (0.0, cost), "{desc:?}"),
+            let mut cost = 0.0;
+            for stream in [Stream::Main, Stream::Comm] {
+                let desc = Collective { op, stream };
+                let (out, stats) = run(desc);
+                assert_eq!(stats.ops, 1, "{desc:?}");
+                assert_eq!(stats.elements, base_stats.elements, "{desc:?}");
+                assert_eq!(stats.bytes, 4 * stats.elements, "{desc:?}");
+                for ((t, main, comm), (want, ..)) in out.iter().zip(&base) {
+                    // the stream only changes which clock pays, never the payload
+                    assert_eq!(t.dims(), want.dims(), "{desc:?}");
+                    assert_eq!(t.data(), want.data(), "{desc:?}");
+                    match stream {
+                        Stream::Main => {
+                            assert!(*main > 0.0, "{desc:?} must advance the main clock");
+                            assert_eq!(*comm, 0.0, "{desc:?}");
+                            cost = *main;
                         }
+                        // the same latency, on the comm clock only
+                        Stream::Comm => assert_eq!((*main, *comm), (0.0, cost), "{desc:?}"),
                     }
                 }
-                // the cost layer's price of the 12 elements on the 4-rank
-                // group, launch included
-                let (c, g, bytes) = (&system_i(), &[0, 1, 2, 3][..], 12 * wire.bytes());
-                let price = match op {
-                    Op::AllReduce { .. } => cost::select_allreduce_schedule(c, g, bytes).time(),
-                    Op::AllGather { .. } => cost::allgather_time(c, g, bytes),
-                    Op::ReduceScatter { .. } => cost::reduce_scatter_time(c, g, bytes),
-                    Op::Broadcast { .. } | Op::ReduceSum { .. } => {
-                        cost::broadcast_time(c, g, bytes)
-                    }
-                };
-                assert_eq!(cost, price, "{op:?} at {wire:?}");
-                assert!(cost > cost::COLLECTIVE_LAUNCH_SECONDS, "{op:?} at {wire:?}");
-                cost_by_wire.push(cost);
             }
-            // the virtual clock sees the cheaper wire too, not just stats
-            assert!(
-                cost_by_wire[0] > cost_by_wire[1],
-                "{op:?}: {cost_by_wire:?}"
-            );
+            // the cost layer's price of the 12 f32 elements on the 4-rank
+            // group, launch included
+            let (c, g, bytes) = (&system_i(), &[0, 1, 2, 3][..], 12 * 4);
+            let price = match op {
+                Op::AllReduce { .. } => cost::select_allreduce_schedule(c, g, bytes).time(),
+                Op::AllGather { .. } => cost::allgather_time(c, g, bytes),
+                Op::ReduceScatter { .. } => cost::reduce_scatter_time(c, g, bytes),
+                Op::Broadcast { .. } | Op::ReduceSum { .. } => cost::broadcast_time(c, g, bytes),
+            };
+            assert_eq!(cost, price, "{op:?}");
+            assert!(cost > cost::COLLECTIVE_LAUNCH_SECONDS, "{op:?}");
         }
     }
 
@@ -1724,11 +1680,11 @@ mod tests {
         assert_eq!(flat[0].0.data(), tree[0].0.data());
         assert_eq!(flat[0].0.data(), rhd[0].0.data());
         // all three lossless schedules move every contribution to every
-        // rank exactly once each way: 2 * 7 * 101 hops, at the F32 wire
+        // rank exactly once each way: 2 * 7 * 101 hops, 4 bytes each
         let hops = 2 * 7 * n as u64;
         for stats in [&flat_stats, &tree_stats, &rhd_stats] {
             assert_eq!(stats.elements_of(OpKind::AllReduce), hops);
-            assert_eq!(stats.bytes, hops * Wire::F32.bytes());
+            assert_eq!(stats.bytes, hops * 4);
         }
     }
 
@@ -1771,7 +1727,6 @@ mod tests {
     /// A sum all-reduce launched on the comm stream.
     const ALL_REDUCE_COMM: Collective = Collective {
         op: Op::AllReduce { max: false },
-        wire: Wire::F32,
         stream: Stream::Comm,
     };
 
@@ -1918,31 +1873,26 @@ mod tests {
 
     #[test]
     fn mismatched_collectives_panic_naming_both_ranks() {
-        let all_reduce = |wire| Collective::from(Op::AllReduce { max: false }).wire(wire);
+        let all_reduce = Collective::from(Op::AllReduce { max: false });
         let broadcast = |root| Collective::from(Op::Broadcast { root });
         let gather = Collective::from(Op::AllGather { dim: 0 });
         // (rank 0's op and input length, rank 1's, the two descriptors):
-        // op, wire, root and shape mismatches
+        // op, root and shape mismatches
         let cases = [
             (
-                (all_reduce(Wire::F32), 4),
+                (all_reduce, 4),
                 (gather, 4),
-                "rank 0 all_reduce(f32)[4] vs rank 1 all_gather(dim 0, f32)[4]",
-            ),
-            (
-                (all_reduce(Wire::F32), 4),
-                (all_reduce(Wire::F16), 4),
-                "rank 0 all_reduce(f32)[4] vs rank 1 all_reduce(f16)[4]",
+                "rank 0 all_reduce[4] vs rank 1 all_gather(dim 0)[4]",
             ),
             (
                 (broadcast(0), 4),
                 (broadcast(1), 0),
-                "rank 0 broadcast(root 0, f32)[4] vs rank 1 broadcast(root 1, f32)[0]",
+                "rank 0 broadcast(root 0)[4] vs rank 1 broadcast(root 1)[0]",
             ),
             (
-                (all_reduce(Wire::F32), 4),
-                (all_reduce(Wire::F32), 8),
-                "rank 0 all_reduce(f32)[4] vs rank 1 all_reduce(f32)[8]",
+                (all_reduce, 4),
+                (all_reduce, 8),
+                "rank 0 all_reduce[4] vs rank 1 all_reduce[8]",
             ),
         ];
         for (a, b, sides) in cases {
@@ -1966,7 +1916,7 @@ mod tests {
                 OneOp::new(2, gather, Tensor::zeros([rank + 1]))
             });
             let want = "collective mismatch on group [0,1]: \
-                        rank 0 all_gather(dim 0, f32)[1] vs rank 1 all_gather(dim 0, f32)[2]";
+                        rank 0 all_gather(dim 0)[1] vs rank 1 all_gather(dim 0)[2]";
             assert!(msg.contains(want), "tasks={tasks}: {msg}");
         }
     }
@@ -1976,15 +1926,15 @@ mod tests {
         let cases = [
             (
                 Collective::from(Op::Broadcast { root: 2 }),
-                "broadcast(root 2, f32): root out of range for a group of 2",
+                "broadcast(root 2): root out of range for a group of 2",
             ),
             (
                 Collective::from(Op::ReduceSum { root: 3 }).on(Stream::Comm),
-                "reduce_sum(root 3, f32): root out of range for a group of 2",
+                "reduce_sum(root 3): root out of range for a group of 2",
             ),
             (
                 Collective::from(Op::AllGather { dim: 1 }),
-                "all_gather(dim 1, f32): dim out of range for input [4]",
+                "all_gather(dim 1): dim out of range for input [4]",
             ),
         ];
         for (desc, want) in cases {
@@ -1997,10 +1947,10 @@ mod tests {
 
     #[test]
     fn heap_tasks_drive_any_op_bitwise_like_closures() {
-        // ops with no `start_*` wrapper, at a narrow wire and on the comm
-        // stream: reachable from a heap task only through `start`
+        // ops with no `start_*` wrapper, and one on the comm stream:
+        // reachable from a heap task only through `start`
         let ops = [
-            Collective::from(Op::ReduceScatter { dim: 0 }).wire(Wire::F16),
+            Collective::from(Op::ReduceScatter { dim: 0 }),
             Collective::from(Op::ReduceSum { root: 2 }),
             Collective::from(Op::Broadcast { root: 1 }).on(Stream::Comm),
         ];

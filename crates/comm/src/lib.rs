@@ -9,11 +9,11 @@
 //! `colossalai-topology` and recording element-hop traffic that matches the
 //! closed-form communication volumes of Table 1 in the paper.
 //!
-//! A collective is one value, [`Collective`]` { op, wire, stream }` —
-//! precision ([`Wire`]) and overlap ([`Stream`]) are parameters of the
-//! operation, not separate operations — with one blocking entry
-//! ([`Group::collective`]) and one resumable one ([`Group::start`]); point
-//! to point ([`DeviceCtx::send`]) bills the FP32 width.
+//! A collective is one value, [`Collective`]` { op, stream }` — overlap
+//! ([`Stream`]) is a parameter of the operation, not a separate operation
+//! — with one blocking entry ([`Group::collective`]) and one resumable one
+//! ([`Group::start`]). Every payload, collective or point to point
+//! ([`DeviceCtx::send`]), is f32 and bills 4 bytes per element.
 //!
 //! Ranks run on one executor (`sched`): `pool` running slots handed out
 //! in virtual-time order. A rank body is either a resumable
@@ -33,7 +33,7 @@ pub mod workload;
 pub mod world;
 
 pub use colossalai_topology::AllReduceAlgo;
-pub use group::{Collective, CollectiveOp, Group, Op, Pieces, Stream, Wire};
+pub use group::{Collective, CollectiveOp, Group, Op, Pieces, Stream};
 pub use stats::{CommStats, OpKind};
 pub use task::{Poll, RankTask, WakeKey};
 pub use trace::{RankRollup, Span, SpanKind, Track};

@@ -3,9 +3,13 @@
 //! Every collective records the element-hops the *modeled* (ring-family)
 //! algorithm would move. Summed over all ranks, these counts reproduce the
 //! closed forms of Table 1, which the `colossalai-parallel` crate's volume
-//! tests check against its analytic formulas.
+//! tests check against its analytic formulas. Every payload is f32, so a
+//! collective or a send bills 4 bytes per element hop.
 
 use std::collections::HashMap;
+
+/// Bytes one f32 element costs on a link: the width of every bill.
+pub(crate) const ELEMENT_BYTES: u64 = 4;
 
 /// Which collective produced the traffic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -42,7 +46,7 @@ pub struct CommStats {
     pub ops: u64,
     /// Total element-hops moved across links by the modeled algorithms.
     pub elements: u64,
-    /// Total bytes (elements x wire width).
+    /// Total bytes (elements x 4: every payload is f32).
     pub bytes: u64,
     /// Breakdown per op kind: (ops, elements).
     pub by_op: HashMap<OpKind, (u64, u64)>,

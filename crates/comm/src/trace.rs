@@ -41,7 +41,7 @@ pub enum SpanKind {
     /// at the rendezvous to the group-wide completion time.
     Collective {
         kind: OpKind,
-        /// Wire bytes the modeled algorithm moves (elements x wire width).
+        /// Bytes the modeled algorithm moves (elements x 4: f32 payloads).
         bytes: u64,
         /// Group members in rank order.
         group: Vec<DeviceId>,

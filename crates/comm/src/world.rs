@@ -3,9 +3,9 @@
 //! on the one executor (`crate::sched`): closures ([`World::run_on`]) and
 //! resumable tasks ([`World::run_tasks`]).
 
-use crate::group::{Group, GroupShared, Wire};
+use crate::group::{Group, GroupShared};
 use crate::sched::{AbortRun, TaskWaker};
-use crate::stats::CommStats;
+use crate::stats::{CommStats, ELEMENT_BYTES};
 use crate::task::{Poll, RankTask, WakeKey};
 use crate::trace::{self, RankRollup, Span, SpanKind, Tracer, Track};
 use colossalai_tensor::{meter, Tensor};
@@ -26,9 +26,9 @@ use std::thread::Thread;
 /// world-wide.
 #[derive(Default)]
 struct MailSlot {
-    /// Messages in flight: payload, virtual arrival time, wire bytes (as
-    /// charged by the sender — the receiver traces the same width).
-    queue: VecDeque<(Tensor, f64, u64)>,
+    /// Messages in flight: payload and virtual arrival time. The receiver
+    /// traces the payload's f32 bytes, which is what the sender charged.
+    queue: VecDeque<(Tensor, f64)>,
     /// Global rank of the receiver parked `Pending` on this key (set under
     /// the mailbox lock). The sender takes it and wakes the rank through
     /// the run's [`TaskWaker`].
@@ -866,20 +866,14 @@ impl DeviceCtx {
 
     // ---- point-to-point -------------------------------------------------
 
-    /// Sends `t` to device `to` under `tag` at FP32 wire width.
+    /// Sends `t` to device `to` under `tag`, billing 4 bytes per element.
     /// Synchronous-send model: the sender's clock advances by the full
     /// transfer time and the message becomes visible to the receiver at the
     /// sender's post-send clock.
     pub fn send(&self, to: DeviceId, tag: u64, t: Tensor) {
-        self.send_wire(to, tag, t, Wire::F32);
-    }
-
-    /// [`DeviceCtx::send`], charging `wire` bytes/element on the link. The
-    /// payload tensor is unchanged — only the billed width differs.
-    fn send_wire(&self, to: DeviceId, tag: u64, t: Tensor, wire: Wire) {
         assert_ne!(to, self.rank, "send to self");
         self.check_abort();
-        let bytes = t.numel() as u64 * wire.bytes();
+        let bytes = t.numel() as u64 * ELEMENT_BYTES;
         let dt = self.world.cluster.p2p_time(self.rank, to, bytes);
         let t_start = self.clock();
         self.advance(dt);
@@ -896,7 +890,7 @@ impl DeviceCtx {
         self.record_stats(crate::stats::OpKind::SendRecv, t.numel() as u64, bytes);
         let mut mb = self.world.mailbox.lock();
         let slot = mb.entry((self.rank, to, tag)).or_default();
-        slot.queue.push_back((t, arrival, bytes));
+        slot.queue.push_back((t, arrival));
         self.world.wakes.p2p_msgs.fetch_add(1, Ordering::Relaxed);
         // Keyed wakeup: only the receiver parked on this exact (from, to,
         // tag) is woken, and only if one is actually parked. The flag is
@@ -924,7 +918,7 @@ impl DeviceCtx {
 
     /// Receives the next message from `from` under `tag`, blocking until it
     /// arrives. The receiver's clock advances to at least the message's
-    /// arrival time; the traced byte count is the width the sender charged.
+    /// arrival time; the traced byte count is what the sender charged.
     pub fn recv(&self, from: DeviceId, tag: u64) -> Tensor {
         self.block_on(self.start_recv(from, tag))
     }
@@ -960,7 +954,7 @@ impl RecvOp {
         let key = (self.from, ctx.rank, self.tag);
         let mut mb = ctx.world.mailbox.lock();
         let slot = mb.entry(key).or_default();
-        if let Some((t, arrival, bytes)) = slot.queue.pop_front() {
+        if let Some((t, arrival)) = slot.queue.pop_front() {
             slot.parked_task = None;
             // Drained slots are garbage-collected: per-step tags mean the
             // key space grows O(ranks * steps), and a map of dead entries
@@ -976,7 +970,7 @@ impl RecvOp {
                 SpanKind::P2p {
                     peer: self.from,
                     tag: self.tag,
-                    bytes,
+                    bytes: t.numel() as u64 * ELEMENT_BYTES,
                     is_send: false,
                 },
                 t_start,
@@ -1063,29 +1057,34 @@ mod tests {
     }
 
     #[test]
-    fn p2p_bills_wire_width() {
-        // send charges 4 bytes/element, an F16 send_wire 2 — in link time,
-        // stats bytes and the wakeup-count denominator alike
+    fn p2p_bills_four_bytes_per_element() {
+        // a send charges 4 bytes/element in link time, stats bytes and the
+        // wakeup-count denominator alike; the receive traces the same bytes
         let world = World::new(system_i());
+        world.set_tracing(true);
         let clocks = world.run_on(2, |ctx| {
             if ctx.rank() == 0 {
                 ctx.send(1, 0, Tensor::from_vec([4], vec![1.0; 4]));
-                let t_full = ctx.clock();
-                ctx.send_wire(1, 1, Tensor::from_vec([4], vec![1.0; 4]), Wire::F16);
-                (t_full, ctx.clock() - t_full)
             } else {
                 assert_eq!(ctx.recv(0, 0).numel(), 4);
-                assert_eq!(ctx.recv(0, 1).numel(), 4);
-                (0.0, 0.0)
             }
+            ctx.clock()
         });
-        let sys = system_i();
-        assert!((clocks[0].0 - sys.p2p_time(0, 1, 16)).abs() < 1e-12);
-        assert!((clocks[0].1 - sys.p2p_time(0, 1, 8)).abs() < 1e-12);
+        assert!((clocks[0] - system_i().p2p_time(0, 1, 16)).abs() < 1e-12);
         let stats = world.stats();
-        assert_eq!(stats.bytes, 16 + 8, "stats charge wire bytes, not numel*4");
-        assert_eq!(stats.elements_of(crate::stats::OpKind::SendRecv), 8);
-        assert_eq!(world.wake_stats().p2p_msgs, 2);
+        assert_eq!(stats.bytes, 16);
+        assert_eq!(stats.elements_of(crate::stats::OpKind::SendRecv), 4);
+        assert_eq!(world.wake_stats().p2p_msgs, 1);
+        let mut p2p: Vec<_> = world
+            .trace()
+            .into_iter()
+            .filter_map(|s| match s.kind {
+                SpanKind::P2p { bytes, is_send, .. } => Some((is_send, bytes)),
+                _ => None,
+            })
+            .collect();
+        p2p.sort();
+        assert_eq!(p2p, [(false, 16), (true, 16)]);
     }
 
     #[test]

@@ -7,10 +7,8 @@
 //! stay f32 and nothing is rounded through binary16; the scale is a power of
 //! two, so a step that is not skipped takes the f32 update unless a value
 //! leaves the normal range. fp16 appears only in the memory model's byte
-//! counts: every collective and send this library makes bills its payload
-//! at f32 width. `comm::Wire::F16` exists, but only the comm crate's own
-//! unit tests bill it; ROADMAP item 20 decides whether mixed-precision
-//! traffic is billed at that width or the width goes.
+//! counts: every collective and send bills its payload at f32 width, 4
+//! bytes per element, and a collective carries no width to set.
 
 use colossalai_tensor::Tensor;
 

@@ -108,7 +108,8 @@ pub struct Config {
     /// stays f32.
     #[serde(default)]
     pub mixed_precision: bool,
-    /// Gradient clipping threshold (0 disables).
+    /// Gradient clipping threshold (0 disables; must be finite and not
+    /// negative).
     #[serde(default)]
     pub grad_clip: f32,
     /// Micro-batches accumulated per optimizer step (0/1 = no accumulation).
@@ -167,7 +168,8 @@ impl Config {
         })
     }
 
-    /// Validates internal consistency (grid shapes, ZeRO stage range, ...).
+    /// Validates internal consistency (grid shapes, ZeRO stage range,
+    /// clipping threshold, ...).
     pub fn validate(&self) -> Result<(), String> {
         if let Some(t) = self.parallel.tensor {
             if t.size == 0 {
@@ -190,6 +192,12 @@ impl Config {
             if !(1..=3).contains(&z.stage) {
                 return Err(format!("ZeRO stage must be 1..=3, got {}", z.stage));
             }
+        }
+        if !(self.grad_clip.is_finite() && self.grad_clip >= 0.0) {
+            return Err(format!(
+                "grad_clip must be finite and >= 0 (0 disables), got {}",
+                self.grad_clip
+            ));
         }
         Ok(())
     }
@@ -273,6 +281,23 @@ mod tests {
         assert!(Config::from_json(r#"{ "zero": { "stage": 0 } }"#).is_err());
         assert!(Config::from_json(r#"{ "zero": { "stage": 4 } }"#).is_err());
         assert!(Config::from_json(r#"{ "zero": { "stage": 3 } }"#).is_ok());
+    }
+
+    #[test]
+    fn grad_clip_bounds() {
+        let err = Config::from_json(r#"{ "grad_clip": -1.0 }"#).unwrap_err();
+        assert!(err.contains("grad_clip"), "{err}");
+        for bad in [f32::NAN, f32::INFINITY] {
+            let cfg = Config {
+                grad_clip: bad,
+                ..Config::default()
+            };
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains("grad_clip"), "{err}");
+        }
+        let cfg = Config::from_json(r#"{ "grad_clip": 1.0 }"#).unwrap();
+        assert_eq!(cfg.grad_clip, 1.0);
+        assert_eq!(Config::from_json("{}").unwrap().grad_clip, 0.0);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! are the things the retired intra-op pool and fast numeric mode took with
 //! them: threads spawned outside the world executor, a second arithmetic
 //! beside each kernel, and 14 of the 17 `unsafe` sites. Nor can a switch
-//! that turns the overlapped gradient reduce off, or a whole-model
-//! activation checkpoint. The API surface cannot grow back either: every
-//! public function has a caller.
+//! that turns the overlapped gradient reduce off, a whole-model activation
+//! checkpoint, or a per-call wire width. The API surface cannot grow back
+//! either: every public function has a caller.
 
 use colossalai::comm::{World, WorldBackend};
 use colossalai::core::{initialize, Config, OptimizerSpec};
@@ -518,6 +518,23 @@ fn compute_reaches_the_clock_only_through_the_meter() {
         }
     }
     assert_eq!(advancers, ["crates/memory/src/offload.rs"]);
+}
+
+/// Every payload is f32 and bills 4 bytes per element: a collective is
+/// `{ op, stream }` and a send has one width. No library code names the
+/// retired per-call width type or the send that took one. The retired
+/// names are assembled from pieces so that a search of the sources comes
+/// back empty.
+#[test]
+fn one_wire_width_bills_every_payload() {
+    let retired = [["Wi", "re"].concat(), ["send", "_wire"].concat()];
+    for (file, text) in library_sources() {
+        let library = before_unit_tests(&text);
+        let mut words = library.split(|c: char| !(c.is_alphanumeric() || c == '_'));
+        if let Some(name) = words.find(|w| retired.iter().any(|r| r == w)) {
+            panic!("{file} names {name:?}: every payload bills 4 bytes per element");
+        }
+    }
 }
 
 /// Lines naming `unsafe`, per file: the list a Miri leg has to cover
