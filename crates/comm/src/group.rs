@@ -23,7 +23,7 @@ use crate::trace::{group_track_name, SpanKind, Track};
 use crate::world::DeviceCtx;
 use colossalai_tensor::{axpy_slices, pool, Shape, Tensor};
 use colossalai_topology::cost::{self, AllReduceSchedule};
-use colossalai_topology::{AllReduceAlgo, DeviceId};
+use colossalai_topology::{AllReduceAlgo, Cluster, DeviceId};
 use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::Arc;
@@ -125,6 +125,24 @@ impl Op {
     /// at one rank's size, so its shards must agree too.)
     fn same_shape(self) -> bool {
         !matches!(self, Op::Broadcast { .. })
+    }
+
+    /// Seconds the op takes over `members` of `cluster` when each rank's
+    /// input (a broadcast's: the root's) is `n` elements, launch included:
+    /// the one op → `topology::cost` mapping, which the combine charges and
+    /// a planner prices with. An all-reduce costs the schedule
+    /// `select_allreduce_schedule` picks, the one the combine runs unless
+    /// the world pins an algorithm.
+    pub fn price(self, cluster: &Cluster, members: &[DeviceId], n: u64) -> f64 {
+        let bytes = n * ELEMENT_BYTES;
+        match self {
+            Op::AllReduce { .. } => cost::select_allreduce_schedule(cluster, members, bytes).time(),
+            Op::AllGather { .. } => cost::allgather_time(cluster, members, bytes),
+            Op::ReduceScatter { .. } => cost::reduce_scatter_time(cluster, members, bytes),
+            Op::Broadcast { .. } | Op::ReduceSum { .. } => {
+                cost::broadcast_time(cluster, members, bytes)
+            }
+        }
     }
 }
 
@@ -313,6 +331,7 @@ fn finish_spec(
             // max is associative+commutative, so the hierarchical schedule
             // applies to it exactly as to sum
             let bytes = n * ELEMENT_BYTES;
+            // `Op::price`'s schedule, unless the world pins an algorithm
             let schedule = match ctx.forced_allreduce_algo() {
                 Some(algo) => cost::allreduce_schedule(algo, cluster, members, bytes),
                 None => cost::select_allreduce_schedule(cluster, members, bytes),
@@ -328,7 +347,7 @@ fn finish_spec(
         Op::AllGather { dim } => {
             let contrib = inputs[0].numel() as u64;
             let full = gather_rank_ordered(&inputs, dim);
-            let cost = cost::allgather_time(cluster, members, contrib * ELEMENT_BYTES);
+            let cost = desc.op.price(cluster, members, contrib);
             let elements = (p as u64 - 1) * p as u64 * contrib;
             let done = Done::new(cost, OpKind::AllGather, elements);
             (Published::Outputs(vec![full; p]), done)
@@ -340,7 +359,7 @@ fn finish_spec(
                 "dim {dim} extent {extent} not divisible into {p} parts"
             );
             let n = inputs[0].numel() as u64;
-            let cost = cost::reduce_scatter_time(cluster, members, n * ELEMENT_BYTES);
+            let cost = desc.op.price(cluster, members, n);
             let elements = (p as u64 - 1) * n;
             let done = Done::new(cost, OpKind::ReduceScatter, elements);
             (Published::Inputs(inputs.into()), done)
@@ -348,7 +367,7 @@ fn finish_spec(
         Op::Broadcast { root } => {
             let src = inputs.swap_remove(root).into_tensor();
             let n = src.numel() as u64;
-            let cost = cost::broadcast_time(cluster, members, n * ELEMENT_BYTES);
+            let cost = desc.op.price(cluster, members, n);
             let elements = (p as u64 - 1) * n;
             let done = Done::new(cost, OpKind::Broadcast, elements);
             (Published::Outputs(vec![src; p]), done)
@@ -365,7 +384,7 @@ fn finish_spec(
                     }
                 })
                 .collect();
-            let cost = cost::broadcast_time(cluster, members, n * ELEMENT_BYTES);
+            let cost = desc.op.price(cluster, members, n);
             let elements = (p as u64 - 1) * n;
             let done = Done::new(cost, OpKind::Reduce, elements);
             (Published::Outputs(outs), done)
@@ -1413,14 +1432,7 @@ mod tests {
             }
             // the cost layer's price of the 12 f32 elements on the 4-rank
             // group, launch included
-            let (c, g, bytes) = (&system_i(), &[0, 1, 2, 3][..], 12 * 4);
-            let price = match op {
-                Op::AllReduce { .. } => cost::select_allreduce_schedule(c, g, bytes).time(),
-                Op::AllGather { .. } => cost::allgather_time(c, g, bytes),
-                Op::ReduceScatter { .. } => cost::reduce_scatter_time(c, g, bytes),
-                Op::Broadcast { .. } | Op::ReduceSum { .. } => cost::broadcast_time(c, g, bytes),
-            };
-            assert_eq!(cost, price, "{op:?}");
+            assert_eq!(cost, op.price(&system_i(), &[0, 1, 2, 3], 12), "{op:?}");
             assert!(cost > cost::COLLECTIVE_LAUNCH_SECONDS, "{op:?}");
         }
     }

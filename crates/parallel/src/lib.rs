@@ -20,7 +20,9 @@
 //! * [`vocab_parallel`] — Megatron vocabulary-parallel embedding + the
 //!   gather-free parallel cross-entropy;
 //! * [`norm2d`] — LayerNorm over a sharded hidden axis;
-//! * [`auto`] — the experimental automatic parallelization of Section 3.3;
+//! * [`auto`] — Section 3.3's sharding-conversion search: paths of the
+//!   collectives `Group` runs, priced by the one cost model, and their
+//!   executor;
 //! * [`volume`] — the closed-form communication volumes of Table 1 / Fig 5;
 //! * [`memcalc`] — per-mode memory footprints behind Figs 8 and 12;
 //! * [`throughput`] — step-time estimation at paper scale (Figs 11, 13, 14,

@@ -375,8 +375,9 @@ fn every_public_function_has_a_caller() {
     );
 }
 
-/// Whether `line` spells `Op::<variant>` as a path of its own (not
-/// `ConvOp::<variant>`, not a longer variant name).
+/// Whether `line` spells `Op::<variant>` as a path of its own (as
+/// `Step::Op(Op::AllGather { dim })` does; not the tail of a longer type
+/// name such as `CollectiveOp::`, not a longer variant name).
 fn names_op(line: &str, variant: &str) -> bool {
     let is_ident = |c: char| c.is_alphanumeric() || c == '_';
     let path = format!("Op::{variant}");
