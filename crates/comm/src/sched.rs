@@ -15,10 +15,22 @@
 //!   retire it. Peak OS threads is `pool`, whatever `n` is.
 //! * a **stackful** body is a `run_on` closure; its resumable state is its
 //!   own OS thread, so a slot is a token passed between the `n` rank
-//!   threads. A rank thread that blocks pops the next ready rank and
-//!   unparks *that* thread (or keeps running if it popped itself); a wake
-//!   that finds a free slot unparks the woken rank's thread. No worker
-//!   sits in between, so one block/resume cycle costs one OS-thread wake.
+//!   threads. Each rank thread sleeps on its own [`Baton`], a pipe. A rank
+//!   thread that blocks pops the next ready rank and writes one byte to
+//!   *that* rank's pipe (or keeps running if it popped itself); a wake that
+//!   finds a free slot writes to the woken rank's pipe. No worker sits in
+//!   between, so one block/resume cycle costs one pipe write and read.
+//!
+//! # Why a pipe and not `Thread::unpark`
+//!
+//! A pipe write is a *synchronous* wake-up: the kernel may run the reader
+//! on the writer's core, which the writer is about to leave for its own
+//! read. A futex wake (`unpark`) let the woken rank queue behind the rank
+//! running on the other core while the blocker's core idled until a
+//! load-balance tick. On `tp_modes` (8 rank threads on 2 slots, 177
+//! hand-offs per step) 7 % of hand-offs waited 200 µs – 5 ms from `unpark`
+//! to running, 3.5 % after a pipe write, and the hand-off wait per step
+//! fell from 8.4 to 4.7 ms (DESIGN.md §11.2).
 //!
 //! # Wake protocol
 //!
@@ -56,9 +68,9 @@
 
 use crate::world::ThreadCounters;
 use parking_lot::{Condvar, Mutex};
+use std::io::{ErrorKind, PipeReader, PipeWriter, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::Thread;
+use std::sync::Arc;
 
 /// Unwind payload used to abort peer ranks after one rank panicked. Raised
 /// with `resume_unwind` so the panic hook stays silent; the run recognizes
@@ -127,6 +139,45 @@ impl ReadyHeap {
     }
 }
 
+/// A stackful rank's wake-up line: a pipe whose read end its own thread
+/// sleeps on. Whoever hands the rank a slot writes one byte. A byte is
+/// only a hint — the reader re-checks its state and sleeps again unless it
+/// is `TASK_RUNNING` — so a byte that arrives after the rank already saw
+/// its slot is a spurious wake at its next sleep, never a run without one.
+pub(crate) struct Baton {
+    rx: PipeReader,
+    tx: PipeWriter,
+}
+
+impl Baton {
+    /// One baton per rank of an `n`-rank `run_on`, opened before any rank
+    /// thread exists. Panics, naming `n` and the OS error, if the process
+    /// is out of file descriptors; the pipes opened so far are closed.
+    pub(crate) fn open(n: usize) -> Box<[Baton]> {
+        (0..n)
+            .map(|_| std::io::pipe().map(|(rx, tx)| Baton { rx, tx }))
+            .collect::<std::io::Result<_>>()
+            .unwrap_or_else(|e| panic!("run_on({n}): cannot open the {n} rank wake-up pipes: {e}"))
+    }
+
+    /// Wakes the rank sleeping in [`Baton::sleep`].
+    fn hand(&self) {
+        (&self.tx)
+            .write_all(&[1])
+            .expect("write to a rank's wake-up pipe");
+    }
+
+    /// Sleeps until some byte arrives, taking every byte already there in
+    /// the same read: stale bytes never pile up behind the next real one.
+    fn sleep(&self) {
+        match (&self.rx).read(&mut [0u8; 64]) {
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => panic!("read from a rank's wake-up pipe: {e}"),
+        }
+    }
+}
+
 /// What the ready lock guards.
 struct Ready {
     /// Ready ranks, min-first by `(clock bits, rank)`.
@@ -153,9 +204,9 @@ pub(crate) struct TaskWaker {
     /// clock updates in big worlds then walk warm lines instead of 16k
     /// scattered allocations.
     clocks: Box<[AtomicU64]>,
-    /// Rank `r`'s own OS thread, unparked when `r` gets a slot. Set once by
-    /// [`TaskWaker::start_stackful`]; unset for heap bodies.
-    threads: OnceLock<Box<[Thread]>>,
+    /// Rank `r`'s baton, handed when `r` gets a slot; `None` for heap
+    /// bodies. Dropped, closing every pipe, with the run's last handle.
+    batons: Option<Box<[Baton]>>,
     /// Raised once any rank panics or the run deadlocks; every poll entry
     /// checks it.
     pub(crate) abort: AtomicBool,
@@ -170,10 +221,17 @@ pub(crate) struct TaskWaker {
 
 impl TaskWaker {
     /// Creates the executor for `n` ranks on `pool` slots, all ranks ready
-    /// at virtual time 0 in rank order. The slots start held: by the
-    /// workers about to call [`TaskWaker::next_ready`], or by the caller of
-    /// [`TaskWaker::start_stackful`].
-    pub(crate) fn new(n: usize, pool: usize, gauge: Arc<ThreadCounters>) -> Arc<TaskWaker> {
+    /// at virtual time 0 in rank order: a stackful run when `batons` holds
+    /// one [`Baton`] per rank, a heap-body run when it is `None`. The slots
+    /// start held: by the workers about to call [`TaskWaker::next_ready`],
+    /// or by the caller of [`TaskWaker::start_stackful`].
+    pub(crate) fn new(
+        n: usize,
+        pool: usize,
+        batons: Option<Box<[Baton]>>,
+        gauge: Arc<ThreadCounters>,
+    ) -> Arc<TaskWaker> {
+        assert!(batons.as_ref().is_none_or(|b| b.len() == n));
         // keys (0, rank) in rank order already satisfy the heap property
         let heap = ReadyHeap {
             items: (0..n).map(|rank| (0u64, rank)).collect(),
@@ -185,7 +243,7 @@ impl TaskWaker {
             state: (0..n).map(|_| AtomicU8::new(TASK_QUEUED)).collect(),
             notified: (0..n).map(|_| AtomicBool::new(false)).collect(),
             clocks: (0..n).map(|_| AtomicU64::new(0.0f64.to_bits())).collect(),
-            threads: OnceLock::new(),
+            batons,
             abort: AtomicBool::new(false),
             deadlocked: AtomicBool::new(false),
             live: AtomicUsize::new(n),
@@ -231,21 +289,21 @@ impl TaskWaker {
     }
 
     /// Queues `rank` and, if a slot is free, fills it: an idle worker is
-    /// woken to pop for itself, or the earliest ready rank's own thread is
-    /// unparked.
+    /// woken to pop for itself, or the earliest ready rank's baton is
+    /// handed.
     fn enqueue(&self, q: &mut Ready, rank: usize) {
         q.heap.push((self.clock_bits(rank), rank));
         if q.idle == 0 {
             return;
         }
-        match self.threads.get() {
+        match &self.batons {
             None => {
                 self.ready_cv.notify_one();
             }
-            Some(threads) => {
+            Some(batons) => {
                 let next = self.take_ready(q).expect("a rank was just queued");
                 q.idle -= 1;
-                threads[next].unpark();
+                batons[next].hand();
             }
         }
     }
@@ -330,7 +388,7 @@ impl TaskWaker {
     pub(crate) fn finish(&self, rank: usize) {
         self.state[rank].store(TASK_DONE, Ordering::SeqCst);
         let last = self.live.fetch_sub(1, Ordering::SeqCst) == 1;
-        if self.threads.get().is_some() {
+        if self.batons.is_some() {
             self.pass_slot(None);
         } else if last {
             // lock-then-notify: serializes against a worker between its
@@ -349,32 +407,39 @@ impl TaskWaker {
 
     // ---- stackful bodies ---------------------------------------------------
 
-    /// Registers the rank threads of a stackful run and hands out the
-    /// `pool` slots to the earliest ready ranks.
-    pub(crate) fn start_stackful(&self, threads: Box<[Thread]>) {
-        assert!(self.threads.set(threads).is_ok(), "run already started");
+    /// Hands out the `pool` slots of a stackful run to the earliest ready
+    /// ranks.
+    pub(crate) fn start_stackful(&self) {
         for _ in 0..self.pool {
             self.pass_slot(None);
         }
     }
 
-    /// Gives the caller's slot to the earliest ready rank — unparking its
-    /// thread unless it is `me`, who then simply keeps running — or idles
-    /// the slot.
+    /// Gives the caller's slot to the earliest ready rank — handing its
+    /// baton unless it is `me`, who then simply keeps running — or idles
+    /// the slot. The byte is written after the ready lock is dropped: the
+    /// rank is already `TASK_RUNNING`, and a late byte is only a spurious
+    /// wake.
     fn pass_slot(&self, me: Option<usize>) {
-        let threads = self.threads.get().expect("stackful run");
-        let mut q = self.ready.lock();
-        match self.take_ready(&mut q) {
-            Some(next) if Some(next) == me => {}
-            Some(next) => threads[next].unpark(),
-            None => self.slot_idles(&mut q),
+        let batons = self.batons.as_ref().expect("stackful run");
+        let next = {
+            let mut q = self.ready.lock();
+            let next = self.take_ready(&mut q);
+            if next.is_none() {
+                self.slot_idles(&mut q);
+            }
+            next
+        };
+        if let Some(next) = next.filter(|&next| Some(next) != me) {
+            batons[next].hand();
         }
     }
 
-    /// Parks the calling rank thread until `rank` holds a slot.
+    /// Sleeps on `rank`'s baton until `rank` holds a slot.
     pub(crate) fn wait_dispatched(&self, rank: usize) {
+        let baton = &self.batons.as_ref().expect("stackful run")[rank];
         while self.state[rank].load(Ordering::SeqCst) != TASK_RUNNING {
-            self.gauge.parked(std::thread::park);
+            self.gauge.parked(|| baton.sleep());
         }
     }
 
@@ -384,7 +449,7 @@ impl TaskWaker {
     /// instead of blocking its pool worker.
     pub(crate) fn block(&self, rank: usize) {
         assert!(
-            self.threads.get().is_some(),
+            self.batons.is_some(),
             "blocking wait inside a heap rank task: return Poll::Pending instead"
         );
         self.park(rank);
@@ -399,7 +464,7 @@ mod tests {
 
     #[test]
     fn task_waker_orders_by_time_then_rank() {
-        let w = TaskWaker::new(3, 1, Arc::default());
+        let w = TaskWaker::new(3, 1, None, Arc::default());
         // all three seeded at t=0: pop in rank order
         assert_eq!(w.next_ready(), Some(0));
         assert_eq!(w.next_ready(), Some(1));
@@ -419,7 +484,7 @@ mod tests {
     fn task_waker_latches_wake_during_poll() {
         // a wake that lands while the rank is RUNNING (mid-poll) must not
         // be lost: park() converts the latched notify into a requeue
-        let w = TaskWaker::new(1, 1, Arc::default());
+        let w = TaskWaker::new(1, 1, None, Arc::default());
         assert_eq!(w.next_ready(), Some(0)); // now RUNNING
         w.wake(0); // CAS fails (not BLOCKED); latch stays set
         w.park(0); // Pending observed: latch -> immediate requeue
@@ -428,7 +493,7 @@ mod tests {
 
     #[test]
     fn task_waker_single_heap_entry_per_task() {
-        let w = TaskWaker::new(1, 1, Arc::default());
+        let w = TaskWaker::new(1, 1, None, Arc::default());
         assert_eq!(w.next_ready(), Some(0));
         w.park(0);
         for _ in 0..5 {
@@ -440,14 +505,14 @@ mod tests {
 
     #[test]
     fn task_waker_workers_exit_when_all_done() {
-        let w = TaskWaker::new(2, 1, Arc::default());
+        let w = TaskWaker::new(2, 1, None, Arc::default());
         assert_eq!(w.next_ready(), Some(0));
         w.finish(0);
         assert_eq!(w.next_ready(), Some(1));
         w.finish(1);
         assert_eq!(w.next_ready(), None);
         // an idle worker parked on the cv is woken by the last finish
-        let w2 = TaskWaker::new(1, 2, Arc::default());
+        let w2 = TaskWaker::new(1, 2, None, Arc::default());
         assert_eq!(w2.next_ready(), Some(0));
         let w2c = Arc::clone(&w2);
         let h = std::thread::spawn(move || w2c.next_ready());
@@ -458,7 +523,7 @@ mod tests {
 
     #[test]
     fn task_waker_abort_requeues_parked_tasks() {
-        let w = TaskWaker::new(2, 2, Arc::default());
+        let w = TaskWaker::new(2, 2, None, Arc::default());
         assert_eq!(w.next_ready(), Some(0));
         assert_eq!(w.next_ready(), Some(1));
         w.park(0);
@@ -474,7 +539,7 @@ mod tests {
 
     #[test]
     fn last_idle_slot_with_live_ranks_flags_deadlock() {
-        let w = TaskWaker::new(2, 1, Arc::default());
+        let w = TaskWaker::new(2, 1, None, Arc::default());
         assert_eq!(w.next_ready(), Some(0));
         w.park(0);
         assert_eq!(w.next_ready(), Some(1));
@@ -485,10 +550,11 @@ mod tests {
         assert!(w.deadlocked.load(Ordering::SeqCst) && w.abort.load(Ordering::SeqCst));
     }
 
-    /// A stackful run over `n` ranks whose "threads" are all the test's own.
+    /// A stackful run over `n` ranks, all driven from the test's thread:
+    /// the bytes handed to their batons are only read by tests that sleep.
     fn stackful(n: usize, pool: usize) -> Arc<TaskWaker> {
-        let w = TaskWaker::new(n, pool, Arc::default());
-        w.start_stackful(vec![std::thread::current(); n].into());
+        let w = TaskWaker::new(n, pool, Some(Baton::open(n)), Arc::default());
+        w.start_stackful();
         w
     }
 
@@ -535,6 +601,44 @@ mod tests {
         w.wake(2);
         w.pass_slot(Some(2));
         assert_eq!(states(&w), [TASK_DONE, TASK_BLOCKED, TASK_RUNNING]);
+    }
+
+    #[test]
+    fn a_passed_slot_resumes_exactly_the_next_rank_thread() {
+        // two real rank threads on one slot, as `run_on` runs them; rank 1's
+        // pipe holds a stray byte before its thread exists
+        let w = TaskWaker::new(2, 1, Some(Baton::open(2)), Arc::default());
+        w.batons.as_ref().unwrap()[1].hand();
+        w.start_stackful();
+        let ran = Mutex::new(Vec::new());
+        std::thread::scope(|s| {
+            let (w, ran) = (&w, &ran);
+            s.spawn(move || {
+                w.wait_dispatched(0);
+                ran.lock().push(0);
+                // rank 1's thread wakes on the stray byte, re-checks its
+                // state and sleeps again: were it to run without the slot,
+                // this pause gives it the time to show
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                assert_eq!(states(w), [TASK_RUNNING, TASK_QUEUED]);
+                // blocking hands the one slot to rank 1 and sleeps until
+                // rank 1's wake and retirement hand it back
+                w.block(0);
+                ran.lock().push(0);
+                w.finish(0);
+            });
+            s.spawn(move || {
+                w.wait_dispatched(1);
+                ran.lock().push(1);
+                assert_eq!(states(w), [TASK_BLOCKED, TASK_RUNNING]);
+                w.wake(0); // no free slot: rank 0 queues
+                assert_eq!(states(w), [TASK_QUEUED, TASK_RUNNING]);
+                w.finish(1); // retiring passes the slot to rank 0
+            });
+        });
+        assert_eq!(*ran.lock(), [0, 1, 0]);
+        assert_eq!(states(&w), [TASK_DONE, TASK_DONE]);
+        assert!(!w.deadlocked.load(Ordering::SeqCst));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! resumable tasks ([`World::run_tasks`]).
 
 use crate::group::{Group, GroupShared};
-use crate::sched::{AbortRun, TaskWaker};
+use crate::sched::{AbortRun, Baton, TaskWaker};
 use crate::stats::{CommStats, ELEMENT_BYTES};
 use crate::task::{Poll, RankTask, WakeKey};
 use crate::trace::{self, RankRollup, Span, SpanKind, Tracer, Track};
@@ -15,7 +15,6 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::Thread;
 
 /// One point-to-point mailbox: the FIFO for a single `(from, to, tag)` key
 /// plus that key's *own* parked receiver.
@@ -285,26 +284,22 @@ impl World {
         F: Fn(&DeviceCtx) -> R + Send + Sync,
     {
         let WorldBackend::Stackless { pool } = self.backend();
-        let run = Run::new(&self.inner, n, pool);
+        let run = Run::new(&self.inner, n, pool, true);
         std::thread::scope(|scope| {
-            let threads: Box<[Thread]> = (0..n)
-                .map(|rank| {
-                    let (run, f) = (&run, &f);
-                    std::thread::Builder::new()
-                        .name(format!("colossal-rank-{rank}"))
-                        .stack_size(RANK_STACK_BYTES)
-                        .spawn_scoped(scope, move || {
-                            run.inner.threads.live(|| {
-                                run.waker.wait_dispatched(rank);
-                                run.dispatch(rank, |ctx| Poll::Ready(f(ctx)));
-                            })
+            for rank in 0..n {
+                let (run, f) = (&run, &f);
+                std::thread::Builder::new()
+                    .name(format!("colossal-rank-{rank}"))
+                    .stack_size(RANK_STACK_BYTES)
+                    .spawn_scoped(scope, move || {
+                        run.inner.threads.live(|| {
+                            run.waker.wait_dispatched(rank);
+                            run.dispatch(rank, |ctx| Poll::Ready(f(ctx)));
                         })
-                        .expect("spawn rank thread")
-                        .thread()
-                        .clone()
-                })
-                .collect();
-            run.waker.start_stackful(threads);
+                    })
+                    .expect("spawn rank thread");
+            }
+            run.waker.start_stackful();
         });
         run.join()
     }
@@ -325,7 +320,7 @@ impl World {
     {
         let WorldBackend::Stackless { pool } = self.backend();
         let pool = pool.min(n);
-        let run = Run::new(&self.inner, n, pool);
+        let run = Run::new(&self.inner, n, pool, false);
         // per-task mutexes are uncontended (the executor hands each rank to
         // exactly one worker at a time); they exist to move tasks across
         // worker threads safely
@@ -506,13 +501,16 @@ struct Run<'w, O> {
 }
 
 impl<'w, O> Run<'w, O> {
-    fn new(inner: &'w Arc<WorldInner>, n: usize, pool: usize) -> Run<'w, O> {
+    /// A `stackful` run (`run_on`) opens its ranks' wake-up pipes here,
+    /// before any rank thread exists; they close when the run is dropped.
+    fn new(inner: &'w Arc<WorldInner>, n: usize, pool: usize, stackful: bool) -> Run<'w, O> {
         assert!(
             n >= 1 && n <= inner.cluster.n_devices(),
             "cannot run on {n} devices of a {}-device cluster",
             inner.cluster.n_devices()
         );
-        let waker = TaskWaker::new(n, pool, Arc::clone(&inner.threads));
+        let batons = stackful.then(|| Baton::open(n));
+        let waker = TaskWaker::new(n, pool, batons, Arc::clone(&inner.threads));
         Run {
             inner,
             ctxs: (0..n)

@@ -515,6 +515,14 @@ fn stream_b_rows(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize, st
     crate::pool::recycle(t);
 }
 
+thread_local! {
+    /// [`stream_b_cols`]' lane buffer, one per thread and only ever grown:
+    /// a call rewrites every lane it reads, pads included, so the buffer is
+    /// neither cleared nor taken from the pool (whose class lock and
+    /// zero-fill cost half a few-row product).
+    static A_LANES: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
 /// `c += a @ b` for a `B` with unit-stride columns (`B = Wᵀ` of a
 /// row-major `W`: column `j` of `B` is row `j` of `W`), nothing of `B`
 /// packed: per `KC` block and per group of [`COL_TILE`] rows of `C`, the
@@ -525,7 +533,8 @@ fn stream_b_rows(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize, st
 /// slots past `n` and drops what they compute, as it drops the padded lanes.
 #[inline(always)]
 fn stream_b_cols(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize, store: bool) {
-    let mut a_lanes = crate::pool::take_zeroed(k.min(KC) * COL_TILE);
+    let mut a_lanes = A_LANES.take();
+    a_lanes.resize(a_lanes.len().max(k.min(KC) * COL_TILE), 0.0);
     for pc in (0..k).step_by(KC) {
         let kb = (k - pc).min(KC);
         let set = store && pc == 0;
@@ -550,7 +559,7 @@ fn stream_b_cols(a: Mat, b: Mat, c: &mut [f32], m: usize, k: usize, n: usize, st
             }
         }
     }
-    crate::pool::recycle(a_lanes);
+    A_LANES.set(a_lanes);
 }
 
 /// The `B`-column stream's register kernel: `t[j][r]` is the chain over
